@@ -175,27 +175,14 @@ fn wall_cell(
         let log = log.clone();
         let barrier = Arc::clone(&barrier);
         handles.push(std::thread::spawn(move || {
-            let mut batch_writer = (batch > 1).then(|| log.batch_writer(batch));
+            let mut writer = log.batch_writer(batch);
             barrier.wait();
             let t0 = Instant::now();
-            let mut reservations = 0u64;
             for k in 0..entries_per_writer {
-                let entry = cell_entry(t, k, entries_per_writer);
-                match &mut batch_writer {
-                    Some(w) => {
-                        w.append(&entry);
-                    }
-                    None => {
-                        log.write_live(&entry);
-                    }
-                }
+                writer.append(&cell_entry(t, k, entries_per_writer));
             }
             let elapsed = t0.elapsed().as_secs_f64();
-            if let Some(w) = &batch_writer {
-                reservations = w.reservations();
-            }
-            let remainder = batch_writer.as_ref().map_or(0, |w| w.pending());
-            (elapsed, reservations, remainder)
+            (elapsed, writer.reservations(), writer.pending())
         }));
     }
     let mut wall = 0f64;
@@ -217,9 +204,6 @@ fn wall_cell(
         .filter(|e| e.validity() == EntryValidity::Valid)
         .collect();
     drained.sort_by_key(|e| (e.tid, e.counter));
-    if batch <= 1 {
-        reservations = writers as u64 * entries_per_writer;
-    }
     (wall, drained, reservations, remainder, dropped)
 }
 

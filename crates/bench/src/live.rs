@@ -30,8 +30,8 @@ use lsm_store::{run_db_bench, BenchOptions};
 use tee_sim::{CostModel, Machine};
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_analyzer::Profile;
-use teeperf_core::{Profiler, Recorder, RecorderConfig};
-use teeperf_live::{DrainPolicy, Drainer, RollingProfile};
+use teeperf_core::{EventSource, LiveLogSource, Profiler, Recorder, RecorderConfig};
+use teeperf_live::RollingProfile;
 
 /// Harness options.
 #[derive(Debug, Clone)]
@@ -112,18 +112,12 @@ impl LiveBenchResult {
 fn profiled_machine(
     cost: &CostModel,
     config: &RecorderConfig,
-    live: bool,
 ) -> (Recorder, Machine, Rc<RefCell<Profiler>>) {
     let recorder = Recorder::new(config);
     let mut machine = Machine::new(cost.clone());
     recorder.attach(&mut machine);
     machine.ecall();
     let hooks = recorder.sim_hooks(machine.clock().clone());
-    let hooks = if live {
-        hooks.with_live_writes()
-    } else {
-        hooks
-    };
     let profiler = Rc::new(RefCell::new(Profiler::new(hooks)));
     (recorder, machine, profiler)
 }
@@ -153,7 +147,6 @@ pub fn run_live_overhead(options: &LiveBenchOptions) -> LiveBenchResult {
             max_entries: 1 << 24,
             ..RecorderConfig::default()
         },
-        false,
     );
     run_db_bench(&mut machine, &bench_options, Some(Rc::clone(&profiler)));
     let batch_cycles = machine.clock().now();
@@ -178,18 +171,15 @@ pub fn run_live_overhead(options: &LiveBenchOptions) -> LiveBenchResult {
             max_entries: options.live_log_entries,
             ..RecorderConfig::default()
         },
-        true,
     );
     let header = recorder.log().header();
     let stop = Arc::new(AtomicBool::new(false));
     let drain_thread = {
         let log = recorder.log().clone();
-        let policy = DrainPolicy {
-            watermark_pct: options.watermark_pct,
-        };
+        let watermark_pct = options.watermark_pct;
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            let mut drainer = Drainer::new(log, policy);
+            let mut drainer = LiveLogSource::new(log, watermark_pct);
             let mut rolling = RollingProfile::new();
             loop {
                 let batch = drainer.pump();
@@ -200,7 +190,7 @@ pub fn run_live_overhead(options: &LiveBenchOptions) -> LiveBenchResult {
                 if stop.load(Ordering::Acquire) {
                     // Writers are done: flush the final partial epoch.
                     loop {
-                        let last = drainer.rotate_now();
+                        let last = drainer.drain_to_end();
                         if last.entries.is_empty() && last.dropped == 0 {
                             break;
                         }

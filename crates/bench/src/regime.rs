@@ -35,7 +35,7 @@ use tee_sim::SharedMem;
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_core::layout::{EventKind, LogEntry};
 use teeperf_core::log::{make_header, region_bytes};
-use teeperf_core::{FidelityGate, Regime, SharedLog};
+use teeperf_core::{BatchWriter, FidelityGate, Regime, SharedLog};
 use teeperf_live::{DrainPolicy, LiveConfig, LiveSession, OverheadBudget, SessionEvent};
 
 /// The three load phases of the ramp, in order.
@@ -168,7 +168,12 @@ fn fresh_log(capacity: u64) -> SharedLog {
 
 /// Offer one call/return pair; returns how many of the two events were
 /// written (gate permitting).
-fn offer_pair(log: &SharedLog, gate: Option<&mut FidelityGate>, addr: u64, base: u64) -> u64 {
+fn offer_pair(
+    writer: &mut BatchWriter,
+    gate: Option<&mut FidelityGate>,
+    addr: u64,
+    base: u64,
+) -> u64 {
     let call = LogEntry {
         kind: EventKind::Call,
         counter: base,
@@ -183,18 +188,18 @@ fn offer_pair(log: &SharedLog, gate: Option<&mut FidelityGate>, addr: u64, base:
     };
     match gate {
         None => {
-            log.write_live(&call);
-            log.write_live(&ret);
+            writer.append(&call);
+            writer.append(&ret);
             2
         }
         Some(gate) => {
             let mut written = 0;
             for entry in [call, ret] {
                 if gate.needs_refresh() {
-                    gate.observe(log.regime_word());
+                    gate.observe(writer.log().regime_word());
                 }
                 if gate.admit(entry.tid, entry.kind) {
-                    log.write_live(&entry);
+                    writer.append(&entry);
                     written += 1;
                 }
             }
@@ -237,6 +242,7 @@ fn run_one(options: &RegimeBenchOptions, mode: Mode) -> RunStats {
         )
     });
     let mut gate = budget.map(|_| FidelityGate::new());
+    let mut writer = log.batch_writer(1);
     let addr = debug().entry_addr(1);
 
     let wall = Instant::now();
@@ -260,7 +266,7 @@ fn run_one(options: &RegimeBenchOptions, mode: Mode) -> RunStats {
             for _ in 0..pairs {
                 stats.offered += 2;
                 if session_wanted {
-                    stats.written += offer_pair(&log, gate.as_mut(), addr, base);
+                    stats.written += offer_pair(&mut writer, gate.as_mut(), addr, base);
                 }
                 base += 4;
             }

@@ -1,14 +1,14 @@
-//! The protocol harness: runs the *real* `teeperf_core::log` live protocol
-//! (`write_live` / `poll` / `rotate`) under the virtual scheduler and
-//! checks machine-readable invariants against independently tracked ground
+//! The protocol harness: runs the *real* shared-log protocol
+//! (`BatchWriter::append` / `poll` / `rotate`) under the virtual scheduler
+//! and checks machine-readable invariants against independently tracked ground
 //! truth.
 //!
 //! Roles (one virtual thread each, in fixed [`VTid`] order so schedules
 //! replay):
 //!
 //! * **writers** `0..W` — each appends `entries_per_writer` entries with
-//!   globally unique addresses via `SharedLog::write_live`, recording every
-//!   attempt and its outcome.
+//!   globally unique addresses through its own `BatchWriter`, recording
+//!   every attempt and its outcome.
 //! * **drainer** `W` — owns the `LogCursor`: polls, performs up to
 //!   `mid_rotations` rotations while writers are still running (this is
 //!   what exercises slot reuse across epochs), then one final rotation
@@ -105,7 +105,7 @@ impl MutationKind {
 /// and observer activity, and which mutation (if any) is armed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Config {
-    /// Concurrent `write_live` threads.
+    /// Concurrent writer threads.
     pub writers: usize,
     /// Entries each writer appends.
     pub entries_per_writer: u64,
@@ -116,9 +116,9 @@ pub struct Config {
     /// Concurrent `dropped_total()` reads by the observer role (0 = no
     /// observer thread).
     pub observer_reads: u64,
-    /// Slots each writer claims per tail reservation: `1` appends via
-    /// `write_live`, `> 1` via a per-writer `BatchWriter` — exercising the
-    /// reserve-run / publish / abandon interleavings.
+    /// Slots each writer's `BatchWriter` claims per tail reservation: `1`
+    /// is one slot per event, `> 1` exercises the reserve-run / publish /
+    /// abandon interleavings.
     pub batch_slots: u64,
     /// Fidelity-regime transitions the drainer publishes through the
     /// shared regime word at its mid-rotations (cycling a fixed ladder).
@@ -321,7 +321,7 @@ pub fn execute(
         let entries = cfg.entries_per_writer;
         let batch_slots = cfg.batch_slots;
         jobs.push(Box::new(move || {
-            let mut batch = (batch_slots > 1).then(|| log.batch_writer(batch_slots));
+            let mut writer = log.batch_writer(batch_slots);
             for k in 1..=entries {
                 if observe_regimes {
                     let obs = log.regime_observed();
@@ -334,10 +334,7 @@ pub fn execute(
                     addr,
                     tid: w as u64,
                 };
-                let stored = match &mut batch {
-                    Some(b) => b.append(&entry).slot.is_some(),
-                    None => log.write_live(&entry).is_some(),
-                };
+                let stored = writer.append(&entry).slot.is_some();
                 let mut t = lock(&truth);
                 t.attempts += 1;
                 if stored {
@@ -347,19 +344,17 @@ pub fn execute(
                 }
             }
             let mut t = lock(&truth);
-            if let Some(b) = &batch {
-                // Everything this writer reserved but never published must
-                // end up counted as abandoned exactly once: the unfinished
-                // run's remainder (holes for the next rotation), the
-                // over-capacity hand-backs, and runs already discarded
-                // because the epoch rotated under them.
-                t.expected_abandoned += b.pending() + b.handed_back() + b.discarded();
-            }
+            // Everything this writer reserved but never published must end
+            // up counted as abandoned exactly once: the unfinished run's
+            // remainder (holes for the next rotation), the over-capacity
+            // hand-backs, and runs already discarded because the epoch
+            // rotated under them.
+            t.expected_abandoned += writer.pending() + writer.handed_back() + writer.discarded();
             t.writers_done += 1;
         }));
     }
     {
-        // Drainer: the single cursor owner. Mutations arm on this handle —
+        // The drainer: the single cursor owner. Mutations arm on this handle —
         // both historical bugs lived in the rotation path it runs.
         let log = log.clone().with_mutation(cfg.mutation.arm());
         let truth = Arc::clone(&truth);
@@ -413,9 +408,9 @@ pub fn execute(
                 let t = lock(&truth);
                 // Each writer still inside the protocol can have raised the
                 // tail by at most one reservation whose append has not
-                // returned yet: one slot on the classic path, `batch_slots`
-                // on the batched path (the over-capacity part only counts
-                // as a drop until the hand-back lands a few steps later).
+                // returned yet: `batch_slots` slots (the over-capacity part
+                // only counts as a drop until the hand-back lands a few
+                // steps later).
                 let bound = t.completed_drops + (writers - t.writers_done) as u64 * batch_slots;
                 if observed > bound {
                     let detail = format!(

@@ -4,8 +4,8 @@
 //! Two halves, both offline and dependency-free:
 //!
 //! * **Model checking** ([`sched`], [`harness`], [`explore`]): the real
-//!   `write_live` / `poll` / `rotate` protocol code runs against a virtual
-//!   scheduler (via the [`tee_sim::MemModel`] seam) that owns every
+//!   `BatchWriter::append` / `poll` / `rotate` protocol code runs against a
+//!   virtual scheduler (via the [`tee_sim::MemModel`] seam) that owns every
 //!   interleaving decision. Small configs are enumerated exhaustively
 //!   under a preemption bound; larger ones are swept with seeded
 //!   PCT-style random schedules. Machine-checked invariants: every

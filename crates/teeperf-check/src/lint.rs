@@ -578,8 +578,10 @@ pub fn lint_source_with(config: &LintConfig, path: &str, source: &str) -> Vec<Di
     out
 }
 
-/// Directories (by component name) never descended into.
-const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures"];
+/// Directories (by component name) never descended into. `benchmark` is
+/// the frozen product-path harness: its own workspace, host-side
+/// orchestration only, and not editable to carry allow comments.
+const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures", "benchmark"];
 
 /// Collect every `.rs` file under `root` (sorted, for stable output),
 /// skipping build output and lint test fixtures.

@@ -1,23 +1,26 @@
-//! Batched slot reservation: amortize the shared tail fetch-and-add.
+//! The append side of the shared log: the one routine that reserves and
+//! publishes slots.
 //!
-//! The classic hot path ([`SharedLog::write_live`]) pays one shared
-//! `fetch_add` on the tail word per event, which serializes every writer
-//! thread on one cache line at high thread counts. A [`BatchWriter`]
-//! instead claims a *run* of `BATCH` slots with a single tail `fetch_add`
-//! and publishes them one-by-one with the unchanged publication-word
-//! discipline (address and tid first, kind+counter last), so the shared
-//! RMW cost is paid once per `BATCH` events.
+//! Every writer thread holds a [`BatchWriter`] and every event goes through
+//! [`BatchWriter::append`]: announce on the control word, claim a *run* of
+//! `batch` slots with a single `fetch_add` on the tail word, publish into
+//! the run one slot per event (address and tid first, the kind+counter
+//! word last), withdraw. `batch = 1` is the paper's design — one shared
+//! tail RMW per event; a larger run pays that RMW, which serializes every
+//! writer thread on one cache line at high thread counts, once per `batch`
+//! events. Because every append announces, a drainer may rotate any log at
+//! any time: there is no unannounced write for the handshake to miss.
 //!
 //! ## Abandonment rules
 //!
 //! A claimed slot that is never published is *abandoned*, never dropped:
 //!
-//! * **Epoch rotation.** The rotation handshake is unchanged — every
-//!   append announces on the control word and backs off while the
-//!   rotating flag is set. A writer holding an unfinished run when the
-//!   epoch rotates simply discards the remainder: the rotation that
-//!   bumped the epoch already drained past those in-capacity slots,
-//!   skipped them as word-0-zero holes, and counted them as abandoned.
+//! * **Epoch rotation.** Every append announces on the control word and
+//!   backs off while the rotating flag is set. A writer holding an
+//!   unfinished run when the epoch rotates simply discards the remainder:
+//!   the rotation that bumped the epoch already drained past those
+//!   in-capacity slots, skipped them as word-0-zero holes, and counted
+//!   them as abandoned.
 //! * **Thread exit.** Dropping a [`BatchWriter`] needs no shared writes:
 //!   the in-capacity remainder stays unpublished and the *next* rotation
 //!   counts the holes.
@@ -30,10 +33,9 @@
 //!   happens while the writer is still announced, so rotation (which
 //!   quiesces writers first) always reads a stable epoch word.
 //!
-//! Exactly-once drain is preserved because nothing about publication
-//! changed: a slot is either published (word 0 non-zero, drained once) or
-//! abandoned (word 0 zero, skipped and counted once by the rotation that
-//! passes it). The `teeperf-check` model checker explores these
+//! Exactly-once drain holds because a slot is either published (word 0
+//! non-zero, drained once) or abandoned (word 0 zero, skipped and counted
+//! once by the rotation that passes it). The `teeperf-check` model checker explores these
 //! reserve-run/publish/abandon interleavings with a dedicated
 //! abandon-accounting invariant.
 
@@ -42,7 +44,7 @@ use crate::layout::{
 };
 use crate::log::SharedLog;
 
-/// Per-thread batched writer over a [`SharedLog`]. Create one per writer
+/// Per-thread writer over a [`SharedLog`]. Create one per writer
 /// thread with [`SharedLog::batch_writer`]; it is deliberately `!Sync`-ish
 /// in spirit (all methods take `&mut self`) — two threads sharing one
 /// `BatchWriter` would interleave publications into the same run.
@@ -56,7 +58,8 @@ pub struct BatchWriter {
     /// run is held). Always `<= capacity`: over-capacity slots are handed
     /// back at reservation time and never enter the run.
     run_end: u64,
-    /// Epoch the current run (and the `full` latch) belongs to.
+    /// Epoch the current run (and the `full` latch) belongs to; only
+    /// meaningful while one of them is held.
     epoch: u64,
     /// The current epoch's log is full: reservations degrade to single
     /// slots so each failing append leaves exactly one drop ticket.
@@ -80,20 +83,27 @@ pub struct BatchOutcome {
 
 impl SharedLog {
     /// A per-thread [`BatchWriter`] claiming `batch` slots per tail
-    /// reservation. `batch <= 1` degrades to classic one-slot-per-event
-    /// semantics (still rotation-aware, like [`SharedLog::write_live`]).
+    /// reservation. `batch <= 1` is the paper's one slot per event.
     pub fn batch_writer(&self, batch: u64) -> BatchWriter {
         BatchWriter {
             log: self.clone(),
             batch: batch.max(1),
             run_start: 0,
             run_end: 0,
-            epoch: self.epoch(),
+            epoch: 0,
             full: false,
             handed_back: 0,
             discarded: 0,
             reservations: 0,
         }
+    }
+
+    /// Append one entry through a throwaway single-slot [`BatchWriter`]:
+    /// the slot it landed in, or `None` if it was dropped because the
+    /// current epoch's log is full. For fault injection and tests; a
+    /// recording thread keeps its writer.
+    pub fn write_live(&self, entry: &LogEntry) -> Option<u64> {
+        self.batch_writer(1).append(entry).slot
     }
 }
 
@@ -126,16 +136,15 @@ impl BatchWriter {
         self.reservations
     }
 
-    /// Rotation-aware batched append. Returns where the entry landed and
-    /// whether a shared tail reservation was needed; `slot` is `None` when
-    /// the entry was dropped because the current epoch's log is full (the
-    /// drop is accounted against the header at the next rotation, exactly
-    /// like [`SharedLog::write_live`]).
+    /// The append. Returns where the entry landed and whether a shared tail
+    /// reservation was needed; `slot` is `None` when the entry was dropped
+    /// because the current epoch's log is full (the drop is accounted
+    /// against the header at the next rotation).
     pub fn append(&mut self, entry: &LogEntry) -> BatchOutcome {
         let shm = self.log.shm();
-        // Announce on the control word exactly like `write_live`: back off
-        // while a rotation is in progress. Once announced, the epoch is
-        // frozen — rotation quiesces writers before touching anything.
+        // Announce on the control word, backing off while a rotation is in
+        // progress. Once announced, the epoch is frozen — rotation quiesces
+        // writers before touching anything.
         loop {
             let prev = shm
                 .fetch_add_u64(OFF_CONTROL, WRITER_ONE)
@@ -143,6 +152,8 @@ impl BatchWriter {
             if prev & FLAG_ROTATING == 0 {
                 break;
             }
+            // Withdraw the announcement and wait for the drainer to finish,
+            // then try again.
             shm.fetch_add_u64(OFF_CONTROL, WRITER_ONE.wrapping_neg())
                 .expect("header in range");
             while shm.read_u64(OFF_CONTROL).expect("header in range") & FLAG_ROTATING != 0 {
@@ -151,16 +162,15 @@ impl BatchWriter {
                 shm.spin_hint();
             }
         }
-        // The run (and the full latch) belong to one epoch. If the log
-        // rotated since the last append, the rotation already counted our
-        // leftover run slots as holes — just forget them.
-        let epoch = self.log.epoch();
-        if epoch != self.epoch {
+        // A run or a full latch held from an earlier append belongs to one
+        // epoch. If the log rotated since, the rotation already counted the
+        // leftover run slots as holes — just forget them. A writer holding
+        // neither has nothing an epoch change could invalidate.
+        if (self.run_start != self.run_end || self.full) && self.log.epoch() != self.epoch {
             self.discarded += self.run_end - self.run_start;
             self.run_start = 0;
             self.run_end = 0;
             self.full = false;
-            self.epoch = epoch;
         }
         let mut reserved = false;
         if self.run_start == self.run_end {
@@ -169,17 +179,23 @@ impl BatchWriter {
             let size = self.log.capacity();
             // Once the epoch is known full, claim single slots: each
             // failing append then leaves exactly one slot of tail overflow
-            // as its drop ticket, like the classic path.
+            // as its drop ticket.
             let want = if self.full { 1 } else { self.batch };
             let start = shm.fetch_add_u64(OFF_TAIL, want).expect("header in range");
+            if want > 1 {
+                // A multi-slot claim always leaves something behind for the
+                // next append (the rest of the run, or the full latch), so
+                // note which epoch it belongs to.
+                self.epoch = self.log.epoch();
+            }
             if start >= size {
                 // Whole run out of range: this event drops. Keep one slot
                 // of overflow as the drop ticket, hand the rest back. The
                 // hand-back is safe here because we are still announced,
                 // so the rotation that will read the epoch word has not
                 // started its drain yet.
-                self.full = true;
                 if want > 1 {
+                    self.full = true;
                     shm.fetch_add_u64(OFF_ABANDONED_EPOCH, want - 1)
                         .expect("header in range");
                     self.handed_back += want - 1;
@@ -207,10 +223,9 @@ impl BatchWriter {
                 self.run_end = start + want;
             }
         }
-        // Publish into the next run slot with the unchanged discipline:
-        // address and tid first, the kind+counter word last, so a
-        // concurrent poll that sees a non-zero word 0 sees a complete
-        // entry.
+        // Publish into the next run slot: address and tid first, the
+        // kind+counter word last, so a concurrent poll that sees a non-zero
+        // word 0 sees a complete entry.
         let slot = self.run_start;
         self.run_start += 1;
         let off = LogEntry::offset_of(slot);
@@ -282,16 +297,29 @@ mod tests {
     }
 
     #[test]
-    fn batch_of_one_matches_classic_semantics() {
+    fn batch_of_one_is_one_slot_and_one_reservation_per_event() {
         let log = fresh(2);
         let mut w = log.batch_writer(1);
-        assert_eq!(w.append(&entry(1, 0x100, 0)).slot, Some(0));
-        assert_eq!(w.append(&entry(2, 0x101, 0)).slot, Some(1));
+        for k in 0..2u64 {
+            let out = w.append(&entry(k + 1, 0x100 + k, 0));
+            assert_eq!(out.slot, Some(k), "slots in tail order");
+            assert!(out.reserved, "every append reserves at batch 1");
+            assert_eq!(w.pending(), 0, "a one-slot run is used up at once");
+        }
         let out = w.append(&entry(3, 0x102, 0));
-        assert_eq!(out.slot, None, "full log drops like write_live");
+        assert_eq!(out.slot, None, "a full log drops the event");
         assert!(out.reserved);
+        assert_eq!(w.reservations(), 3);
+        assert_eq!(log.header().tail, 3, "one tail ticket per append");
         assert_eq!(log.dropped_total(), 1);
         assert_eq!(log.abandoned_total(), 0, "no hand-backs at batch 1");
+        assert_eq!(log.writers_in_flight(), 0, "every append withdrew");
+        // The same writer carries on in the next epoch from slot 0.
+        let mut cursor = LogCursor::default();
+        let rotated = log.rotate(&mut cursor);
+        assert_eq!((rotated.entries.len(), rotated.dropped), (2, 1));
+        assert_eq!(w.append(&entry(4, 0x103, 0)).slot, Some(0));
+        assert_eq!(w.discarded(), 0);
     }
 
     #[test]

@@ -21,7 +21,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::layout::{EntryValidity, LogEntry, FLAG_ACTIVE, OFF_CONTROL, OFF_MAGIC, WRITER_ONE};
+use crate::layout::{
+    EntryValidity, LogEntry, FLAG_ACTIVE, OFF_CONTROL, OFF_MAGIC, OFF_TAIL, WRITER_ONE,
+};
 use crate::log::SharedLog;
 
 /// A small deterministic PRNG (SplitMix64): fault schedules must reproduce
@@ -62,7 +64,7 @@ pub enum FaultKind {
     /// the address word was never written — the publication order was
     /// violated, as by memory corruption or a hostile writer.
     TornEntry,
-    /// The writer dies inside `write_live`: the slot stays reserved but
+    /// The writer dies inside an append: the slot stays reserved but
     /// never published, and the writer's announcement on the control word
     /// is never withdrawn, so an unbounded rotation would hang forever.
     WriterCrash,
@@ -249,7 +251,7 @@ impl FaultyWriter {
         self.dead
     }
 
-    /// Announce + reserve like `write_live`, without publishing or
+    /// Announce + reserve like a healthy append, without publishing or
     /// withdrawing — the state a writer is in the instant before it dies
     /// or stalls. Returns the reserved slot (`None` on overflow; the
     /// announcement stays either way).
@@ -258,7 +260,11 @@ impl FaultyWriter {
             .shm()
             .fetch_add_u64(OFF_CONTROL, WRITER_ONE)
             .expect("header in range");
-        let index = self.log.reserve();
+        let index = self
+            .log
+            .shm()
+            .fetch_add_u64(OFF_TAIL, 1)
+            .expect("header in range");
         (index < self.log.capacity()).then_some(index)
     }
 

@@ -9,8 +9,11 @@
 //!    event kind is masked,
 //! 3. consult the selective-profiling filter, if any,
 //! 4. read the software counter from shared memory (or the hardware TSC),
-//! 5. reserve a log slot with one fetch-and-add on the tail,
+//! 5. reserve a log slot with one fetch-and-add on the tail (or take the
+//!    next slot of the run an earlier reservation claimed),
 //! 6. write the 24-byte entry.
+//!
+//! Steps 5 and 6 are [`BatchWriter::append`], the one append routine.
 //!
 //! Each shared-memory access is charged to the simulated [`Machine`], so
 //! the *measured overhead of the profiler is produced by the same mechanism
@@ -47,13 +50,11 @@ pub const TAIL_RMW_CYCLES: u64 = 180;
 /// The runtime half of TEE-Perf's instrumentation: writes log entries from
 /// inside the enclave.
 pub struct TeePerfHooks {
-    log: SharedLog,
+    writer: BatchWriter,
     counter: Box<dyn CounterSource>,
     filter: Option<SelectiveFilter>,
     injected_cycles: u64,
     counter_in_shm: bool,
-    live: bool,
-    batch: Option<BatchWriter>,
     gate: Option<FidelityGate>,
     events_recorded: u64,
     events_suppressed: u64,
@@ -74,42 +75,22 @@ impl TeePerfHooks {
     pub fn new(log: SharedLog, counter: Box<dyn CounterSource>) -> TeePerfHooks {
         let counter_in_shm = counter.name() != "hardware-tsc";
         TeePerfHooks {
-            log,
+            writer: log.batch_writer(1),
             counter,
             filter: None,
             injected_cycles: DEFAULT_INJECTED_CYCLES,
             counter_in_shm,
-            live: false,
-            batch: None,
             gate: None,
             events_recorded: 0,
             events_suppressed: 0,
         }
     }
 
-    /// Switch to the rotation-aware [`SharedLog::write_live`] append path,
-    /// so a concurrent drainer may rotate the log mid-run. The announce /
-    /// withdraw RMWs ride on the same header cache line already charged for
-    /// the tail RMW, so an instrumented run is cycle-identical in batch and
-    /// live mode — the convergence tests rely on that.
-    pub fn with_live_writes(mut self) -> TeePerfHooks {
-        self.live = true;
-        self
-    }
-
-    /// Batch slot reservation: claim `slots` log slots per shared tail
-    /// fetch-and-add instead of one, amortizing the hottest RMW across
-    /// `slots` events (see [`crate::batch`]). `slots <= 1` keeps the
-    /// classic one-RMW-per-event path. The batched path announces and
-    /// withdraws on the control word per append (like
-    /// [`TeePerfHooks::with_live_writes`]), so it is rotation-aware and
-    /// works under a concurrent drainer in either mode.
+    /// Claim `slots` log slots per shared tail fetch-and-add instead of
+    /// one, amortizing the hottest RMW across `slots` events (see
+    /// [`crate::batch`]). `slots <= 1` is the paper's one RMW per event.
     pub fn with_batch_slots(mut self, slots: u64) -> TeePerfHooks {
-        self.batch = if slots > 1 {
-            Some(self.log.batch_writer(slots))
-        } else {
-            None
-        };
+        self.writer = self.writer.log().batch_writer(slots);
         self
     }
 
@@ -156,7 +137,7 @@ impl TeePerfHooks {
 
     /// The shared log handle (e.g. for mid-run toggling in tests).
     pub fn log(&self) -> &SharedLog {
-        &self.log
+        self.writer.log()
     }
 
     /// The hot path: record one call/return event.
@@ -166,7 +147,7 @@ impl TeePerfHooks {
 
         // 2. Atomic read of the control word (lives in untrusted memory).
         machine.read(SHM_BASE + OFF_CONTROL, 8);
-        if !self.log.should_record(kind) {
+        if !self.writer.should_record(kind) {
             self.events_suppressed += 1;
             return;
         }
@@ -185,7 +166,7 @@ impl TeePerfHooks {
         if let Some(gate) = &mut self.gate {
             if gate.needs_refresh() {
                 machine.read(SHM_BASE + OFF_REGIME, 8);
-                gate.observe(self.log.regime_word());
+                gate.observe(self.writer.log().regime_word());
             }
             if !gate.admit(tid, kind) {
                 self.events_suppressed += 1;
@@ -209,38 +190,20 @@ impl TeePerfHooks {
             tid,
         };
 
-        // 5+6. Slot reservation and the entry write. The classic paths pay
-        // one locked RMW on the tail word per event; the batched path only
-        // pays it on the appends that actually reserve a fresh run — that
-        // amortization is exactly the contention the batching removes.
-        if let Some(batch) = &mut self.batch {
-            let out = batch.append(&entry);
-            if out.reserved {
-                machine.read(SHM_BASE + OFF_TAIL, 8);
-                machine.write(SHM_BASE + OFF_TAIL, 8);
-                machine.compute(TAIL_RMW_CYCLES);
-            }
-            if let Some(index) = out.slot {
-                machine.write(SHM_BASE + LogEntry::offset_of(index), ENTRY_BYTES);
-                self.events_recorded += 1;
-            }
-        } else if self.live {
+        // 5+6. Slot reservation and the entry write. The locked RMW on the
+        // tail word is only paid on the appends that actually reserve —
+        // every one at a run length of 1, one in `slots` otherwise. The
+        // announce / withdraw RMWs ride on the header cache line already
+        // charged for the control-word read.
+        let out = self.writer.append(&entry);
+        if out.reserved {
             machine.read(SHM_BASE + OFF_TAIL, 8);
             machine.write(SHM_BASE + OFF_TAIL, 8);
             machine.compute(TAIL_RMW_CYCLES);
-            if let Some(index) = self.log.write_live(&entry) {
-                machine.write(SHM_BASE + LogEntry::offset_of(index), ENTRY_BYTES);
-                self.events_recorded += 1;
-            }
-        } else {
-            machine.read(SHM_BASE + OFF_TAIL, 8);
-            machine.write(SHM_BASE + OFF_TAIL, 8);
-            machine.compute(TAIL_RMW_CYCLES);
-            let index = self.log.reserve();
-            if self.log.write_entry(index, &entry) {
-                machine.write(SHM_BASE + LogEntry::offset_of(index), ENTRY_BYTES);
-                self.events_recorded += 1;
-            }
+        }
+        if let Some(index) = out.slot {
+            machine.write(SHM_BASE + LogEntry::offset_of(index), ENTRY_BYTES);
+            self.events_recorded += 1;
         }
     }
 }
@@ -259,9 +222,11 @@ impl mcvm::ProfilerHooks for TeePerfHooks {
 mod tests {
     use super::*;
     use crate::counter::SimCounter;
+    use crate::faults::SalvageReason;
     use crate::log::{make_header, region_bytes};
-    use std::sync::Arc;
-    use tee_sim::{CostModel, SharedMem};
+    use crate::source::{EventSource, LiveLogSource, SourceResilience};
+    use std::sync::{Arc, Mutex};
+    use tee_sim::{AccessKind, CostModel, MemAccess, MemModel, SharedMem};
 
     fn setup(max_entries: u64) -> (SharedLog, Machine) {
         let shm = Arc::new(SharedMem::new(region_bytes(max_entries)));
@@ -405,6 +370,95 @@ mod tests {
         assert_eq!(log.abandoned_total(), 2);
     }
 
+    /// A drain that attempts a rotation in the middle of every append —
+    /// right before each store into the entry area — which is the
+    /// interleaving a concurrent drainer thread only produces by chance.
+    #[derive(Debug)]
+    struct RotateMidAppend {
+        drain: Mutex<Option<(LiveLogSource, Vec<LogEntry>)>>,
+    }
+
+    impl RotateMidAppend {
+        fn pump(&self) {
+            // try_lock: the rotation's own slot-clearing stores re-enter.
+            if let Ok(mut drain) = self.drain.try_lock() {
+                if let Some((src, drained)) = drain.as_mut() {
+                    drained.extend(src.pump().entries);
+                }
+            }
+        }
+    }
+
+    impl MemModel for RotateMidAppend {
+        fn before_access(&self, access: MemAccess) {
+            if access.kind == AccessKind::Store && access.offset >= crate::layout::HEADER_BYTES {
+                self.pump();
+            }
+        }
+        fn on_spin(&self) {}
+    }
+
+    #[test]
+    fn hooks_announce_every_append_so_no_rotation_slips_into_one() {
+        for slots in [1u64, 8] {
+            let model = Arc::new(RotateMidAppend {
+                drain: Mutex::new(None),
+            });
+            let shm = Arc::new(SharedMem::new_modeled(
+                region_bytes(32),
+                Arc::clone(&model) as Arc<dyn MemModel>,
+            ));
+            let log = SharedLog::init(Arc::clone(&shm), &make_header(1, 32, true, 0, SHM_BASE));
+            let mut machine = Machine::new(CostModel::sgx_v1());
+            machine.map_shared(shm);
+            machine.ecall();
+            // Two writers, as two threads of the profiled process hold
+            // them, built the way `Recorder::sim_hooks` builds them: no
+            // opt-in of any kind.
+            let mut writers = [
+                sim_hooks(&log, &machine).with_batch_slots(slots),
+                sim_hooks(&log, &machine).with_batch_slots(slots),
+            ];
+            // Rotate whenever anything is in the log; give up on announced
+            // writers after a few spins and never declare them dead.
+            let src = LiveLogSource::new(log.clone(), 1).with_resilience(SourceResilience {
+                rotate_spin_limit: 4,
+                max_rotation_stalls: u64::MAX,
+                ..SourceResilience::default()
+            });
+            *model.drain.lock().unwrap() = Some((src, Vec::new()));
+            for k in 0..40u64 {
+                let w = (k % 2) as usize;
+                writers[w].record(&mut machine, EventKind::Call, 0x1000 + k, w as u64);
+                // Between appends the same rotation goes through.
+                model.pump();
+            }
+            let (mut src, mut drained) = model.drain.lock().unwrap().take().unwrap();
+            drained.extend(src.drain_to_end().entries);
+
+            let recorded: u64 = writers.iter().map(TeePerfHooks::events_recorded).sum();
+            assert_eq!(recorded + log.dropped_total(), 40, "slots {slots}");
+            let mut addrs: Vec<u64> = drained.iter().map(|e| e.addr).collect();
+            addrs.sort_unstable();
+            addrs.dedup();
+            assert_eq!(addrs.len() as u64, recorded, "drained exactly once");
+            assert_eq!(drained.len() as u64, recorded, "drained exactly once");
+            let salvage = src.salvage();
+            assert!(
+                salvage.count(SalvageReason::StalledRotation) >= recorded,
+                "every mid-append rotation must have been refused"
+            );
+            assert_eq!(
+                salvage.count(SalvageReason::UnpublishedSlot),
+                log.abandoned_total()
+            );
+            if slots == 1 {
+                assert_eq!(log.abandoned_total(), 0, "one-slot claims abandon nothing");
+            }
+            assert!(src.epoch() > 10, "the log did rotate between appends");
+        }
+    }
+
     #[test]
     fn counters_are_monotone_across_events() {
         let (log, mut machine) = setup(32);
@@ -444,7 +498,7 @@ mod tests {
             if let Some(r) = regime {
                 log.set_regime(r, 1);
             }
-            let mut hooks = sim_hooks(&log, &machine).with_live_writes();
+            let mut hooks = sim_hooks(&log, &machine);
             if regime.is_some() {
                 hooks = hooks.with_fidelity_gate();
             }

@@ -16,11 +16,12 @@
 //! * [`log`] — the **lock-free shared log**: writers reserve entries with a
 //!   single fetch-and-add on the tail, so no critical section ever
 //!   serializes the profiled threads (§II-C "Multithreading support").
-//! * [`batch`] — **batched slot reservation**: a per-thread [`BatchWriter`]
-//!   claims a run of slots with one tail fetch-and-add and publishes them
-//!   one-by-one, amortizing the shared RMW that serializes writers at high
-//!   thread counts; unpublished remainders are reclaimed by rotation as
-//!   counted holes.
+//! * [`batch`] — **the append**: a per-thread [`BatchWriter`] is the one
+//!   routine that reserves and publishes slots on the log. It claims a run
+//!   of slots (one, as in the paper, or more) with one tail fetch-and-add
+//!   and publishes them one-by-one; longer runs amortize the shared RMW
+//!   that serializes writers at high thread counts, and unpublished
+//!   remainders are reclaimed by rotation as counted holes.
 //! * [`counter`] — the **software counter**: a host thread incrementing a
 //!   word in shared memory in a tight loop ([`counter::SpinCounter`],
 //!   sacrificing a core, as in the paper), a deterministic simulated variant

@@ -2,8 +2,10 @@
 //!
 //! One [`SharedLog`] wraps an untrusted [`SharedMem`] region laid out per
 //! [`crate::layout`]. Writers (the injected code inside the enclave) reserve
-//! an entry with a single fetch-and-add on the tail word and then fill the
-//! three entry words; there is no lock anywhere on the hot path, so — as
+//! slots with a single fetch-and-add on the tail word and then fill the
+//! three entry words — the one append routine is
+//! [`crate::batch::BatchWriter::append`]; this module holds the log itself
+//! and the drain side. There is no lock anywhere on the hot path, so — as
 //! the paper argues — profiling never introduces a critical section that
 //! could distort the measured application's concurrency behaviour.
 //!
@@ -218,32 +220,6 @@ impl SharedLog {
         self.shm.write_u64(OFF_COUNTER, v).expect("header in range");
     }
 
-    /// Reserve the next entry slot via fetch-and-add; returns the absolute
-    /// index, which may be `>= capacity()` when the log is full (the write
-    /// is then dropped but the tail keeps counting, so the analyzer can
-    /// report how many entries were lost).
-    pub fn reserve(&self) -> u64 {
-        self.shm
-            .fetch_add_u64(OFF_TAIL, 1)
-            .expect("header in range")
-    }
-
-    /// Write `entry` into the reserved slot `index`. Returns `false` (and
-    /// writes nothing) if the slot is beyond capacity.
-    pub fn write_entry(&self, index: u64, entry: &LogEntry) -> bool {
-        if index >= self.size {
-            return false;
-        }
-        let off = LogEntry::offset_of(index);
-        let words = entry.pack();
-        for (i, w) in words.iter().enumerate() {
-            self.shm
-                .write_u64(off + (i as u64) * 8, *w)
-                .expect("entry in range");
-        }
-        true
-    }
-
     /// Read back the entry at `index` (host side / tests).
     ///
     /// # Panics
@@ -263,17 +239,18 @@ impl SharedLog {
 
     // ---- continuous-profiling (live) API --------------------------------
     //
-    // Batch mode never touches anything below: the recorder stops the
+    // A batch recording never calls anything below: the recorder stops the
     // writers, then drains. A live drainer instead consumes the log while
     // writers keep appending, and "rotates" the log (reset tail, bump
-    // epoch) whenever it has caught up or the log is near capacity.
+    // epoch) whenever it has caught up or the log is near capacity. Every
+    // append announces on the control word, so either may happen to any log.
 
     /// Number of completed drain rotations.
     pub fn epoch(&self) -> u64 {
         self.shm.read_u64(OFF_EPOCH).expect("header in range")
     }
 
-    /// Writers currently inside [`SharedLog::write_live`].
+    /// Writers currently inside an append ([`crate::batch::BatchWriter::append`]).
     pub fn writers_in_flight(&self) -> u64 {
         (self.control_word() & WRITERS_MASK) >> WRITER_ONE.trailing_zeros()
     }
@@ -333,56 +310,6 @@ impl SharedLog {
             .read_u64(OFF_ABANDONED_EPOCH)
             .expect("header in range");
         completed + epoch
-    }
-
-    /// Rotation-aware append: announce on the control word, back off while
-    /// a rotation is in progress, then reserve and publish. Returns the slot
-    /// index the entry landed in, or `None` if it was dropped because the
-    /// current epoch's log is full (the drop is accounted against the
-    /// header at the next rotation).
-    ///
-    /// The entry words are written address/tid first and the kind+counter
-    /// word last, so a concurrent [`SharedLog::poll`] that sees a non-zero
-    /// word 0 sees a fully published entry.
-    pub fn write_live(&self, entry: &LogEntry) -> Option<u64> {
-        loop {
-            let prev = self
-                .shm
-                .fetch_add_u64(OFF_CONTROL, WRITER_ONE)
-                .expect("header in range");
-            if prev & FLAG_ROTATING == 0 {
-                break;
-            }
-            // A rotation is in progress: withdraw the announcement and wait
-            // for the drainer to finish, then try again.
-            self.shm
-                .fetch_add_u64(OFF_CONTROL, WRITER_ONE.wrapping_neg())
-                .expect("header in range");
-            while self.control_word() & FLAG_ROTATING != 0 {
-                // Through the seam, not std::hint::spin_loop(), so a model
-                // checker can park this thread until the drainer writes.
-                self.shm.spin_hint();
-            }
-        }
-        let index = self.reserve();
-        let stored = if index < self.size {
-            let off = LogEntry::offset_of(index);
-            let words = entry.pack();
-            self.shm
-                .write_u64(off + 8, words[1])
-                .expect("entry in range");
-            self.shm
-                .write_u64(off + 16, words[2])
-                .expect("entry in range");
-            self.shm.write_u64(off, words[0]).expect("entry in range");
-            Some(index)
-        } else {
-            None
-        };
-        self.shm
-            .fetch_add_u64(OFF_CONTROL, WRITER_ONE.wrapping_neg())
-            .expect("header in range");
-        stored
     }
 
     /// Read all entries published since the cursor's position without
@@ -445,12 +372,12 @@ impl SharedLog {
     /// Rotate the log: block new writers, wait for in-flight writers to
     /// finish, drain every entry the cursor has not seen, account overflow
     /// drops, reset the tail, and open the next epoch. Writers that arrive
-    /// during the rotation spin in [`SharedLog::write_live`] (bounded by
-    /// the drain, which is O(capacity)) — the workload is never stopped.
+    /// during the rotation spin in their append (bounded by the drain,
+    /// which is O(capacity)) — the workload is never stopped.
     ///
-    /// Waits for in-flight writers forever; a writer that died inside
-    /// [`SharedLog::write_live`] hangs this call. Crash-resilient drainers
-    /// use [`SharedLog::try_rotate`] instead.
+    /// Waits for in-flight writers forever; a writer that died inside an
+    /// append hangs this call. Crash-resilient drainers use
+    /// [`SharedLog::try_rotate`] instead.
     pub fn rotate(&self, cursor: &mut LogCursor) -> RotationOutcome {
         self.try_rotate(cursor, u64::MAX)
             .expect("unbounded quiesce cannot stall")
@@ -580,7 +507,7 @@ impl SharedLog {
         #[cfg(not(feature = "mutation-testing"))]
         let skip_slot_clear = false;
         // Zero the published word of every drained slot so the next epoch
-        // starts from the state `write_live`'s publication order assumes:
+        // starts from the state the append's publication order assumes:
         // `poll` must never mistake a leftover word 0 for a freshly
         // published entry on a reused slot.
         if !skip_slot_clear {
@@ -615,7 +542,7 @@ impl SharedLog {
     ///
     /// This is the salvage path of last resort, for when a watchdog has
     /// decided the producing process is gone (repeated [`RotationStall`]s,
-    /// a dead pid): a writer that crashed inside [`SharedLog::write_live`]
+    /// a dead pid): a writer that crashed inside an append
     /// leaves its announcement on the control word forever, and nothing
     /// else can ever rotate the log again. Calling this while a writer is
     /// actually alive corrupts the writers count when that writer later
@@ -656,7 +583,7 @@ impl SharedLog {
         fidelity::decode_or_full(self.regime_word())
     }
 
-    /// Drainer-side: publish a regime at `regime_epoch`. One whole-word
+    /// Drain side: publish a regime at `regime_epoch`. One whole-word
     /// store under the existing publication discipline — the drainer is
     /// the regime word's only writer, so readers can never see a torn
     /// value through the protocol itself.
@@ -797,6 +724,12 @@ mod tests {
         )
     }
 
+    /// Claim the next slot without publishing it: the state a writer is in
+    /// mid-append, seen from another thread.
+    fn reserve_hole(log: &SharedLog) -> u64 {
+        log.shm().fetch_add_u64(OFF_TAIL, 1).unwrap()
+    }
+
     #[test]
     fn init_writes_known_state() {
         let log = fresh(16);
@@ -830,9 +763,7 @@ mod tests {
             addr: 0x40_0040,
             tid: 2,
         };
-        let i = log.reserve();
-        assert_eq!(i, 0);
-        assert!(log.write_entry(i, &e));
+        assert_eq!(log.write_live(&e), Some(0));
         assert_eq!(log.read_entry(0), e);
         assert_eq!(log.header().tail, 1);
     }
@@ -847,8 +778,7 @@ mod tests {
             tid: 0,
         };
         for _ in 0..5 {
-            let i = log.reserve();
-            log.write_entry(i, &e);
+            log.write_live(&e);
         }
         let h = log.header();
         assert_eq!(h.tail, 5);
@@ -888,17 +818,14 @@ mod tests {
         for t in 0..4u64 {
             let log = log.clone();
             handles.push(std::thread::spawn(move || {
+                let mut w = log.batch_writer(1);
                 for k in 0..1_000u64 {
-                    let i = log.reserve();
-                    log.write_entry(
-                        i,
-                        &LogEntry {
-                            kind: EventKind::Call,
-                            counter: k,
-                            addr: t * 10_000 + k,
-                            tid: t,
-                        },
-                    );
+                    w.append(&LogEntry {
+                        kind: EventKind::Call,
+                        counter: k,
+                        addr: t * 10_000 + k,
+                        tid: t,
+                    });
                 }
             }));
         }
@@ -1000,9 +927,9 @@ mod tests {
         assert_eq!(log.rotate(&mut cursor).entries.len(), 4);
         // Every reused slot must read as unpublished: a writer that has
         // reserved slot 0 of the new epoch but not yet published (possible
-        // mid-`write_live` from another thread) must not expose epoch-0
+        // mid-append from another thread) must not expose epoch-0
         // leftovers to the drainer.
-        log.reserve();
+        reserve_hole(&log);
         assert!(
             log.poll(&mut cursor).is_empty(),
             "stale previous-epoch words must not look published"
@@ -1014,19 +941,15 @@ mod tests {
         let log = fresh(4);
         let mut cursor = LogCursor::default();
         // Simulate a writer that reserved slot 0 but has not published yet
-        // (only possible mid-`write_live` from another thread): slot 0 is
-        // all zeroes while slot 1 is complete.
-        log.reserve();
-        let i = log.reserve();
-        log.write_entry(
-            i,
-            &LogEntry {
-                kind: EventKind::Call,
-                counter: 5,
-                addr: 2,
-                tid: 0,
-            },
-        );
+        // (only possible mid-append from another thread): slot 0 is all
+        // zeroes while slot 1 is complete.
+        reserve_hole(&log);
+        log.write_live(&LogEntry {
+            kind: EventKind::Call,
+            counter: 5,
+            addr: 2,
+            tid: 0,
+        });
         assert!(log.poll(&mut cursor).is_empty(), "must not skip slot 0");
         // Rotation reads after quiesce: the unpublished slot 0 is a hole —
         // counted as abandoned, never delivered as an all-zero record —
@@ -1158,12 +1081,12 @@ mod tests {
         // Epoch 0: one published entry, then an in-capacity hole (a batch
         // run reserved but never published).
         assert!(log.write_live(&e).is_some());
-        log.reserve();
+        reserve_hole(&log);
         let out = log.rotate(&mut cursor);
         assert_eq!((out.entries.len(), out.abandoned), (1, 1));
         // Epoch 1: two holes this time.
-        log.reserve();
-        log.reserve();
+        reserve_hole(&log);
+        reserve_hole(&log);
         let out = log.rotate(&mut cursor);
         assert_eq!((out.entries.len(), out.abandoned), (0, 2));
         assert_eq!(log.abandoned_total(), 3);
@@ -1269,9 +1192,7 @@ mod tests {
                     addr: *addr,
                     tid: *tid,
                 };
-                let slot = log.reserve();
-                prop_assert_eq!(slot, i as u64);
-                log.write_entry(slot, &e);
+                prop_assert_eq!(log.write_live(&e), Some(i as u64));
             }
             let drained = log.drain_entries();
             prop_assert_eq!(drained.len(), entries.len());

@@ -27,8 +27,8 @@ pub struct RecorderConfig {
     /// the analyzer to compute the relocation offset.
     pub anchor: u64,
     /// Log slots claimed per shared tail fetch-and-add in the hooks this
-    /// recorder builds (see [`crate::batch`]); `1` is the classic
-    /// one-RMW-per-event path.
+    /// recorder builds (see [`crate::batch`]); `1` is the paper's one RMW
+    /// per event.
     pub batch_slots: u64,
 }
 

@@ -566,6 +566,7 @@ mod tests {
         assert_eq!(b.entries.len(), 3);
         assert!(!b.rotated);
         assert_eq!(src.epoch(), 0);
+        assert!(src.pump().entries.is_empty(), "no new entries, no re-reads");
         for k in 4..=6u64 {
             log.write_live(&entry(k, 0x100 + k));
         }
@@ -576,6 +577,26 @@ mod tests {
         assert_eq!(b.epoch, 1);
         assert_eq!(src.rotations(), 1);
         assert_eq!(src.drained(), 6);
+        // The next epoch starts clean.
+        assert_eq!(log.header().tail, 0);
+        log.write_live(&entry(7, 0x107));
+        let b = src.pump();
+        assert_eq!(b.entries.len(), 1);
+        assert!(!b.rotated);
+    }
+
+    #[test]
+    fn live_source_reports_overflow_with_the_rotation() {
+        let log = live_log(7, 4);
+        let mut src = LiveLogSource::new(log.clone(), 99);
+        for k in 1..=7u64 {
+            log.write_live(&entry(k, 0x100 + k));
+        }
+        let b = src.pump();
+        assert!(b.rotated);
+        assert_eq!(b.entries.len(), 4);
+        assert_eq!(b.dropped, 3, "overflow is accounted, not silent");
+        assert_eq!(src.dropped_total(), 3);
     }
 
     #[test]
@@ -588,6 +609,9 @@ mod tests {
         assert!(b.rotated);
         assert_eq!(log.epoch(), 1);
         assert_eq!(src.dropped_total(), 0);
+        // A later source attaches at the current epoch, not at zero.
+        drop(src);
+        assert_eq!(LiveLogSource::new(log, 75).epoch(), 1);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! drainer consumes its log concurrently.
 //!
 //! The batch driver ([`teeperf_compiler::profile_program`]) runs to
-//! completion and then drains. Here the recorder's hooks append through the
-//! rotation-aware live path, and an [`InstrObserver`] pumps the
-//! [`LiveSession`] every `pump_every_instructions` executed instructions —
+//! completion and then drains. Here the same recorder hooks run (every
+//! append announces, so any log may be rotated), and an [`InstrObserver`]
+//! pumps the [`LiveSession`] every `pump_every_instructions` executed instructions —
 //! the in-process, deterministic equivalent of a host-side drainer thread.
 //! The log can therefore be far smaller than the event stream: it rotates
 //! under the running program, and the rolling profile carries the truth.
@@ -136,10 +136,10 @@ impl InstrObserver for SessionPump {
     }
 }
 
-/// Run an instrumented `program` under a live session: hooks write through
-/// the rotation-aware path, the drainer pumps on an instruction cadence,
-/// and the result carries the final merged snapshot (plus a replay log for
-/// offline cross-checks).
+/// Run an instrumented `program` under a live session: the recorder's
+/// hooks write, the session pumps on an instruction cadence, and the
+/// result carries the final merged snapshot (plus a replay log for offline
+/// cross-checks).
 ///
 /// # Errors
 /// Propagates runtime traps from the VM.
@@ -170,9 +170,7 @@ pub fn live_profile_program(
 
     let mut vm = Vm::with_config(program, machine, run_config);
     recorder.attach(vm.machine_mut());
-    let mut hooks = recorder
-        .sim_hooks(vm.machine().clock().clone())
-        .with_live_writes();
+    let mut hooks = recorder.sim_hooks(vm.machine().clock().clone());
     if live_config.live.budget.is_some() {
         // A budgeted session publishes regimes through the log's regime
         // word; arm the writer-side gate so they actually throttle at the
@@ -335,9 +333,7 @@ pub fn live_profile_processes(
         machine.set_pid(pid);
         let mut vm = Vm::with_config(program.clone(), machine, run_config.clone());
         recorder.attach(vm.machine_mut());
-        let mut hooks = recorder
-            .sim_hooks(vm.machine().clock().clone())
-            .with_live_writes();
+        let mut hooks = recorder.sim_hooks(vm.machine().clock().clone());
         if live_config.live.budget.is_some() {
             hooks = hooks.with_fidelity_gate();
         }

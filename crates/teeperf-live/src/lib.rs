@@ -6,22 +6,25 @@
 //! pipeline into a *streaming* one, so a session can run indefinitely over
 //! a fixed-size log:
 //!
-//! * [`drain`] — a [`Drainer`] consuming the shared log concurrently with
-//!   the writers, using the persistent read cursor and epoch-rotation
-//!   protocol of `teeperf_core::log` (writers announce themselves on the
-//!   control word; the drainer quiesces them only for the bounded rotation
-//!   window). Overflow is accounted explicitly, never a silent stop.
+//! * The drain itself lives in `teeperf_core`: a
+//!   [`teeperf_core::EventSource`] — for a live log the
+//!   [`teeperf_core::LiveLogSource`], which owns the persistent read cursor
+//!   and runs the epoch-rotation protocol of `teeperf_core::log` (every
+//!   append announces itself on the control word; the source quiesces
+//!   writers only for the bounded rotation window) — is consumed directly
+//!   by a session. Overflow is accounted explicitly, never a silent stop.
 //! * [`rolling`] — an incremental analyzer: per-thread
 //!   [`teeperf_analyzer::stacks::ResumableStacks`] carry open frames across
 //!   epochs, and completed calls merge into rolling per-method, folded-stack
 //!   and caller-edge aggregates whose memory does not grow with the stream.
 //! * [`snapshot`] — serializable freezes of the rolling profile, with
 //!   diff-vs-previous through the batch comparator.
-//! * [`session`] — the [`LiveSession`] gluing drainer + rolling profile +
-//!   the live flame renderer on a refresh cadence.
+//! * [`session`] — the [`LiveSession`] gluing one event source + rolling
+//!   profile + the live flame renderer on a refresh cadence, and the
+//!   [`DrainPolicy`] saying when it rotates a live log.
 //! * [`driver`] — [`live_profile_program`]: run an instrumented Mini-C
-//!   program with the rotation-aware hooks while an instruction-cadence
-//!   observer pumps the session (the deterministic, in-process equivalent
+//!   program under the recorder's ordinary hooks while an
+//!   instruction-cadence observer pumps the session (the deterministic, in-process equivalent
 //!   of a host drainer thread). Backs the `teeperf live` CLI subcommand.
 //!   [`live_profile_processes`] runs N simulated processes under one
 //!   registry.
@@ -50,7 +53,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod drain;
 pub mod driver;
 pub mod native;
 pub mod registry;
@@ -59,7 +61,6 @@ pub mod session;
 pub mod snapshot;
 pub mod window;
 
-pub use drain::{DrainBatch, DrainPolicy, Drainer};
 pub use driver::{
     live_profile_processes, live_profile_program, LiveRun, LiveRunConfig, MultiLiveError,
     MultiLiveRun,
@@ -67,7 +68,7 @@ pub use driver::{
 pub use native::NativeLiveSession;
 pub use registry::{AttachError, RegistryRun, SessionRegistry, WatchdogConfig};
 pub use rolling::RollingProfile;
-pub use session::{LiveConfig, LiveSession, OverheadBudget};
+pub use session::{DrainPolicy, LiveConfig, LiveSession, OverheadBudget};
 pub use snapshot::{RegimeInfo, SessionEvent, Snapshot};
 pub use window::{
     windows_from_text, windows_to_text, PidWindows, RetentionRing, RingConfig, RingEvent,

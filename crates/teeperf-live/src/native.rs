@@ -5,9 +5,8 @@
 //! This is the live rendering of the paper's software-counter setup
 //! (§II-B stage 2): [`NativeLiveSession::start`] spawns the counter
 //! thread ([`teeperf_core::SpinCounter`] — it really does burn a core
-//! until the session is dropped), switches the hooks to the
-//! rotation-aware live append path, and stands up a [`LiveSession`]
-//! draining the log while the workload runs. Unlike the deterministic
+//! until the session is dropped), hands it to the recorder's hooks, and
+//! stands up a [`LiveSession`] draining the log while the workload runs. Unlike the deterministic
 //! simulated-counter sessions the figures use, timestamps here come from
 //! a real OS thread, so tests against this path assert structure (event
 //! counts, method names, balanced frames), never exact tick values.
@@ -59,9 +58,7 @@ impl NativeLiveSession {
         while counter.read() == 0 {
             std::thread::yield_now();
         }
-        let hooks = recorder
-            .hooks_with(Box::new(counter), None)
-            .with_live_writes();
+        let hooks = recorder.hooks_with(Box::new(counter), None);
         let profiler = Rc::new(RefCell::new(Profiler::new(hooks)));
         let symbolizer = Symbolizer::without_relocation(profiler.borrow().debug_info());
         let session = LiveSession::new(recorder.log().clone(), symbolizer, live);
@@ -140,7 +137,7 @@ impl NativeLiveSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drain::DrainPolicy;
+    use crate::session::DrainPolicy;
 
     fn config() -> (RecorderConfig, LiveConfig) {
         (

@@ -1,20 +1,21 @@
-//! The live session: drainer + rolling profile + renderer, glued to a
-//! refresh policy.
+//! The live session: event source + rolling profile + renderer, glued to
+//! a refresh policy.
 //!
 //! A [`LiveSession`] is the single host-side object a continuous-profiling
-//! consumer holds. Pumping it drains the shared log and merges the stream
-//! into the rolling profile; on every `refresh_events` new events it
-//! re-renders the ASCII flame view into its frame history, which is what
-//! `teeperf live` prints.
+//! consumer holds. Pumping it drains its [`EventSource`] — for the common
+//! live case a [`LiveLogSource`] holding the single cursor over the shared
+//! log, but a [`teeperf_core::FileReplaySource`] plugs in behind the same
+//! pump — and merges the stream into the rolling profile; on every
+//! `refresh_events` new events it re-renders the ASCII flame view into its
+//! frame history, which is what `teeperf live` prints.
 
 use std::collections::{BTreeSet, VecDeque};
 
 use teeperf_analyzer::query::frame::Frame;
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_core::{EventSource, Regime, SharedLog};
+use teeperf_core::{EventSource, LiveLogSource, Regime, SharedLog};
 use teeperf_flamegraph::{live, LiveStatus, SvgOptions};
 
-use crate::drain::{DrainPolicy, Drainer};
 use crate::rolling::RollingProfile;
 use crate::snapshot::{RegimeInfo, SessionEvent, Snapshot};
 use crate::window::{PidWindows, RingConfig, RingEvent, WindowMeta, WindowSel};
@@ -83,7 +84,7 @@ struct PumpSample {
 /// backpressure, with hysteresis (degrade on budget overrun, upgrade only
 /// on a fully clean window) and a doubling cool-down so regimes never
 /// flap. Pure bookkeeping on pump statistics — publication of the chosen
-/// regime to the writers goes through the drainer's shared regime word.
+/// regime to the writers goes through the source's shared regime word.
 #[derive(Debug)]
 pub(crate) struct FidelityController {
     budget: OverheadBudget,
@@ -230,10 +231,29 @@ fn upgrade(regime: Regime) -> Regime {
     }
 }
 
+/// When a session over a live log forces a rotation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DrainPolicy {
+    /// Rotate once the epoch has filled this percentage of the log's
+    /// capacity (entries *reserved*, including overflow). Clamped to
+    /// `1..=99`: a rotation that waited for a completely full log would
+    /// always be too late.
+    pub watermark_pct: u8,
+}
+
+impl Default for DrainPolicy {
+    fn default() -> Self {
+        // Leave headroom: writers keep appending while the rotation's
+        // quiesce runs, so rotating at three quarters full avoids drops in
+        // steady state.
+        DrainPolicy { watermark_pct: 75 }
+    }
+}
+
 /// Session tuning.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LiveConfig {
-    /// When the drainer rotates the log.
+    /// When the session rotates a live log.
     pub policy: DrainPolicy,
     /// Re-render the flame view after this many new events (0 disables the
     /// frame history; snapshots remain available on demand).
@@ -277,10 +297,12 @@ impl Default for LiveConfig {
     }
 }
 
-/// A running continuous-profiling session over one shared log.
+/// A running continuous-profiling session over one event source. For live
+/// logs exactly one session may exist per log: its [`LiveLogSource`] owns
+/// the read cursor, and only the cursor owner may rotate.
 #[derive(Debug)]
 pub struct LiveSession {
-    drainer: Drainer,
+    source: Box<dyn EventSource>,
     rolling: RollingProfile,
     symbolizer: Symbolizer,
     config: LiveConfig,
@@ -295,7 +317,7 @@ pub struct LiveSession {
     /// The overhead-budget regime controller (present iff
     /// [`LiveConfig::budget`] is set and the source carries regimes).
     controller: Option<FidelityController>,
-    /// Corrupt regime words the drainer salvaged so far.
+    /// Corrupt regime words the source salvaged so far.
     regime_faults: u64,
     /// `dropped_total` at the end of the previous pump, so each pump
     /// attributes exactly its own drop delta to the controller
@@ -308,8 +330,8 @@ pub struct LiveSession {
 impl LiveSession {
     /// Start a session draining `log`, symbolizing with `symbolizer`.
     pub fn new(log: SharedLog, symbolizer: Symbolizer, config: LiveConfig) -> LiveSession {
-        let policy = config.policy;
-        LiveSession::from_drainer(Drainer::new(log, policy), symbolizer, config)
+        let source = LiveLogSource::new(log, config.policy.watermark_pct);
+        LiveSession::from_source(Box::new(source), symbolizer, config)
     }
 
     /// Start a session over an arbitrary [`EventSource`] — a live log, a
@@ -321,13 +343,9 @@ impl LiveSession {
         symbolizer: Symbolizer,
         config: LiveConfig,
     ) -> LiveSession {
-        LiveSession::from_drainer(Drainer::from_source(source), symbolizer, config)
-    }
-
-    fn from_drainer(drainer: Drainer, symbolizer: Symbolizer, config: LiveConfig) -> LiveSession {
         let controller = config.budget.map(FidelityController::new);
         LiveSession {
-            drainer,
+            source,
             rolling: RollingProfile::with_retention(config.retention.as_ref()),
             symbolizer,
             config,
@@ -344,7 +362,7 @@ impl LiveSession {
 
     /// Process id of the profiled process behind this session's source.
     pub fn pid(&self) -> u64 {
-        self.drainer.pid()
+        self.source.pid()
     }
 
     /// Replace the symbolizer (a native workload registers functions
@@ -368,13 +386,13 @@ impl LiveSession {
         // Occupancy is sampled *before* the drain: it is the fill level
         // the writers ran against, and it resets to zero the moment the
         // pump rotates.
-        let occupancy = self.drainer.occupancy_pct().unwrap_or(0);
+        let occupancy = self.source.occupancy_pct().unwrap_or(0);
         // Entries drained now were admitted under the regime published to
         // the writers before this pump — that is the factor that
         // bias-corrects them back into estimated totals.
         let scale = self.published_regime().scale();
         self.rolling.set_scale(scale);
-        let batch = self.drainer.pump();
+        let batch = self.source.pump();
         let n = batch.entries.len();
         if self.config.keep_replay {
             self.replay.extend_from_slice(&batch.entries);
@@ -382,17 +400,17 @@ impl LiveSession {
         self.rolling
             .ingest_sharded(&batch.entries, self.config.analyzer_shards);
         self.collect_window_events();
-        if self.drainer.take_regime_fault() {
+        if self.source.take_regime_fault() {
             self.regime_faults += 1;
             self.window_events.push(SessionEvent::RegimeFault {
-                pid: self.drainer.pid(),
+                pid: self.source.pid(),
             });
         }
         // `dropped_total` already includes the current epoch's overflow,
         // so the per-pump delta is taken against the *previous* pump's
         // end-of-pump total — sampling it at the start of this pump would
         // hide exactly the drops this pump is supposed to observe.
-        let dropped_now = self.drainer.dropped_total();
+        let dropped_now = self.source.dropped_total();
         let dropped_delta = dropped_now.saturating_sub(self.dropped_seen);
         self.dropped_seen = dropped_now;
         let decision = self
@@ -400,9 +418,9 @@ impl LiveSession {
             .as_mut()
             .and_then(|ctl| ctl.observe(n as u64, dropped_delta, occupancy));
         if let Some((from, to)) = decision {
-            if self.drainer.set_regime(to) {
+            if self.source.set_regime(to) {
                 self.window_events.push(SessionEvent::RegimeChanged {
-                    pid: self.drainer.pid(),
+                    pid: self.source.pid(),
                     from,
                     to,
                 });
@@ -426,7 +444,7 @@ impl LiveSession {
     /// The regime currently published to this session's writers (`Full`
     /// for sources without regime transport).
     fn published_regime(&self) -> Regime {
-        self.drainer.regime().unwrap_or(Regime::Full)
+        self.source.regime().unwrap_or(Regime::Full)
     }
 
     /// The fidelity regime the session runs in: the controller's choice
@@ -445,7 +463,7 @@ impl LiveSession {
             .map_or(0, FidelityController::transitions)
     }
 
-    /// Corrupt regime words the drainer salvaged so far (each fell back
+    /// Corrupt regime words the source salvaged so far (each fell back
     /// to the full interpretation and was re-published).
     pub fn regime_faults(&self) -> u64 {
         self.regime_faults
@@ -485,7 +503,7 @@ impl LiveSession {
 
     /// Epochs completed so far.
     pub fn epochs(&self) -> u64 {
-        self.drainer.epoch()
+        self.source.epoch()
     }
 
     /// Events merged so far.
@@ -495,31 +513,31 @@ impl LiveSession {
 
     /// Cumulative overflow loss.
     pub fn dropped(&self) -> u64 {
-        self.drainer.dropped_total()
+        self.source.dropped_total()
     }
 
     /// Salvage accounting of this session's source: records skipped,
     /// holes closed, rotations abandoned (see
     /// [`teeperf_core::EventSource::salvage`]).
     pub fn salvage(&self) -> teeperf_core::SalvageReport {
-        self.drainer.salvage()
+        self.source.salvage()
     }
 
     /// Whether this session's source has declared its producer dead
     /// (corrupted header or unrecoverable transport).
     pub fn source_dead(&self) -> bool {
-        self.drainer.is_dead()
+        self.source.is_dead()
     }
 
     /// Whether this session's source can never produce another entry (a
     /// finished replay; live sources never exhaust).
     pub fn source_exhausted(&self) -> bool {
-        self.drainer.is_exhausted()
+        self.source.is_exhausted()
     }
 
     /// The one-line session state.
     pub fn status(&self) -> LiveStatus {
-        self.rolling.status(self.drainer.epoch(), self.dropped())
+        self.rolling.status(self.source.epoch(), self.dropped())
     }
 
     /// The rendered frame history (one ASCII flame view per refresh).
@@ -546,7 +564,7 @@ impl LiveSession {
     /// stamped with the source's process id.
     pub fn snapshot(&mut self) -> Snapshot {
         let mut profile = self.rolling.snapshot(&self.symbolizer, self.dropped());
-        profile.pids = BTreeSet::from([self.drainer.pid()]);
+        profile.pids = BTreeSet::from([self.source.pid()]);
         let snap = Snapshot {
             status: self.status(),
             profile,
@@ -574,7 +592,7 @@ impl LiveSession {
         // writers' last entries were admitted under it.
         self.rolling.set_scale(self.published_regime().scale());
         loop {
-            let batch = self.drainer.rotate_now();
+            let batch = self.source.drain_to_end();
             if batch.entries.is_empty() && batch.dropped == 0 {
                 break;
             }
@@ -586,10 +604,10 @@ impl LiveSession {
         }
         self.rolling.finish();
         self.collect_window_events();
-        if self.drainer.take_regime_fault() {
+        if self.source.take_regime_fault() {
             self.regime_faults += 1;
             self.window_events.push(SessionEvent::RegimeFault {
-                pid: self.drainer.pid(),
+                pid: self.source.pid(),
             });
         }
         self.snapshot()
@@ -598,7 +616,7 @@ impl LiveSession {
     /// Drain the ring's retention transitions into this session's event
     /// log, stamped with the source's pid.
     fn collect_window_events(&mut self) {
-        let pid = self.drainer.pid();
+        let pid = self.source.pid();
         for e in self.rolling.take_ring_events() {
             self.window_events.push(match e {
                 RingEvent::Evicted { first, last, calls } => SessionEvent::WindowsEvicted {
@@ -619,7 +637,7 @@ impl LiveSession {
     pub fn windows(&self) -> Option<PidWindows> {
         let ring = self.rolling.ring()?;
         Some(PidWindows {
-            pid: self.drainer.pid(),
+            pid: self.source.pid(),
             interval: ring.interval(),
             evicted_windows: ring.evicted_windows(),
             evicted_calls: ring.evicted_calls(),
@@ -632,7 +650,7 @@ impl LiveSession {
     /// or the selection matches nothing.
     pub fn span_profile(&self, sel: &WindowSel) -> Option<(WindowMeta, teeperf_analyzer::Profile)> {
         let (meta, mut profile) = self.rolling.span_profile(&self.symbolizer, sel)?;
-        profile.pids = BTreeSet::from([self.drainer.pid()]);
+        profile.pids = BTreeSet::from([self.source.pid()]);
         Some((meta, profile))
     }
 
@@ -641,7 +659,7 @@ impl LiveSession {
     /// this session's pid.
     pub fn window_profile(&self, idx: u64) -> Option<(WindowMeta, teeperf_analyzer::Profile)> {
         let (meta, mut profile) = self.rolling.window_profile(&self.symbolizer, idx)?;
-        profile.pids = BTreeSet::from([self.drainer.pid()]);
+        profile.pids = BTreeSet::from([self.source.pid()]);
         Some((meta, profile))
     }
 

@@ -1,90 +1,142 @@
 //! Integration tests for the continuous-profiling subsystem:
 //!
-//! * a property test that concurrent live writers plus a rotating drainer
-//!   lose no entries and duplicate none, across many epoch rotations;
+//! * a property test that concurrent writers — straight onto the log or
+//!   through a recorder's hooks — plus a rotating drain lose no entries
+//!   and duplicate none, across many epoch rotations;
 //! * an end-to-end check that a live session over the Phoenix
 //!   `string_match` workload (the paper's highest call-density benchmark)
 //!   converges to the same hot methods as the offline batch analyzer.
 
-use std::sync::Arc;
+use std::sync::Barrier;
 
 use proptest::prelude::*;
-use tee_sim::{CostModel, SharedMem};
+use tee_sim::{CostModel, Machine};
 use teeperf_core::layout::{EventKind, LogEntry};
-use teeperf_core::log::{make_header, region_bytes};
-use teeperf_core::{LogCursor, SharedLog};
+use teeperf_core::{EventSource, LiveLogSource, Recorder, RecorderConfig, SalvageReason};
 
-fn fresh_log(max_entries: u64) -> SharedLog {
-    let shm = Arc::new(SharedMem::new(region_bytes(max_entries)));
-    SharedLog::init(
-        shm,
-        &make_header(1, max_entries, true, 0, tee_sim::SHM_BASE),
-    )
+/// How a writer thread appends.
+#[derive(Debug, Clone, Copy)]
+enum Via {
+    /// Straight onto the log.
+    Log,
+    /// Through the hooks a [`Recorder`] hands out at this `batch_slots`,
+    /// exactly as handed out. An append the rotation handshake cannot see
+    /// would lose or resurrect entries here wherever the threads really run
+    /// in parallel; `teeperf_core`'s
+    /// `hooks_announce_every_append_so_no_rotation_slips_into_one` forces
+    /// that interleaving on any host.
+    Hooks(u64),
+}
+
+/// One writer thread's appends; returns the addresses it published.
+fn write_events(
+    recorder: &Recorder,
+    start: &Barrier,
+    via: Via,
+    t: u64,
+    per_writer: u64,
+) -> Vec<u64> {
+    // The hooks route runs the injected code on a machine of its own, as
+    // a thread of the profiled process does.
+    let mut hooked = matches!(via, Via::Hooks(_)).then(|| {
+        let mut machine = Machine::new(CostModel::sgx_v1());
+        recorder.attach(&mut machine);
+        machine.ecall();
+        let hooks = recorder.sim_hooks(machine.clock().clone());
+        (machine, hooks)
+    });
+    let mut published = Vec::new();
+    start.wait();
+    for k in 0..per_writer {
+        let addr = (t + 1) * 1_000_000 + k + 1;
+        let stored = match &mut hooked {
+            None => recorder
+                .log()
+                .write_live(&LogEntry {
+                    kind: EventKind::Call,
+                    counter: k + 1,
+                    addr,
+                    tid: t,
+                })
+                .is_some(),
+            Some((machine, hooks)) => {
+                let before = hooks.events_recorded();
+                hooks.record(machine, EventKind::Call, addr, t);
+                hooks.events_recorded() > before
+            }
+        };
+        if stored {
+            published.push(addr);
+        }
+    }
+    published
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random writer counts, per-writer volumes and (tiny) log capacities:
-    /// whatever the interleaving, the drainer recovers exactly the entries
-    /// the writers successfully published — each exactly once — and every
-    /// unpublished entry is accounted as dropped.
+    /// Random writer counts, per-writer volumes, (tiny) log capacities and
+    /// append routes: whatever the interleaving, the rotating drain
+    /// recovers exactly the entries the writers successfully published —
+    /// each exactly once — and every unpublished entry is accounted as
+    /// dropped, every unpublished slot as abandoned.
     #[test]
     fn prop_concurrent_drain_loses_nothing_duplicates_nothing(
         writers in 1usize..4,
         per_writer in 1u64..600,
         capacity in 2u64..32,
+        via in 0usize..3,
     ) {
-        let log = fresh_log(capacity);
-        let mut handles = Vec::new();
-        for t in 0..writers as u64 {
-            let log = log.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut published = Vec::new();
-                for k in 0..per_writer {
-                    let addr = (t + 1) * 1_000_000 + k + 1;
-                    let stored = log
-                        .write_live(&LogEntry {
-                            kind: EventKind::Call,
-                            counter: k + 1,
-                            addr,
-                            tid: t,
-                        })
-                        .is_some();
-                    if stored {
-                        published.push(addr);
-                    }
-                }
-                published
-            }));
-        }
-        let total = writers as u64 * per_writer;
-        let drainer = {
-            let log = log.clone();
-            std::thread::spawn(move || {
-                let mut cursor = LogCursor::default();
-                let mut drained = Vec::new();
-                loop {
-                    drained.extend(log.poll(&mut cursor));
-                    drained.extend(log.rotate(&mut cursor).entries);
-                    if log.writers_in_flight() == 0
-                        && drained.len() as u64 + log.dropped_total() >= total
-                    {
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-                (drained, cursor.epoch)
-            })
+        let via = [Via::Log, Via::Hooks(1), Via::Hooks(8)][via];
+        // The hooks inputs are about writers racing a rotation and each
+        // other: never fewer than two threads, and long enough that the
+        // threads really overlap (a thread outlives its own spawn).
+        let (writers, per_writer) = match via {
+            Via::Log => (writers, per_writer),
+            Via::Hooks(_) => (writers.max(2), per_writer * 32),
         };
-        let mut published: Vec<u64> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        let (drained, epochs) = drainer.join().unwrap();
+        let recorder = Recorder::new(&RecorderConfig {
+            max_entries: capacity,
+            pid: 1,
+            batch_slots: match via {
+                Via::Log => 1,
+                Via::Hooks(slots) => slots,
+            },
+            ..RecorderConfig::default()
+        });
+        let log = recorder.log().clone();
+        let total = writers as u64 * per_writer;
+        let mut src = LiveLogSource::new(log.clone(), 75);
+        let mut drained = Vec::new();
+        // Writers and drain start together.
+        let start = Barrier::new(writers + 1);
+        let mut published: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..writers as u64)
+                .map(|t| {
+                    let (recorder, start) = (&recorder, &start);
+                    s.spawn(move || write_events(recorder, start, via, t, per_writer))
+                })
+                .collect();
+            start.wait();
+            // Poll and rotate for as long as any writer runs.
+            while !handles.iter().all(|h| h.is_finished()) {
+                drained.extend(src.pump().entries);
+                drained.extend(src.drain_to_end().entries);
+            }
+            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        drained.extend(src.drain_to_end().entries);
+        let epochs = src.epoch();
 
-        // Conservation: published + dropped == attempted.
+        // Conservation: published + dropped == attempted, and every slot
+        // reserved but never published was seen by exactly one rotation.
         prop_assert_eq!(published.len() as u64 + log.dropped_total(), total);
+        let salvage = src.salvage();
+        prop_assert_eq!(salvage.count(SalvageReason::TornEntry), 0);
+        prop_assert_eq!(salvage.count(SalvageReason::UnpublishedSlot), log.abandoned_total());
+        if !matches!(via, Via::Hooks(8)) {
+            prop_assert_eq!(log.abandoned_total(), 0, "one-slot claims abandon nothing");
+        }
         // Exactly the published entries came out, each exactly once.
         let mut got: Vec<u64> = drained.iter().map(|e| e.addr).collect();
         published.sort_unstable();

@@ -210,4 +210,13 @@ if [ "$mode" != "quick" ]; then
     tmo 120 cargo run --release --offline -p bench --bin regime_bench -- --smoke
 fi
 
+# Product-path benchmark (ISSUE 11/13): `benchmark/` is its own workspace
+# building against crates/* by path, so the workspace stages above never
+# compile it — a public-API change in a crate it imports would only
+# surface when the benchmark driver runs. Build + test the harness and run
+# every workload once at smoke length (real teeperfd child, oracle
+# checked; non-zero exit on any mismatch).
+tmo 600 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+tmo 600 benchmark/run.sh --smoke
+
 echo "==> ci ok"
