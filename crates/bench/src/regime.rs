@@ -235,7 +235,6 @@ fn run_one(options: &RegimeBenchOptions, mode: Mode) -> RunStats {
             Symbolizer::without_relocation(debug()),
             LiveConfig {
                 policy: DrainPolicy { watermark_pct: 50 },
-                refresh_events: 0,
                 budget,
                 ..LiveConfig::default()
             },

@@ -55,7 +55,7 @@ const USAGE: &str = "usage:
                  [--batch-slots <n>] [--transition-mode classic|switchless]
   teeperf live <prog.mc|prog.tpo> [--arch <kind>] [--max-entries <n>] [--watermark <pct>]
                [--refresh <events>] [--frames yes|no] [--svg <file>] [--out <base>]
-               [--analyzer-threads <n>] [--follow-pids <n>] [--batch-slots <n>]
+               [--follow-pids <n>] [--batch-slots <n>]
                [--transition-mode classic|switchless]
                [--window-interval <ticks>] [--retain <n>] [--max-width <n>]
                [--overhead-budget <pct>]
@@ -68,7 +68,7 @@ const USAGE: &str = "usage:
   teeperf diff <a.tpf> <a.sym> <b.tpf> <b.sym> [--svg <file>] [--analyzer-threads <n>]
   teeperf phoenix [--bench <name>] [--arch <kind>]
   teeperf daemon [--dir <d>] [--listen <addr>] [--snapshot-out <file>] [--pump-ms <n>]
-                 [--scan-every <n>] [--max-loops <n>] [--liveness yes|no]
+                 [--scan-every <n>] [--max-loops <n>] [--no-liveness-probe]
                  [--window-interval <ticks>] [--retain <n>] [--overhead-budget <pct>]
   teeperf top --connect <addr> [--iterations <n>] [--interval-ms <n>] [--window <n>]
   teeperf archs
@@ -177,6 +177,11 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
     let Some(command) = args.first() else {
         return Ok(USAGE.to_string());
     };
+    if command == "daemon" {
+        // The daemon parses its own flags: one set, shared with `teeperfd`,
+        // value-less switches included.
+        return cmd_daemon(&args[1..]);
+    }
     let rest = Args::parse(&args[1..])?;
     match command.as_str() {
         "compile" => cmd_compile(&rest),
@@ -188,7 +193,6 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
         "flamegraph" => cmd_flamegraph(&rest),
         "diff" => cmd_diff(&rest),
         "phoenix" => cmd_phoenix(&rest),
-        "daemon" => cmd_daemon(&rest),
         "top" => cmd_top(&rest),
         "archs" => Ok(TeeKind::ALL
             .iter()
@@ -438,7 +442,7 @@ fn cmd_live(args: &Args<'_>) -> Result<String, CliError> {
     let watermark_pct = live_watermark(args)?;
     let refresh_events: u64 = match args.flag("refresh") {
         Some(v) => v.parse().map_err(|_| err(format!("bad --refresh `{v}`")))?,
-        None => 2_000,
+        None => teeperf_live::LiveRunConfig::default().refresh_events,
     };
     let show_frames = args.flag("frames").unwrap_or("no") == "yes";
 
@@ -453,16 +457,13 @@ fn cmd_live(args: &Args<'_>) -> Result<String, CliError> {
             ..RecorderConfig::default()
         },
         &teeperf_live::LiveRunConfig {
-            live: teeperf_live::LiveConfig {
+            live: LiveConfig {
                 policy: DrainPolicy { watermark_pct },
-                refresh_events,
-                // 0 keeps the session default (sequential epoch merging;
-                // pumps are frequent and batches small).
-                analyzer_shards: args.analyzer_threads()?.max(1),
                 retention: live_retention(args)?,
                 budget: live_budget(args)?,
-                ..teeperf_live::LiveConfig::default()
+                ..LiveConfig::default()
             },
+            refresh_events,
             ..teeperf_live::LiveRunConfig::default()
         },
         |_| Ok(()),
@@ -584,8 +585,6 @@ fn cmd_live_follow(args: &Args<'_>, count: &str) -> Result<String, CliError> {
         &teeperf_live::LiveRunConfig {
             live: LiveConfig {
                 policy: DrainPolicy { watermark_pct },
-                refresh_events: 0,
-                analyzer_shards: args.analyzer_threads()?.max(1),
                 retention: live_retention(args)?,
                 budget: live_budget(args)?,
                 ..LiveConfig::default()
@@ -619,8 +618,6 @@ fn cmd_live_logs(args: &Args<'_>, logs: &str) -> Result<String, CliError> {
     let watermark_pct = live_watermark(args)?;
     let mut registry = SessionRegistry::new(LiveConfig {
         policy: DrainPolicy { watermark_pct },
-        refresh_events: 0,
-        analyzer_shards: args.analyzer_threads()?.max(1),
         retention: live_retention(args)?,
         ..LiveConfig::default()
     });
@@ -916,65 +913,12 @@ fn cmd_phoenix(args: &Args<'_>) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `teeperf daemon`: run a fleet profiling daemon in the foreground (the
-/// same engine as the `teeperfd` binary). Blocks until `GET /shutdown` or
-/// stdin EOF, then returns the closing report.
-fn cmd_daemon(args: &Args<'_>) -> Result<String, CliError> {
-    let mut config = teeperf_daemon::DaemonConfig::default();
-    if let Some(dir) = args.flag("dir") {
-        config.dir = std::path::PathBuf::from(dir);
-    }
-    if let Some(listen) = args.flag("listen") {
-        config.listen = listen.to_string();
-    }
-    if let Some(out) = args.flag("snapshot-out") {
-        config.snapshot_out = Some(std::path::PathBuf::from(out));
-    }
-    if let Some(v) = args.flag("pump-ms") {
-        let ms: u64 = v.parse().map_err(|_| err(format!("bad --pump-ms `{v}`")))?;
-        config.pump_interval = std::time::Duration::from_millis(ms);
-    }
-    if let Some(v) = args.flag("scan-every") {
-        config.scan_every = v
-            .parse()
-            .ok()
-            .filter(|n| *n >= 1)
-            .ok_or_else(|| err(format!("bad --scan-every `{v}` (want >= 1)")))?;
-    }
-    if let Some(v) = args.flag("max-loops") {
-        config.max_loops = Some(
-            v.parse()
-                .map_err(|_| err(format!("bad --max-loops `{v}`")))?,
-        );
-    }
-    config.retention = live_retention(args)?;
-    config.budget = live_budget(args)?;
-    let daemon = teeperf_daemon::Daemon::new(config.clone())
-        .map_err(|e| err(format!("failed to start daemon: {e}")))?;
-    let daemon = if args.flag("liveness").unwrap_or("yes") == "yes" {
-        daemon
-    } else {
-        daemon.without_liveness_probe()
-    };
-    // The daemon blocks; announce the bound address before entering the
-    // loop so callers can connect (the one place a command prints early).
-    println!("teeperf daemon listening on {}", daemon.addr());
-    println!("teeperf daemon watching {}", config.dir.display());
-    let _ = std::io::Write::flush(&mut std::io::stdout());
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let mut sink = [0u8; 256];
-        let mut stdin = std::io::stdin();
-        loop {
-            match std::io::Read::read(&mut stdin, &mut sink) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => continue,
-            }
-        }
-        let _ = tx.send("stdin closed".to_string());
-    });
-    let report = daemon.run(&rx).map_err(|e| err(format!("daemon: {e}")))?;
-    Ok(report.summary())
+/// `teeperf daemon`: run a fleet profiling daemon in the foreground — the
+/// `teeperfd` binary under another name, flags and all. Blocks until
+/// `GET /shutdown` or stdin EOF, then returns the closing report (the one
+/// command that prints early: the listen banner precedes the loop).
+fn cmd_daemon(args: &[String]) -> Result<String, CliError> {
+    teeperf_daemon::launch("teeperf daemon", args).map_err(|(_, message)| err(message))
 }
 
 /// A parsed `[methods]` row: name, calls, inclusive ticks, exclusive ticks.
@@ -1421,8 +1365,7 @@ mod tests {
             "1",
             "--max-loops",
             "3",
-            "--liveness",
-            "no",
+            "--no-liveness-probe",
         ]))
         .unwrap();
         // Under the test harness stdin is already at EOF, so the run may
@@ -1607,8 +1550,15 @@ mod tests {
         assert!(out.contains("exit code: 0"), "{out}");
         assert!(out.contains("42 events"), "{out}");
         assert!(out.contains("0 dropped"), "{out}");
-        assert!(out.contains("--- refresh 1 ---"), "{out}");
-        assert!(out.contains("work"), "{out}");
+        // One frame per 10 new events, banner first, 60 columns wide.
+        assert_eq!(out.matches("--- refresh ").count(), 4, "{out}");
+        let bar = "█".repeat(60);
+        let first = format!(
+            "--- refresh 1 ---\n\
+             live · epoch 1 · 10 events · 1 threads · 2 open · 0 dropped\n\
+             main 100.0% |{bar}|\n  work 100.0% |{bar}|\n\n--- refresh 2 ---\n"
+        );
+        assert!(out.starts_with(&first), "{out}");
 
         let svg_text = std::fs::read_to_string(&svg).unwrap();
         assert!(svg_text.starts_with("<svg"));

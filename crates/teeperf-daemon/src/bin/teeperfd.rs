@@ -11,150 +11,21 @@
 //! workspace forbids `unsafe`, so there is no sigaction handler; a
 //! supervisor that wants SIGTERM semantics runs the daemon with a pipe on
 //! stdin and closes it (see DESIGN.md §12). Exits 0 on a clean shutdown.
+//! Flags, banner and stdin watcher are [`teeperf_daemon::launch`], shared
+//! with `teeperf daemon`.
 
-use std::io::{Read, Write};
-use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::mpsc;
-use std::time::Duration;
-
-use teeperf_daemon::{Daemon, DaemonConfig};
-use teeperf_live::RingConfig;
-
-fn usage() -> String {
-    "usage: teeperfd [--dir DIR] [--listen ADDR] [--snapshot-out FILE] \
-     [--pump-ms N] [--scan-every N] [--max-loops N] [--no-liveness-probe] \
-     [--window-interval TICKS] [--retain N] [--max-width N] \
-     [--overhead-budget PCT]"
-        .to_string()
-}
-
-fn parse(args: &[String]) -> Result<(DaemonConfig, bool), String> {
-    let mut config = DaemonConfig::default();
-    let mut probe = true;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--dir" => config.dir = PathBuf::from(value()?),
-            "--listen" => config.listen = value()?.to_string(),
-            "--snapshot-out" => config.snapshot_out = Some(PathBuf::from(value()?)),
-            "--pump-ms" => {
-                let ms: u64 = value()?.parse().map_err(|_| "--pump-ms: not a number")?;
-                config.pump_interval = Duration::from_millis(ms);
-            }
-            "--scan-every" => {
-                config.scan_every = value()?.parse().map_err(|_| "--scan-every: not a number")?;
-                if config.scan_every == 0 {
-                    return Err("--scan-every must be >= 1".to_string());
-                }
-            }
-            "--max-loops" => {
-                config.max_loops = Some(value()?.parse().map_err(|_| "--max-loops: not a number")?)
-            }
-            "--window-interval" => {
-                let ticks: u64 = value()?
-                    .parse()
-                    .map_err(|_| "--window-interval: not a number")?;
-                if ticks == 0 {
-                    return Err("--window-interval must be >= 1".to_string());
-                }
-                config
-                    .retention
-                    .get_or_insert_with(RingConfig::default)
-                    .interval = ticks;
-            }
-            "--retain" => {
-                let n: usize = value()?.parse().map_err(|_| "--retain: not a number")?;
-                if n == 0 {
-                    return Err("--retain must be >= 1".to_string());
-                }
-                config
-                    .retention
-                    .get_or_insert_with(RingConfig::default)
-                    .capacity = n;
-            }
-            "--max-width" => {
-                let n: u64 = value()?.parse().map_err(|_| "--max-width: not a number")?;
-                if n == 0 {
-                    return Err("--max-width must be >= 1".to_string());
-                }
-                config
-                    .retention
-                    .get_or_insert_with(RingConfig::default)
-                    .max_width = n;
-            }
-            "--overhead-budget" => {
-                let pct: u8 = value()?
-                    .parse()
-                    .map_err(|_| "--overhead-budget: not a percentage")?;
-                if pct == 0 || pct > 100 {
-                    return Err("--overhead-budget must be 1..=100".to_string());
-                }
-                config.budget = Some(teeperf_live::OverheadBudget { pct });
-            }
-            "--no-liveness-probe" => probe = false,
-            "--help" | "-h" => return Err(usage()),
-            other => return Err(format!("unknown flag {other}\n{}", usage())),
-        }
-    }
-    Ok((config, probe))
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (config, probe) = match parse(&args) {
-        Ok(parsed) => parsed,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::from(2);
-        }
-    };
-    let daemon = match Daemon::new(config.clone()) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("teeperfd: failed to start: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    let daemon = if probe {
-        daemon
-    } else {
-        daemon.without_liveness_probe()
-    };
-    println!("teeperfd listening on {}", daemon.addr());
-    println!("teeperfd watching {}", config.dir.display());
-    let _ = std::io::stdout().flush();
-
-    // The shutdown trigger: stdin EOF. A supervisor holds our stdin pipe
-    // open for as long as it wants us alive; closing it (or dying, which
-    // closes it too) is the SIGTERM of this unsafe-free world.
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let mut sink = [0u8; 256];
-        let mut stdin = std::io::stdin();
-        loop {
-            match stdin.read(&mut sink) {
-                Ok(0) => break,
-                Ok(_) => continue,
-                Err(_) => break,
-            }
-        }
-        let _ = tx.send("stdin closed".to_string());
-    });
-
-    match daemon.run(&rx) {
-        Ok(report) => {
-            print!("{}", report.summary());
+    match teeperf_daemon::launch("teeperfd", &args) {
+        Ok(summary) => {
+            print!("{summary}");
             ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("teeperfd: {e}");
-            ExitCode::from(1)
+        Err((code, message)) => {
+            eprintln!("{message}");
+            ExitCode::from(code)
         }
     }
 }

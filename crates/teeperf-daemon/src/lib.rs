@@ -25,10 +25,11 @@
 //! the transport protocol (where it is model-checked), not in the daemon.
 //!
 //! Shutdown is cooperative: a `GET /shutdown`, the external trigger
-//! channel (the `teeperfd` binary wires stdin-EOF into it, so a
-//! supervisor's process-group teardown lands here), or the optional loop
-//! limit. All three drain once more, write the final snapshot to
-//! `--snapshot-out` if configured, and return a [`DaemonReport`].
+//! channel ([`launch`], the one launcher behind `teeperfd` and
+//! `teeperf daemon`, wires stdin-EOF into it, so a supervisor's
+//! process-group teardown lands here), or the optional loop limit. All
+//! three drain once more, write the final snapshot to `--snapshot-out` if
+//! configured, and return a [`DaemonReport`].
 
 #![forbid(unsafe_code)]
 
@@ -711,6 +712,132 @@ impl SnapshotService for Daemon {
         out.push_str(&format!("teeperf_requests_total {}\n", self.requests));
         out
     }
+}
+
+/// The daemon's flag set, as the usage line of the binary called `name`.
+fn usage(name: &str) -> String {
+    format!(
+        "usage: {name} [--dir DIR] [--listen ADDR] [--snapshot-out FILE] \
+         [--pump-ms N] [--scan-every N] [--max-loops N] [--no-liveness-probe] \
+         [--window-interval TICKS] [--retain N] [--max-width N] \
+         [--overhead-budget PCT]"
+    )
+}
+
+/// Parse the daemon's flags into its config and whether the `/proc/<pid>`
+/// liveness probe stays armed.
+fn parse_flags(name: &str, args: &[String]) -> Result<(DaemonConfig, bool), String> {
+    let mut config = DaemonConfig::default();
+    let mut probe = true;
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || {
+            it.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag.as_str() {
+            "--dir" => config.dir = PathBuf::from(value()?),
+            "--listen" => config.listen = value()?.to_string(),
+            "--snapshot-out" => config.snapshot_out = Some(PathBuf::from(value()?)),
+            "--pump-ms" => {
+                let ms: u64 = value()?.parse().map_err(|_| "--pump-ms: not a number")?;
+                config.pump_interval = Duration::from_millis(ms);
+            }
+            "--scan-every" => {
+                config.scan_every = value()?.parse().map_err(|_| "--scan-every: not a number")?;
+                if config.scan_every == 0 {
+                    return Err("--scan-every must be >= 1".to_string());
+                }
+            }
+            "--max-loops" => {
+                config.max_loops = Some(value()?.parse().map_err(|_| "--max-loops: not a number")?)
+            }
+            "--window-interval" => {
+                let ticks: u64 = value()?
+                    .parse()
+                    .map_err(|_| "--window-interval: not a number")?;
+                if ticks == 0 {
+                    return Err("--window-interval must be >= 1".to_string());
+                }
+                config
+                    .retention
+                    .get_or_insert_with(RingConfig::default)
+                    .interval = ticks;
+            }
+            "--retain" => {
+                let n: usize = value()?.parse().map_err(|_| "--retain: not a number")?;
+                if n == 0 {
+                    return Err("--retain must be >= 1".to_string());
+                }
+                config
+                    .retention
+                    .get_or_insert_with(RingConfig::default)
+                    .capacity = n;
+            }
+            "--max-width" => {
+                let n: u64 = value()?.parse().map_err(|_| "--max-width: not a number")?;
+                if n == 0 {
+                    return Err("--max-width must be >= 1".to_string());
+                }
+                config
+                    .retention
+                    .get_or_insert_with(RingConfig::default)
+                    .max_width = n;
+            }
+            "--overhead-budget" => {
+                let pct: u8 = value()?
+                    .parse()
+                    .map_err(|_| "--overhead-budget: not a percentage")?;
+                if pct == 0 || pct > 100 {
+                    return Err("--overhead-budget must be 1..=100".to_string());
+                }
+                config.budget = Some(teeperf_live::OverheadBudget { pct });
+            }
+            "--no-liveness-probe" => probe = false,
+            "--help" | "-h" => return Err(usage(name)),
+            other => return Err(format!("unknown flag {other}\n{}", usage(name))),
+        }
+    }
+    Ok((config, probe))
+}
+
+/// Run a daemon in the foreground on behalf of the binary called `name`
+/// (`teeperfd`, `teeperf daemon`): parse `args`, bind, print
+/// `<name> listening on <addr>` (with the kernel-resolved port) so
+/// supervisors and tests can connect without racing, and serve until
+/// `GET /shutdown`, the loop limit, or stdin EOF. Returns the closing
+/// summary.
+///
+/// Stdin EOF is the SIGTERM of this unsafe-free world: a supervisor holds
+/// the daemon's stdin pipe open for as long as it wants it alive; closing
+/// it (or dying, which closes it too) shuts the daemon down gracefully.
+///
+/// # Errors
+/// The process exit code and message: 2 for a flag error, 1 when the
+/// daemon fails to start or to write its final snapshot.
+pub fn launch(name: &str, args: &[String]) -> Result<String, (u8, String)> {
+    let (config, probe) = parse_flags(name, args).map_err(|message| (2, message))?;
+    let dir = config.dir.clone();
+    let daemon = Daemon::new(config).map_err(|e| (1, format!("{name}: failed to start: {e}")))?;
+    let daemon = if probe {
+        daemon
+    } else {
+        daemon.without_liveness_probe()
+    };
+    println!("{name} listening on {}", daemon.addr());
+    println!("{name} watching {}", dir.display());
+    let _ = io::Write::flush(&mut io::stdout());
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut sink = [0u8; 256];
+        let mut stdin = io::stdin();
+        while matches!(io::Read::read(&mut stdin, &mut sink), Ok(n) if n > 0) {}
+        let _ = tx.send("stdin closed".to_string());
+    });
+    let report = daemon.run(&rx).map_err(|e| (1, format!("{name}: {e}")))?;
+    Ok(report.summary())
 }
 
 /// Re-export for callers that build registration paths.

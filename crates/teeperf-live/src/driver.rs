@@ -28,8 +28,11 @@ use crate::snapshot::Snapshot;
 /// Tuning for one live run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LiveRunConfig {
-    /// Session policy (rotation watermark, refresh cadence).
+    /// Session policy (rotation watermark, retention, budget).
     pub live: LiveConfig,
+    /// Render the session's ASCII flame view into [`LiveRun::frames`] after
+    /// this many new events (0 keeps no frame history).
+    pub refresh_events: u64,
     /// Pump the session every this many executed VM instructions. With
     /// [`LiveRunConfig::adaptive_pump`] set this is the *base* (slowest)
     /// cadence; the driver tightens it when epochs run hot.
@@ -47,6 +50,7 @@ impl Default for LiveRunConfig {
     fn default() -> Self {
         LiveRunConfig {
             live: LiveConfig::default(),
+            refresh_events: 2_000,
             pump_every_instructions: 256,
             adaptive_pump: true,
         }
@@ -86,9 +90,13 @@ pub struct LiveRun {
 
 /// The pump: an instruction observer that hands the session CPU time on an
 /// instruction cadence, optionally adapting the cadence to the observed
-/// per-epoch fill rate.
+/// per-epoch fill rate, and draws the frame history `teeperf live` prints.
 struct SessionPump {
     session: Rc<RefCell<LiveSession>>,
+    /// One rendered flame view per `refresh_events` new events.
+    frames: Rc<RefCell<Vec<String>>>,
+    refresh_events: u64,
+    events_at_last_refresh: u64,
     /// Configured (slowest) interval.
     base: u64,
     /// Interval currently in effect, clamped to `[base/16, base]`.
@@ -131,6 +139,13 @@ impl InstrObserver for SessionPump {
             let drained = self.session.borrow_mut().pump() as u64;
             if self.adaptive {
                 self.adapt(drained);
+            }
+            let session = self.session.borrow();
+            if self.refresh_events > 0
+                && session.events() - self.events_at_last_refresh >= self.refresh_events
+            {
+                self.events_at_last_refresh = session.events();
+                self.frames.borrow_mut().push(session.render_ascii());
             }
         }
     }
@@ -180,8 +195,12 @@ pub fn live_profile_program(
     vm.set_hooks(Box::new(hooks));
     let base = live_config.pump_every_instructions.max(1);
     let interval_out = Rc::new(Cell::new(base));
+    let frames = Rc::new(RefCell::new(Vec::new()));
     vm.set_observer(Box::new(SessionPump {
         session: Rc::clone(&session),
+        frames: Rc::clone(&frames),
+        refresh_events: live_config.refresh_events,
+        events_at_last_refresh: 0,
         base,
         every: base,
         since: 0,
@@ -210,7 +229,7 @@ pub fn live_profile_program(
         epochs: session.epochs(),
         events: session.events(),
         dropped: session.dropped(),
-        frames: session.frames().to_vec(),
+        frames: frames.take(),
         replay,
         snapshot,
         debug,
@@ -377,6 +396,10 @@ mod tests {
     ";
 
     fn live_run(max_entries: u64) -> LiveRun {
+        live_run_refreshing(max_entries, 20)
+    }
+
+    fn live_run_refreshing(max_entries: u64, refresh_events: u64) -> LiveRun {
         live_profile_program(
             compile_instrumented(SRC, &InstrumentOptions::default()).unwrap(),
             CostModel::sgx_v1(),
@@ -387,11 +410,10 @@ mod tests {
             },
             &LiveRunConfig {
                 live: LiveConfig {
-                    refresh_events: 20,
                     keep_replay: true,
-                    analyzer_shards: 2,
                     ..LiveConfig::default()
                 },
+                refresh_events,
                 pump_every_instructions: 64,
                 adaptive_pump: true,
             },
@@ -410,6 +432,27 @@ mod tests {
         assert!(run.epochs >= 3, "only {} epochs", run.epochs);
         assert_eq!(run.dropped, 0, "pump cadence must outrun the writers");
         assert!(!run.frames.is_empty());
+    }
+
+    #[test]
+    fn frames_are_rendered_on_refresh() {
+        let run = live_run_refreshing(1 << 10, 10);
+        assert_eq!(run.events, 50);
+        // Banner first, and one frame per 10 new events: each frame shows
+        // at least 10 events more than the one before it.
+        let shown: Vec<u64> = run
+            .frames
+            .iter()
+            .map(|f| {
+                assert!(f.starts_with("live · epoch"), "{f}");
+                let events = f.split(" · ").nth(2).expect("banner counters");
+                events.trim_end_matches(" events").parse().unwrap()
+            })
+            .collect();
+        assert_eq!(shown.len(), 4, "{shown:?}");
+        assert!(shown[0] >= 10 && shown.windows(2).all(|w| w[1] - w[0] >= 10));
+        assert!(run.frames[1].contains("work"));
+        assert!(live_run_refreshing(1 << 10, 0).frames.is_empty());
     }
 
     #[test]
@@ -480,9 +523,9 @@ mod tests {
                 ..RecorderConfig::default()
             },
             &LiveRunConfig {
-                live: LiveConfig::default(),
                 pump_every_instructions: 100_000,
                 adaptive_pump: false,
+                ..LiveRunConfig::default()
             },
             |_| Ok(()),
         )
@@ -508,9 +551,9 @@ mod tests {
                     ..RecorderConfig::default()
                 },
                 &LiveRunConfig {
-                    live: LiveConfig::default(),
                     pump_every_instructions: base,
                     adaptive_pump: adaptive,
+                    ..LiveRunConfig::default()
                 },
                 |_| Ok(()),
             )

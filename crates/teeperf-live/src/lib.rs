@@ -17,15 +17,16 @@
 //!   [`teeperf_analyzer::stacks::ResumableStacks`] carry open frames across
 //!   epochs, and completed calls merge into rolling per-method, folded-stack
 //!   and caller-edge aggregates whose memory does not grow with the stream.
-//! * [`snapshot`] — serializable freezes of the rolling profile, with
-//!   diff-vs-previous through the batch comparator.
-//! * [`session`] — the [`LiveSession`] gluing one event source + rolling
-//!   profile + the live flame renderer on a refresh cadence, and the
+//! * [`snapshot`] — serializable freezes of the rolling profile; two
+//!   freezes diff through the batch comparator.
+//! * [`session`] — the [`LiveSession`]: one event source drained into one
+//!   rolling profile, frozen or rendered only on demand, and the
 //!   [`DrainPolicy`] saying when it rotates a live log.
 //! * [`driver`] — [`live_profile_program`]: run an instrumented Mini-C
 //!   program under the recorder's ordinary hooks while an
-//!   instruction-cadence observer pumps the session (the deterministic, in-process equivalent
-//!   of a host drainer thread). Backs the `teeperf live` CLI subcommand.
+//!   instruction-cadence observer pumps the session (the deterministic,
+//!   in-process equivalent of a host drainer thread) and draws the frame
+//!   history on a refresh cadence. Backs the `teeperf live` CLI subcommand.
 //!   [`live_profile_processes`] runs N simulated processes under one
 //!   registry.
 //! * [`registry`] — the multi-process layer: a [`SessionRegistry`] keys

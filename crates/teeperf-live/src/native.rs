@@ -147,7 +147,6 @@ mod tests {
             },
             LiveConfig {
                 policy: DrainPolicy { watermark_pct: 50 },
-                refresh_events: 0,
                 ..LiveConfig::default()
             },
         )

@@ -384,8 +384,8 @@ impl SessionRegistry {
 
     /// Freeze the session for `pid` into a snapshot (`None` if no such
     /// session is attached).
-    pub fn snapshot_pid(&mut self, pid: u64) -> Option<Snapshot> {
-        self.sessions.get_mut(&pid).map(LiveSession::snapshot)
+    pub fn snapshot_pid(&self, pid: u64) -> Option<Snapshot> {
+        self.sessions.get(&pid).map(LiveSession::snapshot)
     }
 
     /// Freeze every session and merge: the returned snapshot's profile
@@ -394,10 +394,10 @@ impl SessionRegistry {
     /// sums of the per-pid profiles, its status is
     /// [`Self::merged_status`], and its events list records every
     /// attach/detach/quarantine so far.
-    pub fn merged_snapshot(&mut self) -> Snapshot {
+    pub fn merged_snapshot(&self) -> Snapshot {
         let mut per_pid: BTreeMap<u64, Snapshot> = self
             .sessions
-            .iter_mut()
+            .iter()
             .map(|(pid, s)| (*pid, s.snapshot()))
             .collect();
         per_pid.extend(self.retired.iter().map(|(pid, s)| (*pid, s.clone())));
@@ -406,10 +406,10 @@ impl SessionRegistry {
 
     /// The per-pid profiles for rendering: live sessions freshly frozen,
     /// retired sessions at their final frozen state.
-    fn render_parts(&mut self) -> Vec<(u64, Profile)> {
+    fn render_parts(&self) -> Vec<(u64, Profile)> {
         let mut per_pid: Vec<(u64, Profile)> = self
             .sessions
-            .iter_mut()
+            .iter()
             .map(|(pid, s)| (*pid, s.snapshot().profile))
             .collect();
         per_pid.extend(
@@ -423,7 +423,7 @@ impl SessionRegistry {
 
     /// Render the merged view for a terminal: one `pid <n>` tower per
     /// process under the merged status banner.
-    pub fn render_ascii(&mut self, width: usize) -> String {
+    pub fn render_ascii(&self, width: usize) -> String {
         let per_pid = self.render_parts();
         let parts: Vec<teeperf_flamegraph::PidFolded> = per_pid
             .iter()
@@ -433,7 +433,7 @@ impl SessionRegistry {
     }
 
     /// Render the merged view as SVG, one `pid <n>` tower per process.
-    pub fn render_svg(&mut self, options: &SvgOptions) -> String {
+    pub fn render_svg(&self, options: &SvgOptions) -> String {
         let per_pid = self.render_parts();
         let parts: Vec<teeperf_flamegraph::PidFolded> = per_pid
             .iter()
@@ -948,7 +948,6 @@ mod tests {
         let calm = mk(2, 64);
         let config = LiveConfig {
             budget: Some(OverheadBudget { pct: 5 }),
-            refresh_events: 0,
             ..LiveConfig::default()
         };
         let mut reg = SessionRegistry::new(config);
@@ -1013,11 +1012,18 @@ mod tests {
                 .unwrap();
         }
         while reg.pump() > 0 {}
+        // Freezing and rendering only read: a shared borrow is enough.
+        let reg: &SessionRegistry = &reg;
         let ascii = reg.render_ascii(72);
         assert!(ascii.starts_with("live · "));
         assert!(ascii.contains("pid 5"));
         assert!(ascii.contains("pid 6"));
         let svg = reg.render_svg(&SvgOptions::default());
         assert!(svg.contains("pid 5") && svg.contains("pid 6"));
+        let per_pid_ticks: u64 = [5, 6]
+            .iter()
+            .map(|pid| reg.snapshot_pid(*pid).unwrap().profile.total_ticks)
+            .sum();
+        assert_eq!(reg.merged_snapshot().profile.total_ticks, per_pid_ticks);
     }
 }

@@ -12,10 +12,9 @@
 //! [`Profile`] — so reports, diffs and flame graphs reuse the batch
 //! machinery unchanged.
 //!
-//! Epoch merging can itself be sharded: [`RollingProfile::ingest_sharded`]
-//! fans the per-thread reconstruction of one drained batch out over scoped
-//! workers (threads are independent by construction), matching the batch
-//! analyzer's parallel path.
+//! Ingest is sequential: pumps fire at high frequency on small batches,
+//! where a batch's per-thread reconstruction costs less than spawning
+//! workers for it would.
 //!
 //! Memory stays bounded by the number of distinct methods, stacks and
 //! threads — not by the number of events — which is what lets a session
@@ -23,9 +22,9 @@
 
 use std::collections::BTreeMap;
 
-use teeperf_analyzer::profile::{partition_by_load, Aggregates, Anomalies, Profile};
+use teeperf_analyzer::profile::{Aggregates, Anomalies, Profile};
 use teeperf_analyzer::reader::Event;
-use teeperf_analyzer::stacks::{ResumableStacks, ThreadStacks};
+use teeperf_analyzer::stacks::ResumableStacks;
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_core::layout::LogEntry;
 use teeperf_flamegraph::LiveStatus;
@@ -169,19 +168,10 @@ impl RollingProfile {
         self.threads.len() as u64
     }
 
-    /// Merge one drained batch sequentially (equivalent to
-    /// [`RollingProfile::ingest_sharded`] with one shard).
+    /// Merge one drained batch. Entries arrive in log order, which within
+    /// each thread is that thread's program order — the only ordering the
+    /// reconstruction needs.
     pub fn ingest(&mut self, entries: &[LogEntry]) {
-        self.ingest_sharded(entries, 1);
-    }
-
-    /// Merge one drained batch, fanning per-thread reconstruction out over
-    /// up to `shards` scoped workers. Entries arrive in log order, which
-    /// within each thread is that thread's program order — the only
-    /// ordering the reconstruction needs, and the reason threads can be
-    /// processed concurrently. The merged aggregate is identical to the
-    /// sequential path regardless of shard count.
-    pub fn ingest_sharded(&mut self, entries: &[LogEntry], shards: usize) {
         // Group per thread, preserving order (same dismissal rule as the
         // batch reader: all-zero records were reserved but never written).
         let mut per_tid: BTreeMap<u64, Vec<Event>> = BTreeMap::new();
@@ -199,63 +189,11 @@ impl RollingProfile {
                 seq: self.events,
             });
         }
-        let shards = shards.max(1).min(per_tid.len().max(1));
-        if shards <= 1 {
-            for (tid, events) in per_tid {
-                let completed = self.threads.entry(tid).or_default().feed(&events);
-                self.agg.absorb_scaled(tid, &completed, self.scale);
-                if let Some(ring) = self.ring.as_mut() {
-                    ring.absorb_scaled(tid, &completed, self.scale);
-                }
-            }
-            return;
-        }
-
-        // Parallel path: borrow each thread's resumable state mutably —
-        // the states are disjoint, one per tid — and let scoped workers
-        // feed their shard of threads concurrently.
-        for tid in per_tid.keys() {
-            self.threads.entry(*tid).or_default();
-        }
-        let mut work: Vec<(u64, &mut ResumableStacks, Vec<Event>)> = Vec::new();
-        let mut remaining = per_tid;
-        for (tid, state) in self.threads.iter_mut() {
-            if let Some(events) = remaining.remove(tid) {
-                work.push((*tid, state, events));
-            }
-        }
-        let loads: Vec<usize> = work.iter().map(|(_, _, events)| events.len()).collect();
-        let partition = partition_by_load(&loads, shards);
-        let mut slots: Vec<Option<(u64, &mut ResumableStacks, Vec<Event>)>> =
-            work.into_iter().map(Some).collect();
-        let mut completed: Vec<(u64, ThreadStacks)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = partition
-                .iter()
-                .map(|bucket| {
-                    let shard: Vec<(u64, &mut ResumableStacks, Vec<Event>)> = bucket
-                        .iter()
-                        .map(|i| slots[*i].take().expect("each index assigned once"))
-                        .collect();
-                    scope.spawn(move || {
-                        shard
-                            .into_iter()
-                            .map(|(tid, state, events)| (tid, state.feed(&events)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("rolling ingest shard panicked"))
-                .collect()
-        });
-        // Aggregate merging is commutative, but absorb in tid order anyway
-        // so the in-memory hash state is reproducible run to run.
-        completed.sort_by_key(|(tid, _)| *tid);
-        for (tid, batch) in completed {
-            self.agg.absorb_scaled(tid, &batch, self.scale);
+        for (tid, events) in per_tid {
+            let completed = self.threads.entry(tid).or_default().feed(&events);
+            self.agg.absorb_scaled(tid, &completed, self.scale);
             if let Some(ring) = self.ring.as_mut() {
-                ring.absorb_scaled(tid, &batch, self.scale);
+                ring.absorb_scaled(tid, &completed, self.scale);
             }
         }
     }
@@ -404,28 +342,25 @@ mod tests {
         }
     }
 
-    /// Sharded epoch merging must be indistinguishable from sequential
-    /// ingest, for every chunking and shard count.
+    /// Ingesting a stream in chunks of any size must be indistinguishable
+    /// from ingesting it whole.
     #[test]
-    fn sharded_ingest_matches_sequential() {
+    fn chunked_ingest_matches_whole_ingest() {
         let entries = sample_entries();
         let sym = Symbolizer::without_relocation(debug());
-        let sequential = {
+        let whole = {
             let mut rolling = RollingProfile::new();
             rolling.ingest(&entries);
             rolling.finish();
             rolling.snapshot(&sym, 0)
         };
-        for shards in [2usize, 3, 8] {
-            for chunk in [2usize, 3, 8] {
-                let mut rolling = RollingProfile::new();
-                for c in entries.chunks(chunk) {
-                    rolling.ingest_sharded(c, shards);
-                }
-                rolling.finish();
-                let live = rolling.snapshot(&sym, 0);
-                assert_eq!(live, sequential, "shards {shards}, chunk {chunk}");
+        for chunk in [2usize, 3, 8] {
+            let mut rolling = RollingProfile::new();
+            for c in entries.chunks(chunk) {
+                rolling.ingest(c);
             }
+            rolling.finish();
+            assert_eq!(rolling.snapshot(&sym, 0), whole, "chunk {chunk}");
         }
     }
 

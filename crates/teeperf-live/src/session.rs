@@ -1,17 +1,16 @@
-//! The live session: event source + rolling profile + renderer, glued to
-//! a refresh policy.
+//! The live session: one event source drained into one rolling profile.
 //!
 //! A [`LiveSession`] is the single host-side object a continuous-profiling
 //! consumer holds. Pumping it drains its [`EventSource`] — for the common
 //! live case a [`LiveLogSource`] holding the single cursor over the shared
 //! log, but a [`teeperf_core::FileReplaySource`] plugs in behind the same
-//! pump — and merges the stream into the rolling profile; on every
-//! `refresh_events` new events it re-renders the ASCII flame view into its
-//! frame history, which is what `teeperf live` prints.
+//! pump — and merges the stream into the rolling profile. Freezing
+//! ([`LiveSession::snapshot`]) and rendering ([`LiveSession::render_ascii`],
+//! [`LiveSession::render_svg`]) read that profile on demand and keep
+//! nothing: a session that nobody asks draws nothing.
 
 use std::collections::{BTreeSet, VecDeque};
 
-use teeperf_analyzer::query::frame::Frame;
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_core::{EventSource, LiveLogSource, Regime, SharedLog};
 use teeperf_flamegraph::{live, LiveStatus, SvgOptions};
@@ -250,26 +249,18 @@ impl Default for DrainPolicy {
     }
 }
 
+/// Columns of the ASCII flame view, the width every front-end draws at.
+const ASCII_WIDTH: usize = 60;
+
 /// Session tuning.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LiveConfig {
     /// When the session rotates a live log.
     pub policy: DrainPolicy,
-    /// Re-render the flame view after this many new events (0 disables the
-    /// frame history; snapshots remain available on demand).
-    pub refresh_events: u64,
-    /// Width of the ASCII flame view.
-    pub width: usize,
     /// Retain every drained entry for replay through the offline stages.
     /// Off by default: the whole point of the rolling profile is that the
     /// session's memory does not grow with the stream.
     pub keep_replay: bool,
-    /// Fan each drained batch's per-thread reconstruction out over this
-    /// many analyzer shards (see
-    /// [`RollingProfile::ingest_sharded`]). Defaults to 1: pumps fire at
-    /// high frequency on small batches, where spawning workers costs more
-    /// than it saves — raise it for sessions draining large epochs.
-    pub analyzer_shards: usize,
     /// Windowed retention: keep a ring of per-interval aggregates (window
     /// boundaries on the virtual clock) next to the all-time rolling
     /// profile, so the session answers time-scoped queries. Off by
@@ -283,20 +274,6 @@ pub struct LiveConfig {
     pub budget: Option<OverheadBudget>,
 }
 
-impl Default for LiveConfig {
-    fn default() -> Self {
-        LiveConfig {
-            policy: DrainPolicy::default(),
-            refresh_events: 2_000,
-            width: 60,
-            keep_replay: false,
-            analyzer_shards: 1,
-            retention: None,
-            budget: None,
-        }
-    }
-}
-
 /// A running continuous-profiling session over one event source. For live
 /// logs exactly one session may exist per log: its [`LiveLogSource`] owns
 /// the read cursor, and only the cursor owner may rotate.
@@ -306,9 +283,6 @@ pub struct LiveSession {
     rolling: RollingProfile,
     symbolizer: Symbolizer,
     config: LiveConfig,
-    frames: Vec<String>,
-    events_at_last_refresh: u64,
-    last_snapshot: Option<Snapshot>,
     replay: Vec<teeperf_core::layout::LogEntry>,
     /// Retention transitions (evictions, coarsenings) so far, already
     /// stamped with this session's pid — surfaced in every snapshot's
@@ -349,9 +323,6 @@ impl LiveSession {
             rolling: RollingProfile::with_retention(config.retention.as_ref()),
             symbolizer,
             config,
-            frames: Vec::new(),
-            events_at_last_refresh: 0,
-            last_snapshot: None,
             replay: Vec::new(),
             window_events: Vec::new(),
             controller,
@@ -372,8 +343,7 @@ impl LiveSession {
     }
 
     /// Drain whatever the writers have published and merge it. Returns the
-    /// number of entries consumed. Re-renders a frame when the refresh
-    /// threshold has passed.
+    /// number of entries consumed.
     ///
     /// With an overhead budget configured, every pump also feeds the
     /// fidelity controller with this pump's backpressure (drop delta and
@@ -397,8 +367,7 @@ impl LiveSession {
         if self.config.keep_replay {
             self.replay.extend_from_slice(&batch.entries);
         }
-        self.rolling
-            .ingest_sharded(&batch.entries, self.config.analyzer_shards);
+        self.rolling.ingest(&batch.entries);
         self.collect_window_events();
         if self.source.take_regime_fault() {
             self.regime_faults += 1;
@@ -430,13 +399,6 @@ impl LiveSession {
                 // fidelity and the controller retires.
                 self.controller = None;
             }
-        }
-        if self.config.refresh_events > 0
-            && self.rolling.events() - self.events_at_last_refresh >= self.config.refresh_events
-        {
-            self.events_at_last_refresh = self.rolling.events();
-            let frame = self.render_ascii();
-            self.frames.push(frame);
         }
         n
     }
@@ -540,16 +502,11 @@ impl LiveSession {
         self.rolling.status(self.source.epoch(), self.dropped())
     }
 
-    /// The rendered frame history (one ASCII flame view per refresh).
-    pub fn frames(&self) -> &[String] {
-        &self.frames
-    }
-
-    /// Render the current rolling aggregate as an ASCII flame view with
-    /// the status banner.
+    /// Render the current rolling aggregate as a 60-column ASCII flame
+    /// view with the status banner.
     pub fn render_ascii(&self) -> String {
         let profile = self.rolling.snapshot(&self.symbolizer, self.dropped());
-        live::render_ascii(&profile.folded, &self.status(), self.config.width)
+        live::render_ascii(&profile.folded, &self.status(), ASCII_WIDTH)
     }
 
     /// Render the current rolling aggregate as an SVG flame graph, banner
@@ -559,28 +516,18 @@ impl LiveSession {
         live::render_svg(&profile.folded, &self.status(), options)
     }
 
-    /// Freeze the current aggregate into a [`Snapshot`] and remember it as
-    /// the baseline for [`LiveSession::diff_since_last`]. The profile is
-    /// stamped with the source's process id.
-    pub fn snapshot(&mut self) -> Snapshot {
+    /// Freeze the current aggregate into a [`Snapshot`], its profile
+    /// stamped with the source's process id. Two freezes compare through
+    /// [`Snapshot::diff_since`].
+    pub fn snapshot(&self) -> Snapshot {
         let mut profile = self.rolling.snapshot(&self.symbolizer, self.dropped());
         profile.pids = BTreeSet::from([self.source.pid()]);
-        let snap = Snapshot {
+        Snapshot {
             status: self.status(),
             profile,
             events: self.window_events.clone(),
             regime: self.regime_info(),
-        };
-        self.last_snapshot = Some(snap.clone());
-        snap
-    }
-
-    /// How the profile moved since the previous [`LiveSession::snapshot`]
-    /// call (`None` before the first snapshot). Also advances the baseline.
-    pub fn diff_since_last(&mut self) -> Option<Frame> {
-        let before = self.last_snapshot.take()?;
-        let now = self.snapshot();
-        Some(now.diff_since(&before))
+        }
     }
 
     /// End the session: drain the final partial epoch, force-close open
@@ -599,8 +546,7 @@ impl LiveSession {
             if self.config.keep_replay {
                 self.replay.extend_from_slice(&batch.entries);
             }
-            self.rolling
-                .ingest_sharded(&batch.entries, self.config.analyzer_shards);
+            self.rolling.ingest(&batch.entries);
         }
         self.rolling.finish();
         self.collect_window_events();
@@ -691,18 +637,13 @@ mod tests {
         )
     }
 
-    fn session(log: &SharedLog, refresh: u64) -> LiveSession {
+    fn session(log: &SharedLog) -> LiveSession {
         LiveSession::new(
             log.clone(),
             Symbolizer::without_relocation(debug()),
             LiveConfig {
                 policy: DrainPolicy { watermark_pct: 50 },
-                refresh_events: refresh,
-                width: 40,
-                keep_replay: false,
-                analyzer_shards: 2,
-                retention: None,
-                budget: None,
+                ..LiveConfig::default()
             },
         )
     }
@@ -726,7 +667,7 @@ mod tests {
     #[test]
     fn pump_rotates_and_accumulates_across_epochs() {
         let log = fresh(4);
-        let mut s = session(&log, 0);
+        let mut s = session(&log);
         for i in 0..4 {
             write_pair(&log, 100 * (i + 1));
             s.pump();
@@ -740,36 +681,9 @@ mod tests {
     }
 
     #[test]
-    fn frames_are_rendered_on_refresh() {
-        let log = fresh(16);
-        let mut s = session(&log, 4);
-        for i in 0..4 {
-            write_pair(&log, 100 * (i + 1));
-            s.pump();
-        }
-        assert_eq!(s.frames().len(), 2, "8 events at refresh-every-4");
-        assert!(s.frames()[0].starts_with("live · epoch"));
-        assert!(s.frames()[1].contains("work"));
-    }
-
-    #[test]
-    fn diff_since_last_tracks_movement() {
-        let log = fresh(64);
-        let mut s = session(&log, 0);
-        write_pair(&log, 100);
-        s.pump();
-        assert!(s.diff_since_last().is_none(), "no baseline yet");
-        s.snapshot();
-        write_pair(&log, 200);
-        s.pump();
-        let d = s.diff_since_last().expect("baseline exists");
-        assert!(!d.is_empty());
-    }
-
-    #[test]
     fn finish_collects_the_partial_epoch() {
         let log = fresh(1024);
-        let mut s = session(&log, 0);
+        let mut s = session(&log);
         write_pair(&log, 50);
         // Never reached the watermark — finish must still see everything.
         let snap = s.finish();
@@ -780,7 +694,7 @@ mod tests {
     #[test]
     fn unbudgeted_sessions_have_no_regime_block() {
         let log = fresh(64);
-        let mut s = session(&log, 0);
+        let mut s = session(&log);
         write_pair(&log, 100);
         s.pump();
         assert_eq!(s.regime(), Regime::Full);
@@ -799,7 +713,6 @@ mod tests {
             Symbolizer::without_relocation(debug()),
             LiveConfig {
                 policy: DrainPolicy { watermark_pct: 100 },
-                refresh_events: 0,
                 budget: Some(OverheadBudget { pct: 5 }),
                 ..LiveConfig::default()
             },
@@ -941,7 +854,6 @@ mod tests {
             Box::new(FileReplaySource::new(&file).with_chunk(1)),
             Symbolizer::without_relocation(debug()),
             LiveConfig {
-                refresh_events: 0,
                 budget: Some(OverheadBudget { pct: 0 }),
                 ..LiveConfig::default()
             },

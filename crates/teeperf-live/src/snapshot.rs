@@ -277,32 +277,25 @@ impl Snapshot {
             "total_ticks",
         ];
         let mut status = LiveStatus::default();
-        let mut in_live = false;
         let mut seen = [false; REQUIRED.len()];
-        for line in text.lines() {
-            match line.trim() {
-                "[live]" => in_live = true,
-                l if l.starts_with('[') => in_live = false,
-                l if in_live => {
-                    let (key, value) = l
-                        .split_once(' ')
-                        .ok_or_else(|| format!("malformed counter line `{l}`"))?;
-                    let value: u64 = value.parse().map_err(|_| format!("bad value in `{l}`"))?;
-                    match key {
-                        "epoch" => status.epoch = value,
-                        "events" => status.events = value,
-                        "dropped" => status.dropped = value,
-                        "threads" => status.threads = value,
-                        "open" => status.open_frames = value,
-                        "total_ticks" => {}
-                        other => return Err(format!("unknown counter `{other}`")),
-                    }
-                    let idx = REQUIRED.iter().position(|k| *k == key).expect("matched");
-                    seen[idx] = true;
-                }
-                _ => {}
+        walk_section(text, "live", |l| {
+            let (key, value) = l
+                .split_once(' ')
+                .ok_or_else(|| format!("malformed counter line `{l}`"))?;
+            let value: u64 = value.parse().map_err(|_| format!("bad value in `{l}`"))?;
+            match key {
+                "epoch" => status.epoch = value,
+                "events" => status.events = value,
+                "dropped" => status.dropped = value,
+                "threads" => status.threads = value,
+                "open" => status.open_frames = value,
+                "total_ticks" => {}
+                other => return Err(format!("unknown counter `{other}`")),
             }
-        }
+            let idx = REQUIRED.iter().position(|k| *k == key).expect("matched");
+            seen[idx] = true;
+            Ok(())
+        })?;
         if let Some(idx) = seen.iter().position(|s| !s) {
             return Err(format!(
                 "incomplete [live] section: missing `{}`",
@@ -324,37 +317,29 @@ impl Snapshot {
     /// emits the header, even for an empty profile).
     pub fn methods_from_text(text: &str) -> Result<Vec<(String, u64, u64, u64)>, String> {
         let mut rows = Vec::new();
-        let mut in_methods = false;
-        let mut seen_section = false;
-        for line in text.lines() {
-            match line.trim() {
-                "[methods]" => {
-                    in_methods = true;
-                    seen_section = true;
-                }
-                l if l.starts_with('[') => in_methods = false,
-                l if in_methods && !l.is_empty() => {
-                    // Method names contain no spaces (mangled identifiers or
-                    // raw hex); the three counters are the trailing fields.
-                    let fields: Vec<&str> = l.split(' ').collect();
-                    if fields.len() != 4 {
-                        return Err(format!("malformed method row `{l}`"));
-                    }
-                    let num = |s: &str| {
-                        s.parse::<u64>()
-                            .map_err(|_| format!("bad counter in method row `{l}`"))
-                    };
-                    rows.push((
-                        fields[0].to_string(),
-                        num(fields[1])?,
-                        num(fields[2])?,
-                        num(fields[3])?,
-                    ));
-                }
-                _ => {}
+        let present = walk_section(text, "methods", |l| {
+            if l.is_empty() {
+                return Ok(());
             }
-        }
-        if !seen_section {
+            // Method names contain no spaces (mangled identifiers or raw
+            // hex); the three counters are the trailing fields.
+            let fields: Vec<&str> = l.split(' ').collect();
+            if fields.len() != 4 {
+                return Err(format!("malformed method row `{l}`"));
+            }
+            let num = |s: &str| {
+                s.parse::<u64>()
+                    .map_err(|_| format!("bad counter in method row `{l}`"))
+            };
+            rows.push((
+                fields[0].to_string(),
+                num(fields[1])?,
+                num(fields[2])?,
+                num(fields[3])?,
+            ));
+            Ok(())
+        })?;
+        if !present {
             return Err("no [methods] section".to_string());
         }
         Ok(rows)
@@ -369,57 +354,49 @@ impl Snapshot {
     /// incomplete section is an error (a truncated regime block must not
     /// parse as "full fidelity, zero faults").
     pub fn regime_from_text(text: &str) -> Result<Option<RegimeInfo>, String> {
-        let mut in_section = false;
-        let mut seen = false;
         let mut regime: Option<Regime> = None;
         let mut budget_pct: Option<u8> = None;
         let mut transitions: Option<u64> = None;
         let mut estimated_events: Option<u64> = None;
         let mut faults: Option<u64> = None;
-        for line in text.lines() {
-            match line.trim() {
-                "[regime]" => {
-                    in_section = true;
-                    seen = true;
+        let present = walk_section(text, "regime", |l| {
+            if l.is_empty() {
+                return Ok(());
+            }
+            let (key, value) = l
+                .split_once(' ')
+                .ok_or_else(|| format!("malformed regime line `{l}`"))?;
+            match key {
+                "mode" => {
+                    regime = Some(
+                        parse_mode(value)
+                            .ok_or_else(|| format!("bad mode in regime line `{l}`"))?,
+                    );
                 }
-                l if l.starts_with('[') => in_section = false,
-                l if in_section && !l.is_empty() => {
-                    let (key, value) = l
-                        .split_once(' ')
-                        .ok_or_else(|| format!("malformed regime line `{l}`"))?;
+                "budget" => {
+                    budget_pct = Some(
+                        value
+                            .parse::<u8>()
+                            .map_err(|_| format!("bad value in regime line `{l}`"))?,
+                    );
+                }
+                "transitions" | "estimated_events" | "faults" => {
+                    let n = value
+                        .parse::<u64>()
+                        .map_err(|_| format!("bad value in regime line `{l}`"))?;
                     match key {
-                        "mode" => {
-                            regime = Some(
-                                parse_mode(value)
-                                    .ok_or_else(|| format!("bad mode in regime line `{l}`"))?,
-                            );
-                        }
-                        "budget" => {
-                            budget_pct = Some(
-                                value
-                                    .parse::<u8>()
-                                    .map_err(|_| format!("bad value in regime line `{l}`"))?,
-                            );
-                        }
-                        "transitions" | "estimated_events" | "faults" => {
-                            let n = value
-                                .parse::<u64>()
-                                .map_err(|_| format!("bad value in regime line `{l}`"))?;
-                            match key {
-                                "transitions" => transitions = Some(n),
-                                "estimated_events" => estimated_events = Some(n),
-                                _ => faults = Some(n),
-                            }
-                        }
-                        // Derived from the counters on re-serialization.
-                        "confidence" => {}
-                        other => return Err(format!("unknown regime key `{other}`")),
+                        "transitions" => transitions = Some(n),
+                        "estimated_events" => estimated_events = Some(n),
+                        _ => faults = Some(n),
                     }
                 }
-                _ => {}
+                // Derived from the counters on re-serialization.
+                "confidence" => {}
+                other => return Err(format!("unknown regime key `{other}`")),
             }
-        }
-        if !seen {
+            Ok(())
+        })?;
+        if !present {
             return Ok(None);
         }
         let missing = |what: &str| format!("incomplete [regime] section: missing `{what}`");
@@ -431,6 +408,28 @@ impl Snapshot {
             faults: faults.ok_or_else(|| missing("faults"))?,
         }))
     }
+}
+
+/// The one `[section]` walker under every wire parser: hands `row` each
+/// trimmed line inside a `[name]` section (blank ones included — whether
+/// they are skipped or malformed is the parser's call), stops at the first
+/// error, and returns whether the section header occurred at all.
+pub(crate) fn walk_section<'a>(
+    text: &'a str,
+    name: &str,
+    mut row: impl FnMut(&'a str) -> Result<(), String>,
+) -> Result<bool, String> {
+    let (mut inside, mut present) = (false, false);
+    for line in text.lines() {
+        let l = line.trim();
+        if let Some(header) = l.strip_prefix('[') {
+            inside = header.strip_suffix(']') == Some(name);
+            present |= inside;
+        } else if inside {
+            row(l)?;
+        }
+    }
+    Ok(present)
 }
 
 /// Parse the value of a `mode` wire line: `full`, `sampled 1/<n>`, or

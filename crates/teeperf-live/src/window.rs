@@ -32,6 +32,8 @@ use teeperf_analyzer::stacks::ThreadStacks;
 
 pub use teeperf_analyzer::query::windowed::WindowSel;
 
+use crate::snapshot::walk_section;
+
 /// Retention-ring tuning.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RingConfig {
@@ -433,21 +435,9 @@ pub fn windows_to_text(parts: &[PidWindows]) -> String {
 /// `[windows]` section is malformed.
 pub fn windows_from_text(text: &str) -> Result<Vec<PidWindows>, String> {
     let mut parts: Vec<PidWindows> = Vec::new();
-    let mut in_section = false;
-    let mut seen = false;
-    for line in text.lines() {
-        let l = line.trim();
-        if l == "[windows]" {
-            in_section = true;
-            seen = true;
-            continue;
-        }
-        if l.starts_with('[') {
-            in_section = false;
-            continue;
-        }
-        if !in_section || l.is_empty() {
-            continue;
+    let present = walk_section(text, "windows", |l| {
+        if l.is_empty() {
+            return Ok(());
         }
         let fields: Vec<&str> = l.split(' ').collect();
         let num = |s: &str| {
@@ -495,8 +485,9 @@ pub fn windows_from_text(text: &str) -> Result<Vec<PidWindows>, String> {
             }
             _ => return Err(format!("malformed windows line `{l}`")),
         }
-    }
-    if !seen {
+        Ok(())
+    })?;
+    if !present {
         return Err("no [windows] section".to_string());
     }
     Ok(parts)

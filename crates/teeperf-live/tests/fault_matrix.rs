@@ -402,7 +402,6 @@ fn live_matrix_writer_crash_mid_sampled_epoch_salvages_cleanly() {
         Box::new(LiveLogSource::new(log.clone(), 100).with_resilience(impatient())),
         sym(),
         LiveConfig {
-            refresh_events: 0,
             budget: Some(OverheadBudget { pct: 5 }),
             ..LiveConfig::default()
         },
@@ -501,7 +500,6 @@ fn live_matrix_corrupt_regime_word_falls_back_to_full_and_is_reported() {
         Box::new(LiveLogSource::new(log.clone(), 75).with_resilience(impatient())),
         sym(),
         LiveConfig {
-            refresh_events: 0,
             budget: Some(OverheadBudget { pct: 5 }),
             ..LiveConfig::default()
         },
@@ -778,7 +776,7 @@ proptest::proptest! {
         let mut session = LiveSession::from_source(
             Box::new(LiveLogSource::new(log.clone(), 75).with_resilience(impatient())),
             sym(),
-            LiveConfig { refresh_events: 0, ..LiveConfig::default() },
+            LiveConfig::default(),
         );
         let mut writes = 0usize;
         for span in 0..10u64 {
@@ -801,7 +799,7 @@ proptest::proptest! {
         let mut truth = LiveSession::from_source(
             Box::new(FileReplaySource::new(&truth_log)),
             sym(),
-            LiveConfig { refresh_events: 0, ..LiveConfig::default() },
+            LiveConfig::default(),
         );
         while truth.pump() > 0 {}
         let truth_snap = truth.finish();

@@ -194,9 +194,9 @@ mod string_match_convergence {
             &LiveRunConfig {
                 live: LiveConfig {
                     keep_replay: true,
-                    refresh_events: 5_000,
                     ..LiveConfig::default()
                 },
+                refresh_events: 5_000,
                 pump_every_instructions: 128,
                 adaptive_pump: true,
             },

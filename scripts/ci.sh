@@ -66,11 +66,14 @@ run cargo run -q --offline -p teeperf-check --bin teeperf-lint -- .
 # classes must be found and their schedules must replay. Built untimed
 # (compile cost is not the smoke's budget), then run under a hard KILL
 # timeout: a scheduler bug that deadlocks the virtual fleet must fail the
-# gate, not hang it. 240s: the regime-flip DFS configs (ISSUE 10) grew
-# the clean sweep past the old 120s budget — the limit is a deadlock
-# detector, not a performance gate.
+# gate, not hang it. The limit is a deadlock detector, not a performance
+# gate: at ISSUE 14 the smoke measured 758 s run alone on this 2-vCPU host
+# and no more than 1050 s as a stage of a full run of this script (~530 s
+# and ~600 s at ISSUE 13, same configurations and budgets — the host's
+# single-thread speed drifts that much), so the limit is 3600 s, more than
+# three times the slowest run seen.
 run cargo build -q --release --offline -p teeperf-check --bin teeperf-check
-tmo 240 cargo run -q --release --offline -p teeperf-check --bin teeperf-check -- --smoke
+tmo 3600 cargo run -q --release --offline -p teeperf-check --bin teeperf-check -- --smoke
 
 # Daemon smoke (ISSUE 7): start a real teeperfd over a scratch registration
 # directory, run a scripted writer process through the file-backed shared
