@@ -1,5 +1,7 @@
 //! Command implementations, kept pure enough to unit-test: every command
-//! returns the text it would print.
+//! returns the text it would print. Each command is a row of [`COMMANDS`]:
+//! a name, the flags it declares ([`teeperf_daemon::flags`]) and the
+//! function that runs a parsed argv.
 
 use std::fmt::Write as _;
 
@@ -9,8 +11,9 @@ use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_analyzer::Analyzer;
 use teeperf_compiler::{compile_instrumented, profile_program, run_native, InstrumentOptions};
 use teeperf_core::{EventSource, FileReplaySource, LogFile, RecorderConfig};
+use teeperf_daemon::flags::{self, Command, Flag, Parsed, IN_PROCESS_FLAGS, SESSION_FLAGS};
 use teeperf_flamegraph::{FlameGraph, SvgOptions};
-use teeperf_live::{DrainPolicy, LiveConfig, RingConfig, SessionRegistry, Snapshot};
+use teeperf_live::{live_profile_processes, LiveRunConfig, SessionRegistry, Snapshot};
 
 /// A CLI failure with a user-facing message and a process exit code.
 #[derive(Debug)]
@@ -32,11 +35,15 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-fn err(msg: impl Into<String>) -> CliError {
-    CliError {
-        message: msg.into(),
-        code: 1,
+/// Flag errors ([`Command::parse`], the typed getters) are usage errors.
+impl From<String> for CliError {
+    fn from(message: String) -> CliError {
+        CliError { message, code: 1 }
     }
+}
+
+fn err(msg: impl Into<String>) -> CliError {
+    CliError::from(msg.into())
 }
 
 /// A per-path failure: the message always leads with the offending path,
@@ -48,170 +55,191 @@ fn path_err(path: &str, e: impl std::fmt::Display) -> CliError {
     }
 }
 
-const USAGE: &str = "usage:
-  teeperf compile <prog.mc> [--out <prog.tpo>] [--instrument yes|no] [--only <fn,fn>]
-  teeperf run <prog.mc|prog.tpo> [--arch <kind>] [--transition-mode classic|switchless]
-  teeperf record <prog.mc|prog.tpo> [--arch <kind>] [--out <base>] [--max-entries <n>] [--pid <n>]
-                 [--batch-slots <n>] [--transition-mode classic|switchless]
-  teeperf live <prog.mc|prog.tpo> [--arch <kind>] [--max-entries <n>] [--watermark <pct>]
-               [--refresh <events>] [--frames yes|no] [--svg <file>] [--out <base>]
-               [--follow-pids <n>] [--batch-slots <n>]
-               [--transition-mode classic|switchless]
-               [--window-interval <ticks>] [--retain <n>] [--max-width <n>]
-               [--overhead-budget <pct>]
-  teeperf live --logs <a,b,c> [--watermark <pct>] [--watchdog-timeout <pumps>]
-               [--svg <file>] [--out <base>] [--window-interval <ticks>] [--retain <n>]
-  teeperf analyze <base.tpf> <base.sym> [--salvage yes|no] [--analyzer-threads <n>]
-  teeperf query <base.tpf> <base.sym> <query> [--analyzer-threads <n>]
-  teeperf query --connect <addr> [windows | <clause> ...]
-  teeperf flamegraph <base.tpf> <base.sym> [--svg <file>] [--title <t>] [--analyzer-threads <n>]
-  teeperf diff <a.tpf> <a.sym> <b.tpf> <b.sym> [--svg <file>] [--analyzer-threads <n>]
-  teeperf phoenix [--bench <name>] [--arch <kind>]
-  teeperf daemon [--dir <d>] [--listen <addr>] [--snapshot-out <file>] [--pump-ms <n>]
-                 [--scan-every <n>] [--max-loops <n>] [--no-liveness-probe]
-                 [--window-interval <ticks>] [--retain <n>] [--overhead-budget <pct>]
-  teeperf top --connect <addr> [--iterations <n>] [--interval-ms <n>] [--window <n>]
-  teeperf archs
+const ARCH_FLAGS: &[Flag] = &[
+    Flag::value("arch", "<kind>", "see `teeperf archs` (default sgx-v1)"),
+    Flag::value("transition-mode", "<mode>", "classic (default)|switchless"),
+];
+const BATCH: Flag = Flag::value("batch-slots", "<n>", "log slots per tail RMW (default 1)");
+const SALVAGE: Flag = Flag::value("salvage", "yes|no", "keep a torn log's valid records");
+const THREADS: Flag = Flag::value("analyzer-threads", "<n>", "shards (default 0 = all cores)");
+const RECORDING_FLAGS: &[Flag] = &[SALVAGE, THREADS];
 
-architectures: native, sgx-v1, sgx-v2, trustzone, sev, keystone
-query example: \"select method, calls, excl where excl > 100 sort excl desc limit 10\"
---analyzer-threads: analysis worker shards; 0 or omitted = all available cores
---batch-slots n: log slots claimed per shared tail fetch-and-add (1 = classic hot path)
---transition-mode switchless: service ecalls/ocalls via a worker mailbox, no world switch
---follow-pids n: run the program as n simulated processes under one session registry
---logs a,b,c: replay recorded logs (<base>.tpf + <base>.sym) as one multi-process session
---salvage yes: keep the valid records of a torn/truncated log instead of rejecting it
---watchdog-timeout n: quarantine a source after n progress-free pumps (with backoff retries)
-daemon: watch a registration directory of <pid>.tplog shared logs and serve
-        /snapshot /pid/<n> /flame.svg /metrics /healthz over HTTP (see teeperfd)
-top:    poll a daemon's /snapshot and render the method table, diffed against
-        the previous poll (--iterations 0 = until interrupted); --window n
-        renders the newest n retained windows from /query instead
---window-interval/--retain/--max-width: keep a retention ring of per-interval
-        window profiles over the virtual clock (oldest pairs coarsen, then evict)
---overhead-budget pct: cap tolerated stream loss; a per-session controller
-        degrades fidelity full -> sampled 1/N -> quiescent under pressure and
-        recovers, with sampled totals bias-corrected and tagged `estimated`
-query --connect: time-travel queries against a daemon's retention rings.
-        clauses: windows=all|last:<n>|<a>..=<b>  pid=<n>  method=<substr>
-        tid=<n>  top=<n>  by=self|total|calls  diff=<a>,<b>
-        the single word `windows` fetches the /windows listing instead
-";
+const COMPILE: Command = Command {
+    operands: "<prog.mc>",
+    about: "compile Mini-C to an object file, instrumented for recording",
+    groups: &[&[
+        Flag::value("out", "<prog.tpo>", "default: beside the source"),
+        Flag::value("instrument", "yes|no", "insert the hooks (default yes)"),
+        Flag::value("only", "<fn,fn>", "instrument these functions only"),
+    ]],
+};
+const RUN: Command = Command {
+    operands: "<prog.mc|prog.tpo>",
+    about: "run a program uninstrumented and report its modelled cycles",
+    groups: &[ARCH_FLAGS],
+};
+const RECORD_FLAGS: &[Flag] = &[
+    Flag::value("out", "<base>", "default: the program's basename"),
+    Flag::value("max-entries", "<n>", "log capacity (default 1048576)"),
+    Flag::value("pid", "<n>", "header pid (default: this process's)"),
+    BATCH,
+];
+const RECORD: Command = Command {
+    operands: "<prog.mc|prog.tpo>",
+    about: "run a program under the recorder and save <base>.tpf + <base>.sym",
+    groups: &[ARCH_FLAGS, RECORD_FLAGS],
+};
+const LIVE_FLAGS: &[Flag] = &[
+    Flag::value("max-entries", "<n>", "log capacity (default 1024)"),
+    Flag::value("refresh", "<events>", "events per rendered flame view"),
+    Flag::value("frames", "yes|no", "print the flame views (default no)"),
+    Flag::value("svg", "<file>", "write the final flame graph here"),
+    Flag::value("out", "<base>", "write the snapshot to <base>.live"),
+    Flag::value("follow-pids", "<n>", "n simulated processes (1..=64)"),
+    Flag::value("logs", "<a,b,c>", "replay each <base>.tpf + <base>.sym"),
+    BATCH,
+];
+const LIVE: Command = Command {
+    operands: "[<prog.mc|prog.tpo>]",
+    about: "profile continuously over a small rotating log\n\
+            one program, n simulated processes of it (--follow-pids), or recorded logs replayed \
+            as one multi-process session (--logs, no program)",
+    groups: &[ARCH_FLAGS, LIVE_FLAGS, IN_PROCESS_FLAGS, SESSION_FLAGS],
+};
+const ANALYZE: Command = Command {
+    operands: "<base.tpf> <base.sym>",
+    about: "print the per-method report of a recording",
+    groups: &[RECORDING_FLAGS],
+};
+const CONNECT_FLAGS: &[Flag] = &[Flag::value("connect", "<addr>", "the daemon to ask")];
+const QUERY: Command = Command {
+    operands: "<base.tpf> <base.sym> <query> | [windows | <clause> ...]",
+    about: "query a recording, or with --connect a daemon's retention rings\n\
+            query: \"select method, calls, excl where excl > 100 sort excl desc limit 10\"\n\
+            clauses: windows=all|last:<n>|<a>..=<b>  pid=<n>  method=<substr>  tid=<n>  \
+            top=<n>  by=self|total|calls  diff=<a>,<b>\n\
+            the single word `windows` fetches the /windows listing instead",
+    groups: &[CONNECT_FLAGS, RECORDING_FLAGS],
+};
+const FLAMEGRAPH_FLAGS: &[Flag] = &[
+    Flag::value("svg", "<file>", "write an SVG instead of printing text"),
+    Flag::value("title", "<t>", "the SVG's title"),
+];
+const FLAMEGRAPH: Command = Command {
+    operands: "<base.tpf> <base.sym>",
+    about: "draw a recording's flame graph, as text or SVG",
+    groups: &[FLAMEGRAPH_FLAGS, RECORDING_FLAGS],
+};
+const DIFF_FLAGS: &[Flag] = &[Flag::value("svg", "<file>", "also draw the diff here")];
+const DIFF: Command = Command {
+    operands: "<a.tpf> <a.sym> <b.tpf> <b.sym>",
+    about: "compare two recordings by exclusive-time share",
+    groups: &[DIFF_FLAGS, &[THREADS]],
+};
+const BENCH_FLAGS: &[Flag] = &[Flag::value("bench", "<name>", "this benchmark only")];
+const PHOENIX: Command = Command {
+    operands: "",
+    about: "run and verify the Phoenix suite at small scale",
+    groups: &[BENCH_FLAGS, ARCH_FLAGS],
+};
+const TOP_FLAGS: &[Flag] = &[
+    Flag::value("iterations", "<n>", "polls (default 0 = forever)"),
+    Flag::value("interval-ms", "<n>", "between polls (default 1000)"),
+    Flag::value("window", "<n>", "newest n retained windows instead"),
+];
+const TOP: Command = Command {
+    operands: "",
+    about: "poll a daemon's /snapshot and render its method table, diffed poll to poll",
+    groups: &[CONNECT_FLAGS, TOP_FLAGS],
+};
+const ARCHS: Command = Command {
+    operands: "",
+    about: "list the architectures --arch accepts",
+    groups: &[],
+};
 
-/// Minimal flag parser: positional args plus `--flag value` pairs.
-struct Args<'a> {
-    positional: Vec<&'a str>,
-    flags: Vec<(&'a str, &'a str)>,
-}
+/// The dispatch table: a command's name, its declared surface, and the
+/// function that runs an argv that passed it.
+type Run = fn(&Parsed) -> Result<String, CliError>;
+const COMMANDS: &[(&str, &Command, Run)] = &[
+    ("compile", &COMPILE, cmd_compile),
+    ("run", &RUN, cmd_run),
+    ("record", &RECORD, cmd_record),
+    ("live", &LIVE, cmd_live),
+    ("analyze", &ANALYZE, cmd_analyze),
+    ("query", &QUERY, cmd_query),
+    ("flamegraph", &FLAMEGRAPH, cmd_flamegraph),
+    ("diff", &DIFF, cmd_diff),
+    ("phoenix", &PHOENIX, cmd_phoenix),
+    ("daemon", &teeperf_daemon::DAEMON, cmd_daemon),
+    ("top", &TOP, cmd_top),
+    ("archs", &ARCHS, cmd_archs),
+];
 
-impl<'a> Args<'a> {
-    fn parse(args: &'a [String]) -> Result<Args<'a>, CliError> {
-        let mut positional = Vec::new();
-        let mut flags = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let a = args[i].as_str();
-            if let Some(name) = a.strip_prefix("--") {
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| err(format!("flag --{name} needs a value")))?;
-                flags.push((name, value.as_str()));
-                i += 2;
-            } else {
-                positional.push(a);
-                i += 1;
-            }
-        }
-        Ok(Args { positional, flags })
+/// `teeperf help`: the command list, generated from [`COMMANDS`].
+fn help() -> String {
+    let mut out = String::from(
+        "usage: teeperf <command> [<operand> ...] [--flag <value> ...]\n       \
+         teeperf <command> --help lists that command's flags\n\ncommands:\n",
+    );
+    for (name, spec, _) in COMMANDS {
+        let line = spec.about.lines().next().unwrap_or_default();
+        writeln!(out, "  {name:<11}{line}").expect("writing to string");
     }
-
-    fn flag(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .rev()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-    }
-
-    fn arch(&self) -> Result<CostModel, CliError> {
-        let name = self.flag("arch").unwrap_or("sgx-v1");
-        let cost = TeeKind::parse(name)
-            .map(CostModel::for_kind)
-            .ok_or_else(|| err(format!("unknown architecture `{name}`")))?;
-        let mode = self.flag("transition-mode").unwrap_or("classic");
-        let mode = TransitionMode::parse(mode).ok_or_else(|| {
-            err(format!(
-                "unknown transition mode `{mode}` (want classic|switchless)"
-            ))
-        })?;
-        Ok(cost.with_transition_mode(mode))
-    }
-
-    /// `--batch-slots N`: log slots claimed per shared tail fetch-and-add
-    /// by the recording hooks; 1 (the default) is the classic path.
-    fn batch_slots(&self) -> Result<u64, CliError> {
-        match self.flag("batch-slots") {
-            Some(v) => v
-                .parse()
-                .ok()
-                .filter(|b| *b >= 1)
-                .ok_or_else(|| err(format!("bad --batch-slots `{v}` (want >= 1)"))),
-            None => Ok(1),
-        }
-    }
-
-    /// `--analyzer-threads N`: analysis shard count, where 0 (the default)
-    /// means one shard per available core.
-    fn analyzer_threads(&self) -> Result<usize, CliError> {
-        match self.flag("analyzer-threads") {
-            Some(v) => v
-                .parse()
-                .map_err(|_| err(format!("bad --analyzer-threads `{v}`"))),
-            None => Ok(0),
-        }
-    }
+    out
 }
 
 /// Entry point used by `main` and by the tests.
 pub fn dispatch(args: &[String]) -> Result<String, CliError> {
-    let Some(command) = args.first() else {
-        return Ok(USAGE.to_string());
+    let command = args.first().map_or("help", String::as_str);
+    if matches!(command, "help" | "--help" | "-h") {
+        return Ok(help());
+    }
+    let Some((name, spec, run)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+        return Err(err(format!("unknown command `{command}`\n\n{}", help())));
     };
-    if command == "daemon" {
-        // The daemon parses its own flags: one set, shared with `teeperfd`,
-        // value-less switches included.
-        return cmd_daemon(&args[1..]);
+    let parsed = spec.parse(&format!("teeperf {name}"), &args[1..])?;
+    if parsed.help {
+        return Ok(parsed.usage());
     }
-    let rest = Args::parse(&args[1..])?;
-    match command.as_str() {
-        "compile" => cmd_compile(&rest),
-        "run" => cmd_run(&rest),
-        "record" => cmd_record(&rest),
-        "live" => cmd_live(&rest),
-        "analyze" => cmd_analyze(&rest),
-        "query" => cmd_query(&rest),
-        "flamegraph" => cmd_flamegraph(&rest),
-        "diff" => cmd_diff(&rest),
-        "phoenix" => cmd_phoenix(&rest),
-        "top" => cmd_top(&rest),
-        "archs" => Ok(TeeKind::ALL
-            .iter()
-            .map(|k| k.name())
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n"),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(err(format!("unknown command `{other}`\n\n{USAGE}"))),
-    }
+    run(&parsed)
 }
 
-fn read_source(args: &Args<'_>) -> Result<(String, String), CliError> {
-    let path = args
-        .positional
-        .first()
-        .ok_or_else(|| err(format!("missing program path\n\n{USAGE}")))?;
-    let source = std::fs::read_to_string(path).map_err(|e| path_err(path, e))?;
-    Ok(((*path).to_string(), source))
+/// The `index`th operand, or an error saying `what` is missing.
+fn operand<'a>(args: &'a Parsed, index: usize, what: &str) -> Result<&'a str, CliError> {
+    args.positional
+        .get(index)
+        .map(String::as_str)
+        .ok_or_else(|| err(format!("missing {what}\n\n{}", args.usage())))
+}
+
+fn arch(args: &Parsed) -> Result<CostModel, CliError> {
+    let name = args.text("arch").unwrap_or("sgx-v1");
+    let cost = TeeKind::parse(name)
+        .map(CostModel::for_kind)
+        .ok_or_else(|| err(format!("unknown architecture `{name}`")))?;
+    let mode = args.text("transition-mode").unwrap_or("classic");
+    let mode = TransitionMode::parse(mode).ok_or_else(|| {
+        err(format!(
+            "unknown transition mode `{mode}` (want classic|switchless)"
+        ))
+    })?;
+    Ok(cost.with_transition_mode(mode))
+}
+
+fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), CliError> {
+    std::fs::write(path, contents).map_err(|e| err(format!("{path}: {e}")))
+}
+
+/// What a program printed, then its exit code.
+fn program_output(lines: &[String], exit_code: impl std::fmt::Display) -> String {
+    let mut out: String = lines.iter().map(|line| format!("{line}\n")).collect();
+    writeln!(out, "exit code: {exit_code}").expect("writing to string");
+    out
+}
+
+fn cmd_archs(_: &Parsed) -> Result<String, CliError> {
+    Ok(TeeKind::ALL.map(|k| format!("{}\n", k.name())).concat())
 }
 
 /// Load a program from either Mini-C source (`.mc`, compiled on the fly,
@@ -230,11 +258,11 @@ fn load_program(path: &str, instrument_sources: bool) -> Result<mcvm::CompiledPr
     }
 }
 
-fn cmd_compile(args: &Args<'_>) -> Result<String, CliError> {
-    let (path, source) = read_source(args)?;
-    let instrument = args.flag("instrument").unwrap_or("yes") == "yes";
-    let program = if instrument {
-        let options = match args.flag("only") {
+fn cmd_compile(args: &Parsed) -> Result<String, CliError> {
+    let path = operand(args, 0, "program path")?;
+    let source = std::fs::read_to_string(path).map_err(|e| path_err(path, e))?;
+    let program = if args.yes_no("instrument")?.unwrap_or(true) {
+        let options = match args.text("only") {
             Some(names) => InstrumentOptions {
                 filter: Some(teeperf_compiler::NameFilter::include(names.split(','))),
             },
@@ -245,11 +273,10 @@ fn cmd_compile(args: &Args<'_>) -> Result<String, CliError> {
         mcvm::compile(&source).map_err(|e| err(e.to_string()))?
     };
     let out = args
-        .flag("out")
+        .text("out")
         .map(str::to_string)
         .unwrap_or_else(|| format!("{}.tpo", path.trim_end_matches(".mc")));
-    std::fs::write(&out, mcvm::objfile::to_bytes(&program))
-        .map_err(|e| err(format!("{out}: {e}")))?;
+    write_file(&out, mcvm::objfile::to_bytes(&program))?;
     let hooks = program
         .functions
         .iter()
@@ -263,21 +290,14 @@ fn cmd_compile(args: &Args<'_>) -> Result<String, CliError> {
     ))
 }
 
-fn cmd_run(args: &Args<'_>) -> Result<String, CliError> {
-    let path = args
-        .positional
-        .first()
-        .ok_or_else(|| err(format!("missing program path\n\n{USAGE}")))?;
-    let cost = args.arch()?;
+fn cmd_run(args: &Parsed) -> Result<String, CliError> {
+    let path = operand(args, 0, "program path")?;
+    let cost = arch(args)?;
     let kind = cost.kind;
     let program = load_program(path, false)?;
     let run = run_native(program, cost, RunConfig::default(), |_| Ok(()))
         .map_err(|e| err(e.to_string()))?;
-    let mut out = String::new();
-    for line in &run.output {
-        writeln!(out, "{line}").expect("writing to string");
-    }
-    writeln!(out, "exit code: {}", run.exit_code).expect("writing to string");
+    let mut out = program_output(&run.output, run.exit_code);
     writeln!(
         out,
         "{} cycles on {kind} ({} instructions)",
@@ -287,62 +307,36 @@ fn cmd_run(args: &Args<'_>) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_record(args: &Args<'_>) -> Result<String, CliError> {
-    let path = args
-        .positional
-        .first()
-        .ok_or_else(|| err(format!("missing program path\n\n{USAGE}")))?
-        .to_string();
-    let cost = args.arch()?;
+fn cmd_record(args: &Parsed) -> Result<String, CliError> {
+    let path = operand(args, 0, "program path")?;
+    let cost = arch(args)?;
     let kind = cost.kind;
-    let base = args.flag("out").map(str::to_string).unwrap_or_else(|| {
-        path.trim_end_matches(".mc")
-            .trim_end_matches(".tpo")
-            .to_string()
-    });
-    let max_entries: u64 = match args.flag("max-entries") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| err(format!("bad --max-entries `{v}`")))?,
-        None => 1 << 20,
+    let base = args
+        .text("out")
+        .unwrap_or_else(|| path.trim_end_matches(".mc").trim_end_matches(".tpo"));
+    let defaults = RecorderConfig::default();
+    let recorder = RecorderConfig {
+        max_entries: args.num("max-entries")?.unwrap_or(1 << 20),
+        // The recording process's real pid unless overridden: simulated
+        // multi-process recordings need distinct pids.
+        pid: args
+            .num_in("pid", 1.., "a nonzero integer")?
+            .unwrap_or(defaults.pid),
+        batch_slots: args.num_in("batch-slots", 1.., ">= 1")?.unwrap_or(1),
+        ..defaults
     };
-    // The header is stamped with the recording process's real pid unless
-    // overridden (simulated multi-process recordings need distinct pids).
-    let pid: u64 = match args.flag("pid") {
-        Some(v) => v
-            .parse()
-            .ok()
-            .filter(|p| *p != 0)
-            .ok_or_else(|| err(format!("bad --pid `{v}` (want a nonzero integer)")))?,
-        None => RecorderConfig::default().pid,
-    };
-    let program = load_program(&path, true)?;
-    let run = profile_program(
-        program,
-        cost,
-        RunConfig::default(),
-        &RecorderConfig {
-            max_entries,
-            pid,
-            batch_slots: args.batch_slots()?,
-            ..RecorderConfig::default()
-        },
-        |_| Ok(()),
-    )
-    .map_err(|e| err(e.to_string()))?;
+    let program = load_program(path, true)?;
+    let run = profile_program(program, cost, RunConfig::default(), &recorder, |_| Ok(()))
+        .map_err(|e| err(e.to_string()))?;
 
     let log_path = format!("{base}.tpf");
     let sym_path = format!("{base}.sym");
     run.log
         .save(&log_path)
         .map_err(|e| err(format!("{log_path}: {e}")))?;
-    std::fs::write(&sym_path, run.debug.to_text()).map_err(|e| err(format!("{sym_path}: {e}")))?;
+    write_file(&sym_path, run.debug.to_text())?;
 
-    let mut out = String::new();
-    for line in &run.output {
-        writeln!(out, "{line}").expect("writing to string");
-    }
-    writeln!(out, "exit code: {}", run.exit_code).expect("writing to string");
+    let mut out = program_output(&run.output, run.exit_code);
     writeln!(
         out,
         "recorded {} events in {} cycles on {kind}",
@@ -355,117 +349,55 @@ fn cmd_record(args: &Args<'_>) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `--max-entries` for live sessions. Live mode exists to run unbounded
-/// sessions over a *small* log, so the default capacity is three orders of
-/// magnitude below `record`'s.
-fn live_max_entries(args: &Args<'_>) -> Result<u64, CliError> {
-    match args.flag("max-entries") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| err(format!("bad --max-entries `{v}`"))),
-        None => Ok(1 << 10),
-    }
-}
-
-fn live_watermark(args: &Args<'_>) -> Result<u8, CliError> {
-    match args.flag("watermark") {
-        Some(v) => v
-            .parse()
-            .ok()
-            .filter(|p| (1..=99).contains(p))
-            .ok_or_else(|| err(format!("bad --watermark `{v}` (want 1..=99)"))),
-        None => Ok(DrainPolicy::default().watermark_pct),
-    }
-}
-
-/// `--window-interval` / `--retain` / `--max-width`: windowed retention for
-/// live sessions. `None` (no flag given) keeps the all-time view only.
-fn live_retention(args: &Args<'_>) -> Result<Option<RingConfig>, CliError> {
-    let mut ring: Option<RingConfig> = None;
-    if let Some(v) = args.flag("window-interval") {
-        let ticks: u64 = v
-            .parse()
-            .ok()
-            .filter(|t| *t >= 1)
-            .ok_or_else(|| err(format!("bad --window-interval `{v}` (want ticks >= 1)")))?;
-        ring.get_or_insert_with(RingConfig::default).interval = ticks;
-    }
-    if let Some(v) = args.flag("retain") {
-        let n: usize = v
-            .parse()
-            .ok()
-            .filter(|n| *n >= 1)
-            .ok_or_else(|| err(format!("bad --retain `{v}` (want >= 1)")))?;
-        ring.get_or_insert_with(RingConfig::default).capacity = n;
-    }
-    if let Some(v) = args.flag("max-width") {
-        let n: u64 = v
-            .parse()
-            .ok()
-            .filter(|n| *n >= 1)
-            .ok_or_else(|| err(format!("bad --max-width `{v}` (want >= 1)")))?;
-        ring.get_or_insert_with(RingConfig::default).max_width = n;
-    }
-    Ok(ring)
-}
-
-/// `--overhead-budget`: tolerated stream loss in percent; arms the
-/// per-session fidelity controller. `None` (no flag) pins full fidelity.
-fn live_budget(args: &Args<'_>) -> Result<Option<teeperf_live::OverheadBudget>, CliError> {
-    match args.flag("overhead-budget") {
-        None => Ok(None),
-        Some(v) => {
-            let pct: u8 = v
-                .parse()
-                .ok()
-                .filter(|p| (1..=100).contains(p))
-                .ok_or_else(|| err(format!("bad --overhead-budget `{v}` (want 1..=100)")))?;
-            Ok(Some(teeperf_live::OverheadBudget { pct }))
-        }
-    }
-}
-
-fn cmd_live(args: &Args<'_>) -> Result<String, CliError> {
-    if let Some(logs) = args.flag("logs") {
+/// `teeperf live`: one program under one session, unless `--logs` or
+/// `--follow-pids <n>` asks for a multi-process one.
+fn cmd_live(args: &Parsed) -> Result<String, CliError> {
+    if let Some(logs) = args.text("logs") {
         return cmd_live_logs(args, logs);
     }
-    if let Some(n) = args.flag("follow-pids") {
-        return cmd_live_follow(args, n);
-    }
-    let path = args
-        .positional
-        .first()
-        .ok_or_else(|| err(format!("missing program path\n\n{USAGE}")))?;
-    let cost = args.arch()?;
+    let (live, _) = flags::in_process_config(args)?;
+    let path = operand(args, 0, "program path")?;
+    let cost = arch(args)?;
     let kind = cost.kind;
-    let max_entries = live_max_entries(args)?;
-    let watermark_pct = live_watermark(args)?;
-    let refresh_events: u64 = match args.flag("refresh") {
-        Some(v) => v.parse().map_err(|_| err(format!("bad --refresh `{v}`")))?,
-        None => teeperf_live::LiveRunConfig::default().refresh_events,
+    // Live mode exists to run unbounded sessions over a *small* log, so the
+    // default capacity is three orders of magnitude below `record`'s.
+    let max_entries = args.num("max-entries")?.unwrap_or(1 << 10);
+    let recorder = RecorderConfig {
+        max_entries,
+        batch_slots: args.num_in("batch-slots", 1.., ">= 1")?.unwrap_or(1),
+        ..RecorderConfig::default()
     };
-    let show_frames = args.flag("frames").unwrap_or("no") == "yes";
-
+    let defaults = LiveRunConfig::default();
+    let live = LiveRunConfig {
+        live,
+        refresh_events: args.num("refresh")?.unwrap_or(defaults.refresh_events),
+        ..defaults
+    };
+    let show_frames = args.yes_no("frames")?.unwrap_or(false);
+    let follow = args.num_in("follow-pids", 1..=64, "1..=64")?;
     let program = load_program(path, true)?;
+    if let Some(count) = follow {
+        // Pids run from the real host pid upward, under one session registry.
+        let base_pid = u64::from(std::process::id());
+        let pids: Vec<u64> = (0..count).map(|i| base_pid + i).collect();
+        let config = RunConfig::default();
+        let run = live_profile_processes(&program, &cost, &config, &recorder, &live, &pids)
+            .map_err(|e| err(e.to_string()))?;
+        let mut out = format!(
+            "{count} simulated processes on {kind} (pids {base_pid}..={}): {} events, {} dropped\n",
+            base_pid + count - 1,
+            run.events,
+            run.dropped
+        );
+        multi_session_output(&mut out, &run.per_pid, &run.merged, args)?;
+        return Ok(out);
+    }
     let run = teeperf_live::live_profile_program(
         program,
         cost,
         RunConfig::default(),
-        &RecorderConfig {
-            max_entries,
-            batch_slots: args.batch_slots()?,
-            ..RecorderConfig::default()
-        },
-        &teeperf_live::LiveRunConfig {
-            live: LiveConfig {
-                policy: DrainPolicy { watermark_pct },
-                retention: live_retention(args)?,
-                budget: live_budget(args)?,
-                ..LiveConfig::default()
-            },
-            refresh_events,
-            ..teeperf_live::LiveRunConfig::default()
-        },
+        &recorder,
+        &live,
         |_| Ok(()),
     )
     .map_err(|e| err(e.to_string()))?;
@@ -478,10 +410,7 @@ fn cmd_live(args: &Args<'_>) -> Result<String, CliError> {
             out.push('\n');
         }
     }
-    for line in &run.output {
-        writeln!(out, "{line}").expect("writing to string");
-    }
-    writeln!(out, "exit code: {}", run.exit_code).expect("writing to string");
+    out.push_str(&program_output(&run.output, run.exit_code));
     writeln!(
         out,
         "live session on {kind}: {} events over {} epochs ({} entries/epoch), {} dropped, {} cycles",
@@ -495,33 +424,44 @@ fn cmd_live(args: &Args<'_>) -> Result<String, CliError> {
         &run.snapshot.profile.folded_ids,
     );
     out.push_str(&fg.to_ascii(60));
-    if let Some(svg_path) = args.flag("svg") {
-        let svg = teeperf_flamegraph::live::render_svg(
+    let svg = || {
+        teeperf_flamegraph::live::render_svg(
             &run.snapshot.profile.folded,
             &run.snapshot.status,
             &SvgOptions::default().with_title("TEE-Perf live session"),
-        );
-        std::fs::write(svg_path, svg).map_err(|e| err(format!("{svg_path}: {e}")))?;
-        writeln!(out, "wrote {svg_path}").expect("writing to string");
-    }
-    if let Some(base) = args.flag("out") {
-        let snap_path = format!("{base}.live");
-        std::fs::write(&snap_path, run.snapshot.to_text())
-            .map_err(|e| err(format!("{snap_path}: {e}")))?;
-        writeln!(out, "wrote {snap_path}").expect("writing to string");
-    }
+        )
+    };
+    write_live_files(&mut out, args, svg, &run.snapshot)?;
     Ok(out)
 }
 
+/// `--svg` / `--out`: the files a live session leaves behind.
+fn write_live_files(
+    out: &mut String,
+    args: &Parsed,
+    svg: impl FnOnce() -> String,
+    snapshot: &Snapshot,
+) -> Result<(), CliError> {
+    if let Some(svg_path) = args.text("svg") {
+        write_file(svg_path, svg())?;
+        writeln!(out, "wrote {svg_path}").expect("writing to string");
+    }
+    if let Some(base) = args.text("out") {
+        let snap_path = format!("{base}.live");
+        write_file(&snap_path, snapshot.to_text())?;
+        writeln!(out, "wrote {snap_path}").expect("writing to string");
+    }
+    Ok(())
+}
+
 /// Shared tail of the multi-process live commands: per-pid banners, the
-/// merged per-process flame view, and the optional `--svg` / `--out` files
-/// (the `.live` file carries the *merged* snapshot, `[processes]` section
-/// included).
+/// merged per-process flame view, and the `--svg` / `--out` files (the
+/// `.live` file carries the *merged* snapshot, `[processes]` included).
 fn multi_session_output(
     out: &mut String,
     per_pid: &std::collections::BTreeMap<u64, Snapshot>,
     merged: &Snapshot,
-    args: &Args<'_>,
+    args: &Parsed,
 ) -> Result<(), CliError> {
     for (pid, snap) in per_pid {
         writeln!(out, "pid {pid}: {}", snap.status.banner()).expect("writing to string");
@@ -535,76 +475,14 @@ fn multi_session_output(
         &merged.status,
         60,
     ));
-    if let Some(svg_path) = args.flag("svg") {
-        let svg = teeperf_flamegraph::live::render_svg_multi(
+    let svg = || {
+        teeperf_flamegraph::live::render_svg_multi(
             &parts,
             &merged.status,
             &SvgOptions::default().with_title("TEE-Perf multi-process live session"),
-        );
-        std::fs::write(svg_path, svg).map_err(|e| err(format!("{svg_path}: {e}")))?;
-        writeln!(out, "wrote {svg_path}").expect("writing to string");
-    }
-    if let Some(base) = args.flag("out") {
-        let snap_path = format!("{base}.live");
-        std::fs::write(&snap_path, merged.to_text())
-            .map_err(|e| err(format!("{snap_path}: {e}")))?;
-        writeln!(out, "wrote {snap_path}").expect("writing to string");
-    }
-    Ok(())
-}
-
-/// `teeperf live <prog> --follow-pids <n>`: run the program as `n`
-/// simulated processes (pids from the real host pid upward) under one
-/// session registry.
-fn cmd_live_follow(args: &Args<'_>, count: &str) -> Result<String, CliError> {
-    let path = args
-        .positional
-        .first()
-        .ok_or_else(|| err(format!("missing program path\n\n{USAGE}")))?;
-    let count: u64 = count
-        .parse()
-        .ok()
-        .filter(|c| (1..=64).contains(c))
-        .ok_or_else(|| err(format!("bad --follow-pids `{count}` (want 1..=64)")))?;
-    let cost = args.arch()?;
-    let kind = cost.kind;
-    let max_entries = live_max_entries(args)?;
-    let watermark_pct = live_watermark(args)?;
-    let program = load_program(path, true)?;
-    let base_pid = u64::from(std::process::id());
-    let pids: Vec<u64> = (0..count).map(|i| base_pid + i).collect();
-    let run = teeperf_live::live_profile_processes(
-        &program,
-        &cost,
-        &RunConfig::default(),
-        &RecorderConfig {
-            max_entries,
-            batch_slots: args.batch_slots()?,
-            ..RecorderConfig::default()
-        },
-        &teeperf_live::LiveRunConfig {
-            live: LiveConfig {
-                policy: DrainPolicy { watermark_pct },
-                retention: live_retention(args)?,
-                budget: live_budget(args)?,
-                ..LiveConfig::default()
-            },
-            ..teeperf_live::LiveRunConfig::default()
-        },
-        &pids,
-    )
-    .map_err(|e| err(e.to_string()))?;
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{count} simulated processes on {kind} (pids {base_pid}..={}): {} events, {} dropped",
-        base_pid + count - 1,
-        run.events,
-        run.dropped
-    )
-    .expect("writing to string");
-    multi_session_output(&mut out, &run.per_pid, &run.merged, args)?;
-    Ok(out)
+        )
+    };
+    write_live_files(out, args, svg, merged)
 }
 
 /// `teeperf live --logs a,b,c`: replay recorded logs (each `<base>.tpf`
@@ -614,23 +492,16 @@ fn cmd_live_follow(args: &Args<'_>, count: &str) -> Result<String, CliError> {
 /// Every unreadable or malformed path is reported (one message per path)
 /// before the command gives up with exit code 2 — a typo in one of ten
 /// bases names the typo instead of panicking on the first open.
-fn cmd_live_logs(args: &Args<'_>, logs: &str) -> Result<String, CliError> {
-    let watermark_pct = live_watermark(args)?;
-    let mut registry = SessionRegistry::new(LiveConfig {
-        policy: DrainPolicy { watermark_pct },
-        retention: live_retention(args)?,
-        ..LiveConfig::default()
-    });
-    if let Some(v) = args.flag("watchdog-timeout") {
-        let timeout_pumps: u64 = v
-            .parse()
-            .ok()
-            .filter(|t| *t > 0)
-            .ok_or_else(|| err(format!("bad --watchdog-timeout `{v}` (want pumps >= 1)")))?;
-        registry = registry.with_watchdog(teeperf_live::WatchdogConfig {
-            timeout_pumps,
-            ..teeperf_live::WatchdogConfig::default()
-        });
+fn cmd_live_logs(args: &Parsed, logs: &str) -> Result<String, CliError> {
+    if let Some(stray) = args.positional.first() {
+        return Err(err(format!(
+            "--logs wants one a,b,c word, not also `{stray}`"
+        )));
+    }
+    let (live, watchdog) = flags::in_process_config(args)?;
+    let mut registry = SessionRegistry::new(live);
+    if let Some(watchdog) = watchdog {
+        registry = registry.with_watchdog(watchdog);
     }
     let bases: Vec<&str> = logs
         .split(',')
@@ -638,7 +509,10 @@ fn cmd_live_logs(args: &Args<'_>, logs: &str) -> Result<String, CliError> {
         .filter(|s| !s.is_empty())
         .collect();
     if bases.is_empty() {
-        return Err(err(format!("--logs needs at least one <base>\n\n{USAGE}")));
+        return Err(err(format!(
+            "--logs needs at least one <base>\n\n{}",
+            args.usage()
+        )));
     }
     // Validate every path before attaching anything: all failures are
     // reported together, each on its own line.
@@ -648,27 +522,9 @@ fn cmd_live_logs(args: &Args<'_>, logs: &str) -> Result<String, CliError> {
         let base = base.trim_end_matches(".tpf");
         let log_path = format!("{base}.tpf");
         let sym_path = format!("{base}.sym");
-        let log = match LogFile::load(&log_path) {
-            Ok(log) => Some(log),
-            Err(e) => {
-                bad.push(format!("{log_path}: {e}"));
-                None
-            }
-        };
-        let debug = match std::fs::read_to_string(&sym_path) {
-            Ok(text) => match DebugInfo::from_text(&text) {
-                Some(debug) => Some(debug),
-                None => {
-                    bad.push(format!("{sym_path}: malformed symbol file"));
-                    None
-                }
-            },
-            Err(e) => {
-                bad.push(format!("{sym_path}: {e}"));
-                None
-            }
-        };
-        if let (Some(log), Some(debug)) = (log, debug) {
+        let log = LogFile::load(&log_path).map_err(|e| bad.push(format!("{log_path}: {e}")));
+        let debug = read_symbols(&sym_path).map_err(|e| bad.push(e.message));
+        if let (Ok(log), Ok(debug)) = (log, debug) {
             loaded.push((log_path, log, debug));
         }
     }
@@ -731,42 +587,38 @@ fn cmd_live_logs(args: &Args<'_>, logs: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Load `<base.tpf> <base.sym>` for the offline commands. With
-/// `--salvage yes` a torn or truncated log is read through the salvage
-/// path instead of rejected, and the accounting report is returned for the
-/// caller to print.
-fn load_log_and_symbols(
-    args: &Args<'_>,
-) -> Result<(LogFile, DebugInfo, Option<teeperf_core::SalvageReport>), CliError> {
-    let log_path = args
-        .positional
-        .first()
-        .ok_or_else(|| err(format!("missing log path\n\n{USAGE}")))?;
-    let sym_path = args
-        .positional
-        .get(1)
-        .ok_or_else(|| err(format!("missing symbol path\n\n{USAGE}")))?;
-    let salvage = args.flag("salvage").unwrap_or("no") == "yes";
+fn read_symbols(sym_path: &str) -> Result<DebugInfo, CliError> {
+    let text = std::fs::read_to_string(sym_path).map_err(|e| path_err(sym_path, e))?;
+    DebugInfo::from_text(&text).ok_or_else(|| path_err(sym_path, "malformed symbol file"))
+}
+
+/// The analyzer over the recording whose `.tpf` and `.sym` are operands
+/// `at` and `at + 1`. With `salvage`, a torn or truncated log is read
+/// through the salvage path instead of rejected, and the accounting report
+/// is returned for the caller to print.
+fn load_analyzer(
+    args: &Parsed,
+    at: usize,
+    salvage: bool,
+) -> Result<(Analyzer, Option<teeperf_core::SalvageReport>), CliError> {
+    let log_path = operand(args, at, "log path")?;
+    let sym_path = operand(args, at + 1, "symbol path")?;
+    let threads = args.num("analyzer-threads")?.unwrap_or(0);
     let (log, report) = if salvage {
         let (log, report) = LogFile::load_salvage(log_path).map_err(|e| path_err(log_path, e))?;
         (log, Some(report))
     } else {
-        (
-            LogFile::load(log_path).map_err(|e| path_err(log_path, e))?,
-            None,
-        )
+        let log = LogFile::load(log_path).map_err(|e| path_err(log_path, e))?;
+        (log, None)
     };
-    let sym_text = std::fs::read_to_string(sym_path).map_err(|e| path_err(sym_path, e))?;
-    let debug = DebugInfo::from_text(&sym_text)
-        .ok_or_else(|| path_err(sym_path, "malformed symbol file"))?;
-    Ok((log, debug, report))
+    let analyzer = Analyzer::new(log, read_symbols(sym_path)?)
+        .map_err(|e| err(e.to_string()))?
+        .with_analyzer_threads(threads);
+    Ok((analyzer, report))
 }
 
-fn cmd_analyze(args: &Args<'_>) -> Result<String, CliError> {
-    let (log, debug, salvage) = load_log_and_symbols(args)?;
-    let analyzer = Analyzer::new(log, debug)
-        .map_err(|e| err(e.to_string()))?
-        .with_analyzer_threads(args.analyzer_threads()?);
+fn cmd_analyze(args: &Parsed) -> Result<String, CliError> {
+    let (analyzer, salvage) = load_analyzer(args, 0, args.yes_no("salvage")?.unwrap_or(false))?;
     let mut out = String::new();
     if let Some(report) = salvage {
         writeln!(out, "{}", report.to_line()).expect("writing to string");
@@ -775,18 +627,9 @@ fn cmd_analyze(args: &Args<'_>) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `teeperf query --connect <addr> [clauses...]`: time-travel queries
-/// against a running daemon's retention rings. Clause tokens are joined
-/// with `&` into the `/query` query string — the spec grammar is the same
-/// word on the shell and on the wire — and the single word `windows`
-/// fetches the `/windows` listing instead.
-fn cmd_query_connect(args: &Args<'_>, addr: &str) -> Result<String, CliError> {
-    let path = if args.positional.is_empty() || args.positional == ["windows"] {
-        "/windows".to_string()
-    } else {
-        format!("/query?{}", args.positional.join("&"))
-    };
-    let (status, body) = teeperf_daemon::http::get(addr, &path, std::time::Duration::from_secs(5))
+/// `GET path` from the daemon at `addr`; anything but a 200 is an error.
+fn daemon_get(addr: &str, path: &str) -> Result<String, CliError> {
+    let (status, body) = teeperf_daemon::http::get(addr, path, std::time::Duration::from_secs(5))
         .map_err(|e| err(format!("{addr}: {e}")))?;
     if status != 200 {
         return Err(err(format!(
@@ -797,18 +640,21 @@ fn cmd_query_connect(args: &Args<'_>, addr: &str) -> Result<String, CliError> {
     Ok(body)
 }
 
-fn cmd_query(args: &Args<'_>) -> Result<String, CliError> {
-    if let Some(addr) = args.flag("connect") {
-        return cmd_query_connect(args, addr);
+fn cmd_query(args: &Parsed) -> Result<String, CliError> {
+    if let Some(addr) = args.text("connect") {
+        // Time-travel queries against a running daemon's retention rings:
+        // clause tokens are joined with `&` into the `/query` query string
+        // (the spec grammar is the same word on the shell and on the wire),
+        // and the single word `windows` fetches the `/windows` listing.
+        let path = if args.positional.is_empty() || args.positional == ["windows"] {
+            "/windows".to_string()
+        } else {
+            format!("/query?{}", args.positional.join("&"))
+        };
+        return daemon_get(addr, &path);
     }
-    let (log, debug, _) = load_log_and_symbols(args)?;
-    let query = args
-        .positional
-        .get(2)
-        .ok_or_else(|| err(format!("missing query string\n\n{USAGE}")))?;
-    let analyzer = Analyzer::new(log, debug)
-        .map_err(|e| err(e.to_string()))?
-        .with_analyzer_threads(args.analyzer_threads()?);
+    let (analyzer, _) = load_analyzer(args, 0, args.yes_no("salvage")?.unwrap_or(false))?;
+    let query = operand(args, 2, "query string")?;
     // Queries mentioning per-event columns go to the event frame; method
     // queries to the method frame.
     let frame = if query.contains("kind")
@@ -824,18 +670,15 @@ fn cmd_query(args: &Args<'_>) -> Result<String, CliError> {
     Ok(result.to_table())
 }
 
-fn cmd_flamegraph(args: &Args<'_>) -> Result<String, CliError> {
-    let (log, debug, _) = load_log_and_symbols(args)?;
-    let analyzer = Analyzer::new(log, debug)
-        .map_err(|e| err(e.to_string()))?
-        .with_analyzer_threads(args.analyzer_threads()?);
+fn cmd_flamegraph(args: &Parsed) -> Result<String, CliError> {
+    let (analyzer, _) = load_analyzer(args, 0, args.yes_no("salvage")?.unwrap_or(false))?;
     let profile = analyzer.profile();
     let fg = FlameGraph::from_folded_ids(&profile.symbols, &profile.folded_ids);
     let mut out = String::new();
-    if let Some(svg_path) = args.flag("svg") {
-        let title = args.flag("title").unwrap_or("TEE-Perf Flame Graph");
+    if let Some(svg_path) = args.text("svg") {
+        let title = args.text("title").unwrap_or("TEE-Perf Flame Graph");
         let svg = fg.to_svg(&SvgOptions::default().with_title(title));
-        std::fs::write(svg_path, svg).map_err(|e| err(format!("{svg_path}: {e}")))?;
+        write_file(svg_path, svg)?;
         writeln!(out, "wrote {svg_path}").expect("writing to string");
     } else {
         out.push_str(&fg.to_ascii(60));
@@ -843,30 +686,21 @@ fn cmd_flamegraph(args: &Args<'_>) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_diff(args: &Args<'_>) -> Result<String, CliError> {
+fn cmd_diff(args: &Parsed) -> Result<String, CliError> {
     if args.positional.len() != 4 {
         return Err(err(format!(
-            "diff needs <a.tpf> <a.sym> <b.tpf> <b.sym>\n\n{USAGE}"
+            "diff needs <a.tpf> <a.sym> <b.tpf> <b.sym>\n\n{}",
+            args.usage()
         )));
     }
-    let threads = args.analyzer_threads()?;
-    let load = |log_path: &str, sym_path: &str| -> Result<Analyzer, CliError> {
-        let log = LogFile::load(log_path).map_err(|e| path_err(log_path, e))?;
-        let sym_text = std::fs::read_to_string(sym_path).map_err(|e| path_err(sym_path, e))?;
-        let debug = DebugInfo::from_text(&sym_text)
-            .ok_or_else(|| path_err(sym_path, "malformed symbol file"))?;
-        Ok(Analyzer::new(log, debug)
-            .map_err(|e| err(e.to_string()))?
-            .with_analyzer_threads(threads))
-    };
-    let a = load(args.positional[0], args.positional[1])?.profile();
-    let b = load(args.positional[2], args.positional[3])?.profile();
+    let a = load_analyzer(args, 0, false)?.0.profile();
+    let b = load_analyzer(args, 2, false)?.0.profile();
     let d = teeperf_analyzer::diff(&a, &b);
     let mut out = String::from(
         "profile diff (delta_pct = b - a in exclusive-time share; negative = improved)\n\n",
     );
     out.push_str(&d.to_table());
-    if let Some(svg_path) = args.flag("svg") {
+    if let Some(svg_path) = args.text("svg") {
         let before = FlameGraph::from_folded_ids(&a.symbols, &a.folded_ids);
         let after = FlameGraph::from_folded_ids(&b.symbols, &b.folded_ids);
         let svg = after.to_diff_svg(
@@ -875,16 +709,16 @@ fn cmd_diff(args: &Args<'_>) -> Result<String, CliError> {
                 .with_title("Differential flame graph (b vs a)")
                 .with_subtitle("red = share grew, blue = share shrank"),
         );
-        std::fs::write(svg_path, svg).map_err(|e| err(format!("{svg_path}: {e}")))?;
+        write_file(svg_path, svg)?;
         out.push_str(&format!("\nwrote differential flame graph: {svg_path}\n"));
     }
     Ok(out)
 }
 
-fn cmd_phoenix(args: &Args<'_>) -> Result<String, CliError> {
-    let cost = args.arch()?;
+fn cmd_phoenix(args: &Parsed) -> Result<String, CliError> {
+    let cost = arch(args)?;
     let kind = cost.kind;
-    let only = args.flag("bench");
+    let only = args.text("bench");
     let mut out = format!("phoenix suite on {kind} (small scale)\n");
     let mut matched = false;
     for b in phoenix::suite(phoenix::Scale::Small, 42) {
@@ -917,7 +751,7 @@ fn cmd_phoenix(args: &Args<'_>) -> Result<String, CliError> {
 /// `teeperfd` binary under another name, flags and all. Blocks until
 /// `GET /shutdown` or stdin EOF, then returns the closing report (the one
 /// command that prints early: the listen banner precedes the loop).
-fn cmd_daemon(args: &[String]) -> Result<String, CliError> {
+fn cmd_daemon(args: &Parsed) -> Result<String, CliError> {
     teeperf_daemon::launch("teeperf daemon", args).map_err(|(_, message)| err(message))
 }
 
@@ -1010,32 +844,13 @@ fn method_table(rows: &[MethodRow], prev: &[MethodRow]) -> String {
 /// render it as a rolling method table. The client consumes nothing but
 /// the stable snapshot text format — the same bytes a human can curl — so
 /// the text format is the wire contract, not an implementation detail.
-fn cmd_top(args: &Args<'_>) -> Result<String, CliError> {
+fn cmd_top(args: &Parsed) -> Result<String, CliError> {
     let addr = args
-        .flag("connect")
-        .ok_or_else(|| err(format!("top needs --connect <addr>\n\n{USAGE}")))?;
-    let iterations: u64 = match args.flag("iterations") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| err(format!("bad --iterations `{v}`")))?,
-        None => 0, // forever
-    };
-    let interval = match args.flag("interval-ms") {
-        Some(v) => std::time::Duration::from_millis(
-            v.parse()
-                .map_err(|_| err(format!("bad --interval-ms `{v}`")))?,
-        ),
-        None => std::time::Duration::from_millis(1_000),
-    };
-    let window: Option<u64> = match args.flag("window") {
-        Some(v) => Some(
-            v.parse()
-                .ok()
-                .filter(|n| *n >= 1)
-                .ok_or_else(|| err(format!("bad --window `{v}` (want >= 1)")))?,
-        ),
-        None => None,
-    };
+        .text("connect")
+        .ok_or_else(|| err(format!("top needs --connect <addr>\n\n{}", args.usage())))?;
+    let iterations: u64 = args.num("iterations")?.unwrap_or(0); // 0 = forever
+    let interval = std::time::Duration::from_millis(args.num("interval-ms")?.unwrap_or(1_000));
+    let window: Option<u64> = args.num_in("window", 1.., ">= 1")?;
     let path = match window {
         Some(w) => format!("/query?windows=last:{w}"),
         None => "/snapshot".to_string(),
@@ -1044,15 +859,7 @@ fn cmd_top(args: &Args<'_>) -> Result<String, CliError> {
     let mut poll = 0u64;
     loop {
         poll += 1;
-        let (status, body) =
-            teeperf_daemon::http::get(addr, &path, std::time::Duration::from_secs(5))
-                .map_err(|e| err(format!("{addr}: {e}")))?;
-        if status != 200 {
-            return Err(err(format!(
-                "{addr}: {path} returned {status}: {}",
-                body.trim()
-            )));
-        }
+        let body = daemon_get(addr, &path)?;
         let (frame, rows) = match window {
             Some(w) => top_window_frame(poll, w, &body, &prev),
             None => top_frame(poll, &body, &prev),
@@ -1071,6 +878,7 @@ fn cmd_top(args: &Args<'_>) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teeperf_live::RingConfig;
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -1086,6 +894,102 @@ mod tests {
     fn no_args_prints_usage() {
         let out = dispatch(&[]).unwrap();
         assert!(out.contains("usage:"));
+    }
+
+    #[test]
+    fn every_command_rejects_an_undeclared_flag_by_name() {
+        assert_eq!(COMMANDS.len(), 12);
+        for (name, ..) in COMMANDS {
+            let e = dispatch(&strs(&[name, "--no-such-flag", "x"])).unwrap_err();
+            assert_eq!(e.code, 1, "{name}");
+            let message = e.to_string();
+            assert!(
+                message.starts_with("unknown flag --no-such-flag\n\nusage: teeperf "),
+                "{name}: {message}"
+            );
+            assert!(
+                message.contains(&format!("usage: teeperf {name}")),
+                "{message}"
+            );
+        }
+        // The regression this grammar exists for: a misspelled --arch used
+        // to exit 0 and report sgx-v1 cycles as if they were native ones.
+        let e = dispatch(&strs(&[
+            "phoenix",
+            "--bench",
+            "histogram",
+            "--arhc",
+            "native",
+        ]))
+        .unwrap_err();
+        assert!(e.to_string().starts_with("unknown flag --arhc"), "{e}");
+        // A misspelled value of a yes|no flag is no longer read as "no".
+        let e = dispatch(&strs(&["live", "x.mc", "--frames", "ye"])).unwrap_err();
+        assert_eq!(e.to_string(), "bad --frames `ye` (want yes|no)");
+        // Commands without operands refuse strays instead of dropping them,
+        // and so does `live --logs`, whose list is one comma-separated word.
+        assert!(dispatch(&strs(&["archs", "native"])).is_err());
+        let e = dispatch(&strs(&["live", "--logs", "/tmp/a", "/tmp/b"])).unwrap_err();
+        assert!(e.to_string().contains("not also `/tmp/b`"), "{e}");
+    }
+
+    #[test]
+    fn help_is_generated_from_the_tables() {
+        let listing = dispatch(&strs(&["help"])).unwrap();
+        assert_eq!(listing, dispatch(&strs(&["--help"])).unwrap());
+        let listed: Vec<&str> = listing
+            .lines()
+            .skip_while(|l| *l != "commands:")
+            .skip(1)
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        let declared: Vec<&str> = COMMANDS.iter().map(|(name, ..)| *name).collect();
+        assert_eq!(listed, declared);
+
+        // Every command answers --help with one line per flag it declares:
+        // the flags `live` reads are the flags `live --help` lists.
+        for (name, ..) in COMMANDS {
+            let usage = dispatch(&strs(&[name, "--help"])).unwrap();
+            assert!(
+                usage.starts_with(&format!("usage: teeperf {name}")),
+                "{usage}"
+            );
+        }
+        let flags_of = |name: &str| -> Vec<String> {
+            dispatch(&strs(&[name, "-h"]))
+                .unwrap()
+                .lines()
+                .filter_map(|l| l.strip_prefix("  --"))
+                .map(|l| l.split(' ').next().unwrap().to_string())
+                .collect()
+        };
+        assert_eq!(
+            flags_of("live"),
+            [
+                "arch",
+                "transition-mode",
+                "max-entries",
+                "refresh",
+                "frames",
+                "svg",
+                "out",
+                "follow-pids",
+                "logs",
+                "batch-slots",
+                "watermark",
+                "watchdog-timeout",
+                "window-interval",
+                "retain",
+                "max-width",
+                "overhead-budget"
+            ]
+        );
+        assert!(flags_of("daemon").contains(&"max-width".to_string()));
+        assert_eq!(
+            flags_of("query"),
+            ["connect", "salvage", "analyzer-threads"]
+        );
+        assert!(flags_of("archs").is_empty());
     }
 
     #[test]

@@ -1,13 +1,7 @@
 //! `teeperf` — the command-line face of the TEE-Perf pipeline.
 //!
-//! ```text
-//! teeperf run <prog.mc> [--arch sgx-v1]                  # plain execution
-//! teeperf record <prog.mc> [--arch sgx-v1] [--out base]  # stages 1+2
-//! teeperf analyze <base.tpf> <base.sym>                  # stage 3 report
-//! teeperf query <base.tpf> <base.sym> "<query>"          # declarative queries
-//! teeperf flamegraph <base.tpf> <base.sym> [--svg f]     # stage 4
-//! teeperf phoenix [--bench name] [--arch sgx-v1]         # run the suite
-//! ```
+//! `teeperf help` lists the commands, `teeperf <command> --help` a command's
+//! flags.
 
 #![forbid(unsafe_code)]
 

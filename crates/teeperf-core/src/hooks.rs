@@ -53,7 +53,6 @@ pub struct TeePerfHooks {
     writer: BatchWriter,
     counter: Box<dyn CounterSource>,
     filter: Option<SelectiveFilter>,
-    injected_cycles: u64,
     counter_in_shm: bool,
     gate: Option<FidelityGate>,
     events_recorded: u64,
@@ -78,7 +77,6 @@ impl TeePerfHooks {
             writer: log.batch_writer(1),
             counter,
             filter: None,
-            injected_cycles: DEFAULT_INJECTED_CYCLES,
             counter_in_shm,
             gate: None,
             events_recorded: 0,
@@ -113,12 +111,6 @@ impl TeePerfHooks {
         self
     }
 
-    /// Override the fixed cost of the injected instructions (ablations).
-    pub fn with_injected_cycles(mut self, cycles: u64) -> TeePerfHooks {
-        self.injected_cycles = cycles;
-        self
-    }
-
     /// Events written to the log so far.
     pub fn events_recorded(&self) -> u64 {
         self.events_recorded
@@ -143,7 +135,7 @@ impl TeePerfHooks {
     /// The hot path: record one call/return event.
     pub fn record(&mut self, machine: &mut Machine, kind: EventKind, addr: u64, tid: u64) {
         // 1. The injected instructions themselves.
-        machine.compute(self.injected_cycles);
+        machine.compute(DEFAULT_INJECTED_CYCLES);
 
         // 2. Atomic read of the control word (lives in untrusted memory).
         machine.read(SHM_BASE + OFF_CONTROL, 8);

@@ -4,10 +4,7 @@
 //! in the shared directory and publishes a deterministic `main → work →
 //! leaf` call tree through the reserve → write → publish discipline.
 //!
-//! ```text
-//! teeperf-shm-writer --dir DIR [--pid N] [--iterations N] [--capacity N]
-//!                    [--interval-ms N] [--hold] [--no-finish] [--no-sym]
-//! ```
+//! `teeperf-shm-writer --help` lists the flags.
 //!
 //! `--hold` keeps the process alive (log ACTIVE, nothing more published)
 //! until it is killed — the scripted stand-in for a writer that crashes or
@@ -21,6 +18,7 @@ use mcvm::DebugInfo;
 use teeperf_core::layout::{EventKind, LogEntry};
 use teeperf_core::log::make_header;
 use teeperf_core::shm_file::{publish_sidecar, FileShmWriter, SYM_EXT};
+use teeperf_daemon::flags::{Command, Flag, Parsed};
 
 struct Args {
     dir: PathBuf,
@@ -33,48 +31,33 @@ struct Args {
     sym: bool,
 }
 
-fn parse(args: &[String]) -> Result<Args, String> {
-    let mut out = Args {
-        dir: PathBuf::new(),
-        pid: u64::from(std::process::id()),
-        iterations: 10,
-        capacity: 4096,
-        interval: Duration::ZERO,
-        hold: false,
-        finish: true,
-        sym: true,
-    };
-    let mut it = args.iter();
-    let mut have_dir = false;
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        let number = |v: &str| {
-            v.parse::<u64>()
-                .map_err(|_| format!("{flag}: not a number"))
-        };
-        match flag.as_str() {
-            "--dir" => {
-                out.dir = PathBuf::from(value()?);
-                have_dir = true;
-            }
-            "--pid" => out.pid = number(value()?)?,
-            "--iterations" => out.iterations = number(value()?)?,
-            "--capacity" => out.capacity = number(value()?)?,
-            "--interval-ms" => out.interval = Duration::from_millis(number(value()?)?),
-            "--hold" => out.hold = true,
-            "--no-finish" => out.finish = false,
-            "--no-sym" => out.sym = false,
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if !have_dir {
-        return Err("--dir is required".to_string());
-    }
-    Ok(out)
+const WRITER: Command = Command {
+    operands: "",
+    about: "register <pid>.tplog (+ <pid>.sym) in a directory and publish a scripted \
+            main -> work -> leaf call tree through the file-backed shared log",
+    groups: &[&[
+        Flag::value("dir", "<dir>", "registration directory (required)"),
+        Flag::value("pid", "<n>", "register as this pid (default: own)"),
+        Flag::value("iterations", "<n>", "call-tree rounds (default 10)"),
+        Flag::value("capacity", "<n>", "log entries (default 4096)"),
+        Flag::value("interval-ms", "<n>", "sleep between rounds"),
+        Flag::switch("hold", "stay alive, log ACTIVE, until killed"),
+        Flag::switch("no-finish", "exit without marking the log finished"),
+        Flag::switch("no-sym", "publish no symbol sidecar"),
+    ]],
+};
+
+fn args(parsed: &Parsed) -> Result<Args, String> {
+    Ok(Args {
+        dir: parsed.path("dir").ok_or("--dir is required")?,
+        pid: parsed.num("pid")?.unwrap_or(u64::from(std::process::id())),
+        iterations: parsed.num("iterations")?.unwrap_or(10),
+        capacity: parsed.num("capacity")?.unwrap_or(4096),
+        interval: Duration::from_millis(parsed.num("interval-ms")?.unwrap_or(0)),
+        hold: parsed.switch("hold"),
+        finish: !parsed.switch("no-finish"),
+        sym: !parsed.switch("no-sym"),
+    })
 }
 
 /// The fixed synthetic workload: `main` calls `work` once per iteration,
@@ -138,22 +121,9 @@ fn run(args: &Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse(&args) {
-        Ok(a) => a,
-        Err(message) => {
-            eprintln!("teeperf-shm-writer: {message}");
-            return ExitCode::from(2);
-        }
-    };
-    match run(&args) {
-        Ok(()) => {
-            println!("teeperf-shm-writer: pid {} done", args.pid);
-            ExitCode::SUCCESS
-        }
-        Err(message) => {
-            eprintln!("teeperf-shm-writer: {message}");
-            ExitCode::from(1)
-        }
-    }
+    WRITER.main("teeperf-shm-writer", |flags| {
+        let args = args(flags).map_err(|m| (2, format!("teeperf-shm-writer: {m}")))?;
+        run(&args).map_err(|m| (1, format!("teeperf-shm-writer: {m}")))?;
+        Ok(format!("teeperf-shm-writer: pid {} done\n", args.pid))
+    })
 }

@@ -33,6 +33,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod flags;
 pub mod http;
 
 use std::collections::BTreeSet;
@@ -45,7 +46,7 @@ use std::time::Duration;
 use mcvm::DebugInfo;
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_analyzer::WindowSpec;
-use teeperf_core::shm_file::{log_path, sym_path, LOG_EXT};
+use teeperf_core::shm_file::{sym_path, LOG_EXT};
 use teeperf_core::{EventSource, FileShmSource, SalvageReport, SourceBatch};
 use teeperf_flamegraph::SvgOptions;
 use teeperf_live::{
@@ -53,6 +54,7 @@ use teeperf_live::{
     WatchdogConfig,
 };
 
+use flags::{Command, Flag, Parsed, SESSION_FLAGS};
 use http::{Request, Response};
 
 /// Everything configurable about one daemon run.
@@ -81,6 +83,9 @@ pub struct DaemonConfig {
     /// Overhead budget handed to every session: each pid gets its own
     /// fidelity controller walking `Full → Sampled(1/N) → Quiescent`
     /// against this loss budget (`None` pins the fleet to full fidelity).
+    /// Inert over the file transport this daemon attaches today:
+    /// [`FileShmSource`] keeps [`EventSource::set_regime`]'s default
+    /// `false`, so each controller retires at its first decision.
     pub budget: Option<teeperf_live::OverheadBudget>,
 }
 
@@ -714,117 +719,67 @@ impl SnapshotService for Daemon {
     }
 }
 
-/// The daemon's flag set, as the usage line of the binary called `name`.
-fn usage(name: &str) -> String {
-    format!(
-        "usage: {name} [--dir DIR] [--listen ADDR] [--snapshot-out FILE] \
-         [--pump-ms N] [--scan-every N] [--max-loops N] [--no-liveness-probe] \
-         [--window-interval TICKS] [--retain N] [--max-width N] \
-         [--overhead-budget PCT]"
-    )
-}
+/// The daemon's flags, under either name (`teeperfd`, `teeperf daemon`).
+pub const DAEMON: Command = Command {
+    operands: "",
+    about: "fleet profiling daemon over a registration directory of <pid>.tplog shared logs\n\
+            serves /snapshot /pid/<n> /flame.svg /windows /query /metrics /healthz until /shutdown",
+    groups: &[DAEMON_FLAGS, SESSION_FLAGS],
+};
+const DAEMON_FLAGS: &[Flag] = &[
+    Flag::value("dir", "<dir>", "registration directory to watch"),
+    Flag::value("listen", "<addr>", "HTTP listen address (port 0 = any)"),
+    Flag::value("snapshot-out", "<file>", "final merged snapshot"),
+    Flag::value("pump-ms", "<n>", "sleep between loop iterations"),
+    Flag::value("scan-every", "<n>", "iterations between rescans (>= 1)"),
+    Flag::value("max-loops", "<n>", "shut down after n iterations"),
+    Flag::switch("no-liveness-probe", "trust logs without a /proc/<pid>"),
+];
 
-/// Parse the daemon's flags into its config and whether the `/proc/<pid>`
-/// liveness probe stays armed.
-fn parse_flags(name: &str, args: &[String]) -> Result<(DaemonConfig, bool), String> {
-    let mut config = DaemonConfig::default();
-    let mut probe = true;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--dir" => config.dir = PathBuf::from(value()?),
-            "--listen" => config.listen = value()?.to_string(),
-            "--snapshot-out" => config.snapshot_out = Some(PathBuf::from(value()?)),
-            "--pump-ms" => {
-                let ms: u64 = value()?.parse().map_err(|_| "--pump-ms: not a number")?;
-                config.pump_interval = Duration::from_millis(ms);
-            }
-            "--scan-every" => {
-                config.scan_every = value()?.parse().map_err(|_| "--scan-every: not a number")?;
-                if config.scan_every == 0 {
-                    return Err("--scan-every must be >= 1".to_string());
-                }
-            }
-            "--max-loops" => {
-                config.max_loops = Some(value()?.parse().map_err(|_| "--max-loops: not a number")?)
-            }
-            "--window-interval" => {
-                let ticks: u64 = value()?
-                    .parse()
-                    .map_err(|_| "--window-interval: not a number")?;
-                if ticks == 0 {
-                    return Err("--window-interval must be >= 1".to_string());
-                }
-                config
-                    .retention
-                    .get_or_insert_with(RingConfig::default)
-                    .interval = ticks;
-            }
-            "--retain" => {
-                let n: usize = value()?.parse().map_err(|_| "--retain: not a number")?;
-                if n == 0 {
-                    return Err("--retain must be >= 1".to_string());
-                }
-                config
-                    .retention
-                    .get_or_insert_with(RingConfig::default)
-                    .capacity = n;
-            }
-            "--max-width" => {
-                let n: u64 = value()?.parse().map_err(|_| "--max-width: not a number")?;
-                if n == 0 {
-                    return Err("--max-width must be >= 1".to_string());
-                }
-                config
-                    .retention
-                    .get_or_insert_with(RingConfig::default)
-                    .max_width = n;
-            }
-            "--overhead-budget" => {
-                let pct: u8 = value()?
-                    .parse()
-                    .map_err(|_| "--overhead-budget: not a percentage")?;
-                if pct == 0 || pct > 100 {
-                    return Err("--overhead-budget must be 1..=100".to_string());
-                }
-                config.budget = Some(teeperf_live::OverheadBudget { pct });
-            }
-            "--no-liveness-probe" => probe = false,
-            "--help" | "-h" => return Err(usage(name)),
-            other => return Err(format!("unknown flag {other}\n{}", usage(name))),
-        }
+/// The config an argv parsed against [`DAEMON`] asks for.
+fn daemon_config(parsed: &Parsed) -> Result<DaemonConfig, String> {
+    let live = flags::session_config(parsed)?;
+    let mut config = DaemonConfig {
+        snapshot_out: parsed.path("snapshot-out"),
+        max_loops: parsed.num("max-loops")?,
+        retention: live.retention,
+        budget: live.budget,
+        ..DaemonConfig::default()
+    };
+    if let Some(dir) = parsed.path("dir") {
+        config.dir = dir;
     }
-    Ok((config, probe))
+    if let Some(listen) = parsed.text("listen") {
+        config.listen = listen.to_string();
+    }
+    if let Some(ms) = parsed.num("pump-ms")? {
+        config.pump_interval = Duration::from_millis(ms);
+    }
+    if let Some(n) = parsed.num_in("scan-every", 1.., ">= 1")? {
+        config.scan_every = n;
+    }
+    Ok(config)
 }
 
 /// Run a daemon in the foreground on behalf of the binary called `name`
-/// (`teeperfd`, `teeperf daemon`): parse `args`, bind, print
-/// `<name> listening on <addr>` (with the kernel-resolved port) so
-/// supervisors and tests can connect without racing, and serve until
-/// `GET /shutdown`, the loop limit, or stdin EOF. Returns the closing
-/// summary.
+/// (`teeperfd`, `teeperf daemon`) with an argv parsed against [`DAEMON`]:
+/// bind, print `<name> listening on <addr>` (with the kernel-resolved
+/// port) so supervisors and tests can connect without racing, and serve
+/// until `GET /shutdown`, the loop limit, or stdin EOF. Returns the
+/// closing summary, or the process exit code and message: 2 for a bad flag
+/// value, 1 when the daemon fails to start or to write its final snapshot.
 ///
 /// Stdin EOF is the SIGTERM of this unsafe-free world: a supervisor holds
 /// the daemon's stdin pipe open for as long as it wants it alive; closing
 /// it (or dying, which closes it too) shuts the daemon down gracefully.
-///
-/// # Errors
-/// The process exit code and message: 2 for a flag error, 1 when the
-/// daemon fails to start or to write its final snapshot.
-pub fn launch(name: &str, args: &[String]) -> Result<String, (u8, String)> {
-    let (config, probe) = parse_flags(name, args).map_err(|message| (2, message))?;
+pub fn launch(name: &str, parsed: &Parsed) -> Result<String, (u8, String)> {
+    let config = daemon_config(parsed).map_err(|message| (2, format!("{name}: {message}")))?;
     let dir = config.dir.clone();
-    let daemon = Daemon::new(config).map_err(|e| (1, format!("{name}: failed to start: {e}")))?;
-    let daemon = if probe {
-        daemon
-    } else {
-        daemon.without_liveness_probe()
-    };
+    let mut daemon =
+        Daemon::new(config).map_err(|e| (1, format!("{name}: failed to start: {e}")))?;
+    if parsed.switch("no-liveness-probe") {
+        daemon = daemon.without_liveness_probe();
+    }
     println!("{name} listening on {}", daemon.addr());
     println!("{name} watching {}", dir.display());
     let _ = io::Write::flush(&mut io::stdout());
@@ -838,14 +793,6 @@ pub fn launch(name: &str, args: &[String]) -> Result<String, (u8, String)> {
     });
     let report = daemon.run(&rx).map_err(|e| (1, format!("{name}: {e}")))?;
     Ok(report.summary())
-}
-
-/// Re-export for callers that build registration paths.
-pub use teeperf_core::shm_file::default_shm_dir;
-
-/// Build a registration path helper: where pid's log would live in `dir`.
-pub fn registered_log(dir: &Path, pid: u64) -> PathBuf {
-    log_path(dir, pid)
 }
 
 #[cfg(test)]
@@ -909,6 +856,110 @@ mod tests {
         })
         .unwrap()
         .without_liveness_probe()
+    }
+
+    fn parsed(argv: &[&str]) -> Result<Parsed, String> {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        DAEMON.parse("teeperfd", &argv)
+    }
+
+    #[test]
+    fn the_daemon_table_is_the_flag_set_it_always_had() {
+        let usage = DAEMON.usage("teeperfd");
+        let listed: Vec<&str> = usage
+            .lines()
+            .filter_map(|l| l.strip_prefix("  --"))
+            .map(|l| l.split(' ').next().unwrap())
+            .collect();
+        assert_eq!(
+            listed,
+            [
+                "dir",
+                "listen",
+                "snapshot-out",
+                "pump-ms",
+                "scan-every",
+                "max-loops",
+                "no-liveness-probe",
+                "window-interval",
+                "retain",
+                "max-width",
+                "overhead-budget"
+            ]
+        );
+        // The in-process session rows are not the daemon's.
+        for undeclared in ["--watermark", "--watchdog-timeout", "--bogus"] {
+            let e = parsed(&[undeclared, "5"]).unwrap_err();
+            assert!(e.starts_with(&format!("unknown flag {undeclared}")), "{e}");
+        }
+        let inert = usage.lines().find(|l| l.contains("--overhead-budget"));
+        assert!(inert.unwrap().contains("Inert"), "{usage}");
+    }
+
+    #[test]
+    fn daemon_config_reads_every_flag_and_words_errors_like_the_cli() {
+        let config = daemon_config(&parsed(&[]).unwrap()).unwrap();
+        let defaults = DaemonConfig::default();
+        assert_eq!(config.dir, defaults.dir);
+        assert_eq!(config.scan_every, defaults.scan_every);
+        assert!(config.retention.is_none() && config.budget.is_none());
+
+        let argv = [
+            "--dir",
+            "/tmp/reg",
+            "--listen",
+            "127.0.0.1:7",
+            "--snapshot-out",
+            "/tmp/s",
+            "--pump-ms",
+            "5",
+            "--scan-every",
+            "2",
+            "--max-loops",
+            "9",
+            "--window-interval",
+            "12",
+            "--retain",
+            "16",
+            "--max-width",
+            "3",
+            "--overhead-budget",
+            "10",
+        ];
+        let config = daemon_config(&parsed(&argv).unwrap()).unwrap();
+        assert_eq!(config.dir, PathBuf::from("/tmp/reg"));
+        assert_eq!(config.listen, "127.0.0.1:7");
+        assert_eq!(config.snapshot_out, Some(PathBuf::from("/tmp/s")));
+        assert_eq!(config.pump_interval, Duration::from_millis(5));
+        assert_eq!((config.scan_every, config.max_loops), (2, Some(9)));
+        let ring = config.retention.unwrap();
+        assert_eq!((ring.interval, ring.capacity, ring.max_width), (12, 16, 3));
+        assert_eq!(
+            config.budget,
+            Some(teeperf_live::OverheadBudget { pct: 10 })
+        );
+
+        for (argv, message) in [
+            (["--scan-every", "0"], "bad --scan-every `0` (want >= 1)"),
+            (["--pump-ms", "x"], "bad --pump-ms `x`"),
+            (["--max-loops", "x"], "bad --max-loops `x`"),
+            (
+                ["--window-interval", "0"],
+                "bad --window-interval `0` (want ticks >= 1)",
+            ),
+            (
+                ["--overhead-budget", "0"],
+                "bad --overhead-budget `0` (want 1..=100)",
+            ),
+        ] {
+            assert_eq!(daemon_config(&parsed(&argv).unwrap()).unwrap_err(), message);
+        }
+        // `launch` reports them as flag errors: exit code 2, before binding.
+        let (code, message) = launch("teeperfd", &parsed(&["--retain", "0"]).unwrap()).unwrap_err();
+        assert_eq!(
+            (code, message.as_str()),
+            (2, "teeperfd: bad --retain `0` (want >= 1)")
+        );
     }
 
     #[test]

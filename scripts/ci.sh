@@ -176,6 +176,46 @@ query_smoke() {
 }
 tmo 120 bash -c "$(declare -f query_smoke run); query_smoke"
 
+# CLI smoke (ISSUE 15): one flag grammar behind every front-end. The
+# command list comes from `teeperf help`; every command in it, `teeperfd`
+# and `teeperf-shm-writer` must refuse an undeclared flag (non-zero exit)
+# and answer --help with exit 0 and a usage line per flag it declares.
+cli_smoke() {
+  local cmds cmd
+  cmds="$(target/debug/teeperf help | sed -n '/^commands:$/,$p' | awk 'NR > 1 { print $1 }')"
+  [ "$(echo "$cmds" | wc -w)" -ge 12 ] \
+    || { echo "cli-smoke: short command list: $cmds"; return 1; }
+  check() { # <label> <expect-flag-lines: yes|no> <argv...>
+    local label="$1" flags="$2" help
+    shift 2
+    if "$@" --no-such-flag x > /dev/null 2>&1; then
+      echo "cli-smoke: $label accepted --no-such-flag"; return 1
+    fi
+    help="$("$@" --help)" || { echo "cli-smoke: $label --help failed"; return 1; }
+    echo "$help" | head -1 | grep -q "^usage: " \
+      || { echo "cli-smoke: $label --help has no usage line"; echo "$help"; return 1; }
+    if [ "$flags" = yes ] && ! echo "$help" | grep -q "^  --"; then
+      echo "cli-smoke: $label --help lists no flags"; echo "$help"; return 1
+    fi
+  }
+  for cmd in $cmds; do
+    if [ "$cmd" = archs ]; then
+      check "teeperf $cmd" no target/debug/teeperf "$cmd" || return 1
+    else
+      check "teeperf $cmd" yes target/debug/teeperf "$cmd" || return 1
+    fi
+  done
+  check teeperfd yes target/debug/teeperfd || return 1
+  check teeperf-shm-writer yes target/debug/teeperf-shm-writer || return 1
+  # The misspelling that used to run on the default architecture, silently.
+  if target/debug/teeperf phoenix --bench histogram --arhc native > /dev/null 2>&1; then
+    echo "cli-smoke: phoenix accepted --arhc"; return 1
+  fi
+  echo "==> cli-smoke ok"
+}
+run cargo build -q --offline -p teeperf-cli -p teeperf-daemon
+tmo 60 bash -c "$(declare -f cli_smoke); cli_smoke"
+
 # Analyzer-throughput smoke: small log, shards {1,2}; asserts the JSON
 # artifact is written and the model speedup at 2 shards is >= 1.0. Results
 # go to a scratch dir so the checked-in full-scale JSON stays untouched.

@@ -1,0 +1,107 @@
+//! The deployed path, in process: a writer publishes through the
+//! file-backed shared log, a `Daemon` attaches it from the registration
+//! directory, and the profile comes back out of `/snapshot` as the wire
+//! text `teeperf top` parses. Tier-1 runs this, so it fails if the file
+//! transport, the session registry or the wire text breaks.
+
+use std::sync::mpsc;
+use std::time::Duration;
+
+use teeperf::core::layout::{EventKind, LogEntry};
+use teeperf::core::log::make_header;
+use teeperf::core::shm_file::{publish_sidecar, FileShmWriter};
+use teeperf::mc::DebugInfo;
+use teeperf_daemon::http::Request;
+use teeperf_daemon::{route, Daemon, DaemonConfig, ShutdownCause};
+use teeperf_live::Snapshot;
+
+#[test]
+fn a_file_backed_log_comes_back_out_of_the_snapshot_route() {
+    let dir = std::env::temp_dir().join(format!("teeperf-daemon-path-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    // main [1, 101] calls work [10, 60]: work 50 ticks, main 100 - 50.
+    let debug = DebugInfo::from_functions([("main", 4, 1), ("work", 4, 5)]);
+    publish_sidecar(&dir, 41, "sym", &debug.to_text()).unwrap();
+    let mut writer = FileShmWriter::create(&dir, &make_header(41, 64, true, 0, 0)).unwrap();
+    let (main, work) = (debug.entry_addr(0), debug.entry_addr(1));
+    for (kind, counter, addr) in [
+        (EventKind::Call, 1, main),
+        (EventKind::Call, 10, work),
+        (EventKind::Return, 60, work),
+        (EventKind::Return, 101, main),
+    ] {
+        let entry = LogEntry {
+            kind,
+            counter,
+            addr,
+            tid: 0,
+        };
+        writer.write(&entry).unwrap();
+    }
+    writer.finish().unwrap();
+
+    // `max_loops` bounds the run at ~20 s if nothing ever shuts it down.
+    let mut daemon = Daemon::new(DaemonConfig {
+        dir: dir.clone(),
+        listen: "127.0.0.1:0".to_string(),
+        pump_interval: Duration::from_millis(1),
+        scan_every: 1,
+        max_loops: Some(20_000),
+        ..DaemonConfig::default()
+    })
+    .unwrap()
+    .without_liveness_probe();
+
+    // Nothing is attached before the first scan: the route serves an empty
+    // fleet, in the same wire text.
+    let request = Request {
+        method: "GET".to_string(),
+        target: "/snapshot".to_string(),
+    };
+    let (response, shutdown) = route(&mut daemon, &request);
+    assert_eq!((response.status, shutdown), (200, false));
+    let empty = String::from_utf8(response.body).unwrap();
+    assert_eq!(Snapshot::summary_from_text(&empty).unwrap().events, 0);
+
+    // The loop scans, attaches and pumps; the same route, now behind the
+    // HTTP listener, serves the writer's profile.
+    let addr = daemon.addr().to_string();
+    let (_keep_open, external) = mpsc::channel::<String>();
+    let running = std::thread::spawn(move || daemon.run(&external));
+    let get = |path: &str| teeperf_daemon::http::get(&addr, path, Duration::from_secs(5)).unwrap();
+    let mut text = String::new();
+    for _ in 0..2_000 {
+        let (status, body) = get("/snapshot");
+        assert_eq!(status, 200);
+        text = body;
+        if Snapshot::summary_from_text(&text).unwrap().events == 4 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(text.contains("\ndropped 0\n"), "{text}");
+    let status = Snapshot::summary_from_text(&text).unwrap();
+    assert_eq!((status.events, status.dropped), (4, 0));
+    let mut methods = Snapshot::methods_from_text(&text).unwrap();
+    methods.sort();
+    assert_eq!(
+        methods,
+        [
+            ("main".to_string(), 1, 100, 50),
+            ("work".to_string(), 1, 50, 50)
+        ]
+    );
+
+    assert_eq!(get("/shutdown").0, 200);
+    let report = running.join().unwrap().unwrap();
+    assert_eq!(report.cause, ShutdownCause::HttpRequest);
+    assert_eq!(report.attached, vec![41]);
+    assert_eq!(
+        report.merged.to_text(),
+        text,
+        "the final snapshot is the served one"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
