@@ -325,8 +325,9 @@ pub struct ReservationResult {
 /// the partitioned log dodges tail contention at the price of static
 /// capacity splitting.
 pub fn run_reservation_modes() -> ReservationResult {
+    use crate::plog::{PartitionedHooks, PartitionedLog};
     use std::sync::Arc;
-    use teeperf_core::{PartitionedHooks, PartitionedLog, SimCounter};
+    use teeperf_core::SimCounter;
 
     let bench = phoenix::suite(phoenix::Scale::Small, 3).remove(5); // string_match
     let program =

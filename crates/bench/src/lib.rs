@@ -10,6 +10,7 @@
 //! | [`fig5`] | Figure 5 — RocksDB `db_bench` flame graph | `fig5_rocksdb_flamegraph` |
 //! | [`fig6`] | Figure 6 + §IV-C IOPS table — SPDK case study | `fig6_spdk_casestudy` |
 //! | [`ablations`] | sampling bias, counter sources, selective profiling, EPC paging | `ablation_*` |
+//! | [`plog`] | the atomic-free partitioned log the reservation ablation compares against | `ablation_reservation` |
 //! | [`live`] | continuous-monitoring overhead of `teeperf-live` | `live_overhead` |
 //! | [`analyze`] | stage-3 analyzer throughput and shard speedup | `analyze_throughput` |
 //! | [`contention`] | recorder hot path: batched reservation × switchless transitions | `record_contention` |
@@ -28,6 +29,7 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod live;
+pub mod plog;
 pub mod querybench;
 pub mod regime;
 pub mod util;

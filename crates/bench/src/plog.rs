@@ -18,9 +18,9 @@ use std::sync::Arc;
 
 use tee_sim::{Machine, SharedMem, SHM_BASE};
 
-use crate::counter::CounterSource;
-use crate::layout::{EventKind, LogEntry, LogHeader, ENTRY_BYTES, HEADER_BYTES};
-use crate::log::SharedLog;
+use teeperf_core::counter::CounterSource;
+use teeperf_core::layout::{EventKind, LogEntry, LogHeader, ENTRY_BYTES, HEADER_BYTES};
+use teeperf_core::log::SharedLog;
 
 /// A shared log carved into per-thread partitions.
 #[derive(Debug, Clone)]
@@ -129,11 +129,11 @@ impl PartitionedLog {
             .sum()
     }
 
-    /// Drain all partitions into a standard [`crate::LogFile`]. Entries
+    /// Drain all partitions into a standard [`teeperf_core::LogFile`]. Entries
     /// are concatenated partition by partition — per-thread order (the
     /// only order the analyzer relies on) is preserved, because a thread
     /// only ever writes to its own partition.
-    pub fn drain(&self) -> crate::LogFile {
+    pub fn drain(&self) -> teeperf_core::LogFile {
         let mut entries = Vec::new();
         for p in 0..self.n_partitions {
             let tail = self
@@ -153,12 +153,12 @@ impl PartitionedLog {
         // so LogHeader::stored_entries / dropped_entries stay correct.
         header.size = entries.len() as u64;
         header.tail = entries.len() as u64 + self.dropped_entries();
-        crate::LogFile::new(header, entries)
+        teeperf_core::LogFile::new(header, entries)
     }
 }
 
 /// Hooks writing through a [`PartitionedLog`] — the drop-in alternative to
-/// [`crate::TeePerfHooks`] for ISAs without atomic RMW instructions.
+/// [`teeperf_core::TeePerfHooks`] for ISAs without atomic RMW instructions.
 pub struct PartitionedHooks {
     log: PartitionedLog,
     counter: Box<dyn CounterSource>,
@@ -181,7 +181,7 @@ impl PartitionedHooks {
         PartitionedHooks {
             log,
             counter,
-            injected_cycles: crate::hooks::DEFAULT_INJECTED_CYCLES,
+            injected_cycles: teeperf_core::hooks::DEFAULT_INJECTED_CYCLES,
             events_recorded: 0,
         }
     }
@@ -201,7 +201,7 @@ impl PartitionedHooks {
             return;
         }
         machine.read(SHM_BASE + 48, 8); // counter word
-        machine.compute(crate::hooks::COUNTER_CROSS_CORE_CYCLES);
+        machine.compute(teeperf_core::hooks::COUNTER_CROSS_CORE_CYCLES);
         let counter = self.counter.read();
         // Private tail: read + write, no lock prefix, no contention.
         let p = tid % self.log.partitions();
@@ -235,9 +235,9 @@ impl mcvm::ProfilerHooks for PartitionedHooks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counter::SimCounter;
-    use crate::log::make_header;
     use tee_sim::CostModel;
+    use teeperf_core::counter::SimCounter;
+    use teeperf_core::log::make_header;
 
     fn fresh(n_partitions: u64, per_partition: u64) -> PartitionedLog {
         let shm = Arc::new(SharedMem::new(PartitionedLog::region_bytes(
@@ -326,13 +326,13 @@ mod tests {
         assert_eq!(log.drain().entries.len(), 100);
 
         // Classic fetch-and-add hooks on the same machine class.
-        let shm = Arc::new(SharedMem::new(crate::log::region_bytes(1024)));
+        let shm = Arc::new(SharedMem::new(teeperf_core::log::region_bytes(1024)));
         let classic_log =
             SharedLog::init(Arc::clone(&shm), &make_header(1, 1024, true, 0, SHM_BASE));
         let mut machine2 = Machine::new(CostModel::sgx_v1());
         machine2.map_shared(shm);
         machine2.ecall();
-        let mut classic = crate::TeePerfHooks::new(
+        let mut classic = teeperf_core::TeePerfHooks::new(
             classic_log,
             Box::new(SimCounter::standard(machine2.clock().clone())),
         );

@@ -505,8 +505,9 @@ impl SalvageReport {
 
     /// Split a raw entry batch into the valid stream, accounting every
     /// invalid record here. The helper all salvaging sources share.
-    pub fn filter_entries(&mut self, entries: Vec<LogEntry>) -> Vec<LogEntry> {
-        let mut out = Vec::with_capacity(entries.len());
+    pub fn filter_entries(&mut self, entries: impl IntoIterator<Item = LogEntry>) -> Vec<LogEntry> {
+        let entries = entries.into_iter();
+        let mut out = Vec::with_capacity(entries.size_hint().0);
         for e in entries {
             match e.validity() {
                 EntryValidity::Valid => out.push(e),

@@ -111,9 +111,7 @@ impl LogFile {
             out.extend_from_slice(&w.to_le_bytes());
         }
         for e in &self.entries {
-            for w in e.pack() {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
+            out.extend_from_slice(&e.to_bytes());
         }
         out
     }
@@ -158,17 +156,6 @@ impl LogFile {
         Ok((header, count))
     }
 
-    fn decode_entries(body: &[u8]) -> Vec<LogEntry> {
-        body.chunks_exact(24)
-            .map(|c| {
-                let w = |i: usize| {
-                    u64::from_le_bytes(c[i * 8..(i + 1) * 8].try_into().expect("8 bytes"))
-                };
-                LogEntry::unpack([w(0), w(1), w(2)])
-            })
-            .collect()
-    }
-
     /// Parse the on-disk byte format, strictly.
     ///
     /// # Errors
@@ -202,7 +189,7 @@ impl LogFile {
         }
         Ok(LogFile {
             header,
-            entries: LogFile::decode_entries(body),
+            entries: LogEntry::decode_slots(body).collect(),
         })
     }
 
@@ -229,8 +216,7 @@ impl LogFile {
         } else if !body.len().is_multiple_of(24) {
             report.drop_n(SalvageReason::TruncatedFile, 1);
         }
-        let raw = LogFile::decode_entries(&body[..(complete * 24) as usize]);
-        let entries = report.filter_entries(raw);
+        let entries = report.filter_entries(LogEntry::decode_slots(body));
         Ok((LogFile { header, entries }, report))
     }
 

@@ -289,6 +289,29 @@ impl LogEntry {
         }
     }
 
+    /// The slot as it is stored in a file: the three packed words,
+    /// little-endian. The one byte codec behind both the persistent log
+    /// file and the file transport.
+    pub fn to_bytes(&self) -> [u8; ENTRY_BYTES as usize] {
+        let mut out = [0u8; ENTRY_BYTES as usize];
+        for (chunk, word) in out.chunks_exact_mut(8).zip(self.pack()) {
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
+        out
+    }
+
+    /// Decode every complete slot in `bytes`, in order (a trailing
+    /// partial slot is not an entry and is left out).
+    pub fn decode_slots(bytes: &[u8]) -> impl Iterator<Item = LogEntry> + '_ {
+        bytes.chunks_exact(ENTRY_BYTES as usize).map(|slot| {
+            let word = |i: usize| {
+                let le = slot[i * 8..(i + 1) * 8].try_into();
+                u64::from_le_bytes(le.expect("8-byte word of a 24-byte slot"))
+            };
+            LogEntry::unpack([word(0), word(1), word(2)])
+        })
+    }
+
     /// Byte offset of entry `index` within the shared region.
     pub fn offset_of(index: u64) -> u64 {
         HEADER_BYTES + index * ENTRY_BYTES
@@ -453,6 +476,11 @@ mod tests {
                 tid,
             };
             prop_assert_eq!(LogEntry::unpack(e.pack()), e);
+            // The byte codec is the word codec, little-endian; a cut
+            // trailing slot decodes to nothing.
+            let mut bytes = e.to_bytes().to_vec();
+            bytes.extend_from_slice(&e.to_bytes()[..23]);
+            prop_assert_eq!(LogEntry::decode_slots(&bytes).collect::<Vec<_>>(), vec![e]);
         }
 
         #[test]

@@ -44,9 +44,10 @@
 //!   drains the log to a persistent [`file::LogFile`] when measurement ends.
 //! * [`select`] — **selective code profiling** filters (§II-C).
 //! * [`shm_file`] — the **cross-process transport**: the same log layout
-//!   and publication discipline materialized in a file under `/dev/shm`,
-//!   so genuinely separate OS processes feed one consumer without
-//!   `unsafe` ([`shm_file::FileShmWriter`] / [`shm_file::FileShmSource`]).
+//!   in a file under `/dev/shm`, one writer per file, published by
+//!   advancing the tail, so genuinely separate OS processes feed one
+//!   consumer without `unsafe` ([`shm_file::FileShmWriter`] /
+//!   [`shm_file::FileShmSource`]).
 //! * [`api`] — a native-Rust profiling API used by the workload substrates
 //!   (LSM store, SPDK port) that are written in Rust rather than Mini-C;
 //!   it plays the role of linking `profiler.h` into a C++ code base.
@@ -62,7 +63,6 @@ pub mod file;
 pub mod hooks;
 pub mod layout;
 pub mod log;
-pub mod plog;
 pub mod recorder;
 pub mod select;
 pub mod shm_file;
@@ -83,7 +83,6 @@ pub use layout::{
     LOG_VERSION,
 };
 pub use log::{HeaderFault, LogCursor, RotationOutcome, RotationStall, SharedLog};
-pub use plog::{PartitionedHooks, PartitionedLog};
 pub use recorder::{Recorder, RecorderConfig};
 pub use select::SelectiveFilter;
 pub use shm_file::{FileShmSource, FileShmWriter, ShmFileError};

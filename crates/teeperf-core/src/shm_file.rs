@@ -10,34 +10,45 @@
 //! registration directory, and a [`FileShmSource`] in the daemon process
 //! polls it through the standard [`EventSource`] contract.
 //!
-//! The publication discipline is the live protocol's, translated to
-//! positioned writes:
+//! # Publication protocol
 //!
-//! 1. **reserve** — bump the header tail word *first* (the on-disk
-//!    equivalent of the fetch-add; persisted before any slot byte so a
-//!    writer crash leaves an [`EntryValidity::Unpublished`] hole, never a
-//!    phantom record);
-//! 2. **write** — store the addr and tid words of the slot;
-//! 3. **publish** — store word 0 (kind + counter) last.
+//! There is exactly **one writer per file** (each process registers its
+//! own log, keyed by pid), so the file needs none of the in-memory log's
+//! multi-writer reservation. An append is two positioned writes:
 //!
-//! A reader therefore classifies slots with the same
-//! [`EntryValidity`] rules as the live drain, and the salvage
-//! accounting ([`SalvageReport`]) carries over unchanged: torn entries are
-//! dropped and counted, holes are closed after a stall deadline, truncated
-//! files are clamped and accounted, corrupt headers kill the source
-//! instead of the daemon.
+//! 1. **slot** — store the 24 bytes of slot `tail` in one write;
+//! 2. **tail** — store `tail + 1` in the header's tail word.
 //!
-//! Simplifications relative to the in-memory log, both forced by the
-//! transport: there is exactly **one writer per file** (each process
-//! registers its own log, keyed by pid — no cross-process tail CAS), and
-//! there is **no epoch rotation** (rotation needs the writers-in-flight
-//! handshake on the control word, which file I/O cannot do atomically;
-//! instead the file is sized for the session and overflow is accounted via
-//! the tail, exactly like a batch log). The fidelity regime word is also
-//! not carried over this transport: the consumer opens the file read-only,
-//! so [`FileShmSource`] keeps the [`EventSource`] regime defaults and a
-//! file-backed session is always pinned to `Full` (zero-filled regions
-//! decode as `Full` at regime epoch 0 by construction).
+//! The tail store *is* the publication: every slot below the tail a
+//! reader observes is complete. Past capacity there is no slot to write
+//! and the tail store alone is the drop ticket (overflow is accounted via
+//! the tail, exactly like a batch log). A writer that dies mid-append
+//! leaves slot bytes *above* the tail, where no reader looks — nothing
+//! visible, no hole; one that is killed leaves ACTIVE set (see below).
+//!
+//! A pump is one read of the header, then bulk reads of
+//! `[cursor, min(tail, size, slots on disk))` in chunks of
+//! [`READ_CHUNK_ENTRIES`]. Every slot is still classified with the same
+//! [`EntryValidity`](crate::layout::EntryValidity) rules as the live
+//! drain, and the salvage accounting ([`SalvageReport`]) carries over: a
+//! torn or never-written slot below the tail can only come from a broken
+//! or hostile writer and is skipped and counted in the pump that meets
+//! it, truncated files are clamped and accounted, corrupt headers kill
+//! the source instead of the daemon.
+//!
+//! The protocol rests on one cross-process assumption: a positioned write
+//! that completed before a later positioned write of the same process is
+//! visible to any process that observes the later one, and an aligned
+//! 8-byte positioned write to tmpfs is never observed torn. The
+//! two-process stress test in `teeperf-daemon` is its hammer, the validity
+//! classification its backstop.
+//!
+//! Not carried over this transport: **epoch rotation** (the file is sized
+//! for the session) and the **fidelity regime word** (the consumer opens
+//! the file read-only, so [`FileShmSource`] keeps the [`EventSource`]
+//! regime defaults and a file-backed session is always pinned to `Full`;
+//! zero-filled regions decode as `Full` at regime epoch 0 by
+//! construction).
 //!
 //! # Registration protocol
 //!
@@ -58,8 +69,8 @@ use std::path::{Path, PathBuf};
 
 use crate::faults::{SalvageReason, SalvageReport};
 use crate::layout::{
-    EntryValidity, LogEntry, LogHeader, ENTRY_BYTES, FLAG_ACTIVE, HEADER_BYTES, LOG_MAGIC,
-    LOG_VERSION, OFF_CONTROL, OFF_DROPPED, OFF_MAGIC, OFF_PID, OFF_SIZE, OFF_TAIL, PID_UNSET,
+    LogEntry, LogHeader, ENTRY_BYTES, FLAG_ACTIVE, HEADER_BYTES, LOG_MAGIC, LOG_VERSION,
+    OFF_CONTROL, OFF_DROPPED, OFF_MAGIC, OFF_PID, OFF_SIZE, OFF_TAIL, PID_UNSET,
 };
 use crate::source::{EventSource, SourceBatch};
 
@@ -100,10 +111,17 @@ pub fn publish_sidecar(dir: &Path, pid: u64, ext: &str, contents: &str) -> io::R
     Ok(dest)
 }
 
-fn read_word(file: &File, off: u64) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    file.read_exact_at(&mut buf, off)?;
-    Ok(u64::from_le_bytes(buf))
+/// The whole header in one positioned read.
+fn read_header(file: &File) -> io::Result<[u8; HEADER_BYTES as usize]> {
+    let mut header = [0u8; HEADER_BYTES as usize];
+    file.read_exact_at(&mut header, 0)?;
+    Ok(header)
+}
+
+/// The header word at byte offset `off` (one of the `OFF_*` constants).
+fn word_at(header: &[u8; HEADER_BYTES as usize], off: u64) -> u64 {
+    let word = header[off as usize..off as usize + 8].try_into();
+    u64::from_le_bytes(word.expect("8-byte word inside the header"))
 }
 
 fn write_word(file: &File, off: u64, word: u64) -> io::Result<()> {
@@ -154,8 +172,8 @@ impl From<io::Error> for ShmFileError {
     }
 }
 
-/// The producer half: one process's log file, written with the
-/// reserve → write → publish discipline (see the module docs).
+/// The producer half: one process's log file, published by advancing its
+/// tail (see the module docs).
 #[derive(Debug)]
 pub struct FileShmWriter {
     file: File,
@@ -229,59 +247,51 @@ impl FileShmWriter {
         self.tail.saturating_sub(self.size)
     }
 
-    /// Reserve the next slot: bump the tail *on disk* before any slot
-    /// byte, so a crash right here leaves an unpublished hole (the state
-    /// the salvage rules expect), never a phantom entry. Returns the
-    /// reserved index, or `None` on overflow (the bump still happened —
-    /// overflow is accounted, not silent).
-    fn reserve(&mut self) -> io::Result<Option<u64>> {
-        let index = self.tail;
+    /// Store the tail word: the publication of every slot below it, and
+    /// past capacity the drop ticket.
+    fn advance_tail(&mut self) -> io::Result<()> {
+        write_word(&self.file, OFF_TAIL, self.tail + 1)?;
         self.tail += 1;
-        write_word(&self.file, OFF_TAIL, self.tail)?;
-        Ok((index < self.size).then_some(index))
+        Ok(())
     }
 
-    /// Append one entry through the full reserve → write → publish path.
-    /// Returns the slot index, or `None` if the log is full (the drop is
-    /// visible to the consumer via the tail).
+    /// Append one entry: the slot in one write, then the tail store that
+    /// publishes it. Returns the slot index, or `None` if the log is full
+    /// (the tail still advances, so the drop is visible to the consumer).
     ///
     /// # Errors
     /// Propagates file-system failures (disk full, file deleted under us).
     pub fn write(&mut self, entry: &LogEntry) -> io::Result<Option<u64>> {
-        let Some(index) = self.reserve()? else {
-            return Ok(None);
-        };
-        let off = LogEntry::offset_of(index);
-        let words = entry.pack();
-        write_word(&self.file, off + 8, words[1])?;
-        write_word(&self.file, off + 16, words[2])?;
-        write_word(&self.file, off, words[0])?;
-        Ok(Some(index))
+        let index = (self.tail < self.size).then_some(self.tail);
+        if let Some(index) = index {
+            self.file
+                .write_all_at(&entry.to_bytes(), LogEntry::offset_of(index))?;
+        }
+        self.advance_tail()?;
+        Ok(index)
     }
 
-    /// Reserve a slot and abandon it — the on-disk state of a writer that
-    /// died between reserve and publish. Fault-injection entry point for
-    /// the matrix tests; a correct writer never calls this.
+    /// Advance the tail over a slot that was never written — what only a
+    /// broken writer leaves behind. Fault-injection entry point for the
+    /// matrix tests; a correct writer never calls this.
     ///
     /// # Errors
     /// Propagates file-system failures.
-    pub fn crash_after_reserve(&mut self) -> io::Result<()> {
-        self.reserve()?;
-        Ok(())
+    pub fn skip_slot_unwritten(&mut self) -> io::Result<()> {
+        self.advance_tail()
     }
 
-    /// Publish word 0 of a slot while leaving its address word zero — the
-    /// forbidden write order that produces a torn record. Fault-injection
-    /// entry point for the matrix tests.
+    /// Publish a slot holding word 0 only, its address word left zero —
+    /// a torn record. Fault-injection entry point for the matrix tests.
     ///
     /// # Errors
     /// Propagates file-system failures.
     pub fn write_torn(&mut self, entry: &LogEntry) -> io::Result<()> {
-        if let Some(index) = self.reserve()? {
-            let off = LogEntry::offset_of(index);
+        if self.tail < self.size {
+            let off = LogEntry::offset_of(self.tail);
             write_word(&self.file, off, entry.pack()[0].max(1))?;
         }
-        Ok(())
+        self.advance_tail()
     }
 
     /// Overwrite the magic word — the state of a log destroyed by a buggy
@@ -300,17 +310,15 @@ impl FileShmWriter {
     /// # Errors
     /// Propagates file-system failures.
     pub fn finish(&mut self) -> io::Result<()> {
-        let control = read_word(&self.file, OFF_CONTROL)?;
+        let control = word_at(&read_header(&self.file)?, OFF_CONTROL);
         write_word(&self.file, OFF_CONTROL, control & !FLAG_ACTIVE)?;
         self.file.sync_all()
     }
 }
 
-/// How many consecutive pumps an unpublished hole may block the cursor
-/// before the consumer closes it (skips the slot and accounts the drop).
-/// File writers are real OS processes that may be descheduled mid-write;
-/// the default matches [`crate::SourceResilience`]'s patience.
-pub const DEFAULT_HOLE_PUMPS: u64 = 64;
+/// Entries per bulk slot read (96 KiB): bounds what one read — and one
+/// pump's read buffer — can be asked for, whatever the header claims.
+pub const READ_CHUNK_ENTRIES: u64 = 4096;
 
 /// The consumer half: an [`EventSource`] polling one registered log file.
 /// At most one source should drain a given file (the cursor is local).
@@ -321,11 +329,10 @@ pub struct FileShmSource {
     pid: u64,
     size: u64,
     cursor: u64,
-    hole_pumps: u64,
-    stalled: u64,
+    /// The tail as of the last pump (beyond `size` once entries dropped).
+    tail: u64,
     writer_done: bool,
     dead: bool,
-    dropped_seen: u64,
     truncated_at: Option<u64>,
     salvage: SalvageReport,
 }
@@ -345,20 +352,20 @@ impl FileShmSource {
         if len < HEADER_BYTES {
             return Err(ShmFileError::TooSmall(len));
         }
-        let magic = read_word(&file, OFF_MAGIC)?;
+        let header = read_header(&file)?;
+        let magic = word_at(&header, OFF_MAGIC);
         if magic != LOG_MAGIC {
             return Err(ShmFileError::BadMagic(magic));
         }
-        let control = read_word(&file, OFF_CONTROL)?;
-        let (_, _, _, _, version) = LogHeader::unpack_control(control);
+        let (_, _, _, _, version) = LogHeader::unpack_control(word_at(&header, OFF_CONTROL));
         if version != LOG_VERSION {
             return Err(ShmFileError::BadVersion(version));
         }
-        let pid = read_word(&file, OFF_PID)?;
+        let pid = word_at(&header, OFF_PID);
         if pid == PID_UNSET {
             return Err(ShmFileError::NoPid);
         }
-        let size = read_word(&file, OFF_SIZE)?;
+        let size = word_at(&header, OFF_SIZE);
         if size == 0 {
             return Err(ShmFileError::ZeroCapacity);
         }
@@ -368,22 +375,12 @@ impl FileShmSource {
             pid,
             size,
             cursor: 0,
-            hole_pumps: DEFAULT_HOLE_PUMPS,
-            stalled: 0,
+            tail: 0,
             writer_done: false,
             dead: false,
-            dropped_seen: 0,
             truncated_at: None,
             salvage: SalvageReport::default(),
         })
-    }
-
-    /// Override the hole-closing patience (tests use small values to
-    /// exercise the recovery path in a handful of pumps).
-    #[must_use]
-    pub fn with_hole_pumps(mut self, pumps: u64) -> FileShmSource {
-        self.hole_pumps = pumps;
-        self
     }
 
     /// The file this source drains.
@@ -418,23 +415,29 @@ impl FileShmSource {
         if len < HEADER_BYTES {
             return go_dead(self, SalvageReason::TruncatedFile);
         }
-        let Ok(magic) = read_word(&self.file, OFF_MAGIC) else {
+        let Ok(mut header) = read_header(&self.file) else {
             return go_dead(self, SalvageReason::CorruptHeader);
         };
-        if magic != LOG_MAGIC {
+        if !self.writer_done && word_at(&header, OFF_CONTROL) & FLAG_ACTIVE == 0 {
+            // First sight of a finished writer. `is_exhausted` pairs this
+            // flag with the tail, so the tail must come from a read that
+            // started after the flag was seen cleared: one more header
+            // read, once per session, whatever order a single read copies
+            // its words in.
+            match read_header(&self.file) {
+                Ok(again) => header = again,
+                Err(_) => return go_dead(self, SalvageReason::CorruptHeader),
+            }
+        }
+        if word_at(&header, OFF_MAGIC) != LOG_MAGIC {
             return go_dead(self, SalvageReason::CorruptHeader);
         }
-        let Ok(control) = read_word(&self.file, OFF_CONTROL) else {
-            return go_dead(self, SalvageReason::CorruptHeader);
-        };
-        let (active, _, _, _, version) = LogHeader::unpack_control(control);
+        let (active, _, _, _, version) = LogHeader::unpack_control(word_at(&header, OFF_CONTROL));
         if version != LOG_VERSION {
             return go_dead(self, SalvageReason::CorruptHeader);
         }
         self.writer_done = !active;
-        let Ok(tail) = read_word(&self.file, OFF_TAIL) else {
-            return go_dead(self, SalvageReason::CorruptHeader);
-        };
+        let tail = word_at(&header, OFF_TAIL);
         // Entries actually backed by bytes on disk. A file cut below what
         // the tail promises lost records: clamp, account them exactly
         // once, and stop trusting the file to ever grow them back.
@@ -450,57 +453,35 @@ impl FileShmSource {
         Some(tail)
     }
 
-    /// Drain published entries from the cursor up to `limit`, applying the
-    /// validity rules per slot. `close_holes` short-circuits the stall
-    /// deadline (the final drain: nothing will ever publish them).
-    fn poll_published(&mut self, limit: u64, close_holes: bool) -> Vec<LogEntry> {
+    /// Drain the slots from the cursor up to `limit` (already clamped to
+    /// the slots on disk) in bulk reads, applying the validity rules per
+    /// slot: below the tail nothing is waited for, so an invalid slot is
+    /// skipped and accounted on the spot.
+    fn read_slots(&mut self, limit: u64) -> Vec<LogEntry> {
         let mut out = Vec::new();
+        let mut buf = Vec::new();
         while self.cursor < limit {
+            let n = (limit - self.cursor).min(READ_CHUNK_ENTRIES);
+            buf.resize((n * ENTRY_BYTES) as usize, 0);
             let off = LogEntry::offset_of(self.cursor);
-            let mut buf = [0u8; ENTRY_BYTES as usize];
             if self.file.read_exact_at(&mut buf, off).is_err() {
                 // Bytes vanished mid-drain; the header re-read accounted
                 // the loss (or will on the next pump) — stop here.
                 break;
             }
-            let words = [
-                u64::from_le_bytes(buf[0..8].try_into().expect("8-byte chunk")),
-                u64::from_le_bytes(buf[8..16].try_into().expect("8-byte chunk")),
-                u64::from_le_bytes(buf[16..24].try_into().expect("8-byte chunk")),
-            ];
-            let entry = LogEntry::unpack(words);
-            match entry.validity() {
-                EntryValidity::Valid => {
-                    self.stalled = 0;
-                    self.cursor += 1;
-                    self.salvage.kept += 1;
-                    out.push(entry);
-                }
-                EntryValidity::Torn => {
-                    // Published-looking but impossible: skip and account.
-                    self.stalled = 0;
-                    self.cursor += 1;
-                    self.salvage.drop_n(SalvageReason::TornEntry, 1);
-                }
-                EntryValidity::Unpublished => {
-                    // A reserved slot nobody published yet. Wait for the
-                    // writer (bounded), then close the hole and move on —
-                    // a dead writer must not wedge the cursor forever.
-                    if close_holes || self.writer_done || self.stalled >= self.hole_pumps {
-                        self.stalled = 0;
-                        self.cursor += 1;
-                        self.salvage.drop_n(SalvageReason::UnpublishedSlot, 1);
-                    } else {
-                        self.stalled += 1;
-                        break;
-                    }
-                }
-            }
+            out.extend(self.salvage.filter_entries(LogEntry::decode_slots(&buf)));
+            self.cursor += n;
         }
         out
     }
+}
 
-    fn step(&mut self, close_holes: bool) -> SourceBatch {
+impl EventSource for FileShmSource {
+    fn pid(&self) -> u64 {
+        self.pid
+    }
+
+    fn pump(&mut self) -> SourceBatch {
         if self.dead {
             return SourceBatch::default();
         }
@@ -511,7 +492,7 @@ impl FileShmSource {
         if let Some(cut) = self.truncated_at {
             limit = limit.min(cut);
         }
-        let entries = self.poll_published(limit, close_holes);
+        let entries = self.read_slots(limit);
         if self.truncated_at.is_some() {
             // Everything salvageable below the cut is out; the file is no
             // longer a faithful log.
@@ -519,9 +500,10 @@ impl FileShmSource {
         }
         // Overflow accounting: report each newly-observed drop exactly
         // once, on the batch where it became visible.
-        let overflowed = tail.saturating_sub(self.size);
-        let newly_dropped = overflowed.saturating_sub(self.dropped_seen);
-        self.dropped_seen = overflowed;
+        let newly_dropped = tail
+            .saturating_sub(self.size)
+            .saturating_sub(self.dropped_total());
+        self.tail = tail;
         SourceBatch {
             entries,
             rotated: false,
@@ -529,23 +511,15 @@ impl FileShmSource {
             epoch: 0,
         }
     }
-}
-
-impl EventSource for FileShmSource {
-    fn pid(&self) -> u64 {
-        self.pid
-    }
-
-    fn pump(&mut self) -> SourceBatch {
-        self.step(false)
-    }
 
     fn drain_to_end(&mut self) -> SourceBatch {
-        self.step(true)
+        // Nothing below the tail is ever waited for, so the final drain
+        // is an ordinary pump.
+        self.pump()
     }
 
     fn dropped_total(&self) -> u64 {
-        self.dropped_seen
+        self.tail.saturating_sub(self.size)
     }
 
     fn epoch(&self) -> u64 {
@@ -556,7 +530,7 @@ impl EventSource for FileShmSource {
         // Exhausted only when the writer declared itself done AND the
         // cursor has consumed everything it promised. A dead source is
         // not exhausted — it is quarantined by the watchdog instead.
-        !self.dead && self.writer_done && self.cursor >= self.size.min(self.tail_cache())
+        !self.dead && self.writer_done && self.cursor >= self.size.min(self.tail)
     }
 
     fn salvage(&self) -> SalvageReport {
@@ -565,14 +539,6 @@ impl EventSource for FileShmSource {
 
     fn is_dead(&self) -> bool {
         self.dead
-    }
-}
-
-impl FileShmSource {
-    /// Best-effort tail read for the exhaustion check (no state change;
-    /// a read failure just means "not provably exhausted").
-    fn tail_cache(&self) -> u64 {
-        read_word(&self.file, OFF_TAIL).unwrap_or(u64::MAX)
     }
 }
 
@@ -658,40 +624,105 @@ mod tests {
         assert_eq!(src.dropped_total(), 3);
     }
 
-    #[test]
-    fn unpublished_hole_blocks_then_closes() {
-        let dir = scratch("hole");
-        let mut w = FileShmWriter::create(&dir.0, &header(7, 8)).unwrap();
-        w.write(&entry(1)).unwrap();
-        w.crash_after_reserve().unwrap();
-        w.write(&entry(3)).unwrap();
-        let mut src = FileShmSource::open(&log_path(&dir.0, 7))
+    /// The raw positioned writes of the protocol, issued from the test so
+    /// the two stores can be observed one at a time.
+    fn raw_file(dir: &ScratchDir, pid: u64) -> File {
+        OpenOptions::new()
+            .write(true)
+            .open(log_path(&dir.0, pid))
             .unwrap()
-            .with_hole_pumps(2);
-        assert_eq!(src.pump().entries, vec![entry(1)], "stops at the hole");
-        assert!(src.pump().entries.is_empty(), "still waiting");
-        let b = src.pump();
-        assert_eq!(
-            b.entries,
-            vec![entry(3)],
-            "deadline hit: hole closed, drain resumes"
-        );
-        assert_eq!(src.salvage().count(SalvageReason::UnpublishedSlot), 1);
     }
 
     #[test]
-    fn writer_done_closes_holes_immediately() {
-        let dir = scratch("donehole");
+    fn a_slot_is_invisible_until_the_tail_store_publishes_it() {
+        let dir = scratch("tailpublishes");
+        let _w = FileShmWriter::create(&dir.0, &header(7, 8)).unwrap();
+        let raw = raw_file(&dir, 7);
+        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        // Slot bytes on disk, tail not yet stored: nothing to see.
+        raw.write_all_at(&entry(1).to_bytes(), LogEntry::offset_of(0))
+            .unwrap();
+        assert!(src.pump().entries.is_empty(), "above the tail is unread");
+        assert!(src.salvage().is_clean());
+        write_word(&raw, OFF_TAIL, 1).unwrap();
+        assert_eq!(src.pump().entries, vec![entry(1)]);
+        // The broken order — tail first — exposes the empty slot, which is
+        // skipped and counted at once; its late bytes are never delivered.
+        write_word(&raw, OFF_TAIL, 2).unwrap();
+        assert!(src.pump().entries.is_empty());
+        assert_eq!(src.salvage().count(SalvageReason::UnpublishedSlot), 1);
+        raw.write_all_at(&entry(2).to_bytes(), LogEntry::offset_of(1))
+            .unwrap();
+        assert!(src.pump().entries.is_empty(), "the cursor moved on");
+        assert_eq!(src.salvage().kept, 1);
+    }
+
+    #[test]
+    fn invalid_slots_below_the_tail_are_skipped_and_counted_in_the_same_pump() {
+        let dir = scratch("samepump");
         let mut w = FileShmWriter::create(&dir.0, &header(7, 8)).unwrap();
         w.write(&entry(1)).unwrap();
-        w.crash_after_reserve().unwrap();
+        w.skip_slot_unwritten().unwrap();
         w.write(&entry(3)).unwrap();
-        w.finish().unwrap();
+        w.write_torn(&entry(4)).unwrap();
+        w.write(&entry(5)).unwrap();
         let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
         let b = src.pump();
-        assert_eq!(b.entries, vec![entry(1), entry(3)]);
+        assert_eq!(b.entries, vec![entry(1), entry(3), entry(5)]);
+        let report = src.salvage();
+        assert_eq!(report.count(SalvageReason::UnpublishedSlot), 1);
+        assert_eq!(report.count(SalvageReason::TornEntry), 1);
+        assert_eq!(report.kept, 3);
+        assert!(!src.is_exhausted(), "writer still active");
+        w.finish().unwrap();
+        assert!(src.pump().entries.is_empty());
         assert!(src.is_exhausted());
-        assert_eq!(src.salvage().count(SalvageReason::UnpublishedSlot), 1);
+    }
+
+    #[test]
+    fn a_log_larger_than_the_read_chunk_drains_in_order() {
+        let dir = scratch("chunks");
+        let n = 2 * READ_CHUNK_ENTRIES + 17;
+        let mut w = FileShmWriter::create(&dir.0, &header(7, n + 8)).unwrap();
+        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        // Start mid-chunk, so chunk boundaries fall at unaligned indices.
+        for k in 1..=5 {
+            w.write(&entry(k)).unwrap();
+        }
+        assert_eq!(src.pump().entries.len(), 5);
+        for k in 6..=n {
+            w.write(&entry(k)).unwrap();
+        }
+        w.finish().unwrap();
+        let b = src.pump();
+        assert_eq!(b.entries.len() as u64, n - 5);
+        assert!(b.entries.iter().map(|e| e.counter).eq(6..=n));
+        assert!(src.is_exhausted());
+        assert!(src.salvage().is_clean());
+    }
+
+    #[test]
+    fn a_header_claiming_more_than_the_file_holds_reads_only_what_is_on_disk() {
+        let dir = scratch("overclaim");
+        let mut w = FileShmWriter::create(&dir.0, &header(7, 4)).unwrap();
+        for k in 1..=3 {
+            w.write(&entry(k)).unwrap();
+        }
+        // A hostile header: capacity and tail far beyond the 4 slots the
+        // file has bytes for.
+        let raw = raw_file(&dir, 7);
+        write_word(&raw, OFF_SIZE, 1 << 40).unwrap();
+        write_word(&raw, OFF_TAIL, 1 << 40).unwrap();
+        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        let b = src.pump();
+        assert_eq!(b.entries, vec![entry(1), entry(2), entry(3)]);
+        assert!(b.entries.capacity() as u64 <= READ_CHUNK_ENTRIES);
+        assert_eq!(b.dropped, 0);
+        assert!(src.is_dead(), "a file shorter than its tail is truncated");
+        let report = src.salvage();
+        assert_eq!(report.count(SalvageReason::TruncatedFile), (1 << 40) - 4);
+        assert_eq!(report.count(SalvageReason::UnpublishedSlot), 1);
+        assert_eq!(report.kept, 3);
     }
 
     #[test]

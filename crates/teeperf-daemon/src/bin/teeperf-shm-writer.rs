@@ -2,7 +2,7 @@
 //! transport. The e2e tests and the CI smoke stage spawn several of these
 //! as real OS child processes; each registers `<pid>.tplog` (+ `<pid>.sym`)
 //! in the shared directory and publishes a deterministic `main → work →
-//! leaf` call tree through the reserve → write → publish discipline.
+//! leaf` call tree, one slot write and one tail store per event.
 //!
 //! `teeperf-shm-writer --help` lists the flags.
 //!

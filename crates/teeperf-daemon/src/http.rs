@@ -57,9 +57,22 @@ impl Request {
 /// I/O failures, an over-long head, and a malformed request line all
 /// surface as `InvalidData`-style errors; the caller drops the connection.
 pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
-    let mut reader = BufReader::new(stream);
+    // The budget bounds the reads themselves, not a count taken after
+    // them: a client streaming bytes without a newline makes `read_line`
+    // buffer at most what is left of it.
+    let mut reader = BufReader::new(stream.take(MAX_HEAD_BYTES as u64));
+    let mut read_line = |line: &mut String| -> io::Result<usize> {
+        let n = reader.read_line(line)?;
+        if !line.ends_with('\n') && reader.get_ref().limit() == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "request head too large",
+            ));
+        }
+        Ok(n)
+    };
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    read_line(&mut line)?;
     let mut parts = line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next()) {
         (Some(m), Some(t)) => (m.to_string(), t.to_string()),
@@ -70,17 +83,9 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
             ))
         }
     };
-    let mut head = line.len();
     loop {
         let mut header = String::new();
-        let n = reader.read_line(&mut header)?;
-        head += n;
-        if head > MAX_HEAD_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "request head too large",
-            ));
-        }
+        let n = read_line(&mut header)?;
         if n == 0 || header == "\r\n" || header == "\n" {
             break;
         }
@@ -236,6 +241,32 @@ mod tests {
         let (status, body) = get(&addr.to_string(), "/snapshot", Duration::from_secs(5)).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, "[live]\nepoch 0\n");
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_newline_less_request_line_is_refused_within_the_head_budget() {
+        const SENT: usize = 1 << 20;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let err = read_request(&mut stream).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            // What `read_request` did not take off the socket is still
+            // there to be counted: it buffered no more than its budget.
+            let left = io::copy(&mut stream, &mut io::sink()).unwrap() as usize;
+            assert!(left >= SENT - MAX_HEAD_BYTES, "only {left} bytes left");
+            // The next, well-formed request is served as usual.
+            let (mut stream, _) = listener.accept().unwrap();
+            assert_eq!(read_request(&mut stream).unwrap().path(), "/healthz");
+            Response::text("ok\n").write_to(&mut stream).unwrap();
+        });
+        let mut hostile = TcpStream::connect(addr).unwrap();
+        hostile.write_all(&vec![b'A'; SENT]).unwrap();
+        hostile.shutdown(std::net::Shutdown::Write).unwrap();
+        let (status, body) = get(&addr.to_string(), "/healthz", Duration::from_secs(5)).unwrap();
+        assert_eq!((status, body.as_str()), (200, "ok\n"));
         server.join().unwrap();
     }
 }

@@ -72,8 +72,6 @@ pub struct DaemonConfig {
     pub snapshot_out: Option<PathBuf>,
     /// Liveness watchdog handed to the registry.
     pub watchdog: WatchdogConfig,
-    /// Consecutive pumps an unpublished hole may stall a source's cursor.
-    pub hole_pumps: u64,
     /// Shut down after this many loop iterations (a test/CI safety net;
     /// `None` runs until asked to stop).
     pub max_loops: Option<u64>,
@@ -98,7 +96,6 @@ impl Default for DaemonConfig {
             scan_every: 4,
             snapshot_out: None,
             watchdog: WatchdogConfig::default(),
-            hole_pumps: teeperf_core::shm_file::DEFAULT_HOLE_PUMPS,
             max_loops: None,
             retention: None,
             budget: None,
@@ -487,9 +484,7 @@ impl Daemon {
     }
 
     fn attach_log(&mut self, pid: u64, path: &Path) -> Result<(), String> {
-        let source = FileShmSource::open(path)
-            .map_err(|e| e.to_string())?
-            .with_hole_pumps(self.config.hole_pumps);
+        let source = FileShmSource::open(path).map_err(|e| e.to_string())?;
         if source.pid() != pid {
             return Err(format!(
                 "file is named for pid {pid} but its header says {}",
@@ -849,7 +844,6 @@ mod tests {
             scan_every: 1,
             snapshot_out: None,
             watchdog: WatchdogConfig::default(),
-            hole_pumps: 4,
             max_loops: None,
             retention,
             budget: None,
@@ -1073,7 +1067,6 @@ mod tests {
             scan_every: 1,
             snapshot_out: None,
             watchdog: WatchdogConfig::default(),
-            hole_pumps: 4,
             max_loops: None,
             retention: None,
             budget: Some(teeperf_live::OverheadBudget { pct: 5 }),

@@ -35,9 +35,6 @@
 //!   view whose totals are exactly the per-pid sums. Sessions attach and
 //!   detach hot, and an optional liveness watchdog quarantines sources
 //!   whose producer crashed — their prior contribution stays in the merge.
-//! * [`native`] — [`NativeLiveSession`]: continuous profiling of native
-//!   Rust workloads under a *real* spin-counter thread, through the same
-//!   session machinery.
 //! * [`window`] — windowed retention: a [`RetentionRing`] of per-interval
 //!   aggregates over the virtual clock with time-decayed coarsening, one
 //!   ring per session (so one noisy pid cannot age out another's
@@ -55,7 +52,6 @@
 #![forbid(unsafe_code)]
 
 pub mod driver;
-pub mod native;
 pub mod registry;
 pub mod rolling;
 pub mod session;
@@ -66,7 +62,6 @@ pub use driver::{
     live_profile_processes, live_profile_program, LiveRun, LiveRunConfig, MultiLiveError,
     MultiLiveRun,
 };
-pub use native::NativeLiveSession;
 pub use registry::{AttachError, RegistryRun, SessionRegistry, WatchdogConfig};
 pub use rolling::RollingProfile;
 pub use session::{DrainPolicy, LiveConfig, LiveSession, OverheadBudget};

@@ -336,12 +336,6 @@ impl LiveSession {
         self.source.pid()
     }
 
-    /// Replace the symbolizer (a native workload registers functions
-    /// lazily, so its debug info grows while the session runs).
-    pub fn set_symbolizer(&mut self, symbolizer: Symbolizer) {
-        self.symbolizer = symbolizer;
-    }
-
     /// Drain whatever the writers have published and merge it. Returns the
     /// number of entries consumed.
     ///

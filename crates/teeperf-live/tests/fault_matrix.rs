@@ -591,10 +591,8 @@ fn file_writer(dir: &std::path::Path, pid: u64, cap: u64) -> FileShmWriter {
     FileShmWriter::create(dir, &make_header(pid, cap, true, 0, 0)).expect("create file log")
 }
 
-fn file_source(w: &FileShmWriter, hole_pumps: u64) -> FileShmSource {
-    FileShmSource::open(w.path())
-        .expect("open file log")
-        .with_hole_pumps(hole_pumps)
+fn file_source(w: &FileShmWriter) -> FileShmSource {
+    FileShmSource::open(w.path()).expect("open file log")
 }
 
 /// Truncation mid-drain: the reader has consumed part of the log when the
@@ -611,7 +609,7 @@ fn file_matrix_truncation_mid_drain_is_clamped_and_counted() {
     for k in 1..=6 {
         w.write(&entry(k)).unwrap();
     }
-    let mut source = file_source(&w, 2);
+    let mut source = file_source(&w);
     assert_eq!(source.pump().entries.len(), 6, "first drain is clean");
 
     for k in 7..=10 {
@@ -651,7 +649,7 @@ fn file_matrix_torn_entry_is_dropped_and_rest_delivered() {
     w.write(&entry(4)).unwrap();
     w.finish().unwrap();
 
-    let mut source = file_source(&w, 2);
+    let mut source = file_source(&w);
     let mut got = Vec::new();
     while !source.is_exhausted() {
         got.extend(source.drain_to_end().entries);
@@ -665,10 +663,11 @@ fn file_matrix_torn_entry_is_dropped_and_rest_delivered() {
     assert_eq!(report.kept, 3);
 }
 
-/// A writer that dies between reserving a slot and publishing it leaves an
-/// unpublished hole. Pumps wait out the stall budget (the writer might
-/// just be slow); the final drain closes the hole, counts it, and delivers
-/// everything published after it — bounded work, no spin.
+/// A tail advanced over a slot that was never written — what only a
+/// broken writer leaves, since a correct one stores the slot first and a
+/// crashed one leaves nothing below its tail. The slot is skipped and
+/// counted, and everything published after it is delivered — bounded
+/// work, no waiting.
 #[test]
 fn file_matrix_writer_crash_hole_is_closed_by_the_final_drain() {
     let _guard = hang_guard("file-crash-hole");
@@ -676,10 +675,10 @@ fn file_matrix_writer_crash_hole_is_closed_by_the_final_drain() {
     let mut w = file_writer(&dir.0, 9, 32);
     w.write(&entry(1)).unwrap();
     w.write(&entry(2)).unwrap();
-    w.crash_after_reserve().unwrap();
+    w.skip_slot_unwritten().unwrap();
     w.write(&entry(4)).unwrap();
 
-    let mut source = file_source(&w, 2);
+    let mut source = file_source(&w);
     let mut got = Vec::new();
     for _ in 0..8 {
         got.extend(source.pump().entries);
@@ -723,9 +722,8 @@ fn file_matrix_registry_quarantines_corrupt_file_among_survivors() {
     );
 
     let mut reg = SessionRegistry::new(LiveConfig::default());
-    reg.attach(Box::new(file_source(&healthy, 2)), sym())
-        .unwrap();
-    reg.attach(Box::new(file_source(&sick, 2)), sym()).unwrap();
+    reg.attach(Box::new(file_source(&healthy)), sym()).unwrap();
+    reg.attach(Box::new(file_source(&sick)), sym()).unwrap();
     reg.pump();
     assert_eq!(reg.pids(), vec![5, 6], "both alive after a healthy span");
 

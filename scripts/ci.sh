@@ -262,4 +262,29 @@ fi
 tmo 600 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 tmo 600 benchmark/run.sh --smoke
 
+# File transport (ISSUE 16): the two-process stress test (a full-speed
+# writer process against a tight pump loop — the hammer for the
+# transport's one cross-process assumption), then one traced ingest_flood
+# at smoke length, whose per-layer counters must show the protocol's
+# shape: two positioned writes per event (slot, tail) and bulk pump reads.
+# Both are exact counts of the program (`/proc/self/io` deltas), so the
+# gate cannot flake on host speed. Last, because the stages above have
+# built everything it runs (the workspace tests the stress binary, the
+# benchmark stage teeperfd and the harness), so the KILL timeout bounds
+# the runs and not a compile.
+file_transport() {
+  local json writes reads
+  run cargo test -q --offline -p teeperf-daemon --test file_transport_stress
+  json="$(benchmark/run.sh --workload ingest_flood --smoke --trace 1 | tail -1)"
+  metric() { echo "$json" | sed -n "s/.*\"$1\":{\"value\":\([0-9.e+-]*\),.*/\1/p"; }
+  writes="$(metric core.shm_file.write_syscalls_per_event)"
+  reads="$(metric core.shm_file.pump_read_syscalls_per_event)"
+  echo "file-transport: write_syscalls_per_event=$writes pump_read_syscalls_per_event=$reads"
+  awk -v w="$writes" -v r="$reads" \
+    'BEGIN { exit !(w != "" && r != "" && w + 0 < 2.01 && r + 0 < 0.01) }' \
+    || { echo "file-transport: want < 2.01 writes and < 0.01 reads per event"; return 1; }
+  echo "==> file-transport ok"
+}
+tmo 120 bash -c "$(declare -f file_transport run); file_transport"
+
 echo "==> ci ok"

@@ -4,11 +4,10 @@
 
 use std::sync::Arc;
 
+use bench::plog::{PartitionedHooks, PartitionedLog};
 use teeperf::analyzer::Analyzer;
 use teeperf::compiler::{compile_instrumented, profile_program, InstrumentOptions};
-use teeperf::core::{
-    log::make_header, PartitionedHooks, PartitionedLog, RecorderConfig, SimCounter,
-};
+use teeperf::core::{log::make_header, RecorderConfig, SimCounter};
 use teeperf::flamegraph::FlameGraph;
 use teeperf::mc::{RunConfig, Vm};
 use teeperf::sim::{CostModel, Machine, SharedMem, ENCLAVE_TEXT_BASE, SHM_BASE};
