@@ -17,7 +17,13 @@
 //!   truncated logs and orphan returns;
 //! * [`profile`] — method-level aggregation: calls, inclusive/exclusive
 //!   ticks, min/max, per-thread breakdowns, and folded stacks for the
-//!   visualizer;
+//!   visualizer. Aggregation is on integers and symbolization comes last,
+//!   once: [`Aggregates`] is the address-keyed table of one process
+//!   (`materialize` is its way out), [`ProfileMerge`] the name-keyed
+//!   accumulator of a cross-process view — profiles or still
+//!   address-keyed aggregates go in, names are small integers inside, and
+//!   `finish` makes the strings of the merged rows only
+//!   ([`merge_profiles`] is its fold over profiles);
 //! * [`symbolize`] — `addr2line`/`c++filt` equivalent: relocation via the
 //!   header's anchor address, then symbol lookup and demangling;
 //! * [`query`] — a small dataframe engine with a declarative query language
@@ -38,7 +44,7 @@ pub mod symbolize;
 pub use compare::diff;
 
 pub use profile::Aggregates;
-pub use profile::{merge_profiles, MethodStats, Profile};
+pub use profile::{merge_profiles, MethodStats, Profile, ProfileMerge};
 pub use query::frame::{Column, Frame};
 pub use query::run_query;
 pub use query::windowed::{RankBy, WindowSel, WindowSpec};

@@ -9,6 +9,12 @@
 //! and associative and every output table is finished with a total sort,
 //! so the sharded result is byte-identical to the sequential one — the
 //! invariant `build_with_shards` is tested against.
+//!
+//! Across processes an address means nothing — the same function loads at
+//! different addresses, different functions at the same one — so a
+//! cross-process view is a second table, keyed by name: [`ProfileMerge`],
+//! fed with finished [`Profile`]s or with [`Aggregates`] that are still
+//! address-keyed, and materialized once, in its `finish`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -21,6 +27,9 @@ use teeperf_core::{EventSource, LogFile};
 
 /// Sentinel caller address for top-level frames.
 pub const ROOT_ADDR: u64 = u64::MAX;
+
+/// The caller name top-level frames hang off in [`Profile::caller_edges`].
+const ROOT_NAME: &str = "<root>";
 
 /// Aggregated statistics for one method.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,7 +112,7 @@ pub struct Profile {
     pub pids: BTreeSet<u64>,
 }
 
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct RawMethod {
     calls: u64,
     inclusive: u64,
@@ -111,6 +120,70 @@ struct RawMethod {
     min_inclusive: u64,
     max_inclusive: u64,
     threads: BTreeSet<u64>,
+}
+
+impl Default for RawMethod {
+    /// The identity of [`RawMethod::add`]: no calls, so no fastest one.
+    fn default() -> RawMethod {
+        RawMethod {
+            calls: 0,
+            inclusive: 0,
+            exclusive: 0,
+            min_inclusive: u64::MAX,
+            max_inclusive: 0,
+            threads: BTreeSet::new(),
+        }
+    }
+}
+
+impl RawMethod {
+    /// Fold another row's counters into this one. Threads are the
+    /// caller's to add: a cross-process merge re-keys them first.
+    fn add(&mut self, calls: u64, inclusive: u64, exclusive: u64, min: u64, max: u64) {
+        self.calls += calls;
+        self.inclusive += inclusive;
+        self.exclusive += exclusive;
+        self.min_inclusive = self.min_inclusive.min(min);
+        self.max_inclusive = self.max_inclusive.max(max);
+    }
+}
+
+/// Add `ticks` to `path`'s row, cloning the path only when it is new.
+fn add_path<K: std::hash::Hash + Eq + Clone>(
+    folded: &mut HashMap<Vec<K>, u64>,
+    path: &[K],
+    ticks: u64,
+) {
+    match folded.get_mut(path) {
+        Some(t) => *t += ticks,
+        None => {
+            folded.insert(path.to_vec(), ticks);
+        }
+    }
+}
+
+/// Add one caller→callee contribution `(calls, inclusive, exclusive)` to
+/// `edge`'s row.
+fn add_edge<K: std::hash::Hash + Eq>(
+    edges: &mut HashMap<K, (u64, u64, u64)>,
+    edge: K,
+    (calls, inclusive, exclusive): (u64, u64, u64),
+) {
+    let e = edges.entry(edge).or_default();
+    e.0 += calls;
+    e.1 += inclusive;
+    e.2 += exclusive;
+}
+
+/// The method table's total order: exclusive ticks descending, then name,
+/// then address.
+fn sort_methods(methods: &mut [MethodStats]) {
+    methods.sort_by(|a, b| {
+        b.exclusive
+            .cmp(&a.exclusive)
+            .then_with(|| a.name.cmp(&b.name))
+            .then_with(|| a.addr.cmp(&b.addr))
+    });
 }
 
 /// Address-keyed aggregation state over completed calls.
@@ -158,35 +231,28 @@ impl Aggregates {
     /// took). `scale == 1` is exactly [`Aggregates::merge_call`].
     pub fn merge_call_scaled(&mut self, tid: u64, call: &CompletedCall, scale: u64) {
         let scale = scale.max(1);
-        let m = self.methods.entry(call.addr).or_insert_with(|| RawMethod {
-            min_inclusive: u64::MAX,
-            ..RawMethod::default()
-        });
-        m.calls += scale;
-        m.inclusive += scale * call.inclusive();
-        m.exclusive += scale * call.exclusive();
-        m.min_inclusive = m.min_inclusive.min(call.inclusive());
-        m.max_inclusive = m.max_inclusive.max(call.inclusive());
+        let m = self.methods.entry(call.addr).or_default();
+        m.add(
+            scale,
+            scale * call.inclusive(),
+            scale * call.exclusive(),
+            call.inclusive(),
+            call.inclusive(),
+        );
         m.threads.insert(tid);
         if call.exclusive() > 0 {
-            // Clone the stack only when this exact path is new.
-            match self.folded.get_mut(call.stack.as_slice()) {
-                Some(ticks) => *ticks += scale * call.exclusive(),
-                None => {
-                    self.folded
-                        .insert(call.stack.clone(), scale * call.exclusive());
-                }
-            }
+            add_path(&mut self.folded, &call.stack, scale * call.exclusive());
         }
         let caller = if call.stack.len() >= 2 {
             call.stack[call.stack.len() - 2]
         } else {
             ROOT_ADDR
         };
-        let e = self.edges.entry((caller, call.addr)).or_default();
-        e.0 += scale;
-        e.1 += scale * call.inclusive();
-        e.2 += scale * call.exclusive();
+        add_edge(
+            &mut self.edges,
+            (caller, call.addr),
+            (scale, scale * call.inclusive(), scale * call.exclusive()),
+        );
     }
 
     /// Fold one thread's reconstruction batch into the aggregate. Always
@@ -218,11 +284,13 @@ impl Aggregates {
                 }
                 std::collections::hash_map::Entry::Occupied(mut e) => {
                     let m = e.get_mut();
-                    m.calls += raw.calls;
-                    m.inclusive += raw.inclusive;
-                    m.exclusive += raw.exclusive;
-                    m.min_inclusive = m.min_inclusive.min(raw.min_inclusive);
-                    m.max_inclusive = m.max_inclusive.max(raw.max_inclusive);
+                    m.add(
+                        raw.calls,
+                        raw.inclusive,
+                        raw.exclusive,
+                        raw.min_inclusive,
+                        raw.max_inclusive,
+                    );
                     m.threads.extend(raw.threads);
                 }
             }
@@ -230,11 +298,8 @@ impl Aggregates {
         for (path, ticks) in other.folded {
             *self.folded.entry(path).or_default() += ticks;
         }
-        for (edge, (calls, inclusive, exclusive)) in other.edges {
-            let e = self.edges.entry(edge).or_default();
-            e.0 += calls;
-            e.1 += inclusive;
-            e.2 += exclusive;
+        for (edge, counters) in other.edges {
+            add_edge(&mut self.edges, edge, counters);
         }
         for (tid, calls) in other.calls_per_thread {
             *self.calls_per_thread.entry(tid).or_default() += calls;
@@ -268,12 +333,7 @@ impl Aggregates {
                 threads: raw.threads.clone(),
             })
             .collect();
-        methods.sort_by(|a, b| {
-            b.exclusive
-                .cmp(&a.exclusive)
-                .then_with(|| a.name.cmp(&b.name))
-                .then_with(|| a.addr.cmp(&b.addr))
-        });
+        sort_methods(&mut methods);
         let total_ticks = methods.iter().map(|m| m.exclusive).sum();
 
         // Folded stacks: intern each address once (the symbolizer caches
@@ -285,12 +345,7 @@ impl Aggregates {
         for (path, ticks) in &self.folded {
             id_buf.clear();
             id_buf.extend(path.iter().map(|a| symbolizer.intern(*a)));
-            match by_ids.get_mut(id_buf.as_slice()) {
-                Some(t) => *t += ticks,
-                None => {
-                    by_ids.insert(id_buf.clone(), *ticks);
-                }
-            }
+            add_path(&mut by_ids, &id_buf, *ticks);
         }
         let mut names: HashMap<SymId, String> = HashMap::new();
         let mut folded: Vec<(Vec<String>, u64)> = by_ids
@@ -325,7 +380,7 @@ impl Aggregates {
                     (*caller, *callee),
                     CallerEdge {
                         caller: if *caller == ROOT_ADDR {
-                            "<root>".to_string()
+                            ROOT_NAME.to_string()
                         } else {
                             symbolizer.name_of(*caller)
                         },
@@ -364,25 +419,27 @@ impl Aggregates {
 
 /// Build the profile-local symbol table over sorted folded stacks: ids in
 /// order of first appearance, deterministic by construction. Shared by
-/// [`Aggregates::materialize`] and [`merge_profiles`].
+/// [`Aggregates::materialize`] and [`ProfileMerge::finish`]. A name is
+/// copied once, into the table, the first time it appears.
 fn intern_folded(folded: &[(Vec<String>, u64)]) -> (Vec<String>, Vec<(Vec<u32>, u64)>) {
-    let mut symbols: Vec<String> = Vec::new();
-    let mut local: HashMap<String, u32> = HashMap::new();
+    let mut local: HashMap<&str, u32> = HashMap::new();
+    let mut first_seen: Vec<&str> = Vec::new();
     let folded_ids: Vec<(Vec<u32>, u64)> = folded
         .iter()
         .map(|(path, ticks)| {
             let ids = path
                 .iter()
                 .map(|name| {
-                    *local.entry(name.clone()).or_insert_with(|| {
-                        symbols.push(name.clone());
-                        u32::try_from(symbols.len() - 1).expect("fewer than 2^32 symbols")
+                    *local.entry(name.as_str()).or_insert_with(|| {
+                        first_seen.push(name);
+                        u32::try_from(first_seen.len() - 1).expect("fewer than 2^32 symbols")
                     })
                 })
                 .collect();
             (ids, *ticks)
         })
         .collect();
+    let symbols = first_seen.into_iter().map(str::to_string).collect();
     (symbols, folded_ids)
 }
 
@@ -587,116 +644,258 @@ pub fn merged_thread_key(pid: u64, tid: u64) -> u64 {
     (pid << 32) | (tid & 0xffff_ffff)
 }
 
-/// Merge per-process profiles into one cross-process view.
+/// The name-space accumulator under every cross-process view: per-process
+/// contributions go in — already materialized ([`ProfileMerge::add_profile`])
+/// or still address-keyed ([`ProfileMerge::add_aggregates`]) — and one
+/// [`Profile`] comes out ([`ProfileMerge::finish`]).
 ///
-/// Each part is `(pid, profile)`. Different processes may load the same
-/// function at different addresses (and different functions at the same
-/// address), so the merge keys methods, folded stacks, and caller edges by
-/// *name*, taking the smallest address as the representative; threads and
-/// per-thread calls are re-keyed with [`merged_thread_key`]. Every counter
-/// is summed, so the merged totals equal the sum of the per-process
-/// totals, and every table is finished with the same total sorts as
-/// [`Aggregates::materialize`]. Merging is commutative: part order does
-/// not affect the result.
-pub fn merge_profiles(parts: &[(u64, &Profile)]) -> Profile {
-    let mut methods: HashMap<String, MethodStats> = HashMap::new();
-    let mut folded_acc: HashMap<Vec<String>, u64> = HashMap::new();
-    let mut edges: HashMap<(String, String), (u64, u64, u64)> = HashMap::new();
-    let mut per_thread_calls: BTreeMap<u64, Vec<CompletedCall>> = BTreeMap::new();
-    let mut anomalies = Anomalies::default();
-    let mut pids: BTreeSet<u64> = BTreeSet::new();
-    let mut total_ticks = 0u64;
+/// Different processes may load the same function at different addresses
+/// (and different functions at the same address), so the merge keys
+/// methods, folded stacks and caller edges by *name*, taking the smallest
+/// address as a method's representative; threads and per-thread calls are
+/// re-keyed with [`merged_thread_key`]. Inside the accumulator a name is a
+/// small integer: each contribution maps its own names (or addresses) to
+/// ids once, every table merges on ids, and names become strings again
+/// only in `finish`. Every counter is summed, so the merged totals equal
+/// the sum of the per-process totals; contributions commute, and the two
+/// ways in agree — adding a process's aggregate gives the same result as
+/// adding the profile [`Aggregates::materialize`] builds from it.
+#[derive(Debug, Default)]
+pub struct ProfileMerge {
+    /// name → id, ids dense in order of first appearance.
+    names: HashMap<String, u32>,
+    /// name id → (smallest address seen, merged row).
+    methods: HashMap<u32, (u64, RawMethod)>,
+    folded: HashMap<Vec<u32>, u64>,
+    edges: HashMap<(u32, u32), (u64, u64, u64)>,
+    per_thread_calls: BTreeMap<u64, Vec<CompletedCall>>,
+    total_ticks: u64,
+    anomalies: Anomalies,
+    pids: BTreeSet<u64>,
+}
 
-    for (pid, p) in parts {
-        pids.insert(*pid);
-        pids.extend(p.pids.iter().copied());
-        total_ticks += p.total_ticks;
-        anomalies.orphan_returns += p.anomalies.orphan_returns;
-        anomalies.truncated_frames += p.anomalies.truncated_frames;
-        anomalies.incomplete_entries += p.anomalies.incomplete_entries;
-        anomalies.dropped_entries += p.anomalies.dropped_entries;
-        for m in &p.methods {
-            let e = methods
-                .entry(m.name.clone())
-                .or_insert_with(|| MethodStats {
-                    name: m.name.clone(),
-                    addr: m.addr,
-                    calls: 0,
-                    inclusive: 0,
-                    exclusive: 0,
-                    min_inclusive: u64::MAX,
-                    max_inclusive: 0,
-                    threads: BTreeSet::new(),
-                });
-            e.addr = e.addr.min(m.addr);
-            e.calls += m.calls;
-            e.inclusive += m.inclusive;
-            e.exclusive += m.exclusive;
-            e.min_inclusive = e.min_inclusive.min(m.min_inclusive);
-            e.max_inclusive = e.max_inclusive.max(m.max_inclusive);
-            e.threads
-                .extend(m.threads.iter().map(|t| merged_thread_key(*pid, *t)));
+/// The id of `name` in a [`ProfileMerge`]'s table, assigned on first sight
+/// (the only time the name is copied).
+fn name_id(names: &mut HashMap<String, u32>, name: &str) -> u32 {
+    if let Some(id) = names.get(name) {
+        return *id;
+    }
+    let id = u32::try_from(names.len()).expect("fewer than 2^32 names");
+    names.insert(name.to_string(), id);
+    id
+}
+
+/// The merged row of method `name`, whose representative address is the
+/// smallest of those it was seen at.
+fn method_row(
+    methods: &mut HashMap<u32, (u64, RawMethod)>,
+    name: u32,
+    addr: u64,
+) -> &mut RawMethod {
+    let (representative, row) = methods
+        .entry(name)
+        .or_insert_with(|| (addr, RawMethod::default()));
+    *representative = (*representative).min(addr);
+    row
+}
+
+impl ProfileMerge {
+    /// An empty merge.
+    pub fn new() -> ProfileMerge {
+        ProfileMerge::default()
+    }
+
+    fn add_anomalies(&mut self, anomalies: Anomalies) {
+        self.anomalies.orphan_returns += anomalies.orphan_returns;
+        self.anomalies.truncated_frames += anomalies.truncated_frames;
+        self.anomalies.incomplete_entries += anomalies.incomplete_entries;
+        self.anomalies.dropped_entries += anomalies.dropped_entries;
+    }
+
+    /// Add process `pid`'s materialized profile.
+    pub fn add_profile(&mut self, pid: u64, profile: &Profile) {
+        self.pids.insert(pid);
+        self.pids.extend(&profile.pids);
+        self.total_ticks += profile.total_ticks;
+        self.add_anomalies(profile.anomalies);
+        for m in &profile.methods {
+            let name = name_id(&mut self.names, &m.name);
+            let row = method_row(&mut self.methods, name, m.addr);
+            row.add(
+                m.calls,
+                m.inclusive,
+                m.exclusive,
+                m.min_inclusive,
+                m.max_inclusive,
+            );
+            row.threads
+                .extend(m.threads.iter().map(|t| merged_thread_key(pid, *t)));
         }
-        for (path, ticks) in &p.folded {
-            *folded_acc.entry(path.clone()).or_default() += ticks;
+        let mut ids: Vec<u32> = Vec::new();
+        for (path, ticks) in &profile.folded {
+            ids.clear();
+            ids.extend(path.iter().map(|name| name_id(&mut self.names, name)));
+            add_path(&mut self.folded, &ids, *ticks);
         }
-        for edge in &p.caller_edges {
-            let e = edges
-                .entry((edge.caller.clone(), edge.callee.clone()))
-                .or_default();
-            e.0 += edge.calls;
-            e.1 += edge.inclusive;
-            e.2 += edge.exclusive;
+        for edge in &profile.caller_edges {
+            let caller = name_id(&mut self.names, &edge.caller);
+            let callee = name_id(&mut self.names, &edge.callee);
+            add_edge(
+                &mut self.edges,
+                (caller, callee),
+                (edge.calls, edge.inclusive, edge.exclusive),
+            );
         }
-        for (tid, calls) in &p.per_thread_calls {
-            per_thread_calls
-                .entry(merged_thread_key(*pid, *tid))
+        for (tid, calls) in &profile.per_thread_calls {
+            self.per_thread_calls
+                .entry(merged_thread_key(pid, *tid))
                 .or_default()
                 .extend(calls.iter().cloned());
         }
     }
 
-    let mut methods: Vec<MethodStats> = methods.into_values().collect();
-    methods.sort_by(|a, b| {
-        b.exclusive
-            .cmp(&a.exclusive)
-            .then_with(|| a.name.cmp(&b.name))
-            .then_with(|| a.addr.cmp(&b.addr))
-    });
-    let mut folded: Vec<(Vec<String>, u64)> = folded_acc.into_iter().collect();
-    folded.sort();
-    let (symbols, folded_ids) = intern_folded(&folded);
-    let mut caller_edges: Vec<CallerEdge> = edges
-        .into_iter()
-        .map(
-            |((caller, callee), (calls, inclusive, exclusive))| CallerEdge {
-                caller,
-                callee,
-                calls,
-                inclusive,
-                exclusive,
-            },
-        )
-        .collect();
-    // Name pairs are unique keys here, so no address tiebreak is needed
-    // for a total order.
-    caller_edges.sort_by(|a, b| {
-        b.inclusive.cmp(&a.inclusive).then_with(|| {
-            (a.caller.as_str(), a.callee.as_str()).cmp(&(b.caller.as_str(), b.callee.as_str()))
-        })
-    });
-
-    Profile {
-        methods,
-        folded,
-        symbols,
-        folded_ids,
-        caller_edges,
-        per_thread_calls,
-        total_ticks,
-        anomalies,
-        pids,
+    /// Add process `pid`'s address-keyed aggregate without materializing
+    /// it: the contribution of
+    /// `aggregates.materialize(symbolizer, <every observed thread, no
+    /// retained calls>, anomalies)` stamped with `pid`, which is how a
+    /// rolling or window aggregate freezes. `anomalies` is the caller's to
+    /// state, as it is for `materialize` — a session reports its counters,
+    /// a window span reports none.
+    ///
+    /// Each distinct address of the aggregate goes through `symbolizer`
+    /// once per call; methods, folded paths and caller edges then merge as
+    /// integers.
+    pub fn add_aggregates(
+        &mut self,
+        pid: u64,
+        aggregates: &Aggregates,
+        symbolizer: &Symbolizer,
+        anomalies: Anomalies,
+    ) {
+        self.pids.insert(pid);
+        self.add_anomalies(anomalies);
+        let root = name_id(&mut self.names, ROOT_NAME);
+        let names = &mut self.names;
+        let mut seen: HashMap<u64, u32> = HashMap::with_capacity(aggregates.methods.len());
+        let mut id_of = |addr: u64| {
+            *seen
+                .entry(addr)
+                .or_insert_with(|| name_id(names, &symbolizer.name_of(addr)))
+        };
+        for (addr, raw) in &aggregates.methods {
+            self.total_ticks += raw.exclusive;
+            let row = method_row(&mut self.methods, id_of(*addr), *addr);
+            row.add(
+                raw.calls,
+                raw.inclusive,
+                raw.exclusive,
+                raw.min_inclusive,
+                raw.max_inclusive,
+            );
+            row.threads
+                .extend(raw.threads.iter().map(|t| merged_thread_key(pid, *t)));
+        }
+        let mut ids: Vec<u32> = Vec::new();
+        for (path, ticks) in &aggregates.folded {
+            ids.clear();
+            ids.extend(path.iter().map(|addr| id_of(*addr)));
+            add_path(&mut self.folded, &ids, *ticks);
+        }
+        for ((caller, callee), counters) in &aggregates.edges {
+            let caller = if *caller == ROOT_ADDR {
+                root
+            } else {
+                id_of(*caller)
+            };
+            add_edge(&mut self.edges, (caller, id_of(*callee)), *counters);
+        }
+        for tid in aggregates.thread_ids() {
+            self.per_thread_calls
+                .entry(merged_thread_key(pid, tid))
+                .or_default();
+        }
     }
+
+    /// Turn ids back into names and finish every table with the same
+    /// total sorts as [`Aggregates::materialize`] — the only place a
+    /// cross-process view is sorted, and where its strings are made.
+    pub fn finish(self) -> Profile {
+        let mut names: Vec<&str> = vec![""; self.names.len()];
+        for (name, id) in &self.names {
+            names[*id as usize] = name;
+        }
+        let name = |id: u32| names[id as usize].to_string();
+
+        let mut methods: Vec<MethodStats> = self
+            .methods
+            .into_iter()
+            .map(|(id, (addr, raw))| MethodStats {
+                name: name(id),
+                addr,
+                calls: raw.calls,
+                inclusive: raw.inclusive,
+                exclusive: raw.exclusive,
+                min_inclusive: raw.min_inclusive,
+                max_inclusive: raw.max_inclusive,
+                threads: raw.threads,
+            })
+            .collect();
+        sort_methods(&mut methods);
+
+        // Id paths are distinct and ids stand for distinct names, so the
+        // named paths are distinct and a plain sort is total.
+        let mut folded: Vec<(Vec<String>, u64)> = self
+            .folded
+            .into_iter()
+            .map(|(ids, ticks)| (ids.into_iter().map(name).collect(), ticks))
+            .collect();
+        folded.sort();
+        let (symbols, folded_ids) = intern_folded(&folded);
+
+        // Name pairs are unique keys here, so no address tiebreak is
+        // needed for a total order.
+        let mut caller_edges: Vec<CallerEdge> = self
+            .edges
+            .into_iter()
+            .map(
+                |((caller, callee), (calls, inclusive, exclusive))| CallerEdge {
+                    caller: name(caller),
+                    callee: name(callee),
+                    calls,
+                    inclusive,
+                    exclusive,
+                },
+            )
+            .collect();
+        caller_edges.sort_by(|a, b| {
+            b.inclusive.cmp(&a.inclusive).then_with(|| {
+                (a.caller.as_str(), a.callee.as_str()).cmp(&(b.caller.as_str(), b.callee.as_str()))
+            })
+        });
+
+        Profile {
+            methods,
+            folded,
+            symbols,
+            folded_ids,
+            caller_edges,
+            per_thread_calls: self.per_thread_calls,
+            total_ticks: self.total_ticks,
+            anomalies: self.anomalies,
+            pids: self.pids,
+        }
+    }
+}
+
+/// Merge per-process profiles into one cross-process view: each part is
+/// `(pid, profile)`, folded through a [`ProfileMerge`]. Part order does
+/// not affect the result.
+pub fn merge_profiles(parts: &[(u64, &Profile)]) -> Profile {
+    let mut merge = ProfileMerge::new();
+    for (pid, profile) in parts {
+        merge.add_profile(*pid, profile);
+    }
+    merge.finish()
 }
 
 impl Profile {
@@ -1119,6 +1318,144 @@ mod tests {
             .caller_edges
             .iter()
             .any(|c| c.caller == "work" && c.callee == "work" && c.calls == 1));
+    }
+
+    /// The same binary loaded `slide` bytes higher: every name moves to a
+    /// different address, and (at a slide of one function stride) one
+    /// address names different functions in the two processes.
+    fn slid(slide: u64) -> Symbolizer {
+        let mut header = make_log(Vec::new()).header;
+        header.anchor = addr(0) + slide;
+        Symbolizer::new(debug(), &header)
+    }
+
+    #[test]
+    fn merge_profiles_keys_by_name_and_namespaces_threads() {
+        use EventKind::{Call, Return};
+        let slide = addr(1) - addr(0);
+        // Process 7: main { work@entry, work@entry+4 } on thread 0, an
+        // orphan return on thread 1.
+        let mut a = make_log(vec![
+            e(Call, 0, addr(0), 0),
+            e(Call, 10, addr(1), 0),
+            e(Return, 30, addr(1), 0),
+            e(Call, 40, addr(1) + 4, 0),
+            e(Return, 45, addr(1) + 4, 0),
+            e(Return, 100, addr(0), 0),
+            e(Return, 101, addr(2), 1),
+        ]);
+        a.header.pid = 7;
+        // Process 9, slid by one function: work { leaf } on thread 0 and
+        // a raw-hex frame that never returns.
+        let mut b = make_log(vec![
+            e(Call, 0, addr(1) + slide, 0),
+            e(Call, 5, addr(2) + slide, 0),
+            e(Return, 25, addr(2) + slide, 0),
+            e(Return, 60, addr(1) + slide, 0),
+            e(Call, 70, 0x10, 0),
+        ]);
+        b.header.pid = 9;
+        let pa = build(&a, &Symbolizer::without_relocation(debug()));
+        let pb = build(&b, &slid(slide));
+        assert_eq!(pa.methods.iter().filter(|m| m.name == "work").count(), 2);
+        let merged = merge_profiles(&[(7, &pa), (9, &pb)]);
+
+        // One row per name; the representative address is the smallest.
+        let work = merged.method("work").unwrap();
+        assert_eq!(
+            merged.methods.iter().filter(|m| m.name == "work").count(),
+            1
+        );
+        assert_eq!(work.addr, addr(1));
+        assert_eq!(work.calls, 3);
+        assert_eq!(work.inclusive, 20 + 5 + 60);
+        assert_eq!(work.exclusive, 20 + 5 + 40);
+        assert_eq!((work.min_inclusive, work.max_inclusive), (5, 60));
+        // Thread 0 of pid 7 and thread 0 of pid 9 are different threads.
+        assert_eq!(
+            work.threads,
+            BTreeSet::from([merged_thread_key(7, 0), merged_thread_key(9, 0)])
+        );
+        assert_eq!(
+            merged.per_thread_calls.keys().copied().collect::<Vec<_>>(),
+            vec![
+                merged_thread_key(7, 0),
+                merged_thread_key(7, 1),
+                merged_thread_key(9, 0)
+            ]
+        );
+        assert_eq!(merged.per_thread_calls[&merged_thread_key(7, 0)].len(), 3);
+        assert_eq!(merged.per_thread_calls[&merged_thread_key(9, 0)].len(), 3);
+
+        // Every counter is the sum of the parts.
+        assert_eq!(merged.total_ticks, pa.total_ticks + pb.total_ticks);
+        assert_eq!(merged.anomalies.orphan_returns, 1);
+        assert_eq!(merged.anomalies.truncated_frames, 1);
+        assert_eq!(merged.pids, BTreeSet::from([7, 9]));
+
+        // Folded paths and caller edges join on names.
+        let path = |names: &[&str]| names.iter().map(|n| (*n).to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            merged.folded,
+            vec![
+                (path(&["main"]), 75),
+                (path(&["main", "work"]), 25),
+                (path(&["work"]), 40),
+                (path(&["work", "leaf"]), 20),
+            ],
+            "the zero-tick 0x10 frame has no folded row"
+        );
+        let edge = |caller: &str, callee: &str| {
+            merged
+                .caller_edges
+                .iter()
+                .find(|c| c.caller == caller && c.callee == callee)
+                .map(|c| (c.calls, c.inclusive, c.exclusive))
+        };
+        assert_eq!(edge("main", "work"), Some((2, 25, 25)));
+        assert_eq!(edge("<root>", "work"), Some((1, 60, 40)));
+        assert_eq!(edge("<root>", "0x10"), Some((1, 0, 0)));
+        // The tables keep materialize's orders: methods by exclusive
+        // descending then name, edges by inclusive descending then names.
+        let names: Vec<&str> = merged.methods.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, ["main", "work", "leaf", "0x10"]);
+        let edges: Vec<(&str, &str)> = merged
+            .caller_edges
+            .iter()
+            .map(|c| (c.caller.as_str(), c.callee.as_str()))
+            .collect();
+        assert_eq!(
+            edges,
+            [
+                ("<root>", "main"),
+                ("<root>", "work"),
+                ("main", "work"),
+                ("work", "leaf"),
+                ("<root>", "0x10"),
+            ]
+        );
+        // The interned copy mirrors the folded table.
+        assert_eq!(merged.symbols, ["main", "work", "leaf"]);
+        assert_eq!(
+            merged.folded_ids,
+            vec![
+                (vec![0], 75),
+                (vec![0, 1], 25),
+                (vec![1], 40),
+                (vec![1, 2], 20)
+            ]
+        );
+
+        // Part order does not matter, and merging one part re-keys it.
+        assert_eq!(merge_profiles(&[(9, &pb), (7, &pa)]), merged);
+        let alone = merge_profiles(&[(7, &pa)]);
+        assert_eq!(
+            alone.methods.len(),
+            2,
+            "the two work addresses fold into one row"
+        );
+        assert_eq!(alone.method("work").unwrap().calls, 2);
+        assert_eq!(alone.total_ticks, pa.total_ticks);
     }
 
     #[test]

@@ -294,6 +294,15 @@ fn killed_writer_is_quarantined_not_wedging_the_registry() {
         text.contains(&format!("quarantined pid {doomed_pid}")),
         "snapshot events section records the quarantine: {text}"
     );
+    // A pid the merged view still lists and counts still answers for
+    // itself, with the session's final snapshot.
+    assert!(text.contains(&format!("pid {doomed_pid}\n")), "{text}");
+    let (code, own) = daemon.get(&format!("/pid/{doomed_pid}"));
+    assert_eq!(code, 200, "{own}");
+    assert_eq!(summary(&own).events, entries_for(3), "{own}");
+    let (code, svg) = daemon.get(&format!("/flame.svg?pid={doomed_pid}"));
+    assert_eq!(code, 200, "{svg}");
+    assert!(svg.contains("<svg") && svg.contains("work"), "{svg}");
     let (code, body) = daemon.get("/healthz");
     assert_eq!((code, body.as_str()), (200, "ok\n"));
 

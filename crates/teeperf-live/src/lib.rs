@@ -31,10 +31,12 @@
 //!   registry.
 //! * [`registry`] — the multi-process layer: a [`SessionRegistry`] keys
 //!   one session per [`teeperf_core::EventSource`] by the pid in its log
-//!   header, and merges the per-pid rolling profiles into a cross-process
-//!   view whose totals are exactly the per-pid sums. Sessions attach and
-//!   detach hot, and an optional liveness watchdog quarantines sources
-//!   whose producer crashed — their prior contribution stays in the merge.
+//!   header, and merges the per-pid rolling aggregates — address-keyed,
+//!   through one name-keyed [`teeperf_analyzer::ProfileMerge`], symbolized
+//!   once per request — into a cross-process view whose totals are exactly
+//!   the per-pid sums. Sessions attach and detach hot, and an optional
+//!   liveness watchdog quarantines sources whose producer crashed — their
+//!   prior contribution stays in the merge.
 //! * [`window`] — windowed retention: a [`RetentionRing`] of per-interval
 //!   aggregates over the virtual clock with time-decayed coarsening, one
 //!   ring per session (so one noisy pid cannot age out another's

@@ -6,8 +6,14 @@
 //! own drain cursor, epoch counter and rolling profile; the registry adds
 //! the cross-process views: per-pid snapshots on demand, plus a *merged*
 //! snapshot whose profile is the commutative merge of every per-pid
-//! profile (see [`teeperf_analyzer::merge_profiles`]), so the merged
-//! totals are exactly the sum of the per-pid totals.
+//! profile, so the merged totals are exactly the sum of the per-pid
+//! totals. A merged view is merged before it is symbolized: each attached
+//! session hands its address-keyed rolling (or window-span) aggregate to
+//! one name-keyed [`teeperf_analyzer::ProfileMerge`], retired sessions add
+//! their frozen final profiles, and the answer is materialized once — no
+//! per-session profile is built for `/snapshot` or `/query`, and nothing
+//! is kept between requests. Only a single-process view (`snapshot_pid`,
+//! the per-pid towers of a render) materializes a session by itself.
 //!
 //! Sessions come and go while the registry runs: [`SessionRegistry::attach`]
 //! accepts a new source at any point and [`SessionRegistry::detach`] ends
@@ -24,10 +30,9 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use teeperf_analyzer::merge_profiles;
 use teeperf_analyzer::query::windowed::top_rows;
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_analyzer::{diff, Frame, Profile, WindowSpec};
+use teeperf_analyzer::{diff, Frame, Profile, ProfileMerge, WindowSpec};
 use teeperf_core::layout::PID_UNSET;
 use teeperf_core::{EventSource, SalvageReport};
 use teeperf_flamegraph::{live, LiveStatus, SvgOptions};
@@ -382,26 +387,34 @@ impl SessionRegistry {
         status
     }
 
-    /// Freeze the session for `pid` into a snapshot (`None` if no such
-    /// session is attached).
+    /// The snapshot of process `pid`: its session frozen now while it is
+    /// attached, its final snapshot once it was detached or quarantined —
+    /// every pid the merged view counts answers here. `None` for a pid
+    /// that never was part of the run.
     pub fn snapshot_pid(&self, pid: u64) -> Option<Snapshot> {
-        self.sessions.get(&pid).map(LiveSession::snapshot)
+        match self.sessions.get(&pid) {
+            Some(session) => Some(session.snapshot()),
+            None => self.retired.get(&pid).cloned(),
+        }
     }
 
-    /// Freeze every session and merge: the returned snapshot's profile
+    /// The merged view of the run so far: the returned snapshot's profile
     /// covers all attached pids (plus retired ones, whose final frozen
     /// profiles keep contributing), its method and tick totals are the
     /// sums of the per-pid profiles, its status is
     /// [`Self::merged_status`], and its events list records every
-    /// attach/detach/quarantine so far.
+    /// attach/detach/quarantine so far. Equal to merging the per-pid
+    /// [`Self::snapshot_pid`]s, but no per-pid profile is built on the
+    /// way: attached sessions feed their rolling aggregates straight into
+    /// the one [`ProfileMerge`].
     pub fn merged_snapshot(&self) -> Snapshot {
-        let mut per_pid: BTreeMap<u64, Snapshot> = self
+        let mut parts: BTreeMap<u64, Part> = self
             .sessions
             .iter()
-            .map(|(pid, s)| (*pid, s.snapshot()))
+            .map(|(pid, s)| (*pid, Part::Live(s)))
             .collect();
-        per_pid.extend(self.retired.iter().map(|(pid, s)| (*pid, s.clone())));
-        merge_snapshots(&per_pid, self.events.clone())
+        parts.extend(self.retired.iter().map(|(pid, s)| (*pid, Part::Frozen(s))));
+        merge_snapshots(parts, self.events.clone())
     }
 
     /// The per-pid profiles for rendering: live sessions freshly frozen,
@@ -467,24 +480,19 @@ impl SessionRegistry {
         sel: &WindowSel,
         pid: Option<u64>,
     ) -> Option<(Vec<(u64, WindowMeta)>, Profile)> {
-        let spans: Vec<(u64, WindowMeta, Profile)> = match pid {
-            Some(p) => {
-                let (meta, profile) = self.sessions.get(&p)?.span_profile(sel)?;
-                vec![(p, meta, profile)]
-            }
+        let mut merge = ProfileMerge::new();
+        let spans: Vec<(u64, WindowMeta)> = match pid {
+            Some(p) => vec![(p, self.sessions.get(&p)?.merge_span_into(sel, &mut merge)?)],
             None => self
                 .sessions
                 .iter()
-                .filter_map(|(pid, s)| s.span_profile(sel).map(|(m, p)| (*pid, m, p)))
+                .filter_map(|(pid, s)| Some((*pid, s.merge_span_into(sel, &mut merge)?)))
                 .collect(),
         };
         if spans.is_empty() {
             return None;
         }
-        let parts: Vec<(u64, &Profile)> = spans.iter().map(|(pid, _, p)| (*pid, p)).collect();
-        let profile = merge_profiles(&parts);
-        let metas = spans.iter().map(|(pid, m, _)| (*pid, m.clone())).collect();
-        Some((metas, profile))
+        Some((spans, merge.finish()))
     }
 
     /// Two-window diff over retained history: window `a` as baseline,
@@ -541,16 +549,27 @@ impl SessionRegistry {
             .map(|(pid, s)| (*pid, s.finish()))
             .collect();
         per_pid.extend(self.retired.iter().map(|(pid, s)| (*pid, s.clone())));
-        let merged = merge_snapshots(&per_pid, self.events.clone());
+        let parts = per_pid.iter().map(|(pid, s)| (*pid, Part::Frozen(s)));
+        let merged = merge_snapshots(parts, self.events.clone());
         RegistryRun { per_pid, merged }
     }
 }
 
-/// Merge per-pid snapshots: profiles through [`merge_profiles`], statuses
-/// by field-wise summation; `events` (the registry's lifecycle log) is
-/// extended with each per-pid snapshot's own events — retention
-/// transitions recorded by the sessions — in ascending pid order, so the
-/// merged `[events]` section never hides history loss.
+/// One process's share of a merged snapshot.
+enum Part<'a> {
+    /// An attached session, read where it stands: its rolling aggregate
+    /// goes into the merge address-keyed, no per-pid profile is built.
+    Live(&'a LiveSession),
+    /// A snapshot that already exists: a retired session's final one, or
+    /// the per-pid results at the end of a run.
+    Frozen(&'a Snapshot),
+}
+
+/// Merge the per-pid `parts` (ascending by pid) into one snapshot: profiles
+/// through one [`ProfileMerge`], statuses by field-wise summation;
+/// `events` (the registry's lifecycle log) is extended with each part's
+/// own events — retention transitions recorded by the sessions — in pid
+/// order, so the merged `[events]` section never hides history loss.
 ///
 /// Regime blocks merge conservatively: the merged regime is the *most
 /// degraded* across the contributing sessions (each registry entry runs
@@ -558,22 +577,41 @@ impl SessionRegistry {
 /// budget is the tightest one — so a merged snapshot never claims more
 /// fidelity than its worst member delivers. Sessions without a block
 /// contribute nothing; when none has one, the merge has none.
-fn merge_snapshots(per_pid: &BTreeMap<u64, Snapshot>, events: Vec<SessionEvent>) -> Snapshot {
-    let parts: Vec<(u64, &Profile)> = per_pid.iter().map(|(pid, s)| (*pid, &s.profile)).collect();
-    let profile = merge_profiles(&parts);
+fn merge_snapshots<'a>(
+    parts: impl IntoIterator<Item = (u64, Part<'a>)>,
+    mut events: Vec<SessionEvent>,
+) -> Snapshot {
+    let mut merge = ProfileMerge::new();
     let mut status = LiveStatus::default();
-    let mut events = events;
     let mut regime: Option<RegimeInfo> = None;
-    for s in per_pid.values() {
-        status.epoch += s.status.epoch;
-        status.events += s.status.events;
-        status.dropped += s.status.dropped;
-        status.threads += s.status.threads;
-        status.open_frames += s.status.open_frames;
-        events.extend(s.events.iter().cloned());
-        if let Some(r) = &s.regime {
+    for (pid, part) in parts {
+        let (one, own_events, own_regime) = match part {
+            Part::Live(session) => {
+                session.merge_into(&mut merge);
+                (
+                    session.status(),
+                    session.session_events(),
+                    session.regime_info(),
+                )
+            }
+            Part::Frozen(snapshot) => {
+                merge.add_profile(pid, &snapshot.profile);
+                (
+                    snapshot.status.clone(),
+                    snapshot.events.as_slice(),
+                    snapshot.regime.clone(),
+                )
+            }
+        };
+        status.epoch += one.epoch;
+        status.events += one.events;
+        status.dropped += one.dropped;
+        status.threads += one.threads;
+        status.open_frames += one.open_frames;
+        events.extend_from_slice(own_events);
+        if let Some(r) = own_regime {
             regime = Some(match regime {
-                None => r.clone(),
+                None => r,
                 Some(m) => RegimeInfo {
                     regime: m.regime.max(r.regime),
                     budget_pct: match (m.budget_pct, r.budget_pct) {
@@ -589,7 +627,7 @@ fn merge_snapshots(per_pid: &BTreeMap<u64, Snapshot>, events: Vec<SessionEvent>)
     }
     Snapshot {
         status,
-        profile,
+        profile: merge.finish(),
         events,
         regime,
     }
@@ -757,6 +795,35 @@ mod tests {
         let text = run.merged.to_text();
         assert!(text.contains("[events]\n"));
         assert!(text.contains("detached pid 11\n"));
+    }
+
+    #[test]
+    fn a_retired_pid_still_answers_with_its_final_snapshot() {
+        let mut reg = SessionRegistry::new(LiveConfig::default());
+        for (pid, work) in [(11u64, 20u64), (22, 30)] {
+            reg.attach(Box::new(FileReplaySource::new(&file(pid, work))), sym())
+                .unwrap();
+        }
+        while reg.pump() > 0 {}
+        let gone = reg.detach(11).expect("session 11 is attached");
+        // Every pid the merged view lists and counts answers for itself.
+        assert_eq!(reg.snapshot_pid(11), Some(gone));
+        let merged = reg.merged_snapshot();
+        assert_eq!(merged.profile.pids, BTreeSet::from([11, 22]));
+        let per_pid: Vec<Snapshot> = merged
+            .profile
+            .pids
+            .iter()
+            .map(|pid| reg.snapshot_pid(*pid).expect("listed under [processes]"))
+            .collect();
+        let sum = |f: &dyn Fn(&Snapshot) -> u64| per_pid.iter().map(f).sum::<u64>();
+        assert_eq!(merged.profile.total_ticks, sum(&|s| s.profile.total_ticks));
+        assert_eq!(merged.status.events, sum(&|s| s.status.events));
+        assert_eq!(
+            merged.profile.method("work").unwrap().calls,
+            sum(&|s| s.profile.method("work").unwrap().calls)
+        );
+        assert!(reg.snapshot_pid(99).is_none(), "never part of the run");
     }
 
     #[test]

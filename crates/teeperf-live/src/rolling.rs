@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use teeperf_analyzer::profile::{Aggregates, Anomalies, Profile};
+use teeperf_analyzer::profile::{Aggregates, Anomalies, Profile, ProfileMerge};
 use teeperf_analyzer::reader::Event;
 use teeperf_analyzer::stacks::ResumableStacks;
 use teeperf_analyzer::symbolize::Symbolizer;
@@ -238,16 +238,32 @@ impl RollingProfile {
     pub fn snapshot(&self, symbolizer: &Symbolizer, dropped: u64) -> Profile {
         let per_thread_calls: BTreeMap<u64, Vec<_>> =
             self.agg.thread_ids().map(|tid| (tid, Vec::new())).collect();
-        self.agg.materialize(
-            symbolizer,
-            per_thread_calls,
-            Anomalies {
-                orphan_returns: self.agg.orphan_returns,
-                truncated_frames: self.agg.truncated_frames,
-                incomplete_entries: self.incomplete,
-                dropped_entries: dropped,
-            },
-        )
+        self.agg
+            .materialize(symbolizer, per_thread_calls, self.anomalies(dropped))
+    }
+
+    /// Contribute the rolling aggregate to a cross-process merge as
+    /// process `pid` — what [`RollingProfile::snapshot`] would add through
+    /// [`ProfileMerge::add_profile`], without materializing it.
+    pub(crate) fn merge_into(
+        &self,
+        merge: &mut ProfileMerge,
+        pid: u64,
+        symbolizer: &Symbolizer,
+        dropped: u64,
+    ) {
+        merge.add_aggregates(pid, &self.agg, symbolizer, self.anomalies(dropped));
+    }
+
+    /// The session-scoped data-quality counters, `dropped` being the
+    /// stream's cumulative overflow loss.
+    fn anomalies(&self, dropped: u64) -> Anomalies {
+        Anomalies {
+            orphan_returns: self.agg.orphan_returns,
+            truncated_frames: self.agg.truncated_frames,
+            incomplete_entries: self.incomplete,
+            dropped_entries: dropped,
+        }
     }
 }
 

@@ -11,7 +11,9 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
+use teeperf_analyzer::profile::Anomalies;
 use teeperf_analyzer::symbolize::Symbolizer;
+use teeperf_analyzer::ProfileMerge;
 use teeperf_core::{EventSource, LiveLogSource, Regime, SharedLog};
 use teeperf_flamegraph::{live, LiveStatus, SvgOptions};
 
@@ -524,6 +526,21 @@ impl LiveSession {
         }
     }
 
+    /// Contribute this session to a cross-process merge under its pid —
+    /// what [`LiveSession::snapshot`]'s profile would add through
+    /// [`ProfileMerge::add_profile`], fed from the rolling aggregate
+    /// without materializing it.
+    pub(crate) fn merge_into(&self, merge: &mut ProfileMerge) {
+        self.rolling
+            .merge_into(merge, self.source.pid(), &self.symbolizer, self.dropped());
+    }
+
+    /// The session's own events so far (retention transitions, regime
+    /// changes and faults) — the `events` of every snapshot it freezes.
+    pub(crate) fn session_events(&self) -> &[SessionEvent] {
+        &self.window_events
+    }
+
     /// End the session: drain the final partial epoch, force-close open
     /// frames, and return the final snapshot. The writers should have
     /// stopped (anything they write afterwards lands in the next epoch and
@@ -592,6 +609,29 @@ impl LiveSession {
         let (meta, mut profile) = self.rolling.span_profile(&self.symbolizer, sel)?;
         profile.pids = BTreeSet::from([self.source.pid()]);
         Some((meta, profile))
+    }
+
+    /// Contribute the exact merge of the selected retained windows to a
+    /// cross-process merge under this session's pid — what
+    /// [`LiveSession::span_profile`] would add through
+    /// [`ProfileMerge::add_profile`], without materializing it. Returns
+    /// the span's metadata; `None` (and nothing added) when retention is
+    /// disabled or the selection matches nothing.
+    pub(crate) fn merge_span_into(
+        &self,
+        sel: &WindowSel,
+        merge: &mut ProfileMerge,
+    ) -> Option<WindowMeta> {
+        let (meta, aggregate) = self.rolling.ring()?.span_aggregate(sel)?;
+        // Window anomalies are zero by construction: orphans and
+        // truncations are session-scoped.
+        merge.add_aggregates(
+            self.source.pid(),
+            &aggregate,
+            &self.symbolizer,
+            Anomalies::default(),
+        );
+        Some(meta)
     }
 
     /// Materialize the single retained slot containing window `idx` (a
@@ -836,6 +876,80 @@ mod tests {
             }
         }
         assert_eq!(probed, Some(Regime::sampled(64)));
+    }
+
+    /// A complete 4-ary call tree, 5 levels deep, on one thread: 341
+    /// distinct stacks over 17 functions (`f0` at the root, `f<level>_<child>`
+    /// below), every frame with ticks of its own.
+    fn call_tree(pid: u64) -> (teeperf_core::LogFile, Symbolizer) {
+        let names: Vec<String> = std::iter::once("f0".to_string())
+            .chain((1..5).flat_map(|level| (0..4).map(move |child| format!("f{level}_{child}"))))
+            .collect();
+        let d = DebugInfo::from_functions(names.iter().map(|n| (n.as_str(), 4, 1)));
+        fn visit(d: &DebugInfo, level: u16, f: u16, out: &mut Vec<LogEntry>) {
+            let event = |kind, out: &Vec<LogEntry>| LogEntry {
+                kind,
+                counter: out.len() as u64 + 1,
+                addr: d.entry_addr(f),
+                tid: 0,
+            };
+            out.push(event(EventKind::Call, out));
+            if level < 4 {
+                for child in 0..4 {
+                    visit(d, level + 1, 1 + 4 * level + child, out);
+                }
+            }
+            out.push(event(EventKind::Return, out));
+        }
+        let mut entries = Vec::new();
+        visit(&d, 0, 0, &mut entries);
+        let header = make_header(pid, entries.len() as u64, true, 0, 0);
+        (
+            teeperf_core::LogFile::new(header, entries),
+            Symbolizer::without_relocation(d),
+        )
+    }
+
+    /// The counted guard on the fleet view's cost (in this module because
+    /// the count is read off each session's private symbolizer): it cannot
+    /// flake on host speed.
+    #[test]
+    fn a_merged_snapshot_symbolizes_each_distinct_address_once() {
+        use crate::registry::SessionRegistry;
+        use teeperf_core::FileReplaySource;
+        let mut reg = SessionRegistry::new(LiveConfig::default());
+        for pid in 1..=8 {
+            let (log, symbolizer) = call_tree(pid);
+            reg.attach(Box::new(FileReplaySource::new(&log)), symbolizer)
+                .unwrap();
+        }
+        while reg.pump() > 0 {}
+        let lookups = |reg: &SessionRegistry| -> Vec<u64> {
+            (1..=8)
+                .map(|pid| {
+                    let cache = reg.session(pid).unwrap().symbolizer.cache_stats();
+                    cache.hits + cache.misses
+                })
+                .collect()
+        };
+        let before = lookups(&reg);
+        let merged = reg.merged_snapshot();
+        let once = lookups(&reg);
+        reg.merged_snapshot();
+        let twice = lookups(&reg);
+        assert_eq!(merged.profile.folded.len(), 341, "a row per distinct stack");
+        assert_eq!(merged.profile.methods.len(), 17, "a row per function");
+        for i in 0..8 {
+            // Symbolization per snapshot is O(distinct addresses), not
+            // O(stacks × depth): 17 here, where naming every frame of
+            // every stack would take 1 593.
+            let cost = once[i] - before[i];
+            assert!(
+                cost <= 17,
+                "session {i}: {cost} symbolizer lookups for 17 distinct addresses"
+            );
+            assert_eq!(twice[i] - once[i], cost, "session {i}: the second call");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! [`teeperf_analyzer::compare::diff`] — the live rendering of the paper's
 //! before/after-optimization workflow.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use teeperf_analyzer::query::frame::Frame;
 use teeperf_analyzer::{compare, Profile};
@@ -193,10 +193,22 @@ impl Snapshot {
     /// interchange format every flame-graph tool consumes.
     pub fn folded_text(&self) -> String {
         let mut out = String::new();
-        for (path, ticks) in &self.profile.folded {
-            out.push_str(&format!("{} {ticks}\n", path.join(";")));
-        }
+        self.write_folded(&mut out);
         out
+    }
+
+    /// Append the folded-stack lines to `out`, frame by frame: no row is
+    /// built on the side.
+    fn write_folded(&self, out: &mut String) {
+        for (path, ticks) in &self.profile.folded {
+            for (depth, frame) in path.iter().enumerate() {
+                if depth > 0 {
+                    out.push(';');
+                }
+                out.push_str(frame);
+            }
+            let _ = writeln!(out, " {ticks}");
+        }
     }
 
     /// Serialize to the snapshot text format: a `[live]` header with the
@@ -210,52 +222,55 @@ impl Snapshot {
     /// occurred, in an `[events]` section; single-source snapshots
     /// serialize exactly as they always have.
     pub fn to_text(&self) -> String {
+        // Rows go straight into the one output buffer; writing to a
+        // `String` cannot fail.
         let mut out = String::new();
-        out.push_str("[live]\n");
-        out.push_str(&format!(
-            "epoch {}\nevents {}\ndropped {}\nthreads {}\nopen {}\ntotal_ticks {}\n",
+        let _ = write!(
+            out,
+            "[live]\nepoch {}\nevents {}\ndropped {}\nthreads {}\nopen {}\ntotal_ticks {}\n",
             self.status.epoch,
             self.status.events,
             self.status.dropped,
             self.status.threads,
             self.status.open_frames,
             self.profile.total_ticks
-        ));
+        );
         if self.profile.pids.len() > 1 {
             out.push_str("[processes]\n");
             for pid in &self.profile.pids {
-                out.push_str(&format!("pid {pid}\n"));
+                let _ = writeln!(out, "pid {pid}");
             }
         }
         if !self.events.is_empty() {
             out.push_str("[events]\n");
             for e in &self.events {
-                out.push_str(&format!("{e}\n"));
+                let _ = writeln!(out, "{e}");
             }
         }
         if let Some(r) = &self.regime {
-            out.push_str("[regime]\n");
-            out.push_str(&format!("mode {}\n", r.mode_text()));
+            let _ = writeln!(out, "[regime]\nmode {}", r.mode_text());
             if let Some(pct) = r.budget_pct {
-                out.push_str(&format!("budget {pct}\n"));
+                let _ = writeln!(out, "budget {pct}");
             }
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "transitions {}\nestimated_events {}\nfaults {}\nconfidence {}\n",
                 r.transitions,
                 r.estimated_events,
                 r.faults,
                 r.confidence()
-            ));
+            );
         }
         out.push_str("[methods]\n");
         for m in &self.profile.methods {
-            out.push_str(&format!(
-                "{} {} {} {}\n",
+            let _ = writeln!(
+                out,
+                "{} {} {} {}",
                 m.name, m.calls, m.inclusive, m.exclusive
-            ));
+            );
         }
         out.push_str("[folded]\n");
-        out.push_str(&self.folded_text());
+        self.write_folded(&mut out);
         out
     }
 

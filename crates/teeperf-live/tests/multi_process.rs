@@ -4,6 +4,13 @@
 //!   `SessionRegistry` (random per-process workloads, random replay chunk
 //!   sizes so the sources advance out of lockstep) asserting the merged
 //!   snapshot is exactly the sum of the per-pid snapshots;
+//! * two equivalence property tests over fleets built to alias (one name
+//!   at several addresses, several names at one address, raw-hex frames,
+//!   colliding thread ids, orphan returns, truncated frames): the merged
+//!   snapshot equals the per-pid snapshots merged through
+//!   `merge_profiles`, field for field and byte for byte, mid-run and
+//!   after a detach; and a fleet window query equals the per-session span
+//!   profiles merged the same way;
 //! * golden tests pinning the single-source `Snapshot::to_text()` byte
 //!   format — a profile covering one process must serialize exactly as it
 //!   did before the multi-process layer existed (no `[processes]`
@@ -11,11 +18,17 @@
 
 use mcvm::DebugInfo;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use teeperf_analyzer::profile::{merged_thread_key, Anomalies};
 use teeperf_analyzer::symbolize::Symbolizer;
+use teeperf_analyzer::{merge_profiles, Profile};
 use teeperf_core::layout::{EventKind, LogEntry, LogHeader, LOG_VERSION};
 use teeperf_core::{FileReplaySource, LogFile};
-use teeperf_live::{LiveConfig, LiveSession, SessionRegistry};
+use teeperf_flamegraph::LiveStatus;
+use teeperf_live::{
+    LiveConfig, LiveSession, OverheadBudget, RegimeInfo, RingConfig, SessionEvent, SessionRegistry,
+    Snapshot, WindowMeta, WindowSel,
+};
 
 fn debug() -> DebugInfo {
     DebugInfo::from_functions([("main", 4, 1), ("work", 4, 5)])
@@ -224,4 +237,343 @@ fn live_log_snapshot_matches_replay_except_epoch_accounting() {
     );
     assert!(live_text.starts_with("[live]\nepoch "));
     assert!(!live_text.contains("[processes]"));
+}
+
+// ---------------------------------------------------------------------
+// Equivalence: the fleet views against per-session profiles merged
+// through `merge_profiles`.
+// ---------------------------------------------------------------------
+
+/// The function table every generated process links; each process loads
+/// it at its own slide, in steps of the function alignment, so one name
+/// sits at different addresses in different processes and one address
+/// names different functions in different processes.
+fn fleet_debug() -> DebugInfo {
+    DebugInfo::from_functions([
+        ("main", 4, 1),
+        ("work", 4, 5),
+        ("leaf", 4, 9),
+        ("util", 4, 13),
+    ])
+}
+
+/// Distance between two function entries of [`fleet_debug`].
+const FN_STRIDE: u64 = 64;
+
+/// An address no debug info covers at any slide: it renders as raw hex,
+/// the same `0x10` in every process.
+const RAW_ADDR: u64 = 0x10;
+
+/// One generated step of a process's stream: `(tid, choice, alias, dt)`.
+/// `choice` 0..=3 calls that function (at its entry, or one instruction
+/// in when `alias` — a second address of the same name), 4 calls
+/// [`RAW_ADDR`], 5 returns past the top frame (the skipped frame closes
+/// as truncated), anything else returns from the top frame (an orphan
+/// return on an empty stack).
+type Step = (u8, u8, bool, u64);
+
+fn steps(max: usize) -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec((0u8..2, 0u8..9, any::<bool>(), 1u64..12), 0..max)
+}
+
+/// A recording of process `pid`, loaded `slide` bytes above its static
+/// layout. Every stream opens on thread 0 with an orphan return and a
+/// frame that a return skips (truncated), then follows `steps` over
+/// threads 0 and 1 — the same two thread ids in every process.
+fn fleet_file(pid: u64, slide: u64, steps: &[Step]) -> LogFile {
+    let d = fleet_debug();
+    let entry = |f: u16| d.entry_addr(f) + slide;
+    let mut t = 0u64;
+    let mut entries = Vec::new();
+    let mut push = |kind, addr, tid, dt| {
+        t += dt;
+        entries.push(LogEntry {
+            kind,
+            counter: t,
+            addr,
+            tid,
+        });
+    };
+    push(EventKind::Return, entry(1), 0, 1);
+    push(EventKind::Call, entry(0), 0, 1);
+    push(EventKind::Call, entry(1), 0, 2);
+    push(EventKind::Return, entry(0), 0, 3);
+    let mut stacks: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+    for &(tid, choice, alias, dt) in steps {
+        let stack = &mut stacks[usize::from(tid)];
+        let tid = u64::from(tid);
+        match choice {
+            0..=4 if stack.len() < 4 => {
+                let addr = match choice {
+                    4 => RAW_ADDR,
+                    f => entry(u16::from(f)) + if alias { 4 } else { 0 },
+                };
+                stack.push(addr);
+                push(EventKind::Call, addr, tid, dt);
+            }
+            5 if stack.len() >= 2 => {
+                let addr = stack[stack.len() - 2];
+                let pos = stack.iter().rposition(|a| *a == addr).expect("just read");
+                stack.truncate(pos);
+                push(EventKind::Return, addr, tid, dt);
+            }
+            _ => match stack.pop() {
+                Some(addr) => push(EventKind::Return, addr, tid, dt),
+                None => push(EventKind::Return, entry(2), tid, dt),
+            },
+        }
+    }
+    let header = LogHeader {
+        active: false,
+        trace_calls: true,
+        trace_returns: true,
+        multithread: true,
+        version: LOG_VERSION,
+        pid,
+        size: entries.len() as u64,
+        tail: entries.len() as u64,
+        anchor: entry(0),
+        shm_addr: 0,
+    };
+    LogFile::new(header, entries)
+}
+
+/// Attach one replayed process per generated stream: pids 100, 200, …,
+/// slides 0, 64, 128, ….
+fn attach_fleet(registry: &mut SessionRegistry, fleet: &[Vec<Step>], chunks: &[usize]) {
+    for (i, steps) in fleet.iter().enumerate() {
+        let file = fleet_file(100 * (i as u64 + 1), FN_STRIDE * i as u64, steps);
+        let source = FileReplaySource::new(&file).with_chunk(chunks[i % chunks.len()]);
+        let symbolizer = Symbolizer::new(fleet_debug(), &file.header);
+        registry.attach(Box::new(source), symbolizer).unwrap();
+    }
+}
+
+/// The merged snapshot as its contract states it: per-pid profiles through
+/// [`merge_profiles`], status counters summed, the registry's lifecycle
+/// events followed by each session's own in ascending pid order, and the
+/// regime block of the most degraded member with counters summed and the
+/// tightest budget.
+fn merge_of_per_pid(per_pid: &BTreeMap<u64, Snapshot>, lifecycle: &[SessionEvent]) -> Snapshot {
+    let parts: Vec<(u64, &Profile)> = per_pid.iter().map(|(pid, s)| (*pid, &s.profile)).collect();
+    let mut status = LiveStatus::default();
+    let mut events = lifecycle.to_vec();
+    let mut regime: Option<RegimeInfo> = None;
+    for s in per_pid.values() {
+        status.epoch += s.status.epoch;
+        status.events += s.status.events;
+        status.dropped += s.status.dropped;
+        status.threads += s.status.threads;
+        status.open_frames += s.status.open_frames;
+        events.extend(s.events.iter().cloned());
+        regime = match (regime, &s.regime) {
+            (None, r) => r.clone(),
+            (m, None) => m,
+            (Some(m), Some(r)) => Some(RegimeInfo {
+                regime: m.regime.max(r.regime),
+                budget_pct: match (m.budget_pct, r.budget_pct) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                },
+                transitions: m.transitions + r.transitions,
+                estimated_events: m.estimated_events + r.estimated_events,
+                faults: m.faults + r.faults,
+            }),
+        };
+    }
+    Snapshot {
+        status,
+        profile: merge_profiles(&parts),
+        events,
+        regime,
+    }
+}
+
+/// `registry.merged_snapshot()` against [`merge_of_per_pid`] over the
+/// attached sessions' `snapshot_pid` plus the `retired` final snapshots,
+/// field for field and byte for byte.
+fn check_merged(
+    registry: &SessionRegistry,
+    retired: &BTreeMap<u64, Snapshot>,
+) -> Result<(), TestCaseError> {
+    let mut per_pid = retired.clone();
+    for pid in registry.pids() {
+        per_pid.insert(pid, registry.snapshot_pid(pid).expect("attached"));
+    }
+    let want = merge_of_per_pid(&per_pid, registry.session_events());
+    let got = registry.merged_snapshot();
+    prop_assert_eq!(&got.profile.methods, &want.profile.methods);
+    prop_assert_eq!(&got.profile.folded, &want.profile.folded);
+    prop_assert_eq!(&got.profile.symbols, &want.profile.symbols);
+    prop_assert_eq!(&got.profile.folded_ids, &want.profile.folded_ids);
+    prop_assert_eq!(&got.profile.caller_edges, &want.profile.caller_edges);
+    prop_assert_eq!(
+        got.profile.per_thread_calls.keys().collect::<Vec<_>>(),
+        want.profile.per_thread_calls.keys().collect::<Vec<_>>()
+    );
+    prop_assert_eq!(got.profile.anomalies, want.profile.anomalies);
+    prop_assert_eq!(&got.profile.pids, &want.profile.pids);
+    prop_assert_eq!(&got.status, &want.status);
+    prop_assert_eq!(&got.events, &want.events);
+    prop_assert_eq!(&got.regime, &want.regime);
+    prop_assert_eq!(got.to_text(), want.to_text());
+    // Every field at once, so one added later is compared too.
+    prop_assert_eq!(&got, &want);
+    // And against the per-pid rows directly, not through the shared merge:
+    // one row per name, at the smallest address, counting every call.
+    for m in &got.profile.methods {
+        let rows = || {
+            per_pid
+                .values()
+                .flat_map(|s| &s.profile.methods)
+                .filter(|row| row.name == m.name)
+        };
+        prop_assert_eq!(
+            Some(m.addr),
+            rows().map(|row| row.addr).min(),
+            "{}",
+            &m.name
+        );
+        prop_assert_eq!(
+            m.calls,
+            rows().map(|row| row.calls).sum::<u64>(),
+            "{}",
+            &m.name
+        );
+    }
+    Ok(())
+}
+
+/// `registry.span_query(sel, …)`, fleet-wide and per pid, against each
+/// attached session's own `span_profile` merged through `merge_profiles`.
+fn check_spans(registry: &SessionRegistry, sel: &WindowSel) -> Result<(), TestCaseError> {
+    let spans: Vec<(u64, WindowMeta, Profile)> = registry
+        .pids()
+        .into_iter()
+        .filter_map(|pid| {
+            let (meta, profile) = registry.session(pid)?.span_profile(sel)?;
+            Some((pid, meta, profile))
+        })
+        .collect();
+    let parts: Vec<(u64, &Profile)> = spans.iter().map(|(pid, _, p)| (*pid, p)).collect();
+    match registry.span_query(sel, None) {
+        None => prop_assert!(spans.is_empty(), "{:?}: a retained span went missing", sel),
+        Some((metas, profile)) => {
+            let want: Vec<(u64, WindowMeta)> =
+                spans.iter().map(|(pid, m, _)| (*pid, m.clone())).collect();
+            prop_assert_eq!(metas, want);
+            prop_assert_eq!(profile.anomalies, Anomalies::default());
+            prop_assert_eq!(profile, merge_profiles(&parts));
+        }
+    }
+    for pid in registry.pids() {
+        let own = spans.iter().find(|(p, _, _)| *p == pid);
+        match (registry.span_query(sel, Some(pid)), own) {
+            (None, None) => {}
+            (Some((metas, profile)), Some((_, meta, span))) => {
+                prop_assert_eq!(metas, vec![(pid, meta.clone())]);
+                prop_assert_eq!(profile, merge_profiles(&[(pid, span)]));
+            }
+            (got, _) => prop_assert!(false, "pid {} {:?}: {:?}", pid, sel, got.map(|g| g.0)),
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// 2–4 aliasing processes, replayed out of lockstep, with or without
+    /// an overhead budget (a budgeted session carries a `[regime]` block):
+    /// after every other pump, after a hot detach, at the end of the
+    /// streams and after `finish`, the merged snapshot is the per-pid
+    /// snapshots merged through `merge_profiles`.
+    #[test]
+    fn prop_merged_snapshot_is_the_merge_of_the_per_pid_snapshots(
+        fleet in proptest::collection::vec(steps(60), 2..=4),
+        chunks in proptest::collection::vec(1usize..9, 4),
+        detach_after in 1usize..12,
+        budgeted in any::<bool>(),
+    ) {
+        let mut registry = SessionRegistry::new(LiveConfig {
+            budget: budgeted.then_some(OverheadBudget { pct: 5 }),
+            ..LiveConfig::default()
+        });
+        attach_fleet(&mut registry, &fleet, &chunks);
+        let mut retired: BTreeMap<u64, Snapshot> = BTreeMap::new();
+        let mut pumps = 0;
+        loop {
+            let drained = registry.pump();
+            pumps += 1;
+            if pumps == detach_after {
+                retired.insert(100, registry.detach(100).expect("pid 100 is attached"));
+                check_merged(&registry, &retired)?;
+            }
+            if pumps % 2 == 0 {
+                check_merged(&registry, &retired)?;
+            }
+            if drained == 0 && pumps > detach_after {
+                break;
+            }
+        }
+        check_merged(&registry, &retired)?;
+        let lifecycle = registry.session_events().to_vec();
+        let run = registry.finish();
+        prop_assert_eq!(&run.merged, &merge_of_per_pid(&run.per_pid, &lifecycle));
+        // The shapes the name-keyed merge exists for did occur.
+        let work = run.merged.profile.method("work").expect("every stream calls work");
+        prop_assert!(work.threads.contains(&merged_thread_key(100, 0)));
+        prop_assert!(work.threads.contains(&merged_thread_key(200, 0)));
+        prop_assert!(run.merged.profile.anomalies.orphan_returns >= fleet.len() as u64);
+        prop_assert!(run.merged.profile.anomalies.truncated_frames >= fleet.len() as u64);
+        prop_assert!(run.merged.profile.caller_edges.iter().any(|e| e.caller == "<root>"));
+    }
+
+    /// The retained-window views over the same kind of fleet: whatever the
+    /// selection, `span_query` fleet-wide and per pid is the per-session
+    /// `span_profile`s merged through `merge_profiles` — mid-run and after
+    /// `finish` has closed the open frames — and a span reports zero
+    /// anomalies while the sessions it came from report theirs.
+    #[test]
+    fn prop_span_query_is_the_merge_of_the_per_session_spans(
+        fleet in proptest::collection::vec(steps(60), 2..=4),
+        chunks in proptest::collection::vec(1usize..9, 4),
+        ring in (4u64..40, 1usize..6, 1u64..4),
+        last in 1u64..5,
+        range in (0u64..12, 0u64..12),
+    ) {
+        let mut registry = SessionRegistry::new(LiveConfig {
+            retention: Some(RingConfig {
+                interval: ring.0,
+                capacity: ring.1,
+                max_width: ring.2,
+            }),
+            ..LiveConfig::default()
+        });
+        attach_fleet(&mut registry, &fleet, &chunks);
+        let sels = [
+            WindowSel::All,
+            WindowSel::Last(last),
+            WindowSel::Range(range.0.min(range.1), range.0.max(range.1)),
+        ];
+        let mut pumps = 0;
+        while registry.pump() > 0 {
+            pumps += 1;
+            if pumps % 2 == 0 {
+                for sel in &sels {
+                    check_spans(&registry, sel)?;
+                }
+            }
+        }
+        registry.finish();
+        for sel in &sels {
+            check_spans(&registry, sel)?;
+        }
+        check_merged(&registry, &BTreeMap::new())?;
+        for pid in registry.pids() {
+            let anomalies = registry.snapshot_pid(pid).expect("attached").profile.anomalies;
+            prop_assert!(anomalies.orphan_returns >= 1, "pid {}: {:?}", pid, anomalies);
+            prop_assert!(anomalies.truncated_frames >= 1, "pid {}: {:?}", pid, anomalies);
+        }
+    }
 }

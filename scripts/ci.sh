@@ -262,6 +262,10 @@ fi
 tmo 600 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 tmo 600 benchmark/run.sh --smoke
 
+# One named metric's value out of a benchmark result line (`$1`, the JSON
+# that ends a `benchmark/run.sh` run).
+metric() { echo "$1" | sed -n "s/.*\"$2\":{\"value\":\([0-9.e+-]*\),.*/\1/p"; }
+
 # File transport (ISSUE 16): the two-process stress test (a full-speed
 # writer process against a tight pump loop — the hammer for the
 # transport's one cross-process assumption), then one traced ingest_flood
@@ -276,15 +280,37 @@ file_transport() {
   local json writes reads
   run cargo test -q --offline -p teeperf-daemon --test file_transport_stress
   json="$(benchmark/run.sh --workload ingest_flood --smoke --trace 1 | tail -1)"
-  metric() { echo "$json" | sed -n "s/.*\"$1\":{\"value\":\([0-9.e+-]*\),.*/\1/p"; }
-  writes="$(metric core.shm_file.write_syscalls_per_event)"
-  reads="$(metric core.shm_file.pump_read_syscalls_per_event)"
+  writes="$(metric "$json" core.shm_file.write_syscalls_per_event)"
+  reads="$(metric "$json" core.shm_file.pump_read_syscalls_per_event)"
   echo "file-transport: write_syscalls_per_event=$writes pump_read_syscalls_per_event=$reads"
   awk -v w="$writes" -v r="$reads" \
     'BEGIN { exit !(w != "" && r != "" && w + 0 < 2.01 && r + 0 < 0.01) }' \
     || { echo "file-transport: want < 2.01 writes and < 0.01 reads per event"; return 1; }
   echo "==> file-transport ok"
 }
-tmo 120 bash -c "$(declare -f file_transport run); file_transport"
+tmo 120 bash -c "$(declare -f file_transport run metric); file_transport"
+
+# Snapshot path (ISSUE 17): a fleet view is merged before it is
+# symbolized, so merging the 32 sessions of `fanout_poll` must cost less
+# than half of materializing them one by one. Both figures come out of
+# one traced run at smoke length, over the same inputs seconds apart, so
+# host speed cancels (0.21 here; 1.39 when every session was materialized
+# and the strings merged again). Built by the benchmark stage above.
+snapshot_path() {
+  local json merged one
+  json="$(benchmark/run.sh --workload fanout_poll --smoke --trace 1 | tail -1)"
+  case "$json" in
+    '{"correct":true,'*) ;;
+    *) echo "snapshot-path: the traced run did not end in a correct result"; return 1 ;;
+  esac
+  merged="$(metric "$json" live.registry.merged_snapshot_ms)"
+  one="$(metric "$json" live.rolling.snapshot_ms)"
+  echo "snapshot-path: merged_snapshot_ms=$merged rolling.snapshot_ms=$one (x 32 sessions)"
+  awk -v m="$merged" -v o="$one" \
+    'BEGIN { exit !(m != "" && o != "" && m + 0 < 0.5 * 32 * o) }' \
+    || { echo "snapshot-path: want merged_snapshot_ms < 0.5 x 32 x rolling.snapshot_ms"; return 1; }
+  echo "==> snapshot-path ok"
+}
+tmo 120 bash -c "$(declare -f snapshot_path metric); snapshot_path"
 
 echo "==> ci ok"

@@ -1,0 +1,82 @@
+#!/usr/bin/env bash
+# Byte-compare two builds of teeperfd over ONE fleet — the check behind a
+# "responses are byte-identical" claim (first used for ISSUE 17).
+#
+#   scripts/cmp_fleet.sh <parent teeperfd> <change teeperfd> <teeperf-shm-writer>
+#
+# Both daemons watch the same registration directory, so they attach the
+# same <pid>.tplog files of the same four teeperf-shm-writer processes
+# (three finish, one is SIGKILLed and quarantined), with retention on.
+# Every body — /snapshot, fleet and per-pid /query spans and diffs,
+# /windows, /pid/<n>, /flame.svg, /metrics, the --snapshot-out file — must
+# compare equal with cmp, and the change must answer 200 on the two
+# retired-pid routes. Exit 0 iff all of that holds.
+set -euo pipefail
+parent=$1 change=$2 writer=$3
+dir=$(mktemp -d /dev/shm/cmp-fleet.XXXXXX)
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$dir"' EXIT
+reg=$dir/reg; mkdir "$reg"
+get() { curl -s -o "$2" -w '%{http_code}' "http://$1$3"; }
+
+# The fleet first, so both daemons meet all of it in their first scan.
+"$writer" --dir "$reg" --iterations 7 --interval-ms 2
+"$writer" --dir "$reg" --iterations 5
+"$writer" --dir "$reg" --iterations 9
+"$writer" --dir "$reg" --iterations 3 --hold & doomed=$!
+while [ ! -e "$reg/$doomed.tplog" ]; do sleep 0.05; done; sleep 0.3
+
+declare -A addr
+for side in parent change; do
+  mkfifo "$dir/$side.stdin"
+  "${!side}" --dir "$reg" --listen 127.0.0.1:0 --pump-ms 5 --scan-every 1 \
+      --window-interval 12 --retain 16 --snapshot-out "$dir/$side.final" \
+      < "$dir/$side.stdin" > "$dir/$side.out" &
+  if [ "$side" = parent ]; then exec 3> "$dir/$side.stdin"; else exec 4> "$dir/$side.stdin"; fi
+  until grep -q 'listening on' "$dir/$side.out"; do sleep 0.05; done
+  addr[$side]=$(sed -n 's/.*listening on //p' "$dir/$side.out")
+done
+
+want=$(( (2 + 4*7) + (2 + 4*5) + (2 + 4*9) + (2 + 4*3) ))
+for side in parent change; do
+  until get "${addr[$side]}" "$dir/$side.body" /snapshot >/dev/null \
+        && grep -q "^events $want\$" "$dir/$side.body"; do sleep 0.05; done
+done
+kill -9 "$doomed"; wait "$doomed" 2>/dev/null || true
+for side in parent change; do
+  until get "${addr[$side]}" "$dir/$side.body" /metrics >/dev/null \
+        && grep -q '^teeperf_quarantined_total 1$' "$dir/$side.body"; do sleep 0.05; done
+done
+
+status=0
+alive=$(basename "$(ls "$reg"/*.tplog | grep -v "/$doomed\.tplog" | head -1)" .tplog)
+for path in /snapshot '/query?windows=last:5&top=10' '/query?diff=1,2' /windows \
+            "/query?windows=all&pid=$alive" "/query?diff=1,2&pid=$alive" \
+            "/query?windows=all&pid=$doomed" "/pid/$alive" /flame.svg /metrics; do
+  pc=$(get "${addr[parent]}" "$dir/parent.body" "$path")
+  cc=$(get "${addr[change]}" "$dir/change.body" "$path")
+  # The one line of any body that counts loop iterations since start.
+  sed -i '/^teeperf_scans_total /d' "$dir/parent.body" "$dir/change.body"
+  if [ "$pc" = "$cc" ] && cmp -s "$dir/parent.body" "$dir/change.body"; then
+    echo "equal   $pc $(wc -c < "$dir/change.body") bytes  $path"
+  else
+    echo "DIFFER  parent $pc, change $cc  $path"; status=1
+    diff "$dir/parent.body" "$dir/change.body" | head -20
+  fi
+done
+# A retired pid answers for itself (ISSUE 17; a parent from before it says
+# 404 here, which is that issue's one intended response change).
+for path in "/pid/$doomed" "/flame.svg?pid=$doomed"; do
+  pc=$(get "${addr[parent]}" "$dir/parent.body" "$path")
+  cc=$(get "${addr[change]}" "$dir/change.body" "$path")
+  echo "retired parent $pc, change $cc  $path"
+  [ "$cc" = 200 ] || status=1
+done
+exec 3>&- 4>&-
+wait
+if cmp -s "$dir/parent.final" "$dir/change.final"; then
+  echo "equal   --snapshot-out $(wc -c < "$dir/change.final") bytes"
+else
+  echo "DIFFER  --snapshot-out"; status=1
+fi
+grep -c '^quarantined pid' "$dir/change.final" | sed 's/^/quarantine events in the final snapshot: /'
+exit $status
