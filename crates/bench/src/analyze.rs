@@ -27,7 +27,6 @@
 //! text) against the sequential one, and the symbolizer's intern-cache
 //! hit/miss counters are captured from a cold cache per workload.
 
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use mcvm::DebugInfo;
@@ -39,7 +38,7 @@ use teeperf_analyzer::profile::{self, analyze_shard, partition_by_load};
 use teeperf_analyzer::reader::{self, Event};
 use teeperf_analyzer::Symbolizer;
 use teeperf_compiler::{compile_instrumented, profile_program, InstrumentOptions};
-use teeperf_core::layout::{EventKind, LogEntry, LogHeader, LOG_VERSION};
+use teeperf_core::layout::{make_header, EventKind, LogEntry, LogHeader};
 use teeperf_core::{LogFile, RecorderConfig};
 
 use crate::util::render_table;
@@ -208,15 +207,8 @@ pub fn synthetic_log(options: &AnalyzeBenchOptions) -> (LogFile, DebugInfo) {
     let log = LogFile::new(
         LogHeader {
             active: false,
-            trace_calls: true,
-            trace_returns: true,
-            multithread: true,
-            version: LOG_VERSION,
-            pid: 7,
-            size: n,
             tail: n,
-            anchor: 0,
-            shm_addr: 0,
+            ..make_header(7, n, true, 0, 0)
         },
         entries,
     );
@@ -261,8 +253,7 @@ fn bench_workload(
         .iter()
         .map(|(tid, events)| (*tid, events.as_slice()))
         .collect();
-    let (t_seq_shard, (agg, calls)) = min_time(repeats, || analyze_shard(&views));
-    let per_thread: BTreeMap<_, _> = calls.into_iter().collect();
+    let (t_seq_shard, agg) = min_time(repeats, || analyze_shard(&views));
     let anomalies = teeperf_analyzer::profile::Anomalies {
         incomplete_entries: grouped.incomplete,
         dropped_entries: log.header.dropped_entries(),
@@ -273,13 +264,13 @@ fn bench_workload(
     // describe exactly one cold build; repeats use fresh clones.
     let cold = symbolizer.clone();
     let t2 = Instant::now();
-    let mut sequential = agg.materialize(&cold, per_thread.clone(), anomalies);
+    let mut sequential = agg.materialize(&cold, anomalies);
     let mut t_merge = t2.elapsed();
     let stats = cold.cache_stats();
     for _ in 1..repeats.max(1) {
         let fresh = symbolizer.clone();
         let t = Instant::now();
-        let p = agg.materialize(&fresh, per_thread.clone(), anomalies);
+        let p = agg.materialize(&fresh, anomalies);
         t_merge = t_merge.min(t.elapsed());
         assert_eq!(p, sequential, "{name}: materialize must be deterministic");
     }

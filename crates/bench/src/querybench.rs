@@ -32,7 +32,7 @@ use std::time::Instant;
 use mcvm::DebugInfo;
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_analyzer::WindowSpec;
-use teeperf_core::layout::{EventKind, LogEntry, LogHeader, LOG_VERSION};
+use teeperf_core::layout::{make_header, EventKind, LogEntry, LogHeader};
 use teeperf_core::{FileReplaySource, LogFile};
 use teeperf_live::{LiveConfig, RingConfig, SessionRegistry};
 
@@ -214,17 +214,11 @@ fn trace(pid: u64, windows: usize, calls: u64) -> LogFile {
             });
         }
     }
+    let n = entries.len() as u64;
     let header = LogHeader {
         active: false,
-        trace_calls: true,
-        trace_returns: true,
-        multithread: true,
-        version: LOG_VERSION,
-        pid,
-        size: entries.len() as u64,
-        tail: entries.len() as u64,
-        anchor: 0,
-        shm_addr: 0,
+        tail: n,
+        ..make_header(pid, n, true, 0, 0)
     };
     LogFile::new(header, entries)
 }

@@ -69,8 +69,9 @@ impl Analyzer {
     /// [`Analyzer::with_analyzer_threads`].
     ///
     /// # Errors
-    /// Returns [`AnalyzeError::VersionMismatch`] when the log was written by
-    /// an incompatible recorder version.
+    /// Returns [`reader::validate`]'s error: an untrustworthy header (an
+    /// incompatible recorder version, say) or a body larger than the
+    /// capacity it declares.
     pub fn new(log: LogFile, debug: DebugInfo) -> Result<Analyzer, AnalyzeError> {
         reader::validate(&log)?;
         let symbolizer = Symbolizer::new(debug, &log.header);
@@ -124,6 +125,27 @@ impl Analyzer {
     /// `method, calls, incl, excl, excl_pct, min, max, threads`.
     pub fn methods_frame(&self) -> Frame {
         self.profile().methods_frame()
+    }
+
+    /// Answer `query` from the frame it is about: a query that references
+    /// a per-event column goes to [`Analyzer::events_frame`], any other to
+    /// [`Analyzer::methods_frame`]. What counts is the columns the parsed
+    /// query names — a method called `kind_of` in a string literal does
+    /// not make a methods query an events query.
+    ///
+    /// # Errors
+    /// Returns [`query::QueryError`] on parse errors, unknown columns or
+    /// type mismatches.
+    pub fn query(&self, query: &str) -> Result<Frame, query::QueryError> {
+        /// The columns only the events frame has.
+        const PER_EVENT: [&str; 5] = ["seq", "tid", "kind", "counter", "addr"];
+        let parsed = query::parse_query(query)?;
+        let frame = if parsed.columns().iter().any(|c| PER_EVENT.contains(c)) {
+            self.events_frame()
+        } else {
+            self.methods_frame()
+        };
+        query::exec::execute(&frame, &parsed)
     }
 
     /// The human-readable sorted report. Symbolization problems (e.g. an

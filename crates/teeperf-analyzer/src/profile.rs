@@ -100,8 +100,9 @@ pub struct Profile {
     /// Caller-context breakdown (§II-C "performance depending on the call
     /// history of a method"), sorted by inclusive ticks descending.
     pub caller_edges: Vec<CallerEdge>,
-    /// Every completed call per thread (for deep queries).
-    pub per_thread_calls: BTreeMap<u64, Vec<CompletedCall>>,
+    /// Every thread observed, even one with zero completed calls (re-keyed
+    /// with [`merged_thread_key`] in a cross-process merge).
+    pub threads: BTreeSet<u64>,
     /// Sum of exclusive ticks over all methods (== total profiled time).
     pub total_ticks: u64,
     /// Data-quality counters.
@@ -313,12 +314,7 @@ impl Aggregates {
     /// merge folded paths integer-keyed on interned [`SymId`]s, and finish
     /// every table with a total sort so the output is independent of both
     /// hash-map iteration order and shard assignment.
-    pub fn materialize(
-        &self,
-        symbolizer: &Symbolizer,
-        per_thread_calls: BTreeMap<u64, Vec<CompletedCall>>,
-        anomalies: Anomalies,
-    ) -> Profile {
+    pub fn materialize(&self, symbolizer: &Symbolizer, anomalies: Anomalies) -> Profile {
         let mut methods: Vec<MethodStats> = self
             .methods
             .iter()
@@ -409,7 +405,7 @@ impl Aggregates {
             symbols,
             folded_ids,
             caller_edges,
-            per_thread_calls,
+            threads: self.thread_ids().collect(),
             total_ticks,
             anomalies,
             pids: BTreeSet::new(),
@@ -443,22 +439,16 @@ fn intern_folded(folded: &[(Vec<String>, u64)]) -> (Vec<String>, Vec<(Vec<u32>, 
     (symbols, folded_ids)
 }
 
-/// What one shard worker produces: the mergeable aggregate plus the
-/// per-thread completed calls of the shard's threads.
-pub type ShardOutput = (Aggregates, Vec<(u64, Vec<CompletedCall>)>);
-
-/// Reconstruct and aggregate one shard of threads. Public so the
-/// throughput bench can time shards individually (on a single-core host
-/// the modeled parallel time is `max` over shard timings).
-pub fn analyze_shard(threads: &[(u64, &[Event])]) -> ShardOutput {
+/// Reconstruct and aggregate one shard of threads into its mergeable
+/// aggregate. Public so the throughput bench can time shards individually
+/// (on a single-core host the modeled parallel time is `max` over shard
+/// timings).
+pub fn analyze_shard(threads: &[(u64, &[Event])]) -> Aggregates {
     let mut agg = Aggregates::new();
-    let mut per_thread = Vec::with_capacity(threads.len());
     for (tid, events) in threads {
-        let st = stacks::reconstruct(events);
-        agg.absorb(*tid, &st);
-        per_thread.push((*tid, st.calls));
+        agg.absorb(*tid, &stacks::reconstruct(events));
     }
-    (agg, per_thread)
+    agg
 }
 
 /// Deterministically partition `loads` (per-item work estimates, e.g.
@@ -547,7 +537,7 @@ pub fn build_entries(
     let threads: Vec<(u64, Vec<Event>)> = grouped.threads.into_iter().collect();
     let shards = shards.max(1).min(threads.len().max(1));
 
-    let (agg, calls) = if shards <= 1 {
+    let agg = if shards <= 1 {
         let views: Vec<(u64, &[Event])> = threads
             .iter()
             .map(|(tid, events)| (*tid, events.as_slice()))
@@ -570,7 +560,7 @@ pub fn build_entries(
         // sequential while still merging in bucket order, so the result is
         // byte-identical whatever the worker count.
         let workers = shard_workers(shards);
-        let results: Vec<ShardOutput> = if workers <= 1 {
+        let results: Vec<Aggregates> = if workers <= 1 {
             partition
                 .iter()
                 .map(|bucket| analyze_shard(&bucket_views(bucket)))
@@ -594,7 +584,7 @@ pub fn build_entries(
                         })
                     })
                     .collect();
-                let mut ordered: Vec<Option<ShardOutput>> = Vec::new();
+                let mut ordered: Vec<Option<Aggregates>> = Vec::new();
                 ordered.resize_with(partition.len(), || None);
                 for handle in handles {
                     for (index, output) in handle.join().expect("analyzer shard panicked") {
@@ -608,21 +598,18 @@ pub fn build_entries(
             })
         };
         let mut agg = Aggregates::new();
-        let mut calls = Vec::with_capacity(threads.len());
-        for (shard_agg, shard_calls) in results {
+        for shard_agg in results {
             agg.merge(shard_agg);
-            calls.extend(shard_calls);
         }
-        (agg, calls)
+        agg
     };
 
-    let per_thread_calls: BTreeMap<u64, Vec<CompletedCall>> = calls.into_iter().collect();
     let anomalies = Anomalies {
         orphan_returns: agg.orphan_returns,
         truncated_frames: agg.truncated_frames,
         ..anomalies_base
     };
-    let mut profile = agg.materialize(symbolizer, per_thread_calls, anomalies);
+    let mut profile = agg.materialize(symbolizer, anomalies);
     profile.pids = BTreeSet::from([pid]);
     profile
 }
@@ -668,7 +655,7 @@ pub struct ProfileMerge {
     methods: HashMap<u32, (u64, RawMethod)>,
     folded: HashMap<Vec<u32>, u64>,
     edges: HashMap<(u32, u32), (u64, u64, u64)>,
-    per_thread_calls: BTreeMap<u64, Vec<CompletedCall>>,
+    threads: BTreeSet<u64>,
     total_ticks: u64,
     anomalies: Anomalies,
     pids: BTreeSet<u64>,
@@ -746,19 +733,17 @@ impl ProfileMerge {
                 (edge.calls, edge.inclusive, edge.exclusive),
             );
         }
-        for (tid, calls) in &profile.per_thread_calls {
-            self.per_thread_calls
-                .entry(merged_thread_key(pid, *tid))
-                .or_default()
-                .extend(calls.iter().cloned());
-        }
+        let keys = profile
+            .threads
+            .iter()
+            .map(|tid| merged_thread_key(pid, *tid));
+        self.threads.extend(keys);
     }
 
     /// Add process `pid`'s address-keyed aggregate without materializing
-    /// it: the contribution of
-    /// `aggregates.materialize(symbolizer, <every observed thread, no
-    /// retained calls>, anomalies)` stamped with `pid`, which is how a
-    /// rolling or window aggregate freezes. `anomalies` is the caller's to
+    /// it: the contribution of `aggregates.materialize(symbolizer,
+    /// anomalies)` stamped with `pid`, which is how a rolling or window
+    /// aggregate freezes. `anomalies` is the caller's to
     /// state, as it is for `materialize` — a session reports its counters,
     /// a window span reports none.
     ///
@@ -809,11 +794,10 @@ impl ProfileMerge {
             };
             add_edge(&mut self.edges, (caller, id_of(*callee)), *counters);
         }
-        for tid in aggregates.thread_ids() {
-            self.per_thread_calls
-                .entry(merged_thread_key(pid, tid))
-                .or_default();
-        }
+        let keys = aggregates
+            .thread_ids()
+            .map(|tid| merged_thread_key(pid, tid));
+        self.threads.extend(keys);
     }
 
     /// Turn ids back into names and finish every table with the same
@@ -879,7 +863,7 @@ impl ProfileMerge {
             symbols,
             folded_ids,
             caller_edges,
-            per_thread_calls: self.per_thread_calls,
+            threads: self.threads,
             total_ticks: self.total_ticks,
             anomalies: self.anomalies,
             pids: self.pids,
@@ -1377,15 +1361,13 @@ mod tests {
             BTreeSet::from([merged_thread_key(7, 0), merged_thread_key(9, 0)])
         );
         assert_eq!(
-            merged.per_thread_calls.keys().copied().collect::<Vec<_>>(),
-            vec![
+            merged.threads,
+            BTreeSet::from([
                 merged_thread_key(7, 0),
                 merged_thread_key(7, 1),
                 merged_thread_key(9, 0)
-            ]
+            ])
         );
-        assert_eq!(merged.per_thread_calls[&merged_thread_key(7, 0)].len(), 3);
-        assert_eq!(merged.per_thread_calls[&merged_thread_key(9, 0)].len(), 3);
 
         // Every counter is the sum of the parts.
         assert_eq!(merged.total_ticks, pa.total_ticks + pb.total_ticks);

@@ -136,6 +136,50 @@ pub enum Query {
     },
 }
 
+impl Pred {
+    fn columns<'a>(&'a self, out: &mut Vec<&'a str>) {
+        match self {
+            Pred::Cmp { column, .. } => out.push(column),
+            Pred::And(a, b) | Pred::Or(a, b) => {
+                a.columns(out);
+                b.columns(out);
+            }
+        }
+    }
+}
+
+impl Query {
+    /// Every column name the query references: selected, filtered on,
+    /// grouped by, aggregated over or sorted by (a sort may also name an
+    /// aggregation's output). Literals are values, never columns.
+    pub fn columns(&self) -> Vec<&str> {
+        let mut out: Vec<&str> = Vec::new();
+        let sort = match self {
+            Query::Select {
+                columns,
+                predicate,
+                sort,
+                ..
+            } => {
+                out.extend(columns.iter().map(String::as_str));
+                if let Some(p) = predicate {
+                    p.columns(&mut out);
+                }
+                sort
+            }
+            Query::Group {
+                keys, aggs, sort, ..
+            } => {
+                out.extend(keys.iter().map(String::as_str));
+                out.extend(aggs.iter().filter_map(|a| a.column.as_deref()));
+                sort
+            }
+        };
+        out.extend(sort.iter().map(|s| s.column.as_str()));
+        out
+    }
+}
+
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
     Ident(String),
@@ -534,6 +578,22 @@ mod tests {
         assert_eq!(aggs[1].func, AggFn::Sum);
         assert_eq!(aggs[1].output, "sum_excl");
         assert!(sort.is_some());
+    }
+
+    #[test]
+    fn columns_are_the_names_a_query_references_never_its_literals() {
+        let q = parse_query(
+            r#"select method, calls where method == "tid" and calls > 2 or excl < 9 sort incl"#,
+        )
+        .unwrap();
+        assert_eq!(
+            q.columns(),
+            ["method", "calls", "method", "calls", "excl", "incl"]
+        );
+        let q =
+            parse_query("group tid, method agg count() as n, sum(counter) as kind sort n").unwrap();
+        assert_eq!(q.columns(), ["tid", "method", "counter", "n"]);
+        assert!(parse_query("select *").unwrap().columns().is_empty());
     }
 
     #[test]

@@ -283,7 +283,7 @@ mod tests {
             symbols: Vec::new(),
             folded_ids: Vec::new(),
             caller_edges: Vec::new(),
-            per_thread_calls: std::collections::BTreeMap::new(),
+            threads: BTreeSet::new(),
             total_ticks: 80,
             anomalies: crate::profile::Anomalies::default(),
             pids: BTreeSet::new(),

@@ -5,21 +5,16 @@ use std::error::Error;
 use std::fmt;
 
 use teeperf_core::faults::{SalvageReason, SalvageReport};
-use teeperf_core::layout::{EventKind, LogEntry, LOG_VERSION};
+use teeperf_core::layout::{EventKind, HeaderFault, HeaderRule, LogEntry, LogHeader};
 use teeperf_core::LogFile;
 
 /// Errors detected while validating a log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AnalyzeError {
-    /// The log structure version is not one this analyzer understands. The
-    /// version field exists precisely so the analyzer can support multiple
-    /// layouts (§II-B); we currently speak only version 1.
-    VersionMismatch {
-        /// Version found in the header.
-        found: u16,
-        /// Version this analyzer expects.
-        expected: u16,
-    },
+    /// The header may not be trusted. The version field exists precisely
+    /// so the analyzer can support multiple layouts (§II-B); this one
+    /// speaks only the current version.
+    Header(HeaderFault),
     /// The header contradicts the log body: more entries than the declared
     /// `max_size` could ever hold. A log like this was not produced by the
     /// recorder and nothing in it can be trusted.
@@ -34,10 +29,7 @@ pub enum AnalyzeError {
 impl fmt::Display for AnalyzeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AnalyzeError::VersionMismatch { found, expected } => write!(
-                f,
-                "log structure version {found} unsupported (expected {expected})"
-            ),
+            AnalyzeError::Header(fault) => fault.fmt(f),
             AnalyzeError::InconsistentHeader { entries, max_size } => write!(
                 f,
                 "inconsistent log header: {entries} entries exceed max_size {max_size}"
@@ -48,19 +40,18 @@ impl fmt::Display for AnalyzeError {
 
 impl Error for AnalyzeError {}
 
-/// Check header invariants.
+/// Check header invariants: the header passes
+/// [`LogHeader::check`] as a foreign image (a log built in memory is held
+/// to what one loaded from a file is), and the body fits the capacity it
+/// declares.
 ///
 /// # Errors
-/// Returns [`AnalyzeError::VersionMismatch`] for foreign versions and
+/// Returns [`AnalyzeError::Header`] with the check's fault and
 /// [`AnalyzeError::InconsistentHeader`] when the body exceeds the header's
 /// declared capacity.
 pub fn validate(log: &LogFile) -> Result<(), AnalyzeError> {
-    if log.header.version != LOG_VERSION {
-        return Err(AnalyzeError::VersionMismatch {
-            found: log.header.version,
-            expected: LOG_VERSION,
-        });
-    }
+    LogHeader::from_image(&log.header.to_image(), HeaderRule::Foreign)
+        .map_err(AnalyzeError::Header)?;
     if log.entries.len() as u64 > log.header.size {
         return Err(AnalyzeError::InconsistentHeader {
             entries: log.entries.len() as u64,
@@ -202,7 +193,7 @@ pub fn group_entries(entries: &[LogEntry]) -> ThreadEvents {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teeperf_core::layout::{LogEntry, LogHeader};
+    use teeperf_core::layout::LOG_VERSION;
 
     fn header(version: u16) -> LogHeader {
         LogHeader {
@@ -237,13 +228,8 @@ mod tests {
     #[test]
     fn validate_rejects_future_version() {
         let log = LogFile::new(header(9), vec![]);
-        assert_eq!(
-            validate(&log),
-            Err(AnalyzeError::VersionMismatch {
-                found: 9,
-                expected: LOG_VERSION
-            })
-        );
+        let fault = HeaderFault::BadVersion { found: 9 };
+        assert_eq!(validate(&log), Err(AnalyzeError::Header(fault)));
     }
 
     #[test]

@@ -11,7 +11,7 @@ pub fn render(profile: &Profile, log: &LogFile) -> String {
         "TEE-Perf profile — pid {}, {} events ({} threads)\n",
         log.header.pid,
         log.entries.len(),
-        profile.per_thread_calls.len()
+        profile.threads.len()
     ));
     out.push_str(&format!(
         "total profiled time: {} ticks\n",

@@ -1,9 +1,12 @@
 //! Schedule-exploring model checker for the lock-free shared-memory log.
 //!
 //! ```text
-//! teeperf-check --smoke                 # CI entry point: exhaustive small
-//!                                       # config + seeded PCT sweep +
-//!                                       # mutation detection, hard bounded
+//! teeperf-check --smoke                 # per-PR entry point: the two small
+//!                                       # exhaustive configs + seeded PCT
+//!                                       # sweeps + mutation detection
+//! teeperf-check --exhaustive            # --smoke plus the two large clean
+//!                                       # exhaustive configs (batched,
+//!                                       # regime) — minutes, not seconds
 //! teeperf-check --mutation <name>       # hunt one mutation (dfs then pct)
 //! teeperf-check --pct N --seed S        # seeded random sweep only
 //! teeperf-check --replay <trace-file>   # re-run a recorded regression
@@ -34,7 +37,7 @@ const PCT_DEPTH: usize = 3;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: teeperf-check --smoke\n\
+        "usage: teeperf-check --smoke | --exhaustive\n\
          \x20      teeperf-check --mutation <none|stale-slot-resurrection|drop-double-count\n\
          \x20                    |abandoned-as-dropped|torn-regime-read>\n\
          \x20                    [--pct N] [--seed S] [--record <file>]\n\
@@ -187,7 +190,10 @@ fn hunt(mutation: MutationKind, pct_schedules: usize, base_seed: u64) -> CheckRe
     explore::check_pct(&sweep_for(mutation), PCT_DEPTH, base_seed, pct_schedules)
 }
 
-fn smoke() -> bool {
+/// Every check: `exhaustive` adds the two large clean DFS runs (1c, 1d) to
+/// the set `--smoke` runs — seven eighths of the wall time, and needed
+/// only when the protocol or the checker itself changed.
+fn check_all(exhaustive: bool) -> bool {
     let mut ok = true;
     // 1. Clean protocol, exhaustively: every schedule with <= 2 preemptions
     //    of the small config upholds every invariant.
@@ -215,28 +221,21 @@ fn smoke() -> bool {
     // 1c. Clean batched protocol, exhaustively: every schedule of the
     //     reserve-run/publish/abandon state machine with <= 2 preemptions
     //     upholds exactly-once drain and abandoned-slot accounting.
-    let clean_batched = explore::check_exhaustive(
-        &batched_config(MutationKind::None),
-        DFS_PREEMPTION_BOUND,
-        DFS_EXECUTION_CAP,
-    );
-    ok &= expect(&clean_batched, false);
-    if !clean_batched.exhausted {
-        eprintln!("FAIL: smoke batched DFS did not exhaust its bounded space");
-        ok = false;
-    }
     // 1d. Clean regime-flipping protocol, exhaustively: whole-word decodes
     //     always name a published `(regime, epoch)` pair, and exactly-once
     //     drain holds across every transition interleaving.
-    let clean_regime = explore::check_exhaustive(
-        &regime_config(MutationKind::None),
-        DFS_PREEMPTION_BOUND,
-        DFS_EXECUTION_CAP,
-    );
-    ok &= expect(&clean_regime, false);
-    if !clean_regime.exhausted {
-        eprintln!("FAIL: smoke regime DFS did not exhaust its bounded space");
-        ok = false;
+    if exhaustive {
+        for (name, config) in [
+            ("batched", batched_config(MutationKind::None)),
+            ("regime", regime_config(MutationKind::None)),
+        ] {
+            let clean = explore::check_exhaustive(&config, DFS_PREEMPTION_BOUND, DFS_EXECUTION_CAP);
+            ok &= expect(&clean, false);
+            if !clean.exhausted {
+                eprintln!("FAIL: {name} DFS did not exhaust its bounded space");
+                ok = false;
+            }
+        }
     }
     // 2. Clean protocol, 200 seeded PCT schedules of the larger config,
     //    classic, batched, and regime-flipping.
@@ -316,6 +315,7 @@ fn replay_trace(path: &str) -> bool {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke_mode = false;
+    let mut exhaustive = false;
     let mut mutation: Option<MutationKind> = None;
     let mut pct: Option<usize> = None;
     let mut seed = 1u64;
@@ -331,6 +331,7 @@ fn main() {
         };
         match arg.as_str() {
             "--smoke" => smoke_mode = true,
+            "--exhaustive" => exhaustive = true,
             "--mutation" => {
                 let v = value("--mutation");
                 mutation = Some(MutationKind::parse(&v).unwrap_or_else(|| {
@@ -361,8 +362,8 @@ fn main() {
         }
     }
 
-    let ok = if smoke_mode {
-        smoke()
+    let ok = if smoke_mode || exhaustive {
+        check_all(exhaustive)
     } else if let Some(path) = replay_path {
         replay_trace(&path)
     } else if let Some(mutation) = mutation {

@@ -96,25 +96,26 @@ const LIVE_FLAGS: &[Flag] = &[
     Flag::value("svg", "<file>", "write the final flame graph here"),
     Flag::value("out", "<base>", "write the snapshot to <base>.live"),
     Flag::value("follow-pids", "<n>", "n simulated processes (1..=64)"),
-    Flag::value("logs", "<a,b,c>", "replay each <base>.tpf + <base>.sym"),
+    Flag::value("logs", "<a,b,c>", "replay each <base>.tpf|.tplog + .sym"),
     BATCH,
 ];
 const LIVE: Command = Command {
     operands: "[<prog.mc|prog.tpo>]",
     about: "profile continuously over a small rotating log\n\
-            one program, n simulated processes of it (--follow-pids), or recorded logs replayed \
-            as one multi-process session (--logs, no program)",
+            one program, n simulated processes of it (--follow-pids), or recorded logs — \
+            recordings or a registration directory's <pid>.tplog — replayed as one \
+            multi-process session (--logs, no program)",
     groups: &[ARCH_FLAGS, LIVE_FLAGS, IN_PROCESS_FLAGS, SESSION_FLAGS],
 };
 const ANALYZE: Command = Command {
-    operands: "<base.tpf> <base.sym>",
-    about: "print the per-method report of a recording",
+    operands: "<base.tpf|pid.tplog> <base.sym>",
+    about: "print the per-method report of a recording or a deployed session's log",
     groups: &[RECORDING_FLAGS],
 };
 const CONNECT_FLAGS: &[Flag] = &[Flag::value("connect", "<addr>", "the daemon to ask")];
 const QUERY: Command = Command {
-    operands: "<base.tpf> <base.sym> <query> | [windows | <clause> ...]",
-    about: "query a recording, or with --connect a daemon's retention rings\n\
+    operands: "<base.tpf|pid.tplog> <base.sym> <query> | [windows | <clause> ...]",
+    about: "query a recorded log, or with --connect a daemon's retention rings\n\
             query: \"select method, calls, excl where excl > 100 sort excl desc limit 10\"\n\
             clauses: windows=all|last:<n>|<a>..=<b>  pid=<n>  method=<substr>  tid=<n>  \
             top=<n>  by=self|total|calls  diff=<a>,<b>\n\
@@ -126,14 +127,14 @@ const FLAMEGRAPH_FLAGS: &[Flag] = &[
     Flag::value("title", "<t>", "the SVG's title"),
 ];
 const FLAMEGRAPH: Command = Command {
-    operands: "<base.tpf> <base.sym>",
-    about: "draw a recording's flame graph, as text or SVG",
+    operands: "<base.tpf|pid.tplog> <base.sym>",
+    about: "draw a recorded log's flame graph, as text or SVG",
     groups: &[FLAMEGRAPH_FLAGS, RECORDING_FLAGS],
 };
 const DIFF_FLAGS: &[Flag] = &[Flag::value("svg", "<file>", "also draw the diff here")];
 const DIFF: Command = Command {
-    operands: "<a.tpf> <a.sym> <b.tpf> <b.sym>",
-    about: "compare two recordings by exclusive-time share",
+    operands: "<a.tpf|a.tplog> <a.sym> <b.tpf|b.tplog> <b.sym>",
+    about: "compare two recorded logs by exclusive-time share",
     groups: &[DIFF_FLAGS, &[THREADS]],
 };
 const BENCH_FLAGS: &[Flag] = &[Flag::value("bench", "<name>", "this benchmark only")];
@@ -485,9 +486,10 @@ fn multi_session_output(
     write_live_files(out, args, svg, merged)
 }
 
-/// `teeperf live --logs a,b,c`: replay recorded logs (each `<base>.tpf`
-/// with its `<base>.sym`) through the live pipeline as one multi-process
-/// session, keyed by the pids in the log headers.
+/// `teeperf live --logs a,b,c`: replay recorded logs (each `<base>.tpf`,
+/// or failing that a registration directory's `<base>.tplog`, with its
+/// `<base>.sym`) through the live pipeline as one multi-process session,
+/// keyed by the pids in the log headers.
 ///
 /// Every unreadable or malformed path is reported (one message per path)
 /// before the command gives up with exit code 2 — a typo in one of ten
@@ -519,8 +521,12 @@ fn cmd_live_logs(args: &Parsed, logs: &str) -> Result<String, CliError> {
     let mut loaded = Vec::new();
     let mut bad: Vec<String> = Vec::new();
     for base in &bases {
-        let base = base.trim_end_matches(".tpf");
-        let log_path = format!("{base}.tpf");
+        let base = base.trim_end_matches(".tpf").trim_end_matches(".tplog");
+        let log_path = [".tpf", ".tplog"]
+            .map(|ext| format!("{base}{ext}"))
+            .into_iter()
+            .find(|path| std::path::Path::new(path).exists())
+            .unwrap_or_else(|| format!("{base}.tpf"));
         let sym_path = format!("{base}.sym");
         let log = LogFile::load(&log_path).map_err(|e| bad.push(format!("{log_path}: {e}")));
         let debug = read_symbols(&sym_path).map_err(|e| bad.push(e.message));
@@ -592,8 +598,8 @@ fn read_symbols(sym_path: &str) -> Result<DebugInfo, CliError> {
     DebugInfo::from_text(&text).ok_or_else(|| path_err(sym_path, "malformed symbol file"))
 }
 
-/// The analyzer over the recording whose `.tpf` and `.sym` are operands
-/// `at` and `at + 1`. With `salvage`, a torn or truncated log is read
+/// The analyzer over the log image (a recording's `.tpf`, a deployed
+/// session's `.tplog`) and the `.sym` that are operands `at` and `at + 1`. With `salvage`, a torn or truncated log is read
 /// through the salvage path instead of rejected, and the accounting report
 /// is returned for the caller to print.
 fn load_analyzer(
@@ -655,18 +661,7 @@ fn cmd_query(args: &Parsed) -> Result<String, CliError> {
     }
     let (analyzer, _) = load_analyzer(args, 0, args.yes_no("salvage")?.unwrap_or(false))?;
     let query = operand(args, 2, "query string")?;
-    // Queries mentioning per-event columns go to the event frame; method
-    // queries to the method frame.
-    let frame = if query.contains("kind")
-        || query.contains("counter")
-        || query.contains("seq")
-        || query.contains("tid")
-    {
-        analyzer.events_frame()
-    } else {
-        analyzer.methods_frame()
-    };
-    let result = teeperf_analyzer::run_query(&frame, query).map_err(|e| err(e.to_string()))?;
+    let result = analyzer.query(query).map_err(|e| err(e.to_string()))?;
     Ok(result.to_table())
 }
 
@@ -689,7 +684,7 @@ fn cmd_flamegraph(args: &Parsed) -> Result<String, CliError> {
 fn cmd_diff(args: &Parsed) -> Result<String, CliError> {
     if args.positional.len() != 4 {
         return Err(err(format!(
-            "diff needs <a.tpf> <a.sym> <b.tpf> <b.sym>\n\n{}",
+            "diff needs <a.tpf> <a.sym> <b.tpf> <b.sym> (or .tplog logs)\n\n{}",
             args.usage()
         )));
     }
@@ -1347,6 +1342,38 @@ mod tests {
     }
 
     #[test]
+    fn query_picks_its_frame_by_the_columns_it_references_not_by_its_text() {
+        let dir = tmpdir();
+        let prog = dir.join("names.mc");
+        std::fs::write(
+            &prog,
+            "fn kind_of(x: int) -> int { return x + 1; }
+             fn stid(x: int) -> int { return x * 2; }
+             fn main() -> int { print_int(kind_of(stid(3)) + stid(1)); return 0; }",
+        )
+        .unwrap();
+        let base = dir.join("names").to_str().unwrap().to_string();
+        dispatch(&strs(&["record", prog.to_str().unwrap(), "--out", &base])).unwrap();
+        let (tpf, sym) = (format!("{base}.tpf"), format!("{base}.sym"));
+        let query = |q: &str| dispatch(&strs(&["query", &tpf, &sym, q]));
+        // A method merely *called* kind_of / stid is a string, not a column:
+        // these are methods queries, exactly like the one about main.
+        for (method, calls) in [("kind_of", "1"), ("stid", "2"), ("main", "1")] {
+            let q = format!(r#"select method, calls where method == "{method}""#);
+            let out = query(&q).unwrap_or_else(|e| panic!("{q}: {e}"));
+            let row: Vec<&str> = out.lines().last().unwrap().split_whitespace().collect();
+            assert_eq!(row, [method, calls], "{out}");
+        }
+        // Per-event columns still go to the events frame: 3 calls, 4 with
+        // main, a call and a return each.
+        let out = query("select tid, counter sort seq").unwrap();
+        assert!(out.lines().next().unwrap().contains("counter"), "{out}");
+        assert_eq!(out.lines().count(), 2 + 8, "{out}");
+        let e = query("select tid, calls").unwrap_err();
+        assert!(e.to_string().contains("unknown column `calls`"), "{e}");
+    }
+
+    #[test]
     fn compile_then_run_and_record_object_file() {
         let dir = tmpdir();
         let prog = dir.join("obj.mc");
@@ -1602,6 +1629,98 @@ mod tests {
         assert!(out.starts_with("salvage: kept 3 dropped 1"), "{out}");
         assert!(out.contains("truncated-file: 1"), "{out}");
         assert!(out.contains("main"), "the surviving records still analyze");
+    }
+
+    #[test]
+    fn a_registration_directory_log_is_an_operand_like_any_recording() {
+        use teeperf_core::layout::{EventKind, LogEntry};
+        use teeperf_core::log::make_header;
+        use teeperf_core::shm_file::{publish_sidecar, FileShmWriter};
+
+        // What `teeperf-shm-writer` leaves in a registration directory: a
+        // finished session (pid 41) and one whose writer was killed (pid
+        // 42, ACTIVE never cleared), each preallocated far past its tail.
+        let dir = tmpdir();
+        let debug = mcvm::DebugInfo::from_functions([("main", 4, 1), ("work", 4, 5)]);
+        let (a0, a1) = (debug.entry_addr(0), debug.entry_addr(1));
+        for (pid, finish) in [(41, true), (42, false)] {
+            publish_sidecar(&dir, pid, "sym", &debug.to_text()).unwrap();
+            let mut w = FileShmWriter::create(&dir, &make_header(pid, 64, true, 0, 0)).unwrap();
+            for (kind, counter, addr) in [
+                (EventKind::Call, 1, a0),
+                (EventKind::Call, 10, a1),
+                (EventKind::Return, 60, a1),
+                (EventKind::Return, 101, a0),
+            ] {
+                let tid = 0;
+                w.write(&LogEntry {
+                    kind,
+                    counter,
+                    addr,
+                    tid,
+                })
+                .unwrap();
+            }
+            if finish {
+                w.finish().unwrap();
+            }
+        }
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        // Everything below the title line, which names the pid.
+        let body = |out: &str| out[out.find("total profiled time").unwrap()..].to_string();
+        let finished = dispatch(&strs(&["analyze", &path("41.tplog"), &path("41.sym")])).unwrap();
+        assert!(
+            finished.contains("pid 41, 4 events (1 threads)"),
+            "{finished}"
+        );
+        assert!(finished.contains("log coverage: complete (4 events, capacity 64)"));
+        for salvage in ["no", "yes"] {
+            let (log, sym) = (path("42.tplog"), path("42.sym"));
+            let killed = dispatch(&strs(&["analyze", &log, &sym, "--salvage", salvage])).unwrap();
+            assert_eq!(body(&killed), body(&finished), "--salvage {salvage}");
+        }
+        let q = "select method, excl sort method";
+        let out = dispatch(&strs(&["query", &path("42.tplog"), &path("42.sym"), q])).unwrap();
+        let rows: Vec<&str> = out.lines().skip(2).collect();
+        assert_eq!(rows.len(), 2, "{out}");
+        assert!(
+            rows[0].starts_with("main") && rows[1].starts_with("work"),
+            "{out}"
+        );
+        let out = dispatch(&strs(&["flamegraph", &path("41.tplog"), &path("41.sym")])).unwrap();
+        assert!(out.contains("work"), "{out}");
+        let logs = format!("{},{}", path("41"), path("42.tplog"));
+        let out = dispatch(&strs(&["live", "--logs", &logs])).unwrap();
+        assert!(
+            out.contains("replayed 2 logs: 8 events, 0 dropped"),
+            "{out}"
+        );
+        // A `.tpf` beside a `.tplog` of the same base wins.
+        std::fs::copy(path("42.tplog"), path("41.tpf")).unwrap();
+        let out = dispatch(&strs(&["live", "--logs", &path("41")])).unwrap();
+        assert!(out.contains("pid 42"), "{out}");
+    }
+
+    #[test]
+    fn a_recording_in_the_old_framing_is_refused_not_guessed_at() {
+        // `TPERFLG1`, six header words, a count, the entries: what `teeperf
+        // record` wrote before a recording became the log image.
+        let dir = tmpdir();
+        let mut old = b"TPERFLG1".to_vec();
+        for word in [0b111u64 | 3 << 17, 41, 64, 2, 0, 0, 2] {
+            old.extend_from_slice(&word.to_le_bytes());
+        }
+        old.extend_from_slice(&[0x11; 48]);
+        let tpf = dir.join("old.tpf").to_str().unwrap().to_string();
+        let sym = dir.join("old.sym").to_str().unwrap().to_string();
+        std::fs::write(&tpf, &old).unwrap();
+        std::fs::write(&sym, mcvm::DebugInfo::default().to_text()).unwrap();
+        for salvage in ["no", "yes"] {
+            let e = dispatch(&strs(&["analyze", &tpf, &sym, "--salvage", salvage])).unwrap_err();
+            assert_eq!(e.code, 2, "{e}");
+            let want = format!("{tpf}: not a log image");
+            assert!(e.to_string().starts_with(&want), "{e}");
+        }
     }
 
     #[test]

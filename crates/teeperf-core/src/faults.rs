@@ -22,7 +22,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::layout::{
-    EntryValidity, LogEntry, FLAG_ACTIVE, OFF_CONTROL, OFF_MAGIC, OFF_TAIL, WRITER_ONE,
+    EntryValidity, LogEntry, FLAG_ACTIVE, HEADER_BYTES, OFF_CONTROL, OFF_MAGIC, OFF_TAIL,
+    WRITER_ONE,
 };
 use crate::log::SharedLog;
 
@@ -158,29 +159,26 @@ impl FaultPlan {
         self.faults.iter().find(|f| f.at == at).map(|f| f.kind)
     }
 
-    /// Apply the file-level faults of this plan to serialized log bytes
+    /// Apply the file-level faults of this plan to a serialized log image
     /// (deterministically, seeded by `seed`): [`FaultKind::TruncatedFile`]
     /// cuts the buffer mid-entry, [`FaultKind::CorruptHeader`] smashes the
     /// control word. Writer-level kinds are ignored here.
     pub fn mutilate(&self, bytes: &mut Vec<u8>, seed: u64) {
         let mut rng = FaultRng::new(seed);
+        let header_end = HEADER_BYTES as usize;
         for f in &self.faults {
             match f.kind {
-                FaultKind::TruncatedFile => {
-                    // Keep the magic + header, cut somewhere in the entry
-                    // region (mid-entry when possible).
-                    let header_end = 8 + 7 * 8;
-                    if bytes.len() > header_end {
-                        let span = (bytes.len() - header_end) as u64;
-                        let cut = header_end + rng.below(span) as usize;
-                        bytes.truncate(cut);
-                    }
+                // Keep the header, cut somewhere in the slot region
+                // (mid-entry when possible).
+                FaultKind::TruncatedFile if bytes.len() > header_end => {
+                    let span = (bytes.len() - header_end) as u64;
+                    bytes.truncate(header_end + rng.below(span) as usize);
                 }
-                // The control word is the first header word after the
-                // magic; flip its version bits.
-                FaultKind::CorruptHeader if bytes.len() >= 16 => {
+                // Flip the control word's version bits.
+                FaultKind::CorruptHeader if bytes.len() >= header_end => {
                     let garbage = rng.next_u64() | (1 << 40);
-                    bytes[8..16].copy_from_slice(&garbage.to_le_bytes());
+                    let at = OFF_CONTROL as usize;
+                    bytes[at..at + 8].copy_from_slice(&garbage.to_le_bytes());
                 }
                 _ => {}
             }

@@ -1,14 +1,17 @@
 //! The persistent log file the recorder writes after measurement and the
 //! analyzer reads offline.
 //!
-//! A simple, versioned little-endian binary format:
-//!
-//! ```text
-//! magic   8 bytes  "TPERFLG1"
-//! header  6 words  control, pid, size, tail, anchor, shm_addr
-//! count   1 word   number of entries that follow
-//! entries count × 3 words
-//! ```
+//! On disk a log is the image of [`crate::layout`] itself: the 104-byte
+//! header, then the `min(tail, size)` stored 24-byte slots — the bytes a
+//! [`crate::log::SharedLog`] region starts with and a deployed session's
+//! `<pid>.tplog` ([`crate::shm_file`]) holds. There is no framing of its
+//! own and no count word: how many entries a file has is what its header
+//! promises and its length backs ([`LogHeader::available`]), so
+//! [`LogFile::load`] reads a `.tplog` straight out of a registration
+//! directory — finished or killed, never its preallocated remainder — and
+//! a [`crate::shm_file::FileShmSource`] drains a file [`LogFile::save`]
+//! wrote. Files in the older private framing (magic `TPERFLG1`) are
+//! refused as not a log image.
 
 use std::error::Error;
 use std::fmt;
@@ -16,34 +19,29 @@ use std::io::{Read, Write};
 use std::path::Path;
 
 use crate::faults::{SalvageReason, SalvageReport};
-use crate::layout::{LogEntry, LogHeader, LOG_VERSION};
+use crate::layout::{
+    image_word, HeaderFault, HeaderRule, LogEntry, LogHeader, ENTRY_BYTES, HEADER_BYTES,
+};
 
-const MAGIC: &[u8; 8] = b"TPERFLG1";
-
-/// Errors reading or writing a log file.
+/// Errors reading or writing a file that holds a log image: a recording,
+/// or a session's `<pid>.tplog` ([`crate::shm_file`] knows it as
+/// `ShmFileError`).
 #[derive(Debug)]
 pub enum LogFileError {
     /// An underlying I/O failure.
     Io(std::io::Error),
-    /// The bytes are not a valid log file.
-    Malformed(String),
-    /// The header carries a log-format version this build does not speak;
-    /// parsing the body would be interpreting garbage.
-    VersionMismatch {
-        /// Version found in the header control word.
-        found: u16,
-        /// The version this build writes ([`LOG_VERSION`]).
-        expected: u16,
-    },
-    /// A header field contradicts the file's own length (e.g. more entries
-    /// than `max_size` slots, or more entries than the tail ever reserved).
-    Inconsistent {
-        /// Which header field is being contradicted.
-        what: &'static str,
-        /// Value implied by the file contents.
+    /// Fewer bytes than a header: not a log image.
+    TooSmall(u64),
+    /// The header may not be trusted; decoding the body would be
+    /// interpreting garbage.
+    Header(HeaderFault),
+    /// The file ends before the slots its header promises (a strict load
+    /// refuses it; [`LogFile::load_salvage`] keeps what is there).
+    Truncated {
+        /// Complete slots below the tail that the file holds.
         found: u64,
-        /// Bound claimed by the header.
-        limit: u64,
+        /// Slots the header promises (`min(tail, size)`).
+        promised: u64,
     },
 }
 
@@ -51,14 +49,14 @@ impl fmt::Display for LogFileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LogFileError::Io(e) => write!(f, "log file i/o error: {e}"),
-            LogFileError::Malformed(msg) => write!(f, "malformed log file: {msg}"),
-            LogFileError::VersionMismatch { found, expected } => write!(
+            LogFileError::TooSmall(n) => write!(
                 f,
-                "log version mismatch: file is v{found}, this build reads v{expected}"
+                "not a log image: {n} bytes, shorter than a {HEADER_BYTES}-byte header"
             ),
-            LogFileError::Inconsistent { what, found, limit } => write!(
+            LogFileError::Header(fault) => fault.fmt(f),
+            LogFileError::Truncated { found, promised } => write!(
                 f,
-                "inconsistent log header: {found} entries on disk but {what} is {limit}"
+                "truncated log file: {found} of the {promised} entries its header promises"
             ),
         }
     }
@@ -68,6 +66,7 @@ impl Error for LogFileError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             LogFileError::Io(e) => Some(e),
+            LogFileError::Header(fault) => Some(fault),
             _ => None,
         }
     }
@@ -76,6 +75,12 @@ impl Error for LogFileError {
 impl From<std::io::Error> for LogFileError {
     fn from(e: std::io::Error) -> Self {
         LogFileError::Io(e)
+    }
+}
+
+impl From<HeaderFault> for LogFileError {
+    fn from(fault: HeaderFault) -> Self {
+        LogFileError::Header(fault)
     }
 }
 
@@ -94,129 +99,69 @@ impl LogFile {
         LogFile { header, entries }
     }
 
-    /// Serialize to the on-disk byte format.
+    /// Serialize to the on-disk image: the header, then the entries. The
+    /// bytes read back as this log when the entries are the
+    /// `min(tail, size)` the header promises, which is what every
+    /// recorder produces.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 7 * 8 + self.entries.len() * 24);
-        out.extend_from_slice(MAGIC);
-        let h = &self.header;
-        for w in [
-            h.pack_control(),
-            h.pid,
-            h.size,
-            h.tail,
-            h.anchor,
-            h.shm_addr,
-            self.entries.len() as u64,
-        ] {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
+        let slots = self.entries.len() * ENTRY_BYTES as usize;
+        let mut out = Vec::with_capacity(HEADER_BYTES as usize + slots);
+        out.extend_from_slice(&self.header.to_image());
         for e in &self.entries {
             out.extend_from_slice(&e.to_bytes());
         }
         out
     }
 
-    /// Parse the magic, header words and declared count; the shared prefix
-    /// of strict and salvage parsing.
-    fn parse_header(bytes: &[u8]) -> Result<(LogHeader, u64), LogFileError> {
-        let word = |i: usize| -> Result<u64, LogFileError> {
-            let start = 8 + i * 8;
-            let chunk: [u8; 8] = bytes
-                .get(start..start + 8)
-                .ok_or_else(|| LogFileError::Malformed("truncated header".into()))?
-                .try_into()
-                .expect("slice of length 8");
-            Ok(u64::from_le_bytes(chunk))
+    /// The shared prefix of strict and salvage parsing: the trusted
+    /// header, the bytes of the slots it promises that `bytes` holds, and
+    /// how many promised slots are missing.
+    fn parse(bytes: &[u8]) -> Result<(LogHeader, &[u8], u64), LogFileError> {
+        let Some((image, body)) = bytes.split_first_chunk() else {
+            return Err(LogFileError::TooSmall(bytes.len() as u64));
         };
-        if bytes.len() < 8 || &bytes[..8] != MAGIC {
-            return Err(LogFileError::Malformed("bad magic".into()));
-        }
-        let control = word(0)?;
-        let (active, trace_calls, trace_returns, multithread, version) =
-            LogHeader::unpack_control(control);
-        if version != LOG_VERSION {
-            return Err(LogFileError::VersionMismatch {
-                found: version,
-                expected: LOG_VERSION,
-            });
-        }
-        let header = LogHeader {
-            active,
-            trace_calls,
-            trace_returns,
-            multithread,
-            version,
-            pid: word(1)?,
-            size: word(2)?,
-            tail: word(3)?,
-            anchor: word(4)?,
-            shm_addr: word(5)?,
-        };
-        let count = word(6)?;
-        Ok((header, count))
+        let header = LogHeader::from_image(image, HeaderRule::Foreign)?;
+        let (available, shortfall) = header.available(body.len() as u64);
+        let slots = &body[..(available * ENTRY_BYTES) as usize];
+        Ok((header, slots, shortfall))
     }
 
-    /// Parse the on-disk byte format, strictly.
+    /// Parse the on-disk image, strictly. Bytes past the promised slots
+    /// are not looked at.
     ///
     /// # Errors
-    /// Returns [`LogFileError::Malformed`] on a bad magic, truncation, or an
-    /// implausible entry count; [`LogFileError::VersionMismatch`] when the
-    /// header version is not [`LOG_VERSION`]; [`LogFileError::Inconsistent`]
-    /// when the entry count contradicts the header's `max_size` or tail.
+    /// [`LogFileError::TooSmall`] or [`LogFileError::Header`] when the
+    /// bytes do not start with a trustworthy header;
+    /// [`LogFileError::Truncated`] when they end before the promised
+    /// slots do.
     pub fn from_bytes(bytes: &[u8]) -> Result<LogFile, LogFileError> {
-        let (header, count) = LogFile::parse_header(bytes)?;
-        let body = &bytes[8 + 7 * 8..];
-        if body.len() as u64 != count * 24 {
-            return Err(LogFileError::Malformed(format!(
-                "expected {count} entries ({} bytes), found {} bytes",
-                count * 24,
-                body.len()
-            )));
-        }
-        if count > header.size {
-            return Err(LogFileError::Inconsistent {
-                what: "max_size",
-                found: count,
-                limit: header.size,
-            });
-        }
-        if count > header.tail {
-            return Err(LogFileError::Inconsistent {
-                what: "tail",
-                found: count,
-                limit: header.tail,
+        let (header, slots, shortfall) = LogFile::parse(bytes)?;
+        if shortfall > 0 {
+            let promised = header.stored_entries();
+            return Err(LogFileError::Truncated {
+                found: promised - shortfall,
+                promised,
             });
         }
         Ok(LogFile {
             header,
-            entries: LogEntry::decode_slots(body).collect(),
+            entries: LogEntry::decode_slots(slots).collect(),
         })
     }
 
-    /// Parse the on-disk byte format, salvaging what a strict parse would
-    /// reject: a truncated entry region keeps every complete 24-byte entry
-    /// (dropping the cut one), torn or never-published records are skipped,
-    /// and a count/size/tail inconsistency is clamped rather than fatal.
-    /// The report accounts for every record given up on.
+    /// Parse the on-disk image, salvaging what a strict parse would
+    /// reject: a truncated slot region keeps every complete promised slot
+    /// and accounts the shortfall, and torn or never-published records
+    /// are skipped. The report accounts for every record given up on.
     ///
     /// # Errors
-    /// Still fails on damage with nothing behind it to salvage: a bad
-    /// magic, a truncated header, or a [`LogFileError::VersionMismatch`]
-    /// (entries of a foreign version would be decoded as garbage).
+    /// Still fails on damage with nothing behind it to salvage:
+    /// [`LogFileError::TooSmall`] and [`LogFileError::Header`].
     pub fn from_bytes_salvage(bytes: &[u8]) -> Result<(LogFile, SalvageReport), LogFileError> {
-        let (header, count) = LogFile::parse_header(bytes)?;
+        let (header, slots, shortfall) = LogFile::parse(bytes)?;
         let mut report = SalvageReport::default();
-        let body = &bytes[8 + 7 * 8..];
-        let complete = (body.len() / 24) as u64;
-        let expected = count.max(complete);
-        if expected > complete {
-            // Entries the header promised (or a partial trailing record)
-            // that the file no longer holds.
-            report.drop_n(SalvageReason::TruncatedFile, expected - complete);
-        } else if !body.len().is_multiple_of(24) {
-            report.drop_n(SalvageReason::TruncatedFile, 1);
-        }
-        let entries = report.filter_entries(LogEntry::decode_slots(body));
+        report.drop_n(SalvageReason::TruncatedFile, shortfall);
+        let entries = report.filter_entries(LogEntry::decode_slots(slots));
         Ok((LogFile { header, entries }, report))
     }
 
@@ -230,14 +175,31 @@ impl LogFile {
         Ok(())
     }
 
-    /// Read a log from a file.
+    /// The header of the file at `path` and the promised slots it holds —
+    /// never more than the file's own length, whatever its header claims.
+    fn read_image(path: &Path) -> Result<Vec<u8>, LogFileError> {
+        let file = std::fs::File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut bytes = Vec::with_capacity(HEADER_BYTES as usize);
+        (&file).take(HEADER_BYTES).read_to_end(&mut bytes)?;
+        // The words are only sized from here; `parse` decides on trust.
+        if let Some(image) = bytes.first_chunk() {
+            let header = LogHeader::decode(|off| image_word(image, off));
+            let (available, _) = header.available(len.saturating_sub(HEADER_BYTES));
+            let promised = available * ENTRY_BYTES;
+            bytes.reserve_exact(promised as usize);
+            file.take(promised).read_to_end(&mut bytes)?;
+        }
+        Ok(bytes)
+    }
+
+    /// Read a log from a file: a recording, or a deployed session's
+    /// `<pid>.tplog`.
     ///
     /// # Errors
-    /// Propagates I/O failures and format errors.
+    /// Propagates I/O failures and [`LogFile::from_bytes`] errors.
     pub fn load(path: impl AsRef<Path>) -> Result<LogFile, LogFileError> {
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-        LogFile::from_bytes(&bytes)
+        LogFile::from_bytes(&LogFile::read_image(path.as_ref())?)
     }
 
     /// Read a log from a file via [`LogFile::from_bytes_salvage`].
@@ -245,16 +207,14 @@ impl LogFile {
     /// # Errors
     /// Propagates I/O failures and unsalvageable format errors.
     pub fn load_salvage(path: impl AsRef<Path>) -> Result<(LogFile, SalvageReport), LogFileError> {
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-        LogFile::from_bytes_salvage(&bytes)
+        LogFile::from_bytes_salvage(&LogFile::read_image(path.as_ref())?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{EventKind, LOG_VERSION};
+    use crate::layout::{EventKind, LOG_VERSION, OFF_MAGIC, OFF_SIZE, OFF_TAIL};
     use proptest::prelude::*;
 
     fn sample() -> LogFile {
@@ -288,6 +248,11 @@ mod tests {
         )
     }
 
+    /// Overwrite the header word at `off` of a serialized image.
+    fn set_word(bytes: &mut [u8], off: u64, word: u64) {
+        bytes[off as usize..off as usize + 8].copy_from_slice(&word.to_le_bytes());
+    }
+
     #[test]
     fn byte_round_trip() {
         let f = sample();
@@ -309,25 +274,75 @@ mod tests {
     fn rejects_bad_magic_and_truncation() {
         let f = sample();
         let mut b = f.to_bytes();
-        b[0] = b'X';
+        b[OFF_MAGIC as usize] = b'X';
         assert!(matches!(
             LogFile::from_bytes(&b),
-            Err(LogFileError::Malformed(_))
+            Err(LogFileError::Header(HeaderFault::BadMagic { .. }))
         ));
         let b = f.to_bytes();
-        assert!(LogFile::from_bytes(&b[..b.len() - 1]).is_err());
-        assert!(LogFile::from_bytes(&b[..20]).is_err());
+        assert!(matches!(
+            LogFile::from_bytes(&b[..b.len() - 1]),
+            Err(LogFileError::Truncated {
+                found: 1,
+                promised: 2
+            })
+        ));
+        assert!(matches!(
+            LogFile::from_bytes(&b[..20]),
+            Err(LogFileError::TooSmall(20))
+        ));
         assert!(LogFile::from_bytes(b"").is_err());
     }
 
     #[test]
-    fn count_mismatch_detected() {
+    fn the_tail_not_the_file_length_says_how_many_entries_there_are() {
         let f = sample();
         let mut b = f.to_bytes();
-        // Claim three entries while only two follow.
-        let off = 8 + 6 * 8;
-        b[off..off + 8].copy_from_slice(&3u64.to_le_bytes());
-        assert!(LogFile::from_bytes(&b).is_err());
+        // A tail promising a third entry nobody wrote: a shortfall.
+        set_word(&mut b, OFF_TAIL, 3);
+        assert!(matches!(
+            LogFile::from_bytes(&b),
+            Err(LogFileError::Truncated {
+                found: 2,
+                promised: 3
+            })
+        ));
+        // Bytes past the promise — a `.tplog`'s preallocated remainder —
+        // are never looked at, whole slots or stray bytes.
+        let mut b = f.to_bytes();
+        b.extend_from_slice(&[0xff; 24 + 7]);
+        assert_eq!(LogFile::from_bytes(&b).unwrap(), f);
+        let (salvaged, report) = LogFile::from_bytes_salvage(&b).unwrap();
+        assert_eq!(salvaged, f);
+        assert!(report.is_clean());
+        // A capacity below the tail caps the promise the same way.
+        set_word(&mut b, OFF_SIZE, 1);
+        assert_eq!(LogFile::from_bytes(&b).unwrap().entries, f.entries[..1]);
+    }
+
+    #[test]
+    fn an_old_format_file_is_refused_with_a_typed_error() {
+        // The framing this crate wrote before the image: magic, six header
+        // words, a count, the entries. This count is the one that used to
+        // overflow the strict loader's `count * 24` and make salvage
+        // report 768614336404564643 dropped records.
+        let f = sample();
+        let mut old = b"TPERFLG1".to_vec();
+        let h = &f.header;
+        let count = 0x0AAA_AAAA_AAAA_AAAB_u64;
+        for w in [h.pack_control(), h.pid, h.size, h.tail, h.anchor, 0, count] {
+            old.extend_from_slice(&w.to_le_bytes());
+        }
+        for e in &f.entries {
+            old.extend_from_slice(&e.to_bytes());
+        }
+        for bytes in [&old[..], &old[..64]] {
+            let strict = LogFile::from_bytes(bytes).unwrap_err();
+            let salvage = LogFile::from_bytes_salvage(bytes).unwrap_err();
+            for e in [strict, salvage] {
+                assert!(e.to_string().starts_with("not a log image"), "{e}");
+            }
+        }
     }
 
     #[test]
@@ -335,43 +350,34 @@ mod tests {
         let mut f = sample();
         f.header.version = LOG_VERSION + 1;
         let b = f.to_bytes();
-        match LogFile::from_bytes(&b) {
-            Err(LogFileError::VersionMismatch { found, expected }) => {
-                assert_eq!(found, LOG_VERSION + 1);
-                assert_eq!(expected, LOG_VERSION);
-            }
-            other => panic!("expected VersionMismatch, got {other:?}"),
-        }
+        let fault = HeaderFault::BadVersion {
+            found: LOG_VERSION + 1,
+        };
+        assert!(matches!(
+            LogFile::from_bytes(&b),
+            Err(LogFileError::Header(found)) if found == fault
+        ));
         // Salvage refuses too: a foreign version's entries are garbage.
         assert!(matches!(
             LogFile::from_bytes_salvage(&b),
-            Err(LogFileError::VersionMismatch { .. })
+            Err(LogFileError::Header(found)) if found == fault
         ));
     }
 
     #[test]
-    fn rejects_header_inconsistent_with_file_length() {
-        // More entries than max_size slots could ever hold.
+    fn rejects_an_image_that_names_no_writer_or_has_no_capacity() {
         let mut f = sample();
-        f.header.size = 1;
-        match LogFile::from_bytes(&f.to_bytes()) {
-            Err(LogFileError::Inconsistent { what, found, limit }) => {
-                assert_eq!(what, "max_size");
-                assert_eq!((found, limit), (2, 1));
-            }
-            other => panic!("expected Inconsistent, got {other:?}"),
-        }
-        // More entries than the tail ever reserved.
-        let mut f = sample();
-        f.header.tail = 1;
+        f.header.pid = 0;
         assert!(matches!(
             LogFile::from_bytes(&f.to_bytes()),
-            Err(LogFileError::Inconsistent { what: "tail", .. })
+            Err(LogFileError::Header(HeaderFault::NoPid))
         ));
-        // Salvage clamps instead of erroring.
-        let (salvaged, report) = LogFile::from_bytes_salvage(&f.to_bytes()).unwrap();
-        assert_eq!(salvaged.entries.len(), 2);
-        assert!(report.is_clean());
+        let mut f = sample();
+        f.header.size = 0;
+        assert!(matches!(
+            LogFile::from_bytes_salvage(&f.to_bytes()),
+            Err(LogFileError::Header(HeaderFault::ZeroCapacity))
+        ));
     }
 
     #[test]
@@ -412,17 +418,21 @@ mod tests {
     proptest! {
         #[test]
         fn prop_round_trip(
-            pid: u64, size: u64, tail: u64, anchor: u64,
+            pid in 1u64..=u64::MAX, spare in 0u64..3, dropped: u64, anchor: u64,
             raw_entries in proptest::collection::vec((any::<bool>(), 0u64..(1<<62), any::<u64>(), any::<u64>()), 0..64),
         ) {
             let entries: Vec<LogEntry> = raw_entries.iter().map(|(c, counter, addr, tid)| LogEntry {
                 kind: if *c { EventKind::Call } else { EventKind::Return },
                 counter: *counter, addr: *addr, tid: *tid,
             }).collect();
+            // Spare capacity or, on a full log, drop tickets above it:
+            // either way the smaller word is the count.
             let n = entries.len() as u64;
+            let size = n.saturating_add(spare).max(1);
+            let tail = if n == size { n.saturating_add(dropped) } else { n };
             let f = LogFile::new(LogHeader {
                 active: true, trace_calls: false, trace_returns: true, multithread: false,
-                version: LOG_VERSION, pid, size: size.max(n), tail: tail.max(n), anchor, shm_addr: 0,
+                version: LOG_VERSION, pid, size, tail, anchor, shm_addr: 0,
             }, entries);
             prop_assert_eq!(LogFile::from_bytes(&f.to_bytes()).unwrap(), f);
         }
@@ -430,7 +440,7 @@ mod tests {
         #[test]
         fn prop_salvage_never_panics_and_accounts_everything(
             cut in 0usize..512,
-            flips in proptest::collection::vec((64usize..512, any::<u8>()), 0..4),
+            flips in proptest::collection::vec((0usize..512, any::<u8>()), 0..4),
         ) {
             let f = sample();
             let mut b = f.to_bytes();
@@ -440,8 +450,10 @@ mod tests {
             let cut = cut.min(b.len());
             b.truncate(cut);
             // Must never panic; when it parses, the books must balance.
+            let _ = LogFile::from_bytes(&b);
             if let Ok((salvaged, report)) = LogFile::from_bytes_salvage(&b) {
                 prop_assert_eq!(salvaged.entries.len() as u64, report.kept);
+                prop_assert_eq!(report.kept + report.dropped, salvaged.header.stored_entries());
             }
         }
     }

@@ -40,6 +40,26 @@
 //! | 0 | bit 63 = call(1)/return(0), bits 0–62 = counter value |
 //! | 1 | call/return target instruction address |
 //! | 2 | thread id |
+//!
+//! ## One image, one codec
+//!
+//! The header followed by the slots is the log's *image*, and it is the
+//! same bytes in every medium: the [`crate::log::SharedLog`] region, a
+//! deployed session's `<pid>.tplog` ([`crate::shm_file`]) and the file
+//! `teeperf record` saves ([`crate::file`]) — words little-endian where
+//! the medium is bytes. This module is the only place that knows how a
+//! [`LogHeader`] becomes those thirteen words and back, and which header
+//! may be trusted: [`LogHeader::encode`] is the table of what a fresh
+//! image holds at each `OFF_*` (a new header word is one row there),
+//! [`LogHeader::decode`] reads one back, [`LogHeader::check`] returns the
+//! one [`HeaderFault`], and [`LogHeader::available`] is the one statement
+//! of how many slots a reader may take. Each works through a word
+//! accessor, so the shared-memory log keeps one access per word (the
+//! model checker schedules every one of them) and the byte media pass
+//! [`image_word`] over a [`HeaderImage`].
+
+use std::error::Error;
+use std::fmt;
 
 /// Current version of the log structure. Version 2 grew the header from 64
 /// to 96 bytes (epoch, writers-in-flight, and cumulative-dropped words);
@@ -185,16 +205,9 @@ impl LogHeader {
         w
     }
 
-    /// Decode the control word into flag fields (pid/size/tail/anchor/
-    /// shm_addr are separate words and must be filled by the caller).
-    pub fn unpack_control(word: u64) -> (bool, bool, bool, bool, u16) {
-        (
-            word & FLAG_ACTIVE != 0,
-            word & FLAG_TRACE_CALLS != 0,
-            word & FLAG_TRACE_RETURNS != 0,
-            word & FLAG_MULTITHREAD != 0,
-            ((word >> VERSION_SHIFT) & VERSION_MASK) as u16,
-        )
+    /// The version bits of a control word.
+    fn control_version(control: u64) -> u16 {
+        ((control >> VERSION_SHIFT) & VERSION_MASK) as u16
     }
 
     /// Number of entries actually present given the size bound.
@@ -207,9 +220,210 @@ impl LogHeader {
         self.tail.saturating_sub(self.size)
     }
 
-    /// Whether the pid word carries a real process id (see [`PID_UNSET`]).
-    pub fn has_valid_pid(&self) -> bool {
-        self.pid != PID_UNSET
+    /// Encode a fresh image of this header: every header word handed to
+    /// `put(offset, word)`, in ascending offset order. The words this
+    /// struct does not carry start at zero (the all-zero regime word is
+    /// `Full` at regime epoch 0) and the magic is [`LOG_MAGIC`].
+    pub fn encode(&self, mut put: impl FnMut(u64, u64)) {
+        for (off, word) in [
+            (OFF_CONTROL, self.pack_control()),
+            (OFF_PID, self.pid),
+            (OFF_SIZE, self.size),
+            (OFF_TAIL, self.tail),
+            (OFF_ANCHOR, self.anchor),
+            (OFF_SHM_ADDR, self.shm_addr),
+            (OFF_COUNTER, 0),
+            (OFF_EPOCH, 0),
+            (OFF_DROPPED, 0),
+            (OFF_MAGIC, LOG_MAGIC),
+            (OFF_ABANDONED, 0),
+            (OFF_ABANDONED_EPOCH, 0),
+            (OFF_REGIME, 0),
+        ] {
+            put(off, word);
+        }
+    }
+
+    /// [`LogHeader::encode`] into the bytes a file holds.
+    pub fn to_image(&self) -> HeaderImage {
+        let mut image = [0u8; HEADER_BYTES as usize];
+        self.encode(|off, word| {
+            image[off as usize..off as usize + 8].copy_from_slice(&word.to_le_bytes());
+        });
+        image
+    }
+
+    /// Decode the header behind `word`, one call per word this struct
+    /// carries, in ascending offset order. Says nothing about whether the
+    /// words may be trusted — that is [`LogHeader::check`].
+    pub fn decode(mut word: impl FnMut(u64) -> u64) -> LogHeader {
+        let control = word(OFF_CONTROL);
+        LogHeader {
+            active: control & FLAG_ACTIVE != 0,
+            trace_calls: control & FLAG_TRACE_CALLS != 0,
+            trace_returns: control & FLAG_TRACE_RETURNS != 0,
+            multithread: control & FLAG_MULTITHREAD != 0,
+            version: LogHeader::control_version(control),
+            pid: word(OFF_PID),
+            size: word(OFF_SIZE),
+            tail: word(OFF_TAIL),
+            anchor: word(OFF_ANCHOR),
+            shm_addr: word(OFF_SHM_ADDR),
+        }
+    }
+
+    /// Decide whether the header behind `word` may be trusted: the magic
+    /// first (is this a log at all? nothing else means anything if not),
+    /// then the version, then `rule`'s size / pid words. A word is read
+    /// only after every check before it has passed.
+    ///
+    /// # Errors
+    /// The first [`HeaderFault`] found, most fundamental first.
+    pub fn check(mut word: impl FnMut(u64) -> u64, rule: HeaderRule) -> Result<(), HeaderFault> {
+        let magic = word(OFF_MAGIC);
+        if magic != LOG_MAGIC {
+            return Err(HeaderFault::BadMagic { found: magic });
+        }
+        let version = LogHeader::control_version(word(OFF_CONTROL));
+        if version != LOG_VERSION {
+            return Err(HeaderFault::BadVersion { found: version });
+        }
+        match rule {
+            HeaderRule::Foreign => {
+                if word(OFF_PID) == PID_UNSET {
+                    return Err(HeaderFault::NoPid);
+                }
+                if word(OFF_SIZE) == 0 {
+                    return Err(HeaderFault::ZeroCapacity);
+                }
+            }
+            HeaderRule::Attached(expected) => {
+                let found = word(OFF_SIZE);
+                if found != expected {
+                    return Err(HeaderFault::SizeMismatch { found, expected });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// [`LogHeader::check`], then [`LogHeader::decode`], over a file's
+    /// header bytes.
+    ///
+    /// # Errors
+    /// The check's [`HeaderFault`].
+    pub fn from_image(image: &HeaderImage, rule: HeaderRule) -> Result<LogHeader, HeaderFault> {
+        LogHeader::check(|off| image_word(image, off), rule)?;
+        Ok(LogHeader::decode(|off| image_word(image, off)))
+    }
+
+    /// The availability rule, for every reader of an image held as bytes:
+    /// of the slots this header promises (`min(tail, size)`), how many a
+    /// medium holding `body_bytes` after the header can serve, and how
+    /// many it is short. Bytes past the promise (a `.tplog`'s
+    /// preallocated remainder) are nobody's; a partial trailing slot is
+    /// not a slot. Returns `(available, shortfall)`.
+    pub fn available(&self, body_bytes: u64) -> (u64, u64) {
+        let promised = self.stored_entries();
+        let available = promised.min(body_bytes / ENTRY_BYTES);
+        (available, promised - available)
+    }
+}
+
+/// A header as a file holds it: [`HEADER_BYTES`] bytes, each word
+/// little-endian at its `OFF_*`.
+pub type HeaderImage = [u8; HEADER_BYTES as usize];
+
+/// The word at byte offset `off` (one of the `OFF_*`) of a header image.
+pub fn image_word(image: &HeaderImage, off: u64) -> u64 {
+    let word = image[off as usize..off as usize + 8].try_into();
+    u64::from_le_bytes(word.expect("8-byte word inside the header"))
+}
+
+/// What [`LogHeader::check`] holds the size and pid words against once
+/// the magic and version have passed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HeaderRule {
+    /// An image someone else wrote, met for the first time (a file being
+    /// registered, opened or loaded): it must name its writer and have
+    /// room for at least one entry.
+    Foreign,
+    /// An image this handle attached to earlier, at this capacity: the
+    /// size word must still say so.
+    Attached(u64),
+}
+
+/// Why a header may not be trusted (see [`LogHeader::check`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HeaderFault {
+    /// The integrity word does not contain [`LOG_MAGIC`]: not a log
+    /// image, a destroyed one, or a region that was never initialized.
+    BadMagic {
+        /// The word found where the magic should be.
+        found: u64,
+    },
+    /// The version bits of the control word are not [`LOG_VERSION`];
+    /// entries of a foreign version would be decoded as garbage.
+    BadVersion {
+        /// The version found in the control word.
+        found: u16,
+    },
+    /// The pid word is [`PID_UNSET`]: the log does not say who wrote it.
+    NoPid,
+    /// The size word is zero: a log that can hold nothing.
+    ZeroCapacity,
+    /// The size word no longer matches the capacity the handle attached
+    /// with.
+    SizeMismatch {
+        /// The size word as currently stored.
+        found: u64,
+        /// The capacity recorded when the handle attached.
+        expected: u64,
+    },
+}
+
+impl fmt::Display for HeaderFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            HeaderFault::BadMagic { found } => write!(
+                f,
+                "not a log image: magic {found:#018x} != {LOG_MAGIC:#018x}"
+            ),
+            HeaderFault::BadVersion { found } => {
+                write!(f, "log version {found} (this build speaks {LOG_VERSION})")
+            }
+            HeaderFault::NoPid => write!(f, "log header has no pid"),
+            HeaderFault::ZeroCapacity => write!(f, "log declares zero capacity"),
+            HeaderFault::SizeMismatch { found, expected } => write!(
+                f,
+                "header size word {found} != attached capacity {expected}"
+            ),
+        }
+    }
+}
+
+impl Error for HeaderFault {}
+
+/// Build a standard header for a session about to start: active, both
+/// event kinds traced, this build's version, nothing written yet.
+pub fn make_header(
+    pid: u64,
+    max_entries: u64,
+    multithread: bool,
+    anchor: u64,
+    shm_addr: u64,
+) -> LogHeader {
+    LogHeader {
+        active: true,
+        trace_calls: true,
+        trace_returns: true,
+        multithread,
+        version: LOG_VERSION,
+        pid,
+        size: max_entries,
+        tail: 0,
+        anchor,
+        shm_addr,
     }
 }
 
@@ -367,9 +581,7 @@ mod tests {
             anchor: 0,
             shm_addr: 0,
         };
-        let (a, c, r, m, v) = LogHeader::unpack_control(h.pack_control());
-        assert!(a && c && !r && m);
-        assert_eq!(v, 7);
+        assert_eq!(LogHeader::decode(|off| image_word(&h.to_image(), off)), h);
     }
 
     #[test]
@@ -466,7 +678,124 @@ mod tests {
         assert_eq!(LogEntry::offset_of(2), HEADER_BYTES + 2 * ENTRY_BYTES);
     }
 
+    /// Run `f` over a word accessor into `image` and return the offsets
+    /// it asked for, in order.
+    fn reads<T>(image: &HeaderImage, f: impl FnOnce(&mut dyn FnMut(u64) -> u64) -> T) -> Vec<u64> {
+        let mut seen = Vec::new();
+        f(&mut |off| {
+            seen.push(off);
+            image_word(image, off)
+        });
+        seen
+    }
+
+    #[test]
+    fn the_codec_touches_each_word_once_in_the_order_the_model_checker_counts() {
+        let h = make_header(7, 16, true, 0x40_0000, 0x7000);
+        let mut put = Vec::new();
+        h.encode(|off, _| put.push(off));
+        assert_eq!(put, (0..HEADER_BYTES).step_by(8).collect::<Vec<_>>());
+        let image = h.to_image();
+        let decode = [
+            OFF_CONTROL,
+            OFF_PID,
+            OFF_SIZE,
+            OFF_TAIL,
+            OFF_ANCHOR,
+            OFF_SHM_ADDR,
+        ];
+        assert_eq!(reads(&image, |w| LogHeader::decode(w)), decode);
+        let attached = |image| reads(image, |w| LogHeader::check(w, HeaderRule::Attached(16)));
+        assert_eq!(attached(&image), [OFF_MAGIC, OFF_CONTROL, OFF_SIZE]);
+        let foreign = reads(&image, |w| LogHeader::check(w, HeaderRule::Foreign));
+        assert_eq!(foreign, [OFF_MAGIC, OFF_CONTROL, OFF_PID, OFF_SIZE]);
+        // A failed check reads nothing past the word that failed it.
+        let mut smashed = image;
+        smashed[OFF_MAGIC as usize] ^= 1;
+        assert_eq!(attached(&smashed), [OFF_MAGIC]);
+        let mut foreign_version = image;
+        foreign_version[OFF_CONTROL as usize + 3] ^= 0x7f;
+        assert_eq!(attached(&foreign_version), [OFF_MAGIC, OFF_CONTROL]);
+    }
+
+    #[test]
+    fn check_names_the_most_fundamental_fault() {
+        let good = make_header(7, 16, true, 0, 0);
+        let check = |h: &LogHeader, rule| LogHeader::from_image(&h.to_image(), rule);
+        assert_eq!(check(&good, HeaderRule::Foreign), Ok(good));
+        assert_eq!(check(&good, HeaderRule::Attached(16)), Ok(good));
+        let bad = LogHeader {
+            version: 9,
+            pid: PID_UNSET,
+            size: 0,
+            ..good
+        };
+        let fault = HeaderFault::BadVersion { found: 9 };
+        assert_eq!(check(&bad, HeaderRule::Foreign), Err(fault));
+        let bad = LogHeader {
+            pid: PID_UNSET,
+            size: 0,
+            ..good
+        };
+        assert_eq!(check(&bad, HeaderRule::Foreign), Err(HeaderFault::NoPid));
+        let bad = LogHeader { size: 0, ..good };
+        assert_eq!(
+            check(&bad, HeaderRule::Foreign),
+            Err(HeaderFault::ZeroCapacity)
+        );
+        let fault = HeaderFault::SizeMismatch {
+            found: 0,
+            expected: 16,
+        };
+        assert_eq!(check(&bad, HeaderRule::Attached(16)), Err(fault));
+        // The magic masks everything else.
+        let mut image = bad.to_image();
+        image[OFF_MAGIC as usize..][..8].copy_from_slice(&7u64.to_le_bytes());
+        assert_eq!(
+            LogHeader::from_image(&image, HeaderRule::Foreign),
+            Err(HeaderFault::BadMagic { found: 7 })
+        );
+    }
+
+    #[test]
+    fn available_is_the_promise_clamped_to_what_the_medium_holds() {
+        let mut h = make_header(7, 4, true, 0, 0);
+        h.tail = 3;
+        assert_eq!(
+            h.available(4 * ENTRY_BYTES),
+            (3, 0),
+            "spare bytes are nobody's"
+        );
+        assert_eq!(h.available(3 * ENTRY_BYTES), (3, 0));
+        assert_eq!(
+            h.available(3 * ENTRY_BYTES - 1),
+            (2, 1),
+            "a cut slot is no slot"
+        );
+        assert_eq!(h.available(0), (0, 3));
+        h.tail = u64::MAX;
+        assert_eq!(
+            h.available(u64::MAX),
+            (4, 0),
+            "drop tickets promise no slot"
+        );
+        h.size = u64::MAX;
+        assert_eq!(h.available(2 * ENTRY_BYTES + 5), (2, u64::MAX - 2));
+    }
+
     proptest! {
+        #[test]
+        fn prop_header_image_round_trips(
+            active: bool, calls: bool, rets: bool, multi: bool,
+            pid in 1u64..=u64::MAX, size in 1u64..=u64::MAX, tail: u64, anchor: u64, shm_addr: u64,
+        ) {
+            let h = LogHeader {
+                active, trace_calls: calls, trace_returns: rets, multithread: multi,
+                version: LOG_VERSION, pid, size, tail, anchor, shm_addr,
+            };
+            prop_assert_eq!(LogHeader::from_image(&h.to_image(), HeaderRule::Foreign), Ok(h));
+        }
+
         #[test]
         fn prop_entry_round_trips(counter in 0u64..=ENTRY_COUNTER_MASK, addr: u64, tid: u64, call: bool) {
             let e = LogEntry {
@@ -489,8 +818,7 @@ mod tests {
                 active, trace_calls: calls, trace_returns: rets, multithread: multi, version,
                 pid: 0, size: 0, tail: 0, anchor: 0, shm_addr: 0,
             };
-            let (a, c, r, m, v) = LogHeader::unpack_control(h.pack_control());
-            prop_assert_eq!((a, c, r, m, v), (active, calls, rets, multi, version));
+            prop_assert_eq!(LogHeader::decode(|off| image_word(&h.to_image(), off)), h);
         }
     }
 }

@@ -79,10 +79,9 @@ pub use fidelity::{decode_or_full, decode_regime, encode_regime, FidelityGate, R
 pub use file::LogFile;
 pub use hooks::TeePerfHooks;
 pub use layout::{
-    EntryValidity, EventKind, LogEntry, LogHeader, ENTRY_BYTES, HEADER_BYTES, LOG_MAGIC,
-    LOG_VERSION,
+    EntryValidity, EventKind, HeaderFault, LogEntry, LogHeader, ENTRY_BYTES, HEADER_BYTES,
 };
-pub use log::{HeaderFault, LogCursor, RotationOutcome, RotationStall, SharedLog};
+pub use log::{LogCursor, RotationOutcome, RotationStall, SharedLog};
 pub use recorder::{Recorder, RecorderConfig};
 pub use select::SelectiveFilter;
 pub use shm_file::{FileShmSource, FileShmWriter, ShmFileError};

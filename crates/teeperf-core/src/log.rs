@@ -21,11 +21,12 @@ use std::error::Error;
 use std::fmt;
 
 use crate::fidelity::{self, Regime};
+pub use crate::layout::make_header;
 use crate::layout::{
-    EventKind, LogEntry, LogHeader, ENTRY_BYTES, FLAG_ACTIVE, FLAG_ROTATING, FLAG_TRACE_CALLS,
-    FLAG_TRACE_RETURNS, HEADER_BYTES, LOG_MAGIC, LOG_VERSION, OFF_ABANDONED, OFF_ABANDONED_EPOCH,
-    OFF_ANCHOR, OFF_CONTROL, OFF_COUNTER, OFF_DROPPED, OFF_EPOCH, OFF_MAGIC, OFF_PID, OFF_REGIME,
-    OFF_SHM_ADDR, OFF_SIZE, OFF_TAIL, WRITERS_MASK, WRITER_ONE,
+    EventKind, HeaderFault, HeaderRule, LogEntry, LogHeader, ENTRY_BYTES, FLAG_ACTIVE,
+    FLAG_ROTATING, FLAG_TRACE_CALLS, FLAG_TRACE_RETURNS, HEADER_BYTES, OFF_ABANDONED,
+    OFF_ABANDONED_EPOCH, OFF_CONTROL, OFF_COUNTER, OFF_DROPPED, OFF_EPOCH, OFF_REGIME, OFF_SIZE,
+    OFF_TAIL, WRITERS_MASK, WRITER_ONE,
 };
 
 /// A handle onto the shared log. Cheap to clone; clones alias the same
@@ -103,26 +104,14 @@ impl SharedLog {
         );
         let max_entries = (shm.size() - HEADER_BYTES) / ENTRY_BYTES;
         let size = header.size.min(max_entries);
-        shm.write_u64(OFF_CONTROL, header.pack_control())
-            .expect("header in range");
-        shm.write_u64(OFF_PID, header.pid).expect("header in range");
-        shm.write_u64(OFF_SIZE, size).expect("header in range");
-        shm.write_u64(OFF_TAIL, 0).expect("header in range");
-        shm.write_u64(OFF_ANCHOR, header.anchor)
-            .expect("header in range");
-        shm.write_u64(OFF_SHM_ADDR, header.shm_addr)
-            .expect("header in range");
-        shm.write_u64(OFF_COUNTER, 0).expect("header in range");
-        shm.write_u64(OFF_EPOCH, 0).expect("header in range");
-        shm.write_u64(OFF_DROPPED, 0).expect("header in range");
-        shm.write_u64(OFF_MAGIC, LOG_MAGIC)
-            .expect("header in range");
-        shm.write_u64(OFF_ABANDONED, 0).expect("header in range");
-        shm.write_u64(OFF_ABANDONED_EPOCH, 0)
-            .expect("header in range");
-        // The all-zero regime word is the valid encoding of Full @ regime
-        // epoch 0 (see `crate::fidelity`).
-        shm.write_u64(OFF_REGIME, 0).expect("header in range");
+        // One store per header word, in offset order (the all-zero regime
+        // word is the valid encoding of Full @ regime epoch 0).
+        let fresh = LogHeader {
+            size,
+            tail: 0,
+            ..*header
+        };
+        fresh.encode(|off, word| shm.write_u64(off, word).expect("header in range"));
         SharedLog {
             shm,
             size,
@@ -163,28 +152,19 @@ impl SharedLog {
         self.size
     }
 
+    /// One header word, in one shared-memory access.
+    fn word(&self, off: u64) -> u64 {
+        self.shm.read_u64(off).expect("header in range")
+    }
+
     /// Read and decode the current header.
     pub fn header(&self) -> LogHeader {
-        let control = self.shm.read_u64(OFF_CONTROL).expect("header in range");
-        let (active, trace_calls, trace_returns, multithread, version) =
-            LogHeader::unpack_control(control);
-        LogHeader {
-            active,
-            trace_calls,
-            trace_returns,
-            multithread,
-            version,
-            pid: self.shm.read_u64(OFF_PID).expect("header in range"),
-            size: self.shm.read_u64(OFF_SIZE).expect("header in range"),
-            tail: self.shm.read_u64(OFF_TAIL).expect("header in range"),
-            anchor: self.shm.read_u64(OFF_ANCHOR).expect("header in range"),
-            shm_addr: self.shm.read_u64(OFF_SHM_ADDR).expect("header in range"),
-        }
+        LogHeader::decode(|off| self.word(off))
     }
 
     /// Atomically read the control word (the hot-path "is tracing on" check).
     pub fn control_word(&self) -> u64 {
-        self.shm.read_u64(OFF_CONTROL).expect("header in range")
+        self.word(OFF_CONTROL)
     }
 
     /// Whether an event of `kind` should currently be recorded.
@@ -351,22 +331,7 @@ impl SharedLog {
     /// The first [`HeaderFault`] found, most fundamental first (a bad magic
     /// masks everything else).
     pub fn verify_header(&self) -> Result<(), HeaderFault> {
-        let magic = self.shm.read_u64(OFF_MAGIC).expect("header in range");
-        if magic != LOG_MAGIC {
-            return Err(HeaderFault::BadMagic { found: magic });
-        }
-        let (_, _, _, _, version) = LogHeader::unpack_control(self.control_word());
-        if version != LOG_VERSION {
-            return Err(HeaderFault::BadVersion { found: version });
-        }
-        let size = self.shm.read_u64(OFF_SIZE).expect("header in range");
-        if size != self.size {
-            return Err(HeaderFault::SizeMismatch {
-                found: size,
-                expected: self.size,
-            });
-        }
-        Ok(())
+        LogHeader::check(|off| self.word(off), HeaderRule::Attached(self.size))
     }
 
     /// Rotate the log: block new writers, wait for in-flight writers to
@@ -594,50 +559,6 @@ impl SharedLog {
     }
 }
 
-/// A corrupted or foreign log header, found by [`SharedLog::verify_header`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HeaderFault {
-    /// The integrity word does not contain [`LOG_MAGIC`].
-    BadMagic {
-        /// The word found where the magic should be.
-        found: u64,
-    },
-    /// The version bits of the control word are not [`LOG_VERSION`].
-    BadVersion {
-        /// The version found in the control word.
-        found: u16,
-    },
-    /// The size word no longer matches the capacity this handle attached
-    /// with.
-    SizeMismatch {
-        /// The size word as currently stored.
-        found: u64,
-        /// The capacity recorded when the handle attached.
-        expected: u64,
-    },
-}
-
-impl fmt::Display for HeaderFault {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HeaderFault::BadMagic { found } => {
-                write!(f, "header magic {found:#018x} != {LOG_MAGIC:#018x}")
-            }
-            HeaderFault::BadVersion { found } => {
-                write!(f, "header version {found} != {LOG_VERSION}")
-            }
-            HeaderFault::SizeMismatch { found, expected } => {
-                write!(
-                    f,
-                    "header size word {found} != attached capacity {expected}"
-                )
-            }
-        }
-    }
-}
-
-impl Error for HeaderFault {}
-
 /// A bounded rotation gave up: writers were still announced after the spin
 /// limit (see [`SharedLog::try_rotate`]). The log was reopened; nothing was
 /// drained.
@@ -689,31 +610,10 @@ pub struct RotationOutcome {
     pub new_epoch: u64,
 }
 
-/// Build a standard header for [`SharedLog::init`].
-pub fn make_header(
-    pid: u64,
-    max_entries: u64,
-    multithread: bool,
-    anchor: u64,
-    shm_addr: u64,
-) -> LogHeader {
-    LogHeader {
-        active: true,
-        trace_calls: true,
-        trace_returns: true,
-        multithread,
-        version: LOG_VERSION,
-        pid,
-        size: max_entries,
-        tail: 0,
-        anchor,
-        shm_addr,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::{LOG_MAGIC, LOG_VERSION, OFF_MAGIC};
     use proptest::prelude::*;
 
     fn fresh(max_entries: u64) -> SharedLog {

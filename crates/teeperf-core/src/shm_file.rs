@@ -4,11 +4,14 @@
 //! The in-process [`crate::log::SharedLog`] lives in a [`tee_sim::SharedMem`]
 //! region that only threads of one process can share. To profile genuinely
 //! separate OS processes without `unsafe` (no `mmap`), each writer process
-//! materializes the *exact same* log layout — the 104-byte header of
-//! [`crate::layout`] followed by 24-byte slots — in a regular file under
-//! `/dev/shm` (tmpfs, so "file I/O" is still memory traffic) or any other
-//! registration directory, and a [`FileShmSource`] in the daemon process
-//! polls it through the standard [`EventSource`] contract.
+//! materializes the same log image — the 104-byte header of
+//! [`crate::layout`] followed by 24-byte slots, encoded and checked by
+//! that module's one codec — in a regular file under `/dev/shm` (tmpfs, so
+//! "file I/O" is still memory traffic) or any other registration
+//! directory, and a [`FileShmSource`] in the daemon process polls it
+//! through the standard [`EventSource`] contract. The file is also what a
+//! post-mortem reads: [`crate::LogFile::load`] takes a `<pid>.tplog` as it
+//! lies, finished or killed.
 //!
 //! # Publication protocol
 //!
@@ -26,11 +29,14 @@
 //! leaves slot bytes *above* the tail, where no reader looks — nothing
 //! visible, no hole; one that is killed leaves ACTIVE set (see below).
 //!
-//! A pump is one read of the header, then bulk reads of
-//! `[cursor, min(tail, size, slots on disk))` in chunks of
-//! [`READ_CHUNK_ENTRIES`]. Every slot is still classified with the same
-//! [`EntryValidity`](crate::layout::EntryValidity) rules as the live
-//! drain, and the salvage accounting ([`SalvageReport`]) carries over: a
+//! A pump is one read of the header — checked as the image the source
+//! attached to ([`HeaderRule::Attached`]: magic, version, the size word
+//! still the capacity it opened with) — then bulk reads of `[cursor,
+//! available)` in chunks of [`READ_CHUNK_ENTRIES`], `available` being
+//! [`LogHeader::available`]'s `min(tail, size, slots on disk)`, the rule
+//! [`crate::LogFile::load`] reads by. Every slot is still classified with
+//! the same [`EntryValidity`](crate::layout::EntryValidity) rules as the
+//! live drain, and the salvage accounting ([`SalvageReport`]) carries over: a
 //! torn or never-written slot below the tail can only come from a broken
 //! or hostile writer and is skipped and counted in the pump that meets
 //! it, truncated files are clamped and accounted, corrupt headers kill
@@ -61,16 +67,18 @@
 //! killed leaves it set, which the consumer surfaces as a stalled source
 //! for the registry watchdog to quarantine.
 
-use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use crate::faults::{SalvageReason, SalvageReport};
+/// Why a log file could not be created or opened: the error of every file
+/// that holds a log image.
+pub use crate::file::LogFileError as ShmFileError;
 use crate::layout::{
-    LogEntry, LogHeader, ENTRY_BYTES, FLAG_ACTIVE, HEADER_BYTES, LOG_MAGIC, LOG_VERSION,
-    OFF_CONTROL, OFF_DROPPED, OFF_MAGIC, OFF_PID, OFF_SIZE, OFF_TAIL, PID_UNSET,
+    image_word, HeaderImage, HeaderRule, LogEntry, LogHeader, ENTRY_BYTES, FLAG_ACTIVE,
+    HEADER_BYTES, OFF_CONTROL, OFF_MAGIC, OFF_TAIL,
 };
 use crate::source::{EventSource, SourceBatch};
 
@@ -112,64 +120,23 @@ pub fn publish_sidecar(dir: &Path, pid: u64, ext: &str, contents: &str) -> io::R
 }
 
 /// The whole header in one positioned read.
-fn read_header(file: &File) -> io::Result<[u8; HEADER_BYTES as usize]> {
+fn read_header(file: &File) -> io::Result<HeaderImage> {
     let mut header = [0u8; HEADER_BYTES as usize];
     file.read_exact_at(&mut header, 0)?;
     Ok(header)
 }
 
-/// The header word at byte offset `off` (one of the `OFF_*` constants).
-fn word_at(header: &[u8; HEADER_BYTES as usize], off: u64) -> u64 {
-    let word = header[off as usize..off as usize + 8].try_into();
-    u64::from_le_bytes(word.expect("8-byte word inside the header"))
+/// The file's length and its header, trusted under `rule`.
+fn read_checked(file: &File, rule: HeaderRule) -> Result<(u64, LogHeader), ShmFileError> {
+    let len = file.metadata()?.len();
+    if len < HEADER_BYTES {
+        return Err(ShmFileError::TooSmall(len));
+    }
+    Ok((len, LogHeader::from_image(&read_header(file)?, rule)?))
 }
 
 fn write_word(file: &File, off: u64, word: u64) -> io::Result<()> {
     file.write_all_at(&word.to_le_bytes(), off)
-}
-
-/// Why a log file could not be opened (or stopped being trusted).
-#[derive(Debug)]
-pub enum ShmFileError {
-    /// The underlying file operation failed.
-    Io(io::Error),
-    /// The magic word is not `TPERFLOG` — not a log, or a destroyed one.
-    BadMagic(u64),
-    /// The header's version field does not match [`LOG_VERSION`].
-    BadVersion(u16),
-    /// The pid word is [`PID_UNSET`]; a registered log must identify its
-    /// writer.
-    NoPid,
-    /// The file is smaller than a log header.
-    TooSmall(u64),
-    /// The declared capacity is zero (an empty log can hold nothing).
-    ZeroCapacity,
-}
-
-impl fmt::Display for ShmFileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShmFileError::Io(e) => write!(f, "log file I/O failed: {e}"),
-            ShmFileError::BadMagic(w) => write!(f, "bad log magic {w:#018x}"),
-            ShmFileError::BadVersion(v) => {
-                write!(f, "log version {v} (this build speaks {LOG_VERSION})")
-            }
-            ShmFileError::NoPid => write!(f, "log header has no pid"),
-            ShmFileError::TooSmall(n) => {
-                write!(
-                    f,
-                    "file is {n} bytes, smaller than a {HEADER_BYTES}-byte header"
-                )
-            }
-            ShmFileError::ZeroCapacity => write!(f, "log declares zero capacity"),
-        }
-    }
-}
-
-impl From<io::Error> for ShmFileError {
-    fn from(e: io::Error) -> ShmFileError {
-        ShmFileError::Io(e)
-    }
 }
 
 /// The producer half: one process's log file, published by advancing its
@@ -192,12 +159,14 @@ impl FileShmWriter {
     /// Propagates file-system failures; rejects a header without a pid or
     /// without capacity (such a log could never be registered or drained).
     pub fn create(dir: &Path, header: &LogHeader) -> Result<FileShmWriter, ShmFileError> {
-        if header.pid == PID_UNSET {
-            return Err(ShmFileError::NoPid);
+        // A session about to start: ACTIVE, nothing published.
+        let image = LogHeader {
+            active: true,
+            tail: 0,
+            ..*header
         }
-        if header.size == 0 {
-            return Err(ShmFileError::ZeroCapacity);
-        }
+        .to_image();
+        LogHeader::from_image(&image, HeaderRule::Foreign)?;
         let tmp = dir.join(format!(".{}.{LOG_EXT}.tmp", header.pid));
         let file = OpenOptions::new()
             .read(true)
@@ -206,16 +175,7 @@ impl FileShmWriter {
             .truncate(true)
             .open(&tmp)?;
         file.set_len(HEADER_BYTES + header.size * ENTRY_BYTES)?;
-        write_word(&file, OFF_CONTROL, header.pack_control() | FLAG_ACTIVE)?;
-        write_word(&file, OFF_PID, header.pid)?;
-        write_word(&file, OFF_SIZE, header.size)?;
-        write_word(&file, OFF_TAIL, 0)?;
-        write_word(&file, crate::layout::OFF_ANCHOR, header.anchor)?;
-        write_word(&file, crate::layout::OFF_SHM_ADDR, header.shm_addr)?;
-        write_word(&file, crate::layout::OFF_COUNTER, 0)?;
-        write_word(&file, crate::layout::OFF_EPOCH, 0)?;
-        write_word(&file, OFF_DROPPED, 0)?;
-        write_word(&file, OFF_MAGIC, LOG_MAGIC)?;
+        file.write_all_at(&image, 0)?;
         file.sync_all()?;
         let path = log_path(dir, header.pid);
         std::fs::rename(&tmp, &path)?;
@@ -310,7 +270,7 @@ impl FileShmWriter {
     /// # Errors
     /// Propagates file-system failures.
     pub fn finish(&mut self) -> io::Result<()> {
-        let control = word_at(&read_header(&self.file)?, OFF_CONTROL);
+        let control = image_word(&read_header(&self.file)?, OFF_CONTROL);
         write_word(&self.file, OFF_CONTROL, control & !FLAG_ACTIVE)?;
         self.file.sync_all()
     }
@@ -326,59 +286,38 @@ pub const READ_CHUNK_ENTRIES: u64 = 4096;
 pub struct FileShmSource {
     file: File,
     path: PathBuf,
-    pid: u64,
-    size: u64,
+    /// The header as opened: who wrote the log, its capacity and anchor.
+    /// Its tail and ACTIVE flag are the opening's; the session's progress
+    /// is `tail` and `writer_done`, as of the last pump.
+    header: LogHeader,
     cursor: u64,
-    /// The tail as of the last pump (beyond `size` once entries dropped).
+    /// The tail as of the last pump (beyond the capacity once entries
+    /// dropped).
     tail: u64,
     writer_done: bool,
     dead: bool,
-    truncated_at: Option<u64>,
     salvage: SalvageReport,
 }
 
 impl FileShmSource {
-    /// Attach to a registered log file, verifying the header the same way
-    /// [`crate::log::SharedLog::verify_header`] does: magic first (is this
-    /// a log at all?), then version, then the capacity and pid sanity
-    /// checks.
+    /// Attach to a registered log file — or any file holding a log image,
+    /// a [`crate::LogFile::save`]d recording included — once its header
+    /// passes [`LogHeader::check`] as a foreign image.
     ///
     /// # Errors
     /// Returns the first failed check; an unreadable or alien file must be
     /// rejected at attach time, not quarantined later.
     pub fn open(path: &Path) -> Result<FileShmSource, ShmFileError> {
         let file = OpenOptions::new().read(true).open(path)?;
-        let len = file.metadata()?.len();
-        if len < HEADER_BYTES {
-            return Err(ShmFileError::TooSmall(len));
-        }
-        let header = read_header(&file)?;
-        let magic = word_at(&header, OFF_MAGIC);
-        if magic != LOG_MAGIC {
-            return Err(ShmFileError::BadMagic(magic));
-        }
-        let (_, _, _, _, version) = LogHeader::unpack_control(word_at(&header, OFF_CONTROL));
-        if version != LOG_VERSION {
-            return Err(ShmFileError::BadVersion(version));
-        }
-        let pid = word_at(&header, OFF_PID);
-        if pid == PID_UNSET {
-            return Err(ShmFileError::NoPid);
-        }
-        let size = word_at(&header, OFF_SIZE);
-        if size == 0 {
-            return Err(ShmFileError::ZeroCapacity);
-        }
+        let (_, header) = read_checked(&file, HeaderRule::Foreign)?;
         Ok(FileShmSource {
             file,
             path: path.to_path_buf(),
-            pid,
-            size,
+            header,
             cursor: 0,
             tail: 0,
             writer_done: false,
             dead: false,
-            truncated_at: None,
             salvage: SalvageReport::default(),
         })
     }
@@ -388,9 +327,16 @@ impl FileShmSource {
         &self.path
     }
 
+    /// The header as it was decoded when the file was opened (the anchor
+    /// a symbolizer relocates by; the tail and ACTIVE flag are that
+    /// moment's, not the session's current ones).
+    pub fn header(&self) -> &LogHeader {
+        &self.header
+    }
+
     /// Declared capacity in entries.
     pub fn capacity(&self) -> u64 {
-        self.size
+        self.header.size
     }
 
     /// Whether the writer has cleared the header's ACTIVE flag (observed
@@ -400,57 +346,37 @@ impl FileShmSource {
         self.writer_done
     }
 
-    /// Re-read and distrust-check the header. Returns the tail, or `None`
-    /// after marking the source dead (corrupt or vanished header).
-    fn reread_header(&mut self) -> Option<u64> {
-        let go_dead = |s: &mut FileShmSource, reason: SalvageReason| {
-            s.salvage.incident(reason);
-            s.dead = true;
-            None
-        };
-        let len = match self.file.metadata() {
-            Ok(m) => m.len(),
-            Err(_) => return go_dead(self, SalvageReason::CorruptHeader),
-        };
-        if len < HEADER_BYTES {
-            return go_dead(self, SalvageReason::TruncatedFile);
-        }
-        let Ok(mut header) = read_header(&self.file) else {
-            return go_dead(self, SalvageReason::CorruptHeader);
-        };
-        if !self.writer_done && word_at(&header, OFF_CONTROL) & FLAG_ACTIVE == 0 {
+    /// One look at the header, checked as the image this source attached
+    /// to: records the tail and the writer's ACTIVE flag, and returns how
+    /// many slots the file can serve and how many promised ones it is
+    /// short ([`LogHeader::available`]) — or `None` after marking the
+    /// source dead (corrupt or vanished header).
+    fn observe(&mut self) -> Option<(u64, u64)> {
+        let reread = || read_checked(&self.file, HeaderRule::Attached(self.header.size));
+        let mut seen = reread();
+        if matches!(seen, Ok((_, header)) if !self.writer_done && !header.active) {
             // First sight of a finished writer. `is_exhausted` pairs this
             // flag with the tail, so the tail must come from a read that
             // started after the flag was seen cleared: one more header
             // read, once per session, whatever order a single read copies
             // its words in.
-            match read_header(&self.file) {
-                Ok(again) => header = again,
-                Err(_) => return go_dead(self, SalvageReason::CorruptHeader),
+            seen = reread();
+        }
+        match seen {
+            Ok((len, header)) => {
+                self.writer_done = !header.active;
+                self.tail = header.tail;
+                Some(header.available(len - HEADER_BYTES))
+            }
+            Err(why) => {
+                self.salvage.incident(match why {
+                    ShmFileError::TooSmall(_) => SalvageReason::TruncatedFile,
+                    _ => SalvageReason::CorruptHeader,
+                });
+                self.dead = true;
+                None
             }
         }
-        if word_at(&header, OFF_MAGIC) != LOG_MAGIC {
-            return go_dead(self, SalvageReason::CorruptHeader);
-        }
-        let (active, _, _, _, version) = LogHeader::unpack_control(word_at(&header, OFF_CONTROL));
-        if version != LOG_VERSION {
-            return go_dead(self, SalvageReason::CorruptHeader);
-        }
-        self.writer_done = !active;
-        let tail = word_at(&header, OFF_TAIL);
-        // Entries actually backed by bytes on disk. A file cut below what
-        // the tail promises lost records: clamp, account them exactly
-        // once, and stop trusting the file to ever grow them back.
-        let on_disk = (len - HEADER_BYTES) / ENTRY_BYTES;
-        let avail = tail.min(self.size);
-        if avail > on_disk && self.truncated_at.is_none() {
-            self.truncated_at = Some(on_disk);
-            self.salvage.drop_n(
-                SalvageReason::TruncatedFile,
-                avail.saturating_sub(on_disk.max(self.cursor)),
-            );
-        }
-        Some(tail)
     }
 
     /// Drain the slots from the cursor up to `limit` (already clamped to
@@ -478,36 +404,35 @@ impl FileShmSource {
 
 impl EventSource for FileShmSource {
     fn pid(&self) -> u64 {
-        self.pid
+        self.header.pid
     }
 
     fn pump(&mut self) -> SourceBatch {
         if self.dead {
             return SourceBatch::default();
         }
-        let Some(tail) = self.reread_header() else {
+        let already_dropped = self.dropped_total();
+        let Some((available, shortfall)) = self.observe() else {
             return SourceBatch::default();
         };
-        let mut limit = tail.min(self.size);
-        if let Some(cut) = self.truncated_at {
-            limit = limit.min(cut);
-        }
-        let entries = self.read_slots(limit);
-        if self.truncated_at.is_some() {
-            // Everything salvageable below the cut is out; the file is no
-            // longer a faithful log.
+        if shortfall > 0 {
+            // A file cut below what its tail promises lost records.
+            // Account the ones not already drained, salvage what is left
+            // below the cut, and never look again: the file is no longer
+            // a faithful log.
+            let promised = available + shortfall;
+            self.salvage.drop_n(
+                SalvageReason::TruncatedFile,
+                promised.saturating_sub(available.max(self.cursor)),
+            );
             self.dead = true;
         }
-        // Overflow accounting: report each newly-observed drop exactly
-        // once, on the batch where it became visible.
-        let newly_dropped = tail
-            .saturating_sub(self.size)
-            .saturating_sub(self.dropped_total());
-        self.tail = tail;
         SourceBatch {
-            entries,
+            entries: self.read_slots(available),
             rotated: false,
-            dropped: newly_dropped,
+            // Overflow accounting: each newly-observed drop exactly once,
+            // on the batch where it became visible.
+            dropped: self.dropped_total().saturating_sub(already_dropped),
             epoch: 0,
         }
     }
@@ -519,7 +444,7 @@ impl EventSource for FileShmSource {
     }
 
     fn dropped_total(&self) -> u64 {
-        self.tail.saturating_sub(self.size)
+        self.tail.saturating_sub(self.header.size)
     }
 
     fn epoch(&self) -> u64 {
@@ -530,7 +455,7 @@ impl EventSource for FileShmSource {
         // Exhausted only when the writer declared itself done AND the
         // cursor has consumed everything it promised. A dead source is
         // not exhausted — it is quarantined by the watchdog instead.
-        !self.dead && self.writer_done && self.cursor >= self.size.min(self.tail)
+        !self.dead && self.writer_done && self.cursor >= self.header.size.min(self.tail)
     }
 
     fn salvage(&self) -> SalvageReport {
@@ -545,8 +470,10 @@ impl EventSource for FileShmSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::EventKind;
-    use crate::log::make_header;
+    use crate::layout::{make_header, EventKind, HeaderFault, LOG_MAGIC, OFF_SIZE, PID_UNSET};
+    use crate::log::{region_bytes, SharedLog};
+    use crate::LogFile;
+    use proptest::prelude::*;
 
     /// A unique scratch registration dir per test (removed on drop).
     struct ScratchDir(PathBuf);
@@ -808,7 +735,7 @@ mod tests {
         std::fs::write(dir.0.join("10.tplog"), vec![0u8; 200]).unwrap();
         assert!(matches!(
             FileShmSource::open(&dir.0.join("10.tplog")),
-            Err(ShmFileError::BadMagic(0))
+            Err(ShmFileError::Header(HeaderFault::BadMagic { found: 0 }))
         ));
         assert!(matches!(
             FileShmSource::open(&dir.0.join("missing.tplog")),
@@ -821,11 +748,11 @@ mod tests {
         let dir = scratch("badcreate");
         assert!(matches!(
             FileShmWriter::create(&dir.0, &header(PID_UNSET, 8)),
-            Err(ShmFileError::NoPid)
+            Err(ShmFileError::Header(HeaderFault::NoPid))
         ));
         assert!(matches!(
             FileShmWriter::create(&dir.0, &header(7, 0)),
-            Err(ShmFileError::ZeroCapacity)
+            Err(ShmFileError::Header(HeaderFault::ZeroCapacity))
         ));
     }
 
@@ -860,5 +787,185 @@ mod tests {
         w.write(&entry(3)).unwrap();
         let b = src.drain_to_end();
         assert_eq!(b.entries.len(), 2);
+    }
+    #[test]
+    fn a_resized_header_kills_the_source() {
+        let dir = scratch("resized");
+        let mut w = FileShmWriter::create(&dir.0, &header(7, 8)).unwrap();
+        w.write(&entry(1)).unwrap();
+        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        assert_eq!(src.pump().entries.len(), 1);
+        // The attached-image rule of `SharedLog::verify_header`: the size
+        // word must stay what the source attached with.
+        write_word(&raw_file(&dir, 7), OFF_SIZE, 4).unwrap();
+        w.write(&entry(2)).unwrap();
+        assert!(src.pump().entries.is_empty());
+        assert!(src.is_dead());
+        assert_eq!(src.salvage().count(SalvageReason::CorruptHeader), 1);
+    }
+
+    #[test]
+    fn every_medium_starts_with_the_same_header_image() {
+        let dir = scratch("oneimage");
+        let h = make_header(7, 16, true, 0x40_0000, tee_sim::SHM_BASE);
+        let _w = FileShmWriter::create(&dir.0, &h).unwrap();
+        let on_file = std::fs::read(log_path(&dir.0, 7)).unwrap();
+        assert_eq!(on_file.len() as u64, region_bytes(16));
+        let saved = LogFile::new(h, Vec::new()).to_bytes();
+        let shm = std::sync::Arc::new(tee_sim::SharedMem::new(region_bytes(16)));
+        let log = SharedLog::init(std::sync::Arc::clone(&shm), &h);
+        let mut in_memory = Vec::new();
+        for off in (0..HEADER_BYTES).step_by(8) {
+            in_memory.extend_from_slice(&shm.read_u64(off).unwrap().to_le_bytes());
+        }
+        assert_eq!(on_file[..HEADER_BYTES as usize], saved[..]);
+        assert_eq!(in_memory, saved);
+        assert_eq!(in_memory, h.to_image());
+        // ...and each decodes back to the header it was made from.
+        assert_eq!(log.header(), h);
+        assert_eq!(LogFile::from_bytes(&saved).unwrap().header, h);
+        let opened = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        assert_eq!(*opened.header(), h);
+    }
+
+    /// What a source drains from `path` in one session, and how it ended.
+    fn drained(path: &Path) -> (Vec<LogEntry>, FileShmSource) {
+        let mut src = FileShmSource::open(path).unwrap();
+        let mut entries = src.pump().entries;
+        entries.extend(src.drain_to_end().entries);
+        (entries, src)
+    }
+
+    #[test]
+    fn a_session_file_loads_as_what_a_source_drains_from_it() {
+        let dir = scratch("loadequalsdrain");
+        // pid → (capacity, writes, finished, bytes cut off the file's end)
+        let sessions = [
+            (1, 8, 5, true, None),       // finished
+            (2, 8, 5, false, None),      // killed: ACTIVE still set
+            (3, 4, 7, true, None),       // overflowed: 3 drop tickets
+            (4, 8, 6, false, Some(2.5)), // truncated mid-slot, below the tail
+        ];
+        for (pid, cap, writes, finished, keep_slots) in sessions {
+            let mut w = FileShmWriter::create(&dir.0, &header(pid, cap)).unwrap();
+            for k in 1..=writes {
+                w.write(&entry(k)).unwrap();
+            }
+            // One invalid slot below the tail, so the reports are not
+            // trivially empty.
+            w.write_torn(&entry(99)).unwrap();
+            if finished {
+                w.finish().unwrap();
+            }
+            let path = log_path(&dir.0, pid);
+            if let Some(slots) = keep_slots {
+                let keep = HEADER_BYTES + (slots * ENTRY_BYTES as f64) as u64;
+                raw_file(&dir, pid).set_len(keep).unwrap();
+            }
+            let (entries, src) = drained(&path);
+            let (salvaged, report) = LogFile::load_salvage(&path).unwrap();
+            assert_eq!(salvaged.entries, entries, "pid {pid}");
+            assert_eq!(report, src.salvage(), "pid {pid}");
+            assert_eq!(salvaged.header.active, !finished, "pid {pid}");
+            assert_eq!(
+                salvaged.header.dropped_entries(),
+                src.dropped_total(),
+                "pid {pid}"
+            );
+            assert_eq!(src.is_exhausted(), finished && keep_slots.is_none());
+            // The strict load refuses exactly the cut file, and otherwise
+            // holds the same slots, the invalid one included.
+            match LogFile::load(&path) {
+                Ok(strict) => {
+                    assert!(keep_slots.is_none(), "pid {pid}");
+                    assert_eq!(strict.header, salvaged.header);
+                    assert_eq!(strict.entries.len() as u64, report.kept + report.dropped);
+                }
+                Err(e) => {
+                    assert!(keep_slots.is_some(), "pid {pid}: {e}");
+                    assert_eq!(report.count(SalvageReason::TruncatedFile), 5, "{e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_source_drains_a_saved_recording_and_is_exhausted() {
+        let dir = scratch("savedrecording");
+        let mut h = header(7, 4);
+        h.active = false; // the recorder stops measurement before it saves
+        h.tail = 6; // two drop tickets
+        let file = LogFile::new(h, (1..=4).map(entry).collect());
+        let path = dir.0.join("run.tpf");
+        file.save(&path).unwrap();
+        let mut src = FileShmSource::open(&path).unwrap();
+        let b = src.pump();
+        assert_eq!(b.entries, file.entries);
+        assert_eq!(b.dropped, 2);
+        assert!(src.is_exhausted());
+        assert!(src.salvage().is_clean());
+    }
+
+    proptest! {
+        /// Arbitrary header words over a short body: whatever the header
+        /// claims, no reader panics, none takes more than the file holds,
+        /// and the ones that succeed balance their books.
+        #[test]
+        fn prop_hostile_headers_never_panic_or_over_read(
+            words in proptest::collection::vec(any::<u64>(), 13),
+            plausible in 0u8..16,
+            slots in proptest::collection::vec((1u64..(1 << 62), 0u64..3, any::<u64>()), 0..=3),
+            stray in 0usize..24,
+        ) {
+            let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            // Most arbitrary headers die at the magic; let each later
+            // check be reached too.
+            let mut set = |off: u64, word: u64| {
+                bytes[off as usize..off as usize + 8].copy_from_slice(&word.to_le_bytes());
+            };
+            if plausible & 1 != 0 {
+                set(OFF_MAGIC, LOG_MAGIC);
+            }
+            if plausible & 2 != 0 {
+                set(OFF_CONTROL, make_header(1, 1, true, 0, 0).pack_control() | words[0] & 1);
+            }
+            if plausible & 4 != 0 {
+                set(OFF_SIZE, words[2] % 6);
+            }
+            if plausible & 8 != 0 {
+                set(OFF_TAIL, words[3] % 6);
+            }
+            for (counter, addr, tid) in &slots {
+                let e = LogEntry { kind: EventKind::Call, counter: *counter, addr: *addr, tid: *tid };
+                bytes.extend_from_slice(&e.to_bytes());
+            }
+            bytes.extend(std::iter::repeat_n(0xa5, stray));
+            let held = slots.len();
+
+            if let Ok(strict) = LogFile::from_bytes(&bytes) {
+                prop_assert!(strict.entries.capacity() <= held);
+                prop_assert_eq!(strict.entries.len() as u64, strict.header.stored_entries());
+            }
+            if let Ok((salvaged, report)) = LogFile::from_bytes_salvage(&bytes) {
+                prop_assert!(salvaged.entries.capacity() <= held);
+                prop_assert_eq!(salvaged.entries.len() as u64, report.kept);
+                prop_assert_eq!(report.kept + report.dropped, salvaged.header.stored_entries());
+            }
+            let dir = scratch("hostile");
+            let path = dir.0.join("1.tplog");
+            std::fs::write(&path, &bytes).unwrap();
+            if let Ok(mut src) = FileShmSource::open(&path) {
+                let mut entries = src.pump().entries;
+                entries.extend(src.pump().entries);
+                prop_assert!(entries.capacity() as u64 <= held as u64 + READ_CHUNK_ENTRIES);
+                prop_assert_eq!(entries.len() as u64, src.salvage().kept);
+                // The file is its own salvage load, whichever reader asks.
+                let (salvaged, report) = LogFile::load_salvage(&path).unwrap();
+                prop_assert_eq!(salvaged.entries, entries);
+                prop_assert_eq!(report, src.salvage());
+            } else {
+                prop_assert!(LogFile::load_salvage(&path).is_err());
+            }
+        }
     }
 }

@@ -497,9 +497,12 @@ impl Daemon {
             .ok()
             .and_then(|text| DebugInfo::from_text(&text))
             .unwrap_or_default();
+        // Relocated by the header's anchor word, as `teeperf analyze` of
+        // the same file is (§II-B; anchor 0 means none).
+        let symbolizer = Symbolizer::new(debug, source.header());
         let probed = LivenessProbe::new(source, self.probe_liveness);
         self.registry
-            .attach(Box::new(probed), Symbolizer::without_relocation(debug))
+            .attach(Box::new(probed), symbolizer)
             .map_err(|e| format!("attach: {e:?}"))?;
         self.seen_pids.insert(pid);
         Ok(())

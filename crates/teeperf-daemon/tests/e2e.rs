@@ -7,7 +7,10 @@
 //! * stdin EOF is the graceful-shutdown trigger: one more drain, the final
 //!   snapshot written to `--snapshot-out`, exit code 0;
 //! * a writer killed mid-session (SIGKILL) is quarantined by the liveness
-//!   machinery — the registry keeps serving, never wedges.
+//!   machinery — the registry keeps serving, never wedges;
+//! * a session's `<pid>.tplog` is a log image any offline reader loads:
+//!   analyzed from the registration directory it gives the method rows the
+//!   daemon served, finished or killed, relocated by its anchor or not.
 //!
 //! Every test carries a hang guard (the daemon's failure mode is an
 //! unresponsive loop, which a plain harness reports as a timeout at best).
@@ -19,6 +22,8 @@ use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use teeperf_analyzer::Analyzer;
+use teeperf_core::LogFile;
 use teeperf_live::Snapshot;
 
 /// Aborts the whole process if the owning test runs longer than 120s.
@@ -170,6 +175,39 @@ fn total_ticks_line(text: &str) -> u64 {
         .expect("snapshot has total_ticks")
 }
 
+/// A `[methods]` row: name, calls, inclusive ticks, exclusive ticks.
+type MethodRow = (String, u64, u64, u64);
+
+/// The method rows of a served snapshot, by name.
+fn served_rows(text: &str) -> Vec<MethodRow> {
+    let mut rows = Snapshot::methods_from_text(text).expect("snapshot has a methods table");
+    rows.sort();
+    rows
+}
+
+/// The method rows `teeperf analyze <dir>/<pid>.tplog <dir>/<pid>.sym`
+/// reports — the session's own files, read offline — by name, and the log
+/// they came from.
+fn offline_rows(dir: &Path, pid: u64, salvage: bool) -> (Vec<MethodRow>, LogFile) {
+    let path = dir.join(format!("{pid}.tplog"));
+    let log = if salvage {
+        LogFile::load_salvage(&path).map(|(log, _)| log)
+    } else {
+        LogFile::load(&path)
+    }
+    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let sym = std::fs::read_to_string(dir.join(format!("{pid}.sym"))).expect("sidecar");
+    let debug = mcvm::DebugInfo::from_text(&sym).expect("sidecar parses");
+    let profile = Analyzer::new(log.clone(), debug).expect("valid").profile();
+    let mut rows: Vec<MethodRow> = profile
+        .methods
+        .iter()
+        .map(|m| (m.name.clone(), m.calls, m.inclusive, m.exclusive))
+        .collect();
+    rows.sort();
+    (rows, log)
+}
+
 #[test]
 fn two_real_processes_merge_into_one_snapshot() {
     let _guard = hang_guard("two_real_processes_merge_into_one_snapshot");
@@ -211,6 +249,10 @@ fn two_real_processes_merge_into_one_snapshot() {
             "pid {pid} methods table: {text}"
         );
         assert!(text.contains(&format!("leaf {iters} {} {}", 4 * iters, 4 * iters)));
+        // The finished session's file, analyzed where it lies, says the same.
+        let (rows, log) = offline_rows(&dir.0, pid, false);
+        assert_eq!(rows, served_rows(&text), "pid {pid}");
+        assert!(!log.header.active, "pid {pid} finished");
     }
 
     // The flame graph serves per-process towers for the merged view.
@@ -300,12 +342,74 @@ fn killed_writer_is_quarantined_not_wedging_the_registry() {
     let (code, own) = daemon.get(&format!("/pid/{doomed_pid}"));
     assert_eq!(code, 200, "{own}");
     assert_eq!(summary(&own).events, entries_for(3), "{own}");
+    // The post-mortem needs no daemon: the killed session's file still has
+    // ACTIVE set and every published entry, and loads strictly or salvaged.
+    for salvage in [false, true] {
+        let (rows, log) = offline_rows(&dir.0, doomed_pid, salvage);
+        assert_eq!(rows, served_rows(&own), "salvage {salvage}");
+        assert!(
+            log.header.active,
+            "nobody cleared ACTIVE for a killed writer"
+        );
+        assert_eq!(log.entries.len() as u64, entries_for(3));
+    }
     let (code, svg) = daemon.get(&format!("/flame.svg?pid={doomed_pid}"));
     assert_eq!(code, 200, "{svg}");
     assert!(svg.contains("<svg") && svg.contains("work"), "{svg}");
     let (code, body) = daemon.get("/healthz");
     assert_eq!((code, body.as_str()), (200, "ok\n"));
 
+    let (code, _) = daemon.get("/shutdown");
+    assert_eq!(code, 200);
+    assert!(daemon.wait().success());
+}
+
+#[test]
+fn an_anchored_writer_is_named_on_the_wire_as_it_is_offline() {
+    use teeperf_core::layout::{EventKind, LogEntry};
+    use teeperf_core::shm_file::{publish_sidecar, FileShmWriter, SYM_EXT};
+
+    let _guard = hang_guard("an_anchored_writer_is_named_on_the_wire_as_it_is_offline");
+    let dir = scratch("anchored");
+    // Position-independent code loaded 0x1000 above its static addresses:
+    // the header's anchor word says so (§II-B), and every recorded address
+    // is shifted by as much. This process is the writer, under its own
+    // (live) pid.
+    const SLIDE: u64 = 0x1000;
+    let pid = u64::from(std::process::id());
+    let debug = mcvm::DebugInfo::from_functions([("main", 4, 1), ("work", 4, 5)]);
+    publish_sidecar(&dir.0, pid, SYM_EXT, &debug.to_text()).expect("sidecar");
+    let anchor = debug.functions()[0].base_addr + SLIDE;
+    let header = teeperf_core::log::make_header(pid, 16, true, anchor, 0);
+    let mut writer = FileShmWriter::create(&dir.0, &header).expect("register");
+    let (main, work) = (debug.entry_addr(0) + SLIDE, debug.entry_addr(1) + SLIDE);
+    for (kind, counter, addr) in [
+        (EventKind::Call, 1, main),
+        (EventKind::Call, 10, work),
+        (EventKind::Return, 60, work),
+        (EventKind::Return, 101, main),
+    ] {
+        let entry = LogEntry {
+            kind,
+            counter,
+            addr,
+            tid: 0,
+        };
+        writer.write(&entry).expect("write");
+    }
+    writer.finish().expect("finish");
+
+    let daemon = DaemonProc::spawn(&dir.0, &[]);
+    let text = poll_until(60, "the anchored writer merged", || {
+        let (_, text) = daemon.get("/snapshot");
+        (summary(&text).events == 4).then_some(text)
+    });
+    let named = [
+        ("main".to_string(), 1, 100, 50),
+        ("work".to_string(), 1, 50, 50),
+    ];
+    assert_eq!(served_rows(&text), named, "frames relocated by the anchor");
+    assert_eq!(offline_rows(&dir.0, pid, false).0, named);
     let (code, _) = daemon.get("/shutdown");
     assert_eq!(code, 200);
     assert!(daemon.wait().success());

@@ -10,7 +10,7 @@
 //! serves the generated snapshots, because a registry cannot be loaded
 //! with arbitrary profiles.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -31,7 +31,7 @@ fn empty_profile() -> Profile {
         symbols: Vec::new(),
         folded_ids: Vec::new(),
         caller_edges: Vec::new(),
-        per_thread_calls: BTreeMap::new(),
+        threads: BTreeSet::new(),
         total_ticks: 0,
         anomalies: Anomalies::default(),
         pids: BTreeSet::new(),

@@ -463,10 +463,7 @@ mod tests {
         let sym = Symbolizer::new(run.debug.clone(), &run.replay.header);
         let batch = profile::build(&run.replay, &sym);
         let live = &run.snapshot.profile;
-        assert_eq!(live.methods, batch.methods);
-        assert_eq!(live.folded, batch.folded);
-        assert_eq!(live.caller_edges, batch.caller_edges);
-        assert_eq!(live.total_ticks, batch.total_ticks);
+        assert_eq!(*live, batch);
     }
 
     #[test]

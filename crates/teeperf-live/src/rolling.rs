@@ -228,18 +228,10 @@ impl RollingProfile {
     }
 
     /// Materialize the rolling aggregate as a regular [`Profile`], exactly
-    /// as the batch aggregator would have built it from the same completed
-    /// calls. `dropped` is the stream's cumulative overflow loss.
-    ///
-    /// The one documented difference from a batch profile: individual
-    /// completed calls are not retained (that is the point of rolling
-    /// aggregation), so `per_thread_calls` maps every observed thread to an
-    /// empty list — thread counts and all aggregates are still exact.
+    /// as the batch aggregator builds it from the same completed calls.
+    /// `dropped` is the stream's cumulative overflow loss.
     pub fn snapshot(&self, symbolizer: &Symbolizer, dropped: u64) -> Profile {
-        let per_thread_calls: BTreeMap<u64, Vec<_>> =
-            self.agg.thread_ids().map(|tid| (tid, Vec::new())).collect();
-        self.agg
-            .materialize(symbolizer, per_thread_calls, self.anomalies(dropped))
+        self.agg.materialize(symbolizer, self.anomalies(dropped))
     }
 
     /// Contribute the rolling aggregate to a cross-process merge as
@@ -267,13 +259,11 @@ impl RollingProfile {
     }
 }
 
-/// Materialize one window-scoped aggregate: thread lists come from the
+/// Materialize one window-scoped aggregate: the thread set comes from the
 /// window's own completed calls, anomalies are zero (session-scoped by
 /// design — a window never saw an orphan, only the stream did).
 fn materialize_window(agg: &Aggregates, symbolizer: &Symbolizer) -> Profile {
-    let per_thread_calls: BTreeMap<u64, Vec<_>> =
-        agg.thread_ids().map(|tid| (tid, Vec::new())).collect();
-    agg.materialize(symbolizer, per_thread_calls, Anomalies::default())
+    agg.materialize(symbolizer, Anomalies::default())
 }
 
 #[cfg(test)]
@@ -474,13 +464,13 @@ mod tests {
         }
         rolling.finish();
         let whole = rolling.snapshot(&sym, 0);
-        // Retained ⊕ remainder, materialized with the session's thread
-        // list and anomalies, is byte-identical to the all-time snapshot.
-        let rebuilt = rolling.ring().unwrap().reconstruct().materialize(
-            &sym,
-            whole.per_thread_calls.clone(),
-            whole.anomalies,
-        );
+        // Retained ⊕ remainder, materialized with the session's
+        // anomalies, is byte-identical to the all-time snapshot.
+        let rebuilt = rolling
+            .ring()
+            .unwrap()
+            .reconstruct()
+            .materialize(&sym, whole.anomalies);
         assert_eq!(rebuilt, whole);
         // And a span profile covers exactly the calls exiting in its span.
         let (span, p) = rolling

@@ -407,10 +407,7 @@ fn check_merged(
     prop_assert_eq!(&got.profile.symbols, &want.profile.symbols);
     prop_assert_eq!(&got.profile.folded_ids, &want.profile.folded_ids);
     prop_assert_eq!(&got.profile.caller_edges, &want.profile.caller_edges);
-    prop_assert_eq!(
-        got.profile.per_thread_calls.keys().collect::<Vec<_>>(),
-        want.profile.per_thread_calls.keys().collect::<Vec<_>>()
-    );
+    prop_assert_eq!(&got.profile.threads, &want.profile.threads);
     prop_assert_eq!(got.profile.anomalies, want.profile.anomalies);
     prop_assert_eq!(&got.profile.pids, &want.profile.pids);
     prop_assert_eq!(&got.status, &want.status);

@@ -124,7 +124,7 @@ fn direct_calls(per_tid: &BTreeMap<u64, Vec<LogEntry>>) -> BTreeMap<u64, Vec<Com
 }
 
 /// Aggregate a set of completed calls and materialize it exactly the way
-/// window profiles are materialized: thread lists from the calls
+/// window profiles are materialized: the thread set from the calls
 /// themselves, anomalies zero (session-scoped by design).
 fn materialize_calls(per_tid: &BTreeMap<u64, Vec<CompletedCall>>, sym: &Symbolizer) -> Profile {
     let mut agg = Aggregates::new();
@@ -145,9 +145,7 @@ fn materialize_calls(per_tid: &BTreeMap<u64, Vec<CompletedCall>>, sym: &Symboliz
 }
 
 fn materialize_agg(agg: &Aggregates, sym: &Symbolizer) -> Profile {
-    let per_thread: BTreeMap<u64, Vec<CompletedCall>> =
-        agg.thread_ids().map(|tid| (tid, Vec::new())).collect();
-    agg.materialize(sym, per_thread, Anomalies::default())
+    agg.materialize(sym, Anomalies::default())
 }
 
 proptest! {

@@ -2,7 +2,7 @@
 //! preserved, stacks reconstruct per thread, and the lock-free log loses
 //! nothing under concurrent writers.
 
-use teeperf::analyzer::{run_query, Analyzer, Column};
+use teeperf::analyzer::{reader, run_query, stacks, Analyzer, Column};
 use teeperf::compiler::{compile_instrumented, profile_program, InstrumentOptions};
 use teeperf::core::RecorderConfig;
 use teeperf::mc::RunConfig;
@@ -55,7 +55,7 @@ fn run() -> (
 fn per_thread_reconstruction_is_clean() {
     let (profile, _log, _debug) = run();
     // 5 VM threads: main + 4 workers.
-    assert_eq!(profile.per_thread_calls.len(), 5);
+    assert_eq!(profile.threads.len(), 5);
     assert_eq!(profile.anomalies.orphan_returns, 0);
     assert_eq!(profile.anomalies.truncated_frames, 0);
 
@@ -120,13 +120,12 @@ fn which_thread_called_which_method_how_often() {
 
 #[test]
 fn worker_times_are_comparable_across_threads() {
-    let (profile, _log, _debug) = run();
+    let (_profile, log, _debug) = run();
     // All four workers do identical-shaped work; their per-call inclusive
     // times should be within 3× of each other (scheduling interleave only).
-    let calls = &profile.per_thread_calls;
     let mut worker_incl: Vec<u64> = Vec::new();
-    for thread_calls in calls.values() {
-        for c in thread_calls {
+    for events in reader::group_by_thread(&log).threads.values() {
+        for c in stacks::reconstruct(events).calls {
             if c.depth() == 1 && !c.truncated && c.inclusive() > 0 {
                 worker_incl.push(c.inclusive());
             }
