@@ -12,7 +12,6 @@
 //! | [`ablations`] | sampling bias, counter sources, selective profiling, EPC paging | `ablation_*` |
 //! | [`plog`] | the atomic-free partitioned log the reservation ablation compares against | `ablation_reservation` |
 //! | [`live`] | continuous-monitoring overhead of `teeperf-live` | `live_overhead` |
-//! | [`analyze`] | stage-3 analyzer throughput and shard speedup | `analyze_throughput` |
 //! | [`contention`] | recorder hot path: batched reservation × switchless transitions | `record_contention` |
 //! | [`querybench`] | windowed time-travel query latency vs retained history | `query_latency` |
 //! | [`regime`] | overhead-budgeted fidelity regimes under an overload ramp | `regime_bench` |
@@ -23,7 +22,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ablations;
-pub mod analyze;
 pub mod contention;
 pub mod fig4;
 pub mod fig5;

@@ -49,7 +49,7 @@ pub use query::frame::{Column, Frame};
 pub use query::run_query;
 pub use query::windowed::{RankBy, WindowSel, WindowSpec};
 pub use reader::{AnalyzeError, ThreadEvents};
-pub use stacks::{CompletedCall, ResumableStacks, ThreadStacks};
+pub use stacks::{CompletedCall, ResumableStacks};
 pub use symbolize::{SymId, SymbolCacheStats, Symbolizer};
 
 use mcvm::DebugInfo;
@@ -107,12 +107,9 @@ impl Analyzer {
     }
 
     /// Build the full method-level profile, sharded over the configured
-    /// number of analyzer threads. Batch analysis goes through the same
-    /// [`teeperf_core::EventSource`] layer as continuous profiling: the
-    /// log is replayed through a [`teeperf_core::FileReplaySource`].
+    /// number of analyzer threads, reading the log's entries in place.
     pub fn profile(&self) -> Profile {
-        let mut source = teeperf_core::FileReplaySource::new(&self.log);
-        profile::build_from_source(&mut source, &self.symbolizer, self.threads)
+        profile::build_with_shards(&self.log, &self.symbolizer, self.threads)
     }
 
     /// Raw events as a queryable dataframe with columns

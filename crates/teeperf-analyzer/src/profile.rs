@@ -1,14 +1,16 @@
 //! Method-level profile aggregation — sequential or sharded across worker
 //! threads.
 //!
+//! The pass is the paper's: group the entries per thread, walk each
+//! thread's events through the stack machine, and add every call to an
+//! [`Aggregates`] as it closes ([`Aggregates::add_call`], the one way in).
 //! Threads in a log are independent by construction (the recorder holds
 //! each thread until its entry is written, so per-thread order is program
-//! order), which makes the analyzer embarrassingly parallel: shard the
-//! threads over workers, reconstruct and aggregate each shard into an
-//! [`Aggregates`], then merge. Every aggregate operation is commutative
-//! and associative and every output table is finished with a total sort,
-//! so the sharded result is byte-identical to the sequential one — the
-//! invariant `build_with_shards` is tested against.
+//! order), which makes the pass embarrassingly parallel: shard the
+//! threads over workers, run it per shard, then merge. Every aggregate
+//! operation is commutative and associative and every output table is
+//! finished with a total sort, so the sharded result is byte-identical to
+//! the sequential one — the invariant `build_with_shards` is tested against.
 //!
 //! Across processes an address means nothing — the same function loads at
 //! different addresses, different functions at the same one — so a
@@ -16,14 +18,14 @@
 //! fed with finished [`Profile`]s or with [`Aggregates`] that are still
 //! address-keyed, and materialized once, in its `finish`.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 use crate::query::frame::Frame;
 use crate::reader::{self, Event};
-use crate::stacks::{self, CompletedCall, ThreadStacks};
+use crate::stacks::{CompletedCall, ResumableStacks};
 use crate::symbolize::{SymId, Symbolizer};
 use teeperf_core::layout::LogEntry;
-use teeperf_core::{EventSource, LogFile};
+use teeperf_core::LogFile;
 
 /// Sentinel caller address for top-level frames.
 pub const ROOT_ADDR: u64 = u64::MAX;
@@ -199,10 +201,12 @@ pub struct Aggregates {
     methods: HashMap<u64, RawMethod>,
     folded: HashMap<Vec<u64>, u64>,
     edges: HashMap<(u64, u64), (u64, u64, u64)>,
-    calls_per_thread: BTreeMap<u64, u64>,
-    /// Returns without a matching call.
+    threads: BTreeSet<u64>,
+    /// Returns without a matching call: the stream's, so its consumer's
+    /// to add (what [`ResumableStacks::feed`] returns).
     pub orphan_returns: u64,
-    /// Frames force-closed at the end of the log / session.
+    /// Calls added that were force-closed (by an unwinding return, or at
+    /// the end of the log / session). Exact, never scaled.
     pub truncated_frames: u64,
 }
 
@@ -212,68 +216,54 @@ impl Aggregates {
         Aggregates::default()
     }
 
-    /// Threads observed so far (any thread that ever produced a batch,
-    /// even one with zero completed calls).
+    /// Threads observed so far: every thread a call was added for or
+    /// [`Aggregates::observe_thread`] named.
     pub fn thread_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.calls_per_thread.keys().copied()
+        self.threads.iter().copied()
     }
 
-    /// Fold one completed call of `tid` into the aggregate.
-    pub fn merge_call(&mut self, tid: u64, call: &CompletedCall) {
-        self.merge_call_scaled(tid, call, 1);
+    /// Register `tid` as observed. A thread whose events complete no call
+    /// (orphan returns only, or frames still open) is still a thread of
+    /// the profile.
+    pub fn observe_thread(&mut self, tid: u64) {
+        self.threads.insert(tid);
     }
 
-    /// Fold one completed call of `tid` into the aggregate, weighted by
-    /// `scale` — the bias correction a 1-in-N sampled stream applies so
-    /// its admitted calls estimate the full population: this call stands
+    /// Fold one completed call of `tid` into the aggregate — the one way
+    /// a call enters a table. `scale` is the bias correction a 1-in-N
+    /// sampled stream applies so its admitted calls estimate the full
+    /// population (clamped to at least 1, which is exact): the call stands
     /// for `scale` calls of the same shape, contributing `scale ×` its
     /// ticks. `min_inclusive`/`max_inclusive` stay per-call observations
-    /// (sampling changes how many calls were seen, not how long one
-    /// took). `scale == 1` is exactly [`Aggregates::merge_call`].
-    pub fn merge_call_scaled(&mut self, tid: u64, call: &CompletedCall, scale: u64) {
+    /// (sampling changes how many calls were seen, not how long one took),
+    /// and a truncated call counts once: it is an exact observation of the
+    /// stream, not a sampled estimate.
+    pub fn add_call(&mut self, tid: u64, call: &CompletedCall, scale: u64) {
         let scale = scale.max(1);
+        let (inclusive, exclusive) = (call.inclusive(), call.exclusive());
+        self.threads.insert(tid);
+        self.truncated_frames += u64::from(call.truncated);
         let m = self.methods.entry(call.addr).or_default();
         m.add(
             scale,
-            scale * call.inclusive(),
-            scale * call.exclusive(),
-            call.inclusive(),
-            call.inclusive(),
+            scale * inclusive,
+            scale * exclusive,
+            inclusive,
+            inclusive,
         );
         m.threads.insert(tid);
-        if call.exclusive() > 0 {
-            add_path(&mut self.folded, &call.stack, scale * call.exclusive());
+        if exclusive > 0 {
+            add_path(&mut self.folded, &call.stack, scale * exclusive);
         }
-        let caller = if call.stack.len() >= 2 {
-            call.stack[call.stack.len() - 2]
-        } else {
-            ROOT_ADDR
+        let caller = match call.stack.len() {
+            0 | 1 => ROOT_ADDR,
+            n => call.stack[n - 2],
         };
         add_edge(
             &mut self.edges,
             (caller, call.addr),
-            (scale, scale * call.inclusive(), scale * call.exclusive()),
+            (scale, scale * inclusive, scale * exclusive),
         );
-    }
-
-    /// Fold one thread's reconstruction batch into the aggregate. Always
-    /// registers `tid` as observed, even for an empty batch.
-    pub fn absorb(&mut self, tid: u64, batch: &ThreadStacks) {
-        self.absorb_scaled(tid, batch, 1);
-    }
-
-    /// [`Aggregates::absorb`] with every completed call weighted by
-    /// `scale` (see [`Aggregates::merge_call_scaled`]). Anomaly counters
-    /// stay unscaled: an orphan return or truncated frame is an exact
-    /// observation of the stream, not a sampled estimate.
-    pub fn absorb_scaled(&mut self, tid: u64, batch: &ThreadStacks, scale: u64) {
-        let scale = scale.max(1);
-        self.orphan_returns += batch.orphan_returns;
-        self.truncated_frames += batch.truncated_frames;
-        *self.calls_per_thread.entry(tid).or_default() += scale * batch.calls.len() as u64;
-        for call in &batch.calls {
-            self.merge_call_scaled(tid, call, scale);
-        }
     }
 
     /// Merge another shard's aggregate into this one.
@@ -302,9 +292,7 @@ impl Aggregates {
         for (edge, counters) in other.edges {
             add_edge(&mut self.edges, edge, counters);
         }
-        for (tid, calls) in other.calls_per_thread {
-            *self.calls_per_thread.entry(tid).or_default() += calls;
-        }
+        self.threads.extend(other.threads);
         self.orphan_returns += other.orphan_returns;
         self.truncated_frames += other.truncated_frames;
     }
@@ -439,14 +427,18 @@ fn intern_folded(folded: &[(Vec<String>, u64)]) -> (Vec<String>, Vec<(Vec<u32>, 
     (symbols, folded_ids)
 }
 
-/// Reconstruct and aggregate one shard of threads into its mergeable
-/// aggregate. Public so the throughput bench can time shards individually
-/// (on a single-core host the modeled parallel time is `max` over shard
-/// timings).
-pub fn analyze_shard(threads: &[(u64, &[Event])]) -> Aggregates {
+/// The pass over one shard of threads: walk each thread's events through
+/// the stack machine and add every call to the shard's aggregate as it
+/// closes.
+fn analyze_shard(threads: &[(u64, &[Event])]) -> Aggregates {
     let mut agg = Aggregates::new();
     for (tid, events) in threads {
-        agg.absorb(*tid, &stacks::reconstruct(events));
+        agg.observe_thread(*tid);
+        let mut stacks = ResumableStacks::new();
+        let mut add = |call: &CompletedCall| agg.add_call(*tid, call, 1);
+        let orphans = stacks.feed(events, &mut add);
+        stacks.finish(add);
+        agg.orphan_returns += orphans;
     }
     agg
 }
@@ -456,7 +448,7 @@ pub fn analyze_shard(threads: &[(u64, &[Event])]) -> Aggregates {
 /// with longest-processing-time-first: items are placed heaviest first
 /// into the currently lightest bucket (all ties broken by index). Returns
 /// the item indices per bucket.
-pub fn partition_by_load(loads: &[usize], shards: usize) -> Vec<Vec<usize>> {
+fn partition_by_load(loads: &[usize], shards: usize) -> Vec<Vec<usize>> {
     let shards = shards.max(1).min(loads.len().max(1));
     let mut order: Vec<usize> = (0..loads.len()).collect();
     order.sort_by_key(|i| (std::cmp::Reverse(loads[*i]), *i));
@@ -492,35 +484,8 @@ pub fn build_with_shards(log: &LogFile, symbolizer: &Symbolizer, shards: usize) 
     )
 }
 
-/// Build the profile by draining an [`EventSource`] to exhaustion (for a
-/// live source: until a forced rotation comes back empty — the writers
-/// must have stopped). This is the path batch analysis shares with the
-/// live session registry: a plog replayed through a
-/// [`teeperf_core::FileReplaySource`] lands here.
-pub fn build_from_source(
-    source: &mut dyn EventSource,
-    symbolizer: &Symbolizer,
-    shards: usize,
-) -> Profile {
-    let mut entries = Vec::new();
-    loop {
-        let batch = source.drain_to_end();
-        if batch.entries.is_empty() && batch.dropped == 0 {
-            break;
-        }
-        entries.extend(batch.entries);
-    }
-    build_entries(
-        &entries,
-        source.pid(),
-        source.dropped_total(),
-        symbolizer,
-        shards,
-    )
-}
-
-/// Build the profile over raw entries from process `pid` (the shared core
-/// of [`build_with_shards`] and [`build_from_source`]).
+/// Build the profile over raw entries from process `pid` (the core of
+/// [`build_with_shards`]).
 pub fn build_entries(
     entries: &[LogEntry],
     pid: u64,
@@ -616,9 +581,8 @@ pub fn build_entries(
 
 /// Number of OS worker threads a `shards`-way build actually spawns: the
 /// shard count clamped to the host's available parallelism (1 if that
-/// cannot be determined). Benchmarks record this next to their shard
-/// grids so a one-core CI host's numbers are read for what they are.
-pub fn shard_workers(shards: usize) -> usize {
+/// cannot be determined).
+fn shard_workers(shards: usize) -> usize {
     std::thread::available_parallelism()
         .map_or(1, std::num::NonZeroUsize::get)
         .min(shards.max(1))

@@ -167,6 +167,28 @@ mod tests {
     }
 
     #[test]
+    fn report_warns_about_unwritten_slots() {
+        // Two slots reserved but never written (a writer preempted
+        // mid-entry): the analyzer reads the log as it is, so it sees
+        // them, counts them and says so — as `profile::build` does.
+        let (mut log, debug) = make_log();
+        log.entries.insert(1, LogEntry::unpack([0, 0, 0]));
+        log.entries.push(LogEntry::unpack([0, 0, 0]));
+        log.header.tail = 6;
+        let direct = profile::build(&log, &Symbolizer::new(debug.clone(), &log.header));
+        let analyzer = Analyzer::new(log, debug).unwrap();
+        let p = analyzer.profile();
+        assert_eq!(p.anomalies.incomplete_entries, 2);
+        assert_eq!(p, direct);
+        let r = analyzer.report();
+        assert!(
+            r.contains("warning: 2 incomplete records dismissed\n"),
+            "{r}"
+        );
+        assert!(r.contains("log coverage: complete (6 events, capacity 100)"));
+    }
+
+    #[test]
     fn report_states_complete_coverage() {
         let (log, debug) = make_log();
         let r = Analyzer::new(log, debug).unwrap().report();

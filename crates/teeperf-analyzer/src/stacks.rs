@@ -7,6 +7,11 @@
 //! time spent in callees) and its full ancestry — everything the profile,
 //! queries and flame graphs need.
 //!
+//! [`ResumableStacks`] is that walk: it hands each call to its consumer's
+//! sink as the call closes, so a consumer that adds calls to a table (the
+//! batch analyzer, the rolling profile) keeps none of them. [`reconstruct`]
+//! is the consumer that collects them.
+//!
 //! Real logs are imperfect; the reconstruction is deliberately tolerant:
 //!
 //! * **orphan returns** (tracing was activated mid-run, or the matching
@@ -54,7 +59,7 @@ impl CompletedCall {
     }
 }
 
-/// Result of reconstructing one thread.
+/// One thread's reconstruction, collected: what [`reconstruct`] returns.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ThreadStacks {
     /// Completed calls in completion order.
@@ -63,16 +68,6 @@ pub struct ThreadStacks {
     pub orphan_returns: u64,
     /// Frames force-closed at the end of the log.
     pub truncated_frames: u64,
-}
-
-impl ThreadStacks {
-    /// Fold another batch's results into this one (used when assembling
-    /// streaming batches back into a whole-run view).
-    pub fn absorb(&mut self, other: ThreadStacks) {
-        self.calls.extend(other.calls);
-        self.orphan_returns += other.orphan_returns;
-        self.truncated_frames += other.truncated_frames;
-    }
 }
 
 #[derive(Debug)]
@@ -84,14 +79,18 @@ struct OpenFrame {
 /// Resumable reconstruction state for one thread. Carries open frames and
 /// the last observed counter across event batches, so a streaming consumer
 /// (the live drainer) can feed each epoch's events as they arrive and
-/// still close a call whose return lands epochs after its call. Feeding
-/// everything in one batch and finishing is exactly [`reconstruct`].
+/// still close a call whose return lands epochs after its call.
+///
+/// A completed call goes to the caller's `sink` the moment it closes,
+/// borrowed: its `stack` is the machine's own running buffer, lent for the
+/// duration of the call, so a consumer that only adds the call to a table
+/// costs no allocation per call. One that keeps calls clones them
+/// ([`reconstruct`]).
 #[derive(Debug, Default)]
 pub struct ResumableStacks {
     open: Vec<OpenFrame>,
     /// Addresses of the open frames, outermost first — the running call
-    /// stack, kept as a flat buffer so closing a call snapshots its
-    /// ancestry with a single `memcpy` instead of walking the frames.
+    /// stack, which at the moment a call closes is that call's full stack.
     addrs: Vec<u64>,
     last_counter: u64,
 }
@@ -112,10 +111,11 @@ impl ResumableStacks {
         self.last_counter
     }
 
-    /// Consume one batch of events, returning the calls it completed and
-    /// the orphan returns it contained. Open frames stay open.
-    pub fn feed(&mut self, events: &[Event]) -> ThreadStacks {
-        let mut out = ThreadStacks::default();
+    /// Consume one batch of events, handing each call it completes to
+    /// `sink` in completion order, and return the orphan returns it
+    /// contained. Open frames stay open.
+    pub fn feed(&mut self, events: &[Event], mut sink: impl FnMut(&CompletedCall)) -> u64 {
+        let mut orphan_returns = 0;
         for e in events {
             self.last_counter = self.last_counter.max(e.counter);
             match e.kind {
@@ -130,61 +130,66 @@ impl ResumableStacks {
                     // Normally the top frame matches. If it does not
                     // (dropped entries), unwind to the closest matching
                     // frame; frames popped on the way are closed at this
-                    // counter.
+                    // counter, as truncated.
                     let Some(pos) = self.addrs.iter().rposition(|a| *a == e.addr) else {
-                        out.orphan_returns += 1;
+                        orphan_returns += 1;
                         continue;
                     };
                     while self.open.len() > pos + 1 {
-                        self.close_top(&mut out, e.counter, true);
-                        out.truncated_frames += 1;
+                        self.close_top(e.counter, true, &mut sink);
                     }
-                    self.close_top(&mut out, e.counter, false);
+                    self.close_top(e.counter, false, &mut sink);
                 }
             }
         }
-        out
+        orphan_returns
     }
 
     /// Force-close everything still open at the last observed counter
-    /// (end of the log, or of the live session). The state is reusable —
-    /// after `finish` it has no open frames.
-    pub fn finish(&mut self) -> ThreadStacks {
-        let mut out = ThreadStacks::default();
+    /// (end of the log, or of the live session); every call it hands to
+    /// `sink` is `truncated`. The state is reusable — after `finish` it
+    /// has no open frames.
+    pub fn finish(&mut self, mut sink: impl FnMut(&CompletedCall)) {
         while !self.open.is_empty() {
-            self.close_top(&mut out, self.last_counter, true);
-            out.truncated_frames += 1;
+            self.close_top(self.last_counter, true, &mut sink);
         }
-        out
     }
 
-    fn close_top(&mut self, out: &mut ThreadStacks, counter: u64, truncated: bool) {
+    fn close_top(&mut self, counter: u64, truncated: bool, sink: &mut impl FnMut(&CompletedCall)) {
         let frame = self.open.pop().expect("close_top requires an open frame");
-        // The running buffer *is* the closing call's full stack: one exact
-        // allocation and a memcpy, no per-frame walk.
-        let stack = self.addrs.clone();
-        let addr = self.addrs.pop().expect("addrs mirrors open");
         let inclusive = counter.saturating_sub(frame.enter);
         if let Some(parent) = self.open.last_mut() {
             parent.child_ticks += inclusive;
         }
-        out.calls.push(CompletedCall {
-            addr,
-            stack,
+        // The running buffer *is* the closing call's full stack: lend it
+        // to the call for the sink's duration, then take it back and pop.
+        let call = CompletedCall {
+            addr: *self.addrs.last().expect("addrs mirrors open"),
+            stack: std::mem::take(&mut self.addrs),
             enter: frame.enter,
             exit: counter,
             child_ticks: frame.child_ticks,
             truncated,
-        });
+        };
+        sink(&call);
+        self.addrs = call.stack;
+        self.addrs.pop();
     }
 }
 
-/// Reconstruct the call stacks of one thread's event sequence.
+/// Reconstruct the call stacks of one thread's event sequence, collecting
+/// every completed call (each with its own copy of its stack).
 pub fn reconstruct(events: &[Event]) -> ThreadStacks {
     let mut state = ResumableStacks::new();
-    let mut out = state.feed(events);
-    out.absorb(state.finish());
-    out
+    let mut calls = Vec::new();
+    let mut collect = |call: &CompletedCall| calls.push(call.clone());
+    let orphan_returns = state.feed(events, &mut collect);
+    state.finish(collect);
+    ThreadStacks {
+        truncated_frames: calls.iter().filter(|c| c.truncated).count() as u64,
+        calls,
+        orphan_returns,
+    }
 }
 
 #[cfg(test)]
@@ -312,7 +317,94 @@ mod tests {
         })
     }
 
+    /// Any call/return sequence at all: returns may name a frame that is
+    /// not on top (an unwind) or not open (an orphan), frames may stay open.
+    fn unbalanced_trace() -> impl Strategy<Value = Vec<Event>> {
+        proptest::collection::vec((0u64..5, any::<bool>(), 0u64..4), 0..120).prop_map(|ops| {
+            let mut counter = 0u64;
+            ops.into_iter()
+                .map(|(addr, call, gap)| {
+                    counter += gap; // non-decreasing: equal counters happen
+                    ev(if call { Call } else { Return }, counter, addr)
+                })
+                .collect()
+        })
+    }
+
+    /// The reconstruction written the obvious way — one frame list, every
+    /// closed call given its own copy of the stack — as the reference the
+    /// streaming machine is held to.
+    fn model(events: &[Event]) -> ThreadStacks {
+        let mut out = ThreadStacks::default();
+        let mut open: Vec<(u64, u64, u64)> = Vec::new(); // (addr, enter, child_ticks)
+        let mut last = 0u64;
+        let mut close = |open: &mut Vec<(u64, u64, u64)>, exit: u64, truncated: bool| {
+            let stack: Vec<u64> = open.iter().map(|f| f.0).collect();
+            let (addr, enter, child_ticks) = open.pop().expect("an open frame");
+            if let Some(parent) = open.last_mut() {
+                parent.2 += exit.saturating_sub(enter);
+            }
+            out.truncated_frames += u64::from(truncated);
+            out.calls.push(CompletedCall {
+                addr,
+                stack,
+                enter,
+                exit,
+                child_ticks,
+                truncated,
+            });
+        };
+        for e in events {
+            last = last.max(e.counter);
+            if e.kind == Call {
+                open.push((e.addr, e.counter, 0));
+            } else if let Some(pos) = open.iter().rposition(|f| f.0 == e.addr) {
+                while open.len() > pos + 1 {
+                    close(&mut open, e.counter, true);
+                }
+                close(&mut open, e.counter, false);
+            } else {
+                out.orphan_returns += 1;
+            }
+        }
+        while !open.is_empty() {
+            close(&mut open, last, true);
+        }
+        out
+    }
+
     proptest! {
+        #[test]
+        fn prop_calls_seen_while_streaming_equal_the_reference(
+            balanced in arbitrary_trace(),
+            unbalanced in unbalanced_trace(),
+            cuts in proptest::collection::vec(0usize..1_000, 0..5),
+        ) {
+            // Whatever the chunking, a consumer sees the calls of the
+            // reference in its order, field for field (the stack too), and
+            // the same anomaly counts — and `reconstruct` collects the same.
+            for trace in [balanced, unbalanced] {
+                let want = model(&trace);
+                prop_assert_eq!(&reconstruct(&trace), &want);
+                let mut points: Vec<usize> =
+                    cuts.iter().map(|c| c % (trace.len() + 1)).collect();
+                points.push(trace.len());
+                points.sort_unstable();
+                let mut state = ResumableStacks::new();
+                let (mut seen, mut orphans, mut prev) = (Vec::new(), 0u64, 0usize);
+                for p in points {
+                    orphans += state.feed(&trace[prev..p], |call| seen.push(call.clone()));
+                    prev = p;
+                }
+                state.finish(|call| seen.push(call.clone()));
+                prop_assert_eq!(state.open_frames(), 0);
+                prop_assert_eq!(orphans, want.orphan_returns);
+                let truncated = seen.iter().filter(|c| c.truncated).count() as u64;
+                prop_assert_eq!(truncated, want.truncated_frames);
+                prop_assert_eq!(&seen, &want.calls);
+            }
+        }
+
         #[test]
         fn prop_balanced_traces_reconstruct_cleanly(trace in arbitrary_trace()) {
             let result = reconstruct(&trace);
@@ -325,29 +417,6 @@ mod tests {
                 prop_assert_eq!(c.exclusive() + c.child_ticks, c.inclusive());
                 prop_assert_eq!(*c.stack.last().unwrap(), c.addr);
             }
-        }
-
-        #[test]
-        fn prop_split_feeding_matches_batch_reconstruction(
-            trace in arbitrary_trace(),
-            cuts in proptest::collection::vec(0usize..1_000, 0..4),
-        ) {
-            // Feeding the trace in arbitrary chunks through ResumableStacks
-            // must yield exactly the same calls as one-shot reconstruct —
-            // the invariant the live incremental analyzer depends on.
-            let mut points: Vec<usize> = cuts.iter().map(|c| c % (trace.len() + 1)).collect();
-            points.sort_unstable();
-            let mut state = ResumableStacks::new();
-            let mut streamed = ThreadStacks::default();
-            let mut prev = 0usize;
-            for p in points {
-                streamed.absorb(state.feed(&trace[prev..p]));
-                prev = p;
-            }
-            streamed.absorb(state.feed(&trace[prev..]));
-            streamed.absorb(state.finish());
-            prop_assert_eq!(state.open_frames(), 0);
-            prop_assert_eq!(streamed, reconstruct(&trace));
         }
 
         #[test]

@@ -4,10 +4,10 @@
 //! log. A [`RollingProfile`] does the same work one drained batch at a
 //! time: per-thread [`ResumableStacks`] carry open frames across epoch
 //! boundaries (a return may land many epochs after its call), and every
-//! completed call is merged immediately into the batch analyzer's
-//! address-keyed [`Aggregates`] kernel — the same commutative merge the
-//! sharded batch path uses, so the rolling and batch profiles cannot
-//! drift apart. Symbolization is deferred to
+//! call is added, the moment it closes, to the batch analyzer's
+//! address-keyed [`Aggregates`] through the same `add_call` the batch
+//! pass uses, so the rolling and batch profiles cannot drift apart.
+//! Symbolization is deferred to
 //! [`RollingProfile::snapshot`], which materializes a regular
 //! [`Profile`] — so reports, diffs and flame graphs reuse the batch
 //! machinery unchanged.
@@ -115,7 +115,11 @@ impl RollingProfile {
         symbolizer: &Symbolizer,
         sel: &WindowSel,
     ) -> Option<(WindowMeta, Profile)> {
-        let (span, agg) = self.ring.as_ref()?.span_aggregate(sel)?;
+        let (span, slots) = self.ring.as_ref()?.span(sel)?;
+        let mut agg = Aggregates::new();
+        for slot in slots {
+            agg.merge(slot.clone());
+        }
         Some((span, materialize_window(&agg, symbolizer)))
     }
 
@@ -128,7 +132,7 @@ impl RollingProfile {
         idx: u64,
     ) -> Option<(WindowMeta, Profile)> {
         let (meta, agg) = self.ring.as_ref()?.slot_containing(idx)?;
-        Some((meta, materialize_window(&agg, symbolizer)))
+        Some((meta, materialize_window(agg, symbolizer)))
     }
 
     /// Events merged so far (excluding dismissed incomplete records).
@@ -190,10 +194,20 @@ impl RollingProfile {
             });
         }
         for (tid, events) in per_tid {
-            let completed = self.threads.entry(tid).or_default().feed(&events);
-            self.agg.absorb_scaled(tid, &completed, self.scale);
-            if let Some(ring) = self.ring.as_mut() {
-                ring.absorb_scaled(tid, &completed, self.scale);
+            // Observed even when this batch completes no call.
+            self.agg.observe_thread(tid);
+            let stacks = self.threads.entry(tid).or_default();
+            let orphans = stacks.feed(&events, |call| {
+                self.agg.add_call(tid, call, self.scale);
+                if let Some(ring) = &mut self.ring {
+                    ring.add_call(tid, call, self.scale);
+                }
+            });
+            self.agg.orphan_returns += orphans;
+            // Retention once per thread batch, here and in `finish`: a later
+            // thread's late call finds the floor this one's calls raised.
+            if let Some(ring) = &mut self.ring {
+                ring.enforce_retention();
             }
         }
     }
@@ -202,16 +216,15 @@ impl RollingProfile {
     /// (end of session). The per-thread states stay usable: feeding more
     /// events afterwards starts from an empty stack.
     pub fn finish(&mut self) {
-        let tids: Vec<u64> = self.threads.keys().copied().collect();
-        for tid in tids {
-            let closed = self
-                .threads
-                .get_mut(&tid)
-                .expect("tid listed above")
-                .finish();
-            self.agg.absorb_scaled(tid, &closed, self.scale);
-            if let Some(ring) = self.ring.as_mut() {
-                ring.absorb_scaled(tid, &closed, self.scale);
+        for (tid, stacks) in &mut self.threads {
+            stacks.finish(|call| {
+                self.agg.add_call(*tid, call, self.scale);
+                if let Some(ring) = &mut self.ring {
+                    ring.add_call(*tid, call, self.scale);
+                }
+            });
+            if let Some(ring) = &mut self.ring {
+                ring.enforce_retention();
             }
         }
     }

@@ -622,15 +622,18 @@ impl LiveSession {
         sel: &WindowSel,
         merge: &mut ProfileMerge,
     ) -> Option<WindowMeta> {
-        let (meta, aggregate) = self.rolling.ring()?.span_aggregate(sel)?;
-        // Window anomalies are zero by construction: orphans and
-        // truncations are session-scoped.
-        merge.add_aggregates(
-            self.source.pid(),
-            &aggregate,
-            &self.symbolizer,
-            Anomalies::default(),
-        );
+        let (meta, slots) = self.rolling.ring()?.span(sel)?;
+        // Slot by slot, borrowed: the merge sums, so it needs no single
+        // span aggregate. Window anomalies are zero by construction:
+        // orphans and truncations are session-scoped.
+        for slot in slots {
+            merge.add_aggregates(
+                self.source.pid(),
+                slot,
+                &self.symbolizer,
+                Anomalies::default(),
+            );
+        }
         Some(meta)
     }
 

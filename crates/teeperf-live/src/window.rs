@@ -19,16 +19,18 @@
 //! into the ring's *evicted remainder* aggregate, which keeps counting so
 //! totals always reconcile. Both transitions are recorded as
 //! [`RingEvent`]s; the owning session surfaces them in the snapshot's
-//! `[events]` section so history loss is never silent.
+//! `[events]` section so history loss is never silent. The ring enforces
+//! retention when its owner says so, not per call, and that cadence is part
+//! of the behaviour: it decides which window a late call still finds.
+//! Queries borrow the slots' aggregates; only a caller that needs one
+//! merged [`Aggregates`] copies.
 //!
 //! Window boundaries derive **only** from the virtual clock: this module
 //! is on the protocol lint's no-wall-clock list (`teeperf-lint`), so an
 //! `Instant::now()` sneaking into boundary logic fails CI.
 
-use std::collections::BTreeMap;
-
 use teeperf_analyzer::profile::Aggregates;
-use teeperf_analyzer::stacks::ThreadStacks;
+use teeperf_analyzer::stacks::CompletedCall;
 
 pub use teeperf_analyzer::query::windowed::WindowSel;
 
@@ -191,61 +193,49 @@ impl RetentionRing {
 
     /// Metadata of every retained slot, oldest first.
     pub fn windows(&self) -> Vec<WindowMeta> {
-        self.slots.iter().map(|s| self.meta(s)).collect()
+        self.slots
+            .chunks(1)
+            .filter_map(|slot| self.meta(slot))
+            .collect()
     }
 
-    fn meta(&self, slot: &WindowSlot) -> WindowMeta {
-        WindowMeta {
-            first: slot.first,
-            last: slot.last,
-            start_tick: slot.first * self.interval,
-            end_tick: (slot.last + 1) * self.interval - 1,
-            calls: slot.calls,
-            estimated_calls: slot.estimated_calls,
-        }
+    /// Metadata of a contiguous run of slots (`None` for an empty run).
+    fn meta(&self, slots: &[WindowSlot]) -> Option<WindowMeta> {
+        let (head, tail) = (slots.first()?, slots.last()?);
+        Some(WindowMeta {
+            first: head.first,
+            last: tail.last,
+            start_tick: head.first * self.interval,
+            end_tick: (tail.last + 1) * self.interval - 1,
+            calls: slots.iter().map(|s| s.calls).sum(),
+            estimated_calls: slots.iter().map(|s| s.estimated_calls).sum(),
+        })
     }
 
-    /// Attribute one reconstruction batch of thread `tid`: each completed
-    /// call lands in the window of its exit counter. Anomaly counters
-    /// (orphans, truncations) stay session-scoped — windows aggregate
-    /// completed calls only.
-    pub fn absorb(&mut self, tid: u64, batch: &ThreadStacks) {
-        self.absorb_scaled(tid, batch, 1);
-    }
-
-    /// [`RetentionRing::absorb`] with every completed call weighted by
-    /// the sampling factor `scale` of the fidelity regime it was admitted
-    /// under (see [`teeperf_core::fidelity`]): the touched windows count
-    /// `scale` calls per admitted call — the same bias correction the
-    /// all-time aggregate applies, so retained ⊕ remainder still equals
-    /// the whole-session aggregate — and stamp the scaled portion in
-    /// their regime mix ([`WindowMeta::estimated_calls`]).
-    pub fn absorb_scaled(&mut self, tid: u64, batch: &ThreadStacks, scale: u64) {
+    /// Attribute one completed call of thread `tid` to the window of its
+    /// exit counter — its slot, or the evicted remainder when that window
+    /// is already below the floor. `scale` is the sampling factor of the
+    /// regime the call was admitted under (see [`teeperf_core::fidelity`];
+    /// at least 1): the window counts `scale` calls, the same bias
+    /// correction the all-time aggregate applies, so retained ⊕ remainder
+    /// still equals it, and stamps the scaled portion in its regime mix
+    /// ([`WindowMeta::estimated_calls`]). Anomalies stay session-scoped.
+    /// The ring may exceed its capacity until the caller's next
+    /// [`RetentionRing::enforce_retention`].
+    pub fn add_call(&mut self, tid: u64, call: &CompletedCall, scale: u64) {
         let scale = scale.max(1);
-        let mut grouped: BTreeMap<u64, ThreadStacks> = BTreeMap::new();
-        for call in &batch.calls {
-            let idx = self.window_of(call.exit);
-            grouped.entry(idx).or_default().calls.push(call.clone());
+        let idx = self.window_of(call.exit);
+        if idx < self.floor {
+            self.evicted.add_call(tid, call, scale);
+            self.evicted_calls += scale;
+            return;
         }
-        for (idx, stacks) in grouped {
-            let n = scale * stacks.calls.len() as u64;
-            if idx < self.floor {
-                // The window was already evicted: keep the totals exact by
-                // folding straight into the remainder.
-                let mut late = Aggregates::new();
-                late.absorb_scaled(tid, &stacks, scale);
-                self.evicted.merge(late);
-                self.evicted_calls += n;
-                continue;
-            }
-            let slot = self.slot_for(idx);
-            slot.agg.absorb_scaled(tid, &stacks, scale);
-            slot.calls += n;
-            if scale > 1 {
-                slot.estimated_calls += n;
-            }
+        let slot = self.slot_for(idx);
+        slot.agg.add_call(tid, call, scale);
+        slot.calls += scale;
+        if scale > 1 {
+            slot.estimated_calls += scale;
         }
-        self.enforce_retention();
     }
 
     /// The slot covering `idx`, creating a fresh single-window slot in
@@ -272,7 +262,7 @@ impl RetentionRing {
     /// Shrink back to capacity: coarsen the two oldest adjacent slots into
     /// one bucket while the merge stays within `max_width`, evict the
     /// oldest bucket into the remainder otherwise.
-    fn enforce_retention(&mut self) {
+    pub fn enforce_retention(&mut self) {
         while self.slots.len() > self.capacity {
             let coarsened_width = if self.slots.len() >= 2 {
                 self.slots[1].last - self.slots[0].first + 1
@@ -327,37 +317,20 @@ impl RetentionRing {
         }
     }
 
-    /// Merge the selected slots into one exact aggregate. Returns the
-    /// covered span's metadata plus the merged kernel, or `None` when the
-    /// selection matches no retained slot.
-    pub fn span_aggregate(&self, sel: &WindowSel) -> Option<(WindowMeta, Aggregates)> {
+    /// The selected slots, borrowed: the covered span's metadata plus each
+    /// slot's aggregate, oldest first — their merge is the span's exact
+    /// aggregate. `None` when the selection matches no retained slot.
+    pub fn span(&self, sel: &WindowSel) -> Option<(WindowMeta, impl Iterator<Item = &Aggregates>)> {
         let slots = self.select(sel);
-        let (head, tail) = (slots.first()?, slots.last()?);
-        let mut agg = Aggregates::new();
-        let mut calls = 0;
-        let mut estimated_calls = 0;
-        for s in slots {
-            agg.merge(s.agg.clone());
-            calls += s.calls;
-            estimated_calls += s.estimated_calls;
-        }
-        let span = WindowMeta {
-            first: head.first,
-            last: tail.last,
-            start_tick: head.first * self.interval,
-            end_tick: (tail.last + 1) * self.interval - 1,
-            calls,
-            estimated_calls,
-        };
-        Some((span, agg))
+        Some((self.meta(slots)?, slots.iter().map(|s| &s.agg)))
     }
 
     /// The slot containing window index `idx`, if retained (a coarsened
     /// index resolves to its containing bucket).
-    pub fn slot_containing(&self, idx: u64) -> Option<(WindowMeta, Aggregates)> {
+    pub fn slot_containing(&self, idx: u64) -> Option<(WindowMeta, &Aggregates)> {
         let pos = self.slots.partition_point(|s| s.last < idx);
-        let slot = self.slots.get(pos)?;
-        (slot.first <= idx && idx <= slot.last).then(|| (self.meta(slot), slot.agg.clone()))
+        let slot = self.slots.get(pos).filter(|s| s.first <= idx)?;
+        Some((self.meta(std::slice::from_ref(slot))?, &slot.agg))
     }
 
     /// The whole ring as one aggregate: evicted remainder ⊕ every retained
@@ -496,7 +469,6 @@ pub fn windows_from_text(text: &str) -> Result<Vec<PidWindows>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teeperf_analyzer::stacks::CompletedCall;
 
     fn call(addr: u64, enter: u64, exit: u64) -> CompletedCall {
         CompletedCall {
@@ -509,12 +481,13 @@ mod tests {
         }
     }
 
-    fn batch(calls: Vec<CompletedCall>) -> ThreadStacks {
-        ThreadStacks {
-            calls,
-            orphan_returns: 0,
-            truncated_frames: 0,
+    /// One thread batch into the ring, the way `RollingProfile` feeds it:
+    /// every call, then retention once.
+    fn add_batch(r: &mut RetentionRing, tid: u64, calls: &[CompletedCall], scale: u64) {
+        for c in calls {
+            r.add_call(tid, c, scale);
         }
+        r.enforce_retention();
     }
 
     fn ring(interval: u64, capacity: usize, max_width: u64) -> RetentionRing {
@@ -528,9 +501,11 @@ mod tests {
     #[test]
     fn calls_land_in_the_window_of_their_exit_tick() {
         let mut r = ring(10, 8, 4);
-        r.absorb(
+        add_batch(
+            &mut r,
             0,
-            &batch(vec![call(0xA, 1, 9), call(0xA, 12, 19), call(0xB, 5, 25)]),
+            &[call(0xA, 1, 9), call(0xA, 12, 19), call(0xB, 5, 25)],
+            1,
         );
         let w = r.windows();
         assert_eq!(w.len(), 3);
@@ -545,7 +520,7 @@ mod tests {
     fn overflow_coarsens_the_oldest_pair_first() {
         let mut r = ring(10, 2, 4);
         for i in 0..3u64 {
-            r.absorb(0, &batch(vec![call(0xA, i * 10, i * 10 + 5)]));
+            add_batch(&mut r, 0, &[call(0xA, i * 10, i * 10 + 5)], 1);
         }
         let w = r.windows();
         assert_eq!(w.len(), 2);
@@ -562,7 +537,7 @@ mod tests {
     fn overflow_evicts_once_coarsening_would_exceed_max_width() {
         let mut r = ring(10, 2, 2);
         for i in 0..4u64 {
-            r.absorb(0, &batch(vec![call(0xA, i * 10, i * 10 + 5)]));
+            add_batch(&mut r, 0, &[call(0xA, i * 10, i * 10 + 5)], 1);
         }
         // Windows 0,1 coarsened into one bucket of width 2; window 3's
         // arrival overflows again and the width-2 bucket cannot widen.
@@ -583,10 +558,10 @@ mod tests {
     #[test]
     fn late_calls_below_the_floor_fold_into_the_remainder() {
         let mut r = ring(10, 1, 1);
-        r.absorb(0, &batch(vec![call(0xA, 0, 5)]));
-        r.absorb(0, &batch(vec![call(0xA, 10, 15)])); // evicts window 0
+        add_batch(&mut r, 0, &[call(0xA, 0, 5)], 1);
+        add_batch(&mut r, 0, &[call(0xA, 10, 15)], 1); // evicts window 0
         assert_eq!(r.evicted_windows(), 1);
-        r.absorb(0, &batch(vec![call(0xB, 0, 5)])); // late arrival for window 0
+        add_batch(&mut r, 0, &[call(0xB, 0, 5)], 1); // late arrival for window 0
         assert_eq!(r.evicted_calls(), 2, "late call counted in the remainder");
         assert_eq!(r.len(), 1);
         assert_eq!(r.windows()[0].first, 1);
@@ -596,15 +571,15 @@ mod tests {
     fn select_resolves_last_range_and_all() {
         let mut r = ring(10, 8, 4);
         for i in 0..5u64 {
-            r.absorb(0, &batch(vec![call(0xA, i * 10, i * 10 + 5)]));
+            add_batch(&mut r, 0, &[call(0xA, i * 10, i * 10 + 5)], 1);
         }
-        let (all, _) = r.span_aggregate(&WindowSel::All).unwrap();
+        let (all, _) = r.span(&WindowSel::All).unwrap();
         assert_eq!((all.first, all.last, all.calls), (0, 4, 5));
-        let (last2, _) = r.span_aggregate(&WindowSel::Last(2)).unwrap();
+        let (last2, _) = r.span(&WindowSel::Last(2)).unwrap();
         assert_eq!((last2.first, last2.last), (3, 4));
-        let (mid, _) = r.span_aggregate(&WindowSel::Range(1, 3)).unwrap();
+        let (mid, _) = r.span(&WindowSel::Range(1, 3)).unwrap();
         assert_eq!((mid.first, mid.last, mid.calls), (1, 3, 3));
-        assert!(r.span_aggregate(&WindowSel::Range(9, 12)).is_none());
+        assert!(r.span(&WindowSel::Range(9, 12)).is_none());
         let (one, agg) = r.slot_containing(2).unwrap();
         assert_eq!((one.first, one.last), (2, 2));
         assert_eq!(agg.thread_ids().collect::<Vec<_>>(), vec![0]);
@@ -614,12 +589,14 @@ mod tests {
     fn golden_windows_wire_format() {
         let mut r = ring(12, 2, 2);
         for i in 0..3u64 {
-            r.absorb(
+            add_batch(
+                &mut r,
                 0,
-                &batch(vec![
+                &[
                     call(0xA, i * 12, i * 12 + 6),
                     call(0xB, i * 12 + 1, i * 12 + 7),
-                ]),
+                ],
+                1,
             );
         }
         let parts = vec![PidWindows {
@@ -643,11 +620,11 @@ mod tests {
     }
 
     #[test]
-    fn scaled_absorb_stamps_the_regime_mix_and_round_trips() {
+    fn scaled_calls_stamp_the_regime_mix_and_round_trip() {
         let mut r = ring(10, 8, 4);
-        r.absorb(0, &batch(vec![call(0xA, 1, 9)])); // exact, window 0
-        r.absorb_scaled(0, &batch(vec![call(0xA, 12, 19)]), 8); // estimated, window 1
-        r.absorb_scaled(0, &batch(vec![call(0xB, 15, 18)]), 1); // scale 1 == exact
+        add_batch(&mut r, 0, &[call(0xA, 1, 9)], 1); // exact, window 0
+        add_batch(&mut r, 0, &[call(0xA, 12, 19)], 8); // estimated, window 1
+        add_batch(&mut r, 0, &[call(0xB, 15, 18)], 1); // scale 1 == exact
         let w = r.windows();
         assert_eq!((w[0].calls, w[0].estimated_calls), (1, 0));
         assert_eq!(
@@ -674,9 +651,9 @@ mod tests {
     #[test]
     fn coarsening_merges_the_regime_mix() {
         let mut r = ring(10, 2, 4);
-        r.absorb_scaled(0, &batch(vec![call(0xA, 0, 5)]), 4);
-        r.absorb(0, &batch(vec![call(0xA, 10, 15)]));
-        r.absorb(0, &batch(vec![call(0xA, 20, 25)])); // overflow: coarsen 0+1
+        add_batch(&mut r, 0, &[call(0xA, 0, 5)], 4);
+        add_batch(&mut r, 0, &[call(0xA, 10, 15)], 1);
+        add_batch(&mut r, 0, &[call(0xA, 20, 25)], 1); // overflow: coarsen 0+1
         let w = r.windows();
         assert_eq!(w.len(), 2);
         assert_eq!(
@@ -710,7 +687,7 @@ mod tests {
     fn reconstruct_merges_remainder_and_slots() {
         let mut r = ring(10, 2, 1);
         for i in 0..6u64 {
-            r.absorb(i % 2, &batch(vec![call(0xA, i * 10, i * 10 + 5)]));
+            add_batch(&mut r, i % 2, &[call(0xA, i * 10, i * 10 + 5)], 1);
         }
         assert!(r.evicted_windows() > 0);
         let whole = r.reconstruct();

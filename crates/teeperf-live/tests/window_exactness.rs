@@ -5,7 +5,11 @@
 //!   aggregate of every completed call, exactly;
 //! * **span**: merging any contiguous span of retained windows equals
 //!   analyzing that span's calls directly (filter by exit window, then
-//!   aggregate — same bytes either way).
+//!   aggregate — same bytes either way);
+//! * **retention points**: which window a call lands in, which slots are
+//!   coarsened or evicted and in what order equal a reference ring that
+//!   regroups each thread's batch by window and enforces retention once
+//!   after it.
 //!
 //! The traces are adversarial on purpose: random call/return walks over
 //! several threads with irregular counter gaps, fed in random chunk sizes
@@ -18,11 +22,11 @@ use proptest::prelude::*;
 use teeperf_analyzer::profile::Anomalies;
 use teeperf_analyzer::reader::Event;
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_analyzer::{Aggregates, CompletedCall, Profile, ResumableStacks, ThreadStacks};
+use teeperf_analyzer::{Aggregates, CompletedCall, Profile, ResumableStacks};
 use teeperf_core::layout::{EventKind, LogEntry};
 use teeperf_core::log::make_header;
-use teeperf_live::window::WindowSel;
-use teeperf_live::{RingConfig, RollingProfile};
+use teeperf_live::window::{WindowMeta, WindowSel};
+use teeperf_live::{RingConfig, RingEvent, RollingProfile};
 
 /// One step of a random call-tree walk.
 #[derive(Debug, Clone)]
@@ -116,8 +120,8 @@ fn direct_calls(per_tid: &BTreeMap<u64, Vec<LogEntry>>) -> BTreeMap<u64, Vec<Com
             })
             .collect();
         let mut stacks = ResumableStacks::new();
-        let mut calls = stacks.feed(&events).calls;
-        calls.extend(stacks.finish().calls);
+        let mut calls = completed(&mut stacks, &events);
+        calls.extend(force_closed(&mut stacks));
         out.insert(*tid, calls);
     }
     out
@@ -129,23 +133,143 @@ fn direct_calls(per_tid: &BTreeMap<u64, Vec<LogEntry>>) -> BTreeMap<u64, Vec<Com
 fn materialize_calls(per_tid: &BTreeMap<u64, Vec<CompletedCall>>, sym: &Symbolizer) -> Profile {
     let mut agg = Aggregates::new();
     for (tid, calls) in per_tid {
-        if calls.is_empty() {
-            continue;
+        for call in calls {
+            agg.add_call(*tid, call, 1);
         }
-        agg.absorb(
-            *tid,
-            &ThreadStacks {
-                calls: calls.clone(),
-                orphan_returns: 0,
-                truncated_frames: 0,
-            },
-        );
     }
     materialize_agg(&agg, sym)
 }
 
 fn materialize_agg(agg: &Aggregates, sym: &Symbolizer) -> Profile {
     agg.materialize(sym, Anomalies::default())
+}
+
+/// The calls `events` complete on `stacks`, in completion order.
+fn completed(stacks: &mut ResumableStacks, events: &[Event]) -> Vec<CompletedCall> {
+    let mut calls = Vec::new();
+    stacks.feed(events, |call| calls.push(call.clone()));
+    calls
+}
+
+/// The calls force-closing `stacks` completes.
+fn force_closed(stacks: &mut ResumableStacks) -> Vec<CompletedCall> {
+    let mut calls = Vec::new();
+    stacks.finish(|call| calls.push(call.clone()));
+    calls
+}
+
+/// A call a reference slot holds: `(tid, call, scale)`.
+type Member = (u64, CompletedCall, u64);
+
+fn materialize_members(members: &[Member], sym: &Symbolizer) -> Profile {
+    let mut agg = Aggregates::new();
+    for (tid, call, scale) in members {
+        agg.add_call(*tid, call, *scale);
+    }
+    materialize_agg(&agg, sym)
+}
+
+#[derive(Debug, Default)]
+struct ModelSlot {
+    first: u64,
+    last: u64,
+    calls: u64,
+    estimated_calls: u64,
+    members: Vec<Member>,
+}
+
+/// The retention ring written as a list of the calls each slot holds:
+/// every thread batch is regrouped by exit window (ascending), each group
+/// goes to its slot — or to the remainder when its window is below the
+/// floor *as the batch began* — and retention is enforced once, after the
+/// batch.
+#[derive(Debug, Default)]
+struct ModelRing {
+    interval: u64,
+    capacity: usize,
+    max_width: u64,
+    slots: Vec<ModelSlot>,
+    evicted: Vec<Member>,
+    evicted_calls: u64,
+    evicted_windows: u64,
+    floor: u64,
+    events: Vec<RingEvent>,
+}
+
+impl ModelRing {
+    fn absorb(&mut self, tid: u64, batch: &[CompletedCall], scale: u64) {
+        let mut grouped: BTreeMap<u64, Vec<&CompletedCall>> = BTreeMap::new();
+        for call in batch {
+            grouped
+                .entry(call.exit / self.interval)
+                .or_default()
+                .push(call);
+        }
+        for (idx, calls) in grouped {
+            let n = scale * calls.len() as u64;
+            let members = calls.into_iter().map(|c| (tid, c.clone(), scale));
+            if idx < self.floor {
+                self.evicted.extend(members);
+                self.evicted_calls += n;
+                continue;
+            }
+            let pos = self.slots.partition_point(|s| s.last < idx);
+            if self.slots.get(pos).is_none_or(|s| s.first > idx) {
+                let fresh = ModelSlot {
+                    first: idx,
+                    last: idx,
+                    ..ModelSlot::default()
+                };
+                self.slots.insert(pos, fresh);
+            }
+            let slot = &mut self.slots[pos];
+            slot.members.extend(members);
+            slot.calls += n;
+            if scale > 1 {
+                slot.estimated_calls += n;
+            }
+        }
+        while self.slots.len() > self.capacity {
+            let old = self.slots.remove(0);
+            let fits = self
+                .slots
+                .first()
+                .is_some_and(|next| next.last - old.first < self.max_width);
+            if fits {
+                let merged = &mut self.slots[0];
+                merged.first = old.first;
+                merged.calls += old.calls;
+                merged.estimated_calls += old.estimated_calls;
+                merged.members.extend(old.members);
+                let (first, last) = (merged.first, merged.last);
+                self.events.push(RingEvent::Coarsened { first, last });
+            } else {
+                self.floor = old.last + 1;
+                self.evicted_calls += old.calls;
+                self.evicted_windows += old.last - old.first + 1;
+                self.events.push(RingEvent::Evicted {
+                    first: old.first,
+                    last: old.last,
+                    calls: old.calls,
+                });
+                self.evicted.extend(old.members);
+            }
+        }
+    }
+
+    fn windows(&self) -> Vec<WindowMeta> {
+        self.slots
+            .iter()
+            .map(|s| WindowMeta {
+                first: s.first,
+                last: s.last,
+                start_tick: s.first * self.interval,
+                end_tick: (s.last + 1) * self.interval - 1,
+                calls: s.calls,
+                estimated_calls: s.estimated_calls,
+            })
+            .collect()
+    }
 }
 
 proptest! {
@@ -248,5 +372,75 @@ proptest! {
                 .collect();
             prop_assert_eq!(&one_profile, &materialize_calls(&one_filtered, &sym));
         }
+    }
+
+    #[test]
+    fn prop_ring_matches_a_per_batch_regrouping_reference(
+        walks in proptest::collection::vec(steps(), 2..5),
+        interval in 1u64..40,
+        capacity in 1usize..5,
+        max_width in 1u64..4,
+        chunk in 1usize..25,
+        scales in proptest::collection::vec(1u64..4, 1..6),
+    ) {
+        let mut stream: Vec<LogEntry> = walks
+            .iter()
+            .enumerate()
+            .flat_map(|(tid, steps)| trace_entries(tid as u64, steps))
+            .collect();
+        stream.sort_by_key(|e| (e.counter, e.tid));
+
+        let config = RingConfig { interval, capacity, max_width };
+        let mut rolling = RollingProfile::with_retention(Some(&config));
+        let mut model = ModelRing { interval, capacity, max_width, ..ModelRing::default() };
+        let mut stacks: BTreeMap<u64, ResumableStacks> = BTreeMap::new();
+        let mut events = Vec::new();
+        let mut seq = 0u64;
+        for (i, batch) in stream.chunks(chunk).enumerate() {
+            // The regime may change between batches; a call scales by the
+            // one it completes under.
+            let scale = scales[i % scales.len()];
+            rolling.set_scale(scale);
+            rolling.ingest(batch);
+            events.extend(rolling.take_ring_events());
+
+            let mut per_tid: BTreeMap<u64, Vec<Event>> = BTreeMap::new();
+            for e in batch {
+                seq += 1;
+                let event = Event { kind: e.kind, counter: e.counter, addr: e.addr, seq };
+                per_tid.entry(e.tid).or_default().push(event);
+            }
+            for (tid, thread_events) in per_tid {
+                let calls = completed(stacks.entry(tid).or_default(), &thread_events);
+                model.absorb(tid, &calls, scale);
+            }
+            prop_assert_eq!(rolling.windows().expect("retention is enabled"), model.windows());
+        }
+        rolling.finish();
+        events.extend(rolling.take_ring_events());
+        let last_scale = rolling.scale();
+        for (tid, thread) in &mut stacks {
+            model.absorb(*tid, &force_closed(thread), last_scale);
+        }
+
+        let ring = rolling.ring().expect("retention is enabled");
+        prop_assert_eq!(ring.windows(), model.windows());
+        prop_assert_eq!(&events, &model.events);
+        prop_assert_eq!(ring.evicted_calls(), model.evicted_calls);
+        prop_assert_eq!(ring.evicted_windows(), model.evicted_windows);
+        let sym = symbolizer();
+        for slot in &model.slots {
+            let (meta, profile) = rolling
+                .window_profile(&sym, slot.first)
+                .expect("the reference retains this slot");
+            prop_assert_eq!((meta.first, meta.last), (slot.first, slot.last));
+            prop_assert_eq!(&profile, &materialize_members(&slot.members, &sym));
+        }
+        let mut all: Vec<Member> = model.evicted.clone();
+        all.extend(model.slots.iter().flat_map(|s| s.members.iter().cloned()));
+        prop_assert_eq!(
+            &materialize_agg(&ring.reconstruct(), &sym),
+            &materialize_members(&all, &sym)
+        );
     }
 }

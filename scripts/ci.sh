@@ -229,20 +229,13 @@ cli_smoke() {
 run cargo build -q --offline -p teeperf-cli -p teeperf-daemon
 tmo 60 bash -c "$(declare -f cli_smoke); cli_smoke"
 
-# Analyzer-throughput smoke: small log, shards {1,2}; asserts the JSON
-# artifact is written and the model speedup at 2 shards is >= 1.0. Results
-# go to a scratch dir so the checked-in full-scale JSON stays untouched.
-if [ "$mode" != "quick" ]; then
-  TEEPERF_RESULTS="$(mktemp -d)" \
-    run cargo run --release --offline -p bench --bin analyze_throughput -- --smoke
-fi
-
 # Contention smoke (ISSUE 8): a tiny writers x batch-slots x transition-mode
 # grid through the real lock-free protocol on real OS threads. The bin exits
 # non-zero if any cell dropped an entry or drained differently from the
 # unbatched classic run of the same writer count — the exactness gate for
 # batched reservation. Hard KILL timeout: a livelocked reservation loop
-# must fail the gate, not hang it.
+# must fail the gate, not hang it. Like every bench smoke below, results
+# go to a scratch dir so the checked-in full-scale JSON stays untouched.
 if [ "$mode" != "quick" ]; then
   TEEPERF_RESULTS="$(mktemp -d)" \
     tmo 120 cargo run --release --offline -p bench --bin record_contention -- --smoke
