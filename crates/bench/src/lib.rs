@@ -13,7 +13,6 @@
 //! | [`plog`] | the atomic-free partitioned log the reservation ablation compares against | `ablation_reservation` |
 //! | [`live`] | continuous-monitoring overhead of `teeperf-live` | `live_overhead` |
 //! | [`contention`] | recorder hot path: batched reservation × switchless transitions | `record_contention` |
-//! | [`querybench`] | windowed time-travel query latency vs retained history | `query_latency` |
 //! | [`regime`] | overhead-budgeted fidelity regimes under an overload ramp | `regime_bench` |
 //!
 //! Everything is deterministic; "10 runs" vary the workload seed, exactly
@@ -28,6 +27,5 @@ pub mod fig5;
 pub mod fig6;
 pub mod live;
 pub mod plog;
-pub mod querybench;
 pub mod regime;
 pub mod util;

@@ -30,7 +30,9 @@ use lsm_store::{run_db_bench, BenchOptions};
 use tee_sim::{CostModel, Machine};
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_analyzer::Profile;
-use teeperf_core::{EventSource, LiveLogSource, Profiler, Recorder, RecorderConfig};
+use teeperf_core::{
+    EventSource, LiveLogSource, Profiler, Recorder, RecorderConfig, SharedLog, SourceResilience,
+};
 use teeperf_live::RollingProfile;
 
 /// Harness options.
@@ -122,6 +124,21 @@ fn profiled_machine(
     (recorder, machine, profiler)
 }
 
+/// The live run's drainer over `log`. Its writer is a thread of this
+/// process, joined before the final flush: it can be late — descheduled
+/// between reserving a slot and publishing it — but not dead. The source's
+/// give-up deadlines count *pumps*, sized for a paced loop; this one spins
+/// `pump` unpaced and would be through them in microseconds, salvaging
+/// around a live writer's slot (the entry then shows under `salvage()` and
+/// is missing from `events + dropped`). So this drainer never gives up.
+fn drainer_for(log: SharedLog, watermark_pct: u8) -> LiveLogSource {
+    LiveLogSource::new(log, watermark_pct).with_resilience(SourceResilience {
+        stall_pumps: u64::MAX,
+        max_rotation_stalls: u64::MAX,
+        ..SourceResilience::default()
+    })
+}
+
 /// Run the three-way comparison.
 ///
 /// # Panics
@@ -179,7 +196,7 @@ pub fn run_live_overhead(options: &LiveBenchOptions) -> LiveBenchResult {
         let watermark_pct = options.watermark_pct;
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            let mut drainer = LiveLogSource::new(log, watermark_pct);
+            let mut drainer = drainer_for(log, watermark_pct);
             let mut rolling = RollingProfile::new();
             loop {
                 let batch = drainer.pump();
@@ -347,6 +364,47 @@ mod tests {
                 .unwrap_or_else(|| panic!("{} missing in batch", m.name));
             assert_eq!(m.calls, b.calls, "{}", m.name);
         }
+    }
+
+    /// The schedule behind the one-in-five `live accounting must balance`
+    /// failure, replayed: the workload thread is descheduled between
+    /// reserving a slot and publishing it while the drain loop, which spins
+    /// `pump` unpaced, gets through any pump-count deadline in microseconds.
+    #[test]
+    fn a_descheduled_writer_is_waited_for_not_salvaged_around() {
+        use teeperf_core::layout::{EventKind, LogEntry};
+        use teeperf_core::{FaultKind, FaultPlan, FaultyWriter};
+        let recorder = Recorder::new(&RecorderConfig {
+            max_entries: 64,
+            ..RecorderConfig::default()
+        });
+        let entries: Vec<LogEntry> = (1..=3)
+            .map(|i| LogEntry {
+                kind: EventKind::Call,
+                counter: i,
+                addr: 0x100 + i,
+                tid: 0,
+            })
+            .collect();
+        let plan = FaultPlan::new().with(FaultKind::StalledWriter, 1);
+        let mut writer = FaultyWriter::new(recorder.log().clone(), plan);
+        let mut drainer = drainer_for(recorder.log().clone(), 90);
+        for e in &entries {
+            writer.write_live(e); // the second reserves its slot and stalls
+        }
+        let mut drained = Vec::new();
+        for _ in 0..10_000 {
+            drained.extend(drainer.pump().entries);
+        }
+        assert_eq!(
+            drained,
+            entries[..1],
+            "the cursor waits at the reserved slot"
+        );
+        assert!(writer.release_stall());
+        drained.extend(drainer.pump().entries);
+        assert_eq!(drained, entries, "late is not lost");
+        assert!(drainer.salvage().is_clean(), "{:?}", drainer.salvage());
     }
 
     #[test]

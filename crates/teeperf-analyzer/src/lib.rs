@@ -14,16 +14,18 @@
 //!   records are dismissed, dropped-entry accounting) and groups events per
 //!   thread;
 //! * [`stacks`] — per-thread call-stack reconstruction that tolerates
-//!   truncated logs and orphan returns;
+//!   truncated logs and orphan returns, and interns every stack it opens
+//!   in a [`PathTable`] — the calling-context tree every table below is
+//!   indexed by;
 //! * [`profile`] — method-level aggregation: calls, inclusive/exclusive
 //!   ticks, min/max, per-thread breakdowns, and folded stacks for the
 //!   visualizer. Aggregation is on integers and symbolization comes last,
-//!   once: [`Aggregates`] is the address-keyed table of one process
-//!   (`materialize` is its way out), [`ProfileMerge`] the name-keyed
-//!   accumulator of a cross-process view — profiles or still
-//!   address-keyed aggregates go in, names are small integers inside, and
-//!   `finish` makes the strings of the merged rows only
-//!   ([`merge_profiles`] is its fold over profiles);
+//!   once: [`Aggregates`] is one process's table of rows per stack id
+//!   (`materialize` groups it into a profile), [`ProfileMerge`] the
+//!   accumulator of a cross-process view over a [`NameSpace`] — profiles,
+//!   or aggregates whose stacks their session has placed there, go in,
+//!   names are small integers inside, and `finish` makes the strings of
+//!   the merged rows only ([`merge_profiles`] is its fold over profiles);
 //! * [`symbolize`] — `addr2line`/`c++filt` equivalent: relocation via the
 //!   header's anchor address, then symbol lookup and demangling;
 //! * [`query`] — a small dataframe engine with a declarative query language
@@ -44,12 +46,12 @@ pub mod symbolize;
 pub use compare::diff;
 
 pub use profile::Aggregates;
-pub use profile::{merge_profiles, MethodStats, Profile, ProfileMerge};
+pub use profile::{merge_profiles, MethodStats, NameSpace, PathNames, Profile, ProfileMerge};
 pub use query::frame::{Column, Frame};
 pub use query::run_query;
 pub use query::windowed::{RankBy, WindowSel, WindowSpec};
 pub use reader::{AnalyzeError, ThreadEvents};
-pub use stacks::{CompletedCall, ResumableStacks};
+pub use stacks::{CompletedCall, PathId, PathTable, ResumableStacks};
 pub use symbolize::{SymId, SymbolCacheStats, Symbolizer};
 
 use mcvm::DebugInfo;

@@ -4,25 +4,36 @@
 //! The pass is the paper's: group the entries per thread, walk each
 //! thread's events through the stack machine, and add every call to an
 //! [`Aggregates`] as it closes ([`Aggregates::add_call`], the one way in).
+//! The stack machine has already interned the call's stack in a
+//! [`PathTable`] when the call opened, so an aggregate is one table of rows
+//! indexed by [`PathId`] and adding a call indexes a row; the method,
+//! folded-stack and caller-edge tables of a [`Profile`] are groupings of
+//! those rows (by address; by stack; by parent address and address), made
+//! in [`Aggregates::materialize`] and nowhere kept.
+//!
 //! Threads in a log are independent by construction (the recorder holds
 //! each thread until its entry is written, so per-thread order is program
 //! order), which makes the pass embarrassingly parallel: shard the
-//! threads over workers, run it per shard, then merge. Every aggregate
-//! operation is commutative and associative and every output table is
-//! finished with a total sort, so the sharded result is byte-identical to
-//! the sequential one — the invariant `build_with_shards` is tested against.
+//! threads over workers, run it per shard — each shard with a table of its
+//! own — then adopt the shards' tables into one and add their rows under
+//! the translation. Every aggregate operation is commutative and
+//! associative and every output table is finished with a total sort, so
+//! the sharded result is byte-identical to the sequential one — the
+//! invariant `build_with_shards` is tested against.
 //!
 //! Across processes an address means nothing — the same function loads at
 //! different addresses, different functions at the same one — so a
-//! cross-process view is a second table, keyed by name: [`ProfileMerge`],
-//! fed with finished [`Profile`]s or with [`Aggregates`] that are still
-//! address-keyed, and materialized once, in its `finish`.
+//! cross-process view lives in a [`NameSpace`]: the same tree, spelled in
+//! names. [`ProfileMerge`] accumulates in it, fed with finished
+//! [`Profile`]s or with [`Aggregates`] whose session remembers where its
+//! stacks sit there ([`PathNames`]), and is materialized once, in its
+//! `finish`.
 
 use std::collections::{BTreeSet, HashMap};
 
 use crate::query::frame::Frame;
 use crate::reader::{self, Event};
-use crate::stacks::{CompletedCall, ResumableStacks};
+use crate::stacks::{CompletedCall, PathId, PathTable, ResumableStacks};
 use crate::symbolize::{SymId, Symbolizer};
 use teeperf_core::layout::LogEntry;
 use teeperf_core::LogFile;
@@ -115,33 +126,35 @@ pub struct Profile {
     pub pids: BTreeSet<u64>,
 }
 
+/// One row of counters: a stack's in an [`Aggregates`], a method's or a
+/// merged stack's once rows are grouped.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct RawMethod {
+struct Row {
     calls: u64,
     inclusive: u64,
     exclusive: u64,
     min_inclusive: u64,
     max_inclusive: u64,
-    threads: BTreeSet<u64>,
+    /// Threads that completed a call here, ascending.
+    threads: Vec<u64>,
 }
 
-impl Default for RawMethod {
-    /// The identity of [`RawMethod::add`]: no calls, so no fastest one.
-    fn default() -> RawMethod {
-        RawMethod {
+impl Default for Row {
+    /// The identity of [`Row::add`]: no calls, so no fastest one.
+    fn default() -> Row {
+        Row {
             calls: 0,
             inclusive: 0,
             exclusive: 0,
             min_inclusive: u64::MAX,
             max_inclusive: 0,
-            threads: BTreeSet::new(),
+            threads: Vec::new(),
         }
     }
 }
 
-impl RawMethod {
-    /// Fold another row's counters into this one. Threads are the
-    /// caller's to add: a cross-process merge re-keys them first.
+impl Row {
+    /// Fold counters into this row.
     fn add(&mut self, calls: u64, inclusive: u64, exclusive: u64, min: u64, max: u64) {
         self.calls += calls;
         self.inclusive += inclusive;
@@ -149,20 +162,50 @@ impl RawMethod {
         self.min_inclusive = self.min_inclusive.min(min);
         self.max_inclusive = self.max_inclusive.max(max);
     }
-}
 
-/// Add `ticks` to `path`'s row, cloning the path only when it is new.
-fn add_path<K: std::hash::Hash + Eq + Clone>(
-    folded: &mut HashMap<Vec<K>, u64>,
-    path: &[K],
-    ticks: u64,
-) {
-    match folded.get_mut(path) {
-        Some(t) => *t += ticks,
-        None => {
-            folded.insert(path.to_vec(), ticks);
+    /// Record that `tid` completed a call here; whether that is news.
+    fn note_thread(&mut self, tid: u64) -> bool {
+        match self.threads.binary_search(&tid) {
+            Ok(_) => false,
+            Err(at) => {
+                self.threads.insert(at, tid);
+                true
+            }
         }
     }
+
+    /// Fold another row in, its threads re-keyed through `key` (a
+    /// cross-process merge namespaces them).
+    fn add_row(&mut self, other: &Row, key: impl Fn(u64) -> u64) {
+        self.add(
+            other.calls,
+            other.inclusive,
+            other.exclusive,
+            other.min_inclusive,
+            other.max_inclusive,
+        );
+        for tid in &other.threads {
+            self.note_thread(key(*tid));
+        }
+    }
+
+    /// Fold another row in whole: a row nothing was added to yet becomes
+    /// it, copying no thread.
+    fn absorb(&mut self, other: Row) {
+        if *self == Row::default() {
+            *self = other;
+        } else {
+            self.add_row(&other, |tid| tid);
+        }
+    }
+}
+
+/// The row at `index`, the table grown to reach it.
+fn row_at<T: Default>(rows: &mut Vec<T>, index: usize) -> &mut T {
+    if rows.len() <= index {
+        rows.resize_with(index + 1, T::default);
+    }
+    &mut rows[index]
 }
 
 /// Add one caller→callee contribution `(calls, inclusive, exclusive)` to
@@ -189,18 +232,63 @@ fn sort_methods(methods: &mut [MethodStats]) {
     });
 }
 
-/// Address-keyed aggregation state over completed calls.
+fn method_stats(name: String, addr: u64, row: Row) -> MethodStats {
+    MethodStats {
+        name,
+        addr,
+        calls: row.calls,
+        inclusive: row.inclusive,
+        exclusive: row.exclusive,
+        min_inclusive: row.min_inclusive,
+        max_inclusive: row.max_inclusive,
+        threads: row.threads.into_iter().collect(),
+    }
+}
+
+/// The folded table of a name-space tree: every stack with ticks (`ticks`
+/// is indexed by stack id and may stop short of the tree), spelled
+/// outermost first through `name`, sorted. Keys stand for distinct names,
+/// so the spelled stacks are distinct and a plain sort is total.
+fn spell_folded(
+    tree: &PathTable,
+    ticks: &[u64],
+    name: impl Fn(u64) -> String,
+) -> Vec<(Vec<String>, u64)> {
+    let mut folded: Vec<(Vec<String>, u64)> = tree
+        .rows()
+        .zip(ticks.iter().skip(1))
+        .filter(|(_, ticks)| **ticks > 0)
+        .map(|((id, ..), ticks)| {
+            let mut path = Vec::new();
+            let mut at = id;
+            while at != PathId::ROOT {
+                path.push(name(tree.key(at)));
+                at = tree.parent(at);
+            }
+            path.reverse();
+            (path, *ticks)
+        })
+        .collect();
+    folded.sort();
+    folded
+}
+
+/// Aggregation state over completed calls: one row of counters per stack,
+/// indexed by the [`PathId`] the stack machine interned the stack under.
 ///
 /// This is the merge kernel shared by the batch analyzer (one per shard)
-/// and `teeperf-live`'s rolling profile (one per session): symbolization
-/// is deferred until [`Aggregates::materialize`], so accumulation touches
-/// only integers. Merging two aggregates is commutative and associative —
-/// the property that makes shard merge order irrelevant.
+/// and `teeperf-live` (a session's rolling aggregate and every retained
+/// window, all over the session's one [`PathTable`]): adding a call indexes
+/// a row, and the method, folded-stack and caller-edge tables are grouped
+/// out of the rows — and symbolized — only in [`Aggregates::materialize`].
+/// An aggregate does not hold its table; whoever fed the stack machine
+/// does, and lends it where ids must mean something. Merging is
+/// commutative and associative — the property that makes shard merge order
+/// irrelevant and any set of windows summable.
 #[derive(Debug, Clone, Default)]
 pub struct Aggregates {
-    methods: HashMap<u64, RawMethod>,
-    folded: HashMap<Vec<u64>, u64>,
-    edges: HashMap<(u64, u64), (u64, u64, u64)>,
+    /// As long as the highest id a call was added under needs.
+    rows: Vec<Row>,
     threads: BTreeSet<u64>,
     /// Returns without a matching call: the stream's, so its consumer's
     /// to add (what [`ResumableStacks::feed`] returns).
@@ -241,137 +329,106 @@ impl Aggregates {
     pub fn add_call(&mut self, tid: u64, call: &CompletedCall, scale: u64) {
         let scale = scale.max(1);
         let (inclusive, exclusive) = (call.inclusive(), call.exclusive());
-        self.threads.insert(tid);
         self.truncated_frames += u64::from(call.truncated);
-        let m = self.methods.entry(call.addr).or_default();
-        m.add(
+        let row = row_at(&mut self.rows, call.path.index());
+        row.add(
             scale,
             scale * inclusive,
             scale * exclusive,
             inclusive,
             inclusive,
         );
-        m.threads.insert(tid);
-        if exclusive > 0 {
-            add_path(&mut self.folded, &call.stack, scale * exclusive);
+        if row.note_thread(tid) {
+            self.threads.insert(tid);
         }
-        let caller = match call.stack.len() {
-            0 | 1 => ROOT_ADDR,
-            n => call.stack[n - 2],
-        };
-        add_edge(
-            &mut self.edges,
-            (caller, call.addr),
-            (scale, scale * inclusive, scale * exclusive),
-        );
     }
 
-    /// Merge another shard's aggregate into this one.
-    pub fn merge(&mut self, other: Aggregates) {
-        for (addr, raw) in other.methods {
-            match self.methods.entry(addr) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(raw);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let m = e.get_mut();
-                    m.add(
-                        raw.calls,
-                        raw.inclusive,
-                        raw.exclusive,
-                        raw.min_inclusive,
-                        raw.max_inclusive,
-                    );
-                    m.threads.extend(raw.threads);
-                }
+    /// Fold in another aggregate over the same table: a sum by id.
+    pub fn merge(&mut self, other: &Aggregates) {
+        self.merge_rows(other, |index| index);
+    }
+
+    /// Fold in an aggregate over another table, `translation` (what
+    /// [`PathTable::adopt`] returned for that table) giving each of its
+    /// ids in this aggregate's.
+    pub fn merge_translated(&mut self, other: &Aggregates, translation: &[PathId]) {
+        self.merge_rows(other, |index| translation[index].index());
+    }
+
+    fn merge_rows(&mut self, other: &Aggregates, translate: impl Fn(usize) -> usize) {
+        for (index, row) in other.rows.iter().enumerate() {
+            if row.calls > 0 {
+                row_at(&mut self.rows, translate(index)).add_row(row, |tid| tid);
             }
         }
-        for (path, ticks) in other.folded {
-            *self.folded.entry(path).or_default() += ticks;
-        }
-        for (edge, counters) in other.edges {
-            add_edge(&mut self.edges, edge, counters);
-        }
-        self.threads.extend(other.threads);
+        self.threads.extend(&other.threads);
         self.orphan_returns += other.orphan_returns;
         self.truncated_frames += other.truncated_frames;
     }
 
-    /// Materialize the aggregate as a [`Profile`]: symbolize (through the
-    /// symbolizer's address cache — each unique address resolves once),
-    /// merge folded paths integer-keyed on interned [`SymId`]s, and finish
-    /// every table with a total sort so the output is independent of both
-    /// hash-map iteration order and shard assignment.
-    pub fn materialize(&self, symbolizer: &Symbolizer, anomalies: Anomalies) -> Profile {
-        let mut methods: Vec<MethodStats> = self
-            .methods
-            .iter()
-            .map(|(addr, raw)| MethodStats {
-                name: symbolizer.name_of(*addr),
-                addr: *addr,
-                calls: raw.calls,
-                inclusive: raw.inclusive,
-                exclusive: raw.exclusive,
-                min_inclusive: raw.min_inclusive,
-                max_inclusive: raw.max_inclusive,
-                threads: raw.threads.clone(),
-            })
+    /// Materialize the aggregate as a [`Profile`] — `paths` being the table
+    /// its calls were interned in. Rows are grouped by address into
+    /// methods and by `(caller address, address)` into caller edges;
+    /// folded stacks are re-interned by *name* (the symbolizer's ids, one
+    /// lookup per stack), so stacks that symbolize identically merge on
+    /// integers, and strings appear only at the end. Every table is
+    /// finished with a total sort, so the output is independent of
+    /// hash-map iteration order, of the order stacks were met in and of
+    /// shard assignment.
+    pub fn materialize(
+        &self,
+        paths: &PathTable,
+        symbolizer: &Symbolizer,
+        anomalies: Anomalies,
+    ) -> Profile {
+        let mut by_addr: HashMap<u64, Row> = HashMap::new();
+        let mut edges: HashMap<(u64, u64), (u64, u64, u64)> = HashMap::new();
+        let mut named = PathTable::new();
+        let mut translation = vec![PathId::ROOT];
+        let mut ticks: Vec<u64> = Vec::new();
+        for ((_, parent, addr), row) in paths.rows().zip(self.rows.iter().skip(1)) {
+            let sym = u64::from(symbolizer.intern(addr).0);
+            let node = named.child(translation[parent.index()], sym);
+            translation.push(node);
+            *row_at(&mut ticks, node.index()) += row.exclusive;
+            if row.calls > 0 {
+                by_addr.entry(addr).or_default().add_row(row, |tid| tid);
+                add_edge(
+                    &mut edges,
+                    (paths.key(parent), addr),
+                    (row.calls, row.inclusive, row.exclusive),
+                );
+            }
+        }
+
+        let mut methods: Vec<MethodStats> = by_addr
+            .into_iter()
+            .map(|(addr, row)| method_stats(symbolizer.name_of(addr), addr, row))
             .collect();
         sort_methods(&mut methods);
         let total_ticks = methods.iter().map(|m| m.exclusive).sum();
 
-        // Folded stacks: intern each address once (the symbolizer caches
-        // addr → id), merge paths that symbolize identically by comparing
-        // id slices — the hot join is integer-keyed; strings appear only
-        // in the final materialization.
-        let mut by_ids: HashMap<Vec<SymId>, u64> = HashMap::with_capacity(self.folded.len());
-        let mut id_buf: Vec<SymId> = Vec::new();
-        for (path, ticks) in &self.folded {
-            id_buf.clear();
-            id_buf.extend(path.iter().map(|a| symbolizer.intern(*a)));
-            add_path(&mut by_ids, &id_buf, *ticks);
-        }
-        let mut names: HashMap<SymId, String> = HashMap::new();
-        let mut folded: Vec<(Vec<String>, u64)> = by_ids
-            .into_iter()
-            .map(|(ids, ticks)| {
-                let path = ids
-                    .iter()
-                    .map(|id| {
-                        names
-                            .entry(*id)
-                            .or_insert_with(|| symbolizer.resolve(*id))
-                            .clone()
-                    })
-                    .collect();
-                (path, ticks)
-            })
-            .collect();
-        // Paths are already distinct (id equality ⟺ name equality), so a
-        // plain sort fully determines the order.
-        folded.sort();
-
+        let folded = spell_folded(&named, &ticks, |sym| symbolizer.resolve(SymId(sym as u32)));
         let (symbols, folded_ids) = intern_folded(&folded);
 
         // Caller edges keep their address pair through the sort as the
         // final tiebreak, making the order total even when distinct
         // address pairs symbolize to the same names.
-        let mut rows: Vec<((u64, u64), CallerEdge)> = self
-            .edges
-            .iter()
+        let mut rows: Vec<((u64, u64), CallerEdge)> = edges
+            .into_iter()
             .map(|((caller, callee), (calls, inclusive, exclusive))| {
                 (
-                    (*caller, *callee),
+                    (caller, callee),
                     CallerEdge {
-                        caller: if *caller == ROOT_ADDR {
+                        caller: if caller == ROOT_ADDR {
                             ROOT_NAME.to_string()
                         } else {
-                            symbolizer.name_of(*caller)
+                            symbolizer.name_of(caller)
                         },
-                        callee: symbolizer.name_of(*callee),
-                        calls: *calls,
-                        inclusive: *inclusive,
-                        exclusive: *exclusive,
+                        callee: symbolizer.name_of(callee),
+                        calls,
+                        inclusive,
+                        exclusive,
                     },
                 )
             })
@@ -393,7 +450,7 @@ impl Aggregates {
             symbols,
             folded_ids,
             caller_edges,
-            threads: self.thread_ids().collect(),
+            threads: self.threads.clone(),
             total_ticks,
             anomalies,
             pids: BTreeSet::new(),
@@ -429,18 +486,18 @@ fn intern_folded(folded: &[(Vec<String>, u64)]) -> (Vec<String>, Vec<(Vec<u32>, 
 
 /// The pass over one shard of threads: walk each thread's events through
 /// the stack machine and add every call to the shard's aggregate as it
-/// closes.
-fn analyze_shard(threads: &[(u64, &[Event])]) -> Aggregates {
-    let mut agg = Aggregates::new();
+/// closes. The shard's threads share the table it returns.
+fn analyze_shard(threads: &[(u64, &[Event])]) -> (PathTable, Aggregates) {
+    let (mut paths, mut agg) = (PathTable::new(), Aggregates::new());
     for (tid, events) in threads {
         agg.observe_thread(*tid);
         let mut stacks = ResumableStacks::new();
         let mut add = |call: &CompletedCall| agg.add_call(*tid, call, 1);
-        let orphans = stacks.feed(events, &mut add);
+        let orphans = stacks.feed(&mut paths, events, &mut add);
         stacks.finish(add);
         agg.orphan_returns += orphans;
     }
-    agg
+    (paths, agg)
 }
 
 /// Deterministically partition `loads` (per-item work estimates, e.g.
@@ -502,7 +559,7 @@ pub fn build_entries(
     let threads: Vec<(u64, Vec<Event>)> = grouped.threads.into_iter().collect();
     let shards = shards.max(1).min(threads.len().max(1));
 
-    let agg = if shards <= 1 {
+    let (paths, agg) = if shards <= 1 {
         let views: Vec<(u64, &[Event])> = threads
             .iter()
             .map(|(tid, events)| (*tid, events.as_slice()))
@@ -525,7 +582,7 @@ pub fn build_entries(
         // sequential while still merging in bucket order, so the result is
         // byte-identical whatever the worker count.
         let workers = shard_workers(shards);
-        let results: Vec<Aggregates> = if workers <= 1 {
+        let results: Vec<(PathTable, Aggregates)> = if workers <= 1 {
             partition
                 .iter()
                 .map(|bucket| analyze_shard(&bucket_views(bucket)))
@@ -549,7 +606,7 @@ pub fn build_entries(
                         })
                     })
                     .collect();
-                let mut ordered: Vec<Option<Aggregates>> = Vec::new();
+                let mut ordered: Vec<Option<(PathTable, Aggregates)>> = Vec::new();
                 ordered.resize_with(partition.len(), || None);
                 for handle in handles {
                     for (index, output) in handle.join().expect("analyzer shard panicked") {
@@ -562,11 +619,13 @@ pub fn build_entries(
                     .collect()
             })
         };
-        let mut agg = Aggregates::new();
-        for shard_agg in results {
-            agg.merge(shard_agg);
+        // Each shard numbered the stacks it met its own way: adopt its
+        // table into the merged one, then its rows follow the translation.
+        let (mut paths, mut agg) = (PathTable::new(), Aggregates::new());
+        for (shard_paths, shard_agg) in &results {
+            agg.merge_translated(shard_agg, &paths.adopt(shard_paths));
         }
-        agg
+        (paths, agg)
     };
 
     let anomalies = Anomalies {
@@ -574,7 +633,7 @@ pub fn build_entries(
         truncated_frames: agg.truncated_frames,
         ..anomalies_base
     };
-    let mut profile = agg.materialize(symbolizer, anomalies);
+    let mut profile = agg.materialize(&paths, symbolizer, anomalies);
     profile.pids = BTreeSet::from([pid]);
     profile
 }
@@ -595,65 +654,157 @@ pub fn merged_thread_key(pid: u64, tid: u64) -> u64 {
     (pid << 32) | (tid & 0xffff_ffff)
 }
 
-/// The name-space accumulator under every cross-process view: per-process
+/// The name space cross-process views are merged in: names as small
+/// integers, dense in order of first appearance, and over them the
+/// calling-context tree — `(parent stack, name id) → stack` — of every
+/// stack any contribution had. Nothing is ever forgotten, so an id handed
+/// out stays good. Whoever outlives the merges that share it owns it: a
+/// session registry keeps one for its whole run, [`merge_profiles`] one
+/// per call.
+#[derive(Debug, Default)]
+pub struct NameSpace {
+    ids: HashMap<String, u32>,
+    names: Vec<String>,
+    stacks: PathTable,
+}
+
+impl NameSpace {
+    /// No names yet.
+    pub fn new() -> NameSpace {
+        NameSpace::default()
+    }
+
+    /// The id of `name`, assigned on first sight (the only time the name
+    /// is copied).
+    fn id(&mut self, name: &str) -> u32 {
+        if let Some(id) = self.ids.get(name) {
+            return *id;
+        }
+        let id = u32::try_from(self.names.len()).expect("fewer than 2^32 names");
+        self.ids.insert(name.to_string(), id);
+        self.names.push(name.to_string());
+        id
+    }
+}
+
+/// What a session remembers between the merges it contributes to: where
+/// each stack of its [`PathTable`] sits in the fleet's [`NameSpace`].
+/// Append-only like both of them, so an address becomes a `String` once in
+/// the session's life and a stack is looked up once, not once per poll. A
+/// memo belongs to one `NameSpace` for good: ids of another mean nothing
+/// here.
+#[derive(Debug, Default)]
+pub struct PathNames {
+    /// Session stack → name-space stack.
+    by_path: Vec<PathId>,
+    /// Address → name id.
+    by_addr: HashMap<u64, u32>,
+}
+
+impl PathNames {
+    /// Nothing remembered yet.
+    pub fn new() -> PathNames {
+        PathNames::default()
+    }
+
+    /// Place the stacks `paths` gained since the last call. A row's parent
+    /// has the smaller id, so it is already placed.
+    fn extend(&mut self, paths: &PathTable, symbolizer: &Symbolizer, space: &mut NameSpace) {
+        if self.by_path.is_empty() {
+            self.by_path.push(PathId::ROOT);
+        }
+        for (_, parent, addr) in paths.rows().skip(self.by_path.len() - 1) {
+            let name = *self
+                .by_addr
+                .entry(addr)
+                .or_insert_with(|| space.id(&symbolizer.name_of(addr)));
+            let parent = self.by_path[parent.index()];
+            self.by_path
+                .push(space.stacks.child(parent, u64::from(name)));
+        }
+    }
+}
+
+/// One stack of the name space, as a [`ProfileMerge`] sees it.
+#[derive(Debug)]
+struct MergedStack {
+    /// The rows added as aggregates, summed.
+    row: Row,
+    /// The smallest address those rows' innermost frame was seen at.
+    addr: u64,
+    /// Folded ticks added as profiles, which say nothing else of a stack.
+    folded: u64,
+}
+
+impl Default for MergedStack {
+    fn default() -> MergedStack {
+        MergedStack {
+            row: Row::default(),
+            addr: u64::MAX,
+            folded: 0,
+        }
+    }
+}
+
+/// The accumulator under every cross-process view: per-process
 /// contributions go in — already materialized ([`ProfileMerge::add_profile`])
-/// or still address-keyed ([`ProfileMerge::add_aggregates`]) — and one
-/// [`Profile`] comes out ([`ProfileMerge::finish`]).
+/// or still indexed by the session's stack ids
+/// ([`ProfileMerge::add_aggregates`]) — and one [`Profile`] comes out
+/// ([`ProfileMerge::finish`]).
 ///
 /// Different processes may load the same function at different addresses
 /// (and different functions at the same address), so the merge keys
 /// methods, folded stacks and caller edges by *name*, taking the smallest
 /// address as a method's representative; threads and per-thread calls are
 /// re-keyed with [`merged_thread_key`]. Inside the accumulator a name is a
-/// small integer: each contribution maps its own names (or addresses) to
-/// ids once, every table merges on ids, and names become strings again
-/// only in `finish`. Every counter is summed, so the merged totals equal
-/// the sum of the per-process totals; contributions commute, and the two
-/// ways in agree — adding a process's aggregate gives the same result as
-/// adding the profile [`Aggregates::materialize`] builds from it.
-#[derive(Debug, Default)]
-pub struct ProfileMerge {
-    /// name → id, ids dense in order of first appearance.
-    names: HashMap<String, u32>,
-    /// name id → (smallest address seen, merged row).
-    methods: HashMap<u32, (u64, RawMethod)>,
-    folded: HashMap<Vec<u32>, u64>,
+/// small integer and a stack an index into its [`NameSpace`]'s tree: an
+/// aggregate's rows are added to the rows of the stacks its session's memo
+/// places them at — an index each, nothing hashed — and methods and caller
+/// edges are grouped out of the tree in `finish`; a profile adds its
+/// method and edge rows as they are and only its folded ticks to the tree.
+/// Every counter is summed, so the merged totals equal the sum of the
+/// per-process totals; contributions commute, and the two ways in agree —
+/// adding a process's aggregate gives the same result as adding the
+/// profile [`Aggregates::materialize`] builds from it.
+#[derive(Debug)]
+pub struct ProfileMerge<'s> {
+    space: &'s mut NameSpace,
+    /// name id → (smallest address seen, merged row), from profiles.
+    methods: HashMap<u32, (u64, Row)>,
+    /// From profiles.
     edges: HashMap<(u32, u32), (u64, u64, u64)>,
+    /// Indexed by the name space's stack ids, as long as the highest one a
+    /// contribution touched needs.
+    stacks: Vec<MergedStack>,
     threads: BTreeSet<u64>,
     total_ticks: u64,
     anomalies: Anomalies,
     pids: BTreeSet<u64>,
 }
 
-/// The id of `name` in a [`ProfileMerge`]'s table, assigned on first sight
-/// (the only time the name is copied).
-fn name_id(names: &mut HashMap<String, u32>, name: &str) -> u32 {
-    if let Some(id) = names.get(name) {
-        return *id;
-    }
-    let id = u32::try_from(names.len()).expect("fewer than 2^32 names");
-    names.insert(name.to_string(), id);
-    id
-}
-
 /// The merged row of method `name`, whose representative address is the
 /// smallest of those it was seen at.
-fn method_row(
-    methods: &mut HashMap<u32, (u64, RawMethod)>,
-    name: u32,
-    addr: u64,
-) -> &mut RawMethod {
+fn method_row(methods: &mut HashMap<u32, (u64, Row)>, name: u32, addr: u64) -> &mut Row {
     let (representative, row) = methods
         .entry(name)
-        .or_insert_with(|| (addr, RawMethod::default()));
+        .or_insert_with(|| (addr, Row::default()));
     *representative = (*representative).min(addr);
     row
 }
 
-impl ProfileMerge {
-    /// An empty merge.
-    pub fn new() -> ProfileMerge {
-        ProfileMerge::default()
+impl<'s> ProfileMerge<'s> {
+    /// An empty merge in `space`.
+    pub fn new(space: &'s mut NameSpace) -> ProfileMerge<'s> {
+        ProfileMerge {
+            space,
+            methods: HashMap::new(),
+            edges: HashMap::new(),
+            stacks: Vec::new(),
+            threads: BTreeSet::new(),
+            total_ticks: 0,
+            anomalies: Anomalies::default(),
+            pids: BTreeSet::new(),
+        }
     }
 
     fn add_anomalies(&mut self, anomalies: Anomalies) {
@@ -663,6 +814,11 @@ impl ProfileMerge {
         self.anomalies.dropped_entries += anomalies.dropped_entries;
     }
 
+    /// This merge's view of name-space stack `id`.
+    fn stack(&mut self, id: PathId) -> &mut MergedStack {
+        row_at(&mut self.stacks, id.index())
+    }
+
     /// Add process `pid`'s materialized profile.
     pub fn add_profile(&mut self, pid: u64, profile: &Profile) {
         self.pids.insert(pid);
@@ -670,7 +826,7 @@ impl ProfileMerge {
         self.total_ticks += profile.total_ticks;
         self.add_anomalies(profile.anomalies);
         for m in &profile.methods {
-            let name = name_id(&mut self.names, &m.name);
+            let name = self.space.id(&m.name);
             let row = method_row(&mut self.methods, name, m.addr);
             row.add(
                 m.calls,
@@ -679,18 +835,35 @@ impl ProfileMerge {
                 m.min_inclusive,
                 m.max_inclusive,
             );
-            row.threads
-                .extend(m.threads.iter().map(|t| merged_thread_key(pid, *t)));
+            for tid in &m.threads {
+                row.note_thread(merged_thread_key(pid, *tid));
+            }
         }
-        let mut ids: Vec<u32> = Vec::new();
+        // The folded table is sorted, so a stack shares all but its last
+        // frames with the one before it: keep that one's walk down the
+        // tree and redo only where the two part.
+        let mut walk: Vec<PathId> = Vec::new();
+        let mut previous: &[String] = &[];
         for (path, ticks) in &profile.folded {
-            ids.clear();
-            ids.extend(path.iter().map(|name| name_id(&mut self.names, name)));
-            add_path(&mut self.folded, &ids, *ticks);
+            let shared = path
+                .iter()
+                .zip(previous)
+                .take_while(|(a, b)| a == b)
+                .count();
+            walk.truncate(shared);
+            for name in &path[shared..] {
+                let name = u64::from(self.space.id(name));
+                let parent = walk.last().copied().unwrap_or(PathId::ROOT);
+                walk.push(self.space.stacks.child(parent, name));
+            }
+            if let Some(stack) = walk.last() {
+                self.stack(*stack).folded += ticks;
+            }
+            previous = path;
         }
         for edge in &profile.caller_edges {
-            let caller = name_id(&mut self.names, &edge.caller);
-            let callee = name_id(&mut self.names, &edge.callee);
+            let caller = self.space.id(&edge.caller);
+            let callee = self.space.id(&edge.callee);
             add_edge(
                 &mut self.edges,
                 (caller, callee),
@@ -704,59 +877,35 @@ impl ProfileMerge {
         self.threads.extend(keys);
     }
 
-    /// Add process `pid`'s address-keyed aggregate without materializing
-    /// it: the contribution of `aggregates.materialize(symbolizer,
+    /// Add process `pid`'s aggregate over `paths` without materializing
+    /// it: the contribution of `aggregates.materialize(paths, symbolizer,
     /// anomalies)` stamped with `pid`, which is how a rolling or window
-    /// aggregate freezes. `anomalies` is the caller's to
-    /// state, as it is for `materialize` — a session reports its counters,
-    /// a window span reports none.
+    /// aggregate freezes. `anomalies` is the caller's to state, as it is
+    /// for `materialize` — a session reports its counters, a window span
+    /// reports none.
     ///
-    /// Each distinct address of the aggregate goes through `symbolizer`
-    /// once per call; methods, folded paths and caller edges then merge as
-    /// integers.
+    /// `memo` is the session's (of this merge's [`NameSpace`]): only stacks
+    /// it has not placed yet go through `symbolizer` and a lookup. Each row
+    /// is then added where the memo says, an index away.
     pub fn add_aggregates(
         &mut self,
         pid: u64,
         aggregates: &Aggregates,
+        paths: &PathTable,
         symbolizer: &Symbolizer,
+        memo: &mut PathNames,
         anomalies: Anomalies,
     ) {
         self.pids.insert(pid);
         self.add_anomalies(anomalies);
-        let root = name_id(&mut self.names, ROOT_NAME);
-        let names = &mut self.names;
-        let mut seen: HashMap<u64, u32> = HashMap::with_capacity(aggregates.methods.len());
-        let mut id_of = |addr: u64| {
-            *seen
-                .entry(addr)
-                .or_insert_with(|| name_id(names, &symbolizer.name_of(addr)))
-        };
-        for (addr, raw) in &aggregates.methods {
-            self.total_ticks += raw.exclusive;
-            let row = method_row(&mut self.methods, id_of(*addr), *addr);
-            row.add(
-                raw.calls,
-                raw.inclusive,
-                raw.exclusive,
-                raw.min_inclusive,
-                raw.max_inclusive,
-            );
-            row.threads
-                .extend(raw.threads.iter().map(|t| merged_thread_key(pid, *t)));
-        }
-        let mut ids: Vec<u32> = Vec::new();
-        for (path, ticks) in &aggregates.folded {
-            ids.clear();
-            ids.extend(path.iter().map(|addr| id_of(*addr)));
-            add_path(&mut self.folded, &ids, *ticks);
-        }
-        for ((caller, callee), counters) in &aggregates.edges {
-            let caller = if *caller == ROOT_ADDR {
-                root
-            } else {
-                id_of(*caller)
-            };
-            add_edge(&mut self.edges, (caller, id_of(*callee)), *counters);
+        memo.extend(paths, symbolizer, self.space);
+        for ((id, _, addr), row) in paths.rows().zip(aggregates.rows.iter().skip(1)) {
+            if row.calls > 0 {
+                self.total_ticks += row.exclusive;
+                let merged = self.stack(memo.by_path[id.index()]);
+                merged.addr = merged.addr.min(addr);
+                merged.row.add_row(row, |tid| merged_thread_key(pid, tid));
+            }
         }
         let keys = aggregates
             .thread_ids()
@@ -764,40 +913,44 @@ impl ProfileMerge {
         self.threads.extend(keys);
     }
 
-    /// Turn ids back into names and finish every table with the same
-    /// total sorts as [`Aggregates::materialize`] — the only place a
+    /// Group the tree's rows into methods and caller edges beside the
+    /// profiles', turn ids back into names and finish every table with the
+    /// same total sorts as [`Aggregates::materialize`] — the only place a
     /// cross-process view is sorted, and where its strings are made.
-    pub fn finish(self) -> Profile {
-        let mut names: Vec<&str> = vec![""; self.names.len()];
-        for (name, id) in &self.names {
-            names[*id as usize] = name;
+    pub fn finish(mut self) -> Profile {
+        let root = self.space.id(ROOT_NAME);
+        let tree = &self.space.stacks;
+        let ticks: Vec<u64> = self
+            .stacks
+            .iter()
+            .map(|stack| stack.row.exclusive + stack.folded)
+            .collect();
+        for ((_, parent, name), stack) in tree.rows().zip(self.stacks.into_iter().skip(1)) {
+            if stack.row.calls > 0 {
+                let name = name as u32;
+                let caller = match parent {
+                    PathId::ROOT => root,
+                    parent => tree.key(parent) as u32,
+                };
+                let row = &stack.row;
+                add_edge(
+                    &mut self.edges,
+                    (caller, name),
+                    (row.calls, row.inclusive, row.exclusive),
+                );
+                method_row(&mut self.methods, name, stack.addr).absorb(stack.row);
+            }
         }
-        let name = |id: u32| names[id as usize].to_string();
+        let name = |id: u32| self.space.names[id as usize].clone();
 
         let mut methods: Vec<MethodStats> = self
             .methods
             .into_iter()
-            .map(|(id, (addr, raw))| MethodStats {
-                name: name(id),
-                addr,
-                calls: raw.calls,
-                inclusive: raw.inclusive,
-                exclusive: raw.exclusive,
-                min_inclusive: raw.min_inclusive,
-                max_inclusive: raw.max_inclusive,
-                threads: raw.threads,
-            })
+            .map(|(id, (addr, row))| method_stats(name(id), addr, row))
             .collect();
         sort_methods(&mut methods);
 
-        // Id paths are distinct and ids stand for distinct names, so the
-        // named paths are distinct and a plain sort is total.
-        let mut folded: Vec<(Vec<String>, u64)> = self
-            .folded
-            .into_iter()
-            .map(|(ids, ticks)| (ids.into_iter().map(name).collect(), ticks))
-            .collect();
-        folded.sort();
+        let folded = spell_folded(tree, &ticks, |id| name(id as u32));
         let (symbols, folded_ids) = intern_folded(&folded);
 
         // Name pairs are unique keys here, so no address tiebreak is
@@ -839,7 +992,8 @@ impl ProfileMerge {
 /// `(pid, profile)`, folded through a [`ProfileMerge`]. Part order does
 /// not affect the result.
 pub fn merge_profiles(parts: &[(u64, &Profile)]) -> Profile {
-    let mut merge = ProfileMerge::new();
+    let mut space = NameSpace::new();
+    let mut merge = ProfileMerge::new(&mut space);
     for (pid, profile) in parts {
         merge.add_profile(*pid, profile);
     }
@@ -1005,6 +1159,8 @@ pub fn events_frame(log: &LogFile, symbolizer: &Symbolizer) -> Frame {
 mod tests {
     use super::*;
     use mcvm::DebugInfo;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use teeperf_core::layout::{EventKind, LogEntry, LogHeader, LOG_VERSION};
 
     fn make_log(entries: Vec<LogEntry>) -> LogFile {
@@ -1416,5 +1572,223 @@ mod tests {
         let p = build(&log, &Symbolizer::without_relocation(debug()));
         assert!((p.exclusive_fraction("work") - 0.75).abs() < 1e-9);
         assert_eq!(p.exclusive_fraction("nonexistent"), 0.0);
+    }
+
+    /// `(calls, inclusive, exclusive, min, max, threads)` of one address.
+    type RefMethod = (u64, u64, u64, u64, u64, BTreeSet<u64>);
+
+    /// The aggregate as it was before stacks were interned: three maps —
+    /// by address, by the call's whole address path, by address pair — fed
+    /// from `call.stack`, materialized the obvious way. The reference
+    /// [`Aggregates`] is held to.
+    #[derive(Default)]
+    struct PathKeyed {
+        methods: BTreeMap<u64, RefMethod>,
+        folded: BTreeMap<Vec<u64>, u64>,
+        edges: BTreeMap<(u64, u64), (u64, u64, u64)>,
+        threads: BTreeSet<u64>,
+    }
+
+    impl PathKeyed {
+        fn add_call(&mut self, tid: u64, call: &CompletedCall, scale: u64) {
+            let scale = scale.max(1);
+            let (inclusive, exclusive) = (call.inclusive(), call.exclusive());
+            self.threads.insert(tid);
+            let m =
+                self.methods
+                    .entry(call.addr)
+                    .or_insert((0, 0, 0, u64::MAX, 0, BTreeSet::new()));
+            m.0 += scale;
+            m.1 += scale * inclusive;
+            m.2 += scale * exclusive;
+            m.3 = m.3.min(inclusive);
+            m.4 = m.4.max(inclusive);
+            m.5.insert(tid);
+            if exclusive > 0 {
+                *self.folded.entry(call.stack.clone()).or_default() += scale * exclusive;
+            }
+            let caller = match call.stack.len() {
+                0 | 1 => ROOT_ADDR,
+                n => call.stack[n - 2],
+            };
+            let e = self.edges.entry((caller, call.addr)).or_default();
+            e.0 += scale;
+            e.1 += scale * inclusive;
+            e.2 += scale * exclusive;
+        }
+
+        fn materialize(&self, symbolizer: &Symbolizer, anomalies: Anomalies) -> Profile {
+            let mut methods: Vec<MethodStats> = self
+                .methods
+                .iter()
+                .map(|(addr, m)| MethodStats {
+                    name: symbolizer.name_of(*addr),
+                    addr: *addr,
+                    calls: m.0,
+                    inclusive: m.1,
+                    exclusive: m.2,
+                    min_inclusive: m.3,
+                    max_inclusive: m.4,
+                    threads: m.5.clone(),
+                })
+                .collect();
+            methods.sort_by(|a, b| {
+                (std::cmp::Reverse(a.exclusive), &a.name, a.addr).cmp(&(
+                    std::cmp::Reverse(b.exclusive),
+                    &b.name,
+                    b.addr,
+                ))
+            });
+            let mut named: BTreeMap<Vec<String>, u64> = BTreeMap::new();
+            for (path, ticks) in &self.folded {
+                let names = path.iter().map(|a| symbolizer.name_of(*a)).collect();
+                *named.entry(names).or_default() += ticks;
+            }
+            let folded: Vec<(Vec<String>, u64)> = named.into_iter().collect();
+            let mut symbols: Vec<String> = Vec::new();
+            let folded_ids = folded
+                .iter()
+                .map(|(path, ticks)| {
+                    let ids = path
+                        .iter()
+                        .map(|name| {
+                            let known = symbols.iter().position(|s| s == name);
+                            known.unwrap_or_else(|| {
+                                symbols.push(name.clone());
+                                symbols.len() - 1
+                            }) as u32
+                        })
+                        .collect();
+                    (ids, *ticks)
+                })
+                .collect();
+            let mut edges: Vec<((u64, u64), CallerEdge)> = self
+                .edges
+                .iter()
+                .map(|(pair, (calls, inclusive, exclusive))| {
+                    let caller = match pair.0 {
+                        ROOT_ADDR => ROOT_NAME.to_string(),
+                        addr => symbolizer.name_of(addr),
+                    };
+                    let edge = CallerEdge {
+                        caller,
+                        callee: symbolizer.name_of(pair.1),
+                        calls: *calls,
+                        inclusive: *inclusive,
+                        exclusive: *exclusive,
+                    };
+                    (*pair, edge)
+                })
+                .collect();
+            edges.sort_by(|(ka, a), (kb, b)| {
+                (std::cmp::Reverse(a.inclusive), &a.caller, &a.callee, ka).cmp(&(
+                    std::cmp::Reverse(b.inclusive),
+                    &b.caller,
+                    &b.callee,
+                    kb,
+                ))
+            });
+            Profile {
+                total_ticks: methods.iter().map(|m| m.exclusive).sum(),
+                methods,
+                folded,
+                symbols,
+                folded_ids,
+                caller_edges: edges.into_iter().map(|(_, e)| e).collect(),
+                threads: self.threads.clone(),
+                anomalies,
+                pids: BTreeSet::new(),
+            }
+        }
+    }
+
+    /// Any call/return sequence at all over addresses that are function
+    /// entries, an interior alias of `main` (another address, the same
+    /// name) and addresses with no debug info: recursion, returns that
+    /// name a frame below the top (an unwind) or no open frame (an
+    /// orphan), frames left open for `finish`.
+    fn arbitrary_events() -> impl Strategy<Value = Vec<Event>> {
+        proptest::collection::vec((0u64..6, 0u8..3, 0u64..9), 0..90).prop_map(|ops| {
+            let mut counter = 0u64;
+            ops.into_iter()
+                .map(|(choice, kind, gap)| {
+                    counter += gap;
+                    Event {
+                        kind: if kind == 0 {
+                            EventKind::Return
+                        } else {
+                            EventKind::Call
+                        },
+                        counter,
+                        addr: match choice {
+                            0..=2 => addr(choice as u16),
+                            3 => addr(0) + 4,
+                            c => 0x90_0000 + c * 16,
+                        },
+                        seq: 0,
+                    }
+                })
+                .collect()
+        })
+    }
+
+    /// Walk `threads` through the stack machine the way a session does —
+    /// round-robin over the threads, each fed `cut` events a turn under the
+    /// turn's scale, everything force-closed at the end — handing every
+    /// completed call to `sink(tid, call, scale)`. Returns the orphans.
+    fn walk(
+        paths: &mut PathTable,
+        threads: &[Vec<Event>],
+        cut: usize,
+        scales: &[u64],
+        mut sink: impl FnMut(u64, &CompletedCall, u64),
+    ) -> u64 {
+        let mut stacks: Vec<ResumableStacks> = threads.iter().map(|_| Default::default()).collect();
+        let mut orphans = 0;
+        let turns = threads
+            .iter()
+            .map(|t| t.len().div_ceil(cut))
+            .max()
+            .unwrap_or(0);
+        for turn in 0..turns {
+            let scale = scales[turn % scales.len()];
+            for (tid, events) in threads.iter().enumerate() {
+                let chunk = events.chunks(cut).nth(turn).unwrap_or(&[]);
+                orphans += stacks[tid].feed(paths, chunk, |call| sink(tid as u64, call, scale));
+            }
+        }
+        let scale = scales[turns % scales.len()];
+        for (tid, stack) in stacks.iter_mut().enumerate() {
+            stack.finish(|call| sink(tid as u64, call, scale));
+        }
+        orphans
+    }
+
+    proptest! {
+        #[test]
+        fn prop_aggregates_equal_the_path_keyed_reference(
+            threads in proptest::collection::vec(arbitrary_events(), 1..4),
+            cut in 1usize..40,
+            scales in proptest::collection::vec(1u64..4, 1..4),
+        ) {
+            let sym = Symbolizer::without_relocation(debug());
+            let (mut agg, mut reference) = (Aggregates::new(), PathKeyed::default());
+            let (mut paths, mut truncated) = (PathTable::new(), 0);
+            let orphans = walk(&mut paths, &threads, cut, &scales, |tid, call, scale| {
+                agg.add_call(tid, call, scale);
+                reference.add_call(tid, call, scale);
+                truncated += u64::from(call.truncated);
+            });
+            let anomalies = Anomalies {
+                orphan_returns: orphans,
+                truncated_frames: truncated,
+                ..Anomalies::default()
+            };
+            prop_assert_eq!(agg.truncated_frames, truncated);
+            prop_assert_eq!(
+                agg.materialize(&paths, &sym, anomalies),
+                reference.materialize(&sym, anomalies)
+            );
+        }
     }
 }

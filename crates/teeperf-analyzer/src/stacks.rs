@@ -12,6 +12,15 @@
 //! batch analyzer, the rolling profile) keeps none of them. [`reconstruct`]
 //! is the consumer that collects them.
 //!
+//! The stack the walk reconstructs is a tree, and the walk keeps it: a
+//! [`PathTable`] interns every distinct stack as `(parent, address)`, asked
+//! once, when a call *opens*. A frame carries its [`PathId`] while open and
+//! the completed call hands it on ([`CompletedCall::path`]), so every table
+//! downstream is indexed by that id and nothing hashes a stack again. All
+//! the threads of a session share one table; a row's parent always has the
+//! smaller id, which is what makes translating a table into another one
+//! pass ([`PathTable::adopt`]).
+//!
 //! Real logs are imperfect; the reconstruction is deliberately tolerant:
 //!
 //! * **orphan returns** (tracing was activated mid-run, or the matching
@@ -21,14 +30,103 @@
 //!   truncated, mirroring the paper's "dismiss records, which might be
 //!   wrong at the end of the log".
 
+use std::collections::HashMap;
+
 use crate::reader::Event;
 use teeperf_core::layout::EventKind;
+
+/// An interned stack: the index of its row in the [`PathTable`] it was
+/// opened under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PathId(u32);
+
+impl PathId {
+    /// The empty stack: row 0 of every table, parent of the top-level
+    /// frames and of itself.
+    pub const ROOT: PathId = PathId(0);
+
+    /// The row index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// The calling-context tree of one session (or one batch shard): every
+/// distinct stack seen so far, as `(parent stack, innermost address)`.
+/// Rows are only ever appended, parent before child, so an id stays valid
+/// for the table's life and `parent(id) < id` for every id but the root's.
+#[derive(Debug, Clone)]
+pub struct PathTable {
+    index: HashMap<(PathId, u64), PathId>,
+    nodes: Vec<(PathId, u64)>,
+}
+
+impl Default for PathTable {
+    fn default() -> PathTable {
+        PathTable {
+            index: HashMap::new(),
+            nodes: vec![(PathId::ROOT, u64::MAX)],
+        }
+    }
+}
+
+impl PathTable {
+    /// A table holding the empty stack only.
+    pub fn new() -> PathTable {
+        PathTable::default()
+    }
+
+    /// The stack `parent` extended by a frame at `key`, interned on first
+    /// sight. `key` is an address in a session's table and a name id in a
+    /// name-space one.
+    pub fn child(&mut self, parent: PathId, key: u64) -> PathId {
+        *self.index.entry((parent, key)).or_insert_with(|| {
+            let id = PathId(u32::try_from(self.nodes.len()).expect("fewer than 2^32 stacks"));
+            self.nodes.push((parent, key));
+            id
+        })
+    }
+
+    /// The stack below `id`'s innermost frame ([`PathId::ROOT`] for a
+    /// top-level frame).
+    pub fn parent(&self, id: PathId) -> PathId {
+        self.nodes[id.index()].0
+    }
+
+    /// The key of `id`'s innermost frame (`u64::MAX` for the root).
+    pub fn key(&self, id: PathId) -> u64 {
+        self.nodes[id.index()].1
+    }
+
+    /// Every stack but the empty one as `(id, parent, key)`, in id order:
+    /// a row's parent comes before the row.
+    pub fn rows(&self) -> impl Iterator<Item = (PathId, PathId, u64)> + '_ {
+        (1u32..)
+            .zip(&self.nodes[1..])
+            .map(|(i, (parent, key))| (PathId(i), *parent, *key))
+    }
+
+    /// Intern every stack of `other` here and return the translation,
+    /// indexed by `other`'s ids. One pass: a row's parent is translated
+    /// before the row is.
+    pub fn adopt(&mut self, other: &PathTable) -> Vec<PathId> {
+        let mut translation = vec![PathId::ROOT];
+        for (_, parent, key) in other.rows() {
+            translation.push(self.child(translation[parent.index()], key));
+        }
+        translation
+    }
+}
 
 /// One completed (or force-closed) call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompletedCall {
     /// Function entry address (runtime).
     pub addr: u64,
+    /// The call's stack, interned in the table it was fed under
+    /// ([`reconstruct`] keeps no table: its calls all say
+    /// [`PathId::ROOT`] and are read through `stack`).
+    pub path: PathId,
     /// Full stack at the time of the call, outermost first, ending with
     /// this call's own address.
     pub stack: Vec<u64>,
@@ -72,6 +170,7 @@ pub struct ThreadStacks {
 
 #[derive(Debug)]
 struct OpenFrame {
+    path: PathId,
     enter: u64,
     child_ticks: u64,
 }
@@ -113,14 +212,33 @@ impl ResumableStacks {
 
     /// Consume one batch of events, handing each call it completes to
     /// `sink` in completion order, and return the orphan returns it
-    /// contained. Open frames stay open.
-    pub fn feed(&mut self, events: &[Event], mut sink: impl FnMut(&CompletedCall)) -> u64 {
+    /// contained. Open frames stay open. A call that opens is interned in
+    /// `paths` — the same table on every feed of this state, and of every
+    /// other thread whose calls meet in one aggregate.
+    pub fn feed(
+        &mut self,
+        paths: &mut PathTable,
+        events: &[Event],
+        sink: impl FnMut(&CompletedCall),
+    ) -> u64 {
+        self.walk(events, |parent, addr| paths.child(parent, addr), sink)
+    }
+
+    /// [`ResumableStacks::feed`], the stack a call opens named by `intern`.
+    fn walk(
+        &mut self,
+        events: &[Event],
+        mut intern: impl FnMut(PathId, u64) -> PathId,
+        mut sink: impl FnMut(&CompletedCall),
+    ) -> u64 {
         let mut orphan_returns = 0;
         for e in events {
             self.last_counter = self.last_counter.max(e.counter);
             match e.kind {
                 EventKind::Call => {
+                    let parent = self.open.last().map_or(PathId::ROOT, |f| f.path);
                     self.open.push(OpenFrame {
+                        path: intern(parent, e.addr),
                         enter: e.counter,
                         child_ticks: 0,
                     });
@@ -165,6 +283,7 @@ impl ResumableStacks {
         // to the call for the sink's duration, then take it back and pop.
         let call = CompletedCall {
             addr: *self.addrs.last().expect("addrs mirrors open"),
+            path: frame.path,
             stack: std::mem::take(&mut self.addrs),
             enter: frame.enter,
             exit: counter,
@@ -178,12 +297,13 @@ impl ResumableStacks {
 }
 
 /// Reconstruct the call stacks of one thread's event sequence, collecting
-/// every completed call (each with its own copy of its stack).
+/// every completed call (each with its own copy of its stack, which is all
+/// that names it: nothing is interned for a table nobody would keep).
 pub fn reconstruct(events: &[Event]) -> ThreadStacks {
     let mut state = ResumableStacks::new();
     let mut calls = Vec::new();
     let mut collect = |call: &CompletedCall| calls.push(call.clone());
-    let orphan_returns = state.feed(events, &mut collect);
+    let orphan_returns = state.walk(events, |_, _| PathId::ROOT, &mut collect);
     state.finish(collect);
     ThreadStacks {
         truncated_frames: calls.iter().filter(|c| c.truncated).count() as u64,
@@ -338,15 +458,20 @@ mod tests {
         let mut out = ThreadStacks::default();
         let mut open: Vec<(u64, u64, u64)> = Vec::new(); // (addr, enter, child_ticks)
         let mut last = 0u64;
-        let mut close = |open: &mut Vec<(u64, u64, u64)>, exit: u64, truncated: bool| {
+        // Stacks numbered in order of first appearance, found by search.
+        let mut seen: Vec<Vec<u64>> = vec![Vec::new()];
+        type Open = Vec<(u64, u64, u64)>;
+        let mut close = |open: &mut Open, seen: &[Vec<u64>], exit: u64, truncated: bool| {
             let stack: Vec<u64> = open.iter().map(|f| f.0).collect();
             let (addr, enter, child_ticks) = open.pop().expect("an open frame");
             if let Some(parent) = open.last_mut() {
                 parent.2 += exit.saturating_sub(enter);
             }
             out.truncated_frames += u64::from(truncated);
+            let path = seen.iter().position(|s| *s == stack).expect("opened");
             out.calls.push(CompletedCall {
                 addr,
+                path: PathId(path as u32),
                 stack,
                 enter,
                 exit,
@@ -358,17 +483,21 @@ mod tests {
             last = last.max(e.counter);
             if e.kind == Call {
                 open.push((e.addr, e.counter, 0));
+                let stack: Vec<u64> = open.iter().map(|f| f.0).collect();
+                if !seen.contains(&stack) {
+                    seen.push(stack);
+                }
             } else if let Some(pos) = open.iter().rposition(|f| f.0 == e.addr) {
                 while open.len() > pos + 1 {
-                    close(&mut open, e.counter, true);
+                    close(&mut open, &seen, e.counter, true);
                 }
-                close(&mut open, e.counter, false);
+                close(&mut open, &seen, e.counter, false);
             } else {
                 out.orphan_returns += 1;
             }
         }
         while !open.is_empty() {
-            close(&mut open, last, true);
+            close(&mut open, &seen, last, true);
         }
         out
     }
@@ -385,15 +514,18 @@ mod tests {
             // the same anomaly counts — and `reconstruct` collects the same.
             for trace in [balanced, unbalanced] {
                 let want = model(&trace);
-                prop_assert_eq!(&reconstruct(&trace), &want);
+                let mut unnamed = want.clone();
+                unnamed.calls.iter_mut().for_each(|c| c.path = PathId::ROOT);
+                prop_assert_eq!(&reconstruct(&trace), &unnamed);
                 let mut points: Vec<usize> =
                     cuts.iter().map(|c| c % (trace.len() + 1)).collect();
                 points.push(trace.len());
                 points.sort_unstable();
-                let mut state = ResumableStacks::new();
+                let (mut state, mut paths) = (ResumableStacks::new(), PathTable::new());
                 let (mut seen, mut orphans, mut prev) = (Vec::new(), 0u64, 0usize);
                 for p in points {
-                    orphans += state.feed(&trace[prev..p], |call| seen.push(call.clone()));
+                    orphans +=
+                        state.feed(&mut paths, &trace[prev..p], |call| seen.push(call.clone()));
                     prev = p;
                 }
                 state.finish(|call| seen.push(call.clone()));
@@ -402,7 +534,51 @@ mod tests {
                 let truncated = seen.iter().filter(|c| c.truncated).count() as u64;
                 prop_assert_eq!(truncated, want.truncated_frames);
                 prop_assert_eq!(&seen, &want.calls);
+                // A call's path, walked to the root, spells its stack.
+                for call in &seen {
+                    let mut spelled = Vec::new();
+                    let mut id = call.path;
+                    while id != PathId::ROOT {
+                        prop_assert!(paths.parent(id) < id);
+                        spelled.push(paths.key(id));
+                        id = paths.parent(id);
+                    }
+                    spelled.reverse();
+                    prop_assert_eq!(&spelled, &call.stack);
+                }
             }
+        }
+
+        #[test]
+        fn prop_adopting_a_table_translates_every_stack(
+            ours in unbalanced_trace(),
+            theirs in unbalanced_trace(),
+        ) {
+            let spell = |paths: &PathTable, mut id: PathId| {
+                let mut stack = Vec::new();
+                while id != PathId::ROOT {
+                    stack.push(paths.key(id));
+                    id = paths.parent(id);
+                }
+                stack
+            };
+            let (mut a, mut b) = (PathTable::new(), PathTable::new());
+            ResumableStacks::new().feed(&mut a, &ours, |_| {});
+            ResumableStacks::new().feed(&mut b, &theirs, |_| {});
+            let before = a.clone();
+            let translation = a.adopt(&b);
+            prop_assert_eq!(translation.len(), b.rows().count() + 1);
+            for (id, _, _) in b.rows() {
+                prop_assert_eq!(spell(&a, translation[id.index()]), spell(&b, id));
+            }
+            // Ids handed out before stay what they were, and adopting
+            // again adds nothing.
+            for (id, _, _) in before.rows() {
+                prop_assert_eq!(spell(&a, id), spell(&before, id));
+            }
+            let stacks = a.rows().count();
+            prop_assert_eq!(a.adopt(&b), translation);
+            prop_assert_eq!(a.rows().count(), stacks);
         }
 
         #[test]

@@ -77,6 +77,46 @@ fn arbitrary_log() -> impl Strategy<Value = Vec<LogEntry>> {
     })
 }
 
+/// The same top-level call trees on every thread, thread `t` starting at
+/// tree `t`: whatever the shard assignment, two shards meet the same stacks
+/// in different orders, so their tables number them differently.
+fn rotated_log() -> impl Strategy<Value = Vec<LogEntry>> {
+    let tree = proptest::collection::vec((0u16..6, any::<bool>()), 1..12);
+    (proptest::collection::vec(tree, 2..6), 2u64..5).prop_map(|(trees, threads)| {
+        let debug = debug_info();
+        let mut entries = Vec::new();
+        let mut counter = 0u64;
+        for tid in 0..threads {
+            for i in 0..trees.len() {
+                let mut open: Vec<u64> = Vec::new();
+                let mut event = |kind, addr| {
+                    counter += 3;
+                    entries.push(LogEntry {
+                        kind,
+                        counter,
+                        addr,
+                        tid,
+                    });
+                };
+                for (choice, push) in &trees[(i + tid as usize) % trees.len()] {
+                    match open.pop() {
+                        Some(addr) if !*push => event(EventKind::Return, addr),
+                        top => {
+                            open.extend(top);
+                            open.push(addr_for(&debug, *choice));
+                            event(EventKind::Call, addr_for(&debug, *choice));
+                        }
+                    }
+                }
+                while let Some(addr) = open.pop() {
+                    event(EventKind::Return, addr);
+                }
+            }
+        }
+        entries
+    })
+}
+
 fn log_file(entries: Vec<LogEntry>) -> LogFile {
     let n = entries.len() as u64;
     LogFile::new(
@@ -98,6 +138,20 @@ fn log_file(entries: Vec<LogEntry>) -> LogFile {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn sharded_build_equals_sequential_whatever_order_shards_meet_stacks_in(
+        entries in rotated_log(),
+    ) {
+        let log = log_file(entries);
+        let sequential = profile::build(&log, &Symbolizer::without_relocation(debug_info()));
+        prop_assert_eq!(sequential.anomalies, profile::Anomalies::default());
+        for shards in [2usize, 3, 4] {
+            let symbolizer = Symbolizer::without_relocation(debug_info());
+            let parallel = profile::build_with_shards(&log, &symbolizer, shards);
+            prop_assert_eq!(&parallel, &sequential, "shards = {}", shards);
+        }
+    }
 
     #[test]
     fn sharded_build_equals_sequential(entries in arbitrary_log()) {

@@ -206,6 +206,29 @@ pub fn get(addr: &str, path: &str, timeout: Duration) -> io::Result<(u16, String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::net::{Shutdown, SocketAddr, TcpListener};
+    use std::time::Instant;
+
+    /// One connection as `serve_pending` takes it — blocking, with `deadline`
+    /// as read and write timeout (2 s there) — handed to `serve` while
+    /// `client` plays the other end on a thread of its own.
+    fn accept_from<T>(
+        deadline: Duration,
+        client: impl FnOnce(SocketAddr) + Send + 'static,
+        serve: impl FnOnce(&mut TcpStream) -> T,
+    ) -> T {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || client(addr));
+        let (mut stream, _) = listener.accept().unwrap();
+        stream.set_read_timeout(Some(deadline)).unwrap();
+        stream.set_write_timeout(Some(deadline)).unwrap();
+        let out = serve(&mut stream);
+        drop(stream);
+        client.join().unwrap();
+        out
+    }
 
     #[test]
     fn request_target_splits_path_and_query() {
@@ -268,5 +291,150 @@ mod tests {
         let (status, body) = get(&addr.to_string(), "/healthz", Duration::from_secs(5)).unwrap();
         assert_eq!((status, body.as_str()), (200, "ok\n"));
         server.join().unwrap();
+    }
+
+    #[test]
+    fn a_trickled_head_that_stalls_ends_at_the_read_deadline() {
+        let deadline = Duration::from_millis(150);
+        let started = Instant::now();
+        let err = accept_from(
+            deadline,
+            |addr| {
+                // A few bytes at a time, well inside the budget, each
+                // sooner than the deadline; then silence, socket held open.
+                let mut loris = TcpStream::connect(addr).unwrap();
+                for chunk in [&b"GET /sn"[..], b"apshot HT", b"TP/1.1\r\nHo", b"st: x"] {
+                    loris.write_all(chunk).unwrap();
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                // Outlives the server's read: EOF when it gives up.
+                let _ = loris.read(&mut [0u8; 1]);
+            },
+            |stream| read_request(stream).unwrap_err(),
+        );
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+            "{err}"
+        );
+        // One deadline past the last byte, not one per byte of budget left.
+        assert!(started.elapsed() < deadline * 10, "{:?}", started.elapsed());
+    }
+
+    #[test]
+    fn garbage_request_lines_are_refused_not_routed() {
+        for garbage in [
+            &b"\x00\xff\xfe\x80 not http\r\n\r\n"[..],
+            b"ONEWORD\r\n\r\n",
+            b"\r\n\r\n",
+            b"   \t \r\nGET / HTTP/1.1\r\n\r\n",
+            b"",
+        ] {
+            let err = accept_from(
+                Duration::from_secs(2),
+                move |addr| {
+                    let mut client = TcpStream::connect(addr).unwrap();
+                    client.write_all(garbage).unwrap();
+                    client.shutdown(Shutdown::Write).unwrap();
+                    // The server answers nothing: it drops the connection.
+                    let mut reply = Vec::new();
+                    let _ = client.read_to_end(&mut reply);
+                    assert!(reply.is_empty(), "{reply:?}");
+                },
+                |stream| read_request(stream).unwrap_err(),
+            );
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{garbage:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_client_that_half_closes_after_the_head_is_still_answered() {
+        accept_from(
+            Duration::from_secs(2),
+            |addr| {
+                let mut client = TcpStream::connect(addr).unwrap();
+                client.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+                client.shutdown(Shutdown::Write).unwrap();
+                let mut reply = String::new();
+                client.read_to_string(&mut reply).unwrap();
+                assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
+                assert!(reply.ends_with("\r\n\r\nok\n"), "{reply}");
+            },
+            |stream| {
+                assert_eq!(read_request(stream).unwrap().path(), "/healthz");
+                Response::text("ok\n").write_to(stream).unwrap();
+            },
+        );
+    }
+
+    #[test]
+    fn a_client_gone_before_the_body_costs_an_error_not_the_server() {
+        let started = Instant::now();
+        accept_from(
+            Duration::from_millis(500),
+            |addr| {
+                let mut client = TcpStream::connect(addr).unwrap();
+                client.write_all(b"GET /snapshot HTTP/1.1\r\n\r\n").unwrap();
+                // Closed with the whole reply unread.
+            },
+            |stream| {
+                assert_eq!(read_request(stream).unwrap().path(), "/snapshot");
+                // Far more than the socket buffers hold: the write meets
+                // the reset (or the write deadline), whichever comes first,
+                // and says so. It may not panic and may not hang.
+                let big = Response::text("x".repeat(32 << 20));
+                std::thread::sleep(Duration::from_millis(50));
+                assert!(big.write_to(stream).is_err());
+            },
+        );
+        assert!(started.elapsed() < Duration::from_secs(10));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn prop_read_request_never_panics_and_reads_no_more_than_its_budget(
+            noise in proptest::collection::vec(any::<u8>(), 0..3 * MAX_HEAD_BYTES),
+            line_breaks in proptest::collection::vec(0usize..3 * MAX_HEAD_BYTES, 0..12),
+        ) {
+            // Arbitrary bytes, some of them turned into line ends so that
+            // heads of every shape come by: complete, endless, empty.
+            let mut bytes = noise;
+            for at in line_breaks {
+                if let Some(b) = bytes.get_mut(at) {
+                    *b = b'\n';
+                }
+            }
+            let sent = bytes.len();
+            let (outcome, left) = accept_from(
+                Duration::from_secs(2),
+                move |addr| {
+                    let mut client = TcpStream::connect(addr).unwrap();
+                    // The server may be gone before everything is written.
+                    let _ = client.write_all(&bytes);
+                    let _ = client.shutdown(Shutdown::Write);
+                    let _ = client.read(&mut [0u8; 1]);
+                },
+                |stream| {
+                    let outcome = read_request(stream);
+                    let left = io::copy(stream, &mut io::sink()).unwrap_or(0) as usize;
+                    (outcome, left)
+                },
+            );
+            prop_assert!(sent - left <= MAX_HEAD_BYTES, "read {} of {}", sent - left, sent);
+            match outcome {
+                Ok(request) => {
+                    prop_assert!(!request.method.is_empty() && !request.target.is_empty());
+                    prop_assert!(!request.target.contains(char::is_whitespace));
+                }
+                Err(e) => prop_assert!(
+                    e.kind() == io::ErrorKind::InvalidData,
+                    "{}", e
+                ),
+            }
+        }
     }
 }

@@ -15,8 +15,10 @@
 //!   by a session. Overflow is accounted explicitly, never a silent stop.
 //! * [`rolling`] — an incremental analyzer: per-thread
 //!   [`teeperf_analyzer::stacks::ResumableStacks`] carry open frames across
-//!   epochs, and completed calls merge into rolling per-method, folded-stack
-//!   and caller-edge aggregates whose memory does not grow with the stream.
+//!   epochs and intern their stacks in the session's one
+//!   [`teeperf_analyzer::PathTable`]; completed calls land in rows indexed
+//!   by stack id, whose memory grows with the distinct stacks, not with the
+//!   stream.
 //! * [`snapshot`] — serializable freezes of the rolling profile; two
 //!   freezes diff through the batch comparator.
 //! * [`session`] — the [`LiveSession`]: one event source drained into one
@@ -31,10 +33,11 @@
 //!   registry.
 //! * [`registry`] — the multi-process layer: a [`SessionRegistry`] keys
 //!   one session per [`teeperf_core::EventSource`] by the pid in its log
-//!   header, and merges the per-pid rolling aggregates — address-keyed,
-//!   through one name-keyed [`teeperf_analyzer::ProfileMerge`], symbolized
-//!   once per request — into a cross-process view whose totals are exactly
-//!   the per-pid sums. Sessions attach and detach hot, and an optional
+//!   header, and merges the per-pid rolling aggregates — row by row onto
+//!   the stacks of its [`teeperf_analyzer::NameSpace`], where each session
+//!   remembers its own sit, through one [`teeperf_analyzer::ProfileMerge`]
+//!   per request — into a cross-process view whose totals are exactly the
+//!   per-pid sums. Sessions attach and detach hot, and an optional
 //!   liveness watchdog quarantines sources whose producer crashed — their
 //!   prior contribution stays in the merge.
 //! * [`window`] — windowed retention: a [`RetentionRing`] of per-interval

@@ -8,12 +8,15 @@
 //! snapshot whose profile is the commutative merge of every per-pid
 //! profile, so the merged totals are exactly the sum of the per-pid
 //! totals. A merged view is merged before it is symbolized: each attached
-//! session hands its address-keyed rolling (or window-span) aggregate to
-//! one name-keyed [`teeperf_analyzer::ProfileMerge`], retired sessions add
-//! their frozen final profiles, and the answer is materialized once — no
-//! per-session profile is built for `/snapshot` or `/query`, and nothing
-//! is kept between requests. Only a single-process view (`snapshot_pid`,
-//! the per-pid towers of a render) materializes a session by itself.
+//! session adds its rolling (or window-span) aggregate's rows to one
+//! [`teeperf_analyzer::ProfileMerge`], retired sessions add their frozen
+//! final profiles, and the answer is materialized once — no per-session
+//! profile is built for `/snapshot` or `/query`. What is kept between
+//! requests only ever grows: the registry's [`NameSpace`] (names and stacks
+//! of names as small integers) and, in each session, where its own stacks
+//! sit in it — so an address is symbolized once in a session's life and a
+//! poll hashes nothing. Only a single-process view (`snapshot_pid`, the
+//! per-pid towers of a render) materializes a session by itself.
 //!
 //! Sessions come and go while the registry runs: [`SessionRegistry::attach`]
 //! accepts a new source at any point and [`SessionRegistry::detach`] ends
@@ -26,13 +29,14 @@
 //! [`SessionEvent::Quarantined`] in the merged snapshot, so one crashed
 //! process never poisons the run for the survivors.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
 use teeperf_analyzer::query::windowed::top_rows;
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_analyzer::{diff, Frame, Profile, ProfileMerge, WindowSpec};
+use teeperf_analyzer::{diff, Frame, NameSpace, Profile, ProfileMerge, WindowSpec};
 use teeperf_core::layout::PID_UNSET;
 use teeperf_core::{EventSource, SalvageReport};
 use teeperf_flamegraph::{live, LiveStatus, SvgOptions};
@@ -132,6 +136,10 @@ pub struct SessionRegistry {
     retired: BTreeMap<u64, Snapshot>,
     retired_salvage: SalvageReport,
     events: Vec<SessionEvent>,
+    /// The name ids of every merged view of this run. Sessions remember
+    /// their stacks' ids in it, so it only ever grows (and merged views
+    /// only read the registry, hence the cell).
+    space: RefCell<NameSpace>,
 }
 
 impl SessionRegistry {
@@ -145,6 +153,7 @@ impl SessionRegistry {
             retired: BTreeMap::new(),
             retired_salvage: SalvageReport::default(),
             events: Vec::new(),
+            space: RefCell::new(NameSpace::new()),
         }
     }
 
@@ -414,7 +423,7 @@ impl SessionRegistry {
             .map(|(pid, s)| (*pid, Part::Live(s)))
             .collect();
         parts.extend(self.retired.iter().map(|(pid, s)| (*pid, Part::Frozen(s))));
-        merge_snapshots(parts, self.events.clone())
+        merge_snapshots(parts, self.events.clone(), &mut self.space.borrow_mut())
     }
 
     /// The per-pid profiles for rendering: live sessions freshly frozen,
@@ -480,7 +489,8 @@ impl SessionRegistry {
         sel: &WindowSel,
         pid: Option<u64>,
     ) -> Option<(Vec<(u64, WindowMeta)>, Profile)> {
-        let mut merge = ProfileMerge::new();
+        let mut space = self.space.borrow_mut();
+        let mut merge = ProfileMerge::new(&mut space);
         let spans: Vec<(u64, WindowMeta)> = match pid {
             Some(p) => vec![(p, self.sessions.get(&p)?.merge_span_into(sel, &mut merge)?)],
             None => self
@@ -550,7 +560,7 @@ impl SessionRegistry {
             .collect();
         per_pid.extend(self.retired.iter().map(|(pid, s)| (*pid, s.clone())));
         let parts = per_pid.iter().map(|(pid, s)| (*pid, Part::Frozen(s)));
-        let merged = merge_snapshots(parts, self.events.clone());
+        let merged = merge_snapshots(parts, self.events.clone(), self.space.get_mut());
         RegistryRun { per_pid, merged }
     }
 }
@@ -580,8 +590,9 @@ enum Part<'a> {
 fn merge_snapshots<'a>(
     parts: impl IntoIterator<Item = (u64, Part<'a>)>,
     mut events: Vec<SessionEvent>,
+    space: &mut NameSpace,
 ) -> Snapshot {
-    let mut merge = ProfileMerge::new();
+    let mut merge = ProfileMerge::new(space);
     let mut status = LiveStatus::default();
     let mut regime: Option<RegimeInfo> = None;
     for (pid, part) in parts {

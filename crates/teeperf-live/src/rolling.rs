@@ -5,9 +5,11 @@
 //! time: per-thread [`ResumableStacks`] carry open frames across epoch
 //! boundaries (a return may land many epochs after its call), and every
 //! call is added, the moment it closes, to the batch analyzer's
-//! address-keyed [`Aggregates`] through the same `add_call` the batch
-//! pass uses, so the rolling and batch profiles cannot drift apart.
-//! Symbolization is deferred to
+//! [`Aggregates`] through the same `add_call` the batch pass uses, so the
+//! rolling and batch profiles cannot drift apart. The session owns one
+//! [`PathTable`]: every thread's stack machine interns into it, and the
+//! all-time aggregate and every retained window index their rows by its
+//! ids. Symbolization is deferred to
 //! [`RollingProfile::snapshot`], which materializes a regular
 //! [`Profile`] — so reports, diffs and flame graphs reuse the batch
 //! machinery unchanged.
@@ -22,9 +24,9 @@
 
 use std::collections::BTreeMap;
 
-use teeperf_analyzer::profile::{Aggregates, Anomalies, Profile, ProfileMerge};
+use teeperf_analyzer::profile::{Aggregates, Anomalies, PathNames, Profile, ProfileMerge};
 use teeperf_analyzer::reader::Event;
-use teeperf_analyzer::stacks::ResumableStacks;
+use teeperf_analyzer::stacks::{PathTable, ResumableStacks};
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_core::layout::LogEntry;
 use teeperf_flamegraph::LiveStatus;
@@ -41,6 +43,7 @@ use crate::window::{RetentionRing, RingConfig, RingEvent, WindowMeta, WindowSel}
 /// reconciled against the all-time totals at any moment.
 #[derive(Debug)]
 pub struct RollingProfile {
+    paths: PathTable,
     threads: BTreeMap<u64, ResumableStacks>,
     agg: Aggregates,
     events: u64,
@@ -58,6 +61,7 @@ pub struct RollingProfile {
 impl Default for RollingProfile {
     fn default() -> RollingProfile {
         RollingProfile {
+            paths: PathTable::new(),
             threads: BTreeMap::new(),
             agg: Aggregates::default(),
             events: 0,
@@ -90,6 +94,12 @@ impl RollingProfile {
         self.ring.as_ref()
     }
 
+    /// The session's stacks: the table the ids of its aggregates — the
+    /// ring's included — index.
+    pub fn paths(&self) -> &PathTable {
+        &self.paths
+    }
+
     /// Drain the ring's retention transitions (evictions, coarsenings)
     /// since the last call. Empty when windowing is disabled.
     pub fn take_ring_events(&mut self) -> Vec<RingEvent> {
@@ -115,12 +125,8 @@ impl RollingProfile {
         symbolizer: &Symbolizer,
         sel: &WindowSel,
     ) -> Option<(WindowMeta, Profile)> {
-        let (span, slots) = self.ring.as_ref()?.span(sel)?;
-        let mut agg = Aggregates::new();
-        for slot in slots {
-            agg.merge(slot.clone());
-        }
-        Some((span, materialize_window(&agg, symbolizer)))
+        let (span, agg) = self.ring.as_ref()?.span(sel)?;
+        Some((span, self.materialize_window(&agg, symbolizer)))
     }
 
     /// Materialize the single retained slot containing window `idx` (a
@@ -132,7 +138,7 @@ impl RollingProfile {
         idx: u64,
     ) -> Option<(WindowMeta, Profile)> {
         let (meta, agg) = self.ring.as_ref()?.slot_containing(idx)?;
-        Some((meta, materialize_window(agg, symbolizer)))
+        Some((meta, self.materialize_window(agg, symbolizer)))
     }
 
     /// Events merged so far (excluding dismissed incomplete records).
@@ -197,7 +203,7 @@ impl RollingProfile {
             // Observed even when this batch completes no call.
             self.agg.observe_thread(tid);
             let stacks = self.threads.entry(tid).or_default();
-            let orphans = stacks.feed(&events, |call| {
+            let orphans = stacks.feed(&mut self.paths, &events, |call| {
                 self.agg.add_call(tid, call, self.scale);
                 if let Some(ring) = &mut self.ring {
                     ring.add_call(tid, call, self.scale);
@@ -244,20 +250,52 @@ impl RollingProfile {
     /// as the batch aggregator builds it from the same completed calls.
     /// `dropped` is the stream's cumulative overflow loss.
     pub fn snapshot(&self, symbolizer: &Symbolizer, dropped: u64) -> Profile {
-        self.agg.materialize(symbolizer, self.anomalies(dropped))
+        self.agg
+            .materialize(&self.paths, symbolizer, self.anomalies(dropped))
     }
 
     /// Contribute the rolling aggregate to a cross-process merge as
     /// process `pid` — what [`RollingProfile::snapshot`] would add through
-    /// [`ProfileMerge::add_profile`], without materializing it.
+    /// [`ProfileMerge::add_profile`], without materializing it. `memo` is
+    /// the session's, in the merge's name space.
     pub(crate) fn merge_into(
         &self,
         merge: &mut ProfileMerge,
         pid: u64,
         symbolizer: &Symbolizer,
+        memo: &mut PathNames,
         dropped: u64,
     ) {
-        merge.add_aggregates(pid, &self.agg, symbolizer, self.anomalies(dropped));
+        let anomalies = self.anomalies(dropped);
+        merge.add_aggregates(pid, &self.agg, &self.paths, symbolizer, memo, anomalies);
+    }
+
+    /// Contribute the exact merge of the selected windows as process `pid`
+    /// — what [`RollingProfile::span_profile`] would add through
+    /// [`ProfileMerge::add_profile`]: the slots' rows are summed by id,
+    /// then translated once. Returns the span's metadata; `None` (and
+    /// nothing added) when windowing is disabled or nothing matches.
+    pub(crate) fn merge_span_into(
+        &self,
+        sel: &WindowSel,
+        merge: &mut ProfileMerge,
+        pid: u64,
+        symbolizer: &Symbolizer,
+        memo: &mut PathNames,
+    ) -> Option<WindowMeta> {
+        let (meta, agg) = self.ring.as_ref()?.span(sel)?;
+        // Window anomalies are zero by construction: orphans and
+        // truncations are session-scoped.
+        let none = Anomalies::default();
+        merge.add_aggregates(pid, &agg, &self.paths, symbolizer, memo, none);
+        Some(meta)
+    }
+
+    /// Materialize one window-scoped aggregate: the thread set comes from
+    /// the window's own completed calls, anomalies are zero (session-scoped
+    /// by design — a window never saw an orphan, only the stream did).
+    fn materialize_window(&self, agg: &Aggregates, symbolizer: &Symbolizer) -> Profile {
+        agg.materialize(&self.paths, symbolizer, Anomalies::default())
     }
 
     /// The session-scoped data-quality counters, `dropped` being the
@@ -270,13 +308,6 @@ impl RollingProfile {
             dropped_entries: dropped,
         }
     }
-}
-
-/// Materialize one window-scoped aggregate: the thread set comes from the
-/// window's own completed calls, anomalies are zero (session-scoped by
-/// design — a window never saw an orphan, only the stream did).
-fn materialize_window(agg: &Aggregates, symbolizer: &Symbolizer) -> Profile {
-    agg.materialize(symbolizer, Anomalies::default())
 }
 
 #[cfg(test)]
@@ -479,11 +510,11 @@ mod tests {
         let whole = rolling.snapshot(&sym, 0);
         // Retained ⊕ remainder, materialized with the session's
         // anomalies, is byte-identical to the all-time snapshot.
-        let rebuilt = rolling
-            .ring()
-            .unwrap()
-            .reconstruct()
-            .materialize(&sym, whole.anomalies);
+        let rebuilt = rolling.ring().unwrap().reconstruct().materialize(
+            rolling.paths(),
+            &sym,
+            whole.anomalies,
+        );
         assert_eq!(rebuilt, whole);
         // And a span profile covers exactly the calls exiting in its span.
         let (span, p) = rolling

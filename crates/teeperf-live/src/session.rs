@@ -9,11 +9,11 @@
 //! [`LiveSession::render_svg`]) read that profile on demand and keep
 //! nothing: a session that nobody asks draws nothing.
 
+use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 
-use teeperf_analyzer::profile::Anomalies;
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_analyzer::ProfileMerge;
+use teeperf_analyzer::{PathNames, ProfileMerge};
 use teeperf_core::{EventSource, LiveLogSource, Regime, SharedLog};
 use teeperf_flamegraph::{live, LiveStatus, SvgOptions};
 
@@ -284,6 +284,10 @@ pub struct LiveSession {
     source: Box<dyn EventSource>,
     rolling: RollingProfile,
     symbolizer: Symbolizer,
+    /// Where this session's stacks sit in its registry's name space,
+    /// remembered across merged views (which only read the session, hence
+    /// the cell).
+    fleet_names: RefCell<PathNames>,
     config: LiveConfig,
     replay: Vec<teeperf_core::layout::LogEntry>,
     /// Retention transitions (evictions, coarsenings) so far, already
@@ -324,6 +328,7 @@ impl LiveSession {
             source,
             rolling: RollingProfile::with_retention(config.retention.as_ref()),
             symbolizer,
+            fleet_names: RefCell::new(PathNames::new()),
             config,
             replay: Vec::new(),
             window_events: Vec::new(),
@@ -529,10 +534,16 @@ impl LiveSession {
     /// Contribute this session to a cross-process merge under its pid —
     /// what [`LiveSession::snapshot`]'s profile would add through
     /// [`ProfileMerge::add_profile`], fed from the rolling aggregate
-    /// without materializing it.
+    /// without materializing it. Every merge a session contributes to must
+    /// be in one name space: its registry's.
     pub(crate) fn merge_into(&self, merge: &mut ProfileMerge) {
-        self.rolling
-            .merge_into(merge, self.source.pid(), &self.symbolizer, self.dropped());
+        self.rolling.merge_into(
+            merge,
+            self.source.pid(),
+            &self.symbolizer,
+            &mut self.fleet_names.borrow_mut(),
+            self.dropped(),
+        );
     }
 
     /// The session's own events so far (retention transitions, regime
@@ -622,19 +633,13 @@ impl LiveSession {
         sel: &WindowSel,
         merge: &mut ProfileMerge,
     ) -> Option<WindowMeta> {
-        let (meta, slots) = self.rolling.ring()?.span(sel)?;
-        // Slot by slot, borrowed: the merge sums, so it needs no single
-        // span aggregate. Window anomalies are zero by construction:
-        // orphans and truncations are session-scoped.
-        for slot in slots {
-            merge.add_aggregates(
-                self.source.pid(),
-                slot,
-                &self.symbolizer,
-                Anomalies::default(),
-            );
-        }
-        Some(meta)
+        self.rolling.merge_span_into(
+            sel,
+            merge,
+            self.source.pid(),
+            &self.symbolizer,
+            &mut self.fleet_names.borrow_mut(),
+        )
     }
 
     /// Materialize the single retained slot containing window `idx` (a
@@ -659,6 +664,7 @@ mod tests {
     use mcvm::DebugInfo;
     use std::sync::Arc;
     use tee_sim::SharedMem;
+    use teeperf_analyzer::SymbolCacheStats;
     use teeperf_core::layout::{EventKind, LogEntry};
     use teeperf_core::log::{make_header, region_bytes};
 
@@ -883,76 +889,80 @@ mod tests {
 
     /// A complete 4-ary call tree, 5 levels deep, on one thread: 341
     /// distinct stacks over 17 functions (`f0` at the root, `f<level>_<child>`
-    /// below), every frame with ticks of its own.
-    fn call_tree(pid: u64) -> (teeperf_core::LogFile, Symbolizer) {
+    /// below), every frame with ticks of its own — in a process that loaded
+    /// the binary `slide` bytes above its static addresses.
+    fn call_tree(pid: u64, slide: u64) -> (teeperf_core::LogFile, Symbolizer) {
         let names: Vec<String> = std::iter::once("f0".to_string())
             .chain((1..5).flat_map(|level| (0..4).map(move |child| format!("f{level}_{child}"))))
             .collect();
         let d = DebugInfo::from_functions(names.iter().map(|n| (n.as_str(), 4, 1)));
-        fn visit(d: &DebugInfo, level: u16, f: u16, out: &mut Vec<LogEntry>) {
+        fn visit(d: &DebugInfo, slide: u64, level: u16, f: u16, out: &mut Vec<LogEntry>) {
             let event = |kind, out: &Vec<LogEntry>| LogEntry {
                 kind,
                 counter: out.len() as u64 + 1,
-                addr: d.entry_addr(f),
+                addr: d.entry_addr(f) + slide,
                 tid: 0,
             };
             out.push(event(EventKind::Call, out));
             if level < 4 {
                 for child in 0..4 {
-                    visit(d, level + 1, 1 + 4 * level + child, out);
+                    visit(d, slide, level + 1, 1 + 4 * level + child, out);
                 }
             }
             out.push(event(EventKind::Return, out));
         }
         let mut entries = Vec::new();
-        visit(&d, 0, 0, &mut entries);
-        let header = make_header(pid, entries.len() as u64, true, 0, 0);
-        (
-            teeperf_core::LogFile::new(header, entries),
-            Symbolizer::without_relocation(d),
-        )
+        visit(&d, slide, 0, 0, &mut entries);
+        let anchor = d.entry_addr(0) + slide;
+        let header = make_header(pid, entries.len() as u64, true, anchor, 0);
+        let symbolizer = Symbolizer::new(d, &header);
+        (teeperf_core::LogFile::new(header, entries), symbolizer)
     }
 
     /// The counted guard on the fleet view's cost (in this module because
     /// the count is read off each session's private symbolizer): it cannot
     /// flake on host speed.
     #[test]
-    fn a_merged_snapshot_symbolizes_each_distinct_address_once() {
+    fn a_merged_snapshot_names_each_address_once_in_a_sessions_life() {
         use crate::registry::SessionRegistry;
         use teeperf_core::FileReplaySource;
         let mut reg = SessionRegistry::new(LiveConfig::default());
+        // Every process loads the binary somewhere else.
         for pid in 1..=8 {
-            let (log, symbolizer) = call_tree(pid);
+            let (log, symbolizer) = call_tree(pid, 0x1000 * (9 - pid));
             reg.attach(Box::new(FileReplaySource::new(&log)), symbolizer)
                 .unwrap();
         }
         while reg.pump() > 0 {}
-        let lookups = |reg: &SessionRegistry| -> Vec<u64> {
+        let stats = |reg: &SessionRegistry| -> Vec<SymbolCacheStats> {
             (1..=8)
-                .map(|pid| {
-                    let cache = reg.session(pid).unwrap().symbolizer.cache_stats();
-                    cache.hits + cache.misses
-                })
+                .map(|pid| reg.session(pid).unwrap().symbolizer.cache_stats())
                 .collect()
         };
-        let before = lookups(&reg);
+        let before = stats(&reg);
         let merged = reg.merged_snapshot();
-        let once = lookups(&reg);
-        reg.merged_snapshot();
-        let twice = lookups(&reg);
+        let once = stats(&reg);
         assert_eq!(merged.profile.folded.len(), 341, "a row per distinct stack");
         assert_eq!(merged.profile.methods.len(), 17, "a row per function");
-        for i in 0..8 {
-            // Symbolization per snapshot is O(distinct addresses), not
-            // O(stacks × depth): 17 here, where naming every frame of
-            // every stack would take 1 593.
-            let cost = once[i] - before[i];
+        for (before, once) in before.iter().zip(&once) {
+            // Symbolization is O(distinct addresses), not O(stacks × depth):
+            // 17 here, where naming every frame of every stack would take
+            // 1 593.
+            let cost = (once.hits + once.misses) - (before.hits + before.misses);
             assert!(
                 cost <= 17,
-                "session {i}: {cost} symbolizer lookups for 17 distinct addresses"
+                "{cost} symbolizer lookups for 17 distinct addresses"
             );
-            assert_eq!(twice[i] - once[i], cost, "session {i}: the second call");
         }
+        // And it is paid once: a second view of unchanged sessions asks
+        // the symbolizers nothing.
+        assert_eq!(reg.merged_snapshot(), merged);
+        assert_eq!(stats(&reg), once, "the counters repeat exactly");
+        // One function, eight addresses: one row, under the smallest.
+        let (log, _) = call_tree(8, 0x1000);
+        let f0 = merged.profile.method("f0").unwrap();
+        assert_eq!((f0.addr, f0.calls), (log.entries[0].addr, 8));
+        assert_eq!(f0.threads.len(), 8, "thread 0 of eight processes");
     }
 
     #[test]

@@ -9,7 +9,12 @@
 //! [`Aggregates`] — so merging any set of windows is *exact*: the merge of
 //! a span equals analyzing that span's calls directly, and the merge of
 //! everything (retained + evicted remainder) equals the whole-session
-//! aggregate. That identity is what the window proptests pin.
+//! aggregate. That identity is what the window proptests pin. Every slot's
+//! rows are indexed by the ids of the session's one
+//! [`teeperf_analyzer::PathTable`] (the ring's owner holds it), so
+//! coarsening, eviction, a span and [`RetentionRing::reconstruct`] are sums
+//! by id: no stack is hashed, and the sum is translated to names once, by
+//! whoever asked.
 //!
 //! Retention is bounded by [`RingConfig::capacity`] slots with time-decayed
 //! coarsening: when the ring overflows, the two **oldest** adjacent slots
@@ -22,8 +27,6 @@
 //! `[events]` section so history loss is never silent. The ring enforces
 //! retention when its owner says so, not per call, and that cadence is part
 //! of the behaviour: it decides which window a late call still finds.
-//! Queries borrow the slots' aggregates; only a caller that needs one
-//! merged [`Aggregates`] copies.
 //!
 //! Window boundaries derive **only** from the virtual clock: this module
 //! is on the protocol lint's no-wall-clock list (`teeperf-lint`), so an
@@ -275,14 +278,9 @@ impl RetentionRing {
                 merged.first = old.first;
                 merged.calls += old.calls;
                 merged.estimated_calls += old.estimated_calls;
-                let target = std::mem::take(&mut merged.agg);
-                let mut agg = old.agg;
-                agg.merge(target);
-                self.slots[0].agg = agg;
-                self.events.push(RingEvent::Coarsened {
-                    first: self.slots[0].first,
-                    last: self.slots[0].last,
-                });
+                merged.agg.merge(&old.agg);
+                let (first, last) = (merged.first, merged.last);
+                self.events.push(RingEvent::Coarsened { first, last });
             } else {
                 let old = self.slots.remove(0);
                 self.floor = old.last + 1;
@@ -293,7 +291,7 @@ impl RetentionRing {
                     last: old.last,
                     calls: old.calls,
                 });
-                self.evicted.merge(old.agg);
+                self.evicted.merge(&old.agg);
             }
         }
     }
@@ -317,12 +315,12 @@ impl RetentionRing {
         }
     }
 
-    /// The selected slots, borrowed: the covered span's metadata plus each
-    /// slot's aggregate, oldest first — their merge is the span's exact
-    /// aggregate. `None` when the selection matches no retained slot.
-    pub fn span(&self, sel: &WindowSel) -> Option<(WindowMeta, impl Iterator<Item = &Aggregates>)> {
+    /// The selected span: its metadata and the sum of its slots' rows, the
+    /// span's exact aggregate. `None` when the selection matches no
+    /// retained slot.
+    pub fn span(&self, sel: &WindowSel) -> Option<(WindowMeta, Aggregates)> {
         let slots = self.select(sel);
-        Some((self.meta(slots)?, slots.iter().map(|s| &s.agg)))
+        Some((self.meta(slots)?, sum(Aggregates::new(), slots)))
     }
 
     /// The slot containing window index `idx`, if retained (a coarsened
@@ -337,12 +335,16 @@ impl RetentionRing {
     /// slot. By the commutative-merge identity this equals the
     /// whole-session aggregate built from the same completed calls.
     pub fn reconstruct(&self) -> Aggregates {
-        let mut total = self.evicted.clone();
-        for s in &self.slots {
-            total.merge(s.agg.clone());
-        }
-        total
+        sum(self.evicted.clone(), &self.slots)
     }
+}
+
+/// `total` plus every slot's rows.
+fn sum(mut total: Aggregates, slots: &[WindowSlot]) -> Aggregates {
+    for slot in slots {
+        total.merge(&slot.agg);
+    }
+    total
 }
 
 /// One process's retained-window listing — the unit of the `/windows` wire
@@ -469,10 +471,16 @@ pub fn windows_from_text(text: &str) -> Result<Vec<PidWindows>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teeperf_analyzer::{PathId, PathTable};
 
+    /// A top-level call of `0xA` or `0xB`, interned in a table that met
+    /// them in that order.
     fn call(addr: u64, enter: u64, exit: u64) -> CompletedCall {
+        let mut paths = PathTable::new();
+        paths.child(PathId::ROOT, 0xA);
         CompletedCall {
             addr,
+            path: paths.child(PathId::ROOT, addr),
             stack: vec![addr],
             enter,
             exit,

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use teeperf_analyzer::profile::Anomalies;
 use teeperf_analyzer::reader::Event;
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_analyzer::{Aggregates, CompletedCall, Profile, ResumableStacks};
+use teeperf_analyzer::{Aggregates, CompletedCall, PathTable, Profile, ResumableStacks};
 use teeperf_core::layout::{EventKind, LogEntry};
 use teeperf_core::log::make_header;
 use teeperf_live::window::{WindowMeta, WindowSel};
@@ -105,8 +105,11 @@ fn trace_entries(tid: u64, steps: &[Step]) -> Vec<LogEntry> {
 
 /// Ground truth, computed without the ring: reconstruct each thread's
 /// completed calls directly (open frames force-closed, as the session's
-/// `finish` does).
-fn direct_calls(per_tid: &BTreeMap<u64, Vec<LogEntry>>) -> BTreeMap<u64, Vec<CompletedCall>> {
+/// `finish` does), every thread's stacks interned in `paths`.
+fn direct_calls(
+    paths: &mut PathTable,
+    per_tid: &BTreeMap<u64, Vec<LogEntry>>,
+) -> BTreeMap<u64, Vec<CompletedCall>> {
     let mut out = BTreeMap::new();
     for (tid, entries) in per_tid {
         let events: Vec<Event> = entries
@@ -120,7 +123,7 @@ fn direct_calls(per_tid: &BTreeMap<u64, Vec<LogEntry>>) -> BTreeMap<u64, Vec<Com
             })
             .collect();
         let mut stacks = ResumableStacks::new();
-        let mut calls = completed(&mut stacks, &events);
+        let mut calls = completed(&mut stacks, paths, &events);
         calls.extend(force_closed(&mut stacks));
         out.insert(*tid, calls);
     }
@@ -130,24 +133,32 @@ fn direct_calls(per_tid: &BTreeMap<u64, Vec<LogEntry>>) -> BTreeMap<u64, Vec<Com
 /// Aggregate a set of completed calls and materialize it exactly the way
 /// window profiles are materialized: the thread set from the calls
 /// themselves, anomalies zero (session-scoped by design).
-fn materialize_calls(per_tid: &BTreeMap<u64, Vec<CompletedCall>>, sym: &Symbolizer) -> Profile {
+fn materialize_calls(
+    per_tid: &BTreeMap<u64, Vec<CompletedCall>>,
+    paths: &PathTable,
+    sym: &Symbolizer,
+) -> Profile {
     let mut agg = Aggregates::new();
     for (tid, calls) in per_tid {
         for call in calls {
             agg.add_call(*tid, call, 1);
         }
     }
-    materialize_agg(&agg, sym)
+    materialize_agg(&agg, paths, sym)
 }
 
-fn materialize_agg(agg: &Aggregates, sym: &Symbolizer) -> Profile {
-    agg.materialize(sym, Anomalies::default())
+fn materialize_agg(agg: &Aggregates, paths: &PathTable, sym: &Symbolizer) -> Profile {
+    agg.materialize(paths, sym, Anomalies::default())
 }
 
 /// The calls `events` complete on `stacks`, in completion order.
-fn completed(stacks: &mut ResumableStacks, events: &[Event]) -> Vec<CompletedCall> {
+fn completed(
+    stacks: &mut ResumableStacks,
+    paths: &mut PathTable,
+    events: &[Event],
+) -> Vec<CompletedCall> {
     let mut calls = Vec::new();
-    stacks.feed(events, |call| calls.push(call.clone()));
+    stacks.feed(paths, events, |call| calls.push(call.clone()));
     calls
 }
 
@@ -161,12 +172,12 @@ fn force_closed(stacks: &mut ResumableStacks) -> Vec<CompletedCall> {
 /// A call a reference slot holds: `(tid, call, scale)`.
 type Member = (u64, CompletedCall, u64);
 
-fn materialize_members(members: &[Member], sym: &Symbolizer) -> Profile {
+fn materialize_members(members: &[Member], paths: &PathTable, sym: &Symbolizer) -> Profile {
     let mut agg = Aggregates::new();
     for (tid, call, scale) in members {
         agg.add_call(*tid, call, *scale);
     }
-    materialize_agg(&agg, sym)
+    materialize_agg(&agg, paths, sym)
 }
 
 #[derive(Debug, Default)]
@@ -307,9 +318,10 @@ proptest! {
 
         // Whole-session identity: retained ⊕ remainder == every completed
         // call, aggregated directly. Exact equality, not approximation.
-        let truth = direct_calls(&per_tid);
-        let whole_direct = materialize_calls(&truth, &sym);
-        let whole_ring = materialize_agg(&ring.reconstruct(), &sym);
+        let mut paths = PathTable::new();
+        let truth = direct_calls(&mut paths, &per_tid);
+        let whole_direct = materialize_calls(&truth, &paths, &sym);
+        let whole_ring = materialize_agg(&ring.reconstruct(), rolling.paths(), &sym);
         prop_assert_eq!(&whole_ring, &whole_direct);
 
         // Call conservation: every completed call is either in a retained
@@ -350,7 +362,7 @@ proptest! {
                 .collect();
             let span_calls: u64 = filtered.values().map(|c| c.len() as u64).sum();
             prop_assert_eq!(span.calls, span_calls);
-            let span_direct = materialize_calls(&filtered, &sym);
+            let span_direct = materialize_calls(&filtered, &paths, &sym);
             prop_assert_eq!(&span_profile, &span_direct);
 
             // The single-slot query resolves to its containing bucket and
@@ -370,7 +382,7 @@ proptest! {
                     (*tid, keep)
                 })
                 .collect();
-            prop_assert_eq!(&one_profile, &materialize_calls(&one_filtered, &sym));
+            prop_assert_eq!(&one_profile, &materialize_calls(&one_filtered, &paths, &sym));
         }
     }
 
@@ -394,6 +406,7 @@ proptest! {
         let mut rolling = RollingProfile::with_retention(Some(&config));
         let mut model = ModelRing { interval, capacity, max_width, ..ModelRing::default() };
         let mut stacks: BTreeMap<u64, ResumableStacks> = BTreeMap::new();
+        let mut paths = PathTable::new();
         let mut events = Vec::new();
         let mut seq = 0u64;
         for (i, batch) in stream.chunks(chunk).enumerate() {
@@ -411,7 +424,7 @@ proptest! {
                 per_tid.entry(e.tid).or_default().push(event);
             }
             for (tid, thread_events) in per_tid {
-                let calls = completed(stacks.entry(tid).or_default(), &thread_events);
+                let calls = completed(stacks.entry(tid).or_default(), &mut paths, &thread_events);
                 model.absorb(tid, &calls, scale);
             }
             prop_assert_eq!(rolling.windows().expect("retention is enabled"), model.windows());
@@ -434,13 +447,13 @@ proptest! {
                 .window_profile(&sym, slot.first)
                 .expect("the reference retains this slot");
             prop_assert_eq!((meta.first, meta.last), (slot.first, slot.last));
-            prop_assert_eq!(&profile, &materialize_members(&slot.members, &sym));
+            prop_assert_eq!(&profile, &materialize_members(&slot.members, &paths, &sym));
         }
         let mut all: Vec<Member> = model.evicted.clone();
         all.extend(model.slots.iter().flat_map(|s| s.members.iter().cloned()));
         prop_assert_eq!(
-            &materialize_agg(&ring.reconstruct(), &sym),
-            &materialize_members(&all, &sym)
+            &materialize_agg(&ring.reconstruct(), rolling.paths(), &sym),
+            &materialize_members(&all, &paths, &sym)
         );
     }
 }
