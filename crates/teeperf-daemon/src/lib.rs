@@ -19,10 +19,14 @@
 //!   and `teeperf top` re-parses it with
 //!   [`Snapshot::summary_from_text`].
 //!
-//! The daemon is deliberately **single-threaded**: one loop alternates
-//! accepting connections, pumping the registry and rescanning the
-//! directory. No locks, no shared state, no atomics — concurrency lives in
-//! the transport protocol (where it is model-checked), not in the daemon.
+//! The daemon is deliberately **single-threaded**: one loop rescans the
+//! directory (when due), pumps the registry, serves the connections that
+//! are waiting and sleeps `--pump-ms`, in that order, so a reply is never
+//! older than the drain of the loop that served it: an event is drained at
+//! most one `--pump-ms` plus the loop's own work after it is published, and
+//! is in every reply served from then on. No locks, no shared state, no
+//! atomics — concurrency lives in the transport protocol (where it is
+//! model-checked), not in the daemon.
 //!
 //! Shutdown is cooperative: a `GET /shutdown`, the external trigger
 //! channel ([`launch`], the one launcher behind `teeperfd` and
@@ -41,7 +45,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, TryRecvError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mcvm::DebugInfo;
 use teeperf_analyzer::symbolize::Symbolizer;
@@ -57,6 +61,9 @@ use teeperf_live::{
 use flags::{Command, Flag, Parsed, SESSION_FLAGS};
 use http::{Request, Response};
 
+/// What one connection gets for its whole exchange, head and body.
+const CONNECTION_DEADLINE: Duration = Duration::from_millis(2_000);
+
 /// Everything configurable about one daemon run.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
@@ -64,7 +71,9 @@ pub struct DaemonConfig {
     pub dir: PathBuf,
     /// Listen address, e.g. `127.0.0.1:0` (0 = kernel-assigned port).
     pub listen: String,
-    /// Sleep between loop iterations when nothing is happening.
+    /// Pump cadence: the sleep that ends every loop iteration, so an event
+    /// is drained at most this long (plus the loop's own work) after it is
+    /// published. Also how long one iteration goes on accepting.
     pub pump_interval: Duration,
     /// Rescan the registration directory every N loop iterations.
     pub scan_every: u64,
@@ -508,25 +517,25 @@ impl Daemon {
         Ok(())
     }
 
-    /// Accept and serve every connection currently pending. Returns
-    /// whether any request asked for shutdown.
+    /// Accept and serve the connections currently pending. Returns whether
+    /// any request asked for shutdown. A reader cannot hold the drain:
+    /// accepting stops one `pump_interval` after it began (the backlog
+    /// keeps the rest for the next iteration), and each connection has
+    /// [`CONNECTION_DEADLINE`] in all, however it paces its bytes.
     fn serve_pending(&mut self) -> bool {
         let mut shutdown = false;
-        loop {
-            match self.listener.accept() {
-                Ok((mut stream, _)) => {
-                    self.requests += 1;
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_read_timeout(Some(Duration::from_millis(2_000)));
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(2_000)));
-                    if let Ok(req) = http::read_request(&mut stream) {
-                        let (response, stop) = route(self, &req);
-                        let _ = response.write_to(&mut stream);
-                        shutdown |= stop;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+        let began = Instant::now();
+        while let Ok((stream, _)) = self.listener.accept() {
+            self.requests += 1;
+            let _ = stream.set_nonblocking(false);
+            let mut stream = http::Deadline(&stream, Instant::now() + CONNECTION_DEADLINE);
+            if let Ok(req) = http::read_request(&mut stream) {
+                let (response, stop) = route(self, &req);
+                let _ = response.write_to(&mut stream);
+                shutdown |= stop;
+            }
+            if began.elapsed() >= self.config.pump_interval {
+                break;
             }
         }
         shutdown
@@ -545,7 +554,9 @@ impl Daemon {
 
     /// Run until a shutdown trigger: `GET /shutdown`, a message on
     /// `external`, or the configured loop limit. Consumes the daemon and
-    /// returns the final report.
+    /// returns the final report. Each iteration scans (when due), pumps,
+    /// serves and sleeps, in that order: a reply is never older than the
+    /// drain — or the attach — of the loop that served it.
     ///
     /// # Errors
     /// Propagates I/O failures writing the final snapshot; serving errors
@@ -557,10 +568,10 @@ impl Daemon {
                 self.scan();
             }
             loops += 1;
+            self.registry.pump();
             if self.serve_pending() {
                 break ShutdownCause::HttpRequest;
             }
-            self.registry.pump();
             match external.try_recv() {
                 Ok(why) => break ShutdownCause::External(why),
                 Err(TryRecvError::Disconnected) => {
@@ -728,7 +739,7 @@ const DAEMON_FLAGS: &[Flag] = &[
     Flag::value("dir", "<dir>", "registration directory to watch"),
     Flag::value("listen", "<addr>", "HTTP listen address (port 0 = any)"),
     Flag::value("snapshot-out", "<file>", "final merged snapshot"),
-    Flag::value("pump-ms", "<n>", "sleep between loop iterations"),
+    Flag::value("pump-ms", "<n>", "pump cadence: drain, answer, sleep n ms"),
     Flag::value("scan-every", "<n>", "iterations between rescans (>= 1)"),
     Flag::value("max-loops", "<n>", "shut down after n iterations"),
     Flag::switch("no-liveness-probe", "trust logs without a /proc/<pid>"),
@@ -797,6 +808,7 @@ pub fn launch(name: &str, parsed: &Parsed) -> Result<String, (u8, String)> {
 mod tests {
     use super::*;
     use std::sync::mpsc;
+    use std::sync::Mutex;
     use teeperf_core::layout::{EventKind, LogEntry};
     use teeperf_core::log::make_header;
     use teeperf_core::shm_file::{publish_sidecar, FileShmWriter};
@@ -816,18 +828,21 @@ mod tests {
         }
     }
 
+    fn e(kind: EventKind, counter: u64, addr: u64) -> LogEntry {
+        LogEntry {
+            kind,
+            counter,
+            addr,
+            tid: 0,
+        }
+    }
+
     /// A tiny main→work call tree for pid, fully published and finished.
     fn write_session(dir: &Path, pid: u64, work_ticks: u64) {
         let debug = DebugInfo::from_functions([("main", 4, 1), ("work", 4, 5)]);
         publish_sidecar(dir, pid, "sym", &debug.to_text()).unwrap();
         let mut w = FileShmWriter::create(dir, &make_header(pid, 64, true, 0, 0)).unwrap();
         let (a0, a1) = (debug.entry_addr(0), debug.entry_addr(1));
-        let e = |kind, counter, addr| LogEntry {
-            kind,
-            counter,
-            addr,
-            tid: 0,
-        };
         w.write(&e(EventKind::Call, 1, a0)).unwrap();
         w.write(&e(EventKind::Call, 10, a1)).unwrap();
         w.write(&e(EventKind::Return, 10 + work_ticks, a1)).unwrap();
@@ -1176,6 +1191,140 @@ mod tests {
         let status = Snapshot::summary_from_text(&written).unwrap();
         assert_eq!(status.events, 4);
         assert!(report.summary().contains("attached pids: 55"));
+    }
+
+    /// The reply to a request that was already waiting when a one-loop
+    /// `run` began: no sleeps and no second thread, so what comes back is
+    /// fixed by the order of the loop body alone.
+    fn reply_of_one_loop(dir: &Path, retention: Option<RingConfig>, target: &str) -> String {
+        let mut d = test_daemon_with(dir, retention);
+        d.config.max_loops = Some(1);
+        let mut client = std::net::TcpStream::connect(d.addr()).unwrap();
+        io::Write::write_all(
+            &mut client,
+            format!("GET {target} HTTP/1.1\r\n\r\n").as_bytes(),
+        )
+        .unwrap();
+        let (_tx, rx) = mpsc::channel::<String>();
+        let report = d.run(&rx).unwrap();
+        assert_eq!((report.loops, report.requests), (1, 1));
+        let mut reply = String::new();
+        io::Read::read_to_string(&mut client, &mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
+        reply.split_once("\r\n\r\n").unwrap().1.to_string()
+    }
+
+    #[test]
+    fn a_reply_is_never_older_than_the_drain_of_the_loop_that_served_it() {
+        let dir = scratch("drain-then-answer");
+        write_session(&dir.0, 61, 50);
+        // Attached by this loop's scan, pumped by this loop's pump, served.
+        let body = reply_of_one_loop(&dir.0, None, "/snapshot");
+        assert_eq!(Snapshot::summary_from_text(&body).unwrap().events, 4);
+        let body = reply_of_one_loop(&dir.0, None, "/pid/61");
+        assert_eq!(Snapshot::summary_from_text(&body).unwrap().events, 4);
+        let body = reply_of_one_loop(&dir.0, None, "/metrics");
+        assert!(body.contains("teeperf_events_total 4\n"), "{body}");
+        let ring = RingConfig {
+            interval: 16,
+            capacity: 8,
+            max_width: 4,
+        };
+        let body = reply_of_one_loop(&dir.0, Some(ring), "/windows");
+        let listed = teeperf_live::windows_from_text(&body).unwrap();
+        assert_eq!(listed.len(), 1, "{body}");
+        assert_eq!((listed[0].pid, listed[0].interval), (61, 16), "{body}");
+        assert!(
+            !listed[0].windows.is_empty(),
+            "a window is retained: {body}"
+        );
+    }
+
+    /// Loop iterations per second of a `pump_interval` 5 ms daemon over
+    /// `dir` while `during` runs against its address.
+    fn loops_per_s_while(dir: &Path, during: impl FnOnce(&str)) -> f64 {
+        let mut d = test_daemon(dir);
+        d.config.pump_interval = Duration::from_millis(5);
+        let addr = d.addr().to_string();
+        let (tx, rx) = mpsc::channel();
+        let started = Instant::now();
+        let running = std::thread::spawn(move || d.run(&rx).unwrap());
+        during(&addr);
+        tx.send("done".to_string()).unwrap();
+        let report = running.join().unwrap();
+        report.loops as f64 / started.elapsed().as_secs_f64()
+    }
+
+    #[test]
+    fn a_storm_of_readers_cannot_hold_the_drain() {
+        const STORM: Duration = Duration::from_millis(1_500);
+        let dir = scratch("storm");
+        let idle = loops_per_s_while(&dir.0, |_| std::thread::sleep(STORM));
+
+        let debug = DebugInfo::from_functions([("main", 4, 1), ("work", 4, 5)]);
+        publish_sidecar(&dir.0, 88, "sym", &debug.to_text()).unwrap();
+        let header = make_header(88, 1 << 16, true, 0, 0);
+        let mut w = FileShmWriter::create(&dir.0, &header).unwrap();
+        // Mutexes, not atomics: raw atomics belong to the transport's seam
+        // (teeperf-lint), and nothing here is hot.
+        let (written, seen, stop) = (Mutex::new(0u64), Mutex::new(0u64), Mutex::new(false));
+        let stopped = || *stop.lock().unwrap();
+        let events_of = |addr: &str| {
+            let (status, body) = http::get(addr, "/snapshot", Duration::from_secs(5)).unwrap();
+            assert_eq!(status, 200);
+            Snapshot::summary_from_text(&body).unwrap().events
+        };
+        let mut floor = 0;
+        let stormy = std::thread::scope(|s| {
+            // A live writer: work() called and returned a few thousand
+            // times a second for as long as the daemon is up.
+            s.spawn(|| {
+                let (a0, a1) = (debug.entry_addr(0), debug.entry_addr(1));
+                let mut write = |entry| {
+                    w.write(&entry).unwrap();
+                    *written.lock().unwrap() += 1;
+                };
+                write(e(EventKind::Call, 1, a0));
+                let mut tick = 2;
+                while !stopped() {
+                    write(e(EventKind::Call, tick, a1));
+                    write(e(EventKind::Return, tick + 1, a1));
+                    tick += 2;
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            });
+            let rate = loops_per_s_while(&dir.0, |addr| {
+                while events_of(addr) == 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                std::thread::scope(|storm| {
+                    floor = *written.lock().unwrap();
+                    for _ in 0..8 {
+                        // Zero think time: the next request is on its way
+                        // as soon as the last reply is read.
+                        storm.spawn(|| {
+                            while !stopped() {
+                                let events = events_of(addr);
+                                let mut seen = seen.lock().unwrap();
+                                *seen = events.max(*seen);
+                            }
+                        });
+                    }
+                    std::thread::sleep(STORM);
+                    *stop.lock().unwrap() = true;
+                });
+            });
+            rate
+        });
+        let visible = seen.into_inner().unwrap();
+        assert!(
+            visible > floor,
+            "no reply of the storm showed an event written during it: {visible} <= {floor}"
+        );
+        assert!(
+            stormy >= idle / 2.0,
+            "the storm held the loop: {stormy:.0} loops/s against {idle:.0} idle"
+        );
     }
 
     #[test]

@@ -4,6 +4,9 @@
 //! text `teeperf top` parses. Tier-1 runs this, so it fails if the file
 //! transport, the session registry or the wire text breaks.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -15,13 +18,13 @@ use teeperf_daemon::http::Request;
 use teeperf_daemon::{route, Daemon, DaemonConfig, ShutdownCause};
 use teeperf_live::Snapshot;
 
-#[test]
-fn a_file_backed_log_comes_back_out_of_the_snapshot_route() {
-    let dir = std::env::temp_dir().join(format!("teeperf-daemon-path-{}", std::process::id()));
+/// A fresh registration directory holding pid 41's finished session:
+/// main [1, 101] calls work [10, 60] — work 50 ticks, main 100 - 50.
+fn registered_session(label: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("teeperf-{label}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    // main [1, 101] calls work [10, 60]: work 50 ticks, main 100 - 50.
     let debug = DebugInfo::from_functions([("main", 4, 1), ("work", 4, 5)]);
     publish_sidecar(&dir, 41, "sym", &debug.to_text()).unwrap();
     let mut writer = FileShmWriter::create(&dir, &make_header(41, 64, true, 0, 0)).unwrap();
@@ -41,6 +44,12 @@ fn a_file_backed_log_comes_back_out_of_the_snapshot_route() {
         writer.write(&entry).unwrap();
     }
     writer.finish().unwrap();
+    dir
+}
+
+#[test]
+fn a_file_backed_log_comes_back_out_of_the_snapshot_route() {
+    let dir = registered_session("daemon-path");
 
     // `max_loops` bounds the run at ~20 s if nothing ever shuts it down.
     let mut daemon = Daemon::new(DaemonConfig {
@@ -102,6 +111,44 @@ fn a_file_backed_log_comes_back_out_of_the_snapshot_route() {
         report.merged.to_text(),
         text,
         "the final snapshot is the served one"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The loop drains before it answers: a request already waiting when a
+/// one-iteration `run` begins is served the session that iteration's scan
+/// attached and its pump drained — no sleeps, no second thread, so the
+/// order of the loop body alone decides what comes back.
+#[test]
+fn a_reply_carries_the_drain_of_the_loop_that_served_it() {
+    let dir = registered_session("drain-then-answer");
+    let daemon = Daemon::new(DaemonConfig {
+        dir: dir.clone(),
+        listen: "127.0.0.1:0".to_string(),
+        pump_interval: Duration::from_millis(1),
+        scan_every: 1,
+        max_loops: Some(1),
+        ..DaemonConfig::default()
+    })
+    .unwrap()
+    .without_liveness_probe();
+
+    let mut client = TcpStream::connect(daemon.addr()).unwrap();
+    client.write_all(b"GET /snapshot HTTP/1.1\r\n\r\n").unwrap();
+    let (_keep_open, external) = mpsc::channel::<String>();
+    let report = daemon.run(&external).unwrap();
+    assert_eq!(report.cause, ShutdownCause::LoopLimit);
+    assert_eq!((report.loops, report.requests), (1, 1));
+
+    let mut reply = String::new();
+    client.read_to_string(&mut reply).unwrap();
+    let (head, body) = reply.split_once("\r\n\r\n").unwrap();
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+    assert_eq!(Snapshot::summary_from_text(body).unwrap().events, 4);
+    assert_eq!(
+        body,
+        report.merged.to_text(),
+        "the served drain is the final one"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
