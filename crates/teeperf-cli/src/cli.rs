@@ -1065,7 +1065,6 @@ mod tests {
             dir: dir.clone(),
             listen: "127.0.0.1:0".to_string(),
             pump_interval: std::time::Duration::from_millis(1),
-            scan_every: 1,
             ..teeperf_daemon::DaemonConfig::default()
         })
         .unwrap()
@@ -1155,7 +1154,6 @@ mod tests {
             dir: dir.clone(),
             listen: "127.0.0.1:0".to_string(),
             pump_interval: std::time::Duration::from_millis(1),
-            scan_every: 1,
             retention: Some(RingConfig {
                 interval: 16,
                 ..RingConfig::default()
@@ -1241,12 +1239,16 @@ mod tests {
     #[test]
     fn daemon_command_rejects_bad_flags() {
         for bad in [
-            &["daemon", "--scan-every", "0"][..],
-            &["daemon", "--pump-ms", "x"],
+            &["daemon", "--pump-ms", "x"][..],
             &["daemon", "--max-loops", "x"],
         ] {
             assert!(dispatch(&strs(bad)).is_err(), "{bad:?}");
         }
+        // The rescan cadence is no longer a knob: a stale script that still
+        // passes it is refused like any undeclared flag.
+        let e = dispatch(&strs(&["daemon", "--scan-every", "1"])).unwrap_err();
+        assert!(e.message.starts_with("unknown flag --scan-every"), "{e}");
+        assert_eq!(e.code, 1, "a usage error of `teeperf`");
     }
 
     #[test]

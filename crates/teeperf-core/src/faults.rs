@@ -501,11 +501,17 @@ impl SalvageReport {
         )
     }
 
-    /// Split a raw entry batch into the valid stream, accounting every
-    /// invalid record here. The helper all salvaging sources share.
-    pub fn filter_entries(&mut self, entries: impl IntoIterator<Item = LogEntry>) -> Vec<LogEntry> {
+    /// Append the valid records of a raw entry batch to `out`, accounting
+    /// every invalid one here. The helper all salvaging sources share; it
+    /// appends so that a caller's buffer keeps its capacity across batches.
+    pub fn filter_into(
+        &mut self,
+        entries: impl IntoIterator<Item = LogEntry>,
+        out: &mut Vec<LogEntry>,
+    ) {
         let entries = entries.into_iter();
-        let mut out = Vec::with_capacity(entries.size_hint().0);
+        out.reserve(entries.size_hint().0);
+        let before = out.len();
         for e in entries {
             match e.validity() {
                 EntryValidity::Valid => out.push(e),
@@ -513,8 +519,7 @@ impl SalvageReport {
                 EntryValidity::Torn => self.drop_n(SalvageReason::TornEntry, 1),
             }
         }
-        self.kept += out.len() as u64;
-        out
+        self.kept += (out.len() - before) as u64;
     }
 }
 
@@ -652,18 +657,22 @@ mod tests {
         let mut r = SalvageReport::default();
         assert!(r.is_clean());
         assert!(r.to_line().is_empty());
-        let kept = r.filter_entries(vec![
-            entry(1),
-            LogEntry::unpack([0, 0, 0]), // unpublished
-            LogEntry {
-                kind: EventKind::Call,
-                counter: 3,
-                addr: 0,
-                tid: 0,
-            }, // torn
-            entry(2),
-        ]);
-        assert_eq!(kept.len(), 2);
+        let mut kept = vec![entry(9)];
+        r.filter_into(
+            [
+                entry(1),
+                LogEntry::unpack([0, 0, 0]), // unpublished
+                LogEntry {
+                    kind: EventKind::Call,
+                    counter: 3,
+                    addr: 0,
+                    tid: 0,
+                }, // torn
+                entry(2),
+            ],
+            &mut kept,
+        );
+        assert_eq!(kept, [entry(9), entry(1), entry(2)], "appended");
         assert_eq!(r.kept, 2);
         assert_eq!(r.dropped, 2);
         assert_eq!(r.count(SalvageReason::TornEntry), 1);

@@ -161,7 +161,8 @@ impl LogFile {
         let (header, slots, shortfall) = LogFile::parse(bytes)?;
         let mut report = SalvageReport::default();
         report.drop_n(SalvageReason::TruncatedFile, shortfall);
-        let entries = report.filter_entries(LogEntry::decode_slots(slots));
+        let mut entries = Vec::with_capacity(slots.len() / ENTRY_BYTES as usize);
+        report.filter_into(LogEntry::decode_slots(slots), &mut entries);
         Ok((LogFile { header, entries }, report))
     }
 

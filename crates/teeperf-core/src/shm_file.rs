@@ -276,8 +276,9 @@ impl FileShmWriter {
     }
 }
 
-/// Entries per bulk slot read (96 KiB): bounds what one read — and one
-/// pump's read buffer — can be asked for, whatever the header claims.
+/// Entries per bulk slot read (96 KiB): bounds what one read — and the
+/// read buffer a source keeps — can be asked for, whatever the header
+/// claims.
 pub const READ_CHUNK_ENTRIES: u64 = 4096;
 
 /// The consumer half: an [`EventSource`] polling one registered log file.
@@ -297,6 +298,9 @@ pub struct FileShmSource {
     writer_done: bool,
     dead: bool,
     salvage: SalvageReport,
+    /// The bytes of one bulk read, kept across pumps (at most
+    /// [`READ_CHUNK_ENTRIES`] slots).
+    buf: Vec<u8>,
 }
 
 impl FileShmSource {
@@ -319,6 +323,7 @@ impl FileShmSource {
             writer_done: false,
             dead: false,
             salvage: SalvageReport::default(),
+            buf: Vec::new(),
         })
     }
 
@@ -379,26 +384,24 @@ impl FileShmSource {
         }
     }
 
-    /// Drain the slots from the cursor up to `limit` (already clamped to
-    /// the slots on disk) in bulk reads, applying the validity rules per
-    /// slot: below the tail nothing is waited for, so an invalid slot is
-    /// skipped and accounted on the spot.
-    fn read_slots(&mut self, limit: u64) -> Vec<LogEntry> {
-        let mut out = Vec::new();
-        let mut buf = Vec::new();
+    /// Append the slots from the cursor up to `limit` (already clamped to
+    /// the slots on disk) to `out` in bulk reads, applying the validity
+    /// rules per slot: below the tail nothing is waited for, so an invalid
+    /// slot is skipped and accounted on the spot.
+    fn read_slots(&mut self, limit: u64, out: &mut Vec<LogEntry>) {
         while self.cursor < limit {
             let n = (limit - self.cursor).min(READ_CHUNK_ENTRIES);
-            buf.resize((n * ENTRY_BYTES) as usize, 0);
+            self.buf.resize((n * ENTRY_BYTES) as usize, 0);
             let off = LogEntry::offset_of(self.cursor);
-            if self.file.read_exact_at(&mut buf, off).is_err() {
+            if self.file.read_exact_at(&mut self.buf, off).is_err() {
                 // Bytes vanished mid-drain; the header re-read accounted
                 // the loss (or will on the next pump) — stop here.
                 break;
             }
-            out.extend(self.salvage.filter_entries(LogEntry::decode_slots(&buf)));
+            self.salvage
+                .filter_into(LogEntry::decode_slots(&self.buf), out);
             self.cursor += n;
         }
-        out
     }
 }
 
@@ -407,13 +410,14 @@ impl EventSource for FileShmSource {
         self.header.pid
     }
 
-    fn pump(&mut self) -> SourceBatch {
+    fn pump_into(&mut self, batch: &mut SourceBatch) {
+        batch.reset(0);
         if self.dead {
-            return SourceBatch::default();
+            return;
         }
         let already_dropped = self.dropped_total();
         let Some((available, shortfall)) = self.observe() else {
-            return SourceBatch::default();
+            return;
         };
         if shortfall > 0 {
             // A file cut below what its tail promises lost records.
@@ -427,14 +431,10 @@ impl EventSource for FileShmSource {
             );
             self.dead = true;
         }
-        SourceBatch {
-            entries: self.read_slots(available),
-            rotated: false,
-            // Overflow accounting: each newly-observed drop exactly once,
-            // on the batch where it became visible.
-            dropped: self.dropped_total().saturating_sub(already_dropped),
-            epoch: 0,
-        }
+        self.read_slots(available, &mut batch.entries);
+        // Overflow accounting: each newly-observed drop exactly once, on
+        // the batch where it became visible.
+        batch.dropped = self.dropped_total().saturating_sub(already_dropped);
     }
 
     fn drain_to_end(&mut self) -> SourceBatch {
@@ -626,6 +626,37 @@ mod tests {
         assert!(b.entries.iter().map(|e| e.counter).eq(6..=n));
         assert!(src.is_exhausted());
         assert!(src.salvage().is_clean());
+    }
+
+    #[test]
+    fn a_kept_batch_and_read_buffer_are_refilled_in_place() {
+        let dir = scratch("kept");
+        let n = READ_CHUNK_ENTRIES + 5;
+        let mut w = FileShmWriter::create(&dir.0, &header(7, 2 * n)).unwrap();
+        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        let mut batch = SourceBatch::default();
+        for k in 1..=n {
+            w.write(&entry(k)).unwrap();
+        }
+        src.pump_into(&mut batch);
+        assert_eq!(batch.entries.len() as u64, n, "two bulk reads");
+        let held = |src: &FileShmSource, batch: &SourceBatch| {
+            let entries = (batch.entries.as_ptr(), batch.entries.capacity());
+            (entries, (src.buf.as_ptr(), src.buf.capacity()))
+        };
+        let steady = held(&src, &batch);
+        assert!(src.buf.capacity() as u64 <= READ_CHUNK_ENTRIES * ENTRY_BYTES);
+        // The steady state: fewer entries than the high-water mark, and an
+        // idle pump, both land in the memory the first pump grew.
+        for k in n + 1..=n + 100 {
+            w.write(&entry(k)).unwrap();
+        }
+        src.pump_into(&mut batch);
+        assert!(batch.entries.iter().map(|e| e.counter).eq(n + 1..=n + 100));
+        assert_eq!(held(&src, &batch), steady);
+        src.pump_into(&mut batch);
+        assert!(batch.entries.is_empty());
+        assert_eq!(held(&src, &batch), steady);
     }
 
     #[test]
@@ -955,8 +986,24 @@ mod tests {
             let path = dir.0.join("1.tplog");
             std::fs::write(&path, &bytes).unwrap();
             if let Ok(mut src) = FileShmSource::open(&path) {
-                let mut entries = src.pump().entries;
-                entries.extend(src.pump().entries);
+                // A twin pumps into a lent batch left dirty by an earlier
+                // pump, and must come out exactly as the fresh one.
+                let mut twin = FileShmSource::open(&path).unwrap();
+                let dirty = || SourceBatch {
+                    entries: vec![LogEntry::unpack([7, 7, 7]); 5],
+                    rotated: true,
+                    dropped: 9,
+                    epoch: 3,
+                };
+                let mut entries = Vec::new();
+                for _ in 0..2 {
+                    let fresh = src.pump();
+                    let mut lent = dirty();
+                    twin.pump_into(&mut lent);
+                    prop_assert_eq!(&lent, &fresh);
+                    entries.extend(fresh.entries);
+                }
+                prop_assert_eq!(twin.salvage(), src.salvage());
                 prop_assert!(entries.capacity() as u64 <= held as u64 + READ_CHUNK_ENTRIES);
                 prop_assert_eq!(entries.len() as u64, src.salvage().kept);
                 // The file is its own salvage load, whichever reader asks.

@@ -36,14 +36,27 @@ pub struct SourceBatch {
     pub epoch: u64,
 }
 
+impl SourceBatch {
+    /// Empty the batch for a pump that starts in `epoch`, keeping the
+    /// capacity of `entries`.
+    pub(crate) fn reset(&mut self, epoch: u64) {
+        self.entries.clear();
+        self.rotated = false;
+        self.dropped = 0;
+        self.epoch = epoch;
+    }
+}
+
 /// A stream of profiling events from one profiled process.
 ///
 /// Implementations own whatever cursor or position state the underlying
 /// transport needs; callers never see a raw log. The contract mirrors the
 /// live drain protocol:
 ///
-/// * [`EventSource::pump`] is the incremental step — cheap, may return an
-///   empty batch, never blocks on writers.
+/// * [`EventSource::pump_into`] is the incremental step — cheap, may yield
+///   an empty batch, never blocks on writers. It fills a batch the caller
+///   keeps, so a steady drain needs no new batch; [`EventSource::pump`] is
+///   the same step into a fresh batch.
 /// * [`EventSource::drain_to_end`] forces everything currently available
 ///   out (a rotation for live logs, the full remainder for replays).
 /// * [`EventSource::pid`] is the registry key: the process id from the
@@ -53,10 +66,18 @@ pub trait EventSource: Send + std::fmt::Debug {
     /// Process id of the producer (the log header's pid word).
     fn pid(&self) -> u64;
 
-    /// One incremental drain step. For live logs this polls published
-    /// entries and rotates only past the capacity watermark; for replays
-    /// it yields the next chunk.
-    fn pump(&mut self) -> SourceBatch;
+    /// One incremental drain step into `batch`: every field is reset and
+    /// `entries` refilled without giving up its capacity. For live logs
+    /// this polls published entries and rotates only past the capacity
+    /// watermark; for replays it yields the next chunk.
+    fn pump_into(&mut self, batch: &mut SourceBatch);
+
+    /// [`EventSource::pump_into`] a fresh batch.
+    fn pump(&mut self) -> SourceBatch {
+        let mut batch = SourceBatch::default();
+        self.pump_into(&mut batch);
+        batch
+    }
 
     /// Force out everything currently available (rotate a live log even
     /// below the watermark; emit the whole remainder of a replay).
@@ -285,7 +306,7 @@ impl LiveLogSource {
         // sees every one exactly once.
         self.salvage
             .drop_n(SalvageReason::UnpublishedSlot, out.abandoned);
-        batch.entries.extend(out.entries);
+        self.salvage.filter_into(out.entries, &mut batch.entries);
         batch.rotated = true;
         batch.dropped = out.dropped;
         batch.epoch = out.new_epoch;
@@ -293,19 +314,14 @@ impl LiveLogSource {
     }
 
     /// Shared pump body: poll, filter invalid records, maybe rotate.
-    fn pump_inner(&mut self, force_rotate: bool) -> SourceBatch {
+    fn pump_inner(&mut self, force_rotate: bool, batch: &mut SourceBatch) {
+        batch.reset(self.cursor.epoch);
         if self.dead {
-            return SourceBatch {
-                epoch: self.cursor.epoch,
-                ..SourceBatch::default()
-            };
+            return;
         }
         if self.log.verify_header().is_err() {
             self.go_dead();
-            return SourceBatch {
-                epoch: self.cursor.epoch,
-                ..SourceBatch::default()
-            };
+            return;
         }
         // Validate the regime word. Writers fall back to the Full
         // interpretation on their own when it is corrupt; the drainer
@@ -321,31 +337,20 @@ impl LiveLogSource {
         let polled = self.log.poll(&mut self.cursor);
         let blocked = polled.is_empty()
             && self.cursor.index < self.log.header().tail.min(self.log.capacity());
-        let mut batch = SourceBatch {
-            entries: self.salvage.filter_entries(polled),
-            rotated: false,
-            dropped: 0,
-            epoch: self.cursor.epoch,
-        };
+        self.salvage.filter_into(polled, &mut batch.entries);
         if force_rotate || self.log.header().tail >= self.watermark_entries() {
-            let before = batch.entries.len();
-            self.rotate(&mut batch, force_rotate);
-            let rotated_in = batch.entries.split_off(before);
-            batch
-                .entries
-                .extend(self.salvage.filter_entries(rotated_in));
+            self.rotate(batch, force_rotate);
             self.stuck = None;
         } else if blocked {
             if self.note_stuck() {
                 // The hole is closed: pick up whatever lies past it now.
                 let extra = self.log.poll(&mut self.cursor);
-                batch.entries.extend(self.salvage.filter_entries(extra));
+                self.salvage.filter_into(extra, &mut batch.entries);
             }
         } else {
             self.stuck = None;
         }
         self.drained += batch.entries.len() as u64;
-        batch
     }
 }
 
@@ -354,12 +359,14 @@ impl EventSource for LiveLogSource {
         self.log.header().pid
     }
 
-    fn pump(&mut self) -> SourceBatch {
-        self.pump_inner(false)
+    fn pump_into(&mut self, batch: &mut SourceBatch) {
+        self.pump_inner(false, batch);
     }
 
     fn drain_to_end(&mut self) -> SourceBatch {
-        self.pump_inner(true)
+        let mut batch = SourceBatch::default();
+        self.pump_inner(true, &mut batch);
+        batch
     }
 
     fn dropped_total(&self) -> u64 {
@@ -435,7 +442,8 @@ impl FileReplaySource {
     pub fn new(log: &LogFile) -> FileReplaySource {
         let dropped = log.header.dropped_entries();
         let mut salvage = SalvageReport::default();
-        let entries = salvage.filter_entries(log.entries.clone());
+        let mut entries = Vec::with_capacity(log.entries.len());
+        salvage.filter_into(log.entries.iter().copied(), &mut entries);
         let chunk = entries.len().max(1);
         FileReplaySource {
             pid: log.header.pid,
@@ -477,16 +485,13 @@ impl FileReplaySource {
         self.entries.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> SourceBatch {
+    fn take(&mut self, n: usize, batch: &mut SourceBatch) {
+        batch.reset(self.epochs);
         let end = (self.pos + n).min(self.entries.len());
-        let entries = self.entries[self.pos..end].to_vec();
+        batch
+            .entries
+            .extend_from_slice(&self.entries[self.pos..end]);
         self.pos = end;
-        let mut batch = SourceBatch {
-            entries,
-            rotated: false,
-            dropped: 0,
-            epoch: self.epochs,
-        };
         if self.pos == self.entries.len() && !self.dropped_reported {
             batch.dropped = self.dropped;
             self.dropped_reported = true;
@@ -496,7 +501,6 @@ impl FileReplaySource {
             batch.rotated = true;
             batch.epoch = self.epochs;
         }
-        batch
     }
 }
 
@@ -505,12 +509,14 @@ impl EventSource for FileReplaySource {
         self.pid
     }
 
-    fn pump(&mut self) -> SourceBatch {
-        self.take(self.chunk)
+    fn pump_into(&mut self, batch: &mut SourceBatch) {
+        self.take(self.chunk, batch);
     }
 
     fn drain_to_end(&mut self) -> SourceBatch {
-        self.take(self.entries.len() - self.pos)
+        let mut batch = SourceBatch::default();
+        self.take(self.entries.len() - self.pos, &mut batch);
+        batch
     }
 
     fn dropped_total(&self) -> u64 {
@@ -597,6 +603,46 @@ mod tests {
         assert_eq!(b.entries.len(), 4);
         assert_eq!(b.dropped, 3, "overflow is accounted, not silent");
         assert_eq!(src.dropped_total(), 3);
+    }
+
+    /// A pump fills the batch it is lent as if it were fresh: a stale
+    /// `rotated` or `dropped` left in it would count an epoch or a drop
+    /// twice.
+    #[test]
+    fn a_dirty_lent_batch_pumps_like_a_fresh_one() {
+        let dirty = || SourceBatch {
+            entries: vec![entry(99, 0x999); 5],
+            rotated: true,
+            dropped: 9,
+            epoch: 3,
+        };
+        // Live: a rotation that overflowed, an idle pump, a plain poll.
+        let (a, b) = (live_log(7, 4), live_log(7, 4));
+        let mut fresh = LiveLogSource::new(a.clone(), 99);
+        let mut lent = LiveLogSource::new(b.clone(), 99);
+        for writes in [7u64, 0, 2] {
+            for k in 1..=writes {
+                a.write_live(&entry(k, 0x100 + k));
+                b.write_live(&entry(k, 0x100 + k));
+            }
+            let mut batch = dirty();
+            lent.pump_into(&mut batch);
+            assert_eq!(batch, fresh.pump(), "after {writes} writes");
+        }
+        assert_eq!((lent.dropped_total(), lent.rotations()), (3, 1));
+        assert_eq!(lent.salvage(), fresh.salvage());
+        // Replay: two chunks, the last carrying the drop, then exhausted.
+        let mut header = make_header(31, 3, true, 0, 0);
+        header.tail = 4;
+        let file = LogFile::new(header, vec![entry(1, 0xa), entry(2, 0xb), entry(3, 0xc)]);
+        let mut fresh = FileReplaySource::new(&file).with_chunk(2);
+        let mut lent = fresh.clone();
+        for _ in 0..3 {
+            let mut batch = dirty();
+            lent.pump_into(&mut batch);
+            assert_eq!(batch, fresh.pump());
+        }
+        assert!(lent.is_exhausted());
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //!   [`Snapshot::summary_from_text`].
 //!
 //! The daemon is deliberately **single-threaded**: one loop rescans the
-//! directory (when due), pumps the registry, serves the connections that
-//! are waiting and sleeps `--pump-ms`, in that order, so a reply is never
-//! older than the drain of the loop that served it: an event is drained at
-//! most one `--pump-ms` plus the loop's own work after it is published, and
-//! is in every reply served from then on. No locks, no shared state, no
+//! directory, pumps the registry, serves the connections that are waiting
+//! and sleeps `--pump-ms`, in that order, so a reply is never older than
+//! the drain of the loop that served it: an event is drained at most one
+//! `--pump-ms` plus the loop's own work after it is published, a log is
+//! attached by the first loop that starts after it is registered, and both
+//! are in every reply served from then on. No locks, no shared state, no
 //! atomics — concurrency lives in the transport protocol (where it is
 //! model-checked), not in the daemon.
 //!
@@ -41,6 +42,7 @@ pub mod flags;
 pub mod http;
 
 use std::collections::BTreeSet;
+use std::ffi::OsString;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
@@ -75,8 +77,6 @@ pub struct DaemonConfig {
     /// is drained at most this long (plus the loop's own work) after it is
     /// published. Also how long one iteration goes on accepting.
     pub pump_interval: Duration,
-    /// Rescan the registration directory every N loop iterations.
-    pub scan_every: u64,
     /// Write the final merged snapshot here on shutdown.
     pub snapshot_out: Option<PathBuf>,
     /// Liveness watchdog handed to the registry.
@@ -102,7 +102,6 @@ impl Default for DaemonConfig {
             dir: teeperf_core::shm_file::default_shm_dir(),
             listen: "127.0.0.1:0".to_string(),
             pump_interval: Duration::from_millis(25),
-            scan_every: 4,
             snapshot_out: None,
             watchdog: WatchdogConfig::default(),
             max_loops: None,
@@ -154,11 +153,10 @@ impl EventSource for LivenessProbe {
         self.inner.pid()
     }
 
-    fn pump(&mut self) -> SourceBatch {
-        let batch = self.inner.pump();
+    fn pump_into(&mut self, batch: &mut SourceBatch) {
+        self.inner.pump_into(batch);
         self.last_pump_empty = batch.entries.is_empty() && batch.dropped == 0;
         self.probe();
-        batch
     }
 
     fn drain_to_end(&mut self) -> SourceBatch {
@@ -396,9 +394,10 @@ pub struct Daemon {
     /// Pids ever attached (a retired pid must not be re-attached — its
     /// contribution is already in the merge).
     seen_pids: BTreeSet<u64>,
-    /// Log files that failed to attach; retried never (a file that was
-    /// rejected once is not going to become a valid log).
-    rejected: BTreeSet<PathBuf>,
+    /// Names of log files that failed to attach; retried never (a file
+    /// that was rejected once is not going to become a valid log). Keyed
+    /// by name, not pid: `7.tplog` and `007.tplog` carry the same pid.
+    rejected: BTreeSet<OsString>,
     /// One line per attach failure, surfaced in `/metrics`.
     attach_errors: Vec<String>,
     /// Whether the `/proc/<pid>` liveness probe is armed on new sources.
@@ -453,37 +452,36 @@ impl Daemon {
 
     /// One registration-directory sweep: attach every `<pid>.tplog` not
     /// already attached or rejected. Returns how many sessions were
-    /// attached.
+    /// attached. It runs every loop, so a name already dealt with costs a
+    /// look at the name and no more.
     pub fn scan(&mut self) -> usize {
         self.scans += 1;
         let Ok(entries) = std::fs::read_dir(&self.config.dir) else {
             return 0;
         };
-        let mut found: Vec<(u64, PathBuf)> = Vec::new();
+        let mut found: Vec<(u64, OsString)> = Vec::new();
         for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some(LOG_EXT) {
-                continue;
-            }
-            let Some(pid) = path
-                .file_stem()
-                .and_then(|s| s.to_str())
+            let name = entry.file_name();
+            let Some(pid) = name
+                .to_str()
+                .and_then(|s| s.strip_suffix(LOG_EXT)?.strip_suffix('.'))
                 .and_then(|s| s.parse::<u64>().ok())
             else {
                 continue;
             };
-            if self.seen_pids.contains(&pid) || self.rejected.contains(&path) {
+            if self.seen_pids.contains(&pid) || self.rejected.contains(name.as_os_str()) {
                 continue;
             }
-            found.push((pid, path));
+            found.push((pid, name));
         }
         found.sort();
         let mut attached = 0;
-        for (pid, path) in found {
+        for (pid, name) in found {
+            let path = self.config.dir.join(&name);
             match self.attach_log(pid, &path) {
                 Ok(()) => attached += 1,
                 Err(why) => {
-                    self.rejected.insert(path.clone());
+                    self.rejected.insert(name);
                     self.attach_errors
                         .push(format!("{}: {why}", path.display()));
                 }
@@ -554,9 +552,9 @@ impl Daemon {
 
     /// Run until a shutdown trigger: `GET /shutdown`, a message on
     /// `external`, or the configured loop limit. Consumes the daemon and
-    /// returns the final report. Each iteration scans (when due), pumps,
-    /// serves and sleeps, in that order: a reply is never older than the
-    /// drain — or the attach — of the loop that served it.
+    /// returns the final report. Each iteration scans, pumps, serves and
+    /// sleeps, in that order: a reply is never older than the drain — or
+    /// the attach — of the loop that served it.
     ///
     /// # Errors
     /// Propagates I/O failures writing the final snapshot; serving errors
@@ -564,9 +562,7 @@ impl Daemon {
     pub fn run(mut self, external: &Receiver<String>) -> io::Result<DaemonReport> {
         let mut loops: u64 = 0;
         let cause = loop {
-            if loops.is_multiple_of(self.config.scan_every) {
-                self.scan();
-            }
+            self.scan();
             loops += 1;
             self.registry.pump();
             if self.serve_pending() {
@@ -740,7 +736,6 @@ const DAEMON_FLAGS: &[Flag] = &[
     Flag::value("listen", "<addr>", "HTTP listen address (port 0 = any)"),
     Flag::value("snapshot-out", "<file>", "final merged snapshot"),
     Flag::value("pump-ms", "<n>", "pump cadence: drain, answer, sleep n ms"),
-    Flag::value("scan-every", "<n>", "iterations between rescans (>= 1)"),
     Flag::value("max-loops", "<n>", "shut down after n iterations"),
     Flag::switch("no-liveness-probe", "trust logs without a /proc/<pid>"),
 ];
@@ -763,9 +758,6 @@ fn daemon_config(parsed: &Parsed) -> Result<DaemonConfig, String> {
     }
     if let Some(ms) = parsed.num("pump-ms")? {
         config.pump_interval = Duration::from_millis(ms);
-    }
-    if let Some(n) = parsed.num_in("scan-every", 1.., ">= 1")? {
-        config.scan_every = n;
     }
     Ok(config)
 }
@@ -859,7 +851,6 @@ mod tests {
             dir: dir.to_path_buf(),
             listen: "127.0.0.1:0".to_string(),
             pump_interval: Duration::from_millis(1),
-            scan_every: 1,
             snapshot_out: None,
             watchdog: WatchdogConfig::default(),
             max_loops: None,
@@ -890,7 +881,6 @@ mod tests {
                 "listen",
                 "snapshot-out",
                 "pump-ms",
-                "scan-every",
                 "max-loops",
                 "no-liveness-probe",
                 "window-interval",
@@ -913,7 +903,6 @@ mod tests {
         let config = daemon_config(&parsed(&[]).unwrap()).unwrap();
         let defaults = DaemonConfig::default();
         assert_eq!(config.dir, defaults.dir);
-        assert_eq!(config.scan_every, defaults.scan_every);
         assert!(config.retention.is_none() && config.budget.is_none());
 
         let argv = [
@@ -925,8 +914,6 @@ mod tests {
             "/tmp/s",
             "--pump-ms",
             "5",
-            "--scan-every",
-            "2",
             "--max-loops",
             "9",
             "--window-interval",
@@ -943,7 +930,7 @@ mod tests {
         assert_eq!(config.listen, "127.0.0.1:7");
         assert_eq!(config.snapshot_out, Some(PathBuf::from("/tmp/s")));
         assert_eq!(config.pump_interval, Duration::from_millis(5));
-        assert_eq!((config.scan_every, config.max_loops), (2, Some(9)));
+        assert_eq!(config.max_loops, Some(9));
         let ring = config.retention.unwrap();
         assert_eq!((ring.interval, ring.capacity, ring.max_width), (12, 16, 3));
         assert_eq!(
@@ -951,8 +938,11 @@ mod tests {
             Some(teeperf_live::OverheadBudget { pct: 10 })
         );
 
+        // The rescan cadence is no longer a knob: a stale supervisor script
+        // that still passes it is refused (exit 2 from `Command::main`).
+        let e = parsed(&["--scan-every", "1"]).unwrap_err();
+        assert!(e.starts_with("unknown flag --scan-every"), "{e}");
         for (argv, message) in [
-            (["--scan-every", "0"], "bad --scan-every `0` (want >= 1)"),
             (["--pump-ms", "x"], "bad --pump-ms `x`"),
             (["--max-loops", "x"], "bad --max-loops `x`"),
             (
@@ -1004,12 +994,17 @@ mod tests {
         let dir = scratch("alien");
         std::fs::write(dir.0.join("33.tplog"), b"junk").unwrap();
         std::fs::write(dir.0.join("not-a-pid.tplog"), b"junk").unwrap();
+        std::fs::write(dir.0.join("034.tplog"), b"junk").unwrap();
         let mut d = test_daemon(&dir.0);
         assert_eq!(d.scan(), 0);
-        assert_eq!(d.attach_errors.len(), 1, "pid-named junk is an error");
-        assert_eq!(d.scan(), 0);
-        assert_eq!(d.attach_errors.len(), 1, "rejected files are not retried");
-        assert!(d.metrics_text().contains("teeperf_attach_errors_total 1"));
+        assert_eq!(d.attach_errors.len(), 2, "pid-named junk is an error");
+        // A rejection is of a name, not a pid: junk under pid 34's other
+        // spelling does not shadow the log it registers later.
+        write_session(&dir.0, 34, 10);
+        assert_eq!(d.scan(), 1);
+        assert_eq!(d.attach_errors.len(), 2, "rejected files are not retried");
+        assert!(d.metrics_text().contains("teeperf_attach_errors_total 2"));
+        assert_eq!(d.registry.pids(), [34]);
     }
 
     #[test]
@@ -1082,7 +1077,6 @@ mod tests {
             dir: dir.0.clone(),
             listen: "127.0.0.1:0".to_string(),
             pump_interval: Duration::from_millis(1),
-            scan_every: 1,
             snapshot_out: None,
             watchdog: WatchdogConfig::default(),
             max_loops: None,
@@ -1172,7 +1166,6 @@ mod tests {
         let mut config = DaemonConfig {
             dir: dir.0.clone(),
             pump_interval: Duration::from_millis(1),
-            scan_every: 1,
             snapshot_out: Some(out.clone()),
             ..DaemonConfig::default()
         };

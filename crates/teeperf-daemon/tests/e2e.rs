@@ -78,14 +78,7 @@ impl DaemonProc {
         let mut child = Command::new(env!("CARGO_BIN_EXE_teeperfd"))
             .arg("--dir")
             .arg(dir)
-            .args([
-                "--listen",
-                "127.0.0.1:0",
-                "--pump-ms",
-                "5",
-                "--scan-every",
-                "1",
-            ])
+            .args(["--listen", "127.0.0.1:0", "--pump-ms", "5"])
             .args(extra)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
@@ -500,9 +493,17 @@ fn writer_binary_rejects_bad_usage() {
         .expect("run writer");
     assert_eq!(out.status.code(), Some(2), "--dir is required");
 
-    let out = Command::new(env!("CARGO_BIN_EXE_teeperfd"))
-        .arg("--bogus")
-        .output()
-        .expect("run daemon");
-    assert_eq!(out.status.code(), Some(2), "unknown flags are usage errors");
+    // `--scan-every` is gone (the daemon rescans every loop): a supervisor
+    // script that still passes it fails loudly.
+    for bogus in ["--bogus", "--scan-every"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_teeperfd"))
+            .args([bogus, "1"])
+            .output()
+            .expect("run daemon");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{bogus}: unknown flags are usage errors"
+        );
+    }
 }

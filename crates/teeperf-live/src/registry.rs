@@ -38,7 +38,7 @@ use teeperf_analyzer::query::windowed::top_rows;
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_analyzer::{diff, Frame, NameSpace, Profile, ProfileMerge, WindowSpec};
 use teeperf_core::layout::PID_UNSET;
-use teeperf_core::{EventSource, SalvageReport};
+use teeperf_core::{EventSource, SalvageReport, SourceBatch};
 use teeperf_flamegraph::{live, LiveStatus, SvgOptions};
 
 use crate::session::{LiveConfig, LiveSession};
@@ -140,6 +140,10 @@ pub struct SessionRegistry {
     /// their stacks' ids in it, so it only ever grows (and merged views
     /// only read the registry, hence the cell).
     space: RefCell<NameSpace>,
+    /// The one buffer every session pumps into, lent to each in turn: it
+    /// settles at the largest single pump, so a steady drain needs no new
+    /// batch whichever session is attached or retired.
+    batch: SourceBatch,
 }
 
 impl SessionRegistry {
@@ -154,6 +158,7 @@ impl SessionRegistry {
             retired_salvage: SalvageReport::default(),
             events: Vec::new(),
             space: RefCell::new(NameSpace::new()),
+            batch: SourceBatch::default(),
         }
     }
 
@@ -283,7 +288,7 @@ impl SessionRegistry {
         let watchdog = self.watchdog;
         for (pid, session) in &mut self.sessions {
             let before_dropped = session.dropped();
-            let n = session.pump();
+            let n = session.pump_into(&mut self.batch);
             total += n;
             if session.source_dead() {
                 condemned.push((*pid, "source header corrupted".to_string()));

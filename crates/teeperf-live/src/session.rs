@@ -14,7 +14,7 @@ use std::collections::{BTreeSet, VecDeque};
 
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_analyzer::{PathNames, ProfileMerge};
-use teeperf_core::{EventSource, LiveLogSource, Regime, SharedLog};
+use teeperf_core::{EventSource, LiveLogSource, Regime, SharedLog, SourceBatch};
 use teeperf_flamegraph::{live, LiveStatus, SvgOptions};
 
 use crate::rolling::RollingProfile;
@@ -354,6 +354,12 @@ impl LiveSession {
     /// publication never waits for a rotation — and recorded as a
     /// [`SessionEvent::RegimeChanged`].
     pub fn pump(&mut self) -> usize {
+        self.pump_into(&mut SourceBatch::default())
+    }
+
+    /// [`LiveSession::pump`] through a batch the caller keeps, so that
+    /// every session of a registry drains into one buffer.
+    pub(crate) fn pump_into(&mut self, batch: &mut SourceBatch) -> usize {
         // Occupancy is sampled *before* the drain: it is the fill level
         // the writers ran against, and it resets to zero the moment the
         // pump rotates.
@@ -363,7 +369,7 @@ impl LiveSession {
         // bias-corrects them back into estimated totals.
         let scale = self.published_regime().scale();
         self.rolling.set_scale(scale);
-        let batch = self.source.pump();
+        self.source.pump_into(batch);
         let n = batch.entries.len();
         if self.config.keep_replay {
             self.replay.extend_from_slice(&batch.entries);

@@ -104,7 +104,7 @@ daemon_smoke() {
   # shutdown signal (the stdin-EOF contract, DESIGN.md §12).
   mkfifo "$dir/stdin"
   target/debug/teeperfd --dir "$dir/reg" --listen 127.0.0.1:0 --pump-ms 5 \
-    --scan-every 1 < "$dir/stdin" > "$out" &
+    < "$dir/stdin" > "$out" &
   pid=$!
   exec 3> "$dir/stdin" # holds the fifo open for the daemon's lifetime
   for _ in $(seq 1 100); do
@@ -149,7 +149,7 @@ query_smoke() {
   run cargo build -q --offline -p teeperf-daemon
   mkfifo "$dir/stdin"
   target/debug/teeperfd --dir "$dir/reg" --listen 127.0.0.1:0 --pump-ms 5 \
-    --scan-every 1 --window-interval 12 --retain 16 < "$dir/stdin" > "$out" &
+    --window-interval 12 --retain 16 < "$dir/stdin" > "$out" &
   pid=$!
   exec 3> "$dir/stdin" # holds the fifo open for the daemon's lifetime
   for _ in $(seq 1 100); do
@@ -340,5 +340,27 @@ reply_freshness() {
   echo "==> reply-freshness ok"
 }
 tmo 120 bash -c "$(declare -f reply_freshness metric); reply_freshness"
+
+# Prompt attach (ISSUE 25): the daemon scans at the top of every loop, so a
+# new process is attached by the first loop that starts after it registers,
+# not by the fourth. One untraced `ingest_flood` at smoke length must end
+# `correct` with `setup_s` under 0.08 s — less than three default
+# `--pump-ms` sleeps, so the loop cadence sets the line and not host speed:
+# 0.103 when a log waited up to four loops, 0.030-0.062 now (one cold
+# set-up per smoke run). Built by the benchmark stage above.
+prompt_attach() {
+  local json setup
+  json="$(benchmark/run.sh --workload ingest_flood --smoke | tail -1)"
+  case "$json" in
+    '{"correct":true,'*) ;;
+    *) echo "prompt-attach: the run did not end in a correct result"; return 1 ;;
+  esac
+  setup="$(metric "$json" setup_s)"
+  echo "prompt-attach: setup_s=$setup"
+  awk -v s="$setup" 'BEGIN { exit !(s != "" && s + 0 < 0.08) }' \
+    || { echo "prompt-attach: want setup_s < 0.08 (under three default --pump-ms)"; return 1; }
+  echo "==> prompt-attach ok"
+}
+tmo 120 bash -c "$(declare -f prompt_attach metric); prompt_attach"
 
 echo "==> ci ok"

@@ -28,7 +28,7 @@ while [ ! -e "$reg/$doomed.tplog" ]; do sleep 0.05; done; sleep 0.3
 declare -A addr
 for side in parent change; do
   mkfifo "$dir/$side.stdin"
-  "${!side}" --dir "$reg" --listen 127.0.0.1:0 --pump-ms 5 --scan-every 1 \
+  "${!side}" --dir "$reg" --listen 127.0.0.1:0 --pump-ms 5 \
       --window-interval 12 --retain 16 --snapshot-out "$dir/$side.final" \
       < "$dir/$side.stdin" > "$dir/$side.out" &
   if [ "$side" = parent ]; then exec 3> "$dir/$side.stdin"; else exec 4> "$dir/$side.stdin"; fi

@@ -6,7 +6,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -18,16 +18,21 @@ use teeperf_daemon::http::Request;
 use teeperf_daemon::{route, Daemon, DaemonConfig, ShutdownCause};
 use teeperf_live::Snapshot;
 
-/// A fresh registration directory holding pid 41's finished session:
-/// main [1, 101] calls work [10, 60] — work 50 ticks, main 100 - 50.
+/// A fresh registration directory holding pid 41's finished session.
 fn registered_session(label: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("teeperf-{label}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
+    register_session(&dir);
+    dir
+}
 
+/// Register pid 41's finished session in `dir`: main [1, 101] calls work
+/// [10, 60] — work 50 ticks, main 100 - 50.
+fn register_session(dir: &Path) {
     let debug = DebugInfo::from_functions([("main", 4, 1), ("work", 4, 5)]);
-    publish_sidecar(&dir, 41, "sym", &debug.to_text()).unwrap();
-    let mut writer = FileShmWriter::create(&dir, &make_header(41, 64, true, 0, 0)).unwrap();
+    publish_sidecar(dir, 41, "sym", &debug.to_text()).unwrap();
+    let mut writer = FileShmWriter::create(dir, &make_header(41, 64, true, 0, 0)).unwrap();
     let (main, work) = (debug.entry_addr(0), debug.entry_addr(1));
     for (kind, counter, addr) in [
         (EventKind::Call, 1, main),
@@ -44,7 +49,15 @@ fn registered_session(label: &str) -> PathBuf {
         writer.write(&entry).unwrap();
     }
     writer.finish().unwrap();
-    dir
+}
+
+/// The body of the one reply `client` gets (the daemon closes after it).
+fn body_of(client: &mut TcpStream) -> String {
+    let mut reply = String::new();
+    client.read_to_string(&mut reply).unwrap();
+    let (head, body) = reply.split_once("\r\n\r\n").unwrap();
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+    body.to_string()
 }
 
 #[test]
@@ -56,7 +69,6 @@ fn a_file_backed_log_comes_back_out_of_the_snapshot_route() {
         dir: dir.clone(),
         listen: "127.0.0.1:0".to_string(),
         pump_interval: Duration::from_millis(1),
-        scan_every: 1,
         max_loops: Some(20_000),
         ..DaemonConfig::default()
     })
@@ -126,7 +138,6 @@ fn a_reply_carries_the_drain_of_the_loop_that_served_it() {
         dir: dir.clone(),
         listen: "127.0.0.1:0".to_string(),
         pump_interval: Duration::from_millis(1),
-        scan_every: 1,
         max_loops: Some(1),
         ..DaemonConfig::default()
     })
@@ -140,15 +151,69 @@ fn a_reply_carries_the_drain_of_the_loop_that_served_it() {
     assert_eq!(report.cause, ShutdownCause::LoopLimit);
     assert_eq!((report.loops, report.requests), (1, 1));
 
-    let mut reply = String::new();
-    client.read_to_string(&mut reply).unwrap();
-    let (head, body) = reply.split_once("\r\n\r\n").unwrap();
-    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-    assert_eq!(Snapshot::summary_from_text(body).unwrap().events, 4);
+    let body = body_of(&mut client);
+    assert_eq!(Snapshot::summary_from_text(&body).unwrap().events, 4);
     assert_eq!(
         body,
         report.merged.to_text(),
         "the served drain is the final one"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A new process reaches the daemon in one loop: a log registered after
+/// the daemon's first reply is attached by the scan that opens the next
+/// loop. A held-back second request ends the first loop's serve phase
+/// (accepting stops one `pump_interval` after it began), so which loop
+/// answers which request is fixed by the loop body, not by a race.
+#[test]
+fn a_log_registered_after_a_reply_is_attached_by_the_next_loop() {
+    let dir = std::env::temp_dir().join(format!("teeperf-next-loop-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let pump = Duration::from_millis(100);
+    let daemon = Daemon::new(DaemonConfig {
+        dir: dir.clone(),
+        listen: "127.0.0.1:0".to_string(),
+        pump_interval: pump,
+        max_loops: Some(2),
+        ..DaemonConfig::default()
+    })
+    .unwrap()
+    .without_liveness_probe();
+    let addr = daemon.addr();
+    // Both waiting when the first loop starts: one asks at once, the
+    // other holds its request back.
+    let mut first = TcpStream::connect(addr).unwrap();
+    first.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
+    let mut held = TcpStream::connect(addr).unwrap();
+    let (_keep_open, external) = mpsc::channel::<String>();
+    let running = std::thread::spawn(move || daemon.run(&external));
+
+    let metric = |body: &str, name: &str| -> u64 {
+        let line = body.lines().find_map(|l| l.strip_prefix(name)).unwrap();
+        line.trim().parse().unwrap()
+    };
+    let body = body_of(&mut first);
+    assert_eq!(metric(&body, "teeperf_attached_total "), 0, "{body}");
+    register_session(&dir);
+    let mut next = TcpStream::connect(addr).unwrap();
+    next.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
+    // Served a whole `pump_interval` after the first loop began serving,
+    // the held request is that loop's last: `next` waits for the second.
+    std::thread::sleep(pump);
+    held.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+    assert_eq!(body_of(&mut held), "ok\n");
+    let body = body_of(&mut next);
+
+    let report = running.join().unwrap().unwrap();
+    assert_eq!((report.loops, report.requests), (2, 3));
+    assert_eq!(metric(&body, "teeperf_attached_total "), 1, "{body}");
+    assert_eq!(
+        metric(&body, "teeperf_scans_total "),
+        2,
+        "one scan a loop: {body}"
+    );
+    assert_eq!(report.attached, vec![41]);
     let _ = std::fs::remove_dir_all(&dir);
 }
