@@ -25,7 +25,9 @@
 //!   accumulator of a cross-process view over a [`NameSpace`] — profiles,
 //!   or aggregates whose stacks their session has placed there, go in,
 //!   names are small integers inside, and `finish` makes the strings of
-//!   the merged rows only ([`merge_profiles`] is its fold over profiles);
+//!   the merged rows only — or `method_rows` / `folded_rows` hand out the
+//!   two tables a snapshot is written from, in the same order, and make
+//!   none ([`merge_profiles`] is its fold over profiles);
 //! * [`symbolize`] — `addr2line`/`c++filt` equivalent: relocation via the
 //!   header's anchor address, then symbol lookup and demangling;
 //! * [`query`] — a small dataframe engine with a declarative query language

@@ -17,24 +17,27 @@
 //! threads over workers, run it per shard — each shard with a table of its
 //! own — then adopt the shards' tables into one and add their rows under
 //! the translation. Every aggregate operation is commutative and
-//! associative and every output table is finished with a total sort, so
-//! the sharded result is byte-identical to the sequential one — the
-//! invariant `build_with_shards` is tested against.
+//! associative and every output table is in a total order, so the sharded
+//! result is byte-identical to the sequential one — the invariant
+//! `build_with_shards` is tested against.
 //!
 //! Across processes an address means nothing — the same function loads at
 //! different addresses, different functions at the same one — so a
 //! cross-process view lives in a [`NameSpace`]: the same tree, spelled in
-//! names. [`ProfileMerge`] accumulates in it, fed with finished
-//! [`Profile`]s or with [`Aggregates`] whose session remembers where its
-//! stacks sit there ([`PathNames`]), and is materialized once, in its
-//! `finish`.
+//! names, each stack's children kept in name order, so that a walk of it
+//! is the folded table in order. [`ProfileMerge`] accumulates in it, fed
+//! with finished [`Profile`]s or with [`Aggregates`] whose session
+//! remembers where its stacks sit there ([`PathNames`]), and is read once:
+//! materialized in its `finish`, or as just the method and folded rows a
+//! snapshot's text is written from.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
 
 use crate::query::frame::Frame;
 use crate::reader::{self, Event};
 use crate::stacks::{CompletedCall, PathId, PathTable, ResumableStacks};
-use crate::symbolize::{SymId, Symbolizer};
+use crate::symbolize::Symbolizer;
 use teeperf_core::layout::LogEntry;
 use teeperf_core::LogFile;
 
@@ -126,43 +129,50 @@ pub struct Profile {
     pub pids: BTreeSet<u64>,
 }
 
-/// One row of counters: a stack's in an [`Aggregates`], a method's or a
-/// merged stack's once rows are grouped.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Row {
+/// The counters of one row: a stack's, a method's or a merged stack's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Counts {
     calls: u64,
     inclusive: u64,
     exclusive: u64,
     min_inclusive: u64,
     max_inclusive: u64,
-    /// Threads that completed a call here, ascending.
-    threads: Vec<u64>,
 }
 
-impl Default for Row {
-    /// The identity of [`Row::add`]: no calls, so no fastest one.
-    fn default() -> Row {
-        Row {
+impl Default for Counts {
+    /// The identity of [`Counts::add`]: no calls, so no fastest one.
+    fn default() -> Counts {
+        Counts {
             calls: 0,
             inclusive: 0,
             exclusive: 0,
             min_inclusive: u64::MAX,
             max_inclusive: 0,
-            threads: Vec::new(),
         }
     }
 }
 
-impl Row {
-    /// Fold counters into this row.
-    fn add(&mut self, calls: u64, inclusive: u64, exclusive: u64, min: u64, max: u64) {
-        self.calls += calls;
-        self.inclusive += inclusive;
-        self.exclusive += exclusive;
-        self.min_inclusive = self.min_inclusive.min(min);
-        self.max_inclusive = self.max_inclusive.max(max);
+impl Counts {
+    /// Fold `other` into these counters.
+    fn add(&mut self, other: &Counts) {
+        self.calls += other.calls;
+        self.inclusive += other.inclusive;
+        self.exclusive += other.exclusive;
+        self.min_inclusive = self.min_inclusive.min(other.min_inclusive);
+        self.max_inclusive = self.max_inclusive.max(other.max_inclusive);
     }
+}
 
+/// One row of an [`Aggregates`] (a stack's), or a method's once
+/// `materialize` groups them: counters and the threads behind them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Row {
+    counts: Counts,
+    /// Threads that completed a call here, ascending.
+    threads: Vec<u64>,
+}
+
+impl Row {
     /// Record that `tid` completed a call here; whether that is news.
     fn note_thread(&mut self, tid: u64) -> bool {
         match self.threads.binary_search(&tid) {
@@ -174,28 +184,11 @@ impl Row {
         }
     }
 
-    /// Fold another row in, its threads re-keyed through `key` (a
-    /// cross-process merge namespaces them).
-    fn add_row(&mut self, other: &Row, key: impl Fn(u64) -> u64) {
-        self.add(
-            other.calls,
-            other.inclusive,
-            other.exclusive,
-            other.min_inclusive,
-            other.max_inclusive,
-        );
+    /// Fold another row in.
+    fn add_row(&mut self, other: &Row) {
+        self.counts.add(&other.counts);
         for tid in &other.threads {
-            self.note_thread(key(*tid));
-        }
-    }
-
-    /// Fold another row in whole: a row nothing was added to yet becomes
-    /// it, copying no thread.
-    fn absorb(&mut self, other: Row) {
-        if *self == Row::default() {
-            *self = other;
-        } else {
-            self.add_row(&other, |tid| tid);
+            self.note_thread(*tid);
         }
     }
 }
@@ -221,56 +214,23 @@ fn add_edge<K: std::hash::Hash + Eq>(
     e.2 += exclusive;
 }
 
-/// The method table's total order: exclusive ticks descending, then name,
-/// then address.
-fn sort_methods(methods: &mut [MethodStats]) {
-    methods.sort_by(|a, b| {
-        b.exclusive
-            .cmp(&a.exclusive)
-            .then_with(|| a.name.cmp(&b.name))
-            .then_with(|| a.addr.cmp(&b.addr))
-    });
+/// The method table's sort key, a total order: exclusive ticks descending,
+/// then name, then address.
+fn method_key(exclusive: u64, name: &str, addr: u64) -> (Reverse<u64>, &str, u64) {
+    (Reverse(exclusive), name, addr)
 }
 
-fn method_stats(name: String, addr: u64, row: Row) -> MethodStats {
+fn method_stats(name: String, addr: u64, counts: Counts, threads: BTreeSet<u64>) -> MethodStats {
     MethodStats {
         name,
         addr,
-        calls: row.calls,
-        inclusive: row.inclusive,
-        exclusive: row.exclusive,
-        min_inclusive: row.min_inclusive,
-        max_inclusive: row.max_inclusive,
-        threads: row.threads.into_iter().collect(),
+        calls: counts.calls,
+        inclusive: counts.inclusive,
+        exclusive: counts.exclusive,
+        min_inclusive: counts.min_inclusive,
+        max_inclusive: counts.max_inclusive,
+        threads,
     }
-}
-
-/// The folded table of a name-space tree: every stack with ticks (`ticks`
-/// is indexed by stack id and may stop short of the tree), spelled
-/// outermost first through `name`, sorted. Keys stand for distinct names,
-/// so the spelled stacks are distinct and a plain sort is total.
-fn spell_folded(
-    tree: &PathTable,
-    ticks: &[u64],
-    name: impl Fn(u64) -> String,
-) -> Vec<(Vec<String>, u64)> {
-    let mut folded: Vec<(Vec<String>, u64)> = tree
-        .rows()
-        .zip(ticks.iter().skip(1))
-        .filter(|(_, ticks)| **ticks > 0)
-        .map(|((id, ..), ticks)| {
-            let mut path = Vec::new();
-            let mut at = id;
-            while at != PathId::ROOT {
-                path.push(name(tree.key(at)));
-                at = tree.parent(at);
-            }
-            path.reverse();
-            (path, *ticks)
-        })
-        .collect();
-    folded.sort();
-    folded
 }
 
 /// Aggregation state over completed calls: one row of counters per stack,
@@ -331,13 +291,13 @@ impl Aggregates {
         let (inclusive, exclusive) = (call.inclusive(), call.exclusive());
         self.truncated_frames += u64::from(call.truncated);
         let row = row_at(&mut self.rows, call.path.index());
-        row.add(
-            scale,
-            scale * inclusive,
-            scale * exclusive,
-            inclusive,
-            inclusive,
-        );
+        row.counts.add(&Counts {
+            calls: scale,
+            inclusive: scale * inclusive,
+            exclusive: scale * exclusive,
+            min_inclusive: inclusive,
+            max_inclusive: inclusive,
+        });
         if row.note_thread(tid) {
             self.threads.insert(tid);
         }
@@ -357,8 +317,8 @@ impl Aggregates {
 
     fn merge_rows(&mut self, other: &Aggregates, translate: impl Fn(usize) -> usize) {
         for (index, row) in other.rows.iter().enumerate() {
-            if row.calls > 0 {
-                row_at(&mut self.rows, translate(index)).add_row(row, |tid| tid);
+            if row.counts.calls > 0 {
+                row_at(&mut self.rows, translate(index)).add_row(row);
             }
         }
         self.threads.extend(&other.threads);
@@ -369,12 +329,12 @@ impl Aggregates {
     /// Materialize the aggregate as a [`Profile`] — `paths` being the table
     /// its calls were interned in. Rows are grouped by address into
     /// methods and by `(caller address, address)` into caller edges;
-    /// folded stacks are re-interned by *name* (the symbolizer's ids, one
-    /// lookup per stack), so stacks that symbolize identically merge on
-    /// integers, and strings appear only at the end. Every table is
-    /// finished with a total sort, so the output is independent of
-    /// hash-map iteration order, of the order stacks were met in and of
-    /// shard assignment.
+    /// folded stacks are re-interned by *name* in a [`NameSpace`] of their
+    /// own (one symbolizer lookup per stack, one string per distinct
+    /// name), so stacks that symbolize identically merge on integers and
+    /// come out in the name space's folded order. Every table is in a
+    /// total order, so the output is independent of hash-map iteration
+    /// order, of the order stacks were met in and of shard assignment.
     pub fn materialize(
         &self,
         paths: &PathTable,
@@ -383,33 +343,42 @@ impl Aggregates {
     ) -> Profile {
         let mut by_addr: HashMap<u64, Row> = HashMap::new();
         let mut edges: HashMap<(u64, u64), (u64, u64, u64)> = HashMap::new();
-        let mut named = PathTable::new();
+        let mut named = NameSpace::new();
+        let mut by_sym: Vec<Option<u32>> = Vec::new();
         let mut translation = vec![PathId::ROOT];
         let mut ticks: Vec<u64> = Vec::new();
         for ((_, parent, addr), row) in paths.rows().zip(self.rows.iter().skip(1)) {
-            let sym = u64::from(symbolizer.intern(addr).0);
-            let node = named.child(translation[parent.index()], sym);
+            let sym = symbolizer.intern(addr);
+            let name = *row_at(&mut by_sym, sym.0 as usize)
+                .get_or_insert_with(|| named.id(&symbolizer.resolve(sym)));
+            let node = named.stack(translation[parent.index()], name);
             translation.push(node);
-            *row_at(&mut ticks, node.index()) += row.exclusive;
-            if row.calls > 0 {
-                by_addr.entry(addr).or_default().add_row(row, |tid| tid);
+            let counts = &row.counts;
+            *row_at(&mut ticks, node.index()) += counts.exclusive;
+            if counts.calls > 0 {
+                by_addr.entry(addr).or_default().add_row(row);
                 add_edge(
                     &mut edges,
                     (paths.key(parent), addr),
-                    (row.calls, row.inclusive, row.exclusive),
+                    (counts.calls, counts.inclusive, counts.exclusive),
                 );
             }
         }
 
         let mut methods: Vec<MethodStats> = by_addr
             .into_iter()
-            .map(|(addr, row)| method_stats(symbolizer.name_of(addr), addr, row))
+            .map(|(addr, row)| {
+                let threads = row.threads.into_iter().collect();
+                method_stats(symbolizer.name_of(addr), addr, row.counts, threads)
+            })
             .collect();
-        sort_methods(&mut methods);
+        methods.sort_by(|a, b| {
+            method_key(a.exclusive, &a.name, a.addr).cmp(&method_key(b.exclusive, &b.name, b.addr))
+        });
         let total_ticks = methods.iter().map(|m| m.exclusive).sum();
 
-        let folded = spell_folded(&named, &ticks, |sym| symbolizer.resolve(SymId(sym as u32)));
-        let (symbols, folded_ids) = intern_folded(&folded);
+        let (folded, symbols, folded_ids) =
+            named.spell_folded(|id| ticks.get(id.index()).copied().unwrap_or(0));
 
         // Caller edges keep their address pair through the sort as the
         // final tiebreak, making the order total even when distinct
@@ -456,32 +425,6 @@ impl Aggregates {
             pids: BTreeSet::new(),
         }
     }
-}
-
-/// Build the profile-local symbol table over sorted folded stacks: ids in
-/// order of first appearance, deterministic by construction. Shared by
-/// [`Aggregates::materialize`] and [`ProfileMerge::finish`]. A name is
-/// copied once, into the table, the first time it appears.
-fn intern_folded(folded: &[(Vec<String>, u64)]) -> (Vec<String>, Vec<(Vec<u32>, u64)>) {
-    let mut local: HashMap<&str, u32> = HashMap::new();
-    let mut first_seen: Vec<&str> = Vec::new();
-    let folded_ids: Vec<(Vec<u32>, u64)> = folded
-        .iter()
-        .map(|(path, ticks)| {
-            let ids = path
-                .iter()
-                .map(|name| {
-                    *local.entry(name.as_str()).or_insert_with(|| {
-                        first_seen.push(name);
-                        u32::try_from(first_seen.len() - 1).expect("fewer than 2^32 symbols")
-                    })
-                })
-                .collect();
-            (ids, *ticks)
-        })
-        .collect();
-    let symbols = first_seen.into_iter().map(str::to_string).collect();
-    (symbols, folded_ids)
 }
 
 /// The pass over one shard of threads: walk each thread's events through
@@ -657,15 +600,30 @@ pub fn merged_thread_key(pid: u64, tid: u64) -> u64 {
 /// The name space cross-process views are merged in: names as small
 /// integers, dense in order of first appearance, and over them the
 /// calling-context tree — `(parent stack, name id) → stack` — of every
-/// stack any contribution had. Nothing is ever forgotten, so an id handed
-/// out stays good. Whoever outlives the merges that share it owns it: a
-/// session registry keeps one for its whole run, [`merge_profiles`] one
-/// per call.
-#[derive(Debug, Default)]
+/// stack any contribution had, each stack's children kept in name order.
+/// Nothing is ever forgotten, so an id handed out stays good. Whoever
+/// outlives the merges that share it owns it: a session registry keeps one
+/// for its whole run, [`merge_profiles`] one per call, and
+/// [`Aggregates::materialize`] one per profile.
+#[derive(Debug)]
 pub struct NameSpace {
     ids: HashMap<String, u32>,
     names: Vec<String>,
     stacks: PathTable,
+    /// Indexed by stack id: its children, ascending by name — the folded
+    /// table's sibling order, kept as stacks are interned.
+    children: Vec<Vec<PathId>>,
+}
+
+impl Default for NameSpace {
+    fn default() -> NameSpace {
+        NameSpace {
+            ids: HashMap::new(),
+            names: Vec::new(),
+            stacks: PathTable::new(),
+            children: vec![Vec::new()],
+        }
+    }
 }
 
 impl NameSpace {
@@ -685,7 +643,68 @@ impl NameSpace {
         self.names.push(name.to_string());
         id
     }
+
+    /// The stack `parent` extended by a frame named `name`, interned on
+    /// first sight — and then placed among its siblings by name.
+    fn stack(&mut self, parent: PathId, name: u32) -> PathId {
+        let id = self.stacks.child(parent, u64::from(name));
+        if id.index() == self.children.len() {
+            self.children.push(Vec::new());
+            let (names, stacks) = (&self.names, &self.stacks);
+            let spelled = |id: &PathId| names[stacks.key(*id) as usize].as_str();
+            let siblings = &mut self.children[parent.index()];
+            let at = siblings.partition_point(|s| spelled(s) < spelled(&id));
+            siblings.insert(at, id);
+        }
+        id
+    }
+
+    /// Hand every stack with ticks (`ticks` of a stack id) to `row` as its
+    /// frames' name ids, outermost first, in the folded table's order:
+    /// pre-order, siblings by name. That is the order the spelled stacks
+    /// sort in — a stack sorts right after its prefix and before its next
+    /// sibling — and names are distinct, so it is total.
+    fn folded_rows(&self, ticks: impl Fn(PathId) -> u64, mut row: impl FnMut(&[u32], u64)) {
+        let mut path: Vec<u32> = Vec::new();
+        let mut pending: Vec<(PathId, usize)> =
+            self.children[0].iter().rev().map(|id| (*id, 0)).collect();
+        while let Some((id, depth)) = pending.pop() {
+            path.truncate(depth);
+            path.push(self.stacks.key(id) as u32);
+            let t = ticks(id);
+            if t > 0 {
+                row(&path, t);
+            }
+            let children = self.children[id.index()].iter().rev();
+            pending.extend(children.map(|child| (*child, depth + 1)));
+        }
+    }
+
+    /// [`Profile::folded`], [`Profile::symbols`] and [`Profile::folded_ids`]
+    /// of [`NameSpace::folded_rows`]: the stacks spelled, and the
+    /// profile-local symbol ids assigned in order of first appearance, so
+    /// deterministic by construction. A name is copied once per frame it
+    /// spells and once into the symbol table.
+    fn spell_folded(&self, ticks: impl Fn(PathId) -> u64) -> SpelledFolded {
+        let (mut folded, mut symbols, mut folded_ids) = (Vec::new(), Vec::new(), Vec::new());
+        let mut local: Vec<Option<u32>> = vec![None; self.names.len()];
+        let spell = |id: &u32| self.names[*id as usize].clone();
+        self.folded_rows(ticks, |path, t| {
+            folded.push((path.iter().map(spell).collect(), t));
+            let ids = path.iter().map(|id| {
+                *local[*id as usize].get_or_insert_with(|| {
+                    symbols.push(spell(id));
+                    u32::try_from(symbols.len() - 1).expect("fewer than 2^32 symbols")
+                })
+            });
+            folded_ids.push((ids.collect(), t));
+        });
+        (folded, symbols, folded_ids)
+    }
 }
+
+/// [`Profile::folded`], [`Profile::symbols`], [`Profile::folded_ids`].
+type SpelledFolded = (Vec<(Vec<String>, u64)>, Vec<String>, Vec<(Vec<u32>, u64)>);
 
 /// What a session remembers between the merges it contributes to: where
 /// each stack of its [`PathTable`] sits in the fleet's [`NameSpace`].
@@ -713,14 +732,13 @@ impl PathNames {
         if self.by_path.is_empty() {
             self.by_path.push(PathId::ROOT);
         }
-        for (_, parent, addr) in paths.rows().skip(self.by_path.len() - 1) {
+        for (_, parent, addr) in paths.rows_from(self.by_path.len()) {
             let name = *self
                 .by_addr
                 .entry(addr)
                 .or_insert_with(|| space.id(&symbolizer.name_of(addr)));
             let parent = self.by_path[parent.index()];
-            self.by_path
-                .push(space.stacks.child(parent, u64::from(name)));
+            self.by_path.push(space.stack(parent, name));
         }
     }
 }
@@ -729,28 +747,45 @@ impl PathNames {
 #[derive(Debug)]
 struct MergedStack {
     /// The rows added as aggregates, summed.
-    row: Row,
+    counts: Counts,
     /// The smallest address those rows' innermost frame was seen at.
     addr: u64,
     /// Folded ticks added as profiles, which say nothing else of a stack.
     folded: u64,
+    /// The thread key noted here last: the slots of a window span are
+    /// added one by one and mostly note the same threads again.
+    noted: Option<u64>,
 }
 
 impl Default for MergedStack {
     fn default() -> MergedStack {
         MergedStack {
-            row: Row::default(),
+            counts: Counts::default(),
             addr: u64::MAX,
             folded: 0,
+            noted: None,
         }
     }
+}
+
+/// One method row of a merged view: name id, smallest address, counters.
+type MergedMethod = (u32, u64, Counts);
+
+/// Add `counts`, seen at `addr`, to a method's row: its representative
+/// address is the smallest of those it was seen at.
+fn add_method(row: &mut Option<(u64, Counts)>, addr: u64, counts: &Counts) {
+    let (representative, sum) = row.get_or_insert((addr, Counts::default()));
+    *representative = (*representative).min(addr);
+    sum.add(counts);
 }
 
 /// The accumulator under every cross-process view: per-process
 /// contributions go in — already materialized ([`ProfileMerge::add_profile`])
 /// or still indexed by the session's stack ids
-/// ([`ProfileMerge::add_aggregates`]) — and one [`Profile`] comes out
-/// ([`ProfileMerge::finish`]).
+/// ([`ProfileMerge::add_aggregates`]) — and come out as one [`Profile`]
+/// ([`ProfileMerge::finish`]) or as just the two tables a snapshot's text
+/// is written from ([`ProfileMerge::method_rows`],
+/// [`ProfileMerge::folded_rows`]), grouped and ordered the same way.
 ///
 /// Different processes may load the same function at different addresses
 /// (and different functions at the same address), so the merge keys
@@ -760,36 +795,31 @@ impl Default for MergedStack {
 /// small integer and a stack an index into its [`NameSpace`]'s tree: an
 /// aggregate's rows are added to the rows of the stacks its session's memo
 /// places them at — an index each, nothing hashed — and methods and caller
-/// edges are grouped out of the tree in `finish`; a profile adds its
-/// method and edge rows as they are and only its folded ticks to the tree.
-/// Every counter is summed, so the merged totals equal the sum of the
-/// per-process totals; contributions commute, and the two ways in agree —
-/// adding a process's aggregate gives the same result as adding the
-/// profile [`Aggregates::materialize`] builds from it.
+/// edges are grouped out of the tree when the merge is read; a profile adds
+/// its method and edge rows as they are and only its folded ticks to the
+/// tree. Threads are only noted on the way in, as `(name, thread key)`
+/// pairs: `finish` alone groups them into per-method sets. Every counter
+/// is summed, so the merged totals equal the sum of the per-process totals;
+/// contributions commute, and the two ways in agree — adding a process's
+/// aggregate gives the same result as adding the profile
+/// [`Aggregates::materialize`] builds from it.
 #[derive(Debug)]
 pub struct ProfileMerge<'s> {
     space: &'s mut NameSpace,
-    /// name id → (smallest address seen, merged row), from profiles.
-    methods: HashMap<u32, (u64, Row)>,
+    /// Indexed by name id: the method rows added as profiles.
+    methods: Vec<Option<(u64, Counts)>>,
     /// From profiles.
     edges: HashMap<(u32, u32), (u64, u64, u64)>,
     /// Indexed by the name space's stack ids, as long as the highest one a
     /// contribution touched needs.
     stacks: Vec<MergedStack>,
+    /// `(name id, merged thread key)` of every thread of every method row
+    /// or stack row added.
+    method_threads: Vec<(u32, u64)>,
     threads: BTreeSet<u64>,
     total_ticks: u64,
     anomalies: Anomalies,
     pids: BTreeSet<u64>,
-}
-
-/// The merged row of method `name`, whose representative address is the
-/// smallest of those it was seen at.
-fn method_row(methods: &mut HashMap<u32, (u64, Row)>, name: u32, addr: u64) -> &mut Row {
-    let (representative, row) = methods
-        .entry(name)
-        .or_insert_with(|| (addr, Row::default()));
-    *representative = (*representative).min(addr);
-    row
 }
 
 impl<'s> ProfileMerge<'s> {
@@ -797,9 +827,10 @@ impl<'s> ProfileMerge<'s> {
     pub fn new(space: &'s mut NameSpace) -> ProfileMerge<'s> {
         ProfileMerge {
             space,
-            methods: HashMap::new(),
+            methods: Vec::new(),
             edges: HashMap::new(),
             stacks: Vec::new(),
+            method_threads: Vec::new(),
             threads: BTreeSet::new(),
             total_ticks: 0,
             anomalies: Anomalies::default(),
@@ -827,17 +858,19 @@ impl<'s> ProfileMerge<'s> {
         self.add_anomalies(profile.anomalies);
         for m in &profile.methods {
             let name = self.space.id(&m.name);
-            let row = method_row(&mut self.methods, name, m.addr);
-            row.add(
-                m.calls,
-                m.inclusive,
-                m.exclusive,
-                m.min_inclusive,
-                m.max_inclusive,
-            );
-            for tid in &m.threads {
-                row.note_thread(merged_thread_key(pid, *tid));
-            }
+            let counts = Counts {
+                calls: m.calls,
+                inclusive: m.inclusive,
+                exclusive: m.exclusive,
+                min_inclusive: m.min_inclusive,
+                max_inclusive: m.max_inclusive,
+            };
+            add_method(row_at(&mut self.methods, name as usize), m.addr, &counts);
+            let keys = m
+                .threads
+                .iter()
+                .map(|tid| (name, merged_thread_key(pid, *tid)));
+            self.method_threads.extend(keys);
         }
         // The folded table is sorted, so a stack shares all but its last
         // frames with the one before it: keep that one's walk down the
@@ -852,9 +885,9 @@ impl<'s> ProfileMerge<'s> {
                 .count();
             walk.truncate(shared);
             for name in &path[shared..] {
-                let name = u64::from(self.space.id(name));
+                let name = self.space.id(name);
                 let parent = walk.last().copied().unwrap_or(PathId::ROOT);
-                walk.push(self.space.stacks.child(parent, name));
+                walk.push(self.space.stack(parent, name));
             }
             if let Some(stack) = walk.last() {
                 self.stack(*stack).folded += ticks;
@@ -886,7 +919,9 @@ impl<'s> ProfileMerge<'s> {
     ///
     /// `memo` is the session's (of this merge's [`NameSpace`]): only stacks
     /// it has not placed yet go through `symbolizer` and a lookup. Each row
-    /// is then added where the memo says, an index away.
+    /// is then added where the memo says, an index away, and its threads
+    /// are noted for `finish` — a thread noted at that stack just before
+    /// is not noted again.
     pub fn add_aggregates(
         &mut self,
         pid: u64,
@@ -900,11 +935,19 @@ impl<'s> ProfileMerge<'s> {
         self.add_anomalies(anomalies);
         memo.extend(paths, symbolizer, self.space);
         for ((id, _, addr), row) in paths.rows().zip(aggregates.rows.iter().skip(1)) {
-            if row.calls > 0 {
-                self.total_ticks += row.exclusive;
-                let merged = self.stack(memo.by_path[id.index()]);
+            if row.counts.calls > 0 {
+                self.total_ticks += row.counts.exclusive;
+                let at = memo.by_path[id.index()];
+                let name = self.space.stacks.key(at) as u32;
+                let merged = row_at(&mut self.stacks, at.index());
                 merged.addr = merged.addr.min(addr);
-                merged.row.add_row(row, |tid| merged_thread_key(pid, tid));
+                merged.counts.add(&row.counts);
+                for tid in &row.threads {
+                    let key = merged_thread_key(pid, *tid);
+                    if merged.noted.replace(key) != Some(key) {
+                        self.method_threads.push((name, key));
+                    }
+                }
             }
         }
         let keys = aggregates
@@ -913,58 +956,130 @@ impl<'s> ProfileMerge<'s> {
         self.threads.extend(keys);
     }
 
-    /// Group the tree's rows into methods and caller edges beside the
-    /// profiles', turn ids back into names and finish every table with the
-    /// same total sorts as [`Aggregates::materialize`] — the only place a
-    /// cross-process view is sorted, and where its strings are made.
+    /// The method table in its final order, names as ids: the profiles'
+    /// rows and every stack with calls grouped under its innermost name,
+    /// sorted by [`method_key`] — the one grouping both ways out read.
+    fn methods_in_order(&self) -> Vec<MergedMethod> {
+        let mut by_name = self.methods.clone();
+        by_name.resize(self.space.names.len(), None);
+        let tree = &self.space.stacks;
+        for ((_, _, name), stack) in tree.rows().zip(self.stacks.iter().skip(1)) {
+            if stack.counts.calls > 0 {
+                add_method(&mut by_name[name as usize], stack.addr, &stack.counts);
+            }
+        }
+        let mut rows: Vec<MergedMethod> = Vec::with_capacity(by_name.len());
+        rows.extend((0u32..).zip(by_name).filter_map(|(name, row)| {
+            let (addr, counts) = row?;
+            Some((name, addr, counts))
+        }));
+        let names = &self.space.names;
+        let key = |(name, addr, counts): &MergedMethod| {
+            method_key(counts.exclusive, names[*name as usize].as_str(), *addr)
+        };
+        rows.sort_unstable_by(|a, b| key(a).cmp(&key(b)));
+        rows
+    }
+
+    /// Folded ticks of name-space stack `id`: its rows' exclusive ticks
+    /// plus the profiles' folded ticks.
+    fn ticks(&self, id: PathId) -> u64 {
+        self.stacks
+            .get(id.index())
+            .map_or(0, |stack| stack.counts.exclusive + stack.folded)
+    }
+
+    /// The merged method rows as `(name, calls, inclusive, exclusive)`, in
+    /// the order of the [`Profile::methods`] that `finish` would return.
+    pub fn method_rows(&self) -> impl Iterator<Item = (&str, u64, u64, u64)> + '_ {
+        self.methods_in_order()
+            .into_iter()
+            .map(|(name, _, counts)| {
+                let name = self.space.names[name as usize].as_str();
+                (name, counts.calls, counts.inclusive, counts.exclusive)
+            })
+    }
+
+    /// Hand every merged folded stack to `row` — its frames outermost
+    /// first, and its ticks — in the order of the [`Profile::folded`] that
+    /// `finish` would return.
+    pub fn folded_rows(&self, mut row: impl FnMut(&[&str], u64)) {
+        let mut frames: Vec<&str> = Vec::new();
+        self.space.folded_rows(
+            |id| self.ticks(id),
+            |path, ticks| {
+                frames.clear();
+                frames.extend(
+                    path.iter()
+                        .map(|id| self.space.names[*id as usize].as_str()),
+                );
+                row(&frames, ticks);
+            },
+        );
+    }
+
+    /// Sum of exclusive ticks over everything added: the merged
+    /// [`Profile::total_ticks`].
+    pub fn total_ticks(&self) -> u64 {
+        self.total_ticks
+    }
+
+    /// The processes added: the merged [`Profile::pids`].
+    pub fn pids(&self) -> &BTreeSet<u64> {
+        &self.pids
+    }
+
+    /// The merged [`Profile`]: the method and folded tables of
+    /// [`ProfileMerge::method_rows`] and [`ProfileMerge::folded_rows`]
+    /// with every per-method thread set grouped from the noted pairs, and
+    /// the tree's caller edges beside the profiles' — the only place a
+    /// cross-process view's strings are made.
     pub fn finish(mut self) -> Profile {
         let root = self.space.id(ROOT_NAME);
         let tree = &self.space.stacks;
-        let ticks: Vec<u64> = self
-            .stacks
-            .iter()
-            .map(|stack| stack.row.exclusive + stack.folded)
-            .collect();
-        for ((_, parent, name), stack) in tree.rows().zip(self.stacks.into_iter().skip(1)) {
-            if stack.row.calls > 0 {
-                let name = name as u32;
+        for ((_, parent, name), stack) in tree.rows().zip(self.stacks.iter().skip(1)) {
+            if stack.counts.calls > 0 {
                 let caller = match parent {
                     PathId::ROOT => root,
                     parent => tree.key(parent) as u32,
                 };
-                let row = &stack.row;
+                let c = &stack.counts;
                 add_edge(
                     &mut self.edges,
-                    (caller, name),
-                    (row.calls, row.inclusive, row.exclusive),
+                    (caller, name as u32),
+                    (c.calls, c.inclusive, c.exclusive),
                 );
-                method_row(&mut self.methods, name, stack.addr).absorb(stack.row);
             }
         }
         let name = |id: u32| self.space.names[id as usize].clone();
 
-        let mut methods: Vec<MethodStats> = self
-            .methods
+        let mut threads: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); self.space.names.len()];
+        for (id, key) in &self.method_threads {
+            threads[*id as usize].insert(*key);
+        }
+        let methods: Vec<MethodStats> = self
+            .methods_in_order()
             .into_iter()
-            .map(|(id, (addr, row))| method_stats(name(id), addr, row))
+            .map(|(id, addr, counts)| {
+                let threads = std::mem::take(&mut threads[id as usize]);
+                method_stats(name(id), addr, counts, threads)
+            })
             .collect();
-        sort_methods(&mut methods);
 
-        let folded = spell_folded(tree, &ticks, |id| name(id as u32));
-        let (symbols, folded_ids) = intern_folded(&folded);
+        let (folded, symbols, folded_ids) = self.space.spell_folded(|id| self.ticks(id));
 
         // Name pairs are unique keys here, so no address tiebreak is
         // needed for a total order.
         let mut caller_edges: Vec<CallerEdge> = self
             .edges
-            .into_iter()
+            .iter()
             .map(
                 |((caller, callee), (calls, inclusive, exclusive))| CallerEdge {
-                    caller: name(caller),
-                    callee: name(callee),
-                    calls,
-                    inclusive,
-                    exclusive,
+                    caller: name(*caller),
+                    callee: name(*callee),
+                    calls: *calls,
+                    inclusive: *inclusive,
+                    exclusive: *exclusive,
                 },
             )
             .collect();

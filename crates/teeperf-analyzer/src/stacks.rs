@@ -101,9 +101,19 @@ impl PathTable {
     /// Every stack but the empty one as `(id, parent, key)`, in id order:
     /// a row's parent comes before the row.
     pub fn rows(&self) -> impl Iterator<Item = (PathId, PathId, u64)> + '_ {
-        (1u32..)
-            .zip(&self.nodes[1..])
-            .map(|(i, (parent, key))| (PathId(i), *parent, *key))
+        self.rows_from(1)
+    }
+
+    /// [`PathTable::rows`] from id `first` on: the stacks interned since
+    /// the table held `first` of them.
+    pub(crate) fn rows_from(
+        &self,
+        first: usize,
+    ) -> impl Iterator<Item = (PathId, PathId, u64)> + '_ {
+        (first..self.nodes.len()).map(|i| {
+            let (parent, key) = self.nodes[i];
+            (PathId(i as u32), parent, key)
+        })
     }
 
     /// Intern every stack of `other` here and return the translation,

@@ -186,20 +186,23 @@ impl Response {
         }
     }
 
-    /// Serialize status line, headers and body onto `stream`.
+    /// Serialize status line, headers and body onto `stream` as one
+    /// buffer: through a [`Deadline`] every write is a timeout set and a
+    /// send, so the whole reply goes in one.
     ///
     /// # Errors
     /// Propagates socket write failures.
     pub fn write_to(&self, stream: &mut impl Write) -> io::Result<()> {
-        let head = format!(
+        let mut message = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
             self.status,
             self.reason(),
             self.content_type,
             self.body.len()
-        );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
+        )
+        .into_bytes();
+        message.extend_from_slice(&self.body);
+        stream.write_all(&message)?;
         stream.flush()
     }
 }

@@ -15,8 +15,9 @@
 //! * an embedded **HTTP/1.1 listener** (plain [`std::net::TcpListener`],
 //!   no dependencies — see [`http`]) serves the merged snapshot, per-pid
 //!   views, flame graphs and metrics. The payloads are the stable
-//!   [`Snapshot::to_text`] format: the text format *is* the wire contract,
-//!   and `teeperf top` re-parses it with
+//!   [`Snapshot::to_text`] format (`/snapshot` writes it straight from the
+//!   registry's merge, [`SessionRegistry::merged_text`]): the text format
+//!   *is* the wire contract, and `teeperf top` re-parses it with
 //!   [`Snapshot::summary_from_text`].
 //!
 //! The daemon is deliberately **single-threaded**: one loop rescans the
@@ -194,6 +195,14 @@ impl EventSource for LivenessProbe {
 pub trait SnapshotService {
     /// The merged cross-process snapshot.
     fn merged(&mut self) -> Snapshot;
+
+    /// The `/snapshot` body. The default writes [`SnapshotService::merged`]
+    /// with [`Snapshot::to_text`]: the reference a service that writes the
+    /// text another way must equal byte for byte.
+    fn merged_text(&mut self) -> String {
+        self.merged().to_text()
+    }
+
     /// One process's snapshot, if that pid is (or was) part of the run.
     fn pid_snapshot(&mut self, pid: u64) -> Option<Snapshot>;
     /// The `/metrics` exposition text.
@@ -253,7 +262,7 @@ pub fn route(service: &mut dyn SnapshotService, req: &Request) -> (Response, boo
     }
     match req.path() {
         "/healthz" => (Response::text("ok\n"), false),
-        "/snapshot" => (Response::text(service.merged().to_text()), false),
+        "/snapshot" => (Response::text(service.merged_text()), false),
         "/metrics" => (Response::text(service.metrics_text()), false),
         "/windows" => (Response::text(service.windows_text()), false),
         "/query" => {
@@ -608,6 +617,11 @@ impl Daemon {
 impl SnapshotService for Daemon {
     fn merged(&mut self) -> Snapshot {
         self.registry.merged_snapshot()
+    }
+
+    /// Written from the registry's merge, no snapshot built.
+    fn merged_text(&mut self) -> String {
+        self.registry.merged_text()
     }
 
     fn pid_snapshot(&mut self, pid: u64) -> Option<Snapshot> {
@@ -1026,7 +1040,9 @@ mod tests {
         let (r, stop) = get(&mut d, "/healthz");
         assert_eq!((r.status, stop), (200, false));
         let (r, _) = get(&mut d, "/snapshot");
-        assert!(String::from_utf8(r.body).unwrap().contains("[live]"));
+        let body = String::from_utf8(r.body).unwrap();
+        assert!(body.contains("[live]"));
+        assert_eq!(body, d.merged().to_text(), "served == the reference");
         let (r, _) = get(&mut d, "/pid/77");
         assert_eq!(r.status, 200);
         let (r, _) = get(&mut d, "/pid/99");
@@ -1104,7 +1120,11 @@ mod tests {
             "{m}"
         );
         // The budgeted fleet's regime block flows through /snapshot too.
-        let snap = d.merged().to_text();
+        let request = Request {
+            method: "GET".into(),
+            target: "/snapshot".into(),
+        };
+        let snap = String::from_utf8(route(&mut d, &request).0.body).unwrap();
         assert!(snap.contains("[regime]\nmode full\n"), "{snap}");
         assert!(snap.contains("budget 5"), "{snap}");
     }

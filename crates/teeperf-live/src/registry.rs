@@ -11,7 +11,9 @@
 //! session adds its rolling (or window-span) aggregate's rows to one
 //! [`teeperf_analyzer::ProfileMerge`], retired sessions add their frozen
 //! final profiles, and the answer is materialized once — no per-session
-//! profile is built for `/snapshot` or `/query`. What is kept between
+//! profile is built for `/snapshot` or `/query` — or, for `/snapshot`'s
+//! text ([`SessionRegistry::merged_text`]), not materialized at all but
+//! written from the merge's tables. What is kept between
 //! requests only ever grows: the registry's [`NameSpace`] (names and stacks
 //! of names as small integers) and, in each session, where its own stacks
 //! sit in it — so an address is symbolized once in a session's life and a
@@ -42,7 +44,7 @@ use teeperf_core::{EventSource, SalvageReport, SourceBatch};
 use teeperf_flamegraph::{live, LiveStatus, SvgOptions};
 
 use crate::session::{LiveConfig, LiveSession};
-use crate::snapshot::{RegimeInfo, SessionEvent, Snapshot};
+use crate::snapshot::{self, RegimeInfo, SessionEvent, Snapshot};
 use crate::window::{PidWindows, WindowMeta, WindowSel};
 
 /// Why a source could not be attached to the registry.
@@ -422,13 +424,34 @@ impl SessionRegistry {
     /// way: attached sessions feed their rolling aggregates straight into
     /// the one [`ProfileMerge`].
     pub fn merged_snapshot(&self) -> Snapshot {
+        merge_snapshots(
+            self.parts(),
+            self.events.clone(),
+            &mut self.space.borrow_mut(),
+        )
+    }
+
+    /// [`Self::merged_snapshot`]`.to_text()`, byte for byte, written from
+    /// the merge's tables: the same parts go into the same
+    /// [`ProfileMerge`], and no profile is built on the way out — the
+    /// daemon's `/snapshot` body.
+    pub fn merged_text(&self) -> String {
+        let mut space = self.space.borrow_mut();
+        let mut merge = ProfileMerge::new(&mut space);
+        let (status, events, regime) = merge_parts(self.parts(), self.events.clone(), &mut merge);
+        snapshot::merged_text(&status, &merge, &events, regime.as_ref())
+    }
+
+    /// Every process of the run, ascending by pid: attached sessions where
+    /// they stand, retired ones at their final snapshot.
+    fn parts(&self) -> BTreeMap<u64, Part<'_>> {
         let mut parts: BTreeMap<u64, Part> = self
             .sessions
             .iter()
             .map(|(pid, s)| (*pid, Part::Live(s)))
             .collect();
         parts.extend(self.retired.iter().map(|(pid, s)| (*pid, Part::Frozen(s))));
-        merge_snapshots(parts, self.events.clone(), &mut self.space.borrow_mut())
+        parts
     }
 
     /// The per-pid profiles for rendering: live sessions freshly frozen,
@@ -580,10 +603,27 @@ enum Part<'a> {
     Frozen(&'a Snapshot),
 }
 
-/// Merge the per-pid `parts` (ascending by pid) into one snapshot: profiles
-/// through one [`ProfileMerge`], statuses by field-wise summation;
-/// `events` (the registry's lifecycle log) is extended with each part's
-/// own events — retention transitions recorded by the sessions — in pid
+/// Merge the per-pid `parts` (ascending by pid) into one snapshot: its
+/// profile is the [`ProfileMerge`] of [`merge_parts`], finished.
+fn merge_snapshots<'a>(
+    parts: impl IntoIterator<Item = (u64, Part<'a>)>,
+    events: Vec<SessionEvent>,
+    space: &mut NameSpace,
+) -> Snapshot {
+    let mut merge = ProfileMerge::new(space);
+    let (status, events, regime) = merge_parts(parts, events, &mut merge);
+    Snapshot {
+        status,
+        profile: merge.finish(),
+        events,
+        regime,
+    }
+}
+
+/// Add the per-pid `parts` (ascending by pid) to `merge` and return the
+/// rest of their merged snapshot: statuses by field-wise summation, and
+/// `events` (the registry's lifecycle log) extended with each part's own
+/// events — retention transitions recorded by the sessions — in pid
 /// order, so the merged `[events]` section never hides history loss.
 ///
 /// Regime blocks merge conservatively: the merged regime is the *most
@@ -592,18 +632,17 @@ enum Part<'a> {
 /// budget is the tightest one — so a merged snapshot never claims more
 /// fidelity than its worst member delivers. Sessions without a block
 /// contribute nothing; when none has one, the merge has none.
-fn merge_snapshots<'a>(
+fn merge_parts<'a>(
     parts: impl IntoIterator<Item = (u64, Part<'a>)>,
     mut events: Vec<SessionEvent>,
-    space: &mut NameSpace,
-) -> Snapshot {
-    let mut merge = ProfileMerge::new(space);
+    merge: &mut ProfileMerge,
+) -> (LiveStatus, Vec<SessionEvent>, Option<RegimeInfo>) {
     let mut status = LiveStatus::default();
     let mut regime: Option<RegimeInfo> = None;
     for (pid, part) in parts {
         let (one, own_events, own_regime) = match part {
             Part::Live(session) => {
-                session.merge_into(&mut merge);
+                session.merge_into(merge);
                 (
                     session.status(),
                     session.session_events(),
@@ -641,12 +680,7 @@ fn merge_snapshots<'a>(
             });
         }
     }
-    Snapshot {
-        status,
-        profile: merge.finish(),
-        events,
-        regime,
-    }
+    (status, events, regime)
 }
 
 #[cfg(test)]

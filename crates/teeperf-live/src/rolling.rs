@@ -272,9 +272,10 @@ impl RollingProfile {
 
     /// Contribute the exact merge of the selected windows as process `pid`
     /// — what [`RollingProfile::span_profile`] would add through
-    /// [`ProfileMerge::add_profile`]: the slots' rows are summed by id,
-    /// then translated once. Returns the span's metadata; `None` (and
-    /// nothing added) when windowing is disabled or nothing matches.
+    /// [`ProfileMerge::add_profile`]: each slot's rows are added where they
+    /// sit, and the merge sums them as it would their sum, with no span
+    /// aggregate built on the side. Returns the span's metadata; `None`
+    /// (and nothing added) when windowing is disabled or nothing matches.
     pub(crate) fn merge_span_into(
         &self,
         sel: &WindowSel,
@@ -283,11 +284,13 @@ impl RollingProfile {
         symbolizer: &Symbolizer,
         memo: &mut PathNames,
     ) -> Option<WindowMeta> {
-        let (meta, agg) = self.ring.as_ref()?.span(sel)?;
-        // Window anomalies are zero by construction: orphans and
-        // truncations are session-scoped.
-        let none = Anomalies::default();
-        merge.add_aggregates(pid, &agg, &self.paths, symbolizer, memo, none);
+        let (meta, slots) = self.ring.as_ref()?.span_slots(sel)?;
+        for agg in slots {
+            // Window anomalies are zero by construction: orphans and
+            // truncations are session-scoped.
+            let none = Anomalies::default();
+            merge.add_aggregates(pid, agg, &self.paths, symbolizer, memo, none);
+        }
         Some(meta)
     }
 

@@ -7,11 +7,18 @@
 //! previous snapshot by reusing the batch analyzer's
 //! [`teeperf_analyzer::compare::diff`] — the live rendering of the paper's
 //! before/after-optimization workflow.
+//!
+//! The text format is written here and nowhere else: [`Snapshot::to_text`]
+//! writes a snapshot, and a registry's merged text
+//! ([`crate::SessionRegistry::merged_text`], the daemon's `/snapshot`)
+//! goes through the same writer straight from a
+//! [`teeperf_analyzer::ProfileMerge`]'s tables, no [`Profile`] built.
 
+use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
 
 use teeperf_analyzer::query::frame::Frame;
-use teeperf_analyzer::{compare, Profile};
+use teeperf_analyzer::{compare, Profile, ProfileMerge};
 use teeperf_core::Regime;
 use teeperf_flamegraph::LiveStatus;
 
@@ -197,17 +204,10 @@ impl Snapshot {
         out
     }
 
-    /// Append the folded-stack lines to `out`, frame by frame: no row is
-    /// built on the side.
+    /// Append the folded-stack lines to `out`.
     fn write_folded(&self, out: &mut String) {
         for (path, ticks) in &self.profile.folded {
-            for (depth, frame) in path.iter().enumerate() {
-                if depth > 0 {
-                    out.push(';');
-                }
-                out.push_str(frame);
-            }
-            let _ = writeln!(out, " {ticks}");
+            write_folded_row(out, path.iter().map(String::as_str), *ticks);
         }
     }
 
@@ -222,56 +222,17 @@ impl Snapshot {
     /// occurred, in an `[events]` section; single-source snapshots
     /// serialize exactly as they always have.
     pub fn to_text(&self) -> String {
-        // Rows go straight into the one output buffer; writing to a
-        // `String` cannot fail.
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "[live]\nepoch {}\nevents {}\ndropped {}\nthreads {}\nopen {}\ntotal_ticks {}\n",
-            self.status.epoch,
-            self.status.events,
-            self.status.dropped,
-            self.status.threads,
-            self.status.open_frames,
-            self.profile.total_ticks
-        );
-        if self.profile.pids.len() > 1 {
-            out.push_str("[processes]\n");
-            for pid in &self.profile.pids {
-                let _ = writeln!(out, "pid {pid}");
-            }
-        }
-        if !self.events.is_empty() {
-            out.push_str("[events]\n");
-            for e in &self.events {
-                let _ = writeln!(out, "{e}");
-            }
-        }
-        if let Some(r) = &self.regime {
-            let _ = writeln!(out, "[regime]\nmode {}", r.mode_text());
-            if let Some(pct) = r.budget_pct {
-                let _ = writeln!(out, "budget {pct}");
-            }
-            let _ = write!(
-                out,
-                "transitions {}\nestimated_events {}\nfaults {}\nconfidence {}\n",
-                r.transitions,
-                r.estimated_events,
-                r.faults,
-                r.confidence()
-            );
-        }
-        out.push_str("[methods]\n");
-        for m in &self.profile.methods {
-            let _ = writeln!(
-                out,
-                "{} {} {} {}",
-                m.name, m.calls, m.inclusive, m.exclusive
-            );
-        }
-        out.push_str("[folded]\n");
-        self.write_folded(&mut out);
-        out
+        let p = &self.profile;
+        let methods = p.methods.iter();
+        write_text(
+            &self.status,
+            p.total_ticks,
+            &p.pids,
+            &self.events,
+            self.regime.as_ref(),
+            methods.map(|m| (m.name.as_str(), m.calls, m.inclusive, m.exclusive)),
+            |out| self.write_folded(out),
+        )
     }
 
     /// Parse the `[live]` counters back out of a serialized snapshot — the
@@ -425,6 +386,125 @@ impl Snapshot {
     }
 }
 
+/// The text of a merged snapshot, written from the merge's tables as they
+/// stand: byte for byte the [`Snapshot::to_text`] of the snapshot with
+/// this head whose profile is `merge.finish()`, without building that
+/// profile.
+pub(crate) fn merged_text(
+    status: &LiveStatus,
+    merge: &ProfileMerge,
+    events: &[SessionEvent],
+    regime: Option<&RegimeInfo>,
+) -> String {
+    write_text(
+        status,
+        merge.total_ticks(),
+        merge.pids(),
+        events,
+        regime,
+        merge.method_rows(),
+        |out| {
+            merge.folded_rows(|frames, ticks| write_folded_row(out, frames.iter().copied(), ticks))
+        },
+    )
+}
+
+/// The one writer of the snapshot text format: `[live]`, then
+/// `[processes]` when more than one pid fed the profile, `[events]` when
+/// any occurred and `[regime]` when there is a block; then the
+/// `[methods]` rows `(name, calls, inclusive, exclusive)` in the order
+/// given, and the `[folded]` lines `folded` writes with
+/// [`write_folded_row`]. Writing to a `String` cannot fail.
+fn write_text<'a>(
+    status: &LiveStatus,
+    total_ticks: u64,
+    pids: &BTreeSet<u64>,
+    events: &[SessionEvent],
+    regime: Option<&RegimeInfo>,
+    methods: impl IntoIterator<Item = (&'a str, u64, u64, u64)>,
+    folded: impl FnOnce(&mut String),
+) -> String {
+    let mut out = String::new();
+    let _ = write!(
+        out,
+        "[live]\nepoch {}\nevents {}\ndropped {}\nthreads {}\nopen {}\ntotal_ticks {}\n",
+        status.epoch,
+        status.events,
+        status.dropped,
+        status.threads,
+        status.open_frames,
+        total_ticks
+    );
+    if pids.len() > 1 {
+        out.push_str("[processes]\n");
+        for pid in pids {
+            let _ = writeln!(out, "pid {pid}");
+        }
+    }
+    if !events.is_empty() {
+        out.push_str("[events]\n");
+        for e in events {
+            let _ = writeln!(out, "{e}");
+        }
+    }
+    if let Some(r) = regime {
+        let _ = writeln!(out, "[regime]\nmode {}", r.mode_text());
+        if let Some(pct) = r.budget_pct {
+            let _ = writeln!(out, "budget {pct}");
+        }
+        let _ = write!(
+            out,
+            "transitions {}\nestimated_events {}\nfaults {}\nconfidence {}\n",
+            r.transitions,
+            r.estimated_events,
+            r.faults,
+            r.confidence()
+        );
+    }
+    out.push_str("[methods]\n");
+    for (name, calls, inclusive, exclusive) in methods {
+        out.push_str(name);
+        for n in [calls, inclusive, exclusive] {
+            out.push(' ');
+            push_number(&mut out, n);
+        }
+        out.push('\n');
+    }
+    out.push_str("[folded]\n");
+    folded(&mut out);
+    out
+}
+
+/// One `[folded]` line: the frames outermost first, `;`-joined, then the
+/// ticks.
+fn write_folded_row<'a>(out: &mut String, frames: impl IntoIterator<Item = &'a str>, ticks: u64) {
+    for (depth, frame) in frames.into_iter().enumerate() {
+        if depth > 0 {
+            out.push(';');
+        }
+        out.push_str(frame);
+    }
+    out.push(' ');
+    push_number(out, ticks);
+    out.push('\n');
+}
+
+/// Append `n` in decimal — what `{n}` formats to, without the formatting
+/// machinery a table row would pay per counter.
+fn push_number(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
 /// The one `[section]` walker under every wire parser: hands `row` each
 /// trimmed line inside a `[name]` section (blank ones included — whether
 /// they are skipped or malformed is the parser's call), stops at the first
@@ -506,6 +586,15 @@ mod tests {
         assert!(text.contains("main;work 50\n"));
         let parsed = Snapshot::summary_from_text(&text).unwrap();
         assert_eq!(parsed, s.status);
+    }
+
+    #[test]
+    fn numbers_are_written_as_format_writes_them() {
+        for n in [0, 7, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX] {
+            let mut out = String::from("x");
+            push_number(&mut out, n);
+            assert_eq!(out, format!("x{n}"));
+        }
     }
 
     #[test]

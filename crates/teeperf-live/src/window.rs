@@ -323,6 +323,16 @@ impl RetentionRing {
         Some((self.meta(slots)?, sum(Aggregates::new(), slots)))
     }
 
+    /// [`RetentionRing::span`] left unsummed: the metadata and the selected
+    /// slots' aggregates, oldest first.
+    pub(crate) fn span_slots(
+        &self,
+        sel: &WindowSel,
+    ) -> Option<(WindowMeta, impl Iterator<Item = &Aggregates>)> {
+        let slots = self.select(sel);
+        Some((self.meta(slots)?, slots.iter().map(|slot| &slot.agg)))
+    }
+
     /// The slot containing window index `idx`, if retained (a coarsened
     /// index resolves to its containing bucket).
     pub fn slot_containing(&self, idx: u64) -> Option<(WindowMeta, &Aggregates)> {

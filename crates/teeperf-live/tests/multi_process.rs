@@ -391,7 +391,8 @@ fn merge_of_per_pid(per_pid: &BTreeMap<u64, Snapshot>, lifecycle: &[SessionEvent
 
 /// `registry.merged_snapshot()` against [`merge_of_per_pid`] over the
 /// attached sessions' `snapshot_pid` plus the `retired` final snapshots,
-/// field for field and byte for byte.
+/// field for field and byte for byte — and `registry.merged_text()`, the
+/// text written without that snapshot, against the same bytes.
 fn check_merged(
     registry: &SessionRegistry,
     retired: &BTreeMap<u64, Snapshot>,
@@ -414,6 +415,8 @@ fn check_merged(
     prop_assert_eq!(&got.events, &want.events);
     prop_assert_eq!(&got.regime, &want.regime);
     prop_assert_eq!(got.to_text(), want.to_text());
+    // The served bytes, written from the merge's tables.
+    prop_assert_eq!(registry.merged_text(), want.to_text());
     // Every field at once, so one added later is compared too.
     prop_assert_eq!(&got, &want);
     // And against the per-pid rows directly, not through the shared merge:
