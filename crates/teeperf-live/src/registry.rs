@@ -454,9 +454,10 @@ impl SessionRegistry {
         parts
     }
 
-    /// The per-pid profiles for rendering: live sessions freshly frozen,
-    /// retired sessions at their final frozen state.
-    fn render_parts(&self) -> Vec<(u64, Profile)> {
+    /// Render the merged view as SVG, one `pid <n>` tower per process:
+    /// live sessions freshly frozen, retired sessions at their final
+    /// frozen state.
+    pub fn render_svg(&self, options: &SvgOptions) -> String {
         let mut per_pid: Vec<(u64, Profile)> = self
             .sessions
             .iter()
@@ -468,23 +469,6 @@ impl SessionRegistry {
                 .map(|(pid, s)| (*pid, s.profile.clone())),
         );
         per_pid.sort_by_key(|(pid, _)| *pid);
-        per_pid
-    }
-
-    /// Render the merged view for a terminal: one `pid <n>` tower per
-    /// process under the merged status banner.
-    pub fn render_ascii(&self, width: usize) -> String {
-        let per_pid = self.render_parts();
-        let parts: Vec<teeperf_flamegraph::PidFolded> = per_pid
-            .iter()
-            .map(|(pid, p)| (*pid, p.folded.as_slice()))
-            .collect();
-        live::render_ascii_multi(&parts, &self.merged_status(), width)
-    }
-
-    /// Render the merged view as SVG, one `pid <n>` tower per process.
-    pub fn render_svg(&self, options: &SvgOptions) -> String {
-        let per_pid = self.render_parts();
         let parts: Vec<teeperf_flamegraph::PidFolded> = per_pid
             .iter()
             .map(|(pid, p)| (*pid, p.folded.as_slice()))
@@ -1131,10 +1115,6 @@ mod tests {
         while reg.pump() > 0 {}
         // Freezing and rendering only read: a shared borrow is enough.
         let reg: &SessionRegistry = &reg;
-        let ascii = reg.render_ascii(72);
-        assert!(ascii.starts_with("live · "));
-        assert!(ascii.contains("pid 5"));
-        assert!(ascii.contains("pid 6"));
         let svg = reg.render_svg(&SvgOptions::default());
         assert!(svg.contains("pid 5") && svg.contains("pid 6"));
         let per_pid_ticks: u64 = [5, 6]

@@ -88,7 +88,33 @@ else
   tmo 300 cargo run -q --release --offline -p teeperf-check --bin teeperf-check -- --smoke
 fi
 
-# Daemon smoke (ISSUE 7): start a real teeperfd over a scratch registration
+# The smokes below drive the debug binaries, built once and outside their
+# timers.
+run cargo build -q --offline -p teeperf-cli -p teeperf-daemon
+
+# A debug teeperfd with `--pump-ms 5` and any extra flags, over a fresh
+# scratch registration directory. Sets the caller's dir, out (its stdout),
+# pid and addr (from its listen banner). Its stdin is a fifo held open on
+# FD 3; closing FD 3 is the shutdown signal (the stdin-EOF contract,
+# DESIGN.md §12).
+start_daemon() {
+  dir="$(mktemp -d)"
+  out="$dir/out.log"
+  mkfifo "$dir/stdin"
+  target/debug/teeperfd --dir "$dir/reg" --listen 127.0.0.1:0 --pump-ms 5 "$@" \
+    < "$dir/stdin" > "$out" &
+  pid=$!
+  exec 3> "$dir/stdin"
+  for _ in $(seq 1 100); do
+    addr="$(sed -n 's/^teeperfd listening on //p' "$out" | head -1)"
+    [ -n "$addr" ] && return 0
+    sleep 0.1
+  done
+  echo "start-daemon: no listen banner"
+  return 1
+}
+
+# Daemon smoke: start a real teeperfd over a scratch registration
 # directory, run a scripted writer process through the file-backed shared
 # log, then curl /healthz and /snapshot off the live HTTP listener and
 # assert the merged totals are non-empty. Shutdown is the stdin-EOF
@@ -97,22 +123,7 @@ fi
 # fails the gate instead of hanging CI.
 daemon_smoke() {
   local dir out pid addr snap
-  dir="$(mktemp -d)"
-  out="$dir/out.log"
-  run cargo build -q --offline -p teeperf-daemon
-  # The daemon's stdin is a fifo we hold open on FD 3; closing FD 3 is the
-  # shutdown signal (the stdin-EOF contract, DESIGN.md §12).
-  mkfifo "$dir/stdin"
-  target/debug/teeperfd --dir "$dir/reg" --listen 127.0.0.1:0 --pump-ms 5 \
-    < "$dir/stdin" > "$out" &
-  pid=$!
-  exec 3> "$dir/stdin" # holds the fifo open for the daemon's lifetime
-  for _ in $(seq 1 100); do
-    addr="$(sed -n 's/^teeperfd listening on //p' "$out" | head -1)"
-    [ -n "$addr" ] && break
-    sleep 0.1
-  done
-  [ -n "$addr" ] || { echo "daemon-smoke: no listen banner"; return 1; }
+  start_daemon || return 1
   run target/debug/teeperf-shm-writer --dir "$dir/reg" --iterations 7
   [ "$(curl -sf "http://$addr/healthz")" = "ok" ] \
     || { echo "daemon-smoke: /healthz failed"; return 1; }
@@ -134,7 +145,7 @@ daemon_smoke() {
   rm -rf "$dir"
   echo "==> daemon-smoke ok"
 }
-tmo 120 bash -c "$(declare -f daemon_smoke run); daemon_smoke"
+tmo 120 bash -c "$(declare -f daemon_smoke start_daemon run); daemon_smoke"
 
 # Query smoke (ISSUE 9): teeperfd with short retention windows over a
 # scratch registration directory, two real writer processes, then the
@@ -144,20 +155,7 @@ tmo 120 bash -c "$(declare -f daemon_smoke run); daemon_smoke"
 # as the daemon smoke.
 query_smoke() {
   local dir out pid addr listing q
-  dir="$(mktemp -d)"
-  out="$dir/out.log"
-  run cargo build -q --offline -p teeperf-daemon
-  mkfifo "$dir/stdin"
-  target/debug/teeperfd --dir "$dir/reg" --listen 127.0.0.1:0 --pump-ms 5 \
-    --window-interval 12 --retain 16 < "$dir/stdin" > "$out" &
-  pid=$!
-  exec 3> "$dir/stdin" # holds the fifo open for the daemon's lifetime
-  for _ in $(seq 1 100); do
-    addr="$(sed -n 's/^teeperfd listening on //p' "$out" | head -1)"
-    [ -n "$addr" ] && break
-    sleep 0.1
-  done
-  [ -n "$addr" ] || { echo "query-smoke: no listen banner"; return 1; }
+  start_daemon --window-interval 12 --retain 16 || return 1
   # Two writers, distinct pids: 7 iterations puts main's exit in window 7,
   # 5 iterations in window 5 (12 virtual ticks per iteration, interval 12).
   run target/debug/teeperf-shm-writer --dir "$dir/reg" --iterations 7
@@ -187,7 +185,7 @@ query_smoke() {
   rm -rf "$dir"
   echo "==> query-smoke ok"
 }
-tmo 120 bash -c "$(declare -f query_smoke run); query_smoke"
+tmo 120 bash -c "$(declare -f query_smoke start_daemon run); query_smoke"
 
 # CLI smoke (ISSUE 15): one flag grammar behind every front-end. The
 # command list comes from `teeperf help`; every command in it, `teeperfd`
@@ -226,7 +224,6 @@ cli_smoke() {
   fi
   echo "==> cli-smoke ok"
 }
-run cargo build -q --offline -p teeperf-cli -p teeperf-daemon
 tmo 60 bash -c "$(declare -f cli_smoke); cli_smoke"
 
 # Contention smoke (ISSUE 8): a tiny writers x batch-slots x transition-mode
@@ -256,121 +253,34 @@ fi
 # compile it — a public-API change in a crate it imports would only
 # surface when the benchmark driver runs. Build + test the harness and run
 # every workload once at smoke length (real teeperfd child, oracle
-# checked; non-zero exit on any mismatch).
+# checked; non-zero exit on any mismatch). The perf gate below reads the
+# run's printed output.
+perf="$(mktemp -d)"
 tmo 600 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-tmo 600 benchmark/run.sh --smoke
+tmo 600 benchmark/run.sh --smoke | tee "$perf/untraced"
 
-# One named metric's value out of a benchmark result line (`$1`, the JSON
-# that ends a `benchmark/run.sh` run).
-metric() { echo "$1" | sed -n "s/.*\"$2\":{\"value\":\([0-9.e+-]*\),.*/\1/p"; }
-
-# File transport (ISSUE 16): the two-process stress test (a full-speed
-# writer process against a tight pump loop — the hammer for the
-# transport's one cross-process assumption), then one traced ingest_flood
-# at smoke length, whose per-layer counters must show the protocol's
-# shape: two positioned writes per event (slot, tail) and bulk pump reads.
-# Both are exact counts of the program (`/proc/self/io` deltas), so the
-# gate cannot flake on host speed. Last, because the stages above have
-# built everything it runs (the workspace tests the stress binary, the
-# benchmark stage teeperfd and the harness), so the KILL timeout bounds
-# the runs and not a compile.
-file_transport() {
-  local json writes reads
-  run cargo test -q --offline -p teeperf-daemon --test file_transport_stress
-  json="$(benchmark/run.sh --workload ingest_flood --smoke --trace 1 | tail -1)"
-  writes="$(metric "$json" core.shm_file.write_syscalls_per_event)"
-  reads="$(metric "$json" core.shm_file.pump_read_syscalls_per_event)"
-  echo "file-transport: write_syscalls_per_event=$writes pump_read_syscalls_per_event=$reads"
-  awk -v w="$writes" -v r="$reads" \
-    'BEGIN { exit !(w != "" && r != "" && w + 0 < 2.01 && r + 0 < 0.01) }' \
-    || { echo "file-transport: want < 2.01 writes and < 0.01 reads per event"; return 1; }
-  echo "==> file-transport ok"
-}
-tmo 120 bash -c "$(declare -f file_transport run metric); file_transport"
-
-# Snapshot path (ISSUE 17, 23): a fleet view adds every session's rows to
-# the stacks its memo already placed them at, so merging the 32 sessions
-# of `fanout_poll` must cost less than a tenth of materializing them one
-# by one, and a `last:5` query over the 32 retained rings — five slots
-# summed by id per session, then the same merge — at most four merged
-# snapshots. All three figures come out of one traced run at smoke
-# length, over the same inputs seconds apart, so host speed cancels (0.03
-# and 1.9-2.3 here; 0.20 and 4.7 when every row was hashed by name, slot
-# by slot). The same run's printed `daemon.cpu_ms_per_poll` observation —
-# the daemon's whole loop per /snapshot served, drain included — must stay
-# under 1.6 x rolling.snapshot_ms: /snapshot is written from the merge's
-# tables, not from a materialized profile (1.23 and 1.15 in two smoke
-# runs; 3.17 and 3.48 when every reply built the merged profile first).
-# Built by the benchmark stage above.
-snapshot_path() {
-  local out json merged one last5 cpu
-  out="$(benchmark/run.sh --workload fanout_poll --smoke --trace 1)"
-  json="$(echo "$out" | tail -1)"
-  case "$json" in
-    '{"correct":true,'*) ;;
-    *) echo "snapshot-path: the traced run did not end in a correct result"; return 1 ;;
-  esac
-  merged="$(metric "$json" live.registry.merged_snapshot_ms)"
-  one="$(metric "$json" live.rolling.snapshot_ms)"
-  last5="$(metric "$json" live.window.query_last5_us)"
-  cpu="$(echo "$out" | awk '$1 == "observation" && $2 == "daemon.cpu_ms_per_poll" { print $3 }')"
-  echo "snapshot-path: merged_snapshot_ms=$merged rolling.snapshot_ms=$one (x 32 sessions) query_last5_us=$last5 cpu_ms_per_poll=$cpu"
-  awk -v m="$merged" -v o="$one" \
-    'BEGIN { exit !(m != "" && o != "" && m + 0 < 0.1 * 32 * o) }' \
-    || { echo "snapshot-path: want merged_snapshot_ms < 0.1 x 32 x rolling.snapshot_ms"; return 1; }
-  awk -v m="$merged" -v q="$last5" \
-    'BEGIN { exit !(m != "" && q != "" && q + 0 <= 4 * 1000 * m) }' \
-    || { echo "snapshot-path: want query_last5_us <= 4 x 1000 x merged_snapshot_ms"; return 1; }
-  awk -v c="$cpu" -v o="$one" \
-    'BEGIN { exit !(c != "" && o != "" && c + 0 < 1.6 * o) }' \
-    || { echo "snapshot-path: want daemon.cpu_ms_per_poll < 1.6 x rolling.snapshot_ms"; return 1; }
-  echo "==> snapshot-path ok"
-}
-tmo 120 bash -c "$(declare -f snapshot_path metric); snapshot_path"
-
-# Reply freshness (ISSUE 24): the daemon drains before it answers, so an
-# event waits for one wake-up of the loop — half a period on average —
-# and not for a pump and then the serve of the loop after it. One
-# untraced `paced_visible` at smoke length must end `correct` with
-# `visible_latency_p50_ms` under one default `--pump-ms` (25 ms). Both
-# sides of that line are set by the loop's sleep, whose ten-run spread is
-# 0.3-3 % (benchmark/README.md), not by host speed: 42 ms when the loop
-# served first, 16 ms now. Built by the benchmark stage above.
-reply_freshness() {
-  local json visible
-  json="$(benchmark/run.sh --workload paced_visible --smoke | tail -1)"
-  case "$json" in
-    '{"correct":true,'*) ;;
-    *) echo "reply-freshness: the run did not end in a correct result"; return 1 ;;
-  esac
-  visible="$(metric "$json" visible_latency_p50_ms)"
-  echo "reply-freshness: visible_latency_p50_ms=$visible"
-  awk -v v="$visible" 'BEGIN { exit !(v != "" && v + 0 < 25) }' \
-    || { echo "reply-freshness: want visible_latency_p50_ms < 25 (one default --pump-ms)"; return 1; }
-  echo "==> reply-freshness ok"
-}
-tmo 120 bash -c "$(declare -f reply_freshness metric); reply_freshness"
-
-# Prompt attach (ISSUE 25): the daemon scans at the top of every loop, so a
-# new process is attached by the first loop that starts after it registers,
-# not by the fourth. One untraced `ingest_flood` at smoke length must end
-# `correct` with `setup_s` under 0.08 s — less than three default
-# `--pump-ms` sleeps, so the loop cadence sets the line and not host speed:
-# 0.103 when a log waited up to four loops, 0.030-0.062 now (one cold
-# set-up per smoke run). Built by the benchmark stage above.
-prompt_attach() {
-  local json setup
-  json="$(benchmark/run.sh --workload ingest_flood --smoke | tail -1)"
-  case "$json" in
-    '{"correct":true,'*) ;;
-    *) echo "prompt-attach: the run did not end in a correct result"; return 1 ;;
-  esac
-  setup="$(metric "$json" setup_s)"
-  echo "prompt-attach: setup_s=$setup"
-  awk -v s="$setup" 'BEGIN { exit !(s != "" && s + 0 < 0.08) }' \
-    || { echo "prompt-attach: want setup_s < 0.08 (under three default --pump-ms)"; return 1; }
-  echo "==> prompt-attach ok"
-}
-tmo 120 bash -c "$(declare -f prompt_attach metric); prompt_attach"
+# Perf gate: every row of scripts/perf_gate.table — a count or a same-run
+# ratio, so host speed cancels — over the output above plus one traced
+# smoke run of each workload a traced row names. A run that ends
+# incorrect fails here through its exit status. First the evaluator's
+# self-check over a canned two-workload output: a row whose metric sits
+# under the other workload, a row over its bound and a row whose value is
+# not a number must each fail by name, beside a row that holds.
+printf '%s\n' '== a ==' 'metric x 2.0 ms' 'observation y 4 ms' '== b ==' 'metric w NaN ms' \
+  > "$perf/canned"
+printf '%s\n' 'r a y x 2.5 holds' 'r b x 1 9 absent' 'r a x 1 2 over' 'r b w 1 9 nan' \
+  > "$perf/rows"
+if awk -f scripts/perf_gate.awk "$perf/rows" run=r "$perf/canned" > "$perf/self"; then
+  cat "$perf/self"; echo "perf-gate self-check: a table with failing rows passed"; exit 1
+fi
+for want in '^ok   r a y / x ' '^FAIL r b x / 1 ' '^FAIL r a x / 1 ' '^FAIL r b w / 1 '; do
+  grep -q "$want" "$perf/self" \
+    || { cat "$perf/self"; echo "perf-gate self-check: no line $want"; exit 1; }
+done
+for workload in $(awk '$1 == "traced" { print $2 }' scripts/perf_gate.table | sort -u); do
+  tmo 120 benchmark/run.sh --workload "$workload" --smoke --trace 1 | tee -a "$perf/traced"
+done
+run awk -f scripts/perf_gate.awk scripts/perf_gate.table \
+  run=untraced "$perf/untraced" run=traced "$perf/traced"
 
 echo "==> ci ok"
