@@ -400,9 +400,6 @@ pub struct Daemon {
     registry: SessionRegistry,
     listener: TcpListener,
     addr: SocketAddr,
-    /// Pids ever attached (a retired pid must not be re-attached — its
-    /// contribution is already in the merge).
-    seen_pids: BTreeSet<u64>,
     /// Names of log files that failed to attach; retried never (a file
     /// that was rejected once is not going to become a valid log). Keyed
     /// by name, not pid: `7.tplog` and `007.tplog` carry the same pid.
@@ -437,7 +434,6 @@ impl Daemon {
             registry,
             listener,
             addr,
-            seen_pids: BTreeSet::new(),
             rejected: BTreeSet::new(),
             attach_errors: Vec::new(),
             probe_liveness: true,
@@ -459,10 +455,12 @@ impl Daemon {
         self.addr
     }
 
-    /// One registration-directory sweep: attach every `<pid>.tplog` not
-    /// already attached or rejected. Returns how many sessions were
-    /// attached. It runs every loop, so a name already dealt with costs a
-    /// look at the name and no more.
+    /// One registration-directory sweep: attach every `<pid>.tplog` whose
+    /// pid is not yet in the registry's run (attached or retired — a
+    /// retired pid's contribution is already in the merge) and whose name
+    /// was not rejected. Returns how many sessions were attached. It runs
+    /// every loop, so a name already dealt with costs a look at the name
+    /// and no more.
     pub fn scan(&mut self) -> usize {
         self.scans += 1;
         let Ok(entries) = std::fs::read_dir(&self.config.dir) else {
@@ -478,7 +476,10 @@ impl Daemon {
             else {
                 continue;
             };
-            if self.seen_pids.contains(&pid) || self.rejected.contains(name.as_os_str()) {
+            if self.registry.session(pid).is_some()
+                || self.rejected.contains(name.as_os_str())
+                || self.registry.retired_pids().contains(&pid)
+            {
                 continue;
             }
             found.push((pid, name));
@@ -520,7 +521,6 @@ impl Daemon {
         self.registry
             .attach(Box::new(probed), symbolizer)
             .map_err(|e| format!("attach: {e:?}"))?;
-        self.seen_pids.insert(pid);
         Ok(())
     }
 
@@ -546,6 +546,13 @@ impl Daemon {
             }
         }
         shutdown
+    }
+
+    /// Every pid attached during the run, ascending: attached or retired.
+    fn attached_pids(&self) -> Vec<u64> {
+        let mut pids = [self.registry.pids(), self.registry.retired_pids()].concat();
+        pids.sort_unstable();
+        pids
     }
 
     fn quarantined_pids(&self) -> Vec<u64> {
@@ -606,7 +613,7 @@ impl Daemon {
             cause,
             loops,
             requests: self.requests,
-            attached: self.seen_pids.iter().copied().collect(),
+            attached: self.attached_pids(),
             quarantined: self.quarantined_pids(),
             snapshot_path,
             merged: run.merged,
@@ -663,7 +670,7 @@ impl SnapshotService for Daemon {
         let mut out = String::new();
         out.push_str(&format!(
             "teeperf_attached_total {}\n",
-            self.seen_pids.len()
+            self.attached_pids().len()
         ));
         out.push_str(&format!("teeperf_active {}\n", self.registry.pids().len()));
         out.push_str(&format!(

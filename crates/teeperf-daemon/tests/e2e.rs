@@ -321,6 +321,16 @@ fn killed_writer_is_quarantined_not_wedging_the_registry() {
         metrics.contains(&format!("teeperf_quarantined{{pid=\"{doomed_pid}\"}} 1")),
         "{metrics}"
     );
+    // The quarantined session let go of its file; the healthy one, still
+    // attached, holds its own.
+    let open: Vec<PathBuf> = std::fs::read_dir(format!("/proc/{}/fd", daemon.child.id()))
+        .expect("the daemon's fd table")
+        .flatten()
+        .filter_map(|fd| std::fs::read_link(fd.path()).ok())
+        .collect();
+    let holds = |pid: u64| open.iter().any(|t| t.ends_with(format!("{pid}.tplog")));
+    assert!(holds(u64::from(healthy.id())), "{open:?}");
+    assert!(!holds(doomed_pid), "{open:?}");
 
     let (code, text) = daemon.get("/snapshot");
     assert_eq!(code, 200, "registry keeps serving after a quarantine");

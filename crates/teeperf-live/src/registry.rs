@@ -7,12 +7,12 @@
 //! the cross-process views: per-pid snapshots on demand, plus a *merged*
 //! snapshot whose profile is the commutative merge of every per-pid
 //! profile, so the merged totals are exactly the sum of the per-pid
-//! totals. A merged view is merged before it is symbolized: each attached
-//! session adds its rolling (or window-span) aggregate's rows to one
-//! [`teeperf_analyzer::ProfileMerge`], retired sessions add their frozen
-//! final profiles, and the answer is materialized once — no per-session
-//! profile is built for `/snapshot` or `/query` — or, for `/snapshot`'s
-//! text ([`SessionRegistry::merged_text`]), not materialized at all but
+//! totals. A merged view is merged before it is symbolized: every session
+//! of the run, attached or retired, adds its rolling (or, attached, its
+//! window-span) aggregate's rows to one [`teeperf_analyzer::ProfileMerge`],
+//! and the answer is materialized once — no per-session profile is built
+//! for `/snapshot` or `/query` — or, for `/snapshot`'s text
+//! ([`SessionRegistry::merged_text`]), not materialized at all but
 //! written from the merge's tables. What is kept between
 //! requests only ever grows: the registry's [`NameSpace`] (names and stacks
 //! of names as small integers) and, in each session, where its own stacks
@@ -22,14 +22,15 @@
 //!
 //! Sessions come and go while the registry runs: [`SessionRegistry::attach`]
 //! accepts a new source at any point and [`SessionRegistry::detach`] ends
-//! one early, moving its final snapshot into the *retired* set — the merged
-//! profile keeps counting its contribution. An optional liveness watchdog
-//! ([`SessionRegistry::with_watchdog`]) does the same involuntarily: a
-//! source whose heartbeat (tail progress observed at each pump) stays flat
-//! past the configured timeout is retried with doubling backoff and then
-//! *quarantined* — finished, retired, and recorded as a
-//! [`SessionEvent::Quarantined`] in the merged snapshot, so one crashed
-//! process never poisons the run for the survivors.
+//! one early: the session is finished — its source released — and moved
+//! into the *retired* set, where every merged view keeps counting it. An
+//! optional liveness watchdog ([`SessionRegistry::with_watchdog`]) does
+//! the same involuntarily: a source whose heartbeat (tail progress
+//! observed at each pump) stays flat past the configured timeout is
+//! retried with doubling backoff and then *quarantined* — finished,
+//! retired, and recorded as a [`SessionEvent::Quarantined`] in the merged
+//! snapshot, so one crashed process never poisons the run for the
+//! survivors.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -133,10 +134,9 @@ pub struct SessionRegistry {
     sessions: BTreeMap<u64, LiveSession>,
     watchdog: Option<WatchdogConfig>,
     watch: BTreeMap<u64, WatchState>,
-    /// Final snapshots of detached/quarantined sessions: their
-    /// contribution stays in every merged view.
-    retired: BTreeMap<u64, Snapshot>,
-    retired_salvage: SalvageReport,
+    /// Detached/quarantined sessions, finished: their contribution stays
+    /// in every merged view.
+    retired: BTreeMap<u64, LiveSession>,
     events: Vec<SessionEvent>,
     /// The name ids of every merged view of this run. Sessions remember
     /// their stacks' ids in it, so it only ever grows (and merged views
@@ -157,7 +157,6 @@ impl SessionRegistry {
             watchdog: None,
             watch: BTreeMap::new(),
             retired: BTreeMap::new(),
-            retired_salvage: SalvageReport::default(),
             events: Vec::new(),
             space: RefCell::new(NameSpace::new()),
             batch: SourceBatch::default(),
@@ -202,31 +201,32 @@ impl SessionRegistry {
     }
 
     /// Hot-detach the session for `pid`: end it (final drain, close open
-    /// frames) and move its snapshot into the retired set, where every
-    /// merged view keeps counting it. Returns the final snapshot, or
-    /// `None` when no such session is attached.
+    /// frames, release the source) and move it into the retired set,
+    /// where every merged view keeps counting it. Returns the final
+    /// snapshot, or `None` when no such session is attached.
     pub fn detach(&mut self, pid: u64) -> Option<Snapshot> {
-        let mut session = self.sessions.remove(&pid)?;
-        self.watch.remove(&pid);
-        let snapshot = session.finish();
-        self.retired_salvage.absorb(&session.salvage());
-        self.retired.insert(pid, snapshot.clone());
+        let snapshot = self.retire(pid)?;
         self.events.push(SessionEvent::Detached { pid });
         Some(snapshot)
     }
 
     /// Declare `pid`'s producer dead: finish what can still be drained
     /// (published entries of the final epoch are salvaged on the way out),
-    /// retire the snapshot, and record the quarantine event.
+    /// retire the session, and record the quarantine event.
     fn quarantine(&mut self, pid: u64, reason: String) {
-        let Some(mut session) = self.sessions.remove(&pid) else {
-            return;
-        };
+        if self.retire(pid).is_some() {
+            self.events.push(SessionEvent::Quarantined { pid, reason });
+        }
+    }
+
+    /// Finish the attached session for `pid` and move it into the
+    /// retired set; its final snapshot, or `None` when none is attached.
+    fn retire(&mut self, pid: u64) -> Option<Snapshot> {
+        let mut session = self.sessions.remove(&pid)?;
         self.watch.remove(&pid);
         let snapshot = session.finish();
-        self.retired_salvage.absorb(&session.salvage());
-        self.retired.insert(pid, snapshot);
-        self.events.push(SessionEvent::Quarantined { pid, reason });
+        self.retired.insert(pid, session);
+        Some(snapshot)
     }
 
     /// Registry lifecycle events so far (attach/detach/quarantine), in
@@ -240,11 +240,11 @@ impl SessionRegistry {
         self.retired.keys().copied().collect()
     }
 
-    /// Salvage accounting across the whole registry: every live session's
-    /// report plus those of retired sessions.
+    /// Salvage accounting across the whole registry: every session's
+    /// report, attached or retired.
     pub fn salvage(&self) -> SalvageReport {
-        let mut total = self.retired_salvage.clone();
-        for s in self.sessions.values() {
+        let mut total = SalvageReport::default();
+        for s in self.all_sessions().values() {
             total.absorb(&s.salvage());
         }
         total
@@ -336,32 +336,24 @@ impl SessionRegistry {
     /// Events merged so far, across all processes — including sessions
     /// already retired.
     pub fn events(&self) -> u64 {
-        self.sessions.values().map(LiveSession::events).sum::<u64>()
-            + self.retired.values().map(|s| s.status.events).sum::<u64>()
+        self.all_sessions().values().map(|s| s.events()).sum()
     }
 
     /// Cumulative overflow loss, across all processes — including
     /// sessions already retired.
     pub fn dropped(&self) -> u64 {
-        self.sessions
-            .values()
-            .map(LiveSession::dropped)
-            .sum::<u64>()
-            + self.retired.values().map(|s| s.status.dropped).sum::<u64>()
+        self.all_sessions().values().map(|s| s.dropped()).sum()
     }
 
     /// Cumulative overflow loss per process, ascending by pid — live
-    /// sessions read fresh, retired sessions at their frozen final count.
+    /// sessions read fresh, retired sessions at their final count.
     /// This is the breakdown behind the daemon's per-pid
     /// `teeperf_dropped_total` gauge: the fleet total is the sum of these.
     pub fn dropped_by_pid(&self) -> BTreeMap<u64, u64> {
-        let mut out: BTreeMap<u64, u64> = self
-            .sessions
-            .iter()
-            .map(|(pid, s)| (*pid, s.dropped()))
-            .collect();
-        out.extend(self.retired.iter().map(|(pid, s)| (*pid, s.status.dropped)));
-        out
+        self.all_sessions()
+            .into_iter()
+            .map(|(pid, s)| (pid, s.dropped()))
+            .collect()
     }
 
     /// Each attached session's fidelity-regime block, ascending by pid.
@@ -388,12 +380,10 @@ impl SessionRegistry {
     /// The cross-process status: every counter is the sum over the
     /// attached sessions (epochs included — each process rotates its own
     /// log, so the merged epoch counts rotations fleet-wide) plus the
-    /// frozen counters of retired sessions.
+    /// final counters of retired sessions.
     pub fn merged_status(&self) -> LiveStatus {
         let mut status = LiveStatus::default();
-        let live = self.sessions.values().map(LiveSession::status);
-        let retired = self.retired.values().map(|s| s.status.clone());
-        for one in live.chain(retired) {
+        for one in self.all_sessions().values().map(|s| s.status()) {
             status.epoch += one.epoch;
             status.events += one.events;
             status.dropped += one.dropped;
@@ -403,72 +393,106 @@ impl SessionRegistry {
         status
     }
 
-    /// The snapshot of process `pid`: its session frozen now while it is
-    /// attached, its final snapshot once it was detached or quarantined —
+    /// The snapshot of process `pid`: its session frozen now — while it
+    /// is attached, or finished once it was detached or quarantined — so
     /// every pid the merged view counts answers here. `None` for a pid
     /// that never was part of the run.
     pub fn snapshot_pid(&self, pid: u64) -> Option<Snapshot> {
-        match self.sessions.get(&pid) {
-            Some(session) => Some(session.snapshot()),
-            None => self.retired.get(&pid).cloned(),
-        }
+        self.sessions
+            .get(&pid)
+            .or_else(|| self.retired.get(&pid))
+            .map(LiveSession::snapshot)
     }
 
     /// The merged view of the run so far: the returned snapshot's profile
-    /// covers all attached pids (plus retired ones, whose final frozen
-    /// profiles keep contributing), its method and tick totals are the
-    /// sums of the per-pid profiles, its status is
+    /// covers all attached pids plus the retired ones, its method and
+    /// tick totals are the sums of the per-pid profiles, its status is
     /// [`Self::merged_status`], and its events list records every
     /// attach/detach/quarantine so far. Equal to merging the per-pid
     /// [`Self::snapshot_pid`]s, but no per-pid profile is built on the
-    /// way: attached sessions feed their rolling aggregates straight into
-    /// the one [`ProfileMerge`].
+    /// way: every session feeds its rolling aggregate straight into the
+    /// one [`ProfileMerge`].
     pub fn merged_snapshot(&self) -> Snapshot {
-        merge_snapshots(
-            self.parts(),
-            self.events.clone(),
-            &mut self.space.borrow_mut(),
-        )
+        let mut space = self.space.borrow_mut();
+        let mut merge = ProfileMerge::new(&mut space);
+        let (status, events, regime) = self.merge_parts(&mut merge);
+        Snapshot {
+            status,
+            profile: merge.finish(),
+            events,
+            regime,
+        }
     }
 
     /// [`Self::merged_snapshot`]`.to_text()`, byte for byte, written from
-    /// the merge's tables: the same parts go into the same
+    /// the merge's tables: the same sessions go into the same
     /// [`ProfileMerge`], and no profile is built on the way out — the
     /// daemon's `/snapshot` body.
     pub fn merged_text(&self) -> String {
         let mut space = self.space.borrow_mut();
         let mut merge = ProfileMerge::new(&mut space);
-        let (status, events, regime) = merge_parts(self.parts(), self.events.clone(), &mut merge);
+        let (status, events, regime) = self.merge_parts(&mut merge);
         snapshot::merged_text(&status, &merge, &events, regime.as_ref())
     }
 
     /// Every process of the run, ascending by pid: attached sessions where
-    /// they stand, retired ones at their final snapshot.
-    fn parts(&self) -> BTreeMap<u64, Part<'_>> {
-        let mut parts: BTreeMap<u64, Part> = self
-            .sessions
+    /// they stand, retired ones finished.
+    fn all_sessions(&self) -> BTreeMap<u64, &LiveSession> {
+        self.sessions
             .iter()
-            .map(|(pid, s)| (*pid, Part::Live(s)))
-            .collect();
-        parts.extend(self.retired.iter().map(|(pid, s)| (*pid, Part::Frozen(s))));
-        parts
+            .chain(&self.retired)
+            .map(|(pid, s)| (*pid, s))
+            .collect()
     }
 
-    /// Render the merged view as SVG, one `pid <n>` tower per process:
-    /// live sessions freshly frozen, retired sessions at their final
-    /// frozen state.
+    /// Add every session of the run to `merge` and return the rest of
+    /// their merged snapshot: [`Self::merged_status`], and the
+    /// registry's lifecycle log extended with each session's own events —
+    /// retention transitions, regime changes and faults — in pid order,
+    /// so the merged `[events]` section never hides history loss.
+    ///
+    /// Regime blocks merge conservatively: the merged regime is the *most
+    /// degraded* across the contributing sessions (each registry entry runs
+    /// its own independent controller), counters are summed, and the stated
+    /// budget is the tightest one — so a merged snapshot never claims more
+    /// fidelity than its worst member delivers. Sessions without a block
+    /// contribute nothing; when none has one, the merge has none.
+    fn merge_parts(
+        &self,
+        merge: &mut ProfileMerge,
+    ) -> (LiveStatus, Vec<SessionEvent>, Option<RegimeInfo>) {
+        let mut events = self.events.clone();
+        let mut regime: Option<RegimeInfo> = None;
+        for session in self.all_sessions().values() {
+            session.merge_into(merge);
+            events.extend_from_slice(session.session_events());
+            if let Some(r) = session.regime_info() {
+                regime = Some(match regime {
+                    None => r,
+                    Some(m) => RegimeInfo {
+                        regime: m.regime.max(r.regime),
+                        budget_pct: match (m.budget_pct, r.budget_pct) {
+                            (Some(a), Some(b)) => Some(a.min(b)),
+                            (a, b) => a.or(b),
+                        },
+                        transitions: m.transitions + r.transitions,
+                        estimated_events: m.estimated_events + r.estimated_events,
+                        faults: m.faults + r.faults,
+                    },
+                });
+            }
+        }
+        (self.merged_status(), events, regime)
+    }
+
+    /// Render the merged view as SVG, one `pid <n>` tower per process,
+    /// every session freshly frozen.
     pub fn render_svg(&self, options: &SvgOptions) -> String {
-        let mut per_pid: Vec<(u64, Profile)> = self
-            .sessions
-            .iter()
-            .map(|(pid, s)| (*pid, s.snapshot().profile))
+        let per_pid: Vec<(u64, Profile)> = self
+            .all_sessions()
+            .into_iter()
+            .map(|(pid, s)| (pid, s.snapshot().profile))
             .collect();
-        per_pid.extend(
-            self.retired
-                .iter()
-                .map(|(pid, s)| (*pid, s.profile.clone())),
-        );
-        per_pid.sort_by_key(|(pid, _)| *pid);
         let parts: Vec<teeperf_flamegraph::PidFolded> = per_pid
             .iter()
             .map(|(pid, p)| (*pid, p.folded.as_slice()))
@@ -479,8 +503,8 @@ impl SessionRegistry {
     /// Per-pid retained-window listings across the attached sessions,
     /// ascending by pid. Each session owns its own [`RetentionRing`]
     /// (see [`crate::window`]), so one chatty process never ages out
-    /// another's history. Sessions running without retention — and
-    /// retired sessions, whose rings ended with them — are absent.
+    /// another's history. Sessions running without retention, and
+    /// retired sessions, are absent.
     ///
     /// [`RetentionRing`]: crate::window::RetentionRing
     pub fn windows(&self) -> Vec<PidWindows> {
@@ -560,111 +584,23 @@ impl SessionRegistry {
         Some(out)
     }
 
-    /// End every session (drain final partial epochs, close open
-    /// frames) and return the per-pid snapshots plus the merged view.
-    /// Retired sessions are included under their pids, so the merged
-    /// totals equal the sum over `per_pid` even after quarantines.
+    /// End every attached session (drain final partial epochs, close open
+    /// frames, release the sources) and return the per-pid snapshots plus
+    /// the merged view. Retired sessions are included under their pids,
+    /// so the merged totals equal the sum over `per_pid` even after
+    /// quarantines.
     pub fn finish(&mut self) -> RegistryRun {
         let mut per_pid: BTreeMap<u64, Snapshot> = self
             .sessions
             .iter_mut()
             .map(|(pid, s)| (*pid, s.finish()))
             .collect();
-        per_pid.extend(self.retired.iter().map(|(pid, s)| (*pid, s.clone())));
-        let parts = per_pid.iter().map(|(pid, s)| (*pid, Part::Frozen(s)));
-        let merged = merge_snapshots(parts, self.events.clone(), self.space.get_mut());
-        RegistryRun { per_pid, merged }
-    }
-}
-
-/// One process's share of a merged snapshot.
-enum Part<'a> {
-    /// An attached session, read where it stands: its rolling aggregate
-    /// goes into the merge address-keyed, no per-pid profile is built.
-    Live(&'a LiveSession),
-    /// A snapshot that already exists: a retired session's final one, or
-    /// the per-pid results at the end of a run.
-    Frozen(&'a Snapshot),
-}
-
-/// Merge the per-pid `parts` (ascending by pid) into one snapshot: its
-/// profile is the [`ProfileMerge`] of [`merge_parts`], finished.
-fn merge_snapshots<'a>(
-    parts: impl IntoIterator<Item = (u64, Part<'a>)>,
-    events: Vec<SessionEvent>,
-    space: &mut NameSpace,
-) -> Snapshot {
-    let mut merge = ProfileMerge::new(space);
-    let (status, events, regime) = merge_parts(parts, events, &mut merge);
-    Snapshot {
-        status,
-        profile: merge.finish(),
-        events,
-        regime,
-    }
-}
-
-/// Add the per-pid `parts` (ascending by pid) to `merge` and return the
-/// rest of their merged snapshot: statuses by field-wise summation, and
-/// `events` (the registry's lifecycle log) extended with each part's own
-/// events — retention transitions recorded by the sessions — in pid
-/// order, so the merged `[events]` section never hides history loss.
-///
-/// Regime blocks merge conservatively: the merged regime is the *most
-/// degraded* across the contributing sessions (each registry entry runs
-/// its own independent controller), counters are summed, and the stated
-/// budget is the tightest one — so a merged snapshot never claims more
-/// fidelity than its worst member delivers. Sessions without a block
-/// contribute nothing; when none has one, the merge has none.
-fn merge_parts<'a>(
-    parts: impl IntoIterator<Item = (u64, Part<'a>)>,
-    mut events: Vec<SessionEvent>,
-    merge: &mut ProfileMerge,
-) -> (LiveStatus, Vec<SessionEvent>, Option<RegimeInfo>) {
-    let mut status = LiveStatus::default();
-    let mut regime: Option<RegimeInfo> = None;
-    for (pid, part) in parts {
-        let (one, own_events, own_regime) = match part {
-            Part::Live(session) => {
-                session.merge_into(merge);
-                (
-                    session.status(),
-                    session.session_events(),
-                    session.regime_info(),
-                )
-            }
-            Part::Frozen(snapshot) => {
-                merge.add_profile(pid, &snapshot.profile);
-                (
-                    snapshot.status.clone(),
-                    snapshot.events.as_slice(),
-                    snapshot.regime.clone(),
-                )
-            }
-        };
-        status.epoch += one.epoch;
-        status.events += one.events;
-        status.dropped += one.dropped;
-        status.threads += one.threads;
-        status.open_frames += one.open_frames;
-        events.extend_from_slice(own_events);
-        if let Some(r) = own_regime {
-            regime = Some(match regime {
-                None => r,
-                Some(m) => RegimeInfo {
-                    regime: m.regime.max(r.regime),
-                    budget_pct: match (m.budget_pct, r.budget_pct) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        (a, b) => a.or(b),
-                    },
-                    transitions: m.transitions + r.transitions,
-                    estimated_events: m.estimated_events + r.estimated_events,
-                    faults: m.faults + r.faults,
-                },
-            });
+        per_pid.extend(self.retired.iter().map(|(pid, s)| (*pid, s.snapshot())));
+        RegistryRun {
+            per_pid,
+            merged: self.merged_snapshot(),
         }
     }
-    (status, events, regime)
 }
 
 #[cfg(test)]
@@ -920,6 +856,38 @@ mod tests {
         assert_eq!(run.merged.status.events, 1);
         let text = run.merged.to_text();
         assert!(text.contains("quarantined pid 9"), "{text}");
+    }
+
+    #[test]
+    fn a_retired_session_releases_its_source() {
+        use std::sync::Arc;
+        use tee_sim::SharedMem;
+        use teeperf_core::log::{make_header, region_bytes};
+        use teeperf_core::{LiveLogSource, SharedLog};
+
+        let mut reg = SessionRegistry::new(LiveConfig::default()).with_watchdog(WatchdogConfig {
+            timeout_pumps: 1,
+            max_retries: 0,
+        });
+        let logs: Vec<SharedLog> = [3, 4]
+            .map(|pid| {
+                let shm = Arc::new(SharedMem::new(region_bytes(8)));
+                SharedLog::init(shm, &make_header(pid, 8, true, 0, 0))
+            })
+            .into();
+        let holders = |log: &SharedLog| Arc::strong_count(log.shm());
+        let own: Vec<usize> = logs.iter().map(holders).collect();
+        for (log, own) in logs.iter().zip(&own) {
+            reg.attach(Box::new(LiveLogSource::new(log.clone(), 75)), sym())
+                .unwrap();
+            assert!(holders(log) > *own, "an attached session holds its log");
+        }
+        reg.detach(3).expect("pid 3 is attached");
+        assert_eq!(holders(&logs[0]), own[0], "detached: the log is let go");
+        // Silent from the start: pid 4 strikes out at its first pump.
+        reg.pump();
+        assert_eq!(reg.retired_pids(), vec![3, 4]);
+        assert_eq!(holders(&logs[1]), own[1], "quarantined: the log is let go");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::collections::{BTreeSet, VecDeque};
 
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_analyzer::{PathNames, ProfileMerge};
-use teeperf_core::{EventSource, LiveLogSource, Regime, SharedLog, SourceBatch};
+use teeperf_core::{EventSource, LiveLogSource, Regime, SalvageReport, SharedLog, SourceBatch};
 use teeperf_flamegraph::{live, LiveStatus, SvgOptions};
 
 use crate::rolling::RollingProfile;
@@ -488,7 +488,7 @@ impl LiveSession {
     /// Salvage accounting of this session's source: records skipped,
     /// holes closed, rotations abandoned (see
     /// [`teeperf_core::EventSource::salvage`]).
-    pub fn salvage(&self) -> teeperf_core::SalvageReport {
+    pub fn salvage(&self) -> SalvageReport {
         self.source.salvage()
     }
 
@@ -559,9 +559,12 @@ impl LiveSession {
     }
 
     /// End the session: drain the final partial epoch, force-close open
-    /// frames, and return the final snapshot. The writers should have
-    /// stopped (anything they write afterwards lands in the next epoch and
-    /// is simply not part of this session).
+    /// frames, release the source, and return the final snapshot. The
+    /// writers should have stopped (anything they write afterwards lands
+    /// in the next epoch and is simply not part of this session). A
+    /// finished session keeps its profile and answers every read as it
+    /// did at the end, but holds no transport — no log, no file, no read
+    /// buffer — and pumps nothing.
     pub fn finish(&mut self) -> Snapshot {
         // The final drain is still scaled by the published regime — the
         // writers' last entries were admitted under it.
@@ -584,6 +587,13 @@ impl LiveSession {
                 pid: self.source.pid(),
             });
         }
+        self.source = Box::new(ClosedSource {
+            pid: self.source.pid(),
+            epoch: self.source.epoch(),
+            dropped_total: self.source.dropped_total(),
+            salvage: self.source.salvage(),
+            regime: self.source.regime(),
+        });
         self.snapshot()
     }
 
@@ -661,6 +671,54 @@ impl LiveSession {
     /// [`LiveConfig::keep_replay`] is set).
     pub fn replay_entries(&self) -> &[teeperf_core::layout::LogEntry] {
         &self.replay
+    }
+}
+
+/// The source of a finished session: the counters its snapshots read, as
+/// the real source left them, and nothing that holds the transport open.
+#[derive(Debug)]
+struct ClosedSource {
+    pid: u64,
+    epoch: u64,
+    dropped_total: u64,
+    salvage: SalvageReport,
+    regime: Option<Regime>,
+}
+
+impl EventSource for ClosedSource {
+    fn pid(&self) -> u64 {
+        self.pid
+    }
+
+    fn pump_into(&mut self, batch: &mut SourceBatch) {
+        batch.entries.clear();
+        batch.rotated = false;
+        batch.dropped = 0;
+        batch.epoch = self.epoch;
+    }
+
+    fn drain_to_end(&mut self) -> SourceBatch {
+        self.pump()
+    }
+
+    fn dropped_total(&self) -> u64 {
+        self.dropped_total
+    }
+
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    fn is_exhausted(&self) -> bool {
+        true
+    }
+
+    fn salvage(&self) -> SalvageReport {
+        self.salvage.clone()
+    }
+
+    fn regime(&self) -> Option<Regime> {
+        self.regime
     }
 }
 

@@ -397,6 +397,11 @@ fn check_merged(
     registry: &SessionRegistry,
     retired: &BTreeMap<u64, Snapshot>,
 ) -> Result<(), TestCaseError> {
+    // A retired pid answers from its finished session exactly what
+    // `detach` returned.
+    for (pid, gone) in retired {
+        prop_assert_eq!(registry.snapshot_pid(*pid), Some(gone.clone()));
+    }
     let mut per_pid = retired.clone();
     for pid in registry.pids() {
         per_pid.insert(pid, registry.snapshot_pid(pid).expect("attached"));
@@ -519,6 +524,7 @@ proptest! {
         check_merged(&registry, &retired)?;
         let lifecycle = registry.session_events().to_vec();
         let run = registry.finish();
+        prop_assert_eq!(&run.per_pid[&100], &retired[&100]);
         prop_assert_eq!(&run.merged, &merge_of_per_pid(&run.per_pid, &lifecycle));
         // The shapes the name-keyed merge exists for did occur.
         let work = run.merged.profile.method("work").expect("every stream calls work");

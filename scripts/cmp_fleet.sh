@@ -8,9 +8,10 @@
 # same <pid>.tplog files of the same four teeperf-shm-writer processes
 # (three finish, one is SIGKILLed and quarantined), with retention on.
 # Every body — /snapshot, fleet and per-pid /query spans and diffs,
-# /windows, /pid/<n>, /flame.svg, /metrics, the --snapshot-out file — must
-# compare equal with cmp, and the change must answer 200 on the two
-# retired-pid routes. Exit 0 iff all of that holds.
+# /windows, /pid/<n> and /flame.svg?pid=<n> of a live and of the retired
+# pid, /flame.svg, /metrics, the --snapshot-out file — must compare equal
+# with cmp, and the change must answer 200 on the two retired-pid routes.
+# Exit 0 iff all of that holds.
 set -euo pipefail
 parent=$1 change=$2 writer=$3
 dir=$(mktemp -d /dev/shm/cmp-fleet.XXXXXX)
@@ -51,7 +52,8 @@ status=0
 alive=$(basename "$(ls "$reg"/*.tplog | grep -v "/$doomed\.tplog" | head -1)" .tplog)
 for path in /snapshot '/query?windows=last:5&top=10' '/query?diff=1,2' /windows \
             "/query?windows=all&pid=$alive" "/query?diff=1,2&pid=$alive" \
-            "/query?windows=all&pid=$doomed" "/pid/$alive" /flame.svg /metrics; do
+            "/query?windows=all&pid=$doomed" "/pid/$alive" /flame.svg /metrics \
+            "/pid/$doomed" "/flame.svg?pid=$doomed"; do
   pc=$(get "${addr[parent]}" "$dir/parent.body" "$path")
   cc=$(get "${addr[change]}" "$dir/change.body" "$path")
   # The one line of any body that counts loop iterations since start.
@@ -62,14 +64,10 @@ for path in /snapshot '/query?windows=last:5&top=10' '/query?diff=1,2' /windows 
     echo "DIFFER  parent $pc, change $cc  $path"; status=1
     diff "$dir/parent.body" "$dir/change.body" | head -20
   fi
-done
-# A retired pid answers for itself (ISSUE 17; a parent from before it says
-# 404 here, which is that issue's one intended response change).
-for path in "/pid/$doomed" "/flame.svg?pid=$doomed"; do
-  pc=$(get "${addr[parent]}" "$dir/parent.body" "$path")
-  cc=$(get "${addr[change]}" "$dir/change.body" "$path")
-  echo "retired parent $pc, change $cc  $path"
-  [ "$cc" = 200 ] || status=1
+  # A retired pid answers for itself.
+  case $path in "/pid/$doomed" | "/flame.svg?pid=$doomed")
+    [ "$cc" = 200 ] || { echo "NOT 200 change $cc  $path"; status=1; } ;;
+  esac
 done
 exec 3>&- 4>&-
 wait
