@@ -356,6 +356,7 @@ fn cmd_live(args: &Parsed) -> Result<String, CliError> {
     if let Some(logs) = args.text("logs") {
         return cmd_live_logs(args, logs);
     }
+    refuse_unread(args, &["watchdog-timeout"], "without --logs")?;
     let (live, _) = flags::in_process_config(args)?;
     let path = operand(args, 0, "program path")?;
     let cost = arch(args)?;
@@ -377,28 +378,16 @@ fn cmd_live(args: &Parsed) -> Result<String, CliError> {
     let show_frames = args.yes_no("frames")?.unwrap_or(false);
     let follow = args.num_in("follow-pids", 1..=64, "1..=64")?;
     let program = load_program(path, true)?;
-    if let Some(count) = follow {
-        // Pids run from the real host pid upward, under one session registry.
-        let base_pid = u64::from(std::process::id());
-        let pids: Vec<u64> = (0..count).map(|i| base_pid + i).collect();
-        let config = RunConfig::default();
-        let run = live_profile_processes(&program, &cost, &config, &recorder, &live, &pids)
-            .map_err(|e| err(e.to_string()))?;
-        let mut out = format!(
-            "{count} simulated processes on {kind} (pids {base_pid}..={}): {} events, {} dropped\n",
-            base_pid + count - 1,
-            run.events,
-            run.dropped
-        );
-        multi_session_output(&mut out, &run.per_pid, &run.merged, args)?;
-        return Ok(out);
-    }
-    let run = teeperf_live::live_profile_program(
-        program,
-        cost,
-        RunConfig::default(),
+    // Pids run from the real host pid upward, under one session registry.
+    let base_pid = recorder.pid;
+    let pids: Vec<u64> = (0..follow.unwrap_or(1)).map(|i| base_pid + i).collect();
+    let run = live_profile_processes(
+        &program,
+        &cost,
+        &RunConfig::default(),
         &recorder,
         &live,
+        &pids,
         |_| Ok(()),
     )
     .map_err(|e| err(e.to_string()))?;
@@ -411,29 +400,56 @@ fn cmd_live(args: &Parsed) -> Result<String, CliError> {
             out.push('\n');
         }
     }
-    out.push_str(&program_output(&run.output, run.exit_code));
+    if let Some(count) = follow {
+        let status = &run.merged.status;
+        writeln!(
+            out,
+            "{count} simulated processes on {kind} (pids {base_pid}..={}): {} events, {} dropped",
+            base_pid + count - 1,
+            status.events,
+            status.dropped
+        )
+        .expect("writing to string");
+        let per_pid: Vec<(u64, &Snapshot)> = run
+            .per_pid
+            .iter()
+            .map(|(pid, p)| (*pid, &p.snapshot))
+            .collect();
+        multi_session_output(&mut out, &per_pid, &run.merged, args)?;
+        return Ok(out);
+    }
+    let process = &run.per_pid[&base_pid];
+    let snapshot = &process.snapshot;
+    let status = &snapshot.status;
+    out.push_str(&program_output(&process.output, process.exit_code));
     writeln!(
         out,
         "live session on {kind}: {} events over {} epochs ({} entries/epoch), {} dropped, {} cycles",
-        run.events, run.epochs, max_entries, run.dropped, run.cycles
+        status.events, status.epoch, max_entries, status.dropped, process.cycles
     )
     .expect("writing to string");
-    out.push_str(&run.snapshot.status.banner());
+    out.push_str(&status.banner());
     out.push('\n');
-    let fg = FlameGraph::from_folded_ids(
-        &run.snapshot.profile.symbols,
-        &run.snapshot.profile.folded_ids,
-    );
+    let fg = FlameGraph::from_folded_ids(&snapshot.profile.symbols, &snapshot.profile.folded_ids);
     out.push_str(&fg.to_ascii(60));
     let svg = || {
         teeperf_flamegraph::live::render_svg(
-            &run.snapshot.profile.folded,
-            &run.snapshot.status,
+            &snapshot.profile.folded,
+            status,
             &SvgOptions::default().with_title("TEE-Perf live session"),
         )
     };
-    write_live_files(&mut out, args, svg, &run.snapshot)?;
+    write_live_files(&mut out, args, svg, snapshot)?;
     Ok(out)
+}
+
+/// Refuse the first of `unread` that `args` gives: flags `live` declares
+/// but never reads in this mode would otherwise be dropped silently.
+fn refuse_unread(args: &Parsed, unread: &[&str], mode: &str) -> Result<(), CliError> {
+    match unread.iter().find(|flag| args.text(flag).is_some()) {
+        Some(flag) => Err(err(format!("--{flag} has no effect on `live` {mode}"))),
+        None => Ok(()),
+    }
 }
 
 /// `--svg` / `--out`: the files a live session leaves behind.
@@ -460,7 +476,7 @@ fn write_live_files(
 /// `.live` file carries the *merged* snapshot, `[processes]` included).
 fn multi_session_output(
     out: &mut String,
-    per_pid: &std::collections::BTreeMap<u64, Snapshot>,
+    per_pid: &[(u64, &Snapshot)],
     merged: &Snapshot,
     args: &Parsed,
 ) -> Result<(), CliError> {
@@ -500,6 +516,19 @@ fn cmd_live_logs(args: &Parsed, logs: &str) -> Result<String, CliError> {
             "--logs wants one a,b,c word, not also `{stray}`"
         )));
     }
+    // A replay re-reads what was recorded: nothing runs, and no live log
+    // rotates under a watermark.
+    let unread = [
+        "arch",
+        "transition-mode",
+        "max-entries",
+        "refresh",
+        "frames",
+        "follow-pids",
+        "batch-slots",
+        "watermark",
+    ];
+    refuse_unread(args, &unread, "with --logs")?;
     let (live, watchdog) = flags::in_process_config(args)?;
     let mut registry = SessionRegistry::new(live);
     if let Some(watchdog) = watchdog {
@@ -589,7 +618,8 @@ fn cmd_live_logs(args: &Parsed, logs: &str) -> Result<String, CliError> {
     if !salvage.is_clean() {
         writeln!(out, "{}", salvage.to_line()).expect("writing to string");
     }
-    multi_session_output(&mut out, &run.per_pid, &run.merged, args)?;
+    let per_pid: Vec<(u64, &Snapshot)> = run.per_pid.iter().map(|(pid, s)| (*pid, s)).collect();
+    multi_session_output(&mut out, &per_pid, &run.merged, args)?;
     Ok(out)
 }
 
@@ -1538,8 +1568,73 @@ mod tests {
         assert!(snap_text.contains("[processes]"), "{snap_text}");
         assert!(snap_text.contains(&format!("pid {host}\n")), "{snap_text}");
 
+        // The frame history works at every pid count: frames of the running
+        // process every 10 new events, starting over for each of the three.
+        let out = dispatch(&strs(&[
+            "live",
+            &prog,
+            "--follow-pids",
+            "3",
+            "--max-entries",
+            "8",
+            "--refresh",
+            "10",
+            "--frames",
+            "yes",
+        ]))
+        .unwrap();
+        let first = "--- refresh 1 ---\nlive · epoch 1 · 10 events · 1 threads · 2 open";
+        assert!(out.starts_with(first), "{out}");
+        assert_eq!(out.matches(" · 10 events · ").count(), 3, "{out}");
+        assert!(out.contains("126 events, 0 dropped"), "{out}");
+
         assert!(dispatch(&strs(&["live", &prog, "--follow-pids", "0"])).is_err());
         assert!(dispatch(&strs(&["live", &prog, "--follow-pids", "x"])).is_err());
+    }
+
+    #[test]
+    fn live_refuses_the_flags_its_mode_never_reads() {
+        let dir = tmpdir();
+        let prog = dir.join("unread.mc");
+        std::fs::write(
+            &prog,
+            "fn f(x: int) -> int { return x * 2; }
+             fn main() -> int { print_int(f(21)); return 0; }",
+        )
+        .unwrap();
+        let prog = prog.to_str().unwrap().to_string();
+        let base = dir.join("unread").to_str().unwrap().to_string();
+        dispatch(&strs(&["record", &prog, "--out", &base, "--pid", "61"])).unwrap();
+
+        // (replaying logs?, flag, a value that mode would otherwise accept)
+        for (replay, flag, value) in [
+            (true, "arch", "native"),
+            (true, "transition-mode", "switchless"),
+            (true, "max-entries", "8"),
+            (true, "refresh", "10"),
+            (true, "frames", "yes"),
+            (true, "follow-pids", "2"),
+            (true, "batch-slots", "2"),
+            (true, "watermark", "50"),
+            (false, "watchdog-timeout", "4"),
+        ] {
+            let (mut argv, mode) = if replay {
+                (vec!["live", "--logs", &base], "with --logs")
+            } else {
+                (vec!["live", &prog], "without --logs")
+            };
+            let named = format!("--{flag}");
+            argv.extend([named.as_str(), value]);
+            let e = dispatch(&strs(&argv)).unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                format!("--{flag} has no effect on `live` {mode}"),
+                "{argv:?}"
+            );
+        }
+        // Its help already says it is inert for replayed logs.
+        let out = dispatch(&strs(&["live", "--logs", &base, "--overhead-budget", "10"])).unwrap();
+        assert!(out.contains("replayed 1 logs"), "{out}");
     }
 
     #[test]

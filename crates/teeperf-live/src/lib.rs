@@ -24,13 +24,13 @@
 //! * [`session`] — the [`LiveSession`]: one event source drained into one
 //!   rolling profile, frozen or rendered only on demand, and the
 //!   [`DrainPolicy`] saying when it rotates a live log.
-//! * [`driver`] — [`live_profile_program`]: run an instrumented Mini-C
-//!   program under the recorder's ordinary hooks while an
-//!   instruction-cadence observer pumps the session (the deterministic,
-//!   in-process equivalent of a host drainer thread) and draws the frame
-//!   history on a refresh cadence. Backs the `teeperf live` CLI subcommand.
-//!   [`live_profile_processes`] runs N simulated processes under one
-//!   registry.
+//! * [`driver`] — [`live_profile_processes`]: run an instrumented Mini-C
+//!   program once per simulated process (one process is one pid) under
+//!   the recorder's ordinary hooks while an instruction-cadence observer
+//!   pumps one [`SessionRegistry`] (the deterministic, in-process
+//!   equivalent of a host drainer thread) and draws the running process's
+//!   frame history on a refresh cadence. Backs the `teeperf live` CLI
+//!   subcommand.
 //! * [`registry`] — the multi-process layer: a [`SessionRegistry`] keys
 //!   one session per [`teeperf_core::EventSource`] by the pid in its log
 //!   header, and merges the per-pid rolling aggregates — row by row onto
@@ -63,10 +63,7 @@ pub mod session;
 pub mod snapshot;
 pub mod window;
 
-pub use driver::{
-    live_profile_processes, live_profile_program, LiveRun, LiveRunConfig, MultiLiveError,
-    MultiLiveRun,
-};
+pub use driver::{live_profile_processes, LiveRun, LiveRunConfig, LiveRunError, ProcessRun};
 pub use registry::{AttachError, RegistryRun, SessionRegistry, WatchdogConfig};
 pub use rolling::RollingProfile;
 pub use session::{DrainPolicy, LiveConfig, LiveSession, OverheadBudget};

@@ -5,9 +5,9 @@
 //! live case a [`LiveLogSource`] holding the single cursor over the shared
 //! log, but a [`teeperf_core::FileReplaySource`] plugs in behind the same
 //! pump — and merges the stream into the rolling profile. Freezing
-//! ([`LiveSession::snapshot`]) and rendering ([`LiveSession::render_ascii`],
-//! [`LiveSession::render_svg`]) read that profile on demand and keep
-//! nothing: a session that nobody asks draws nothing.
+//! ([`LiveSession::snapshot`]) and rendering ([`LiveSession::render_ascii`])
+//! read that profile on demand and keep nothing: a session that nobody
+//! asks draws nothing.
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
@@ -15,7 +15,7 @@ use std::collections::{BTreeSet, VecDeque};
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_analyzer::{PathNames, ProfileMerge};
 use teeperf_core::{EventSource, LiveLogSource, Regime, SalvageReport, SharedLog, SourceBatch};
-use teeperf_flamegraph::{live, LiveStatus, SvgOptions};
+use teeperf_flamegraph::{live, LiveStatus};
 
 use crate::rolling::RollingProfile;
 use crate::snapshot::{RegimeInfo, SessionEvent, Snapshot};
@@ -514,13 +514,6 @@ impl LiveSession {
     pub fn render_ascii(&self) -> String {
         let profile = self.rolling.snapshot(&self.symbolizer, self.dropped());
         live::render_ascii(&profile.folded, &self.status(), ASCII_WIDTH)
-    }
-
-    /// Render the current rolling aggregate as an SVG flame graph, banner
-    /// as subtitle.
-    pub fn render_svg(&self, options: &SvgOptions) -> String {
-        let profile = self.rolling.snapshot(&self.symbolizer, self.dropped());
-        live::render_svg(&profile.folded, &self.status(), options)
     }
 
     /// Freeze the current aggregate into a [`Snapshot`], its profile

@@ -160,7 +160,7 @@ mod string_match_convergence {
     use teeperf_analyzer::{profile, Analyzer, Profile};
     use teeperf_compiler::{compile_instrumented, profile_program, InstrumentOptions};
     use teeperf_core::RecorderConfig;
-    use teeperf_live::{live_profile_program, LiveConfig, LiveRunConfig};
+    use teeperf_live::{live_profile_processes, LiveConfig, LiveRunConfig};
 
     fn string_match() -> Box<dyn Benchmark> {
         suite(Scale::Small, 42)
@@ -183,14 +183,15 @@ mod string_match_convergence {
         let program = compile_instrumented(bench.source(), &InstrumentOptions::default())
             .expect("string_match compiles instrumented");
 
-        let live = live_profile_program(
-            program.clone(),
-            CostModel::sgx_v1(),
-            mcvm::RunConfig::default(),
-            &RecorderConfig {
-                max_entries: 512,
-                ..RecorderConfig::default()
-            },
+        let recorder = RecorderConfig {
+            max_entries: 512,
+            ..RecorderConfig::default()
+        };
+        let mut run = live_profile_processes(
+            &program,
+            &CostModel::sgx_v1(),
+            &mcvm::RunConfig::default(),
+            &recorder,
             &LiveRunConfig {
                 live: LiveConfig {
                     keep_replay: true,
@@ -200,15 +201,18 @@ mod string_match_convergence {
                 pump_every_instructions: 128,
                 adaptive_pump: true,
             },
+            &[recorder.pid],
             |vm| bench.setup(vm),
         )
         .expect("live run succeeds");
+        let live = run.per_pid.remove(&recorder.pid).expect("the one process");
+        let status = &live.snapshot.status;
 
         // The session must have rotated repeatedly, lost nothing, and the
         // writer was never stopped (the run completed with full output).
-        assert!(live.epochs >= 3, "only {} epochs", live.epochs);
-        assert_eq!(live.dropped, 0, "pump cadence must keep up");
-        assert!(live.events > 512, "stream must exceed the log capacity");
+        assert!(status.epoch >= 3, "only {} epochs", status.epoch);
+        assert_eq!(status.dropped, 0, "pump cadence must keep up");
+        assert!(status.events > 512, "stream must exceed the log capacity");
 
         // Offline reference: same workload, one big batch log.
         let offline = profile_program(
@@ -235,7 +239,7 @@ mod string_match_convergence {
 
         // Replaying the drained stream through the batch aggregator must
         // reproduce the rolling profile exactly.
-        let sym = Symbolizer::new(live.debug.clone(), &live.replay.header);
+        let sym = Symbolizer::new(run.debug.clone(), &live.replay.header);
         let replayed = profile::build(&live.replay, &sym);
         assert_eq!(live.snapshot.profile.methods, replayed.methods);
         assert_eq!(live.snapshot.profile.folded, replayed.folded);

@@ -222,6 +222,10 @@ cli_smoke() {
   if target/debug/teeperf phoenix --bench histogram --arhc native > /dev/null 2>&1; then
     echo "cli-smoke: phoenix accepted --arhc"; return 1
   fi
+  # A flag its mode never reads: a replay runs no processes.
+  if target/debug/teeperf live --logs x --follow-pids 2 > /dev/null 2>&1; then
+    echo "cli-smoke: live --logs accepted --follow-pids"; return 1
+  fi
   echo "==> cli-smoke ok"
 }
 tmo 60 bash -c "$(declare -f cli_smoke); cli_smoke"
