@@ -23,11 +23,12 @@
 //!   once: [`Aggregates`] is one process's table of rows per stack id
 //!   (`materialize` groups it into a profile), [`ProfileMerge`] the
 //!   accumulator of a cross-process view over a [`NameSpace`] — profiles,
-//!   or aggregates whose stacks their session has placed there, go in,
-//!   names are small integers inside, and `finish` makes the strings of
-//!   the merged rows only — or `method_rows` / `folded_rows` hand out the
-//!   two tables a snapshot is written from, in the same order, and make
-//!   none ([`merge_profiles`] is its fold over profiles);
+//!   or aggregates or logs of new calls whose stacks their session has
+//!   placed there, go in, names are small integers inside, and `finish`
+//!   makes the strings of the merged rows only — or `method_rows` /
+//!   `folded_rows` hand out the two tables a snapshot is written from, in
+//!   the same order, and make none ([`merge_profiles`] is its fold over
+//!   profiles);
 //! * [`symbolize`] — `addr2line`/`c++filt` equivalent: relocation via the
 //!   header's anchor address, then symbol lookup and demangling;
 //! * [`query`] — a small dataframe engine with a declarative query language
@@ -48,7 +49,9 @@ pub mod symbolize;
 pub use compare::diff;
 
 pub use profile::Aggregates;
-pub use profile::{merge_profiles, MethodStats, NameSpace, PathNames, Profile, ProfileMerge};
+pub use profile::{
+    merge_profiles, CallLog, MethodStats, NameSpace, PathNames, Profile, ProfileMerge,
+};
 pub use query::frame::{Column, Frame};
 pub use query::run_query;
 pub use query::windowed::{RankBy, WindowSel, WindowSpec};

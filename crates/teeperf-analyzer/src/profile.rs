@@ -26,10 +26,11 @@
 //! cross-process view lives in a [`NameSpace`]: the same tree, spelled in
 //! names, each stack's children kept in name order, so that a walk of it
 //! is the folded table in order. [`ProfileMerge`] accumulates in it, fed
-//! with finished [`Profile`]s or with [`Aggregates`] whose session
-//! remembers where its stacks sit there ([`PathNames`]), and is read once:
-//! materialized in its `finish`, or as just the method and folded rows a
-//! snapshot's text is written from.
+//! with finished [`Profile`]s, or with [`Aggregates`] or a [`CallLog`] of
+//! new calls whose session remembers where its stacks sit there
+//! ([`PathNames`]), and is read as often as asked: materialized in its
+//! `finish`, or as just the method and folded rows a snapshot's text is
+//! written from.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
@@ -79,6 +80,17 @@ pub struct Anomalies {
     pub incomplete_entries: u64,
     /// Entries the recorder dropped because the log was full.
     pub dropped_entries: u64,
+}
+
+impl Anomalies {
+    /// Add `other`'s counters to these: a merged view's anomalies are the
+    /// sums of its parts'.
+    pub fn add(&mut self, other: &Anomalies) {
+        self.orphan_returns += other.orphan_returns;
+        self.truncated_frames += other.truncated_frames;
+        self.incomplete_entries += other.incomplete_entries;
+        self.dropped_entries += other.dropped_entries;
+    }
 }
 
 /// One caller→callee edge of the dynamic call graph.
@@ -153,6 +165,20 @@ impl Default for Counts {
 }
 
 impl Counts {
+    /// One completed call standing for `scale` calls of its shape — how
+    /// [`Aggregates::add_call`] counts it.
+    fn of_call(call: &CompletedCall, scale: u64) -> Counts {
+        let scale = scale.max(1);
+        let (inclusive, exclusive) = (call.inclusive(), call.exclusive());
+        Counts {
+            calls: scale,
+            inclusive: scale * inclusive,
+            exclusive: scale * exclusive,
+            min_inclusive: inclusive,
+            max_inclusive: inclusive,
+        }
+    }
+
     /// Fold `other` into these counters.
     fn add(&mut self, other: &Counts) {
         self.calls += other.calls;
@@ -173,22 +199,22 @@ struct Row {
 }
 
 impl Row {
-    /// Record that `tid` completed a call here; whether that is news.
-    fn note_thread(&mut self, tid: u64) -> bool {
-        match self.threads.binary_search(&tid) {
-            Ok(_) => false,
-            Err(at) => {
-                self.threads.insert(at, tid);
-                true
-            }
-        }
-    }
-
     /// Fold another row in.
     fn add_row(&mut self, other: &Row) {
         self.counts.add(&other.counts);
         for tid in &other.threads {
-            self.note_thread(*tid);
+            note_thread(&mut self.threads, *tid);
+        }
+    }
+}
+
+/// Add `tid` to the ascending set `threads`; whether that is news.
+fn note_thread(threads: &mut Vec<u64>, tid: u64) -> bool {
+    match threads.binary_search(&tid) {
+        Ok(_) => false,
+        Err(at) => {
+            threads.insert(at, tid);
+            true
         }
     }
 }
@@ -287,18 +313,10 @@ impl Aggregates {
     /// and a truncated call counts once: it is an exact observation of the
     /// stream, not a sampled estimate.
     pub fn add_call(&mut self, tid: u64, call: &CompletedCall, scale: u64) {
-        let scale = scale.max(1);
-        let (inclusive, exclusive) = (call.inclusive(), call.exclusive());
         self.truncated_frames += u64::from(call.truncated);
         let row = row_at(&mut self.rows, call.path.index());
-        row.counts.add(&Counts {
-            calls: scale,
-            inclusive: scale * inclusive,
-            exclusive: scale * exclusive,
-            min_inclusive: inclusive,
-            max_inclusive: inclusive,
-        });
-        if row.note_thread(tid) {
+        row.counts.add(&Counts::of_call(call, scale));
+        if note_thread(&mut row.threads, tid) {
             self.threads.insert(tid);
         }
     }
@@ -743,17 +761,55 @@ impl PathNames {
     }
 }
 
+/// The calls an aggregate was fed since a consumer last took them: each
+/// completed call as [`Aggregates::add_call`] counted it — its stack, its
+/// thread and its counters, scale applied — plus every thread observed.
+/// A running cross-process view folds it ([`ProfileMerge::add_calls`])
+/// and clears it, so it never holds more than one drain's calls.
+#[derive(Debug, Default)]
+pub struct CallLog {
+    /// `(stack, thread, counters)` per call, in completion order.
+    calls: Vec<(PathId, u64, Counts)>,
+    threads: Vec<u64>,
+}
+
+impl CallLog {
+    /// An empty log.
+    pub fn new() -> CallLog {
+        CallLog::default()
+    }
+
+    /// Record one completed call of `tid`, counted as
+    /// [`Aggregates::add_call`] counts it under the same `scale`.
+    pub fn add_call(&mut self, tid: u64, call: &CompletedCall, scale: u64) {
+        self.calls
+            .push((call.path, tid, Counts::of_call(call, scale)));
+    }
+
+    /// Record that `tid` was observed ([`Aggregates::observe_thread`]).
+    pub fn observe_thread(&mut self, tid: u64) {
+        self.threads.push(tid);
+    }
+
+    /// Forget everything recorded, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.calls.clear();
+        self.threads.clear();
+    }
+}
+
 /// One stack of the name space, as a [`ProfileMerge`] sees it.
 #[derive(Debug)]
 struct MergedStack {
-    /// The rows added as aggregates, summed.
+    /// The rows and calls added here, summed.
     counts: Counts,
     /// The smallest address those rows' innermost frame was seen at.
     addr: u64,
     /// Folded ticks added as profiles, which say nothing else of a stack.
     folded: u64,
-    /// The thread key noted here last: the slots of a window span are
-    /// added one by one and mostly note the same threads again.
+    /// The thread key noted here last, so that the calls of one thread
+    /// (and the slots of a window span, added one by one) that land here
+    /// in a row do not search the method's thread set again.
     noted: Option<u64>,
 }
 
@@ -780,32 +836,34 @@ fn add_method(row: &mut Option<(u64, Counts)>, addr: u64, counts: &Counts) {
 }
 
 /// The accumulator under every cross-process view: per-process
-/// contributions go in — already materialized ([`ProfileMerge::add_profile`])
-/// or still indexed by the session's stack ids
-/// ([`ProfileMerge::add_aggregates`]) — and come out as one [`Profile`]
-/// ([`ProfileMerge::finish`]) or as just the two tables a snapshot's text
-/// is written from ([`ProfileMerge::method_rows`],
-/// [`ProfileMerge::folded_rows`]), grouped and ordered the same way.
+/// contributions go in — already materialized ([`ProfileMerge::add_profile`]),
+/// still indexed by the session's stack ids ([`ProfileMerge::add_aggregates`]),
+/// or call by call as a session completes them ([`ProfileMerge::add_calls`])
+/// — and come out as one [`Profile`] ([`ProfileMerge::finish`]) or as just
+/// the two tables a snapshot's text is written from
+/// ([`ProfileMerge::method_rows`], [`ProfileMerge::folded_rows`]), grouped
+/// and ordered the same way. Reading takes nothing out, so a merge can be
+/// kept for a whole run and read between any two additions.
 ///
 /// Different processes may load the same function at different addresses
 /// (and different functions at the same address), so the merge keys
 /// methods, folded stacks and caller edges by *name*, taking the smallest
 /// address as a method's representative; threads and per-thread calls are
 /// re-keyed with [`merged_thread_key`]. Inside the accumulator a name is a
-/// small integer and a stack an index into its [`NameSpace`]'s tree: an
-/// aggregate's rows are added to the rows of the stacks its session's memo
-/// places them at — an index each, nothing hashed — and methods and caller
-/// edges are grouped out of the tree when the merge is read; a profile adds
-/// its method and edge rows as they are and only its folded ticks to the
-/// tree. Threads are only noted on the way in, as `(name, thread key)`
-/// pairs: `finish` alone groups them into per-method sets. Every counter
-/// is summed, so the merged totals equal the sum of the per-process totals;
-/// contributions commute, and the two ways in agree — adding a process's
-/// aggregate gives the same result as adding the profile
+/// small integer and a stack an index into a [`NameSpace`]'s tree — the
+/// one every call lends it, which must be the same for the merge's whole
+/// life: an aggregate's rows (or a log's calls) are added to the rows of
+/// the stacks its session's memo places them at — an index each, nothing
+/// hashed — and methods and caller edges are grouped out of the tree when
+/// the merge is read; a profile adds its method and edge rows as they are
+/// and only its folded ticks to the tree. Threads are kept per method
+/// name as a set of thread keys. Every counter is summed, so the merged
+/// totals equal the sum of the per-process totals; contributions commute,
+/// and the ways in agree — adding a process's aggregate, or its calls one
+/// by one, gives the same result as adding the profile
 /// [`Aggregates::materialize`] builds from it.
-#[derive(Debug)]
-pub struct ProfileMerge<'s> {
-    space: &'s mut NameSpace,
+#[derive(Debug, Default)]
+pub struct ProfileMerge {
     /// Indexed by name id: the method rows added as profiles.
     methods: Vec<Option<(u64, Counts)>>,
     /// From profiles.
@@ -813,51 +871,34 @@ pub struct ProfileMerge<'s> {
     /// Indexed by the name space's stack ids, as long as the highest one a
     /// contribution touched needs.
     stacks: Vec<MergedStack>,
-    /// `(name id, merged thread key)` of every thread of every method row
-    /// or stack row added.
-    method_threads: Vec<(u32, u64)>,
+    /// Indexed by name id: the merged thread key of every thread of every
+    /// method row, stack row or call added under that name, ascending.
+    method_threads: Vec<Vec<u64>>,
     threads: BTreeSet<u64>,
     total_ticks: u64,
     anomalies: Anomalies,
     pids: BTreeSet<u64>,
 }
 
-impl<'s> ProfileMerge<'s> {
-    /// An empty merge in `space`.
-    pub fn new(space: &'s mut NameSpace) -> ProfileMerge<'s> {
-        ProfileMerge {
-            space,
-            methods: Vec::new(),
-            edges: HashMap::new(),
-            stacks: Vec::new(),
-            method_threads: Vec::new(),
-            threads: BTreeSet::new(),
-            total_ticks: 0,
-            anomalies: Anomalies::default(),
-            pids: BTreeSet::new(),
-        }
+impl ProfileMerge {
+    /// An empty merge.
+    pub fn new() -> ProfileMerge {
+        ProfileMerge::default()
     }
 
-    fn add_anomalies(&mut self, anomalies: Anomalies) {
-        self.anomalies.orphan_returns += anomalies.orphan_returns;
-        self.anomalies.truncated_frames += anomalies.truncated_frames;
-        self.anomalies.incomplete_entries += anomalies.incomplete_entries;
-        self.anomalies.dropped_entries += anomalies.dropped_entries;
-    }
-
-    /// This merge's view of name-space stack `id`.
-    fn stack(&mut self, id: PathId) -> &mut MergedStack {
-        row_at(&mut self.stacks, id.index())
+    /// Note that thread `key` ran method `name`.
+    fn note_method_thread(&mut self, name: u32, key: u64) {
+        note_thread(row_at(&mut self.method_threads, name as usize), key);
     }
 
     /// Add process `pid`'s materialized profile.
-    pub fn add_profile(&mut self, pid: u64, profile: &Profile) {
+    pub fn add_profile(&mut self, space: &mut NameSpace, pid: u64, profile: &Profile) {
         self.pids.insert(pid);
         self.pids.extend(&profile.pids);
         self.total_ticks += profile.total_ticks;
-        self.add_anomalies(profile.anomalies);
+        self.anomalies.add(&profile.anomalies);
         for m in &profile.methods {
-            let name = self.space.id(&m.name);
+            let name = space.id(&m.name);
             let counts = Counts {
                 calls: m.calls,
                 inclusive: m.inclusive,
@@ -866,11 +907,9 @@ impl<'s> ProfileMerge<'s> {
                 max_inclusive: m.max_inclusive,
             };
             add_method(row_at(&mut self.methods, name as usize), m.addr, &counts);
-            let keys = m
-                .threads
-                .iter()
-                .map(|tid| (name, merged_thread_key(pid, *tid)));
-            self.method_threads.extend(keys);
+            for tid in &m.threads {
+                self.note_method_thread(name, merged_thread_key(pid, *tid));
+            }
         }
         // The folded table is sorted, so a stack shares all but its last
         // frames with the one before it: keep that one's walk down the
@@ -885,18 +924,18 @@ impl<'s> ProfileMerge<'s> {
                 .count();
             walk.truncate(shared);
             for name in &path[shared..] {
-                let name = self.space.id(name);
+                let name = space.id(name);
                 let parent = walk.last().copied().unwrap_or(PathId::ROOT);
-                walk.push(self.space.stack(parent, name));
+                walk.push(space.stack(parent, name));
             }
             if let Some(stack) = walk.last() {
-                self.stack(*stack).folded += ticks;
+                row_at(&mut self.stacks, stack.index()).folded += ticks;
             }
             previous = path;
         }
         for edge in &profile.caller_edges {
-            let caller = self.space.id(&edge.caller);
-            let callee = self.space.id(&edge.callee);
+            let caller = space.id(&edge.caller);
+            let callee = space.id(&edge.callee);
             add_edge(
                 &mut self.edges,
                 (caller, callee),
@@ -912,42 +951,27 @@ impl<'s> ProfileMerge<'s> {
 
     /// Add process `pid`'s aggregate over `paths` without materializing
     /// it: the contribution of `aggregates.materialize(paths, symbolizer,
-    /// anomalies)` stamped with `pid`, which is how a rolling or window
-    /// aggregate freezes. `anomalies` is the caller's to state, as it is
-    /// for `materialize` — a session reports its counters, a window span
-    /// reports none.
+    /// anomalies)` stamped with `pid`, anomalies aside — a window span,
+    /// which is what is added this way, reports none.
     ///
-    /// `memo` is the session's (of this merge's [`NameSpace`]): only stacks
-    /// it has not placed yet go through `symbolizer` and a lookup. Each row
-    /// is then added where the memo says, an index away, and its threads
-    /// are noted for `finish` — a thread noted at that stack just before
-    /// is not noted again.
+    /// `memo` is the session's (of `space`): only stacks it has not placed
+    /// yet go through `symbolizer` and a lookup. Each row is then added
+    /// where the memo says, an index away.
     pub fn add_aggregates(
         &mut self,
+        space: &mut NameSpace,
         pid: u64,
         aggregates: &Aggregates,
         paths: &PathTable,
         symbolizer: &Symbolizer,
         memo: &mut PathNames,
-        anomalies: Anomalies,
     ) {
         self.pids.insert(pid);
-        self.add_anomalies(anomalies);
-        memo.extend(paths, symbolizer, self.space);
+        memo.extend(paths, symbolizer, space);
         for ((id, _, addr), row) in paths.rows().zip(aggregates.rows.iter().skip(1)) {
             if row.counts.calls > 0 {
-                self.total_ticks += row.counts.exclusive;
-                let at = memo.by_path[id.index()];
-                let name = self.space.stacks.key(at) as u32;
-                let merged = row_at(&mut self.stacks, at.index());
-                merged.addr = merged.addr.min(addr);
-                merged.counts.add(&row.counts);
-                for tid in &row.threads {
-                    let key = merged_thread_key(pid, *tid);
-                    if merged.noted.replace(key) != Some(key) {
-                        self.method_threads.push((name, key));
-                    }
-                }
+                let keys = row.threads.iter().map(|tid| merged_thread_key(pid, *tid));
+                self.add_row(space, memo.by_path[id.index()], addr, &row.counts, keys);
             }
         }
         let keys = aggregates
@@ -956,13 +980,62 @@ impl<'s> ProfileMerge<'s> {
         self.threads.extend(keys);
     }
 
+    /// Add the calls process `pid` completed since its log was last
+    /// cleared, and the threads it observed: the same contribution as
+    /// adding an aggregate of just those calls over `paths`, and so, call
+    /// log after call log, as adding the process's whole aggregate at the
+    /// end (anomalies aside). The cost is the log's length plus the
+    /// stacks `paths` gained since the memo last saw it. A process joins
+    /// [`ProfileMerge::pids`] here, with an empty log as well.
+    pub fn add_calls(
+        &mut self,
+        space: &mut NameSpace,
+        pid: u64,
+        calls: &CallLog,
+        paths: &PathTable,
+        symbolizer: &Symbolizer,
+        memo: &mut PathNames,
+    ) {
+        self.pids.insert(pid);
+        memo.extend(paths, symbolizer, space);
+        for (path, tid, counts) in &calls.calls {
+            let key = merged_thread_key(pid, *tid);
+            let at = memo.by_path[path.index()];
+            self.add_row(space, at, paths.key(*path), counts, std::iter::once(key));
+        }
+        let keys = calls.threads.iter().map(|tid| merged_thread_key(pid, *tid));
+        self.threads.extend(keys);
+    }
+
+    /// Add `counts` of the threads `keys`, seen at `addr`, to name-space
+    /// stack `at`.
+    fn add_row(
+        &mut self,
+        space: &NameSpace,
+        at: PathId,
+        addr: u64,
+        counts: &Counts,
+        keys: impl Iterator<Item = u64>,
+    ) {
+        self.total_ticks += counts.exclusive;
+        let name = space.stacks.key(at) as usize;
+        let merged = row_at(&mut self.stacks, at.index());
+        merged.addr = merged.addr.min(addr);
+        merged.counts.add(counts);
+        for key in keys {
+            if merged.noted.replace(key) != Some(key) {
+                note_thread(row_at(&mut self.method_threads, name), key);
+            }
+        }
+    }
+
     /// The method table in its final order, names as ids: the profiles'
     /// rows and every stack with calls grouped under its innermost name,
     /// sorted by [`method_key`] — the one grouping both ways out read.
-    fn methods_in_order(&self) -> Vec<MergedMethod> {
+    fn methods_in_order(&self, space: &NameSpace) -> Vec<MergedMethod> {
         let mut by_name = self.methods.clone();
-        by_name.resize(self.space.names.len(), None);
-        let tree = &self.space.stacks;
+        by_name.resize(space.names.len(), None);
+        let tree = &space.stacks;
         for ((_, _, name), stack) in tree.rows().zip(self.stacks.iter().skip(1)) {
             if stack.counts.calls > 0 {
                 add_method(&mut by_name[name as usize], stack.addr, &stack.counts);
@@ -973,7 +1046,7 @@ impl<'s> ProfileMerge<'s> {
             let (addr, counts) = row?;
             Some((name, addr, counts))
         }));
-        let names = &self.space.names;
+        let names = &space.names;
         let key = |(name, addr, counts): &MergedMethod| {
             method_key(counts.exclusive, names[*name as usize].as_str(), *addr)
         };
@@ -991,11 +1064,14 @@ impl<'s> ProfileMerge<'s> {
 
     /// The merged method rows as `(name, calls, inclusive, exclusive)`, in
     /// the order of the [`Profile::methods`] that `finish` would return.
-    pub fn method_rows(&self) -> impl Iterator<Item = (&str, u64, u64, u64)> + '_ {
-        self.methods_in_order()
+    pub fn method_rows<'a>(
+        &'a self,
+        space: &'a NameSpace,
+    ) -> impl Iterator<Item = (&'a str, u64, u64, u64)> + 'a {
+        self.methods_in_order(space)
             .into_iter()
             .map(|(name, _, counts)| {
-                let name = self.space.names[name as usize].as_str();
+                let name = space.names[name as usize].as_str();
                 (name, counts.calls, counts.inclusive, counts.exclusive)
             })
     }
@@ -1003,16 +1079,13 @@ impl<'s> ProfileMerge<'s> {
     /// Hand every merged folded stack to `row` — its frames outermost
     /// first, and its ticks — in the order of the [`Profile::folded`] that
     /// `finish` would return.
-    pub fn folded_rows(&self, mut row: impl FnMut(&[&str], u64)) {
+    pub fn folded_rows(&self, space: &NameSpace, mut row: impl FnMut(&[&str], u64)) {
         let mut frames: Vec<&str> = Vec::new();
-        self.space.folded_rows(
+        space.folded_rows(
             |id| self.ticks(id),
             |path, ticks| {
                 frames.clear();
-                frames.extend(
-                    path.iter()
-                        .map(|id| self.space.names[*id as usize].as_str()),
-                );
+                frames.extend(path.iter().map(|id| space.names[*id as usize].as_str()));
                 row(&frames, ticks);
             },
         );
@@ -1031,12 +1104,14 @@ impl<'s> ProfileMerge<'s> {
 
     /// The merged [`Profile`]: the method and folded tables of
     /// [`ProfileMerge::method_rows`] and [`ProfileMerge::folded_rows`]
-    /// with every per-method thread set grouped from the noted pairs, and
-    /// the tree's caller edges beside the profiles' — the only place a
-    /// cross-process view's strings are made.
-    pub fn finish(mut self) -> Profile {
-        let root = self.space.id(ROOT_NAME);
-        let tree = &self.space.stacks;
+    /// with every method's thread set, and the tree's caller edges beside
+    /// the profiles' — the only place a cross-process view's strings are
+    /// made.
+    pub fn finish(&self, space: &mut NameSpace) -> Profile {
+        let root = space.id(ROOT_NAME);
+        let space = &*space;
+        let mut edges = self.edges.clone();
+        let tree = &space.stacks;
         for ((_, parent, name), stack) in tree.rows().zip(self.stacks.iter().skip(1)) {
             if stack.counts.calls > 0 {
                 let caller = match parent {
@@ -1045,41 +1120,37 @@ impl<'s> ProfileMerge<'s> {
                 };
                 let c = &stack.counts;
                 add_edge(
-                    &mut self.edges,
+                    &mut edges,
                     (caller, name as u32),
                     (c.calls, c.inclusive, c.exclusive),
                 );
             }
         }
-        let name = |id: u32| self.space.names[id as usize].clone();
+        let name = |id: u32| space.names[id as usize].clone();
 
-        let mut threads: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); self.space.names.len()];
-        for (id, key) in &self.method_threads {
-            threads[*id as usize].insert(*key);
-        }
         let methods: Vec<MethodStats> = self
-            .methods_in_order()
+            .methods_in_order(space)
             .into_iter()
             .map(|(id, addr, counts)| {
-                let threads = std::mem::take(&mut threads[id as usize]);
+                let threads = self.method_threads.get(id as usize);
+                let threads = threads.into_iter().flatten().copied().collect();
                 method_stats(name(id), addr, counts, threads)
             })
             .collect();
 
-        let (folded, symbols, folded_ids) = self.space.spell_folded(|id| self.ticks(id));
+        let (folded, symbols, folded_ids) = space.spell_folded(|id| self.ticks(id));
 
         // Name pairs are unique keys here, so no address tiebreak is
         // needed for a total order.
-        let mut caller_edges: Vec<CallerEdge> = self
-            .edges
-            .iter()
+        let mut caller_edges: Vec<CallerEdge> = edges
+            .into_iter()
             .map(
                 |((caller, callee), (calls, inclusive, exclusive))| CallerEdge {
-                    caller: name(*caller),
-                    callee: name(*callee),
-                    calls: *calls,
-                    inclusive: *inclusive,
-                    exclusive: *exclusive,
+                    caller: name(caller),
+                    callee: name(callee),
+                    calls,
+                    inclusive,
+                    exclusive,
                 },
             )
             .collect();
@@ -1095,10 +1166,10 @@ impl<'s> ProfileMerge<'s> {
             symbols,
             folded_ids,
             caller_edges,
-            threads: self.threads,
+            threads: self.threads.clone(),
             total_ticks: self.total_ticks,
             anomalies: self.anomalies,
-            pids: self.pids,
+            pids: self.pids.clone(),
         }
     }
 }
@@ -1108,11 +1179,11 @@ impl<'s> ProfileMerge<'s> {
 /// not affect the result.
 pub fn merge_profiles(parts: &[(u64, &Profile)]) -> Profile {
     let mut space = NameSpace::new();
-    let mut merge = ProfileMerge::new(&mut space);
+    let mut merge = ProfileMerge::new();
     for (pid, profile) in parts {
-        merge.add_profile(*pid, profile);
+        merge.add_profile(&mut space, *pid, profile);
     }
-    merge.finish()
+    merge.finish(&mut space)
 }
 
 impl Profile {
@@ -1687,6 +1758,47 @@ mod tests {
         let p = build(&log, &Symbolizer::without_relocation(debug()));
         assert!((p.exclusive_fraction("work") - 0.75).abs() < 1e-9);
         assert_eq!(p.exclusive_fraction("nonexistent"), 0.0);
+    }
+
+    #[test]
+    fn interleaved_call_logs_note_each_method_thread_once() {
+        // `main { work × 8 }` on thread 0, its calls added one log at a
+        // time with the processes taking turns: the last-key check never
+        // hits, so only the thread set keeps a pair from being noted once
+        // a call.
+        let ev = |kind, counter, addr| Event {
+            kind,
+            counter,
+            addr,
+            seq: 0,
+        };
+        let mut events = vec![ev(EventKind::Call, 1, addr(0))];
+        for i in 0..8 {
+            events.push(ev(EventKind::Call, 10 * i + 2, addr(1)));
+            events.push(ev(EventKind::Return, 10 * i + 9, addr(1)));
+        }
+        events.push(ev(EventKind::Return, 100, addr(0)));
+        let mut paths = PathTable::new();
+        let mut calls: Vec<CompletedCall> = Vec::new();
+        ResumableStacks::new().feed(&mut paths, &events, |call| calls.push(call.clone()));
+        assert_eq!(calls.len(), 9);
+        const PIDS: u64 = 64;
+        let sym = Symbolizer::without_relocation(debug());
+        let (mut space, mut merge) = (NameSpace::new(), ProfileMerge::new());
+        let mut memos: Vec<PathNames> = (0..PIDS).map(|_| PathNames::new()).collect();
+        let mut log = CallLog::new();
+        for call in &calls {
+            for (pid, memo) in (1..=PIDS).zip(&mut memos) {
+                log.clear();
+                log.add_call(0, call, 1);
+                merge.add_calls(&mut space, pid, &log, &paths, &sym, memo);
+            }
+        }
+        let noted: usize = merge.method_threads.iter().map(Vec::len).sum();
+        assert_eq!(noted, 2 * PIDS as usize, "main and work, once per process");
+        let work = merge.finish(&mut space);
+        let work = work.methods.iter().find(|m| m.name == "work").unwrap();
+        assert_eq!((work.calls, work.threads.len()), (8 * PIDS, PIDS as usize));
     }
 
     /// `(calls, inclusive, exclusive, min, max, threads)` of one address.

@@ -16,8 +16,8 @@
 //!   no dependencies — see [`http`]) serves the merged snapshot, per-pid
 //!   views, flame graphs and metrics. The payloads are the stable
 //!   [`Snapshot::to_text`] format (`/snapshot` writes it straight from the
-//!   registry's merge, [`SessionRegistry::merged_text`]): the text format
-//!   *is* the wire contract, and `teeperf top` re-parses it with
+//!   registry's fleet table, [`SessionRegistry::merged_text`]): the text
+//!   format *is* the wire contract, and `teeperf top` re-parses it with
 //!   [`Snapshot::summary_from_text`].
 //!
 //! The daemon is deliberately **single-threaded**: one loop rescans the
@@ -478,7 +478,7 @@ impl Daemon {
             };
             if self.registry.session(pid).is_some()
                 || self.rejected.contains(name.as_os_str())
-                || self.registry.retired_pids().contains(&pid)
+                || self.registry.is_retired(pid)
             {
                 continue;
             }
@@ -626,7 +626,7 @@ impl SnapshotService for Daemon {
         self.registry.merged_snapshot()
     }
 
-    /// Written from the registry's merge, no snapshot built.
+    /// Written from the registry's fleet table, no snapshot built.
     fn merged_text(&mut self) -> String {
         self.registry.merged_text()
     }

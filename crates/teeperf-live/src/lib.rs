@@ -33,13 +33,13 @@
 //!   subcommand.
 //! * [`registry`] — the multi-process layer: a [`SessionRegistry`] keys
 //!   one session per [`teeperf_core::EventSource`] by the pid in its log
-//!   header, and merges the per-pid rolling aggregates — row by row onto
-//!   the stacks of its [`teeperf_analyzer::NameSpace`], where each session
-//!   remembers its own sit, through one [`teeperf_analyzer::ProfileMerge`]
-//!   per request — into a cross-process view whose totals are exactly the
-//!   per-pid sums. Sessions attach and detach hot, and an optional
-//!   liveness watchdog quarantines sources whose producer crashed — their
-//!   prior contribution stays in the merge.
+//!   header, and folds every call a session's pump completes — onto the
+//!   stacks of its [`teeperf_analyzer::NameSpace`], where each session
+//!   remembers its own sit — into one running
+//!   [`teeperf_analyzer::ProfileMerge`], the cross-process view whose
+//!   totals are exactly the per-pid sums. Sessions attach and detach hot,
+//!   and an optional liveness watchdog quarantines sources whose producer
+//!   crashed — their prior contribution stays in the merge.
 //! * [`window`] — windowed retention: a [`RetentionRing`] of per-interval
 //!   aggregates over the virtual clock with time-decayed coarsening, one
 //!   ring per session (so one noisy pid cannot age out another's

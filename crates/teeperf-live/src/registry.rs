@@ -7,18 +7,24 @@
 //! the cross-process views: per-pid snapshots on demand, plus a *merged*
 //! snapshot whose profile is the commutative merge of every per-pid
 //! profile, so the merged totals are exactly the sum of the per-pid
-//! totals. A merged view is merged before it is symbolized: every session
-//! of the run, attached or retired, adds its rolling (or, attached, its
-//! window-span) aggregate's rows to one [`teeperf_analyzer::ProfileMerge`],
-//! and the answer is materialized once — no per-session profile is built
-//! for `/snapshot` or `/query` — or, for `/snapshot`'s text
-//! ([`SessionRegistry::merged_text`]), not materialized at all but
-//! written from the merge's tables. What is kept between
-//! requests only ever grows: the registry's [`NameSpace`] (names and stacks
-//! of names as small integers) and, in each session, where its own stacks
-//! sit in it — so an address is symbolized once in a session's life and a
-//! poll hashes nothing. Only a single-process view (`snapshot_pid`, the
-//! per-pid towers of a render) materializes a session by itself.
+//! totals.
+//!
+//! The merged profile is folded at pump time and read at poll time. The
+//! registry keeps one running [`ProfileMerge`], the *fleet table*: every
+//! call a session's pump completes (and every frame its finish closes) is
+//! added to it right after that pump, through the session's memo of where
+//! its stacks sit in the registry's [`NameSpace`] (names and stacks of
+//! names as small integers, which only ever grow) — so an address is
+//! symbolized once in a session's life and a poll hashes nothing. Every
+//! merged column is a sum, so the table is the merge of every session of
+//! the run, attached or retired, after every pump. `/snapshot`'s text
+//! ([`SessionRegistry::merged_text`]) is written from that table, and
+//! only the per-session scalars around it — status, anomalies, the regime
+//! block and the events list — are gathered per read. A window query
+//! (`/query`) still merges each attached session's span into a fresh
+//! merge in the same name space, and only a single-process view
+//! (`snapshot_pid`, the per-pid towers of a render) materializes a
+//! session by itself.
 //!
 //! Sessions come and go while the registry runs: [`SessionRegistry::attach`]
 //! accepts a new source at any point and [`SessionRegistry::detach`] ends
@@ -39,7 +45,7 @@ use std::fmt;
 
 use teeperf_analyzer::query::windowed::top_rows;
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_analyzer::{diff, Frame, NameSpace, Profile, ProfileMerge, WindowSpec};
+use teeperf_analyzer::{diff, CallLog, Frame, NameSpace, Profile, ProfileMerge, WindowSpec};
 use teeperf_core::layout::PID_UNSET;
 use teeperf_core::{EventSource, SalvageReport, SourceBatch};
 use teeperf_flamegraph::{live, LiveStatus, SvgOptions};
@@ -142,10 +148,16 @@ pub struct SessionRegistry {
     /// their stacks' ids in it, so it only ever grows (and merged views
     /// only read the registry, hence the cell).
     space: RefCell<NameSpace>,
+    /// The fleet table: every call of every session of the run, folded in
+    /// as the session's pump or finish completed it.
+    fleet: ProfileMerge,
     /// The one buffer every session pumps into, lent to each in turn: it
     /// settles at the largest single pump, so a steady drain needs no new
     /// batch whichever session is attached or retired.
     batch: SourceBatch,
+    /// The calls of one session's pump, lent like `batch` and emptied into
+    /// `fleet` right after.
+    fresh: CallLog,
 }
 
 impl SessionRegistry {
@@ -159,7 +171,9 @@ impl SessionRegistry {
             retired: BTreeMap::new(),
             events: Vec::new(),
             space: RefCell::new(NameSpace::new()),
+            fleet: ProfileMerge::new(),
             batch: SourceBatch::default(),
+            fresh: CallLog::new(),
         }
     }
 
@@ -195,6 +209,8 @@ impl SessionRegistry {
             return Err(AttachError::DuplicatePid(pid));
         }
         let session = LiveSession::from_source(source, symbolizer, self.config.clone());
+        // In the merged view from the start, calls or not.
+        session.fold_into(&mut self.fleet, self.space.get_mut(), &mut self.fresh);
         self.sessions.insert(pid, session);
         self.events.push(SessionEvent::Attached { pid });
         Ok(pid)
@@ -219,12 +235,14 @@ impl SessionRegistry {
         }
     }
 
-    /// Finish the attached session for `pid` and move it into the
-    /// retired set; its final snapshot, or `None` when none is attached.
+    /// Finish the attached session for `pid`, fold what the finish
+    /// completed, and move it into the retired set; its final snapshot,
+    /// or `None` when none is attached.
     fn retire(&mut self, pid: u64) -> Option<Snapshot> {
         let mut session = self.sessions.remove(&pid)?;
         self.watch.remove(&pid);
-        let snapshot = session.finish();
+        let snapshot = session.finish_into(Some(&mut self.fresh));
+        session.fold_into(&mut self.fleet, self.space.get_mut(), &mut self.fresh);
         self.retired.insert(pid, session);
         Some(snapshot)
     }
@@ -240,11 +258,16 @@ impl SessionRegistry {
         self.retired.keys().copied().collect()
     }
 
+    /// Whether `pid` was quarantined or detached earlier in this run.
+    pub fn is_retired(&self, pid: u64) -> bool {
+        self.retired.contains_key(&pid)
+    }
+
     /// Salvage accounting across the whole registry: every session's
     /// report, attached or retired.
     pub fn salvage(&self) -> SalvageReport {
         let mut total = SalvageReport::default();
-        for s in self.all_sessions().values() {
+        for s in self.all() {
             total.absorb(&s.salvage());
         }
         total
@@ -270,13 +293,9 @@ impl SessionRegistry {
         self.sessions.get(&pid)
     }
 
-    /// Mutable access to the session for `pid`, if attached.
-    pub fn session_mut(&mut self, pid: u64) -> Option<&mut LiveSession> {
-        self.sessions.get_mut(&pid)
-    }
-
     /// Pump every session once (each drains its own source and merges into
-    /// its own rolling profile). Returns the total entries consumed.
+    /// its own rolling profile, and the calls it completed are folded into
+    /// the fleet table). Returns the total entries consumed.
     ///
     /// With a watchdog enabled, each pump also checks every source's
     /// heartbeat: consuming entries (or reporting drops) resets its
@@ -290,7 +309,8 @@ impl SessionRegistry {
         let watchdog = self.watchdog;
         for (pid, session) in &mut self.sessions {
             let before_dropped = session.dropped();
-            let n = session.pump_into(&mut self.batch);
+            let n = session.pump_into(&mut self.batch, Some(&mut self.fresh));
+            session.fold_into(&mut self.fleet, self.space.get_mut(), &mut self.fresh);
             total += n;
             if session.source_dead() {
                 condemned.push((*pid, "source header corrupted".to_string()));
@@ -336,13 +356,13 @@ impl SessionRegistry {
     /// Events merged so far, across all processes — including sessions
     /// already retired.
     pub fn events(&self) -> u64 {
-        self.all_sessions().values().map(|s| s.events()).sum()
+        self.all().map(LiveSession::events).sum()
     }
 
     /// Cumulative overflow loss, across all processes — including
     /// sessions already retired.
     pub fn dropped(&self) -> u64 {
-        self.all_sessions().values().map(|s| s.dropped()).sum()
+        self.all().map(LiveSession::dropped).sum()
     }
 
     /// Cumulative overflow loss per process, ascending by pid — live
@@ -350,10 +370,7 @@ impl SessionRegistry {
     /// This is the breakdown behind the daemon's per-pid
     /// `teeperf_dropped_total` gauge: the fleet total is the sum of these.
     pub fn dropped_by_pid(&self) -> BTreeMap<u64, u64> {
-        self.all_sessions()
-            .into_iter()
-            .map(|(pid, s)| (pid, s.dropped()))
-            .collect()
+        self.by_pid().map(|(pid, s)| (pid, s.dropped())).collect()
     }
 
     /// Each attached session's fidelity-regime block, ascending by pid.
@@ -383,12 +400,8 @@ impl SessionRegistry {
     /// final counters of retired sessions.
     pub fn merged_status(&self) -> LiveStatus {
         let mut status = LiveStatus::default();
-        for one in self.all_sessions().values().map(|s| s.status()) {
-            status.epoch += one.epoch;
-            status.events += one.events;
-            status.dropped += one.dropped;
-            status.threads += one.threads;
-            status.open_frames += one.open_frames;
+        for s in self.all() {
+            add_status(&mut status, &s.status());
         }
         status
     }
@@ -409,47 +422,59 @@ impl SessionRegistry {
     /// tick totals are the sums of the per-pid profiles, its status is
     /// [`Self::merged_status`], and its events list records every
     /// attach/detach/quarantine so far. Equal to merging the per-pid
-    /// [`Self::snapshot_pid`]s, but no per-pid profile is built on the
-    /// way: every session feeds its rolling aggregate straight into the
-    /// one [`ProfileMerge`].
+    /// [`Self::snapshot_pid`]s; materialized from the fleet table, with
+    /// the sessions' anomalies summed beside it.
     pub fn merged_snapshot(&self) -> Snapshot {
-        let mut space = self.space.borrow_mut();
-        let mut merge = ProfileMerge::new(&mut space);
-        let (status, events, regime) = self.merge_parts(&mut merge);
+        let mut profile = self.fleet.finish(&mut self.space.borrow_mut());
+        for s in self.all() {
+            profile.anomalies.add(&s.anomalies());
+        }
+        let (status, events, regime) = self.merged_head();
         Snapshot {
             status,
-            profile: merge.finish(),
+            profile,
             events,
             regime,
         }
     }
 
     /// [`Self::merged_snapshot`]`.to_text()`, byte for byte, written from
-    /// the merge's tables: the same sessions go into the same
-    /// [`ProfileMerge`], and no profile is built on the way out — the
-    /// daemon's `/snapshot` body.
+    /// the fleet table as it stands — the daemon's `/snapshot` body. No
+    /// profile is built and no session's table is read: the cost is the
+    /// table's size plus a few counters per session.
     pub fn merged_text(&self) -> String {
-        let mut space = self.space.borrow_mut();
-        let mut merge = ProfileMerge::new(&mut space);
-        let (status, events, regime) = self.merge_parts(&mut merge);
-        snapshot::merged_text(&status, &merge, &events, regime.as_ref())
+        let (status, events, regime) = self.merged_head();
+        let space = self.space.borrow();
+        snapshot::merged_text(&status, &self.fleet, &space, &events, regime.as_ref())
     }
 
-    /// Every process of the run, ascending by pid: attached sessions where
-    /// they stand, retired ones finished.
-    fn all_sessions(&self) -> BTreeMap<u64, &LiveSession> {
-        self.sessions
-            .iter()
-            .chain(&self.retired)
-            .map(|(pid, s)| (*pid, s))
-            .collect()
+    /// Every process of the run, attached then retired.
+    fn all(&self) -> impl Iterator<Item = &LiveSession> {
+        self.sessions.values().chain(self.retired.values())
     }
 
-    /// Add every session of the run to `merge` and return the rest of
-    /// their merged snapshot: [`Self::merged_status`], and the
-    /// registry's lifecycle log extended with each session's own events —
-    /// retention transitions, regime changes and faults — in pid order,
-    /// so the merged `[events]` section never hides history loss.
+    /// Every process of the run, ascending by pid: the attached and the
+    /// retired sessions, two ascending maps, merged as they are walked.
+    fn by_pid(&self) -> impl Iterator<Item = (u64, &LiveSession)> {
+        let (mut attached, mut retired) = (
+            self.sessions.iter().peekable(),
+            self.retired.iter().peekable(),
+        );
+        std::iter::from_fn(move || {
+            let next = match (attached.peek(), retired.peek()) {
+                (Some(a), Some(r)) if r.0 < a.0 => retired.next(),
+                (Some(_), _) => attached.next(),
+                (None, _) => retired.next(),
+            };
+            next.map(|(pid, s)| (*pid, s))
+        })
+    }
+
+    /// The rest of a merged snapshot besides its profile, in one walk over
+    /// the sessions: [`Self::merged_status`], and the registry's lifecycle
+    /// log extended with each session's own events — retention
+    /// transitions, regime changes and faults — in pid order, so the
+    /// merged `[events]` section never hides history loss.
     ///
     /// Regime blocks merge conservatively: the merged regime is the *most
     /// degraded* across the contributing sessions (each registry entry runs
@@ -457,14 +482,12 @@ impl SessionRegistry {
     /// budget is the tightest one — so a merged snapshot never claims more
     /// fidelity than its worst member delivers. Sessions without a block
     /// contribute nothing; when none has one, the merge has none.
-    fn merge_parts(
-        &self,
-        merge: &mut ProfileMerge,
-    ) -> (LiveStatus, Vec<SessionEvent>, Option<RegimeInfo>) {
+    fn merged_head(&self) -> (LiveStatus, Vec<SessionEvent>, Option<RegimeInfo>) {
+        let mut status = LiveStatus::default();
         let mut events = self.events.clone();
         let mut regime: Option<RegimeInfo> = None;
-        for session in self.all_sessions().values() {
-            session.merge_into(merge);
+        for (_, session) in self.by_pid() {
+            add_status(&mut status, &session.status());
             events.extend_from_slice(session.session_events());
             if let Some(r) = session.regime_info() {
                 regime = Some(match regime {
@@ -482,15 +505,14 @@ impl SessionRegistry {
                 });
             }
         }
-        (self.merged_status(), events, regime)
+        (status, events, regime)
     }
 
     /// Render the merged view as SVG, one `pid <n>` tower per process,
     /// every session freshly frozen.
     pub fn render_svg(&self, options: &SvgOptions) -> String {
         let per_pid: Vec<(u64, Profile)> = self
-            .all_sessions()
-            .into_iter()
+            .by_pid()
             .map(|(pid, s)| (pid, s.snapshot().profile))
             .collect();
         let parts: Vec<teeperf_flamegraph::PidFolded> = per_pid
@@ -525,20 +547,26 @@ impl SessionRegistry {
         sel: &WindowSel,
         pid: Option<u64>,
     ) -> Option<(Vec<(u64, WindowMeta)>, Profile)> {
-        let mut space = self.space.borrow_mut();
-        let mut merge = ProfileMerge::new(&mut space);
+        let space = &mut *self.space.borrow_mut();
+        let mut merge = ProfileMerge::new();
         let spans: Vec<(u64, WindowMeta)> = match pid {
-            Some(p) => vec![(p, self.sessions.get(&p)?.merge_span_into(sel, &mut merge)?)],
+            Some(p) => {
+                let span = self
+                    .sessions
+                    .get(&p)?
+                    .merge_span_into(sel, &mut merge, space)?;
+                vec![(p, span)]
+            }
             None => self
                 .sessions
                 .iter()
-                .filter_map(|(pid, s)| Some((*pid, s.merge_span_into(sel, &mut merge)?)))
+                .filter_map(|(pid, s)| Some((*pid, s.merge_span_into(sel, &mut merge, space)?)))
                 .collect(),
         };
         if spans.is_empty() {
             return None;
         }
-        Some((spans, merge.finish()))
+        Some((spans, merge.finish(space)))
     }
 
     /// Two-window diff over retained history: window `a` as baseline,
@@ -590,17 +618,26 @@ impl SessionRegistry {
     /// so the merged totals equal the sum over `per_pid` even after
     /// quarantines.
     pub fn finish(&mut self) -> RegistryRun {
-        let mut per_pid: BTreeMap<u64, Snapshot> = self
-            .sessions
-            .iter_mut()
-            .map(|(pid, s)| (*pid, s.finish()))
-            .collect();
+        let mut per_pid: BTreeMap<u64, Snapshot> = BTreeMap::new();
+        for (pid, s) in &mut self.sessions {
+            per_pid.insert(*pid, s.finish_into(Some(&mut self.fresh)));
+            s.fold_into(&mut self.fleet, self.space.get_mut(), &mut self.fresh);
+        }
         per_pid.extend(self.retired.iter().map(|(pid, s)| (*pid, s.snapshot())));
         RegistryRun {
             per_pid,
             merged: self.merged_snapshot(),
         }
     }
+}
+
+/// Add one session's counters to a fleet's: every one of them is a sum.
+fn add_status(fleet: &mut LiveStatus, one: &LiveStatus) {
+    fleet.epoch += one.epoch;
+    fleet.events += one.events;
+    fleet.dropped += one.dropped;
+    fleet.threads += one.threads;
+    fleet.open_frames += one.open_frames;
 }
 
 #[cfg(test)]
@@ -724,6 +761,56 @@ mod tests {
         assert!(text.contains("[processes]\npid 11\npid 22\npid 33\n"));
         // Per-pid snapshots are single-process: no [processes] section.
         assert!(!run.per_pid[&11].to_text().contains("[processes]"));
+    }
+
+    #[test]
+    fn a_fleet_of_identical_streams_folds_to_exact_multiples() {
+        // `main { work × 8 }` on one thread; two entries a pump, so the
+        // sessions' calls reach the fleet table interleaved, one by one.
+        let d = debug();
+        let (main, work) = (d.entry_addr(0), d.entry_addr(1));
+        let e = |kind, counter, addr| LogEntry {
+            kind,
+            counter,
+            addr,
+            tid: 0,
+        };
+        let mut entries = vec![e(EventKind::Call, 1, main)];
+        for i in 0..8 {
+            entries.push(e(EventKind::Call, 10 * i + 2, work));
+            entries.push(e(EventKind::Return, 10 * i + 9, work));
+        }
+        entries.push(e(EventKind::Return, 100, main));
+        let stream = |pid| LogFile::new(header(pid, entries.len() as u64), entries.clone());
+        const FLEET: u64 = 512;
+        let mut reg = SessionRegistry::new(LiveConfig::default());
+        for pid in 1..=FLEET {
+            let src = FileReplaySource::new(&stream(pid)).with_chunk(2);
+            reg.attach(Box::new(src), sym()).unwrap();
+        }
+        while reg.pump() > 0 {}
+        let one = reg.snapshot_pid(1).unwrap().profile;
+        let merged = reg.merged_snapshot();
+        for name in ["main", "work"] {
+            let (m, o) = (
+                merged.profile.method(name).unwrap(),
+                one.method(name).unwrap(),
+            );
+            assert_eq!(m.calls, FLEET * o.calls, "{name}");
+            assert_eq!(
+                (m.inclusive, m.exclusive),
+                (FLEET * o.inclusive, FLEET * o.exclusive)
+            );
+            assert_eq!(
+                m.threads.len() as u64,
+                FLEET,
+                "{name}: thread 0 of every process"
+            );
+        }
+        assert_eq!(merged.profile.total_ticks, FLEET * one.total_ticks);
+        assert_eq!(reg.merged_text(), merged.to_text());
+        let (stacks, threads) = (merged.profile.folded.len(), merged.profile.threads.len());
+        assert_eq!((stacks, threads), (2, FLEET as usize));
     }
 
     #[test]

@@ -24,7 +24,9 @@
 
 use std::collections::BTreeMap;
 
-use teeperf_analyzer::profile::{Aggregates, Anomalies, PathNames, Profile, ProfileMerge};
+use teeperf_analyzer::profile::{
+    Aggregates, Anomalies, CallLog, NameSpace, PathNames, Profile, ProfileMerge,
+};
 use teeperf_analyzer::reader::Event;
 use teeperf_analyzer::stacks::{PathTable, ResumableStacks};
 use teeperf_analyzer::symbolize::Symbolizer;
@@ -182,6 +184,13 @@ impl RollingProfile {
     /// each thread is that thread's program order — the only ordering the
     /// reconstruction needs.
     pub fn ingest(&mut self, entries: &[LogEntry]) {
+        self.ingest_noting(entries, None);
+    }
+
+    /// [`RollingProfile::ingest`], also recording in `fresh` (when given)
+    /// every call it completes and every thread it observes, exactly as
+    /// they enter the aggregate.
+    pub(crate) fn ingest_noting(&mut self, entries: &[LogEntry], mut fresh: Option<&mut CallLog>) {
         // Group per thread, preserving order (same dismissal rule as the
         // batch reader: all-zero records were reserved but never written).
         let mut per_tid: BTreeMap<u64, Vec<Event>> = BTreeMap::new();
@@ -202,9 +211,15 @@ impl RollingProfile {
         for (tid, events) in per_tid {
             // Observed even when this batch completes no call.
             self.agg.observe_thread(tid);
+            if let Some(fresh) = fresh.as_deref_mut() {
+                fresh.observe_thread(tid);
+            }
             let stacks = self.threads.entry(tid).or_default();
             let orphans = stacks.feed(&mut self.paths, &events, |call| {
                 self.agg.add_call(tid, call, self.scale);
+                if let Some(fresh) = fresh.as_deref_mut() {
+                    fresh.add_call(tid, call, self.scale);
+                }
                 if let Some(ring) = &mut self.ring {
                     ring.add_call(tid, call, self.scale);
                 }
@@ -222,9 +237,18 @@ impl RollingProfile {
     /// (end of session). The per-thread states stay usable: feeding more
     /// events afterwards starts from an empty stack.
     pub fn finish(&mut self) {
+        self.finish_noting(None);
+    }
+
+    /// [`RollingProfile::finish`], also recording the calls it closes in
+    /// `fresh` (when given).
+    pub(crate) fn finish_noting(&mut self, mut fresh: Option<&mut CallLog>) {
         for (tid, stacks) in &mut self.threads {
             stacks.finish(|call| {
                 self.agg.add_call(*tid, call, self.scale);
+                if let Some(fresh) = fresh.as_deref_mut() {
+                    fresh.add_call(*tid, call, self.scale);
+                }
                 if let Some(ring) = &mut self.ring {
                     ring.add_call(*tid, call, self.scale);
                 }
@@ -254,22 +278,6 @@ impl RollingProfile {
             .materialize(&self.paths, symbolizer, self.anomalies(dropped))
     }
 
-    /// Contribute the rolling aggregate to a cross-process merge as
-    /// process `pid` — what [`RollingProfile::snapshot`] would add through
-    /// [`ProfileMerge::add_profile`], without materializing it. `memo` is
-    /// the session's, in the merge's name space.
-    pub(crate) fn merge_into(
-        &self,
-        merge: &mut ProfileMerge,
-        pid: u64,
-        symbolizer: &Symbolizer,
-        memo: &mut PathNames,
-        dropped: u64,
-    ) {
-        let anomalies = self.anomalies(dropped);
-        merge.add_aggregates(pid, &self.agg, &self.paths, symbolizer, memo, anomalies);
-    }
-
     /// Contribute the exact merge of the selected windows as process `pid`
     /// — what [`RollingProfile::span_profile`] would add through
     /// [`ProfileMerge::add_profile`]: each slot's rows are added where they
@@ -280,6 +288,7 @@ impl RollingProfile {
         &self,
         sel: &WindowSel,
         merge: &mut ProfileMerge,
+        space: &mut NameSpace,
         pid: u64,
         symbolizer: &Symbolizer,
         memo: &mut PathNames,
@@ -288,8 +297,7 @@ impl RollingProfile {
         for agg in slots {
             // Window anomalies are zero by construction: orphans and
             // truncations are session-scoped.
-            let none = Anomalies::default();
-            merge.add_aggregates(pid, agg, &self.paths, symbolizer, memo, none);
+            merge.add_aggregates(space, pid, agg, &self.paths, symbolizer, memo);
         }
         Some(meta)
     }
@@ -303,7 +311,7 @@ impl RollingProfile {
 
     /// The session-scoped data-quality counters, `dropped` being the
     /// stream's cumulative overflow loss.
-    fn anomalies(&self, dropped: u64) -> Anomalies {
+    pub(crate) fn anomalies(&self, dropped: u64) -> Anomalies {
         Anomalies {
             orphan_returns: self.agg.orphan_returns,
             truncated_frames: self.agg.truncated_frames,

@@ -12,8 +12,9 @@
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 
+use teeperf_analyzer::profile::Anomalies;
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_analyzer::{PathNames, ProfileMerge};
+use teeperf_analyzer::{CallLog, NameSpace, PathNames, ProfileMerge};
 use teeperf_core::{EventSource, LiveLogSource, Regime, SalvageReport, SharedLog, SourceBatch};
 use teeperf_flamegraph::{live, LiveStatus};
 
@@ -354,12 +355,18 @@ impl LiveSession {
     /// publication never waits for a rotation — and recorded as a
     /// [`SessionEvent::RegimeChanged`].
     pub fn pump(&mut self) -> usize {
-        self.pump_into(&mut SourceBatch::default())
+        self.pump_into(&mut SourceBatch::default(), None)
     }
 
     /// [`LiveSession::pump`] through a batch the caller keeps, so that
-    /// every session of a registry drains into one buffer.
-    pub(crate) fn pump_into(&mut self, batch: &mut SourceBatch) -> usize {
+    /// every session of a registry drains into one buffer, recording in
+    /// `fresh` (when given) the calls the pump completes (see
+    /// [`LiveSession::fold_into`]).
+    pub(crate) fn pump_into(
+        &mut self,
+        batch: &mut SourceBatch,
+        fresh: Option<&mut CallLog>,
+    ) -> usize {
         // Occupancy is sampled *before* the drain: it is the fill level
         // the writers ran against, and it resets to zero the moment the
         // pump rotates.
@@ -374,7 +381,7 @@ impl LiveSession {
         if self.config.keep_replay {
             self.replay.extend_from_slice(&batch.entries);
         }
-        self.rolling.ingest(&batch.entries);
+        self.rolling.ingest_noting(&batch.entries, fresh);
         self.collect_window_events();
         if self.source.take_regime_fault() {
             self.regime_faults += 1;
@@ -530,19 +537,33 @@ impl LiveSession {
         }
     }
 
-    /// Contribute this session to a cross-process merge under its pid —
+    /// Fold the calls `fresh` recorded — what this session's last pump
+    /// (or its finish) completed — into a running cross-process merge
+    /// under its pid, and clear it: pump after pump, the merge then holds
     /// what [`LiveSession::snapshot`]'s profile would add through
-    /// [`ProfileMerge::add_profile`], fed from the rolling aggregate
-    /// without materializing it. Every merge a session contributes to must
-    /// be in one name space: its registry's.
-    pub(crate) fn merge_into(&self, merge: &mut ProfileMerge) {
-        self.rolling.merge_into(
-            merge,
+    /// [`ProfileMerge::add_profile`], anomalies aside. Every merge a
+    /// session contributes to must be in one name space: its registry's.
+    pub(crate) fn fold_into(
+        &self,
+        merge: &mut ProfileMerge,
+        space: &mut NameSpace,
+        fresh: &mut CallLog,
+    ) {
+        merge.add_calls(
+            space,
             self.source.pid(),
+            fresh,
+            self.rolling.paths(),
             &self.symbolizer,
             &mut self.fleet_names.borrow_mut(),
-            self.dropped(),
         );
+        fresh.clear();
+    }
+
+    /// The session's data-quality counters: its snapshot profile's
+    /// anomalies.
+    pub(crate) fn anomalies(&self) -> Anomalies {
+        self.rolling.anomalies(self.dropped())
     }
 
     /// The session's own events so far (retention transitions, regime
@@ -559,6 +580,12 @@ impl LiveSession {
     /// did at the end, but holds no transport — no log, no file, no read
     /// buffer — and pumps nothing.
     pub fn finish(&mut self) -> Snapshot {
+        self.finish_into(None)
+    }
+
+    /// [`LiveSession::finish`], recording in `fresh` (when given) the
+    /// calls the final drain completes and the frames it closes.
+    pub(crate) fn finish_into(&mut self, mut fresh: Option<&mut CallLog>) -> Snapshot {
         // The final drain is still scaled by the published regime — the
         // writers' last entries were admitted under it.
         self.rolling.set_scale(self.published_regime().scale());
@@ -570,9 +597,10 @@ impl LiveSession {
             if self.config.keep_replay {
                 self.replay.extend_from_slice(&batch.entries);
             }
-            self.rolling.ingest(&batch.entries);
+            self.rolling
+                .ingest_noting(&batch.entries, fresh.as_deref_mut());
         }
-        self.rolling.finish();
+        self.rolling.finish_noting(fresh);
         self.collect_window_events();
         if self.source.take_regime_fault() {
             self.regime_faults += 1;
@@ -641,10 +669,12 @@ impl LiveSession {
         &self,
         sel: &WindowSel,
         merge: &mut ProfileMerge,
+        space: &mut NameSpace,
     ) -> Option<WindowMeta> {
         self.rolling.merge_span_into(
             sel,
             merge,
+            space,
             self.source.pid(),
             &self.symbolizer,
             &mut self.fleet_names.borrow_mut(),
@@ -990,13 +1020,16 @@ mod tests {
             reg.attach(Box::new(FileReplaySource::new(&log)), symbolizer)
                 .unwrap();
         }
-        while reg.pump() > 0 {}
         let stats = |reg: &SessionRegistry| -> Vec<SymbolCacheStats> {
             (1..=8)
                 .map(|pid| reg.session(pid).unwrap().symbolizer.cache_stats())
                 .collect()
         };
+        // Counted from before the first pump: the fleet table is folded
+        // pump by pump, so every lookup the merged view needs is paid
+        // there.
         let before = stats(&reg);
+        while reg.pump() > 0 {}
         let merged = reg.merged_snapshot();
         let once = stats(&reg);
         assert_eq!(merged.profile.folded.len(), 341, "a row per distinct stack");
@@ -1011,8 +1044,8 @@ mod tests {
                 "{cost} symbolizer lookups for 17 distinct addresses"
             );
         }
-        // And it is paid once: a second view of unchanged sessions asks
-        // the symbolizers nothing.
+        // And it is paid once, across every pump and fold: a second view
+        // of unchanged sessions asks the symbolizers nothing.
         assert_eq!(reg.merged_snapshot(), merged);
         assert_eq!(stats(&reg), once, "the counters repeat exactly");
         // One function, eight addresses: one row, under the smallest.

@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
 
 use teeperf_analyzer::query::frame::Frame;
-use teeperf_analyzer::{compare, Profile, ProfileMerge};
+use teeperf_analyzer::{compare, NameSpace, Profile, ProfileMerge};
 use teeperf_core::Regime;
 use teeperf_flamegraph::LiveStatus;
 
@@ -386,13 +386,14 @@ impl Snapshot {
     }
 }
 
-/// The text of a merged snapshot, written from the merge's tables as they
-/// stand: byte for byte the [`Snapshot::to_text`] of the snapshot with
-/// this head whose profile is `merge.finish()`, without building that
-/// profile.
+/// The text of a merged snapshot, written from the merge's tables (in
+/// `space`) as they stand: byte for byte the [`Snapshot::to_text`] of the
+/// snapshot with this head whose profile is `merge.finish(space)`,
+/// without building that profile.
 pub(crate) fn merged_text(
     status: &LiveStatus,
     merge: &ProfileMerge,
+    space: &NameSpace,
     events: &[SessionEvent],
     regime: Option<&RegimeInfo>,
 ) -> String {
@@ -402,9 +403,11 @@ pub(crate) fn merged_text(
         merge.pids(),
         events,
         regime,
-        merge.method_rows(),
+        merge.method_rows(space),
         |out| {
-            merge.folded_rows(|frames, ticks| write_folded_row(out, frames.iter().copied(), ticks))
+            merge.folded_rows(space, |frames, ticks| {
+                write_folded_row(out, frames.iter().copied(), ticks)
+            })
         },
     )
 }

@@ -7,9 +7,11 @@
 //! * two equivalence property tests over fleets built to alias (one name
 //!   at several addresses, several names at one address, raw-hex frames,
 //!   colliding thread ids, orphan returns, truncated frames): the merged
-//!   snapshot equals the per-pid snapshots merged through
-//!   `merge_profiles`, field for field and byte for byte, mid-run and
-//!   after a detach; and a fleet window query equals the per-session span
+//!   snapshot — folded into the registry's fleet table pump by pump —
+//!   equals the per-pid snapshots merged through `merge_profiles`, field
+//!   for field and byte for byte, mid-run, after a detach, after a
+//!   watchdog quarantine and across a sampling-scale change in the middle
+//!   of a call; and a fleet window query equals the per-session span
 //!   profiles merged the same way;
 //! * golden tests pinning the single-source `Snapshot::to_text()` byte
 //!   format — a profile covering one process must serialize exactly as it
@@ -19,15 +21,18 @@
 use mcvm::DebugInfo;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+use tee_sim::SharedMem;
 use teeperf_analyzer::profile::{merged_thread_key, Anomalies};
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_analyzer::{merge_profiles, Profile};
-use teeperf_core::layout::{EventKind, LogEntry, LogHeader, LOG_VERSION};
-use teeperf_core::{FileReplaySource, LogFile};
+use teeperf_core::layout::{make_header, EventKind, LogEntry, LogHeader, LOG_VERSION};
+use teeperf_core::log::region_bytes;
+use teeperf_core::{FileReplaySource, LiveLogSource, LogFile, Regime, SharedLog};
 use teeperf_flamegraph::LiveStatus;
 use teeperf_live::{
     LiveConfig, LiveSession, OverheadBudget, RegimeInfo, RingConfig, SessionEvent, SessionRegistry,
-    Snapshot, WindowMeta, WindowSel,
+    Snapshot, WatchdogConfig, WindowMeta, WindowSel,
 };
 
 fn debug() -> DebugInfo {
@@ -349,6 +354,28 @@ fn attach_fleet(registry: &mut SessionRegistry, fleet: &[Vec<Step>], chunks: &[u
     }
 }
 
+/// A live log of process `pid` with room for `capacity` entries, its
+/// binary loaded `slide` bytes up, and that process's symbolizer.
+fn live_log(pid: u64, capacity: u64, slide: u64) -> (SharedLog, Symbolizer) {
+    let header = make_header(pid, capacity, true, fleet_debug().entry_addr(0) + slide, 0);
+    let shm = Arc::new(SharedMem::new(region_bytes(capacity)));
+    let log = SharedLog::init(shm, &header);
+    (log, Symbolizer::new(fleet_debug(), &header))
+}
+
+/// Write `(kind, counter, function)` events of thread 0 to `log`, the
+/// functions at `slide`.
+fn write(log: &SharedLog, slide: u64, events: &[(EventKind, u64, u16)]) {
+    for &(kind, counter, f) in events {
+        log.write_live(&LogEntry {
+            kind,
+            counter,
+            addr: fleet_debug().entry_addr(f) + slide,
+            tid: 0,
+        });
+    }
+}
+
 /// The merged snapshot as its contract states it: per-pid profiles through
 /// [`merge_profiles`], status counters summed, the registry's lifecycle
 /// events followed by each session's own in ascending pid order, and the
@@ -390,21 +417,23 @@ fn merge_of_per_pid(per_pid: &BTreeMap<u64, Snapshot>, lifecycle: &[SessionEvent
 }
 
 /// `registry.merged_snapshot()` against [`merge_of_per_pid`] over the
-/// attached sessions' `snapshot_pid` plus the `retired` final snapshots,
-/// field for field and byte for byte — and `registry.merged_text()`, the
-/// text written without that snapshot, against the same bytes.
+/// `snapshot_pid` of every process of the run — the `detached` ones
+/// answering with what `detach` returned — field for field and byte for
+/// byte, and `registry.merged_text()`, the text written from the fleet
+/// table, against the same bytes, twice.
 fn check_merged(
     registry: &SessionRegistry,
-    retired: &BTreeMap<u64, Snapshot>,
+    detached: &BTreeMap<u64, Snapshot>,
 ) -> Result<(), TestCaseError> {
     // A retired pid answers from its finished session exactly what
     // `detach` returned.
-    for (pid, gone) in retired {
+    for (pid, gone) in detached {
         prop_assert_eq!(registry.snapshot_pid(*pid), Some(gone.clone()));
     }
-    let mut per_pid = retired.clone();
-    for pid in registry.pids() {
-        per_pid.insert(pid, registry.snapshot_pid(pid).expect("attached"));
+    let mut per_pid = detached.clone();
+    for pid in registry.pids().into_iter().chain(registry.retired_pids()) {
+        let frozen = registry.snapshot_pid(pid).expect("part of the run");
+        per_pid.entry(pid).or_insert(frozen);
     }
     let want = merge_of_per_pid(&per_pid, registry.session_events());
     let got = registry.merged_snapshot();
@@ -420,8 +449,11 @@ fn check_merged(
     prop_assert_eq!(&got.events, &want.events);
     prop_assert_eq!(&got.regime, &want.regime);
     prop_assert_eq!(got.to_text(), want.to_text());
-    // The served bytes, written from the merge's tables.
-    prop_assert_eq!(registry.merged_text(), want.to_text());
+    // The served bytes, written from the fleet table — and read again with
+    // no pump between, the same bytes: reading takes nothing out of it.
+    let text = registry.merged_text();
+    prop_assert_eq!(&text, &want.to_text());
+    prop_assert_eq!(registry.merged_text(), text);
     // Every field at once, so one added later is compared too.
     prop_assert_eq!(&got, &want);
     // And against the per-pid rows directly, not through the shared merge:
@@ -489,10 +521,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// 2–4 aliasing processes, replayed out of lockstep, with or without
-    /// an overhead budget (a budgeted session carries a `[regime]` block):
-    /// after every other pump, after a hot detach, at the end of the
-    /// streams and after `finish`, the merged snapshot is the per-pid
-    /// snapshots merged through `merge_profiles`.
+    /// an overhead budget (a budgeted session carries a `[regime]` block),
+    /// beside a live process that falls silent with two frames open (the
+    /// watchdog quarantines it, and its finish closes them) and, under a
+    /// budget, a live process that overloads its log until its controller
+    /// samples 1-in-2 while `main` is open: after every other pump, after
+    /// a hot detach, at the end of the streams and after `finish`, the
+    /// merged snapshot is the per-pid snapshots merged through
+    /// `merge_profiles`.
     #[test]
     fn prop_merged_snapshot_is_the_merge_of_the_per_pid_snapshots(
         fleet in proptest::collection::vec(steps(60), 2..=4),
@@ -500,32 +536,67 @@ proptest! {
         detach_after in 1usize..12,
         budgeted in any::<bool>(),
     ) {
+        use EventKind::{Call, Return};
         let mut registry = SessionRegistry::new(LiveConfig {
             budget: budgeted.then_some(OverheadBudget { pct: 5 }),
             ..LiveConfig::default()
-        });
+        })
+        .with_watchdog(WatchdogConfig { timeout_pumps: 2, max_retries: 0 });
         attach_fleet(&mut registry, &fleet, &chunks);
-        let mut retired: BTreeMap<u64, Snapshot> = BTreeMap::new();
-        let mut pumps = 0;
+        let silent_slide = 5 * FN_STRIDE;
+        let (silent, symbolizer) = live_log(900, 16, silent_slide);
+        write(&silent, silent_slide, &[(Call, 1, 0), (Call, 2, 1), (Return, 5, 1), (Call, 6, 1)]);
+        registry.attach(Box::new(LiveLogSource::new(silent, 75)), symbolizer).unwrap();
+        let hot_slide = 6 * FN_STRIDE;
+        let (hot, symbolizer) = live_log(800, 4, hot_slide);
+        if budgeted {
+            write(&hot, hot_slide, &[(Call, 1, 0)]);
+            registry.attach(Box::new(LiveLogSource::new(hot.clone(), 75)), symbolizer).unwrap();
+        }
+        let mut detached: BTreeMap<u64, Snapshot> = BTreeMap::new();
+        let (mut pumps, mut t) = (0, 10);
         loop {
+            match registry.session(800).map(LiveSession::regime) {
+                Some(Regime::Full) => {
+                    for _ in 0..16 {
+                        write(&hot, hot_slide, &[(Call, t, 1), (Return, t + 3, 1)]);
+                        t += 10;
+                    }
+                }
+                Some(_) if t > 0 => {
+                    write(&hot, hot_slide, &[(Return, t, 0)]);
+                    t = 0;
+                }
+                _ => {}
+            }
             let drained = registry.pump();
             pumps += 1;
             if pumps == detach_after {
-                retired.insert(100, registry.detach(100).expect("pid 100 is attached"));
-                check_merged(&registry, &retired)?;
+                detached.insert(100, registry.detach(100).expect("pid 100 is attached"));
+                check_merged(&registry, &detached)?;
             }
             if pumps % 2 == 0 {
-                check_merged(&registry, &retired)?;
+                check_merged(&registry, &detached)?;
             }
-            if drained == 0 && pumps > detach_after {
+            let live_left = registry.pids().iter().any(|pid| *pid >= 800);
+            if drained == 0 && pumps > detach_after && !live_left {
                 break;
             }
         }
-        check_merged(&registry, &retired)?;
+        check_merged(&registry, &detached)?;
         let lifecycle = registry.session_events().to_vec();
         let run = registry.finish();
-        prop_assert_eq!(&run.per_pid[&100], &retired[&100]);
+        prop_assert_eq!(&run.per_pid[&100], &detached[&100]);
         prop_assert_eq!(&run.merged, &merge_of_per_pid(&run.per_pid, &lifecycle));
+        // The silent process was quarantined, and the frames it left open
+        // were closed on the way out.
+        prop_assert!(lifecycle.iter().any(|e| matches!(e, SessionEvent::Quarantined { pid: 900, .. })));
+        prop_assert_eq!(run.per_pid[&900].profile.anomalies.truncated_frames, 2);
+        // `main` of the hot process opened at full fidelity and closed
+        // sampled 1-in-2: it stands for two calls.
+        if budgeted {
+            prop_assert_eq!(run.per_pid[&800].profile.method("main").map(|m| m.calls), Some(2));
+        }
         // The shapes the name-keyed merge exists for did occur.
         let work = run.merged.profile.method("work").expect("every stream calls work");
         prop_assert!(work.threads.contains(&merged_thread_key(100, 0)));
