@@ -454,7 +454,7 @@ fn analyze_shard(threads: &[(u64, &[Event])]) -> (PathTable, Aggregates) {
         agg.observe_thread(*tid);
         let mut stacks = ResumableStacks::new();
         let mut add = |call: &CompletedCall| agg.add_call(*tid, call, 1);
-        let orphans = stacks.feed(&mut paths, events, &mut add);
+        let orphans = stacks.feed(&mut paths, *events, &mut add);
         stacks.finish(add);
         agg.orphan_returns += orphans;
     }
@@ -761,16 +761,36 @@ impl PathNames {
     }
 }
 
-/// The calls an aggregate was fed since a consumer last took them: each
-/// completed call as [`Aggregates::add_call`] counted it — its stack, its
-/// thread and its counters, scale applied — plus every thread observed.
-/// A running cross-process view folds it ([`ProfileMerge::add_calls`])
-/// and clears it, so it never holds more than one drain's calls.
+/// The calls an aggregate was fed since a consumer last took them,
+/// summed per `(stack, thread)`: each completed call counted as
+/// [`Aggregates::add_call`] counts it, scale applied, into the row of its
+/// stack and thread — plus every thread observed. A running cross-process
+/// view folds it ([`ProfileMerge::add_calls`]) and clears it, so it never
+/// holds more than one drain's rows, and a fold costs the distinct stacks
+/// the drain touched, not its calls. Summing first is exact: counts add,
+/// min and max combine, and a thread set is a set.
 #[derive(Debug, Default)]
 pub struct CallLog {
-    /// `(stack, thread, counters)` per call, in completion order.
-    calls: Vec<(PathId, u64, Counts)>,
+    /// One per `(stack, thread)` met since the last clear, in order of
+    /// first sight.
+    rows: Vec<LoggedRow>,
+    /// Indexed by stack id: the stack's newest row, [`NO_ROW`] for none.
+    /// Dense, so finding a call's row indexes, nothing hashed.
+    newest: Vec<u32>,
     threads: Vec<u64>,
+}
+
+/// A [`CallLog`] stack without rows.
+const NO_ROW: u32 = u32::MAX;
+
+/// One row of a [`CallLog`].
+#[derive(Debug)]
+struct LoggedRow {
+    path: PathId,
+    tid: u64,
+    counts: Counts,
+    /// The stack's previous row (another thread's), [`NO_ROW`] for none.
+    older: u32,
 }
 
 impl CallLog {
@@ -779,11 +799,32 @@ impl CallLog {
         CallLog::default()
     }
 
-    /// Record one completed call of `tid`, counted as
-    /// [`Aggregates::add_call`] counts it under the same `scale`.
+    /// Add one completed call of `tid` to the row of its stack and
+    /// thread, counted as [`Aggregates::add_call`] counts it under the
+    /// same `scale`.
     pub fn add_call(&mut self, tid: u64, call: &CompletedCall, scale: u64) {
-        self.calls
-            .push((call.path, tid, Counts::of_call(call, scale)));
+        let counts = Counts::of_call(call, scale);
+        let index = call.path.index();
+        if self.newest.len() <= index {
+            self.newest.resize(index + 1, NO_ROW);
+        }
+        let older = self.newest[index];
+        let mut at = older;
+        while at != NO_ROW {
+            let row = &mut self.rows[at as usize];
+            if row.tid == tid {
+                row.counts.add(&counts);
+                return;
+            }
+            at = row.older;
+        }
+        self.newest[index] = u32::try_from(self.rows.len()).expect("fewer than 2^32 rows");
+        self.rows.push(LoggedRow {
+            path: call.path,
+            tid,
+            counts,
+            older,
+        });
     }
 
     /// Record that `tid` was observed ([`Aggregates::observe_thread`]).
@@ -791,9 +832,18 @@ impl CallLog {
         self.threads.push(tid);
     }
 
+    /// Whether nothing was recorded since the last clear: folding the log
+    /// would add nothing.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty() && self.threads.is_empty()
+    }
+
     /// Forget everything recorded, keeping the buffers.
     pub fn clear(&mut self) {
-        self.calls.clear();
+        for row in &self.rows {
+            self.newest[row.path.index()] = NO_ROW;
+        }
+        self.rows.clear();
         self.threads.clear();
     }
 }
@@ -838,8 +888,8 @@ fn add_method(row: &mut Option<(u64, Counts)>, addr: u64, counts: &Counts) {
 /// The accumulator under every cross-process view: per-process
 /// contributions go in — already materialized ([`ProfileMerge::add_profile`]),
 /// still indexed by the session's stack ids ([`ProfileMerge::add_aggregates`]),
-/// or call by call as a session completes them ([`ProfileMerge::add_calls`])
-/// — and come out as one [`Profile`] ([`ProfileMerge::finish`]) or as just
+/// or pump by pump as a session completes calls, summed per stack and
+/// thread ([`ProfileMerge::add_calls`]) — and come out as one [`Profile`] ([`ProfileMerge::finish`]) or as just
 /// the two tables a snapshot's text is written from
 /// ([`ProfileMerge::method_rows`], [`ProfileMerge::folded_rows`]), grouped
 /// and ordered the same way. Reading takes nothing out, so a merge can be
@@ -859,8 +909,8 @@ fn add_method(row: &mut Option<(u64, Counts)>, addr: u64, counts: &Counts) {
 /// and only its folded ticks to the tree. Threads are kept per method
 /// name as a set of thread keys. Every counter is summed, so the merged
 /// totals equal the sum of the per-process totals; contributions commute,
-/// and the ways in agree — adding a process's aggregate, or its calls one
-/// by one, gives the same result as adding the profile
+/// and the ways in agree — adding a process's aggregate, or its calls log
+/// by log, gives the same result as adding the profile
 /// [`Aggregates::materialize`] builds from it.
 #[derive(Debug, Default)]
 pub struct ProfileMerge {
@@ -984,9 +1034,10 @@ impl ProfileMerge {
     /// cleared, and the threads it observed: the same contribution as
     /// adding an aggregate of just those calls over `paths`, and so, call
     /// log after call log, as adding the process's whole aggregate at the
-    /// end (anomalies aside). The cost is the log's length plus the
-    /// stacks `paths` gained since the memo last saw it. A process joins
-    /// [`ProfileMerge::pids`] here, with an empty log as well.
+    /// end (anomalies aside). The cost is the log's rows — one per
+    /// `(stack, thread)` it met — plus the stacks `paths` gained since the
+    /// memo last saw it. A process joins [`ProfileMerge::pids`] here, with
+    /// an empty log as well.
     pub fn add_calls(
         &mut self,
         space: &mut NameSpace,
@@ -998,10 +1049,16 @@ impl ProfileMerge {
     ) {
         self.pids.insert(pid);
         memo.extend(paths, symbolizer, space);
-        for (path, tid, counts) in &calls.calls {
-            let key = merged_thread_key(pid, *tid);
-            let at = memo.by_path[path.index()];
-            self.add_row(space, at, paths.key(*path), counts, std::iter::once(key));
+        for row in &calls.rows {
+            let key = merged_thread_key(pid, row.tid);
+            let at = memo.by_path[row.path.index()];
+            self.add_row(
+                space,
+                at,
+                paths.key(row.path),
+                &row.counts,
+                std::iter::once(key),
+            );
         }
         let keys = calls.threads.iter().map(|tid| merged_thread_key(pid, *tid));
         self.threads.extend(keys);
@@ -1758,6 +1815,77 @@ mod tests {
         let p = build(&log, &Symbolizer::without_relocation(debug()));
         assert!((p.exclusive_fraction("work") - 0.75).abs() < 1e-9);
         assert_eq!(p.exclusive_fraction("nonexistent"), 0.0);
+    }
+
+    #[test]
+    fn a_call_log_holds_one_row_per_stack_and_thread() {
+        // Each of T threads runs `main { (work { leaf } leaf) × 8 }` with
+        // irregular durations: N calls over S stacks (main, main;work,
+        // main;work;leaf, main;leaf), each thread under its own scale.
+        // The log of the whole pump holds at most S × T rows, and folding
+        // it adds what folding the calls one log each adds.
+        use EventKind::{Call, Return};
+        const T: u64 = 3;
+        const S: usize = 4;
+        let ev = |kind, counter, addr| Event {
+            kind,
+            counter,
+            addr,
+            seq: 0,
+        };
+        let mut paths = PathTable::new();
+        let mut log = CallLog::new();
+        let mut calls: Vec<(u64, CompletedCall, u64)> = Vec::new();
+        for tid in 0..T {
+            let mut counter = 0;
+            let mut at = |step: u64| {
+                counter += 1 + (step * (tid + 3)) % 7;
+                counter
+            };
+            let mut events = vec![ev(Call, at(0), addr(0))];
+            for i in 0..8 {
+                events.push(ev(Call, at(i), addr(1)));
+                events.push(ev(Call, at(i + 1), addr(2)));
+                events.push(ev(Return, at(i + 2), addr(2)));
+                events.push(ev(Return, at(i + 3), addr(1)));
+                events.push(ev(Call, at(i + 4), addr(2)));
+                events.push(ev(Return, at(i + 5), addr(2)));
+            }
+            events.push(ev(Return, at(9), addr(0)));
+            let scale = tid + 1;
+            log.observe_thread(tid);
+            ResumableStacks::new().feed(&mut paths, &events, |call| {
+                log.add_call(tid, call, scale);
+                calls.push((tid, call.clone(), scale));
+            });
+        }
+        assert_eq!(calls.len(), T as usize * 25);
+        assert_eq!(paths.rows().count(), S);
+        assert_eq!(
+            log.rows.len(),
+            S * T as usize,
+            "at most S × T: here, every pair"
+        );
+
+        let sym = Symbolizer::without_relocation(debug());
+        let (mut space, mut merge, mut memo) =
+            (NameSpace::new(), ProfileMerge::new(), PathNames::new());
+        merge.add_calls(&mut space, 7, &log, &paths, &sym, &mut memo);
+        let (mut one_space, mut one_by_one, mut one_memo) =
+            (NameSpace::new(), ProfileMerge::new(), PathNames::new());
+        for (tid, call, scale) in &calls {
+            let mut one = CallLog::new();
+            one.observe_thread(*tid);
+            one.add_call(*tid, call, *scale);
+            one_by_one.add_calls(&mut one_space, 7, &one, &paths, &sym, &mut one_memo);
+        }
+        assert_eq!(merge.finish(&mut space), one_by_one.finish(&mut one_space));
+
+        // A cleared log starts its rows afresh.
+        log.clear();
+        assert!(log.is_empty());
+        log.add_call(1, &calls[0].1, 1);
+        assert_eq!(log.rows.len(), 1);
     }
 
     #[test]

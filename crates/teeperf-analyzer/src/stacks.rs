@@ -33,7 +33,7 @@
 use std::collections::HashMap;
 
 use crate::reader::Event;
-use teeperf_core::layout::EventKind;
+use teeperf_core::layout::{EventKind, LogEntry};
 
 /// An interned stack: the index of its row in the [`PathTable`] it was
 /// opened under.
@@ -55,17 +55,45 @@ impl PathId {
 /// distinct stack seen so far, as `(parent stack, innermost address)`.
 /// Rows are only ever appended, parent before child, so an id stays valid
 /// for the table's life and `parent(id) < id` for every id but the root's.
+///
+/// Every stack also remembers the last child it was asked for — its key
+/// and id — and [`PathTable::child`] checks that hint before the map: a
+/// loop that calls the same callee again, the common case, costs a
+/// compare. The map, keyed with the default (SipHash) hasher, stays the
+/// fallback for every miss.
 #[derive(Debug, Clone)]
 pub struct PathTable {
     index: HashMap<(PathId, u64), PathId>,
-    nodes: Vec<(PathId, u64)>,
+    nodes: Vec<Node>,
+}
+
+/// One row of a [`PathTable`]: the stack's `(parent, key)`, and the hint
+/// of its last child lookup (`hint_child` is [`PathId::ROOT`] until the
+/// first: the root is no stack's child).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    parent: PathId,
+    key: u64,
+    hint_key: u64,
+    hint_child: PathId,
+}
+
+impl Node {
+    fn new(parent: PathId, key: u64) -> Node {
+        Node {
+            parent,
+            key,
+            hint_key: 0,
+            hint_child: PathId::ROOT,
+        }
+    }
 }
 
 impl Default for PathTable {
     fn default() -> PathTable {
         PathTable {
             index: HashMap::new(),
-            nodes: vec![(PathId::ROOT, u64::MAX)],
+            nodes: vec![Node::new(PathId::ROOT, u64::MAX)],
         }
     }
 }
@@ -80,22 +108,29 @@ impl PathTable {
     /// sight. `key` is an address in a session's table and a name id in a
     /// name-space one.
     pub fn child(&mut self, parent: PathId, key: u64) -> PathId {
-        *self.index.entry((parent, key)).or_insert_with(|| {
-            let id = PathId(u32::try_from(self.nodes.len()).expect("fewer than 2^32 stacks"));
-            self.nodes.push((parent, key));
-            id
-        })
+        let node = &self.nodes[parent.index()];
+        if node.hint_key == key && node.hint_child != PathId::ROOT {
+            return node.hint_child;
+        }
+        let next = PathId(u32::try_from(self.nodes.len()).expect("fewer than 2^32 stacks"));
+        let id = *self.index.entry((parent, key)).or_insert(next);
+        if id == next {
+            self.nodes.push(Node::new(parent, key));
+        }
+        let node = &mut self.nodes[parent.index()];
+        (node.hint_key, node.hint_child) = (key, id);
+        id
     }
 
     /// The stack below `id`'s innermost frame ([`PathId::ROOT`] for a
     /// top-level frame).
     pub fn parent(&self, id: PathId) -> PathId {
-        self.nodes[id.index()].0
+        self.nodes[id.index()].parent
     }
 
     /// The key of `id`'s innermost frame (`u64::MAX` for the root).
     pub fn key(&self, id: PathId) -> u64 {
-        self.nodes[id.index()].1
+        self.nodes[id.index()].key
     }
 
     /// Every stack but the empty one as `(id, parent, key)`, in id order:
@@ -111,8 +146,8 @@ impl PathTable {
         first: usize,
     ) -> impl Iterator<Item = (PathId, PathId, u64)> + '_ {
         (first..self.nodes.len()).map(|i| {
-            let (parent, key) = self.nodes[i];
-            (PathId(i as u32), parent, key)
+            let node = &self.nodes[i];
+            (PathId(i as u32), node.parent, node.key)
         })
     }
 
@@ -178,6 +213,27 @@ pub struct ThreadStacks {
     pub truncated_frames: u64,
 }
 
+/// What the stack walk reads of an event: call or return, its counter
+/// and its address. A grouped [`Event`] is one, and so is a [`LogEntry`]
+/// as drained, so a consumer that has a thread's entries in a row walks
+/// them where they lie.
+pub trait StackEvent {
+    /// `(kind, counter, addr)`.
+    fn step(&self) -> (EventKind, u64, u64);
+}
+
+impl StackEvent for Event {
+    fn step(&self) -> (EventKind, u64, u64) {
+        (self.kind, self.counter, self.addr)
+    }
+}
+
+impl StackEvent for LogEntry {
+    fn step(&self) -> (EventKind, u64, u64) {
+        (self.kind, self.counter, self.addr)
+    }
+}
+
 #[derive(Debug)]
 struct OpenFrame {
     path: PathId,
@@ -220,53 +276,55 @@ impl ResumableStacks {
         self.last_counter
     }
 
-    /// Consume one batch of events, handing each call it completes to
-    /// `sink` in completion order, and return the orphan returns it
-    /// contained. Open frames stay open. A call that opens is interned in
-    /// `paths` — the same table on every feed of this state, and of every
-    /// other thread whose calls meet in one aggregate.
-    pub fn feed(
+    /// Consume one batch of one thread's events, in its program order,
+    /// handing each call it completes to `sink` in completion order, and
+    /// return the orphan returns it contained. Open frames stay open. A
+    /// call that opens is interned in `paths` — the same table on every
+    /// feed of this state, and of every other thread whose calls meet in
+    /// one aggregate.
+    pub fn feed<'a, E: StackEvent + 'a>(
         &mut self,
         paths: &mut PathTable,
-        events: &[Event],
+        events: impl IntoIterator<Item = &'a E>,
         sink: impl FnMut(&CompletedCall),
     ) -> u64 {
         self.walk(events, |parent, addr| paths.child(parent, addr), sink)
     }
 
     /// [`ResumableStacks::feed`], the stack a call opens named by `intern`.
-    fn walk(
+    fn walk<'a, E: StackEvent + 'a>(
         &mut self,
-        events: &[Event],
+        events: impl IntoIterator<Item = &'a E>,
         mut intern: impl FnMut(PathId, u64) -> PathId,
         mut sink: impl FnMut(&CompletedCall),
     ) -> u64 {
         let mut orphan_returns = 0;
         for e in events {
-            self.last_counter = self.last_counter.max(e.counter);
-            match e.kind {
+            let (kind, counter, addr) = e.step();
+            self.last_counter = self.last_counter.max(counter);
+            match kind {
                 EventKind::Call => {
                     let parent = self.open.last().map_or(PathId::ROOT, |f| f.path);
                     self.open.push(OpenFrame {
-                        path: intern(parent, e.addr),
-                        enter: e.counter,
+                        path: intern(parent, addr),
+                        enter: counter,
                         child_ticks: 0,
                     });
-                    self.addrs.push(e.addr);
+                    self.addrs.push(addr);
                 }
                 EventKind::Return => {
                     // Normally the top frame matches. If it does not
                     // (dropped entries), unwind to the closest matching
                     // frame; frames popped on the way are closed at this
                     // counter, as truncated.
-                    let Some(pos) = self.addrs.iter().rposition(|a| *a == e.addr) else {
+                    let Some(pos) = self.addrs.iter().rposition(|a| *a == addr) else {
                         orphan_returns += 1;
                         continue;
                     };
                     while self.open.len() > pos + 1 {
-                        self.close_top(e.counter, true, &mut sink);
+                        self.close_top(counter, true, &mut sink);
                     }
-                    self.close_top(e.counter, false, &mut sink);
+                    self.close_top(counter, false, &mut sink);
                 }
             }
         }
@@ -589,6 +647,32 @@ mod tests {
             let stacks = a.rows().count();
             prop_assert_eq!(a.adopt(&b), translation);
             prop_assert_eq!(a.rows().count(), stacks);
+        }
+
+        #[test]
+        fn prop_hinted_lookups_return_what_a_plain_map_does(
+            lookups in proptest::collection::vec(
+                (any::<usize>(), any::<bool>(), any::<u64>()),
+                0..300,
+            ),
+        ) {
+            // Parents are ids already issued, keys a small alphabet (hits,
+            // parents with several children, alternating parents) or a
+            // large one (misses). The hint must never change an answer.
+            let mut paths = PathTable::new();
+            let mut index: HashMap<(PathId, u64), PathId> = HashMap::new();
+            let mut rows: Vec<(PathId, PathId, u64)> = Vec::new();
+            for (pick, small, key) in lookups {
+                let key = if small { key % 3 } else { key };
+                let parent = PathId((pick % (rows.len() + 1)) as u32);
+                let fresh = PathId(rows.len() as u32 + 1);
+                let want = *index.entry((parent, key)).or_insert(fresh);
+                if want == fresh {
+                    rows.push((fresh, parent, key));
+                }
+                prop_assert_eq!(paths.child(parent, key), want);
+            }
+            prop_assert!(paths.rows().eq(rows.iter().copied()));
         }
 
         #[test]

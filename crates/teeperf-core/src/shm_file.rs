@@ -391,15 +391,20 @@ impl FileShmSource {
     fn read_slots(&mut self, limit: u64, out: &mut Vec<LogEntry>) {
         while self.cursor < limit {
             let n = (limit - self.cursor).min(READ_CHUNK_ENTRIES);
-            self.buf.resize((n * ENTRY_BYTES) as usize, 0);
+            let bytes = (n * ENTRY_BYTES) as usize;
+            // The buffer only grows (to one chunk at most): a shorter read
+            // fills a prefix, and nothing is zeroed twice.
+            if self.buf.len() < bytes {
+                self.buf.resize(bytes, 0);
+            }
+            let chunk = &mut self.buf[..bytes];
             let off = LogEntry::offset_of(self.cursor);
-            if self.file.read_exact_at(&mut self.buf, off).is_err() {
+            if self.file.read_exact_at(chunk, off).is_err() {
                 // Bytes vanished mid-drain; the header re-read accounted
                 // the loss (or will on the next pump) — stop here.
                 break;
             }
-            self.salvage
-                .filter_into(LogEntry::decode_slots(&self.buf), out);
+            self.salvage.filter_into(LogEntry::decode_slots(chunk), out);
             self.cursor += n;
         }
     }

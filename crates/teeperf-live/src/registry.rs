@@ -310,7 +310,11 @@ impl SessionRegistry {
         for (pid, session) in &mut self.sessions {
             let before_dropped = session.dropped();
             let n = session.pump_into(&mut self.batch, Some(&mut self.fresh));
-            session.fold_into(&mut self.fleet, self.space.get_mut(), &mut self.fresh);
+            // An idle pump logs nothing to fold: `attach` already put the
+            // pid in the fleet table.
+            if !self.fresh.is_empty() {
+                session.fold_into(&mut self.fleet, self.space.get_mut(), &mut self.fresh);
+            }
             total += n;
             if session.source_dead() {
                 condemned.push((*pid, "source header corrupted".to_string()));

@@ -16,7 +16,8 @@
 //!
 //! Ingest is sequential: pumps fire at high frequency on small batches,
 //! where a batch's per-thread reconstruction costs less than spawning
-//! workers for it would.
+//! workers for it would. Nor does it copy a batch: the stack machines walk
+//! the drained entries where they lie, one thread's runs after another's.
 //!
 //! Memory stays bounded by the number of distinct methods, stacks and
 //! threads — not by the number of events — which is what lets a session
@@ -27,8 +28,7 @@ use std::collections::BTreeMap;
 use teeperf_analyzer::profile::{
     Aggregates, Anomalies, CallLog, NameSpace, PathNames, Profile, ProfileMerge,
 };
-use teeperf_analyzer::reader::Event;
-use teeperf_analyzer::stacks::{PathTable, ResumableStacks};
+use teeperf_analyzer::stacks::{CompletedCall, PathTable, ResumableStacks};
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_core::layout::LogEntry;
 use teeperf_flamegraph::LiveStatus;
@@ -58,6 +58,64 @@ pub struct RollingProfile {
     /// a call's *return* — a pair straddling a regime change scales by
     /// the regime it completed under.
     scale: u64,
+    /// The batch being ingested, split per thread: kept across pumps, so
+    /// splitting allocates nothing once it has seen its most fragmented
+    /// batch.
+    runs: BatchRuns,
+}
+
+/// A [`BatchRuns`] run with no successor.
+const NO_RUN: usize = usize::MAX;
+
+/// A drained batch split into runs — one thread's consecutive entries —
+/// and the runs chained per thread, so that each thread's events can be
+/// walked in log order where they lie, with nothing copied and no lookup
+/// per event: a thread is looked up once per run.
+#[derive(Debug, Default)]
+struct BatchRuns {
+    /// The batch's threads, ascending, as `(tid, first run, last run)`.
+    threads: Vec<(u64, usize, usize)>,
+    /// `(start, end, next run of the same thread)`, in batch order.
+    runs: Vec<(usize, usize, usize)>,
+}
+
+impl BatchRuns {
+    /// Split `entries`, forgetting the last batch; returns the all-zero
+    /// records dismissed (reserved but never written: the batch reader's
+    /// rule), each of which also ends a run.
+    fn split(&mut self, entries: &[LogEntry]) -> u64 {
+        self.threads.clear();
+        self.runs.clear();
+        let (mut start, mut incomplete) = (0, 0);
+        for (i, e) in entries.iter().enumerate() {
+            let hole = e.counter == 0 && e.addr == 0 && e.tid == 0;
+            if !hole && (i == start || e.tid == entries[start].tid) {
+                continue;
+            }
+            if i > start {
+                self.push(entries[start].tid, start, i);
+            }
+            incomplete += u64::from(hole);
+            start = if hole { i + 1 } else { i };
+        }
+        if start < entries.len() {
+            self.push(entries[start].tid, start, entries.len());
+        }
+        incomplete
+    }
+
+    /// Append run `start..end` of `tid` to its thread's chain.
+    fn push(&mut self, tid: u64, start: usize, end: usize) {
+        let run = self.runs.len();
+        self.runs.push((start, end, NO_RUN));
+        match self.threads.binary_search_by_key(&tid, |t| t.0) {
+            Ok(at) => {
+                let last = std::mem::replace(&mut self.threads[at].2, run);
+                self.runs[last].2 = run;
+            }
+            Err(at) => self.threads.insert(at, (tid, run, run)),
+        }
+    }
 }
 
 impl Default for RollingProfile {
@@ -71,6 +129,7 @@ impl Default for RollingProfile {
             incomplete: 0,
             ring: None,
             scale: 1,
+            runs: BatchRuns::default(),
         }
     }
 }
@@ -190,32 +249,25 @@ impl RollingProfile {
     /// [`RollingProfile::ingest`], also recording in `fresh` (when given)
     /// every call it completes and every thread it observes, exactly as
     /// they enter the aggregate.
+    ///
+    /// The batch is walked where it lies ([`BatchRuns`]): each thread's
+    /// events in log order, the threads in ascending order — as a
+    /// per-thread regrouping would feed them — and a thread that is one
+    /// run of the batch straight from its slice.
     pub(crate) fn ingest_noting(&mut self, entries: &[LogEntry], mut fresh: Option<&mut CallLog>) {
-        // Group per thread, preserving order (same dismissal rule as the
-        // batch reader: all-zero records were reserved but never written).
-        let mut per_tid: BTreeMap<u64, Vec<Event>> = BTreeMap::new();
-        for e in entries {
-            if e.counter == 0 && e.addr == 0 && e.tid == 0 {
-                self.incomplete += 1;
-                continue;
-            }
-            self.events += 1;
-            self.estimated_events += self.scale;
-            per_tid.entry(e.tid).or_default().push(Event {
-                kind: e.kind,
-                counter: e.counter,
-                addr: e.addr,
-                seq: self.events,
-            });
-        }
-        for (tid, events) in per_tid {
+        let incomplete = self.runs.split(entries);
+        self.incomplete += incomplete;
+        let merged = entries.len() as u64 - incomplete;
+        self.events += merged;
+        self.estimated_events += merged * self.scale;
+        for &(tid, first, last) in &self.runs.threads {
             // Observed even when this batch completes no call.
             self.agg.observe_thread(tid);
             if let Some(fresh) = fresh.as_deref_mut() {
                 fresh.observe_thread(tid);
             }
             let stacks = self.threads.entry(tid).or_default();
-            let orphans = stacks.feed(&mut self.paths, &events, |call| {
+            let mut sink = |call: &CompletedCall| {
                 self.agg.add_call(tid, call, self.scale);
                 if let Some(fresh) = fresh.as_deref_mut() {
                     fresh.add_call(tid, call, self.scale);
@@ -223,7 +275,18 @@ impl RollingProfile {
                 if let Some(ring) = &mut self.ring {
                     ring.add_call(tid, call, self.scale);
                 }
-            });
+            };
+            let orphans = if first == last {
+                let (from, to, _) = self.runs.runs[first];
+                stacks.feed(&mut self.paths, &entries[from..to], &mut sink)
+            } else {
+                let runs = &self.runs.runs;
+                let chain = std::iter::successors(Some(first), |run| {
+                    Some(runs[*run].2).filter(|next| *next != NO_RUN)
+                });
+                let events = chain.flat_map(|run| &entries[runs[run].0..runs[run].1]);
+                stacks.feed(&mut self.paths, events, &mut sink)
+            };
             self.agg.orphan_returns += orphans;
             // Retention once per thread batch, here and in `finish`: a later
             // thread's late call finds the floor this one's calls raised.

@@ -388,12 +388,13 @@ proptest! {
 
     #[test]
     fn prop_ring_matches_a_per_batch_regrouping_reference(
-        walks in proptest::collection::vec(steps(), 2..5),
+        walks in proptest::collection::vec(steps(), 1..5),
         interval in 1u64..40,
         capacity in 1usize..5,
         max_width in 1u64..4,
         chunk in 1usize..25,
         scales in proptest::collection::vec(1u64..4, 1..6),
+        holes in proptest::collection::vec(any::<usize>(), 0..6),
     ) {
         let mut stream: Vec<LogEntry> = walks
             .iter()
@@ -401,6 +402,11 @@ proptest! {
             .flat_map(|(tid, steps)| trace_entries(tid as u64, steps))
             .collect();
         stream.sort_by_key(|e| (e.counter, e.tid));
+        // All-zero records (reserved, never written) anywhere in the
+        // stream: dismissed and counted, never walked.
+        for at in &holes {
+            stream.insert(at % (stream.len() + 1), LogEntry::unpack([0, 0, 0]));
+        }
 
         let config = RingConfig { interval, capacity, max_width };
         let mut rolling = RollingProfile::with_retention(Some(&config));
@@ -418,7 +424,7 @@ proptest! {
             events.extend(rolling.take_ring_events());
 
             let mut per_tid: BTreeMap<u64, Vec<Event>> = BTreeMap::new();
-            for e in batch {
+            for e in batch.iter().filter(|e| **e != LogEntry::unpack([0, 0, 0])) {
                 seq += 1;
                 let event = Event { kind: e.kind, counter: e.counter, addr: e.addr, seq };
                 per_tid.entry(e.tid).or_default().push(event);
@@ -438,6 +444,10 @@ proptest! {
 
         let ring = rolling.ring().expect("retention is enabled");
         prop_assert_eq!(ring.windows(), model.windows());
+        prop_assert_eq!(rolling.events() + holes.len() as u64, stream.len() as u64);
+        let anomalies = rolling.snapshot(&symbolizer(), 0).anomalies;
+        prop_assert_eq!(anomalies.incomplete_entries, holes.len() as u64);
+        prop_assert_eq!(anomalies.orphan_returns, 0);
         prop_assert_eq!(&events, &model.events);
         prop_assert_eq!(ring.evicted_calls(), model.evicted_calls);
         prop_assert_eq!(ring.evicted_windows(), model.evicted_windows);
