@@ -11,8 +11,6 @@
 //! | [`fig6`] | Figure 6 + §IV-C IOPS table — SPDK case study | `fig6_spdk_casestudy` |
 //! | [`ablations`] | sampling bias, counter sources, selective profiling, EPC paging | `ablation_*` |
 //! | [`plog`] | the atomic-free partitioned log the reservation ablation compares against | `ablation_reservation` |
-//! | [`live`] | continuous-monitoring overhead of `teeperf-live` | `live_overhead` |
-//! | [`contention`] | recorder hot path: batched reservation × switchless transitions | `record_contention` |
 //! | [`regime`] | overhead-budgeted fidelity regimes under an overload ramp | `regime_bench` |
 //!
 //! Everything is deterministic; "10 runs" vary the workload seed, exactly
@@ -21,11 +19,9 @@
 #![forbid(unsafe_code)]
 
 pub mod ablations;
-pub mod contention;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
-pub mod live;
 pub mod plog;
 pub mod regime;
 pub mod util;

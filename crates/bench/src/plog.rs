@@ -79,11 +79,6 @@ impl PartitionedLog {
         self.n_partitions
     }
 
-    /// Entries each partition can hold.
-    pub fn partition_capacity(&self) -> u64 {
-        self.per_partition
-    }
-
     fn tail_offset(&self, partition: u64) -> u64 {
         HEADER_BYTES + partition * 8
     }

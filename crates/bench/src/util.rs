@@ -1,6 +1,6 @@
 //! Shared harness helpers: statistics, tables, output files.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Geometric mean of positive samples.
 ///
@@ -90,13 +90,6 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// True when `path` exists and is non-empty (artifact sanity checks).
-pub fn artifact_ok(path: &Path) -> bool {
-    std::fs::metadata(path)
-        .map(|m| m.len() > 0)
-        .unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,7 +136,7 @@ mod tests {
             std::env::temp_dir().join("teeperf-results-test"),
         );
         let p = write_artifact("probe.txt", "hello");
-        assert!(artifact_ok(&p));
+        assert_eq!(std::fs::read_to_string(&p).unwrap(), "hello");
         std::env::remove_var("TEEPERF_RESULTS");
     }
 }

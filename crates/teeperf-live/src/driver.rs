@@ -455,6 +455,13 @@ mod tests {
             |_| Ok(()),
         )
         .unwrap();
+        // The enclave pays the same recording cost either way: draining
+        // and rotation are host-side.
+        let ratio = process.cycles as f64 / batch.cycles as f64;
+        assert!(
+            (0.8..1.2).contains(&ratio),
+            "live should cost the enclave about what batch does, ratio {ratio:.3}"
+        );
         let analyzer = Analyzer::new(batch.log, batch.debug).unwrap();
         let offline = analyzer.profile();
         let top = |p: &teeperf_analyzer::Profile| {

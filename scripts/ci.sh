@@ -230,23 +230,13 @@ cli_smoke() {
 }
 tmo 60 bash -c "$(declare -f cli_smoke); cli_smoke"
 
-# Contention smoke (ISSUE 8): a tiny writers x batch-slots x transition-mode
-# grid through the real lock-free protocol on real OS threads. The bin exits
-# non-zero if any cell dropped an entry or drained differently from the
-# unbatched classic run of the same writer count — the exactness gate for
-# batched reservation. Hard KILL timeout: a livelocked reservation loop
-# must fail the gate, not hang it. Like every bench smoke below, results
-# go to a scratch dir so the checked-in full-scale JSON stays untouched.
-if [ "$mode" != "quick" ]; then
-  TEEPERF_RESULTS="$(mktemp -d)" \
-    tmo 120 cargo run --release --offline -p bench --bin record_contention -- --smoke
-fi
-
 # Regime smoke (ISSUE 10): a calm -> storm -> recovery overload ramp
 # through the budgeted fidelity controller. The bin exits non-zero unless
 # the budgeted session degrades into Sampled during the storm, settles
 # within its loss budget (where the unbudgeted full run blows it),
 # accounts for every offered event, and returns to Full during recovery.
+# Results go to a scratch dir so the checked-in full-scale JSON stays
+# untouched.
 if [ "$mode" != "quick" ]; then
   TEEPERF_RESULTS="$(mktemp -d)" \
     tmo 120 cargo run --release --offline -p bench --bin regime_bench -- --smoke
