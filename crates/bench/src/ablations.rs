@@ -186,9 +186,9 @@ pub fn run_counter_source() -> CounterSourceResult {
         recorder.attach(vm.machine_mut());
         let clock = vm.machine().clock().clone();
         let hooks = if hardware {
-            recorder.hooks_with(Box::new(TscCounter::new(clock, 30)), None)
+            recorder.hooks_with(Box::new(TscCounter::new(clock, 30)))
         } else {
-            recorder.hooks_with(Box::new(SimCounter::standard(clock)), None)
+            recorder.hooks_with(Box::new(SimCounter::standard(clock)))
         };
         vm.set_hooks(Box::new(hooks));
         bench.setup(&mut vm).expect("setup");

@@ -356,8 +356,7 @@ fn cmd_live(args: &Parsed) -> Result<String, CliError> {
     if let Some(logs) = args.text("logs") {
         return cmd_live_logs(args, logs);
     }
-    refuse_unread(args, &["watchdog-timeout"], "without --logs")?;
-    let (live, _) = flags::in_process_config(args)?;
+    let live = flags::in_process_config(args)?;
     let path = operand(args, 0, "program path")?;
     let cost = arch(args)?;
     let kind = cost.kind;
@@ -443,15 +442,6 @@ fn cmd_live(args: &Parsed) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Refuse the first of `unread` that `args` gives: flags `live` declares
-/// but never reads in this mode would otherwise be dropped silently.
-fn refuse_unread(args: &Parsed, unread: &[&str], mode: &str) -> Result<(), CliError> {
-    match unread.iter().find(|flag| args.text(flag).is_some()) {
-        Some(flag) => Err(err(format!("--{flag} has no effect on `live` {mode}"))),
-        None => Ok(()),
-    }
-}
-
 /// `--svg` / `--out`: the files a live session leaves behind.
 fn write_live_files(
     out: &mut String,
@@ -517,7 +507,8 @@ fn cmd_live_logs(args: &Parsed, logs: &str) -> Result<String, CliError> {
         )));
     }
     // A replay re-reads what was recorded: nothing runs, and no live log
-    // rotates under a watermark.
+    // rotates under a watermark. Refuse the first such flag given, which
+    // would otherwise be dropped silently.
     let unread = [
         "arch",
         "transition-mode",
@@ -528,12 +519,10 @@ fn cmd_live_logs(args: &Parsed, logs: &str) -> Result<String, CliError> {
         "batch-slots",
         "watermark",
     ];
-    refuse_unread(args, &unread, "with --logs")?;
-    let (live, watchdog) = flags::in_process_config(args)?;
-    let mut registry = SessionRegistry::new(live);
-    if let Some(watchdog) = watchdog {
-        registry = registry.with_watchdog(watchdog);
+    if let Some(flag) = unread.iter().find(|flag| args.text(flag).is_some()) {
+        return Err(err(format!("--{flag} has no effect on `live` with --logs")));
     }
+    let mut registry = SessionRegistry::new(flags::session_config(args)?);
     let bases: Vec<&str> = logs
         .split(',')
         .map(str::trim)
@@ -1002,7 +991,6 @@ mod tests {
                 "logs",
                 "batch-slots",
                 "watermark",
-                "watchdog-timeout",
                 "window-interval",
                 "retain",
                 "max-width",
@@ -1606,29 +1594,23 @@ mod tests {
         let base = dir.join("unread").to_str().unwrap().to_string();
         dispatch(&strs(&["record", &prog, "--out", &base, "--pid", "61"])).unwrap();
 
-        // (replaying logs?, flag, a value that mode would otherwise accept)
-        for (replay, flag, value) in [
-            (true, "arch", "native"),
-            (true, "transition-mode", "switchless"),
-            (true, "max-entries", "8"),
-            (true, "refresh", "10"),
-            (true, "frames", "yes"),
-            (true, "follow-pids", "2"),
-            (true, "batch-slots", "2"),
-            (true, "watermark", "50"),
-            (false, "watchdog-timeout", "4"),
+        // (flag, a value a program's session would accept)
+        for (flag, value) in [
+            ("arch", "native"),
+            ("transition-mode", "switchless"),
+            ("max-entries", "8"),
+            ("refresh", "10"),
+            ("frames", "yes"),
+            ("follow-pids", "2"),
+            ("batch-slots", "2"),
+            ("watermark", "50"),
         ] {
-            let (mut argv, mode) = if replay {
-                (vec!["live", "--logs", &base], "with --logs")
-            } else {
-                (vec!["live", &prog], "without --logs")
-            };
             let named = format!("--{flag}");
-            argv.extend([named.as_str(), value]);
+            let argv = ["live", "--logs", &base, named.as_str(), value];
             let e = dispatch(&strs(&argv)).unwrap_err();
             assert_eq!(
                 e.to_string(),
-                format!("--{flag} has no effect on `live` {mode}"),
+                format!("--{flag} has no effect on `live` with --logs"),
                 "{argv:?}"
             );
         }
@@ -1818,32 +1800,6 @@ mod tests {
             let want = format!("{tpf}: not a log image");
             assert!(e.to_string().starts_with(&want), "{e}");
         }
-    }
-
-    #[test]
-    fn logs_replay_accepts_a_watchdog_timeout() {
-        let dir = tmpdir();
-        let prog = dir.join("dog.mc");
-        std::fs::write(
-            &prog,
-            "fn f(x: int) -> int { return x * 2; }
-             fn main() -> int { print_int(f(21)); return 0; }",
-        )
-        .unwrap();
-        let prog = prog.to_str().unwrap().to_string();
-        let base = dir.join("dog").to_str().unwrap().to_string();
-        dispatch(&strs(&["record", &prog, "--out", &base, "--pid", "81"])).unwrap();
-
-        // Replay sources finish; the watchdog must not quarantine them.
-        let out = dispatch(&strs(&["live", "--logs", &base, "--watchdog-timeout", "4"])).unwrap();
-        assert!(
-            out.contains("replayed 1 logs: 4 events, 0 dropped"),
-            "{out}"
-        );
-        assert!(!out.contains("quarantined"), "{out}");
-
-        let e = dispatch(&strs(&["live", "--logs", &base, "--watchdog-timeout", "0"])).unwrap_err();
-        assert!(e.to_string().contains("watchdog-timeout"), "{e}");
     }
 
     #[test]

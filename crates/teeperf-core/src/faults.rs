@@ -433,8 +433,9 @@ pub struct SalvageReport {
     pub dropped: u64,
     /// Drop histogram by reason. [`SalvageReason::StalledRotation`] and
     /// [`SalvageReason::CorruptHeader`] count *incidents*, not entries,
-    /// and are excluded from `dropped`'s entry arithmetic only when no
-    /// record was lost.
+    /// as does [`SalvageReason::TruncatedFile`] for a cut that lost no
+    /// undrained entry; they are excluded from `dropped`'s entry
+    /// arithmetic only when no record was lost.
     pub reasons: BTreeMap<SalvageReason, u64>,
 }
 

@@ -7,13 +7,15 @@
 //!    the paper injects 389 LoC of C, heavily inlined),
 //! 2. atomically read the control word; bail if tracing is off or the
 //!    event kind is masked,
-//! 3. consult the selective-profiling filter, if any,
+//! 3. consult the fidelity gate, if armed,
 //! 4. read the software counter from shared memory (or the hardware TSC),
 //! 5. reserve a log slot with one fetch-and-add on the tail (or take the
 //!    next slot of the run an earlier reservation claimed),
 //! 6. write the 24-byte entry.
 //!
 //! Steps 5 and 6 are [`BatchWriter::append`], the one append routine.
+//! Selective profiling is the paper's compile-time choice (§II-C): an
+//! uninstrumented function never reaches this code.
 //!
 //! Each shared-memory access is charged to the simulated [`Machine`], so
 //! the *measured overhead of the profiler is produced by the same mechanism
@@ -30,7 +32,6 @@ use crate::layout::{
     EventKind, LogEntry, ENTRY_BYTES, OFF_CONTROL, OFF_COUNTER, OFF_REGIME, OFF_TAIL,
 };
 use crate::log::SharedLog;
-use crate::select::SelectiveFilter;
 
 /// Default cycle cost of executing the injected instructions themselves
 /// (register spills, branch, address computation — everything except the
@@ -52,7 +53,6 @@ pub const TAIL_RMW_CYCLES: u64 = 180;
 pub struct TeePerfHooks {
     writer: BatchWriter,
     counter: Box<dyn CounterSource>,
-    filter: Option<SelectiveFilter>,
     counter_in_shm: bool,
     gate: Option<FidelityGate>,
     events_recorded: u64,
@@ -63,7 +63,6 @@ impl std::fmt::Debug for TeePerfHooks {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TeePerfHooks")
             .field("counter", &self.counter.name())
-            .field("filtered", &self.filter.is_some())
             .field("events_recorded", &self.events_recorded)
             .finish()
     }
@@ -76,7 +75,6 @@ impl TeePerfHooks {
         TeePerfHooks {
             writer: log.batch_writer(1),
             counter,
-            filter: None,
             counter_in_shm,
             gate: None,
             events_recorded: 0,
@@ -89,12 +87,6 @@ impl TeePerfHooks {
     /// [`crate::batch`]). `slots <= 1` is the paper's one RMW per event.
     pub fn with_batch_slots(mut self, slots: u64) -> TeePerfHooks {
         self.writer = self.writer.log().batch_writer(slots);
-        self
-    }
-
-    /// Restrict recording with a selective-profiling filter.
-    pub fn with_filter(mut self, filter: SelectiveFilter) -> TeePerfHooks {
-        self.filter = Some(filter);
         self
     }
 
@@ -116,15 +108,9 @@ impl TeePerfHooks {
         self.events_recorded
     }
 
-    /// Events skipped by the filter, the control word, or the fidelity
-    /// gate.
+    /// Events skipped by the control word or the fidelity gate.
     pub fn events_suppressed(&self) -> u64 {
         self.events_suppressed
-    }
-
-    /// The armed fidelity gate, if any (regime + sampling statistics).
-    pub fn fidelity_gate(&self) -> Option<&FidelityGate> {
-        self.gate.as_ref()
     }
 
     /// The shared log handle (e.g. for mid-run toggling in tests).
@@ -144,15 +130,7 @@ impl TeePerfHooks {
             return;
         }
 
-        // 3. Selective profiling.
-        if let Some(filter) = &self.filter {
-            if !filter.allows(addr) {
-                self.events_suppressed += 1;
-                return;
-            }
-        }
-
-        // 3½. The fidelity gate. A suppressed event bails before the
+        // 3. The fidelity gate. A suppressed event bails before the
         // counter read and the tail RMW — the expensive shared traffic —
         // which is exactly how `Sampled` buys back overhead.
         if let Some(gate) = &mut self.gate {
@@ -298,19 +276,6 @@ mod tests {
         let entries = log.drain_entries();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].kind, EventKind::Call);
-    }
-
-    #[test]
-    fn filter_suppresses_unselected_functions() {
-        let (log, mut machine) = setup(8);
-        let mut hooks =
-            sim_hooks(&log, &machine).with_filter(crate::select::SelectiveFilter::include([100]));
-        hooks.record(&mut machine, EventKind::Call, 100, 0);
-        hooks.record(&mut machine, EventKind::Call, 200, 0);
-        let entries = log.drain_entries();
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].addr, 100);
-        assert_eq!(hooks.events_suppressed(), 1);
     }
 
     #[test]

@@ -42,7 +42,6 @@
 //! * [`recorder`] — the **recorder wrapper**: sets up the shared memory
 //!   region, initializes the log to a known state, runs the counter, and
 //!   drains the log to a persistent [`file::LogFile`] when measurement ends.
-//! * [`select`] — **selective code profiling** filters (§II-C).
 //! * [`shm_file`] — the **cross-process transport**: the same log layout
 //!   in a file under `/dev/shm`, one writer per file, published by
 //!   advancing the tail, so genuinely separate OS processes feed one
@@ -64,7 +63,6 @@ pub mod hooks;
 pub mod layout;
 pub mod log;
 pub mod recorder;
-pub mod select;
 pub mod shm_file;
 pub mod source;
 
@@ -83,6 +81,5 @@ pub use layout::{
 };
 pub use log::{LogCursor, RotationOutcome, RotationStall, SharedLog};
 pub use recorder::{Recorder, RecorderConfig};
-pub use select::SelectiveFilter;
 pub use shm_file::{FileShmSource, FileShmWriter, ShmFileError};
 pub use source::{EventSource, FileReplaySource, LiveLogSource, SourceBatch, SourceResilience};

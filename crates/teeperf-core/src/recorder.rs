@@ -10,7 +10,6 @@ use crate::counter::{CounterSource, SimCounter, SpinCounter};
 use crate::file::LogFile;
 use crate::hooks::TeePerfHooks;
 use crate::log::{make_header, region_bytes, SharedLog};
-use crate::select::SelectiveFilter;
 
 /// Configuration of one recording session.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,17 +102,9 @@ impl Recorder {
             .with_batch_slots(self.batch_slots)
     }
 
-    /// Hooks with an explicit counter source and optional filter.
-    pub fn hooks_with(
-        &self,
-        counter: Box<dyn CounterSource>,
-        filter: Option<SelectiveFilter>,
-    ) -> TeePerfHooks {
-        let hooks = TeePerfHooks::new(self.log.clone(), counter).with_batch_slots(self.batch_slots);
-        match filter {
-            Some(f) => hooks.with_filter(f),
-            None => hooks,
-        }
+    /// Hooks with an explicit counter source.
+    pub fn hooks_with(&self, counter: Box<dyn CounterSource>) -> TeePerfHooks {
+        TeePerfHooks::new(self.log.clone(), counter).with_batch_slots(self.batch_slots)
     }
 
     /// Start a real spin-thread software counter over this log (sacrifices
@@ -255,7 +246,7 @@ mod tests {
         while counter.read() < 100 {
             std::thread::yield_now();
         }
-        let mut hooks = r.hooks_with(Box::new(counter), None);
+        let mut hooks = r.hooks_with(Box::new(counter));
         hooks.record(&mut machine, EventKind::Call, 1, 0);
         let f = r.finish();
         assert_eq!(f.entries.len(), 1);

@@ -430,10 +430,13 @@ impl EventSource for FileShmSource {
             // below the cut, and never look again: the file is no longer
             // a faithful log.
             let promised = available + shortfall;
-            self.salvage.drop_n(
-                SalvageReason::TruncatedFile,
-                promised.saturating_sub(available.max(self.cursor)),
-            );
+            let lost = promised.saturating_sub(available.max(self.cursor));
+            if lost == 0 {
+                // The cut took only drained slots, but the source still
+                // dies of it: keep the cause on record.
+                self.salvage.incident(SalvageReason::TruncatedFile);
+            }
+            self.salvage.drop_n(SalvageReason::TruncatedFile, lost);
             self.dead = true;
         }
         self.read_slots(available, &mut batch.entries);
@@ -459,7 +462,7 @@ impl EventSource for FileShmSource {
     fn is_exhausted(&self) -> bool {
         // Exhausted only when the writer declared itself done AND the
         // cursor has consumed everything it promised. A dead source is
-        // not exhausted — it is quarantined by the watchdog instead.
+        // not exhausted — the registry quarantines it instead.
         !self.dead && self.writer_done && self.cursor >= self.header.size.min(self.tail)
     }
 
@@ -728,6 +731,8 @@ mod tests {
             w.write(&entry(k)).unwrap();
         }
         let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        let mut drained = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        assert_eq!(drained.pump().entries.len(), 10);
         // Cut the file to 4 entries' worth between pumps.
         let keep = HEADER_BYTES + 4 * ENTRY_BYTES;
         OpenOptions::new()
@@ -740,6 +745,12 @@ mod tests {
         assert_eq!(b.entries.len(), 4, "salvages the readable prefix");
         assert!(src.is_dead(), "a cut file is no longer a faithful log");
         assert_eq!(src.salvage().count(SalvageReason::TruncatedFile), 6);
+        // A source the cut took nothing undrained from still dies of it,
+        // with the cause on record.
+        assert!(drained.pump().entries.is_empty());
+        assert!(drained.is_dead());
+        assert_eq!(drained.salvage().dropped, 0);
+        assert_eq!(drained.salvage().count(SalvageReason::TruncatedFile), 1);
     }
 
     #[test]

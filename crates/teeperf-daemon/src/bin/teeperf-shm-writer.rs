@@ -7,8 +7,9 @@
 //! `teeperf-shm-writer --help` lists the flags.
 //!
 //! `--hold` keeps the process alive (log ACTIVE, nothing more published)
-//! until it is killed — the scripted stand-in for a writer that crashes or
-//! hangs, which the daemon's liveness machinery must quarantine.
+//! until it is killed — the scripted stand-in for a long-running writer
+//! gone quiet, which the daemon must keep attached, and, once killed, for
+//! a crashed one, which its liveness probe must quarantine.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

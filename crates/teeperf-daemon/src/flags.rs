@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use teeperf_live::{LiveConfig, OverheadBudget, RingConfig, WatchdogConfig};
+use teeperf_live::{LiveConfig, OverheadBudget, RingConfig};
 
 /// One declared flag.
 #[derive(Debug)]
@@ -234,11 +234,6 @@ fn bad(name: &str, value: &str, want: &str) -> String {
 }
 
 const WATERMARK: Flag = Flag::value("watermark", "<pct>", "rotate a log this full (1..=99)");
-const WATCHDOG_TIMEOUT: Flag = Flag::value(
-    "watchdog-timeout",
-    "<pumps>",
-    "live --logs: quarantine a source after n progress-free pumps (retried with backoff)",
-);
 const WINDOW_INTERVAL: Flag = Flag::value(
     "window-interval",
     "<ticks>",
@@ -263,7 +258,7 @@ const OVERHEAD_BUDGET: Flag = Flag::value(
 pub const SESSION_FLAGS: &[Flag] = &[WINDOW_INTERVAL, RETAIN, MAX_WIDTH, OVERHEAD_BUDGET];
 /// The further session flags of a front-end that drains in process, read
 /// by [`in_process_config`].
-pub const IN_PROCESS_FLAGS: &[Flag] = &[WATERMARK, WATCHDOG_TIMEOUT];
+pub const IN_PROCESS_FLAGS: &[Flag] = &[WATERMARK];
 
 /// The retention ring and overhead budget an argv asks for; whatever was
 /// not given keeps [`LiveConfig::default`].
@@ -286,19 +281,13 @@ pub fn session_config(parsed: &Parsed) -> Result<LiveConfig, String> {
     })
 }
 
-/// [`session_config`] with the rotation watermark an argv asks for, and the
-/// liveness watchdog if it asks for one.
-pub fn in_process_config(parsed: &Parsed) -> Result<(LiveConfig, Option<WatchdogConfig>), String> {
+/// [`session_config`] with the rotation watermark an argv asks for.
+pub fn in_process_config(parsed: &Parsed) -> Result<LiveConfig, String> {
     let mut live = session_config(parsed)?;
     if let Some(pct) = parsed.num_in(WATERMARK.name, 1..=99, "1..=99")? {
         live.policy.watermark_pct = pct;
     }
-    let timeout = parsed.num_in(WATCHDOG_TIMEOUT.name, 1.., "pumps >= 1")?;
-    let watchdog = timeout.map(|timeout_pumps| WatchdogConfig {
-        timeout_pumps,
-        ..WatchdogConfig::default()
-    });
-    Ok((live, watchdog))
+    Ok(live)
 }
 
 #[cfg(test)]
@@ -442,21 +431,12 @@ mod tests {
 
     #[test]
     fn the_session_configs_are_the_one_reader_of_the_session_flags() {
-        let (live, watchdog) = in_process_config(&parse(&WITH_OPERANDS, &[]).unwrap()).unwrap();
+        let live = in_process_config(&parse(&WITH_OPERANDS, &[]).unwrap()).unwrap();
         assert_eq!(live, LiveConfig::default());
-        assert_eq!(watchdog, None);
 
-        let argv = [
-            "--watermark",
-            "40",
-            "--watchdog-timeout",
-            "9",
-            "--retain",
-            "3",
-        ];
-        let (live, watchdog) = in_process_config(&parse(&WITH_OPERANDS, &argv).unwrap()).unwrap();
+        let argv = ["--watermark", "40", "--retain", "3"];
+        let live = in_process_config(&parse(&WITH_OPERANDS, &argv).unwrap()).unwrap();
         assert_eq!(live.policy.watermark_pct, 40);
-        assert_eq!(watchdog.unwrap().timeout_pumps, 9);
         let ring = live.retention.unwrap();
         let defaults = RingConfig::default();
         assert_eq!(
@@ -484,10 +464,6 @@ mod tests {
 
         for (argv, message) in [
             (["--watermark", "0"], "bad --watermark `0` (want 1..=99)"),
-            (
-                ["--watchdog-timeout", "0"],
-                "bad --watchdog-timeout `0` (want pumps >= 1)",
-            ),
             (
                 ["--window-interval", "0"],
                 "bad --window-interval `0` (want ticks >= 1)",

@@ -11,7 +11,11 @@
 //! * every discovered log is attached **hot** to a
 //!   [`teeperf_live::SessionRegistry`] behind a
 //!   [`teeperf_core::FileShmSource`], wrapped in a [`LivenessProbe`] that
-//!   turns the death of the writer process into a watchdog quarantine;
+//!   turns the death of the writer process into a quarantine. A session
+//!   ends when its medium says so: exhausted once the writer clears the
+//!   header's ACTIVE flag and the log is drained, quarantined once the
+//!   header is corrupt or cut, or the writer process is gone. A quiet
+//!   writer is not a dead one, so nothing counts pumps;
 //! * an embedded **HTTP/1.1 listener** (plain [`std::net::TcpListener`],
 //!   no dependencies — see [`http`]) serves the merged snapshot, per-pid
 //!   views, flame graphs and metrics. The payloads are the stable
@@ -58,7 +62,6 @@ use teeperf_core::{EventSource, FileShmSource, SalvageReport, SourceBatch};
 use teeperf_flamegraph::SvgOptions;
 use teeperf_live::{
     windows_to_text, LiveConfig, RingConfig, SessionEvent, SessionRegistry, Snapshot,
-    WatchdogConfig,
 };
 
 use flags::{Command, Flag, Parsed, SESSION_FLAGS};
@@ -80,8 +83,6 @@ pub struct DaemonConfig {
     pub pump_interval: Duration,
     /// Write the final merged snapshot here on shutdown.
     pub snapshot_out: Option<PathBuf>,
-    /// Liveness watchdog handed to the registry.
-    pub watchdog: WatchdogConfig,
     /// Shut down after this many loop iterations (a test/CI safety net;
     /// `None` runs until asked to stop).
     pub max_loops: Option<u64>,
@@ -104,7 +105,6 @@ impl Default for DaemonConfig {
             listen: "127.0.0.1:0".to_string(),
             pump_interval: Duration::from_millis(25),
             snapshot_out: None,
-            watchdog: WatchdogConfig::default(),
             max_loops: None,
             retention: None,
             budget: None,
@@ -353,7 +353,7 @@ pub struct DaemonReport {
     pub requests: u64,
     /// Every pid that was attached during the run.
     pub attached: Vec<u64>,
-    /// Pids the watchdog quarantined.
+    /// Pids quarantined because their source declared itself dead.
     pub quarantined: Vec<u64>,
     /// Where the final snapshot was written, if requested.
     pub snapshot_path: Option<PathBuf>,
@@ -428,7 +428,7 @@ impl Daemon {
             budget: config.budget,
             ..LiveConfig::default()
         };
-        let registry = SessionRegistry::new(live).with_watchdog(config.watchdog);
+        let registry = SessionRegistry::new(live);
         Ok(Daemon {
             config,
             registry,
@@ -873,7 +873,6 @@ mod tests {
             listen: "127.0.0.1:0".to_string(),
             pump_interval: Duration::from_millis(1),
             snapshot_out: None,
-            watchdog: WatchdogConfig::default(),
             max_loops: None,
             retention,
             budget: None,
@@ -910,7 +909,8 @@ mod tests {
                 "overhead-budget"
             ]
         );
-        // The in-process session rows are not the daemon's.
+        // Neither the in-process session rows nor a retired flag are the
+        // daemon's.
         for undeclared in ["--watermark", "--watchdog-timeout", "--bogus"] {
             let e = parsed(&[undeclared, "5"]).unwrap_err();
             assert!(e.starts_with(&format!("unknown flag {undeclared}")), "{e}");
@@ -1101,7 +1101,6 @@ mod tests {
             listen: "127.0.0.1:0".to_string(),
             pump_interval: Duration::from_millis(1),
             snapshot_out: None,
-            watchdog: WatchdogConfig::default(),
             max_loops: None,
             retention: None,
             budget: Some(teeperf_live::OverheadBudget { pct: 5 }),

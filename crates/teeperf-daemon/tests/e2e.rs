@@ -7,7 +7,8 @@
 //! * stdin EOF is the graceful-shutdown trigger: one more drain, the final
 //!   snapshot written to `--snapshot-out`, exit code 0;
 //! * a writer killed mid-session (SIGKILL) is quarantined by the liveness
-//!   machinery — the registry keeps serving, never wedges;
+//!   probe, named as the producer's death — the registry keeps serving,
+//!   never wedges — while a held writer, alive but silent, never is;
 //! * a session's `<pid>.tplog` is a log image any offline reader loads:
 //!   analyzed from the registration directory it gives the method rows the
 //!   daemon served, finished or killed, relocated by its anchor or not.
@@ -119,6 +120,17 @@ impl Drop for DaemonProc {
     fn drop(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
+    }
+}
+
+/// A writer child, killed and reaped on drop: a failing test leaks no
+/// `--hold` writer (which stays alive until killed).
+struct WriterProc(Child);
+
+impl Drop for WriterProc {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
     }
 }
 
@@ -298,8 +310,8 @@ fn killed_writer_is_quarantined_not_wedging_the_registry() {
     // A healthy writer alongside the doomed one: the survivors must keep
     // being served throughout.
     let mut healthy = spawn_writer(&dir.0, 4, &[]);
-    let mut doomed = spawn_writer(&dir.0, 3, &["--hold"]);
-    let doomed_pid = u64::from(doomed.id());
+    let mut doomed = WriterProc(spawn_writer(&dir.0, 3, &["--hold"]));
+    let doomed_pid = u64::from(doomed.0.id());
     assert!(healthy.wait().expect("wait healthy").success());
 
     let want = entries_for(4) + entries_for(3);
@@ -308,8 +320,25 @@ fn killed_writer_is_quarantined_not_wedging_the_registry() {
         (summary(&text).events == want).then_some(())
     });
 
-    doomed.kill().expect("kill writer");
-    doomed.wait().expect("reap writer");
+    // Held, the doomed writer is alive but silent, ACTIVE still set: a
+    // quiet writer, not a dead one. 600 loops of it quarantine nothing.
+    let scans = |m: &str| -> u64 {
+        let line = m
+            .lines()
+            .find_map(|l| l.strip_prefix("teeperf_scans_total "));
+        line.and_then(|v| v.parse().ok())
+            .expect("metrics count scans")
+    };
+    let (_, metrics) = daemon.get("/metrics");
+    let quiet_from = scans(&metrics);
+    let metrics = poll_until(60, "600 loops of a quiet writer", || {
+        let (_, m) = daemon.get("/metrics");
+        (scans(&m) >= quiet_from + 600).then_some(m)
+    });
+    assert!(metrics.contains("teeperf_quarantined_total 0"), "{metrics}");
+
+    doomed.0.kill().expect("kill writer");
+    doomed.0.wait().expect("reap writer");
 
     // The liveness machinery notices the dead process and quarantines its
     // session; its contribution stays in the merge.
@@ -336,8 +365,8 @@ fn killed_writer_is_quarantined_not_wedging_the_registry() {
     assert_eq!(code, 200, "registry keeps serving after a quarantine");
     assert_eq!(summary(&text).events, want, "prior contribution retained");
     assert!(
-        text.contains(&format!("quarantined pid {doomed_pid}")),
-        "snapshot events section records the quarantine: {text}"
+        text.contains(&format!("quarantined pid {doomed_pid}: producer gone\n")),
+        "snapshot events section records the quarantine and its cause: {text}"
     );
     // A pid the merged view still lists and counts still answers for
     // itself, with the session's final snapshot.

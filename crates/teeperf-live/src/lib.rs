@@ -38,8 +38,8 @@
 //!   remembers its own sit — into one running
 //!   [`teeperf_analyzer::ProfileMerge`], the cross-process view whose
 //!   totals are exactly the per-pid sums. Sessions attach and detach hot,
-//!   and an optional liveness watchdog quarantines sources whose producer
-//!   crashed — their prior contribution stays in the merge.
+//!   and a source that declares itself dead (corrupt or cut log, producer
+//!   gone) is quarantined — its prior contribution stays in the merge.
 //! * [`window`] — windowed retention: a [`RetentionRing`] of per-interval
 //!   aggregates over the virtual clock with time-decayed coarsening, one
 //!   ring per session (so one noisy pid cannot age out another's

@@ -29,14 +29,18 @@
 //! Sessions come and go while the registry runs: [`SessionRegistry::attach`]
 //! accepts a new source at any point and [`SessionRegistry::detach`] ends
 //! one early: the session is finished — its source released — and moved
-//! into the *retired* set, where every merged view keeps counting it. An
-//! optional liveness watchdog ([`SessionRegistry::with_watchdog`]) does
-//! the same involuntarily: a source whose heartbeat (tail progress
-//! observed at each pump) stays flat past the configured timeout is
-//! retried with doubling backoff and then *quarantined* — finished,
-//! retired, and recorded as a [`SessionEvent::Quarantined`] in the merged
-//! snapshot, so one crashed process never poisons the run for the
-//! survivors.
+//! into the *retired* set, where every merged view keeps counting it. A
+//! source that declares itself dead ([`EventSource::is_dead`]) is retired
+//! the same way, involuntarily: *quarantined* — finished, retired, and
+//! recorded as a [`SessionEvent::Quarantined`] naming the cause its
+//! salvage report gives, so one crashed process never poisons the run for
+//! the survivors. The medium decides: the in-memory log goes dead on a
+//! corrupt header, a file on a corrupt or cut header or (with the daemon's
+//! probe) a vanished writer process, and a replay never does — it is
+//! exhausted. A registry feature no front-end arms,
+//! [`SessionRegistry::with_watchdog`], can also quarantine a source whose
+//! tail stays flat for a number of pumps; it cannot tell a quiet producer
+//! from a dead one.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -47,7 +51,7 @@ use teeperf_analyzer::query::windowed::top_rows;
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_analyzer::{diff, CallLog, Frame, NameSpace, Profile, ProfileMerge, WindowSpec};
 use teeperf_core::layout::PID_UNSET;
-use teeperf_core::{EventSource, SalvageReport, SourceBatch};
+use teeperf_core::{EventSource, SalvageReason, SalvageReport, SourceBatch};
 use teeperf_flamegraph::{live, LiveStatus, SvgOptions};
 
 use crate::session::{LiveConfig, LiveSession};
@@ -297,12 +301,13 @@ impl SessionRegistry {
     /// its own rolling profile, and the calls it completed are folded into
     /// the fleet table). Returns the total entries consumed.
     ///
-    /// With a watchdog enabled, each pump also checks every source's
-    /// heartbeat: consuming entries (or reporting drops) resets its
-    /// ledger; a source silent past the timeout strikes out with doubled
-    /// deadlines until [`WatchdogConfig::max_retries`] is exhausted, at
-    /// which point it is quarantined. A source that declares itself dead
-    /// (corrupted header) is quarantined immediately.
+    /// A source that declares itself dead is quarantined right after its
+    /// pump, under the cause its salvage report names. With a watchdog
+    /// enabled, each pump also checks every source's heartbeat: consuming
+    /// entries (or reporting drops) resets its ledger; a source silent
+    /// past the timeout strikes out with doubled deadlines until
+    /// [`WatchdogConfig::max_retries`] is exhausted, at which point it is
+    /// quarantined.
     pub fn pump(&mut self) -> usize {
         let mut total = 0;
         let mut condemned: Vec<(u64, String)> = Vec::new();
@@ -317,7 +322,7 @@ impl SessionRegistry {
             }
             total += n;
             if session.source_dead() {
-                condemned.push((*pid, "source header corrupted".to_string()));
+                condemned.push((*pid, cause_of_death(&session.salvage()).to_string()));
                 continue;
             }
             let Some(dog) = watchdog else { continue };
@@ -635,6 +640,20 @@ impl SessionRegistry {
     }
 }
 
+/// Why a source declared itself dead, read from its salvage report: a
+/// source that distrusts its header or finds its file cut short records
+/// that incident as it goes dead, so a death with neither on record is the
+/// producer's own (the daemon's liveness probe found its process gone).
+fn cause_of_death(salvage: &SalvageReport) -> &'static str {
+    if salvage.count(SalvageReason::CorruptHeader) > 0 {
+        "source header corrupted"
+    } else if salvage.count(SalvageReason::TruncatedFile) > 0 {
+        "log file truncated"
+    } else {
+        "producer gone"
+    }
+}
+
 /// Add one session's counters to a fleet's: every one of them is a sum.
 fn add_status(fleet: &mut LiveStatus, one: &LiveStatus) {
     fleet.epoch += one.epoch;
@@ -947,6 +966,81 @@ mod tests {
         assert_eq!(run.merged.status.events, 1);
         let text = run.merged.to_text();
         assert!(text.contains("quarantined pid 9"), "{text}");
+    }
+
+    /// A source that has declared itself dead, with `salvage` on record.
+    #[derive(Debug)]
+    struct Dead(SalvageReport);
+
+    impl EventSource for Dead {
+        fn pid(&self) -> u64 {
+            5
+        }
+        fn pump_into(&mut self, batch: &mut SourceBatch) {
+            *batch = SourceBatch::default();
+        }
+        fn drain_to_end(&mut self) -> SourceBatch {
+            SourceBatch::default()
+        }
+        fn dropped_total(&self) -> u64 {
+            0
+        }
+        fn epoch(&self) -> u64 {
+            0
+        }
+        fn is_exhausted(&self) -> bool {
+            false
+        }
+        fn salvage(&self) -> SalvageReport {
+            self.0.clone()
+        }
+        fn is_dead(&self) -> bool {
+            true
+        }
+    }
+
+    /// The `[events]` line of a registry whose one source pumps `dead`.
+    fn quarantine_line(dead: Dead) -> String {
+        let mut reg = SessionRegistry::new(LiveConfig::default());
+        reg.attach(Box::new(dead), sym()).unwrap();
+        reg.pump();
+        assert_eq!(reg.retired_pids(), vec![5], "quarantined at its first pump");
+        let text = reg.merged_snapshot().to_text();
+        let line = text.lines().find(|l| l.starts_with("quarantined pid 5"));
+        line.unwrap_or_else(|| panic!("no quarantine line: {text}"))
+            .to_string()
+    }
+
+    #[test]
+    fn a_distrusted_header_is_named_as_the_cause() {
+        let mut salvage = SalvageReport::default();
+        salvage.incident(SalvageReason::CorruptHeader);
+        assert_eq!(
+            quarantine_line(Dead(salvage)),
+            "quarantined pid 5: source header corrupted"
+        );
+    }
+
+    #[test]
+    fn a_cut_log_is_named_as_the_cause() {
+        let mut salvage = SalvageReport::default();
+        salvage.drop_n(SalvageReason::TruncatedFile, 3);
+        assert_eq!(
+            quarantine_line(Dead(salvage)),
+            "quarantined pid 5: log file truncated"
+        );
+    }
+
+    #[test]
+    fn a_death_the_source_did_not_account_is_the_producers() {
+        // What the daemon's liveness probe reports: a sound log whose
+        // writer process is gone.
+        let mut salvage = SalvageReport::default();
+        salvage.drop_n(SalvageReason::TornEntry, 1);
+        assert_eq!(
+            quarantine_line(Dead(salvage)),
+            "quarantined pid 5: producer gone"
+        );
     }
 
     #[test]

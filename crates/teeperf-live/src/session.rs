@@ -681,15 +681,6 @@ impl LiveSession {
         )
     }
 
-    /// Materialize the single retained slot containing window `idx` (a
-    /// coarsened index resolves to its containing bucket), stamped with
-    /// this session's pid.
-    pub fn window_profile(&self, idx: u64) -> Option<(WindowMeta, teeperf_analyzer::Profile)> {
-        let (meta, mut profile) = self.rolling.window_profile(&self.symbolizer, idx)?;
-        profile.pids = BTreeSet::from([self.source.pid()]);
-        Some((meta, profile))
-    }
-
     /// The raw drained stream, in order (empty unless
     /// [`LiveConfig::keep_replay`] is set).
     pub fn replay_entries(&self) -> &[teeperf_core::layout::LogEntry] {

@@ -39,12 +39,13 @@ pub enum SessionEvent {
         /// Process id of the departed session.
         pid: u64,
     },
-    /// The liveness watchdog declared this pid's source dead and detached
-    /// it; its prior contribution stays in the merged profile.
+    /// This pid's source was declared dead and the registry retired it;
+    /// its prior contribution stays in the merged profile.
     Quarantined {
         /// Process id of the dead session.
         pid: u64,
-        /// Why the watchdog gave up on it.
+        /// The cause: a corrupt header, a cut log, the producer gone, or
+        /// the opt-in watchdog's strikes.
         reason: String,
     },
     /// The retention ring aged the windows `first..=last` out entirely:
@@ -196,15 +197,7 @@ impl Snapshot {
         compare::diff(&before.profile, &self.profile)
     }
 
-    /// The folded-stack lines of this snapshot (`a;b;c ticks`), the
-    /// interchange format every flame-graph tool consumes.
-    pub fn folded_text(&self) -> String {
-        let mut out = String::new();
-        self.write_folded(&mut out);
-        out
-    }
-
-    /// Append the folded-stack lines to `out`.
+    /// Append the folded-stack lines (`a;b;c ticks`) to `out`.
     fn write_folded(&self, out: &mut String) {
         for (path, ticks) in &self.profile.folded {
             write_folded_row(out, path.iter().map(String::as_str), *ticks);

@@ -226,6 +226,11 @@ cli_smoke() {
   if target/debug/teeperf live --logs x --follow-pids 2 > /dev/null 2>&1; then
     echo "cli-smoke: live --logs accepted --follow-pids"; return 1
   fi
+  # A retired flag: a session ends when its medium says so, not after a
+  # count of progress-free pumps.
+  if target/debug/teeperf live --logs x --watchdog-timeout 4 > /dev/null 2>&1; then
+    echo "cli-smoke: live --logs accepted --watchdog-timeout"; return 1
+  fi
   echo "==> cli-smoke ok"
 }
 tmo 60 bash -c "$(declare -f cli_smoke); cli_smoke"

@@ -27,28 +27,42 @@ fn registered_session(label: &str) -> PathBuf {
     dir
 }
 
-/// Register pid 41's finished session in `dir`: main [1, 101] calls work
-/// [10, 60] — work 50 ticks, main 100 - 50.
+/// Register pid 41's finished session in `dir`.
 fn register_session(dir: &Path) {
+    let (mut writer, events) = start_session(dir, 41);
+    for entry in &events {
+        writer.write(entry).unwrap();
+    }
+    writer.finish().unwrap();
+}
+
+/// Publish `pid`'s symbols and an ACTIVE, empty log in `dir`; returns its
+/// writer and the session's events in publication order: main [1, 101]
+/// calls work [10, 60] — work 50 ticks, main 100 - 50.
+fn start_session(dir: &Path, pid: u64) -> (FileShmWriter, [LogEntry; 4]) {
     let debug = DebugInfo::from_functions([("main", 4, 1), ("work", 4, 5)]);
-    publish_sidecar(dir, 41, "sym", &debug.to_text()).unwrap();
-    let mut writer = FileShmWriter::create(dir, &make_header(41, 64, true, 0, 0)).unwrap();
+    publish_sidecar(dir, pid, "sym", &debug.to_text()).unwrap();
+    let writer = FileShmWriter::create(dir, &make_header(pid, 64, true, 0, 0)).unwrap();
     let (main, work) = (debug.entry_addr(0), debug.entry_addr(1));
-    for (kind, counter, addr) in [
+    let events = [
         (EventKind::Call, 1, main),
         (EventKind::Call, 10, work),
         (EventKind::Return, 60, work),
         (EventKind::Return, 101, main),
-    ] {
-        let entry = LogEntry {
-            kind,
-            counter,
-            addr,
-            tid: 0,
-        };
-        writer.write(&entry).unwrap();
-    }
-    writer.finish().unwrap();
+    ]
+    .map(|(kind, counter, addr)| LogEntry {
+        kind,
+        counter,
+        addr,
+        tid: 0,
+    });
+    (writer, events)
+}
+
+/// The value of the `/metrics` line `name <value>`.
+fn metric(body: &str, name: &str) -> u64 {
+    let line = body.lines().find_map(|l| l.strip_prefix(name)).unwrap();
+    line.trim().parse().unwrap()
 }
 
 /// The body of the one reply `client` gets (the daemon closes after it).
@@ -190,10 +204,6 @@ fn a_log_registered_after_a_reply_is_attached_by_the_next_loop() {
     let (_keep_open, external) = mpsc::channel::<String>();
     let running = std::thread::spawn(move || daemon.run(&external));
 
-    let metric = |body: &str, name: &str| -> u64 {
-        let line = body.lines().find_map(|l| l.strip_prefix(name)).unwrap();
-        line.trim().parse().unwrap()
-    };
     let body = body_of(&mut first);
     assert_eq!(metric(&body, "teeperf_attached_total "), 0, "{body}");
     register_session(&dir);
@@ -215,5 +225,68 @@ fn a_log_registered_after_a_reply_is_attached_by_the_next_loop() {
         "one scan a loop: {body}"
     );
     assert_eq!(report.attached, vec![41]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A quiet writer is not a dead one. A session whose log is still ACTIVE
+/// and whose process is alive — this test's own pid, so the armed
+/// liveness probe finds `/proc/<pid>` — stays attached through hundreds
+/// of loops without an event, and what it writes after the silence is
+/// drained like anything before it.
+#[test]
+fn a_quiet_live_writer_is_never_quarantined() {
+    let dir = std::env::temp_dir().join(format!("teeperf-quiet-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let pid = u64::from(std::process::id());
+    let (mut writer, events) = start_session(&dir, pid);
+    for entry in &events[..3] {
+        writer.write(entry).unwrap();
+    }
+    let daemon = Daemon::new(DaemonConfig {
+        dir: dir.clone(),
+        listen: "127.0.0.1:0".to_string(),
+        pump_interval: Duration::from_millis(1),
+        max_loops: Some(20_000),
+        ..DaemonConfig::default()
+    })
+    .unwrap();
+    let addr = daemon.addr().to_string();
+    let (_keep_open, external) = mpsc::channel::<String>();
+    let running = std::thread::spawn(move || daemon.run(&external));
+    let get = |path: &str| teeperf_daemon::http::get(&addr, path, Duration::from_secs(5)).unwrap();
+
+    // Every loop pumps the session and finds nothing: 600 of them is past
+    // the 448 empty pumps (64 + 128 + 256) after which the registry's
+    // default pump-count watchdog would call the writer dead.
+    let metrics = loop {
+        let (_, body) = get("/metrics");
+        if metric(&body, "teeperf_scans_total ") >= 600 {
+            break body;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(
+        metric(&metrics, "teeperf_quarantined_total "),
+        0,
+        "{metrics}"
+    );
+
+    writer.write(&events[3]).unwrap();
+    writer.finish().unwrap();
+    let mut status = Snapshot::summary_from_text(&get("/snapshot").1).unwrap();
+    for _ in 0..2_000 {
+        if status.events == 4 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+        status = Snapshot::summary_from_text(&get("/snapshot").1).unwrap();
+    }
+    assert_eq!((status.events, status.open_frames), (4, 0));
+
+    assert_eq!(get("/shutdown").0, 200);
+    let report = running.join().unwrap().unwrap();
+    assert_eq!(report.attached, vec![pid]);
+    assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
     let _ = std::fs::remove_dir_all(&dir);
 }
