@@ -241,16 +241,6 @@ impl Vm {
         Ok(())
     }
 
-    /// Set a `float` global before the run.
-    ///
-    /// # Errors
-    /// Fails if no such global exists.
-    pub fn set_global_float(&mut self, name: &str, v: f64) -> Result<(), McError> {
-        let i = self.global_idx(name)?;
-        self.globals[i as usize] = Value::Float(v);
-        Ok(())
-    }
-
     /// Allocate a heap array from `values` and point the named global at it.
     ///
     /// # Errors

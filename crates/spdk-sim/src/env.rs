@@ -101,11 +101,6 @@ impl SpdkEnv {
         }
     }
 
-    /// Whether this is the optimized variant.
-    pub fn is_optimized(&self) -> bool {
-        matches!(self, SpdkEnv::Optimized { .. })
-    }
-
     /// Whether the *next* `getpid` will issue a real syscall (rather than
     /// return the cached pid). The profiler uses this to attribute frames
     /// faithfully: the optimized port simply never calls `getpid(2)` again,

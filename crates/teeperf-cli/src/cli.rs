@@ -7,13 +7,12 @@ use std::fmt::Write as _;
 
 use mcvm::{DebugInfo, RunConfig};
 use tee_sim::{CostModel, TeeKind, TransitionMode};
-use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_analyzer::Analyzer;
 use teeperf_compiler::{compile_instrumented, profile_program, run_native, InstrumentOptions};
-use teeperf_core::{EventSource, FileReplaySource, LogFile, RecorderConfig};
+use teeperf_core::{LogFile, RecorderConfig};
 use teeperf_daemon::flags::{self, Command, Flag, Parsed, IN_PROCESS_FLAGS, SESSION_FLAGS};
 use teeperf_flamegraph::{FlameGraph, SvgOptions};
-use teeperf_live::{live_profile_processes, LiveRunConfig, SessionRegistry, Snapshot};
+use teeperf_live::{live_profile_processes, LiveRunConfig, Snapshot};
 
 /// A CLI failure with a user-facing message and a process exit code.
 #[derive(Debug)]
@@ -86,7 +85,7 @@ const RECORD_FLAGS: &[Flag] = &[
 ];
 const RECORD: Command = Command {
     operands: "<prog.mc|prog.tpo>",
-    about: "run a program under the recorder and save <base>.tpf + <base>.sym",
+    about: "run a program under the recorder and save <base>.tplog + <base>.sym",
     groups: &[ARCH_FLAGS, RECORD_FLAGS],
 };
 const LIVE_FLAGS: &[Flag] = &[
@@ -96,25 +95,22 @@ const LIVE_FLAGS: &[Flag] = &[
     Flag::value("svg", "<file>", "write the final flame graph here"),
     Flag::value("out", "<base>", "write the snapshot to <base>.live"),
     Flag::value("follow-pids", "<n>", "n simulated processes (1..=64)"),
-    Flag::value("logs", "<a,b,c>", "replay each <base>.tpf|.tplog + .sym"),
     BATCH,
 ];
 const LIVE: Command = Command {
-    operands: "[<prog.mc|prog.tpo>]",
+    operands: "<prog.mc|prog.tpo>",
     about: "profile continuously over a small rotating log\n\
-            one program, n simulated processes of it (--follow-pids), or recorded logs — \
-            recordings or a registration directory's <pid>.tplog — replayed as one \
-            multi-process session (--logs, no program)",
+            one program, or n simulated processes of it (--follow-pids)",
     groups: &[ARCH_FLAGS, LIVE_FLAGS, IN_PROCESS_FLAGS, SESSION_FLAGS],
 };
 const ANALYZE: Command = Command {
-    operands: "<base.tpf|pid.tplog> <base.sym>",
+    operands: "<base.tplog> <base.sym>",
     about: "print the per-method report of a recording or a deployed session's log",
     groups: &[RECORDING_FLAGS],
 };
 const CONNECT_FLAGS: &[Flag] = &[Flag::value("connect", "<addr>", "the daemon to ask")];
 const QUERY: Command = Command {
-    operands: "<base.tpf|pid.tplog> <base.sym> <query> | [windows | <clause> ...]",
+    operands: "<base.tplog> <base.sym> <query> | [windows | <clause> ...]",
     about: "query a recorded log, or with --connect a daemon's retention rings\n\
             query: \"select method, calls, excl where excl > 100 sort excl desc limit 10\"\n\
             clauses: windows=all|last:<n>|<a>..=<b>  pid=<n>  method=<substr>  tid=<n>  \
@@ -127,13 +123,13 @@ const FLAMEGRAPH_FLAGS: &[Flag] = &[
     Flag::value("title", "<t>", "the SVG's title"),
 ];
 const FLAMEGRAPH: Command = Command {
-    operands: "<base.tpf|pid.tplog> <base.sym>",
+    operands: "<base.tplog> <base.sym>",
     about: "draw a recorded log's flame graph, as text or SVG",
     groups: &[FLAMEGRAPH_FLAGS, RECORDING_FLAGS],
 };
 const DIFF_FLAGS: &[Flag] = &[Flag::value("svg", "<file>", "also draw the diff here")];
 const DIFF: Command = Command {
-    operands: "<a.tpf|a.tplog> <a.sym> <b.tpf|b.tplog> <b.sym>",
+    operands: "<a.tplog> <a.sym> <b.tplog> <b.sym>",
     about: "compare two recorded logs by exclusive-time share",
     groups: &[DIFF_FLAGS, &[THREADS]],
 };
@@ -330,7 +326,7 @@ fn cmd_record(args: &Parsed) -> Result<String, CliError> {
     let run = profile_program(program, cost, RunConfig::default(), &recorder, |_| Ok(()))
         .map_err(|e| err(e.to_string()))?;
 
-    let log_path = format!("{base}.tpf");
+    let log_path = format!("{base}.tplog");
     let sym_path = format!("{base}.sym");
     run.log
         .save(&log_path)
@@ -350,12 +346,9 @@ fn cmd_record(args: &Parsed) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `teeperf live`: one program under one session, unless `--logs` or
+/// `teeperf live`: one program under one session, unless
 /// `--follow-pids <n>` asks for a multi-process one.
 fn cmd_live(args: &Parsed) -> Result<String, CliError> {
-    if let Some(logs) = args.text("logs") {
-        return cmd_live_logs(args, logs);
-    }
     let live = flags::in_process_config(args)?;
     let path = operand(args, 0, "program path")?;
     let cost = arch(args)?;
@@ -409,12 +402,28 @@ fn cmd_live(args: &Parsed) -> Result<String, CliError> {
             status.dropped
         )
         .expect("writing to string");
-        let per_pid: Vec<(u64, &Snapshot)> = run
+        for (pid, process) in &run.per_pid {
+            let banner = process.snapshot.status.banner();
+            writeln!(out, "pid {pid}: {banner}").expect("writing to string");
+        }
+        // The per-process flame view; the `.live` file carries the merged
+        // snapshot, `[processes]` included.
+        let parts: Vec<teeperf_flamegraph::PidFolded> = run
             .per_pid
             .iter()
-            .map(|(pid, p)| (*pid, &p.snapshot))
+            .map(|(pid, p)| (*pid, p.snapshot.profile.folded.as_slice()))
             .collect();
-        multi_session_output(&mut out, &per_pid, &run.merged, args)?;
+        out.push_str(&teeperf_flamegraph::live::render_ascii_multi(
+            &parts, status, 60,
+        ));
+        let svg = || {
+            teeperf_flamegraph::live::render_svg_multi(
+                &parts,
+                status,
+                &SvgOptions::default().with_title("TEE-Perf multi-process live session"),
+            )
+        };
+        write_live_files(&mut out, args, svg, &run.merged)?;
         return Ok(out);
     }
     let process = &run.per_pid[&base_pid];
@@ -461,166 +470,11 @@ fn write_live_files(
     Ok(())
 }
 
-/// Shared tail of the multi-process live commands: per-pid banners, the
-/// merged per-process flame view, and the `--svg` / `--out` files (the
-/// `.live` file carries the *merged* snapshot, `[processes]` included).
-fn multi_session_output(
-    out: &mut String,
-    per_pid: &[(u64, &Snapshot)],
-    merged: &Snapshot,
-    args: &Parsed,
-) -> Result<(), CliError> {
-    for (pid, snap) in per_pid {
-        writeln!(out, "pid {pid}: {}", snap.status.banner()).expect("writing to string");
-    }
-    let parts: Vec<teeperf_flamegraph::PidFolded> = per_pid
-        .iter()
-        .map(|(pid, s)| (*pid, s.profile.folded.as_slice()))
-        .collect();
-    out.push_str(&teeperf_flamegraph::live::render_ascii_multi(
-        &parts,
-        &merged.status,
-        60,
-    ));
-    let svg = || {
-        teeperf_flamegraph::live::render_svg_multi(
-            &parts,
-            &merged.status,
-            &SvgOptions::default().with_title("TEE-Perf multi-process live session"),
-        )
-    };
-    write_live_files(out, args, svg, merged)
-}
-
-/// `teeperf live --logs a,b,c`: replay recorded logs (each `<base>.tpf`,
-/// or failing that a registration directory's `<base>.tplog`, with its
-/// `<base>.sym`) through the live pipeline as one multi-process session,
-/// keyed by the pids in the log headers.
-///
-/// Every unreadable or malformed path is reported (one message per path)
-/// before the command gives up with exit code 2 — a typo in one of ten
-/// bases names the typo instead of panicking on the first open.
-fn cmd_live_logs(args: &Parsed, logs: &str) -> Result<String, CliError> {
-    if let Some(stray) = args.positional.first() {
-        return Err(err(format!(
-            "--logs wants one a,b,c word, not also `{stray}`"
-        )));
-    }
-    // A replay re-reads what was recorded: nothing runs, and no live log
-    // rotates under a watermark. Refuse the first such flag given, which
-    // would otherwise be dropped silently.
-    let unread = [
-        "arch",
-        "transition-mode",
-        "max-entries",
-        "refresh",
-        "frames",
-        "follow-pids",
-        "batch-slots",
-        "watermark",
-    ];
-    if let Some(flag) = unread.iter().find(|flag| args.text(flag).is_some()) {
-        return Err(err(format!("--{flag} has no effect on `live` with --logs")));
-    }
-    let mut registry = SessionRegistry::new(flags::session_config(args)?);
-    let bases: Vec<&str> = logs
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
-    if bases.is_empty() {
-        return Err(err(format!(
-            "--logs needs at least one <base>\n\n{}",
-            args.usage()
-        )));
-    }
-    // Validate every path before attaching anything: all failures are
-    // reported together, each on its own line.
-    let mut loaded = Vec::new();
-    let mut bad: Vec<String> = Vec::new();
-    for base in &bases {
-        let base = base.trim_end_matches(".tpf").trim_end_matches(".tplog");
-        let log_path = [".tpf", ".tplog"]
-            .map(|ext| format!("{base}{ext}"))
-            .into_iter()
-            .find(|path| std::path::Path::new(path).exists())
-            .unwrap_or_else(|| format!("{base}.tpf"));
-        let sym_path = format!("{base}.sym");
-        let log = LogFile::load(&log_path).map_err(|e| bad.push(format!("{log_path}: {e}")));
-        let debug = read_symbols(&sym_path).map_err(|e| bad.push(e.message));
-        if let (Ok(log), Ok(debug)) = (log, debug) {
-            loaded.push((log_path, log, debug));
-        }
-    }
-    if !bad.is_empty() {
-        return Err(CliError {
-            message: bad.join("\n"),
-            code: 2,
-        });
-    }
-    let mut out = String::new();
-    for (log_path, log, debug) in loaded {
-        let symbolizer = Symbolizer::new(debug, &log.header);
-        let mut source = FileReplaySource::new(&log);
-        // Several files recorded by the same process collide on the header
-        // pid; remap to the next free pid and say so rather than refusing.
-        let original = source.pid();
-        let taken = registry.pids();
-        let mut pid = original.max(1);
-        while taken.contains(&pid) {
-            pid += 1;
-        }
-        if pid != original {
-            source = source.with_pid(pid);
-            writeln!(
-                out,
-                "note: {log_path} reports pid {original}; replaying as pid {pid}"
-            )
-            .expect("writing to string");
-        }
-        registry
-            .attach(Box::new(source), symbolizer)
-            .map_err(|e| err(e.to_string()))?;
-    }
-    while registry.pump() > 0 {}
-    for w in registry.windows() {
-        writeln!(
-            out,
-            "pid {}: retained {} windows of {} ticks ({} evicted)",
-            w.pid,
-            w.windows.len(),
-            w.interval,
-            w.evicted_windows
-        )
-        .expect("writing to string");
-    }
-    let salvage = registry.salvage();
-    let run = registry.finish();
-    writeln!(
-        out,
-        "replayed {} logs: {} events, {} dropped",
-        bases.len(),
-        run.merged.status.events,
-        run.merged.status.dropped
-    )
-    .expect("writing to string");
-    if !salvage.is_clean() {
-        writeln!(out, "{}", salvage.to_line()).expect("writing to string");
-    }
-    let per_pid: Vec<(u64, &Snapshot)> = run.per_pid.iter().map(|(pid, s)| (*pid, s)).collect();
-    multi_session_output(&mut out, &per_pid, &run.merged, args)?;
-    Ok(out)
-}
-
-fn read_symbols(sym_path: &str) -> Result<DebugInfo, CliError> {
-    let text = std::fs::read_to_string(sym_path).map_err(|e| path_err(sym_path, e))?;
-    DebugInfo::from_text(&text).ok_or_else(|| path_err(sym_path, "malformed symbol file"))
-}
-
-/// The analyzer over the log image (a recording's `.tpf`, a deployed
-/// session's `.tplog`) and the `.sym` that are operands `at` and `at + 1`. With `salvage`, a torn or truncated log is read
-/// through the salvage path instead of rejected, and the accounting report
-/// is returned for the caller to print.
+/// The analyzer over the log image (a recording or a deployed session's
+/// `.tplog`) and the `.sym` that are operands `at` and `at + 1`. With
+/// `salvage`, a torn or truncated log is read through the salvage path
+/// instead of rejected, and the accounting report is returned for the
+/// caller to print.
 fn load_analyzer(
     args: &Parsed,
     at: usize,
@@ -636,7 +490,10 @@ fn load_analyzer(
         let log = LogFile::load(log_path).map_err(|e| path_err(log_path, e))?;
         (log, None)
     };
-    let analyzer = Analyzer::new(log, read_symbols(sym_path)?)
+    let text = std::fs::read_to_string(sym_path).map_err(|e| path_err(sym_path, e))?;
+    let debug =
+        DebugInfo::from_text(&text).ok_or_else(|| path_err(sym_path, "malformed symbol file"))?;
+    let analyzer = Analyzer::new(log, debug)
         .map_err(|e| err(e.to_string()))?
         .with_analyzer_threads(threads);
     Ok((analyzer, report))
@@ -703,7 +560,7 @@ fn cmd_flamegraph(args: &Parsed) -> Result<String, CliError> {
 fn cmd_diff(args: &Parsed) -> Result<String, CliError> {
     if args.positional.len() != 4 {
         return Err(err(format!(
-            "diff needs <a.tpf> <a.sym> <b.tpf> <b.sym> (or .tplog logs)\n\n{}",
+            "diff needs <a.tplog> <a.sym> <b.tplog> <b.sym>\n\n{}",
             args.usage()
         )));
     }
@@ -940,11 +797,12 @@ mod tests {
         // A misspelled value of a yes|no flag is no longer read as "no".
         let e = dispatch(&strs(&["live", "x.mc", "--frames", "ye"])).unwrap_err();
         assert_eq!(e.to_string(), "bad --frames `ye` (want yes|no)");
-        // Commands without operands refuse strays instead of dropping them,
-        // and so does `live --logs`, whose list is one comma-separated word.
+        // Commands without operands refuse strays instead of dropping them.
         assert!(dispatch(&strs(&["archs", "native"])).is_err());
-        let e = dispatch(&strs(&["live", "--logs", "/tmp/a", "/tmp/b"])).unwrap_err();
-        assert!(e.to_string().contains("not also `/tmp/b`"), "{e}");
+        // A retired mode is refused like any undeclared flag: the fleet
+        // post-mortem of finished logs is `teeperf daemon --snapshot-out`.
+        let e = dispatch(&strs(&["live", "--logs", "x"])).unwrap_err();
+        assert!(e.to_string().starts_with("unknown flag --logs"), "{e}");
     }
 
     #[test]
@@ -988,7 +846,6 @@ mod tests {
                 "svg",
                 "out",
                 "follow-pids",
-                "logs",
                 "batch-slots",
                 "watermark",
                 "window-interval",
@@ -1331,32 +1188,32 @@ mod tests {
         .unwrap();
         assert!(out.contains("recorded 4 events"), "{out}");
 
-        let tpf = format!("{base}.tpf");
+        let log = format!("{base}.tplog");
         let sym = format!("{base}.sym");
-        let out = dispatch(&strs(&["analyze", &tpf, &sym])).unwrap();
+        let out = dispatch(&strs(&["analyze", &log, &sym])).unwrap();
         assert!(out.contains("work"));
         assert!(out.contains("main"));
 
         // The sharded analyzer must render the identical report.
-        let sharded = dispatch(&strs(&["analyze", &tpf, &sym, "--analyzer-threads", "4"])).unwrap();
+        let sharded = dispatch(&strs(&["analyze", &log, &sym, "--analyzer-threads", "4"])).unwrap();
         assert_eq!(sharded, out);
-        let e = dispatch(&strs(&["analyze", &tpf, &sym, "--analyzer-threads", "x"])).unwrap_err();
+        let e = dispatch(&strs(&["analyze", &log, &sym, "--analyzer-threads", "x"])).unwrap_err();
         assert!(e.to_string().contains("analyzer-threads"));
 
         let out = dispatch(&strs(&[
             "query",
-            &tpf,
+            &log,
             &sym,
             "select method, calls sort calls desc limit 1",
         ]))
         .unwrap();
         assert!(out.contains("method"));
 
-        let out = dispatch(&strs(&["flamegraph", &tpf, &sym])).unwrap();
+        let out = dispatch(&strs(&["flamegraph", &log, &sym])).unwrap();
         assert!(out.contains("work"));
 
         let svg = dir.join("demo.svg").to_str().unwrap().to_string();
-        dispatch(&strs(&["flamegraph", &tpf, &sym, "--svg", &svg])).unwrap();
+        dispatch(&strs(&["flamegraph", &log, &sym, "--svg", &svg])).unwrap();
         let svg_text = std::fs::read_to_string(&svg).unwrap();
         assert!(svg_text.starts_with("<svg"));
     }
@@ -1374,8 +1231,8 @@ mod tests {
         .unwrap();
         let base = dir.join("names").to_str().unwrap().to_string();
         dispatch(&strs(&["record", prog.to_str().unwrap(), "--out", &base])).unwrap();
-        let (tpf, sym) = (format!("{base}.tpf"), format!("{base}.sym"));
-        let query = |q: &str| dispatch(&strs(&["query", &tpf, &sym, q]));
+        let (log, sym) = (format!("{base}.tplog"), format!("{base}.sym"));
+        let query = |q: &str| dispatch(&strs(&["query", &log, &sym, q]));
         // A method merely *called* kind_of / stid is a string, not a column:
         // these are methods queries, exactly like the one about main.
         for (method, calls) in [("kind_of", "1"), ("stid", "2"), ("main", "1")] {
@@ -1454,9 +1311,9 @@ mod tests {
         let svg = dir.join("diff.svg").to_str().unwrap().to_string();
         let out = dispatch(&strs(&[
             "diff",
-            &format!("{base_a}.tpf"),
+            &format!("{base_a}.tplog"),
             &format!("{base_a}.sym"),
-            &format!("{base_b}.tpf"),
+            &format!("{base_b}.tplog"),
             &format!("{base_b}.sym"),
             "--svg",
             &svg,
@@ -1581,47 +1438,10 @@ mod tests {
     }
 
     #[test]
-    fn live_refuses_the_flags_its_mode_never_reads() {
-        let dir = tmpdir();
-        let prog = dir.join("unread.mc");
-        std::fs::write(
-            &prog,
-            "fn f(x: int) -> int { return x * 2; }
-             fn main() -> int { print_int(f(21)); return 0; }",
-        )
-        .unwrap();
-        let prog = prog.to_str().unwrap().to_string();
-        let base = dir.join("unread").to_str().unwrap().to_string();
-        dispatch(&strs(&["record", &prog, "--out", &base, "--pid", "61"])).unwrap();
-
-        // (flag, a value a program's session would accept)
-        for (flag, value) in [
-            ("arch", "native"),
-            ("transition-mode", "switchless"),
-            ("max-entries", "8"),
-            ("refresh", "10"),
-            ("frames", "yes"),
-            ("follow-pids", "2"),
-            ("batch-slots", "2"),
-            ("watermark", "50"),
-        ] {
-            let named = format!("--{flag}");
-            let argv = ["live", "--logs", &base, named.as_str(), value];
-            let e = dispatch(&strs(&argv)).unwrap_err();
-            assert_eq!(
-                e.to_string(),
-                format!("--{flag} has no effect on `live` with --logs"),
-                "{argv:?}"
-            );
-        }
-        // Its help already says it is inert for replayed logs.
-        let out = dispatch(&strs(&["live", "--logs", &base, "--overhead-budget", "10"])).unwrap();
-        assert!(out.contains("replayed 1 logs"), "{out}");
-    }
-
-    #[test]
-    fn logs_replay_merges_recordings_as_processes() {
-        let dir = tmpdir();
+    fn recordings_in_one_directory_are_a_fleet_post_mortem() {
+        let dir = tmpdir().join("post-mortem");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
         let prog = dir.join("replay.mc");
         std::fs::write(
             &prog,
@@ -1630,51 +1450,54 @@ mod tests {
         )
         .unwrap();
         let prog = prog.to_str().unwrap().to_string();
-        let base_a = dir.join("proc_a").to_str().unwrap().to_string();
-        let base_b = dir.join("proc_b").to_str().unwrap().to_string();
-        dispatch(&strs(&["record", &prog, "--out", &base_a, "--pid", "71"])).unwrap();
-        dispatch(&strs(&["record", &prog, "--out", &base_b, "--pid", "72"])).unwrap();
         assert!(dispatch(&strs(&["record", &prog, "--pid", "0"])).is_err());
+        // `--out <dir>/<pid>` leaves `<pid>.tplog` + `<pid>.sym`: the
+        // registration-directory entry the daemon attaches.
+        let reg = dir.join("reg");
+        std::fs::create_dir_all(&reg).unwrap();
+        for pid in ["71", "72"] {
+            let base = reg.join(pid).to_str().unwrap().to_string();
+            let out = dispatch(&strs(&["record", &prog, "--out", &base, "--pid", pid])).unwrap();
+            assert!(out.contains(&format!("log:     {base}.tplog")), "{out}");
+        }
 
-        let merged = dir.join("replay").to_str().unwrap().to_string();
+        let merged = dir.join("merged.live");
         let out = dispatch(&strs(&[
-            "live",
-            "--logs",
-            &format!("{base_a},{base_b}"),
-            "--out",
-            &merged,
+            "daemon",
+            "--dir",
+            reg.to_str().unwrap(),
+            "--listen",
+            "127.0.0.1:0",
+            "--max-loops",
+            "1",
+            "--snapshot-out",
+            merged.to_str().unwrap(),
         ]))
         .unwrap();
-        assert!(
-            out.contains("replayed 2 logs: 8 events, 0 dropped"),
-            "{out}"
-        );
-        assert!(out.contains("pid 71"), "{out}");
-        assert!(out.contains("pid 72"), "{out}");
-        let snap_text = std::fs::read_to_string(format!("{merged}.live")).unwrap();
+        assert!(out.contains("attached pids: 71, 72\n"), "{out}");
+        assert!(!out.contains("rejected "), "{out}");
+        let snap_text = std::fs::read_to_string(&merged).unwrap();
         assert!(
             snap_text.contains("[processes]\npid 71\npid 72\n"),
             "{snap_text}"
         );
-
-        // Colliding pids are remapped, not refused.
-        let out = dispatch(&strs(&["live", "--logs", &format!("{base_a},{base_a}")])).unwrap();
-        assert!(out.contains("replaying as pid 72"), "{out}");
-        assert!(dispatch(&strs(&["live", "--logs", " , "])).is_err());
+        assert_eq!(Snapshot::summary_from_text(&snap_text).unwrap().events, 8);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_input_paths_exit_with_code_2() {
-        let e = dispatch(&strs(&["analyze", "/no/such/log.tpf", "/no/such/log.sym"])).unwrap_err();
+        let e = dispatch(&strs(&[
+            "analyze",
+            "/no/such/log.tplog",
+            "/no/such/log.sym",
+        ]))
+        .unwrap_err();
         assert_eq!(e.code, 2, "missing log path is a path error: {e}");
-        assert!(e.to_string().starts_with("/no/such/log.tpf:"), "{e}");
-
-        let e = dispatch(&strs(&["live", "--logs", "/no/such/a,/no/such/b"])).unwrap_err();
+        assert!(e.to_string().starts_with("/no/such/log.tplog:"), "{e}");
+        let e = dispatch(&strs(&["live", "/no/such/prog.mc"])).unwrap_err();
         assert_eq!(e.code, 2);
-        let msg = e.to_string();
-        // Every bad path gets its own message, not just the first.
-        assert!(msg.contains("/no/such/a.tpf:"), "{msg}");
-        assert!(msg.contains("/no/such/b.tpf:"), "{msg}");
+        assert!(e.to_string().starts_with("/no/such/prog.mc:"), "{e}");
 
         // Usage errors stay exit code 1.
         let e = dispatch(&strs(&["analyze"])).unwrap_err();
@@ -1696,15 +1519,15 @@ mod tests {
         dispatch(&strs(&["record", &prog, "--out", &base])).unwrap();
 
         // Tear the tail off the recording, as a crash mid-save would.
-        let tpf = format!("{base}.tpf");
+        let log = format!("{base}.tplog");
         let sym = format!("{base}.sym");
-        let bytes = std::fs::read(&tpf).unwrap();
-        std::fs::write(&tpf, &bytes[..bytes.len() - 10]).unwrap();
+        let bytes = std::fs::read(&log).unwrap();
+        std::fs::write(&log, &bytes[..bytes.len() - 10]).unwrap();
 
-        let e = dispatch(&strs(&["analyze", &tpf, &sym])).unwrap_err();
+        let e = dispatch(&strs(&["analyze", &log, &sym])).unwrap_err();
         assert_eq!(e.code, 2, "a torn log is rejected by default: {e}");
 
-        let out = dispatch(&strs(&["analyze", &tpf, &sym, "--salvage", "yes"])).unwrap();
+        let out = dispatch(&strs(&["analyze", &log, &sym, "--salvage", "yes"])).unwrap();
         assert!(out.starts_with("salvage: kept 3 dropped 1"), "{out}");
         assert!(out.contains("truncated-file: 1"), "{out}");
         assert!(out.contains("main"), "the surviving records still analyze");
@@ -1768,16 +1591,6 @@ mod tests {
         );
         let out = dispatch(&strs(&["flamegraph", &path("41.tplog"), &path("41.sym")])).unwrap();
         assert!(out.contains("work"), "{out}");
-        let logs = format!("{},{}", path("41"), path("42.tplog"));
-        let out = dispatch(&strs(&["live", "--logs", &logs])).unwrap();
-        assert!(
-            out.contains("replayed 2 logs: 8 events, 0 dropped"),
-            "{out}"
-        );
-        // A `.tpf` beside a `.tplog` of the same base wins.
-        std::fs::copy(path("42.tplog"), path("41.tpf")).unwrap();
-        let out = dispatch(&strs(&["live", "--logs", &path("41")])).unwrap();
-        assert!(out.contains("pid 42"), "{out}");
     }
 
     #[test]
@@ -1803,7 +1616,7 @@ mod tests {
     }
 
     #[test]
-    fn retention_flags_thread_through_live_and_logs_replay() {
+    fn retention_flags_thread_through_live() {
         let dir = tmpdir();
         let prog = dir.join("ring.mc");
         std::fs::write(
@@ -1834,22 +1647,6 @@ mod tests {
         let snap_text = std::fs::read_to_string(format!("{base}.live")).unwrap();
         assert!(snap_text.contains("evicted windows"), "{snap_text}");
 
-        // Logs replay reports what each pid retained.
-        let rec = dir.join("ring_rec").to_str().unwrap().to_string();
-        dispatch(&strs(&["record", &prog, "--out", &rec, "--pid", "91"])).unwrap();
-        let out = dispatch(&strs(&[
-            "live",
-            "--logs",
-            &rec,
-            "--window-interval",
-            "100000",
-            "--retain",
-            "8",
-        ]))
-        .unwrap();
-        assert!(out.contains("pid 91: retained"), "{out}");
-        assert!(out.contains("windows of 100000 ticks (0 evicted)"), "{out}");
-
         for bad in [
             &["live", &prog, "--window-interval", "0"][..],
             &["live", &prog, "--retain", "x"],
@@ -1879,9 +1676,9 @@ mod tests {
         let calls_query = "select method, calls sort method asc";
         let classic = dispatch(&strs(&["record", &prog, "--out", &base])).unwrap();
         assert!(classic.contains("recorded 4 events"), "{classic}");
-        let tpf = format!("{base}.tpf");
+        let log = format!("{base}.tplog");
         let sym = format!("{base}.sym");
-        let classic_calls = dispatch(&strs(&["query", &tpf, &sym, calls_query])).unwrap();
+        let classic_calls = dispatch(&strs(&["query", &log, &sym, calls_query])).unwrap();
 
         let tuned = dispatch(&strs(&[
             "record",
@@ -1895,7 +1692,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(tuned.contains("recorded 4 events"), "{tuned}");
-        let tuned_calls = dispatch(&strs(&["query", &tpf, &sym, calls_query])).unwrap();
+        let tuned_calls = dispatch(&strs(&["query", &log, &sym, calls_query])).unwrap();
         assert_eq!(
             classic_calls, tuned_calls,
             "knobs must not change what was recorded"

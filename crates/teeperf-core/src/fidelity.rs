@@ -82,11 +82,6 @@ impl Regime {
         }
     }
 
-    /// `true` when totals derived under this regime are estimates.
-    pub fn is_estimated(self) -> bool {
-        matches!(self, Regime::Sampled(_))
-    }
-
     /// Short lowercase label used on wire formats and badges.
     pub fn label(self) -> &'static str {
         match self {

@@ -466,13 +466,6 @@ impl FileReplaySource {
         self
     }
 
-    /// Override the pid this source reports (used to disambiguate several
-    /// files recorded by the same process).
-    pub fn with_pid(mut self, pid: u64) -> FileReplaySource {
-        self.pid = pid;
-        self
-    }
-
     /// Replay at most `chunk` entries per pump (clamped to at least 1), so
     /// a replay exercises the same incremental path as a live drain.
     pub fn with_chunk(mut self, chunk: usize) -> FileReplaySource {
@@ -703,8 +696,8 @@ mod tests {
             shm_addr: 0,
         };
         let file = LogFile::new(header, vec![entry(1, 0xa), entry(2, 0xb), entry(3, 0xc)]);
-        let mut src = FileReplaySource::new(&file).with_chunk(2).with_pid(99);
-        assert_eq!(src.pid(), 99);
+        let mut src = FileReplaySource::new(&file).with_chunk(2);
+        assert_eq!(src.pid(), 31);
         let b1 = src.pump();
         assert_eq!(b1.entries.len(), 2);
         assert_eq!(b1.dropped, 0);

@@ -250,7 +250,7 @@ const OVERHEAD_BUDGET: Flag = Flag::value(
     "<pct>",
     "tolerated stream loss (1..=100): a per-session controller degrades full -> sampled 1/N -> \
      quiescent under pressure and recovers, sampled totals tagged `estimated`. Inert where the \
-     source cannot carry a regime word: replayed logs, and the file transport teeperfd attaches",
+     source cannot carry a regime word: the file transport teeperfd attaches",
 );
 
 /// The session flags every profiling front-end shares, read by

@@ -355,6 +355,9 @@ pub struct DaemonReport {
     pub attached: Vec<u64>,
     /// Pids quarantined because their source declared itself dead.
     pub quarantined: Vec<u64>,
+    /// One `<path>: <why>` per registration-directory file that failed to
+    /// attach.
+    pub rejected: Vec<String>,
     /// Where the final snapshot was written, if requested.
     pub snapshot_path: Option<PathBuf>,
     /// The final merged snapshot.
@@ -382,6 +385,9 @@ impl DaemonReport {
             list(&self.attached),
             list(&self.quarantined),
         );
+        for why in &self.rejected {
+            out.push_str(&format!("rejected {why}\n"));
+        }
         if let Some(path) = &self.snapshot_path {
             out.push_str(&format!("final snapshot: {}\n", path.display()));
         }
@@ -404,7 +410,8 @@ pub struct Daemon {
     /// that was rejected once is not going to become a valid log). Keyed
     /// by name, not pid: `7.tplog` and `007.tplog` carry the same pid.
     rejected: BTreeSet<OsString>,
-    /// One line per attach failure, surfaced in `/metrics`.
+    /// One line per attach failure, surfaced in `/metrics` and the closing
+    /// summary.
     attach_errors: Vec<String>,
     /// Whether the `/proc/<pid>` liveness probe is armed on new sources.
     probe_liveness: bool,
@@ -615,6 +622,7 @@ impl Daemon {
             requests: self.requests,
             attached: self.attached_pids(),
             quarantined: self.quarantined_pids(),
+            rejected: self.attach_errors,
             snapshot_path,
             merged: run.merged,
         })
@@ -1016,16 +1024,36 @@ mod tests {
         std::fs::write(dir.0.join("33.tplog"), b"junk").unwrap();
         std::fs::write(dir.0.join("not-a-pid.tplog"), b"junk").unwrap();
         std::fs::write(dir.0.join("034.tplog"), b"junk").unwrap();
+        // A valid log saved under another pid's name.
+        write_session(&dir.0, 4101, 10);
+        let misnamed = dir.0.join("4999.tplog");
+        std::fs::rename(dir.0.join("4101.tplog"), &misnamed).unwrap();
         let mut d = test_daemon(&dir.0);
         assert_eq!(d.scan(), 0);
-        assert_eq!(d.attach_errors.len(), 2, "pid-named junk is an error");
+        assert_eq!(d.attach_errors.len(), 3, "pid-named junk is an error");
+        let wrong_pid = format!(
+            "{}: file is named for pid 4999 but its header says 4101",
+            misnamed.display()
+        );
+        assert_eq!(d.attach_errors[2], wrong_pid);
         // A rejection is of a name, not a pid: junk under pid 34's other
         // spelling does not shadow the log it registers later.
         write_session(&dir.0, 34, 10);
         assert_eq!(d.scan(), 1);
-        assert_eq!(d.attach_errors.len(), 2, "rejected files are not retried");
-        assert!(d.metrics_text().contains("teeperf_attach_errors_total 2"));
+        assert_eq!(d.attach_errors.len(), 3, "rejected files are not retried");
+        assert!(d.metrics_text().contains("teeperf_attach_errors_total 3"));
         assert_eq!(d.registry.pids(), [34]);
+        // A post-mortem serves no `/metrics`: its closing summary names
+        // every rejected file, below the line scripts parse.
+        d.config.max_loops = Some(1);
+        let summary = d.run(&mpsc::channel().1).unwrap().summary();
+        assert!(summary.contains("\nloops 1 requests 0\n"), "{summary}");
+        assert!(
+            summary.contains(&format!("\nrejected {wrong_pid}\n")),
+            "{summary}"
+        );
+        let rejected = summary.lines().filter(|l| l.starts_with("rejected "));
+        assert_eq!(rejected.count(), 3, "{summary}");
     }
 
     #[test]

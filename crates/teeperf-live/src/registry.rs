@@ -736,8 +736,8 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, AttachError::DuplicatePid(7));
         assert_eq!(err.to_string(), "a session for pid 7 is already attached");
-        // An explicit pid override resolves the collision.
-        let src = FileReplaySource::new(&file(7, 20)).with_pid(8);
+        // Another pid does not collide.
+        let src = FileReplaySource::new(&file(8, 20));
         assert_eq!(reg.attach(Box::new(src), sym()), Ok(8));
         assert_eq!(reg.pids(), vec![7, 8]);
     }

@@ -222,15 +222,35 @@ cli_smoke() {
   if target/debug/teeperf phoenix --bench histogram --arhc native > /dev/null 2>&1; then
     echo "cli-smoke: phoenix accepted --arhc"; return 1
   fi
-  # A flag its mode never reads: a replay runs no processes.
-  if target/debug/teeperf live --logs x --follow-pids 2 > /dev/null 2>&1; then
-    echo "cli-smoke: live --logs accepted --follow-pids"; return 1
+  # A retired mode: finished logs are a daemon post-mortem (below).
+  if target/debug/teeperf live --logs x > /dev/null 2>&1; then
+    echo "cli-smoke: live accepted --logs"; return 1
   fi
   # A retired flag: a session ends when its medium says so, not after a
   # count of progress-free pumps.
-  if target/debug/teeperf live --logs x --watchdog-timeout 4 > /dev/null 2>&1; then
-    echo "cli-smoke: live --logs accepted --watchdog-timeout"; return 1
+  if target/debug/teeperfd --watchdog-timeout 4 < /dev/null > /dev/null 2>&1; then
+    echo "cli-smoke: teeperfd accepted --watchdog-timeout"; return 1
   fi
+  # The fleet post-mortem: recordings saved as <dir>/<pid> are a
+  # registration directory, which teeperfd with stdin at EOF attaches,
+  # drains and writes out as one snapshot.
+  local pm p
+  pm="$(mktemp -d)"
+  mkdir "$pm/reg"
+  printf '%s\n' 'fn f(x: int) -> int { return x * 2; }' \
+    'fn main() -> int { print_int(f(21)); return 0; }' > "$pm/p.mc"
+  for p in 71 72; do
+    target/debug/teeperf record "$pm/p.mc" --pid "$p" --out "$pm/reg/$p" > /dev/null \
+      || { echo "cli-smoke: record --pid $p failed"; return 1; }
+  done
+  target/debug/teeperfd --dir "$pm/reg" --listen 127.0.0.1:0 --snapshot-out "$pm/final.live" \
+    < /dev/null > "$pm/out" \
+    || { echo "cli-smoke: post-mortem teeperfd failed"; cat "$pm/out"; return 1; }
+  grep -qx "attached pids: 71, 72" "$pm/out" \
+    || { echo "cli-smoke: post-mortem attached the wrong pids"; cat "$pm/out"; return 1; }
+  [ "$(sed -n '/^\[processes\]$/,/^\[/p' "$pm/final.live" | grep -c '^pid 7[12]$')" = 2 ] \
+    || { echo "cli-smoke: post-mortem [processes] lacks a pid"; cat "$pm/final.live"; return 1; }
+  rm -rf "$pm"
   echo "==> cli-smoke ok"
 }
 tmo 60 bash -c "$(declare -f cli_smoke); cli_smoke"
