@@ -9,7 +9,7 @@ use mcvm::{DebugInfo, RunConfig};
 use tee_sim::{CostModel, TeeKind, TransitionMode};
 use teeperf_analyzer::Analyzer;
 use teeperf_compiler::{compile_instrumented, profile_program, run_native, InstrumentOptions};
-use teeperf_core::{LogFile, RecorderConfig};
+use teeperf_core::{EventSource, FileShmSource, LogFile, RecorderConfig};
 use teeperf_daemon::flags::{self, Command, Flag, Parsed, IN_PROCESS_FLAGS, SESSION_FLAGS};
 use teeperf_flamegraph::{FlameGraph, SvgOptions};
 use teeperf_live::{live_profile_processes, LiveRunConfig, Snapshot};
@@ -472,9 +472,9 @@ fn write_live_files(
 
 /// The analyzer over the log image (a recording or a deployed session's
 /// `.tplog`) and the `.sym` that are operands `at` and `at + 1`. With
-/// `salvage`, a torn or truncated log is read through the salvage path
-/// instead of rejected, and the accounting report is returned for the
-/// caller to print.
+/// `salvage`, a torn or truncated log is drained by a [`FileShmSource`] —
+/// the reader the daemon attaches — instead of rejected, and the
+/// accounting report is returned for the caller to print.
 fn load_analyzer(
     args: &Parsed,
     at: usize,
@@ -484,8 +484,9 @@ fn load_analyzer(
     let sym_path = operand(args, at + 1, "symbol path")?;
     let threads = args.num("analyzer-threads")?.unwrap_or(0);
     let (log, report) = if salvage {
-        let (log, report) = LogFile::load_salvage(log_path).map_err(|e| path_err(log_path, e))?;
-        (log, Some(report))
+        let mut src = FileShmSource::open(log_path.as_ref()).map_err(|e| path_err(log_path, e))?;
+        let entries = src.drain_to_end().entries;
+        (LogFile::new(*src.header(), entries), Some(src.salvage()))
     } else {
         let log = LogFile::load(log_path).map_err(|e| path_err(log_path, e))?;
         (log, None)
@@ -1750,5 +1751,261 @@ mod tests {
     #[test]
     fn missing_flag_value_rejected() {
         assert!(dispatch(&strs(&["run", "--arch"])).is_err());
+    }
+
+    /// What `teeperf <argv>` prints and returns, as `main` turns a
+    /// dispatch result into stdout, stderr and an exit code.
+    fn as_main(argv: &[&str]) -> (String, String, u8) {
+        match dispatch(&strs(argv)) {
+            Ok(out) => (out, String::new(), 0),
+            Err(e) => (String::new(), format!("teeperf: {e}\n"), e.code),
+        }
+    }
+
+    /// `analyze|query|flamegraph --salvage yes` over five logs — a clean
+    /// recording, a killed writer's `.tplog` (ACTIVE set, preallocated
+    /// remainder), a session with one torn slot below its tail, the
+    /// recording cut mid-slot and the recording with its magic word
+    /// smashed — each run's stdout, stderr and exit code in one
+    /// transcript, the scratch directory written `$DIR`.
+    fn salvage_transcript() -> String {
+        use teeperf_core::layout::{EventKind, LogEntry, OFF_MAGIC};
+        use teeperf_core::log::make_header;
+        use teeperf_core::shm_file::{publish_sidecar, FileShmWriter};
+
+        let dir = tmpdir().join("salvage-golden");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        std::fs::write(
+            path("clean.mc"),
+            "fn f(x: int) -> int { return x * 2; }
+             fn main() -> int { print_int(f(21)); return 0; }",
+        )
+        .unwrap();
+        dispatch(&strs(&[
+            "record",
+            &path("clean.mc"),
+            "--pid",
+            "71",
+            "--out",
+            &path("clean"),
+        ]))
+        .unwrap();
+        let clean = std::fs::read(path("clean.tplog")).unwrap();
+        std::fs::write(path("cut.tplog"), &clean[..clean.len() - 10]).unwrap();
+        let mut smashed = clean.clone();
+        smashed[OFF_MAGIC as usize..][..8].copy_from_slice(&[0xbd; 8]);
+        std::fs::write(path("smashed.tplog"), &smashed).unwrap();
+
+        let debug = mcvm::DebugInfo::from_functions([("main", 4, 1), ("work", 4, 5)]);
+        let (a0, a1) = (debug.entry_addr(0), debug.entry_addr(1));
+        let e = |kind, counter, addr| LogEntry {
+            kind,
+            counter,
+            addr,
+            tid: 0,
+        };
+        // pid 42 is killed after its fourth entry; pid 43 tears its second
+        // slot and finishes.
+        for pid in [42, 43] {
+            publish_sidecar(&dir, pid, "sym", &debug.to_text()).unwrap();
+            let mut w = FileShmWriter::create(&dir, &make_header(pid, 64, true, 0, 0)).unwrap();
+            w.write(&e(EventKind::Call, 1, a0)).unwrap();
+            if pid == 43 {
+                w.write_torn(&e(EventKind::Call, 5, a1)).unwrap();
+            }
+            w.write(&e(EventKind::Call, 10, a1)).unwrap();
+            w.write(&e(EventKind::Return, 60, a1)).unwrap();
+            w.write(&e(EventKind::Return, 101, a0)).unwrap();
+            if pid == 43 {
+                w.finish().unwrap();
+            }
+        }
+
+        let fixtures = [
+            ("clean.tplog", "clean.sym"),
+            ("42.tplog", "42.sym"),
+            ("43.tplog", "43.sym"),
+            ("cut.tplog", "clean.sym"),
+            ("smashed.tplog", "clean.sym"),
+        ];
+        let mut transcript = String::new();
+        for (log, sym) in fixtures {
+            let (log, sym) = (path(log), path(sym));
+            for argv in [
+                &["analyze", &log, &sym, "--salvage", "yes"][..],
+                &[
+                    "query",
+                    &log,
+                    &sym,
+                    "select method, calls, excl sort method",
+                    "--salvage",
+                    "yes",
+                ],
+                &["flamegraph", &log, &sym, "--salvage", "yes"],
+            ] {
+                let (stdout, stderr, code) = as_main(argv);
+                writeln!(transcript, "$ teeperf {}", argv.join(" ")).unwrap();
+                writeln!(transcript, "exit {code}").unwrap();
+                write!(transcript, "{stdout}-- stderr\n{stderr}-- end\n").unwrap();
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        transcript.replace(dir.to_str().unwrap(), "$DIR")
+    }
+
+    /// What [`salvage_transcript`] must read, byte for byte: the salvage
+    /// path's reports, tables, error lines and exit codes.
+    const SALVAGE_GOLDEN: &str = r#"$ teeperf analyze $DIR/clean.tplog $DIR/clean.sym --salvage yes
+exit 0
+
+TEE-Perf profile — pid 71, 4 events (1 threads)
+total profiled time: 3608 ticks
+log coverage: complete (4 events, capacity 1048576)
+
+method  calls  incl  excl  excl_pct   min   max  threads
+------  -----  ----  ----  --------  ----  ----  -------
+main        1  3608  3442    95.399  3608  3608        1
+f           1   166   166     4.601   166   166        1
+
+hottest call edges:
+  <root> -> main  (1 calls, 3608 incl ticks)
+  main -> f  (1 calls, 166 incl ticks)
+-- stderr
+-- end
+$ teeperf query $DIR/clean.tplog $DIR/clean.sym select method, calls, excl sort method --salvage yes
+exit 0
+method  calls  excl
+------  -----  ----
+f           1   166
+main        1  3442
+-- stderr
+-- end
+$ teeperf flamegraph $DIR/clean.tplog $DIR/clean.sym --salvage yes
+exit 0
+main 100.0% |████████████████████████████████████████████████████████████|
+  f   4.6% |███|
+-- stderr
+-- end
+$ teeperf analyze $DIR/42.tplog $DIR/42.sym --salvage yes
+exit 0
+
+TEE-Perf profile — pid 42, 4 events (1 threads)
+total profiled time: 100 ticks
+log coverage: complete (4 events, capacity 64)
+
+method  calls  incl  excl  excl_pct  min  max  threads
+------  -----  ----  ----  --------  ---  ---  -------
+main        1   100    50    50.000  100  100        1
+work        1    50    50    50.000   50   50        1
+
+hottest call edges:
+  <root> -> main  (1 calls, 100 incl ticks)
+  main -> work  (1 calls, 50 incl ticks)
+-- stderr
+-- end
+$ teeperf query $DIR/42.tplog $DIR/42.sym select method, calls, excl sort method --salvage yes
+exit 0
+method  calls  excl
+------  -----  ----
+main        1    50
+work        1    50
+-- stderr
+-- end
+$ teeperf flamegraph $DIR/42.tplog $DIR/42.sym --salvage yes
+exit 0
+main 100.0% |████████████████████████████████████████████████████████████|
+  work  50.0% |██████████████████████████████|
+-- stderr
+-- end
+$ teeperf analyze $DIR/43.tplog $DIR/43.sym --salvage yes
+exit 0
+salvage: kept 4 dropped 1 (torn-entry: 1)
+TEE-Perf profile — pid 43, 4 events (1 threads)
+total profiled time: 100 ticks
+log coverage: 4 of 5 events recorded, 1 dropped on overflow (20.0% lost)
+
+method  calls  incl  excl  excl_pct  min  max  threads
+------  -----  ----  ----  --------  ---  ---  -------
+main        1   100    50    50.000  100  100        1
+work        1    50    50    50.000   50   50        1
+
+hottest call edges:
+  <root> -> main  (1 calls, 100 incl ticks)
+  main -> work  (1 calls, 50 incl ticks)
+-- stderr
+-- end
+$ teeperf query $DIR/43.tplog $DIR/43.sym select method, calls, excl sort method --salvage yes
+exit 0
+method  calls  excl
+------  -----  ----
+main        1    50
+work        1    50
+-- stderr
+-- end
+$ teeperf flamegraph $DIR/43.tplog $DIR/43.sym --salvage yes
+exit 0
+main 100.0% |████████████████████████████████████████████████████████████|
+  work  50.0% |██████████████████████████████|
+-- stderr
+-- end
+$ teeperf analyze $DIR/cut.tplog $DIR/clean.sym --salvage yes
+exit 0
+salvage: kept 3 dropped 1 (truncated-file: 1)
+TEE-Perf profile — pid 71, 3 events (1 threads)
+total profiled time: 331 ticks
+log coverage: 3 of 4 events recorded, 1 dropped on overflow (25.0% lost)
+
+method  calls  incl  excl  excl_pct  min  max  threads
+------  -----  ----  ----  --------  ---  ---  -------
+f           1   166   166    50.151  166  166        1
+main        1   331   165    49.849  331  331        1
+
+hottest call edges:
+  <root> -> main  (1 calls, 331 incl ticks)
+  main -> f  (1 calls, 166 incl ticks)
+
+warning: 1 frames force-closed at end of log
+-- stderr
+-- end
+$ teeperf query $DIR/cut.tplog $DIR/clean.sym select method, calls, excl sort method --salvage yes
+exit 0
+method  calls  excl
+------  -----  ----
+f           1   166
+main        1   165
+-- stderr
+-- end
+$ teeperf flamegraph $DIR/cut.tplog $DIR/clean.sym --salvage yes
+exit 0
+main 100.0% |████████████████████████████████████████████████████████████|
+  f  50.2% |██████████████████████████████|
+-- stderr
+-- end
+$ teeperf analyze $DIR/smashed.tplog $DIR/clean.sym --salvage yes
+exit 2
+-- stderr
+teeperf: $DIR/smashed.tplog: not a log image: magic 0xbdbdbdbdbdbdbdbd != 0x474f4c4652455054
+-- end
+$ teeperf query $DIR/smashed.tplog $DIR/clean.sym select method, calls, excl sort method --salvage yes
+exit 2
+-- stderr
+teeperf: $DIR/smashed.tplog: not a log image: magic 0xbdbdbdbdbdbdbdbd != 0x474f4c4652455054
+-- end
+$ teeperf flamegraph $DIR/smashed.tplog $DIR/clean.sym --salvage yes
+exit 2
+-- stderr
+teeperf: $DIR/smashed.tplog: not a log image: magic 0xbdbdbdbdbdbdbdbd != 0x474f4c4652455054
+-- end
+"#;
+
+    #[test]
+    fn salvage_output_is_pinned_byte_for_byte() {
+        let got = salvage_transcript();
+        for (n, (got, want)) in got.lines().zip(SALVAGE_GOLDEN.lines()).enumerate() {
+            assert_eq!(got, want, "transcript line {}", n + 1);
+        }
+        assert_eq!(got, SALVAGE_GOLDEN);
     }
 }

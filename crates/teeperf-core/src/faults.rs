@@ -474,16 +474,6 @@ impl SalvageReport {
         }
     }
 
-    /// Fold another pass's *losses* into this report without its kept
-    /// count — for when this report's owner re-delivers (and so re-counts)
-    /// the entries the earlier pass already kept.
-    pub fn absorb_drops(&mut self, other: &SalvageReport) {
-        self.dropped += other.dropped;
-        for (reason, n) in &other.reasons {
-            *self.reasons.entry(*reason).or_default() += n;
-        }
-    }
-
     /// One line per reason, `salvage: kept K dropped D (reason: n, ...)`;
     /// empty string when clean.
     pub fn to_line(&self) -> String {

@@ -18,7 +18,6 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
 
-use crate::faults::{SalvageReason, SalvageReport};
 use crate::layout::{
     image_word, HeaderFault, HeaderRule, LogEntry, LogHeader, ENTRY_BYTES, HEADER_BYTES,
 };
@@ -36,7 +35,8 @@ pub enum LogFileError {
     /// interpreting garbage.
     Header(HeaderFault),
     /// The file ends before the slots its header promises (a strict load
-    /// refuses it; [`LogFile::load_salvage`] keeps what is there).
+    /// refuses it; a [`crate::shm_file::FileShmSource`] keeps what is
+    /// there).
     Truncated {
         /// Complete slots below the tail that the file holds.
         found: u64,
@@ -113,19 +113,6 @@ impl LogFile {
         out
     }
 
-    /// The shared prefix of strict and salvage parsing: the trusted
-    /// header, the bytes of the slots it promises that `bytes` holds, and
-    /// how many promised slots are missing.
-    fn parse(bytes: &[u8]) -> Result<(LogHeader, &[u8], u64), LogFileError> {
-        let Some((image, body)) = bytes.split_first_chunk() else {
-            return Err(LogFileError::TooSmall(bytes.len() as u64));
-        };
-        let header = LogHeader::from_image(image, HeaderRule::Foreign)?;
-        let (available, shortfall) = header.available(body.len() as u64);
-        let slots = &body[..(available * ENTRY_BYTES) as usize];
-        Ok((header, slots, shortfall))
-    }
-
     /// Parse the on-disk image, strictly. Bytes past the promised slots
     /// are not looked at.
     ///
@@ -135,7 +122,11 @@ impl LogFile {
     /// [`LogFileError::Truncated`] when they end before the promised
     /// slots do.
     pub fn from_bytes(bytes: &[u8]) -> Result<LogFile, LogFileError> {
-        let (header, slots, shortfall) = LogFile::parse(bytes)?;
+        let Some((image, body)) = bytes.split_first_chunk() else {
+            return Err(LogFileError::TooSmall(bytes.len() as u64));
+        };
+        let header = LogHeader::from_image(image, HeaderRule::Foreign)?;
+        let (available, shortfall) = header.available(body.len() as u64);
         if shortfall > 0 {
             let promised = header.stored_entries();
             return Err(LogFileError::Truncated {
@@ -143,27 +134,11 @@ impl LogFile {
                 promised,
             });
         }
+        let slots = &body[..(available * ENTRY_BYTES) as usize];
         Ok(LogFile {
             header,
             entries: LogEntry::decode_slots(slots).collect(),
         })
-    }
-
-    /// Parse the on-disk image, salvaging what a strict parse would
-    /// reject: a truncated slot region keeps every complete promised slot
-    /// and accounts the shortfall, and torn or never-published records
-    /// are skipped. The report accounts for every record given up on.
-    ///
-    /// # Errors
-    /// Still fails on damage with nothing behind it to salvage:
-    /// [`LogFileError::TooSmall`] and [`LogFileError::Header`].
-    pub fn from_bytes_salvage(bytes: &[u8]) -> Result<(LogFile, SalvageReport), LogFileError> {
-        let (header, slots, shortfall) = LogFile::parse(bytes)?;
-        let mut report = SalvageReport::default();
-        report.drop_n(SalvageReason::TruncatedFile, shortfall);
-        let mut entries = Vec::with_capacity(slots.len() / ENTRY_BYTES as usize);
-        report.filter_into(LogEntry::decode_slots(slots), &mut entries);
-        Ok((LogFile { header, entries }, report))
     }
 
     /// Write the log to a file.
@@ -183,7 +158,7 @@ impl LogFile {
         let len = file.metadata()?.len();
         let mut bytes = Vec::with_capacity(HEADER_BYTES as usize);
         (&file).take(HEADER_BYTES).read_to_end(&mut bytes)?;
-        // The words are only sized from here; `parse` decides on trust.
+        // The words are only sized from here; `from_bytes` decides on trust.
         if let Some(image) = bytes.first_chunk() {
             let header = LogHeader::decode(|off| image_word(image, off));
             let (available, _) = header.available(len.saturating_sub(HEADER_BYTES));
@@ -201,14 +176,6 @@ impl LogFile {
     /// Propagates I/O failures and [`LogFile::from_bytes`] errors.
     pub fn load(path: impl AsRef<Path>) -> Result<LogFile, LogFileError> {
         LogFile::from_bytes(&LogFile::read_image(path.as_ref())?)
-    }
-
-    /// Read a log from a file via [`LogFile::from_bytes_salvage`].
-    ///
-    /// # Errors
-    /// Propagates I/O failures and unsalvageable format errors.
-    pub fn load_salvage(path: impl AsRef<Path>) -> Result<(LogFile, SalvageReport), LogFileError> {
-        LogFile::from_bytes_salvage(&LogFile::read_image(path.as_ref())?)
     }
 }
 
@@ -313,9 +280,6 @@ mod tests {
         let mut b = f.to_bytes();
         b.extend_from_slice(&[0xff; 24 + 7]);
         assert_eq!(LogFile::from_bytes(&b).unwrap(), f);
-        let (salvaged, report) = LogFile::from_bytes_salvage(&b).unwrap();
-        assert_eq!(salvaged, f);
-        assert!(report.is_clean());
         // A capacity below the tail caps the promise the same way.
         set_word(&mut b, OFF_SIZE, 1);
         assert_eq!(LogFile::from_bytes(&b).unwrap().entries, f.entries[..1]);
@@ -338,11 +302,8 @@ mod tests {
             old.extend_from_slice(&e.to_bytes());
         }
         for bytes in [&old[..], &old[..64]] {
-            let strict = LogFile::from_bytes(bytes).unwrap_err();
-            let salvage = LogFile::from_bytes_salvage(bytes).unwrap_err();
-            for e in [strict, salvage] {
-                assert!(e.to_string().starts_with("not a log image"), "{e}");
-            }
+            let e = LogFile::from_bytes(bytes).unwrap_err();
+            assert!(e.to_string().starts_with("not a log image"), "{e}");
         }
     }
 
@@ -358,11 +319,6 @@ mod tests {
             LogFile::from_bytes(&b),
             Err(LogFileError::Header(found)) if found == fault
         ));
-        // Salvage refuses too: a foreign version's entries are garbage.
-        assert!(matches!(
-            LogFile::from_bytes_salvage(&b),
-            Err(LogFileError::Header(found)) if found == fault
-        ));
     }
 
     #[test]
@@ -376,44 +332,9 @@ mod tests {
         let mut f = sample();
         f.header.size = 0;
         assert!(matches!(
-            LogFile::from_bytes_salvage(&f.to_bytes()),
+            LogFile::from_bytes(&f.to_bytes()),
             Err(LogFileError::Header(HeaderFault::ZeroCapacity))
         ));
-    }
-
-    #[test]
-    fn salvage_keeps_complete_entries_of_a_truncated_file() {
-        let f = sample();
-        let b = f.to_bytes();
-        // Cut mid-way through the second entry.
-        let cut = b.len() - 10;
-        let (salvaged, report) = LogFile::from_bytes_salvage(&b[..cut]).unwrap();
-        assert_eq!(salvaged.entries, f.entries[..1]);
-        assert_eq!(report.kept, 1);
-        assert_eq!(report.count(super::SalvageReason::TruncatedFile), 1);
-        // Strict parsing still rejects the same bytes.
-        assert!(LogFile::from_bytes(&b[..cut]).is_err());
-        // A cut inside the header is beyond salvage.
-        assert!(LogFile::from_bytes_salvage(&b[..40]).is_err());
-    }
-
-    #[test]
-    fn salvage_skips_torn_and_unpublished_records() {
-        let mut f = sample();
-        f.header.size = 4;
-        f.header.tail = 4;
-        f.entries.push(LogEntry {
-            kind: EventKind::Call,
-            counter: 9,
-            addr: 0,
-            tid: 0,
-        }); // torn
-        f.entries.push(LogEntry::unpack([0, 0, 0])); // unpublished hole
-        let (salvaged, report) = LogFile::from_bytes_salvage(&f.to_bytes()).unwrap();
-        assert_eq!(salvaged.entries.len(), 2);
-        assert_eq!(report.kept, 2);
-        assert_eq!(report.count(super::SalvageReason::TornEntry), 1);
-        assert_eq!(report.count(super::SalvageReason::UnpublishedSlot), 1);
     }
 
     proptest! {
@@ -438,8 +359,11 @@ mod tests {
             prop_assert_eq!(LogFile::from_bytes(&f.to_bytes()).unwrap(), f);
         }
 
+        /// The strict parse never panics on a mutilated image; the
+        /// salvaging reader's half is `shm_file`'s
+        /// `prop_a_mutilated_recording_never_panics_and_accounts_everything`.
         #[test]
-        fn prop_salvage_never_panics_and_accounts_everything(
+        fn prop_a_mutilated_image_never_panics_the_strict_parse(
             cut in 0usize..512,
             flips in proptest::collection::vec((0usize..512, any::<u8>()), 0..4),
         ) {
@@ -450,11 +374,8 @@ mod tests {
             }
             let cut = cut.min(b.len());
             b.truncate(cut);
-            // Must never panic; when it parses, the books must balance.
-            let _ = LogFile::from_bytes(&b);
-            if let Ok((salvaged, report)) = LogFile::from_bytes_salvage(&b) {
-                prop_assert_eq!(salvaged.entries.len() as u64, report.kept);
-                prop_assert_eq!(report.kept + report.dropped, salvaged.header.stored_entries());
+            if let Ok(strict) = LogFile::from_bytes(&b) {
+                prop_assert_eq!(strict.entries.len() as u64, strict.header.stored_entries());
             }
         }
     }

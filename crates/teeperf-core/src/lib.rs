@@ -82,4 +82,4 @@ pub use layout::{
 pub use log::{LogCursor, RotationOutcome, RotationStall, SharedLog};
 pub use recorder::{Recorder, RecorderConfig};
 pub use shm_file::{FileShmSource, FileShmWriter, ShmFileError};
-pub use source::{EventSource, FileReplaySource, LiveLogSource, SourceBatch, SourceResilience};
+pub use source::{EventSource, LiveLogSource, SourceBatch, SourceResilience};

@@ -11,7 +11,8 @@
 //! directory, and a [`FileShmSource`] in the daemon process polls it
 //! through the standard [`EventSource`] contract. The file is also what a
 //! post-mortem reads: [`crate::LogFile::load`] takes a `<pid>.tplog` as it
-//! lies, finished or killed.
+//! lies, finished or killed, and a [`FileShmSource`] drained to its end is
+//! the one salvaging reader of any file holding a log image.
 //!
 //! # Publication protocol
 //!
@@ -64,8 +65,8 @@
 //! sidecar (mcvm `DebugInfo` text) published the same way gives the
 //! daemon symbol names; without it, addresses render as raw hex. A writer
 //! that finishes cleanly clears the header's ACTIVE flag; one that is
-//! killed leaves it set, which the consumer surfaces as a stalled source
-//! for the registry watchdog to quarantine.
+//! killed leaves it set, so its source is never exhausted: the daemon's
+//! `LivenessProbe` quarantines it once the writer's `/proc/<pid>` is gone.
 
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -478,7 +479,9 @@ impl EventSource for FileShmSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{make_header, EventKind, HeaderFault, LOG_MAGIC, OFF_SIZE, PID_UNSET};
+    use crate::layout::{
+        make_header, EntryValidity, EventKind, HeaderFault, LOG_MAGIC, OFF_SIZE, PID_UNSET,
+    };
     use crate::log::{region_bytes, SharedLog};
     use crate::LogFile;
     use proptest::prelude::*;
@@ -557,6 +560,16 @@ mod tests {
         assert_eq!(b.dropped, 3);
         assert_eq!(src.pump().dropped, 0, "drops reported once");
         assert_eq!(src.dropped_total(), 3);
+        // Drops that arrive after the last entry was drained still come
+        // out, on a batch with no entries, and then the source is done.
+        for k in 8..=9 {
+            w.write(&entry(k)).unwrap();
+        }
+        w.finish().unwrap();
+        let b = src.pump();
+        assert_eq!((b.entries.len(), b.dropped), (0, 2));
+        assert!(src.is_exhausted());
+        assert_eq!(src.dropped_total(), 5);
     }
 
     /// The raw positioned writes of the protocol, issued from the test so
@@ -788,6 +801,30 @@ mod tests {
             FileShmSource::open(&dir.0.join("missing.tplog")),
             Err(ShmFileError::Io(_))
         ));
+        // A sound image the analyzer could not trust either: refused with
+        // the strict parse's own fault.
+        let refused = |h: LogHeader| {
+            let path = dir.0.join("11.tplog");
+            LogFile::new(h, vec![entry(1)]).save(&path).unwrap();
+            let strict = LogFile::from_bytes(&std::fs::read(&path).unwrap()).unwrap_err();
+            let opened = FileShmSource::open(&path).unwrap_err();
+            assert_eq!(opened.to_string(), strict.to_string());
+            opened
+        };
+        let mut foreign = header(11, 8);
+        foreign.version += 1;
+        assert!(matches!(
+            refused(foreign),
+            ShmFileError::Header(HeaderFault::BadVersion { .. })
+        ));
+        assert!(matches!(
+            refused(header(11, 0)),
+            ShmFileError::Header(HeaderFault::ZeroCapacity)
+        ));
+        assert!(matches!(
+            refused(header(PID_UNSET, 8)),
+            ShmFileError::Header(HeaderFault::NoPid)
+        ));
     }
 
     #[test]
@@ -910,23 +947,23 @@ mod tests {
                 raw_file(&dir, pid).set_len(keep).unwrap();
             }
             let (entries, src) = drained(&path);
-            let (salvaged, report) = LogFile::load_salvage(&path).unwrap();
-            assert_eq!(salvaged.entries, entries, "pid {pid}");
-            assert_eq!(report, src.salvage(), "pid {pid}");
-            assert_eq!(salvaged.header.active, !finished, "pid {pid}");
-            assert_eq!(
-                salvaged.header.dropped_entries(),
-                src.dropped_total(),
-                "pid {pid}"
-            );
+            let report = src.salvage();
+            assert_eq!(entries.len() as u64, report.kept, "pid {pid}");
+            assert_eq!(src.header().active, !finished, "pid {pid}");
             assert_eq!(src.is_exhausted(), finished && keep_slots.is_none());
             // The strict load refuses exactly the cut file, and otherwise
-            // holds the same slots, the invalid one included.
+            // holds the same header and slots, the invalid one included.
             match LogFile::load(&path) {
                 Ok(strict) => {
                     assert!(keep_slots.is_none(), "pid {pid}");
-                    assert_eq!(strict.header, salvaged.header);
+                    assert_eq!(strict.header, *src.header());
+                    assert_eq!(strict.header.dropped_entries(), src.dropped_total());
                     assert_eq!(strict.entries.len() as u64, report.kept + report.dropped);
+                    let valid = strict
+                        .entries
+                        .iter()
+                        .filter(|e| e.validity() == EntryValidity::Valid);
+                    assert!(valid.eq(&entries), "pid {pid}");
                 }
                 Err(e) => {
                     assert!(keep_slots.is_some(), "pid {pid}: {e}");
@@ -943,14 +980,93 @@ mod tests {
         h.active = false; // the recorder stops measurement before it saves
         h.tail = 6; // two drop tickets
         let file = LogFile::new(h, (1..=4).map(entry).collect());
-        let path = dir.0.join("run.tpf");
+        let path = dir.0.join("run.tplog");
         file.save(&path).unwrap();
         let mut src = FileShmSource::open(&path).unwrap();
         let b = src.pump();
         assert_eq!(b.entries, file.entries);
-        assert_eq!(b.dropped, 2);
+        assert_eq!(b.dropped, 2, "drops reported with the exhausting batch");
         assert!(src.is_exhausted());
         assert!(src.salvage().is_clean());
+        let b = src.pump();
+        assert!(b.entries.is_empty() && b.dropped == 0);
+        // A read-only file carries no regime: the session stays `Full`.
+        assert!(!src.set_regime(crate::Regime::Quiescent));
+        assert_eq!(src.regime(), None);
+        assert!(!src.take_regime_fault());
+        assert_eq!(src.occupancy_pct(), None);
+    }
+
+    /// A small finished recording: pid 42, capacity 100, two entries.
+    fn recording() -> LogFile {
+        let mut h = header(42, 100);
+        h.active = false;
+        h.tail = 2;
+        LogFile::new(h, vec![entry(1), entry(2)])
+    }
+
+    /// Drain `bytes`, written to a file, to the end, or say why the file
+    /// could not be opened.
+    fn salvaged(
+        dir: &ScratchDir,
+        bytes: &[u8],
+    ) -> Result<(Vec<LogEntry>, FileShmSource), ShmFileError> {
+        let path = dir.0.join("salvage.tplog");
+        std::fs::write(&path, bytes).unwrap();
+        let mut src = FileShmSource::open(&path)?;
+        let entries = src.drain_to_end().entries;
+        Ok((entries, src))
+    }
+
+    #[test]
+    fn salvage_keeps_complete_entries_of_a_truncated_file() {
+        let dir = scratch("salvagecut");
+        let f = recording();
+        let b = f.to_bytes();
+        // Cut mid-way through the second entry.
+        let cut = &b[..b.len() - 10];
+        let (entries, src) = salvaged(&dir, cut).unwrap();
+        assert_eq!(entries, f.entries[..1]);
+        let report = src.salvage();
+        assert_eq!(report.kept, 1);
+        assert_eq!(report.count(SalvageReason::TruncatedFile), 1);
+        // Strict parsing still rejects the same bytes.
+        assert!(LogFile::from_bytes(cut).is_err());
+        // A cut inside the header is beyond salvage.
+        assert!(matches!(
+            salvaged(&dir, &b[..40]),
+            Err(ShmFileError::TooSmall(40))
+        ));
+        // Bytes past the promise — a `.tplog`'s preallocated remainder —
+        // are never looked at, whole slots or stray bytes.
+        let mut long = b.clone();
+        long.extend_from_slice(&[0xff; 24 + 7]);
+        let (entries, src) = salvaged(&dir, &long).unwrap();
+        assert_eq!(entries, f.entries);
+        assert!(src.salvage().is_clean());
+    }
+
+    #[test]
+    fn salvage_skips_torn_and_unpublished_records() {
+        let dir = scratch("salvagetorn");
+        let mut f = recording();
+        f.header.size = 4;
+        f.header.tail = 4;
+        f.entries.push(LogEntry {
+            kind: EventKind::Call,
+            counter: 9,
+            addr: 0,
+            tid: 0,
+        }); // torn
+        f.entries.push(LogEntry::unpack([0, 0, 0])); // unpublished hole
+        let (entries, src) = salvaged(&dir, &f.to_bytes()).unwrap();
+        assert_eq!(entries, f.entries[..2]);
+        let report = src.salvage();
+        assert_eq!(report.kept, 2);
+        assert_eq!(report.count(SalvageReason::TornEntry), 1);
+        assert_eq!(report.count(SalvageReason::UnpublishedSlot), 1);
+        // The strict load keeps all four slots as they are.
+        assert_eq!(LogFile::from_bytes(&f.to_bytes()).unwrap(), f);
     }
 
     proptest! {
@@ -993,11 +1109,6 @@ mod tests {
                 prop_assert!(strict.entries.capacity() <= held);
                 prop_assert_eq!(strict.entries.len() as u64, strict.header.stored_entries());
             }
-            if let Ok((salvaged, report)) = LogFile::from_bytes_salvage(&bytes) {
-                prop_assert!(salvaged.entries.capacity() <= held);
-                prop_assert_eq!(salvaged.entries.len() as u64, report.kept);
-                prop_assert_eq!(report.kept + report.dropped, salvaged.header.stored_entries());
-            }
             let dir = scratch("hostile");
             let path = dir.0.join("1.tplog");
             std::fs::write(&path, &bytes).unwrap();
@@ -1021,13 +1132,33 @@ mod tests {
                 }
                 prop_assert_eq!(twin.salvage(), src.salvage());
                 prop_assert!(entries.capacity() as u64 <= held as u64 + READ_CHUNK_ENTRIES);
-                prop_assert_eq!(entries.len() as u64, src.salvage().kept);
-                // The file is its own salvage load, whichever reader asks.
-                let (salvaged, report) = LogFile::load_salvage(&path).unwrap();
-                prop_assert_eq!(salvaged.entries, entries);
-                prop_assert_eq!(report, src.salvage());
+                let report = src.salvage();
+                prop_assert_eq!(entries.len() as u64, report.kept);
+                prop_assert_eq!(report.kept + report.dropped, src.header().stored_entries());
             } else {
-                prop_assert!(LogFile::load_salvage(&path).is_err());
+                prop_assert!(LogFile::from_bytes(&bytes).is_err());
+            }
+        }
+
+        /// A recording with bytes flipped and its end cut anywhere: the
+        /// salvaging reader never panics, and when the file opens, every
+        /// slot its header promises is either kept or accounted.
+        #[test]
+        fn prop_a_mutilated_recording_never_panics_and_accounts_everything(
+            cut in 0usize..512,
+            flips in proptest::collection::vec((0usize..512, any::<u8>()), 0..4),
+        ) {
+            let mut b = recording().to_bytes();
+            for (pos, val) in flips {
+                if pos < b.len() { b[pos] = val; }
+            }
+            let cut = cut.min(b.len());
+            b.truncate(cut);
+            let dir = scratch("mutilated");
+            if let Ok((entries, src)) = salvaged(&dir, &b) {
+                let report = src.salvage();
+                prop_assert_eq!(entries.len() as u64, report.kept);
+                prop_assert_eq!(report.kept + report.dropped, src.header().stored_entries());
             }
         }
     }

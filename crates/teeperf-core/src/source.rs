@@ -2,15 +2,16 @@
 //! live drainer, the multi-process session registry — speaks to an
 //! [`EventSource`] instead of a concrete log.
 //!
-//! Two implementations cover both halves of the pipeline:
+//! Two media ship, one implementation each:
 //!
-//! * [`LiveLogSource`] drains a [`SharedLog`] that writers are still
-//!   appending to, reusing the lock-free [`SharedLog::poll`] /
+//! * [`LiveLogSource`] drains an in-process [`SharedLog`] that writers are
+//!   still appending to, reusing the lock-free [`SharedLog::poll`] /
 //!   [`SharedLog::rotate`] machinery (it owns the single drain cursor the
 //!   rotation protocol requires).
-//! * [`FileReplaySource`] replays a persisted [`LogFile`] as if it were
-//!   being drained live, so batch analysis of a directory of plogs goes
-//!   through the exact same code path as continuous profiling.
+//! * [`crate::shm_file::FileShmSource`] drains a file holding the log
+//!   image: a deployed session's `<pid>.tplog` while its writer runs, or
+//!   any finished, killed or damaged recording afterwards. It is the one
+//!   reader that salvages a log file.
 //!
 //! Each source is keyed by the process id stamped into the log header
 //! (paper Figure 2, word 1): a session registry multiplexes N sources —
@@ -18,7 +19,6 @@
 
 use crate::faults::{SalvageReason, SalvageReport};
 use crate::fidelity::Regime;
-use crate::file::LogFile;
 use crate::layout::{EntryValidity, LogEntry};
 use crate::log::{LogCursor, SharedLog};
 
@@ -27,8 +27,7 @@ use crate::log::{LogCursor, SharedLog};
 pub struct SourceBatch {
     /// Entries obtained this pump, in log order.
     pub entries: Vec<LogEntry>,
-    /// Whether this pump closed an epoch (rotated the log / finished a
-    /// replay chunk).
+    /// Whether this pump closed an epoch (rotated the log).
     pub rotated: bool,
     /// Entries the closed epoch dropped on overflow (0 if no rotation).
     pub dropped: u64,
@@ -58,7 +57,7 @@ impl SourceBatch {
 ///   keeps, so a steady drain needs no new batch; [`EventSource::pump`] is
 ///   the same step into a fresh batch.
 /// * [`EventSource::drain_to_end`] forces everything currently available
-///   out (a rotation for live logs, the full remainder for replays).
+///   out (a rotation for live logs, the full remainder for files).
 /// * [`EventSource::pid`] is the registry key: the process id from the
 ///   log header. A valid source never reports pid 0 (see
 ///   [`crate::layout::PID_UNSET`]).
@@ -69,7 +68,7 @@ pub trait EventSource: Send + std::fmt::Debug {
     /// One incremental drain step into `batch`: every field is reset and
     /// `entries` refilled without giving up its capacity. For live logs
     /// this polls published entries and rotates only past the capacity
-    /// watermark; for replays it yields the next chunk.
+    /// watermark; for files it reads every slot published since.
     fn pump_into(&mut self, batch: &mut SourceBatch);
 
     /// [`EventSource::pump_into`] a fresh batch.
@@ -80,7 +79,7 @@ pub trait EventSource: Send + std::fmt::Debug {
     }
 
     /// Force out everything currently available (rotate a live log even
-    /// below the watermark; emit the whole remainder of a replay).
+    /// below the watermark; read the whole remainder of a file).
     fn drain_to_end(&mut self) -> SourceBatch;
 
     /// Entries dropped on overflow over the lifetime of the source.
@@ -90,8 +89,8 @@ pub trait EventSource: Send + std::fmt::Debug {
     fn epoch(&self) -> u64;
 
     /// Whether the source can never produce another entry. Live logs are
-    /// never exhausted (writers may still arrive); replays are exhausted
-    /// once every entry and drop has been reported.
+    /// never exhausted (writers may still arrive); a file is exhausted once
+    /// its writer has finished and every entry and drop has been reported.
     fn is_exhausted(&self) -> bool;
 
     /// Accounting of everything this source salvaged around — torn
@@ -110,14 +109,14 @@ pub trait EventSource: Send + std::fmt::Debug {
 
     /// Publish a fidelity regime on the transport for the producer's
     /// [`crate::fidelity::FidelityGate`] to honour. Returns `false` when
-    /// the transport cannot carry regimes (replays, read-only mappings);
+    /// the transport cannot carry regimes (read-only files);
     /// the controller then treats the source as pinned to `Full`.
     fn set_regime(&mut self, _regime: Regime) -> bool {
         false
     }
 
     /// The regime currently published on the transport (`None` when the
-    /// transport carries none — replays are always effectively `Full`).
+    /// transport carries none — files are always effectively `Full`).
     fn regime(&self) -> Option<Regime> {
         None
     }
@@ -180,8 +179,6 @@ pub struct LiveLogSource {
     log: SharedLog,
     cursor: LogCursor,
     watermark_pct: u8,
-    rotations: u64,
-    drained: u64,
     resilience: SourceResilience,
     salvage: SalvageReport,
     /// (epoch, index, consecutive pumps) the cursor has been blocked at.
@@ -207,8 +204,6 @@ impl LiveLogSource {
             log,
             cursor,
             watermark_pct: watermark_pct.clamp(1, 99),
-            rotations: 0,
-            drained: 0,
             resilience: SourceResilience::default(),
             salvage: SalvageReport::default(),
             stuck: None,
@@ -230,16 +225,6 @@ impl LiveLogSource {
     /// The underlying shared log.
     pub fn log(&self) -> &SharedLog {
         &self.log
-    }
-
-    /// Completed rotations performed by this source.
-    pub fn rotations(&self) -> u64 {
-        self.rotations
-    }
-
-    /// Total entries this source has produced.
-    pub fn drained(&self) -> u64 {
-        self.drained
     }
 
     fn watermark_entries(&self) -> u64 {
@@ -310,7 +295,6 @@ impl LiveLogSource {
         batch.rotated = true;
         batch.dropped = out.dropped;
         batch.epoch = out.new_epoch;
-        self.rotations += 1;
     }
 
     /// Shared pump body: poll, filter invalid records, maybe rotate.
@@ -350,7 +334,6 @@ impl LiveLogSource {
         } else {
             self.stuck = None;
         }
-        self.drained += batch.entries.len() as u64;
     }
 }
 
@@ -414,125 +397,10 @@ impl EventSource for LiveLogSource {
     }
 }
 
-/// File-backed replay: the [`EventSource`] over a persisted [`LogFile`].
-/// Yields the recorded entries in chunks (one chunk per "epoch") and
-/// reports the file's overflow drops exactly once, with the batch that
-/// exhausts the source.
-///
-/// Torn or never-published records in the file (a log persisted after a
-/// writer crash) are filtered out at construction and accounted in
-/// [`EventSource::salvage`], so a damaged replay degrades exactly like a
-/// damaged live drain.
-#[derive(Debug, Clone)]
-pub struct FileReplaySource {
-    pid: u64,
-    entries: Vec<LogEntry>,
-    pos: usize,
-    chunk: usize,
-    dropped: u64,
-    dropped_reported: bool,
-    epochs: u64,
-    salvage: SalvageReport,
-}
-
-impl FileReplaySource {
-    /// Replay `log`. The pid and drop count come from the file header; by
-    /// default the whole file is one chunk (see
-    /// [`FileReplaySource::with_chunk`]).
-    pub fn new(log: &LogFile) -> FileReplaySource {
-        let dropped = log.header.dropped_entries();
-        let mut salvage = SalvageReport::default();
-        let mut entries = Vec::with_capacity(log.entries.len());
-        salvage.filter_into(log.entries.iter().copied(), &mut entries);
-        let chunk = entries.len().max(1);
-        FileReplaySource {
-            pid: log.header.pid,
-            entries,
-            pos: 0,
-            chunk,
-            dropped,
-            dropped_reported: dropped == 0,
-            epochs: 0,
-            salvage,
-        }
-    }
-
-    /// Fold an earlier salvage pass's losses (e.g. from
-    /// [`LogFile::load_salvage`]) into this source's report, so one report
-    /// accounts for the whole file-to-stream path.
-    #[must_use]
-    pub fn with_prior_salvage(mut self, prior: &SalvageReport) -> FileReplaySource {
-        self.salvage.absorb_drops(prior);
-        self
-    }
-
-    /// Replay at most `chunk` entries per pump (clamped to at least 1), so
-    /// a replay exercises the same incremental path as a live drain.
-    pub fn with_chunk(mut self, chunk: usize) -> FileReplaySource {
-        self.chunk = chunk.max(1);
-        self
-    }
-
-    /// Entries not yet replayed.
-    pub fn remaining(&self) -> usize {
-        self.entries.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, batch: &mut SourceBatch) {
-        batch.reset(self.epochs);
-        let end = (self.pos + n).min(self.entries.len());
-        batch
-            .entries
-            .extend_from_slice(&self.entries[self.pos..end]);
-        self.pos = end;
-        if self.pos == self.entries.len() && !self.dropped_reported {
-            batch.dropped = self.dropped;
-            self.dropped_reported = true;
-        }
-        if !batch.entries.is_empty() || batch.dropped > 0 {
-            self.epochs += 1;
-            batch.rotated = true;
-            batch.epoch = self.epochs;
-        }
-    }
-}
-
-impl EventSource for FileReplaySource {
-    fn pid(&self) -> u64 {
-        self.pid
-    }
-
-    fn pump_into(&mut self, batch: &mut SourceBatch) {
-        self.take(self.chunk, batch);
-    }
-
-    fn drain_to_end(&mut self) -> SourceBatch {
-        let mut batch = SourceBatch::default();
-        self.take(self.entries.len() - self.pos, &mut batch);
-        batch
-    }
-
-    fn dropped_total(&self) -> u64 {
-        self.dropped
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epochs
-    }
-
-    fn is_exhausted(&self) -> bool {
-        self.pos == self.entries.len() && self.dropped_reported
-    }
-
-    fn salvage(&self) -> SalvageReport {
-        self.salvage.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{EventKind, LogHeader, LOG_VERSION};
+    use crate::layout::EventKind;
     use crate::log::{make_header, region_bytes};
     use std::sync::Arc;
     use tee_sim::SharedMem;
@@ -562,7 +430,8 @@ mod tests {
         }
         // Below the watermark (6 of 8): poll only, no rotation.
         let b = src.pump();
-        assert_eq!(b.entries.len(), 3);
+        let mut drained = b.entries.len();
+        assert_eq!(drained, 3);
         assert!(!b.rotated);
         assert_eq!(src.epoch(), 0);
         assert!(src.pump().entries.is_empty(), "no new entries, no re-reads");
@@ -571,11 +440,12 @@ mod tests {
         }
         // At the watermark: poll + rotate.
         let b = src.pump();
+        drained += b.entries.len();
         assert_eq!(b.entries.len(), 3);
         assert!(b.rotated);
         assert_eq!(b.epoch, 1);
-        assert_eq!(src.rotations(), 1);
-        assert_eq!(src.drained(), 6);
+        assert_eq!(src.epoch(), 1, "one completed rotation");
+        assert_eq!(drained, 6);
         // The next epoch starts clean.
         assert_eq!(log.header().tail, 0);
         log.write_live(&entry(7, 0x107));
@@ -609,7 +479,8 @@ mod tests {
             dropped: 9,
             epoch: 3,
         };
-        // Live: a rotation that overflowed, an idle pump, a plain poll.
+        // A rotation that overflowed, an idle pump, a plain poll. (The
+        // file medium's twin runs in `prop_hostile_headers_never_panic_or_over_read`.)
         let (a, b) = (live_log(7, 4), live_log(7, 4));
         let mut fresh = LiveLogSource::new(a.clone(), 99);
         let mut lent = LiveLogSource::new(b.clone(), 99);
@@ -622,20 +493,8 @@ mod tests {
             lent.pump_into(&mut batch);
             assert_eq!(batch, fresh.pump(), "after {writes} writes");
         }
-        assert_eq!((lent.dropped_total(), lent.rotations()), (3, 1));
+        assert_eq!((lent.dropped_total(), lent.epoch()), (3, 1));
         assert_eq!(lent.salvage(), fresh.salvage());
-        // Replay: two chunks, the last carrying the drop, then exhausted.
-        let mut header = make_header(31, 3, true, 0, 0);
-        header.tail = 4;
-        let file = LogFile::new(header, vec![entry(1, 0xa), entry(2, 0xb), entry(3, 0xc)]);
-        let mut fresh = FileReplaySource::new(&file).with_chunk(2);
-        let mut lent = fresh.clone();
-        for _ in 0..3 {
-            let mut batch = dirty();
-            lent.pump_into(&mut batch);
-            assert_eq!(batch, fresh.pump());
-        }
-        assert!(lent.is_exhausted());
     }
 
     #[test]
@@ -651,63 +510,6 @@ mod tests {
         // A later source attaches at the current epoch, not at zero.
         drop(src);
         assert_eq!(LiveLogSource::new(log, 75).epoch(), 1);
-    }
-
-    #[test]
-    fn replay_source_single_chunk() {
-        let header = LogHeader {
-            active: false,
-            trace_calls: true,
-            trace_returns: true,
-            multithread: false,
-            version: LOG_VERSION,
-            pid: 31,
-            size: 4,
-            tail: 6, // 2 dropped
-            anchor: 0,
-            shm_addr: 0,
-        };
-        let file = LogFile::new(header, vec![entry(1, 0xa), entry(2, 0xb)]);
-        let mut src = FileReplaySource::new(&file);
-        assert_eq!(src.pid(), 31);
-        assert_eq!(src.dropped_total(), 2);
-        assert!(!src.is_exhausted());
-        let b = src.pump();
-        assert_eq!(b.entries.len(), 2);
-        assert!(b.rotated);
-        assert_eq!(b.dropped, 2, "drops reported with the exhausting batch");
-        assert!(src.is_exhausted());
-        let b = src.pump();
-        assert!(b.entries.is_empty() && b.dropped == 0);
-    }
-
-    #[test]
-    fn replay_source_chunked_reports_drops_once() {
-        let header = LogHeader {
-            active: false,
-            trace_calls: true,
-            trace_returns: true,
-            multithread: false,
-            version: LOG_VERSION,
-            pid: 31,
-            size: 3,
-            tail: 4,
-            anchor: 0,
-            shm_addr: 0,
-        };
-        let file = LogFile::new(header, vec![entry(1, 0xa), entry(2, 0xb), entry(3, 0xc)]);
-        let mut src = FileReplaySource::new(&file).with_chunk(2);
-        assert_eq!(src.pid(), 31);
-        let b1 = src.pump();
-        assert_eq!(b1.entries.len(), 2);
-        assert_eq!(b1.dropped, 0);
-        assert_eq!(src.remaining(), 1);
-        let b2 = src.drain_to_end();
-        assert_eq!(b2.entries.len(), 1);
-        assert_eq!(b2.dropped, 1);
-        assert!(src.is_exhausted());
-        let total: u64 = b1.dropped + b2.dropped + src.pump().dropped;
-        assert_eq!(total, 1, "drops must be reported exactly once");
     }
 
     #[test]
@@ -742,7 +544,7 @@ mod tests {
         w.write_live(&entry(2, 0x102)); // stalls: slot 1 is a hole
         w.write_live(&entry(3, 0x103));
         let b = src.pump();
-        assert_eq!(b.entries.len(), 1, "poll stops at the hole");
+        assert_eq!(b.entries, vec![entry(1, 0x101)], "poll stops at the hole");
         // The first blocked pump starts the deadline clock; the second
         // closes the hole and picks up the entry beyond it in one pump.
         assert!(src.pump().entries.is_empty());
@@ -753,7 +555,7 @@ mod tests {
         // cursor already passed: nothing is double-delivered.
         w.release_stall();
         assert!(src.pump().entries.is_empty());
-        assert_eq!(src.drained(), 2);
+        assert_eq!(src.salvage().kept, 2);
     }
 
     #[test]
@@ -848,90 +650,5 @@ mod tests {
         assert_eq!(src.salvage().count(SalvageReason::CorruptRegimeWord), 1);
         assert!(!src.is_dead());
         assert_eq!(src.regime(), Some(Regime::Sampled(4)));
-    }
-
-    #[test]
-    fn replay_source_has_no_regime_transport() {
-        let header = LogHeader {
-            active: false,
-            trace_calls: true,
-            trace_returns: true,
-            multithread: false,
-            version: LOG_VERSION,
-            pid: 5,
-            size: 4,
-            tail: 1,
-            anchor: 0,
-            shm_addr: 0,
-        };
-        let file = LogFile::new(header, vec![entry(1, 0xa)]);
-        let mut src = FileReplaySource::new(&file);
-        assert!(!src.set_regime(Regime::Quiescent));
-        assert_eq!(src.regime(), None);
-        assert!(!src.take_regime_fault());
-        assert_eq!(src.occupancy_pct(), None);
-    }
-
-    #[test]
-    fn replay_source_filters_invalid_records() {
-        use crate::faults::SalvageReason;
-        let header = LogHeader {
-            active: false,
-            trace_calls: true,
-            trace_returns: true,
-            multithread: false,
-            version: LOG_VERSION,
-            pid: 31,
-            size: 8,
-            tail: 4,
-            anchor: 0,
-            shm_addr: 0,
-        };
-        let file = LogFile::new(
-            header,
-            vec![
-                entry(1, 0xa),
-                LogEntry::unpack([0, 0, 0]), // unpublished hole
-                entry(3, 0),                 // torn
-                entry(4, 0xb),
-            ],
-        );
-        let prior = {
-            let mut p = crate::faults::SalvageReport::default();
-            p.drop_n(SalvageReason::TruncatedFile, 1);
-            p
-        };
-        let mut src = FileReplaySource::new(&file).with_prior_salvage(&prior);
-        let b = src.drain_to_end();
-        assert_eq!(b.entries, vec![entry(1, 0xa), entry(4, 0xb)]);
-        let report = src.salvage();
-        assert_eq!(report.kept, 2);
-        assert_eq!(report.count(SalvageReason::UnpublishedSlot), 1);
-        assert_eq!(report.count(SalvageReason::TornEntry), 1);
-        assert_eq!(report.count(SalvageReason::TruncatedFile), 1);
-        assert_eq!(report.dropped, 3);
-    }
-
-    #[test]
-    fn replay_of_empty_file_with_drops_still_reports_them() {
-        let header = LogHeader {
-            active: false,
-            trace_calls: true,
-            trace_returns: true,
-            multithread: false,
-            version: LOG_VERSION,
-            pid: 5,
-            size: 0,
-            tail: 3,
-            anchor: 0,
-            shm_addr: 0,
-        };
-        let file = LogFile::new(header, vec![]);
-        let mut src = FileReplaySource::new(&file);
-        assert!(!src.is_exhausted());
-        let b = src.pump();
-        assert!(b.entries.is_empty());
-        assert_eq!(b.dropped, 3);
-        assert!(src.is_exhausted());
     }
 }

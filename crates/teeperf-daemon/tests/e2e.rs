@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use teeperf_analyzer::Analyzer;
-use teeperf_core::LogFile;
+use teeperf_core::{EventSource, FileShmSource, LogFile};
 use teeperf_live::Snapshot;
 
 /// Aborts the whole process if the owning test runs longer than 120s.
@@ -196,7 +196,10 @@ fn served_rows(text: &str) -> Vec<MethodRow> {
 fn offline_rows(dir: &Path, pid: u64, salvage: bool) -> (Vec<MethodRow>, LogFile) {
     let path = dir.join(format!("{pid}.tplog"));
     let log = if salvage {
-        LogFile::load_salvage(&path).map(|(log, _)| log)
+        FileShmSource::open(&path).map(|mut src| {
+            let entries = src.drain_to_end().entries;
+            LogFile::new(*src.header(), entries)
+        })
     } else {
         LogFile::load(&path)
     }

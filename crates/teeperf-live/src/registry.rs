@@ -664,12 +664,76 @@ fn add_status(fleet: &mut LiveStatus, one: &LiveStatus) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mcvm::DebugInfo;
     use std::collections::BTreeSet;
+    use std::path::{Path, PathBuf};
     use teeperf_core::layout::{EventKind, LogEntry, LogHeader, LOG_VERSION};
-    use teeperf_core::{FileReplaySource, LogFile};
+    use teeperf_core::{FileShmSource, FileShmWriter, LogFile};
+
+    /// A scratch directory of its own per test (removed on drop).
+    pub(crate) struct ScratchDir(pub(crate) PathBuf);
+
+    pub(crate) fn scratch(label: &str) -> ScratchDir {
+        let dir = std::env::temp_dir().join(format!("teeperf-live-{}-{label}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        ScratchDir(dir)
+    }
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// `log` saved into `dir` and opened the way the daemon attaches a
+    /// finished recording. Each save takes a fresh name, so a second log
+    /// of one pid never rewrites a file a source holds open.
+    pub(crate) fn saved(dir: &ScratchDir, log: &LogFile) -> Box<FileShmSource> {
+        let n = std::fs::read_dir(&dir.0).expect("scratch dir").count();
+        let path = dir.0.join(format!("{}-{n}.tplog", log.header.pid));
+        log.save(&path).expect("save the log");
+        Box::new(FileShmSource::open(&path).expect("open the saved log"))
+    }
+
+    /// A recording written to its `.tplog` `chunk` entries per
+    /// [`Feed::step`] by a live [`FileShmWriter`], which finishes with the
+    /// last entry: a writer that keeps pace with the registry's pumps.
+    pub(crate) struct Feed {
+        writer: FileShmWriter,
+        entries: std::vec::IntoIter<LogEntry>,
+        chunk: usize,
+        finished: bool,
+    }
+
+    impl Feed {
+        /// The writer for `log`'s pid in `dir`, nothing written yet, and
+        /// the source that drains it.
+        pub(crate) fn new(dir: &Path, log: &LogFile, chunk: usize) -> (Feed, Box<FileShmSource>) {
+            let writer = FileShmWriter::create(dir, &log.header).expect("create the log");
+            let source = FileShmSource::open(writer.path()).expect("open the log");
+            let feed = Feed {
+                writer,
+                entries: log.entries.clone().into_iter(),
+                chunk: chunk.max(1),
+                finished: false,
+            };
+            (feed, Box::new(source))
+        }
+
+        /// Write the next chunk, finishing the session after the last entry.
+        pub(crate) fn step(&mut self) {
+            for e in self.entries.by_ref().take(self.chunk) {
+                self.writer.write(&e).expect("write an entry");
+            }
+            if self.entries.len() == 0 && !self.finished {
+                self.writer.finish().expect("finish the log");
+                self.finished = true;
+            }
+        }
+    }
 
     fn debug() -> DebugInfo {
         DebugInfo::from_functions([("main", 4, 1), ("work", 4, 5)])
@@ -716,8 +780,16 @@ mod tests {
 
     #[test]
     fn attach_rejects_pid_zero_with_a_clear_error() {
+        use std::sync::Arc;
+        use tee_sim::SharedMem;
+        use teeperf_core::log::{make_header, region_bytes};
+        use teeperf_core::{LiveLogSource, SharedLog};
+
+        // A file naming no writer never opens; an in-process log can.
+        let shm = Arc::new(SharedMem::new(region_bytes(8)));
+        let log = SharedLog::init(shm, &make_header(0, 8, true, 0, 0));
         let mut reg = SessionRegistry::new(LiveConfig::default());
-        let src = FileReplaySource::new(&file(0, 10));
+        let src = LiveLogSource::new(log, 75);
         let err = reg.attach(Box::new(src), sym()).unwrap_err();
         assert_eq!(err, AttachError::ZeroPid);
         let msg = err.to_string();
@@ -728,30 +800,31 @@ mod tests {
 
     #[test]
     fn attach_rejects_duplicate_pids() {
+        let dir = scratch("duplicate");
         let mut reg = SessionRegistry::new(LiveConfig::default());
-        reg.attach(Box::new(FileReplaySource::new(&file(7, 10))), sym())
-            .unwrap();
-        let err = reg
-            .attach(Box::new(FileReplaySource::new(&file(7, 20))), sym())
-            .unwrap_err();
+        reg.attach(saved(&dir, &file(7, 10)), sym()).unwrap();
+        let err = reg.attach(saved(&dir, &file(7, 20)), sym()).unwrap_err();
         assert_eq!(err, AttachError::DuplicatePid(7));
         assert_eq!(err.to_string(), "a session for pid 7 is already attached");
         // Another pid does not collide.
-        let src = FileReplaySource::new(&file(8, 20));
-        assert_eq!(reg.attach(Box::new(src), sym()), Ok(8));
+        assert_eq!(reg.attach(saved(&dir, &file(8, 20)), sym()), Ok(8));
         assert_eq!(reg.pids(), vec![7, 8]);
     }
 
     #[test]
     fn three_processes_merge_to_the_sum_of_per_pid_views() {
+        let dir = scratch("three");
         let mut reg = SessionRegistry::new(LiveConfig::default());
         let works = [(11u64, 20u64), (22, 30), (33, 40)];
+        let mut feeds = Vec::new();
         for (pid, work) in works {
-            let src = FileReplaySource::new(&file(pid, work)).with_chunk(1);
-            reg.attach(Box::new(src), sym()).unwrap();
+            let (feed, src) = Feed::new(&dir.0, &file(pid, work), 1);
+            reg.attach(src, sym()).unwrap();
+            feeds.push(feed);
         }
-        // Interleave: each pump advances every source by one entry.
+        // Interleave: each writer publishes one entry between pumps.
         while reg.events() < 12 {
+            feeds.iter_mut().for_each(Feed::step);
             assert!(reg.pump() > 0, "sources must still be producing");
         }
         let run = reg.finish();
@@ -806,12 +879,20 @@ mod tests {
         entries.push(e(EventKind::Return, 100, main));
         let stream = |pid| LogFile::new(header(pid, entries.len() as u64), entries.clone());
         const FLEET: u64 = 512;
+        let dir = scratch("fleet");
         let mut reg = SessionRegistry::new(LiveConfig::default());
+        let mut feeds = Vec::new();
         for pid in 1..=FLEET {
-            let src = FileReplaySource::new(&stream(pid)).with_chunk(2);
-            reg.attach(Box::new(src), sym()).unwrap();
+            let (feed, src) = Feed::new(&dir.0, &stream(pid), 2);
+            reg.attach(src, sym()).unwrap();
+            feeds.push(feed);
         }
-        while reg.pump() > 0 {}
+        loop {
+            feeds.iter_mut().for_each(Feed::step);
+            if reg.pump() == 0 {
+                break;
+            }
+        }
         let one = reg.snapshot_pid(1).unwrap().profile;
         let merged = reg.merged_snapshot();
         for name in ["main", "work"] {
@@ -838,10 +919,10 @@ mod tests {
 
     #[test]
     fn hot_detach_keeps_the_contribution_and_blocks_reattach() {
+        let dir = scratch("hotdetach");
         let mut reg = SessionRegistry::new(LiveConfig::default());
         for (pid, work) in [(11u64, 20u64), (22, 30)] {
-            reg.attach(Box::new(FileReplaySource::new(&file(pid, work))), sym())
-                .unwrap();
+            reg.attach(saved(&dir, &file(pid, work)), sym()).unwrap();
         }
         while reg.pump() > 0 {}
         let gone = reg.detach(11).expect("session 11 is attached");
@@ -850,13 +931,10 @@ mod tests {
         assert_eq!(reg.pids(), vec![22]);
         assert_eq!(reg.retired_pids(), vec![11]);
         // Its pid stays reserved: the retired contribution is keyed by it.
-        let err = reg
-            .attach(Box::new(FileReplaySource::new(&file(11, 5))), sym())
-            .unwrap_err();
+        let err = reg.attach(saved(&dir, &file(11, 5)), sym()).unwrap_err();
         assert_eq!(err, AttachError::DuplicatePid(11));
         // A third process attaches hot, after the run started.
-        reg.attach(Box::new(FileReplaySource::new(&file(33, 40))), sym())
-            .unwrap();
+        reg.attach(saved(&dir, &file(33, 40)), sym()).unwrap();
         while reg.pump() > 0 {}
         let run = reg.finish();
         assert_eq!(run.per_pid.len(), 3, "retired pid 11 still reported");
@@ -879,10 +957,10 @@ mod tests {
 
     #[test]
     fn a_retired_pid_still_answers_with_its_final_snapshot() {
+        let dir = scratch("retired");
         let mut reg = SessionRegistry::new(LiveConfig::default());
         for (pid, work) in [(11u64, 20u64), (22, 30)] {
-            reg.attach(Box::new(FileReplaySource::new(&file(pid, work))), sym())
-                .unwrap();
+            reg.attach(saved(&dir, &file(pid, work)), sym()).unwrap();
         }
         while reg.pump() > 0 {}
         let gone = reg.detach(11).expect("session 11 is attached");
@@ -908,12 +986,12 @@ mod tests {
 
     #[test]
     fn watchdog_exempts_exhausted_replays() {
+        let dir = scratch("exhausted");
         let mut reg = SessionRegistry::new(LiveConfig::default()).with_watchdog(WatchdogConfig {
             timeout_pumps: 2,
             max_retries: 0,
         });
-        reg.attach(Box::new(FileReplaySource::new(&file(7, 10))), sym())
-            .unwrap();
+        reg.attach(saved(&dir, &file(7, 10)), sym()).unwrap();
         for _ in 0..20 {
             reg.pump();
         }
@@ -1086,12 +1164,12 @@ mod tests {
             }),
             ..LiveConfig::default()
         };
+        let dir = scratch("fleetwindows");
         let mut reg = SessionRegistry::new(config);
         // pid 11: work exits at tick 30 (window 1); pid 22: work exits at
         // tick 40 (window 2); both mains exit at tick 101 (window 6).
         for (pid, work) in [(11u64, 20u64), (22, 30)] {
-            reg.attach(Box::new(FileReplaySource::new(&file(pid, work))), sym())
-                .unwrap();
+            reg.attach(saved(&dir, &file(pid, work)), sym()).unwrap();
         }
         while reg.pump() > 0 {}
 
@@ -1160,9 +1238,9 @@ mod tests {
             }),
             ..LiveConfig::default()
         };
+        let dir = scratch("evicted");
         let mut reg = SessionRegistry::new(config);
-        reg.attach(Box::new(FileReplaySource::new(&file(7, 10))), sym())
-            .unwrap();
+        reg.attach(saved(&dir, &file(7, 10)), sym()).unwrap();
         while reg.pump() > 0 {}
         let run = reg.finish();
         assert_eq!(
@@ -1260,10 +1338,10 @@ mod tests {
 
     #[test]
     fn multi_process_render_towers_per_pid() {
+        let dir = scratch("towers");
         let mut reg = SessionRegistry::new(LiveConfig::default());
         for (pid, work) in [(5u64, 50u64), (6, 60)] {
-            reg.attach(Box::new(FileReplaySource::new(&file(pid, work))), sym())
-                .unwrap();
+            reg.attach(saved(&dir, &file(pid, work)), sym()).unwrap();
         }
         while reg.pump() > 0 {}
         // Freezing and rendering only read: a shared borrow is enough.

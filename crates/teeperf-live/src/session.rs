@@ -1,10 +1,11 @@
 //! The live session: one event source drained into one rolling profile.
 //!
 //! A [`LiveSession`] is the single host-side object a continuous-profiling
-//! consumer holds. Pumping it drains its [`EventSource`] — for the common
-//! live case a [`LiveLogSource`] holding the single cursor over the shared
-//! log, but a [`teeperf_core::FileReplaySource`] plugs in behind the same
-//! pump — and merges the stream into the rolling profile. Freezing
+//! consumer holds. Pumping it drains its [`EventSource`] — in process a
+//! [`LiveLogSource`] holding the single cursor over the shared log, across
+//! processes and for recordings a [`teeperf_core::FileShmSource`] reading
+//! a log file, behind the same pump — and merges the stream into the
+//! rolling profile. Freezing
 //! ([`LiveSession::snapshot`]) and rendering ([`LiveSession::render_ascii`])
 //! read that profile on demand and keep nothing: a session that nobody
 //! asks draws nothing.
@@ -477,11 +478,6 @@ impl LiveSession {
         })
     }
 
-    /// Epochs completed so far.
-    pub fn epochs(&self) -> u64 {
-        self.source.epoch()
-    }
-
     /// Events merged so far.
     pub fn events(&self) -> u64 {
         self.rolling.events()
@@ -793,7 +789,7 @@ mod tests {
             write_pair(&log, 100 * (i + 1));
             s.pump();
         }
-        assert!(s.epochs() >= 3, "4 pumps at 50% watermark of 4 slots");
+        assert!(s.status().epoch >= 3, "4 pumps at 50% watermark of 4 slots");
         assert_eq!(s.events(), 8);
         assert_eq!(s.dropped(), 0);
         let snap = s.finish();
@@ -967,8 +963,8 @@ mod tests {
 
     /// A complete 4-ary call tree, 5 levels deep, on one thread: 341
     /// distinct stacks over 17 functions (`f0` at the root, `f<level>_<child>`
-    /// below), every frame with ticks of its own — in a process that loaded
-    /// the binary `slide` bytes above its static addresses.
+    /// below), every frame with ticks of its own — recorded by a process
+    /// that loaded the binary `slide` bytes above its static addresses.
     fn call_tree(pid: u64, slide: u64) -> (teeperf_core::LogFile, Symbolizer) {
         let names: Vec<String> = std::iter::once("f0".to_string())
             .chain((1..5).flat_map(|level| (0..4).map(move |child| format!("f{level}_{child}"))))
@@ -992,7 +988,12 @@ mod tests {
         let mut entries = Vec::new();
         visit(&d, slide, 0, 0, &mut entries);
         let anchor = d.entry_addr(0) + slide;
-        let header = make_header(pid, entries.len() as u64, true, anchor, 0);
+        let n = entries.len() as u64;
+        let header = teeperf_core::layout::LogHeader {
+            active: false,
+            tail: n,
+            ..make_header(pid, n, true, anchor, 0)
+        };
         let symbolizer = Symbolizer::new(d, &header);
         (teeperf_core::LogFile::new(header, entries), symbolizer)
     }
@@ -1002,14 +1003,14 @@ mod tests {
     /// flake on host speed.
     #[test]
     fn a_merged_snapshot_names_each_address_once_in_a_sessions_life() {
+        use crate::registry::tests::{saved, scratch};
         use crate::registry::SessionRegistry;
-        use teeperf_core::FileReplaySource;
+        let dir = scratch("namedonce");
         let mut reg = SessionRegistry::new(LiveConfig::default());
         // Every process loads the binary somewhere else.
         for pid in 1..=8 {
             let (log, symbolizer) = call_tree(pid, 0x1000 * (9 - pid));
-            reg.attach(Box::new(FileReplaySource::new(&log)), symbolizer)
-                .unwrap();
+            reg.attach(saved(&dir, &log), symbolizer).unwrap();
         }
         let stats = |reg: &SessionRegistry| -> Vec<SymbolCacheStats> {
             (1..=8)
@@ -1048,22 +1049,26 @@ mod tests {
 
     #[test]
     fn budgeted_session_over_a_replay_stays_full_fidelity() {
-        use teeperf_core::{FileReplaySource, LogFile};
+        use crate::registry::tests::{scratch, Feed};
+        use teeperf_core::LogFile;
         let log = fresh(64);
         write_pair(&log, 100);
         let file = LogFile::new(log.header(), log.drain_entries());
+        let dir = scratch("budgetedfile");
+        let (mut feed, source) = Feed::new(&dir.0, &file, 1);
         let mut s = LiveSession::from_source(
-            Box::new(FileReplaySource::new(&file).with_chunk(1)),
+            source,
             Symbolizer::without_relocation(debug()),
             LiveConfig {
                 budget: Some(OverheadBudget { pct: 0 }),
                 ..LiveConfig::default()
             },
         );
-        // A zero budget plus drops would degrade a live source; a replay
+        // A zero budget plus drops would degrade a live source; a file
         // has no regime transport, so the controller retires instead of
-        // pretending to throttle writers that do not exist.
+        // pretending to throttle a writer it cannot reach.
         for _ in 0..64 {
+            feed.step();
             s.pump();
         }
         assert_eq!(s.regime(), Regime::Full);

@@ -1,9 +1,10 @@
 //! The fault-injection matrix: every [`FaultKind`] crossed with both
-//! source flavours (live shared-memory drain, persisted-file replay) must
-//! leave the pipeline *finished* — no panic, no hang — with the fault
-//! accounted in a [`SalvageReport`] or a typed error. Plus the registry
-//! acceptance scenario (one crashed process among survivors) and a
-//! property test pinning salvage to the ground truth of published entries.
+//! source flavours (live shared-memory drain, a persisted log file drained
+//! by a [`FileShmSource`]) must leave the pipeline *finished* — no panic,
+//! no hang — with the fault accounted in a [`SalvageReport`] or a typed
+//! error. Plus the registry acceptance scenario (one crashed process among
+//! survivors) and a property test pinning salvage to the ground truth of
+//! published entries.
 //!
 //! Every test arms a [`hang_guard`]: a watchdog thread that aborts the
 //! whole process if the test is still running after 60 seconds, because a
@@ -25,8 +26,9 @@ use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_core::layout::{EventKind, LogEntry};
 use teeperf_core::log::{make_header, region_bytes};
 use teeperf_core::{
-    EventSource, FaultKind, FaultPlan, FaultyWriter, FidelityGate, FileReplaySource, LiveLogSource,
-    LogFile, Regime, SalvageReason, SharedLog, SourceResilience, WriteOutcome,
+    EventSource, FaultKind, FaultPlan, FaultyWriter, FidelityGate, FileShmSource, FileShmWriter,
+    LiveLogSource, LogFile, Regime, SalvageReason, SharedLog, ShmFileError, SourceResilience,
+    WriteOutcome,
 };
 use teeperf_live::{
     LiveConfig, LiveSession, OverheadBudget, SessionEvent, SessionRegistry, WatchdogConfig,
@@ -204,9 +206,18 @@ fn live_matrix_mid_batch_crash_counts_the_exact_remainder() {
 
 /// Replay half of the matrix: the same faults frozen into a persisted log
 /// file (writer-level kinds via the shared-memory state the writer left,
-/// file-level kinds via [`FaultPlan::mutilate`]).
+/// file-level kinds via [`FaultPlan::mutilate`]) and drained back by a
+/// [`FileShmSource`].
 #[test]
 fn replay_matrix_every_fault_completes_and_is_reported() {
+    let dir = scratch("replay");
+    // The file `bytes` make, drained to its end — or why it never opened.
+    let drain = |bytes: &[u8]| -> Result<(Vec<LogEntry>, FileShmSource), ShmFileError> {
+        let path = dir.0.join("1.tplog");
+        std::fs::write(&path, bytes).expect("write the log file");
+        let mut source = FileShmSource::open(&path)?;
+        Ok((source.drain_to_end().entries, source))
+    };
     for kind in FaultKind::ALL {
         let _guard = hang_guard(kind.name());
         match kind {
@@ -217,21 +228,16 @@ fn replay_matrix_every_fault_completes_and_is_reported() {
                     writer.write_live(&entry(k));
                 }
                 let bytes = LogFile::new(log.header(), log.drain_entries()).to_bytes();
-                let (salvaged, report) =
-                    LogFile::from_bytes_salvage(&bytes).expect("salvage never rejects torn bodies");
-                assert_eq!(salvaged.entries, writer.published(), "{kind}");
-                assert_eq!(report.dropped, 1, "{kind}: one record lost to the fault");
-
-                // The replay source re-delivers without re-counting drops.
-                let mut source = FileReplaySource::new(&salvaged).with_prior_salvage(&report);
-                let mut got = Vec::new();
-                while !source.is_exhausted() {
-                    got.extend(source.pump().entries);
-                }
+                let (got, mut source) = drain(&bytes).expect("salvage never rejects torn bodies");
                 assert_eq!(got, writer.published(), "{kind}");
-                let total = source.salvage();
-                assert_eq!(total.kept, writer.published().len() as u64, "{kind}");
-                assert_eq!(total.dropped, 1, "{kind}: drops counted exactly once");
+                let report = source.salvage();
+                assert_eq!(report.kept, writer.published().len() as u64, "{kind}");
+                assert_eq!(report.dropped, 1, "{kind}: drops counted exactly once");
+                assert!(
+                    source.pump().entries.is_empty(),
+                    "{kind}: nothing re-delivered"
+                );
+                assert_eq!(source.salvage(), report, "{kind}");
             }
             FaultKind::CorruptHeader => {
                 let log = fresh(1, 16);
@@ -244,7 +250,10 @@ fn replay_matrix_every_fault_completes_and_is_reported() {
                     .mutilate(&mut bytes, 7);
                 // Nothing under a smashed control word can be trusted:
                 // salvage refuses with a typed error instead of guessing.
-                assert!(LogFile::from_bytes_salvage(&bytes).is_err(), "{kind}");
+                assert!(
+                    matches!(drain(&bytes), Err(ShmFileError::Header(_))),
+                    "{kind}"
+                );
                 assert!(LogFile::from_bytes(&bytes).is_err(), "{kind}");
             }
             FaultKind::TruncatedFile => {
@@ -256,13 +265,13 @@ fn replay_matrix_every_fault_completes_and_is_reported() {
                 FaultPlan::new()
                     .with(FaultKind::TruncatedFile, 0)
                     .mutilate(&mut bytes, 7);
-                let (salvaged, report) =
-                    LogFile::from_bytes_salvage(&bytes).expect("header survived the cut");
+                let (got, source) = drain(&bytes).expect("header survived the cut");
+                let report = source.salvage();
                 assert!(
                     report.count(SalvageReason::TruncatedFile) >= 1,
                     "{kind}: {report:?}"
                 );
-                assert_eq!(salvaged.entries.len() as u64, report.kept, "{kind}");
+                assert_eq!(got.len() as u64, report.kept, "{kind}");
                 assert_eq!(report.kept + report.dropped, 6, "{kind}: all accounted");
             }
         }
@@ -570,8 +579,6 @@ fn live_matrix_corrupt_regime_word_falls_back_to_full_and_is_reported() {
 // finished, accounted, never a panic or a hang.
 // ---------------------------------------------------------------------------
 
-use teeperf_core::{FileShmSource, FileShmWriter};
-
 struct ScratchDir(std::path::PathBuf);
 
 fn scratch(label: &str) -> ScratchDir {
@@ -791,11 +798,17 @@ proptest::proptest! {
         // terminate (bounded rotations + forced reclaim), not spin.
         let salvaged = session.finish();
 
-        // Ground truth: the same pipeline over only the published entries.
+        // Ground truth: the same pipeline over only the published entries,
+        // written by a healthy writer to a file of their own.
         let published = writer.published().to_vec();
-        let truth_log = LogFile::new(log.header(), published.clone());
+        let dir = scratch("truth");
+        let mut healthy = file_writer(&dir.0, 1, published.len().max(1) as u64);
+        for e in &published {
+            healthy.write(e).unwrap();
+        }
+        healthy.finish().unwrap();
         let mut truth = LiveSession::from_source(
-            Box::new(FileReplaySource::new(&truth_log)),
+            Box::new(file_source(&healthy)),
             sym(),
             LiveConfig::default(),
         );

@@ -1,9 +1,10 @@
 //! Multi-process session tests:
 //!
 //! * a property test interleaving 2–4 simulated processes through one
-//!   `SessionRegistry` (random per-process workloads, random replay chunk
-//!   sizes so the sources advance out of lockstep) asserting the merged
-//!   snapshot is exactly the sum of the per-pid snapshots;
+//!   `SessionRegistry` (random per-process workloads, each written to its
+//!   `.tplog` a random number of entries between pumps, so the sources
+//!   advance out of lockstep) asserting the merged snapshot is exactly the
+//!   sum of the per-pid snapshots;
 //! * two equivalence property tests over fleets built to alias (one name
 //!   at several addresses, several names at one address, raw-hex frames,
 //!   colliding thread ids, orphan returns, truncated frames): the merged
@@ -28,7 +29,7 @@ use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_analyzer::{merge_profiles, Profile};
 use teeperf_core::layout::{make_header, EventKind, LogEntry, LogHeader, LOG_VERSION};
 use teeperf_core::log::region_bytes;
-use teeperf_core::{FileReplaySource, LiveLogSource, LogFile, Regime, SharedLog};
+use teeperf_core::{FileShmSource, FileShmWriter, LiveLogSource, LogFile, Regime, SharedLog};
 use teeperf_flamegraph::LiveStatus;
 use teeperf_live::{
     LiveConfig, LiveSession, OverheadBudget, RegimeInfo, RingConfig, SessionEvent, SessionRegistry,
@@ -41,6 +42,71 @@ fn debug() -> DebugInfo {
 
 fn sym() -> Symbolizer {
     Symbolizer::without_relocation(debug())
+}
+
+/// A scratch directory of its own per test (removed on drop).
+struct ScratchDir(std::path::PathBuf);
+
+fn scratch(label: &str) -> ScratchDir {
+    let dir = std::env::temp_dir().join(format!("teeperf-mp-{}-{label}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    ScratchDir(dir)
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A recording written to its `.tplog` `chunk` entries per [`Feed::step`]
+/// by a live [`FileShmWriter`], which finishes with the last entry: a
+/// writer that keeps pace with the registry's pumps.
+struct Feed {
+    writer: FileShmWriter,
+    entries: std::vec::IntoIter<LogEntry>,
+    chunk: usize,
+    finished: bool,
+}
+
+impl Feed {
+    /// The writer for `log`'s pid in `dir`, nothing written yet, and the
+    /// source that drains it.
+    fn new(dir: &ScratchDir, log: &LogFile, chunk: usize) -> (Feed, FileShmSource) {
+        let writer = FileShmWriter::create(&dir.0, &log.header).expect("create the log");
+        let source = FileShmSource::open(writer.path()).expect("open the log");
+        let feed = Feed {
+            writer,
+            entries: log.entries.clone().into_iter(),
+            chunk: chunk.max(1),
+            finished: false,
+        };
+        (feed, source)
+    }
+
+    /// Write the next chunk, finishing the session after the last entry.
+    fn step(&mut self) {
+        for e in self.entries.by_ref().take(self.chunk) {
+            self.writer.write(&e).expect("write an entry");
+        }
+        if self.entries.len() == 0 && !self.finished {
+            self.writer.finish().expect("finish the log");
+            self.finished = true;
+        }
+    }
+
+    /// Write everything left and finish: the writer runs to its exit.
+    fn flush(&mut self) {
+        self.chunk = usize::MAX;
+        self.step();
+    }
+}
+
+/// Step every feed, then pump the registry once; returns what it drained.
+fn pump_fed(registry: &mut SessionRegistry, feeds: &mut [Feed]) -> usize {
+    feeds.iter_mut().for_each(Feed::step);
+    registry.pump()
 }
 
 /// A single-thread recording of `main { work; work; … }` with the given
@@ -82,11 +148,11 @@ fn file_for(pid: u64, works: &[u64]) -> LogFile {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// 2–4 processes with independent random workloads, replayed through
-    /// one registry with random chunk sizes (so the sources interleave out
-    /// of lockstep): the merged snapshot's totals, call counts and event
-    /// counters must equal the sums over the per-pid snapshots, and
-    /// nothing may be lost or invented.
+    /// 2–4 processes with independent random workloads, each written a
+    /// random chunk of entries between pumps of one registry (so the
+    /// sources interleave out of lockstep): the merged snapshot's totals,
+    /// call counts and event counters must equal the sums over the per-pid
+    /// snapshots, and nothing may be lost or invented.
     #[test]
     fn prop_merged_equals_sum_of_per_pid(
         workloads in proptest::collection::vec(
@@ -95,18 +161,21 @@ proptest! {
         ),
         chunks in proptest::collection::vec(1usize..7, 4),
     ) {
+        let dir = scratch("sum");
         let mut registry = SessionRegistry::new(LiveConfig::default());
         let mut total_entries = 0u64;
+        let mut feeds = Vec::new();
         for (i, works) in workloads.iter().enumerate() {
             let pid = 100 * (i as u64 + 1);
             let file = file_for(pid, works);
             total_entries += file.entries.len() as u64;
-            let source = FileReplaySource::new(&file).with_chunk(chunks[i % chunks.len()]);
+            let (feed, source) = Feed::new(&dir, &file, chunks[i % chunks.len()]);
             registry.attach(Box::new(source), sym()).unwrap();
+            feeds.push(feed);
         }
 
-        // Interleave: every pump advances each source by its own chunk.
-        while registry.pump() > 0 {}
+        // Interleave: each writer publishes its own chunk between pumps.
+        while pump_fed(&mut registry, &mut feeds) > 0 {}
         let run = registry.finish();
 
         // Conservation: every written entry was merged, none dropped.
@@ -163,7 +232,7 @@ proptest! {
 /// byte: the multi-process layer must not change it (no `[processes]`
 /// section for a single pid, identical counters and tables).
 const GOLDEN_REPLAY: &str = "[live]\n\
-epoch 1\n\
+epoch 0\n\
 events 4\n\
 dropped 0\n\
 threads 1\n\
@@ -210,7 +279,10 @@ fn golden_file() -> LogFile {
 
 #[test]
 fn single_source_snapshot_text_is_byte_identical() {
-    let source = FileReplaySource::new(&golden_file());
+    let dir = scratch("golden");
+    let path = dir.0.join("31.tplog");
+    golden_file().save(&path).unwrap();
+    let source = FileShmSource::open(&path).unwrap();
     let mut session = LiveSession::from_source(Box::new(source), sym(), LiveConfig::default());
     let snap = session.finish();
     assert_eq!(snap.profile.pids, BTreeSet::from([31]));
@@ -231,8 +303,9 @@ fn live_log_snapshot_matches_replay_except_epoch_accounting() {
     }
     let mut session = LiveSession::new(log, sym(), LiveConfig::default());
     let snap = session.finish();
-    // A live log pays one extra (empty) rotation when the session closes;
-    // everything below the epoch counter is byte-identical to the replay.
+    // A live log pays one extra (empty) rotation when the session closes,
+    // a file never rotates; everything below the epoch counter is
+    // byte-identical to the file's.
     let live_text = snap.to_text();
     let replay_tail = GOLDEN_REPLAY.split_once('\n').unwrap().1;
     let live_tail = live_text.split_once('\n').unwrap().1;
@@ -343,15 +416,23 @@ fn fleet_file(pid: u64, slide: u64, steps: &[Step]) -> LogFile {
     LogFile::new(header, entries)
 }
 
-/// Attach one replayed process per generated stream: pids 100, 200, …,
-/// slides 0, 64, 128, ….
-fn attach_fleet(registry: &mut SessionRegistry, fleet: &[Vec<Step>], chunks: &[usize]) {
+/// Attach one process per generated stream, fed to its `.tplog` in
+/// `dir`: pids 100, 200, …, slides 0, 64, 128, ….
+fn attach_fleet(
+    registry: &mut SessionRegistry,
+    dir: &ScratchDir,
+    fleet: &[Vec<Step>],
+    chunks: &[usize],
+) -> Vec<Feed> {
+    let mut feeds = Vec::new();
     for (i, steps) in fleet.iter().enumerate() {
         let file = fleet_file(100 * (i as u64 + 1), FN_STRIDE * i as u64, steps);
-        let source = FileReplaySource::new(&file).with_chunk(chunks[i % chunks.len()]);
+        let (feed, source) = Feed::new(dir, &file, chunks[i % chunks.len()]);
         let symbolizer = Symbolizer::new(fleet_debug(), &file.header);
         registry.attach(Box::new(source), symbolizer).unwrap();
+        feeds.push(feed);
     }
+    feeds
 }
 
 /// A live log of process `pid` with room for `capacity` entries, its
@@ -520,7 +601,7 @@ fn check_spans(registry: &SessionRegistry, sel: &WindowSel) -> Result<(), TestCa
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// 2–4 aliasing processes, replayed out of lockstep, with or without
+    /// 2–4 aliasing processes, fed out of lockstep, with or without
     /// an overhead budget (a budgeted session carries a `[regime]` block),
     /// beside a live process that falls silent with two frames open (the
     /// watchdog quarantines it, and its finish closes them) and, under a
@@ -542,7 +623,8 @@ proptest! {
             ..LiveConfig::default()
         })
         .with_watchdog(WatchdogConfig { timeout_pumps: 2, max_retries: 0 });
-        attach_fleet(&mut registry, &fleet, &chunks);
+        let dir = scratch("merge");
+        let mut feeds = attach_fleet(&mut registry, &dir, &fleet, &chunks);
         let silent_slide = 5 * FN_STRIDE;
         let (silent, symbolizer) = live_log(900, 16, silent_slide);
         write(&silent, silent_slide, &[(Call, 1, 0), (Call, 2, 1), (Return, 5, 1), (Call, 6, 1)]);
@@ -569,9 +651,12 @@ proptest! {
                 }
                 _ => {}
             }
-            let drained = registry.pump();
+            let drained = pump_fed(&mut registry, &mut feeds);
             pumps += 1;
             if pumps == detach_after {
+                // pid 100's writer exits first, so the detach's final
+                // drain takes the rest of its stream.
+                feeds[0].flush();
                 detached.insert(100, registry.detach(100).expect("pid 100 is attached"));
                 check_merged(&registry, &detached)?;
             }
@@ -627,14 +712,15 @@ proptest! {
             }),
             ..LiveConfig::default()
         });
-        attach_fleet(&mut registry, &fleet, &chunks);
+        let dir = scratch("spans");
+        let mut feeds = attach_fleet(&mut registry, &dir, &fleet, &chunks);
         let sels = [
             WindowSel::All,
             WindowSel::Last(last),
             WindowSel::Range(range.0.min(range.1), range.0.max(range.1)),
         ];
         let mut pumps = 0;
-        while registry.pump() > 0 {
+        while pump_fed(&mut registry, &mut feeds) > 0 {
             pumps += 1;
             if pumps % 2 == 0 {
                 for sel in &sels {

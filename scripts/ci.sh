@@ -48,14 +48,16 @@ run cargo test -q --offline
 run cargo test -q --workspace --offline
 
 # Fault-injection matrix (ISSUE 5): every FaultPlan fault kind crossed with
-# both consumers (live LiveLogSource and FileReplaySource replay), plus the
-# registry crash acceptance test and the writer-crash salvage proptest.
-# Each test binary runs under a hard 60s timeout so a salvage regression
-# that hangs a consumer fails the gate instead of wedging CI (the tests
-# also carry an in-process hang guard that aborts after 60s of no exit).
+# both consumers (live LiveLogSource, and a persisted log file drained by
+# FileShmSource, the one salvaging file reader), plus the registry crash
+# acceptance test and the writer-crash salvage proptest. Each test binary
+# runs under a hard 60s timeout so a salvage regression that hangs a
+# consumer fails the gate instead of wedging CI (the tests also carry an
+# in-process hang guard that aborts after 60s of no exit).
 tmo 60 cargo test -q --offline -p teeperf-live --test fault_matrix
 tmo 60 cargo test -q --offline -p teeperf-core faults::
 tmo 60 cargo test -q --offline -p teeperf-core source::tests
+tmo 60 cargo test -q --offline -p teeperf-core shm_file::
 
 # Protocol lint (ISSUE 6): no raw atomics outside the SharedMem/MemModel
 # seam, every Ordering choice justified with an `// ord:` comment, no
