@@ -72,7 +72,7 @@ pub struct Analyzer {
 
 impl Analyzer {
     /// Validate the log and bind it to the binary's debug info. Analysis
-    /// defaults to one shard per available core; see
+    /// defaults to one shard, the walk over the log where it lies; see
     /// [`Analyzer::with_analyzer_threads`].
     ///
     /// # Errors
@@ -85,14 +85,14 @@ impl Analyzer {
         Ok(Analyzer {
             log,
             symbolizer,
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threads: 1,
         })
     }
 
     /// Set the number of analyzer shards (worker threads) used by
-    /// [`Analyzer::profile`]. `0` restores the default (available
-    /// parallelism); `1` forces the sequential path. The profile is
-    /// byte-identical at every setting.
+    /// [`Analyzer::profile`]. `0` means one per available core; `1`, the
+    /// default, is the sequential walk. The profile is byte-identical at
+    /// every setting.
     #[must_use]
     pub fn with_analyzer_threads(mut self, threads: usize) -> Analyzer {
         self.threads = if threads == 0 {

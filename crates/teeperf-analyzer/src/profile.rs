@@ -1,9 +1,11 @@
 //! Method-level profile aggregation — sequential or sharded across worker
 //! threads.
 //!
-//! The pass is the paper's: group the entries per thread, walk each
-//! thread's events through the stack machine, and add every call to an
-//! [`Aggregates`] as it closes ([`Aggregates::add_call`], the one way in).
+//! The pass is the paper's: walk each thread's events through the stack
+//! machine, and add every call to an [`Aggregates`] as it closes
+//! ([`Aggregates::add_call`], the one way in). The sequential build walks
+//! the log where it lies, one thread's run of consecutive entries at a
+//! time, and copies no event.
 //! The stack machine has already interned the call's stack in a
 //! [`PathTable`] when the call opened, so an aggregate is one table of rows
 //! indexed by [`PathId`] and adding a call indexes a row; the method,
@@ -13,13 +15,14 @@
 //!
 //! Threads in a log are independent by construction (the recorder holds
 //! each thread until its entry is written, so per-thread order is program
-//! order), which makes the pass embarrassingly parallel: shard the
-//! threads over workers, run it per shard — each shard with a table of its
-//! own — then adopt the shards' tables into one and add their rows under
-//! the translation. Every aggregate operation is commutative and
-//! associative and every output table is in a total order, so the sharded
-//! result is byte-identical to the sequential one — the invariant
-//! `build_with_shards` is tested against.
+//! order), which makes the pass embarrassingly parallel: group the entries
+//! per thread, shard the threads over workers, run it per shard — each
+//! shard with a table of its own — then adopt the shards' tables into one
+//! and add their rows under the translation. Every aggregate operation is
+//! commutative and associative and every output table is in a total
+//! order, so the sharded result is byte-identical to the sequential one —
+//! and so is the in-place walk's, which meets the stacks in another order
+//! — the invariant `build_with_shards` is tested against.
 //!
 //! Across processes an address means nothing — the same function loads at
 //! different addresses, different functions at the same one — so a
@@ -445,9 +448,9 @@ impl Aggregates {
     }
 }
 
-/// The pass over one shard of threads: walk each thread's events through
-/// the stack machine and add every call to the shard's aggregate as it
-/// closes. The shard's threads share the table it returns.
+/// The pass over one shard of grouped threads: walk each thread's events
+/// through the stack machine and add every call to the shard's aggregate
+/// as it closes. The shard's threads share the table it returns.
 fn analyze_shard(threads: &[(u64, &[Event])]) -> (PathTable, Aggregates) {
     let (mut paths, mut agg) = (PathTable::new(), Aggregates::new());
     for (tid, events) in threads {
@@ -490,8 +493,7 @@ pub fn build(log: &LogFile, symbolizer: &Symbolizer) -> Profile {
 /// Build the profile, fanning per-thread reconstruction and aggregation
 /// out over `shards` scoped worker threads. Threads are assigned to shards
 /// by event-count balance; the merged result is byte-identical to the
-/// sequential build (`shards == 1` or a single-thread log short-circuits
-/// to the sequential path).
+/// sequential build (`shards <= 1`).
 pub fn build_with_shards(log: &LogFile, symbolizer: &Symbolizer, shards: usize) -> Profile {
     build_entries(
         &log.entries,
@@ -503,7 +505,9 @@ pub fn build_with_shards(log: &LogFile, symbolizer: &Symbolizer, shards: usize) 
 }
 
 /// Build the profile over raw entries from process `pid` (the core of
-/// [`build_with_shards`]).
+/// [`build_with_shards`]). One shard walks the entries where they lie, a
+/// thread's run of them at a time; more group them per thread first and
+/// fork.
 pub fn build_entries(
     entries: &[LogEntry],
     pid: u64,
@@ -511,92 +515,131 @@ pub fn build_entries(
     symbolizer: &Symbolizer,
     shards: usize,
 ) -> Profile {
-    let grouped = reader::group_entries(entries);
-    let anomalies_base = Anomalies {
-        incomplete_entries: grouped.incomplete,
-        dropped_entries: dropped,
-        ..Anomalies::default()
-    };
-    let threads: Vec<(u64, Vec<Event>)> = grouped.threads.into_iter().collect();
-    let shards = shards.max(1).min(threads.len().max(1));
-
-    let (paths, agg) = if shards <= 1 {
-        let views: Vec<(u64, &[Event])> = threads
-            .iter()
-            .map(|(tid, events)| (*tid, events.as_slice()))
-            .collect();
-        analyze_shard(&views)
+    let (paths, agg, incomplete) = if shards <= 1 {
+        walk_in_place(entries)
     } else {
-        let loads: Vec<usize> = threads.iter().map(|(_, events)| events.len()).collect();
-        let partition = partition_by_load(&loads, shards);
-        let bucket_views = |bucket: &[usize]| -> Vec<(u64, &[Event])> {
-            bucket
-                .iter()
-                .map(|i| (threads[*i].0, threads[*i].1.as_slice()))
-                .collect()
-        };
-        // The shard count is a *partitioning* knob (it fixes which threads
-        // aggregate together, hence the output); the OS-thread count is a
-        // resource knob. Capping workers at the host's parallelism keeps
-        // an over-sharded build from paying spawn/switch overhead with no
-        // cores to run on — on a one-core host the build stays fully
-        // sequential while still merging in bucket order, so the result is
-        // byte-identical whatever the worker count.
-        let workers = shard_workers(shards);
-        let results: Vec<(PathTable, Aggregates)> = if workers <= 1 {
-            partition
-                .iter()
-                .map(|bucket| analyze_shard(&bucket_views(bucket)))
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let partition = &partition;
-                        let bucket_views = &bucket_views;
-                        scope.spawn(move || {
-                            partition
-                                .iter()
-                                .enumerate()
-                                .skip(w)
-                                .step_by(workers)
-                                .map(|(index, bucket)| {
-                                    (index, analyze_shard(&bucket_views(bucket)))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                let mut ordered: Vec<Option<(PathTable, Aggregates)>> = Vec::new();
-                ordered.resize_with(partition.len(), || None);
-                for handle in handles {
-                    for (index, output) in handle.join().expect("analyzer shard panicked") {
-                        ordered[index] = Some(output);
-                    }
-                }
-                ordered
-                    .into_iter()
-                    .map(|output| output.expect("every bucket is analyzed exactly once"))
-                    .collect()
-            })
-        };
-        // Each shard numbered the stacks it met its own way: adopt its
-        // table into the merged one, then its rows follow the translation.
-        let (mut paths, mut agg) = (PathTable::new(), Aggregates::new());
-        for (shard_paths, shard_agg) in &results {
-            agg.merge_translated(shard_agg, &paths.adopt(shard_paths));
-        }
-        (paths, agg)
+        build_sharded(entries, shards)
     };
-
     let anomalies = Anomalies {
+        incomplete_entries: incomplete,
+        dropped_entries: dropped,
         orphan_returns: agg.orphan_returns,
         truncated_frames: agg.truncated_frames,
-        ..anomalies_base
     };
     let mut profile = agg.materialize(&paths, symbolizer, anomalies);
     profile.pids = BTreeSet::from([pid]);
     profile
+}
+
+/// The sequential pass, over the log where it lies: one walk of
+/// `entries` cuts it into *runs* — one thread's consecutive valid
+/// entries — and feeds each run whole to its thread's stack machine,
+/// looked up once per run in a tid-sorted `Vec`. An all-zero record
+/// (incomplete) or a zero-address one (torn) is dismissed and ends a run,
+/// as [`reader::group_entries`] dismisses it, so every machine sees its
+/// thread's events in log order, exactly what a grouping would feed it;
+/// the threads are finished in ascending order. Returns the table, the
+/// aggregate and the all-zero records dismissed.
+fn walk_in_place(entries: &[LogEntry]) -> (PathTable, Aggregates, u64) {
+    let (mut paths, mut agg) = (PathTable::new(), Aggregates::new());
+    let mut machines: Vec<(u64, ResumableStacks)> = Vec::new();
+    let (mut start, mut incomplete) = (0, 0);
+    while let Some(first) = entries.get(start) {
+        if first.addr == 0 {
+            incomplete += u64::from(reader::is_incomplete(first));
+            start += 1;
+            continue;
+        }
+        let tid = first.tid;
+        let end = entries[start + 1..]
+            .iter()
+            .position(|e| e.tid != tid || e.addr == 0)
+            .map_or(entries.len(), |len| start + 1 + len);
+        let at = match machines.binary_search_by_key(&tid, |(t, _)| *t) {
+            Ok(at) => at,
+            Err(at) => {
+                machines.insert(at, (tid, ResumableStacks::new()));
+                at
+            }
+        };
+        let add = |call: &CompletedCall| agg.add_call(tid, call, 1);
+        let orphans = machines[at].1.feed(&mut paths, &entries[start..end], add);
+        agg.orphan_returns += orphans;
+        start = end;
+    }
+    for (tid, stacks) in &mut machines {
+        agg.observe_thread(*tid);
+        stacks.finish(|call| agg.add_call(*tid, call, 1));
+    }
+    (paths, agg, incomplete)
+}
+
+/// The sharded pass: group the entries per thread, split the threads over
+/// `shards` buckets and run [`analyze_shard`] per bucket (on up to
+/// [`shard_workers`] scoped threads), then adopt the buckets' tables into
+/// one. Returns what [`walk_in_place`] does, byte-identically
+/// materialized.
+fn build_sharded(entries: &[LogEntry], shards: usize) -> (PathTable, Aggregates, u64) {
+    let grouped = reader::group_entries(entries);
+    let threads: Vec<(u64, Vec<Event>)> = grouped.threads.into_iter().collect();
+    let loads: Vec<usize> = threads.iter().map(|(_, events)| events.len()).collect();
+    let partition = partition_by_load(&loads, shards);
+    let bucket_views = |bucket: &[usize]| -> Vec<(u64, &[Event])> {
+        bucket
+            .iter()
+            .map(|i| (threads[*i].0, threads[*i].1.as_slice()))
+            .collect()
+    };
+    // The shard count is a *partitioning* knob (it fixes which threads
+    // aggregate together, hence the output); the OS-thread count is a
+    // resource knob. Capping workers at the host's parallelism keeps
+    // an over-sharded build from paying spawn/switch overhead with no
+    // cores to run on — on a one-core host the build stays fully
+    // sequential while still merging in bucket order, so the result is
+    // byte-identical whatever the worker count.
+    let workers = shard_workers(partition.len());
+    let results: Vec<(PathTable, Aggregates)> = if workers <= 1 {
+        partition
+            .iter()
+            .map(|bucket| analyze_shard(&bucket_views(bucket)))
+            .collect()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let partition = &partition;
+                    let bucket_views = &bucket_views;
+                    scope.spawn(move || {
+                        partition
+                            .iter()
+                            .enumerate()
+                            .skip(w)
+                            .step_by(workers)
+                            .map(|(index, bucket)| (index, analyze_shard(&bucket_views(bucket))))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let mut ordered: Vec<Option<(PathTable, Aggregates)>> = Vec::new();
+            ordered.resize_with(partition.len(), || None);
+            for handle in handles {
+                for (index, output) in handle.join().expect("analyzer shard panicked") {
+                    ordered[index] = Some(output);
+                }
+            }
+            ordered
+                .into_iter()
+                .map(|output| output.expect("every bucket is analyzed exactly once"))
+                .collect()
+        })
+    };
+    // Each shard numbered the stacks it met its own way: adopt its table
+    // into the merged one, then its rows follow the translation.
+    let (mut paths, mut agg) = (PathTable::new(), Aggregates::new());
+    for (shard_paths, shard_agg) in &results {
+        agg.merge_translated(shard_agg, &paths.adopt(shard_paths));
+    }
+    (paths, agg, grouped.incomplete)
 }
 
 /// Number of OS worker threads a `shards`-way build actually spawns: the
@@ -2119,7 +2162,67 @@ mod tests {
         orphans
     }
 
+    /// What the sequential build was before it walked in place: group the
+    /// entries per thread, then run one shard over all of them.
+    fn grouped_walk(entries: &[LogEntry], pid: u64, dropped: u64, sym: &Symbolizer) -> Profile {
+        let grouped = reader::group_entries(entries);
+        let views: Vec<(u64, &[Event])> = grouped
+            .threads
+            .iter()
+            .map(|(tid, events)| (*tid, events.as_slice()))
+            .collect();
+        let (paths, agg) = analyze_shard(&views);
+        let anomalies = Anomalies {
+            orphan_returns: agg.orphan_returns,
+            truncated_frames: agg.truncated_frames,
+            incomplete_entries: grouped.incomplete,
+            dropped_entries: dropped,
+        };
+        let mut profile = agg.materialize(&paths, sym, anomalies);
+        profile.pids = BTreeSet::from([pid]);
+        profile
+    }
+
+    /// A hostile log: 1 to 40 threads interleaved in runs of any length,
+    /// each run maybe preceded by an all-zero hole, a torn slot (a zero
+    /// address under a live word) or a zero-address slot with a zero
+    /// counter; the events are [`arbitrary_events`]' mix, so there are
+    /// orphan returns, unwinds and frames left open.
+    fn adversarial_log() -> impl Strategy<Value = Vec<LogEntry>> {
+        let runs = proptest::collection::vec((0u64..40, 0u8..8, arbitrary_events()), 0..60);
+        (1u64..=40, runs).prop_map(|(threads, runs)| {
+            let (mut log, mut counter) = (Vec::new(), 0u64);
+            for (tid, slot, events) in runs {
+                let tid = tid % threads;
+                match slot {
+                    0 => log.push(e(EventKind::Return, 0, 0, 0)),
+                    1 => log.push(e(EventKind::Call, counter + 1, 0, tid)),
+                    2 => log.push(e(EventKind::Return, 0, 0, tid)),
+                    _ => {}
+                }
+                for ev in events.iter().take(usize::from(slot) * 3 + 1) {
+                    counter += ev.counter % 7 + 1;
+                    log.push(e(ev.kind, counter, ev.addr, tid));
+                }
+            }
+            log
+        })
+    }
+
     proptest! {
+        #[test]
+        fn prop_the_in_place_walk_equals_the_grouped_walk_and_every_shard_count(
+            entries in adversarial_log(),
+            dropped in 0u64..3,
+        ) {
+            let sym = Symbolizer::without_relocation(debug());
+            let walked = build_entries(&entries, 7, dropped, &sym, 1);
+            prop_assert_eq!(&walked, &grouped_walk(&entries, 7, dropped, &sym));
+            for shards in 2..=4 {
+                prop_assert_eq!(&walked, &build_entries(&entries, 7, dropped, &sym, shards));
+            }
+        }
+
         #[test]
         fn prop_aggregates_equal_the_path_keyed_reference(
             threads in proptest::collection::vec(arbitrary_events(), 1..4),

@@ -1,4 +1,13 @@
 //! Log validation and per-thread event grouping.
+//!
+//! The grouping copies: every valid entry becomes an [`Event`] in its
+//! thread's list. The sequential profile build does without it — it walks
+//! the log where it lies, one thread's run of entries at a time
+//! (`profile::build_entries` with one shard) — so [`group_entries`] serves
+//! what needs whole per-thread lists: the sharded build's fork, the
+//! events frame of a query, and the benchmark's trace of this stage. Both
+//! dismiss records by the same rules: an all-zero record as incomplete, a
+//! zero address as torn.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -120,7 +129,7 @@ pub fn group_by_thread(log: &LogFile) -> ThreadEvents {
 }
 
 /// Group raw entries by thread, dismissing incomplete records (the core of
-/// [`group_by_thread`], shared with the event-source build path).
+/// [`group_by_thread`], and the sharded profile build's first step).
 ///
 /// Two passes: a counting pass sizes every per-thread vector exactly, then
 /// a fill pass copies events straight through without ever reallocating.

@@ -60,7 +60,11 @@ const ARCH_FLAGS: &[Flag] = &[
 ];
 const BATCH: Flag = Flag::value("batch-slots", "<n>", "log slots per tail RMW (default 1)");
 const SALVAGE: Flag = Flag::value("salvage", "yes|no", "keep a torn log's valid records");
-const THREADS: Flag = Flag::value("analyzer-threads", "<n>", "shards (default 0 = all cores)");
+const THREADS: Flag = Flag::value(
+    "analyzer-threads",
+    "<n>",
+    "shards (default 1; 0 = all cores)",
+);
 const RECORDING_FLAGS: &[Flag] = &[SALVAGE, THREADS];
 
 const COMPILE: Command = Command {
@@ -482,7 +486,7 @@ fn load_analyzer(
 ) -> Result<(Analyzer, Option<teeperf_core::SalvageReport>), CliError> {
     let log_path = operand(args, at, "log path")?;
     let sym_path = operand(args, at + 1, "symbol path")?;
-    let threads = args.num("analyzer-threads")?.unwrap_or(0);
+    let threads = args.num("analyzer-threads")?.unwrap_or(1);
     let (log, report) = if salvage {
         let mut src = FileShmSource::open(log_path.as_ref()).map_err(|e| path_err(log_path, e))?;
         let entries = src.drain_to_end().entries;

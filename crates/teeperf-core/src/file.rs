@@ -12,15 +12,22 @@
 //! a [`crate::shm_file::FileShmSource`] drains a file [`LogFile::save`]
 //! wrote. Files in the older private framing (magic `TPERFLG1`) are
 //! refused as not a log image.
+//!
+//! [`LogFile::load`] reads the way a source pumps: the header in one
+//! positioned read, checked as a foreign image, then the promised slots
+//! in chunks of [`crate::shm_file::READ_CHUNK_ENTRIES`] through one
+//! buffer, decoded straight into the entries. The file's bytes are never
+//! held whole, and every refusal is the one [`LogFile::from_bytes`] gives
+//! over the same bytes.
 
 use std::error::Error;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
-use crate::layout::{
-    image_word, HeaderFault, HeaderRule, LogEntry, LogHeader, ENTRY_BYTES, HEADER_BYTES,
-};
+use crate::layout::{HeaderFault, HeaderRule, LogEntry, LogHeader, ENTRY_BYTES, HEADER_BYTES};
+use crate::shm_file::{read_checked, READ_CHUNK_ENTRIES};
 
 /// Errors reading or writing a file that holds a log image: a recording,
 /// or a session's `<pid>.tplog` ([`crate::shm_file`] knows it as
@@ -126,15 +133,7 @@ impl LogFile {
             return Err(LogFileError::TooSmall(bytes.len() as u64));
         };
         let header = LogHeader::from_image(image, HeaderRule::Foreign)?;
-        let (available, shortfall) = header.available(body.len() as u64);
-        if shortfall > 0 {
-            let promised = header.stored_entries();
-            return Err(LogFileError::Truncated {
-                found: promised - shortfall,
-                promised,
-            });
-        }
-        let slots = &body[..(available * ENTRY_BYTES) as usize];
+        let slots = &body[..(promised_slots(&header, body.len() as u64)? * ENTRY_BYTES) as usize];
         Ok(LogFile {
             header,
             entries: LogEntry::decode_slots(slots).collect(),
@@ -151,32 +150,49 @@ impl LogFile {
         Ok(())
     }
 
-    /// The header of the file at `path` and the promised slots it holds —
-    /// never more than the file's own length, whatever its header claims.
-    fn read_image(path: &Path) -> Result<Vec<u8>, LogFileError> {
-        let file = std::fs::File::open(path)?;
-        let len = file.metadata()?.len();
-        let mut bytes = Vec::with_capacity(HEADER_BYTES as usize);
-        (&file).take(HEADER_BYTES).read_to_end(&mut bytes)?;
-        // The words are only sized from here; `from_bytes` decides on trust.
-        if let Some(image) = bytes.first_chunk() {
-            let header = LogHeader::decode(|off| image_word(image, off));
-            let (available, _) = header.available(len.saturating_sub(HEADER_BYTES));
-            let promised = available * ENTRY_BYTES;
-            bytes.reserve_exact(promised as usize);
-            file.take(promised).read_to_end(&mut bytes)?;
-        }
-        Ok(bytes)
-    }
-
     /// Read a log from a file: a recording, or a deployed session's
-    /// `<pid>.tplog`.
+    /// `<pid>.tplog`. The header is one positioned read, checked as
+    /// [`LogFile::from_bytes`] checks it; the promised slots are then
+    /// decoded [`READ_CHUNK_ENTRIES`] at a time through one buffer into
+    /// an exactly sized `entries`, so the file's bytes are never held
+    /// whole.
     ///
     /// # Errors
-    /// Propagates I/O failures and [`LogFile::from_bytes`] errors.
+    /// Propagates I/O failures, and the errors [`LogFile::from_bytes`]
+    /// gives over the same bytes.
     pub fn load(path: impl AsRef<Path>) -> Result<LogFile, LogFileError> {
-        LogFile::from_bytes(&LogFile::read_image(path.as_ref())?)
+        let file = std::fs::File::open(path)?;
+        let (len, header) = read_checked(&file, HeaderRule::Foreign)?;
+        let promised = promised_slots(&header, len - HEADER_BYTES)?;
+        let mut entries = Vec::with_capacity(promised as usize);
+        let mut buf = Vec::new();
+        let mut slot = 0;
+        while slot < promised {
+            let n = (promised - slot).min(READ_CHUNK_ENTRIES);
+            buf.resize((n * ENTRY_BYTES) as usize, 0);
+            file.read_exact_at(&mut buf, LogEntry::offset_of(slot))?;
+            entries.extend(LogEntry::decode_slots(&buf));
+            slot += n;
+        }
+        Ok(LogFile { header, entries })
     }
+}
+
+/// How many slots `header` promises (`min(tail, size)`), when a body of
+/// `body_bytes` holds them all.
+///
+/// # Errors
+/// [`LogFileError::Truncated`] when the body ends before they do.
+fn promised_slots(header: &LogHeader, body_bytes: u64) -> Result<u64, LogFileError> {
+    let (available, shortfall) = header.available(body_bytes);
+    if shortfall > 0 {
+        let promised = header.stored_entries();
+        return Err(LogFileError::Truncated {
+            found: promised - shortfall,
+            promised,
+        });
+    }
+    Ok(available)
 }
 
 #[cfg(test)]
@@ -335,6 +351,70 @@ mod tests {
             LogFile::from_bytes(&f.to_bytes()),
             Err(LogFileError::Header(HeaderFault::ZeroCapacity))
         ));
+    }
+
+    /// `bytes` written to a file of its own, loaded, the file removed.
+    fn load_bytes(label: &str, bytes: &[u8]) -> Result<LogFile, LogFileError> {
+        let path =
+            std::env::temp_dir().join(format!("teeperf-file-{}-{label}.tplog", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let loaded = LogFile::load(&path);
+        std::fs::remove_file(&path).unwrap();
+        loaded
+    }
+
+    /// A log of `n` distinct entries under `sample`'s header.
+    fn sized(n: u64) -> LogFile {
+        let mut f = sample();
+        f.header.size = n.max(1);
+        f.header.tail = n;
+        f.entries = (0..n)
+            .map(|i| LogEntry {
+                kind: if i % 2 == 0 {
+                    EventKind::Call
+                } else {
+                    EventKind::Return
+                },
+                counter: i + 1,
+                addr: 0x40_0000 + i,
+                tid: i % 3,
+            })
+            .collect();
+        f
+    }
+
+    #[test]
+    fn a_chunked_load_equals_the_whole_image_parse_at_every_chunk_boundary() {
+        let chunk = READ_CHUNK_ENTRIES;
+        for n in [0, 1, chunk - 1, chunk, 2 * chunk + 17] {
+            let f = sized(n);
+            let mut bytes = f.to_bytes();
+            // A preallocated remainder past the promise is not read.
+            bytes.extend_from_slice(&[0xff; 24 * 3 + 5]);
+            let loaded = load_bytes(&format!("chunks-{n}"), &bytes).unwrap();
+            assert_eq!(loaded, LogFile::from_bytes(&bytes).unwrap(), "{n} slots");
+            assert_eq!(loaded, f, "{n} slots");
+            assert_eq!(loaded.entries.capacity() as u64, n, "{n} slots");
+        }
+    }
+
+    #[test]
+    fn a_load_refuses_what_the_whole_image_parse_refuses_in_its_words() {
+        let whole = sized(READ_CHUNK_ENTRIES + 3).to_bytes();
+        let mut bad_magic = whole.clone();
+        bad_magic[OFF_MAGIC as usize] = b'X';
+        let cases: [(&str, &[u8]); 5] = [
+            ("empty", &[]),
+            ("short", &whole[..20]),
+            ("magic", &bad_magic),
+            ("cut-body", &whole[..whole.len() - 1]),
+            ("cut-chunk", &whole[..whole.len() - 24 * 5]),
+        ];
+        for (label, bytes) in cases {
+            let loaded = load_bytes(label, bytes).unwrap_err().to_string();
+            let parsed = LogFile::from_bytes(bytes).unwrap_err().to_string();
+            assert_eq!(loaded, parsed, "{label}");
+        }
     }
 
     proptest! {

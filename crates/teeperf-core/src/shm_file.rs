@@ -128,7 +128,10 @@ fn read_header(file: &File) -> io::Result<HeaderImage> {
 }
 
 /// The file's length and its header, trusted under `rule`.
-fn read_checked(file: &File, rule: HeaderRule) -> Result<(u64, LogHeader), ShmFileError> {
+pub(crate) fn read_checked(
+    file: &File,
+    rule: HeaderRule,
+) -> Result<(u64, LogHeader), ShmFileError> {
     let len = file.metadata()?.len();
     if len < HEADER_BYTES {
         return Err(ShmFileError::TooSmall(len));

@@ -301,6 +301,10 @@ impl SessionRegistry {
     /// its own rolling profile, and the calls it completed are folded into
     /// the fleet table). Returns the total entries consumed.
     ///
+    /// A session whose source was already exhausted — its writer finished
+    /// and every promised slot drained — is not pumped: a finished,
+    /// drained log is never read again, and it stays attached.
+    ///
     /// A source that declares itself dead is quarantined right after its
     /// pump, under the cause its salvage report names. With a watchdog
     /// enabled, each pump also checks every source's heartbeat: consuming
@@ -313,6 +317,9 @@ impl SessionRegistry {
         let mut condemned: Vec<(u64, String)> = Vec::new();
         let watchdog = self.watchdog;
         for (pid, session) in &mut self.sessions {
+            if session.source_exhausted() {
+                continue;
+            }
             let before_dropped = session.dropped();
             let n = session.pump_into(&mut self.batch, Some(&mut self.fresh));
             // An idle pump logs nothing to fold: `attach` already put the
@@ -1044,6 +1051,54 @@ pub(crate) mod tests {
         assert_eq!(run.merged.status.events, 1);
         let text = run.merged.to_text();
         assert!(text.contains("quarantined pid 9"), "{text}");
+    }
+
+    /// A source that forwards to a file source and counts the pumps it is
+    /// given.
+    #[derive(Debug)]
+    struct Counted(Box<FileShmSource>, std::sync::Arc<std::sync::Mutex<u64>>);
+
+    impl EventSource for Counted {
+        fn pid(&self) -> u64 {
+            self.0.pid()
+        }
+        fn pump_into(&mut self, batch: &mut SourceBatch) {
+            *self.1.lock().unwrap() += 1;
+            self.0.pump_into(batch);
+        }
+        fn drain_to_end(&mut self) -> SourceBatch {
+            self.0.drain_to_end()
+        }
+        fn dropped_total(&self) -> u64 {
+            self.0.dropped_total()
+        }
+        fn epoch(&self) -> u64 {
+            self.0.epoch()
+        }
+        fn is_exhausted(&self) -> bool {
+            self.0.is_exhausted()
+        }
+    }
+
+    #[test]
+    fn a_finished_drained_log_is_never_pumped_again() {
+        use std::sync::{Arc, Mutex};
+        let dir = scratch("exhausted");
+        let pumps = Arc::new(Mutex::new(0));
+        let mut reg = SessionRegistry::new(LiveConfig::default());
+        let source = Counted(saved(&dir, &file(8, 20)), pumps.clone());
+        reg.attach(Box::new(source), sym()).unwrap();
+        reg.attach(saved(&dir, &file(9, 30)), sym()).unwrap();
+        assert_eq!(reg.pump(), 8, "both finished logs drain whole");
+        assert!(reg.session(8).unwrap().source_exhausted());
+        let (text, pumped) = (reg.merged_text(), *pumps.lock().unwrap());
+        assert_eq!(pumped, 1);
+        for _ in 0..5 {
+            assert_eq!(reg.pump(), 0);
+        }
+        assert_eq!(*pumps.lock().unwrap(), pumped, "no read after exhaustion");
+        assert_eq!(reg.merged_text(), text);
+        assert_eq!(reg.pids(), vec![8, 9], "still attached");
     }
 
     /// A source that has declared itself dead, with `salvage` on record.
