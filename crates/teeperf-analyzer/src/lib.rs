@@ -50,7 +50,7 @@ pub use compare::diff;
 
 pub use profile::Aggregates;
 pub use profile::{
-    merge_profiles, CallLog, MethodStats, NameSpace, PathNames, Profile, ProfileMerge,
+    merge_profiles, CallLog, MethodStats, NameSpace, PathNames, Profile, ProfileMerge, Walker,
 };
 pub use query::frame::{Column, Frame};
 pub use query::run_query;

@@ -3,9 +3,10 @@
 //!
 //! The pass is the paper's: walk each thread's events through the stack
 //! machine, and add every call to an [`Aggregates`] as it closes
-//! ([`Aggregates::add_call`], the one way in). The sequential build walks
-//! the log where it lies, one thread's run of consecutive entries at a
-//! time, and copies no event.
+//! ([`Aggregates::add_call`], the one way in). One [`Walker`] runs it for
+//! every sequential consumer — the batch build feeds it the whole log, a
+//! rolling profile each drained batch — over the entries where they lie,
+//! one thread's run of consecutive entries at a time, copying no event.
 //! The stack machine has already interned the call's stack in a
 //! [`PathTable`] when the call opened, so an aggregate is one table of rows
 //! indexed by [`PathId`] and adding a call indexes a row; the method,
@@ -20,9 +21,9 @@
 //! shard with a table of its own — then adopt the shards' tables into one
 //! and add their rows under the translation. Every aggregate operation is
 //! commutative and associative and every output table is in a total
-//! order, so the sharded result is byte-identical to the sequential one —
-//! and so is the in-place walk's, which meets the stacks in another order
-//! — the invariant `build_with_shards` is tested against.
+//! order, so the sharded result is byte-identical to the walker's, which
+//! meets the stacks in another order — the invariant `build_with_shards`
+//! is tested against.
 //!
 //! Across processes an address means nothing — the same function loads at
 //! different addresses, different functions at the same one — so a
@@ -505,9 +506,8 @@ pub fn build_with_shards(log: &LogFile, symbolizer: &Symbolizer, shards: usize) 
 }
 
 /// Build the profile over raw entries from process `pid` (the core of
-/// [`build_with_shards`]). One shard walks the entries where they lie, a
-/// thread's run of them at a time; more group them per thread first and
-/// fork.
+/// [`build_with_shards`]). One shard feeds them to a [`Walker`] where they
+/// lie; more group them per thread first and fork.
 pub fn build_entries(
     entries: &[LogEntry],
     pid: u64,
@@ -515,71 +515,143 @@ pub fn build_entries(
     symbolizer: &Symbolizer,
     shards: usize,
 ) -> Profile {
-    let (paths, agg, incomplete) = if shards <= 1 {
-        walk_in_place(entries)
+    let walker = if shards <= 1 {
+        let mut walker = Walker::new();
+        walker.ingest(entries, 1, |_, _| {});
+        walker.finish(1, |_, _| {});
+        walker
     } else {
         build_sharded(entries, shards)
     };
-    let anomalies = Anomalies {
-        incomplete_entries: incomplete,
-        dropped_entries: dropped,
-        orphan_returns: agg.orphan_returns,
-        truncated_frames: agg.truncated_frames,
-    };
-    let mut profile = agg.materialize(&paths, symbolizer, anomalies);
+    let mut profile = walker.materialize(symbolizer, dropped);
     profile.pids = BTreeSet::from([pid]);
     profile
 }
 
-/// The sequential pass, over the log where it lies: one walk of
-/// `entries` cuts it into *runs* — one thread's consecutive valid
-/// entries — and feeds each run whole to its thread's stack machine,
-/// looked up once per run in a tid-sorted `Vec`. An all-zero record
-/// (incomplete) or a zero-address one (torn) is dismissed and ends a run,
-/// as [`reader::group_entries`] dismisses it, so every machine sees its
-/// thread's events in log order, exactly what a grouping would feed it;
-/// the threads are finished in ascending order. Returns the table, the
-/// aggregate and the all-zero records dismissed.
-fn walk_in_place(entries: &[LogEntry]) -> (PathTable, Aggregates, u64) {
-    let (mut paths, mut agg) = (PathTable::new(), Aggregates::new());
-    let mut machines: Vec<(u64, ResumableStacks)> = Vec::new();
-    let (mut start, mut incomplete) = (0, 0);
-    while let Some(first) = entries.get(start) {
-        if first.addr == 0 {
-            incomplete += u64::from(reader::is_incomplete(first));
-            start += 1;
-            continue;
+/// The analyzer pass, resumable: the [`PathTable`], one
+/// [`ResumableStacks`] per thread met (tid-sorted), the [`Aggregates`] and
+/// the count of all-zero records. [`Walker::ingest`] takes any stretch of
+/// entries in log order and feeds each *run* — one thread's consecutive
+/// valid entries — whole to its thread's machine, so nothing is copied and
+/// every machine sees its thread's events in log order. An all-zero record
+/// (incomplete, counted) or a zero-address one (torn) is dismissed and
+/// ends a run, as [`reader::group_entries`] dismisses it. Open frames carry
+/// over to the next stretch; [`Walker::finish`] closes them, the threads
+/// in ascending order.
+#[derive(Debug, Default)]
+pub struct Walker {
+    paths: PathTable,
+    machines: Vec<(u64, ResumableStacks)>,
+    agg: Aggregates,
+    incomplete: u64,
+}
+
+impl Walker {
+    /// Nothing walked yet.
+    pub fn new() -> Walker {
+        Walker::default()
+    }
+
+    /// The table the aggregate's ids index.
+    pub fn paths(&self) -> &PathTable {
+        &self.paths
+    }
+
+    /// Threads met so far, ascending.
+    pub fn thread_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.agg.thread_ids()
+    }
+
+    /// The walk's data-quality counters, `dropped` being the stream's
+    /// overflow loss.
+    pub fn anomalies(&self, dropped: u64) -> Anomalies {
+        Anomalies {
+            orphan_returns: self.agg.orphan_returns,
+            truncated_frames: self.agg.truncated_frames,
+            incomplete_entries: self.incomplete,
+            dropped_entries: dropped,
         }
-        let tid = first.tid;
-        let end = entries[start + 1..]
+    }
+
+    /// The profile of every call closed so far ([`Aggregates::materialize`]).
+    pub fn materialize(&self, symbolizer: &Symbolizer, dropped: u64) -> Profile {
+        self.agg
+            .materialize(&self.paths, symbolizer, self.anomalies(dropped))
+    }
+
+    /// Calls open across all threads.
+    pub fn open_frames(&self) -> u64 {
+        self.machines
             .iter()
-            .position(|e| e.tid != tid || e.addr == 0)
-            .map_or(entries.len(), |len| start + 1 + len);
-        let at = match machines.binary_search_by_key(&tid, |(t, _)| *t) {
-            Ok(at) => at,
-            Err(at) => {
-                machines.insert(at, (tid, ResumableStacks::new()));
-                at
+            .map(|(_, s)| s.open_frames() as u64)
+            .sum()
+    }
+
+    /// Walk the next stretch of the log. Every call that closes is added
+    /// to the aggregate counting `scale` ([`Aggregates::add_call`]), then
+    /// handed to `sink` with its thread. Returns the entries walked: the
+    /// stretch less the records it dismissed.
+    pub fn ingest(
+        &mut self,
+        entries: &[LogEntry],
+        scale: u64,
+        mut sink: impl FnMut(u64, &CompletedCall),
+    ) -> u64 {
+        let (mut start, mut walked) = (0, 0);
+        while let Some(first) = entries.get(start) {
+            if first.addr == 0 {
+                self.incomplete += u64::from(reader::is_incomplete(first));
+                start += 1;
+                continue;
             }
-        };
-        let add = |call: &CompletedCall| agg.add_call(tid, call, 1);
-        let orphans = machines[at].1.feed(&mut paths, &entries[start..end], add);
-        agg.orphan_returns += orphans;
-        start = end;
+            let tid = first.tid;
+            let end = entries[start + 1..]
+                .iter()
+                .position(|e| e.tid != tid || e.addr == 0)
+                .map_or(entries.len(), |len| start + 1 + len);
+            let at = match self.machines.binary_search_by_key(&tid, |(t, _)| *t) {
+                Ok(at) => at,
+                Err(at) => {
+                    self.agg.observe_thread(tid);
+                    self.machines.insert(at, (tid, ResumableStacks::new()));
+                    at
+                }
+            };
+            let agg = &mut self.agg;
+            let add = |call: &CompletedCall| {
+                agg.add_call(tid, call, scale);
+                sink(tid, call);
+            };
+            let orphans = self.machines[at]
+                .1
+                .feed(&mut self.paths, &entries[start..end], add);
+            self.agg.orphan_returns += orphans;
+            walked += end - start;
+            start = end;
+        }
+        walked as u64
     }
-    for (tid, stacks) in &mut machines {
-        agg.observe_thread(*tid);
-        stacks.finish(|call| agg.add_call(*tid, call, 1));
+
+    /// Force-close every open frame at its thread's last counter, the
+    /// threads in ascending order, adding and handing on each call as
+    /// [`Walker::ingest`] does. The machines stay usable: a thread fed
+    /// afterwards starts from an empty stack.
+    pub fn finish(&mut self, scale: u64, mut sink: impl FnMut(u64, &CompletedCall)) {
+        for (tid, stacks) in &mut self.machines {
+            stacks.finish(|call| {
+                self.agg.add_call(*tid, call, scale);
+                sink(*tid, call);
+            });
+        }
     }
-    (paths, agg, incomplete)
 }
 
 /// The sharded pass: group the entries per thread, split the threads over
 /// `shards` buckets and run [`analyze_shard`] per bucket (on up to
 /// [`shard_workers`] scoped threads), then adopt the buckets' tables into
-/// one. Returns what [`walk_in_place`] does, byte-identically
-/// materialized.
-fn build_sharded(entries: &[LogEntry], shards: usize) -> (PathTable, Aggregates, u64) {
+/// one: a [`Walker`] of the whole log, its threads finished, that
+/// materializes byte-identically to the one the sequential build runs.
+fn build_sharded(entries: &[LogEntry], shards: usize) -> Walker {
     let grouped = reader::group_entries(entries);
     let threads: Vec<(u64, Vec<Event>)> = grouped.threads.into_iter().collect();
     let loads: Vec<usize> = threads.iter().map(|(_, events)| events.len()).collect();
@@ -635,11 +707,13 @@ fn build_sharded(entries: &[LogEntry], shards: usize) -> (PathTable, Aggregates,
     };
     // Each shard numbered the stacks it met its own way: adopt its table
     // into the merged one, then its rows follow the translation.
-    let (mut paths, mut agg) = (PathTable::new(), Aggregates::new());
+    let mut walker = Walker::new();
     for (shard_paths, shard_agg) in &results {
-        agg.merge_translated(shard_agg, &paths.adopt(shard_paths));
+        let translation = walker.paths.adopt(shard_paths);
+        walker.agg.merge_translated(shard_agg, &translation);
     }
-    (paths, agg, grouped.incomplete)
+    walker.incomplete = grouped.incomplete;
+    walker
 }
 
 /// Number of OS worker threads a `shards`-way build actually spawns: the

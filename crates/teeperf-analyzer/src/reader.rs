@@ -1,13 +1,14 @@
 //! Log validation and per-thread event grouping.
 //!
 //! The grouping copies: every valid entry becomes an [`Event`] in its
-//! thread's list. The sequential profile build does without it — it walks
-//! the log where it lies, one thread's run of entries at a time
-//! (`profile::build_entries` with one shard) — so [`group_entries`] serves
-//! what needs whole per-thread lists: the sharded build's fork, the
-//! events frame of a query, and the benchmark's trace of this stage. Both
-//! dismiss records by the same rules: an all-zero record as incomplete, a
-//! zero address as torn.
+//! thread's list. The analyzer pass does without it — one
+//! `profile::Walker` walks the entries where they lie, one thread's run
+//! of them at a time, for the sequential build and the rolling profile
+//! alike — so [`group_entries`] serves what needs whole per-thread lists:
+//! the sharded build's fork, the events frame of a query, and the
+//! benchmark's trace of this stage. Grouping and walker dismiss records
+//! by the same rule: an all-zero record as incomplete, a zero address as
+//! torn.
 
 use std::collections::BTreeMap;
 use std::error::Error;

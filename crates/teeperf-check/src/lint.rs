@@ -117,7 +117,10 @@ const SEAM_FILES: &[&str] = &[
 /// operational, not protocol state, so wall-clock use there needs no
 /// per-line allows. The windowing layer (`window.rs`, `query/windowed.rs`)
 /// is protocol too: window boundaries are virtual-clock positions and a
-/// wall-clock read there would make retention non-reproducible.
+/// wall-clock read there would make retention non-reproducible. So is the
+/// rolling profile (`rolling.rs`): it decides when the ring enforces
+/// retention (once per ingest, once per finish), and a wall-clock read
+/// there would make which window a late call finds non-reproducible.
 const PROTOCOL_MODULES: &[&str] = &[
     "crates/teeperf-core/src/log.rs",
     "crates/teeperf-core/src/batch.rs",
@@ -130,6 +133,7 @@ const PROTOCOL_MODULES: &[&str] = &[
     "crates/teeperf-check/src/harness.rs",
     "crates/teeperf-check/src/explore.rs",
     "crates/teeperf-live/src/window.rs",
+    "crates/teeperf-live/src/rolling.rs",
     "crates/teeperf-analyzer/src/query/windowed.rs",
 ];
 

@@ -194,14 +194,13 @@ mod tests {
     fn spin_counter_advances_and_stops() {
         let log = test_log();
         let counter = SpinCounter::start(log.clone());
-        // Wait for visible progress.
-        let mut last = 0;
-        for _ in 0..1_000 {
-            last = counter.read();
-            if last > 1_000 {
-                break;
-            }
+        // Wait for visible progress against a deadline: a loaded host may
+        // take a long while to first schedule the spin thread.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let mut last = counter.read();
+        while last <= 1_000 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
+            last = counter.read();
         }
         assert!(last > 0, "spin counter never advanced");
         let final_v = counter.stop();

@@ -1,34 +1,38 @@
 //! The incremental analyzer: a rolling method-level profile.
 //!
-//! Batch analysis reconstructs every thread's call stack from the complete
-//! log. A [`RollingProfile`] does the same work one drained batch at a
-//! time: per-thread [`ResumableStacks`] carry open frames across epoch
-//! boundaries (a return may land many epochs after its call), and every
-//! call is added, the moment it closes, to the batch analyzer's
-//! [`Aggregates`] through the same `add_call` the batch pass uses, so the
-//! rolling and batch profiles cannot drift apart. The session owns one
-//! [`PathTable`]: every thread's stack machine interns into it, and the
-//! all-time aggregate and every retained window index their rows by its
-//! ids. Symbolization is deferred to
+//! Batch analysis feeds the complete log to a [`Walker`]. A
+//! [`RollingProfile`] feeds the same walker one drained batch at a time:
+//! its per-thread stack machines carry open frames across epoch boundaries
+//! (a return may land many epochs after its call), every call is added,
+//! the moment it closes, to the walker's [`Aggregates`], and an all-zero
+//! or zero-address record is dismissed by the walker's one rule — so the
+//! rolling and batch profiles cannot drift apart. The walker owns the
+//! session's one [`PathTable`]: the all-time aggregate and every retained
+//! window index their rows by its ids. Symbolization is deferred to
 //! [`RollingProfile::snapshot`], which materializes a regular
 //! [`Profile`] — so reports, diffs and flame graphs reuse the batch
 //! machinery unchanged.
 //!
+//! What the rolling profile adds is the retention ring, the sampling
+//! scale and its event counters. The ring enforces retention once per
+//! [`RollingProfile::ingest`] and once per [`RollingProfile::finish`]:
+//! every call of a pump finds the floor as the pump began, whichever
+//! thread it is on, so windows do not depend on the order the walker
+//! meets the threads in. That cadence is behaviour, which is why this
+//! module is on the protocol lint's no-wall-clock list (`teeperf-lint`).
+//!
 //! Ingest is sequential: pumps fire at high frequency on small batches,
 //! where a batch's per-thread reconstruction costs less than spawning
-//! workers for it would. Nor does it copy a batch: the stack machines walk
-//! the drained entries where they lie, one thread's runs after another's.
+//! workers for it would.
 //!
 //! Memory stays bounded by the number of distinct methods, stacks and
 //! threads — not by the number of events — which is what lets a session
 //! run indefinitely.
 
-use std::collections::BTreeMap;
-
 use teeperf_analyzer::profile::{
-    Aggregates, Anomalies, CallLog, NameSpace, PathNames, Profile, ProfileMerge,
+    Aggregates, Anomalies, CallLog, NameSpace, PathNames, Profile, ProfileMerge, Walker,
 };
-use teeperf_analyzer::stacks::{CompletedCall, PathTable, ResumableStacks};
+use teeperf_analyzer::stacks::{CompletedCall, PathTable};
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_core::layout::LogEntry;
 use teeperf_flamegraph::LiveStatus;
@@ -45,12 +49,9 @@ use crate::window::{RetentionRing, RingConfig, RingEvent, WindowMeta, WindowSel}
 /// reconciled against the all-time totals at any moment.
 #[derive(Debug)]
 pub struct RollingProfile {
-    paths: PathTable,
-    threads: BTreeMap<u64, ResumableStacks>,
-    agg: Aggregates,
+    walker: Walker,
     events: u64,
     estimated_events: u64,
-    incomplete: u64,
     ring: Option<RetentionRing>,
     /// Bias-correction factor applied to every completed call as it
     /// aggregates: 1 for full fidelity, N while the stream runs 1-in-N
@@ -58,78 +59,16 @@ pub struct RollingProfile {
     /// a call's *return* — a pair straddling a regime change scales by
     /// the regime it completed under.
     scale: u64,
-    /// The batch being ingested, split per thread: kept across pumps, so
-    /// splitting allocates nothing once it has seen its most fragmented
-    /// batch.
-    runs: BatchRuns,
-}
-
-/// A [`BatchRuns`] run with no successor.
-const NO_RUN: usize = usize::MAX;
-
-/// A drained batch split into runs — one thread's consecutive entries —
-/// and the runs chained per thread, so that each thread's events can be
-/// walked in log order where they lie, with nothing copied and no lookup
-/// per event: a thread is looked up once per run.
-#[derive(Debug, Default)]
-struct BatchRuns {
-    /// The batch's threads, ascending, as `(tid, first run, last run)`.
-    threads: Vec<(u64, usize, usize)>,
-    /// `(start, end, next run of the same thread)`, in batch order.
-    runs: Vec<(usize, usize, usize)>,
-}
-
-impl BatchRuns {
-    /// Split `entries`, forgetting the last batch; returns the all-zero
-    /// records dismissed (reserved but never written: the batch reader's
-    /// rule), each of which also ends a run.
-    fn split(&mut self, entries: &[LogEntry]) -> u64 {
-        self.threads.clear();
-        self.runs.clear();
-        let (mut start, mut incomplete) = (0, 0);
-        for (i, e) in entries.iter().enumerate() {
-            let hole = e.counter == 0 && e.addr == 0 && e.tid == 0;
-            if !hole && (i == start || e.tid == entries[start].tid) {
-                continue;
-            }
-            if i > start {
-                self.push(entries[start].tid, start, i);
-            }
-            incomplete += u64::from(hole);
-            start = if hole { i + 1 } else { i };
-        }
-        if start < entries.len() {
-            self.push(entries[start].tid, start, entries.len());
-        }
-        incomplete
-    }
-
-    /// Append run `start..end` of `tid` to its thread's chain.
-    fn push(&mut self, tid: u64, start: usize, end: usize) {
-        let run = self.runs.len();
-        self.runs.push((start, end, NO_RUN));
-        match self.threads.binary_search_by_key(&tid, |t| t.0) {
-            Ok(at) => {
-                let last = std::mem::replace(&mut self.threads[at].2, run);
-                self.runs[last].2 = run;
-            }
-            Err(at) => self.threads.insert(at, (tid, run, run)),
-        }
-    }
 }
 
 impl Default for RollingProfile {
     fn default() -> RollingProfile {
         RollingProfile {
-            paths: PathTable::new(),
-            threads: BTreeMap::new(),
-            agg: Aggregates::default(),
+            walker: Walker::new(),
             events: 0,
             estimated_events: 0,
-            incomplete: 0,
             ring: None,
             scale: 1,
-            runs: BatchRuns::default(),
         }
     }
 }
@@ -158,7 +97,7 @@ impl RollingProfile {
     /// The session's stacks: the table the ids of its aggregates — the
     /// ring's included — index.
     pub fn paths(&self) -> &PathTable {
-        &self.paths
+        self.walker.paths()
     }
 
     /// Drain the ring's retention transitions (evictions, coarsenings)
@@ -202,7 +141,8 @@ impl RollingProfile {
         Some((meta, self.materialize_window(agg, symbolizer)))
     }
 
-    /// Events merged so far (excluding dismissed incomplete records).
+    /// Events merged so far (excluding dismissed incomplete and torn
+    /// records).
     pub fn events(&self) -> u64 {
         self.events
     }
@@ -231,12 +171,7 @@ impl RollingProfile {
 
     /// Calls currently open across all threads.
     pub fn open_frames(&self) -> u64 {
-        self.threads.values().map(|s| s.open_frames() as u64).sum()
-    }
-
-    /// Threads observed so far.
-    pub fn thread_count(&self) -> u64 {
-        self.threads.len() as u64
+        self.walker.open_frames()
     }
 
     /// Merge one drained batch. Entries arrive in log order, which within
@@ -247,53 +182,22 @@ impl RollingProfile {
     }
 
     /// [`RollingProfile::ingest`], also recording in `fresh` (when given)
-    /// every call it completes and every thread it observes, exactly as
-    /// they enter the aggregate.
-    ///
-    /// The batch is walked where it lies ([`BatchRuns`]): each thread's
-    /// events in log order, the threads in ascending order — as a
-    /// per-thread regrouping would feed them — and a thread that is one
-    /// run of the batch straight from its slice.
+    /// every call it completes, exactly as it enters the aggregate, and —
+    /// when the batch held an event — every thread met so far.
     pub(crate) fn ingest_noting(&mut self, entries: &[LogEntry], mut fresh: Option<&mut CallLog>) {
-        let incomplete = self.runs.split(entries);
-        self.incomplete += incomplete;
-        let merged = entries.len() as u64 - incomplete;
+        let (scale, ring) = (self.scale, &mut self.ring);
+        let merged = self.walker.ingest(entries, scale, |tid, call| {
+            note(fresh.as_deref_mut(), ring, tid, call, scale);
+        });
         self.events += merged;
-        self.estimated_events += merged * self.scale;
-        for &(tid, first, last) in &self.runs.threads {
+        self.estimated_events += merged * scale;
+        if let Some(fresh) = fresh.filter(|_| merged > 0) {
             // Observed even when this batch completes no call.
-            self.agg.observe_thread(tid);
-            if let Some(fresh) = fresh.as_deref_mut() {
-                fresh.observe_thread(tid);
-            }
-            let stacks = self.threads.entry(tid).or_default();
-            let mut sink = |call: &CompletedCall| {
-                self.agg.add_call(tid, call, self.scale);
-                if let Some(fresh) = fresh.as_deref_mut() {
-                    fresh.add_call(tid, call, self.scale);
-                }
-                if let Some(ring) = &mut self.ring {
-                    ring.add_call(tid, call, self.scale);
-                }
-            };
-            let orphans = if first == last {
-                let (from, to, _) = self.runs.runs[first];
-                stacks.feed(&mut self.paths, &entries[from..to], &mut sink)
-            } else {
-                let runs = &self.runs.runs;
-                let chain = std::iter::successors(Some(first), |run| {
-                    Some(runs[*run].2).filter(|next| *next != NO_RUN)
-                });
-                let events = chain.flat_map(|run| &entries[runs[run].0..runs[run].1]);
-                stacks.feed(&mut self.paths, events, &mut sink)
-            };
-            self.agg.orphan_returns += orphans;
-            // Retention once per thread batch, here and in `finish`: a later
-            // thread's late call finds the floor this one's calls raised.
-            if let Some(ring) = &mut self.ring {
-                ring.enforce_retention();
-            }
+            self.walker
+                .thread_ids()
+                .for_each(|tid| fresh.observe_thread(tid));
         }
+        self.enforce_retention();
     }
 
     /// Force-close every open frame at its thread's last observed counter
@@ -306,19 +210,17 @@ impl RollingProfile {
     /// [`RollingProfile::finish`], also recording the calls it closes in
     /// `fresh` (when given).
     pub(crate) fn finish_noting(&mut self, mut fresh: Option<&mut CallLog>) {
-        for (tid, stacks) in &mut self.threads {
-            stacks.finish(|call| {
-                self.agg.add_call(*tid, call, self.scale);
-                if let Some(fresh) = fresh.as_deref_mut() {
-                    fresh.add_call(*tid, call, self.scale);
-                }
-                if let Some(ring) = &mut self.ring {
-                    ring.add_call(*tid, call, self.scale);
-                }
-            });
-            if let Some(ring) = &mut self.ring {
-                ring.enforce_retention();
-            }
+        let (scale, ring) = (self.scale, &mut self.ring);
+        self.walker.finish(scale, |tid, call| {
+            note(fresh.as_deref_mut(), ring, tid, call, scale);
+        });
+        self.enforce_retention();
+    }
+
+    /// Shrink the ring back to capacity, once per ingest and per finish.
+    fn enforce_retention(&mut self) {
+        if let Some(ring) = &mut self.ring {
+            ring.enforce_retention();
         }
     }
 
@@ -328,7 +230,7 @@ impl RollingProfile {
             epoch,
             events: self.events,
             dropped,
-            threads: self.thread_count(),
+            threads: self.walker.thread_ids().count() as u64,
             open_frames: self.open_frames(),
         }
     }
@@ -337,8 +239,7 @@ impl RollingProfile {
     /// as the batch aggregator builds it from the same completed calls.
     /// `dropped` is the stream's cumulative overflow loss.
     pub fn snapshot(&self, symbolizer: &Symbolizer, dropped: u64) -> Profile {
-        self.agg
-            .materialize(&self.paths, symbolizer, self.anomalies(dropped))
+        self.walker.materialize(symbolizer, dropped)
     }
 
     /// Contribute the exact merge of the selected windows as process `pid`
@@ -360,7 +261,7 @@ impl RollingProfile {
         for agg in slots {
             // Window anomalies are zero by construction: orphans and
             // truncations are session-scoped.
-            merge.add_aggregates(space, pid, agg, &self.paths, symbolizer, memo);
+            merge.add_aggregates(space, pid, agg, self.paths(), symbolizer, memo);
         }
         Some(meta)
     }
@@ -369,18 +270,30 @@ impl RollingProfile {
     /// the window's own completed calls, anomalies are zero (session-scoped
     /// by design — a window never saw an orphan, only the stream did).
     fn materialize_window(&self, agg: &Aggregates, symbolizer: &Symbolizer) -> Profile {
-        agg.materialize(&self.paths, symbolizer, Anomalies::default())
+        agg.materialize(self.paths(), symbolizer, Anomalies::default())
     }
 
     /// The session-scoped data-quality counters, `dropped` being the
     /// stream's cumulative overflow loss.
     pub(crate) fn anomalies(&self, dropped: u64) -> Anomalies {
-        Anomalies {
-            orphan_returns: self.agg.orphan_returns,
-            truncated_frames: self.agg.truncated_frames,
-            incomplete_entries: self.incomplete,
-            dropped_entries: dropped,
-        }
+        self.walker.anomalies(dropped)
+    }
+}
+
+/// Hand one call the walker closed to the consumers beside the all-time
+/// aggregate: the pump's call log and the retention ring, when present.
+fn note(
+    fresh: Option<&mut CallLog>,
+    ring: &mut Option<RetentionRing>,
+    tid: u64,
+    call: &CompletedCall,
+    scale: u64,
+) {
+    if let Some(fresh) = fresh {
+        fresh.add_call(tid, call, scale);
+    }
+    if let Some(ring) = ring {
+        ring.add_call(tid, call, scale);
     }
 }
 

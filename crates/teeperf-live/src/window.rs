@@ -499,8 +499,8 @@ mod tests {
         }
     }
 
-    /// One thread batch into the ring, the way `RollingProfile` feeds it:
-    /// every call, then retention once.
+    /// One pump's calls (here all of one thread) into the ring, the way
+    /// `RollingProfile` feeds it: every call, then retention once.
     fn add_batch(r: &mut RetentionRing, tid: u64, calls: &[CompletedCall], scale: u64) {
         for c in calls {
             r.add_call(tid, c, scale);

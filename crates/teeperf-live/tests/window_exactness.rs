@@ -8,8 +8,8 @@
 //!   aggregate — same bytes either way);
 //! * **retention points**: which window a call lands in, which slots are
 //!   coarsened or evicted and in what order equal a reference ring that
-//!   regroups each thread's batch by window and enforces retention once
-//!   after it.
+//!   regroups each pump's calls, across all threads, by window and
+//!   enforces retention once after it.
 //!
 //! The traces are adversarial on purpose: random call/return walks over
 //! several threads with irregular counter gaps, fed in random chunk sizes
@@ -190,10 +190,10 @@ struct ModelSlot {
 }
 
 /// The retention ring written as a list of the calls each slot holds:
-/// every thread batch is regrouped by exit window (ascending), each group
-/// goes to its slot — or to the remainder when its window is below the
-/// floor *as the batch began* — and retention is enforced once, after the
-/// batch.
+/// the calls a pump (or the finish) completes, on every thread, are
+/// regrouped by exit window (ascending), each group goes to its slot — or
+/// to the remainder when its window is below the floor *as the pump
+/// began* — and retention is enforced once, after the pump.
 #[derive(Debug, Default)]
 struct ModelRing {
     interval: u64,
@@ -208,17 +208,17 @@ struct ModelRing {
 }
 
 impl ModelRing {
-    fn absorb(&mut self, tid: u64, batch: &[CompletedCall], scale: u64) {
-        let mut grouped: BTreeMap<u64, Vec<&CompletedCall>> = BTreeMap::new();
-        for call in batch {
+    fn absorb(&mut self, pump: &[(u64, CompletedCall)], scale: u64) {
+        let mut grouped: BTreeMap<u64, Vec<&(u64, CompletedCall)>> = BTreeMap::new();
+        for member in pump {
             grouped
-                .entry(call.exit / self.interval)
+                .entry(member.1.exit / self.interval)
                 .or_default()
-                .push(call);
+                .push(member);
         }
         for (idx, calls) in grouped {
             let n = scale * calls.len() as u64;
-            let members = calls.into_iter().map(|c| (tid, c.clone(), scale));
+            let members = calls.into_iter().map(|(tid, c)| (*tid, c.clone(), scale));
             if idx < self.floor {
                 self.evicted.extend(members);
                 self.evicted_calls += n;
@@ -429,18 +429,21 @@ proptest! {
                 let event = Event { kind: e.kind, counter: e.counter, addr: e.addr, seq };
                 per_tid.entry(e.tid).or_default().push(event);
             }
+            let mut pump = Vec::new();
             for (tid, thread_events) in per_tid {
                 let calls = completed(stacks.entry(tid).or_default(), &mut paths, &thread_events);
-                model.absorb(tid, &calls, scale);
+                pump.extend(calls.into_iter().map(|call| (tid, call)));
             }
+            model.absorb(&pump, scale);
             prop_assert_eq!(rolling.windows().expect("retention is enabled"), model.windows());
         }
         rolling.finish();
         events.extend(rolling.take_ring_events());
-        let last_scale = rolling.scale();
+        let mut closed = Vec::new();
         for (tid, thread) in &mut stacks {
-            model.absorb(*tid, &force_closed(thread), last_scale);
+            closed.extend(force_closed(thread).into_iter().map(|call| (*tid, call)));
         }
+        model.absorb(&closed, rolling.scale());
 
         let ring = rolling.ring().expect("retention is enabled");
         prop_assert_eq!(ring.windows(), model.windows());
