@@ -366,12 +366,14 @@ fn cmd_live(args: &Parsed) -> Result<String, CliError> {
         ..RecorderConfig::default()
     };
     let defaults = LiveRunConfig::default();
+    let refresh = args.num("refresh")?.unwrap_or(defaults.refresh_events);
+    let show_frames = args.yes_no("frames")?.unwrap_or(false);
+    // A frame is drawn only to be printed.
     let live = LiveRunConfig {
         live,
-        refresh_events: args.num("refresh")?.unwrap_or(defaults.refresh_events),
+        refresh_events: if show_frames { refresh } else { 0 },
         ..defaults
     };
-    let show_frames = args.yes_no("frames")?.unwrap_or(false);
     let follow = args.num_in("follow-pids", 1..=64, "1..=64")?;
     let program = load_program(path, true)?;
     // Pids run from the real host pid upward, under one session registry.

@@ -483,10 +483,7 @@ impl Daemon {
             else {
                 continue;
             };
-            if self.registry.session(pid).is_some()
-                || self.rejected.contains(name.as_os_str())
-                || self.registry.is_retired(pid)
-            {
+            if self.registry.session(pid).is_some() || self.rejected.contains(name.as_os_str()) {
                 continue;
             }
             found.push((pid, name));
@@ -555,13 +552,6 @@ impl Daemon {
         shutdown
     }
 
-    /// Every pid attached during the run, ascending: attached or retired.
-    fn attached_pids(&self) -> Vec<u64> {
-        let mut pids = [self.registry.pids(), self.registry.retired_pids()].concat();
-        pids.sort_unstable();
-        pids
-    }
-
     fn quarantined_pids(&self) -> Vec<u64> {
         self.registry
             .session_events()
@@ -620,7 +610,7 @@ impl Daemon {
             cause,
             loops,
             requests: self.requests,
-            attached: self.attached_pids(),
+            attached: self.registry.run_pids(),
             quarantined: self.quarantined_pids(),
             rejected: self.attach_errors,
             snapshot_path,
@@ -678,7 +668,7 @@ impl SnapshotService for Daemon {
         let mut out = String::new();
         out.push_str(&format!(
             "teeperf_attached_total {}\n",
-            self.attached_pids().len()
+            self.registry.run_pids().len()
         ));
         out.push_str(&format!("teeperf_active {}\n", self.registry.pids().len()));
         out.push_str(&format!(

@@ -39,7 +39,8 @@
 //!   [`teeperf_analyzer::ProfileMerge`], the cross-process view whose
 //!   totals are exactly the per-pid sums. Sessions attach and detach hot,
 //!   and a source that declares itself dead (corrupt or cut log, producer
-//!   gone) is quarantined — its prior contribution stays in the merge.
+//!   gone) is quarantined. A detached or quarantined session is finished
+//!   in place and stays in every view, its retained windows included.
 //! * [`window`] — windowed retention: a [`RetentionRing`] of per-interval
 //!   aggregates over the virtual clock with time-decayed coarsening, one
 //!   ring per session (so one noisy pid cannot age out another's

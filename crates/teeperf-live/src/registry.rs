@@ -21,20 +21,20 @@
 //! ([`SessionRegistry::merged_text`]) is written from that table, and
 //! only the per-session scalars around it — status, anomalies, the regime
 //! block and the events list — are gathered per read. A window query
-//! (`/query`) still merges each attached session's span into a fresh
-//! merge in the same name space, and only a single-process view
-//! (`snapshot_pid`, the per-pid towers of a render) materializes a
-//! session by itself.
+//! (`/query`) still merges each session's span into a fresh merge in the
+//! same name space, and only a single-process view (`snapshot_pid`, the
+//! per-pid towers of a render) materializes a session by itself.
 //!
 //! Sessions come and go while the registry runs: [`SessionRegistry::attach`]
 //! accepts a new source at any point and [`SessionRegistry::detach`] ends
-//! one early: the session is finished — its source released — and moved
-//! into the *retired* set, where every merged view keeps counting it. A
-//! source that declares itself dead ([`EventSource::is_dead`]) is retired
-//! the same way, involuntarily: *quarantined* — finished, retired, and
-//! recorded as a [`SessionEvent::Quarantined`] naming the cause its
-//! salvage report gives, so one crashed process never poisons the run for
-//! the survivors. The medium decides: the in-memory log goes dead on a
+//! one early: the session is finished in place — its source released —
+//! and its pid marked *retired*; it pumps nothing more, and every view,
+//! merged or per pid, windows included, keeps reading it. A source that
+//! declares itself dead ([`EventSource::is_dead`]) is retired the same
+//! way, involuntarily: *quarantined* — finished, retired, and recorded as
+//! a [`SessionEvent::Quarantined`] naming the cause its salvage report
+//! gives, so one crashed process never poisons the run for the
+//! survivors. The medium decides: the in-memory log goes dead on a
 //! corrupt header, a file on a corrupt or cut header or (with the daemon's
 //! probe) a vanished writer process, and a replay never does — it is
 //! exhausted. A registry feature no front-end arms,
@@ -43,7 +43,7 @@
 //! from a dead one.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
@@ -141,12 +141,13 @@ struct WatchState {
 #[derive(Debug)]
 pub struct SessionRegistry {
     config: LiveConfig,
+    /// Every session of the run, attached or retired, keyed by pid.
     sessions: BTreeMap<u64, LiveSession>,
     watchdog: Option<WatchdogConfig>,
     watch: BTreeMap<u64, WatchState>,
-    /// Detached/quarantined sessions, finished: their contribution stays
-    /// in every merged view.
-    retired: BTreeMap<u64, LiveSession>,
+    /// The pids detached or quarantined so far: their sessions were
+    /// finished in place, pump nothing, and stay in every view.
+    retired: BTreeSet<u64>,
     events: Vec<SessionEvent>,
     /// The name ids of every merged view of this run. Sessions remember
     /// their stacks' ids in it, so it only ever grows (and merged views
@@ -172,7 +173,7 @@ impl SessionRegistry {
             sessions: BTreeMap::new(),
             watchdog: None,
             watch: BTreeMap::new(),
-            retired: BTreeMap::new(),
+            retired: BTreeSet::new(),
             events: Vec::new(),
             space: RefCell::new(NameSpace::new()),
             fleet: ProfileMerge::new(),
@@ -198,8 +199,8 @@ impl SessionRegistry {
     /// (the producer never stamped a real pid), and
     /// [`AttachError::DuplicatePid`] when a session with the same pid is
     /// already attached — or was retired (detached/quarantined) earlier in
-    /// this run, since its contribution is still keyed under that pid in
-    /// the merged views.
+    /// this run, since its session is still keyed under that pid in every
+    /// view.
     pub fn attach(
         &mut self,
         source: Box<dyn EventSource>,
@@ -209,7 +210,7 @@ impl SessionRegistry {
         if pid == PID_UNSET {
             return Err(AttachError::ZeroPid);
         }
-        if self.sessions.contains_key(&pid) || self.retired.contains_key(&pid) {
+        if self.sessions.contains_key(&pid) {
             return Err(AttachError::DuplicatePid(pid));
         }
         let session = LiveSession::from_source(source, symbolizer, self.config.clone());
@@ -220,35 +221,41 @@ impl SessionRegistry {
         Ok(pid)
     }
 
-    /// Hot-detach the session for `pid`: end it (final drain, close open
-    /// frames, release the source) and move it into the retired set,
-    /// where every merged view keeps counting it. Returns the final
-    /// snapshot, or `None` when no such session is attached.
+    /// Hot-detach the session for `pid`: end it in place (final drain,
+    /// close open frames, release the source) and retire its pid; every
+    /// view keeps reading it. Returns the final snapshot, or `None` when
+    /// no such session is attached.
     pub fn detach(&mut self, pid: u64) -> Option<Snapshot> {
-        let snapshot = self.retire(pid)?;
+        if !self.retire(pid) {
+            return None;
+        }
         self.events.push(SessionEvent::Detached { pid });
-        Some(snapshot)
+        self.snapshot_pid(pid)
     }
 
     /// Declare `pid`'s producer dead: finish what can still be drained
     /// (published entries of the final epoch are salvaged on the way out),
     /// retire the session, and record the quarantine event.
     fn quarantine(&mut self, pid: u64, reason: String) {
-        if self.retire(pid).is_some() {
+        if self.retire(pid) {
             self.events.push(SessionEvent::Quarantined { pid, reason });
         }
     }
 
-    /// Finish the attached session for `pid`, fold what the finish
-    /// completed, and move it into the retired set; its final snapshot,
-    /// or `None` when none is attached.
-    fn retire(&mut self, pid: u64) -> Option<Snapshot> {
-        let mut session = self.sessions.remove(&pid)?;
+    /// Finish the attached session for `pid` in place, fold what the
+    /// finish completed, and retire its pid; `false` when none is
+    /// attached.
+    fn retire(&mut self, pid: u64) -> bool {
+        let Some(session) = self.sessions.get_mut(&pid) else {
+            return false;
+        };
+        if !self.retired.insert(pid) {
+            return false;
+        }
         self.watch.remove(&pid);
-        let snapshot = session.finish_into(Some(&mut self.fresh));
+        session.finish_into(Some(&mut self.fresh));
         session.fold_into(&mut self.fleet, self.space.get_mut(), &mut self.fresh);
-        self.retired.insert(pid, session);
-        Some(snapshot)
+        true
     }
 
     /// Registry lifecycle events so far (attach/detach/quarantine), in
@@ -259,40 +266,37 @@ impl SessionRegistry {
 
     /// Pids quarantined or detached so far, ascending.
     pub fn retired_pids(&self) -> Vec<u64> {
-        self.retired.keys().copied().collect()
-    }
-
-    /// Whether `pid` was quarantined or detached earlier in this run.
-    pub fn is_retired(&self, pid: u64) -> bool {
-        self.retired.contains_key(&pid)
+        self.retired.iter().copied().collect()
     }
 
     /// Salvage accounting across the whole registry: every session's
     /// report, attached or retired.
     pub fn salvage(&self) -> SalvageReport {
         let mut total = SalvageReport::default();
-        for s in self.all() {
+        for s in self.sessions.values() {
             total.absorb(&s.salvage());
         }
         total
     }
 
-    /// The attached pids, ascending.
-    pub fn pids(&self) -> Vec<u64> {
+    /// Every pid of the run, attached or retired, ascending.
+    pub fn run_pids(&self) -> Vec<u64> {
         self.sessions.keys().copied().collect()
     }
 
-    /// Number of attached sessions.
-    pub fn len(&self) -> usize {
-        self.sessions.len()
+    /// The attached pids, ascending.
+    pub fn pids(&self) -> Vec<u64> {
+        let attached = self.sessions.keys().filter(|p| !self.retired.contains(p));
+        attached.copied().collect()
     }
 
     /// Whether no session is attached.
     pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
+        self.sessions.len() == self.retired.len()
     }
 
-    /// The session for `pid`, if attached.
+    /// The session for `pid`, attached or retired, if `pid` is part of
+    /// the run.
     pub fn session(&self, pid: u64) -> Option<&LiveSession> {
         self.sessions.get(&pid)
     }
@@ -303,7 +307,8 @@ impl SessionRegistry {
     ///
     /// A session whose source was already exhausted — its writer finished
     /// and every promised slot drained — is not pumped: a finished,
-    /// drained log is never read again, and it stays attached.
+    /// drained log is never read again, and it stays attached. A retired
+    /// session's source is closed, hence exhausted, so it is skipped too.
     ///
     /// A source that declares itself dead is quarantined right after its
     /// pump, under the cause its salvage report names. With a watchdog
@@ -372,13 +377,13 @@ impl SessionRegistry {
     /// Events merged so far, across all processes — including sessions
     /// already retired.
     pub fn events(&self) -> u64 {
-        self.all().map(LiveSession::events).sum()
+        self.sessions.values().map(LiveSession::events).sum()
     }
 
     /// Cumulative overflow loss, across all processes — including
     /// sessions already retired.
     pub fn dropped(&self) -> u64 {
-        self.all().map(LiveSession::dropped).sum()
+        self.sessions.values().map(LiveSession::dropped).sum()
     }
 
     /// Cumulative overflow loss per process, ascending by pid — live
@@ -386,13 +391,14 @@ impl SessionRegistry {
     /// This is the breakdown behind the daemon's per-pid
     /// `teeperf_dropped_total` gauge: the fleet total is the sum of these.
     pub fn dropped_by_pid(&self) -> BTreeMap<u64, u64> {
-        self.by_pid().map(|(pid, s)| (pid, s.dropped())).collect()
+        let dropped = self.sessions.iter().map(|(pid, s)| (*pid, s.dropped()));
+        dropped.collect()
     }
 
-    /// Each attached session's fidelity-regime block, ascending by pid.
-    /// Sessions without one (no budget, no faults) are absent — every
-    /// entry here is either budget-controlled or has salvaged a corrupt
-    /// regime word.
+    /// Each session's fidelity-regime block, attached or retired (at its
+    /// final state), ascending by pid. Sessions without one (no budget, no
+    /// faults) are absent — every entry here is either budget-controlled
+    /// or has salvaged a corrupt regime word.
     pub fn regimes_by_pid(&self) -> BTreeMap<u64, RegimeInfo> {
         self.sessions
             .iter()
@@ -401,8 +407,9 @@ impl SessionRegistry {
     }
 
     /// Per-pid budget headroom (budget minus windowed loss, percent —
-    /// negative while a session overruns), ascending by pid. Only
-    /// budget-controlled sessions appear.
+    /// negative while a session overruns), ascending by pid, retired
+    /// sessions at their final headroom. Only budget-controlled sessions
+    /// appear.
     pub fn budget_headroom_by_pid(&self) -> BTreeMap<u64, i64> {
         self.sessions
             .iter()
@@ -411,12 +418,12 @@ impl SessionRegistry {
     }
 
     /// The cross-process status: every counter is the sum over the
-    /// attached sessions (epochs included — each process rotates its own
-    /// log, so the merged epoch counts rotations fleet-wide) plus the
-    /// final counters of retired sessions.
+    /// sessions (epochs included — each process rotates its own log, so
+    /// the merged epoch counts rotations fleet-wide), retired sessions at
+    /// their final counters.
     pub fn merged_status(&self) -> LiveStatus {
         let mut status = LiveStatus::default();
-        for s in self.all() {
+        for s in self.sessions.values() {
             add_status(&mut status, &s.status());
         }
         status
@@ -427,10 +434,7 @@ impl SessionRegistry {
     /// every pid the merged view counts answers here. `None` for a pid
     /// that never was part of the run.
     pub fn snapshot_pid(&self, pid: u64) -> Option<Snapshot> {
-        self.sessions
-            .get(&pid)
-            .or_else(|| self.retired.get(&pid))
-            .map(LiveSession::snapshot)
+        self.sessions.get(&pid).map(LiveSession::snapshot)
     }
 
     /// The merged view of the run so far: the returned snapshot's profile
@@ -442,7 +446,7 @@ impl SessionRegistry {
     /// the sessions' anomalies summed beside it.
     pub fn merged_snapshot(&self) -> Snapshot {
         let mut profile = self.fleet.finish(&mut self.space.borrow_mut());
-        for s in self.all() {
+        for s in self.sessions.values() {
             profile.anomalies.add(&s.anomalies());
         }
         let (status, events, regime) = self.merged_head();
@@ -464,28 +468,6 @@ impl SessionRegistry {
         snapshot::merged_text(&status, &self.fleet, &space, &events, regime.as_ref())
     }
 
-    /// Every process of the run, attached then retired.
-    fn all(&self) -> impl Iterator<Item = &LiveSession> {
-        self.sessions.values().chain(self.retired.values())
-    }
-
-    /// Every process of the run, ascending by pid: the attached and the
-    /// retired sessions, two ascending maps, merged as they are walked.
-    fn by_pid(&self) -> impl Iterator<Item = (u64, &LiveSession)> {
-        let (mut attached, mut retired) = (
-            self.sessions.iter().peekable(),
-            self.retired.iter().peekable(),
-        );
-        std::iter::from_fn(move || {
-            let next = match (attached.peek(), retired.peek()) {
-                (Some(a), Some(r)) if r.0 < a.0 => retired.next(),
-                (Some(_), _) => attached.next(),
-                (None, _) => retired.next(),
-            };
-            next.map(|(pid, s)| (*pid, s))
-        })
-    }
-
     /// The rest of a merged snapshot besides its profile, in one walk over
     /// the sessions: [`Self::merged_status`], and the registry's lifecycle
     /// log extended with each session's own events — retention
@@ -502,7 +484,7 @@ impl SessionRegistry {
         let mut status = LiveStatus::default();
         let mut events = self.events.clone();
         let mut regime: Option<RegimeInfo> = None;
-        for (_, session) in self.by_pid() {
+        for session in self.sessions.values() {
             add_status(&mut status, &session.status());
             events.extend_from_slice(session.session_events());
             if let Some(r) = session.regime_info() {
@@ -528,8 +510,9 @@ impl SessionRegistry {
     /// every session freshly frozen.
     pub fn render_svg(&self, options: &SvgOptions) -> String {
         let per_pid: Vec<(u64, Profile)> = self
-            .by_pid()
-            .map(|(pid, s)| (pid, s.snapshot().profile))
+            .sessions
+            .iter()
+            .map(|(pid, s)| (*pid, s.snapshot().profile))
             .collect();
         let parts: Vec<teeperf_flamegraph::PidFolded> = per_pid
             .iter()
@@ -538,11 +521,11 @@ impl SessionRegistry {
         live::render_svg_multi(&parts, &self.merged_status(), options)
     }
 
-    /// Per-pid retained-window listings across the attached sessions,
-    /// ascending by pid. Each session owns its own [`RetentionRing`]
-    /// (see [`crate::window`]), so one chatty process never ages out
-    /// another's history. Sessions running without retention, and
-    /// retired sessions, are absent.
+    /// Per-pid retained-window listings across the sessions, attached or
+    /// retired, ascending by pid. Each session owns its own
+    /// [`RetentionRing`] (see [`crate::window`]), so one chatty process
+    /// never ages out another's history, and a retired one keeps what it
+    /// retained. Sessions running without retention are absent.
     ///
     /// [`RetentionRing`]: crate::window::RetentionRing
     pub fn windows(&self) -> Vec<PidWindows> {
@@ -554,8 +537,8 @@ impl SessionRegistry {
 
     /// Evaluate a window span across the fleet: with `pid` set, the span
     /// profile of that one session; without, the commutative merge of
-    /// every attached session's span (a session with nothing retained in
-    /// the span simply contributes nothing). Returns the contributing
+    /// every session's span, attached or retired (a session with nothing
+    /// retained in the span simply contributes nothing). Returns the contributing
     /// `(pid, span)` pairs ascending plus the merged profile, or `None`
     /// when no session holds data in the span.
     pub fn span_query(
@@ -628,20 +611,20 @@ impl SessionRegistry {
         Some(out)
     }
 
-    /// End every attached session (drain final partial epochs, close open
-    /// frames, release the sources) and return the per-pid snapshots plus
-    /// the merged view. Retired sessions are included under their pids,
-    /// so the merged totals equal the sum over `per_pid` even after
-    /// quarantines.
+    /// End every session (drain final partial epochs, close open frames,
+    /// release the sources) and return the per-pid snapshots plus the
+    /// merged view. A retired session is already finished, so finishing
+    /// it again changes nothing, and it is reported under its pid: the
+    /// merged totals equal the sum over `per_pid` even after quarantines.
+    /// A second `finish` returns the same run.
     pub fn finish(&mut self) -> RegistryRun {
-        let mut per_pid: BTreeMap<u64, Snapshot> = BTreeMap::new();
-        for (pid, s) in &mut self.sessions {
-            per_pid.insert(*pid, s.finish_into(Some(&mut self.fresh)));
+        for s in self.sessions.values_mut() {
+            s.finish_into(Some(&mut self.fresh));
             s.fold_into(&mut self.fleet, self.space.get_mut(), &mut self.fresh);
         }
-        per_pid.extend(self.retired.iter().map(|(pid, s)| (*pid, s.snapshot())));
+        let per_pid = self.sessions.iter().map(|(pid, s)| (*pid, s.snapshot()));
         RegistryRun {
-            per_pid,
+            per_pid: per_pid.collect(),
             merged: self.merged_snapshot(),
         }
     }
@@ -989,6 +972,95 @@ pub(crate) mod tests {
             sum(&|s| s.profile.method("work").unwrap().calls)
         );
         assert!(reg.snapshot_pid(99).is_none(), "never part of the run");
+    }
+
+    /// A fleet with retention on, one process per end state: pid 11 stays
+    /// attached, pid 22 is detached, and pid 33, a live log that runs
+    /// `main { work }` (40 ticks in `work`) and falls silent, is
+    /// quarantined by the watchdog.
+    fn retired_fleet(dir: &ScratchDir) -> SessionRegistry {
+        use crate::window::RingConfig;
+        use std::sync::Arc;
+        use tee_sim::SharedMem;
+        use teeperf_core::log::{make_header, region_bytes};
+        use teeperf_core::{LiveLogSource, SharedLog};
+
+        let config = LiveConfig {
+            retention: Some(RingConfig {
+                interval: 16,
+                capacity: 8,
+                max_width: 4,
+            }),
+            ..LiveConfig::default()
+        };
+        let mut reg = SessionRegistry::new(config).with_watchdog(WatchdogConfig {
+            timeout_pumps: 1,
+            max_retries: 0,
+        });
+        for (pid, work) in [(11u64, 20u64), (22, 30)] {
+            reg.attach(saved(dir, &file(pid, work)), sym()).unwrap();
+        }
+        let shm = Arc::new(SharedMem::new(region_bytes(8)));
+        let log = SharedLog::init(shm, &make_header(33, 8, true, 0, 0));
+        reg.attach(Box::new(LiveLogSource::new(log.clone(), 75)), sym())
+            .unwrap();
+        for e in &file(33, 40).entries {
+            log.write_live(e);
+        }
+        reg.pump();
+        reg.pump();
+        reg.detach(22).expect("pid 22 is attached");
+        assert_eq!(reg.pids(), vec![11]);
+        assert_eq!(reg.retired_pids(), vec![22, 33]);
+        assert_eq!(reg.run_pids(), vec![11, 22, 33]);
+        let quarantined = |e: &SessionEvent| matches!(e, SessionEvent::Quarantined { pid: 33, .. });
+        assert!(reg.session_events().iter().any(quarantined));
+        reg
+    }
+
+    #[test]
+    fn a_quarantined_session_keeps_its_windows_queryable() {
+        let dir = scratch("quarantinedwindows");
+        let reg = retired_fleet(&dir);
+        let listing = reg.windows();
+        let pids: Vec<u64> = listing.iter().map(|w| w.pid).collect();
+        assert_eq!(pids, [11, 22, 33], "retired processes stay listed");
+        let metas: Vec<(u64, u64)> = listing[2]
+            .windows
+            .iter()
+            .map(|w| (w.first, w.last))
+            .collect();
+        assert_eq!(metas, vec![(3, 3), (6, 6)], "work exits at 50, main at 101");
+
+        let (spans, span) = reg
+            .span_query(&WindowSel::All, Some(33))
+            .expect("pid 33's windows are retained");
+        assert_eq!(spans.iter().map(|(p, _)| *p).collect::<Vec<_>>(), [33]);
+        let work = span.method("work").unwrap();
+        assert_eq!((work.calls, work.inclusive), (1, 40));
+        // The fleet-wide merge counts it beside the others.
+        let (spans, all) = reg.span_query(&WindowSel::All, None).unwrap();
+        assert_eq!(spans.len(), 3);
+        assert_eq!(all.method("work").unwrap().inclusive, 20 + 30 + 40);
+    }
+
+    #[test]
+    fn finishing_twice_changes_nothing() {
+        let dir = scratch("finishtwice");
+        let mut reg = retired_fleet(&dir);
+        let first = reg.finish();
+        assert_eq!(
+            first.per_pid.keys().copied().collect::<Vec<_>>(),
+            [11, 22, 33]
+        );
+        let (text, windows) = (reg.merged_text(), reg.windows());
+        assert_eq!(text, first.merged.to_text());
+        assert_eq!(reg.finish(), first);
+        assert_eq!(reg.merged_text(), text);
+        assert_eq!(reg.windows(), windows);
+        for (pid, snapshot) in &first.per_pid {
+            assert_eq!(reg.snapshot_pid(*pid).as_ref(), Some(snapshot), "pid {pid}");
+        }
     }
 
     #[test]

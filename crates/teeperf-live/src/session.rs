@@ -574,14 +574,16 @@ impl LiveSession {
     /// in the next epoch and is simply not part of this session). A
     /// finished session keeps its profile and answers every read as it
     /// did at the end, but holds no transport — no log, no file, no read
-    /// buffer — and pumps nothing.
+    /// buffer — and pumps nothing; finishing it again changes nothing.
     pub fn finish(&mut self) -> Snapshot {
-        self.finish_into(None)
+        self.finish_into(None);
+        self.snapshot()
     }
 
-    /// [`LiveSession::finish`], recording in `fresh` (when given) the
-    /// calls the final drain completes and the frames it closes.
-    pub(crate) fn finish_into(&mut self, mut fresh: Option<&mut CallLog>) -> Snapshot {
+    /// [`LiveSession::finish`] without the final snapshot, recording in
+    /// `fresh` (when given) the calls the final drain completes and the
+    /// frames it closes.
+    pub(crate) fn finish_into(&mut self, mut fresh: Option<&mut CallLog>) {
         // The final drain is still scaled by the published regime — the
         // writers' last entries were admitted under it.
         self.rolling.set_scale(self.published_regime().scale());
@@ -611,7 +613,6 @@ impl LiveSession {
             salvage: self.source.salvage(),
             regime: self.source.regime(),
         });
-        self.snapshot()
     }
 
     /// Drain the ring's retention transitions into this session's event

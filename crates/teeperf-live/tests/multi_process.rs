@@ -562,14 +562,16 @@ fn check_merged(
     Ok(())
 }
 
-/// `registry.span_query(sel, …)`, fleet-wide and per pid, against each
-/// attached session's own `span_profile` merged through `merge_profiles`.
+/// `registry.span_query(sel, …)`, fleet-wide and per pid, against the own
+/// `span_profile` of every session of the run, attached or retired,
+/// merged through `merge_profiles`.
 fn check_spans(registry: &SessionRegistry, sel: &WindowSel) -> Result<(), TestCaseError> {
-    let spans: Vec<(u64, WindowMeta, Profile)> = registry
-        .pids()
-        .into_iter()
-        .filter_map(|pid| {
-            let (meta, profile) = registry.session(pid)?.span_profile(sel)?;
+    let run = registry.run_pids();
+    let spans: Vec<(u64, WindowMeta, Profile)> = run
+        .iter()
+        .filter_map(|&pid| {
+            let session = registry.session(pid).expect("every pid of the run");
+            let (meta, profile) = session.span_profile(sel)?;
             Some((pid, meta, profile))
         })
         .collect();
@@ -584,7 +586,7 @@ fn check_spans(registry: &SessionRegistry, sel: &WindowSel) -> Result<(), TestCa
             prop_assert_eq!(profile, merge_profiles(&parts));
         }
     }
-    for pid in registry.pids() {
+    for pid in run {
         let own = spans.iter().find(|(p, _, _)| *p == pid);
         match (registry.span_query(sel, Some(pid)), own) {
             (None, None) => {}
@@ -693,8 +695,9 @@ proptest! {
 
     /// The retained-window views over the same kind of fleet: whatever the
     /// selection, `span_query` fleet-wide and per pid is the per-session
-    /// `span_profile`s merged through `merge_profiles` — mid-run and after
-    /// `finish` has closed the open frames — and a span reports zero
+    /// `span_profile`s merged through `merge_profiles` — mid-run, right
+    /// after a hot detach (the retired session's windows stay in), and
+    /// after `finish` has closed the open frames — and a span reports zero
     /// anomalies while the sessions it came from report theirs.
     #[test]
     fn prop_span_query_is_the_merge_of_the_per_session_spans(
@@ -703,6 +706,7 @@ proptest! {
         ring in (4u64..40, 1usize..6, 1u64..4),
         last in 1u64..5,
         range in (0u64..12, 0u64..12),
+        detach_after in 1usize..12,
     ) {
         let mut registry = SessionRegistry::new(LiveConfig {
             retention: Some(RingConfig {
@@ -719,22 +723,31 @@ proptest! {
             WindowSel::Last(last),
             WindowSel::Range(range.0.min(range.1), range.0.max(range.1)),
         ];
+        let mut detached: BTreeMap<u64, Snapshot> = BTreeMap::new();
         let mut pumps = 0;
-        while pump_fed(&mut registry, &mut feeds) > 0 {
+        loop {
+            let drained = pump_fed(&mut registry, &mut feeds);
             pumps += 1;
-            if pumps % 2 == 0 {
+            if pumps == detach_after {
+                feeds[0].flush();
+                detached.insert(100, registry.detach(100).expect("pid 100 is attached"));
+            }
+            if pumps % 2 == 0 || pumps == detach_after {
                 for sel in &sels {
                     check_spans(&registry, sel)?;
                 }
+            }
+            if drained == 0 && pumps >= detach_after {
+                break;
             }
         }
         registry.finish();
         for sel in &sels {
             check_spans(&registry, sel)?;
         }
-        check_merged(&registry, &BTreeMap::new())?;
-        for pid in registry.pids() {
-            let anomalies = registry.snapshot_pid(pid).expect("attached").profile.anomalies;
+        check_merged(&registry, &detached)?;
+        for pid in registry.run_pids() {
+            let anomalies = registry.snapshot_pid(pid).expect("every pid of the run").profile.anomalies;
             prop_assert!(anomalies.orphan_returns >= 1, "pid {}: {:?}", pid, anomalies);
             prop_assert!(anomalies.truncated_frames >= 1, "pid {}: {:?}", pid, anomalies);
         }

@@ -14,7 +14,10 @@
 //! The traces are adversarial on purpose: random call/return walks over
 //! several threads with irregular counter gaps, fed in random chunk sizes
 //! so calls open in one batch and close windows later, against rings small
-//! enough to coarsen and evict constantly.
+//! enough to coarsen and evict constantly. The regrouping test also merges
+//! its threads' entries out of counter order, so a batch completes calls
+//! out of exit order and only a ring that enforces retention after the
+//! whole pump matches the reference.
 
 use std::collections::BTreeMap;
 
@@ -99,6 +102,25 @@ fn trace_entries(tid: u64, steps: &[Step]) -> Vec<LogEntry> {
                 tid,
             });
         }
+    }
+    out
+}
+
+/// Merge the threads' entries in the order `picks` draws them: each pick
+/// takes the next entry of one thread that has entries left. A thread's
+/// own entries keep their counter order, but across threads a later
+/// counter may come first, as when one thread's writes lag another's.
+fn interleave(threads: &[Vec<LogEntry>], picks: &[usize]) -> Vec<LogEntry> {
+    let mut next = vec![0; threads.len()];
+    let total: usize = threads.iter().map(Vec::len).sum();
+    let mut out = Vec::with_capacity(total);
+    for pick in picks.iter().cycle().take(total) {
+        let left: Vec<usize> = (0..threads.len())
+            .filter(|t| next[*t] < threads[*t].len())
+            .collect();
+        let t = left[pick % left.len()];
+        out.push(threads[t][next[t]]);
+        next[t] += 1;
     }
     out
 }
@@ -395,13 +417,14 @@ proptest! {
         chunk in 1usize..25,
         scales in proptest::collection::vec(1u64..4, 1..6),
         holes in proptest::collection::vec(any::<usize>(), 0..6),
+        picks in proptest::collection::vec(any::<usize>(), 1..64),
     ) {
-        let mut stream: Vec<LogEntry> = walks
+        let threads: Vec<Vec<LogEntry>> = walks
             .iter()
             .enumerate()
-            .flat_map(|(tid, steps)| trace_entries(tid as u64, steps))
+            .map(|(tid, steps)| trace_entries(tid as u64, steps))
             .collect();
-        stream.sort_by_key(|e| (e.counter, e.tid));
+        let mut stream = interleave(&threads, &picks);
         // All-zero records (reserved, never written) anywhere in the
         // stream: dismissed and counted, never walked.
         for at in &holes {

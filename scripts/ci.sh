@@ -44,8 +44,9 @@ if [ "$mode" != "quick" ]; then
 fi
 run cargo test -q --offline
 
-# The rest of the workspace.
-run cargo test -q --workspace --offline
+# The rest of the workspace: every member but the root package, whose
+# tests the tier-1 stage just ran.
+run cargo test -q --workspace --exclude teeperf --offline
 
 # Fault-injection matrix (ISSUE 5): every FaultPlan fault kind crossed with
 # both consumers (live LiveLogSource, and a persisted log file drained by

@@ -10,7 +10,8 @@
 # Every body — /snapshot, fleet and per-pid /query spans and diffs,
 # /windows, /pid/<n> and /flame.svg?pid=<n> of a live and of the retired
 # pid, /flame.svg, /metrics, the --snapshot-out file — must compare equal
-# with cmp, and the change must answer 200 on the two retired-pid routes.
+# with cmp, and the change must answer 200 on the three retired-pid routes:
+# /pid/<n>, /flame.svg?pid=<n> and /query?windows=all&pid=<n>.
 # Exit 0 iff all of that holds.
 set -euo pipefail
 parent=$1 change=$2 writer=$3
@@ -65,7 +66,7 @@ for path in /snapshot '/query?windows=last:5&top=10' '/query?diff=1,2' /windows 
     diff "$dir/parent.body" "$dir/change.body" | head -20 || true
   fi
   # A retired pid answers for itself.
-  case $path in "/pid/$doomed" | "/flame.svg?pid=$doomed")
+  case $path in "/pid/$doomed" | "/flame.svg?pid=$doomed" | "/query?windows=all&pid=$doomed")
     [ "$cc" = 200 ] || { echo "NOT 200 change $cc  $path"; status=1; } ;;
   esac
 done
