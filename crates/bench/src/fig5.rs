@@ -52,10 +52,16 @@ pub struct Fig5Result {
     pub ops_per_sec: f64,
 }
 
+/// The process id the recording is stamped with, and so the one the
+/// report's header names: fixed, so the report does not depend on the
+/// host process that made it.
+const FIG5_PID: u64 = 4242;
+
 /// Run the profiled benchmark and build the figure.
 pub fn run_fig5(options: &Fig5Options) -> Fig5Result {
     let recorder = Recorder::new(&RecorderConfig {
         max_entries: 1 << 24,
+        pid: FIG5_PID,
         ..RecorderConfig::default()
     });
     let mut machine = Machine::new(options.cost.clone());
@@ -143,6 +149,19 @@ mod tests {
         let svg = render_svg(&r, &options);
         assert!(svg.contains("Figure 5"));
         assert!(svg.contains("Stats::Now"));
+    }
+
+    #[test]
+    fn the_report_names_a_fixed_pid() {
+        let r = run_fig5(&Fig5Options {
+            ops: 200,
+            ..Fig5Options::default()
+        });
+        let header = r.report.lines().next().unwrap_or_default();
+        assert!(
+            header.starts_with("TEE-Perf profile — pid 4242, "),
+            "{header}"
+        );
     }
 
     #[test]

@@ -20,15 +20,16 @@
 //! * [`profile`] — method-level aggregation: calls, inclusive/exclusive
 //!   ticks, min/max, per-thread breakdowns, and folded stacks for the
 //!   visualizer. Aggregation is on integers and symbolization comes last,
-//!   once: [`Aggregates`] is one process's table of rows per stack id
-//!   (`materialize` groups it into a profile), [`ProfileMerge`] the
-//!   accumulator of a cross-process view over a [`NameSpace`] — profiles,
-//!   or aggregates or logs of new calls whose stacks their session has
-//!   placed there, go in, names are small integers inside, and `finish`
-//!   makes the strings of the merged rows only — or `method_rows` /
-//!   `folded_rows` hand out the two tables a snapshot is written from, in
-//!   the same order, and make none ([`merge_profiles`] is its fold over
-//!   profiles);
+//!   once: [`Aggregates`] is one process's table of rows per stack id,
+//!   and [`ProfileMerge`], over a [`NameSpace`], the one thing that reads
+//!   rows into a [`Profile`] — one process's ([`Walker::materialize`]) or
+//!   many's. Profiles, or aggregates or logs of new calls whose stacks
+//!   their session has placed there, go in; names are small integers
+//!   inside, methods and edges are grouped by name and threads keyed by
+//!   process and tid, and `finish` makes the strings of the merged rows
+//!   only — or `method_rows` / `folded_rows` hand out the two tables a
+//!   snapshot is written from, in the same order, and make none
+//!   ([`merge_profiles`] is its fold over profiles);
 //! * [`symbolize`] — `addr2line`/`c++filt` equivalent: relocation via the
 //!   header's anchor address, then symbol lookup and demangling;
 //! * [`query`] — a small dataframe engine with a declarative query language

@@ -9,10 +9,7 @@
 //! one thread's run of consecutive entries at a time, copying no event.
 //! The stack machine has already interned the call's stack in a
 //! [`PathTable`] when the call opened, so an aggregate is one table of rows
-//! indexed by [`PathId`] and adding a call indexes a row; the method,
-//! folded-stack and caller-edge tables of a [`Profile`] are groupings of
-//! those rows (by address; by stack; by parent address and address), made
-//! in [`Aggregates::materialize`] and nowhere kept.
+//! indexed by [`PathId`] and adding a call indexes a row.
 //!
 //! Threads in a log are independent by construction (the recorder holds
 //! each thread until its entry is written, so per-thread order is program
@@ -25,16 +22,21 @@
 //! meets the stacks in another order — the invariant `build_with_shards`
 //! is tested against.
 //!
-//! Across processes an address means nothing — the same function loads at
-//! different addresses, different functions at the same one — so a
-//! cross-process view lives in a [`NameSpace`]: the same tree, spelled in
-//! names, each stack's children kept in name order, so that a walk of it
-//! is the folded table in order. [`ProfileMerge`] accumulates in it, fed
-//! with finished [`Profile`]s, or with [`Aggregates`] or a [`CallLog`] of
-//! new calls whose session remembers where its stacks sit there
-//! ([`PathNames`]), and is read as often as asked: materialized in its
-//! `finish`, or as just the method and folded rows a snapshot's text is
-//! written from.
+//! A [`Profile`] is made in one place, [`ProfileMerge::finish`], whatever
+//! the number of processes. Across processes an address means nothing —
+//! the same function loads at different addresses, different functions at
+//! the same one — so the merge lives in a [`NameSpace`]: the calling-context
+//! tree spelled in names, each stack's children kept in name order, so that
+//! a walk of it is the folded table in order. Methods, folded stacks and
+//! caller edges are grouped by name, and a thread is keyed by
+//! [`merged_thread_key`] of its process and tid. A one-process profile is a
+//! merge of one: [`Walker::materialize`] adds its aggregate and reads it,
+//! so within a process, too, two addresses that symbolize to one name are
+//! one method row. [`ProfileMerge`] is fed with finished [`Profile`]s, or
+//! with [`Aggregates`] or a [`CallLog`] of new calls whose session
+//! remembers where its stacks sit in the name space ([`PathNames`]), and is
+//! read as often as asked: as a profile, or as just the method and folded
+//! rows a snapshot's text is written from.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
@@ -45,9 +47,6 @@ use crate::stacks::{CompletedCall, PathId, PathTable, ResumableStacks};
 use crate::symbolize::Symbolizer;
 use teeperf_core::layout::LogEntry;
 use teeperf_core::LogFile;
-
-/// Sentinel caller address for top-level frames.
-pub const ROOT_ADDR: u64 = u64::MAX;
 
 /// The caller name top-level frames hang off in [`Profile::caller_edges`].
 const ROOT_NAME: &str = "<root>";
@@ -69,7 +68,7 @@ pub struct MethodStats {
     pub min_inclusive: u64,
     /// Slowest single call (inclusive ticks).
     pub max_inclusive: u64,
-    /// Threads that executed the method.
+    /// Threads that executed the method, keyed as [`Profile::threads`].
     pub threads: BTreeSet<u64>,
 }
 
@@ -132,16 +131,18 @@ pub struct Profile {
     /// Caller-context breakdown (§II-C "performance depending on the call
     /// history of a method"), sorted by inclusive ticks descending.
     pub caller_edges: Vec<CallerEdge>,
-    /// Every thread observed, even one with zero completed calls (re-keyed
-    /// with [`merged_thread_key`] in a cross-process merge).
+    /// Every thread observed, even one with zero completed calls, keyed by
+    /// [`merged_thread_key`] of its process and tid — in a one-process
+    /// profile as in a merge ([`MethodStats::threads`] likewise). A tid
+    /// counts by its low 32 bits only.
     pub threads: BTreeSet<u64>,
     /// Sum of exclusive ticks over all methods (== total profiled time).
     pub total_ticks: u64,
     /// Data-quality counters.
     pub anomalies: Anomalies,
-    /// Process ids this profile covers (one for a single-log build, the
-    /// union for a [`merge_profiles`] result; empty when the producer did
-    /// not stamp a process dimension, e.g. a bare rolling aggregate).
+    /// Process ids this profile covers: the one a single-log build or a
+    /// session was read as (none for a rolling profile given none), the
+    /// union for a merge.
     pub pids: BTreeSet<u64>,
 }
 
@@ -193,8 +194,8 @@ impl Counts {
     }
 }
 
-/// One row of an [`Aggregates`] (a stack's), or a method's once
-/// `materialize` groups them: counters and the threads behind them.
+/// One row of an [`Aggregates`] (a stack's): counters and the threads
+/// behind them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Row {
     counts: Counts,
@@ -232,10 +233,10 @@ fn row_at<T: Default>(rows: &mut Vec<T>, index: usize) -> &mut T {
 }
 
 /// Add one caller→callee contribution `(calls, inclusive, exclusive)` to
-/// `edge`'s row.
-fn add_edge<K: std::hash::Hash + Eq>(
-    edges: &mut HashMap<K, (u64, u64, u64)>,
-    edge: K,
+/// the row of the name pair `edge`.
+fn add_edge(
+    edges: &mut HashMap<(u32, u32), (u64, u64, u64)>,
+    edge: (u32, u32),
     (calls, inclusive, exclusive): (u64, u64, u64),
 ) {
     let e = edges.entry(edge).or_default();
@@ -270,7 +271,7 @@ fn method_stats(name: String, addr: u64, counts: Counts, threads: BTreeSet<u64>)
 /// and `teeperf-live` (a session's rolling aggregate and every retained
 /// window, all over the session's one [`PathTable`]): adding a call indexes
 /// a row, and the method, folded-stack and caller-edge tables are grouped
-/// out of the rows — and symbolized — only in [`Aggregates::materialize`].
+/// out of the rows — and symbolized — only when a [`ProfileMerge`] is read.
 /// An aggregate does not hold its table; whoever fed the stack machine
 /// does, and lends it where ids must mean something. Merging is
 /// commutative and associative — the property that makes shard merge order
@@ -346,106 +347,6 @@ impl Aggregates {
         self.threads.extend(&other.threads);
         self.orphan_returns += other.orphan_returns;
         self.truncated_frames += other.truncated_frames;
-    }
-
-    /// Materialize the aggregate as a [`Profile`] — `paths` being the table
-    /// its calls were interned in. Rows are grouped by address into
-    /// methods and by `(caller address, address)` into caller edges;
-    /// folded stacks are re-interned by *name* in a [`NameSpace`] of their
-    /// own (one symbolizer lookup per stack, one string per distinct
-    /// name), so stacks that symbolize identically merge on integers and
-    /// come out in the name space's folded order. Every table is in a
-    /// total order, so the output is independent of hash-map iteration
-    /// order, of the order stacks were met in and of shard assignment.
-    pub fn materialize(
-        &self,
-        paths: &PathTable,
-        symbolizer: &Symbolizer,
-        anomalies: Anomalies,
-    ) -> Profile {
-        let mut by_addr: HashMap<u64, Row> = HashMap::new();
-        let mut edges: HashMap<(u64, u64), (u64, u64, u64)> = HashMap::new();
-        let mut named = NameSpace::new();
-        let mut by_sym: Vec<Option<u32>> = Vec::new();
-        let mut translation = vec![PathId::ROOT];
-        let mut ticks: Vec<u64> = Vec::new();
-        for ((_, parent, addr), row) in paths.rows().zip(self.rows.iter().skip(1)) {
-            let sym = symbolizer.intern(addr);
-            let name = *row_at(&mut by_sym, sym.0 as usize)
-                .get_or_insert_with(|| named.id(&symbolizer.resolve(sym)));
-            let node = named.stack(translation[parent.index()], name);
-            translation.push(node);
-            let counts = &row.counts;
-            *row_at(&mut ticks, node.index()) += counts.exclusive;
-            if counts.calls > 0 {
-                by_addr.entry(addr).or_default().add_row(row);
-                add_edge(
-                    &mut edges,
-                    (paths.key(parent), addr),
-                    (counts.calls, counts.inclusive, counts.exclusive),
-                );
-            }
-        }
-
-        let mut methods: Vec<MethodStats> = by_addr
-            .into_iter()
-            .map(|(addr, row)| {
-                let threads = row.threads.into_iter().collect();
-                method_stats(symbolizer.name_of(addr), addr, row.counts, threads)
-            })
-            .collect();
-        methods.sort_by(|a, b| {
-            method_key(a.exclusive, &a.name, a.addr).cmp(&method_key(b.exclusive, &b.name, b.addr))
-        });
-        let total_ticks = methods.iter().map(|m| m.exclusive).sum();
-
-        let (folded, symbols, folded_ids) =
-            named.spell_folded(|id| ticks.get(id.index()).copied().unwrap_or(0));
-
-        // Caller edges keep their address pair through the sort as the
-        // final tiebreak, making the order total even when distinct
-        // address pairs symbolize to the same names.
-        let mut rows: Vec<((u64, u64), CallerEdge)> = edges
-            .into_iter()
-            .map(|((caller, callee), (calls, inclusive, exclusive))| {
-                (
-                    (caller, callee),
-                    CallerEdge {
-                        caller: if caller == ROOT_ADDR {
-                            ROOT_NAME.to_string()
-                        } else {
-                            symbolizer.name_of(caller)
-                        },
-                        callee: symbolizer.name_of(callee),
-                        calls,
-                        inclusive,
-                        exclusive,
-                    },
-                )
-            })
-            .collect();
-        rows.sort_by(|(ka, a), (kb, b)| {
-            b.inclusive
-                .cmp(&a.inclusive)
-                .then_with(|| {
-                    (a.caller.as_str(), a.callee.as_str())
-                        .cmp(&(b.caller.as_str(), b.callee.as_str()))
-                })
-                .then_with(|| ka.cmp(kb))
-        });
-        let caller_edges = rows.into_iter().map(|(_, e)| e).collect();
-
-        Profile {
-            methods,
-            folded,
-            symbols,
-            folded_ids,
-            caller_edges,
-            threads: self.threads.clone(),
-            total_ticks,
-            anomalies,
-            pids: BTreeSet::new(),
-        }
     }
 }
 
@@ -523,9 +424,7 @@ pub fn build_entries(
     } else {
         build_sharded(entries, shards)
     };
-    let mut profile = walker.materialize(symbolizer, dropped);
-    profile.pids = BTreeSet::from([pid]);
-    profile
+    walker.materialize(symbolizer, pid, dropped)
 }
 
 /// The analyzer pass, resumable: the [`PathTable`], one
@@ -573,10 +472,12 @@ impl Walker {
         }
     }
 
-    /// The profile of every call closed so far ([`Aggregates::materialize`]).
-    pub fn materialize(&self, symbolizer: &Symbolizer, dropped: u64) -> Profile {
-        self.agg
-            .materialize(&self.paths, symbolizer, self.anomalies(dropped))
+    /// The profile of every call closed so far, as process `pid`'s
+    /// ([`ProfileMerge::one_process`]), the walk's anomalies beside it.
+    pub fn materialize(&self, symbolizer: &Symbolizer, pid: u64, dropped: u64) -> Profile {
+        let mut profile = ProfileMerge::one_process(pid, &self.agg, &self.paths, symbolizer);
+        profile.anomalies = self.anomalies(dropped);
+        profile
     }
 
     /// Calls open across all threads.
@@ -727,7 +628,9 @@ fn shard_workers(shards: usize) -> usize {
 
 /// Key for a thread of process `pid` in a cross-process merged profile:
 /// thread ids are only unique within a process, so the merged view
-/// namespaces them as `pid << 32 | tid` (truncating tids to 32 bits).
+/// namespaces them as `pid << 32 | tid`. Tids are taken to fit in 32 bits:
+/// the key keeps only a tid's low 32, so two tids that differ only above
+/// them are one thread.
 pub fn merged_thread_key(pid: u64, tid: u64) -> u64 {
     (pid << 32) | (tid & 0xffff_ffff)
 }
@@ -739,7 +642,7 @@ pub fn merged_thread_key(pid: u64, tid: u64) -> u64 {
 /// Nothing is ever forgotten, so an id handed out stays good. Whoever
 /// outlives the merges that share it owns it: a session registry keeps one
 /// for its whole run, [`merge_profiles`] one per call, and
-/// [`Aggregates::materialize`] one per profile.
+/// [`ProfileMerge::one_process`] one per profile.
 #[derive(Debug)]
 pub struct NameSpace {
     ids: HashMap<String, u32>,
@@ -1002,12 +905,14 @@ fn add_method(row: &mut Option<(u64, Counts)>, addr: u64, counts: &Counts) {
     sum.add(counts);
 }
 
-/// The accumulator under every cross-process view: per-process
-/// contributions go in — already materialized ([`ProfileMerge::add_profile`]),
-/// still indexed by the session's stack ids ([`ProfileMerge::add_aggregates`]),
-/// or pump by pump as a session completes calls, summed per stack and
-/// thread ([`ProfileMerge::add_calls`]) — and come out as one [`Profile`] ([`ProfileMerge::finish`]) or as just
-/// the two tables a snapshot's text is written from
+/// The accumulator under every profile, of one process or many:
+/// per-process contributions go in — already materialized
+/// ([`ProfileMerge::add_profile`]), still indexed by the session's stack
+/// ids ([`ProfileMerge::add_aggregates`]), or pump by pump as a session
+/// completes calls, summed per stack and thread
+/// ([`ProfileMerge::add_calls`]) — and come out as one [`Profile`]
+/// ([`ProfileMerge::finish`]) or as just the two tables a snapshot's text
+/// is written from
 /// ([`ProfileMerge::method_rows`], [`ProfileMerge::folded_rows`]), grouped
 /// and ordered the same way. Reading takes nothing out, so a merge can be
 /// kept for a whole run and read between any two additions.
@@ -1016,7 +921,9 @@ fn add_method(row: &mut Option<(u64, Counts)>, addr: u64, counts: &Counts) {
 /// (and different functions at the same address), so the merge keys
 /// methods, folded stacks and caller edges by *name*, taking the smallest
 /// address as a method's representative; threads and per-thread calls are
-/// re-keyed with [`merged_thread_key`]. Inside the accumulator a name is a
+/// keyed with [`merged_thread_key`]. A merge of one process groups the
+/// same way, so it is how every one-process profile is read
+/// ([`Walker::materialize`]). Inside the accumulator a name is a
 /// small integer and a stack an index into a [`NameSpace`]'s tree — the
 /// one every call lends it, which must be the same for the merge's whole
 /// life: an aggregate's rows (or a log's calls) are added to the rows of
@@ -1027,8 +934,9 @@ fn add_method(row: &mut Option<(u64, Counts)>, addr: u64, counts: &Counts) {
 /// name as a set of thread keys. Every counter is summed, so the merged
 /// totals equal the sum of the per-process totals; contributions commute,
 /// and the ways in agree — adding a process's aggregate, or its calls log
-/// by log, gives the same result as adding the profile
-/// [`Aggregates::materialize`] builds from it.
+/// by log, gives the same result as adding the profile a merge of that
+/// aggregate alone makes (`merged_thread_key` keeps a key of the same
+/// process as it is).
 #[derive(Debug, Default)]
 pub struct ProfileMerge {
     /// Indexed by name id: the method rows added as profiles.
@@ -1053,12 +961,29 @@ impl ProfileMerge {
         ProfileMerge::default()
     }
 
+    /// Process `pid`'s aggregate over `paths` read as a profile of its
+    /// own: added alone to a merge in a name space of its own, anomalies
+    /// zero.
+    pub fn one_process(
+        pid: u64,
+        aggregates: &Aggregates,
+        paths: &PathTable,
+        symbolizer: &Symbolizer,
+    ) -> Profile {
+        let (mut space, mut merge) = (NameSpace::new(), ProfileMerge::new());
+        let memo = &mut PathNames::new();
+        merge.add_aggregates(&mut space, pid, aggregates, paths, symbolizer, memo);
+        merge.finish(&mut space)
+    }
+
     /// Note that thread `key` ran method `name`.
     fn note_method_thread(&mut self, name: u32, key: u64) {
         note_thread(row_at(&mut self.method_threads, name as usize), key);
     }
 
-    /// Add process `pid`'s materialized profile.
+    /// Add process `pid`'s materialized profile. Its thread keys go
+    /// through [`merged_thread_key`] again, which keeps a key of `pid` as
+    /// it is.
     pub fn add_profile(&mut self, space: &mut NameSpace, pid: u64, profile: &Profile) {
         self.pids.insert(pid);
         self.pids.extend(&profile.pids);
@@ -1116,10 +1041,9 @@ impl ProfileMerge {
         self.threads.extend(keys);
     }
 
-    /// Add process `pid`'s aggregate over `paths` without materializing
-    /// it: the contribution of `aggregates.materialize(paths, symbolizer,
-    /// anomalies)` stamped with `pid`, anomalies aside — a window span,
-    /// which is what is added this way, reports none.
+    /// Add process `pid`'s aggregate over `paths`, anomalies aside: a
+    /// window span reports none, and [`Walker::materialize`] sets the
+    /// walk's beside the merge it reads.
     ///
     /// `memo` is the session's (of `space`): only stacks it has not placed
     /// yet go through `symbolizer` and a lookup. Each row is then added
@@ -1279,8 +1203,9 @@ impl ProfileMerge {
     /// The merged [`Profile`]: the method and folded tables of
     /// [`ProfileMerge::method_rows`] and [`ProfileMerge::folded_rows`]
     /// with every method's thread set, and the tree's caller edges beside
-    /// the profiles' — the only place a cross-process view's strings are
-    /// made.
+    /// the profiles', sorted by inclusive ticks descending, then name pair
+    /// (unique, so the order is total) — the only code that makes a
+    /// [`Profile`].
     pub fn finish(&self, space: &mut NameSpace) -> Profile {
         let root = space.id(ROOT_NAME);
         let space = &*space;
@@ -1314,8 +1239,6 @@ impl ProfileMerge {
 
         let (folded, symbols, folded_ids) = space.spell_folded(|id| self.ticks(id));
 
-        // Name pairs are unique keys here, so no address tiebreak is
-        // needed for a total order.
         let mut caller_edges: Vec<CallerEdge> = edges
             .into_iter()
             .map(
@@ -1522,6 +1445,9 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
     use teeperf_core::layout::{EventKind, LogEntry, LogHeader, LOG_VERSION};
+
+    /// The reference's caller address for top-level frames.
+    const ROOT_ADDR: u64 = u64::MAX;
 
     fn make_log(entries: Vec<LogEntry>) -> LogFile {
         LogFile::new(
@@ -1821,7 +1747,6 @@ mod tests {
         b.header.pid = 9;
         let pa = build(&a, &Symbolizer::without_relocation(debug()));
         let pb = build(&b, &slid(slide));
-        assert_eq!(pa.methods.iter().filter(|m| m.name == "work").count(), 2);
         let merged = merge_profiles(&[(7, &pa), (9, &pb)]);
 
         // One row per name; the representative address is the smallest.
@@ -1877,8 +1802,8 @@ mod tests {
         assert_eq!(edge("main", "work"), Some((2, 25, 25)));
         assert_eq!(edge("<root>", "work"), Some((1, 60, 40)));
         assert_eq!(edge("<root>", "0x10"), Some((1, 0, 0)));
-        // The tables keep materialize's orders: methods by exclusive
-        // descending then name, edges by inclusive descending then names.
+        // The tables' orders: methods by exclusive descending then name,
+        // edges by inclusive descending then names.
         let names: Vec<&str> = merged.methods.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(names, ["main", "work", "leaf", "0x10"]);
         let edges: Vec<(&str, &str)> = merged
@@ -1908,16 +1833,51 @@ mod tests {
             ]
         );
 
-        // Part order does not matter, and merging one part re-keys it.
+        // Part order does not matter, and a one-process profile merged
+        // alone under its own pid is itself: it was read as a merge of one.
         assert_eq!(merge_profiles(&[(9, &pb), (7, &pa)]), merged);
-        let alone = merge_profiles(&[(7, &pa)]);
-        assert_eq!(
-            alone.methods.len(),
-            2,
-            "the two work addresses fold into one row"
-        );
-        assert_eq!(alone.method("work").unwrap().calls, 2);
-        assert_eq!(alone.total_ticks, pa.total_ticks);
+        assert_eq!(merge_profiles(&[(7, &pa)]), pa);
+    }
+
+    #[test]
+    fn same_name_addresses_in_one_process_are_one_method_row() {
+        use EventKind::{Call, Return};
+        // Process 7: main { work@entry } on thread 0, work@entry+4 { leaf }
+        // on thread 1 — two addresses of `work`.
+        let log = make_log(vec![
+            e(Call, 0, addr(0), 0),
+            e(Call, 10, addr(1), 0),
+            e(Return, 30, addr(1), 0),
+            e(Call, 40, addr(1) + 4, 1),
+            e(Call, 42, addr(2), 1),
+            e(Return, 44, addr(2), 1),
+            e(Return, 45, addr(1) + 4, 1),
+            e(Return, 100, addr(0), 0),
+        ]);
+        let sym = Symbolizer::without_relocation(debug());
+        let p = build_entries(&log.entries, 7, 0, &sym, 1);
+        let rows: Vec<&MethodStats> = p.methods.iter().filter(|m| m.name == "work").collect();
+        assert_eq!(rows.len(), 1, "one row per name: {:?}", p.methods);
+        let work = rows[0];
+        assert_eq!(work.addr, addr(1), "the smallest address represents it");
+        assert_eq!((work.calls, work.inclusive, work.exclusive), (2, 25, 23));
+        assert_eq!((work.min_inclusive, work.max_inclusive), (5, 20));
+        let keys = BTreeSet::from([merged_thread_key(7, 0), merged_thread_key(7, 1)]);
+        assert_eq!(work.threads, keys, "threads keyed by process and tid");
+        assert_eq!(p.threads, keys);
+        assert_eq!(p.pids, BTreeSet::from([7]));
+        // One edge per name pair: `<root>` → work (thread 1's work is
+        // top-level) and main → work.
+        let edges: Vec<(&str, &str, u64)> = p
+            .caller_edges
+            .iter()
+            .filter(|c| c.callee == "work")
+            .map(|c| (c.caller.as_str(), c.callee.as_str(), c.calls))
+            .collect();
+        assert_eq!(edges, [("main", "work", 1), ("<root>", "work", 1)]);
+        for shards in 2..=3 {
+            assert_eq!(build_entries(&log.entries, 7, 0, &sym, shards), p);
+        }
     }
 
     #[test]
@@ -2051,8 +2011,10 @@ mod tests {
 
     /// The aggregate as it was before stacks were interned: three maps —
     /// by address, by the call's whole address path, by address pair — fed
-    /// from `call.stack`, materialized the obvious way. The reference
-    /// [`Aggregates`] is held to.
+    /// from `call.stack`, then re-keyed by name the obvious way, threads by
+    /// [`merged_thread_key`]: an address pair's edge joins its name pair's,
+    /// and an address's method row joins its name's at the smallest
+    /// address. The reference a walker's profile is held to.
     #[derive(Default)]
     struct PathKeyed {
         methods: BTreeMap<u64, RefMethod>,
@@ -2089,21 +2051,30 @@ mod tests {
             e.2 += scale * exclusive;
         }
 
-        fn materialize(&self, symbolizer: &Symbolizer, anomalies: Anomalies) -> Profile {
-            let mut methods: Vec<MethodStats> = self
-                .methods
-                .iter()
-                .map(|(addr, m)| MethodStats {
-                    name: symbolizer.name_of(*addr),
+        fn materialize(&self, symbolizer: &Symbolizer, pid: u64, anomalies: Anomalies) -> Profile {
+            let key = |tid: &u64| merged_thread_key(pid, *tid);
+            let mut by_name: BTreeMap<String, MethodStats> = BTreeMap::new();
+            for (addr, m) in &self.methods {
+                let name = symbolizer.name_of(*addr);
+                let row = by_name.entry(name.clone()).or_insert(MethodStats {
+                    name,
                     addr: *addr,
-                    calls: m.0,
-                    inclusive: m.1,
-                    exclusive: m.2,
-                    min_inclusive: m.3,
-                    max_inclusive: m.4,
-                    threads: m.5.clone(),
-                })
-                .collect();
+                    calls: 0,
+                    inclusive: 0,
+                    exclusive: 0,
+                    min_inclusive: u64::MAX,
+                    max_inclusive: 0,
+                    threads: BTreeSet::new(),
+                });
+                row.addr = row.addr.min(*addr);
+                row.calls += m.0;
+                row.inclusive += m.1;
+                row.exclusive += m.2;
+                row.min_inclusive = row.min_inclusive.min(m.3);
+                row.max_inclusive = row.max_inclusive.max(m.4);
+                row.threads.extend(m.5.iter().map(key));
+            }
+            let mut methods: Vec<MethodStats> = by_name.into_values().collect();
             methods.sort_by(|a, b| {
                 (std::cmp::Reverse(a.exclusive), &a.name, a.addr).cmp(&(
                     std::cmp::Reverse(b.exclusive),
@@ -2134,30 +2105,36 @@ mod tests {
                     (ids, *ticks)
                 })
                 .collect();
-            let mut edges: Vec<((u64, u64), CallerEdge)> = self
-                .edges
-                .iter()
-                .map(|(pair, (calls, inclusive, exclusive))| {
-                    let caller = match pair.0 {
-                        ROOT_ADDR => ROOT_NAME.to_string(),
-                        addr => symbolizer.name_of(addr),
-                    };
-                    let edge = CallerEdge {
+            let mut edges: BTreeMap<(String, String), (u64, u64, u64)> = BTreeMap::new();
+            for ((caller, callee), (calls, inclusive, exclusive)) in &self.edges {
+                let caller = match *caller {
+                    ROOT_ADDR => ROOT_NAME.to_string(),
+                    addr => symbolizer.name_of(addr),
+                };
+                let e = edges
+                    .entry((caller, symbolizer.name_of(*callee)))
+                    .or_default();
+                e.0 += calls;
+                e.1 += inclusive;
+                e.2 += exclusive;
+            }
+            let mut caller_edges: Vec<CallerEdge> = edges
+                .into_iter()
+                .map(
+                    |((caller, callee), (calls, inclusive, exclusive))| CallerEdge {
                         caller,
-                        callee: symbolizer.name_of(pair.1),
-                        calls: *calls,
-                        inclusive: *inclusive,
-                        exclusive: *exclusive,
-                    };
-                    (*pair, edge)
-                })
+                        callee,
+                        calls,
+                        inclusive,
+                        exclusive,
+                    },
+                )
                 .collect();
-            edges.sort_by(|(ka, a), (kb, b)| {
-                (std::cmp::Reverse(a.inclusive), &a.caller, &a.callee, ka).cmp(&(
+            caller_edges.sort_by(|a, b| {
+                (std::cmp::Reverse(a.inclusive), &a.caller, &a.callee).cmp(&(
                     std::cmp::Reverse(b.inclusive),
                     &b.caller,
                     &b.callee,
-                    kb,
                 ))
             });
             Profile {
@@ -2166,10 +2143,10 @@ mod tests {
                 folded,
                 symbols,
                 folded_ids,
-                caller_edges: edges.into_iter().map(|(_, e)| e).collect(),
-                threads: self.threads.clone(),
+                caller_edges,
+                threads: self.threads.iter().map(key).collect(),
                 anomalies,
-                pids: BTreeSet::new(),
+                pids: BTreeSet::from([pid]),
             }
         }
     }
@@ -2246,15 +2223,13 @@ mod tests {
             .map(|(tid, events)| (*tid, events.as_slice()))
             .collect();
         let (paths, agg) = analyze_shard(&views);
-        let anomalies = Anomalies {
-            orphan_returns: agg.orphan_returns,
-            truncated_frames: agg.truncated_frames,
-            incomplete_entries: grouped.incomplete,
-            dropped_entries: dropped,
+        let walker = Walker {
+            paths,
+            agg,
+            incomplete: grouped.incomplete,
+            ..Walker::default()
         };
-        let mut profile = agg.materialize(&paths, sym, anomalies);
-        profile.pids = BTreeSet::from([pid]);
-        profile
+        walker.materialize(sym, pid, dropped)
     }
 
     /// A hostile log: 1 to 40 threads interleaved in runs of any length,
@@ -2304,22 +2279,24 @@ mod tests {
             scales in proptest::collection::vec(1u64..4, 1..4),
         ) {
             let sym = Symbolizer::without_relocation(debug());
-            let (mut agg, mut reference) = (Aggregates::new(), PathKeyed::default());
-            let (mut paths, mut truncated) = (PathTable::new(), 0);
-            let orphans = walk(&mut paths, &threads, cut, &scales, |tid, call, scale| {
+            let (mut walker, mut reference) = (Walker::new(), PathKeyed::default());
+            let mut truncated = 0;
+            let agg = &mut walker.agg;
+            let orphans = walk(&mut walker.paths, &threads, cut, &scales, |tid, call, scale| {
                 agg.add_call(tid, call, scale);
                 reference.add_call(tid, call, scale);
                 truncated += u64::from(call.truncated);
             });
+            walker.agg.orphan_returns = orphans;
             let anomalies = Anomalies {
                 orphan_returns: orphans,
                 truncated_frames: truncated,
                 ..Anomalies::default()
             };
-            prop_assert_eq!(agg.truncated_frames, truncated);
+            prop_assert_eq!(walker.agg.truncated_frames, truncated);
             prop_assert_eq!(
-                agg.materialize(&paths, &sym, anomalies),
-                reference.materialize(&sym, anomalies)
+                walker.materialize(&sym, 7, 0),
+                reference.materialize(&sym, 7, anomalies)
             );
         }
     }

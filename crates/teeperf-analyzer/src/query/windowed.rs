@@ -24,7 +24,7 @@
 
 use std::fmt;
 
-use crate::profile::Profile;
+use crate::profile::{merged_thread_key, Profile};
 
 /// Which retained windows a query addresses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,8 +105,9 @@ pub struct WindowSpec {
     pub pid: Option<u64>,
     /// Substring filter on method names (`method=`).
     pub method: Option<String>,
-    /// Keep only methods observed on this thread (`tid=`). Tick totals
-    /// stay window-scoped — per-method tick attribution by thread is not
+    /// Keep only methods observed on this thread (`tid=`) of process
+    /// `pid=`, or of any process when `pid=` is absent. Tick totals stay
+    /// window-scoped — per-method tick attribution by thread is not
     /// retained, only the per-method thread sets.
     pub tid: Option<u64>,
     /// Truncate to the top `n` rows after ranking (`top=`; 0 = all).
@@ -217,7 +218,8 @@ fn parse_num(key: &str, value: &str) -> Result<u64, String> {
 }
 
 /// Evaluate the method-table half of a spec over one materialized span
-/// profile: filter (`method=` substring, `tid=` thread-set membership),
+/// profile: filter (`method=` substring; `tid=` thread-set membership, a
+/// thread key being [`merged_thread_key`] of a process and a tid),
 /// rank by the `by=` column (ties broken by name, then address, for a
 /// total order), and truncate to `top=`. Rows are
 /// `(name, calls, inclusive, exclusive)` — the same shape as
@@ -231,7 +233,12 @@ pub fn top_rows(profile: &Profile, spec: &WindowSpec) -> Vec<(String, u64, u64, 
             spec.method
                 .as_ref()
                 .is_none_or(|needle| m.name.contains(needle.as_str()))
-                && spec.tid.is_none_or(|tid| m.threads.contains(&tid))
+                && spec.tid.is_none_or(|tid| {
+                    // A key is checked against `pid=`'s process, or its own; it
+                    // keeps a tid's low 32 bits, so a wider `tid=` matches none.
+                    let of = |key: u64| merged_thread_key(spec.pid.unwrap_or(key >> 32), tid);
+                    tid >> 32 == 0 && m.threads.iter().any(|key| *key == of(*key))
+                })
         })
         .collect();
     rows.sort_by(|a, b| {
@@ -350,5 +357,17 @@ mod tests {
             on_tid1.iter().map(|r| r.0.as_str()).collect::<Vec<_>>(),
             vec!["work", "leaf"]
         );
+    }
+
+    /// A thread key keeps a tid's low 32 bits, so a `tid=` wider than
+    /// that names no thread — not the thread its low bits name.
+    #[test]
+    fn a_tid_wider_than_32_bits_matches_no_row() {
+        let p = profile();
+        for spec in ["tid=4294967296", "tid=4294967296&pid=0"] {
+            let rows = top_rows(&p, &WindowSpec::parse(spec).unwrap());
+            assert!(rows.is_empty(), "{spec}: {rows:?}");
+        }
+        assert_eq!(top_rows(&p, &WindowSpec::parse("tid=0").unwrap()).len(), 2);
     }
 }

@@ -207,14 +207,6 @@ impl Symbolizer {
         id
     }
 
-    /// Intern a name directly (sentinels like `<root>`).
-    pub fn intern_name(&self, name: &str) -> SymId {
-        self.intern
-            .write()
-            .expect("symbol cache poisoned")
-            .intern_name(name)
-    }
-
     /// The interned name behind an id.
     ///
     /// # Panics

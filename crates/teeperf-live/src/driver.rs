@@ -297,6 +297,7 @@ pub fn live_profile_processes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teeperf_analyzer::profile::merged_thread_key;
     use teeperf_analyzer::{profile, Analyzer};
     use teeperf_compiler::{compile_instrumented, profile_program, InstrumentOptions};
 
@@ -562,10 +563,19 @@ mod tests {
             run.merged.profile.pids,
             std::collections::BTreeSet::from([101, 102, 103])
         );
-        // Identical processes: every per-pid profile agrees method-wise.
+        // Identical processes: every per-pid profile agrees method-wise,
+        // each on its own process's thread keys.
         let first = &run.per_pid[&101].snapshot.profile;
-        for process in run.per_pid.values() {
-            assert_eq!(process.snapshot.profile.methods, first.methods);
+        for (pid, process) in &run.per_pid {
+            let mut want = first.methods.clone();
+            for m in &mut want {
+                m.threads = m
+                    .threads
+                    .iter()
+                    .map(|k| merged_thread_key(*pid, *k))
+                    .collect();
+            }
+            assert_eq!(process.snapshot.profile.methods, want, "pid {pid}");
         }
     }
 

@@ -23,7 +23,8 @@
 //! block and the events list — are gathered per read. A window query
 //! (`/query`) still merges each session's span into a fresh merge in the
 //! same name space, and only a single-process view (`snapshot_pid`, the
-//! per-pid towers of a render) materializes a session by itself.
+//! per-pid towers of a render) reads a session by itself, as a merge of
+//! one process in a name space of its own.
 //!
 //! Sessions come and go while the registry runs: [`SessionRegistry::attach`]
 //! accepts a new source at any point and [`SessionRegistry::detach`] ends
@@ -1352,6 +1353,63 @@ pub(crate) mod tests {
         let text = reg.query_text(&spec).unwrap();
         assert!(text.contains("diff 1 vs 2\n[diff]\n"), "{text}");
         assert!(text.contains("work"), "{text}");
+    }
+
+    /// A registry retaining every window of its sessions, each `(pid, tid)`
+    /// running `main { work }` on that one thread.
+    fn retaining_fleet(dir: &ScratchDir, threads: &[(u64, u64)]) -> SessionRegistry {
+        use crate::window::RingConfig;
+        let config = LiveConfig {
+            retention: Some(RingConfig {
+                interval: 16,
+                capacity: 64,
+                max_width: 4,
+            }),
+            ..LiveConfig::default()
+        };
+        let mut reg = SessionRegistry::new(config);
+        for (pid, tid) in threads {
+            let mut log = file(*pid, 20);
+            log.entries.iter_mut().for_each(|e| e.tid = *tid);
+            reg.attach(saved(dir, &log), sym()).unwrap();
+        }
+        while reg.pump() > 0 {}
+        reg
+    }
+
+    #[test]
+    fn a_tid_query_matches_that_thread_of_the_pid_or_of_any() {
+        let dir = scratch("tidquery");
+        let reg = retaining_fleet(&dir, &[(11, 0), (22, 0), (33, 1)]);
+        let names = |spec: &str| -> Vec<String> {
+            let spec = teeperf_analyzer::WindowSpec::parse(spec).unwrap();
+            let text = reg.query_text(&spec).expect("windows are retained");
+            let rows = Snapshot::methods_from_text(&text).unwrap();
+            rows.into_iter().map(|row| row.0).collect()
+        };
+        assert_eq!(names("windows=all&tid=0"), ["main", "work"]);
+        assert_eq!(names("windows=all&tid=0&pid=11"), ["main", "work"]);
+        assert_eq!(names("windows=all&tid=1"), ["main", "work"]);
+        assert_eq!(names("windows=all&tid=1&pid=33"), ["main", "work"]);
+        assert!(names("windows=all&tid=1&pid=11").is_empty());
+        assert!(names("windows=all&tid=0&pid=33").is_empty());
+        assert!(names("windows=all&tid=2").is_empty());
+    }
+
+    #[test]
+    fn a_pid_and_its_whole_span_key_threads_alike() {
+        let dir = scratch("threadkeys");
+        let reg = retaining_fleet(&dir, &[(11, 3), (22, 5)]);
+        for pid in [11, 22] {
+            let whole = reg.snapshot_pid(pid).unwrap().profile;
+            let (_, span) = reg.span_query(&WindowSel::All, Some(pid)).unwrap();
+            let threads = |p: &Profile| -> Vec<(String, BTreeSet<u64>)> {
+                let rows = p.methods.iter();
+                rows.map(|m| (m.name.clone(), m.threads.clone())).collect()
+            };
+            assert_eq!(threads(&span), threads(&whole), "pid {pid}");
+            assert_eq!(span.threads, whole.threads, "pid {pid}");
+        }
     }
 
     #[test]

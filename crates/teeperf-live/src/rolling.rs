@@ -4,14 +4,15 @@
 //! [`RollingProfile`] feeds the same walker one drained batch at a time:
 //! its per-thread stack machines carry open frames across epoch boundaries
 //! (a return may land many epochs after its call), every call is added,
-//! the moment it closes, to the walker's [`Aggregates`], and an all-zero
-//! or zero-address record is dismissed by the walker's one rule — so the
+//! the moment it closes, to the walker's
+//! [`Aggregates`](teeperf_analyzer::Aggregates), and an all-zero or
+//! zero-address record is dismissed by the walker's one rule — so the
 //! rolling and batch profiles cannot drift apart. The walker owns the
 //! session's one [`PathTable`]: the all-time aggregate and every retained
 //! window index their rows by its ids. Symbolization is deferred to
-//! [`RollingProfile::snapshot`], which materializes a regular
-//! [`Profile`] — so reports, diffs and flame graphs reuse the batch
-//! machinery unchanged.
+//! [`RollingProfile::snapshot`], which reads the walker as the batch build
+//! does — a merge of one process, the profile's own — so reports, diffs
+//! and flame graphs reuse the batch machinery unchanged.
 //!
 //! What the rolling profile adds is the retention ring, the sampling
 //! scale and its event counters. The ring enforces retention once per
@@ -30,11 +31,11 @@
 //! run indefinitely.
 
 use teeperf_analyzer::profile::{
-    Aggregates, Anomalies, CallLog, NameSpace, PathNames, Profile, ProfileMerge, Walker,
+    Anomalies, CallLog, NameSpace, PathNames, Profile, ProfileMerge, Walker,
 };
 use teeperf_analyzer::stacks::{CompletedCall, PathTable};
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_core::layout::LogEntry;
+use teeperf_core::layout::{LogEntry, PID_UNSET};
 use teeperf_flamegraph::LiveStatus;
 
 use crate::window::{RetentionRing, RingConfig, RingEvent, WindowMeta, WindowSel};
@@ -49,6 +50,9 @@ use crate::window::{RetentionRing, RingConfig, RingEvent, WindowMeta, WindowSel}
 /// reconciled against the all-time totals at any moment.
 #[derive(Debug)]
 pub struct RollingProfile {
+    /// The process the stream is from, whose profile a snapshot is; `None`
+    /// for a stream given none.
+    pid: Option<u64>,
     walker: Walker,
     events: u64,
     estimated_events: u64,
@@ -64,6 +68,7 @@ pub struct RollingProfile {
 impl Default for RollingProfile {
     fn default() -> RollingProfile {
         RollingProfile {
+            pid: None,
             walker: Walker::new(),
             events: 0,
             estimated_events: 0,
@@ -86,6 +91,16 @@ impl RollingProfile {
         RollingProfile {
             ring: retention.map(RetentionRing::new),
             ..RollingProfile::default()
+        }
+    }
+
+    /// [`RollingProfile::with_retention`] over a stream from process `pid`,
+    /// whose snapshots are that process's profile. The other constructors'
+    /// cover no process (empty [`Profile::pids`]), threads keyed by tid.
+    pub fn for_process(pid: u64, retention: Option<&RingConfig>) -> RollingProfile {
+        RollingProfile {
+            pid: Some(pid),
+            ..RollingProfile::with_retention(retention)
         }
     }
 
@@ -113,32 +128,6 @@ impl RollingProfile {
     /// windowing is disabled).
     pub fn windows(&self) -> Option<Vec<WindowMeta>> {
         self.ring.as_ref().map(RetentionRing::windows)
-    }
-
-    /// Materialize the exact merge of the selected windows as a
-    /// [`Profile`], spanning only the calls that completed in those
-    /// windows. `None` when windowing is disabled or the selection matches
-    /// no retained slot. Window anomaly counters are zero by construction
-    /// — orphans and truncations are session-scoped, not window-scoped.
-    pub fn span_profile(
-        &self,
-        symbolizer: &Symbolizer,
-        sel: &WindowSel,
-    ) -> Option<(WindowMeta, Profile)> {
-        let (span, agg) = self.ring.as_ref()?.span(sel)?;
-        Some((span, self.materialize_window(&agg, symbolizer)))
-    }
-
-    /// Materialize the single retained slot containing window `idx` (a
-    /// coarsened index resolves to its containing bucket). `None` when
-    /// windowing is disabled or the window is not retained.
-    pub fn window_profile(
-        &self,
-        symbolizer: &Symbolizer,
-        idx: u64,
-    ) -> Option<(WindowMeta, Profile)> {
-        let (meta, agg) = self.ring.as_ref()?.slot_containing(idx)?;
-        Some((meta, self.materialize_window(agg, symbolizer)))
     }
 
     /// Events merged so far (excluding dismissed incomplete and torn
@@ -235,42 +224,38 @@ impl RollingProfile {
         }
     }
 
-    /// Materialize the rolling aggregate as a regular [`Profile`], exactly
-    /// as the batch aggregator builds it from the same completed calls.
-    /// `dropped` is the stream's cumulative overflow loss.
+    /// The rolling aggregate as the stream's process's [`Profile`], read
+    /// exactly as the batch build reads the same completed calls
+    /// ([`Walker::materialize`]). `dropped` is the stream's cumulative
+    /// overflow loss.
     pub fn snapshot(&self, symbolizer: &Symbolizer, dropped: u64) -> Profile {
-        self.walker.materialize(symbolizer, dropped)
+        let pid = self.pid.unwrap_or(PID_UNSET);
+        let mut profile = self.walker.materialize(symbolizer, pid, dropped);
+        profile.pids = self.pid.into_iter().collect();
+        profile
     }
 
-    /// Contribute the exact merge of the selected windows as process `pid`
-    /// — what [`RollingProfile::span_profile`] would add through
-    /// [`ProfileMerge::add_profile`]: each slot's rows are added where they
-    /// sit, and the merge sums them as it would their sum, with no span
-    /// aggregate built on the side. Returns the span's metadata; `None`
-    /// (and nothing added) when windowing is disabled or nothing matches.
+    /// Contribute the exact merge of the selected windows as the stream's
+    /// process — the rows of [`RetentionRing::span`]'s aggregate: each
+    /// slot's rows are added where they sit, and the merge sums them as it
+    /// would their sum, with no span aggregate built on the side. Window
+    /// anomalies are zero: orphans and truncations are session-scoped.
+    /// Returns the span's metadata; `None` (and nothing added) when
+    /// windowing is disabled or nothing matches.
     pub(crate) fn merge_span_into(
         &self,
         sel: &WindowSel,
         merge: &mut ProfileMerge,
         space: &mut NameSpace,
-        pid: u64,
         symbolizer: &Symbolizer,
         memo: &mut PathNames,
     ) -> Option<WindowMeta> {
         let (meta, slots) = self.ring.as_ref()?.span_slots(sel)?;
+        let pid = self.pid.unwrap_or(PID_UNSET);
         for agg in slots {
-            // Window anomalies are zero by construction: orphans and
-            // truncations are session-scoped.
             merge.add_aggregates(space, pid, agg, self.paths(), symbolizer, memo);
         }
         Some(meta)
-    }
-
-    /// Materialize one window-scoped aggregate: the thread set comes from
-    /// the window's own completed calls, anomalies are zero (session-scoped
-    /// by design — a window never saw an orphan, only the stream did).
-    fn materialize_window(&self, agg: &Aggregates, symbolizer: &Symbolizer) -> Profile {
-        agg.materialize(self.paths(), symbolizer, Anomalies::default())
     }
 
     /// The session-scoped data-quality counters, `dropped` being the
@@ -301,6 +286,7 @@ fn note(
 mod tests {
     use super::*;
     use mcvm::DebugInfo;
+    use std::collections::BTreeSet;
     use teeperf_analyzer::profile;
     use teeperf_core::layout::{EventKind, LogHeader, LOG_VERSION};
     use teeperf_core::LogFile;
@@ -356,27 +342,35 @@ mod tests {
     }
 
     /// The load-bearing invariant: streaming the entries in any chunking
-    /// produces the same profile as one batch pass.
+    /// produces the same profile as one batch pass of the same process.
     #[test]
     fn chunked_ingest_matches_batch_build() {
         let entries = sample_entries();
         let sym = Symbolizer::without_relocation(debug());
         for chunk in [1usize, 2, 3, 8] {
-            let mut rolling = RollingProfile::new();
+            let mut rolling = RollingProfile::for_process(1, None);
             for c in entries.chunks(chunk) {
                 rolling.ingest(c);
             }
             rolling.finish();
             let live = rolling.snapshot(&sym, 0);
-            let batch = batch_profile(&entries);
-            assert_eq!(live.methods, batch.methods, "chunk size {chunk}");
-            assert_eq!(live.folded, batch.folded);
-            assert_eq!(live.folded_ids, batch.folded_ids);
-            assert_eq!(live.symbols, batch.symbols);
-            assert_eq!(live.caller_edges, batch.caller_edges);
-            assert_eq!(live.total_ticks, batch.total_ticks);
-            assert_eq!(live.anomalies, batch.anomalies);
+            assert_eq!(live, batch_profile(&entries), "chunk size {chunk}");
         }
+    }
+
+    /// A stream given no process covers none: its snapshot lists no pid,
+    /// keys threads by the bare tids, and merged under a pid covers that
+    /// pid alone.
+    #[test]
+    fn a_stream_given_no_process_covers_none() {
+        let sym = Symbolizer::without_relocation(debug());
+        let mut rolling = RollingProfile::new();
+        rolling.ingest(&sample_entries());
+        let bare = rolling.snapshot(&sym, 0);
+        assert!(bare.pids.is_empty());
+        assert_eq!(bare.threads, BTreeSet::from([0, 1]));
+        let merged = profile::merge_profiles(&[(5, &bare)]);
+        assert_eq!(merged.pids, BTreeSet::from([5]));
     }
 
     /// Ingesting a stream in chunks of any size must be indistinguishable
@@ -489,24 +483,26 @@ mod tests {
             capacity: 8,
             max_width: 4,
         };
-        let mut rolling = RollingProfile::with_retention(Some(&config));
+        let mut rolling = RollingProfile::for_process(1, Some(&config));
         for c in entries.chunks(3) {
             rolling.ingest(c);
         }
         rolling.finish();
         let whole = rolling.snapshot(&sym, 0);
-        // Retained ⊕ remainder, materialized with the session's
-        // anomalies, is byte-identical to the all-time snapshot.
-        let rebuilt = rolling.ring().unwrap().reconstruct().materialize(
-            rolling.paths(),
-            &sym,
-            whole.anomalies,
-        );
+        let ring = rolling.ring().unwrap();
+        let read = |agg: &teeperf_analyzer::Aggregates| {
+            ProfileMerge::one_process(1, agg, rolling.paths(), &sym)
+        };
+        // Retained ⊕ remainder, read with the session's anomalies, is
+        // byte-identical to the all-time snapshot.
+        let mut rebuilt = read(&ring.reconstruct());
+        rebuilt.anomalies = whole.anomalies;
         assert_eq!(rebuilt, whole);
-        // And a span profile covers exactly the calls exiting in its span.
-        let (span, p) = rolling
-            .span_profile(&sym, &WindowSel::Range(1, 1))
+        // And a span covers exactly the calls exiting in it.
+        let (span, agg) = ring
+            .span(&WindowSel::Range(1, 1))
             .expect("window 1 retained");
+        let p = read(&agg);
         assert_eq!((span.first, span.last), (1, 1));
         assert_eq!(span.calls, 1, "only leaf exits in ticks 30..=59");
         assert_eq!(p.method("leaf").unwrap().calls, 1);

@@ -11,7 +11,7 @@
 //! asks draws nothing.
 
 use std::cell::RefCell;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use teeperf_analyzer::profile::Anomalies;
 use teeperf_analyzer::symbolize::Symbolizer;
@@ -327,8 +327,8 @@ impl LiveSession {
     ) -> LiveSession {
         let controller = config.budget.map(FidelityController::new);
         LiveSession {
+            rolling: RollingProfile::for_process(source.pid(), config.retention.as_ref()),
             source,
-            rolling: RollingProfile::with_retention(config.retention.as_ref()),
             symbolizer,
             fleet_names: RefCell::new(PathNames::new()),
             config,
@@ -519,15 +519,13 @@ impl LiveSession {
         live::render_ascii(&profile.folded, &self.status(), ASCII_WIDTH)
     }
 
-    /// Freeze the current aggregate into a [`Snapshot`], its profile
-    /// stamped with the source's process id. Two freezes compare through
+    /// Freeze the current aggregate into a [`Snapshot`], its profile the
+    /// source's process's. Two freezes compare through
     /// [`Snapshot::diff_since`].
     pub fn snapshot(&self) -> Snapshot {
-        let mut profile = self.rolling.snapshot(&self.symbolizer, self.dropped());
-        profile.pids = BTreeSet::from([self.source.pid()]);
         Snapshot {
             status: self.status(),
-            profile,
+            profile: self.rolling.snapshot(&self.symbolizer, self.dropped()),
             events: self.window_events.clone(),
             regime: self.regime_info(),
         }
@@ -536,8 +534,8 @@ impl LiveSession {
     /// Fold the calls `fresh` recorded — what this session's last pump
     /// (or its finish) completed — into a running cross-process merge
     /// under its pid, and clear it: pump after pump, the merge then holds
-    /// what [`LiveSession::snapshot`]'s profile would add through
-    /// [`ProfileMerge::add_profile`], anomalies aside. Every merge a
+    /// what the one-process merge under [`LiveSession::snapshot`] holds,
+    /// anomalies aside. Every merge a
     /// session contributes to must be in one name space: its registry's.
     pub(crate) fn fold_into(
         &self,
@@ -647,19 +645,14 @@ impl LiveSession {
         })
     }
 
-    /// Materialize the exact merge of the selected retained windows,
-    /// stamped with this session's pid. `None` when retention is disabled
-    /// or the selection matches nothing.
-    pub fn span_profile(&self, sel: &WindowSel) -> Option<(WindowMeta, teeperf_analyzer::Profile)> {
-        let (meta, mut profile) = self.rolling.span_profile(&self.symbolizer, sel)?;
-        profile.pids = BTreeSet::from([self.source.pid()]);
-        Some((meta, profile))
+    /// The rolling profile this session drains its source into, and the
+    /// symbolizer its addresses are read with.
+    pub fn profile_parts(&self) -> (&RollingProfile, &Symbolizer) {
+        (&self.rolling, &self.symbolizer)
     }
 
     /// Contribute the exact merge of the selected retained windows to a
-    /// cross-process merge under this session's pid — what
-    /// [`LiveSession::span_profile`] would add through
-    /// [`ProfileMerge::add_profile`], without materializing it. Returns
+    /// merge under this session's pid, without materializing it. Returns
     /// the span's metadata; `None` (and nothing added) when retention is
     /// disabled or the selection matches nothing.
     pub(crate) fn merge_span_into(
@@ -672,7 +665,6 @@ impl LiveSession {
             sel,
             merge,
             space,
-            self.source.pid(),
             &self.symbolizer,
             &mut self.fleet_names.borrow_mut(),
         )

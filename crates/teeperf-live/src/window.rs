@@ -333,14 +333,6 @@ impl RetentionRing {
         Some((self.meta(slots)?, slots.iter().map(|slot| &slot.agg)))
     }
 
-    /// The slot containing window index `idx`, if retained (a coarsened
-    /// index resolves to its containing bucket).
-    pub fn slot_containing(&self, idx: u64) -> Option<(WindowMeta, &Aggregates)> {
-        let pos = self.slots.partition_point(|s| s.last < idx);
-        let slot = self.slots.get(pos).filter(|s| s.first <= idx)?;
-        Some((self.meta(std::slice::from_ref(slot))?, &slot.agg))
-    }
-
     /// The whole ring as one aggregate: evicted remainder ⊕ every retained
     /// slot. By the commutative-merge identity this equals the
     /// whole-session aggregate built from the same completed calls.
@@ -598,7 +590,7 @@ mod tests {
         let (mid, _) = r.span(&WindowSel::Range(1, 3)).unwrap();
         assert_eq!((mid.first, mid.last, mid.calls), (1, 3, 3));
         assert!(r.span(&WindowSel::Range(9, 12)).is_none());
-        let (one, agg) = r.slot_containing(2).unwrap();
+        let (one, agg) = r.span(&WindowSel::Range(2, 2)).unwrap();
         assert_eq!((one.first, one.last), (2, 2));
         assert_eq!(agg.thread_ids().collect::<Vec<_>>(), vec![0]);
     }

@@ -12,8 +12,9 @@
 //!   equals the per-pid snapshots merged through `merge_profiles`, field
 //!   for field and byte for byte, mid-run, after a detach, after a
 //!   watchdog quarantine and across a sampling-scale change in the middle
-//!   of a call; and a fleet window query equals the per-session span
-//!   profiles merged the same way;
+//!   of a call; and a per-pid window query equals its session's own ring
+//!   span read as a merge of one process, and a fleet window query the
+//!   per-pid ones merged through `merge_profiles`;
 //! * golden tests pinning the single-source `Snapshot::to_text()` byte
 //!   format — a profile covering one process must serialize exactly as it
 //!   did before the multi-process layer existed (no `[processes]`
@@ -26,7 +27,7 @@ use std::sync::Arc;
 use tee_sim::SharedMem;
 use teeperf_analyzer::profile::{merged_thread_key, Anomalies};
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_analyzer::{merge_profiles, Profile};
+use teeperf_analyzer::{merge_profiles, Profile, ProfileMerge};
 use teeperf_core::layout::{make_header, EventKind, LogEntry, LogHeader, LOG_VERSION};
 use teeperf_core::log::region_bytes;
 use teeperf_core::{FileShmSource, FileShmWriter, LiveLogSource, LogFile, Regime, SharedLog};
@@ -562,19 +563,34 @@ fn check_merged(
     Ok(())
 }
 
-/// `registry.span_query(sel, …)`, fleet-wide and per pid, against the own
-/// `span_profile` of every session of the run, attached or retired,
-/// merged through `merge_profiles`.
+/// `registry.span_query(sel, …)` per pid against a reference read
+/// independently of the registry's merge — the session's own ring summed
+/// by `RetentionRing::span` and read as a merge of one process — whose
+/// metadata is also the span the session's own listing selects; and
+/// fleet-wide against those per-pid spans of every session of the run,
+/// attached or retired, merged through `merge_profiles`.
 fn check_spans(registry: &SessionRegistry, sel: &WindowSel) -> Result<(), TestCaseError> {
-    let run = registry.run_pids();
-    let spans: Vec<(u64, WindowMeta, Profile)> = run
-        .iter()
-        .filter_map(|&pid| {
-            let session = registry.session(pid).expect("every pid of the run");
-            let (meta, profile) = session.span_profile(sel)?;
-            Some((pid, meta, profile))
-        })
-        .collect();
+    let mut spans: Vec<(u64, WindowMeta, Profile)> = Vec::new();
+    for pid in registry.run_pids() {
+        let session = registry.session(pid).expect("every pid of the run");
+        let (rolling, symbolizer) = session.profile_parts();
+        let ring = rolling.ring().expect("retention is on");
+        let own = ring.span(sel).map(|(meta, agg)| {
+            let span = ProfileMerge::one_process(pid, &agg, rolling.paths(), symbolizer);
+            (meta, span)
+        });
+        let listed = selected(&session.windows().expect("retention is on").windows, sel);
+        match (registry.span_query(sel, Some(pid)), own) {
+            (None, None) => prop_assert!(listed.is_none(), "pid {} {:?}", pid, sel),
+            (Some((metas, profile)), Some((meta, span))) => {
+                prop_assert_eq!(Some(&meta), listed.as_ref());
+                prop_assert_eq!(metas, vec![(pid, meta.clone())]);
+                prop_assert_eq!(&profile, &span);
+                spans.push((pid, meta, profile));
+            }
+            (got, _) => prop_assert!(false, "pid {} {:?}: {:?}", pid, sel, got.map(|g| g.0)),
+        }
+    }
     let parts: Vec<(u64, &Profile)> = spans.iter().map(|(pid, _, p)| (*pid, p)).collect();
     match registry.span_query(sel, None) {
         None => prop_assert!(spans.is_empty(), "{:?}: a retained span went missing", sel),
@@ -586,18 +602,30 @@ fn check_spans(registry: &SessionRegistry, sel: &WindowSel) -> Result<(), TestCa
             prop_assert_eq!(profile, merge_profiles(&parts));
         }
     }
-    for pid in run {
-        let own = spans.iter().find(|(p, _, _)| *p == pid);
-        match (registry.span_query(sel, Some(pid)), own) {
-            (None, None) => {}
-            (Some((metas, profile)), Some((_, meta, span))) => {
-                prop_assert_eq!(metas, vec![(pid, meta.clone())]);
-                prop_assert_eq!(profile, merge_profiles(&[(pid, span)]));
-            }
-            (got, _) => prop_assert!(false, "pid {} {:?}: {:?}", pid, sel, got.map(|g| g.0)),
-        }
-    }
     Ok(())
+}
+
+/// The span `sel` picks out of a retained-window listing (oldest first):
+/// every slot, the newest `n`, or those inside the index range — `None`
+/// when it picks none.
+fn selected(windows: &[WindowMeta], sel: &WindowSel) -> Option<WindowMeta> {
+    let picked: Vec<&WindowMeta> = match sel {
+        WindowSel::All => windows.iter().collect(),
+        WindowSel::Last(n) => windows.iter().rev().take(*n as usize).rev().collect(),
+        WindowSel::Range(a, b) => windows
+            .iter()
+            .filter(|w| *a <= w.first && w.last <= *b)
+            .collect(),
+    };
+    let (head, tail) = (picked.first()?, picked.last()?);
+    Some(WindowMeta {
+        first: head.first,
+        last: tail.last,
+        start_tick: head.start_tick,
+        end_tick: tail.end_tick,
+        calls: picked.iter().map(|w| w.calls).sum(),
+        estimated_calls: picked.iter().map(|w| w.estimated_calls).sum(),
+    })
 }
 
 proptest! {
@@ -694,8 +722,9 @@ proptest! {
     }
 
     /// The retained-window views over the same kind of fleet: whatever the
-    /// selection, `span_query` fleet-wide and per pid is the per-session
-    /// `span_profile`s merged through `merge_profiles` — mid-run, right
+    /// selection, `span_query` per pid is the session's own ring span read
+    /// alone, and fleet-wide the per-pid spans merged through
+    /// `merge_profiles` — mid-run, right
     /// after a hot detach (the retired session's windows stay in), and
     /// after `finish` has closed the open frames — and a span reports zero
     /// anomalies while the sessions it came from report theirs.

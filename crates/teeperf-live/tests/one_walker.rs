@@ -9,8 +9,6 @@
 //! * over the seven Phoenix recordings, in chunks of 1, 7, 1024 and the
 //!   whole log, against `Analyzer::profile`.
 
-use std::collections::BTreeSet;
-
 use proptest::prelude::*;
 use teeperf_analyzer::profile::{self, Profile};
 use teeperf_analyzer::symbolize::Symbolizer;
@@ -18,8 +16,8 @@ use teeperf_core::layout::{EventKind, LogEntry};
 use teeperf_core::log::make_header;
 use teeperf_live::RollingProfile;
 
-/// Feed `entries` in chunks of `chunk` (the whole log when `None`), finish,
-/// and snapshot as a single-log build stamps its profile.
+/// Feed `entries` of process `pid` in chunks of `chunk` (the whole log
+/// when `None`), finish, and snapshot.
 fn rolled(
     entries: &[LogEntry],
     chunk: Option<usize>,
@@ -27,14 +25,12 @@ fn rolled(
     pid: u64,
     dropped: u64,
 ) -> Profile {
-    let mut rolling = RollingProfile::new();
+    let mut rolling = RollingProfile::for_process(pid, None);
     for batch in entries.chunks(chunk.unwrap_or(entries.len()).max(1)) {
         rolling.ingest(batch);
     }
     rolling.finish();
-    let mut profile = rolling.snapshot(sym, dropped);
-    profile.pids = BTreeSet::from([pid]);
-    profile
+    rolling.snapshot(sym, dropped)
 }
 
 const FUNCS: u16 = 4;
@@ -111,7 +107,7 @@ proptest! {
         prop_assert_eq!(batch.anomalies.incomplete_entries, holes.len() as u64);
 
         // Any chunking: the cut lengths, repeated until the stream ends.
-        let mut rolling = RollingProfile::new();
+        let mut rolling = RollingProfile::for_process(3, None);
         let (mut at, mut cut) = (0, cuts.iter().cycle());
         while at < entries.len() {
             let end = (at + cut.next().expect("cycled")).min(entries.len());
@@ -121,9 +117,7 @@ proptest! {
         rolling.finish();
         let dismissed = holes.len() + torn.len();
         prop_assert_eq!(rolling.events(), (entries.len() - dismissed) as u64);
-        let mut live = rolling.snapshot(&sym, 5);
-        live.pids = BTreeSet::from([3]);
-        prop_assert_eq!(&live, &batch);
+        prop_assert_eq!(&rolling.snapshot(&sym, 5), &batch);
         prop_assert_eq!(&rolled(&entries, None, &sym, 3, 5), &batch);
     }
 }

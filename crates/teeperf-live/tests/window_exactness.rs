@@ -22,10 +22,11 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use teeperf_analyzer::profile::Anomalies;
 use teeperf_analyzer::reader::Event;
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_analyzer::{Aggregates, CompletedCall, PathTable, Profile, ResumableStacks};
+use teeperf_analyzer::{
+    Aggregates, CompletedCall, PathTable, Profile, ProfileMerge, ResumableStacks,
+};
 use teeperf_core::layout::{EventKind, LogEntry};
 use teeperf_core::log::make_header;
 use teeperf_live::window::{WindowMeta, WindowSel};
@@ -152,9 +153,9 @@ fn direct_calls(
     out
 }
 
-/// Aggregate a set of completed calls and materialize it exactly the way
-/// window profiles are materialized: the thread set from the calls
-/// themselves, anomalies zero (session-scoped by design).
+/// Aggregate a set of completed calls and read it exactly the way a window
+/// span is read: the thread set from the calls themselves, anomalies zero
+/// (session-scoped by design).
 fn materialize_calls(
     per_tid: &BTreeMap<u64, Vec<CompletedCall>>,
     paths: &PathTable,
@@ -169,8 +170,9 @@ fn materialize_calls(
     materialize_agg(&agg, paths, sym)
 }
 
+/// `agg` over `paths` read as process 1's: a merge of one process.
 fn materialize_agg(agg: &Aggregates, paths: &PathTable, sym: &Symbolizer) -> Profile {
-    agg.materialize(paths, sym, Anomalies::default())
+    ProfileMerge::one_process(1, agg, paths, sym)
 }
 
 /// The calls `events` complete on `stacks`, in completion order.
@@ -362,9 +364,7 @@ proptest! {
                 std::mem::swap(&mut lo, &mut hi);
             }
             let sel = WindowSel::Range(metas[lo].first, metas[hi].last);
-            let (span, span_profile) = rolling
-                .span_profile(&sym, &sel)
-                .expect("the span covers retained slots");
+            let (span, span_agg) = ring.span(&sel).expect("the span covers retained slots");
             prop_assert_eq!(span.first, metas[lo].first);
             prop_assert_eq!(span.last, metas[hi].last);
 
@@ -385,12 +385,12 @@ proptest! {
             let span_calls: u64 = filtered.values().map(|c| c.len() as u64).sum();
             prop_assert_eq!(span.calls, span_calls);
             let span_direct = materialize_calls(&filtered, &paths, &sym);
-            prop_assert_eq!(&span_profile, &span_direct);
+            prop_assert_eq!(&materialize_agg(&span_agg, rolling.paths(), &sym), &span_direct);
 
-            // The single-slot query resolves to its containing bucket and
-            // obeys the same identity.
-            let (one, one_profile) = rolling
-                .window_profile(&sym, metas[lo].first)
+            // A single slot, a bucket however wide, obeys the same
+            // identity.
+            let (one, one_agg) = ring
+                .span(&WindowSel::Range(metas[lo].first, metas[lo].last))
                 .expect("slot is retained");
             prop_assert_eq!((one.first, one.last), (metas[lo].first, metas[lo].last));
             let one_filtered: BTreeMap<u64, Vec<CompletedCall>> = truth
@@ -404,7 +404,10 @@ proptest! {
                     (*tid, keep)
                 })
                 .collect();
-            prop_assert_eq!(&one_profile, &materialize_calls(&one_filtered, &paths, &sym));
+            prop_assert_eq!(
+                &materialize_agg(&one_agg, rolling.paths(), &sym),
+                &materialize_calls(&one_filtered, &paths, &sym)
+            );
         }
     }
 
@@ -479,11 +482,14 @@ proptest! {
         prop_assert_eq!(ring.evicted_windows(), model.evicted_windows);
         let sym = symbolizer();
         for slot in &model.slots {
-            let (meta, profile) = rolling
-                .window_profile(&sym, slot.first)
+            let (meta, agg) = ring
+                .span(&WindowSel::Range(slot.first, slot.last))
                 .expect("the reference retains this slot");
             prop_assert_eq!((meta.first, meta.last), (slot.first, slot.last));
-            prop_assert_eq!(&profile, &materialize_members(&slot.members, &paths, &sym));
+            prop_assert_eq!(
+                &materialize_agg(&agg, rolling.paths(), &sym),
+                &materialize_members(&slot.members, &paths, &sym)
+            );
         }
         let mut all: Vec<Member> = model.evicted.clone();
         all.extend(model.slots.iter().flat_map(|s| s.members.iter().cloned()));

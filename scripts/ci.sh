@@ -179,6 +179,15 @@ query_smoke() {
     || { echo "query-smoke: last-5 query failed"; return 1; }
   echo "$q" | grep -q "^work " \
     || { echo "query-smoke: last-5 top-N missing work"; echo "$q"; return 1; }
+  # `tid=` matches a thread of any pid: the writers run on tid 0 only.
+  q="$(curl -sf "http://$addr/query?windows=all&tid=0")" \
+    || { echo "query-smoke: tid=0 query failed"; return 1; }
+  echo "$q" | grep -q "^work " \
+    || { echo "query-smoke: tid=0 missing work"; echo "$q"; return 1; }
+  q="$(curl -sf "http://$addr/query?windows=all&tid=1")" \
+    || { echo "query-smoke: tid=1 query failed"; return 1; }
+  [ -z "$(echo "$q" | sed -n '/^\[methods\]$/,$p' | sed 1d)" ] \
+    || { echo "query-smoke: tid=1 listed methods"; echo "$q"; return 1; }
   q="$(curl -sf "http://$addr/query?diff=2,3")" \
     || { echo "query-smoke: diff query failed"; return 1; }
   echo "$q" | grep -qF "diff 2 vs 3" \

@@ -1,0 +1,60 @@
+#!/usr/bin/env bash
+# Byte-compare two builds of the batch analyzer's CLI over a directory of
+# recordings — the check behind a "same outputs" claim for `teeperf
+# analyze`, `query` and `flamegraph`.
+#
+#   scripts/cmp_cli.sh <parent teeperf> <change teeperf> <dir>
+#
+# <dir> holds <name>.tplog + <name>.sym pairs, e.g. the seven Phoenix
+# recordings `cargo run --release --example record_phoenix <dir>` writes.
+# Per recording, five commands — `analyze`, a methods `query`, an events
+# `query` (it names the `tid` column), `flamegraph` as text and as SVG —
+# each at `--analyzer-threads` 1, 4 and the default: 15 outputs a
+# recording (stdout, or the SVG file), each compared with cmp together
+# with the command's exit code. Prints a count and exits 0 iff all are
+# equal.
+set -euo pipefail
+parent=$1 change=$2 dir=$3
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+shopt -s nullglob
+logs=("$dir"/*.tplog)
+[ ${#logs[@]} -gt 0 ] || { echo "cmp_cli: no .tplog in $dir" >&2; exit 2; }
+
+compared=0 status=0
+for log in "${logs[@]}"; do
+  name=$(basename "$log" .tplog)
+  operands=("$log" "$dir/$name.sym")
+  for threads in 1 4 default; do
+    flag=()
+    [ "$threads" = default ] || flag=(--analyzer-threads "$threads")
+    for side in parent change; do
+      bin=${!side} at="$out/$side.$threads.$name"
+      # Each output, then its command's exit code, under one label.
+      run() {
+        local label=$1 code=0
+        shift
+        "$bin" "$@" "${flag[@]}" > "$at.$label" 2> /dev/null || code=$?
+        echo "$code" > "$at.$label.code"
+      }
+      run analyze analyze "${operands[@]}"
+      run methods query "${operands[@]}" 'select method, calls, incl, excl, threads sort excl desc'
+      run events query "${operands[@]}" 'select tid, kind, method where counter > 0 sort seq asc limit 500'
+      run folded flamegraph "${operands[@]}"
+      : > "$at.svg" # an SVG a failed command never wrote compares as empty
+      run svg.log flamegraph "${operands[@]}" --svg "$at.svg" --title "$name"
+    done
+    for label in analyze methods events folded svg; do
+      p="$out/parent.$threads.$name.$label" c="$out/change.$threads.$name.$label"
+      code=${label/svg/svg.log}
+      compared=$((compared + 1))
+      if ! cmp -s "$p" "$c" || ! cmp -s "$out/parent.$threads.$name.$code.code" \
+                                        "$out/change.$threads.$name.$code.code"; then
+        echo "differs: $name $label at --analyzer-threads $threads"
+        status=1
+      fi
+    done
+  done
+done
+echo "cmp_cli: $compared outputs compared, $([ $status = 0 ] && echo all equal || echo some differ)"
+exit $status

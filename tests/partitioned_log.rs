@@ -2,9 +2,11 @@
 //! classic fetch-and-add log across the *entire* pipeline: same events,
 //! same analyzer output, same flame graph.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use bench::plog::{PartitionedHooks, PartitionedLog};
+use teeperf::analyzer::profile::merged_thread_key;
 use teeperf::analyzer::Analyzer;
 use teeperf::compiler::{compile_instrumented, profile_program, InstrumentOptions};
 use teeperf::core::{log::make_header, RecorderConfig, SimCounter};
@@ -86,6 +88,7 @@ fn partitioned_and_classic_logs_agree_end_to_end() {
     let classic_profile = Analyzer::new(classic.log, classic.debug)
         .expect("valid")
         .profile();
+    let partitioned_pid = plog_file.header.pid;
     let partitioned_profile = Analyzer::new(plog_file, debug).expect("valid").profile();
     assert_eq!(partitioned_profile.anomalies.orphan_returns, 0);
     assert_eq!(partitioned_profile.anomalies.truncated_frames, 0);
@@ -94,7 +97,13 @@ fn partitioned_and_classic_logs_agree_end_to_end() {
             .method(&m.name)
             .unwrap_or_else(|| panic!("{} missing from partitioned profile", m.name));
         assert_eq!(p.calls, m.calls, "{} call count differs", m.name);
-        assert_eq!(p.threads, m.threads, "{} thread set differs", m.name);
+        // The same threads, each keyed under its own log's process.
+        let classic_threads: BTreeSet<u64> = m
+            .threads
+            .iter()
+            .map(|key| merged_thread_key(partitioned_pid, *key))
+            .collect();
+        assert_eq!(p.threads, classic_threads, "{} thread set differs", m.name);
     }
 
     // Both produce structurally identical flame graphs (same stacks; tick
