@@ -131,12 +131,11 @@ mod tests {
 
     #[test]
     fn artifacts_round_trip() {
-        std::env::set_var(
-            "TEEPERF_RESULTS",
-            std::env::temp_dir().join("teeperf-results-test"),
-        );
+        let dir = std::env::temp_dir().join(format!("teeperf-results-test-{}", std::process::id()));
+        std::env::set_var("TEEPERF_RESULTS", &dir);
         let p = write_artifact("probe.txt", "hello");
         assert_eq!(std::fs::read_to_string(&p).unwrap(), "hello");
         std::env::remove_var("TEEPERF_RESULTS");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -33,8 +33,9 @@
 //! merge of one: [`Walker::materialize`] adds its aggregate and reads it,
 //! so within a process, too, two addresses that symbolize to one name are
 //! one method row. [`ProfileMerge`] is fed with finished [`Profile`]s, or
-//! with [`Aggregates`] or a [`CallLog`] of new calls whose session
-//! remembers where its stacks sit in the name space ([`PathNames`]), and is
+//! with [`Aggregates`] — whole, or what they gained since a [`FoldMark`] —
+//! whose session remembers where its stacks sit in the name space
+//! ([`PathNames`]), and is
 //! read as often as asked: as a profile, or as just the method and folded
 //! rows a snapshot's text is written from.
 
@@ -172,6 +173,7 @@ impl Default for Counts {
 impl Counts {
     /// One completed call standing for `scale` calls of its shape — how
     /// [`Aggregates::add_call`] counts it.
+    #[inline]
     fn of_call(call: &CompletedCall, scale: u64) -> Counts {
         let scale = scale.max(1);
         let (inclusive, exclusive) = (call.inclusive(), call.exclusive());
@@ -185,6 +187,7 @@ impl Counts {
     }
 
     /// Fold `other` into these counters.
+    #[inline]
     fn add(&mut self, other: &Counts) {
         self.calls += other.calls;
         self.inclusive += other.inclusive;
@@ -214,6 +217,7 @@ impl Row {
 }
 
 /// Add `tid` to the ascending set `threads`; whether that is news.
+#[inline]
 fn note_thread(threads: &mut Vec<u64>, tid: u64) -> bool {
     match threads.binary_search(&tid) {
         Ok(_) => false,
@@ -317,11 +321,12 @@ impl Aggregates {
     /// (sampling changes how many calls were seen, not how long one took),
     /// and a truncated call counts once: it is an exact observation of the
     /// stream, not a sampled estimate.
+    #[inline]
     pub fn add_call(&mut self, tid: u64, call: &CompletedCall, scale: u64) {
         self.truncated_frames += u64::from(call.truncated);
         let row = row_at(&mut self.rows, call.path.index());
         row.counts.add(&Counts::of_call(call, scale));
-        if note_thread(&mut row.threads, tid) {
+        if row.threads.last() != Some(&tid) && note_thread(&mut row.threads, tid) {
             self.threads.insert(tid);
         }
     }
@@ -506,10 +511,6 @@ impl Walker {
                 continue;
             }
             let tid = first.tid;
-            let end = entries[start + 1..]
-                .iter()
-                .position(|e| e.tid != tid || e.addr == 0)
-                .map_or(entries.len(), |len| start + 1 + len);
             let at = match self.machines.binary_search_by_key(&tid, |(t, _)| *t) {
                 Ok(at) => at,
                 Err(at) => {
@@ -523,12 +524,16 @@ impl Walker {
                 agg.add_call(tid, call, scale);
                 sink(tid, call);
             };
-            let orphans = self.machines[at]
-                .1
-                .feed(&mut self.paths, &entries[start..end], add);
+            // The run is found as it is fed: one pass over the entries.
+            let mut run = 0;
+            let events = entries[start..]
+                .iter()
+                .take_while(|e| e.tid == tid && e.addr != 0)
+                .inspect(|_| run += 1);
+            let orphans = self.machines[at].1.feed(&mut self.paths, events, add);
             self.agg.orphan_returns += orphans;
-            walked += end - start;
-            start = end;
+            walked += run;
+            start += run;
         }
         walked as u64
     }
@@ -781,90 +786,43 @@ impl PathNames {
     }
 }
 
-/// The calls an aggregate was fed since a consumer last took them,
-/// summed per `(stack, thread)`: each completed call counted as
-/// [`Aggregates::add_call`] counts it, scale applied, into the row of its
-/// stack and thread — plus every thread observed. A running cross-process
-/// view folds it ([`ProfileMerge::add_calls`]) and clears it, so it never
-/// holds more than one drain's rows, and a fold costs the distinct stacks
-/// the drain touched, not its calls. Summing first is exact: counts add,
-/// min and max combine, and a thread set is a set.
+/// How much of one aggregate a running merge holds: per stack, the sums
+/// and the thread count it was last given, and the stacks calls were added
+/// under since ([`FoldMark::touch`]). [`ProfileMerge::add_since`] adds just
+/// those stacks' deltas and moves the mark, so each call is counted once —
+/// by the aggregate — and a fold costs the stacks a drain touched, not its
+/// calls. The delta is exact: sums subtract, and a row's min, max, address
+/// and thread set go in whole, which the merge's min, max and set union
+/// absorb however often they repeat. A mark belongs to one aggregate and
+/// one merge.
 #[derive(Debug, Default)]
-pub struct CallLog {
-    /// One per `(stack, thread)` met since the last clear, in order of
-    /// first sight.
-    rows: Vec<LoggedRow>,
-    /// Indexed by stack id: the stack's newest row, [`NO_ROW`] for none.
-    /// Dense, so finding a call's row indexes, nothing hashed.
-    newest: Vec<u32>,
-    threads: Vec<u64>,
+pub struct FoldMark {
+    /// Indexed by stack id.
+    rows: Vec<Folded>,
+    /// The stacks touched since the last fold, each once.
+    touched: Vec<PathId>,
+    /// The aggregate's thread count at the last fold.
+    threads: usize,
 }
 
-/// A [`CallLog`] stack without rows.
-const NO_ROW: u32 = u32::MAX;
-
-/// One row of a [`CallLog`].
-#[derive(Debug)]
-struct LoggedRow {
-    path: PathId,
-    tid: u64,
+/// What a merge was last given of one aggregate row, and whether a call
+/// was added to it since.
+#[derive(Debug, Default, Clone, Copy)]
+struct Folded {
     counts: Counts,
-    /// The stack's previous row (another thread's), [`NO_ROW`] for none.
-    older: u32,
+    threads: usize,
+    touched: bool,
 }
 
-impl CallLog {
-    /// An empty log.
-    pub fn new() -> CallLog {
-        CallLog::default()
-    }
-
-    /// Add one completed call of `tid` to the row of its stack and
-    /// thread, counted as [`Aggregates::add_call`] counts it under the
-    /// same `scale`.
-    pub fn add_call(&mut self, tid: u64, call: &CompletedCall, scale: u64) {
-        let counts = Counts::of_call(call, scale);
-        let index = call.path.index();
-        if self.newest.len() <= index {
-            self.newest.resize(index + 1, NO_ROW);
+impl FoldMark {
+    /// Note that a call was added under `path` since the last fold.
+    #[inline]
+    pub fn touch(&mut self, path: PathId) {
+        let row = row_at(&mut self.rows, path.index());
+        if !row.touched {
+            row.touched = true;
+            self.touched.push(path);
         }
-        let older = self.newest[index];
-        let mut at = older;
-        while at != NO_ROW {
-            let row = &mut self.rows[at as usize];
-            if row.tid == tid {
-                row.counts.add(&counts);
-                return;
-            }
-            at = row.older;
-        }
-        self.newest[index] = u32::try_from(self.rows.len()).expect("fewer than 2^32 rows");
-        self.rows.push(LoggedRow {
-            path: call.path,
-            tid,
-            counts,
-            older,
-        });
-    }
-
-    /// Record that `tid` was observed ([`Aggregates::observe_thread`]).
-    pub fn observe_thread(&mut self, tid: u64) {
-        self.threads.push(tid);
-    }
-
-    /// Whether nothing was recorded since the last clear: folding the log
-    /// would add nothing.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty() && self.threads.is_empty()
-    }
-
-    /// Forget everything recorded, keeping the buffers.
-    pub fn clear(&mut self) {
-        for row in &self.rows {
-            self.newest[row.path.index()] = NO_ROW;
-        }
-        self.rows.clear();
-        self.threads.clear();
     }
 }
 
@@ -908,9 +866,9 @@ fn add_method(row: &mut Option<(u64, Counts)>, addr: u64, counts: &Counts) {
 /// The accumulator under every profile, of one process or many:
 /// per-process contributions go in — already materialized
 /// ([`ProfileMerge::add_profile`]), still indexed by the session's stack
-/// ids ([`ProfileMerge::add_aggregates`]), or pump by pump as a session
-/// completes calls, summed per stack and thread
-/// ([`ProfileMerge::add_calls`]) — and come out as one [`Profile`]
+/// ids ([`ProfileMerge::add_aggregates`]), or pump by pump as the rows a
+/// session's calls touched ([`ProfileMerge::add_since`]) — and come out as
+/// one [`Profile`]
 /// ([`ProfileMerge::finish`]) or as just the two tables a snapshot's text
 /// is written from
 /// ([`ProfileMerge::method_rows`], [`ProfileMerge::folded_rows`]), grouped
@@ -926,15 +884,15 @@ fn add_method(row: &mut Option<(u64, Counts)>, addr: u64, counts: &Counts) {
 /// ([`Walker::materialize`]). Inside the accumulator a name is a
 /// small integer and a stack an index into a [`NameSpace`]'s tree — the
 /// one every call lends it, which must be the same for the merge's whole
-/// life: an aggregate's rows (or a log's calls) are added to the rows of
+/// life: an aggregate's rows (or their deltas) are added to the rows of
 /// the stacks its session's memo places them at — an index each, nothing
 /// hashed — and methods and caller edges are grouped out of the tree when
 /// the merge is read; a profile adds its method and edge rows as they are
 /// and only its folded ticks to the tree. Threads are kept per method
 /// name as a set of thread keys. Every counter is summed, so the merged
 /// totals equal the sum of the per-process totals; contributions commute,
-/// and the ways in agree — adding a process's aggregate, or its calls log
-/// by log, gives the same result as adding the profile a merge of that
+/// and the ways in agree — adding a process's aggregate, or its deltas
+/// fold by fold, gives the same result as adding the profile a merge of that
 /// aggregate alone makes (`merged_thread_key` keeps a key of the same
 /// process as it is).
 #[derive(Debug, Default)]
@@ -1071,38 +1029,55 @@ impl ProfileMerge {
         self.threads.extend(keys);
     }
 
-    /// Add the calls process `pid` completed since its log was last
-    /// cleared, and the threads it observed: the same contribution as
-    /// adding an aggregate of just those calls over `paths`, and so, call
-    /// log after call log, as adding the process's whole aggregate at the
-    /// end (anomalies aside). The cost is the log's rows — one per
-    /// `(stack, thread)` it met — plus the stacks `paths` gained since the
-    /// memo last saw it. A process joins [`ProfileMerge::pids`] here, with
-    /// an empty log as well.
-    pub fn add_calls(
+    /// Add what process `pid`'s walk gained since `mark`, and move the
+    /// mark: fold after fold, the same contribution as adding the walk's
+    /// whole aggregate at the end (anomalies aside). The cost is the
+    /// stacks touched since the last fold plus the stacks the walk met
+    /// since the memo last saw its table. A process joins
+    /// [`ProfileMerge::pids`] here, with nothing new as well.
+    pub fn add_since(
         &mut self,
         space: &mut NameSpace,
         pid: u64,
-        calls: &CallLog,
-        paths: &PathTable,
+        walker: &Walker,
+        mark: &mut FoldMark,
         symbolizer: &Symbolizer,
         memo: &mut PathNames,
     ) {
+        let (aggregates, paths) = (&walker.agg, &walker.paths);
         self.pids.insert(pid);
         memo.extend(paths, symbolizer, space);
-        for row in &calls.rows {
-            let key = merged_thread_key(pid, row.tid);
-            let at = memo.by_path[row.path.index()];
-            self.add_row(
-                space,
-                at,
-                paths.key(row.path),
-                &row.counts,
-                std::iter::once(key),
-            );
+        for path in mark.touched.drain(..) {
+            let (row, was) = (&aggregates.rows[path.index()], &mut mark.rows[path.index()]);
+            let delta = Counts {
+                calls: row.counts.calls - was.counts.calls,
+                inclusive: row.counts.inclusive - was.counts.inclusive,
+                exclusive: row.counts.exclusive - was.counts.exclusive,
+                ..row.counts
+            };
+            // A row's thread set only grows: unchanged in size, the merge
+            // holds all of it.
+            let grown: &[u64] = if row.threads.len() == was.threads {
+                &[]
+            } else {
+                &row.threads
+            };
+            *was = Folded {
+                counts: row.counts,
+                threads: row.threads.len(),
+                touched: false,
+            };
+            let keys = grown.iter().map(|tid| merged_thread_key(pid, *tid));
+            let (at, addr) = (memo.by_path[path.index()], paths.key(path));
+            self.add_row(space, at, addr, &delta, keys);
         }
-        let keys = calls.threads.iter().map(|tid| merged_thread_key(pid, *tid));
-        self.threads.extend(keys);
+        if aggregates.threads.len() != mark.threads {
+            mark.threads = aggregates.threads.len();
+            let keys = aggregates
+                .thread_ids()
+                .map(|tid| merged_thread_key(pid, tid));
+            self.threads.extend(keys);
+        }
     }
 
     /// Add `counts` of the threads `keys`, seen at `addr`, to name-space
@@ -1895,108 +1870,83 @@ mod tests {
     }
 
     #[test]
-    fn a_call_log_holds_one_row_per_stack_and_thread() {
+    fn folds_of_the_touched_rows_add_up_to_the_whole_walk() {
         // Each of T threads runs `main { (work { leaf } leaf) × 8 }` with
-        // irregular durations: N calls over S stacks (main, main;work,
-        // main;work;leaf, main;leaf), each thread under its own scale.
-        // The log of the whole pump holds at most S × T rows, and folding
-        // it adds what folding the calls one log each adds.
+        // irregular durations — N calls over S stacks (main, main;work,
+        // main;work;leaf, main;leaf) — walked under its own scale a few
+        // entries at a time, and folded after every k-th stretch: a mark
+        // holds each stack at most once, and the folds add what adding
+        // the whole aggregate adds.
         use EventKind::{Call, Return};
         const T: u64 = 3;
         const S: usize = 4;
-        let ev = |kind, counter, addr| Event {
-            kind,
-            counter,
-            addr,
-            seq: 0,
-        };
-        let mut paths = PathTable::new();
-        let mut log = CallLog::new();
-        let mut calls: Vec<(u64, CompletedCall, u64)> = Vec::new();
+        let mut threads: Vec<Vec<LogEntry>> = Vec::new();
         for tid in 0..T {
             let mut counter = 0;
             let mut at = |step: u64| {
                 counter += 1 + (step * (tid + 3)) % 7;
                 counter
             };
-            let mut events = vec![ev(Call, at(0), addr(0))];
+            let mut entries = vec![e(Call, at(0), addr(0), tid)];
             for i in 0..8 {
-                events.push(ev(Call, at(i), addr(1)));
-                events.push(ev(Call, at(i + 1), addr(2)));
-                events.push(ev(Return, at(i + 2), addr(2)));
-                events.push(ev(Return, at(i + 3), addr(1)));
-                events.push(ev(Call, at(i + 4), addr(2)));
-                events.push(ev(Return, at(i + 5), addr(2)));
+                entries.push(e(Call, at(i), addr(1), tid));
+                entries.push(e(Call, at(i + 1), addr(2), tid));
+                entries.push(e(Return, at(i + 2), addr(2), tid));
+                entries.push(e(Return, at(i + 3), addr(1), tid));
+                entries.push(e(Call, at(i + 4), addr(2), tid));
+                entries.push(e(Return, at(i + 5), addr(2), tid));
             }
-            events.push(ev(Return, at(9), addr(0)));
-            let scale = tid + 1;
-            log.observe_thread(tid);
-            ResumableStacks::new().feed(&mut paths, &events, |call| {
-                log.add_call(tid, call, scale);
-                calls.push((tid, call.clone(), scale));
-            });
+            entries.push(e(Return, at(9), addr(0), tid));
+            threads.push(entries);
         }
-        assert_eq!(calls.len(), T as usize * 25);
-        assert_eq!(paths.rows().count(), S);
-        assert_eq!(
-            log.rows.len(),
-            S * T as usize,
-            "at most S × T: here, every pair"
-        );
-
         let sym = Symbolizer::without_relocation(debug());
-        let (mut space, mut merge, mut memo) =
-            (NameSpace::new(), ProfileMerge::new(), PathNames::new());
-        merge.add_calls(&mut space, 7, &log, &paths, &sym, &mut memo);
-        let (mut one_space, mut one_by_one, mut one_memo) =
-            (NameSpace::new(), ProfileMerge::new(), PathNames::new());
-        for (tid, call, scale) in &calls {
-            let mut one = CallLog::new();
-            one.observe_thread(*tid);
-            one.add_call(*tid, call, *scale);
-            one_by_one.add_calls(&mut one_space, 7, &one, &paths, &sym, &mut one_memo);
+        for every in [1, 3, usize::MAX] {
+            let (mut walker, mut mark) = (Walker::new(), FoldMark::default());
+            let (mut space, mut merge, mut memo) =
+                (NameSpace::new(), ProfileMerge::new(), PathNames::new());
+            let stretches =
+                (0..T).flat_map(|tid| threads[tid as usize].chunks(5).map(move |c| (tid, c)));
+            let mut calls = 0;
+            for (n, (tid, stretch)) in stretches.enumerate() {
+                walker.ingest(stretch, tid + 1, |_, call| {
+                    mark.touch(call.path);
+                    calls += 1;
+                });
+                assert!(mark.touched.len() <= S, "a stack is touched once");
+                if (n + 1) % every == 0 {
+                    merge.add_since(&mut space, 7, &walker, &mut mark, &sym, &mut memo);
+                    assert!(mark.touched.is_empty());
+                }
+            }
+            merge.add_since(&mut space, 7, &walker, &mut mark, &sym, &mut memo);
+            assert_eq!((calls, walker.paths().rows().count()), (T * 25, S));
+            let whole = walker.materialize(&sym, 7, 0);
+            assert_eq!(merge.finish(&mut space), whole, "a fold every {every}");
         }
-        assert_eq!(merge.finish(&mut space), one_by_one.finish(&mut one_space));
-
-        // A cleared log starts its rows afresh.
-        log.clear();
-        assert!(log.is_empty());
-        log.add_call(1, &calls[0].1, 1);
-        assert_eq!(log.rows.len(), 1);
     }
 
     #[test]
-    fn interleaved_call_logs_note_each_method_thread_once() {
-        // `main { work × 8 }` on thread 0, its calls added one log at a
-        // time with the processes taking turns: the last-key check never
-        // hits, so only the thread set keeps a pair from being noted once
-        // a call.
-        let ev = |kind, counter, addr| Event {
-            kind,
-            counter,
-            addr,
-            seq: 0,
-        };
-        let mut events = vec![ev(EventKind::Call, 1, addr(0))];
+    fn interleaved_folds_note_each_method_thread_once() {
+        // `main { work × 8 }` on thread 0, walked by 64 processes an entry
+        // at a time and folded after each, the processes taking turns:
+        // the last-key check never hits, so only the mark keeps a pair
+        // from being noted once a call.
+        let mut entries = vec![e(EventKind::Call, 1, addr(0), 0)];
         for i in 0..8 {
-            events.push(ev(EventKind::Call, 10 * i + 2, addr(1)));
-            events.push(ev(EventKind::Return, 10 * i + 9, addr(1)));
+            entries.push(e(EventKind::Call, 10 * i + 2, addr(1), 0));
+            entries.push(e(EventKind::Return, 10 * i + 9, addr(1), 0));
         }
-        events.push(ev(EventKind::Return, 100, addr(0)));
-        let mut paths = PathTable::new();
-        let mut calls: Vec<CompletedCall> = Vec::new();
-        ResumableStacks::new().feed(&mut paths, &events, |call| calls.push(call.clone()));
-        assert_eq!(calls.len(), 9);
+        entries.push(e(EventKind::Return, 100, addr(0), 0));
         const PIDS: u64 = 64;
         let sym = Symbolizer::without_relocation(debug());
         let (mut space, mut merge) = (NameSpace::new(), ProfileMerge::new());
-        let mut memos: Vec<PathNames> = (0..PIDS).map(|_| PathNames::new()).collect();
-        let mut log = CallLog::new();
-        for call in &calls {
-            for (pid, memo) in (1..=PIDS).zip(&mut memos) {
-                log.clear();
-                log.add_call(0, call, 1);
-                merge.add_calls(&mut space, pid, &log, &paths, &sym, memo);
+        let mut processes: Vec<(Walker, FoldMark, PathNames)> = (0..PIDS)
+            .map(|_| (Walker::new(), FoldMark::default(), PathNames::new()))
+            .collect();
+        for entry in entries.chunks(1) {
+            for (pid, (walker, mark, memo)) in (1..=PIDS).zip(&mut processes) {
+                walker.ingest(entry, 1, |_, call| mark.touch(call.path));
+                merge.add_since(&mut space, pid, walker, mark, &sym, memo);
             }
         }
         let noted: usize = merge.method_threads.iter().map(Vec::len).sum();

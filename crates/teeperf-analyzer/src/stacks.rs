@@ -107,6 +107,7 @@ impl PathTable {
     /// The stack `parent` extended by a frame at `key`, interned on first
     /// sight. `key` is an address in a session's table and a name id in a
     /// name-space one.
+    #[inline]
     pub fn child(&mut self, parent: PathId, key: u64) -> PathId {
         let node = &self.nodes[parent.index()];
         if node.hint_key == key && node.hint_child != PathId::ROOT {
@@ -229,6 +230,7 @@ impl StackEvent for Event {
 }
 
 impl StackEvent for LogEntry {
+    #[inline]
     fn step(&self) -> (EventKind, u64, u64) {
         (self.kind, self.counter, self.addr)
     }

@@ -762,10 +762,28 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
-    fn tmpdir() -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("teeperf-cli-{}", std::process::id()));
+    /// A directory of one test's own, `label` naming it, removed on drop:
+    /// tests run in parallel, so none may share one.
+    struct ScratchDir(std::path::PathBuf);
+
+    impl std::ops::Deref for ScratchDir {
+        type Target = std::path::Path;
+        fn deref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmpdir(label: &str) -> ScratchDir {
+        let d = std::env::temp_dir().join(format!("teeperf-cli-{}-{label}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
-        d
+        ScratchDir(d)
     }
 
     #[test]
@@ -924,9 +942,7 @@ mod tests {
         use teeperf_core::log::make_header;
         use teeperf_core::shm_file::{publish_sidecar, FileShmWriter};
 
-        let dir = std::env::temp_dir().join(format!("teeperf-cli-top-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("top");
         let debug = mcvm::DebugInfo::from_functions([("main", 4, 1), ("work", 4, 5)]);
         publish_sidecar(&dir, 41, "sym", &debug.to_text()).unwrap();
         let mut w = FileShmWriter::create(&dir, &make_header(41, 64, true, 0, 0)).unwrap();
@@ -944,7 +960,7 @@ mod tests {
         w.finish().unwrap();
 
         let daemon = teeperf_daemon::Daemon::new(teeperf_daemon::DaemonConfig {
-            dir: dir.clone(),
+            dir: dir.to_path_buf(),
             listen: "127.0.0.1:0".to_string(),
             pump_interval: std::time::Duration::from_millis(1),
             ..teeperf_daemon::DaemonConfig::default()
@@ -970,7 +986,6 @@ mod tests {
         tx.send("test done".to_string()).unwrap();
         let report = handle.join().unwrap().unwrap();
         assert_eq!(report.attached, vec![41]);
-        let _ = std::fs::remove_dir_all(&dir);
 
         // Usage errors: missing --connect, unreachable daemon.
         assert!(dispatch(&strs(&["top"])).is_err());
@@ -1013,9 +1028,7 @@ mod tests {
         use teeperf_core::log::make_header;
         use teeperf_core::shm_file::{publish_sidecar, FileShmWriter};
 
-        let dir = std::env::temp_dir().join(format!("teeperf-cli-query-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("query");
         let debug = mcvm::DebugInfo::from_functions([("main", 4, 1), ("work", 4, 5)]);
         publish_sidecar(&dir, 41, "sym", &debug.to_text()).unwrap();
         let mut w = FileShmWriter::create(&dir, &make_header(41, 64, true, 0, 0)).unwrap();
@@ -1033,7 +1046,7 @@ mod tests {
         w.finish().unwrap();
 
         let daemon = teeperf_daemon::Daemon::new(teeperf_daemon::DaemonConfig {
-            dir: dir.clone(),
+            dir: dir.to_path_buf(),
             listen: "127.0.0.1:0".to_string(),
             pump_interval: std::time::Duration::from_millis(1),
             retention: Some(RingConfig {
@@ -1115,7 +1128,6 @@ mod tests {
 
         tx.send("test done".to_string()).unwrap();
         handle.join().unwrap().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1135,9 +1147,7 @@ mod tests {
 
     #[test]
     fn daemon_command_runs_to_its_loop_limit() {
-        let dir = std::env::temp_dir().join(format!("teeperf-cli-daemon-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("daemon");
         let out = dispatch(&strs(&[
             "daemon",
             "--dir",
@@ -1156,7 +1166,6 @@ mod tests {
         // way the command returns a clean closing report.
         assert!(out.contains("teeperfd: shut down"), "{out}");
         assert!(out.contains("attached pids: -"), "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1174,7 +1183,7 @@ mod tests {
 
     #[test]
     fn run_record_analyze_query_flamegraph_pipeline() {
-        let dir = tmpdir();
+        let dir = tmpdir("pipeline");
         let prog = dir.join("demo.mc");
         std::fs::write(
             &prog,
@@ -1227,7 +1236,7 @@ mod tests {
 
     #[test]
     fn query_picks_its_frame_by_the_columns_it_references_not_by_its_text() {
-        let dir = tmpdir();
+        let dir = tmpdir("columns");
         let prog = dir.join("names.mc");
         std::fs::write(
             &prog,
@@ -1259,7 +1268,7 @@ mod tests {
 
     #[test]
     fn compile_then_run_and_record_object_file() {
-        let dir = tmpdir();
+        let dir = tmpdir("object");
         let prog = dir.join("obj.mc");
         std::fs::write(
             &prog,
@@ -1295,7 +1304,7 @@ mod tests {
 
     #[test]
     fn diff_compares_two_recordings() {
-        let dir = tmpdir();
+        let dir = tmpdir("diff");
         let write_prog = |name: &str, body: &str| -> String {
             let p = dir.join(name);
             std::fs::write(&p, body).unwrap();
@@ -1334,7 +1343,7 @@ mod tests {
 
     #[test]
     fn live_session_over_a_tiny_log() {
-        let dir = tmpdir();
+        let dir = tmpdir("live");
         let prog = dir.join("live.mc");
         std::fs::write(
             &prog,
@@ -1387,7 +1396,7 @@ mod tests {
 
     #[test]
     fn follow_pids_runs_a_multi_process_session() {
-        let dir = tmpdir();
+        let dir = tmpdir("follow");
         let prog = dir.join("multi.mc");
         std::fs::write(
             &prog,
@@ -1446,9 +1455,7 @@ mod tests {
 
     #[test]
     fn recordings_in_one_directory_are_a_fleet_post_mortem() {
-        let dir = tmpdir().join("post-mortem");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("post-mortem");
         let prog = dir.join("replay.mc");
         std::fs::write(
             &prog,
@@ -1489,7 +1496,6 @@ mod tests {
             "{snap_text}"
         );
         assert_eq!(Snapshot::summary_from_text(&snap_text).unwrap().events, 8);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1513,7 +1519,7 @@ mod tests {
 
     #[test]
     fn analyze_salvages_a_truncated_log() {
-        let dir = tmpdir();
+        let dir = tmpdir("salvage");
         let prog = dir.join("salv.mc");
         std::fs::write(
             &prog,
@@ -1549,7 +1555,7 @@ mod tests {
         // What `teeperf-shm-writer` leaves in a registration directory: a
         // finished session (pid 41) and one whose writer was killed (pid
         // 42, ACTIVE never cleared), each preallocated far past its tail.
-        let dir = tmpdir();
+        let dir = tmpdir("operand");
         let debug = mcvm::DebugInfo::from_functions([("main", 4, 1), ("work", 4, 5)]);
         let (a0, a1) = (debug.entry_addr(0), debug.entry_addr(1));
         for (pid, finish) in [(41, true), (42, false)] {
@@ -1604,7 +1610,7 @@ mod tests {
     fn a_recording_in_the_old_framing_is_refused_not_guessed_at() {
         // `TPERFLG1`, six header words, a count, the entries: what `teeperf
         // record` wrote before a recording became the log image.
-        let dir = tmpdir();
+        let dir = tmpdir("old-framing");
         let mut old = b"TPERFLG1".to_vec();
         for word in [0b111u64 | 3 << 17, 41, 64, 2, 0, 0, 2] {
             old.extend_from_slice(&word.to_le_bytes());
@@ -1624,7 +1630,7 @@ mod tests {
 
     #[test]
     fn retention_flags_thread_through_live() {
-        let dir = tmpdir();
+        let dir = tmpdir("retention");
         let prog = dir.join("ring.mc");
         std::fs::write(
             &prog,
@@ -1665,7 +1671,7 @@ mod tests {
 
     #[test]
     fn batch_slots_and_transition_mode_thread_through_record_and_live() {
-        let dir = tmpdir();
+        let dir = tmpdir("knobs");
         let prog = dir.join("knobs.mc");
         std::fs::write(
             &prog,
@@ -1732,7 +1738,7 @@ mod tests {
 
     #[test]
     fn bad_arch_rejected() {
-        let dir = tmpdir();
+        let dir = tmpdir("bad-arch");
         let prog = dir.join("p.mc");
         std::fs::write(&prog, "fn main() -> int { return 0; }").unwrap();
         let e = dispatch(&strs(&["run", prog.to_str().unwrap(), "--arch", "sgx-v9"])).unwrap_err();
@@ -1779,9 +1785,7 @@ mod tests {
         use teeperf_core::log::make_header;
         use teeperf_core::shm_file::{publish_sidecar, FileShmWriter};
 
-        let dir = tmpdir().join("salvage-golden");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("salvage-golden");
         let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
         std::fs::write(
             path("clean.mc"),
@@ -1857,7 +1861,6 @@ mod tests {
                 write!(transcript, "{stdout}-- stderr\n{stderr}-- end\n").unwrap();
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
         transcript.replace(dir.to_str().unwrap(), "$DIR")
     }
 

@@ -500,14 +500,20 @@ impl SalvageReport {
         entries: impl IntoIterator<Item = LogEntry>,
         out: &mut Vec<LogEntry>,
     ) {
-        let entries = entries.into_iter();
-        out.reserve(entries.size_hint().0);
         let before = out.len();
-        for e in entries {
-            match e.validity() {
-                EntryValidity::Valid => out.push(e),
-                EntryValidity::Unpublished => self.drop_n(SalvageReason::UnpublishedSlot, 1),
-                EntryValidity::Torn => self.drop_n(SalvageReason::TornEntry, 1),
+        out.extend(entries);
+        // Only a broken writer leaves an invalid record: append the batch
+        // whole, and sort it out only when one is there.
+        if out[before..]
+            .iter()
+            .any(|e| e.validity() != EntryValidity::Valid)
+        {
+            for e in out.split_off(before) {
+                match e.validity() {
+                    EntryValidity::Valid => out.push(e),
+                    EntryValidity::Unpublished => self.drop_n(SalvageReason::UnpublishedSlot, 1),
+                    EntryValidity::Torn => self.drop_n(SalvageReason::TornEntry, 1),
+                }
             }
         }
         self.kept += (out.len() - before) as u64;

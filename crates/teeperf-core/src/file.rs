@@ -245,13 +245,13 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("teeperf-file-test");
+        let dir = std::env::temp_dir().join(format!("teeperf-file-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("log.bin");
         let f = sample();
         f.save(&path).unwrap();
         assert_eq!(LogFile::load(&path).unwrap(), f);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

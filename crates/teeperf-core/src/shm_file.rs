@@ -35,7 +35,9 @@
 //! still the capacity it opened with) — then bulk reads of `[cursor,
 //! available)` in chunks of [`READ_CHUNK_ENTRIES`], `available` being
 //! [`LogHeader::available`]'s `min(tail, size, slots on disk)`, the rule
-//! [`crate::LogFile::load`] reads by. Every slot is still classified with
+//! [`crate::LogFile::load`] reads by. [`EventSource::pump_chunks`] hands
+//! each chunk on before it reads the next, so however far the tail moved,
+//! the batch holds one chunk. Every slot is still classified with
 //! the same [`EntryValidity`](crate::layout::EntryValidity) rules as the
 //! live drain, and the salvage accounting ([`SalvageReport`]) carries over: a
 //! torn or never-written slot below the tail can only come from a broken
@@ -388,38 +390,12 @@ impl FileShmSource {
         }
     }
 
-    /// Append the slots from the cursor up to `limit` (already clamped to
-    /// the slots on disk) to `out` in bulk reads, applying the validity
-    /// rules per slot: below the tail nothing is waited for, so an invalid
-    /// slot is skipped and accounted on the spot.
-    fn read_slots(&mut self, limit: u64, out: &mut Vec<LogEntry>) {
-        while self.cursor < limit {
-            let n = (limit - self.cursor).min(READ_CHUNK_ENTRIES);
-            let bytes = (n * ENTRY_BYTES) as usize;
-            // The buffer only grows (to one chunk at most): a shorter read
-            // fills a prefix, and nothing is zeroed twice.
-            if self.buf.len() < bytes {
-                self.buf.resize(bytes, 0);
-            }
-            let chunk = &mut self.buf[..bytes];
-            let off = LogEntry::offset_of(self.cursor);
-            if self.file.read_exact_at(chunk, off).is_err() {
-                // Bytes vanished mid-drain; the header re-read accounted
-                // the loss (or will on the next pump) — stop here.
-                break;
-            }
-            self.salvage.filter_into(LogEntry::decode_slots(chunk), out);
-            self.cursor += n;
-        }
-    }
-}
-
-impl EventSource for FileShmSource {
-    fn pid(&self) -> u64 {
-        self.header.pid
-    }
-
-    fn pump_into(&mut self, batch: &mut SourceBatch) {
+    /// The pump: one look at the header, then the slots from the cursor up
+    /// to the tail it showed, in bulk reads, `read` seeing `batch.entries`
+    /// after each. The validity rules apply per slot: below the tail
+    /// nothing is waited for, so an invalid slot is skipped and accounted
+    /// on the spot.
+    fn pump_with(&mut self, batch: &mut SourceBatch, mut read: impl FnMut(&mut Vec<LogEntry>)) {
         batch.reset(0);
         if self.dead {
             return;
@@ -443,16 +419,49 @@ impl EventSource for FileShmSource {
             self.salvage.drop_n(SalvageReason::TruncatedFile, lost);
             self.dead = true;
         }
-        self.read_slots(available, &mut batch.entries);
+        while self.cursor < available {
+            let n = (available - self.cursor).min(READ_CHUNK_ENTRIES);
+            let bytes = (n * ENTRY_BYTES) as usize;
+            // The buffer only grows (to one chunk at most): a shorter read
+            // fills a prefix, and nothing is zeroed twice.
+            if self.buf.len() < bytes {
+                self.buf.resize(bytes, 0);
+            }
+            let chunk = &mut self.buf[..bytes];
+            let off = LogEntry::offset_of(self.cursor);
+            if self.file.read_exact_at(chunk, off).is_err() {
+                // Bytes vanished mid-drain; the header re-read accounted
+                // the loss (or will on the next pump) — stop here.
+                break;
+            }
+            let decoded = LogEntry::decode_slots(chunk);
+            self.salvage.filter_into(decoded, &mut batch.entries);
+            self.cursor += n;
+            read(&mut batch.entries);
+        }
         // Overflow accounting: each newly-observed drop exactly once, on
         // the batch where it became visible.
         batch.dropped = self.dropped_total().saturating_sub(already_dropped);
     }
+}
 
-    fn drain_to_end(&mut self) -> SourceBatch {
-        // Nothing below the tail is ever waited for, so the final drain
-        // is an ordinary pump.
-        self.pump()
+impl EventSource for FileShmSource {
+    fn pid(&self) -> u64 {
+        self.header.pid
+    }
+
+    fn pump_into(&mut self, batch: &mut SourceBatch) {
+        self.pump_with(batch, |_| {});
+    }
+
+    fn pump_chunks(&mut self, batch: &mut SourceBatch, walk: &mut dyn FnMut(&[LogEntry])) -> usize {
+        let mut n = 0;
+        self.pump_with(batch, |entries| {
+            n += entries.len();
+            walk(entries);
+            entries.clear();
+        });
+        n
     }
 
     fn dropped_total(&self) -> u64 {
@@ -650,6 +659,16 @@ mod tests {
         assert!(b.entries.iter().map(|e| e.counter).eq(6..=n));
         assert!(src.is_exhausted());
         assert!(src.salvage().is_clean());
+        // Handed over a bulk read at a time, the same entries come in
+        // three stretches, the batch never holding more than one.
+        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        let (mut batch, mut stretches) = (SourceBatch::default(), Vec::new());
+        let walked = src.pump_chunks(&mut batch, &mut |e| stretches.push(e.to_vec()));
+        assert_eq!(walked as u64, n);
+        let lens: Vec<u64> = stretches.iter().map(|s| s.len() as u64).collect();
+        assert_eq!(lens, [READ_CHUNK_ENTRIES, READ_CHUNK_ENTRIES, 17]);
+        assert!(stretches.concat().iter().map(|e| e.counter).eq(1..=n));
+        assert!(batch.entries.capacity() as u64 <= READ_CHUNK_ENTRIES);
     }
 
     #[test]
@@ -1125,15 +1144,23 @@ mod tests {
                     dropped: 9,
                     epoch: 3,
                 };
+                // A third hands its entries over stretch by stretch, and
+                // must hand over what the fresh pump holds.
+                let mut walked = FileShmSource::open(&path).unwrap();
                 let mut entries = Vec::new();
                 for _ in 0..2 {
                     let fresh = src.pump();
                     let mut lent = dirty();
                     twin.pump_into(&mut lent);
                     prop_assert_eq!(&lent, &fresh);
+                    let (mut lent, mut stretches) = (dirty(), Vec::new());
+                    let n = walked.pump_chunks(&mut lent, &mut |e| stretches.extend_from_slice(e));
+                    prop_assert_eq!((n, &stretches), (fresh.entries.len(), &fresh.entries));
+                    prop_assert_eq!((lent.rotated, lent.dropped, lent.epoch), (false, fresh.dropped, 0));
                     entries.extend(fresh.entries);
                 }
                 prop_assert_eq!(twin.salvage(), src.salvage());
+                prop_assert_eq!(walked.salvage(), src.salvage());
                 prop_assert!(entries.capacity() as u64 <= held as u64 + READ_CHUNK_ENTRIES);
                 let report = src.salvage();
                 prop_assert_eq!(entries.len() as u64, report.kept);

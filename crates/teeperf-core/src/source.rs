@@ -22,7 +22,8 @@ use crate::fidelity::Regime;
 use crate::layout::{EntryValidity, LogEntry};
 use crate::log::{LogCursor, SharedLog};
 
-/// One pump's worth of entries from an [`EventSource`].
+/// One pump's worth of entries from an [`EventSource`] (one stretch of
+/// it, under [`EventSource::pump_chunks`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SourceBatch {
     /// Entries obtained this pump, in log order.
@@ -38,7 +39,7 @@ pub struct SourceBatch {
 impl SourceBatch {
     /// Empty the batch for a pump that starts in `epoch`, keeping the
     /// capacity of `entries`.
-    pub(crate) fn reset(&mut self, epoch: u64) {
+    pub fn reset(&mut self, epoch: u64) {
         self.entries.clear();
         self.rotated = false;
         self.dropped = 0;
@@ -71,6 +72,17 @@ pub trait EventSource: Send + std::fmt::Debug {
     /// watermark; for files it reads every slot published since.
     fn pump_into(&mut self, batch: &mut SourceBatch);
 
+    /// [`EventSource::pump_into`], handing the entries to `walk` in log
+    /// order a stretch at a time, each while it is fresh in `batch` (whose
+    /// other fields are the pump's on return). Returns the entries handed
+    /// over. By default the whole pump is one stretch; a file source hands
+    /// over one bulk read at a time, so the batch never holds more.
+    fn pump_chunks(&mut self, batch: &mut SourceBatch, walk: &mut dyn FnMut(&[LogEntry])) -> usize {
+        self.pump_into(batch);
+        walk(&batch.entries);
+        batch.entries.len()
+    }
+
     /// [`EventSource::pump_into`] a fresh batch.
     fn pump(&mut self) -> SourceBatch {
         let mut batch = SourceBatch::default();
@@ -79,8 +91,11 @@ pub trait EventSource: Send + std::fmt::Debug {
     }
 
     /// Force out everything currently available (rotate a live log even
-    /// below the watermark; read the whole remainder of a file).
-    fn drain_to_end(&mut self) -> SourceBatch;
+    /// below the watermark; read the whole remainder of a file). By
+    /// default a pump: nothing is waited for.
+    fn drain_to_end(&mut self) -> SourceBatch {
+        self.pump()
+    }
 
     /// Entries dropped on overflow over the lifetime of the source.
     fn dropped_total(&self) -> u64;

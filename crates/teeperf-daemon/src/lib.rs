@@ -58,7 +58,7 @@ use mcvm::DebugInfo;
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_analyzer::WindowSpec;
 use teeperf_core::shm_file::{sym_path, LOG_EXT};
-use teeperf_core::{EventSource, FileShmSource, SalvageReport, SourceBatch};
+use teeperf_core::{EventSource, FileShmSource, LogEntry, SalvageReport, SourceBatch};
 use teeperf_flamegraph::SvgOptions;
 use teeperf_live::{
     windows_to_text, LiveConfig, RingConfig, SessionEvent, SessionRegistry, Snapshot,
@@ -160,11 +160,11 @@ impl EventSource for LivenessProbe {
         self.probe();
     }
 
-    fn drain_to_end(&mut self) -> SourceBatch {
-        let batch = self.inner.drain_to_end();
-        self.last_pump_empty = batch.entries.is_empty() && batch.dropped == 0;
+    fn pump_chunks(&mut self, batch: &mut SourceBatch, walk: &mut dyn FnMut(&[LogEntry])) -> usize {
+        let n = self.inner.pump_chunks(batch, walk);
+        self.last_pump_empty = n == 0 && batch.dropped == 0;
         self.probe();
-        batch
+        n
     }
 
     fn dropped_total(&self) -> u64 {

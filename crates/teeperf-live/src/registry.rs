@@ -10,11 +10,12 @@
 //! totals.
 //!
 //! The merged profile is folded at pump time and read at poll time. The
-//! registry keeps one running [`ProfileMerge`], the *fleet table*: every
-//! call a session's pump completes (and every frame its finish closes) is
-//! added to it right after that pump, through the session's memo of where
-//! its stacks sit in the registry's [`NameSpace`] (names and stacks of
-//! names as small integers, which only ever grow) — so an address is
+//! registry keeps one running [`ProfileMerge`], the *fleet table*: right
+//! after a session's pump (or its finish) the rows its calls touched are
+//! added to it as deltas ([`ProfileMerge::add_since`]), each call having
+//! been aggregated once, by the session, through the session's memo of
+//! where its stacks sit in the registry's [`NameSpace`] (names and stacks
+//! of names as small integers, which only ever grow) — so an address is
 //! symbolized once in a session's life and a poll hashes nothing. Every
 //! merged column is a sum, so the table is the merge of every session of
 //! the run, attached or retired, after every pump. `/snapshot`'s text
@@ -50,7 +51,7 @@ use std::fmt;
 
 use teeperf_analyzer::query::windowed::top_rows;
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_analyzer::{diff, CallLog, Frame, NameSpace, Profile, ProfileMerge, WindowSpec};
+use teeperf_analyzer::{diff, Frame, NameSpace, Profile, ProfileMerge, WindowSpec};
 use teeperf_core::layout::PID_UNSET;
 use teeperf_core::{EventSource, SalvageReason, SalvageReport, SourceBatch};
 use teeperf_flamegraph::{live, LiveStatus, SvgOptions};
@@ -158,12 +159,10 @@ pub struct SessionRegistry {
     /// as the session's pump or finish completed it.
     fleet: ProfileMerge,
     /// The one buffer every session pumps into, lent to each in turn: it
-    /// settles at the largest single pump, so a steady drain needs no new
-    /// batch whichever session is attached or retired.
+    /// settles at the largest stretch a source hands over at once — one
+    /// bulk read for a file — so a steady drain needs no new batch
+    /// whichever session is attached or retired.
     batch: SourceBatch,
-    /// The calls of one session's pump, lent like `batch` and emptied into
-    /// `fleet` right after.
-    fresh: CallLog,
 }
 
 impl SessionRegistry {
@@ -179,7 +178,6 @@ impl SessionRegistry {
             space: RefCell::new(NameSpace::new()),
             fleet: ProfileMerge::new(),
             batch: SourceBatch::default(),
-            fresh: CallLog::new(),
         }
     }
 
@@ -214,9 +212,9 @@ impl SessionRegistry {
         if self.sessions.contains_key(&pid) {
             return Err(AttachError::DuplicatePid(pid));
         }
-        let session = LiveSession::from_source(source, symbolizer, self.config.clone());
+        let mut session = LiveSession::from_source(source, symbolizer, self.config.clone());
         // In the merged view from the start, calls or not.
-        session.fold_into(&mut self.fleet, self.space.get_mut(), &mut self.fresh);
+        session.fold_into(&mut self.fleet, self.space.get_mut());
         self.sessions.insert(pid, session);
         self.events.push(SessionEvent::Attached { pid });
         Ok(pid)
@@ -254,8 +252,8 @@ impl SessionRegistry {
             return false;
         }
         self.watch.remove(&pid);
-        session.finish_into(Some(&mut self.fresh));
-        session.fold_into(&mut self.fleet, self.space.get_mut(), &mut self.fresh);
+        session.finish_into();
+        session.fold_into(&mut self.fleet, self.space.get_mut());
         true
     }
 
@@ -327,11 +325,11 @@ impl SessionRegistry {
                 continue;
             }
             let before_dropped = session.dropped();
-            let n = session.pump_into(&mut self.batch, Some(&mut self.fresh));
-            // An idle pump logs nothing to fold: `attach` already put the
-            // pid in the fleet table.
-            if !self.fresh.is_empty() {
-                session.fold_into(&mut self.fleet, self.space.get_mut(), &mut self.fresh);
+            let n = session.pump_into(&mut self.batch);
+            // An idle pump touches nothing to fold: `attach` already put
+            // the pid in the fleet table.
+            if n > 0 {
+                session.fold_into(&mut self.fleet, self.space.get_mut());
             }
             total += n;
             if session.source_dead() {
@@ -620,8 +618,8 @@ impl SessionRegistry {
     /// A second `finish` returns the same run.
     pub fn finish(&mut self) -> RegistryRun {
         for s in self.sessions.values_mut() {
-            s.finish_into(Some(&mut self.fresh));
-            s.fold_into(&mut self.fleet, self.space.get_mut(), &mut self.fresh);
+            s.finish_into();
+            s.fold_into(&mut self.fleet, self.space.get_mut());
         }
         let per_pid = self.sessions.iter().map(|(pid, s)| (*pid, s.snapshot()));
         RegistryRun {
@@ -658,10 +656,14 @@ fn add_status(fleet: &mut LiveStatus, one: &LiveStatus) {
 pub(crate) mod tests {
     use super::*;
     use mcvm::DebugInfo;
+    use proptest::prelude::*;
     use std::collections::BTreeSet;
     use std::path::{Path, PathBuf};
     use teeperf_core::layout::{EventKind, LogEntry, LogHeader, LOG_VERSION};
     use teeperf_core::{FileShmSource, FileShmWriter, LogFile};
+
+    use crate::rolling::RollingProfile;
+    use crate::window::RingConfig;
 
     /// A scratch directory of its own per test (removed on drop).
     pub(crate) struct ScratchDir(pub(crate) PathBuf);
@@ -1538,5 +1540,156 @@ pub(crate) mod tests {
             .map(|pid| reg.snapshot_pid(*pid).unwrap().profile.total_ticks)
             .sum();
         assert_eq!(reg.merged_snapshot().profile.total_ticks, per_pid_ticks);
+    }
+
+    /// The memory bound of the chunked drain: one pump of ten bulk reads'
+    /// worth of entries leaves the registry's lent batch with room for one.
+    /// And retention is enforced once per pump, not once per bulk read:
+    /// the first read, thread 0's calls a million ticks on, would evict
+    /// every window the later reads' thread 1 fills, which one ingest of
+    /// the same entries retains until the pump ends and then evicts.
+    #[test]
+    fn a_pump_of_many_chunks_lends_a_batch_of_one() {
+        use teeperf_core::shm_file::READ_CHUNK_ENTRIES;
+        let dir = scratch("onechunk");
+        let a0 = debug().entry_addr(0);
+        let pairs = |tid: u64, from: u64, n: u64| {
+            (0..n).flat_map(move |k| {
+                [EventKind::Call, EventKind::Return].map(|kind| LogEntry {
+                    kind,
+                    counter: from + 2 * k + u64::from(kind == EventKind::Return),
+                    addr: a0,
+                    tid,
+                })
+            })
+        };
+        let half = READ_CHUNK_ENTRIES / 2;
+        let entries: Vec<LogEntry> = pairs(0, 1_000_001, half)
+            .chain(pairs(1, 1, 9 * half))
+            .collect();
+        let log = LogFile::new(header(3, entries.len() as u64), entries);
+        let retention = RingConfig {
+            interval: 1000,
+            capacity: 2,
+            max_width: 1,
+        };
+        let mut reg = SessionRegistry::new(LiveConfig {
+            retention: Some(retention.clone()),
+            ..LiveConfig::default()
+        });
+        reg.attach(saved(&dir, &log), sym()).unwrap();
+        assert_eq!(reg.pump() as u64, 10 * READ_CHUNK_ENTRIES);
+        assert!(reg.batch.entries.capacity() as u64 <= READ_CHUNK_ENTRIES);
+        let mut whole = RollingProfile::for_process(3, Some(&retention));
+        whole.ingest(&log.entries);
+        let ring = whole.ring().unwrap();
+        let listed = reg.session(3).unwrap().windows().unwrap();
+        assert_eq!(listed.windows, ring.windows());
+        assert_eq!(listed.evicted_windows, ring.evicted_windows());
+        assert_eq!(
+            listed.evicted_windows, 40,
+            "37 windows of thread 1, 3 of thread 0"
+        );
+        let main = reg.merged_snapshot().profile;
+        assert_eq!(main.method("main").unwrap().calls, 10 * half);
+    }
+
+    /// One process's writer in a property run: the entries it writes are
+    /// a pure function of the burst's seed.
+    struct Writer {
+        writer: FileShmWriter,
+        counter: u64,
+    }
+
+    impl Writer {
+        /// Write `len` entries drawn from `seed` — calls and returns of
+        /// three addresses (one the symbol table does not know) on two
+        /// threads — with one torn (`fault` 1) or unpublished (`fault` 2)
+        /// slot among them.
+        fn burst(&mut self, len: usize, seed: u64, fault: u8) {
+            let d = debug();
+            let addrs = [d.entry_addr(0), d.entry_addr(1), 0x7777];
+            let mut rng = seed | 1;
+            for k in 0..len {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                self.counter += 1 + rng % 9;
+                let entry = LogEntry {
+                    kind: if rng >> 8 & 1 == 0 {
+                        EventKind::Call
+                    } else {
+                        EventKind::Return
+                    },
+                    counter: self.counter,
+                    addr: addrs[(rng >> 16) as usize % 3],
+                    tid: rng >> 24 & 1,
+                };
+                match (fault, k == len / 2) {
+                    (1, true) => self.writer.write_torn(&entry).unwrap(),
+                    (2, true) => self.writer.skip_slot_unwritten().unwrap(),
+                    _ => {
+                        self.writer.write(&entry).unwrap();
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Two writers' files drained by one registry, bursts of up to three
+        /// bulk reads between pumps — some holding a torn or unpublished
+        /// slot, some past capacity — and one session detached mid-run:
+        /// after every pump the fleet table reads as the merge of the
+        /// per-pid snapshots and its text as the merged snapshot's, and at
+        /// the end each session has salvaged and dropped what one drain of
+        /// its whole file does.
+        #[test]
+        fn prop_a_chunked_drain_folds_what_a_merge_of_the_sessions_holds(
+            bursts in collection::vec(
+                (0u64..2, 1usize..=3 * 4096, any::<u64>(), 0u8..3),
+                1..6,
+            ),
+            capacities in (1u64..12_000, 1u64..12_000),
+            detach_at in 0usize..6,
+        ) {
+            let dir = scratch("chunkedfleet");
+            let mut reg = SessionRegistry::new(LiveConfig::default());
+            let mut writers = Vec::new();
+            for (pid, capacity) in [(1, capacities.0), (2, capacities.1)] {
+                let writer = FileShmWriter::create(&dir.0, &header(pid, capacity)).unwrap();
+                let source = FileShmSource::open(writer.path()).unwrap();
+                reg.attach(Box::new(source), sym()).unwrap();
+                writers.push(Writer { writer, counter: 0 });
+            }
+            for (step, (who, len, seed, fault)) in bursts.iter().enumerate() {
+                // A detached process writes no more: its file then holds
+                // what its session drained.
+                let who = if reg.retired_pids().contains(&(who + 1)) { 1 - who } else { *who };
+                writers[who as usize].burst(*len, *seed, *fault);
+                reg.pump();
+                if step == detach_at {
+                    prop_assert!(reg.detach(1).is_some());
+                }
+                let merged = reg.merged_snapshot();
+                let per_pid: Vec<(u64, Profile)> = reg
+                    .run_pids()
+                    .into_iter()
+                    .map(|pid| (pid, reg.snapshot_pid(pid).unwrap().profile))
+                    .collect();
+                let parts: Vec<(u64, &Profile)> = per_pid.iter().map(|(pid, p)| (*pid, p)).collect();
+                prop_assert_eq!(&merged.profile, &teeperf_analyzer::merge_profiles(&parts));
+                prop_assert_eq!(reg.merged_text(), merged.to_text());
+            }
+            for w in &writers {
+                let mut once = FileShmSource::open(w.writer.path()).unwrap();
+                once.drain_to_end();
+                let session = reg.session(once.pid()).unwrap();
+                prop_assert_eq!(session.salvage(), once.salvage());
+                prop_assert_eq!(session.dropped(), once.dropped_total());
+            }
+        }
     }
 }

@@ -15,8 +15,10 @@
 //! and flame graphs reuse the batch machinery unchanged.
 //!
 //! What the rolling profile adds is the retention ring, the sampling
-//! scale and its event counters. The ring enforces retention once per
-//! [`RollingProfile::ingest`] and once per [`RollingProfile::finish`]:
+//! scale, its event counters and the [`FoldMark`] of the rows its calls
+//! touched since a registry last folded it. The ring enforces retention
+//! once per [`RollingProfile::ingest`], once per session pump — however
+//! many stretches it walks — and once per [`RollingProfile::finish`]:
 //! every call of a pump finds the floor as the pump began, whichever
 //! thread it is on, so windows do not depend on the order the walker
 //! meets the threads in. That cadence is behaviour, which is why this
@@ -31,7 +33,7 @@
 //! run indefinitely.
 
 use teeperf_analyzer::profile::{
-    Anomalies, CallLog, NameSpace, PathNames, Profile, ProfileMerge, Walker,
+    Anomalies, FoldMark, NameSpace, PathNames, Profile, ProfileMerge, Walker,
 };
 use teeperf_analyzer::stacks::{CompletedCall, PathTable};
 use teeperf_analyzer::symbolize::Symbolizer;
@@ -54,6 +56,8 @@ pub struct RollingProfile {
     /// for a stream given none.
     pid: Option<u64>,
     walker: Walker,
+    /// How much of the walker's aggregate the fleet table holds.
+    mark: FoldMark,
     events: u64,
     estimated_events: u64,
     ring: Option<RetentionRing>,
@@ -70,6 +74,7 @@ impl Default for RollingProfile {
         RollingProfile {
             pid: None,
             walker: Walker::new(),
+            mark: FoldMark::default(),
             events: 0,
             estimated_events: 0,
             ring: None,
@@ -167,47 +172,34 @@ impl RollingProfile {
     /// each thread is that thread's program order — the only ordering the
     /// reconstruction needs.
     pub fn ingest(&mut self, entries: &[LogEntry]) {
-        self.ingest_noting(entries, None);
+        self.walk(entries);
+        self.enforce_retention();
     }
 
-    /// [`RollingProfile::ingest`], also recording in `fresh` (when given)
-    /// every call it completes, exactly as it enters the aggregate, and —
-    /// when the batch held an event — every thread met so far.
-    pub(crate) fn ingest_noting(&mut self, entries: &[LogEntry], mut fresh: Option<&mut CallLog>) {
-        let (scale, ring) = (self.scale, &mut self.ring);
+    /// [`RollingProfile::ingest`] of one stretch of a session pump, which
+    /// enforces retention once, at its end.
+    pub(crate) fn walk(&mut self, entries: &[LogEntry]) {
+        let (scale, ring, mark) = (self.scale, &mut self.ring, &mut self.mark);
         let merged = self.walker.ingest(entries, scale, |tid, call| {
-            note(fresh.as_deref_mut(), ring, tid, call, scale);
+            note(mark, ring, tid, call, scale);
         });
         self.events += merged;
         self.estimated_events += merged * scale;
-        if let Some(fresh) = fresh.filter(|_| merged > 0) {
-            // Observed even when this batch completes no call.
-            self.walker
-                .thread_ids()
-                .for_each(|tid| fresh.observe_thread(tid));
-        }
-        self.enforce_retention();
     }
 
     /// Force-close every open frame at its thread's last observed counter
     /// (end of session). The per-thread states stay usable: feeding more
     /// events afterwards starts from an empty stack.
     pub fn finish(&mut self) {
-        self.finish_noting(None);
-    }
-
-    /// [`RollingProfile::finish`], also recording the calls it closes in
-    /// `fresh` (when given).
-    pub(crate) fn finish_noting(&mut self, mut fresh: Option<&mut CallLog>) {
-        let (scale, ring) = (self.scale, &mut self.ring);
+        let (scale, ring, mark) = (self.scale, &mut self.ring, &mut self.mark);
         self.walker.finish(scale, |tid, call| {
-            note(fresh.as_deref_mut(), ring, tid, call, scale);
+            note(mark, ring, tid, call, scale);
         });
         self.enforce_retention();
     }
 
-    /// Shrink the ring back to capacity, once per ingest and per finish.
-    fn enforce_retention(&mut self) {
+    /// Shrink the ring back to capacity: once per ingest, pump and finish.
+    pub(crate) fn enforce_retention(&mut self) {
         if let Some(ring) = &mut self.ring {
             ring.enforce_retention();
         }
@@ -233,6 +225,19 @@ impl RollingProfile {
         let mut profile = self.walker.materialize(symbolizer, pid, dropped);
         profile.pids = self.pid.into_iter().collect();
         profile
+    }
+
+    /// Add what the aggregate gained since the last fold to `merge`, the
+    /// one merge every fold goes to ([`ProfileMerge::add_since`]).
+    pub(crate) fn fold_into(
+        &mut self,
+        merge: &mut ProfileMerge,
+        space: &mut NameSpace,
+        symbolizer: &Symbolizer,
+        memo: &mut PathNames,
+    ) {
+        let pid = self.pid.unwrap_or(PID_UNSET);
+        merge.add_since(space, pid, &self.walker, &mut self.mark, symbolizer, memo);
     }
 
     /// Contribute the exact merge of the selected windows as the stream's
@@ -265,18 +270,17 @@ impl RollingProfile {
     }
 }
 
-/// Hand one call the walker closed to the consumers beside the all-time
-/// aggregate: the pump's call log and the retention ring, when present.
+/// Note one call the walker added to the all-time aggregate: its row is
+/// one the next fold adds, and the retention ring, when present, counts
+/// the call in the window of its exit.
 fn note(
-    fresh: Option<&mut CallLog>,
+    mark: &mut FoldMark,
     ring: &mut Option<RetentionRing>,
     tid: u64,
     call: &CompletedCall,
     scale: u64,
 ) {
-    if let Some(fresh) = fresh {
-        fresh.add_call(tid, call, scale);
-    }
+    mark.touch(call.path);
     if let Some(ring) = ring {
         ring.add_call(tid, call, scale);
     }

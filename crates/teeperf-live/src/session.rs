@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 
 use teeperf_analyzer::profile::Anomalies;
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_analyzer::{CallLog, NameSpace, PathNames, ProfileMerge};
+use teeperf_analyzer::{NameSpace, PathNames, ProfileMerge};
 use teeperf_core::{EventSource, LiveLogSource, Regime, SalvageReport, SharedLog, SourceBatch};
 use teeperf_flamegraph::{live, LiveStatus};
 
@@ -356,18 +356,16 @@ impl LiveSession {
     /// publication never waits for a rotation — and recorded as a
     /// [`SessionEvent::RegimeChanged`].
     pub fn pump(&mut self) -> usize {
-        self.pump_into(&mut SourceBatch::default(), None)
+        self.pump_into(&mut SourceBatch::default())
     }
 
     /// [`LiveSession::pump`] through a batch the caller keeps, so that
-    /// every session of a registry drains into one buffer, recording in
-    /// `fresh` (when given) the calls the pump completes (see
-    /// [`LiveSession::fold_into`]).
-    pub(crate) fn pump_into(
-        &mut self,
-        batch: &mut SourceBatch,
-        fresh: Option<&mut CallLog>,
-    ) -> usize {
+    /// every session of a registry drains into one buffer. The source
+    /// hands its entries over a stretch at a time
+    /// ([`EventSource::pump_chunks`]) and each is walked while it is fresh
+    /// in the batch; retention, the controller and the regime check act
+    /// once per pump, after the last stretch.
+    pub(crate) fn pump_into(&mut self, batch: &mut SourceBatch) -> usize {
         // Occupancy is sampled *before* the drain: it is the fill level
         // the writers ran against, and it resets to zero the moment the
         // pump rotates.
@@ -377,12 +375,15 @@ impl LiveSession {
         // bias-corrects them back into estimated totals.
         let scale = self.published_regime().scale();
         self.rolling.set_scale(scale);
-        self.source.pump_into(batch);
-        let n = batch.entries.len();
-        if self.config.keep_replay {
-            self.replay.extend_from_slice(&batch.entries);
-        }
-        self.rolling.ingest_noting(&batch.entries, fresh);
+        let (rolling, replay) = (&mut self.rolling, &mut self.replay);
+        let keep_replay = self.config.keep_replay;
+        let n = self.source.pump_chunks(batch, &mut |entries| {
+            if keep_replay {
+                replay.extend_from_slice(entries);
+            }
+            rolling.walk(entries);
+        });
+        self.rolling.enforce_retention();
         self.collect_window_events();
         if self.source.take_regime_fault() {
             self.regime_faults += 1;
@@ -531,27 +532,16 @@ impl LiveSession {
         }
     }
 
-    /// Fold the calls `fresh` recorded — what this session's last pump
-    /// (or its finish) completed — into a running cross-process merge
-    /// under its pid, and clear it: pump after pump, the merge then holds
-    /// what the one-process merge under [`LiveSession::snapshot`] holds,
-    /// anomalies aside. Every merge a
-    /// session contributes to must be in one name space: its registry's.
-    pub(crate) fn fold_into(
-        &self,
-        merge: &mut ProfileMerge,
-        space: &mut NameSpace,
-        fresh: &mut CallLog,
-    ) {
-        merge.add_calls(
-            space,
-            self.source.pid(),
-            fresh,
-            self.rolling.paths(),
-            &self.symbolizer,
-            &mut self.fleet_names.borrow_mut(),
-        );
-        fresh.clear();
+    /// Fold what this session's aggregate gained since its last fold —
+    /// the rows its pumps (or its finish) touched — into a running
+    /// cross-process merge under its pid: pump after pump, the merge then
+    /// holds what the one-process merge under [`LiveSession::snapshot`]
+    /// holds, anomalies aside. A session folds into one merge only, and
+    /// every merge it contributes to must be in one name space: its
+    /// registry's.
+    pub(crate) fn fold_into(&mut self, merge: &mut ProfileMerge, space: &mut NameSpace) {
+        let memo = self.fleet_names.get_mut();
+        self.rolling.fold_into(merge, space, &self.symbolizer, memo);
     }
 
     /// The session's data-quality counters: its snapshot profile's
@@ -574,14 +564,12 @@ impl LiveSession {
     /// did at the end, but holds no transport — no log, no file, no read
     /// buffer — and pumps nothing; finishing it again changes nothing.
     pub fn finish(&mut self) -> Snapshot {
-        self.finish_into(None);
+        self.finish_into();
         self.snapshot()
     }
 
-    /// [`LiveSession::finish`] without the final snapshot, recording in
-    /// `fresh` (when given) the calls the final drain completes and the
-    /// frames it closes.
-    pub(crate) fn finish_into(&mut self, mut fresh: Option<&mut CallLog>) {
+    /// [`LiveSession::finish`] without the final snapshot.
+    pub(crate) fn finish_into(&mut self) {
         // The final drain is still scaled by the published regime — the
         // writers' last entries were admitted under it.
         self.rolling.set_scale(self.published_regime().scale());
@@ -593,10 +581,9 @@ impl LiveSession {
             if self.config.keep_replay {
                 self.replay.extend_from_slice(&batch.entries);
             }
-            self.rolling
-                .ingest_noting(&batch.entries, fresh.as_deref_mut());
+            self.rolling.ingest(&batch.entries);
         }
-        self.rolling.finish_noting(fresh);
+        self.rolling.finish();
         self.collect_window_events();
         if self.source.take_regime_fault() {
             self.regime_faults += 1;
@@ -694,14 +681,7 @@ impl EventSource for ClosedSource {
     }
 
     fn pump_into(&mut self, batch: &mut SourceBatch) {
-        batch.entries.clear();
-        batch.rotated = false;
-        batch.dropped = 0;
-        batch.epoch = self.epoch;
-    }
-
-    fn drain_to_end(&mut self) -> SourceBatch {
-        self.pump()
+        batch.reset(self.epoch);
     }
 
     fn dropped_total(&self) -> u64 {

@@ -5,8 +5,10 @@
 #   scripts/cmp_fleet.sh <parent teeperfd> <change teeperfd> <teeperf-shm-writer>
 #
 # Both daemons watch the same registration directory, so they attach the
-# same <pid>.tplog files of the same four teeperf-shm-writer processes
-# (three finish, one is SIGKILLed and quarantined), with retention on.
+# same <pid>.tplog files of the same five teeperf-shm-writer processes
+# (four finish, one is SIGKILLed and quarantined), with retention on. One
+# log holds 80 002 entries, which a daemon's first pump drains in twenty
+# bulk reads.
 # Every body — /snapshot, fleet and per-pid /query spans and diffs,
 # /windows, /pid/<n> and /flame.svg?pid=<n> of a live and of the retired
 # pid, /flame.svg, /metrics, the --snapshot-out file — must compare equal
@@ -24,6 +26,7 @@ get() { curl -s -o "$2" -w '%{http_code}' "http://$1$3"; }
 "$writer" --dir "$reg" --iterations 7 --interval-ms 2
 "$writer" --dir "$reg" --iterations 5
 "$writer" --dir "$reg" --iterations 9
+"$writer" --dir "$reg" --iterations 20000 --capacity 81920
 "$writer" --dir "$reg" --iterations 3 --hold & doomed=$!
 while [ ! -e "$reg/$doomed.tplog" ]; do sleep 0.05; done; sleep 0.3
 
@@ -38,7 +41,7 @@ for side in parent change; do
   addr[$side]=$(sed -n 's/.*listening on //p' "$dir/$side.out")
 done
 
-want=$(( (2 + 4*7) + (2 + 4*5) + (2 + 4*9) + (2 + 4*3) ))
+want=$(( (2 + 4*7) + (2 + 4*5) + (2 + 4*9) + (2 + 4*20000) + (2 + 4*3) ))
 for side in parent change; do
   until get "${addr[$side]}" "$dir/$side.body" /snapshot >/dev/null \
         && grep -q "^events $want\$" "$dir/$side.body"; do sleep 0.05; done
