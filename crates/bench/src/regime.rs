@@ -35,8 +35,8 @@ use tee_sim::SharedMem;
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_core::layout::{EventKind, LogEntry};
 use teeperf_core::log::{make_header, region_bytes};
-use teeperf_core::{BatchWriter, FidelityGate, Regime, SharedLog};
-use teeperf_live::{DrainPolicy, LiveConfig, LiveSession, OverheadBudget, SessionEvent};
+use teeperf_core::{BatchWriter, FidelityGate, LiveLogSource, Regime, SharedLog};
+use teeperf_live::{LiveConfig, LiveSession, OverheadBudget, SessionEvent};
 
 /// The three load phases of the ramp, in order.
 pub const PHASES: [&str; 3] = ["calm", "storm", "recovery"];
@@ -230,11 +230,10 @@ fn run_one(options: &RegimeBenchOptions, mode: Mode) -> RunStats {
     let session_wanted = !matches!(mode, Mode::Native);
     let log = fresh_log(options.capacity);
     let mut session = session_wanted.then(|| {
-        LiveSession::new(
-            log.clone(),
+        LiveSession::from_source(
+            Box::new(LiveLogSource::new(log.clone(), 50)),
             Symbolizer::without_relocation(debug()),
             LiveConfig {
-                policy: DrainPolicy { watermark_pct: 50 },
                 budget,
                 ..LiveConfig::default()
             },

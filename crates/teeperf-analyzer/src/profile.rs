@@ -1379,25 +1379,22 @@ impl Profile {
 }
 
 /// The raw event table as a queryable dataframe (`seq, tid, kind, counter,
-/// addr, method`).
+/// addr, method`): one row per record in log order, `seq` its log index,
+/// incomplete and zero-address records dismissed as the grouped reader
+/// ([`reader::group_entries`]) dismisses them.
 pub fn events_frame(log: &LogFile, symbolizer: &Symbolizer) -> Frame {
-    let grouped = reader::group_by_thread(log);
     let mut seq = Vec::new();
-    let mut tid_col = Vec::new();
+    let mut tid = Vec::new();
     let mut kind = Vec::new();
     let mut counter = Vec::new();
     let mut addr = Vec::new();
     let mut method = Vec::new();
-    let mut rows: Vec<(u64, u64, reader::Event)> = Vec::new();
-    for (tid, events) in &grouped.threads {
-        for e in events {
-            rows.push((e.seq, *tid, *e));
+    for (i, e) in log.entries.iter().enumerate() {
+        if reader::is_incomplete(e) || e.addr == 0 {
+            continue;
         }
-    }
-    rows.sort_by_key(|(s, _, _)| *s);
-    for (s, tid, e) in rows {
-        seq.push(s as i64);
-        tid_col.push(tid as i64);
+        seq.push(i as i64);
+        tid.push(e.tid as i64);
         kind.push(if e.kind.is_call() { "call" } else { "return" }.to_string());
         counter.push(e.counter as i64);
         addr.push(e.addr as i64);
@@ -1405,7 +1402,7 @@ pub fn events_frame(log: &LogFile, symbolizer: &Symbolizer) -> Frame {
     }
     let mut f = Frame::new();
     f.push_int_column("seq", seq);
-    f.push_int_column("tid", tid_col);
+    f.push_int_column("tid", tid);
     f.push_str_column("kind", kind);
     f.push_int_column("counter", counter);
     f.push_int_column("addr", addr);
@@ -1617,13 +1614,29 @@ mod tests {
     #[test]
     fn events_frame_has_expected_shape() {
         use EventKind::{Call, Return};
-        let log = make_log(vec![e(Call, 0, addr(0), 0), e(Return, 9, addr(0), 0)]);
+        // Two threads interleaved, an incomplete record and a torn one
+        // (zero address) between them.
+        let log = make_log(vec![
+            e(Call, 1, addr(0), 0),
+            e(Call, 5, addr(1), 1),
+            LogEntry::unpack([0, 0, 0]),
+            e(Return, 9, addr(0), 0),
+            e(Call, 7, 0, 1),
+            e(Return, 12, addr(1), 1),
+        ]);
         let f = events_frame(&log, &Symbolizer::without_relocation(debug()));
-        assert_eq!(f.len(), 2);
+        assert_eq!(f.len(), 4);
         assert_eq!(
             f.column_names(),
             vec!["seq", "tid", "kind", "counter", "addr", "method"]
         );
+        let int = |name| match f.column(name) {
+            Some(crate::query::frame::Column::Int(v)) => v.clone(),
+            other => panic!("{name}: {other:?}"),
+        };
+        assert_eq!(int("seq"), [0, 1, 3, 5], "log order, log indices");
+        assert_eq!(int("tid"), [0, 1, 0, 1]);
+        assert_eq!(int("counter"), [1, 5, 9, 12]);
     }
 
     #[test]

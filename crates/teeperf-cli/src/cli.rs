@@ -365,14 +365,12 @@ fn cmd_live(args: &Parsed) -> Result<String, CliError> {
         batch_slots: args.num_in("batch-slots", 1.., ">= 1")?.unwrap_or(1),
         ..RecorderConfig::default()
     };
-    let defaults = LiveRunConfig::default();
-    let refresh = args.num("refresh")?.unwrap_or(defaults.refresh_events);
+    let refresh = args.num("refresh")?.unwrap_or(live.refresh_events);
     let show_frames = args.yes_no("frames")?.unwrap_or(false);
     // A frame is drawn only to be printed.
     let live = LiveRunConfig {
-        live,
         refresh_events: if show_frames { refresh } else { 0 },
-        ..defaults
+        ..live
     };
     let follow = args.num_in("follow-pids", 1..=64, "1..=64")?;
     let program = load_program(path, true)?;

@@ -35,9 +35,11 @@
 //! still the capacity it opened with) — then bulk reads of `[cursor,
 //! available)` in chunks of [`READ_CHUNK_ENTRIES`], `available` being
 //! [`LogHeader::available`]'s `min(tail, size, slots on disk)`, the rule
-//! [`crate::LogFile::load`] reads by. [`EventSource::pump_chunks`] hands
-//! each chunk on before it reads the next, so however far the tail moved,
-//! the batch holds one chunk. Every slot is still classified with
+//! [`crate::LogFile::load`] reads by. [`EventSource::drain`] hands each
+//! chunk to its walk before it reads the next, so however far the tail
+//! moved, a batch whose walk consumes its stretches holds one chunk. The
+//! final drain of a session reads the same way: a file has no epoch to
+//! force closed. Every slot is still classified with
 //! the same [`EntryValidity`](crate::layout::EntryValidity) rules as the
 //! live drain, and the salvage accounting ([`SalvageReport`]) carries over: a
 //! torn or never-written slot below the tail can only come from a broken
@@ -389,13 +391,24 @@ impl FileShmSource {
             }
         }
     }
+}
 
-    /// The pump: one look at the header, then the slots from the cursor up
-    /// to the tail it showed, in bulk reads, `read` seeing `batch.entries`
-    /// after each. The validity rules apply per slot: below the tail
-    /// nothing is waited for, so an invalid slot is skipped and accounted
-    /// on the spot.
-    fn pump_with(&mut self, batch: &mut SourceBatch, mut read: impl FnMut(&mut Vec<LogEntry>)) {
+impl EventSource for FileShmSource {
+    fn pid(&self) -> u64 {
+        self.header.pid
+    }
+
+    /// One look at the header, then the slots from the cursor up to the
+    /// tail it showed, in bulk reads, `walk` handed `batch.entries` after
+    /// each. The validity rules apply per slot: below the tail nothing is
+    /// waited for, so an invalid slot is skipped and accounted on the
+    /// spot. A final drain reads the same way.
+    fn drain(
+        &mut self,
+        batch: &mut SourceBatch,
+        _to_end: bool,
+        walk: &mut dyn FnMut(&mut Vec<LogEntry>),
+    ) {
         batch.reset(0);
         if self.dead {
             return;
@@ -437,31 +450,11 @@ impl FileShmSource {
             let decoded = LogEntry::decode_slots(chunk);
             self.salvage.filter_into(decoded, &mut batch.entries);
             self.cursor += n;
-            read(&mut batch.entries);
+            walk(&mut batch.entries);
         }
         // Overflow accounting: each newly-observed drop exactly once, on
         // the batch where it became visible.
         batch.dropped = self.dropped_total().saturating_sub(already_dropped);
-    }
-}
-
-impl EventSource for FileShmSource {
-    fn pid(&self) -> u64 {
-        self.header.pid
-    }
-
-    fn pump_into(&mut self, batch: &mut SourceBatch) {
-        self.pump_with(batch, |_| {});
-    }
-
-    fn pump_chunks(&mut self, batch: &mut SourceBatch, walk: &mut dyn FnMut(&[LogEntry])) -> usize {
-        let mut n = 0;
-        self.pump_with(batch, |entries| {
-            n += entries.len();
-            walk(entries);
-            entries.clear();
-        });
-        n
     }
 
     fn dropped_total(&self) -> u64 {
@@ -659,12 +652,15 @@ mod tests {
         assert!(b.entries.iter().map(|e| e.counter).eq(6..=n));
         assert!(src.is_exhausted());
         assert!(src.salvage().is_clean());
-        // Handed over a bulk read at a time, the same entries come in
-        // three stretches, the batch never holding more than one.
+        // Handed over a bulk read at a time to a walk that consumes them,
+        // the same entries come in three stretches, the batch never
+        // holding more than one.
         let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
         let (mut batch, mut stretches) = (SourceBatch::default(), Vec::new());
-        let walked = src.pump_chunks(&mut batch, &mut |e| stretches.push(e.to_vec()));
-        assert_eq!(walked as u64, n);
+        src.drain(&mut batch, false, &mut |e| {
+            stretches.push(e.clone());
+            e.clear();
+        });
         let lens: Vec<u64> = stretches.iter().map(|s| s.len() as u64).collect();
         assert_eq!(lens, [READ_CHUNK_ENTRIES, READ_CHUNK_ENTRIES, 17]);
         assert!(stretches.concat().iter().map(|e| e.counter).eq(1..=n));
@@ -681,7 +677,8 @@ mod tests {
         for k in 1..=n {
             w.write(&entry(k)).unwrap();
         }
-        src.pump_into(&mut batch);
+        let keep = &mut |_: &mut Vec<LogEntry>| {};
+        src.drain(&mut batch, false, keep);
         assert_eq!(batch.entries.len() as u64, n, "two bulk reads");
         let held = |src: &FileShmSource, batch: &SourceBatch| {
             let entries = (batch.entries.as_ptr(), batch.entries.capacity());
@@ -694,10 +691,10 @@ mod tests {
         for k in n + 1..=n + 100 {
             w.write(&entry(k)).unwrap();
         }
-        src.pump_into(&mut batch);
+        src.drain(&mut batch, false, keep);
         assert!(batch.entries.iter().map(|e| e.counter).eq(n + 1..=n + 100));
         assert_eq!(held(&src, &batch), steady);
-        src.pump_into(&mut batch);
+        src.drain(&mut batch, false, keep);
         assert!(batch.entries.is_empty());
         assert_eq!(held(&src, &batch), steady);
     }
@@ -1144,19 +1141,23 @@ mod tests {
                     dropped: 9,
                     epoch: 3,
                 };
-                // A third hands its entries over stretch by stretch, and
+                // A third hands its entries to a walk that consumes them
+                // stretch by stretch, the second time as a final drain, and
                 // must hand over what the fresh pump holds.
                 let mut walked = FileShmSource::open(&path).unwrap();
                 let mut entries = Vec::new();
-                for _ in 0..2 {
+                for round in 0..2 {
                     let fresh = src.pump();
                     let mut lent = dirty();
-                    twin.pump_into(&mut lent);
+                    twin.drain(&mut lent, false, &mut |_| {});
                     prop_assert_eq!(&lent, &fresh);
                     let (mut lent, mut stretches) = (dirty(), Vec::new());
-                    let n = walked.pump_chunks(&mut lent, &mut |e| stretches.extend_from_slice(e));
-                    prop_assert_eq!((n, &stretches), (fresh.entries.len(), &fresh.entries));
-                    prop_assert_eq!((lent.rotated, lent.dropped, lent.epoch), (false, fresh.dropped, 0));
+                    walked.drain(&mut lent, round == 1, &mut |e| stretches.append(e));
+                    prop_assert_eq!(&stretches, &fresh.entries);
+                    prop_assert_eq!(
+                        (lent.entries.len(), lent.rotated, lent.dropped, lent.epoch),
+                        (0, false, fresh.dropped, 0)
+                    );
                     entries.extend(fresh.entries);
                 }
                 prop_assert_eq!(twin.salvage(), src.salvage());

@@ -13,6 +13,12 @@
 //!   any finished, killed or damaged recording afterwards. It is the one
 //!   reader that salvages a log file.
 //!
+//! Either is drained through one step, [`EventSource::drain`]: it hands
+//! the caller's walk the entries a stretch at a time and is told whether
+//! this is the final drain, which rotates a live log whatever its fill and
+//! reads a file as any drain does. The incremental pump and the final
+//! drain into a fresh batch are that step's two wrappers.
+//!
 //! Each source is keyed by the process id stamped into the log header
 //! (paper Figure 2, word 1): a session registry multiplexes N sources —
 //! one per profiled process — by that pid.
@@ -22,22 +28,23 @@ use crate::fidelity::Regime;
 use crate::layout::{EntryValidity, LogEntry};
 use crate::log::{LogCursor, SharedLog};
 
-/// One pump's worth of entries from an [`EventSource`] (one stretch of
-/// it, under [`EventSource::pump_chunks`]).
+/// What one drain of an [`EventSource`] leaves behind: its entries, or
+/// the stretch of them its walk has not consumed, and its epoch and drop
+/// accounting.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SourceBatch {
-    /// Entries obtained this pump, in log order.
+    /// Entries obtained this drain and not yet consumed, in log order.
     pub entries: Vec<LogEntry>,
-    /// Whether this pump closed an epoch (rotated the log).
+    /// Whether this drain closed an epoch (rotated the log).
     pub rotated: bool,
     /// Entries the closed epoch dropped on overflow (0 if no rotation).
     pub dropped: u64,
-    /// Epoch the source is positioned in after this pump.
+    /// Epoch the source is positioned in after this drain.
     pub epoch: u64,
 }
 
 impl SourceBatch {
-    /// Empty the batch for a pump that starts in `epoch`, keeping the
+    /// Empty the batch for a drain that starts in `epoch`, keeping the
     /// capacity of `entries`.
     pub fn reset(&mut self, epoch: u64) {
         self.entries.clear();
@@ -53,12 +60,12 @@ impl SourceBatch {
 /// transport needs; callers never see a raw log. The contract mirrors the
 /// live drain protocol:
 ///
-/// * [`EventSource::pump_into`] is the incremental step — cheap, may yield
-///   an empty batch, never blocks on writers. It fills a batch the caller
-///   keeps, so a steady drain needs no new batch; [`EventSource::pump`] is
-///   the same step into a fresh batch.
-/// * [`EventSource::drain_to_end`] forces everything currently available
-///   out (a rotation for live logs, the full remainder for files).
+/// * [`EventSource::drain`] is the one drain step — cheap, may yield
+///   nothing, never blocks on writers — handing the entries to the
+///   caller's walk a stretch at a time through a batch the caller keeps.
+///   [`EventSource::pump`] is the incremental step into a fresh batch and
+///   [`EventSource::drain_to_end`] the final one (a rotation for live
+///   logs, the same read for files); both are written here, once.
 /// * [`EventSource::pid`] is the registry key: the process id from the
 ///   log header. A valid source never reports pid 0 (see
 ///   [`crate::layout::PID_UNSET`]).
@@ -66,35 +73,36 @@ pub trait EventSource: Send + std::fmt::Debug {
     /// Process id of the producer (the log header's pid word).
     fn pid(&self) -> u64;
 
-    /// One incremental drain step into `batch`: every field is reset and
-    /// `entries` refilled without giving up its capacity. For live logs
-    /// this polls published entries and rotates only past the capacity
-    /// watermark; for files it reads every slot published since.
-    fn pump_into(&mut self, batch: &mut SourceBatch);
+    /// One drain step through `batch`: every field is reset, then each
+    /// stretch of entries, in log order, is appended to `batch.entries`
+    /// and `walk` is handed that vector. A walk that consumes the stretch
+    /// clears it, so the batch holds one stretch at most; one that leaves
+    /// it collects the whole drain. The other fields are the drain's on
+    /// return. A live log is polled and rotated past its watermark — or,
+    /// `to_end` (the final drain), whatever its fill; a file is read up to
+    /// the tail one header read shows, one bulk read per stretch, whether
+    /// `to_end` or not.
+    fn drain(
+        &mut self,
+        batch: &mut SourceBatch,
+        to_end: bool,
+        walk: &mut dyn FnMut(&mut Vec<LogEntry>),
+    );
 
-    /// [`EventSource::pump_into`], handing the entries to `walk` in log
-    /// order a stretch at a time, each while it is fresh in `batch` (whose
-    /// other fields are the pump's on return). Returns the entries handed
-    /// over. By default the whole pump is one stretch; a file source hands
-    /// over one bulk read at a time, so the batch never holds more.
-    fn pump_chunks(&mut self, batch: &mut SourceBatch, walk: &mut dyn FnMut(&[LogEntry])) -> usize {
-        self.pump_into(batch);
-        walk(&batch.entries);
-        batch.entries.len()
-    }
-
-    /// [`EventSource::pump_into`] a fresh batch.
+    /// One incremental [`EventSource::drain`] into a fresh batch, every
+    /// entry kept.
     fn pump(&mut self) -> SourceBatch {
         let mut batch = SourceBatch::default();
-        self.pump_into(&mut batch);
+        self.drain(&mut batch, false, &mut |_| {});
         batch
     }
 
-    /// Force out everything currently available (rotate a live log even
-    /// below the watermark; read the whole remainder of a file). By
-    /// default a pump: nothing is waited for.
+    /// The final [`EventSource::drain`] into a fresh batch: everything
+    /// currently available, a live log rotated even below its watermark.
     fn drain_to_end(&mut self) -> SourceBatch {
-        self.pump()
+        let mut batch = SourceBatch::default();
+        self.drain(&mut batch, true, &mut |_| {});
+        batch
     }
 
     /// Entries dropped on overflow over the lifetime of the source.
@@ -311,9 +319,21 @@ impl LiveLogSource {
         batch.dropped = out.dropped;
         batch.epoch = out.new_epoch;
     }
+}
 
-    /// Shared pump body: poll, filter invalid records, maybe rotate.
-    fn pump_inner(&mut self, force_rotate: bool, batch: &mut SourceBatch) {
+impl EventSource for LiveLogSource {
+    fn pid(&self) -> u64 {
+        self.log.header().pid
+    }
+
+    fn drain(
+        &mut self,
+        batch: &mut SourceBatch,
+        to_end: bool,
+        walk: &mut dyn FnMut(&mut Vec<LogEntry>),
+    ) {
+        // Poll, filter invalid records, rotate past the watermark or at
+        // the end: one stretch.
         batch.reset(self.cursor.epoch);
         if self.dead {
             return;
@@ -337,8 +357,8 @@ impl LiveLogSource {
         let blocked = polled.is_empty()
             && self.cursor.index < self.log.header().tail.min(self.log.capacity());
         self.salvage.filter_into(polled, &mut batch.entries);
-        if force_rotate || self.log.header().tail >= self.watermark_entries() {
-            self.rotate(batch, force_rotate);
+        if to_end || self.log.header().tail >= self.watermark_entries() {
+            self.rotate(batch, to_end);
             self.stuck = None;
         } else if blocked {
             if self.note_stuck() {
@@ -349,22 +369,7 @@ impl LiveLogSource {
         } else {
             self.stuck = None;
         }
-    }
-}
-
-impl EventSource for LiveLogSource {
-    fn pid(&self) -> u64 {
-        self.log.header().pid
-    }
-
-    fn pump_into(&mut self, batch: &mut SourceBatch) {
-        self.pump_inner(false, batch);
-    }
-
-    fn drain_to_end(&mut self) -> SourceBatch {
-        let mut batch = SourceBatch::default();
-        self.pump_inner(true, &mut batch);
-        batch
+        walk(&mut batch.entries);
     }
 
     fn dropped_total(&self) -> u64 {
@@ -483,7 +488,7 @@ mod tests {
         assert_eq!(src.dropped_total(), 3);
     }
 
-    /// A pump fills the batch it is lent as if it were fresh: a stale
+    /// A drain fills the batch it is lent as if it were fresh: a stale
     /// `rotated` or `dropped` left in it would count an epoch or a drop
     /// twice.
     #[test]
@@ -504,8 +509,10 @@ mod tests {
                 a.write_live(&entry(k, 0x100 + k));
                 b.write_live(&entry(k, 0x100 + k));
             }
-            let mut batch = dirty();
-            lent.pump_into(&mut batch);
+            let (mut batch, mut walked) = (dirty(), Vec::new());
+            lent.drain(&mut batch, false, &mut |e| walked.append(e));
+            assert!(batch.entries.is_empty(), "the walk consumed the stretch");
+            batch.entries = walked;
             assert_eq!(batch, fresh.pump(), "after {writes} writes");
         }
         assert_eq!((lent.dropped_total(), lent.epoch()), (3, 1));

@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use teeperf_live::{LiveConfig, OverheadBudget, RingConfig};
+use teeperf_live::{LiveConfig, LiveRunConfig, OverheadBudget, RingConfig};
 
 /// One declared flag.
 #[derive(Debug)]
@@ -281,13 +281,17 @@ pub fn session_config(parsed: &Parsed) -> Result<LiveConfig, String> {
     })
 }
 
-/// [`session_config`] with the rotation watermark an argv asks for.
-pub fn in_process_config(parsed: &Parsed) -> Result<LiveConfig, String> {
-    let mut live = session_config(parsed)?;
+/// The in-process driver's config: [`session_config`] plus the rotation
+/// watermark an argv asks for; the rest keeps [`LiveRunConfig::default`].
+pub fn in_process_config(parsed: &Parsed) -> Result<LiveRunConfig, String> {
+    let mut run = LiveRunConfig {
+        live: session_config(parsed)?,
+        ..LiveRunConfig::default()
+    };
     if let Some(pct) = parsed.num_in(WATERMARK.name, 1..=99, "1..=99")? {
-        live.policy.watermark_pct = pct;
+        run.watermark_pct = pct;
     }
-    Ok(live)
+    Ok(run)
 }
 
 #[cfg(test)]
@@ -431,12 +435,13 @@ mod tests {
 
     #[test]
     fn the_session_configs_are_the_one_reader_of_the_session_flags() {
-        let live = in_process_config(&parse(&WITH_OPERANDS, &[]).unwrap()).unwrap();
-        assert_eq!(live, LiveConfig::default());
+        let run = in_process_config(&parse(&WITH_OPERANDS, &[]).unwrap()).unwrap();
+        assert_eq!(run, LiveRunConfig::default());
 
         let argv = ["--watermark", "40", "--retain", "3"];
-        let live = in_process_config(&parse(&WITH_OPERANDS, &argv).unwrap()).unwrap();
-        assert_eq!(live.policy.watermark_pct, 40);
+        let run = in_process_config(&parse(&WITH_OPERANDS, &argv).unwrap()).unwrap();
+        assert_eq!(run.watermark_pct, 40);
+        let live = run.live;
         let ring = live.retention.unwrap();
         let defaults = RingConfig::default();
         assert_eq!(
@@ -459,7 +464,6 @@ mod tests {
         let ring = live.retention.unwrap();
         assert_eq!((ring.interval, ring.max_width), (12, 2));
         assert_eq!(live.budget, Some(OverheadBudget { pct: 10 }));
-        assert_eq!(live.policy, LiveConfig::default().policy);
         assert!(parse(&BARE, &["--watermark", "40"]).is_err());
 
         for (argv, message) in [

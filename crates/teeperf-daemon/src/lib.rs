@@ -154,17 +154,19 @@ impl EventSource for LivenessProbe {
         self.inner.pid()
     }
 
-    fn pump_into(&mut self, batch: &mut SourceBatch) {
-        self.inner.pump_into(batch);
-        self.last_pump_empty = batch.entries.is_empty() && batch.dropped == 0;
+    fn drain(
+        &mut self,
+        batch: &mut SourceBatch,
+        to_end: bool,
+        walk: &mut dyn FnMut(&mut Vec<LogEntry>),
+    ) {
+        let mut empty = true;
+        self.inner.drain(batch, to_end, &mut |entries| {
+            empty &= entries.is_empty();
+            walk(entries);
+        });
+        self.last_pump_empty = empty && batch.dropped == 0;
         self.probe();
-    }
-
-    fn pump_chunks(&mut self, batch: &mut SourceBatch, walk: &mut dyn FnMut(&[LogEntry])) -> usize {
-        let n = self.inner.pump_chunks(batch, walk);
-        self.last_pump_empty = n == 0 && batch.dropped == 0;
-        self.probe();
-        n
     }
 
     fn dropped_total(&self) -> u64 {
@@ -230,20 +232,26 @@ pub trait SnapshotService {
     /// Flame-graph SVG: one pid's towers, or the merged per-process view.
     /// `None` when the pid is unknown.
     fn flame_svg(&mut self, pid: Option<u64>) -> Option<String> {
-        let snap = match pid {
-            Some(p) => self.pid_snapshot(p)?,
-            None => self.merged(),
-        };
-        let title = match pid {
-            Some(p) => format!("teeperfd pid {p}"),
-            None => "teeperfd merged".to_string(),
-        };
-        Some(teeperf_flamegraph::live::render_svg(
-            &snap.profile.folded,
-            &snap.status,
-            &SvgOptions::default().with_title(title),
-        ))
+        match pid {
+            Some(p) => pid_flame_svg(self, p),
+            None => Some(flame_svg_of(&self.merged(), "teeperfd merged".to_string())),
+        }
     }
+}
+
+/// The `/flame.svg?pid=<p>` body of any service: that process's towers.
+fn pid_flame_svg(service: &mut (impl SnapshotService + ?Sized), pid: u64) -> Option<String> {
+    let snap = service.pid_snapshot(pid)?;
+    Some(flame_svg_of(&snap, format!("teeperfd pid {pid}")))
+}
+
+/// One snapshot's flame graph under `title`.
+fn flame_svg_of(snap: &Snapshot, title: String) -> String {
+    teeperf_flamegraph::live::render_svg(
+        &snap.profile.folded,
+        &snap.status,
+        &SvgOptions::default().with_title(title),
+    )
 }
 
 /// Route one request against a [`SnapshotService`]. Returns the response
@@ -634,18 +642,10 @@ impl SnapshotService for Daemon {
     }
 
     /// Merged view: the registry's per-process rendering (one `pid <n>`
-    /// tower per process). Per-pid views use the default single-profile
-    /// path.
+    /// tower per process). Per-pid views render as any service's do.
     fn flame_svg(&mut self, pid: Option<u64>) -> Option<String> {
         match pid {
-            Some(p) => {
-                let snap = self.pid_snapshot(p)?;
-                Some(teeperf_flamegraph::live::render_svg(
-                    &snap.profile.folded,
-                    &snap.status,
-                    &SvgOptions::default().with_title(format!("teeperfd pid {p}")),
-                ))
-            }
+            Some(p) => pid_flame_svg(self, p),
             None => Some(
                 self.registry
                     .render_svg(&SvgOptions::default().with_title("teeperfd merged")),

@@ -31,8 +31,13 @@ use crate::snapshot::Snapshot;
 /// Tuning for one live run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LiveRunConfig {
-    /// Session policy (rotation watermark, retention, budget).
+    /// Session tuning (retention, budget, replay).
     pub live: LiveConfig,
+    /// Rotate a process's log once its epoch has filled this percentage
+    /// of the capacity (entries *reserved*, overflow included; clamped to
+    /// `1..=99` by [`LiveLogSource::new`]). It is also the fill at which
+    /// an epoch counts as hot for [`LiveRunConfig::adaptive_pump`].
+    pub watermark_pct: u8,
     /// Render the running process's ASCII flame view into
     /// [`LiveRun::frames`] after this many new events (0 keeps no frame
     /// history).
@@ -54,6 +59,10 @@ impl Default for LiveRunConfig {
     fn default() -> Self {
         LiveRunConfig {
             live: LiveConfig::default(),
+            // Leave headroom: writers keep appending while the rotation's
+            // quiesce runs, so rotating at three quarters full avoids
+            // drops in steady state.
+            watermark_pct: 75,
             refresh_events: 2_000,
             pump_every_instructions: 256,
             adaptive_pump: true,
@@ -215,7 +224,7 @@ pub fn live_profile_processes(
     let frames = Rc::new(RefCell::new(Vec::new()));
     let base = live_config.pump_every_instructions.max(1);
     let every = Rc::new(Cell::new(base));
-    let watermark_pct = live_config.live.policy.watermark_pct;
+    let watermark_pct = live_config.watermark_pct;
     let mut ran = Vec::with_capacity(pids.len());
 
     for &pid in pids {
@@ -353,7 +362,7 @@ mod tests {
             },
             refresh_events,
             pump_every_instructions: 64,
-            adaptive_pump: true,
+            ..LiveRunConfig::default()
         };
         let mut run = run(&[host()], max_entries, &config).unwrap();
         let process = run.per_pid.remove(&host()).unwrap();

@@ -22,8 +22,8 @@
 //! * [`snapshot`] — serializable freezes of the rolling profile; two
 //!   freezes diff through the batch comparator.
 //! * [`session`] — the [`LiveSession`]: one event source drained into one
-//!   rolling profile, frozen or rendered only on demand, and the
-//!   [`DrainPolicy`] saying when it rotates a live log.
+//!   rolling profile through one drain body, frozen or rendered only on
+//!   demand.
 //! * [`driver`] — [`live_profile_processes`]: run an instrumented Mini-C
 //!   program once per simulated process (one process is one pid) under
 //!   the recorder's ordinary hooks while an instruction-cadence observer
@@ -67,7 +67,7 @@ pub mod window;
 pub use driver::{live_profile_processes, LiveRun, LiveRunConfig, LiveRunError, ProcessRun};
 pub use registry::{AttachError, RegistryRun, SessionRegistry, WatchdogConfig};
 pub use rolling::RollingProfile;
-pub use session::{DrainPolicy, LiveConfig, LiveSession, OverheadBudget};
+pub use session::{LiveConfig, LiveSession, OverheadBudget};
 pub use snapshot::{RegimeInfo, SessionEvent, Snapshot};
 pub use window::{
     windows_from_text, windows_to_text, PidWindows, RetentionRing, RingConfig, RingEvent,

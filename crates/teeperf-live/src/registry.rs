@@ -158,10 +158,10 @@ pub struct SessionRegistry {
     /// The fleet table: every call of every session of the run, folded in
     /// as the session's pump or finish completed it.
     fleet: ProfileMerge,
-    /// The one buffer every session pumps into, lent to each in turn: it
-    /// settles at the largest stretch a source hands over at once — one
-    /// bulk read for a file — so a steady drain needs no new batch
-    /// whichever session is attached or retired.
+    /// The one buffer every session pumps and finishes through, lent to
+    /// each in turn: it settles at the largest stretch a source hands
+    /// over at once — one bulk read for a file — so a steady drain needs
+    /// no new batch whichever session is attached or retired.
     batch: SourceBatch,
 }
 
@@ -252,8 +252,7 @@ impl SessionRegistry {
             return false;
         }
         self.watch.remove(&pid);
-        session.finish_into();
-        session.fold_into(&mut self.fleet, self.space.get_mut());
+        session.finish_into(&mut self.batch, &mut self.fleet, self.space.get_mut());
         true
     }
 
@@ -325,7 +324,7 @@ impl SessionRegistry {
                 continue;
             }
             let before_dropped = session.dropped();
-            let n = session.pump_into(&mut self.batch);
+            let n = session.pump_through(&mut self.batch);
             // An idle pump touches nothing to fold: `attach` already put
             // the pid in the fleet table.
             if n > 0 {
@@ -618,8 +617,7 @@ impl SessionRegistry {
     /// A second `finish` returns the same run.
     pub fn finish(&mut self) -> RegistryRun {
         for s in self.sessions.values_mut() {
-            s.finish_into();
-            s.fold_into(&mut self.fleet, self.space.get_mut());
+            s.finish_into(&mut self.batch, &mut self.fleet, self.space.get_mut());
         }
         let per_pid = self.sessions.iter().map(|(pid, s)| (*pid, s.snapshot()));
         RegistryRun {
@@ -1137,12 +1135,14 @@ pub(crate) mod tests {
         fn pid(&self) -> u64 {
             self.0.pid()
         }
-        fn pump_into(&mut self, batch: &mut SourceBatch) {
+        fn drain(
+            &mut self,
+            batch: &mut SourceBatch,
+            to_end: bool,
+            walk: &mut dyn FnMut(&mut Vec<LogEntry>),
+        ) {
             *self.1.lock().unwrap() += 1;
-            self.0.pump_into(batch);
-        }
-        fn drain_to_end(&mut self) -> SourceBatch {
-            self.0.drain_to_end()
+            self.0.drain(batch, to_end, walk);
         }
         fn dropped_total(&self) -> u64 {
             self.0.dropped_total()
@@ -1184,11 +1184,13 @@ pub(crate) mod tests {
         fn pid(&self) -> u64 {
             5
         }
-        fn pump_into(&mut self, batch: &mut SourceBatch) {
-            *batch = SourceBatch::default();
-        }
-        fn drain_to_end(&mut self) -> SourceBatch {
-            SourceBatch::default()
+        fn drain(
+            &mut self,
+            batch: &mut SourceBatch,
+            _to_end: bool,
+            _walk: &mut dyn FnMut(&mut Vec<LogEntry>),
+        ) {
+            batch.reset(0);
         }
         fn dropped_total(&self) -> u64 {
             0
@@ -1542,14 +1544,50 @@ pub(crate) mod tests {
         assert_eq!(reg.merged_snapshot().profile.total_ticks, per_pid_ticks);
     }
 
-    /// The memory bound of the chunked drain: one pump of ten bulk reads'
-    /// worth of entries leaves the registry's lent batch with room for one.
-    /// And retention is enforced once per pump, not once per bulk read:
-    /// the first read, thread 0's calls a million ticks on, would evict
-    /// every window the later reads' thread 1 fills, which one ingest of
-    /// the same entries retains until the pump ends and then evicts.
+    /// A source that forwards to a file source and records the widest
+    /// stretch it hands a walk.
+    #[derive(Debug)]
+    struct Widest(Box<FileShmSource>, std::sync::Arc<std::sync::Mutex<usize>>);
+
+    impl EventSource for Widest {
+        fn pid(&self) -> u64 {
+            self.0.pid()
+        }
+        fn drain(
+            &mut self,
+            batch: &mut SourceBatch,
+            to_end: bool,
+            walk: &mut dyn FnMut(&mut Vec<LogEntry>),
+        ) {
+            let widest = &self.1;
+            self.0.drain(batch, to_end, &mut |entries| {
+                let mut widest = widest.lock().unwrap();
+                *widest = (*widest).max(entries.len());
+                walk(entries);
+            });
+        }
+        fn dropped_total(&self) -> u64 {
+            self.0.dropped_total()
+        }
+        fn epoch(&self) -> u64 {
+            self.0.epoch()
+        }
+        fn is_exhausted(&self) -> bool {
+            self.0.is_exhausted()
+        }
+    }
+
+    /// The memory bound of the chunked drain: ten bulk reads' worth of
+    /// entries reach the walk one read at a time, and leave the
+    /// registry's lent batch with room for one, whether a pump, a detach
+    /// or the registry's finish drains them. And retention is enforced
+    /// once per drain, not once per bulk read: the first read, thread 0's
+    /// calls a million ticks on, would evict every window the later reads'
+    /// thread 1 fills, which one ingest of the same entries retains until
+    /// the drain ends and then evicts.
     #[test]
     fn a_pump_of_many_chunks_lends_a_batch_of_one() {
+        use std::sync::{Arc, Mutex};
         use teeperf_core::shm_file::READ_CHUNK_ENTRIES;
         let dir = scratch("onechunk");
         let a0 = debug().entry_addr(0);
@@ -1573,25 +1611,35 @@ pub(crate) mod tests {
             capacity: 2,
             max_width: 1,
         };
-        let mut reg = SessionRegistry::new(LiveConfig {
-            retention: Some(retention.clone()),
-            ..LiveConfig::default()
-        });
-        reg.attach(saved(&dir, &log), sym()).unwrap();
-        assert_eq!(reg.pump() as u64, 10 * READ_CHUNK_ENTRIES);
-        assert!(reg.batch.entries.capacity() as u64 <= READ_CHUNK_ENTRIES);
         let mut whole = RollingProfile::for_process(3, Some(&retention));
         whole.ingest(&log.entries);
         let ring = whole.ring().unwrap();
-        let listed = reg.session(3).unwrap().windows().unwrap();
-        assert_eq!(listed.windows, ring.windows());
-        assert_eq!(listed.evicted_windows, ring.evicted_windows());
-        assert_eq!(
-            listed.evicted_windows, 40,
-            "37 windows of thread 1, 3 of thread 0"
-        );
-        let main = reg.merged_snapshot().profile;
-        assert_eq!(main.method("main").unwrap().calls, 10 * half);
+        for end in ["pump", "detach", "finish"] {
+            let mut reg = SessionRegistry::new(LiveConfig {
+                retention: Some(retention.clone()),
+                ..LiveConfig::default()
+            });
+            let widest = Arc::new(Mutex::new(0));
+            let source = Widest(saved(&dir, &log), widest.clone());
+            reg.attach(Box::new(source), sym()).unwrap();
+            match end {
+                "pump" => assert_eq!(reg.pump() as u64, 10 * READ_CHUNK_ENTRIES),
+                "detach" => assert!(reg.detach(3).is_some()),
+                _ => assert_eq!(reg.finish().merged.status.events, 10 * READ_CHUNK_ENTRIES),
+            }
+            let widest = *widest.lock().unwrap() as u64;
+            assert_eq!(widest, READ_CHUNK_ENTRIES, "{end}: the widest stretch");
+            assert!(reg.batch.entries.capacity() as u64 <= READ_CHUNK_ENTRIES);
+            let listed = reg.session(3).unwrap().windows().unwrap();
+            assert_eq!(listed.windows, ring.windows(), "{end}");
+            assert_eq!(listed.evicted_windows, ring.evicted_windows(), "{end}");
+            assert_eq!(
+                listed.evicted_windows, 40,
+                "37 windows of thread 1, 3 of thread 0"
+            );
+            let main = reg.merged_snapshot().profile;
+            assert_eq!(main.method("main").unwrap().calls, 10 * half, "{end}");
+        }
     }
 
     /// One process's writer in a property run: the entries it writes are

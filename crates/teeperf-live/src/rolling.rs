@@ -17,10 +17,10 @@
 //! What the rolling profile adds is the retention ring, the sampling
 //! scale, its event counters and the [`FoldMark`] of the rows its calls
 //! touched since a registry last folded it. The ring enforces retention
-//! once per [`RollingProfile::ingest`], once per session pump — however
-//! many stretches it walks — and once per [`RollingProfile::finish`]:
-//! every call of a pump finds the floor as the pump began, whichever
-//! thread it is on, so windows do not depend on the order the walker
+//! once per [`RollingProfile::ingest`], once per session drain — pump or
+//! final drain, however many stretches it walks — and once per
+//! [`RollingProfile::finish`]: every call of a drain finds the floor as
+//! the drain began, whichever thread it is on, so windows do not depend on the order the walker
 //! meets the threads in. That cadence is behaviour, which is why this
 //! module is on the protocol lint's no-wall-clock list (`teeperf-lint`).
 //!
@@ -176,7 +176,7 @@ impl RollingProfile {
         self.enforce_retention();
     }
 
-    /// [`RollingProfile::ingest`] of one stretch of a session pump, which
+    /// [`RollingProfile::ingest`] of one stretch of a session drain, which
     /// enforces retention once, at its end.
     pub(crate) fn walk(&mut self, entries: &[LogEntry]) {
         let (scale, ring, mark) = (self.scale, &mut self.ring, &mut self.mark);

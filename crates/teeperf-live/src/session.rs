@@ -1,11 +1,17 @@
 //! The live session: one event source drained into one rolling profile.
 //!
 //! A [`LiveSession`] is the single host-side object a continuous-profiling
-//! consumer holds. Pumping it drains its [`EventSource`] — in process a
-//! [`LiveLogSource`] holding the single cursor over the shared log, across
-//! processes and for recordings a [`teeperf_core::FileShmSource`] reading
-//! a log file, behind the same pump — and merges the stream into the
-//! rolling profile. Freezing
+//! consumer holds. It drains one [`EventSource`] and names no medium: in
+//! process a [`teeperf_core::LiveLogSource`] holding the single cursor over
+//! the shared log (which rotates at the watermark it was built with),
+//! across processes and for recordings a [`teeperf_core::FileShmSource`]
+//! reading a log file. A pump and a finish go through one drain body: the
+//! source hands its entries over a stretch at a time, each walked into the
+//! rolling profile while it is fresh in the batch, then retention is
+//! enforced once and the session's own events — ring transitions, a
+//! repaired regime word — are collected. A pump also feeds the fidelity
+//! controller; a finish repeats final drains until one brings nothing,
+//! closes the open frames and lets the transport go. Freezing
 //! ([`LiveSession::snapshot`]) and rendering ([`LiveSession::render_ascii`])
 //! read that profile on demand and keep nothing: a session that nobody
 //! asks draws nothing.
@@ -16,7 +22,8 @@ use std::collections::VecDeque;
 use teeperf_analyzer::profile::Anomalies;
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_analyzer::{NameSpace, PathNames, ProfileMerge};
-use teeperf_core::{EventSource, LiveLogSource, Regime, SalvageReport, SharedLog, SourceBatch};
+use teeperf_core::layout::LogEntry;
+use teeperf_core::{EventSource, Regime, SalvageReport, SourceBatch};
 use teeperf_flamegraph::{live, LiveStatus};
 
 use crate::rolling::RollingProfile;
@@ -234,33 +241,12 @@ fn upgrade(regime: Regime) -> Regime {
     }
 }
 
-/// When a session over a live log forces a rotation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DrainPolicy {
-    /// Rotate once the epoch has filled this percentage of the log's
-    /// capacity (entries *reserved*, including overflow). Clamped to
-    /// `1..=99`: a rotation that waited for a completely full log would
-    /// always be too late.
-    pub watermark_pct: u8,
-}
-
-impl Default for DrainPolicy {
-    fn default() -> Self {
-        // Leave headroom: writers keep appending while the rotation's
-        // quiesce runs, so rotating at three quarters full avoids drops in
-        // steady state.
-        DrainPolicy { watermark_pct: 75 }
-    }
-}
-
 /// Columns of the ASCII flame view, the width every front-end draws at.
 const ASCII_WIDTH: usize = 60;
 
-/// Session tuning.
+/// Session tuning: what every session uses, whatever its medium.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LiveConfig {
-    /// When the session rotates a live log.
-    pub policy: DrainPolicy,
     /// Retain every drained entry for replay through the offline stages.
     /// Off by default: the whole point of the rolling profile is that the
     /// session's memory does not grow with the stream.
@@ -279,8 +265,9 @@ pub struct LiveConfig {
 }
 
 /// A running continuous-profiling session over one event source. For live
-/// logs exactly one session may exist per log: its [`LiveLogSource`] owns
-/// the read cursor, and only the cursor owner may rotate.
+/// logs exactly one session may exist per log: its
+/// [`teeperf_core::LiveLogSource`] owns the read cursor, and only the
+/// cursor owner may rotate.
 #[derive(Debug)]
 pub struct LiveSession {
     source: Box<dyn EventSource>,
@@ -291,7 +278,7 @@ pub struct LiveSession {
     /// the cell).
     fleet_names: RefCell<PathNames>,
     config: LiveConfig,
-    replay: Vec<teeperf_core::layout::LogEntry>,
+    replay: Vec<LogEntry>,
     /// Retention transitions (evictions, coarsenings) so far, already
     /// stamped with this session's pid — surfaced in every snapshot's
     /// `[events]` section so history loss is never silent.
@@ -310,16 +297,9 @@ pub struct LiveSession {
 }
 
 impl LiveSession {
-    /// Start a session draining `log`, symbolizing with `symbolizer`.
-    pub fn new(log: SharedLog, symbolizer: Symbolizer, config: LiveConfig) -> LiveSession {
-        let source = LiveLogSource::new(log, config.policy.watermark_pct);
-        LiveSession::from_source(Box::new(source), symbolizer, config)
-    }
-
-    /// Start a session over an arbitrary [`EventSource`] — a live log, a
-    /// file replay, or anything else that implements the trait. This is
-    /// what a session registry uses to run one session per profiled
-    /// process.
+    /// Start a session over an [`EventSource`] — a live log, a file, or
+    /// anything else that implements the trait — symbolizing with
+    /// `symbolizer`. A session registry runs one per profiled process.
     pub fn from_source(
         source: Box<dyn EventSource>,
         symbolizer: Symbolizer,
@@ -356,41 +336,17 @@ impl LiveSession {
     /// publication never waits for a rotation — and recorded as a
     /// [`SessionEvent::RegimeChanged`].
     pub fn pump(&mut self) -> usize {
-        self.pump_into(&mut SourceBatch::default())
+        self.pump_through(&mut SourceBatch::default())
     }
 
     /// [`LiveSession::pump`] through a batch the caller keeps, so that
-    /// every session of a registry drains into one buffer. The source
-    /// hands its entries over a stretch at a time
-    /// ([`EventSource::pump_chunks`]) and each is walked while it is fresh
-    /// in the batch; retention, the controller and the regime check act
-    /// once per pump, after the last stretch.
-    pub(crate) fn pump_into(&mut self, batch: &mut SourceBatch) -> usize {
+    /// every session of a registry drains into one buffer.
+    pub(crate) fn pump_through(&mut self, batch: &mut SourceBatch) -> usize {
         // Occupancy is sampled *before* the drain: it is the fill level
         // the writers ran against, and it resets to zero the moment the
         // pump rotates.
         let occupancy = self.source.occupancy_pct().unwrap_or(0);
-        // Entries drained now were admitted under the regime published to
-        // the writers before this pump — that is the factor that
-        // bias-corrects them back into estimated totals.
-        let scale = self.published_regime().scale();
-        self.rolling.set_scale(scale);
-        let (rolling, replay) = (&mut self.rolling, &mut self.replay);
-        let keep_replay = self.config.keep_replay;
-        let n = self.source.pump_chunks(batch, &mut |entries| {
-            if keep_replay {
-                replay.extend_from_slice(entries);
-            }
-            rolling.walk(entries);
-        });
-        self.rolling.enforce_retention();
-        self.collect_window_events();
-        if self.source.take_regime_fault() {
-            self.regime_faults += 1;
-            self.window_events.push(SessionEvent::RegimeFault {
-                pid: self.source.pid(),
-            });
-        }
+        let n = self.drain(batch, false);
         // `dropped_total` already includes the current epoch's overflow,
         // so the per-pump delta is taken against the *previous* pump's
         // end-of-pump total — sampling it at the start of this pump would
@@ -415,6 +371,37 @@ impl LiveSession {
                 // fidelity and the controller retires.
                 self.controller = None;
             }
+        }
+        n
+    }
+
+    /// The one drain body of a pump and of a finish (`to_end`): the source
+    /// hands its entries over a stretch at a time, each walked while it is
+    /// fresh in `batch` and then cleared from it; retention and the regime
+    /// check act once, after the last stretch. Returns the entries walked.
+    fn drain(&mut self, batch: &mut SourceBatch, to_end: bool) -> usize {
+        // Entries drained now were admitted under the regime published to
+        // the writers before this drain — that is the factor that
+        // bias-corrects them back into estimated totals.
+        self.rolling.set_scale(self.published_regime().scale());
+        let (rolling, replay) = (&mut self.rolling, &mut self.replay);
+        let keep_replay = self.config.keep_replay;
+        let mut n = 0;
+        self.source.drain(batch, to_end, &mut |entries| {
+            n += entries.len();
+            if keep_replay {
+                replay.extend_from_slice(entries);
+            }
+            rolling.walk(entries);
+            entries.clear();
+        });
+        self.rolling.enforce_retention();
+        self.collect_window_events();
+        if self.source.take_regime_fault() {
+            self.regime_faults += 1;
+            self.window_events.push(SessionEvent::RegimeFault {
+                pid: self.source.pid(),
+            });
         }
         n
     }
@@ -564,33 +551,30 @@ impl LiveSession {
     /// did at the end, but holds no transport — no log, no file, no read
     /// buffer — and pumps nothing; finishing it again changes nothing.
     pub fn finish(&mut self) -> Snapshot {
-        self.finish_into();
+        self.end(&mut SourceBatch::default());
         self.snapshot()
     }
 
-    /// [`LiveSession::finish`] without the final snapshot.
-    pub(crate) fn finish_into(&mut self) {
-        // The final drain is still scaled by the published regime — the
-        // writers' last entries were admitted under it.
-        self.rolling.set_scale(self.published_regime().scale());
-        loop {
-            let batch = self.source.drain_to_end();
-            if batch.entries.is_empty() && batch.dropped == 0 {
-                break;
-            }
-            if self.config.keep_replay {
-                self.replay.extend_from_slice(&batch.entries);
-            }
-            self.rolling.ingest(&batch.entries);
-        }
+    /// [`LiveSession::finish`] through a batch the caller keeps, without
+    /// the final snapshot, folding what the finish closed into a running
+    /// merge the way [`LiveSession::fold_into`] does: how a registry ends
+    /// a session.
+    pub(crate) fn finish_into(
+        &mut self,
+        batch: &mut SourceBatch,
+        merge: &mut ProfileMerge,
+        space: &mut NameSpace,
+    ) {
+        self.end(batch);
+        self.fold_into(merge, space);
+    }
+
+    /// Final drains until one brings neither an entry nor a drop, then
+    /// close the open frames and swap the source for its closed record.
+    fn end(&mut self, batch: &mut SourceBatch) {
+        while self.drain(batch, true) > 0 || batch.dropped > 0 {}
         self.rolling.finish();
         self.collect_window_events();
-        if self.source.take_regime_fault() {
-            self.regime_faults += 1;
-            self.window_events.push(SessionEvent::RegimeFault {
-                pid: self.source.pid(),
-            });
-        }
         self.source = Box::new(ClosedSource {
             pid: self.source.pid(),
             epoch: self.source.epoch(),
@@ -659,7 +643,7 @@ impl LiveSession {
 
     /// The raw drained stream, in order (empty unless
     /// [`LiveConfig::keep_replay`] is set).
-    pub fn replay_entries(&self) -> &[teeperf_core::layout::LogEntry] {
+    pub fn replay_entries(&self) -> &[LogEntry] {
         &self.replay
     }
 }
@@ -680,7 +664,12 @@ impl EventSource for ClosedSource {
         self.pid
     }
 
-    fn pump_into(&mut self, batch: &mut SourceBatch) {
+    fn drain(
+        &mut self,
+        batch: &mut SourceBatch,
+        _to_end: bool,
+        _walk: &mut dyn FnMut(&mut Vec<LogEntry>),
+    ) {
         batch.reset(self.epoch);
     }
 
@@ -712,8 +701,9 @@ mod tests {
     use std::sync::Arc;
     use tee_sim::SharedMem;
     use teeperf_analyzer::SymbolCacheStats;
-    use teeperf_core::layout::{EventKind, LogEntry};
+    use teeperf_core::layout::EventKind;
     use teeperf_core::log::{make_header, region_bytes};
+    use teeperf_core::{LiveLogSource, SharedLog};
 
     fn debug() -> DebugInfo {
         DebugInfo::from_functions([("main", 4, 1), ("work", 4, 5)])
@@ -727,15 +717,18 @@ mod tests {
         )
     }
 
-    fn session(log: &SharedLog) -> LiveSession {
-        LiveSession::new(
-            log.clone(),
+    /// A session over `log`, rotating it at `watermark_pct`.
+    fn over(log: &SharedLog, watermark_pct: u8, config: LiveConfig) -> LiveSession {
+        let source = LiveLogSource::new(log.clone(), watermark_pct);
+        LiveSession::from_source(
+            Box::new(source),
             Symbolizer::without_relocation(debug()),
-            LiveConfig {
-                policy: DrainPolicy { watermark_pct: 50 },
-                ..LiveConfig::default()
-            },
+            config,
         )
+    }
+
+    fn session(log: &SharedLog) -> LiveSession {
+        over(log, 50, LiveConfig::default())
     }
 
     fn write_pair(log: &SharedLog, base: u64) {
@@ -798,12 +791,12 @@ mod tests {
     #[test]
     fn budgeted_session_degrades_under_loss_and_recovers() {
         let log = fresh(8);
-        let mut s = LiveSession::new(
-            log.clone(),
-            Symbolizer::without_relocation(debug()),
+        let budget = Some(OverheadBudget { pct: 5 });
+        let mut s = over(
+            &log,
+            100,
             LiveConfig {
-                policy: DrainPolicy { watermark_pct: 100 },
-                budget: Some(OverheadBudget { pct: 5 }),
+                budget,
                 ..LiveConfig::default()
             },
         );

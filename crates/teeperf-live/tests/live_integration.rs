@@ -200,6 +200,7 @@ mod string_match_convergence {
                 refresh_events: 5_000,
                 pump_every_instructions: 128,
                 adaptive_pump: true,
+                ..LiveRunConfig::default()
             },
             &[recorder.pid],
             |vm| bench.setup(vm),

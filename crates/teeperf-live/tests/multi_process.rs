@@ -302,7 +302,8 @@ fn live_log_snapshot_matches_replay_except_epoch_accounting() {
     for e in &golden_file().entries {
         log.write_live(e);
     }
-    let mut session = LiveSession::new(log, sym(), LiveConfig::default());
+    let source = Box::new(teeperf_core::LiveLogSource::new(log, 75));
+    let mut session = LiveSession::from_source(source, sym(), LiveConfig::default());
     let snap = session.finish();
     // A live log pays one extra (empty) rotation when the session closes,
     // a file never rotates; everything below the epoch counter is

@@ -277,6 +277,13 @@ cli_smoke() {
 }
 tmo 60 bash -c "$(declare -f cli_smoke); cli_smoke"
 
+# Live determinism: `teeperf live` over one program, run twice by the same
+# debug binary — rotating every few events, three budgeted processes with
+# retention, batched slots — must print and write the same bytes, host
+# pids aside. Keeps scripts/cmp_live.sh (the parent-vs-change check of the
+# in-process tier) from rotting.
+tmo 60 scripts/cmp_live.sh target/debug/teeperf target/debug/teeperf
+
 # Regime smoke (ISSUE 10): a calm -> storm -> recovery overload ramp
 # through the budgeted fidelity controller. The bin exits non-zero unless
 # the budgeted session degrades into Sampled during the storm, settles
