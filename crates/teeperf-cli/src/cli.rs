@@ -477,8 +477,8 @@ fn write_live_files(
 /// The analyzer over the log image (a recording or a deployed session's
 /// `.tplog`) and the `.sym` that are operands `at` and `at + 1`. With
 /// `salvage`, a torn or truncated log is drained by a [`FileShmSource`] —
-/// the reader the daemon attaches — instead of rejected, and the
-/// accounting report is returned for the caller to print.
+/// the reader the daemon attaches — instead of rejected, in one final
+/// drain whose salvage report is returned for the caller to print.
 fn load_analyzer(
     args: &Parsed,
     at: usize,
@@ -489,8 +489,11 @@ fn load_analyzer(
     let threads = args.num("analyzer-threads")?.unwrap_or(1);
     let (log, report) = if salvage {
         let mut src = FileShmSource::open(log_path.as_ref()).map_err(|e| path_err(log_path, e))?;
-        let entries = src.drain_to_end().entries;
-        (LogFile::new(*src.header(), entries), Some(src.salvage()))
+        let drained = src.drain_to_end();
+        (
+            LogFile::new(*src.header(), drained.entries),
+            Some(drained.salvaged),
+        )
     } else {
         let log = LogFile::load(log_path).map_err(|e| path_err(log_path, e))?;
         (log, None)

@@ -194,7 +194,8 @@ mod tests {
     use crate::counter::SimCounter;
     use crate::faults::SalvageReason;
     use crate::log::{make_header, region_bytes};
-    use crate::source::{EventSource, LiveLogSource, SourceResilience};
+    use crate::source::tests::Tally;
+    use crate::source::{LiveLogSource, SourceResilience};
     use std::sync::{Arc, Mutex};
     use tee_sim::{AccessKind, CostModel, MemAccess, MemModel, SharedMem};
 
@@ -332,7 +333,7 @@ mod tests {
     /// interleaving a concurrent drainer thread only produces by chance.
     #[derive(Debug)]
     struct RotateMidAppend {
-        drain: Mutex<Option<(LiveLogSource, Vec<LogEntry>)>>,
+        drain: Mutex<Option<(Tally<LiveLogSource>, Vec<LogEntry>)>>,
     }
 
     impl RotateMidAppend {
@@ -383,7 +384,7 @@ mod tests {
                 max_rotation_stalls: u64::MAX,
                 ..SourceResilience::default()
             });
-            *model.drain.lock().unwrap() = Some((src, Vec::new()));
+            *model.drain.lock().unwrap() = Some((Tally::new(src), Vec::new()));
             for k in 0..40u64 {
                 let w = (k % 2) as usize;
                 writers[w].record(&mut machine, EventKind::Call, 0x1000 + k, w as u64);
@@ -400,7 +401,7 @@ mod tests {
             addrs.dedup();
             assert_eq!(addrs.len() as u64, recorded, "drained exactly once");
             assert_eq!(drained.len() as u64, recorded, "drained exactly once");
-            let salvage = src.salvage();
+            let salvage = &src.salvage;
             assert!(
                 salvage.count(SalvageReason::StalledRotation) >= recorded,
                 "every mid-append rotation must have been refused"
@@ -412,7 +413,7 @@ mod tests {
             if slots == 1 {
                 assert_eq!(log.abandoned_total(), 0, "one-slot claims abandon nothing");
             }
-            assert!(src.epoch() > 10, "the log did rotate between appends");
+            assert!(src.state.epoch > 10, "the log did rotate between appends");
         }
     }
 

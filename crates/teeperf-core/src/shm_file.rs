@@ -85,7 +85,7 @@ use crate::layout::{
     image_word, HeaderImage, HeaderRule, LogEntry, LogHeader, ENTRY_BYTES, FLAG_ACTIVE,
     HEADER_BYTES, OFF_CONTROL, OFF_MAGIC, OFF_TAIL,
 };
-use crate::source::{EventSource, SourceBatch};
+use crate::source::{EventSource, SourceBatch, SourceState};
 
 /// File extension of a registered log (`<pid>.tplog`).
 pub const LOG_EXT: &str = "tplog";
@@ -305,7 +305,6 @@ pub struct FileShmSource {
     tail: u64,
     writer_done: bool,
     dead: bool,
-    salvage: SalvageReport,
     /// The bytes of one bulk read, kept across pumps (at most
     /// [`READ_CHUNK_ENTRIES`] slots).
     buf: Vec<u8>,
@@ -330,7 +329,6 @@ impl FileShmSource {
             tail: 0,
             writer_done: false,
             dead: false,
-            salvage: SalvageReport::default(),
             buf: Vec::new(),
         })
     }
@@ -359,17 +357,21 @@ impl FileShmSource {
         self.writer_done
     }
 
+    fn dropped_total(&self) -> u64 {
+        self.tail.saturating_sub(self.header.size)
+    }
+
     /// One look at the header, checked as the image this source attached
     /// to: records the tail and the writer's ACTIVE flag, and returns how
     /// many slots the file can serve and how many promised ones it is
     /// short ([`LogHeader::available`]) — or `None` after marking the
-    /// source dead (corrupt or vanished header).
-    fn observe(&mut self) -> Option<(u64, u64)> {
+    /// source dead (corrupt or vanished header) and accounting why.
+    fn observe(&mut self, salvage: &mut SalvageReport) -> Option<(u64, u64)> {
         let reread = || read_checked(&self.file, HeaderRule::Attached(self.header.size));
         let mut seen = reread();
         if matches!(seen, Ok((_, header)) if !self.writer_done && !header.active) {
-            // First sight of a finished writer. `is_exhausted` pairs this
-            // flag with the tail, so the tail must come from a read that
+            // First sight of a finished writer. Exhaustion pairs this flag
+            // with the tail, so the tail must come from a read that
             // started after the flag was seen cleared: one more header
             // read, once per session, whatever order a single read copies
             // its words in.
@@ -382,13 +384,57 @@ impl FileShmSource {
                 Some(header.available(len - HEADER_BYTES))
             }
             Err(why) => {
-                self.salvage.incident(match why {
+                salvage.incident(match why {
                     ShmFileError::TooSmall(_) => SalvageReason::TruncatedFile,
                     _ => SalvageReason::CorruptHeader,
                 });
                 self.dead = true;
                 None
             }
+        }
+    }
+
+    /// The slots from the cursor up to what one header read shows, `walk`
+    /// handed `batch.entries` after each bulk read.
+    fn read_into(&mut self, batch: &mut SourceBatch, walk: &mut dyn FnMut(&mut Vec<LogEntry>)) {
+        let salvage = &mut batch.salvaged;
+        let Some((available, shortfall)) = self.observe(salvage) else {
+            return;
+        };
+        if shortfall > 0 {
+            // A file cut below what its tail promises lost records.
+            // Account the ones not already drained, salvage what is left
+            // below the cut, and never look again: the file is no longer
+            // a faithful log.
+            let promised = available + shortfall;
+            let lost = promised.saturating_sub(available.max(self.cursor));
+            if lost == 0 {
+                // The cut took only drained slots, but the source still
+                // dies of it: keep the cause on record.
+                salvage.incident(SalvageReason::TruncatedFile);
+            }
+            salvage.drop_n(SalvageReason::TruncatedFile, lost);
+            self.dead = true;
+        }
+        while self.cursor < available {
+            let n = (available - self.cursor).min(READ_CHUNK_ENTRIES);
+            let bytes = (n * ENTRY_BYTES) as usize;
+            // The buffer only grows (to one chunk at most): a shorter read
+            // fills a prefix, and nothing is zeroed twice.
+            if self.buf.len() < bytes {
+                self.buf.resize(bytes, 0);
+            }
+            let chunk = &mut self.buf[..bytes];
+            let off = LogEntry::offset_of(self.cursor);
+            if self.file.read_exact_at(chunk, off).is_err() {
+                // Bytes vanished mid-drain; the header re-read accounted
+                // the loss (or will on the next pump) — stop here.
+                break;
+            }
+            let decoded = LogEntry::decode_slots(chunk);
+            batch.salvaged.filter_into(decoded, &mut batch.entries);
+            self.cursor += n;
+            walk(&mut batch.entries);
         }
     }
 }
@@ -409,75 +455,25 @@ impl EventSource for FileShmSource {
         _to_end: bool,
         walk: &mut dyn FnMut(&mut Vec<LogEntry>),
     ) {
-        batch.reset(0);
-        if self.dead {
-            return;
-        }
+        batch.reset();
         let already_dropped = self.dropped_total();
-        let Some((available, shortfall)) = self.observe() else {
-            return;
-        };
-        if shortfall > 0 {
-            // A file cut below what its tail promises lost records.
-            // Account the ones not already drained, salvage what is left
-            // below the cut, and never look again: the file is no longer
-            // a faithful log.
-            let promised = available + shortfall;
-            let lost = promised.saturating_sub(available.max(self.cursor));
-            if lost == 0 {
-                // The cut took only drained slots, but the source still
-                // dies of it: keep the cause on record.
-                self.salvage.incident(SalvageReason::TruncatedFile);
-            }
-            self.salvage.drop_n(SalvageReason::TruncatedFile, lost);
-            self.dead = true;
-        }
-        while self.cursor < available {
-            let n = (available - self.cursor).min(READ_CHUNK_ENTRIES);
-            let bytes = (n * ENTRY_BYTES) as usize;
-            // The buffer only grows (to one chunk at most): a shorter read
-            // fills a prefix, and nothing is zeroed twice.
-            if self.buf.len() < bytes {
-                self.buf.resize(bytes, 0);
-            }
-            let chunk = &mut self.buf[..bytes];
-            let off = LogEntry::offset_of(self.cursor);
-            if self.file.read_exact_at(chunk, off).is_err() {
-                // Bytes vanished mid-drain; the header re-read accounted
-                // the loss (or will on the next pump) — stop here.
-                break;
-            }
-            let decoded = LogEntry::decode_slots(chunk);
-            self.salvage.filter_into(decoded, &mut batch.entries);
-            self.cursor += n;
-            walk(&mut batch.entries);
+        if !self.dead {
+            self.read_into(batch, walk);
         }
         // Overflow accounting: each newly-observed drop exactly once, on
         // the batch where it became visible.
         batch.dropped = self.dropped_total().saturating_sub(already_dropped);
-    }
-
-    fn dropped_total(&self) -> u64 {
-        self.tail.saturating_sub(self.header.size)
-    }
-
-    fn epoch(&self) -> u64 {
-        0
-    }
-
-    fn is_exhausted(&self) -> bool {
-        // Exhausted only when the writer declared itself done AND the
-        // cursor has consumed everything it promised. A dead source is
-        // not exhausted — the registry quarantines it instead.
-        !self.dead && self.writer_done && self.cursor >= self.header.size.min(self.tail)
-    }
-
-    fn salvage(&self) -> SalvageReport {
-        self.salvage.clone()
-    }
-
-    fn is_dead(&self) -> bool {
-        self.dead
+        batch.state = SourceState {
+            epoch: 0,
+            dropped_total: self.dropped_total(),
+            // Exhausted only when the writer declared itself done AND the
+            // cursor has consumed everything it promised. A dead source is
+            // not exhausted — the registry quarantines it instead.
+            exhausted: !self.dead
+                && self.writer_done
+                && self.cursor >= self.header.size.min(self.tail),
+            dead: self.dead,
+        };
     }
 }
 
@@ -488,6 +484,7 @@ mod tests {
         make_header, EntryValidity, EventKind, HeaderFault, LOG_MAGIC, OFF_SIZE, PID_UNSET,
     };
     use crate::log::{region_bytes, SharedLog};
+    use crate::source::tests::Tally;
     use crate::LogFile;
     use proptest::prelude::*;
 
@@ -520,6 +517,11 @@ mod tests {
         make_header(pid, size, true, 0, 0)
     }
 
+    /// A source over `path`, its drains tallied.
+    fn open(path: &Path) -> Tally<FileShmSource> {
+        Tally::new(FileShmSource::open(path).unwrap())
+    }
+
     #[test]
     fn round_trips_entries_through_a_file() {
         let dir = scratch("roundtrip");
@@ -527,15 +529,15 @@ mod tests {
         for k in 1..=5 {
             assert!(w.write(&entry(k)).unwrap().is_some());
         }
-        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        let mut src = open(&log_path(&dir.0, 7));
         assert_eq!(src.pid(), 7);
         let b = src.pump();
         assert_eq!(b.entries.len(), 5);
         assert_eq!(b.entries[0], entry(1));
         assert_eq!(b.dropped, 0);
         assert!(src.pump().entries.is_empty(), "no re-reads");
-        assert!(!src.is_exhausted(), "writer still active");
-        assert!(src.salvage().is_clean());
+        assert!(!src.state.exhausted, "writer still active");
+        assert!(src.salvage.is_clean());
     }
 
     #[test]
@@ -544,11 +546,11 @@ mod tests {
         let mut w = FileShmWriter::create(&dir.0, &header(7, 8)).unwrap();
         w.write(&entry(1)).unwrap();
         w.finish().unwrap();
-        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        let mut src = open(&log_path(&dir.0, 7));
         let b = src.pump();
         assert_eq!(b.entries.len(), 1);
-        assert!(src.is_exhausted());
-        assert!(!src.is_dead());
+        assert!(src.state.exhausted);
+        assert!(!src.state.dead);
     }
 
     #[test]
@@ -559,12 +561,12 @@ mod tests {
             w.write(&entry(k)).unwrap();
         }
         assert_eq!(w.dropped(), 3);
-        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        let mut src = open(&log_path(&dir.0, 7));
         let b = src.pump();
         assert_eq!(b.entries.len(), 4);
         assert_eq!(b.dropped, 3);
         assert_eq!(src.pump().dropped, 0, "drops reported once");
-        assert_eq!(src.dropped_total(), 3);
+        assert_eq!(src.state.dropped_total, 3);
         // Drops that arrive after the last entry was drained still come
         // out, on a batch with no entries, and then the source is done.
         for k in 8..=9 {
@@ -573,8 +575,8 @@ mod tests {
         w.finish().unwrap();
         let b = src.pump();
         assert_eq!((b.entries.len(), b.dropped), (0, 2));
-        assert!(src.is_exhausted());
-        assert_eq!(src.dropped_total(), 5);
+        assert!(src.state.exhausted);
+        assert_eq!(src.state.dropped_total, 5);
     }
 
     /// The raw positioned writes of the protocol, issued from the test so
@@ -591,23 +593,23 @@ mod tests {
         let dir = scratch("tailpublishes");
         let _w = FileShmWriter::create(&dir.0, &header(7, 8)).unwrap();
         let raw = raw_file(&dir, 7);
-        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        let mut src = open(&log_path(&dir.0, 7));
         // Slot bytes on disk, tail not yet stored: nothing to see.
         raw.write_all_at(&entry(1).to_bytes(), LogEntry::offset_of(0))
             .unwrap();
         assert!(src.pump().entries.is_empty(), "above the tail is unread");
-        assert!(src.salvage().is_clean());
+        assert!(src.salvage.is_clean());
         write_word(&raw, OFF_TAIL, 1).unwrap();
         assert_eq!(src.pump().entries, vec![entry(1)]);
         // The broken order — tail first — exposes the empty slot, which is
         // skipped and counted at once; its late bytes are never delivered.
         write_word(&raw, OFF_TAIL, 2).unwrap();
         assert!(src.pump().entries.is_empty());
-        assert_eq!(src.salvage().count(SalvageReason::UnpublishedSlot), 1);
+        assert_eq!(src.salvage.count(SalvageReason::UnpublishedSlot), 1);
         raw.write_all_at(&entry(2).to_bytes(), LogEntry::offset_of(1))
             .unwrap();
         assert!(src.pump().entries.is_empty(), "the cursor moved on");
-        assert_eq!(src.salvage().kept, 1);
+        assert_eq!(src.salvage.kept, 1);
     }
 
     #[test]
@@ -619,17 +621,17 @@ mod tests {
         w.write(&entry(3)).unwrap();
         w.write_torn(&entry(4)).unwrap();
         w.write(&entry(5)).unwrap();
-        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        let mut src = open(&log_path(&dir.0, 7));
         let b = src.pump();
         assert_eq!(b.entries, vec![entry(1), entry(3), entry(5)]);
-        let report = src.salvage();
+        let report = &src.salvage;
         assert_eq!(report.count(SalvageReason::UnpublishedSlot), 1);
         assert_eq!(report.count(SalvageReason::TornEntry), 1);
         assert_eq!(report.kept, 3);
-        assert!(!src.is_exhausted(), "writer still active");
+        assert!(!src.state.exhausted, "writer still active");
         w.finish().unwrap();
         assert!(src.pump().entries.is_empty());
-        assert!(src.is_exhausted());
+        assert!(src.state.exhausted);
     }
 
     #[test]
@@ -637,7 +639,7 @@ mod tests {
         let dir = scratch("chunks");
         let n = 2 * READ_CHUNK_ENTRIES + 17;
         let mut w = FileShmWriter::create(&dir.0, &header(7, n + 8)).unwrap();
-        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        let mut src = open(&log_path(&dir.0, 7));
         // Start mid-chunk, so chunk boundaries fall at unaligned indices.
         for k in 1..=5 {
             w.write(&entry(k)).unwrap();
@@ -650,12 +652,12 @@ mod tests {
         let b = src.pump();
         assert_eq!(b.entries.len() as u64, n - 5);
         assert!(b.entries.iter().map(|e| e.counter).eq(6..=n));
-        assert!(src.is_exhausted());
-        assert!(src.salvage().is_clean());
+        assert!(src.state.exhausted);
+        assert!(src.salvage.is_clean());
         // Handed over a bulk read at a time to a walk that consumes them,
         // the same entries come in three stretches, the batch never
         // holding more than one.
-        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        let mut src = open(&log_path(&dir.0, 7));
         let (mut batch, mut stretches) = (SourceBatch::default(), Vec::new());
         src.drain(&mut batch, false, &mut |e| {
             stretches.push(e.clone());
@@ -672,7 +674,7 @@ mod tests {
         let dir = scratch("kept");
         let n = READ_CHUNK_ENTRIES + 5;
         let mut w = FileShmWriter::create(&dir.0, &header(7, 2 * n)).unwrap();
-        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        let mut src = open(&log_path(&dir.0, 7));
         let mut batch = SourceBatch::default();
         for k in 1..=n {
             w.write(&entry(k)).unwrap();
@@ -711,13 +713,13 @@ mod tests {
         let raw = raw_file(&dir, 7);
         write_word(&raw, OFF_SIZE, 1 << 40).unwrap();
         write_word(&raw, OFF_TAIL, 1 << 40).unwrap();
-        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        let mut src = open(&log_path(&dir.0, 7));
         let b = src.pump();
         assert_eq!(b.entries, vec![entry(1), entry(2), entry(3)]);
         assert!(b.entries.capacity() as u64 <= READ_CHUNK_ENTRIES);
         assert_eq!(b.dropped, 0);
-        assert!(src.is_dead(), "a file shorter than its tail is truncated");
-        let report = src.salvage();
+        assert!(src.state.dead, "a file shorter than its tail is truncated");
+        let report = &src.salvage;
         assert_eq!(report.count(SalvageReason::TruncatedFile), (1 << 40) - 4);
         assert_eq!(report.count(SalvageReason::UnpublishedSlot), 1);
         assert_eq!(report.kept, 3);
@@ -730,10 +732,10 @@ mod tests {
         w.write(&entry(1)).unwrap();
         w.write_torn(&entry(2)).unwrap();
         w.write(&entry(3)).unwrap();
-        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        let mut src = open(&log_path(&dir.0, 7));
         let b = src.pump();
         assert_eq!(b.entries, vec![entry(1), entry(3)]);
-        let s = src.salvage();
+        let s = &src.salvage;
         assert_eq!(s.count(SalvageReason::TornEntry), 1);
         assert_eq!(s.kept, 2);
     }
@@ -743,14 +745,14 @@ mod tests {
         let dir = scratch("corrupt");
         let mut w = FileShmWriter::create(&dir.0, &header(7, 8)).unwrap();
         w.write(&entry(1)).unwrap();
-        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        let mut src = open(&log_path(&dir.0, 7));
         assert_eq!(src.pump().entries.len(), 1);
         w.corrupt_header().unwrap();
         let b = src.pump();
         assert!(b.entries.is_empty());
-        assert!(src.is_dead());
-        assert!(!src.is_exhausted());
-        assert_eq!(src.salvage().count(SalvageReason::CorruptHeader), 1);
+        assert!(src.state.dead);
+        assert!(!src.state.exhausted);
+        assert_eq!(src.salvage.count(SalvageReason::CorruptHeader), 1);
         // Dead means dead: pumps stay empty, no panic, no hang.
         assert!(src.pump().entries.is_empty());
     }
@@ -762,8 +764,8 @@ mod tests {
         for k in 1..=10 {
             w.write(&entry(k)).unwrap();
         }
-        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
-        let mut drained = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        let mut src = open(&log_path(&dir.0, 7));
+        let mut drained = open(&log_path(&dir.0, 7));
         assert_eq!(drained.pump().entries.len(), 10);
         // Cut the file to 4 entries' worth between pumps.
         let keep = HEADER_BYTES + 4 * ENTRY_BYTES;
@@ -775,14 +777,14 @@ mod tests {
             .unwrap();
         let b = src.pump();
         assert_eq!(b.entries.len(), 4, "salvages the readable prefix");
-        assert!(src.is_dead(), "a cut file is no longer a faithful log");
-        assert_eq!(src.salvage().count(SalvageReason::TruncatedFile), 6);
+        assert!(src.state.dead, "a cut file is no longer a faithful log");
+        assert_eq!(src.salvage.count(SalvageReason::TruncatedFile), 6);
         // A source the cut took nothing undrained from still dies of it,
         // with the cause on record.
         assert!(drained.pump().entries.is_empty());
-        assert!(drained.is_dead());
-        assert_eq!(drained.salvage().dropped, 0);
-        assert_eq!(drained.salvage().count(SalvageReason::TruncatedFile), 1);
+        assert!(drained.state.dead);
+        assert_eq!(drained.salvage.dropped, 0);
+        assert_eq!(drained.salvage.count(SalvageReason::TruncatedFile), 1);
     }
 
     #[test]
@@ -790,7 +792,7 @@ mod tests {
         let dir = scratch("beheaded");
         let mut w = FileShmWriter::create(&dir.0, &header(7, 8)).unwrap();
         w.write(&entry(1)).unwrap();
-        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        let mut src = open(&log_path(&dir.0, 7));
         OpenOptions::new()
             .write(true)
             .open(log_path(&dir.0, 7))
@@ -799,8 +801,8 @@ mod tests {
             .unwrap();
         let b = src.pump();
         assert!(b.entries.is_empty());
-        assert!(src.is_dead());
-        assert_eq!(src.salvage().count(SalvageReason::TruncatedFile), 1);
+        assert!(src.state.dead);
+        assert_eq!(src.salvage.count(SalvageReason::TruncatedFile), 1);
     }
 
     #[test]
@@ -882,7 +884,7 @@ mod tests {
     fn live_writes_are_visible_between_pumps() {
         let dir = scratch("live");
         let mut w = FileShmWriter::create(&dir.0, &header(7, 64)).unwrap();
-        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        let mut src = open(&log_path(&dir.0, 7));
         assert!(src.pump().entries.is_empty());
         w.write(&entry(1)).unwrap();
         assert_eq!(src.pump().entries.len(), 1);
@@ -896,15 +898,15 @@ mod tests {
         let dir = scratch("resized");
         let mut w = FileShmWriter::create(&dir.0, &header(7, 8)).unwrap();
         w.write(&entry(1)).unwrap();
-        let mut src = FileShmSource::open(&log_path(&dir.0, 7)).unwrap();
+        let mut src = open(&log_path(&dir.0, 7));
         assert_eq!(src.pump().entries.len(), 1);
         // The attached-image rule of `SharedLog::verify_header`: the size
         // word must stay what the source attached with.
         write_word(&raw_file(&dir, 7), OFF_SIZE, 4).unwrap();
         w.write(&entry(2)).unwrap();
         assert!(src.pump().entries.is_empty());
-        assert!(src.is_dead());
-        assert_eq!(src.salvage().count(SalvageReason::CorruptHeader), 1);
+        assert!(src.state.dead);
+        assert_eq!(src.salvage.count(SalvageReason::CorruptHeader), 1);
     }
 
     #[test]
@@ -932,8 +934,8 @@ mod tests {
     }
 
     /// What a source drains from `path` in one session, and how it ended.
-    fn drained(path: &Path) -> (Vec<LogEntry>, FileShmSource) {
-        let mut src = FileShmSource::open(path).unwrap();
+    fn drained(path: &Path) -> (Vec<LogEntry>, Tally<FileShmSource>) {
+        let mut src = open(path);
         let mut entries = src.pump().entries;
         entries.extend(src.drain_to_end().entries);
         (entries, src)
@@ -966,17 +968,17 @@ mod tests {
                 raw_file(&dir, pid).set_len(keep).unwrap();
             }
             let (entries, src) = drained(&path);
-            let report = src.salvage();
+            let report = &src.salvage;
             assert_eq!(entries.len() as u64, report.kept, "pid {pid}");
             assert_eq!(src.header().active, !finished, "pid {pid}");
-            assert_eq!(src.is_exhausted(), finished && keep_slots.is_none());
+            assert_eq!(src.state.exhausted, finished && keep_slots.is_none());
             // The strict load refuses exactly the cut file, and otherwise
             // holds the same header and slots, the invalid one included.
             match LogFile::load(&path) {
                 Ok(strict) => {
                     assert!(keep_slots.is_none(), "pid {pid}");
                     assert_eq!(strict.header, *src.header());
-                    assert_eq!(strict.header.dropped_entries(), src.dropped_total());
+                    assert_eq!(strict.header.dropped_entries(), src.state.dropped_total);
                     assert_eq!(strict.entries.len() as u64, report.kept + report.dropped);
                     let valid = strict
                         .entries
@@ -1001,19 +1003,19 @@ mod tests {
         let file = LogFile::new(h, (1..=4).map(entry).collect());
         let path = dir.0.join("run.tplog");
         file.save(&path).unwrap();
-        let mut src = FileShmSource::open(&path).unwrap();
+        let mut src = open(&path);
         let b = src.pump();
         assert_eq!(b.entries, file.entries);
         assert_eq!(b.dropped, 2, "drops reported with the exhausting batch");
-        assert!(src.is_exhausted());
-        assert!(src.salvage().is_clean());
+        assert!(src.state.exhausted);
+        assert!(src.salvage.is_clean());
         let b = src.pump();
         assert!(b.entries.is_empty() && b.dropped == 0);
-        // A read-only file carries no regime: the session stays `Full`.
-        assert!(!src.set_regime(crate::Regime::Quiescent));
-        assert_eq!(src.regime(), None);
-        assert!(!src.take_regime_fault());
-        assert_eq!(src.occupancy_pct(), None);
+        // A read-only file carries no regime, and no bounded buffer to
+        // fill: the session stays `Full`.
+        assert!(!src.src.set_regime(crate::Regime::Quiescent));
+        assert!(!b.regime_fault);
+        assert_eq!(b.occupancy_pct, None);
     }
 
     /// A small finished recording: pid 42, capacity 100, two entries.
@@ -1029,10 +1031,10 @@ mod tests {
     fn salvaged(
         dir: &ScratchDir,
         bytes: &[u8],
-    ) -> Result<(Vec<LogEntry>, FileShmSource), ShmFileError> {
+    ) -> Result<(Vec<LogEntry>, Tally<FileShmSource>), ShmFileError> {
         let path = dir.0.join("salvage.tplog");
         std::fs::write(&path, bytes).unwrap();
-        let mut src = FileShmSource::open(&path)?;
+        let mut src = Tally::new(FileShmSource::open(&path)?);
         let entries = src.drain_to_end().entries;
         Ok((entries, src))
     }
@@ -1046,7 +1048,7 @@ mod tests {
         let cut = &b[..b.len() - 10];
         let (entries, src) = salvaged(&dir, cut).unwrap();
         assert_eq!(entries, f.entries[..1]);
-        let report = src.salvage();
+        let report = &src.salvage;
         assert_eq!(report.kept, 1);
         assert_eq!(report.count(SalvageReason::TruncatedFile), 1);
         // Strict parsing still rejects the same bytes.
@@ -1062,7 +1064,7 @@ mod tests {
         long.extend_from_slice(&[0xff; 24 + 7]);
         let (entries, src) = salvaged(&dir, &long).unwrap();
         assert_eq!(entries, f.entries);
-        assert!(src.salvage().is_clean());
+        assert!(src.salvage.is_clean());
     }
 
     #[test]
@@ -1080,7 +1082,7 @@ mod tests {
         f.entries.push(LogEntry::unpack([0, 0, 0])); // unpublished hole
         let (entries, src) = salvaged(&dir, &f.to_bytes()).unwrap();
         assert_eq!(entries, f.entries[..2]);
-        let report = src.salvage();
+        let report = &src.salvage;
         assert_eq!(report.kept, 2);
         assert_eq!(report.count(SalvageReason::TornEntry), 1);
         assert_eq!(report.count(SalvageReason::UnpublishedSlot), 1);
@@ -1131,20 +1133,24 @@ mod tests {
             let dir = scratch("hostile");
             let path = dir.0.join("1.tplog");
             std::fs::write(&path, &bytes).unwrap();
-            if let Ok(mut src) = FileShmSource::open(&path) {
+            if let Ok(src) = FileShmSource::open(&path) {
+                let mut src = Tally::new(src);
                 // A twin pumps into a lent batch left dirty by an earlier
                 // pump, and must come out exactly as the fresh one.
-                let mut twin = FileShmSource::open(&path).unwrap();
+                let mut twin = open(&path);
                 let dirty = || SourceBatch {
                     entries: vec![LogEntry::unpack([7, 7, 7]); 5],
                     rotated: true,
                     dropped: 9,
-                    epoch: 3,
+                    salvaged: SalvageReport { kept: 4, ..SalvageReport::default() },
+                    occupancy_pct: Some(7),
+                    regime_fault: true,
+                    state: SourceState { epoch: 3, dropped_total: 9, exhausted: true, dead: true },
                 };
                 // A third hands its entries to a walk that consumes them
                 // stretch by stretch, the second time as a final drain, and
                 // must hand over what the fresh pump holds.
-                let mut walked = FileShmSource::open(&path).unwrap();
+                let mut walked = open(&path);
                 let mut entries = Vec::new();
                 for round in 0..2 {
                     let fresh = src.pump();
@@ -1153,17 +1159,15 @@ mod tests {
                     prop_assert_eq!(&lent, &fresh);
                     let (mut lent, mut stretches) = (dirty(), Vec::new());
                     walked.drain(&mut lent, round == 1, &mut |e| stretches.append(e));
-                    prop_assert_eq!(&stretches, &fresh.entries);
-                    prop_assert_eq!(
-                        (lent.entries.len(), lent.rotated, lent.dropped, lent.epoch),
-                        (0, false, fresh.dropped, 0)
-                    );
+                    prop_assert!(lent.entries.is_empty());
+                    lent.entries = stretches;
+                    prop_assert_eq!(&lent, &fresh);
                     entries.extend(fresh.entries);
                 }
-                prop_assert_eq!(twin.salvage(), src.salvage());
-                prop_assert_eq!(walked.salvage(), src.salvage());
+                prop_assert_eq!(&twin.salvage, &src.salvage);
+                prop_assert_eq!(&walked.salvage, &src.salvage);
                 prop_assert!(entries.capacity() as u64 <= held as u64 + READ_CHUNK_ENTRIES);
-                let report = src.salvage();
+                let report = &src.salvage;
                 prop_assert_eq!(entries.len() as u64, report.kept);
                 prop_assert_eq!(report.kept + report.dropped, src.header().stored_entries());
             } else {
@@ -1187,7 +1191,7 @@ mod tests {
             b.truncate(cut);
             let dir = scratch("mutilated");
             if let Ok((entries, src)) = salvaged(&dir, &b) {
-                let report = src.salvage();
+                let report = &src.salvage;
                 prop_assert_eq!(entries.len() as u64, report.kept);
                 prop_assert_eq!(report.kept + report.dropped, src.header().stored_entries());
             }

@@ -17,7 +17,12 @@
 //! the caller's walk the entries a stretch at a time and is told whether
 //! this is the final drain, which rotates a live log whatever its fill and
 //! reads a file as any drain does. The incremental pump and the final
-//! drain into a fresh batch are that step's two wrappers.
+//! drain into a fresh batch are that step's two wrappers. A source
+//! answers no questions between drains: each drain reports in its
+//! [`SourceBatch`] what it saw — its drops and salvage, the occupancy
+//! before it could rotate, a repaired regime word — and where the source
+//! stands at its end ([`SourceState`]), as the paper's drainer learns a
+//! log's state from the header words each pass reads.
 //!
 //! Each source is keyed by the process id stamped into the log header
 //! (paper Figure 2, word 1): a session registry multiplexes N sources —
@@ -29,40 +34,73 @@ use crate::layout::{EntryValidity, LogEntry};
 use crate::log::{LogCursor, SharedLog};
 
 /// What one drain of an [`EventSource`] leaves behind: its entries, or
-/// the stretch of them its walk has not consumed, and its epoch and drop
-/// accounting.
+/// the stretch of them its walk has not consumed, and its report on the
+/// source — everything a consumer knows about a source between drains.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SourceBatch {
     /// Entries obtained this drain and not yet consumed, in log order.
     pub entries: Vec<LogEntry>,
     /// Whether this drain closed an epoch (rotated the log).
     pub rotated: bool,
-    /// Entries the closed epoch dropped on overflow (0 if no rotation).
+    /// Entries dropped on overflow that this drain saw first.
     pub dropped: u64,
-    /// Epoch the source is positioned in after this drain.
+    /// What this drain salvaged around — torn entries skipped, holes
+    /// closed, rotations abandoned, headers distrusted — and the entries
+    /// it kept; a consumer sums these reports.
+    pub salvaged: SalvageReport,
+    /// Occupancy of the log in percent of capacity, sampled before the
+    /// drain could rotate it (`None` when the transport has no bounded
+    /// buffer to fill).
+    pub occupancy_pct: Option<u8>,
+    /// Whether this drain found the regime word corrupt, fell back to the
+    /// `Full` interpretation and repaired the word.
+    pub regime_fault: bool,
+    /// Where the source stands as of the drain's end.
+    pub state: SourceState,
+}
+
+/// Where a source stands as of the end of its last drain.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SourceState {
+    /// Epoch the source is positioned in.
     pub epoch: u64,
+    /// Entries dropped on overflow over the lifetime of the source, the
+    /// current epoch's overflow included.
+    pub dropped_total: u64,
+    /// Whether the source can never produce another entry. A live log is
+    /// never exhausted (writers may still arrive); a file is once its
+    /// writer has finished and every entry and drop has been reported.
+    pub exhausted: bool,
+    /// Whether the source has declared its producer dead (corrupted
+    /// header, unrecoverable transport). A dead source drains nothing
+    /// ever again; a registry quarantines it.
+    pub dead: bool,
 }
 
 impl SourceBatch {
-    /// Empty the batch for a drain that starts in `epoch`, keeping the
-    /// capacity of `entries`.
-    pub fn reset(&mut self, epoch: u64) {
+    /// Empty the batch for a new drain, keeping the capacity of `entries`.
+    pub fn reset(&mut self) {
         self.entries.clear();
         self.rotated = false;
         self.dropped = 0;
-        self.epoch = epoch;
+        self.salvaged = SalvageReport::default();
+        self.occupancy_pct = None;
+        self.regime_fault = false;
+        self.state = SourceState::default();
     }
 }
 
 /// A stream of profiling events from one profiled process.
 ///
 /// Implementations own whatever cursor or position state the underlying
-/// transport needs; callers never see a raw log. The contract mirrors the
-/// live drain protocol:
+/// transport needs; callers never see a raw log, and learn the source's
+/// state only from what a drain reports. The contract mirrors the live
+/// drain protocol:
 ///
 /// * [`EventSource::drain`] is the one drain step — cheap, may yield
 ///   nothing, never blocks on writers — handing the entries to the
-///   caller's walk a stretch at a time through a batch the caller keeps.
+///   caller's walk a stretch at a time through a batch the caller keeps,
+///   and reporting in that batch what it saw of the source.
 ///   [`EventSource::pump`] is the incremental step into a fresh batch and
 ///   [`EventSource::drain_to_end`] the final one (a rotation for live
 ///   logs, the same read for files); both are written here, once.
@@ -77,11 +115,11 @@ pub trait EventSource: Send + std::fmt::Debug {
     /// stretch of entries, in log order, is appended to `batch.entries`
     /// and `walk` is handed that vector. A walk that consumes the stretch
     /// clears it, so the batch holds one stretch at most; one that leaves
-    /// it collects the whole drain. The other fields are the drain's on
-    /// return. A live log is polled and rotated past its watermark — or,
-    /// `to_end` (the final drain), whatever its fill; a file is read up to
-    /// the tail one header read shows, one bulk read per stretch, whether
-    /// `to_end` or not.
+    /// it collects the whole drain. The other fields are the drain's
+    /// report on return. A live log is polled and rotated past its
+    /// watermark — or, `to_end` (the final drain), whatever its fill; a
+    /// file is read up to the tail one header read shows, one bulk read
+    /// per stretch, whether `to_end` or not.
     fn drain(
         &mut self,
         batch: &mut SourceBatch,
@@ -105,56 +143,12 @@ pub trait EventSource: Send + std::fmt::Debug {
         batch
     }
 
-    /// Entries dropped on overflow over the lifetime of the source.
-    fn dropped_total(&self) -> u64;
-
-    /// Epoch the source is currently positioned in.
-    fn epoch(&self) -> u64;
-
-    /// Whether the source can never produce another entry. Live logs are
-    /// never exhausted (writers may still arrive); a file is exhausted once
-    /// its writer has finished and every entry and drop has been reported.
-    fn is_exhausted(&self) -> bool;
-
-    /// Accounting of everything this source salvaged around — torn
-    /// entries skipped, holes closed, rotations abandoned, headers
-    /// distrusted. Clean (all-zero) for a healthy stream.
-    fn salvage(&self) -> SalvageReport {
-        SalvageReport::default()
-    }
-
-    /// Whether the source has declared its producer dead (corrupted
-    /// header, unrecoverable transport). A dead source returns empty
-    /// batches forever; the registry quarantines it.
-    fn is_dead(&self) -> bool {
-        false
-    }
-
     /// Publish a fidelity regime on the transport for the producer's
     /// [`crate::fidelity::FidelityGate`] to honour. Returns `false` when
     /// the transport cannot carry regimes (read-only files);
     /// the controller then treats the source as pinned to `Full`.
     fn set_regime(&mut self, _regime: Regime) -> bool {
         false
-    }
-
-    /// The regime currently published on the transport (`None` when the
-    /// transport carries none — files are always effectively `Full`).
-    fn regime(&self) -> Option<Regime> {
-        None
-    }
-
-    /// One-shot flag: whether a pump since the last call found the regime
-    /// word corrupt, fell back to the `Full` interpretation and repaired
-    /// the word. The session surfaces the repair as an event.
-    fn take_regime_fault(&mut self) -> bool {
-        false
-    }
-
-    /// Occupancy of the current epoch's log in percent of capacity
-    /// (`None` when the transport has no bounded buffer).
-    fn occupancy_pct(&self) -> Option<u8> {
-        None
     }
 }
 
@@ -194,16 +188,15 @@ impl Default for SourceResilience {
 /// a deadline instead of blocking the cursor forever, a rotation stalled
 /// on a crashed writer's announcement is abandoned and — after repeated
 /// stalls — the dead writers are forcibly reclaimed, and a corrupted
-/// header kills the source (empty batches, [`EventSource::is_dead`])
-/// rather than letting it interpret garbage. Everything given up on is
-/// accounted in [`EventSource::salvage`].
+/// header kills the source (empty batches, [`SourceState::dead`]) rather
+/// than letting it interpret garbage. Everything given up on is accounted
+/// in the drain's [`SourceBatch::salvaged`].
 #[derive(Debug)]
 pub struct LiveLogSource {
     log: SharedLog,
     cursor: LogCursor,
     watermark_pct: u8,
     resilience: SourceResilience,
-    salvage: SalvageReport,
     /// (epoch, index, consecutive pumps) the cursor has been blocked at.
     stuck: Option<(u64, u64, u64)>,
     rotation_stalls: u64,
@@ -211,8 +204,6 @@ pub struct LiveLogSource {
     /// The regime this drainer last published, and at which regime epoch.
     regime: Regime,
     regime_epoch: u32,
-    /// One-shot: a pump found the regime word corrupt and repaired it.
-    regime_fault: bool,
 }
 
 impl LiveLogSource {
@@ -228,13 +219,11 @@ impl LiveLogSource {
             cursor,
             watermark_pct: watermark_pct.clamp(1, 99),
             resilience: SourceResilience::default(),
-            salvage: SalvageReport::default(),
             stuck: None,
             rotation_stalls: 0,
             dead: false,
             regime: Regime::Full,
             regime_epoch: 0,
-            regime_fault: false,
         }
     }
 
@@ -254,20 +243,18 @@ impl LiveLogSource {
         (self.log.capacity() * u64::from(self.watermark_pct) / 100).max(1)
     }
 
-    /// Distrust the header once and for all: record the incident and go
-    /// dead. Every later pump returns an empty batch.
-    fn go_dead(&mut self) {
-        if !self.dead {
-            self.dead = true;
-            self.salvage.incident(SalvageReason::CorruptHeader);
-        }
+    /// The log's fill in percent of its capacity.
+    fn fill_pct(&self) -> u8 {
+        let cap = self.log.capacity().max(1);
+        let tail = self.log.header().tail.min(cap);
+        (tail * 100 / cap) as u8
     }
 
     /// A pump made no progress past a reserved-but-unpublished slot. Count
     /// the consecutive stuck pumps; past the deadline, re-check the slot
     /// and close the hole (skip it, account it) if it is still empty.
     /// Returns whether the cursor was advanced past a hole.
-    fn note_stuck(&mut self) -> bool {
+    fn note_stuck(&mut self, salvage: &mut SalvageReport) -> bool {
         let at = (self.cursor.epoch, self.cursor.index);
         let pumps = match self.stuck {
             Some((e, i, n)) if (e, i) == at => n + 1,
@@ -279,7 +266,7 @@ impl LiveLogSource {
             // next poll will pick the entry up; otherwise skip the hole.
             if self.log.read_entry(self.cursor.index).validity() != EntryValidity::Valid {
                 self.cursor.index += 1;
-                self.salvage.drop_n(SalvageReason::UnpublishedSlot, 1);
+                salvage.drop_n(SalvageReason::UnpublishedSlot, 1);
                 return true;
             }
         } else {
@@ -294,14 +281,15 @@ impl LiveLogSource {
     /// entries are still salvaged.
     fn rotate(&mut self, batch: &mut SourceBatch, force: bool) {
         let limit = self.resilience.rotate_spin_limit;
+        let salvage = &mut batch.salvaged;
         let mut attempt = self.log.try_rotate(&mut self.cursor, limit);
         if attempt.is_err() {
-            self.salvage.incident(SalvageReason::StalledRotation);
+            salvage.incident(SalvageReason::StalledRotation);
             self.rotation_stalls += 1;
             if force || self.rotation_stalls >= self.resilience.max_rotation_stalls {
                 let reclaimed = self.log.force_reclaim_writers();
                 for _ in 0..reclaimed {
-                    self.salvage.incident(SalvageReason::DeadWriterReclaimed);
+                    salvage.incident(SalvageReason::DeadWriterReclaimed);
                 }
                 attempt = self.log.try_rotate(&mut self.cursor, limit);
             }
@@ -312,12 +300,54 @@ impl LiveLogSource {
         // crashed writers' reserved slots) instead of delivering them as
         // all-zero records; account them here so the salvage report still
         // sees every one exactly once.
-        self.salvage
-            .drop_n(SalvageReason::UnpublishedSlot, out.abandoned);
-        self.salvage.filter_into(out.entries, &mut batch.entries);
+        salvage.drop_n(SalvageReason::UnpublishedSlot, out.abandoned);
+        salvage.filter_into(out.entries, &mut batch.entries);
         batch.rotated = true;
         batch.dropped = out.dropped;
-        batch.epoch = out.new_epoch;
+    }
+
+    /// Poll, filter invalid records, rotate past the watermark or at the
+    /// end: one stretch. Returns whether there is one — `false` once the
+    /// header is distrusted.
+    fn poll_into(&mut self, batch: &mut SourceBatch, to_end: bool) -> bool {
+        if self.dead {
+            return false;
+        }
+        if self.log.verify_header().is_err() {
+            // Distrust the header once and for all: every later drain is
+            // empty.
+            self.dead = true;
+            batch.salvaged.incident(SalvageReason::CorruptHeader);
+            return false;
+        }
+        // Validate the regime word. Writers fall back to the Full
+        // interpretation on their own when it is corrupt; the drainer
+        // additionally repairs it (it owns the word) and reports the
+        // incident so the session can surface an event.
+        let (_, _, regime_corrupt) = self.log.regime_observed();
+        if regime_corrupt {
+            batch.salvaged.incident(SalvageReason::CorruptRegimeWord);
+            batch.regime_fault = true;
+            self.regime_epoch = self.regime_epoch.wrapping_add(1);
+            self.log.set_regime(self.regime, self.regime_epoch);
+        }
+        let polled = self.log.poll(&mut self.cursor);
+        let blocked = polled.is_empty()
+            && self.cursor.index < self.log.header().tail.min(self.log.capacity());
+        batch.salvaged.filter_into(polled, &mut batch.entries);
+        if to_end || self.log.header().tail >= self.watermark_entries() {
+            self.rotate(batch, to_end);
+            self.stuck = None;
+        } else if blocked {
+            if self.note_stuck(&mut batch.salvaged) {
+                // The hole is closed: pick up whatever lies past it now.
+                let extra = self.log.poll(&mut self.cursor);
+                batch.salvaged.filter_into(extra, &mut batch.entries);
+            }
+        } else {
+            self.stuck = None;
+        }
+        true
     }
 }
 
@@ -332,64 +362,18 @@ impl EventSource for LiveLogSource {
         to_end: bool,
         walk: &mut dyn FnMut(&mut Vec<LogEntry>),
     ) {
-        // Poll, filter invalid records, rotate past the watermark or at
-        // the end: one stretch.
-        batch.reset(self.cursor.epoch);
-        if self.dead {
-            return;
+        batch.reset();
+        // The fill the writers ran against: a rotation resets it to zero.
+        batch.occupancy_pct = Some(self.fill_pct());
+        if self.poll_into(batch, to_end) {
+            walk(&mut batch.entries);
         }
-        if self.log.verify_header().is_err() {
-            self.go_dead();
-            return;
-        }
-        // Validate the regime word. Writers fall back to the Full
-        // interpretation on their own when it is corrupt; the drainer
-        // additionally repairs it (it owns the word) and records the
-        // incident so the session can surface an event.
-        let (_, _, regime_corrupt) = self.log.regime_observed();
-        if regime_corrupt {
-            self.salvage.incident(SalvageReason::CorruptRegimeWord);
-            self.regime_fault = true;
-            self.regime_epoch = self.regime_epoch.wrapping_add(1);
-            self.log.set_regime(self.regime, self.regime_epoch);
-        }
-        let polled = self.log.poll(&mut self.cursor);
-        let blocked = polled.is_empty()
-            && self.cursor.index < self.log.header().tail.min(self.log.capacity());
-        self.salvage.filter_into(polled, &mut batch.entries);
-        if to_end || self.log.header().tail >= self.watermark_entries() {
-            self.rotate(batch, to_end);
-            self.stuck = None;
-        } else if blocked {
-            if self.note_stuck() {
-                // The hole is closed: pick up whatever lies past it now.
-                let extra = self.log.poll(&mut self.cursor);
-                self.salvage.filter_into(extra, &mut batch.entries);
-            }
-        } else {
-            self.stuck = None;
-        }
-        walk(&mut batch.entries);
-    }
-
-    fn dropped_total(&self) -> u64 {
-        self.log.dropped_total()
-    }
-
-    fn epoch(&self) -> u64 {
-        self.cursor.epoch
-    }
-
-    fn is_exhausted(&self) -> bool {
-        false
-    }
-
-    fn salvage(&self) -> SalvageReport {
-        self.salvage.clone()
-    }
-
-    fn is_dead(&self) -> bool {
-        self.dead
+        batch.state = SourceState {
+            epoch: self.cursor.epoch,
+            dropped_total: self.log.dropped_total(),
+            exhausted: false,
+            dead: self.dead,
+        };
     }
 
     fn set_regime(&mut self, regime: Regime) -> bool {
@@ -401,29 +385,64 @@ impl EventSource for LiveLogSource {
         self.log.set_regime(regime, self.regime_epoch);
         true
     }
-
-    fn regime(&self) -> Option<Regime> {
-        Some(self.regime)
-    }
-
-    fn take_regime_fault(&mut self) -> bool {
-        std::mem::take(&mut self.regime_fault)
-    }
-
-    fn occupancy_pct(&self) -> Option<u8> {
-        let cap = self.log.capacity().max(1);
-        let tail = self.log.header().tail.min(cap);
-        Some((tail * 100 / cap) as u8)
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::layout::EventKind;
     use crate::log::{make_header, region_bytes};
     use std::sync::Arc;
     use tee_sim::SharedMem;
+
+    /// A source and what a session keeps of its drains: the salvage
+    /// reports summed and the last state.
+    #[derive(Debug)]
+    pub(crate) struct Tally<S> {
+        pub(crate) src: S,
+        pub(crate) salvage: SalvageReport,
+        pub(crate) state: SourceState,
+    }
+
+    impl<S: EventSource> Tally<S> {
+        pub(crate) fn new(src: S) -> Tally<S> {
+            Tally {
+                src,
+                salvage: SalvageReport::default(),
+                state: SourceState::default(),
+            }
+        }
+
+        pub(crate) fn drain(
+            &mut self,
+            batch: &mut SourceBatch,
+            to_end: bool,
+            walk: &mut dyn FnMut(&mut Vec<LogEntry>),
+        ) {
+            self.src.drain(batch, to_end, walk);
+            self.salvage.absorb(&batch.salvaged);
+            self.state = batch.state;
+        }
+
+        pub(crate) fn pump(&mut self) -> SourceBatch {
+            let mut batch = SourceBatch::default();
+            self.drain(&mut batch, false, &mut |_| {});
+            batch
+        }
+
+        pub(crate) fn drain_to_end(&mut self) -> SourceBatch {
+            let mut batch = SourceBatch::default();
+            self.drain(&mut batch, true, &mut |_| {});
+            batch
+        }
+    }
+
+    impl<S> std::ops::Deref for Tally<S> {
+        type Target = S;
+        fn deref(&self) -> &S {
+            &self.src
+        }
+    }
 
     fn entry(counter: u64, addr: u64) -> LogEntry {
         LogEntry {
@@ -439,12 +458,15 @@ mod tests {
         SharedLog::init(shm, &make_header(pid, max_entries, true, 0, 0))
     }
 
+    fn live(log: &SharedLog, watermark_pct: u8) -> Tally<LiveLogSource> {
+        Tally::new(LiveLogSource::new(log.clone(), watermark_pct))
+    }
+
     #[test]
     fn live_source_pumps_and_rotates_at_watermark() {
         let log = live_log(7, 8);
-        let mut src = LiveLogSource::new(log.clone(), 75);
+        let mut src = live(&log, 75);
         assert_eq!(src.pid(), 7);
-        assert!(!src.is_exhausted());
         for k in 1..=3u64 {
             log.write_live(&entry(k, 0x100 + k));
         }
@@ -453,7 +475,8 @@ mod tests {
         let mut drained = b.entries.len();
         assert_eq!(drained, 3);
         assert!(!b.rotated);
-        assert_eq!(src.epoch(), 0);
+        assert!(!b.state.exhausted);
+        assert_eq!(src.state.epoch, 0);
         assert!(src.pump().entries.is_empty(), "no new entries, no re-reads");
         for k in 4..=6u64 {
             log.write_live(&entry(k, 0x100 + k));
@@ -463,8 +486,7 @@ mod tests {
         drained += b.entries.len();
         assert_eq!(b.entries.len(), 3);
         assert!(b.rotated);
-        assert_eq!(b.epoch, 1);
-        assert_eq!(src.epoch(), 1, "one completed rotation");
+        assert_eq!(b.state.epoch, 1, "one completed rotation");
         assert_eq!(drained, 6);
         // The next epoch starts clean.
         assert_eq!(log.header().tail, 0);
@@ -477,7 +499,7 @@ mod tests {
     #[test]
     fn live_source_reports_overflow_with_the_rotation() {
         let log = live_log(7, 4);
-        let mut src = LiveLogSource::new(log.clone(), 99);
+        let mut src = live(&log, 99);
         for k in 1..=7u64 {
             log.write_live(&entry(k, 0x100 + k));
         }
@@ -485,25 +507,80 @@ mod tests {
         assert!(b.rotated);
         assert_eq!(b.entries.len(), 4);
         assert_eq!(b.dropped, 3, "overflow is accounted, not silent");
-        assert_eq!(src.dropped_total(), 3);
+        assert_eq!(b.state.dropped_total, 3);
+    }
+
+    /// The occupancy a drain reports is the fill the writers ran against:
+    /// sampled before the drain rotates the log back to empty.
+    #[test]
+    fn a_drain_reports_the_occupancy_from_before_its_rotation() {
+        let log = live_log(7, 8);
+        let mut src = live(&log, 75);
+        assert_eq!(src.pump().occupancy_pct, Some(0));
+        for k in 1..=6u64 {
+            log.write_live(&entry(k, 0x100 + k));
+        }
+        let b = src.pump();
+        assert!(b.rotated);
+        assert_eq!(log.header().tail, 0, "the rotation emptied the log");
+        assert_eq!(b.occupancy_pct, Some(75));
+        assert_eq!(src.pump().occupancy_pct, Some(0));
+    }
+
+    /// The drop total a drain reports is the log's at the drain's end:
+    /// drops that land in the epoch the drain leaves open, after its
+    /// rotation, count as well as those the rotation closed.
+    #[test]
+    fn a_drain_reports_the_drops_of_the_epoch_it_leaves_open() {
+        let log = live_log(7, 4);
+        let mut src = live(&log, 99);
+        for k in 1..=7u64 {
+            log.write_live(&entry(k, 0x100 + k));
+        }
+        // The walk runs after the rotation: a writer overflowing the fresh
+        // epoch from inside it writes while the drain is still under way.
+        let writer = log.clone();
+        let mut batch = SourceBatch::default();
+        src.drain(&mut batch, false, &mut |_| {
+            for k in 8..=13u64 {
+                writer.write_live(&entry(k, 0x100 + k));
+            }
+        });
+        assert!(batch.rotated);
+        assert_eq!(batch.dropped, 3, "the closed epoch's overflow");
+        assert_eq!(log.header().tail, 6, "two of six over the fresh epoch");
+        assert_eq!(batch.state.dropped_total, log.dropped_total());
+        assert_eq!(batch.state.dropped_total, 5);
     }
 
     /// A drain fills the batch it is lent as if it were fresh: a stale
-    /// `rotated` or `dropped` left in it would count an epoch or a drop
-    /// twice.
+    /// `rotated`, `dropped` or report left in it would count an epoch, a
+    /// drop or a salvaged record twice.
     #[test]
     fn a_dirty_lent_batch_pumps_like_a_fresh_one() {
-        let dirty = || SourceBatch {
-            entries: vec![entry(99, 0x999); 5],
-            rotated: true,
-            dropped: 9,
-            epoch: 3,
+        let dirty = || {
+            let mut salvaged = SalvageReport::default();
+            salvaged.drop_n(SalvageReason::TornEntry, 2);
+            SourceBatch {
+                entries: vec![entry(99, 0x999); 5],
+                rotated: true,
+                dropped: 9,
+                salvaged,
+                occupancy_pct: Some(77),
+                regime_fault: true,
+                state: SourceState {
+                    epoch: 3,
+                    dropped_total: 12,
+                    exhausted: true,
+                    dead: true,
+                },
+            }
         };
         // A rotation that overflowed, an idle pump, a plain poll. (The
         // file medium's twin runs in `prop_hostile_headers_never_panic_or_over_read`.)
         let (a, b) = (live_log(7, 4), live_log(7, 4));
-        let mut fresh = LiveLogSource::new(a.clone(), 99);
-        let mut lent = LiveLogSource::new(b.clone(), 99);
+        let mut fresh = live(&a, 99);
+        let mut lent = live(&b, 99);
         for writes in [7u64, 0, 2] {
             for k in 1..=writes {
                 a.write_live(&entry(k, 0x100 + k));
@@ -515,23 +592,23 @@ mod tests {
             batch.entries = walked;
             assert_eq!(batch, fresh.pump(), "after {writes} writes");
         }
-        assert_eq!((lent.dropped_total(), lent.epoch()), (3, 1));
-        assert_eq!(lent.salvage(), fresh.salvage());
+        assert_eq!((lent.state.dropped_total, lent.state.epoch), (3, 1));
+        assert_eq!(lent.salvage, fresh.salvage);
     }
 
     #[test]
     fn live_source_drain_to_end_forces_rotation() {
         let log = live_log(7, 8);
-        let mut src = LiveLogSource::new(log.clone(), 75);
+        let mut src = live(&log, 75);
         log.write_live(&entry(1, 0x101));
         let b = src.drain_to_end();
         assert_eq!(b.entries.len(), 1);
         assert!(b.rotated);
         assert_eq!(log.epoch(), 1);
-        assert_eq!(src.dropped_total(), 0);
+        assert_eq!(b.state.dropped_total, 0);
         // A later source attaches at the current epoch, not at zero.
         drop(src);
-        assert_eq!(LiveLogSource::new(log, 75).epoch(), 1);
+        assert_eq!(LiveLogSource::new(log, 75).pump().state.epoch, 1);
     }
 
     #[test]
@@ -540,16 +617,16 @@ mod tests {
         let log = live_log(7, 8);
         let plan = FaultPlan::new().with(FaultKind::TornEntry, 1);
         let mut w = FaultyWriter::new(log.clone(), plan);
-        let mut src = LiveLogSource::new(log, 90);
+        let mut src = live(&log, 90);
         for k in 1..=3u64 {
             w.write_live(&entry(k, 0x100 + k));
         }
         let b = src.drain_to_end();
         assert_eq!(b.entries, w.published());
-        let report = src.salvage();
+        let report = &src.salvage;
         assert_eq!(report.kept, 2);
         assert_eq!(report.count(SalvageReason::TornEntry), 1);
-        assert!(!src.is_dead());
+        assert!(!src.state.dead);
     }
 
     #[test]
@@ -558,10 +635,12 @@ mod tests {
         let log = live_log(7, 16);
         let plan = FaultPlan::new().with(FaultKind::StalledWriter, 1);
         let mut w = FaultyWriter::new(log.clone(), plan);
-        let mut src = LiveLogSource::new(log, 90).with_resilience(SourceResilience {
-            stall_pumps: 2,
-            ..SourceResilience::default()
-        });
+        let mut src = Tally::new(
+            LiveLogSource::new(log, 90).with_resilience(SourceResilience {
+                stall_pumps: 2,
+                ..SourceResilience::default()
+            }),
+        );
         w.write_live(&entry(1, 0x101));
         w.write_live(&entry(2, 0x102)); // stalls: slot 1 is a hole
         w.write_live(&entry(3, 0x103));
@@ -572,12 +651,12 @@ mod tests {
         assert!(src.pump().entries.is_empty());
         let b = src.pump();
         assert_eq!(b.entries, vec![entry(3, 0x103)], "cursor skipped the hole");
-        assert_eq!(src.salvage().count(SalvageReason::UnpublishedSlot), 1);
+        assert_eq!(src.salvage.count(SalvageReason::UnpublishedSlot), 1);
         // The stalled writer resuming later publishes into a slot the
         // cursor already passed: nothing is double-delivered.
         w.release_stall();
         assert!(src.pump().entries.is_empty());
-        assert_eq!(src.salvage().kept, 2);
+        assert_eq!(src.salvage.kept, 2);
     }
 
     #[test]
@@ -586,17 +665,19 @@ mod tests {
         let log = live_log(7, 16);
         let plan = FaultPlan::new().with(FaultKind::StalledWriter, 0);
         let mut w = FaultyWriter::new(log.clone(), plan);
-        let mut src = LiveLogSource::new(log, 90).with_resilience(SourceResilience {
-            stall_pumps: 10,
-            ..SourceResilience::default()
-        });
+        let mut src = Tally::new(
+            LiveLogSource::new(log, 90).with_resilience(SourceResilience {
+                stall_pumps: 10,
+                ..SourceResilience::default()
+            }),
+        );
         w.write_live(&entry(1, 0x101)); // stalls immediately
         w.write_live(&entry(2, 0x102));
         assert!(src.pump().entries.is_empty(), "blocked at slot 0");
         w.release_stall(); // resumes before the deadline
         let b = src.pump();
         assert_eq!(b.entries, vec![entry(1, 0x101), entry(2, 0x102)]);
-        assert!(src.salvage().is_clean());
+        assert!(src.salvage.is_clean());
     }
 
     #[test]
@@ -605,11 +686,13 @@ mod tests {
         let log = live_log(7, 16);
         let plan = FaultPlan::new().with(FaultKind::WriterCrash, 2);
         let mut w = FaultyWriter::new(log.clone(), plan);
-        let mut src = LiveLogSource::new(log, 90).with_resilience(SourceResilience {
-            rotate_spin_limit: 32,
-            max_rotation_stalls: 2,
-            ..SourceResilience::default()
-        });
+        let mut src = Tally::new(
+            LiveLogSource::new(log, 90).with_resilience(SourceResilience {
+                rotate_spin_limit: 32,
+                max_rotation_stalls: 2,
+                ..SourceResilience::default()
+            }),
+        );
         w.write_live(&entry(1, 0x101));
         w.write_live(&entry(2, 0x102));
         w.write_live(&entry(3, 0x103)); // crashes: announcement never withdrawn
@@ -617,7 +700,7 @@ mod tests {
         let b = src.drain_to_end();
         assert_eq!(b.entries, w.published(), "published entries salvaged");
         assert!(b.rotated);
-        let report = src.salvage();
+        let report = &src.salvage;
         assert_eq!(report.count(SalvageReason::StalledRotation), 1);
         assert_eq!(report.count(SalvageReason::DeadWriterReclaimed), 1);
         assert_eq!(report.count(SalvageReason::UnpublishedSlot), 1);
@@ -633,44 +716,44 @@ mod tests {
         let log = live_log(7, 8);
         let plan = FaultPlan::new().with(FaultKind::CorruptHeader, 1);
         let mut w = FaultyWriter::new(log.clone(), plan);
-        let mut src = LiveLogSource::new(log, 90);
+        let mut src = live(&log, 90);
         w.write_live(&entry(1, 0x101));
         assert_eq!(src.pump().entries.len(), 1);
         w.write_live(&entry(2, 0x102)); // smashes the header
         assert!(src.pump().entries.is_empty());
-        assert!(src.is_dead());
-        assert_eq!(src.salvage().count(SalvageReason::CorruptHeader), 1);
+        assert!(src.state.dead);
+        assert_eq!(src.salvage.count(SalvageReason::CorruptHeader), 1);
         // Dead is sticky and cheap: no further header reads, empty batches.
-        assert!(src.drain_to_end().entries.is_empty());
-        assert_eq!(src.salvage().count(SalvageReason::CorruptHeader), 1);
+        let b = src.drain_to_end();
+        assert!(b.entries.is_empty());
+        assert!(b.state.dead);
+        assert_eq!(src.salvage.count(SalvageReason::CorruptHeader), 1);
     }
 
     #[test]
     fn live_source_publishes_and_repairs_regime_word() {
         use crate::faults::SalvageReason;
         let log = live_log(7, 8);
-        let mut src = LiveLogSource::new(log.clone(), 90);
-        assert_eq!(src.regime(), Some(Regime::Full));
-        assert_eq!(src.occupancy_pct(), Some(0));
-        assert!(src.set_regime(Regime::sampled(4)));
+        let mut src = live(&log, 90);
+        assert_eq!(log.regime_observed(), (Regime::Full, 0, false));
+        assert!(src.src.set_regime(Regime::sampled(4)));
         assert_eq!(log.regime_observed(), (Regime::Sampled(4), 1, false));
         for k in 1..=4u64 {
             log.write_live(&entry(k, 0x100 + k));
         }
-        assert_eq!(src.occupancy_pct(), Some(50));
         // A hostile producer scribbles on the regime word: the next pump
         // falls back to Full, repairs the word at a fresh regime epoch,
-        // and accounts the incident — no panic, nothing lost.
+        // and reports the incident — no panic, nothing lost.
         log.shm()
             .write_u64(crate::layout::OFF_REGIME, 0xdead_beef_dead_beef)
             .unwrap();
         let b = src.pump();
         assert_eq!(b.entries.len(), 4);
-        assert!(src.take_regime_fault());
-        assert!(!src.take_regime_fault(), "fault flag is one-shot");
+        assert_eq!(b.occupancy_pct, Some(50));
+        assert!(b.regime_fault);
+        assert!(!src.pump().regime_fault, "a fault is reported once");
         assert_eq!(log.regime_observed(), (Regime::Sampled(4), 2, false));
-        assert_eq!(src.salvage().count(SalvageReason::CorruptRegimeWord), 1);
-        assert!(!src.is_dead());
-        assert_eq!(src.regime(), Some(Regime::Sampled(4)));
+        assert_eq!(src.salvage.count(SalvageReason::CorruptRegimeWord), 1);
+        assert!(!src.state.dead);
     }
 }

@@ -58,7 +58,7 @@ use mcvm::DebugInfo;
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_analyzer::WindowSpec;
 use teeperf_core::shm_file::{sym_path, LOG_EXT};
-use teeperf_core::{EventSource, FileShmSource, LogEntry, SalvageReport, SourceBatch};
+use teeperf_core::{EventSource, FileShmSource, LogEntry, SourceBatch};
 use teeperf_flamegraph::SvgOptions;
 use teeperf_live::{
     windows_to_text, LiveConfig, RingConfig, SessionEvent, SessionRegistry, Snapshot,
@@ -92,9 +92,9 @@ pub struct DaemonConfig {
     /// Overhead budget handed to every session: each pid gets its own
     /// fidelity controller walking `Full → Sampled(1/N) → Quiescent`
     /// against this loss budget (`None` pins the fleet to full fidelity).
-    /// Inert over the file transport this daemon attaches today:
-    /// [`FileShmSource`] keeps [`EventSource::set_regime`]'s default
-    /// `false`, so each controller retires at its first decision.
+    /// Inert over the file transport this daemon attaches today: the
+    /// consumer opens a file read-only, so it cannot carry a regime word
+    /// to the writer, and each controller retires at its first decision.
     pub budget: Option<teeperf_live::OverheadBudget>,
 }
 
@@ -112,12 +112,13 @@ impl Default for DaemonConfig {
     }
 }
 
-/// Wraps a [`FileShmSource`] and reports the source dead once the writer
-/// *process* is gone while its log still claims to be active — the file
-/// transport's substitute for the in-memory log's writers-in-flight word.
-/// The probe checks `/proc/<pid>` (cheap, no `unsafe`), and only after an
-/// empty pump, so a killed writer's already-published entries are drained
-/// before the registry quarantines it.
+/// Wraps a [`FileShmSource`] and reports the source dead, in the report of
+/// every drain from then on, once the writer *process* is gone while its
+/// log still claims to be active — the file transport's substitute for
+/// the in-memory log's writers-in-flight word. The probe checks
+/// `/proc/<pid>` (cheap, no `unsafe`), and only after an empty pump, so a
+/// killed writer's already-published entries are drained before the
+/// registry quarantines it.
 #[derive(Debug)]
 pub struct LivenessProbe {
     inner: FileShmSource,
@@ -167,26 +168,7 @@ impl EventSource for LivenessProbe {
         });
         self.last_pump_empty = empty && batch.dropped == 0;
         self.probe();
-    }
-
-    fn dropped_total(&self) -> u64 {
-        self.inner.dropped_total()
-    }
-
-    fn epoch(&self) -> u64 {
-        self.inner.epoch()
-    }
-
-    fn is_exhausted(&self) -> bool {
-        self.inner.is_exhausted()
-    }
-
-    fn salvage(&self) -> SalvageReport {
-        self.inner.salvage()
-    }
-
-    fn is_dead(&self) -> bool {
-        self.inner.is_dead() || self.writer_gone
+        batch.state.dead |= self.writer_gone;
     }
 }
 

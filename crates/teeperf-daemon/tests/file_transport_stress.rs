@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use teeperf_core::shm_file::{default_shm_dir, log_path};
-use teeperf_core::{EventSource, FileShmSource};
+use teeperf_core::{EventSource, FileShmSource, SalvageReport, SourceState};
 
 /// Aborts the whole process if the owning test runs longer than 120s.
 struct HangGuard(Arc<Mutex<bool>>);
@@ -80,9 +80,12 @@ fn a_full_speed_writer_process_never_shows_the_reader_an_incomplete_slot() {
     let mut source = FileShmSource::open(&path).expect("attach to the registered log");
 
     let (mut seen, mut last, mut racing_pumps) = (0u64, 0u64, 0u64);
-    while !source.is_exhausted() {
-        assert!(!source.is_dead(), "{:?}", source.salvage());
+    let (mut state, mut salvage) = (SourceState::default(), SalvageReport::default());
+    while !state.exhausted {
         let batch = source.pump();
+        salvage.absorb(&batch.salvaged);
+        state = batch.state;
+        assert!(!state.dead, "{salvage:?}");
         racing_pumps += u64::from(!batch.entries.is_empty() && !source.writer_finished());
         for entry in &batch.entries {
             assert!(
@@ -96,8 +99,8 @@ fn a_full_speed_writer_process_never_shows_the_reader_an_incomplete_slot() {
     }
     assert!(writer.wait().expect("wait writer").success());
     assert_eq!(seen, EVENTS);
-    assert!(source.salvage().is_clean(), "{:?}", source.salvage());
-    assert_eq!(source.dropped_total(), 0);
+    assert!(salvage.is_clean(), "{salvage:?}");
+    assert_eq!(state.dropped_total, 0);
     assert!(
         racing_pumps > 1,
         "the reader never overlapped the writer ({racing_pumps} racing pumps): nothing was hammered"

@@ -179,4 +179,19 @@ mod tests {
         assert!(svg.contains("pid 11"));
         assert!(svg.contains("pid 22"));
     }
+
+    /// The host pids of a run are all that differs between two runs of one
+    /// fleet: renamed, their renders are the same bytes.
+    #[test]
+    fn renders_that_differ_only_in_their_pids_match_once_renamed() {
+        let (a, b) = (folded(), vec![(vec!["main".into()], 40u64)]);
+        let svg = |pids: [u64; 2]| {
+            let parts = [(pids[0], a.as_slice()), (pids[1], b.as_slice())];
+            render_svg_multi(&parts, &status(), &SvgOptions::default())
+        };
+        let renamed = svg([4711, 4712])
+            .replace("pid 4711", "pid 1001")
+            .replace("pid 4712", "pid 1002");
+        assert_eq!(renamed, svg([1001, 1002]));
+    }
 }

@@ -22,12 +22,21 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
+/// Whether `name` is the synthetic root of a process tower, `pid <n>`
+/// (see [`crate::live::merge_folded_by_process`]).
+fn is_pid_tower(name: &str) -> bool {
+    name.strip_prefix("pid ")
+        .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
+}
+
 impl Palette {
     /// The fill color for a frame with the given name, as `rgb(r,g,b)`.
     /// The same name always maps to the same color (so the same function is
-    /// recognizable across graphs), with hue jitter within the scheme.
+    /// recognizable across graphs), with hue jitter within the scheme. A
+    /// process tower's root names a host pid, which differs from run to
+    /// run, so every tower takes one fill: that of the name `pid`.
     pub fn color_for(self, name: &str) -> String {
-        let h = fnv1a(name);
+        let h = fnv1a(if is_pid_tower(name) { "pid" } else { name });
         let v1 = (h & 0xff) as u32; // 0..255
         let v2 = ((h >> 8) & 0xff) as u32; // 0..255
         let (r, g, b) = match self {
@@ -51,6 +60,18 @@ mod tests {
         let p = Palette::Warm;
         assert_eq!(p.color_for("main"), p.color_for("main"));
         assert_ne!(p.color_for("main"), p.color_for("other"));
+    }
+
+    #[test]
+    fn every_process_tower_takes_one_fill() {
+        for p in [Palette::Warm, Palette::Cool, Palette::Gray] {
+            assert_eq!(p.color_for("pid 11"), p.color_for("pid 4242"));
+            assert_eq!(p.color_for("pid 11"), p.color_for("pid"));
+        }
+        // Only a pid names a tower.
+        let p = Palette::Warm;
+        assert_ne!(p.color_for("pid x1"), p.color_for("pid"));
+        assert_ne!(p.color_for("pid "), p.color_for("pid"));
     }
 
     #[test]

@@ -31,10 +31,13 @@
 //! accepts a new source at any point and [`SessionRegistry::detach`] ends
 //! one early: the session is finished in place — its source released —
 //! and its pid marked *retired*; it pumps nothing more, and every view,
-//! merged or per pid, windows included, keeps reading it. A source that
-//! declares itself dead ([`EventSource::is_dead`]) is retired the same
-//! way, involuntarily: *quarantined* — finished, retired, and recorded as
-//! a [`SessionEvent::Quarantined`] naming the cause its salvage report
+//! merged or per pid, windows included, keeps reading it. The registry
+//! asks a source nothing between drains: what it knows of one is what the
+//! session kept of its last drain's report ([`teeperf_core::SourceBatch`]),
+//! read right after the pump that made it. A source whose drain reports
+//! it dead ([`teeperf_core::SourceState::dead`]) is retired the same way,
+//! involuntarily: *quarantined* — finished, retired, and recorded as a
+//! [`SessionEvent::Quarantined`] naming the cause its salvage report
 //! gives, so one crashed process never poisons the run for the
 //! survivors. The medium decides: the in-memory log goes dead on a
 //! corrupt header, a file on a corrupt or cut header or (with the daemon's
@@ -272,7 +275,7 @@ impl SessionRegistry {
     pub fn salvage(&self) -> SalvageReport {
         let mut total = SalvageReport::default();
         for s in self.sessions.values() {
-            total.absorb(&s.salvage());
+            total.absorb(s.salvage());
         }
         total
     }
@@ -306,10 +309,10 @@ impl SessionRegistry {
     /// A session whose source was already exhausted — its writer finished
     /// and every promised slot drained — is not pumped: a finished,
     /// drained log is never read again, and it stays attached. A retired
-    /// session's source is closed, hence exhausted, so it is skipped too.
+    /// session holds no source, so it is skipped too.
     ///
-    /// A source that declares itself dead is quarantined right after its
-    /// pump, under the cause its salvage report names. With a watchdog
+    /// A source whose drain reports it dead is quarantined right after
+    /// that pump, under the cause its salvage report names. With a watchdog
     /// enabled, each pump also checks every source's heartbeat: consuming
     /// entries (or reporting drops) resets its ledger; a source silent
     /// past the timeout strikes out with doubled deadlines until
@@ -332,7 +335,7 @@ impl SessionRegistry {
             }
             total += n;
             if session.source_dead() {
-                condemned.push((*pid, cause_of_death(&session.salvage()).to_string()));
+                condemned.push((*pid, cause_of_death(session.salvage()).to_string()));
                 continue;
             }
             let Some(dog) = watchdog else { continue };
@@ -384,8 +387,9 @@ impl SessionRegistry {
         self.sessions.values().map(LiveSession::dropped).sum()
     }
 
-    /// Cumulative overflow loss per process, ascending by pid — live
-    /// sessions read fresh, retired sessions at their final count.
+    /// Cumulative overflow loss per process, ascending by pid — attached
+    /// sessions as of the last pump, retired sessions at their final
+    /// count.
     /// This is the breakdown behind the daemon's per-pid
     /// `teeperf_dropped_total` gauge: the fleet total is the sum of these.
     pub fn dropped_by_pid(&self) -> BTreeMap<u64, u64> {
@@ -1144,15 +1148,6 @@ pub(crate) mod tests {
             *self.1.lock().unwrap() += 1;
             self.0.drain(batch, to_end, walk);
         }
-        fn dropped_total(&self) -> u64 {
-            self.0.dropped_total()
-        }
-        fn epoch(&self) -> u64 {
-            self.0.epoch()
-        }
-        fn is_exhausted(&self) -> bool {
-            self.0.is_exhausted()
-        }
     }
 
     #[test]
@@ -1176,7 +1171,8 @@ pub(crate) mod tests {
         assert_eq!(reg.pids(), vec![8, 9], "still attached");
     }
 
-    /// A source that has declared itself dead, with `salvage` on record.
+    /// A source whose first drain reports it dead, with `salvage` on
+    /// record.
     #[derive(Debug)]
     struct Dead(SalvageReport);
 
@@ -1190,22 +1186,9 @@ pub(crate) mod tests {
             _to_end: bool,
             _walk: &mut dyn FnMut(&mut Vec<LogEntry>),
         ) {
-            batch.reset(0);
-        }
-        fn dropped_total(&self) -> u64 {
-            0
-        }
-        fn epoch(&self) -> u64 {
-            0
-        }
-        fn is_exhausted(&self) -> bool {
-            false
-        }
-        fn salvage(&self) -> SalvageReport {
-            self.0.clone()
-        }
-        fn is_dead(&self) -> bool {
-            true
+            batch.reset();
+            batch.salvaged = std::mem::take(&mut self.0);
+            batch.state.dead = true;
         }
     }
 
@@ -1566,15 +1549,6 @@ pub(crate) mod tests {
                 walk(entries);
             });
         }
-        fn dropped_total(&self) -> u64 {
-            self.0.dropped_total()
-        }
-        fn epoch(&self) -> u64 {
-            self.0.epoch()
-        }
-        fn is_exhausted(&self) -> bool {
-            self.0.is_exhausted()
-        }
     }
 
     /// The memory bound of the chunked drain: ten bulk reads' worth of
@@ -1733,10 +1707,10 @@ pub(crate) mod tests {
             }
             for w in &writers {
                 let mut once = FileShmSource::open(w.writer.path()).unwrap();
-                once.drain_to_end();
+                let drained = once.drain_to_end();
                 let session = reg.session(once.pid()).unwrap();
-                prop_assert_eq!(session.salvage(), once.salvage());
-                prop_assert_eq!(session.dropped(), once.dropped_total());
+                prop_assert_eq!(session.salvage(), &drained.salvaged);
+                prop_assert_eq!(session.dropped(), drained.state.dropped_total);
             }
         }
     }

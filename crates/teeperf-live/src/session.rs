@@ -8,13 +8,16 @@
 //! reading a log file. A pump and a finish go through one drain body: the
 //! source hands its entries over a stretch at a time, each walked into the
 //! rolling profile while it is fresh in the batch, then retention is
-//! enforced once and the session's own events — ring transitions, a
-//! repaired regime word — are collected. A pump also feeds the fidelity
-//! controller; a finish repeats final drains until one brings nothing,
-//! closes the open frames and lets the transport go. Freezing
-//! ([`LiveSession::snapshot`]) and rendering ([`LiveSession::render_ascii`])
-//! read that profile on demand and keep nothing: a session that nobody
-//! asks draws nothing.
+//! enforced once, the drain's report on the source is kept — its state,
+//! and its salvage added to the session's sum — and the session's own
+//! events — ring transitions, a repaired regime word — are collected. A
+//! pump also feeds the fidelity controller from that report; a finish
+//! repeats final drains until one brings nothing, closes the open frames
+//! and drops the source. Every view reads the profile and the last report,
+//! never the source, so a finished session answers as it did at its end.
+//! Freezing ([`LiveSession::snapshot`]) and rendering
+//! ([`LiveSession::render_ascii`]) read that profile on demand and keep
+//! nothing: a session that nobody asks draws nothing.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -23,7 +26,7 @@ use teeperf_analyzer::profile::Anomalies;
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_analyzer::{NameSpace, PathNames, ProfileMerge};
 use teeperf_core::layout::LogEntry;
-use teeperf_core::{EventSource, Regime, SalvageReport, SourceBatch};
+use teeperf_core::{EventSource, Regime, SalvageReport, SourceBatch, SourceState};
 use teeperf_flamegraph::{live, LiveStatus};
 
 use crate::rolling::RollingProfile;
@@ -270,7 +273,16 @@ pub struct LiveConfig {
 /// cursor owner may rotate.
 #[derive(Debug)]
 pub struct LiveSession {
-    source: Box<dyn EventSource>,
+    pid: u64,
+    /// The source, until the session finishes and lets it go.
+    source: Option<Box<dyn EventSource>>,
+    /// Where the source stood at the end of its last drain.
+    state: SourceState,
+    /// The sum of what every drain salvaged.
+    salvage: SalvageReport,
+    /// The regime this session last published on its source (`Full`
+    /// until a controller decision is carried).
+    published: Regime,
     rolling: RollingProfile,
     symbolizer: Symbolizer,
     /// Where this session's stacks sit in its registry's name space,
@@ -288,12 +300,6 @@ pub struct LiveSession {
     controller: Option<FidelityController>,
     /// Corrupt regime words the source salvaged so far.
     regime_faults: u64,
-    /// `dropped_total` at the end of the previous pump, so each pump
-    /// attributes exactly its own drop delta to the controller
-    /// (`dropped_total` includes the current epoch's overflow, so a
-    /// start-of-pump read would already contain the drops this pump is
-    /// about to observe).
-    dropped_seen: u64,
 }
 
 impl LiveSession {
@@ -306,9 +312,14 @@ impl LiveSession {
         config: LiveConfig,
     ) -> LiveSession {
         let controller = config.budget.map(FidelityController::new);
+        let pid = source.pid();
         LiveSession {
-            rolling: RollingProfile::for_process(source.pid(), config.retention.as_ref()),
-            source,
+            pid,
+            rolling: RollingProfile::for_process(pid, config.retention.as_ref()),
+            source: Some(source),
+            state: SourceState::default(),
+            salvage: SalvageReport::default(),
+            published: Regime::Full,
             symbolizer,
             fleet_names: RefCell::new(PathNames::new()),
             config,
@@ -316,25 +327,25 @@ impl LiveSession {
             window_events: Vec::new(),
             controller,
             regime_faults: 0,
-            dropped_seen: 0,
         }
     }
 
     /// Process id of the profiled process behind this session's source.
     pub fn pid(&self) -> u64 {
-        self.source.pid()
+        self.pid
     }
 
     /// Drain whatever the writers have published and merge it. Returns the
     /// number of entries consumed.
     ///
     /// With an overhead budget configured, every pump also feeds the
-    /// fidelity controller with this pump's backpressure (drop delta and
-    /// log occupancy); a controller decision is published to the writers
-    /// through the shared regime word right away — the writer-side gate
-    /// keeps call/return pairs coherent across mid-epoch changes, so
-    /// publication never waits for a rotation — and recorded as a
-    /// [`SessionEvent::RegimeChanged`].
+    /// fidelity controller with this pump's backpressure (the drop delta
+    /// between this drain's report and the last one's, and the occupancy
+    /// the drain sampled before it could rotate); a controller decision is
+    /// published to the writers through the shared regime word right away
+    /// — the writer-side gate keeps call/return pairs coherent across
+    /// mid-epoch changes, so publication never waits for a rotation — and
+    /// recorded as a [`SessionEvent::RegimeChanged`].
     pub fn pump(&mut self) -> usize {
         self.pump_through(&mut SourceBatch::default())
     }
@@ -342,26 +353,27 @@ impl LiveSession {
     /// [`LiveSession::pump`] through a batch the caller keeps, so that
     /// every session of a registry drains into one buffer.
     pub(crate) fn pump_through(&mut self, batch: &mut SourceBatch) -> usize {
-        // Occupancy is sampled *before* the drain: it is the fill level
-        // the writers ran against, and it resets to zero the moment the
-        // pump rotates.
-        let occupancy = self.source.occupancy_pct().unwrap_or(0);
-        let n = self.drain(batch, false);
-        // `dropped_total` already includes the current epoch's overflow,
-        // so the per-pump delta is taken against the *previous* pump's
-        // end-of-pump total — sampling it at the start of this pump would
-        // hide exactly the drops this pump is supposed to observe.
-        let dropped_now = self.source.dropped_total();
-        let dropped_delta = dropped_now.saturating_sub(self.dropped_seen);
-        self.dropped_seen = dropped_now;
+        // Both reports' `dropped_total` include the then-current epoch's
+        // overflow, so their difference is exactly this pump's drops.
+        let dropped_before = self.state.dropped_total;
+        let Some(n) = self.drain(batch, false) else {
+            return 0;
+        };
+        let dropped_delta = self.state.dropped_total.saturating_sub(dropped_before);
+        let occupancy = batch.occupancy_pct.unwrap_or(0);
         let decision = self
             .controller
             .as_mut()
             .and_then(|ctl| ctl.observe(n as u64, dropped_delta, occupancy));
         if let Some((from, to)) = decision {
-            if self.source.set_regime(to) {
+            if self
+                .source
+                .as_mut()
+                .is_some_and(|source| source.set_regime(to))
+            {
+                self.published = to;
                 self.window_events.push(SessionEvent::RegimeChanged {
-                    pid: self.source.pid(),
+                    pid: self.pid,
                     from,
                     to,
                 });
@@ -378,16 +390,19 @@ impl LiveSession {
     /// The one drain body of a pump and of a finish (`to_end`): the source
     /// hands its entries over a stretch at a time, each walked while it is
     /// fresh in `batch` and then cleared from it; retention and the regime
-    /// check act once, after the last stretch. Returns the entries walked.
-    fn drain(&mut self, batch: &mut SourceBatch, to_end: bool) -> usize {
+    /// check act once, after the last stretch, and the drain's report is
+    /// kept. Returns the entries walked, or `None` once the source is
+    /// released.
+    fn drain(&mut self, batch: &mut SourceBatch, to_end: bool) -> Option<usize> {
+        let source = self.source.as_mut()?;
         // Entries drained now were admitted under the regime published to
         // the writers before this drain — that is the factor that
         // bias-corrects them back into estimated totals.
-        self.rolling.set_scale(self.published_regime().scale());
+        self.rolling.set_scale(self.published.scale());
         let (rolling, replay) = (&mut self.rolling, &mut self.replay);
         let keep_replay = self.config.keep_replay;
         let mut n = 0;
-        self.source.drain(batch, to_end, &mut |entries| {
+        source.drain(batch, to_end, &mut |entries| {
             n += entries.len();
             if keep_replay {
                 replay.extend_from_slice(entries);
@@ -395,30 +410,25 @@ impl LiveSession {
             rolling.walk(entries);
             entries.clear();
         });
+        self.state = batch.state;
+        self.salvage.absorb(&batch.salvaged);
         self.rolling.enforce_retention();
         self.collect_window_events();
-        if self.source.take_regime_fault() {
+        if batch.regime_fault {
             self.regime_faults += 1;
-            self.window_events.push(SessionEvent::RegimeFault {
-                pid: self.source.pid(),
-            });
+            self.window_events
+                .push(SessionEvent::RegimeFault { pid: self.pid });
         }
-        n
-    }
-
-    /// The regime currently published to this session's writers (`Full`
-    /// for sources without regime transport).
-    fn published_regime(&self) -> Regime {
-        self.source.regime().unwrap_or(Regime::Full)
+        Some(n)
     }
 
     /// The fidelity regime the session runs in: the controller's choice
-    /// under a budget, otherwise whatever is published on the source
-    /// (always `Full` for unbudgeted sessions over healthy sources).
+    /// under a budget, otherwise whatever it published on the source
+    /// (always `Full` for unbudgeted sessions).
     pub fn regime(&self) -> Regime {
         self.controller
             .as_ref()
-            .map_or_else(|| self.published_regime(), FidelityController::regime)
+            .map_or(self.published, FidelityController::regime)
     }
 
     /// Regime transitions the controller has performed so far.
@@ -471,33 +481,34 @@ impl LiveSession {
         self.rolling.events()
     }
 
-    /// Cumulative overflow loss.
+    /// Cumulative overflow loss, as of the last drain.
     pub fn dropped(&self) -> u64 {
-        self.source.dropped_total()
+        self.state.dropped_total
     }
 
-    /// Salvage accounting of this session's source: records skipped,
-    /// holes closed, rotations abandoned (see
-    /// [`teeperf_core::EventSource::salvage`]).
-    pub fn salvage(&self) -> SalvageReport {
-        self.source.salvage()
+    /// Salvage accounting of this session's source, summed over its
+    /// drains: records kept and skipped, holes closed, rotations
+    /// abandoned (see [`SourceBatch::salvaged`]).
+    pub fn salvage(&self) -> &SalvageReport {
+        &self.salvage
     }
 
-    /// Whether this session's source has declared its producer dead
-    /// (corrupted header or unrecoverable transport).
+    /// Whether this session's source had declared its producer dead
+    /// (corrupted header or unrecoverable transport) by its last drain.
     pub fn source_dead(&self) -> bool {
-        self.source.is_dead()
+        self.state.dead
     }
 
-    /// Whether this session's source can never produce another entry (a
-    /// finished replay; live sources never exhaust).
+    /// Whether this session's source can never produce another entry: a
+    /// finished and drained file, or any source once the session let it
+    /// go (live sources never exhaust).
     pub fn source_exhausted(&self) -> bool {
-        self.source.is_exhausted()
+        self.source.is_none() || self.state.exhausted
     }
 
     /// The one-line session state.
     pub fn status(&self) -> LiveStatus {
-        self.rolling.status(self.source.epoch(), self.dropped())
+        self.rolling.status(self.state.epoch, self.dropped())
     }
 
     /// Render the current rolling aggregate as a 60-column ASCII flame
@@ -570,24 +581,22 @@ impl LiveSession {
     }
 
     /// Final drains until one brings neither an entry nor a drop, then
-    /// close the open frames and swap the source for its closed record.
+    /// close the open frames and let the source go. Once it is gone this
+    /// changes nothing.
     fn end(&mut self, batch: &mut SourceBatch) {
-        while self.drain(batch, true) > 0 || batch.dropped > 0 {}
+        if self.source.is_none() {
+            return;
+        }
+        while self.drain(batch, true).is_some_and(|n| n > 0) || batch.dropped > 0 {}
         self.rolling.finish();
         self.collect_window_events();
-        self.source = Box::new(ClosedSource {
-            pid: self.source.pid(),
-            epoch: self.source.epoch(),
-            dropped_total: self.source.dropped_total(),
-            salvage: self.source.salvage(),
-            regime: self.source.regime(),
-        });
+        self.source = None;
     }
 
     /// Drain the ring's retention transitions into this session's event
-    /// log, stamped with the source's pid.
+    /// log, stamped with the session's pid.
     fn collect_window_events(&mut self) {
-        let pid = self.source.pid();
+        let pid = self.pid;
         for e in self.rolling.take_ring_events() {
             self.window_events.push(match e {
                 RingEvent::Evicted { first, last, calls } => SessionEvent::WindowsEvicted {
@@ -608,7 +617,7 @@ impl LiveSession {
     pub fn windows(&self) -> Option<PidWindows> {
         let ring = self.rolling.ring()?;
         Some(PidWindows {
-            pid: self.source.pid(),
+            pid: self.pid,
             interval: ring.interval(),
             evicted_windows: ring.evicted_windows(),
             evicted_calls: ring.evicted_calls(),
@@ -648,52 +657,6 @@ impl LiveSession {
     }
 }
 
-/// The source of a finished session: the counters its snapshots read, as
-/// the real source left them, and nothing that holds the transport open.
-#[derive(Debug)]
-struct ClosedSource {
-    pid: u64,
-    epoch: u64,
-    dropped_total: u64,
-    salvage: SalvageReport,
-    regime: Option<Regime>,
-}
-
-impl EventSource for ClosedSource {
-    fn pid(&self) -> u64 {
-        self.pid
-    }
-
-    fn drain(
-        &mut self,
-        batch: &mut SourceBatch,
-        _to_end: bool,
-        _walk: &mut dyn FnMut(&mut Vec<LogEntry>),
-    ) {
-        batch.reset(self.epoch);
-    }
-
-    fn dropped_total(&self) -> u64 {
-        self.dropped_total
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn is_exhausted(&self) -> bool {
-        true
-    }
-
-    fn salvage(&self) -> SalvageReport {
-        self.salvage.clone()
-    }
-
-    fn regime(&self) -> Option<Regime> {
-        self.regime
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,7 +666,7 @@ mod tests {
     use teeperf_analyzer::SymbolCacheStats;
     use teeperf_core::layout::EventKind;
     use teeperf_core::log::{make_header, region_bytes};
-    use teeperf_core::{LiveLogSource, SharedLog};
+    use teeperf_core::{LiveLogSource, SalvageReason, SharedLog};
 
     fn debug() -> DebugInfo {
         DebugInfo::from_functions([("main", 4, 1), ("work", 4, 5)])
@@ -846,6 +809,76 @@ mod tests {
             matches!(log.regime_observed(), (Regime::Full, _, false)),
             "recovery published too"
         );
+    }
+
+    /// A finished session holds no source: every view is read from what
+    /// its drains reported, so it answers exactly as at the end of its
+    /// finish, whatever the log does afterwards.
+    #[test]
+    fn a_finished_session_answers_as_at_its_end_without_its_source() {
+        let log = fresh(8);
+        let own = Arc::strong_count(log.shm());
+        let mut s = over(
+            &log,
+            100,
+            LiveConfig {
+                budget: Some(OverheadBudget { pct: 5 }),
+                retention: Some(RingConfig {
+                    interval: 16,
+                    capacity: 4,
+                    max_width: 2,
+                }),
+                ..LiveConfig::default()
+            },
+        );
+        let mut base = 1;
+        while s.regime() == Regime::Full {
+            for _ in 0..16 {
+                write_pair(&log, base);
+                base += 100;
+            }
+            s.pump();
+            assert!(base < 1_000_000, "controller never degraded");
+        }
+        log.shm()
+            .write_u64(teeperf_core::layout::OFF_REGIME, 0xdead_beef_dead_beef)
+            .unwrap();
+        write_pair(&log, base);
+        s.pump();
+        write_pair(&log, base + 100);
+        let snap = s.finish();
+        let ended = (
+            s.status(),
+            s.dropped(),
+            s.salvage().clone(),
+            s.regime_info(),
+            s.windows(),
+        );
+        assert_eq!(
+            (snap.status.clone(), snap.regime.clone()),
+            (ended.0.clone(), ended.3.clone())
+        );
+        assert!(ended.1 > 0 && ended.2.count(SalvageReason::CorruptRegimeWord) == 1);
+        assert!(ended.3.is_some() && ended.4.is_some());
+        assert_eq!(Arc::strong_count(log.shm()), own, "the log is let go");
+        // The writers go on; the session reads none of it.
+        for _ in 0..16 {
+            write_pair(&log, base);
+            base += 100;
+        }
+        assert_eq!(s.pump(), 0);
+        assert!(s.source_exhausted() && !s.source_dead());
+        let again = s.finish();
+        let now = (
+            s.status(),
+            s.dropped(),
+            s.salvage().clone(),
+            s.regime_info(),
+            s.windows(),
+        );
+        assert_eq!(now, ended);
+        assert_eq!(again, snap);
+        assert_eq!(s.snapshot(), snap);
     }
 
     #[test]

@@ -27,12 +27,46 @@ use teeperf_core::layout::{EventKind, LogEntry};
 use teeperf_core::log::{make_header, region_bytes};
 use teeperf_core::{
     EventSource, FaultKind, FaultPlan, FaultyWriter, FidelityGate, FileShmSource, FileShmWriter,
-    LiveLogSource, LogFile, Regime, SalvageReason, SharedLog, ShmFileError, SourceResilience,
-    WriteOutcome,
+    LiveLogSource, LogFile, Regime, SalvageReason, SalvageReport, SharedLog, ShmFileError,
+    SourceBatch, SourceResilience, SourceState, WriteOutcome,
 };
 use teeperf_live::{
     LiveConfig, LiveSession, OverheadBudget, SessionEvent, SessionRegistry, WatchdogConfig,
 };
+
+/// A source and what a session keeps of its drains: the salvage reports
+/// summed and the last state.
+struct Tally<S> {
+    src: S,
+    salvage: SalvageReport,
+    state: SourceState,
+}
+
+impl<S: EventSource> Tally<S> {
+    fn new(src: S) -> Tally<S> {
+        Tally {
+            src,
+            salvage: SalvageReport::default(),
+            state: SourceState::default(),
+        }
+    }
+
+    fn pump(&mut self) -> SourceBatch {
+        self.drain(false)
+    }
+
+    fn drain_to_end(&mut self) -> SourceBatch {
+        self.drain(true)
+    }
+
+    fn drain(&mut self, to_end: bool) -> SourceBatch {
+        let mut batch = SourceBatch::default();
+        self.src.drain(&mut batch, to_end, &mut |_| {});
+        self.salvage.absorb(&batch.salvaged);
+        self.state = batch.state;
+        batch
+    }
+}
 
 /// Aborts the process if the owning test has not finished within 60
 /// seconds. Dropping the guard disarms it.
@@ -96,7 +130,8 @@ fn live_matrix_every_fault_completes_and_is_reported() {
         let _guard = hang_guard(kind.name());
         let log = fresh(1, 16);
         let mut writer = FaultyWriter::new(log.clone(), FaultPlan::new().with(kind, 2));
-        let mut source = LiveLogSource::new(log.clone(), 75).with_resilience(impatient());
+        let mut source =
+            Tally::new(LiveLogSource::new(log.clone(), 75).with_resilience(impatient()));
         for k in 1..=6 {
             writer.write_live(&entry(k));
         }
@@ -107,7 +142,7 @@ fn live_matrix_every_fault_completes_and_is_reported() {
         for _ in 0..4 {
             got.extend(source.drain_to_end().entries);
         }
-        let report = source.salvage();
+        let report = &source.salvage;
         match kind {
             FaultKind::TornEntry => {
                 assert_eq!(report.count(SalvageReason::TornEntry), 1, "{kind}");
@@ -123,7 +158,7 @@ fn live_matrix_every_fault_completes_and_is_reported() {
                 assert_eq!(report.count(SalvageReason::UnpublishedSlot), 1, "{kind}");
             }
             FaultKind::CorruptHeader => {
-                assert!(source.is_dead(), "{kind}: source must refuse the garbage");
+                assert!(source.state.dead, "{kind}: source must refuse the garbage");
                 assert_eq!(report.count(SalvageReason::CorruptHeader), 1, "{kind}");
             }
             FaultKind::TruncatedFile => {
@@ -131,7 +166,7 @@ fn live_matrix_every_fault_completes_and_is_reported() {
                 assert!(report.is_clean(), "{kind}: {report:?}");
             }
         }
-        if !source.is_dead() {
+        if !source.state.dead {
             assert_eq!(
                 got,
                 writer.published(),
@@ -169,7 +204,7 @@ fn live_matrix_mid_batch_crash_counts_the_exact_remainder() {
         // The writer thread dies here: `w` is dropped with the run open.
     }
 
-    let mut source = LiveLogSource::new(log.clone(), 75).with_resilience(impatient());
+    let mut source = Tally::new(LiveLogSource::new(log.clone(), 75).with_resilience(impatient()));
     let mut got = Vec::new();
     for _ in 0..8 {
         got.extend(source.pump().entries);
@@ -180,7 +215,7 @@ fn live_matrix_mid_batch_crash_counts_the_exact_remainder() {
         vec![1, 2, 3],
         "exactly the published prefix of the batch run is delivered"
     );
-    let report = source.salvage();
+    let report = &source.salvage;
     assert_eq!(
         report.count(SalvageReason::UnpublishedSlot),
         batch - published,
@@ -212,10 +247,10 @@ fn live_matrix_mid_batch_crash_counts_the_exact_remainder() {
 fn replay_matrix_every_fault_completes_and_is_reported() {
     let dir = scratch("replay");
     // The file `bytes` make, drained to its end — or why it never opened.
-    let drain = |bytes: &[u8]| -> Result<(Vec<LogEntry>, FileShmSource), ShmFileError> {
+    let drain = |bytes: &[u8]| -> Result<(Vec<LogEntry>, Tally<FileShmSource>), ShmFileError> {
         let path = dir.0.join("1.tplog");
         std::fs::write(&path, bytes).expect("write the log file");
-        let mut source = FileShmSource::open(&path)?;
+        let mut source = Tally::new(FileShmSource::open(&path)?);
         Ok((source.drain_to_end().entries, source))
     };
     for kind in FaultKind::ALL {
@@ -230,14 +265,14 @@ fn replay_matrix_every_fault_completes_and_is_reported() {
                 let bytes = LogFile::new(log.header(), log.drain_entries()).to_bytes();
                 let (got, mut source) = drain(&bytes).expect("salvage never rejects torn bodies");
                 assert_eq!(got, writer.published(), "{kind}");
-                let report = source.salvage();
+                let report = source.salvage.clone();
                 assert_eq!(report.kept, writer.published().len() as u64, "{kind}");
                 assert_eq!(report.dropped, 1, "{kind}: drops counted exactly once");
                 assert!(
                     source.pump().entries.is_empty(),
                     "{kind}: nothing re-delivered"
                 );
-                assert_eq!(source.salvage(), report, "{kind}");
+                assert_eq!(source.salvage, report, "{kind}");
             }
             FaultKind::CorruptHeader => {
                 let log = fresh(1, 16);
@@ -266,7 +301,7 @@ fn replay_matrix_every_fault_completes_and_is_reported() {
                     .with(FaultKind::TruncatedFile, 0)
                     .mutilate(&mut bytes, 7);
                 let (got, source) = drain(&bytes).expect("header survived the cut");
-                let report = source.salvage();
+                let report = &source.salvage;
                 assert!(
                     report.count(SalvageReason::TruncatedFile) >= 1,
                     "{kind}: {report:?}"
@@ -616,7 +651,7 @@ fn file_matrix_truncation_mid_drain_is_clamped_and_counted() {
     for k in 1..=6 {
         w.write(&entry(k)).unwrap();
     }
-    let mut source = file_source(&w);
+    let mut source = Tally::new(file_source(&w));
     assert_eq!(source.pump().entries.len(), 6, "first drain is clean");
 
     for k in 7..=10 {
@@ -637,8 +672,8 @@ fn file_matrix_truncation_mid_drain_is_clamped_and_counted() {
     }
     got.extend(source.drain_to_end().entries);
     assert_eq!(got.len(), 2, "slots 7..=8 survive the cut");
-    assert!(source.is_dead(), "a cut file is no longer a faithful log");
-    let report = source.salvage();
+    assert!(source.state.dead, "a cut file is no longer a faithful log");
+    let report = &source.salvage;
     assert_eq!(report.count(SalvageReason::TruncatedFile), 2, "{report:?}");
     assert_eq!(report.kept, 8, "everything on disk was still delivered");
 }
@@ -656,16 +691,16 @@ fn file_matrix_torn_entry_is_dropped_and_rest_delivered() {
     w.write(&entry(4)).unwrap();
     w.finish().unwrap();
 
-    let mut source = file_source(&w);
+    let mut source = Tally::new(file_source(&w));
     let mut got = Vec::new();
-    while !source.is_exhausted() {
+    while !source.state.exhausted {
         got.extend(source.drain_to_end().entries);
     }
     assert_eq!(
         got.iter().map(|e| e.counter).collect::<Vec<_>>(),
         vec![1, 3, 4]
     );
-    let report = source.salvage();
+    let report = &source.salvage;
     assert_eq!(report.count(SalvageReason::TornEntry), 1, "{report:?}");
     assert_eq!(report.kept, 3);
 }
@@ -685,7 +720,7 @@ fn file_matrix_writer_crash_hole_is_closed_by_the_final_drain() {
     w.skip_slot_unwritten().unwrap();
     w.write(&entry(4)).unwrap();
 
-    let mut source = file_source(&w);
+    let mut source = Tally::new(file_source(&w));
     let mut got = Vec::new();
     for _ in 0..8 {
         got.extend(source.pump().entries);
@@ -696,7 +731,7 @@ fn file_matrix_writer_crash_hole_is_closed_by_the_final_drain() {
         vec![1, 2, 4],
         "published entries on both sides of the hole are delivered"
     );
-    let report = source.salvage();
+    let report = &source.salvage;
     assert_eq!(
         report.count(SalvageReason::UnpublishedSlot),
         1,

@@ -12,7 +12,9 @@ use std::sync::Barrier;
 use proptest::prelude::*;
 use tee_sim::{CostModel, Machine};
 use teeperf_core::layout::{EventKind, LogEntry};
-use teeperf_core::{EventSource, LiveLogSource, Recorder, RecorderConfig, SalvageReason};
+use teeperf_core::{
+    EventSource, LiveLogSource, Recorder, RecorderConfig, SalvageReason, SalvageReport, SourceBatch,
+};
 
 /// How a writer thread appends.
 #[derive(Debug, Clone, Copy)]
@@ -107,7 +109,13 @@ proptest! {
         let log = recorder.log().clone();
         let total = writers as u64 * per_writer;
         let mut src = LiveLogSource::new(log.clone(), 75);
-        let mut drained = Vec::new();
+        let (mut drained, mut salvage) = (Vec::new(), SalvageReport::default());
+        // What a session keeps of a drain: its entries and salvage, summed.
+        let mut keep = |batch: SourceBatch| {
+            salvage.absorb(&batch.salvaged);
+            drained.extend(batch.entries);
+            batch.state.epoch
+        };
         // Writers and drain start together.
         let start = Barrier::new(writers + 1);
         let mut published: Vec<u64> = std::thread::scope(|s| {
@@ -120,18 +128,16 @@ proptest! {
             start.wait();
             // Poll and rotate for as long as any writer runs.
             while !handles.iter().all(|h| h.is_finished()) {
-                drained.extend(src.pump().entries);
-                drained.extend(src.drain_to_end().entries);
+                keep(src.pump());
+                keep(src.drain_to_end());
             }
             handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
         });
-        drained.extend(src.drain_to_end().entries);
-        let epochs = src.epoch();
+        let epochs = keep(src.drain_to_end());
 
         // Conservation: published + dropped == attempted, and every slot
         // reserved but never published was seen by exactly one rotation.
         prop_assert_eq!(published.len() as u64 + log.dropped_total(), total);
-        let salvage = src.salvage();
         prop_assert_eq!(salvage.count(SalvageReason::TornEntry), 0);
         prop_assert_eq!(salvage.count(SalvageReason::UnpublishedSlot), log.abandoned_total());
         if !matches!(via, Via::Hooks(8)) {

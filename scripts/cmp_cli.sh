@@ -7,12 +7,15 @@
 #
 # <dir> holds <name>.tplog + <name>.sym pairs, e.g. the seven Phoenix
 # recordings `cargo run --release --example record_phoenix <dir>` writes.
-# Per recording, five commands — `analyze`, a methods `query`, an events
-# `query` (it names the `tid` column), `flamegraph` as text and as SVG —
-# each at `--analyzer-threads` 1, 4 and the default: 15 outputs a
-# recording (stdout, or the SVG file), each compared with cmp together
-# with the command's exit code. Prints a count and exits 0 iff all are
-# equal.
+# Per recording, eleven commands — `analyze`, a methods `query`, an events
+# `query` (it names the `tid` column), `flamegraph` as text and as SVG;
+# `analyze`, the methods `query` and the text `flamegraph` again with
+# `--salvage yes` (the log drained by the salvaging file reader); and
+# those three over a copy of the log cut at half its length, mid-slot,
+# so the salvage report has something to account — each at
+# `--analyzer-threads` 1, 4 and the default: 33 outputs a recording
+# (stdout, or the SVG file), each compared with cmp together with the
+# command's exit code. Prints a count and exits 0 iff all are equal.
 set -euo pipefail
 parent=$1 change=$2 dir=$3
 out=$(mktemp -d)
@@ -25,6 +28,9 @@ compared=0 status=0
 for log in "${logs[@]}"; do
   name=$(basename "$log" .tplog)
   operands=("$log" "$dir/$name.sym")
+  size=$(stat -c %s "$log")
+  head -c $((size / 2 / 24 * 24 + 12)) "$log" > "$out/$name.cut.tplog"
+  cut=("$out/$name.cut.tplog" "$dir/$name.sym")
   for threads in 1 4 default; do
     flag=()
     [ "$threads" = default ] || flag=(--analyzer-threads "$threads")
@@ -43,8 +49,15 @@ for log in "${logs[@]}"; do
       run folded flamegraph "${operands[@]}"
       : > "$at.svg" # an SVG a failed command never wrote compares as empty
       run svg.log flamegraph "${operands[@]}" --svg "$at.svg" --title "$name"
+      run salvage.analyze analyze "${operands[@]}" --salvage yes
+      run salvage.methods query "${operands[@]}" 'select method, calls, incl, excl, threads sort excl desc' --salvage yes
+      run salvage.folded flamegraph "${operands[@]}" --salvage yes
+      run cut.analyze analyze "${cut[@]}" --salvage yes
+      run cut.methods query "${cut[@]}" 'select method, calls, incl, excl, threads sort excl desc' --salvage yes
+      run cut.folded flamegraph "${cut[@]}" --salvage yes
     done
-    for label in analyze methods events folded svg; do
+    for label in analyze methods events folded svg salvage.analyze salvage.methods salvage.folded \
+      cut.analyze cut.methods cut.folded; do
       p="$out/parent.$threads.$name.$label" c="$out/change.$threads.$name.$label"
       code=${label/svg/svg.log}
       compared=$((compared + 1))

@@ -19,9 +19,7 @@
 # The host pid is the only thing that differs from run to run: a
 # simulated process is numbered from the pid of the `teeperf` that runs
 # it, so every pid is replaced by its rank (`<pid0>`, `<pid1>`, …) before
-# the comparison, and so is the fill of a `pid <n>` tower in the SVG,
-# which is a hash of that name. Prints a count and exits 0 iff all are
-# equal.
+# the comparison. Prints a count and exits 0 iff all are equal.
 set -euo pipefail
 parent=$1 change=$2
 out=$(mktemp -d)
@@ -70,7 +68,6 @@ for name in rotating fleet batched; do
     touch "$run/snap.live" "$run/flame.svg"
     rank=()
     for i in $(seq 0 $((pids - 1))); do rank+=(-e "s/\\b$((pid + i))\\b/<pid$i>/g"); done
-    rank+=(-e '/<title>pid <pid[0-9]*> /s/fill="rgb([0-9,]*)"/fill="<pid fill>"/')
     for label in stdout snap.live flame.svg code; do
       sed "${rank[@]}" "$run/$label" > "$out/$side.$name.$label"
     done
