@@ -51,7 +51,8 @@ pub use compare::diff;
 
 pub use profile::Aggregates;
 pub use profile::{
-    merge_profiles, FoldMark, MethodStats, NameSpace, PathNames, Profile, ProfileMerge, Walker,
+    merge_profiles, FoldMark, MethodStats, NameSpace, NameSums, PathNames, Profile, ProfileMerge,
+    Walker,
 };
 pub use query::frame::{Column, Frame};
 pub use query::run_query;

@@ -37,7 +37,10 @@
 //! whose session remembers where its stacks sit in the name space
 //! ([`PathNames`]), and is
 //! read as often as asked: as a profile, or as just the method and folded
-//! rows a snapshot's text is written from.
+//! rows a snapshot's text is written from. A question that needs only the
+//! method sums — a ranked window query — adds the same aggregates through
+//! the same memo to a [`NameSums`] instead, which keeps one row of sums
+//! per name and nothing else.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
@@ -1243,6 +1246,85 @@ impl ProfileMerge {
             anomalies: self.anomalies,
             pids: self.pids.clone(),
         }
+    }
+}
+
+/// Method rows summed straight by name, and nothing else: what a ranked
+/// window query reads instead of a [`ProfileMerge`] and its [`Profile`].
+/// Each aggregate row goes, through its session's [`PathNames`] memo, to
+/// the row of its stack's innermost name, and adds its `calls`,
+/// `inclusive` and `exclusive` as a merge's method row would — so these
+/// rows are the merge's method rows, fed the same aggregates. Built for
+/// one question: with a thread asked for, a name also remembers whether a
+/// row added under it ran on that thread.
+#[derive(Debug, Default)]
+pub struct NameSums {
+    /// The thread asked for, if any.
+    tid: Option<u64>,
+    /// Indexed by name id.
+    rows: Vec<NameSum>,
+}
+
+/// One name's sums, and whether the asked-for thread ran it.
+#[derive(Debug, Default, Clone, Copy)]
+struct NameSum {
+    calls: u64,
+    inclusive: u64,
+    exclusive: u64,
+    on_tid: bool,
+}
+
+impl NameSums {
+    /// Nothing summed yet. With `tid` set, [`NameSums::rows`] keeps only
+    /// the names a row of thread `tid` was added under, a thread of any
+    /// process being `tid` when its [`merged_thread_key`] keeps that tid —
+    /// so a `tid` of 2^32 or more names none.
+    pub fn new(tid: Option<u64>) -> NameSums {
+        NameSums {
+            tid,
+            rows: Vec::new(),
+        }
+    }
+
+    /// Add the rows of an aggregate over `paths`; `memo` is its session's
+    /// (of `space`), as for [`ProfileMerge::add_aggregates`].
+    pub fn add(
+        &mut self,
+        space: &mut NameSpace,
+        aggregates: &Aggregates,
+        paths: &PathTable,
+        symbolizer: &Symbolizer,
+        memo: &mut PathNames,
+    ) {
+        memo.extend(paths, symbolizer, space);
+        let stacks = memo.by_path.iter().skip(1);
+        for (at, row) in stacks.zip(aggregates.rows.iter().skip(1)) {
+            if row.counts.calls == 0 {
+                continue;
+            }
+            let sum = row_at(&mut self.rows, space.stacks.key(*at) as usize);
+            sum.calls += row.counts.calls;
+            sum.inclusive += row.counts.inclusive;
+            sum.exclusive += row.counts.exclusive;
+            if let Some(tid) = self.tid {
+                let on = |t: &u64| merged_thread_key(0, *t) == tid;
+                sum.on_tid = sum.on_tid || row.threads.iter().any(on);
+            }
+        }
+    }
+
+    /// Every name with calls — and with a thread asked for, on it — as
+    /// `(name, calls, inclusive, exclusive)`, in name-id order.
+    pub fn rows<'a>(
+        &'a self,
+        space: &'a NameSpace,
+    ) -> impl Iterator<Item = (&'a str, u64, u64, u64)> + 'a {
+        let kept = |sum: &&NameSum| sum.calls > 0 && (self.tid.is_none() || sum.on_tid);
+        let names = space.names.iter().map(String::as_str);
+        names
+            .zip(&self.rows)
+            .filter(move |(_, sum)| kept(sum))
+            .map(|(name, sum)| (name, sum.calls, sum.inclusive, sum.exclusive))
     }
 }
 

@@ -30,4 +30,4 @@ pub mod windowed;
 
 pub use exec::run_query;
 pub use lang::{parse_query, QueryError};
-pub use windowed::{top_rows, RankBy, WindowSel, WindowSpec};
+pub use windowed::{rank_rows, RankBy, WindowSel, WindowSpec};

@@ -16,15 +16,17 @@
 //!
 //! Clauses are `key=value` tokens separated by whitespace or `&` — the
 //! same string is a shell argument and an HTTP query string. This module
-//! owns parsing and the method-table evaluation (filter + rank + top-N)
-//! over materialized [`Profile`]s; resolving window selections to
-//! aggregates is the ring's job, and diffing reuses [`crate::compare::diff`]
-//! unchanged. Window indices come from the virtual clock (event counters),
-//! so this module is on the protocol lint's no-wall-clock list.
+//! owns parsing and the method-table evaluation (filter + rank + top-N,
+//! [`rank_rows`]) over a span's method rows summed by name: no merge and
+//! no [`Profile`](crate::profile::Profile) is built to rank them, the
+//! rows come out of a [`NameSums`](crate::profile::NameSums) the selected
+//! slots were added to, `tid=` already applied. Resolving window
+//! selections to aggregates is the ring's job, and diffing reuses
+//! [`crate::compare::diff`] unchanged over merged span profiles. Window
+//! indices come from the virtual clock (event counters), so this module
+//! is on the protocol lint's no-wall-clock list.
 
 use std::fmt;
-
-use crate::profile::{merged_thread_key, Profile};
 
 /// Which retained windows a query addresses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -217,84 +219,47 @@ fn parse_num(key: &str, value: &str) -> Result<u64, String> {
     value.parse().map_err(|_| format!("bad {key} `{value}`"))
 }
 
-/// Evaluate the method-table half of a spec over one materialized span
-/// profile: filter (`method=` substring; `tid=` thread-set membership, a
-/// thread key being [`merged_thread_key`] of a process and a tid),
-/// rank by the `by=` column (ties broken by name, then address, for a
-/// total order), and truncate to `top=`. Rows are
-/// `(name, calls, inclusive, exclusive)` — the same shape as
-/// `Snapshot::methods_from_text`, so the daemon's `/query` response stays
-/// inside the snapshot text contract.
-pub fn top_rows(profile: &Profile, spec: &WindowSpec) -> Vec<(String, u64, u64, u64)> {
-    let mut rows: Vec<_> = profile
-        .methods
-        .iter()
-        .filter(|m| {
-            spec.method
-                .as_ref()
-                .is_none_or(|needle| m.name.contains(needle.as_str()))
-                && spec.tid.is_none_or(|tid| {
-                    // A key is checked against `pid=`'s process, or its own; it
-                    // keeps a tid's low 32 bits, so a wider `tid=` matches none.
-                    let of = |key: u64| merged_thread_key(spec.pid.unwrap_or(key >> 32), tid);
-                    tid >> 32 == 0 && m.threads.iter().any(|key| *key == of(*key))
-                })
-        })
+/// One method row of a span: `(name, calls, inclusive, exclusive)` — the
+/// shape `Snapshot::methods_from_text` parses, so the daemon's `/query`
+/// response stays inside the snapshot text contract.
+pub type MethodRow<'a> = (&'a str, u64, u64, u64);
+
+/// Evaluate the method-table half of a spec over a span's method rows,
+/// one per name and already kept to `tid=`'s thread (what
+/// [`crate::profile::NameSums::rows`] reads out): filter by `method=`
+/// substring, rank by the `by=` column (ties broken by name, so the order
+/// is total), and truncate to `top=`.
+pub fn rank_rows<'a>(
+    rows: impl IntoIterator<Item = MethodRow<'a>>,
+    spec: &WindowSpec,
+) -> Vec<MethodRow<'a>> {
+    let needle = spec.method.as_deref();
+    let mut rows: Vec<MethodRow<'a>> = rows
+        .into_iter()
+        .filter(|(name, ..)| needle.is_none_or(|needle| name.contains(needle)))
         .collect();
-    rows.sort_by(|a, b| {
-        let key = |m: &crate::profile::MethodStats| match spec.by {
-            RankBy::SelfTicks => m.exclusive,
-            RankBy::TotalTicks => m.inclusive,
-            RankBy::Calls => m.calls,
-        };
-        key(b)
-            .cmp(&key(a))
-            .then_with(|| a.name.cmp(&b.name))
-            .then_with(|| a.addr.cmp(&b.addr))
-    });
+    let key = |(_, calls, inclusive, exclusive): &MethodRow<'a>| match spec.by {
+        RankBy::SelfTicks => *exclusive,
+        RankBy::TotalTicks => *inclusive,
+        RankBy::Calls => *calls,
+    };
+    rows.sort_unstable_by(|a, b| key(b).cmp(&key(a)).then_with(|| a.0.cmp(b.0)));
     if spec.top > 0 {
         rows.truncate(spec.top);
     }
-    rows.into_iter()
-        .map(|m| (m.name.clone(), m.calls, m.inclusive, m.exclusive))
-        .collect()
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::MethodStats;
-    use std::collections::BTreeSet;
 
-    fn method(name: &str, calls: u64, incl: u64, excl: u64, tids: &[u64]) -> MethodStats {
-        MethodStats {
-            name: name.to_string(),
-            addr: 0x100 + excl,
-            calls,
-            inclusive: incl,
-            exclusive: excl,
-            min_inclusive: incl,
-            max_inclusive: incl,
-            threads: tids.iter().copied().collect::<BTreeSet<u64>>(),
-        }
-    }
-
-    fn profile() -> Profile {
-        Profile {
-            methods: vec![
-                method("main", 1, 100, 10, &[0]),
-                method("work", 4, 70, 40, &[0, 1]),
-                method("leaf", 8, 30, 30, &[1]),
-            ],
-            folded: Vec::new(),
-            symbols: Vec::new(),
-            folded_ids: Vec::new(),
-            caller_edges: Vec::new(),
-            threads: BTreeSet::new(),
-            total_ticks: 80,
-            anomalies: crate::profile::Anomalies::default(),
-            pids: BTreeSet::new(),
-        }
+    fn rows() -> Vec<MethodRow<'static>> {
+        vec![
+            ("main", 1, 100, 10),
+            ("work", 4, 70, 40),
+            ("leaf", 8, 30, 30),
+        ]
     }
 
     #[test]
@@ -342,32 +307,20 @@ mod tests {
     }
 
     #[test]
-    fn top_rows_filters_ranks_and_truncates() {
-        let p = profile();
-        let all = top_rows(&p, &WindowSpec::parse("by=self").unwrap());
-        assert_eq!(all[0].0, "work", "ranked by exclusive ticks");
-        let top1 = top_rows(&p, &WindowSpec::parse("top=1&by=calls").unwrap());
-        assert_eq!(top1, vec![("leaf".to_string(), 8, 30, 30)]);
-        let by_total = top_rows(&p, &WindowSpec::parse("by=total").unwrap());
-        assert_eq!(by_total[0].0, "main");
-        let filtered = top_rows(&p, &WindowSpec::parse("method=ea").unwrap());
-        assert_eq!(filtered.len(), 1, "substring match on `leaf`");
-        let on_tid1 = top_rows(&p, &WindowSpec::parse("tid=1").unwrap());
-        assert_eq!(
-            on_tid1.iter().map(|r| r.0.as_str()).collect::<Vec<_>>(),
-            vec!["work", "leaf"]
-        );
+    fn rank_rows_filters_ranks_and_truncates() {
+        let rank = |spec: &str| rank_rows(rows(), &WindowSpec::parse(spec).unwrap());
+        assert_eq!(rank("by=self")[0].0, "work", "ranked by exclusive ticks");
+        assert_eq!(rank("top=1&by=calls"), vec![("leaf", 8, 30, 30)]);
+        assert_eq!(rank("by=total")[0].0, "main");
+        assert_eq!(rank("method=ea"), vec![("leaf", 8, 30, 30)], "substring");
+        assert_eq!(rank("top=0").len(), 3, "top=0 keeps every row");
     }
 
-    /// A thread key keeps a tid's low 32 bits, so a `tid=` wider than
-    /// that names no thread — not the thread its low bits name.
     #[test]
-    fn a_tid_wider_than_32_bits_matches_no_row() {
-        let p = profile();
-        for spec in ["tid=4294967296", "tid=4294967296&pid=0"] {
-            let rows = top_rows(&p, &WindowSpec::parse(spec).unwrap());
-            assert!(rows.is_empty(), "{spec}: {rows:?}");
-        }
-        assert_eq!(top_rows(&p, &WindowSpec::parse("tid=0").unwrap()).len(), 2);
+    fn rank_rows_breaks_ties_by_name() {
+        let tied = vec![("b", 1, 5, 5), ("c", 1, 5, 5), ("a", 1, 5, 5)];
+        let ranked = rank_rows(tied, &WindowSpec::default());
+        let names: Vec<&str> = ranked.iter().map(|r| r.0).collect();
+        assert_eq!(names, ["a", "b", "c"]);
     }
 }

@@ -24,9 +24,11 @@
 //!   format *is* the wire contract, and `teeperf top` re-parses it with
 //!   [`Snapshot::summary_from_text`].
 //!
-//! The daemon is deliberately **single-threaded**: one loop rescans the
-//! directory, pumps the registry, serves the connections that are waiting
-//! and sleeps `--pump-ms`, in that order, so a reply is never older than
+//! The daemon is deliberately **single-threaded**: one loop scans the
+//! directory (one `stat`, and a read only when the directory may have
+//! changed since the last read — see [`Daemon::scan`]), pumps the
+//! registry, serves the connections that are waiting and sleeps
+//! `--pump-ms`, in that order, so a reply is never older than
 //! the drain of the loop that served it: an event is drained at most one
 //! `--pump-ms` plus the loop's own work after it is published, a log is
 //! attached by the first loop that starts after it is registered, and both
@@ -50,9 +52,10 @@ use std::collections::BTreeSet;
 use std::ffi::OsString;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
+use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, TryRecvError};
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
 use mcvm::DebugInfo;
 use teeperf_analyzer::symbolize::Symbolizer;
@@ -69,6 +72,15 @@ use http::{Request, Response};
 
 /// What one connection gets for its whole exchange, head and body.
 const CONNECTION_DEADLINE: Duration = Duration::from_millis(2_000);
+
+/// How long after the registration directory last changed a full read
+/// must begin for the directory to count as settled — read again only
+/// once its stamp moves. Git's "racy clean" rule: a change made while
+/// (or just after) a read began may carry the very mtime that read saw,
+/// so a stamp is trusted only when the read that took it began well
+/// after it. One second is far above any local filesystem's timestamp
+/// granularity.
+const SETTLE_MARGIN: Duration = Duration::from_secs(1);
 
 /// Everything configurable about one daemon run.
 #[derive(Debug, Clone)]
@@ -407,6 +419,14 @@ pub struct Daemon {
     probe_liveness: bool,
     requests: u64,
     scans: u64,
+    /// The directory's `(inode, mtime)` when the last full read of it
+    /// began, if that read began [`SETTLE_MARGIN`] after the mtime: while
+    /// a scan finds the same stamp, the directory holds what that read
+    /// saw, and it is not read again.
+    settled: Option<(u64, SystemTime)>,
+    /// Full reads of the directory so far.
+    #[cfg(test)]
+    reads: u64,
 }
 
 impl Daemon {
@@ -436,6 +456,9 @@ impl Daemon {
             probe_liveness: true,
             requests: 0,
             scans: 0,
+            settled: None,
+            #[cfg(test)]
+            reads: 0,
         })
     }
 
@@ -456,13 +479,34 @@ impl Daemon {
     /// pid is not yet in the registry's run (attached or retired — a
     /// retired pid's contribution is already in the merge) and whose name
     /// was not rejected. Returns how many sessions were attached. It runs
-    /// every loop, so a name already dealt with costs a look at the name
-    /// and no more.
+    /// every loop, and costs one `stat` of the directory while the
+    /// directory is unchanged since a read that began at least a second
+    /// after its last change (git's racy-clean rule); otherwise
+    /// it reads the directory, where a name already dealt with costs a
+    /// look at the name and no more. A writer registers by renaming its
+    /// log into the directory, which moves the directory's mtime, so an
+    /// attach is never put off.
     pub fn scan(&mut self) -> usize {
         self.scans += 1;
+        let stamp = std::fs::metadata(&self.config.dir)
+            .and_then(|meta| Ok((meta.ino(), meta.modified()?)))
+            .ok();
+        if stamp.is_some() && stamp == self.settled {
+            return 0;
+        }
+        let began = SystemTime::now();
         let Ok(entries) = std::fs::read_dir(&self.config.dir) else {
             return 0;
         };
+        #[cfg(test)]
+        {
+            self.reads += 1;
+        }
+        self.settled = stamp.filter(|(_, mtime)| {
+            began
+                .duration_since(*mtime)
+                .is_ok_and(|age| age >= SETTLE_MARGIN)
+        });
         let mut found: Vec<(u64, OsString)> = Vec::new();
         for entry in entries.flatten() {
             let name = entry.file_name();
@@ -1026,6 +1070,54 @@ mod tests {
         );
         let rejected = summary.lines().filter(|l| l.starts_with("rejected "));
         assert_eq!(rejected.count(), 3, "{summary}");
+    }
+
+    /// The registration directory's mtime, set to `to` through a handle
+    /// on the directory.
+    fn set_dir_mtime(dir: &Path, to: SystemTime) {
+        let handle = std::fs::File::open(dir).expect("open the directory");
+        handle.set_modified(to).expect("set the directory's mtime");
+    }
+
+    fn dir_mtime(dir: &Path) -> SystemTime {
+        std::fs::metadata(dir).unwrap().modified().unwrap()
+    }
+
+    #[test]
+    fn a_log_registered_under_the_stamp_a_scan_saw_is_still_attached() {
+        let dir = scratch("racystamp");
+        write_session(&dir.0, 61, 10);
+        let mut d = test_daemon(&dir.0);
+        assert_eq!(d.scan(), 1);
+        // The stamp that scan saw, a change made right after it, and the
+        // directory's mtime set back over that change: only the time the
+        // read began can tell the two directories apart.
+        let seen = dir_mtime(&dir.0);
+        write_session(&dir.0, 62, 10);
+        set_dir_mtime(&dir.0, seen);
+        assert_eq!(dir_mtime(&dir.0), seen);
+        assert_eq!(d.scan(), 1, "a read begun within the margin is not trusted");
+        assert_eq!(d.registry.pids(), [61, 62]);
+        assert_eq!(d.reads, 2);
+    }
+
+    #[test]
+    fn a_settled_unchanged_directory_is_not_read_again() {
+        let dir = scratch("settled");
+        write_session(&dir.0, 71, 10);
+        let long_ago = SystemTime::now() - 10 * SETTLE_MARGIN;
+        set_dir_mtime(&dir.0, long_ago);
+        let mut d = test_daemon(&dir.0);
+        assert_eq!(d.scan(), 1);
+        for _ in 0..5 {
+            assert_eq!(d.scan(), 0);
+        }
+        assert_eq!((d.reads, d.scans), (1, 6), "one read, six scans");
+        // A registration moves the mtime, and the next scan reads.
+        write_session(&dir.0, 72, 10);
+        assert_eq!(d.scan(), 1);
+        assert_eq!(d.reads, 2);
+        assert_eq!(d.registry.pids(), [71, 72]);
     }
 
     #[test]

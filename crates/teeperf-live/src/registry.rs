@@ -21,11 +21,16 @@
 //! the run, attached or retired, after every pump. `/snapshot`'s text
 //! ([`SessionRegistry::merged_text`]) is written from that table, and
 //! only the per-session scalars around it — status, anomalies, the regime
-//! block and the events list — are gathered per read. A window query
-//! (`/query`) still merges each session's span into a fresh merge in the
-//! same name space, and only a single-process view (`snapshot_pid`, the
-//! per-pid towers of a render) reads a session by itself, as a merge of
-//! one process in a name space of its own.
+//! block and the events list, borrowed per session — are gathered per
+//! read. A ranked window query (`/query` without `diff=`) builds no merge:
+//! each contributing session adds its selected slots' rows to one
+//! per-name table of sums in the same name space ([`NameSums`]), through
+//! the same memo, and the table is ranked as rows
+//! ([`teeperf_analyzer::query::windowed::rank_rows`]); a `diff=` merges
+//! each side's spans into a fresh merge ([`SessionRegistry::span_query`]).
+//! Only a single-process view (`snapshot_pid`, the per-pid towers of a
+//! render) reads a session by itself, as a merge of one process in a name
+//! space of its own.
 //!
 //! Sessions come and go while the registry runs: [`SessionRegistry::attach`]
 //! accepts a new source at any point and [`SessionRegistry::detach`] ends
@@ -48,13 +53,13 @@
 //! from a dead one.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map, BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
-use teeperf_analyzer::query::windowed::top_rows;
+use teeperf_analyzer::query::windowed::rank_rows;
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_analyzer::{diff, Frame, NameSpace, Profile, ProfileMerge, WindowSpec};
+use teeperf_analyzer::{diff, Frame, NameSpace, NameSums, Profile, ProfileMerge, WindowSpec};
 use teeperf_core::layout::PID_UNSET;
 use teeperf_core::{EventSource, SalvageReason, SalvageReport, SourceBatch};
 use teeperf_flamegraph::{live, LiveStatus, SvgOptions};
@@ -455,7 +460,7 @@ impl SessionRegistry {
         Snapshot {
             status,
             profile,
-            events,
+            events: events.concat(),
             regime,
         }
     }
@@ -471,10 +476,11 @@ impl SessionRegistry {
     }
 
     /// The rest of a merged snapshot besides its profile, in one walk over
-    /// the sessions: [`Self::merged_status`], and the registry's lifecycle
-    /// log extended with each session's own events — retention
-    /// transitions, regime changes and faults — in pid order, so the
-    /// merged `[events]` section never hides history loss.
+    /// the sessions: [`Self::merged_status`], and the merged events list
+    /// as the slices it is made of, borrowed, not copied — the registry's
+    /// lifecycle log, then each session's own events (retention
+    /// transitions, regime changes and faults) in pid order, so the merged
+    /// `[events]` section never hides history loss.
     ///
     /// Regime blocks merge conservatively: the merged regime is the *most
     /// degraded* across the contributing sessions (each registry entry runs
@@ -482,13 +488,13 @@ impl SessionRegistry {
     /// budget is the tightest one — so a merged snapshot never claims more
     /// fidelity than its worst member delivers. Sessions without a block
     /// contribute nothing; when none has one, the merge has none.
-    fn merged_head(&self) -> (LiveStatus, Vec<SessionEvent>, Option<RegimeInfo>) {
+    fn merged_head(&self) -> (LiveStatus, Vec<&[SessionEvent]>, Option<RegimeInfo>) {
         let mut status = LiveStatus::default();
-        let mut events = self.events.clone();
+        let mut events = vec![self.events.as_slice()];
         let mut regime: Option<RegimeInfo> = None;
         for session in self.sessions.values() {
             add_status(&mut status, &session.status());
-            events.extend_from_slice(session.session_events());
+            events.push(session.session_events());
             if let Some(r) = session.regime_info() {
                 regime = Some(match regime {
                     None => r,
@@ -542,7 +548,9 @@ impl SessionRegistry {
     /// every session's span, attached or retired (a session with nothing
     /// retained in the span simply contributes nothing). Returns the contributing
     /// `(pid, span)` pairs ascending plus the merged profile, or `None`
-    /// when no session holds data in the span.
+    /// when no session holds data in the span. The two sides of a
+    /// `diff=` query are read here; a ranked query reads the same spans
+    /// summed by name ([`Self::query_text`]).
     pub fn span_query(
         &self,
         sel: &WindowSel,
@@ -550,24 +558,28 @@ impl SessionRegistry {
     ) -> Option<(Vec<(u64, WindowMeta)>, Profile)> {
         let space = &mut *self.space.borrow_mut();
         let mut merge = ProfileMerge::new();
-        let spans: Vec<(u64, WindowMeta)> = match pid {
-            Some(p) => {
-                let span = self
-                    .sessions
-                    .get(&p)?
-                    .merge_span_into(sel, &mut merge, space)?;
-                vec![(p, span)]
-            }
-            None => self
-                .sessions
-                .iter()
-                .filter_map(|(pid, s)| Some((*pid, s.merge_span_into(sel, &mut merge, space)?)))
-                .collect(),
-        };
+        let spans: Vec<(u64, WindowMeta)> = self
+            .queried(pid)
+            .filter_map(|(pid, s)| {
+                let span = s.span_into(sel, |agg, paths, symbolizer, memo| {
+                    merge.add_aggregates(space, *pid, agg, paths, symbolizer, memo);
+                });
+                Some((*pid, span?))
+            })
+            .collect();
         if spans.is_empty() {
             return None;
         }
         Some((spans, merge.finish(space)))
+    }
+
+    /// The sessions a query reads: with `pid` set that one (none when it
+    /// is not part of the run), without every session of the run.
+    fn queried(&self, pid: Option<u64>) -> btree_map::Range<'_, u64, LiveSession> {
+        match pid {
+            Some(p) => self.sessions.range(p..=p),
+            None => self.sessions.range(..),
+        }
     }
 
     /// Two-window diff over retained history: window `a` as baseline,
@@ -588,6 +600,13 @@ impl SessionRegistry {
     /// `[methods]` table that [`Snapshot::methods_from_text`] parses
     /// unchanged; diff queries render the batch comparator's table under
     /// `[diff]`. `None` when nothing retained matches the spec.
+    ///
+    /// A top query builds no merge and no profile: one pass per
+    /// contributing session adds its selected slots' rows straight to one
+    /// per-name table ([`NameSums`], `tid=` marking names as it goes), and
+    /// [`rank_rows`] filters, ranks and truncates that table — the rows
+    /// and order [`Self::span_query`]'s profile would rank to. Only a diff
+    /// merges its two windows into profiles.
     pub fn query_text(&self, spec: &WindowSpec) -> Option<String> {
         let mut out = format!("[query]\nspec {}\n", spec.to_query_string());
         if let Some((a, b)) = spec.diff {
@@ -597,18 +616,28 @@ impl SessionRegistry {
             if !out.ends_with('\n') {
                 out.push('\n');
             }
-        } else {
-            let (spans, profile) = self.span_query(&spec.sel, spec.pid)?;
-            for (pid, m) in &spans {
-                out.push_str(&format!(
-                    "pid {pid} span {}..={} ticks {}..={} calls {}\n",
-                    m.first, m.last, m.start_tick, m.end_tick, m.calls
-                ));
-            }
-            out.push_str("[methods]\n");
-            for (name, calls, incl, excl) in top_rows(&profile, spec) {
-                out.push_str(&format!("{name} {calls} {incl} {excl}\n"));
-            }
+            return Some(out);
+        }
+        let space = &mut *self.space.borrow_mut();
+        let mut sums = NameSums::new(spec.tid);
+        let mut spans = 0;
+        for (pid, session) in self.queried(spec.pid) {
+            let span = session.span_into(&spec.sel, |agg, paths, symbolizer, memo| {
+                sums.add(space, agg, paths, symbolizer, memo);
+            });
+            let Some(m) = span else { continue };
+            spans += 1;
+            out.push_str(&format!(
+                "pid {pid} span {}..={} ticks {}..={} calls {}\n",
+                m.first, m.last, m.start_tick, m.end_tick, m.calls
+            ));
+        }
+        if spans == 0 {
+            return None;
+        }
+        out.push_str("[methods]\n");
+        for (name, calls, incl, excl) in rank_rows(sums.rows(space), spec) {
+            out.push_str(&format!("{name} {calls} {incl} {excl}\n"));
         }
         Some(out)
     }
@@ -1367,7 +1396,7 @@ pub(crate) mod tests {
     #[test]
     fn a_tid_query_matches_that_thread_of_the_pid_or_of_any() {
         let dir = scratch("tidquery");
-        let reg = retaining_fleet(&dir, &[(11, 0), (22, 0), (33, 1)]);
+        let reg = retaining_fleet(&dir, &[(11, 0), (22, 0), (33, 1), (44, 1 << 32)]);
         let names = |spec: &str| -> Vec<String> {
             let spec = teeperf_analyzer::WindowSpec::parse(spec).unwrap();
             let text = reg.query_text(&spec).expect("windows are retained");
@@ -1381,6 +1410,11 @@ pub(crate) mod tests {
         assert!(names("windows=all&tid=1&pid=11").is_empty());
         assert!(names("windows=all&tid=0&pid=33").is_empty());
         assert!(names("windows=all&tid=2").is_empty());
+        // A thread key keeps a tid's low 32 bits: pid 44's thread 2^32 is
+        // its thread 0, and a `tid=` wider than that names no thread.
+        assert_eq!(names("windows=all&tid=0&pid=44"), ["main", "work"]);
+        assert!(names("windows=all&tid=4294967296").is_empty());
+        assert!(names("windows=all&tid=4294967296&pid=44").is_empty());
     }
 
     #[test]
@@ -1658,6 +1692,153 @@ pub(crate) mod tests {
         }
     }
 
+    /// What `query_text` wrote for a ranked (non-`diff`) query before it
+    /// summed rows by name: the merged span profile of
+    /// [`SessionRegistry::span_query`], filtered, ranked and truncated as
+    /// a [`Profile`]'s method table.
+    fn profile_query_text(reg: &SessionRegistry, spec: &WindowSpec) -> Option<String> {
+        let mut out = format!("[query]\nspec {}\n", spec.to_query_string());
+        let (spans, profile) = reg.span_query(&spec.sel, spec.pid)?;
+        for (pid, m) in &spans {
+            out.push_str(&format!(
+                "pid {pid} span {}..={} ticks {}..={} calls {}\n",
+                m.first, m.last, m.start_tick, m.end_tick, m.calls
+            ));
+        }
+        let mut rows: Vec<_> = profile
+            .methods
+            .iter()
+            .filter(|m| {
+                spec.method
+                    .as_ref()
+                    .is_none_or(|needle| m.name.contains(needle.as_str()))
+                    && spec.tid.is_none_or(|tid| {
+                        let of = |key: u64| {
+                            teeperf_analyzer::profile::merged_thread_key(
+                                spec.pid.unwrap_or(key >> 32),
+                                tid,
+                            )
+                        };
+                        tid >> 32 == 0 && m.threads.iter().any(|key| *key == of(*key))
+                    })
+            })
+            .collect();
+        rows.sort_by(|a, b| {
+            let key = |m: &teeperf_analyzer::MethodStats| match spec.by {
+                teeperf_analyzer::RankBy::SelfTicks => m.exclusive,
+                teeperf_analyzer::RankBy::TotalTicks => m.inclusive,
+                teeperf_analyzer::RankBy::Calls => m.calls,
+            };
+            key(b)
+                .cmp(&key(a))
+                .then_with(|| a.name.cmp(&b.name))
+                .then_with(|| a.addr.cmp(&b.addr))
+        });
+        if spec.top > 0 {
+            rows.truncate(spec.top);
+        }
+        out.push_str("[methods]\n");
+        for m in rows {
+            out.push_str(&format!(
+                "{} {} {} {}\n",
+                m.name, m.calls, m.inclusive, m.exclusive
+            ));
+        }
+        Some(out)
+    }
+
+    /// Entries drawn from `seed`: calls and returns of the addresses
+    /// `mask` picks out of four functions (`work` at two addresses) and
+    /// one the symbol table does not know, on threads 0, 1, 2^32 and
+    /// 2^32 + 1 (whose low halves are 0 and 1).
+    fn drawn_entries(len: usize, seed: u64, mask: u8) -> Vec<LogEntry> {
+        let d = parity_debug();
+        let all = [
+            d.entry_addr(0),
+            d.entry_addr(1),
+            d.instr_addr(1, 2),
+            d.entry_addr(2),
+            d.entry_addr(3),
+            0x7777,
+        ];
+        let addrs: Vec<u64> = (0..all.len())
+            .filter(|k| k == &0 || mask >> k & 1 == 1)
+            .map(|k| all[k])
+            .collect();
+        let tids = [0, 1, 1 << 32, (1 << 32) + 1];
+        let (mut rng, mut counter) = (seed | 1, 0);
+        (0..len)
+            .map(|_| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                counter += 1 + rng % 9;
+                LogEntry {
+                    kind: if rng >> 8 & 1 == 0 {
+                        EventKind::Call
+                    } else {
+                        EventKind::Return
+                    },
+                    counter,
+                    addr: addrs[(rng >> 16) as usize % addrs.len()],
+                    tid: tids[(rng >> 24) as usize % tids.len()],
+                }
+            })
+            .collect()
+    }
+
+    fn parity_debug() -> DebugInfo {
+        DebugInfo::from_functions([
+            ("main", 4, 1),
+            ("work", 4, 5),
+            ("leaf", 4, 9),
+            ("spin", 4, 13),
+        ])
+    }
+
+    /// A spec drawn from every clause a ranked query takes: `pid=` one of
+    /// `pids`, a pid of no session, or none.
+    fn drawn_spec(pids: &'static [u64]) -> impl Strategy<Value = WindowSpec> {
+        let tids = [
+            None,
+            Some(0),
+            Some(1),
+            Some(2),
+            Some(1 << 32),
+            Some((1 << 32) + 1),
+        ];
+        let methods = [None, Some("ma"), Some("w"), Some("0x"), Some("zzz")];
+        let by = [
+            teeperf_analyzer::RankBy::SelfTicks,
+            teeperf_analyzer::RankBy::TotalTicks,
+            teeperf_analyzer::RankBy::Calls,
+        ];
+        let sel = (0u8..3, 0u64..80, 0u64..80).prop_map(|(kind, a, b)| match kind {
+            0 => WindowSel::All,
+            1 => WindowSel::Last(a % 8),
+            _ => WindowSel::Range(a, b),
+        });
+        let clauses = (
+            0..pids.len() + 2,
+            0..tids.len(),
+            0..methods.len(),
+            0..by.len(),
+        );
+        (sel, clauses, 0usize..6).prop_map(move |(sel, (pid, tid, method, rank), top)| WindowSpec {
+            sel,
+            pid: match pid {
+                0 => None,
+                1 => Some(99),
+                k => Some(pids[k - 2]),
+            },
+            method: methods[method].map(str::to_string),
+            tid: tids[tid],
+            top,
+            by: by[rank],
+            diff: None,
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -1711,6 +1892,63 @@ pub(crate) mod tests {
                 let session = reg.session(once.pid()).unwrap();
                 prop_assert_eq!(session.salvage(), &drained.salvaged);
                 prop_assert_eq!(session.dropped(), drained.state.dropped_total);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// A ranked query summed by name writes what the merged span
+        /// profile ranked to, for every clause mix: over a fleet of file
+        /// sessions holding different stacks (one detached) and a live
+        /// one that goes silent and is quarantined, with retention
+        /// coarsening and evicting.
+        #[test]
+        fn prop_a_ranked_query_reads_what_the_merged_span_ranks(
+            logs in collection::vec((1usize..160, any::<u64>(), any::<u8>()), 2..5),
+            quarantined in (1usize..160, any::<u64>(), any::<u8>()),
+            specs in collection::vec(drawn_spec(&[1, 2, 3, 4, 9]), 24),
+        ) {
+            use std::sync::Arc;
+            use tee_sim::SharedMem;
+            use teeperf_core::log::{make_header, region_bytes};
+            use teeperf_core::{LiveLogSource, SharedLog};
+
+            let dir = scratch("queryparity");
+            let config = LiveConfig {
+                retention: Some(RingConfig { interval: 16, capacity: 6, max_width: 4 }),
+                ..LiveConfig::default()
+            };
+            let mut reg = SessionRegistry::new(config).with_watchdog(WatchdogConfig {
+                timeout_pumps: 1,
+                max_retries: 0,
+            });
+            let parity_sym = || Symbolizer::without_relocation(parity_debug());
+            for (pid, (len, seed, mask)) in (1u64..).zip(&logs) {
+                let entries = drawn_entries(*len, *seed, *mask);
+                let log = LogFile::new(header(pid, entries.len() as u64), entries);
+                reg.attach(saved(&dir, &log), parity_sym()).unwrap();
+            }
+            let (len, seed, mask) = quarantined;
+            let entries = drawn_entries(len, seed, mask);
+            let shm = Arc::new(SharedMem::new(region_bytes(2 * len as u64)));
+            let live = SharedLog::init(shm, &make_header(9, 2 * len as u64, true, 0, 0));
+            reg.attach(Box::new(LiveLogSource::new(live.clone(), 75)), parity_sym()).unwrap();
+            for e in &entries {
+                live.write_live(e);
+            }
+            reg.pump();
+            reg.detach(1).expect("pid 1 is attached");
+            reg.pump();
+            prop_assert!(reg.retired_pids().contains(&9), "pid 9 is quarantined");
+            for spec in &specs {
+                prop_assert_eq!(
+                    reg.query_text(spec),
+                    profile_query_text(&reg, spec),
+                    "{}",
+                    spec.to_query_string()
+                );
             }
         }
     }

@@ -40,7 +40,7 @@ use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_core::layout::{LogEntry, PID_UNSET};
 use teeperf_flamegraph::LiveStatus;
 
-use crate::window::{RetentionRing, RingConfig, RingEvent, WindowMeta, WindowSel};
+use crate::window::{RetentionRing, RingConfig, RingEvent, WindowMeta};
 
 /// An endlessly updatable profile over a stream of log entries.
 ///
@@ -240,29 +240,6 @@ impl RollingProfile {
         merge.add_since(space, pid, &self.walker, &mut self.mark, symbolizer, memo);
     }
 
-    /// Contribute the exact merge of the selected windows as the stream's
-    /// process — the rows of [`RetentionRing::span`]'s aggregate: each
-    /// slot's rows are added where they sit, and the merge sums them as it
-    /// would their sum, with no span aggregate built on the side. Window
-    /// anomalies are zero: orphans and truncations are session-scoped.
-    /// Returns the span's metadata; `None` (and nothing added) when
-    /// windowing is disabled or nothing matches.
-    pub(crate) fn merge_span_into(
-        &self,
-        sel: &WindowSel,
-        merge: &mut ProfileMerge,
-        space: &mut NameSpace,
-        symbolizer: &Symbolizer,
-        memo: &mut PathNames,
-    ) -> Option<WindowMeta> {
-        let (meta, slots) = self.ring.as_ref()?.span_slots(sel)?;
-        let pid = self.pid.unwrap_or(PID_UNSET);
-        for agg in slots {
-            merge.add_aggregates(space, pid, agg, self.paths(), symbolizer, memo);
-        }
-        Some(meta)
-    }
-
     /// The session-scoped data-quality counters, `dropped` being the
     /// stream's cumulative overflow loss.
     pub(crate) fn anomalies(&self, dropped: u64) -> Anomalies {
@@ -289,6 +266,7 @@ fn note(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::WindowSel;
     use mcvm::DebugInfo;
     use std::collections::BTreeSet;
     use teeperf_analyzer::profile;

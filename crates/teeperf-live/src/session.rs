@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 
 use teeperf_analyzer::profile::Anomalies;
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_analyzer::{NameSpace, PathNames, ProfileMerge};
+use teeperf_analyzer::{Aggregates, NameSpace, PathNames, PathTable, ProfileMerge};
 use teeperf_core::layout::LogEntry;
 use teeperf_core::{EventSource, Regime, SalvageReport, SourceBatch, SourceState};
 use teeperf_flamegraph::{live, LiveStatus};
@@ -631,23 +631,24 @@ impl LiveSession {
         (&self.rolling, &self.symbolizer)
     }
 
-    /// Contribute the exact merge of the selected retained windows to a
-    /// merge under this session's pid, without materializing it. Returns
-    /// the span's metadata; `None` (and nothing added) when retention is
+    /// Hand each selected retained slot's aggregate, oldest first, to
+    /// `add` with what its rows mean: the session's stacks, symbolizer and
+    /// memo of the registry's name space — to be added to a merge as this
+    /// session's pid, or summed by name. Window anomalies are zero:
+    /// orphans and truncations are session-scoped. Returns the span's
+    /// metadata; `None` (and nothing handed over) when retention is
     /// disabled or the selection matches nothing.
-    pub(crate) fn merge_span_into(
+    pub(crate) fn span_into(
         &self,
         sel: &WindowSel,
-        merge: &mut ProfileMerge,
-        space: &mut NameSpace,
+        mut add: impl FnMut(&Aggregates, &PathTable, &Symbolizer, &mut PathNames),
     ) -> Option<WindowMeta> {
-        self.rolling.merge_span_into(
-            sel,
-            merge,
-            space,
-            &self.symbolizer,
-            &mut self.fleet_names.borrow_mut(),
-        )
+        let (meta, slots) = self.rolling.ring()?.span_slots(sel)?;
+        let memo = &mut self.fleet_names.borrow_mut();
+        for agg in slots {
+            add(agg, self.rolling.paths(), &self.symbolizer, memo);
+        }
+        Some(meta)
     }
 
     /// The raw drained stream, in order (empty unless

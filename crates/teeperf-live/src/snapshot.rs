@@ -221,7 +221,7 @@ impl Snapshot {
             &self.status,
             p.total_ticks,
             &p.pids,
-            &self.events,
+            &[&self.events],
             self.regime.as_ref(),
             methods.map(|m| (m.name.as_str(), m.calls, m.inclusive, m.exclusive)),
             |out| self.write_folded(out),
@@ -381,13 +381,14 @@ impl Snapshot {
 
 /// The text of a merged snapshot, written from the merge's tables (in
 /// `space`) as they stand: byte for byte the [`Snapshot::to_text`] of the
-/// snapshot with this head whose profile is `merge.finish(space)`,
-/// without building that profile.
+/// snapshot with this head — its events the concatenation of `events` —
+/// whose profile is `merge.finish(space)`, without building that profile
+/// or that events list.
 pub(crate) fn merged_text(
     status: &LiveStatus,
     merge: &ProfileMerge,
     space: &NameSpace,
-    events: &[SessionEvent],
+    events: &[&[SessionEvent]],
     regime: Option<&RegimeInfo>,
 ) -> String {
     write_text(
@@ -407,7 +408,8 @@ pub(crate) fn merged_text(
 
 /// The one writer of the snapshot text format: `[live]`, then
 /// `[processes]` when more than one pid fed the profile, `[events]` when
-/// any occurred and `[regime]` when there is a block; then the
+/// any occurred (the lists in `events`, one after another) and
+/// `[regime]` when there is a block; then the
 /// `[methods]` rows `(name, calls, inclusive, exclusive)` in the order
 /// given, and the `[folded]` lines `folded` writes with
 /// [`write_folded_row`]. Writing to a `String` cannot fail.
@@ -415,7 +417,7 @@ fn write_text<'a>(
     status: &LiveStatus,
     total_ticks: u64,
     pids: &BTreeSet<u64>,
-    events: &[SessionEvent],
+    events: &[&[SessionEvent]],
     regime: Option<&RegimeInfo>,
     methods: impl IntoIterator<Item = (&'a str, u64, u64, u64)>,
     folded: impl FnOnce(&mut String),
@@ -437,9 +439,9 @@ fn write_text<'a>(
             let _ = writeln!(out, "pid {pid}");
         }
     }
-    if !events.is_empty() {
+    if events.iter().any(|list| !list.is_empty()) {
         out.push_str("[events]\n");
-        for e in events {
+        for e in events.iter().copied().flatten() {
             let _ = writeln!(out, "{e}");
         }
     }

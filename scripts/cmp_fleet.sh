@@ -13,7 +13,10 @@
 # /windows, /pid/<n> and /flame.svg?pid=<n> of a live and of the retired
 # pid, /flame.svg, /metrics, the --snapshot-out file — must compare equal
 # with cmp, and the change must answer 200 on the three retired-pid routes:
-# /pid/<n>, /flame.svg?pid=<n> and /query?windows=all&pid=<n>.
+# /pid/<n>, /flame.svg?pid=<n> and /query?windows=all&pid=<n>. The /query
+# bodies cover every clause a ranked query takes: windows= last, a range
+# (read off /windows) and all; pid= of a live and of the retired pid;
+# tid=, method=, by= each column, and top= N and 0.
 # Exit 0 iff all of that holds.
 set -euo pipefail
 parent=$1 change=$2 writer=$3
@@ -54,9 +57,21 @@ done
 
 status=0
 alive=$(basename "$(ls "$reg"/*.tplog | grep -v "/$doomed\.tplog" | head -1)" .tplog)
+# A range of windows some slot lies fully inside: the second listed
+# window's first index up to the sixth's last. Both daemons are asked, so
+# /metrics counts the same requests on each side.
+get "${addr[parent]}" "$dir/windows.body" /windows >/dev/null
+get "${addr[change]}" "$dir/windows.body" /windows >/dev/null
+range=$(awk '$3 == "window" { split($4, w, /\.\.=/); n++
+               if (n == 2) a = w[1]; if (n == 6) b = w[2] }
+             END { if (b < a) b = a; print a "..=" b }' "$dir/windows.body")
 for path in /snapshot '/query?windows=last:5&top=10' '/query?diff=1,2' /windows \
             "/query?windows=all&pid=$alive" "/query?diff=1,2&pid=$alive" \
-            "/query?windows=all&pid=$doomed" "/pid/$alive" /flame.svg /metrics \
+            "/query?windows=all&pid=$doomed" "/query?windows=last:5&pid=$doomed" \
+            '/query?windows=all&tid=0' '/query?windows=all&tid=1' \
+            '/query?windows=all&method=or' '/query?windows=last:5&by=total' \
+            '/query?windows=all&by=calls&top=0' "/query?windows=$range" \
+            "/pid/$alive" /flame.svg /metrics \
             "/pid/$doomed" "/flame.svg?pid=$doomed"; do
   pc=$(get "${addr[parent]}" "$dir/parent.body" "$path")
   cc=$(get "${addr[change]}" "$dir/change.body" "$path")
