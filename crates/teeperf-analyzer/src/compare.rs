@@ -3,65 +3,58 @@
 //! process id exists precisely to tell runs apart in the analysis phase
 //! (§II-B); `diff` is what the developer does next.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
-use crate::profile::{MethodStats, Profile};
 use crate::query::frame::Frame;
+use crate::query::windowed::MethodRow;
 
-/// Name → stats index over a profile's method table. First entry wins,
-/// matching [`Profile::method`]'s linear-scan semantics (methods are
-/// sorted hottest-first, so the first is the dominant namesake).
-fn index(p: &Profile) -> HashMap<&str, &MethodStats> {
-    let mut by_name: HashMap<&str, &MethodStats> = HashMap::with_capacity(p.methods.len());
-    for m in &p.methods {
-        by_name.entry(m.name.as_str()).or_insert(m);
+/// Compare two method tables name by name.
+///
+/// Each side is a table of method rows, `(name, calls, inclusive,
+/// exclusive)`, one per name: a profile's [`Profile::method_rows`], or a
+/// window's rows summed by name ([`NameSums::rows`]). Produces a queryable
+/// frame with one row per name on either side: `method, a_pct, b_pct,
+/// delta_pct, a_calls, b_calls`, where a percentage is the name's
+/// exclusive ticks as a share of its side's summed exclusive ticks (a
+/// profile's `total_ticks`) and `delta_pct = b_pct - a_pct` (negative =
+/// the method shrank — mission accomplished). Rows are sorted by
+/// `delta_pct` ascending, ties in name order, so the biggest wins come
+/// first.
+///
+/// [`Profile::method_rows`]: crate::profile::Profile::method_rows
+/// [`NameSums::rows`]: crate::profile::NameSums::rows
+pub fn diff<'a>(
+    a: impl IntoIterator<Item = MethodRow<'a>>,
+    b: impl IntoIterator<Item = MethodRow<'a>>,
+) -> Frame {
+    // name → (calls, exclusive) of side a and side b, names ascending.
+    let mut joined: BTreeMap<&str, [(u64, u64); 2]> = BTreeMap::new();
+    let mut totals = [0u64; 2];
+    let sides = a.into_iter().map(|row| (0, row));
+    for (side, (name, calls, _, exclusive)) in sides.chain(b.into_iter().map(|row| (1, row))) {
+        let at = &mut joined.entry(name).or_default()[side];
+        *at = (at.0 + calls, at.1 + exclusive);
+        totals[side] += exclusive;
     }
-    by_name
-}
-
-/// Compare two profiles method-by-method.
-///
-/// Produces a queryable frame with one row per method appearing in either
-/// profile: `method, a_pct, b_pct, delta_pct, a_calls, b_calls`, where the
-/// percentages are exclusive-time shares and `delta_pct = b_pct - a_pct`
-/// (negative = the method shrank — mission accomplished). Rows are sorted
-/// by `delta_pct` ascending, so the biggest wins come first.
-///
-/// The join is hash-indexed: building the frame is linear in the number of
-/// methods, not quadratic as the naive per-name profile scan would be.
-pub fn diff(a: &Profile, b: &Profile) -> Frame {
-    let names: BTreeSet<&str> = a
-        .methods
-        .iter()
-        .chain(&b.methods)
-        .map(|m| m.name.as_str())
-        .collect();
-    let a_by_name = index(a);
-    let b_by_name = index(b);
-    let pct = |p: &Profile, m: Option<&&MethodStats>| {
-        if p.total_ticks == 0 {
+    let pct = |side: usize, exclusive: u64| {
+        if totals[side] == 0 {
             0.0
         } else {
-            m.map_or(0.0, |m| 100.0 * m.exclusive as f64 / p.total_ticks as f64)
+            100.0 * exclusive as f64 / totals[side] as f64
         }
     };
 
-    let mut rows: Vec<(String, f64, f64, i64, i64)> = names
+    let mut rows: Vec<(&str, f64, f64, i64, i64)> = joined
         .into_iter()
-        .map(|name| {
-            let a_m = a_by_name.get(name);
-            let b_m = b_by_name.get(name);
-            let a_pct = pct(a, a_m);
-            let b_pct = pct(b, b_m);
-            let a_calls = a_m.map_or(0, |m| m.calls as i64);
-            let b_calls = b_m.map_or(0, |m| m.calls as i64);
-            (name.to_string(), a_pct, b_pct, a_calls, b_calls)
+        .map(|(name, [(a_calls, a_excl), (b_calls, b_excl)])| {
+            let (a_pct, b_pct) = (pct(0, a_excl), pct(1, b_excl));
+            (name, a_pct, b_pct, a_calls as i64, b_calls as i64)
         })
         .collect();
     rows.sort_by(|x, y| (x.2 - x.1).total_cmp(&(y.2 - y.1)));
 
     let mut f = Frame::new();
-    f.push_str_column("method", rows.iter().map(|r| r.0.clone()).collect());
+    f.push_str_column("method", rows.iter().map(|r| r.0.to_string()).collect());
     f.push_float_column("a_pct", rows.iter().map(|r| r.1).collect());
     f.push_float_column("b_pct", rows.iter().map(|r| r.2).collect());
     f.push_float_column("delta_pct", rows.iter().map(|r| r.2 - r.1).collect());
@@ -73,6 +66,7 @@ pub fn diff(a: &Profile, b: &Profile) -> Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::Profile;
     use crate::query::frame::Column;
     use crate::symbolize::Symbolizer;
     use mcvm::DebugInfo;
@@ -123,7 +117,7 @@ mod tests {
         // "before": getpid dominates; "after": it is gone.
         let before = profile_from(&[("getpid", 70), ("io", 20), ("compute", 10)]);
         let after = profile_from(&[("io", 60), ("compute", 40)]);
-        let d = diff(&before, &after);
+        let d = diff(before.method_rows(), after.method_rows());
         assert_eq!(d.len(), 3);
         let Some(Column::Str(methods)) = d.column("method").cloned() else {
             panic!("method column missing")
@@ -149,7 +143,7 @@ mod tests {
     #[test]
     fn identical_profiles_diff_to_zero() {
         let p = profile_from(&[("a", 50), ("b", 50)]);
-        let d = diff(&p, &p);
+        let d = diff(p.method_rows(), p.method_rows());
         let Some(Column::Float(delta)) = d.column("delta_pct").cloned() else {
             panic!("delta column missing")
         };
@@ -157,11 +151,22 @@ mod tests {
     }
 
     #[test]
+    fn tied_deltas_keep_name_order() {
+        let a = [("b", 1, 5, 5), ("a", 2, 5, 5), ("c", 1, 0, 0)];
+        let d = diff(a, [("c", 3, 9, 0), ("b", 1, 5, 5), ("a", 2, 5, 5)]);
+        let Some(Column::Str(methods)) = d.column("method").cloned() else {
+            panic!("method column missing")
+        };
+        assert_eq!(methods, ["a", "b", "c"]);
+        assert_eq!(d.column("b_calls"), Some(&Column::Int(vec![2, 1, 3])));
+    }
+
+    #[test]
     fn diff_is_queryable() {
         let before = profile_from(&[("hot", 90), ("cold", 10)]);
         let after = profile_from(&[("hot", 30), ("cold", 70)]);
         let out = crate::query::run_query(
-            &diff(&before, &after),
+            &diff(before.method_rows(), after.method_rows()),
             "select method where delta_pct < -10",
         )
         .expect("query runs");

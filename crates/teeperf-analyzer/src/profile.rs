@@ -46,6 +46,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
 
 use crate::query::frame::Frame;
+use crate::query::windowed::MethodRow;
 use crate::reader::{self, Event};
 use crate::stacks::{CompletedCall, PathId, PathTable, ResumableStacks};
 use crate::symbolize::Symbolizer;
@@ -302,8 +303,8 @@ impl Aggregates {
         Aggregates::default()
     }
 
-    /// Threads observed so far: every thread a call was added for or
-    /// [`Aggregates::observe_thread`] named.
+    /// Threads observed so far: every thread a call was added for or a
+    /// walk met.
     pub fn thread_ids(&self) -> impl Iterator<Item = u64> + '_ {
         self.threads.iter().copied()
     }
@@ -311,7 +312,7 @@ impl Aggregates {
     /// Register `tid` as observed. A thread whose events complete no call
     /// (orphan returns only, or frames still open) is still a thread of
     /// the profile.
-    pub fn observe_thread(&mut self, tid: u64) {
+    fn observe_thread(&mut self, tid: u64) {
         self.threads.insert(tid);
     }
 
@@ -1143,7 +1144,7 @@ impl ProfileMerge {
     pub fn method_rows<'a>(
         &'a self,
         space: &'a NameSpace,
-    ) -> impl Iterator<Item = (&'a str, u64, u64, u64)> + 'a {
+    ) -> impl Iterator<Item = MethodRow<'a>> + 'a {
         self.methods_in_order(space)
             .into_iter()
             .map(|(name, _, counts)| {
@@ -1315,10 +1316,7 @@ impl NameSums {
 
     /// Every name with calls — and with a thread asked for, on it — as
     /// `(name, calls, inclusive, exclusive)`, in name-id order.
-    pub fn rows<'a>(
-        &'a self,
-        space: &'a NameSpace,
-    ) -> impl Iterator<Item = (&'a str, u64, u64, u64)> + 'a {
+    pub fn rows<'a>(&'a self, space: &'a NameSpace) -> impl Iterator<Item = MethodRow<'a>> + 'a {
         let kept = |sum: &&NameSum| sum.calls > 0 && (self.tid.is_none() || sum.on_tid);
         let names = space.names.iter().map(String::as_str);
         names
@@ -1355,13 +1353,11 @@ impl Profile {
             .map_or(0.0, |m| m.exclusive as f64 / self.total_ticks as f64)
     }
 
-    /// Caller breakdown for one method: who calls it, how often, and how
-    /// expensive it is from each call site.
-    pub fn callers_of(&self, name: &str) -> Vec<&CallerEdge> {
-        self.caller_edges
-            .iter()
-            .filter(|e| e.callee == name)
-            .collect()
+    /// The method table as `(name, calls, inclusive, exclusive)` rows, in
+    /// table order.
+    pub fn method_rows(&self) -> impl Iterator<Item = MethodRow<'_>> {
+        let rows = self.methods.iter();
+        rows.map(|m| (m.name.as_str(), m.calls, m.inclusive, m.exclusive))
     }
 
     /// The dynamic call graph as a queryable dataframe
@@ -1737,7 +1733,11 @@ mod tests {
             e(Return, 100, addr(0), 0),
         ]);
         let p = build(&log, &Symbolizer::without_relocation(debug()));
-        let leaf_callers = p.callers_of("leaf");
+        let leaf_callers: Vec<&CallerEdge> = p
+            .caller_edges
+            .iter()
+            .filter(|c| c.callee == "leaf")
+            .collect();
         assert_eq!(leaf_callers.len(), 2);
         let from_work = leaf_callers
             .iter()

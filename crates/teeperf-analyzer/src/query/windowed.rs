@@ -21,8 +21,9 @@
 //! no [`Profile`](crate::profile::Profile) is built to rank them, the
 //! rows come out of a [`NameSums`](crate::profile::NameSums) the selected
 //! slots were added to, `tid=` already applied. Resolving window
-//! selections to aggregates is the ring's job, and diffing reuses
-//! [`crate::compare::diff`] unchanged over merged span profiles. Window
+//! selections to aggregates is the ring's job, and a diff joins two
+//! windows' rows, summed by name the same way, through
+//! [`crate::compare::diff`], the comparator of two recordings. Window
 //! indices come from the virtual clock (event counters), so this module
 //! is on the protocol lint's no-wall-clock list.
 
@@ -116,9 +117,10 @@ pub struct WindowSpec {
     pub top: usize,
     /// Ranking column (`by=self|total|calls`).
     pub by: RankBy,
-    /// Diff two windows (`diff=<a>,<b>`) through [`crate::compare::diff`]
-    /// instead of listing methods. The other filters except `pid` are
-    /// rejected alongside `diff`.
+    /// Diff two windows (`diff=<a>,<b>`) instead of listing methods: each
+    /// window's rows summed by name, joined by [`crate::compare::diff`].
+    /// `method=` and `tid=` are rejected alongside `diff`, and `windows=`,
+    /// `top=` and `by=` are ignored; only `pid` applies.
     pub diff: Option<(u64, u64)>,
 }
 

@@ -259,6 +259,8 @@ pub struct ResumableStacks {
     /// Addresses of the open frames, outermost first — the running call
     /// stack, which at the moment a call closes is that call's full stack.
     addrs: Vec<u64>,
+    /// Highest counter value observed so far: where `finish` closes the
+    /// frames still open.
     last_counter: u64,
 }
 
@@ -271,11 +273,6 @@ impl ResumableStacks {
     /// Calls currently open (their returns have not arrived yet).
     pub fn open_frames(&self) -> usize {
         self.open.len()
-    }
-
-    /// Highest counter value observed so far.
-    pub fn last_counter(&self) -> u64 {
-        self.last_counter
     }
 
     /// Consume one batch of one thread's events, in its program order,

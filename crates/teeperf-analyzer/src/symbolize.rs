@@ -42,18 +42,6 @@ pub struct SymbolCacheStats {
     pub unique_names: u64,
 }
 
-impl SymbolCacheStats {
-    /// Fraction of lookups served from the cache (0.0 when none happened).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct InternTable {
     /// runtime address → interned name.
@@ -152,11 +140,6 @@ impl Symbolizer {
         }
     }
 
-    /// The relocation offset in bytes.
-    pub fn relocation_offset(&self) -> i64 {
-        self.offset
-    }
-
     /// The warning raised when the header anchor had to be ignored, if any.
     pub fn anchor_warning(&self) -> Option<&str> {
         self.anchor_warning.as_deref()
@@ -168,7 +151,7 @@ impl Symbolizer {
     }
 
     /// Translate a runtime address to its static (debug-info) address.
-    pub fn to_static(&self, runtime_addr: u64) -> u64 {
+    fn to_static(&self, runtime_addr: u64) -> u64 {
         runtime_addr.wrapping_add_signed(-self.offset)
     }
 
@@ -270,7 +253,7 @@ mod tests {
         let main_addr = d.entry_addr(0);
         let worker_addr = d.entry_addr(1);
         let s = Symbolizer::new(d, &header_with_anchor(main_addr));
-        assert_eq!(s.relocation_offset(), 0);
+        assert_eq!(s.offset, 0);
         assert_eq!(s.name_of(main_addr), "main");
         assert_eq!(s.name_of(worker_addr), "worker");
     }
@@ -283,7 +266,7 @@ mod tests {
         let slide = 0x1000;
         // The binary was loaded `slide` bytes higher than its static layout.
         let s = Symbolizer::new(d, &header_with_anchor(static_main + slide));
-        assert_eq!(s.relocation_offset(), slide as i64);
+        assert_eq!(s.offset, slide as i64);
         assert_eq!(s.name_of(static_worker + slide), "worker");
         // The unrelocated address now points before `worker`'s slid range —
         // it must NOT resolve to worker.
@@ -301,7 +284,7 @@ mod tests {
         let d = debug();
         let main_addr = d.entry_addr(0);
         let s = Symbolizer::new(d, &header_with_anchor(0));
-        assert_eq!(s.relocation_offset(), 0);
+        assert_eq!(s.offset, 0);
         assert_eq!(s.name_of(main_addr), "main");
         assert!(s.anchor_warning().is_none());
     }
@@ -312,7 +295,7 @@ mod tests {
         // anchor was 0, turning a valid runtime anchor into a huge bogus
         // relocation offset. Now: no relocation, explicit warning.
         let s = Symbolizer::new(DebugInfo::default(), &header_with_anchor(0x7000_0000));
-        assert_eq!(s.relocation_offset(), 0);
+        assert_eq!(s.offset, 0);
         assert!(
             s.anchor_warning().expect("warning").contains("0x70000000"),
             "{:?}",
@@ -341,7 +324,6 @@ mod tests {
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.unique_names, 2);
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -574,7 +574,7 @@ fn cmd_diff(args: &Parsed) -> Result<String, CliError> {
     }
     let a = load_analyzer(args, 0, false)?.0.profile();
     let b = load_analyzer(args, 2, false)?.0.profile();
-    let d = teeperf_analyzer::diff(&a, &b);
+    let d = teeperf_analyzer::diff(a.method_rows(), b.method_rows());
     let mut out = String::from(
         "profile diff (delta_pct = b - a in exclusive-time share; negative = improved)\n\n",
     );

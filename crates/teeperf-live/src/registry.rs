@@ -22,13 +22,13 @@
 //! ([`SessionRegistry::merged_text`]) is written from that table, and
 //! only the per-session scalars around it — status, anomalies, the regime
 //! block and the events list, borrowed per session — are gathered per
-//! read. A ranked window query (`/query` without `diff=`) builds no merge:
-//! each contributing session adds its selected slots' rows to one
-//! per-name table of sums in the same name space ([`NameSums`]), through
-//! the same memo, and the table is ranked as rows
-//! ([`teeperf_analyzer::query::windowed::rank_rows`]); a `diff=` merges
-//! each side's spans into a fresh merge ([`SessionRegistry::span_query`]).
-//! Only a single-process view (`snapshot_pid`, the per-pid towers of a
+//! read. A window query (`/query`) builds no merge: each contributing
+//! session adds its selected slots' rows to one per-name table of sums in
+//! the same name space ([`NameSums`]), through the same memo; a ranked
+//! query ranks that table as rows
+//! ([`teeperf_analyzer::query::windowed::rank_rows`]), and a `diff=`
+//! sums each of its two windows so and joins the two tables
+//! ([`teeperf_analyzer::diff`]). Only a single-process view (`snapshot_pid`, the per-pid towers of a
 //! render) reads a session by itself, as a merge of one process in a name
 //! space of its own.
 //!
@@ -53,13 +53,15 @@
 //! from a dead one.
 
 use std::cell::RefCell;
-use std::collections::{btree_map, BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
 use teeperf_analyzer::query::windowed::rank_rows;
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_analyzer::{diff, Frame, NameSpace, NameSums, Profile, ProfileMerge, WindowSpec};
+use teeperf_analyzer::{
+    diff, Aggregates, NameSpace, NameSums, PathNames, PathTable, Profile, ProfileMerge, WindowSpec,
+};
 use teeperf_core::layout::PID_UNSET;
 use teeperf_core::{EventSource, SalvageReason, SalvageReport, SourceBatch};
 use teeperf_flamegraph::{live, LiveStatus, SvgOptions};
@@ -424,18 +426,6 @@ impl SessionRegistry {
             .collect()
     }
 
-    /// The cross-process status: every counter is the sum over the
-    /// sessions (epochs included — each process rotates its own log, so
-    /// the merged epoch counts rotations fleet-wide), retired sessions at
-    /// their final counters.
-    pub fn merged_status(&self) -> LiveStatus {
-        let mut status = LiveStatus::default();
-        for s in self.sessions.values() {
-            add_status(&mut status, &s.status());
-        }
-        status
-    }
-
     /// The snapshot of process `pid`: its session frozen now — while it
     /// is attached, or finished once it was detached or quarantined — so
     /// every pid the merged view counts answers here. `None` for a pid
@@ -446,8 +436,8 @@ impl SessionRegistry {
 
     /// The merged view of the run so far: the returned snapshot's profile
     /// covers all attached pids plus the retired ones, its method and
-    /// tick totals are the sums of the per-pid profiles, its status is
-    /// [`Self::merged_status`], and its events list records every
+    /// tick totals are the sums of the per-pid profiles, its status sums
+    /// the sessions' counters, and its events list records every
     /// attach/detach/quarantine so far. Equal to merging the per-pid
     /// [`Self::snapshot_pid`]s; materialized from the fleet table, with
     /// the sessions' anomalies summed beside it.
@@ -476,7 +466,10 @@ impl SessionRegistry {
     }
 
     /// The rest of a merged snapshot besides its profile, in one walk over
-    /// the sessions: [`Self::merged_status`], and the merged events list
+    /// the sessions: the status, every counter the sum over the sessions
+    /// (epochs included — each process rotates its own log, so the merged
+    /// epoch counts rotations fleet-wide), retired sessions at their final
+    /// counters; the merged events list
     /// as the slices it is made of, borrowed, not copied — the registry's
     /// lifecycle log, then each session's own events (retention
     /// transitions, regime changes and faults) in pid order, so the merged
@@ -526,7 +519,7 @@ impl SessionRegistry {
             .iter()
             .map(|(pid, p)| (*pid, p.folded.as_slice()))
             .collect();
-        live::render_svg_multi(&parts, &self.merged_status(), options)
+        live::render_svg_multi(&parts, &self.merged_head().0, options)
     }
 
     /// Per-pid retained-window listings across the sessions, attached or
@@ -548,9 +541,9 @@ impl SessionRegistry {
     /// every session's span, attached or retired (a session with nothing
     /// retained in the span simply contributes nothing). Returns the contributing
     /// `(pid, span)` pairs ascending plus the merged profile, or `None`
-    /// when no session holds data in the span. The two sides of a
-    /// `diff=` query are read here; a ranked query reads the same spans
-    /// summed by name ([`Self::query_text`]).
+    /// when no session holds data in the span. No query reads it: it is
+    /// the reference the query tests hold [`Self::query_text`]'s
+    /// per-name sums to.
     pub fn span_query(
         &self,
         sel: &WindowSel,
@@ -558,40 +551,34 @@ impl SessionRegistry {
     ) -> Option<(Vec<(u64, WindowMeta)>, Profile)> {
         let space = &mut *self.space.borrow_mut();
         let mut merge = ProfileMerge::new();
-        let spans: Vec<(u64, WindowMeta)> = self
-            .queried(pid)
-            .filter_map(|(pid, s)| {
-                let span = s.span_into(sel, |agg, paths, symbolizer, memo| {
-                    merge.add_aggregates(space, *pid, agg, paths, symbolizer, memo);
-                });
-                Some((*pid, span?))
-            })
-            .collect();
-        if spans.is_empty() {
-            return None;
-        }
-        Some((spans, merge.finish(space)))
+        let spans = self.spans(sel, pid, |pid, agg, paths, symbolizer, memo| {
+            merge.add_aggregates(space, pid, agg, paths, symbolizer, memo);
+        });
+        (!spans.is_empty()).then(|| (spans, merge.finish(space)))
     }
 
-    /// The sessions a query reads: with `pid` set that one (none when it
-    /// is not part of the run), without every session of the run.
-    fn queried(&self, pid: Option<u64>) -> btree_map::Range<'_, u64, LiveSession> {
-        match pid {
+    /// Hand every slot `sel` picks to `add`, with its session's pid and
+    /// what [`LiveSession::span_into`] lends with it, from one session
+    /// with `pid` set (none when it is not part of the run) or every
+    /// session of the run without. Returns the contributing `(pid, span)`
+    /// pairs ascending.
+    fn spans(
+        &self,
+        sel: &WindowSel,
+        pid: Option<u64>,
+        mut add: impl FnMut(u64, &Aggregates, &PathTable, &Symbolizer, &mut PathNames),
+    ) -> Vec<(u64, WindowMeta)> {
+        let sessions = match pid {
             Some(p) => self.sessions.range(p..=p),
             None => self.sessions.range(..),
-        }
-    }
-
-    /// Two-window diff over retained history: window `a` as baseline,
-    /// window `b` as candidate, compared through the same
-    /// [`teeperf_analyzer::diff`] the batch `teeperf diff` uses. With
-    /// `pid` set the diff is that session's alone; without, both sides
-    /// are fleet merges. `None` when either window holds no retained
-    /// data (out of range, or already evicted).
-    pub fn window_diff(&self, a: u64, b: u64, pid: Option<u64>) -> Option<Frame> {
-        let pa = self.span_query(&WindowSel::Range(a, a), pid)?.1;
-        let pb = self.span_query(&WindowSel::Range(b, b), pid)?.1;
-        Some(diff(&pa, &pb))
+        };
+        let span = |(pid, s): (&u64, &LiveSession)| {
+            let meta = s.span_into(sel, |agg, paths, sym, memo| {
+                add(*pid, agg, paths, sym, memo)
+            });
+            Some((*pid, meta?))
+        };
+        sessions.filter_map(span).collect()
     }
 
     /// Evaluate a parsed window-query spec into text inside the snapshot
@@ -599,41 +586,44 @@ impl SessionRegistry {
     /// canonical spec plus every contributing pid's span) followed by a
     /// `[methods]` table that [`Snapshot::methods_from_text`] parses
     /// unchanged; diff queries render the batch comparator's table under
-    /// `[diff]`. `None` when nothing retained matches the spec.
+    /// `[diff]`. `None` when nothing retained matches the spec, or for a
+    /// diff, either of its windows.
     ///
-    /// A top query builds no merge and no profile: one pass per
-    /// contributing session adds its selected slots' rows straight to one
-    /// per-name table ([`NameSums`], `tid=` marking names as it goes), and
-    /// [`rank_rows`] filters, ranks and truncates that table — the rows
-    /// and order [`Self::span_query`]'s profile would rank to. Only a diff
-    /// merges its two windows into profiles.
+    /// Every query reads its windows summed by name, no merge and no
+    /// profile built: one pass per contributing session adds its selected
+    /// slots' rows to one [`NameSums`]. A top query sums once, `tid=`
+    /// marking names as it goes, and [`rank_rows`] filters, ranks and
+    /// truncates the table. A diff sums once per window — window `a` the
+    /// baseline, window `b` the candidate, only `pid=` applied — and
+    /// [`diff`], the comparator `teeperf diff` runs over two recordings,
+    /// joins the two tables. The rows and order are those
+    /// [`Self::span_query`]'s profiles would give.
     pub fn query_text(&self, spec: &WindowSpec) -> Option<String> {
+        let space = &mut *self.space.borrow_mut();
+        let mut sum = |sel: &WindowSel, tid| {
+            let mut sums = NameSums::new(tid);
+            let spans = self.spans(sel, spec.pid, |_, agg, paths, symbolizer, memo| {
+                sums.add(space, agg, paths, symbolizer, memo);
+            });
+            (!spans.is_empty()).then_some((sums, spans))
+        };
         let mut out = format!("[query]\nspec {}\n", spec.to_query_string());
         if let Some((a, b)) = spec.diff {
-            let frame = self.window_diff(a, b, spec.pid)?;
+            let (a_sums, _) = sum(&WindowSel::Range(a, a), None)?;
+            let (b_sums, _) = sum(&WindowSel::Range(b, b), None)?;
             out.push_str(&format!("diff {a} vs {b}\n[diff]\n"));
-            out.push_str(&frame.to_table());
+            out.push_str(&diff(a_sums.rows(space), b_sums.rows(space)).to_table());
             if !out.ends_with('\n') {
                 out.push('\n');
             }
             return Some(out);
         }
-        let space = &mut *self.space.borrow_mut();
-        let mut sums = NameSums::new(spec.tid);
-        let mut spans = 0;
-        for (pid, session) in self.queried(spec.pid) {
-            let span = session.span_into(&spec.sel, |agg, paths, symbolizer, memo| {
-                sums.add(space, agg, paths, symbolizer, memo);
-            });
-            let Some(m) = span else { continue };
-            spans += 1;
+        let (sums, spans) = sum(&spec.sel, spec.tid)?;
+        for (pid, m) in spans {
             out.push_str(&format!(
                 "pid {pid} span {}..={} ticks {}..={} calls {}\n",
                 m.first, m.last, m.start_tick, m.end_tick, m.calls
             ));
-        }
-        if spans == 0 {
-            return None;
         }
         out.push_str("[methods]\n");
         for (name, calls, incl, excl) in rank_rows(sums.rows(space), spec) {
@@ -1345,14 +1335,6 @@ pub(crate) mod tests {
         assert_eq!((work.calls, work.inclusive, work.exclusive), (1, 20, 20));
         assert!(w1.method("main").is_none(), "main exits in window 6");
 
-        // Two-window diff flows through the batch comparator.
-        let frame = reg.window_diff(1, 2, None).expect("both windows retained");
-        assert!(frame.to_table().contains("work"));
-        assert!(
-            reg.window_diff(1, 9, None).is_none(),
-            "window 9 never existed"
-        );
-
         // The rendered query stays inside the snapshot wire contract:
         // `methods_from_text` parses a `/query` body unchanged.
         let spec = teeperf_analyzer::WindowSpec::parse("windows=all&top=1&by=total").unwrap();
@@ -1365,10 +1347,13 @@ pub(crate) mod tests {
         let rows = Snapshot::methods_from_text(&text).unwrap();
         assert_eq!(rows.len(), 1, "top=1 truncates");
         assert_eq!(rows[0].0, "main", "by=total ranks main first");
+        // Two-window diff flows through the batch comparator.
         let spec = teeperf_analyzer::WindowSpec::parse("diff=1,2").unwrap();
         let text = reg.query_text(&spec).unwrap();
         assert!(text.contains("diff 1 vs 2\n[diff]\n"), "{text}");
         assert!(text.contains("work"), "{text}");
+        let spec = teeperf_analyzer::WindowSpec::parse("diff=1,9").unwrap();
+        assert!(reg.query_text(&spec).is_none(), "window 9 never existed");
     }
 
     /// A registry retaining every window of its sessions, each `(pid, tid)`
@@ -1692,12 +1677,31 @@ pub(crate) mod tests {
         }
     }
 
-    /// What `query_text` wrote for a ranked (non-`diff`) query before it
-    /// summed rows by name: the merged span profile of
+    /// What `query_text` wrote before it summed rows by name: for a
+    /// ranked query the merged span profile of
     /// [`SessionRegistry::span_query`], filtered, ranked and truncated as
-    /// a [`Profile`]'s method table.
+    /// a [`Profile`]'s method table; for a diff the comparator over the
+    /// two windows' span profiles, each side's share total its
+    /// `total_ticks`.
     fn profile_query_text(reg: &SessionRegistry, spec: &WindowSpec) -> Option<String> {
         let mut out = format!("[query]\nspec {}\n", spec.to_query_string());
+        if let Some((a, b)) = spec.diff {
+            let side = |w| {
+                let (_, p) = reg.span_query(&WindowSel::Range(w, w), spec.pid)?;
+                let names: BTreeSet<&str> = p.methods.iter().map(|m| m.name.as_str()).collect();
+                assert_eq!(names.len(), p.methods.len(), "one row per name");
+                let exclusive: u64 = p.methods.iter().map(|m| m.exclusive).sum();
+                assert_eq!(p.total_ticks, exclusive, "the share total");
+                Some(p)
+            };
+            let (pa, pb) = (side(a)?, side(b)?);
+            let frame = teeperf_analyzer::diff(pa.method_rows(), pb.method_rows());
+            out.push_str(&format!("diff {a} vs {b}\n[diff]\n{}", frame.to_table()));
+            if !out.ends_with('\n') {
+                out.push('\n');
+            }
+            return Some(out);
+        }
         let (spans, profile) = reg.span_query(&spec.sel, spec.pid)?;
         for (pid, m) in &spans {
             out.push_str(&format!(
@@ -1796,8 +1800,10 @@ pub(crate) mod tests {
         ])
     }
 
-    /// A spec drawn from every clause a ranked query takes: `pid=` one of
-    /// `pids`, a pid of no session, or none.
+    /// A spec drawn from every clause a ranked query takes, or a
+    /// `diff=` of two windows carrying those clauses too (a diff reads
+    /// `pid=` and ignores the rest): `pid=` one of `pids`, a pid of no
+    /// session, or none.
     fn drawn_spec(pids: &'static [u64]) -> impl Strategy<Value = WindowSpec> {
         let tids = [
             None,
@@ -1813,10 +1819,11 @@ pub(crate) mod tests {
             teeperf_analyzer::RankBy::TotalTicks,
             teeperf_analyzer::RankBy::Calls,
         ];
-        let sel = (0u8..3, 0u64..80, 0u64..80).prop_map(|(kind, a, b)| match kind {
-            0 => WindowSel::All,
-            1 => WindowSel::Last(a % 8),
-            _ => WindowSel::Range(a, b),
+        let sel = (0u8..4, 0u64..80, 0u64..80).prop_map(|(kind, a, b)| match kind {
+            0 => (WindowSel::All, None),
+            1 => (WindowSel::Last(a % 8), None),
+            2 => (WindowSel::Range(a, b), None),
+            _ => (WindowSel::All, Some((a, b))),
         });
         let clauses = (
             0..pids.len() + 2,
@@ -1824,19 +1831,22 @@ pub(crate) mod tests {
             0..methods.len(),
             0..by.len(),
         );
-        (sel, clauses, 0usize..6).prop_map(move |(sel, (pid, tid, method, rank), top)| WindowSpec {
-            sel,
-            pid: match pid {
-                0 => None,
-                1 => Some(99),
-                k => Some(pids[k - 2]),
+        let spec = (sel, clauses, 0usize..6);
+        spec.prop_map(
+            move |((sel, diff), (pid, tid, method, rank), top)| WindowSpec {
+                sel,
+                pid: match pid {
+                    0 => None,
+                    1 => Some(99),
+                    k => Some(pids[k - 2]),
+                },
+                method: methods[method].map(str::to_string),
+                tid: tids[tid],
+                top,
+                by: by[rank],
+                diff,
             },
-            method: methods[method].map(str::to_string),
-            tid: tids[tid],
-            top,
-            by: by[rank],
-            diff: None,
-        })
+        )
     }
 
     proptest! {
@@ -1899,8 +1909,9 @@ pub(crate) mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// A ranked query summed by name writes what the merged span
-        /// profile ranked to, for every clause mix: over a fleet of file
+        /// A query summed by name writes what the merged span profiles
+        /// gave — ranked, or two windows diffed — for every clause mix,
+        /// the clauses a diff ignores included: over a fleet of file
         /// sessions holding different stacks (one detached) and a live
         /// one that goes silent and is quarantined, with retention
         /// coarsening and evicting.
@@ -1942,7 +1953,19 @@ pub(crate) mod tests {
             reg.detach(1).expect("pid 1 is attached");
             reg.pump();
             prop_assert!(reg.retired_pids().contains(&9), "pid 9 is quarantined");
-            for spec in &specs {
+            // A diff's windows are drawn among the one-window slots the
+            // sessions it reads retain, and one no session holds.
+            let listing = reg.windows();
+            for mut spec in specs {
+                let read = listing.iter().filter(|w| spec.pid.is_none_or(|pid| w.pid == pid));
+                let metas = read.flat_map(|w| &w.windows).filter(|m| m.first == m.last);
+                let mut fine: Vec<u64> = metas.map(|m| m.first).collect();
+                fine.sort_unstable();
+                fine.dedup();
+                fine.push(999);
+                let pick = |k: u64| fine[k as usize % fine.len()];
+                spec.diff = spec.diff.map(|(a, b)| (pick(a), pick(b)));
+                let spec = &spec;
                 prop_assert_eq!(
                     reg.query_text(spec),
                     profile_query_text(&reg, spec),

@@ -298,7 +298,8 @@ pub struct LiveSession {
     /// The overhead-budget regime controller (present iff
     /// [`LiveConfig::budget`] is set and the source carries regimes).
     controller: Option<FidelityController>,
-    /// Corrupt regime words the source salvaged so far.
+    /// Corrupt regime words the source salvaged so far (each fell back
+    /// to the full interpretation and was re-published).
     regime_faults: u64,
 }
 
@@ -438,12 +439,6 @@ impl LiveSession {
             .map_or(0, FidelityController::transitions)
     }
 
-    /// Corrupt regime words the source salvaged so far (each fell back
-    /// to the full interpretation and was re-published).
-    pub fn regime_faults(&self) -> u64 {
-        self.regime_faults
-    }
-
     /// Bias-corrected estimate of the events the writers offered (equals
     /// [`LiveSession::events`] while the session never left full
     /// fidelity).
@@ -519,8 +514,7 @@ impl LiveSession {
     }
 
     /// Freeze the current aggregate into a [`Snapshot`], its profile the
-    /// source's process's. Two freezes compare through
-    /// [`Snapshot::diff_since`].
+    /// source's process's.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             status: self.status(),

@@ -3,10 +3,7 @@
 //! A [`Snapshot`] freezes one refresh of the live session: the session
 //! status plus a complete [`Profile`] materialized from the rolling
 //! aggregate. Snapshots serialize to a stable, line-oriented text format
-//! (no external serialization crates in this workspace) and diff against a
-//! previous snapshot by reusing the batch analyzer's
-//! [`teeperf_analyzer::compare::diff`] — the live rendering of the paper's
-//! before/after-optimization workflow.
+//! (no external serialization crates in this workspace).
 //!
 //! The text format is written here and nowhere else: [`Snapshot::to_text`]
 //! writes a snapshot, and a registry's merged text
@@ -17,8 +14,7 @@
 use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
 
-use teeperf_analyzer::query::frame::Frame;
-use teeperf_analyzer::{compare, NameSpace, Profile, ProfileMerge};
+use teeperf_analyzer::{NameSpace, Profile, ProfileMerge};
 use teeperf_core::Regime;
 use teeperf_flamegraph::LiveStatus;
 
@@ -190,13 +186,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Method-by-method comparison against an earlier snapshot, as a
-    /// queryable frame (`method, a_pct, b_pct, delta_pct, …` — negative
-    /// delta means the method shrank since `before`).
-    pub fn diff_since(&self, before: &Snapshot) -> Frame {
-        compare::diff(&before.profile, &self.profile)
-    }
-
     /// Append the folded-stack lines (`a;b;c ticks`) to `out`.
     fn write_folded(&self, out: &mut String) {
         for (path, ticks) in &self.profile.folded {
@@ -216,14 +205,13 @@ impl Snapshot {
     /// serialize exactly as they always have.
     pub fn to_text(&self) -> String {
         let p = &self.profile;
-        let methods = p.methods.iter();
         write_text(
             &self.status,
             p.total_ticks,
             &p.pids,
             &[&self.events],
             self.regime.as_ref(),
-            methods.map(|m| (m.name.as_str(), m.calls, m.inclusive, m.exclusive)),
+            p.method_rows(),
             |out| self.write_folded(out),
         )
     }
@@ -818,17 +806,5 @@ mod tests {
         assert_eq!(ok.regime, Regime::Quiescent);
         assert_eq!(ok.budget_pct, None);
         assert_eq!(ok.transitions, 9);
-    }
-
-    #[test]
-    fn diff_since_reuses_the_batch_comparator() {
-        let before = snap(20);
-        let after = snap(80);
-        let d = after.diff_since(&before);
-        // work grew from 20/100 to 80/100 exclusive share.
-        let out =
-            teeperf_analyzer::run_query(&d, r#"select method, delta_pct where method == "work""#)
-                .unwrap();
-        assert_eq!(out.len(), 1);
     }
 }

@@ -165,7 +165,7 @@ impl RetentionRing {
     }
 
     /// The window index a call exiting at `counter` belongs to.
-    pub fn window_of(&self, counter: u64) -> u64 {
+    fn window_of(&self, counter: u64) -> u64 {
         counter / self.interval
     }
 

@@ -202,6 +202,12 @@ query_smoke() {
     || { echo "query-smoke: diff query failed"; return 1; }
   echo "$q" | grep -qF "diff 2 vs 3" \
     || { echo "query-smoke: diff header missing"; echo "$q"; return 1; }
+  # Both windows hold a work and a leaf call: the table joins their rows.
+  [ "$(echo "$q" | sed -n '/^\[diff\]$/,$p' | grep -cE '^(work|leaf) ')" = 2 ] \
+    || { echo "query-smoke: diff table misses work or leaf"; echo "$q"; return 1; }
+  q="$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/query?diff=2,99")"
+  [ "$q" = 404 ] \
+    || { echo "query-smoke: diff with an unheld window answered $q, not 404"; return 1; }
   exec 3>&- # stdin EOF: the graceful-shutdown trigger
   wait "$pid" || { echo "query-smoke: daemon did not exit 0"; return 1; }
   rm -rf "$dir"

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Byte-compare two builds of the batch analyzer's CLI over a directory of
 # recordings — the check behind a "same outputs" claim for `teeperf
-# analyze`, `query` and `flamegraph`.
+# analyze`, `query`, `flamegraph` and `diff`.
 #
 #   scripts/cmp_cli.sh <parent teeperf> <change teeperf> <dir>
 #
@@ -15,7 +15,10 @@
 # so the salvage report has something to account — each at
 # `--analyzer-threads` 1, 4 and the default: 33 outputs a recording
 # (stdout, or the SVG file), each compared with cmp together with the
-# command's exit code. Prints a count and exits 0 iff all are equal.
+# command's exit code. Each recording but the first (in name order) is
+# also `diff`ed against the one before it, as text and with `--svg`: 6
+# more outputs a recording. Prints a count and exits 0 iff all are
+# equal (267 over the seven Phoenix recordings).
 set -euo pipefail
 parent=$1 change=$2 dir=$3
 out=$(mktemp -d)
@@ -24,10 +27,13 @@ shopt -s nullglob
 logs=("$dir"/*.tplog)
 [ ${#logs[@]} -gt 0 ] || { echo "cmp_cli: no .tplog in $dir" >&2; exit 2; }
 
-compared=0 status=0
+compared=0 status=0 before=()
 for log in "${logs[@]}"; do
   name=$(basename "$log" .tplog)
   operands=("$log" "$dir/$name.sym")
+  labels=(analyze methods events folded svg salvage.analyze salvage.methods salvage.folded
+    cut.analyze cut.methods cut.folded)
+  [ ${#before[@]} = 0 ] || labels+=(diff diff.svg)
   size=$(stat -c %s "$log")
   head -c $((size / 2 / 24 * 24 + 12)) "$log" > "$out/$name.cut.tplog"
   cut=("$out/$name.cut.tplog" "$dir/$name.sym")
@@ -55,9 +61,13 @@ for log in "${logs[@]}"; do
       run cut.analyze analyze "${cut[@]}" --salvage yes
       run cut.methods query "${cut[@]}" 'select method, calls, incl, excl, threads sort excl desc' --salvage yes
       run cut.folded flamegraph "${cut[@]}" --salvage yes
+      if [ ${#before[@]} != 0 ]; then
+        run diff diff "${before[@]}" "${operands[@]}"
+        : > "$at.diff.svg"
+        run diff.svg.log diff "${before[@]}" "${operands[@]}" --svg "$at.diff.svg"
+      fi
     done
-    for label in analyze methods events folded svg salvage.analyze salvage.methods salvage.folded \
-      cut.analyze cut.methods cut.folded; do
+    for label in "${labels[@]}"; do
       p="$out/parent.$threads.$name.$label" c="$out/change.$threads.$name.$label"
       code=${label/svg/svg.log}
       compared=$((compared + 1))
@@ -68,6 +78,7 @@ for log in "${logs[@]}"; do
       fi
     done
   done
+  before=("${operands[@]}")
 done
 echo "cmp_cli: $compared outputs compared, $([ $status = 0 ] && echo all equal || echo some differ)"
 exit $status

@@ -16,7 +16,11 @@
 # /pid/<n>, /flame.svg?pid=<n> and /query?windows=all&pid=<n>. The /query
 # bodies cover every clause a ranked query takes: windows= last, a range
 # (read off /windows) and all; pid= of a live and of the retired pid;
-# tid=, method=, by= each column, and top= N and 0.
+# tid=, method=, by= each column, and top= N and 0. The diff= bodies
+# cover two windows either way round, a window against itself, a window
+# no session holds (404: the change must answer it), pid= of a live and
+# of the retired pid, and a diff carrying ranked clauses: by= and top=,
+# which it ignores, and tid= and method= as well, which it refuses (400).
 # Exit 0 iff all of that holds.
 set -euo pipefail
 parent=$1 change=$2 writer=$3
@@ -71,6 +75,9 @@ for path in /snapshot '/query?windows=last:5&top=10' '/query?diff=1,2' /windows 
             '/query?windows=all&tid=0' '/query?windows=all&tid=1' \
             '/query?windows=all&method=or' '/query?windows=last:5&by=total' \
             '/query?windows=all&by=calls&top=0' "/query?windows=$range" \
+            '/query?diff=2,1' '/query?diff=3,3' '/query?diff=1,99' \
+            "/query?diff=1,2&pid=$doomed" '/query?diff=1,2&by=calls&top=1' \
+            '/query?diff=1,2&tid=1&method=or&by=calls&top=1' \
             "/pid/$alive" /flame.svg /metrics \
             "/pid/$doomed" "/flame.svg?pid=$doomed"; do
   pc=$(get "${addr[parent]}" "$dir/parent.body" "$path")
@@ -87,6 +94,10 @@ for path in /snapshot '/query?windows=last:5&top=10' '/query?diff=1,2' /windows 
   case $path in "/pid/$doomed" | "/flame.svg?pid=$doomed" | "/query?windows=all&pid=$doomed")
     [ "$cc" = 200 ] || { echo "NOT 200 change $cc  $path"; status=1; } ;;
   esac
+  # A window no session holds is not found.
+  if [ "$path" = '/query?diff=1,99' ] && [ "$cc" != 404 ]; then
+    echo "NOT 404 change $cc  $path"; status=1
+  fi
 done
 exec 3>&- 4>&-
 wait
