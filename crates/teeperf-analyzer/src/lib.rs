@@ -58,7 +58,7 @@ pub use query::frame::{Column, Frame};
 pub use query::run_query;
 pub use query::windowed::{RankBy, WindowSel, WindowSpec};
 pub use reader::{AnalyzeError, ThreadEvents};
-pub use stacks::{CompletedCall, PathId, PathTable, ResumableStacks};
+pub use stacks::{ClosedCall, CompletedCall, PathId, PathTable, ResumableStacks};
 pub use symbolize::{SymId, SymbolCacheStats, Symbolizer};
 
 use mcvm::DebugInfo;

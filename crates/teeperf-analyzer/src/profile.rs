@@ -48,7 +48,7 @@ use std::collections::{BTreeSet, HashMap};
 use crate::query::frame::Frame;
 use crate::query::windowed::MethodRow;
 use crate::reader::{self, Event};
-use crate::stacks::{CompletedCall, PathId, PathTable, ResumableStacks};
+use crate::stacks::{ClosedCall, PathId, PathTable, ResumableStacks};
 use crate::symbolize::Symbolizer;
 use teeperf_core::layout::LogEntry;
 use teeperf_core::LogFile;
@@ -175,21 +175,6 @@ impl Default for Counts {
 }
 
 impl Counts {
-    /// One completed call standing for `scale` calls of its shape — how
-    /// [`Aggregates::add_call`] counts it.
-    #[inline]
-    fn of_call(call: &CompletedCall, scale: u64) -> Counts {
-        let scale = scale.max(1);
-        let (inclusive, exclusive) = (call.inclusive(), call.exclusive());
-        Counts {
-            calls: scale,
-            inclusive: scale * inclusive,
-            exclusive: scale * exclusive,
-            min_inclusive: inclusive,
-            max_inclusive: inclusive,
-        }
-    }
-
     /// Fold `other` into these counters.
     #[inline]
     fn add(&mut self, other: &Counts) {
@@ -233,11 +218,19 @@ fn note_thread(threads: &mut Vec<u64>, tid: u64) -> bool {
 }
 
 /// The row at `index`, the table grown to reach it.
+#[inline]
 fn row_at<T: Default>(rows: &mut Vec<T>, index: usize) -> &mut T {
     if rows.len() <= index {
-        rows.resize_with(index + 1, T::default);
+        grow_to(rows, index);
     }
     &mut rows[index]
+}
+
+/// Grow `rows` to hold `index`: once per new stack or name, so kept out
+/// of [`row_at`]'s callers.
+#[cold]
+fn grow_to<T: Default>(rows: &mut Vec<T>, index: usize) {
+    rows.resize_with(index + 1, T::default);
 }
 
 /// Add one caller→callee contribution `(calls, inclusive, exclusive)` to
@@ -326,11 +319,28 @@ impl Aggregates {
     /// and a truncated call counts once: it is an exact observation of the
     /// stream, not a sampled estimate.
     #[inline]
-    pub fn add_call(&mut self, tid: u64, call: &CompletedCall, scale: u64) {
+    pub fn add_call(&mut self, tid: u64, call: ClosedCall, scale: u64) {
+        let scale = scale.max(1);
+        let (inclusive, exclusive) = (call.inclusive(), call.exclusive());
         self.truncated_frames += u64::from(call.truncated);
         let row = row_at(&mut self.rows, call.path.index());
-        row.counts.add(&Counts::of_call(call, scale));
-        if row.threads.last() != Some(&tid) && note_thread(&mut row.threads, tid) {
+        let counts = &mut row.counts;
+        counts.calls += scale;
+        counts.inclusive += scale * inclusive;
+        counts.exclusive += scale * exclusive;
+        counts.min_inclusive = counts.min_inclusive.min(inclusive);
+        counts.max_inclusive = counts.max_inclusive.max(inclusive);
+        if row.threads.last() != Some(&tid) {
+            self.note_row_thread(call.path, tid);
+        }
+    }
+
+    /// Note that `tid` completed a call under `path`, whose row exists.
+    /// Kept out of line: most calls close on the thread that closed the
+    /// row's last one.
+    #[inline(never)]
+    fn note_row_thread(&mut self, path: PathId, tid: u64) {
+        if note_thread(&mut self.rows[path.index()].threads, tid) {
             self.threads.insert(tid);
         }
     }
@@ -367,8 +377,8 @@ fn analyze_shard(threads: &[(u64, &[Event])]) -> (PathTable, Aggregates) {
     for (tid, events) in threads {
         agg.observe_thread(*tid);
         let mut stacks = ResumableStacks::new();
-        let mut add = |call: &CompletedCall| agg.add_call(*tid, call, 1);
-        let orphans = stacks.feed(&mut paths, *events, &mut add);
+        let mut add = |call| agg.add_call(*tid, call, 1);
+        let orphans = stacks.feed(&mut paths, events, &mut add);
         stacks.finish(add);
         agg.orphan_returns += orphans;
     }
@@ -439,9 +449,11 @@ pub fn build_entries(
 /// The analyzer pass, resumable: the [`PathTable`], one
 /// [`ResumableStacks`] per thread met (tid-sorted), the [`Aggregates`] and
 /// the count of all-zero records. [`Walker::ingest`] takes any stretch of
-/// entries in log order and feeds each *run* — one thread's consecutive
-/// valid entries — whole to its thread's machine, so nothing is copied and
-/// every machine sees its thread's events in log order. An all-zero record
+/// entries in log order, finds each *run* — one thread's consecutive
+/// valid entries — with one scan of the stretch, and feeds the run's slice
+/// to its thread's machine, so nothing is copied and every machine sees
+/// its thread's events in log order. Each call that closes is added to
+/// the aggregate in place and handed on as a [`ClosedCall`]. An all-zero record
 /// (incomplete, counted) or a zero-address one (torn) is dismissed and
 /// ends a run, as [`reader::group_entries`] dismisses it. Open frames carry
 /// over to the next stretch; [`Walker::finish`] closes them, the threads
@@ -505,7 +517,7 @@ impl Walker {
         &mut self,
         entries: &[LogEntry],
         scale: u64,
-        mut sink: impl FnMut(u64, &CompletedCall),
+        mut sink: impl FnMut(u64, ClosedCall),
     ) -> u64 {
         let (mut start, mut walked) = (0, 0);
         while let Some(first) = entries.get(start) {
@@ -523,18 +535,17 @@ impl Walker {
                     at
                 }
             };
+            let rest = &entries[start..];
+            let run = rest
+                .iter()
+                .position(|e| e.tid != tid || e.addr == 0)
+                .unwrap_or(rest.len());
             let agg = &mut self.agg;
-            let add = |call: &CompletedCall| {
+            let add = |call| {
                 agg.add_call(tid, call, scale);
                 sink(tid, call);
             };
-            // The run is found as it is fed: one pass over the entries.
-            let mut run = 0;
-            let events = entries[start..]
-                .iter()
-                .take_while(|e| e.tid == tid && e.addr != 0)
-                .inspect(|_| run += 1);
-            let orphans = self.machines[at].1.feed(&mut self.paths, events, add);
+            let orphans = self.machines[at].1.feed(&mut self.paths, &rest[..run], add);
             self.agg.orphan_returns += orphans;
             walked += run;
             start += run;
@@ -546,7 +557,7 @@ impl Walker {
     /// threads in ascending order, adding and handing on each call as
     /// [`Walker::ingest`] does. The machines stay usable: a thread fed
     /// afterwards starts from an empty stack.
-    pub fn finish(&mut self, scale: u64, mut sink: impl FnMut(u64, &CompletedCall)) {
+    pub fn finish(&mut self, scale: u64, mut sink: impl FnMut(u64, ClosedCall)) {
         for (tid, stacks) in &mut self.machines {
             stacks.finish(|call| {
                 self.agg.add_call(*tid, call, scale);
@@ -2056,7 +2067,7 @@ mod tests {
 
     /// The aggregate as it was before stacks were interned: three maps —
     /// by address, by the call's whole address path, by address pair — fed
-    /// from `call.stack`, then re-keyed by name the obvious way, threads by
+    /// from the call's stack, then re-keyed by name the obvious way, threads by
     /// [`merged_thread_key`]: an address pair's edge joins its name pair's,
     /// and an address's method row joins its name's at the smallest
     /// address. The reference a walker's profile is held to.
@@ -2069,7 +2080,7 @@ mod tests {
     }
 
     impl PathKeyed {
-        fn add_call(&mut self, tid: u64, call: &CompletedCall, scale: u64) {
+        fn add_call(&mut self, tid: u64, stack: &[u64], call: ClosedCall, scale: u64) {
             let scale = scale.max(1);
             let (inclusive, exclusive) = (call.inclusive(), call.exclusive());
             self.threads.insert(tid);
@@ -2084,11 +2095,11 @@ mod tests {
             m.4 = m.4.max(inclusive);
             m.5.insert(tid);
             if exclusive > 0 {
-                *self.folded.entry(call.stack.clone()).or_default() += scale * exclusive;
+                *self.folded.entry(stack.to_vec()).or_default() += scale * exclusive;
             }
-            let caller = match call.stack.len() {
+            let caller = match stack.len() {
                 0 | 1 => ROOT_ADDR,
-                n => call.stack[n - 2],
+                n => stack[n - 2],
             };
             let e = self.edges.entry((caller, call.addr)).or_default();
             e.0 += scale;
@@ -2235,7 +2246,7 @@ mod tests {
         threads: &[Vec<Event>],
         cut: usize,
         scales: &[u64],
-        mut sink: impl FnMut(u64, &CompletedCall, u64),
+        mut sink: impl FnMut(u64, ClosedCall, u64),
     ) -> u64 {
         let mut stacks: Vec<ResumableStacks> = threads.iter().map(|_| Default::default()).collect();
         let mut orphans = 0;
@@ -2326,12 +2337,24 @@ mod tests {
             let sym = Symbolizer::without_relocation(debug());
             let (mut walker, mut reference) = (Walker::new(), PathKeyed::default());
             let mut truncated = 0;
-            let agg = &mut walker.agg;
+            let mut closed = Vec::new();
             let orphans = walk(&mut walker.paths, &threads, cut, &scales, |tid, call, scale| {
-                agg.add_call(tid, call, scale);
-                reference.add_call(tid, call, scale);
-                truncated += u64::from(call.truncated);
+                closed.push((tid, call, scale));
             });
+            // The reference is keyed by each call's stack, spelled from
+            // its path; the stack tests pin that the path spells it.
+            for (tid, call, scale) in closed {
+                let (mut stack, mut id) = (Vec::new(), call.path);
+                while id != PathId::ROOT {
+                    stack.push(walker.paths.key(id));
+                    id = walker.paths.parent(id);
+                }
+                stack.reverse();
+                prop_assert_eq!(stack.last(), Some(&call.addr));
+                walker.agg.add_call(tid, call, scale);
+                reference.add_call(tid, &stack, call, scale);
+                truncated += u64::from(call.truncated);
+            }
             walker.agg.orphan_returns = orphans;
             let anomalies = Anomalies {
                 orphan_returns: orphans,

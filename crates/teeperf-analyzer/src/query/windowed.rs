@@ -119,8 +119,8 @@ pub struct WindowSpec {
     pub by: RankBy,
     /// Diff two windows (`diff=<a>,<b>`) instead of listing methods: each
     /// window's rows summed by name, joined by [`crate::compare::diff`].
-    /// `method=` and `tid=` are rejected alongside `diff`, and `windows=`,
-    /// `top=` and `by=` are ignored; only `pid` applies.
+    /// Every clause of a ranked listing (`windows=`, `method=`, `tid=`,
+    /// `top=`, `by=`) is rejected alongside `diff`; only `pid` applies.
     pub diff: Option<(u64, u64)>,
 }
 
@@ -148,6 +148,8 @@ impl WindowSpec {
     /// A description of the first malformed or unknown clause.
     pub fn parse(spec: &str) -> Result<WindowSpec, String> {
         let mut out = WindowSpec::default();
+        // The first of the clauses that only order or select a listing.
+        let mut ranked = None;
         for token in spec.split(|c: char| c.is_whitespace() || c == '&') {
             if token.is_empty() {
                 continue;
@@ -157,6 +159,9 @@ impl WindowSpec {
             let (key, value) = token
                 .split_once('=')
                 .ok_or_else(|| format!("bad clause `{token}` (expected key=value)"))?;
+            if matches!(key, "windows" | "top" | "by") {
+                ranked = ranked.or(Some(key));
+            }
             match key {
                 "windows" => out.sel = WindowSel::parse(value)?,
                 "pid" => out.pid = Some(parse_num("pid", value)?),
@@ -187,6 +192,9 @@ impl WindowSpec {
         }
         if out.diff.is_some() && (out.method.is_some() || out.tid.is_some()) {
             return Err("diff= cannot be combined with method=/tid= filters".to_string());
+        }
+        if let (Some(_), Some(key)) = (out.diff, ranked) {
+            return Err(format!("diff= cannot be combined with {key}="));
         }
         Ok(out)
     }
@@ -304,8 +312,51 @@ mod tests {
         assert!(WindowSpec::parse("top=many").is_err());
         assert!(WindowSpec::parse("by=most").is_err());
         assert!(WindowSpec::parse("diff=3").is_err());
-        assert!(WindowSpec::parse("diff=3,4 method=x").is_err());
         assert!(WindowSpec::parse("bare").is_err());
+    }
+
+    /// `diff=` answers a diff, not a ranked listing, so every clause only
+    /// a listing reads is refused beside it, in either order, and named.
+    #[test]
+    fn parse_refuses_windows_beside_diff() {
+        let err = WindowSpec::parse("diff=3,4 windows=last:2").unwrap_err();
+        assert_eq!(err, "diff= cannot be combined with windows=");
+        assert!(WindowSpec::parse("windows=all&diff=3,4").is_err());
+    }
+
+    #[test]
+    fn parse_refuses_method_beside_diff() {
+        let err = WindowSpec::parse("diff=3,4 method=x").unwrap_err();
+        assert_eq!(err, "diff= cannot be combined with method=/tid= filters");
+    }
+
+    #[test]
+    fn parse_refuses_tid_beside_diff() {
+        let err = WindowSpec::parse("tid=0&diff=3,4").unwrap_err();
+        assert_eq!(err, "diff= cannot be combined with method=/tid= filters");
+        let err = WindowSpec::parse("diff=1,2&tid=1&method=or&by=calls&top=1").unwrap_err();
+        assert_eq!(
+            err, "diff= cannot be combined with method=/tid= filters",
+            "filters first"
+        );
+    }
+
+    #[test]
+    fn parse_refuses_top_beside_diff() {
+        let err = WindowSpec::parse("diff=1,2&top=1").unwrap_err();
+        assert_eq!(err, "diff= cannot be combined with top=");
+        assert!(WindowSpec::parse("diff=1,2&top=0").is_err(), "even top=0");
+    }
+
+    #[test]
+    fn parse_refuses_by_beside_diff() {
+        let err = WindowSpec::parse("diff=1,2&by=calls&top=1").unwrap_err();
+        assert_eq!(err, "diff= cannot be combined with by=", "the first named");
+        assert!(
+            WindowSpec::parse("diff=1,2&by=self").is_err(),
+            "even the default"
+        );
+        assert!(WindowSpec::parse("diff=1,2&pid=7").is_ok(), "pid= applies");
     }
 
     #[test]

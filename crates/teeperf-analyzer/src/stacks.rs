@@ -7,15 +7,19 @@
 //! time spent in callees) and its full ancestry — everything the profile,
 //! queries and flame graphs need.
 //!
-//! [`ResumableStacks`] is that walk: it hands each call to its consumer's
-//! sink as the call closes, so a consumer that adds calls to a table (the
-//! batch analyzer, the rolling profile) keeps none of them. [`reconstruct`]
-//! is the consumer that collects them.
+//! [`ResumableStacks`] is that walk, over one vector of open frames that
+//! each carry their stack, address, entry counter and callee ticks. A
+//! return searches the open frames from the top down, so the usual match,
+//! the top frame, costs one comparison. Each call goes to its consumer's
+//! sink as it closes, as a fixed-size [`ClosedCall`], so a consumer that
+//! adds calls to a table (the batch analyzer, the rolling profile) keeps
+//! none of them and copies no stack. [`reconstruct`] is the consumer that
+//! collects them, each with its own copy of its stack.
 //!
 //! The stack the walk reconstructs is a tree, and the walk keeps it: a
 //! [`PathTable`] interns every distinct stack as `(parent, address)`, asked
 //! once, when a call *opens*. A frame carries its [`PathId`] while open and
-//! the completed call hands it on ([`CompletedCall::path`]), so every table
+//! the closed call hands it on ([`ClosedCall::path`]), so every table
 //! downstream is indexed by that id and nothing hashes a stack again. All
 //! the threads of a session share one table; a row's parent always has the
 //! smaller id, which is what makes translating a table into another one
@@ -113,6 +117,14 @@ impl PathTable {
         if node.hint_key == key && node.hint_child != PathId::ROOT {
             return node.hint_child;
         }
+        self.child_past_hint(parent, key)
+    }
+
+    /// [`PathTable::child`] when the hint misses: the map, and the hint
+    /// set to the answer. Kept out of line, so the hinted lookup inlines
+    /// into the walk.
+    #[inline(never)]
+    fn child_past_hint(&mut self, parent: PathId, key: u64) -> PathId {
         let next = PathId(u32::try_from(self.nodes.len()).expect("fewer than 2^32 stacks"));
         let id = *self.index.entry((parent, key)).or_insert(next);
         if id == next {
@@ -164,14 +176,49 @@ impl PathTable {
     }
 }
 
-/// One completed (or force-closed) call.
+/// One closed call as the walk hands it on: a fixed-size record, copied
+/// to its consumer's sink the moment the call closes. Its stack is
+/// `path`, interned in the table the walk was fed under; whoever needs
+/// the addresses spells them from that table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClosedCall {
+    /// The call's stack, ending with this call's own frame.
+    pub path: PathId,
+    /// Function entry address (runtime).
+    pub addr: u64,
+    /// Counter at entry.
+    pub enter: u64,
+    /// Counter at exit (or the forced close).
+    pub exit: u64,
+    /// Ticks spent in callees.
+    pub child_ticks: u64,
+    /// Whether the call was force-closed: by a return that unwound past
+    /// it, or at the end of the log.
+    pub truncated: bool,
+}
+
+impl ClosedCall {
+    /// Total ticks between entry and exit.
+    #[inline]
+    pub fn inclusive(&self) -> u64 {
+        self.exit.saturating_sub(self.enter)
+    }
+
+    /// Ticks spent in the method itself, callees subtracted.
+    #[inline]
+    pub fn exclusive(&self) -> u64 {
+        self.inclusive().saturating_sub(self.child_ticks)
+    }
+}
+
+/// One completed (or force-closed) call with its own copy of its stack:
+/// what [`reconstruct`] collects.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompletedCall {
     /// Function entry address (runtime).
     pub addr: u64,
-    /// The call's stack, interned in the table it was fed under
-    /// ([`reconstruct`] keeps no table: its calls all say
-    /// [`PathId::ROOT`] and are read through `stack`).
+    /// [`PathId::ROOT`]: [`reconstruct`] keeps no table, so its calls are
+    /// read through `stack`.
     pub path: PathId,
     /// Full stack at the time of the call, outermost first, ending with
     /// this call's own address.
@@ -187,14 +234,47 @@ pub struct CompletedCall {
 }
 
 impl CompletedCall {
+    /// `call` with its stack, outermost first, ending with `call.addr`.
+    pub fn new(call: ClosedCall, stack: Vec<u64>) -> CompletedCall {
+        let ClosedCall {
+            path,
+            addr,
+            enter,
+            exit,
+            child_ticks,
+            truncated,
+        } = call;
+        CompletedCall {
+            addr,
+            path,
+            stack,
+            enter,
+            exit,
+            child_ticks,
+            truncated,
+        }
+    }
+
+    /// The call without its stack.
+    fn closed(&self) -> ClosedCall {
+        ClosedCall {
+            path: self.path,
+            addr: self.addr,
+            enter: self.enter,
+            exit: self.exit,
+            child_ticks: self.child_ticks,
+            truncated: self.truncated,
+        }
+    }
+
     /// Total ticks between entry and exit.
     pub fn inclusive(&self) -> u64 {
-        self.exit.saturating_sub(self.enter)
+        self.closed().inclusive()
     }
 
     /// Ticks spent in the method itself, callees subtracted.
     pub fn exclusive(&self) -> u64 {
-        self.inclusive().saturating_sub(self.child_ticks)
+        self.closed().exclusive()
     }
 
     /// Stack depth (1 = top-level call).
@@ -236,29 +316,29 @@ impl StackEvent for LogEntry {
     }
 }
 
-#[derive(Debug)]
+/// A call whose return has not arrived: its stack, its address, and the
+/// ticks its closed callees took so far.
+#[derive(Debug, Clone, Copy)]
 struct OpenFrame {
     path: PathId,
+    addr: u64,
     enter: u64,
     child_ticks: u64,
 }
 
-/// Resumable reconstruction state for one thread. Carries open frames and
-/// the last observed counter across event batches, so a streaming consumer
-/// (the live drainer) can feed each epoch's events as they arrive and
-/// still close a call whose return lands epochs after its call.
+/// Resumable reconstruction state for one thread: one vector of open
+/// frames, outermost first, and the last observed counter, carried across
+/// event batches, so a streaming consumer (the live drainer) can feed each
+/// epoch's events as they arrive and still close a call whose return
+/// lands epochs after its call.
 ///
-/// A completed call goes to the caller's `sink` the moment it closes,
-/// borrowed: its `stack` is the machine's own running buffer, lent for the
-/// duration of the call, so a consumer that only adds the call to a table
-/// costs no allocation per call. One that keeps calls clones them
-/// ([`reconstruct`]).
+/// A completed call goes to the caller's `sink` the moment it closes, as a
+/// [`ClosedCall`] by value: a consumer that adds the call to a table costs
+/// no allocation per call, and one that needs the call's addresses spells
+/// them from its `path`.
 #[derive(Debug, Default)]
 pub struct ResumableStacks {
     open: Vec<OpenFrame>,
-    /// Addresses of the open frames, outermost first — the running call
-    /// stack, which at the moment a call closes is that call's full stack.
-    addrs: Vec<u64>,
     /// Highest counter value observed so far: where `finish` closes the
     /// frames still open.
     last_counter: u64,
@@ -281,21 +361,28 @@ impl ResumableStacks {
     /// call that opens is interned in `paths` — the same table on every
     /// feed of this state, and of every other thread whose calls meet in
     /// one aggregate.
-    pub fn feed<'a, E: StackEvent + 'a>(
+    pub fn feed<E: StackEvent>(
         &mut self,
         paths: &mut PathTable,
-        events: impl IntoIterator<Item = &'a E>,
-        sink: impl FnMut(&CompletedCall),
+        events: &[E],
+        mut sink: impl FnMut(ClosedCall),
     ) -> u64 {
-        self.walk(events, |parent, addr| paths.child(parent, addr), sink)
+        self.walk(
+            events,
+            |parent, addr| paths.child(parent, addr),
+            |call, _| sink(call),
+        )
     }
 
-    /// [`ResumableStacks::feed`], the stack a call opens named by `intern`.
-    fn walk<'a, E: StackEvent + 'a>(
+    /// [`ResumableStacks::feed`], the stack a call opens named by `intern`
+    /// and each closed call handed on with the open frames, its own the
+    /// last of them.
+    #[inline]
+    fn walk<E: StackEvent>(
         &mut self,
-        events: impl IntoIterator<Item = &'a E>,
+        events: &[E],
         mut intern: impl FnMut(PathId, u64) -> PathId,
-        mut sink: impl FnMut(&CompletedCall),
+        mut sink: impl FnMut(ClosedCall, &[OpenFrame]),
     ) -> u64 {
         let mut orphan_returns = 0;
         for e in events {
@@ -306,24 +393,24 @@ impl ResumableStacks {
                     let parent = self.open.last().map_or(PathId::ROOT, |f| f.path);
                     self.open.push(OpenFrame {
                         path: intern(parent, addr),
+                        addr,
                         enter: counter,
                         child_ticks: 0,
                     });
-                    self.addrs.push(addr);
                 }
                 EventKind::Return => {
                     // Normally the top frame matches. If it does not
                     // (dropped entries), unwind to the closest matching
                     // frame; frames popped on the way are closed at this
                     // counter, as truncated.
-                    let Some(pos) = self.addrs.iter().rposition(|a| *a == addr) else {
+                    let Some(at) = self.open.iter().rposition(|f| f.addr == addr) else {
                         orphan_returns += 1;
                         continue;
                     };
-                    while self.open.len() > pos + 1 {
-                        self.close_top(counter, true, &mut sink);
+                    while self.open.len() > at {
+                        let truncated = self.open.len() > at + 1;
+                        self.close_top(counter, truncated, &mut sink);
                     }
-                    self.close_top(counter, false, &mut sink);
                 }
             }
         }
@@ -334,44 +421,57 @@ impl ResumableStacks {
     /// (end of the log, or of the live session); every call it hands to
     /// `sink` is `truncated`. The state is reusable — after `finish` it
     /// has no open frames.
-    pub fn finish(&mut self, mut sink: impl FnMut(&CompletedCall)) {
+    pub fn finish(&mut self, mut sink: impl FnMut(ClosedCall)) {
+        self.close_all(&mut |call, _: &[OpenFrame]| sink(call));
+    }
+
+    fn close_all(&mut self, sink: &mut impl FnMut(ClosedCall, &[OpenFrame])) {
         while !self.open.is_empty() {
-            self.close_top(self.last_counter, true, &mut sink);
+            self.close_top(self.last_counter, true, sink);
         }
     }
 
-    fn close_top(&mut self, counter: u64, truncated: bool, sink: &mut impl FnMut(&CompletedCall)) {
-        let frame = self.open.pop().expect("close_top requires an open frame");
-        let inclusive = counter.saturating_sub(frame.enter);
-        if let Some(parent) = self.open.last_mut() {
-            parent.child_ticks += inclusive;
-        }
-        // The running buffer *is* the closing call's full stack: lend it
-        // to the call for the sink's duration, then take it back and pop.
-        let call = CompletedCall {
-            addr: *self.addrs.last().expect("addrs mirrors open"),
+    /// Close the top frame at `counter`: hand it on while it is still the
+    /// top of the open frames, then pop it and charge its parent.
+    #[inline]
+    fn close_top(
+        &mut self,
+        counter: u64,
+        truncated: bool,
+        sink: &mut impl FnMut(ClosedCall, &[OpenFrame]),
+    ) {
+        let frame = *self.open.last().expect("close_top requires an open frame");
+        let call = ClosedCall {
             path: frame.path,
-            stack: std::mem::take(&mut self.addrs),
+            addr: frame.addr,
             enter: frame.enter,
             exit: counter,
             child_ticks: frame.child_ticks,
             truncated,
         };
-        sink(&call);
-        self.addrs = call.stack;
-        self.addrs.pop();
+        sink(call, &self.open);
+        self.open.pop();
+        if let Some(parent) = self.open.last_mut() {
+            parent.child_ticks += call.inclusive();
+        }
     }
 }
 
 /// Reconstruct the call stacks of one thread's event sequence, collecting
-/// every completed call (each with its own copy of its stack, which is all
-/// that names it: nothing is interned for a table nobody would keep).
+/// every completed call (each with its own copy of its stack, read off the
+/// open frames as it closes: nothing is interned for a table nobody would
+/// keep).
 pub fn reconstruct(events: &[Event]) -> ThreadStacks {
     let mut state = ResumableStacks::new();
     let mut calls = Vec::new();
-    let mut collect = |call: &CompletedCall| calls.push(call.clone());
+    let mut collect = |call: ClosedCall, open: &[OpenFrame]| {
+        calls.push(CompletedCall::new(
+            call,
+            open.iter().map(|f| f.addr).collect(),
+        ));
+    };
     let orphan_returns = state.walk(events, |_, _| PathId::ROOT, &mut collect);
-    state.finish(collect);
+    state.close_all(&mut collect);
     ThreadStacks {
         truncated_frames: calls.iter().filter(|c| c.truncated).count() as u64,
         calls,
@@ -577,7 +677,8 @@ mod tests {
             cuts in proptest::collection::vec(0usize..1_000, 0..5),
         ) {
             // Whatever the chunking, a consumer sees the calls of the
-            // reference in its order, field for field (the stack too), and
+            // reference in its order, field for field (the stack spelled
+            // from the call's path), and
             // the same anomaly counts — and `reconstruct` collects the same.
             for trace in [balanced, unbalanced] {
                 let want = model(&trace);
@@ -591,17 +692,16 @@ mod tests {
                 let (mut state, mut paths) = (ResumableStacks::new(), PathTable::new());
                 let (mut seen, mut orphans, mut prev) = (Vec::new(), 0u64, 0usize);
                 for p in points {
-                    orphans +=
-                        state.feed(&mut paths, &trace[prev..p], |call| seen.push(call.clone()));
+                    orphans += state.feed(&mut paths, &trace[prev..p], |call| seen.push(call));
                     prev = p;
                 }
-                state.finish(|call| seen.push(call.clone()));
+                state.finish(|call| seen.push(call));
                 prop_assert_eq!(state.open_frames(), 0);
                 prop_assert_eq!(orphans, want.orphan_returns);
                 let truncated = seen.iter().filter(|c| c.truncated).count() as u64;
                 prop_assert_eq!(truncated, want.truncated_frames);
-                prop_assert_eq!(&seen, &want.calls);
                 // A call's path, walked to the root, spells its stack.
+                let mut spelled_calls = Vec::new();
                 for call in &seen {
                     let mut spelled = Vec::new();
                     let mut id = call.path;
@@ -611,8 +711,9 @@ mod tests {
                         id = paths.parent(id);
                     }
                     spelled.reverse();
-                    prop_assert_eq!(&spelled, &call.stack);
+                    spelled_calls.push(CompletedCall::new(*call, spelled));
                 }
+                prop_assert_eq!(&spelled_calls, &want.calls);
             }
         }
 

@@ -73,7 +73,7 @@
 //! `LivenessProbe` quarantines it once the writer's `/proc/<pid>` is gone.
 
 use std::fs::{File, OpenOptions};
-use std::io;
+use std::io::{self, Seek, SeekFrom};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
@@ -131,12 +131,14 @@ fn read_header(file: &File) -> io::Result<HeaderImage> {
     Ok(header)
 }
 
-/// The file's length and its header, trusted under `rule`.
+/// The file's length and its header, trusted under `rule`. The length is
+/// one `lseek` to the end, cheaper than the `statx` of `metadata()`; every
+/// read of the file is positioned, so its offset is nobody's.
 pub(crate) fn read_checked(
-    file: &File,
+    mut file: &File,
     rule: HeaderRule,
 ) -> Result<(u64, LogHeader), ShmFileError> {
-    let len = file.metadata()?.len();
+    let len = file.seek(SeekFrom::End(0))?;
     if len < HEADER_BYTES {
         return Err(ShmFileError::TooSmall(len));
     }

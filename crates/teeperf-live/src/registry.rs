@@ -1801,9 +1801,9 @@ pub(crate) mod tests {
     }
 
     /// A spec drawn from every clause a ranked query takes, or a
-    /// `diff=` of two windows carrying those clauses too (a diff reads
-    /// `pid=` and ignores the rest): `pid=` one of `pids`, a pid of no
-    /// session, or none.
+    /// `diff=` of two windows with `pid=` alone (the one clause a diff
+    /// takes beside it): `pid=` one of `pids`, a pid of no session, or
+    /// none.
     fn drawn_spec(pids: &'static [u64]) -> impl Strategy<Value = WindowSpec> {
         let tids = [
             None,
@@ -1832,21 +1832,29 @@ pub(crate) mod tests {
             0..by.len(),
         );
         let spec = (sel, clauses, 0usize..6);
-        spec.prop_map(
-            move |((sel, diff), (pid, tid, method, rank), top)| WindowSpec {
+        spec.prop_map(move |((sel, diff), (pid, tid, method, rank), top)| {
+            let pid = match pid {
+                0 => None,
+                1 => Some(99),
+                k => Some(pids[k - 2]),
+            };
+            if diff.is_some() {
+                return WindowSpec {
+                    pid,
+                    diff,
+                    ..WindowSpec::default()
+                };
+            }
+            WindowSpec {
                 sel,
-                pid: match pid {
-                    0 => None,
-                    1 => Some(99),
-                    k => Some(pids[k - 2]),
-                },
+                pid,
                 method: methods[method].map(str::to_string),
                 tid: tids[tid],
                 top,
                 by: by[rank],
                 diff,
-            },
-        )
+            }
+        })
     }
 
     proptest! {

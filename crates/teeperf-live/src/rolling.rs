@@ -35,7 +35,7 @@
 use teeperf_analyzer::profile::{
     Anomalies, FoldMark, NameSpace, PathNames, Profile, ProfileMerge, Walker,
 };
-use teeperf_analyzer::stacks::{CompletedCall, PathTable};
+use teeperf_analyzer::stacks::{ClosedCall, PathTable};
 use teeperf_analyzer::symbolize::Symbolizer;
 use teeperf_core::layout::{LogEntry, PID_UNSET};
 use teeperf_flamegraph::LiveStatus;
@@ -254,7 +254,7 @@ fn note(
     mark: &mut FoldMark,
     ring: &mut Option<RetentionRing>,
     tid: u64,
-    call: &CompletedCall,
+    call: ClosedCall,
     scale: u64,
 ) {
     mark.touch(call.path);

@@ -33,7 +33,7 @@
 //! `Instant::now()` sneaking into boundary logic fails CI.
 
 use teeperf_analyzer::profile::Aggregates;
-use teeperf_analyzer::stacks::CompletedCall;
+use teeperf_analyzer::stacks::ClosedCall;
 
 pub use teeperf_analyzer::query::windowed::WindowSel;
 
@@ -225,7 +225,7 @@ impl RetentionRing {
     /// ([`WindowMeta::estimated_calls`]). Anomalies stay session-scoped.
     /// The ring may exceed its capacity until the caller's next
     /// [`RetentionRing::enforce_retention`].
-    pub fn add_call(&mut self, tid: u64, call: &CompletedCall, scale: u64) {
+    pub fn add_call(&mut self, tid: u64, call: ClosedCall, scale: u64) {
         let scale = scale.max(1);
         let idx = self.window_of(call.exit);
         if idx < self.floor {
@@ -477,13 +477,12 @@ mod tests {
 
     /// A top-level call of `0xA` or `0xB`, interned in a table that met
     /// them in that order.
-    fn call(addr: u64, enter: u64, exit: u64) -> CompletedCall {
+    fn call(addr: u64, enter: u64, exit: u64) -> ClosedCall {
         let mut paths = PathTable::new();
         paths.child(PathId::ROOT, 0xA);
-        CompletedCall {
-            addr,
+        ClosedCall {
             path: paths.child(PathId::ROOT, addr),
-            stack: vec![addr],
+            addr,
             enter,
             exit,
             child_ticks: 0,
@@ -493,9 +492,9 @@ mod tests {
 
     /// One pump's calls (here all of one thread) into the ring, the way
     /// `RollingProfile` feeds it: every call, then retention once.
-    fn add_batch(r: &mut RetentionRing, tid: u64, calls: &[CompletedCall], scale: u64) {
+    fn add_batch(r: &mut RetentionRing, tid: u64, calls: &[ClosedCall], scale: u64) {
         for c in calls {
-            r.add_call(tid, c, scale);
+            r.add_call(tid, *c, scale);
         }
         r.enforce_retention();
     }

@@ -24,9 +24,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use teeperf_analyzer::reader::Event;
 use teeperf_analyzer::symbolize::Symbolizer;
-use teeperf_analyzer::{
-    Aggregates, CompletedCall, PathTable, Profile, ProfileMerge, ResumableStacks,
-};
+use teeperf_analyzer::{Aggregates, ClosedCall, PathTable, Profile, ProfileMerge, ResumableStacks};
 use teeperf_core::layout::{EventKind, LogEntry};
 use teeperf_core::log::make_header;
 use teeperf_live::window::{WindowMeta, WindowSel};
@@ -132,7 +130,7 @@ fn interleave(threads: &[Vec<LogEntry>], picks: &[usize]) -> Vec<LogEntry> {
 fn direct_calls(
     paths: &mut PathTable,
     per_tid: &BTreeMap<u64, Vec<LogEntry>>,
-) -> BTreeMap<u64, Vec<CompletedCall>> {
+) -> BTreeMap<u64, Vec<ClosedCall>> {
     let mut out = BTreeMap::new();
     for (tid, entries) in per_tid {
         let events: Vec<Event> = entries
@@ -157,14 +155,14 @@ fn direct_calls(
 /// span is read: the thread set from the calls themselves, anomalies zero
 /// (session-scoped by design).
 fn materialize_calls(
-    per_tid: &BTreeMap<u64, Vec<CompletedCall>>,
+    per_tid: &BTreeMap<u64, Vec<ClosedCall>>,
     paths: &PathTable,
     sym: &Symbolizer,
 ) -> Profile {
     let mut agg = Aggregates::new();
     for (tid, calls) in per_tid {
         for call in calls {
-            agg.add_call(*tid, call, 1);
+            agg.add_call(*tid, *call, 1);
         }
     }
     materialize_agg(&agg, paths, sym)
@@ -180,26 +178,26 @@ fn completed(
     stacks: &mut ResumableStacks,
     paths: &mut PathTable,
     events: &[Event],
-) -> Vec<CompletedCall> {
+) -> Vec<ClosedCall> {
     let mut calls = Vec::new();
-    stacks.feed(paths, events, |call| calls.push(call.clone()));
+    stacks.feed(paths, events, |call| calls.push(call));
     calls
 }
 
 /// The calls force-closing `stacks` completes.
-fn force_closed(stacks: &mut ResumableStacks) -> Vec<CompletedCall> {
+fn force_closed(stacks: &mut ResumableStacks) -> Vec<ClosedCall> {
     let mut calls = Vec::new();
-    stacks.finish(|call| calls.push(call.clone()));
+    stacks.finish(|call| calls.push(call));
     calls
 }
 
 /// A call a reference slot holds: `(tid, call, scale)`.
-type Member = (u64, CompletedCall, u64);
+type Member = (u64, ClosedCall, u64);
 
 fn materialize_members(members: &[Member], paths: &PathTable, sym: &Symbolizer) -> Profile {
     let mut agg = Aggregates::new();
     for (tid, call, scale) in members {
-        agg.add_call(*tid, call, *scale);
+        agg.add_call(*tid, *call, *scale);
     }
     materialize_agg(&agg, paths, sym)
 }
@@ -232,8 +230,8 @@ struct ModelRing {
 }
 
 impl ModelRing {
-    fn absorb(&mut self, pump: &[(u64, CompletedCall)], scale: u64) {
-        let mut grouped: BTreeMap<u64, Vec<&(u64, CompletedCall)>> = BTreeMap::new();
+    fn absorb(&mut self, pump: &[(u64, ClosedCall)], scale: u64) {
+        let mut grouped: BTreeMap<u64, Vec<&(u64, ClosedCall)>> = BTreeMap::new();
         for member in pump {
             grouped
                 .entry(member.1.exit / self.interval)
@@ -242,7 +240,7 @@ impl ModelRing {
         }
         for (idx, calls) in grouped {
             let n = scale * calls.len() as u64;
-            let members = calls.into_iter().map(|(tid, c)| (*tid, c.clone(), scale));
+            let members = calls.into_iter().map(|(tid, c)| (*tid, *c, scale));
             if idx < self.floor {
                 self.evicted.extend(members);
                 self.evicted_calls += n;
@@ -368,16 +366,16 @@ proptest! {
             prop_assert_eq!(span.first, metas[lo].first);
             prop_assert_eq!(span.last, metas[hi].last);
 
-            let filtered: BTreeMap<u64, Vec<CompletedCall>> = truth
+            let filtered: BTreeMap<u64, Vec<ClosedCall>> = truth
                 .iter()
                 .map(|(tid, calls)| {
-                    let keep: Vec<CompletedCall> = calls
+                    let keep: Vec<ClosedCall> = calls
                         .iter()
                         .filter(|c| {
                             let w = c.exit / interval;
                             (metas[lo].first..=metas[hi].last).contains(&w)
                         })
-                        .cloned()
+                        .copied()
                         .collect();
                     (*tid, keep)
                 })
@@ -393,13 +391,13 @@ proptest! {
                 .span(&WindowSel::Range(metas[lo].first, metas[lo].last))
                 .expect("slot is retained");
             prop_assert_eq!((one.first, one.last), (metas[lo].first, metas[lo].last));
-            let one_filtered: BTreeMap<u64, Vec<CompletedCall>> = truth
+            let one_filtered: BTreeMap<u64, Vec<ClosedCall>> = truth
                 .iter()
                 .map(|(tid, calls)| {
-                    let keep: Vec<CompletedCall> = calls
+                    let keep: Vec<ClosedCall> = calls
                         .iter()
                         .filter(|c| (one.first..=one.last).contains(&(c.exit / interval)))
-                        .cloned()
+                        .copied()
                         .collect();
                     (*tid, keep)
                 })

@@ -42,21 +42,25 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --l
 if [ "$mode" != "quick" ]; then
   run cargo build --release --offline
 fi
-run cargo test -q --offline
-
-# The rest of the workspace: every member but the root package, whose
-# tests the tier-1 stage just ran. They run under a temp dir of their own,
-# and must leave no `teeperf-*` entry in it: every scratch dir a test makes
-# is its own and removed when the test ends.
-test_tmp="$(mktemp -d)"
-run env TMPDIR="$test_tmp" cargo test -q --workspace --exclude teeperf --offline
-leftover="$(find "$test_tmp" -mindepth 1 -maxdepth 1 -name 'teeperf-*' -printf '%f\n')"
-if [ -n "$leftover" ]; then
-  echo "the workspace tests left these in TMPDIR:"
-  echo "$leftover"
-  exit 1
-fi
-rm -rf "$test_tmp"
+# Tier-1 and the rest of the workspace (every member but the root package,
+# whose tests the tier-1 stage runs) each run under a temp dir of their
+# own, and must leave no `teeperf-*` entry in it: every scratch dir a test
+# makes is its own and removed when the test ends.
+tests_in_own_tmp() {
+  local what="$1" test_tmp leftover
+  shift
+  test_tmp="$(mktemp -d)"
+  run env TMPDIR="$test_tmp" "$@"
+  leftover="$(find "$test_tmp" -mindepth 1 -maxdepth 1 -name 'teeperf-*' -printf '%f\n')"
+  if [ -n "$leftover" ]; then
+    echo "the $what tests left these in TMPDIR:"
+    echo "$leftover"
+    exit 1
+  fi
+  rm -rf "$test_tmp"
+}
+tests_in_own_tmp tier-1 cargo test -q --offline
+tests_in_own_tmp workspace cargo test -q --workspace --exclude teeperf --offline
 
 # Fault-injection matrix (ISSUE 5): every FaultPlan fault kind crossed with
 # both consumers (live LiveLogSource, and a persisted log file drained by

@@ -19,9 +19,10 @@
 # tid=, method=, by= each column, and top= N and 0. The diff= bodies
 # cover two windows either way round, a window against itself, a window
 # no session holds (404: the change must answer it), pid= of a live and
-# of the retired pid, and a diff carrying ranked clauses: by= and top=,
-# which it ignores, and tid= and method= as well, which it refuses (400).
-# Exit 0 iff all of that holds.
+# of the retired pid, and a diff carrying ranked clauses, which the change
+# must refuse (400): by= and top=, and tid= and method= as well. A parent
+# that answered `diff=1,2&by=calls&top=1` (200: it ignored by= and top=)
+# is the one difference allowed. Exit 0 iff all of that holds.
 set -euo pipefail
 parent=$1 change=$2 writer=$3
 dir=$(mktemp -d /dev/shm/cmp-fleet.XXXXXX)
@@ -86,6 +87,8 @@ for path in /snapshot '/query?windows=last:5&top=10' '/query?diff=1,2' /windows 
   sed -i '/^teeperf_scans_total /d' "$dir/parent.body" "$dir/change.body"
   if [ "$pc" = "$cc" ] && cmp -s "$dir/parent.body" "$dir/change.body"; then
     echo "equal   $pc $(wc -c < "$dir/change.body") bytes  $path"
+  elif [ "$path" = '/query?diff=1,2&by=calls&top=1' ] && [ "$pc" = 200 ] && [ "$cc" = 400 ]; then
+    echo "refused $cc (parent $pc: it ignored by= and top=)  $path"
   else
     echo "DIFFER  parent $pc, change $cc  $path"; status=1
     diff "$dir/parent.body" "$dir/change.body" | head -20 || true
@@ -93,6 +96,10 @@ for path in /snapshot '/query?windows=last:5&top=10' '/query?diff=1,2' /windows 
   # A retired pid answers for itself.
   case $path in "/pid/$doomed" | "/flame.svg?pid=$doomed" | "/query?windows=all&pid=$doomed")
     [ "$cc" = 200 ] || { echo "NOT 200 change $cc  $path"; status=1; } ;;
+  esac
+  # A diff carrying a ranked clause is refused.
+  case $path in '/query?diff=1,2&by=calls&top=1' | '/query?diff=1,2&tid=1&method=or&by=calls&top=1')
+    [ "$cc" = 400 ] || { echo "NOT 400 change $cc  $path"; status=1; } ;;
   esac
   # A window no session holds is not found.
   if [ "$path" = '/query?diff=1,99' ] && [ "$cc" != 404 ]; then

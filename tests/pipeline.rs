@@ -72,11 +72,22 @@ fn four_stages_produce_consistent_results() {
     assert!(svg.contains("middle"));
 }
 
+/// A scratch directory of this test process, removed when dropped.
+struct Scratch(std::path::PathBuf);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[test]
 fn log_and_symbols_round_trip_through_disk() {
     let run = profiled(CostModel::sgx_v1());
-    let dir = std::env::temp_dir().join(format!("teeperf-pipeline-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let scratch =
+        Scratch(std::env::temp_dir().join(format!("teeperf-pipeline-{}", std::process::id())));
+    let dir = &scratch.0;
+    std::fs::create_dir_all(dir).expect("tmpdir");
     let log_path = dir.join("app.tpf");
     let sym_path = dir.join("app.sym");
 
