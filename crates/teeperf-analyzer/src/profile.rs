@@ -187,33 +187,93 @@ impl Counts {
 }
 
 /// One row of an [`Aggregates`] (a stack's): counters and the threads
-/// behind them.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// behind them, as a [`ThreadSet`], so a call on a thread below 64 is
+/// noted by setting a bit, whichever thread closed the row's last call.
+#[derive(Debug, Clone, Default)]
 struct Row {
     counts: Counts,
-    /// Threads that completed a call here, ascending.
-    threads: Vec<u64>,
+    /// Threads that completed a call here.
+    threads: ThreadSet,
 }
 
 impl Row {
     /// Fold another row in.
     fn add_row(&mut self, other: &Row) {
         self.counts.add(&other.counts);
-        for tid in &other.threads {
-            note_thread(&mut self.threads, *tid);
-        }
+        self.threads.extend(&other.threads);
     }
 }
 
-/// Add `tid` to the ascending set `threads`; whether that is news.
-#[inline]
-fn note_thread(threads: &mut Vec<u64>, tid: u64) -> bool {
-    match threads.binary_search(&tid) {
-        Ok(_) => false,
-        Err(at) => {
-            threads.insert(at, tid);
-            true
+/// A set of thread ids (or of [`merged_thread_key`]s), iterated
+/// ascending: ids below 64 are the bits of one inline word, wider ones
+/// sit in a sorted vector after them. A set of low tids — every thread of
+/// a one-process recording — allocates nothing, and noting a thread
+/// already in it tests one bit.
+#[derive(Debug, Clone, Default)]
+struct ThreadSet {
+    low: u64,
+    wide: Vec<u64>,
+}
+
+impl ThreadSet {
+    /// Add `tid` where that takes no allocation and no search out of
+    /// line: `Some(whether it is new)`, or `None` for a tid of 64 or more
+    /// not yet in the set, which [`ThreadSet::insert_wide`] adds.
+    #[inline]
+    fn try_insert(&mut self, tid: u64) -> Option<bool> {
+        if tid < 64 {
+            let bit = 1 << tid;
+            let new = self.low & bit == 0;
+            self.low |= bit;
+            Some(new)
+        } else if self.wide.binary_search(&tid).is_ok() {
+            Some(false)
+        } else {
+            None
         }
+    }
+
+    /// Add `tid`; whether it is new.
+    fn insert(&mut self, tid: u64) -> bool {
+        self.try_insert(tid)
+            .unwrap_or_else(|| self.insert_wide(tid))
+    }
+
+    /// Add a tid of 64 or more to the sorted vector; whether it is new.
+    #[cold]
+    fn insert_wide(&mut self, tid: u64) -> bool {
+        match self.wide.binary_search(&tid) {
+            Ok(_) => false,
+            Err(at) => {
+                self.wide.insert(at, tid);
+                true
+            }
+        }
+    }
+
+    /// Add every thread of `other`.
+    fn extend(&mut self, other: &ThreadSet) {
+        self.low |= other.low;
+        for tid in &other.wide {
+            self.insert_wide(*tid);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.low.count_ones() as usize + self.wide.len()
+    }
+
+    /// The threads, ascending.
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut low = self.low;
+        let bits = std::iter::from_fn(move || {
+            (low != 0).then(|| {
+                let tid = u64::from(low.trailing_zeros());
+                low &= low - 1;
+                tid
+            })
+        });
+        bits.chain(self.wide.iter().copied())
     }
 }
 
@@ -281,7 +341,10 @@ fn method_stats(name: String, addr: u64, counts: Counts, threads: BTreeSet<u64>)
 pub struct Aggregates {
     /// As long as the highest id a call was added under needs.
     rows: Vec<Row>,
-    threads: BTreeSet<u64>,
+    threads: ThreadSet,
+    /// Notes that left [`Aggregates::add_call`]'s inline path.
+    #[cfg(test)]
+    row_notes: u64,
     /// Returns without a matching call: the stream's, so its consumer's
     /// to add (what [`ResumableStacks::feed`] returns).
     pub orphan_returns: u64,
@@ -299,7 +362,7 @@ impl Aggregates {
     /// Threads observed so far: every thread a call was added for or a
     /// walk met.
     pub fn thread_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.threads.iter().copied()
+        self.threads.iter()
     }
 
     /// Register `tid` as observed. A thread whose events complete no call
@@ -330,19 +393,26 @@ impl Aggregates {
         counts.exclusive += scale * exclusive;
         counts.min_inclusive = counts.min_inclusive.min(inclusive);
         counts.max_inclusive = counts.max_inclusive.max(inclusive);
-        if row.threads.last() != Some(&tid) {
-            self.note_row_thread(call.path, tid);
+        match row.threads.try_insert(tid) {
+            Some(false) => {}
+            Some(true) => {
+                self.threads.insert(tid);
+            }
+            None => self.note_row_thread(call.path, tid),
         }
     }
 
-    /// Note that `tid` completed a call under `path`, whose row exists.
-    /// Kept out of line: most calls close on the thread that closed the
-    /// row's last one.
+    /// Note that `tid`, 64 or more and new to the row, completed a call
+    /// under `path`, whose row exists. Kept out of line: a row's threads
+    /// are noted inline but for such a tid's first call there.
     #[inline(never)]
     fn note_row_thread(&mut self, path: PathId, tid: u64) {
-        if note_thread(&mut self.rows[path.index()].threads, tid) {
-            self.threads.insert(tid);
+        #[cfg(test)]
+        {
+            self.row_notes += 1;
         }
+        self.rows[path.index()].threads.insert_wide(tid);
+        self.threads.insert(tid);
     }
 
     /// Fold in another aggregate over the same table: a sum by id.
@@ -452,7 +522,9 @@ pub fn build_entries(
 /// entries in log order, finds each *run* — one thread's consecutive
 /// valid entries — with one scan of the stretch, and feeds the run's slice
 /// to its thread's machine, so nothing is copied and every machine sees
-/// its thread's events in log order. Each call that closes is added to
+/// its thread's events in log order. A run's machine is the one at index
+/// `tid` when that one is `tid`'s, as it is where tids are dense from 0,
+/// and found by binary search otherwise. Each call that closes is added to
 /// the aggregate in place and handed on as a [`ClosedCall`]. An all-zero record
 /// (incomplete, counted) or a zero-address one (torn) is dismissed and
 /// ends a run, as [`reader::group_entries`] dismisses it. Open frames carry
@@ -527,14 +599,7 @@ impl Walker {
                 continue;
             }
             let tid = first.tid;
-            let at = match self.machines.binary_search_by_key(&tid, |(t, _)| *t) {
-                Ok(at) => at,
-                Err(at) => {
-                    self.agg.observe_thread(tid);
-                    self.machines.insert(at, (tid, ResumableStacks::new()));
-                    at
-                }
-            };
+            let at = self.machine_of(tid);
             let rest = &entries[start..];
             let run = rest
                 .iter()
@@ -551,6 +616,29 @@ impl Walker {
             start += run;
         }
         walked as u64
+    }
+
+    /// The index of `tid`'s machine, made on its first run. Tids are
+    /// distinct and the machines tid-sorted, so a machine sits at its own
+    /// tid's index exactly when every lower tid has one: where threads are
+    /// numbered densely from 0, the usual case, that slot is the answer
+    /// and nothing is searched.
+    #[inline]
+    fn machine_of(&mut self, tid: u64) -> usize {
+        let dense = usize::try_from(tid)
+            .ok()
+            .filter(|at| self.machines.get(*at).is_some_and(|(t, _)| *t == tid));
+        if let Some(at) = dense {
+            return at;
+        }
+        match self.machines.binary_search_by_key(&tid, |(t, _)| *t) {
+            Ok(at) => at,
+            Err(at) => {
+                self.agg.observe_thread(tid);
+                self.machines.insert(at, (tid, ResumableStacks::new()));
+                at
+            }
+        }
     }
 
     /// Force-close every open frame at its thread's last counter, the
@@ -920,8 +1008,8 @@ pub struct ProfileMerge {
     /// contribution touched needs.
     stacks: Vec<MergedStack>,
     /// Indexed by name id: the merged thread key of every thread of every
-    /// method row, stack row or call added under that name, ascending.
-    method_threads: Vec<Vec<u64>>,
+    /// method row, stack row or call added under that name.
+    method_threads: Vec<ThreadSet>,
     threads: BTreeSet<u64>,
     total_ticks: u64,
     anomalies: Anomalies,
@@ -951,7 +1039,7 @@ impl ProfileMerge {
 
     /// Note that thread `key` ran method `name`.
     fn note_method_thread(&mut self, name: u32, key: u64) {
-        note_thread(row_at(&mut self.method_threads, name as usize), key);
+        row_at(&mut self.method_threads, name as usize).insert(key);
     }
 
     /// Add process `pid`'s materialized profile. Its thread keys go
@@ -1034,7 +1122,7 @@ impl ProfileMerge {
         memo.extend(paths, symbolizer, space);
         for ((id, _, addr), row) in paths.rows().zip(aggregates.rows.iter().skip(1)) {
             if row.counts.calls > 0 {
-                let keys = row.threads.iter().map(|tid| merged_thread_key(pid, *tid));
+                let keys = row.threads.iter().map(|tid| merged_thread_key(pid, tid));
                 self.add_row(space, memo.by_path[id.index()], addr, &row.counts, keys);
             }
         }
@@ -1072,17 +1160,14 @@ impl ProfileMerge {
             };
             // A row's thread set only grows: unchanged in size, the merge
             // holds all of it.
-            let grown: &[u64] = if row.threads.len() == was.threads {
-                &[]
-            } else {
-                &row.threads
-            };
+            let grown = row.threads.len() != was.threads;
             *was = Folded {
                 counts: row.counts,
                 threads: row.threads.len(),
                 touched: false,
             };
-            let keys = grown.iter().map(|tid| merged_thread_key(pid, *tid));
+            let keys = row.threads.iter().take_while(|_| grown);
+            let keys = keys.map(|tid| merged_thread_key(pid, tid));
             let (at, addr) = (memo.by_path[path.index()], paths.key(path));
             self.add_row(space, at, addr, &delta, keys);
         }
@@ -1112,7 +1197,7 @@ impl ProfileMerge {
         merged.counts.add(counts);
         for key in keys {
             if merged.noted.replace(key) != Some(key) {
-                note_thread(row_at(&mut self.method_threads, name), key);
+                row_at(&mut self.method_threads, name).insert(key);
             }
         }
     }
@@ -1222,7 +1307,7 @@ impl ProfileMerge {
             .into_iter()
             .map(|(id, addr, counts)| {
                 let threads = self.method_threads.get(id as usize);
-                let threads = threads.into_iter().flatten().copied().collect();
+                let threads = threads.into_iter().flat_map(ThreadSet::iter).collect();
                 method_stats(name(id), addr, counts, threads)
             })
             .collect();
@@ -1319,7 +1404,7 @@ impl NameSums {
             sum.inclusive += row.counts.inclusive;
             sum.exclusive += row.counts.exclusive;
             if let Some(tid) = self.tid {
-                let on = |t: &u64| merged_thread_key(0, *t) == tid;
+                let on = |t: u64| merged_thread_key(0, t) == tid;
                 sum.on_tid = sum.on_tid || row.threads.iter().any(on);
             }
         }
@@ -1543,6 +1628,49 @@ mod tests {
 
     fn addr(i: u16) -> u64 {
         debug().entry_addr(i)
+    }
+
+    /// Thread ids from each half of a [`ThreadSet`] and its edges: the
+    /// inline word's, the first wide ones, two that agree with low ones in
+    /// their low 32 bits (as [`merged_thread_key`] reads them), and the
+    /// widest.
+    fn tid() -> impl Strategy<Value = u64> {
+        (0u8..5, 0u64..64).prop_map(|(class, low)| match class {
+            0 => low,
+            1 => 64 + low % 6,
+            2 => 1 << 32,
+            3 => (1 << 32) + 1,
+            _ => u64::MAX,
+        })
+    }
+
+    /// 1 000 calls of one method, on `tids` in turn: all on one row.
+    fn interleaved_calls(tids: &[u64]) -> Vec<LogEntry> {
+        use EventKind::{Call, Return};
+        (0..1_000u64)
+            .flat_map(|i| {
+                let tid = tids[i as usize % tids.len()];
+                [
+                    e(Call, 2 * i, addr(1), tid),
+                    e(Return, 2 * i + 1, addr(1), tid),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn threads_interleaving_on_one_row_are_noted_out_of_line_once_each() {
+        // 33 threads take turns: a low tid is noted inline on every call,
+        // a wide one out of line on its first call here only.
+        for (base, notes) in [(0, 0), (1 << 32, 33)] {
+            let tids: Vec<u64> = (base..base + 33).collect();
+            let mut walker = Walker::new();
+            walker.ingest(&interleaved_calls(&tids), 1, |_, _| {});
+            assert_eq!(walker.agg.rows[1].counts.calls, 1_000);
+            assert!(walker.agg.rows[1].threads.iter().eq(tids.iter().copied()));
+            assert!(walker.thread_ids().eq(tids.iter().copied()));
+            assert_eq!(walker.agg.row_notes, notes, "tids from {base}");
+        }
     }
 
     #[test]
@@ -2055,7 +2183,7 @@ mod tests {
                 merge.add_since(&mut space, pid, walker, mark, &sym, memo);
             }
         }
-        let noted: usize = merge.method_threads.iter().map(Vec::len).sum();
+        let noted: usize = merge.method_threads.iter().map(ThreadSet::len).sum();
         assert_eq!(noted, 2 * PIDS as usize, "main and work, once per process");
         let work = merge.finish(&mut space);
         let work = work.methods.iter().find(|m| m.name == "work").unwrap();
@@ -2237,13 +2365,14 @@ mod tests {
         })
     }
 
-    /// Walk `threads` through the stack machine the way a session does —
-    /// round-robin over the threads, each fed `cut` events a turn under the
-    /// turn's scale, everything force-closed at the end — handing every
-    /// completed call to `sink(tid, call, scale)`. Returns the orphans.
+    /// Walk `threads`, each a tid and its events, through the stack
+    /// machine the way a session does — round-robin over the threads, each
+    /// fed `cut` events a turn under the turn's scale, everything
+    /// force-closed at the end — handing every completed call to
+    /// `sink(tid, call, scale)`. Returns the orphans.
     fn walk(
         paths: &mut PathTable,
-        threads: &[Vec<Event>],
+        threads: &[(u64, Vec<Event>)],
         cut: usize,
         scales: &[u64],
         mut sink: impl FnMut(u64, ClosedCall, u64),
@@ -2252,19 +2381,19 @@ mod tests {
         let mut orphans = 0;
         let turns = threads
             .iter()
-            .map(|t| t.len().div_ceil(cut))
+            .map(|(_, t)| t.len().div_ceil(cut))
             .max()
             .unwrap_or(0);
         for turn in 0..turns {
             let scale = scales[turn % scales.len()];
-            for (tid, events) in threads.iter().enumerate() {
+            for ((tid, events), stack) in threads.iter().zip(&mut stacks) {
                 let chunk = events.chunks(cut).nth(turn).unwrap_or(&[]);
-                orphans += stacks[tid].feed(paths, chunk, |call| sink(tid as u64, call, scale));
+                orphans += stack.feed(paths, chunk, |call| sink(*tid, call, scale));
             }
         }
         let scale = scales[turns % scales.len()];
-        for (tid, stack) in stacks.iter_mut().enumerate() {
-            stack.finish(|call| sink(tid as u64, call, scale));
+        for ((tid, _), stack) in threads.iter().zip(&mut stacks) {
+            stack.finish(|call| sink(*tid, call, scale));
         }
         orphans
     }
@@ -2288,17 +2417,19 @@ mod tests {
         walker.materialize(sym, pid, dropped)
     }
 
-    /// A hostile log: 1 to 40 threads interleaved in runs of any length,
-    /// each run maybe preceded by an all-zero hole, a torn slot (a zero
-    /// address under a live word) or a zero-address slot with a zero
-    /// counter; the events are [`arbitrary_events`]' mix, so there are
-    /// orphan returns, unwinds and frames left open.
+    /// A hostile log: 1 to 40 threads, their tids drawn from [`tid`],
+    /// interleaved in runs of any length, each run maybe preceded by an
+    /// all-zero hole, a torn slot (a zero address under a live word) or a
+    /// zero-address slot with a zero counter; the events are
+    /// [`arbitrary_events`]' mix, so there are orphan returns, unwinds and
+    /// frames left open.
     fn adversarial_log() -> impl Strategy<Value = Vec<LogEntry>> {
-        let runs = proptest::collection::vec((0u64..40, 0u8..8, arbitrary_events()), 0..60);
-        (1u64..=40, runs).prop_map(|(threads, runs)| {
+        let runs = proptest::collection::vec((0usize..40, 0u8..8, arbitrary_events()), 0..60);
+        let tids = proptest::collection::vec(tid(), 1..=40);
+        (tids, runs).prop_map(|(tids, runs)| {
             let (mut log, mut counter) = (Vec::new(), 0u64);
-            for (tid, slot, events) in runs {
-                let tid = tid % threads;
+            for (pick, slot, events) in runs {
+                let tid = tids[pick % tids.len()];
                 match slot {
                     0 => log.push(e(EventKind::Return, 0, 0, 0)),
                     1 => log.push(e(EventKind::Call, counter + 1, 0, tid)),
@@ -2329,8 +2460,29 @@ mod tests {
         }
 
         #[test]
+        fn prop_thread_sets_answer_as_a_btree_set_does(
+            tids in proptest::collection::vec(tid(), 0..80),
+            others in proptest::collection::vec(tid(), 0..20),
+        ) {
+            let (mut set, mut want) = (ThreadSet::default(), BTreeSet::new());
+            for tid in tids {
+                prop_assert_eq!(set.insert(tid), want.insert(tid));
+                prop_assert_eq!(set.len(), want.len());
+                prop_assert!(set.iter().eq(want.iter().copied()));
+            }
+            let mut other = ThreadSet::default();
+            for tid in &others {
+                other.insert(*tid);
+            }
+            set.extend(&other);
+            want.extend(others);
+            prop_assert_eq!(set.len(), want.len());
+            prop_assert!(set.iter().eq(want.iter().copied()));
+        }
+
+        #[test]
         fn prop_aggregates_equal_the_path_keyed_reference(
-            threads in proptest::collection::vec(arbitrary_events(), 1..4),
+            threads in proptest::collection::vec((tid(), arbitrary_events()), 1..4),
             cut in 1usize..40,
             scales in proptest::collection::vec(1u64..4, 1..4),
         ) {

@@ -60,26 +60,36 @@ impl PathId {
 /// Rows are only ever appended, parent before child, so an id stays valid
 /// for the table's life and `parent(id) < id` for every id but the root's.
 ///
-/// Every stack also remembers the last child it was asked for — its key
-/// and id — and [`PathTable::child`] checks that hint before the map: a
-/// loop that calls the same callee again, the common case, costs a
-/// compare. The map, keyed with the default (SipHash) hasher, stays the
-/// fallback for every miss.
+/// Every stack also remembers the last four children it was asked for —
+/// key and id each, the oldest replaced first — and
+/// [`PathTable::child`] checks them before the map: a loop that calls the
+/// same callee again, or a caller that cycles among up to four callees,
+/// costs a few compares. The map stays the fallback for every miss, keyed
+/// with the default (SipHash) hasher: a daemon interns addresses read from
+/// files other processes write.
 #[derive(Debug, Clone)]
 pub struct PathTable {
     index: HashMap<(PathId, u64), PathId>,
     nodes: Vec<Node>,
+    /// Lookups that missed the hints and reached the map.
+    #[cfg(test)]
+    map_lookups: u64,
 }
 
+/// How many children each stack's hint remembers.
+const HINTS: usize = 4;
+
 /// One row of a [`PathTable`]: the stack's `(parent, key)`, and the hint
-/// of its last child lookup (`hint_child` is [`PathId::ROOT`] until the
-/// first: the root is no stack's child).
+/// of its last [`HINTS`] child lookups (a slot whose child is
+/// [`PathId::ROOT`] is empty: the root is no stack's child), `next` the
+/// slot the next miss fills.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     parent: PathId,
     key: u64,
-    hint_key: u64,
-    hint_child: PathId,
+    hint_keys: [u64; HINTS],
+    hint_children: [PathId; HINTS],
+    next: u8,
 }
 
 impl Node {
@@ -87,8 +97,9 @@ impl Node {
         Node {
             parent,
             key,
-            hint_key: 0,
-            hint_child: PathId::ROOT,
+            hint_keys: [0; HINTS],
+            hint_children: [PathId::ROOT; HINTS],
+            next: 0,
         }
     }
 }
@@ -98,6 +109,8 @@ impl Default for PathTable {
         PathTable {
             index: HashMap::new(),
             nodes: vec![Node::new(PathId::ROOT, u64::MAX)],
+            #[cfg(test)]
+            map_lookups: 0,
         }
     }
 }
@@ -114,24 +127,32 @@ impl PathTable {
     #[inline]
     pub fn child(&mut self, parent: PathId, key: u64) -> PathId {
         let node = &self.nodes[parent.index()];
-        if node.hint_key == key && node.hint_child != PathId::ROOT {
-            return node.hint_child;
+        for (hint_key, hint_child) in node.hint_keys.iter().zip(&node.hint_children) {
+            if *hint_key == key && *hint_child != PathId::ROOT {
+                return *hint_child;
+            }
         }
         self.child_past_hint(parent, key)
     }
 
-    /// [`PathTable::child`] when the hint misses: the map, and the hint
-    /// set to the answer. Kept out of line, so the hinted lookup inlines
-    /// into the walk.
+    /// [`PathTable::child`] when the hint misses: the map, and the answer
+    /// put in the hint's oldest slot. Kept out of line, so the hinted
+    /// lookup inlines into the walk.
     #[inline(never)]
     fn child_past_hint(&mut self, parent: PathId, key: u64) -> PathId {
+        #[cfg(test)]
+        {
+            self.map_lookups += 1;
+        }
         let next = PathId(u32::try_from(self.nodes.len()).expect("fewer than 2^32 stacks"));
         let id = *self.index.entry((parent, key)).or_insert(next);
         if id == next {
             self.nodes.push(Node::new(parent, key));
         }
         let node = &mut self.nodes[parent.index()];
-        (node.hint_key, node.hint_child) = (key, id);
+        let slot = usize::from(node.next);
+        (node.hint_keys[slot], node.hint_children[slot]) = (key, id);
+        node.next = ((slot + 1) % HINTS) as u8;
         id
     }
 
@@ -577,6 +598,23 @@ mod tests {
         assert!(calls.calls[0].truncated);
         assert_eq!(calls.calls[1].addr, 0xA);
         assert!(!calls.calls[1].truncated);
+    }
+
+    #[test]
+    fn a_stack_cycling_among_four_callees_reaches_the_map_once_each() {
+        // The empty stack opens a, b, c, d in turn, 1 000 calls in all:
+        // only each callee's first open is a lookup past the hint.
+        let mut trace = Vec::new();
+        for i in 0..1_000u64 {
+            let callee = 0xA + i % 4;
+            trace.push(ev(Call, 2 * i, callee));
+            trace.push(ev(Return, 2 * i + 1, callee));
+        }
+        let mut paths = PathTable::new();
+        let mut calls = 0;
+        ResumableStacks::new().feed(&mut paths, &trace, |_| calls += 1);
+        assert_eq!((calls, paths.rows().count()), (1_000, 4));
+        assert_eq!(paths.map_lookups, 4);
     }
 
     /// Generate a random well-nested trace and check global invariants.

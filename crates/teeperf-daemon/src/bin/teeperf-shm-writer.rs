@@ -3,6 +3,8 @@
 //! as real OS child processes; each registers `<pid>.tplog` (+ `<pid>.sym`)
 //! in the shared directory and publishes a deterministic `main → work →
 //! leaf` call tree, one slot write and one tail store per event.
+//! `--tids a,b,…` deals the rounds out over those threads in turn, `main`'s
+//! call and return on the first (default: every entry on thread 0).
 //!
 //! `teeperf-shm-writer --help` lists the flags.
 //!
@@ -25,6 +27,7 @@ struct Args {
     dir: PathBuf,
     pid: u64,
     iterations: u64,
+    tids: Vec<u64>,
     capacity: u64,
     interval: Duration,
     hold: bool,
@@ -40,6 +43,11 @@ const WRITER: Command = Command {
         Flag::value("dir", "<dir>", "registration directory (required)"),
         Flag::value("pid", "<n>", "register as this pid (default: own)"),
         Flag::value("iterations", "<n>", "call-tree rounds (default 10)"),
+        Flag::value(
+            "tids",
+            "<a,b,...>",
+            "threads the rounds are dealt to in turn, main on the first (default 0)",
+        ),
         Flag::value("capacity", "<n>", "log entries (default 4096)"),
         Flag::value("interval-ms", "<n>", "sleep between rounds"),
         Flag::switch("hold", "stay alive, log ACTIVE, until killed"),
@@ -53,6 +61,13 @@ fn args(parsed: &Parsed) -> Result<Args, String> {
         dir: parsed.path("dir").ok_or("--dir is required")?,
         pid: parsed.num("pid")?.unwrap_or(u64::from(std::process::id())),
         iterations: parsed.num("iterations")?.unwrap_or(10),
+        tids: match parsed.text("tids") {
+            None => vec![0],
+            Some(list) => list
+                .split(',')
+                .map(|tid| tid.parse().map_err(|_| format!("bad --tids entry '{tid}'")))
+                .collect::<Result<_, _>>()?,
+        },
         capacity: parsed.num("capacity")?.unwrap_or(4096),
         interval: Duration::from_millis(parsed.num("interval-ms")?.unwrap_or(0)),
         hold: parsed.switch("hold"),
@@ -65,7 +80,9 @@ fn args(parsed: &Parsed) -> Result<Args, String> {
 /// `work` calls `leaf`. Tick layout per iteration: `work` spans 10 ticks
 /// inclusive of `leaf`'s 4, plus 2 of `main`'s own between calls — 12 per
 /// iteration — and `main`'s final bookend tick, so per-pid totals are
-/// exactly predictable: `total_ticks = 12 * iterations + 1`.
+/// exactly predictable: `total_ticks = 12 * iterations + 1` on one thread.
+/// Round `i` runs on `tids[i % tids.len()]`, so on every thread but the
+/// first, `work` is a top-level call.
 fn run(args: &Args) -> Result<(), String> {
     let debug = DebugInfo::from_functions([("main", 4, 1), ("work", 4, 5), ("leaf", 4, 9)]);
     if args.sym {
@@ -80,34 +97,35 @@ fn run(args: &Args) -> Result<(), String> {
         debug.entry_addr(1),
         debug.entry_addr(2),
     );
-    let mut write = |kind: EventKind, counter: u64, addr: u64| {
+    let mut write = |kind: EventKind, counter: u64, addr: u64, tid: u64| {
         w.write(&LogEntry {
             kind,
             counter,
             addr,
-            tid: 0,
+            tid,
         })
         .map(|_| ())
         .map_err(|e| format!("write: {e}"))
     };
+    let main_tid = args.tids[0];
     let mut t = 1;
-    write(EventKind::Call, t, main_a)?;
-    for _ in 0..args.iterations {
+    write(EventKind::Call, t, main_a, main_tid)?;
+    for tid in args.tids.iter().cycle().take(args.iterations as usize) {
         t += 1;
-        write(EventKind::Call, t, work_a)?;
+        write(EventKind::Call, t, work_a, *tid)?;
         t += 3;
-        write(EventKind::Call, t, leaf_a)?;
+        write(EventKind::Call, t, leaf_a, *tid)?;
         t += 4;
-        write(EventKind::Return, t, leaf_a)?;
+        write(EventKind::Return, t, leaf_a, *tid)?;
         t += 3;
-        write(EventKind::Return, t, work_a)?;
+        write(EventKind::Return, t, work_a, *tid)?;
         t += 1;
         if !args.interval.is_zero() {
             std::thread::sleep(args.interval);
         }
     }
     t += 1;
-    write(EventKind::Return, t, main_a)?;
+    write(EventKind::Return, t, main_a, main_tid)?;
     if args.hold {
         // Stay alive with the log still ACTIVE until killed: the scripted
         // crashed/hung writer. (Sleep-loop, not park: no wakeups wanted.)

@@ -528,6 +528,54 @@ fn windowed_queries_answer_time_travel_over_live_writers() {
 }
 
 #[test]
+fn a_writer_dealing_rounds_to_two_threads_is_served_per_thread() {
+    let _guard = hang_guard("a_writer_dealing_rounds_to_two_threads_is_served_per_thread");
+    let dir = scratch("tids");
+    let daemon = DaemonProc::spawn(&dir.0, &["--window-interval", "12", "--retain", "16"]);
+    // Rounds 0, 2, 4 run on tid 1 under main, rounds 1, 3, 5 on tid 70
+    // (a thread id past a row's inline set) as top-level calls.
+    let mut writer = spawn_writer(&dir.0, 6, &["--tids", "1,70"]);
+    let pid = u64::from(writer.id());
+    assert!(writer.wait().expect("wait writer").success());
+
+    let text = poll_until(60, "the writer drained", || {
+        let (code, text) = daemon.get(&format!("/pid/{pid}"));
+        (code == 200 && summary(&text).events == entries_for(6)).then_some(text)
+    });
+    let (rows, _) = offline_rows(&dir.0, pid, false);
+    assert_eq!(rows, served_rows(&text));
+    assert!(text.contains("work 6 60 36"), "{text}");
+    // Each thread's query lists its own names: main ran on tid 1 only.
+    for (tid, main) in [(1, true), (70, false)] {
+        let (code, body) = daemon.get(&format!("/query?windows=all&tid={tid}"));
+        assert_eq!(code, 200);
+        let names: Vec<&str> = body
+            .lines()
+            .skip_while(|l| *l != "[methods]")
+            .skip(1)
+            .filter_map(|l| l.split(' ').next())
+            .collect();
+        assert!(
+            names.contains(&"work") && names.contains(&"leaf"),
+            "tid {tid}: {body}"
+        );
+        assert_eq!(names.contains(&"main"), main, "tid {tid}: {body}");
+    }
+
+    let out = Command::new(env!("CARGO_BIN_EXE_teeperf-shm-writer"))
+        .arg("--dir")
+        .arg(&dir.0)
+        .args(["--tids", "1,x"])
+        .output()
+        .expect("run writer");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "a bad --tids entry is a usage error"
+    );
+}
+
+#[test]
 fn writer_binary_rejects_bad_usage() {
     let _guard = hang_guard("writer_binary_rejects_bad_usage");
     let out = Command::new(env!("CARGO_BIN_EXE_teeperf-shm-writer"))

@@ -294,6 +294,20 @@ tmo 60 bash -c "$(declare -f cli_smoke); cli_smoke"
 # in-process tier) from rotting.
 tmo 60 scripts/cmp_live.sh target/debug/teeperf target/debug/teeperf
 
+# Batch determinism: the seven Phoenix programs recorded once, then every
+# batch output scripts/cmp_cli.sh names (267: analyze, query, flamegraph
+# and diff, one and several analyzer threads, salvaged and cut) made
+# twice by the release `teeperf` and compared byte for byte. Keeps the
+# parent-vs-change check of the batch analyzer from rotting.
+if [ "$mode" != "quick" ]; then
+  run cargo build -q --release --offline -p teeperf-cli
+  run cargo build -q --release --offline --example record_phoenix
+  recordings="$(mktemp -d)"
+  tmo 120 target/release/examples/record_phoenix "$recordings" > /dev/null
+  tmo 120 scripts/cmp_cli.sh target/release/teeperf target/release/teeperf "$recordings"
+  rm -rf "$recordings"
+fi
+
 # Regime smoke (ISSUE 10): a calm -> storm -> recovery overload ramp
 # through the budgeted fidelity controller. The bin exits non-zero unless
 # the budgeted session degrades into Sampled during the storm, settles

@@ -5,10 +5,11 @@
 #   scripts/cmp_fleet.sh <parent teeperfd> <change teeperfd> <teeperf-shm-writer>
 #
 # Both daemons watch the same registration directory, so they attach the
-# same <pid>.tplog files of the same five teeperf-shm-writer processes
-# (four finish, one is SIGKILLed and quarantined), with retention on. One
+# same <pid>.tplog files of the same six teeperf-shm-writer processes
+# (five finish, one is SIGKILLed and quarantined), with retention on. One
 # log holds 80 002 entries, which a daemon's first pump drains in twenty
-# bulk reads.
+# bulk reads; one deals its rounds to threads 1 and 70, so a row's thread
+# set holds a tid of each kind (below 64, and 64 or more).
 # Every body — /snapshot, fleet and per-pid /query spans and diffs,
 # /windows, /pid/<n> and /flame.svg?pid=<n> of a live and of the retired
 # pid, /flame.svg, /metrics, the --snapshot-out file — must compare equal
@@ -16,7 +17,8 @@
 # /pid/<n>, /flame.svg?pid=<n> and /query?windows=all&pid=<n>. The /query
 # bodies cover every clause a ranked query takes: windows= last, a range
 # (read off /windows) and all; pid= of a live and of the retired pid;
-# tid=, method=, by= each column, and top= N and 0. The diff= bodies
+# tid= 0, 1 and 70 (the last two must list methods), method=, by= each
+# column, and top= N and 0. The diff= bodies
 # cover two windows either way round, a window against itself, a window
 # no session holds (404: the change must answer it), pid= of a live and
 # of the retired pid, and a diff carrying ranked clauses, which the change
@@ -35,6 +37,7 @@ get() { curl -s -o "$2" -w '%{http_code}' "http://$1$3"; }
 "$writer" --dir "$reg" --iterations 5
 "$writer" --dir "$reg" --iterations 9
 "$writer" --dir "$reg" --iterations 20000 --capacity 81920
+"$writer" --dir "$reg" --iterations 6 --tids 1,70
 "$writer" --dir "$reg" --iterations 3 --hold & doomed=$!
 while [ ! -e "$reg/$doomed.tplog" ]; do sleep 0.05; done; sleep 0.3
 
@@ -49,7 +52,7 @@ for side in parent change; do
   addr[$side]=$(sed -n 's/.*listening on //p' "$dir/$side.out")
 done
 
-want=$(( (2 + 4*7) + (2 + 4*5) + (2 + 4*9) + (2 + 4*20000) + (2 + 4*3) ))
+want=$(( (2 + 4*7) + (2 + 4*5) + (2 + 4*9) + (2 + 4*20000) + (2 + 4*6) + (2 + 4*3) ))
 for side in parent change; do
   until get "${addr[$side]}" "$dir/$side.body" /snapshot >/dev/null \
         && grep -q "^events $want\$" "$dir/$side.body"; do sleep 0.05; done
@@ -73,7 +76,7 @@ range=$(awk '$3 == "window" { split($4, w, /\.\.=/); n++
 for path in /snapshot '/query?windows=last:5&top=10' '/query?diff=1,2' /windows \
             "/query?windows=all&pid=$alive" "/query?diff=1,2&pid=$alive" \
             "/query?windows=all&pid=$doomed" "/query?windows=last:5&pid=$doomed" \
-            '/query?windows=all&tid=0' '/query?windows=all&tid=1' \
+            '/query?windows=all&tid=0' '/query?windows=all&tid=1' '/query?windows=all&tid=70' \
             '/query?windows=all&method=or' '/query?windows=last:5&by=total' \
             '/query?windows=all&by=calls&top=0' "/query?windows=$range" \
             '/query?diff=2,1' '/query?diff=3,3' '/query?diff=1,99' \
@@ -100,6 +103,11 @@ for path in /snapshot '/query?windows=last:5&top=10' '/query?diff=1,2' /windows 
   # A diff carrying a ranked clause is refused.
   case $path in '/query?diff=1,2&by=calls&top=1' | '/query?diff=1,2&tid=1&method=or&by=calls&top=1')
     [ "$cc" = 400 ] || { echo "NOT 400 change $cc  $path"; status=1; } ;;
+  esac
+  # A thread of each kind has rows of its own.
+  case $path in '/query?windows=all&tid=1' | '/query?windows=all&tid=70')
+    [ -n "$(sed -n '/^\[methods\]$/,$p' "$dir/change.body" | sed 1d)" ] \
+      || { echo "NO METHODS change  $path"; status=1; } ;;
   esac
   # A window no session holds is not found.
   if [ "$path" = '/query?diff=1,99' ] && [ "$cc" != 404 ]; then
