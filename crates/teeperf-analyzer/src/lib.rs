@@ -69,13 +69,10 @@ use teeperf_core::LogFile;
 pub struct Analyzer {
     log: LogFile,
     symbolizer: Symbolizer,
-    threads: usize,
 }
 
 impl Analyzer {
-    /// Validate the log and bind it to the binary's debug info. Analysis
-    /// defaults to one shard, the walk over the log where it lies; see
-    /// [`Analyzer::with_analyzer_threads`].
+    /// Validate the log and bind it to the binary's debug info.
     ///
     /// # Errors
     /// Returns [`reader::validate`]'s error: an untrustworthy header (an
@@ -84,24 +81,13 @@ impl Analyzer {
     pub fn new(log: LogFile, debug: DebugInfo) -> Result<Analyzer, AnalyzeError> {
         reader::validate(&log)?;
         let symbolizer = Symbolizer::new(debug, &log.header);
-        Ok(Analyzer {
-            log,
-            symbolizer,
-            threads: 1,
-        })
+        Ok(Analyzer { log, symbolizer })
     }
 
-    /// Set the number of analyzer shards (worker threads) used by
-    /// [`Analyzer::profile`]. `0` means one per available core; `1`, the
-    /// default, is the sequential walk. The profile is byte-identical at
-    /// every setting.
+    /// Returns `self` unchanged: the analysis is one pass, whatever
+    /// `threads` says. Kept only because the benchmark still calls it.
     #[must_use]
-    pub fn with_analyzer_threads(mut self, threads: usize) -> Analyzer {
-        self.threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            threads
-        };
+    pub fn with_analyzer_threads(self, _threads: usize) -> Analyzer {
         self
     }
 
@@ -115,10 +101,10 @@ impl Analyzer {
         &self.symbolizer
     }
 
-    /// Build the full method-level profile, sharded over the configured
-    /// number of analyzer threads, reading the log's entries in place.
+    /// Build the full method-level profile: one [`Walker`] pass over the
+    /// log's entries where they lie.
     pub fn profile(&self) -> Profile {
-        profile::build_with_shards(&self.log, &self.symbolizer, self.threads)
+        profile::build(&self.log, &self.symbolizer)
     }
 
     /// Raw events as a queryable dataframe with columns

@@ -1,5 +1,4 @@
-//! Method-level profile aggregation — sequential or sharded across worker
-//! threads.
+//! Method-level profile aggregation.
 //!
 //! The pass is the paper's: walk each thread's events through the stack
 //! machine, and add every call to an [`Aggregates`] as it closes
@@ -13,14 +12,10 @@
 //!
 //! Threads in a log are independent by construction (the recorder holds
 //! each thread until its entry is written, so per-thread order is program
-//! order), which makes the pass embarrassingly parallel: group the entries
-//! per thread, shard the threads over workers, run it per shard — each
-//! shard with a table of its own — then adopt the shards' tables into one
-//! and add their rows under the translation. Every aggregate operation is
-//! commutative and associative and every output table is in a total
-//! order, so the sharded result is byte-identical to the walker's, which
-//! meets the stacks in another order — the invariant `build_with_shards`
-//! is tested against.
+//! order), and every output table is in a total order, so how the threads'
+//! runs interleave in the log changes nothing: the walk of a log equals
+//! the walk of the same log with each thread's events regrouped into one
+//! run.
 //!
 //! A [`Profile`] is made in one place, [`ProfileMerge::finish`], whatever
 //! the number of processes. Across processes an address means nothing —
@@ -47,7 +42,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use crate::query::frame::Frame;
 use crate::query::windowed::MethodRow;
-use crate::reader::{self, Event};
+use crate::reader;
 use crate::stacks::{ClosedCall, PathId, PathTable, ResumableStacks};
 use crate::symbolize::Symbolizer;
 use teeperf_core::layout::LogEntry;
@@ -328,15 +323,15 @@ fn method_stats(name: String, addr: u64, counts: Counts, threads: BTreeSet<u64>)
 /// Aggregation state over completed calls: one row of counters per stack,
 /// indexed by the [`PathId`] the stack machine interned the stack under.
 ///
-/// This is the merge kernel shared by the batch analyzer (one per shard)
+/// This is the merge kernel shared by the batch analyzer (one per log)
 /// and `teeperf-live` (a session's rolling aggregate and every retained
 /// window, all over the session's one [`PathTable`]): adding a call indexes
 /// a row, and the method, folded-stack and caller-edge tables are grouped
 /// out of the rows — and symbolized — only when a [`ProfileMerge`] is read.
 /// An aggregate does not hold its table; whoever fed the stack machine
 /// does, and lends it where ids must mean something. Merging is
-/// commutative and associative — the property that makes shard merge order
-/// irrelevant and any set of windows summable.
+/// commutative and associative — the property that makes any set of
+/// windows summable.
 #[derive(Debug, Clone, Default)]
 pub struct Aggregates {
     /// As long as the highest id a call was added under needs.
@@ -417,20 +412,9 @@ impl Aggregates {
 
     /// Fold in another aggregate over the same table: a sum by id.
     pub fn merge(&mut self, other: &Aggregates) {
-        self.merge_rows(other, |index| index);
-    }
-
-    /// Fold in an aggregate over another table, `translation` (what
-    /// [`PathTable::adopt`] returned for that table) giving each of its
-    /// ids in this aggregate's.
-    pub fn merge_translated(&mut self, other: &Aggregates, translation: &[PathId]) {
-        self.merge_rows(other, |index| translation[index].index());
-    }
-
-    fn merge_rows(&mut self, other: &Aggregates, translate: impl Fn(usize) -> usize) {
         for (index, row) in other.rows.iter().enumerate() {
             if row.counts.calls > 0 {
-                row_at(&mut self.rows, translate(index)).add_row(row);
+                row_at(&mut self.rows, index).add_row(row);
             }
         }
         self.threads.extend(&other.threads);
@@ -439,80 +423,31 @@ impl Aggregates {
     }
 }
 
-/// The pass over one shard of grouped threads: walk each thread's events
-/// through the stack machine and add every call to the shard's aggregate
-/// as it closes. The shard's threads share the table it returns.
-fn analyze_shard(threads: &[(u64, &[Event])]) -> (PathTable, Aggregates) {
-    let (mut paths, mut agg) = (PathTable::new(), Aggregates::new());
-    for (tid, events) in threads {
-        agg.observe_thread(*tid);
-        let mut stacks = ResumableStacks::new();
-        let mut add = |call| agg.add_call(*tid, call, 1);
-        let orphans = stacks.feed(&mut paths, events, &mut add);
-        stacks.finish(add);
-        agg.orphan_returns += orphans;
-    }
-    (paths, agg)
-}
-
-/// Deterministically partition `loads` (per-item work estimates, e.g.
-/// event counts per thread) into `shards` buckets, balancing bucket totals
-/// with longest-processing-time-first: items are placed heaviest first
-/// into the currently lightest bucket (all ties broken by index). Returns
-/// the item indices per bucket.
-fn partition_by_load(loads: &[usize], shards: usize) -> Vec<Vec<usize>> {
-    let shards = shards.max(1).min(loads.len().max(1));
-    let mut order: Vec<usize> = (0..loads.len()).collect();
-    order.sort_by_key(|i| (std::cmp::Reverse(loads[*i]), *i));
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    let mut totals = vec![0usize; shards];
-    for i in order {
-        let lightest = (0..shards)
-            .min_by_key(|s| (totals[*s], *s))
-            .expect("at least one shard");
-        totals[lightest] += loads[i];
-        buckets[lightest].push(i);
-    }
-    buckets
-}
-
-/// Build the profile for a validated log (sequential).
+/// Build the profile for a validated log.
 pub fn build(log: &LogFile, symbolizer: &Symbolizer) -> Profile {
-    build_with_shards(log, symbolizer, 1)
-}
-
-/// Build the profile, fanning per-thread reconstruction and aggregation
-/// out over `shards` scoped worker threads. Threads are assigned to shards
-/// by event-count balance; the merged result is byte-identical to the
-/// sequential build (`shards <= 1`).
-pub fn build_with_shards(log: &LogFile, symbolizer: &Symbolizer, shards: usize) -> Profile {
     build_entries(
         &log.entries,
         log.header.pid,
         log.header.dropped_entries(),
         symbolizer,
-        shards,
+        1,
     )
 }
 
 /// Build the profile over raw entries from process `pid` (the core of
-/// [`build_with_shards`]). One shard feeds them to a [`Walker`] where they
-/// lie; more group them per thread first and fork.
+/// [`build`]): one [`Walker`] pass over the entries where they lie. The
+/// last parameter is ignored; it is kept only because the benchmark still
+/// passes it.
 pub fn build_entries(
     entries: &[LogEntry],
     pid: u64,
     dropped: u64,
     symbolizer: &Symbolizer,
-    shards: usize,
+    _threads: usize,
 ) -> Profile {
-    let walker = if shards <= 1 {
-        let mut walker = Walker::new();
-        walker.ingest(entries, 1, |_, _| {});
-        walker.finish(1, |_, _| {});
-        walker
-    } else {
-        build_sharded(entries, shards)
-    };
+    let mut walker = Walker::new();
+    walker.ingest(entries, 1, |_, _| {});
+    walker.finish(1, |_, _| {});
     walker.materialize(symbolizer, pid, dropped)
 }
 
@@ -653,85 +588,6 @@ impl Walker {
             });
         }
     }
-}
-
-/// The sharded pass: group the entries per thread, split the threads over
-/// `shards` buckets and run [`analyze_shard`] per bucket (on up to
-/// [`shard_workers`] scoped threads), then adopt the buckets' tables into
-/// one: a [`Walker`] of the whole log, its threads finished, that
-/// materializes byte-identically to the one the sequential build runs.
-fn build_sharded(entries: &[LogEntry], shards: usize) -> Walker {
-    let grouped = reader::group_entries(entries);
-    let threads: Vec<(u64, Vec<Event>)> = grouped.threads.into_iter().collect();
-    let loads: Vec<usize> = threads.iter().map(|(_, events)| events.len()).collect();
-    let partition = partition_by_load(&loads, shards);
-    let bucket_views = |bucket: &[usize]| -> Vec<(u64, &[Event])> {
-        bucket
-            .iter()
-            .map(|i| (threads[*i].0, threads[*i].1.as_slice()))
-            .collect()
-    };
-    // The shard count is a *partitioning* knob (it fixes which threads
-    // aggregate together, hence the output); the OS-thread count is a
-    // resource knob. Capping workers at the host's parallelism keeps
-    // an over-sharded build from paying spawn/switch overhead with no
-    // cores to run on — on a one-core host the build stays fully
-    // sequential while still merging in bucket order, so the result is
-    // byte-identical whatever the worker count.
-    let workers = shard_workers(partition.len());
-    let results: Vec<(PathTable, Aggregates)> = if workers <= 1 {
-        partition
-            .iter()
-            .map(|bucket| analyze_shard(&bucket_views(bucket)))
-            .collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let partition = &partition;
-                    let bucket_views = &bucket_views;
-                    scope.spawn(move || {
-                        partition
-                            .iter()
-                            .enumerate()
-                            .skip(w)
-                            .step_by(workers)
-                            .map(|(index, bucket)| (index, analyze_shard(&bucket_views(bucket))))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let mut ordered: Vec<Option<(PathTable, Aggregates)>> = Vec::new();
-            ordered.resize_with(partition.len(), || None);
-            for handle in handles {
-                for (index, output) in handle.join().expect("analyzer shard panicked") {
-                    ordered[index] = Some(output);
-                }
-            }
-            ordered
-                .into_iter()
-                .map(|output| output.expect("every bucket is analyzed exactly once"))
-                .collect()
-        })
-    };
-    // Each shard numbered the stacks it met its own way: adopt its table
-    // into the merged one, then its rows follow the translation.
-    let mut walker = Walker::new();
-    for (shard_paths, shard_agg) in &results {
-        let translation = walker.paths.adopt(shard_paths);
-        walker.agg.merge_translated(shard_agg, &translation);
-    }
-    walker.incomplete = grouped.incomplete;
-    walker
-}
-
-/// Number of OS worker threads a `shards`-way build actually spawns: the
-/// shard count clamped to the host's available parallelism (1 if that
-/// cannot be determined).
-fn shard_workers(shards: usize) -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(shards.max(1))
 }
 
 /// Key for a thread of process `pid` in a cross-process merged profile:
@@ -1587,6 +1443,7 @@ pub fn events_frame(log: &LogFile, symbolizer: &Symbolizer) -> Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reader::Event;
     use mcvm::DebugInfo;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
@@ -1764,54 +1621,6 @@ mod tests {
         assert_eq!(work.inclusive, 20 + 30);
         assert_eq!(work.threads.len(), 2);
         assert_eq!(p.anomalies.orphan_returns, 0);
-    }
-
-    #[test]
-    fn sharded_build_is_byte_identical_to_sequential() {
-        use EventKind::{Call, Return};
-        // Four threads with different shapes: nesting, recursion, an
-        // orphan return, and a truncated frame.
-        let log = make_log(vec![
-            e(Call, 0, addr(0), 0),
-            e(Call, 1, addr(1), 1),
-            e(Return, 2, addr(2), 2), // orphan on thread 2
-            e(Call, 3, addr(1), 3),
-            e(Call, 10, addr(1), 0),
-            e(Call, 12, addr(1), 3), // recursion on thread 3
-            e(Return, 20, addr(1), 0),
-            e(Return, 25, addr(1), 1),
-            e(Call, 30, addr(2), 2),
-            e(Return, 40, addr(2), 2),
-            e(Return, 44, addr(1), 3),
-            e(Return, 60, addr(0), 0),
-            e(Call, 70, addr(2), 1), // never returns on thread 1
-        ]);
-        let sequential = build(&log, &Symbolizer::without_relocation(debug()));
-        for shards in [2, 3, 4, 8] {
-            let parallel =
-                build_with_shards(&log, &Symbolizer::without_relocation(debug()), shards);
-            assert_eq!(parallel, sequential, "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn partition_by_load_balances_and_is_deterministic() {
-        let loads = [100, 1, 1, 1, 97, 1, 1, 1];
-        let p = partition_by_load(&loads, 2);
-        assert_eq!(p.len(), 2);
-        let total = |bucket: &Vec<usize>| -> usize { bucket.iter().map(|i| loads[*i]).sum() };
-        let (a, b) = (total(&p[0]), total(&p[1]));
-        assert_eq!(a + b, 203);
-        assert!(a.abs_diff(b) <= 3, "{a} vs {b}");
-        assert_eq!(p, partition_by_load(&loads, 2), "deterministic");
-        // Every index appears exactly once.
-        let mut all: Vec<usize> = p.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..loads.len()).collect::<Vec<_>>());
-        // Degenerate shapes: empty input yields one empty bucket, and
-        // requesting more shards than items clamps to the item count.
-        assert_eq!(partition_by_load(&[], 4), vec![Vec::<usize>::new()]);
-        assert_eq!(partition_by_load(&[7, 7], 8).len(), 2);
     }
 
     #[test]
@@ -2084,9 +1893,6 @@ mod tests {
             .map(|c| (c.caller.as_str(), c.callee.as_str(), c.calls))
             .collect();
         assert_eq!(edges, [("main", "work", 1), ("<root>", "work", 1)]);
-        for shards in 2..=3 {
-            assert_eq!(build_entries(&log.entries, 7, 0, &sym, shards), p);
-        }
     }
 
     #[test]
@@ -2398,22 +2204,24 @@ mod tests {
         orphans
     }
 
-    /// What the sequential build was before it walked in place: group the
-    /// entries per thread, then run one shard over all of them.
+    /// What the build was before it walked in place: group the entries
+    /// per thread, then walk each thread's events whole, one thread after
+    /// another.
     fn grouped_walk(entries: &[LogEntry], pid: u64, dropped: u64, sym: &Symbolizer) -> Profile {
         let grouped = reader::group_entries(entries);
-        let views: Vec<(u64, &[Event])> = grouped
-            .threads
-            .iter()
-            .map(|(tid, events)| (*tid, events.as_slice()))
-            .collect();
-        let (paths, agg) = analyze_shard(&views);
-        let walker = Walker {
-            paths,
-            agg,
+        let mut walker = Walker {
             incomplete: grouped.incomplete,
             ..Walker::default()
         };
+        for (tid, events) in &grouped.threads {
+            walker.agg.observe_thread(*tid);
+            let mut stacks = ResumableStacks::new();
+            let agg = &mut walker.agg;
+            let mut add = |call| agg.add_call(*tid, call, 1);
+            let orphans = stacks.feed(&mut walker.paths, events, &mut add);
+            stacks.finish(add);
+            walker.agg.orphan_returns += orphans;
+        }
         walker.materialize(sym, pid, dropped)
     }
 
@@ -2447,16 +2255,13 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_the_in_place_walk_equals_the_grouped_walk_and_every_shard_count(
+        fn prop_the_in_place_walk_equals_the_grouped_walk(
             entries in adversarial_log(),
             dropped in 0u64..3,
         ) {
             let sym = Symbolizer::without_relocation(debug());
             let walked = build_entries(&entries, 7, dropped, &sym, 1);
             prop_assert_eq!(&walked, &grouped_walk(&entries, 7, dropped, &sym));
-            for shards in 2..=4 {
-                prop_assert_eq!(&walked, &build_entries(&entries, 7, dropped, &sym, shards));
-            }
         }
 
         #[test]

@@ -108,10 +108,11 @@ pub struct WindowSpec {
     pub pid: Option<u64>,
     /// Substring filter on method names (`method=`).
     pub method: Option<String>,
-    /// Keep only methods observed on this thread (`tid=`) of process
-    /// `pid=`, or of any process when `pid=` is absent. Tick totals stay
-    /// window-scoped — per-method tick attribution by thread is not
-    /// retained, only the per-method thread sets.
+    /// Select which names are listed (`tid=`): those this thread ran, of
+    /// process `pid=`, or of any process when `pid=` is absent. Each
+    /// listed row still carries the name's sums over every thread of the
+    /// selected sessions — per-method ticks by thread are not retained,
+    /// only the per-method thread sets.
     pub tid: Option<u64>,
     /// Truncate to the top `n` rows after ranking (`top=`; 0 = all).
     pub top: usize,

@@ -3,12 +3,11 @@
 //! The grouping copies: every valid entry becomes an [`Event`] in its
 //! thread's list. The analyzer pass does without it — one
 //! `profile::Walker` walks the entries where they lie, one thread's run
-//! of them at a time, for the sequential build and the rolling profile
-//! alike — so [`group_entries`] serves what needs whole per-thread lists:
-//! the sharded build's fork, the events frame of a query, and the
-//! benchmark's trace of this stage. Grouping and walker dismiss records
-//! by the same rule: an all-zero record as incomplete, a zero address as
-//! torn.
+//! of them at a time, for the batch build and the rolling profile alike
+//! — so no product path calls [`group_entries`]: it serves tests that
+//! want whole per-thread lists and the benchmark's trace of this stage.
+//! Grouping and walker dismiss records by the same rule: an all-zero
+//! record as incomplete, a zero address as torn.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -130,7 +129,7 @@ pub fn group_by_thread(log: &LogFile) -> ThreadEvents {
 }
 
 /// Group raw entries by thread, dismissing incomplete records (the core of
-/// [`group_by_thread`], and the sharded profile build's first step).
+/// [`group_by_thread`]).
 ///
 /// Two passes: a counting pass sizes every per-thread vector exactly, then
 /// a fill pass copies events straight through without ever reallocating.

@@ -21,9 +21,7 @@
 //! once, when a call *opens*. A frame carries its [`PathId`] while open and
 //! the closed call hands it on ([`ClosedCall::path`]), so every table
 //! downstream is indexed by that id and nothing hashes a stack again. All
-//! the threads of a session share one table; a row's parent always has the
-//! smaller id, which is what makes translating a table into another one
-//! pass ([`PathTable::adopt`]).
+//! the threads of a session share one table.
 //!
 //! Real logs are imperfect; the reconstruction is deliberately tolerant:
 //!
@@ -55,7 +53,7 @@ impl PathId {
     }
 }
 
-/// The calling-context tree of one session (or one batch shard): every
+/// The calling-context tree of one session (or one batch build): every
 /// distinct stack seen so far, as `(parent stack, innermost address)`.
 /// Rows are only ever appended, parent before child, so an id stays valid
 /// for the table's life and `parent(id) < id` for every id but the root's.
@@ -183,17 +181,6 @@ impl PathTable {
             let node = &self.nodes[i];
             (PathId(i as u32), node.parent, node.key)
         })
-    }
-
-    /// Intern every stack of `other` here and return the translation,
-    /// indexed by `other`'s ids. One pass: a row's parent is translated
-    /// before the row is.
-    pub fn adopt(&mut self, other: &PathTable) -> Vec<PathId> {
-        let mut translation = vec![PathId::ROOT];
-        for (_, parent, key) in other.rows() {
-            translation.push(self.child(translation[parent.index()], key));
-        }
-        translation
     }
 }
 
@@ -753,38 +740,6 @@ mod tests {
                 }
                 prop_assert_eq!(&spelled_calls, &want.calls);
             }
-        }
-
-        #[test]
-        fn prop_adopting_a_table_translates_every_stack(
-            ours in unbalanced_trace(),
-            theirs in unbalanced_trace(),
-        ) {
-            let spell = |paths: &PathTable, mut id: PathId| {
-                let mut stack = Vec::new();
-                while id != PathId::ROOT {
-                    stack.push(paths.key(id));
-                    id = paths.parent(id);
-                }
-                stack
-            };
-            let (mut a, mut b) = (PathTable::new(), PathTable::new());
-            ResumableStacks::new().feed(&mut a, &ours, |_| {});
-            ResumableStacks::new().feed(&mut b, &theirs, |_| {});
-            let before = a.clone();
-            let translation = a.adopt(&b);
-            prop_assert_eq!(translation.len(), b.rows().count() + 1);
-            for (id, _, _) in b.rows() {
-                prop_assert_eq!(spell(&a, translation[id.index()]), spell(&b, id));
-            }
-            // Ids handed out before stay what they were, and adopting
-            // again adds nothing.
-            for (id, _, _) in before.rows() {
-                prop_assert_eq!(spell(&a, id), spell(&before, id));
-            }
-            let stacks = a.rows().count();
-            prop_assert_eq!(a.adopt(&b), translation);
-            prop_assert_eq!(a.rows().count(), stacks);
         }
 
         #[test]

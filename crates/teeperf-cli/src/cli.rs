@@ -59,13 +59,11 @@ const ARCH_FLAGS: &[Flag] = &[
     Flag::value("transition-mode", "<mode>", "classic (default)|switchless"),
 ];
 const BATCH: Flag = Flag::value("batch-slots", "<n>", "log slots per tail RMW (default 1)");
-const SALVAGE: Flag = Flag::value("salvage", "yes|no", "keep a torn log's valid records");
-const THREADS: Flag = Flag::value(
-    "analyzer-threads",
-    "<n>",
-    "shards (default 1; 0 = all cores)",
-);
-const RECORDING_FLAGS: &[Flag] = &[SALVAGE, THREADS];
+const RECORDING_FLAGS: &[Flag] = &[Flag::value(
+    "salvage",
+    "yes|no",
+    "keep a torn log's valid records",
+)];
 
 const COMPILE: Command = Command {
     operands: "<prog.mc>",
@@ -135,7 +133,7 @@ const DIFF_FLAGS: &[Flag] = &[Flag::value("svg", "<file>", "also draw the diff h
 const DIFF: Command = Command {
     operands: "<a.tplog> <a.sym> <b.tplog> <b.sym>",
     about: "compare two recorded logs by exclusive-time share",
-    groups: &[DIFF_FLAGS, &[THREADS]],
+    groups: &[DIFF_FLAGS],
 };
 const BENCH_FLAGS: &[Flag] = &[Flag::value("bench", "<name>", "this benchmark only")];
 const PHOENIX: Command = Command {
@@ -486,7 +484,6 @@ fn load_analyzer(
 ) -> Result<(Analyzer, Option<teeperf_core::SalvageReport>), CliError> {
     let log_path = operand(args, at, "log path")?;
     let sym_path = operand(args, at + 1, "symbol path")?;
-    let threads = args.num("analyzer-threads")?.unwrap_or(1);
     let (log, report) = if salvage {
         let mut src = FileShmSource::open(log_path.as_ref()).map_err(|e| path_err(log_path, e))?;
         let drained = src.drain_to_end();
@@ -501,9 +498,7 @@ fn load_analyzer(
     let text = std::fs::read_to_string(sym_path).map_err(|e| path_err(sym_path, e))?;
     let debug =
         DebugInfo::from_text(&text).ok_or_else(|| path_err(sym_path, "malformed symbol file"))?;
-    let analyzer = Analyzer::new(log, debug)
-        .map_err(|e| err(e.to_string()))?
-        .with_analyzer_threads(threads);
+    let analyzer = Analyzer::new(log, debug).map_err(|e| err(e.to_string()))?;
     Ok((analyzer, report))
 }
 
@@ -845,13 +840,15 @@ mod tests {
         assert_eq!(listed, declared);
 
         // Every command answers --help with one line per flag it declares:
-        // the flags `live` reads are the flags `live --help` lists.
+        // the flags `live` reads are the flags `live --help` lists. The
+        // analysis is one pass, so no command offers a thread count.
         for (name, ..) in COMMANDS {
             let usage = dispatch(&strs(&[name, "--help"])).unwrap();
             assert!(
                 usage.starts_with(&format!("usage: teeperf {name}")),
                 "{usage}"
             );
+            assert!(!usage.contains("threads"), "{name}: {usage}");
         }
         let flags_of = |name: &str| -> Vec<String> {
             dispatch(&strs(&[name, "-h"]))
@@ -881,10 +878,7 @@ mod tests {
             ]
         );
         assert!(flags_of("daemon").contains(&"max-width".to_string()));
-        assert_eq!(
-            flags_of("query"),
-            ["connect", "salvage", "analyzer-threads"]
-        );
+        assert_eq!(flags_of("query"), ["connect", "salvage"]);
         assert!(flags_of("archs").is_empty());
     }
 
@@ -1211,11 +1205,17 @@ mod tests {
         assert!(out.contains("work"));
         assert!(out.contains("main"));
 
-        // The sharded analyzer must render the identical report.
-        let sharded = dispatch(&strs(&["analyze", &log, &sym, "--analyzer-threads", "4"])).unwrap();
-        assert_eq!(sharded, out);
-        let e = dispatch(&strs(&["analyze", &log, &sym, "--analyzer-threads", "x"])).unwrap_err();
-        assert!(e.to_string().contains("analyzer-threads"));
+        // The retired analyzer thread count is refused like any undeclared
+        // flag, by name.
+        let retired = concat!("--analyzer", "-threads");
+        let e = dispatch(&strs(&["analyze", &log, &sym, retired, "4"])).unwrap_err();
+        assert!(
+            e.to_string()
+                .starts_with(&format!("unknown flag {retired}\n")),
+            "{e}"
+        );
+        let unknown = dispatch(&strs(&["analyze", &log, &sym, "--no-such-flag", "4"])).unwrap_err();
+        assert_eq!(e.code, unknown.code);
 
         let out = dispatch(&strs(&[
             "query",

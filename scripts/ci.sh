@@ -295,10 +295,10 @@ tmo 60 bash -c "$(declare -f cli_smoke); cli_smoke"
 tmo 60 scripts/cmp_live.sh target/debug/teeperf target/debug/teeperf
 
 # Batch determinism: the seven Phoenix programs recorded once, then every
-# batch output scripts/cmp_cli.sh names (267: analyze, query, flamegraph
-# and diff, one and several analyzer threads, salvaged and cut) made
-# twice by the release `teeperf` and compared byte for byte. Keeps the
-# parent-vs-change check of the batch analyzer from rotting.
+# batch output scripts/cmp_cli.sh names (89: analyze, query, flamegraph
+# and diff, salvaged and cut) made twice by the release `teeperf` and
+# compared byte for byte. Keeps the parent-vs-change check of the batch
+# analyzer from rotting.
 if [ "$mode" != "quick" ]; then
   run cargo build -q --release --offline -p teeperf-cli
   run cargo build -q --release --offline --example record_phoenix
