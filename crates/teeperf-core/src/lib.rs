@@ -46,7 +46,9 @@
 //!   in a file under `/dev/shm`, one writer per file, published by
 //!   advancing the tail, so genuinely separate OS processes feed one
 //!   consumer without `unsafe` ([`shm_file::FileShmWriter`] /
-//!   [`shm_file::FileShmSource`]).
+//!   [`shm_file::FileShmSource`]). Each writer's tail is stored by its own
+//!   [`publisher::TailPublisher`] thread, within
+//!   [`publisher::PUBLISH_WITHIN`], so a write is one slot store.
 //! * [`api`] — a native-Rust profiling API used by the workload substrates
 //!   (LSM store, SPDK port) that are written in Rust rather than Mini-C;
 //!   it plays the role of linking `profiler.h` into a C++ code base.
@@ -62,6 +64,7 @@ pub mod file;
 pub mod hooks;
 pub mod layout;
 pub mod log;
+pub mod publisher;
 pub mod recorder;
 pub mod shm_file;
 pub mod source;

@@ -18,17 +18,35 @@
 //!
 //! There is exactly **one writer per file** (each process registers its
 //! own log, keyed by pid), so the file needs none of the in-memory log's
-//! multi-writer reservation. An append is two positioned writes:
+//! multi-writer reservation. An append is one positioned write, and the
+//! publication that follows it is the writer's own publisher's:
 //!
-//! 1. **slot** — store the 24 bytes of slot `tail` in one write;
-//! 2. **tail** — store `tail + 1` in the header's tail word.
+//! 1. **slot** — [`FileShmWriter::write`] stores the 24 bytes of slot
+//!    `tail` in one write and notes `tail + 1` with its
+//!    [`TailPublisher`](crate::publisher::TailPublisher), setting the wake
+//!    flag (a Release RMW after the slot write completed);
+//! 2. **tail** — the publisher thread, woken by the first unpublished
+//!    write, clears the flag and reads the newest noted tail (an Acquire
+//!    RMW), then stores it in the header's tail word, at most
+//!    [`PUBLISH_WITHIN`](crate::publisher::PUBLISH_WITHIN) after it woke.
 //!
-//! The tail store *is* the publication: every slot below the tail a
-//! reader observes is complete. Past capacity there is no slot to write
-//! and the tail store alone is the drop ticket (overflow is accounted via
-//! the tail, exactly like a batch log). A writer that dies mid-append
-//! leaves slot bytes *above* the tail, where no reader looks — nothing
-//! visible, no hole; one that is killed leaves ACTIVE set (see below).
+//! Slot write, wake flag, tail store: each happens before the next, so
+//! the tail store *is* the publication, and every slot below the tail a
+//! reader observes is complete. One tail store publishes every write of
+//! its window, so a write costs one system call. [`FileShmWriter::flush`]
+//! stores the tail at once from the calling thread;
+//! [`FileShmWriter::finish`] stops the publisher, stores the tail, and
+//! only then clears ACTIVE, so a reader that sees ACTIVE cleared sees the
+//! final tail. Dropping a writer stops its publisher and stores the tail
+//! too. Stores are serialized and never move the tail back.
+//!
+//! Past capacity there is no slot to write and the noted tail alone is
+//! the drop ticket (overflow is accounted via the tail, exactly like a
+//! batch log). **Crash bound:** a writer that is killed loses at most the
+//! entries it wrote in its last `PUBLISH_WITHIN`: their slots lie above
+//! the last stored tail, and no reader — the live drain, salvage or
+//! [`crate::LogFile::load`] — reads above the tail: nothing visible, no
+//! hole. A killed writer also leaves ACTIVE set (see below).
 //!
 //! A pump is one read of the header — checked as the image the source
 //! attached to ([`HeaderRule::Attached`]: magic, version, the size word
@@ -48,9 +66,10 @@
 //! the source instead of the daemon.
 //!
 //! The protocol rests on one cross-process assumption: a positioned write
-//! that completed before a later positioned write of the same process is
-//! visible to any process that observes the later one, and an aligned
-//! 8-byte positioned write to tmpfs is never observed torn. The
+//! that happened before a later positioned write of the same process (on
+//! the same thread, or ordered by the publisher's RMW) is visible to any
+//! process that observes the later one, and an aligned 8-byte positioned
+//! write to tmpfs is never observed torn. The
 //! two-process stress test in `teeperf-daemon` is its hammer, the validity
 //! classification its backstop.
 //!
@@ -76,6 +95,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::faults::{SalvageReason, SalvageReport};
 /// Why a log file could not be created or opened: the error of every file
@@ -85,6 +105,7 @@ use crate::layout::{
     image_word, HeaderImage, HeaderRule, LogEntry, LogHeader, ENTRY_BYTES, FLAG_ACTIVE,
     HEADER_BYTES, OFF_CONTROL, OFF_MAGIC, OFF_TAIL,
 };
+use crate::publisher::TailPublisher;
 use crate::source::{EventSource, SourceBatch, SourceState};
 
 /// File extension of a registered log (`<pid>.tplog`).
@@ -149,25 +170,33 @@ fn write_word(file: &File, off: u64, word: u64) -> io::Result<()> {
     file.write_all_at(&word.to_le_bytes(), off)
 }
 
-/// The producer half: one process's log file, published by advancing its
-/// tail (see the module docs).
+/// The tail store: publishes every slot below `tail`, and past capacity
+/// the drop tickets.
+fn store_tail(file: &File, tail: u64) -> io::Result<()> {
+    write_word(file, OFF_TAIL, tail)
+}
+
+/// The producer half: one process's log file, whose slots it writes and
+/// whose tail its own publisher stores (see the module docs).
 #[derive(Debug)]
 pub struct FileShmWriter {
-    file: File,
+    file: Arc<File>,
     path: PathBuf,
     size: u64,
     tail: u64,
+    publisher: TailPublisher,
 }
 
 impl FileShmWriter {
     /// Create and register a log for `header.pid` inside `dir`: the file
     /// is fully initialized under a temporary name and only then renamed
     /// to `<pid>.tplog`, so a directory scanner never attaches to a
-    /// half-built header.
+    /// half-built header. Starts the log's tail publisher.
     ///
     /// # Errors
-    /// Propagates file-system failures; rejects a header without a pid or
-    /// without capacity (such a log could never be registered or drained).
+    /// Propagates file-system failures and a failure to start the
+    /// publisher; rejects a header without a pid or without capacity (such
+    /// a log could never be registered or drained).
     pub fn create(dir: &Path, header: &LogHeader) -> Result<FileShmWriter, ShmFileError> {
         // A session about to start: ACTIVE, nothing published.
         let image = LogHeader {
@@ -189,11 +218,15 @@ impl FileShmWriter {
         file.sync_all()?;
         let path = log_path(dir, header.pid);
         std::fs::rename(&tmp, &path)?;
+        let file = Arc::new(file);
+        let publishing = Arc::clone(&file);
+        let publisher = TailPublisher::start(Box::new(move |tail| store_tail(&publishing, tail)))?;
         Ok(FileShmWriter {
             file,
             path,
             size: header.size,
             tail: 0,
+            publisher,
         })
     }
 
@@ -217,42 +250,55 @@ impl FileShmWriter {
         self.tail.saturating_sub(self.size)
     }
 
-    /// Store the tail word: the publication of every slot below it, and
-    /// past capacity the drop ticket.
-    fn advance_tail(&mut self) -> io::Result<()> {
-        write_word(&self.file, OFF_TAIL, self.tail + 1)?;
+    /// Advance the tail, leaving its store to the publisher.
+    fn advance(&mut self) {
         self.tail += 1;
-        Ok(())
+        self.publisher.note(self.tail);
     }
 
-    /// Append one entry: the slot in one write, then the tail store that
-    /// publishes it. Returns the slot index, or `None` if the log is full
-    /// (the tail still advances, so the drop is visible to the consumer).
+    /// Append one entry: the slot in one write, the tail left to the
+    /// publisher, which stores it within
+    /// [`PUBLISH_WITHIN`](crate::publisher::PUBLISH_WITHIN). Returns the
+    /// slot index, or `None` if the log is full: then nothing is written,
+    /// but the tail still advances, so the drop is visible to the consumer.
     ///
     /// # Errors
-    /// Propagates file-system failures (disk full, file deleted under us).
+    /// Propagates file-system failures of the slot write (disk full, file
+    /// deleted under us).
     pub fn write(&mut self, entry: &LogEntry) -> io::Result<Option<u64>> {
         let index = (self.tail < self.size).then_some(self.tail);
         if let Some(index) = index {
             self.file
                 .write_all_at(&entry.to_bytes(), LogEntry::offset_of(index))?;
         }
-        self.advance_tail()?;
+        self.advance();
         Ok(index)
     }
 
+    /// Store the tail now, publishing every entry written so far without
+    /// waiting for the publisher.
+    ///
+    /// # Errors
+    /// Propagates file-system failures of the tail store.
+    pub fn flush(&self) -> io::Result<()> {
+        self.publisher.publish()
+    }
+
     /// Advance the tail over a slot that was never written — what only a
-    /// broken writer leaves behind. Fault-injection entry point for the
-    /// matrix tests; a correct writer never calls this.
+    /// broken writer leaves behind — and publish it at once.
+    /// Fault-injection entry point for the matrix tests; a correct writer
+    /// never calls this.
     ///
     /// # Errors
     /// Propagates file-system failures.
     pub fn skip_slot_unwritten(&mut self) -> io::Result<()> {
-        self.advance_tail()
+        self.advance();
+        self.flush()
     }
 
     /// Publish a slot holding word 0 only, its address word left zero —
-    /// a torn record. Fault-injection entry point for the matrix tests.
+    /// a torn record — at once. Fault-injection entry point for the matrix
+    /// tests.
     ///
     /// # Errors
     /// Propagates file-system failures.
@@ -261,7 +307,8 @@ impl FileShmWriter {
             let off = LogEntry::offset_of(self.tail);
             write_word(&self.file, off, entry.pack()[0].max(1))?;
         }
-        self.advance_tail()
+        self.advance();
+        self.flush()
     }
 
     /// Overwrite the magic word — the state of a log destroyed by a buggy
@@ -273,13 +320,16 @@ impl FileShmWriter {
         write_word(&self.file, OFF_MAGIC, 0xbad0_bad0_bad0_bad0)
     }
 
-    /// Finish the session cleanly: clear the header's ACTIVE flag so the
-    /// consumer knows no further entry will ever be published and can
-    /// report the source exhausted.
+    /// Finish the session cleanly: stop the publisher, store the final
+    /// tail, and only then clear the header's ACTIVE flag, so the consumer
+    /// knows no further entry will ever be published and can report the
+    /// source exhausted. A write after this is published by
+    /// [`FileShmWriter::flush`] or the drop.
     ///
     /// # Errors
     /// Propagates file-system failures.
     pub fn finish(&mut self) -> io::Result<()> {
+        self.publisher.finish()?;
         let control = image_word(&read_header(&self.file)?, OFF_CONTROL);
         write_word(&self.file, OFF_CONTROL, control & !FLAG_ACTIVE)?;
         self.file.sync_all()
@@ -486,6 +536,7 @@ mod tests {
         make_header, EntryValidity, EventKind, HeaderFault, LOG_MAGIC, OFF_SIZE, PID_UNSET,
     };
     use crate::log::{region_bytes, SharedLog};
+    use crate::publisher::PUBLISH_WITHIN;
     use crate::source::tests::Tally;
     use crate::LogFile;
     use proptest::prelude::*;
@@ -531,6 +582,7 @@ mod tests {
         for k in 1..=5 {
             assert!(w.write(&entry(k)).unwrap().is_some());
         }
+        w.flush().unwrap();
         let mut src = open(&log_path(&dir.0, 7));
         assert_eq!(src.pid(), 7);
         let b = src.pump();
@@ -562,6 +614,7 @@ mod tests {
         for k in 1..=7 {
             w.write(&entry(k)).unwrap();
         }
+        w.flush().unwrap();
         assert_eq!(w.dropped(), 3);
         let mut src = open(&log_path(&dir.0, 7));
         let b = src.pump();
@@ -623,6 +676,7 @@ mod tests {
         w.write(&entry(3)).unwrap();
         w.write_torn(&entry(4)).unwrap();
         w.write(&entry(5)).unwrap();
+        w.flush().unwrap();
         let mut src = open(&log_path(&dir.0, 7));
         let b = src.pump();
         assert_eq!(b.entries, vec![entry(1), entry(3), entry(5)]);
@@ -646,6 +700,7 @@ mod tests {
         for k in 1..=5 {
             w.write(&entry(k)).unwrap();
         }
+        w.flush().unwrap();
         assert_eq!(src.pump().entries.len(), 5);
         for k in 6..=n {
             w.write(&entry(k)).unwrap();
@@ -681,6 +736,7 @@ mod tests {
         for k in 1..=n {
             w.write(&entry(k)).unwrap();
         }
+        w.flush().unwrap();
         let keep = &mut |_: &mut Vec<LogEntry>| {};
         src.drain(&mut batch, false, keep);
         assert_eq!(batch.entries.len() as u64, n, "two bulk reads");
@@ -695,6 +751,7 @@ mod tests {
         for k in n + 1..=n + 100 {
             w.write(&entry(k)).unwrap();
         }
+        w.flush().unwrap();
         src.drain(&mut batch, false, keep);
         assert!(batch.entries.iter().map(|e| e.counter).eq(n + 1..=n + 100));
         assert_eq!(held(&src, &batch), steady);
@@ -734,6 +791,7 @@ mod tests {
         w.write(&entry(1)).unwrap();
         w.write_torn(&entry(2)).unwrap();
         w.write(&entry(3)).unwrap();
+        w.flush().unwrap();
         let mut src = open(&log_path(&dir.0, 7));
         let b = src.pump();
         assert_eq!(b.entries, vec![entry(1), entry(3)]);
@@ -747,6 +805,7 @@ mod tests {
         let dir = scratch("corrupt");
         let mut w = FileShmWriter::create(&dir.0, &header(7, 8)).unwrap();
         w.write(&entry(1)).unwrap();
+        w.flush().unwrap();
         let mut src = open(&log_path(&dir.0, 7));
         assert_eq!(src.pump().entries.len(), 1);
         w.corrupt_header().unwrap();
@@ -766,6 +825,7 @@ mod tests {
         for k in 1..=10 {
             w.write(&entry(k)).unwrap();
         }
+        w.flush().unwrap();
         let mut src = open(&log_path(&dir.0, 7));
         let mut drained = open(&log_path(&dir.0, 7));
         assert_eq!(drained.pump().entries.len(), 10);
@@ -889,17 +949,146 @@ mod tests {
         let mut src = open(&log_path(&dir.0, 7));
         assert!(src.pump().entries.is_empty());
         w.write(&entry(1)).unwrap();
+        w.flush().unwrap();
         assert_eq!(src.pump().entries.len(), 1);
         w.write(&entry(2)).unwrap();
         w.write(&entry(3)).unwrap();
+        w.flush().unwrap();
         let b = src.drain_to_end();
         assert_eq!(b.entries.len(), 2);
     }
+
+    /// Write system calls made so far by the calling thread (`syscw`).
+    fn thread_write_syscalls() -> u64 {
+        let io = std::fs::read_to_string("/proc/thread-self/io").expect("per-thread io counters");
+        let line = io.lines().find_map(|l| l.strip_prefix("syscw:"));
+        line.expect("a syscw line").trim().parse().unwrap()
+    }
+
+    #[test]
+    fn a_write_is_one_system_call_and_a_drop_ticket_none() {
+        let dir = scratch("syscalls");
+        let n = 64;
+        let mut w = FileShmWriter::create(&dir.0, &header(7, n)).unwrap();
+        let before = thread_write_syscalls();
+        for k in 1..=n {
+            w.write(&entry(k)).unwrap();
+        }
+        let written = thread_write_syscalls();
+        assert_eq!(
+            written - before,
+            n,
+            "one slot write per entry, no tail store"
+        );
+        for k in n + 1..=2 * n {
+            assert_eq!(w.write(&entry(k)).unwrap(), None);
+        }
+        assert_eq!(
+            thread_write_syscalls(),
+            written,
+            "past capacity nothing is written"
+        );
+        w.finish().unwrap();
+        let (entries, src) = drained(&log_path(&dir.0, 7));
+        assert!(entries.iter().map(|e| e.counter).eq(1..=n));
+        assert_eq!(src.state.dropped_total, n);
+    }
+
+    #[test]
+    fn the_publisher_publishes_every_entry_unflushed() {
+        let dir = scratch("unflushed");
+        let n = 1_000;
+        let mut w = FileShmWriter::create(&dir.0, &header(7, n)).unwrap();
+        let mut src = open(&log_path(&dir.0, 7));
+        let mut got = Vec::new();
+        for k in 1..=n {
+            w.write(&entry(k)).unwrap();
+            if k % 100 == 0 {
+                got.extend(src.pump().entries);
+            }
+        }
+        // A generous deadline, counted in publication windows slept: at
+        // least 30 s.
+        for _ in 0..30_000 {
+            if got.len() as u64 == n {
+                break;
+            }
+            std::thread::sleep(PUBLISH_WITHIN);
+            got.extend(src.pump().entries);
+        }
+        assert_eq!(got.len() as u64, n, "every entry published unasked");
+        // Nothing is delivered twice, however long the source keeps pumping.
+        for _ in 0..20 {
+            std::thread::sleep(PUBLISH_WITHIN);
+            got.extend(src.pump().entries);
+        }
+        assert!(
+            got.iter().map(|e| e.counter).eq(1..=n),
+            "exactly once, in order"
+        );
+        assert!(src.salvage.is_clean());
+        assert!(!src.state.exhausted, "writer still active");
+    }
+
+    #[test]
+    fn flush_publishes_every_entry_at_once() {
+        let dir = scratch("flush");
+        let mut w = FileShmWriter::create(&dir.0, &header(7, 64)).unwrap();
+        let mut src = open(&log_path(&dir.0, 7));
+        for round in 0..3 {
+            for k in 1..=10 {
+                w.write(&entry(round * 10 + k)).unwrap();
+            }
+            w.flush().unwrap();
+            let b = src.pump();
+            assert!(b
+                .entries
+                .iter()
+                .map(|e| e.counter)
+                .eq(round * 10 + 1..=round * 10 + 10));
+        }
+    }
+
+    #[test]
+    fn a_writer_dropped_unfinished_has_published_everything() {
+        let dir = scratch("dropped");
+        let mut w = FileShmWriter::create(&dir.0, &header(7, 8)).unwrap();
+        for k in 1..=10 {
+            w.write(&entry(k)).unwrap();
+        }
+        drop(w);
+        let (entries, src) = drained(&log_path(&dir.0, 7));
+        assert!(entries.iter().map(|e| e.counter).eq(1..=8));
+        assert_eq!(src.state.dropped_total, 2, "the drop tickets too");
+        assert!(src.header().active && !src.state.exhausted, "not finished");
+    }
+
+    #[test]
+    fn a_source_that_sees_active_cleared_sees_the_final_tail() {
+        let dir = scratch("finaltail");
+        let mut w = FileShmWriter::create(&dir.0, &header(7, 64)).unwrap();
+        let mut src = open(&log_path(&dir.0, 7));
+        for k in 1..=20 {
+            w.write(&entry(k)).unwrap();
+        }
+        let mut got = src.pump().entries;
+        for k in 21..=40 {
+            w.write(&entry(k)).unwrap();
+        }
+        w.finish().unwrap();
+        let b = src.pump();
+        assert!(src.src.writer_finished());
+        got.extend(b.entries);
+        assert!(got.iter().map(|e| e.counter).eq(1..=40));
+        assert!(src.state.exhausted);
+    }
+
     #[test]
     fn a_resized_header_kills_the_source() {
         let dir = scratch("resized");
         let mut w = FileShmWriter::create(&dir.0, &header(7, 8)).unwrap();
         w.write(&entry(1)).unwrap();
+        w.flush().unwrap();
         let mut src = open(&log_path(&dir.0, 7));
         assert_eq!(src.pump().entries.len(), 1);
         // The attached-image rule of `SharedLog::verify_header`: the size

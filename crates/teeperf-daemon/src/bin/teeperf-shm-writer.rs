@@ -2,7 +2,8 @@
 //! transport. The e2e tests and the CI smoke stage spawn several of these
 //! as real OS child processes; each registers `<pid>.tplog` (+ `<pid>.sym`)
 //! in the shared directory and publishes a deterministic `main → work →
-//! leaf` call tree, one slot write and one tail store per event.
+//! leaf` call tree, one slot write per event, the tail stored by the
+//! log's own publisher thread (it never flushes).
 //! `--tids a,b,…` deals the rounds out over those threads in turn, `main`'s
 //! call and return on the first (default: every entry on thread 0).
 //!

@@ -1,16 +1,19 @@
 //! The hammer for the file transport's one cross-process assumption
-//! (`teeperf_core::shm_file` module docs): a slot write that completed
-//! before the tail store of the same process is visible to whoever
-//! observes that tail, and the 8-byte tail word is never observed torn.
+//! (`teeperf_core::shm_file` module docs): a slot write that happened
+//! before the tail store of the same process — the writer's own publisher
+//! thread stores the tail — is visible to whoever observes that tail, and
+//! the 8-byte tail word is never observed torn.
 //!
 //! A real `teeperf-shm-writer` process appends a million entries to a log
 //! on tmpfs at full speed while this process pumps the file in a tight
 //! loop, so nearly every pump races an append in flight. Any slot read
 //! before its bytes landed would classify as unpublished or torn (a dirty
-//! salvage report) or break the counter order.
+//! salvage report) or break the counter order. A second writer pauses
+//! between bursts and never flushes: its publisher alone must show the
+//! reader each burst while the writer sleeps.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Child, Command};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -50,25 +53,9 @@ impl Drop for ScratchDir {
     }
 }
 
-#[test]
-fn a_full_speed_writer_process_never_shows_the_reader_an_incomplete_slot() {
-    const ITERATIONS: u64 = 250_000;
-    const EVENTS: u64 = 2 + 4 * ITERATIONS;
-    let _guard = hang_guard("file-transport-stress");
-    let dir = ScratchDir(default_shm_dir().join(format!("teeperf-stress-{}", std::process::id())));
-    let _ = std::fs::remove_dir_all(&dir.0);
-    std::fs::create_dir_all(&dir.0).expect("create scratch dir");
-
-    let mut writer = Command::new(env!("CARGO_BIN_EXE_teeperf-shm-writer"))
-        .arg("--dir")
-        .arg(&dir.0)
-        .args(["--iterations", &ITERATIONS.to_string()])
-        .args(["--capacity", &EVENTS.to_string()])
-        .arg("--no-sym")
-        .spawn()
-        .expect("spawn teeperf-shm-writer");
-    // The rename is the registration: once the name exists the header is
-    // complete, so attach as early as that.
+/// The log `writer` registers in `dir`, attached as soon as its name
+/// exists: the rename is the registration, so the header is complete.
+fn attach(dir: &ScratchDir, writer: &mut Child) -> FileShmSource {
     let path = log_path(&dir.0, u64::from(writer.id()));
     while !path.exists() {
         assert!(
@@ -77,7 +64,37 @@ fn a_full_speed_writer_process_never_shows_the_reader_an_incomplete_slot() {
         );
         std::thread::yield_now();
     }
-    let mut source = FileShmSource::open(&path).expect("attach to the registered log");
+    FileShmSource::open(&path).expect("attach to the registered log")
+}
+
+fn scratch(label: &str) -> ScratchDir {
+    let dir = ScratchDir(default_shm_dir().join(format!("teeperf-{label}-{}", std::process::id())));
+    let _ = std::fs::remove_dir_all(&dir.0);
+    std::fs::create_dir_all(&dir.0).expect("create scratch dir");
+    dir
+}
+
+/// A `teeperf-shm-writer` of `iterations` rounds into `dir`, no sidecar.
+fn spawn_writer(dir: &ScratchDir, iterations: u64, extra: &[&str]) -> Child {
+    Command::new(env!("CARGO_BIN_EXE_teeperf-shm-writer"))
+        .arg("--dir")
+        .arg(&dir.0)
+        .args(["--iterations", &iterations.to_string()])
+        .args(["--capacity", &(2 + 4 * iterations).to_string()])
+        .arg("--no-sym")
+        .args(extra)
+        .spawn()
+        .expect("spawn teeperf-shm-writer")
+}
+
+#[test]
+fn a_full_speed_writer_process_never_shows_the_reader_an_incomplete_slot() {
+    const ITERATIONS: u64 = 250_000;
+    const EVENTS: u64 = 2 + 4 * ITERATIONS;
+    let _guard = hang_guard("file-transport-stress");
+    let dir = scratch("stress");
+    let mut writer = spawn_writer(&dir, ITERATIONS, &[]);
+    let mut source = attach(&dir, &mut writer);
 
     let (mut seen, mut last, mut racing_pumps) = (0u64, 0u64, 0u64);
     let (mut state, mut salvage) = (SourceState::default(), SalvageReport::default());
@@ -105,4 +122,48 @@ fn a_full_speed_writer_process_never_shows_the_reader_an_incomplete_slot() {
         racing_pumps > 1,
         "the reader never overlapped the writer ({racing_pumps} racing pumps): nothing was hammered"
     );
+}
+
+/// A writer process that sleeps 400 ms after each round of four events and
+/// never flushes before `finish()`: the reader, pumping once a millisecond,
+/// reaches each burst's count while the writer is asleep and still active,
+/// then drains every entry exactly once, in order.
+#[test]
+fn a_pausing_writer_process_publishes_each_burst_while_it_sleeps() {
+    const BURSTS: u64 = 5;
+    let _guard = hang_guard("file-transport-bursts");
+    let dir = scratch("bursts");
+    let mut writer = spawn_writer(&dir, BURSTS, &["--interval-ms", "400"]);
+    let mut source = attach(&dir, &mut writer);
+
+    // Burst k ends at main's call plus k rounds; the last event, main's
+    // return, comes with `finish()`.
+    let burst_ends: Vec<u64> = (1..=BURSTS).map(|k| 1 + 4 * k).collect();
+    let (mut seen, mut last, mut reached) = (0u64, 0u64, Vec::new());
+    let (mut state, mut salvage) = (SourceState::default(), SalvageReport::default());
+    while !state.exhausted {
+        let batch = source.pump();
+        salvage.absorb(&batch.salvaged);
+        state = batch.state;
+        assert!(!state.dead, "{salvage:?}");
+        for entry in &batch.entries {
+            assert!(
+                entry.counter > last,
+                "counter {} after {last}",
+                entry.counter
+            );
+            last = entry.counter;
+        }
+        seen += batch.entries.len() as u64;
+        let paused = !source.writer_finished() && burst_ends.contains(&seen);
+        if paused && reached.last() != Some(&seen) {
+            reached.push(seen);
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(writer.wait().expect("wait writer").success());
+    assert_eq!(reached, burst_ends, "a burst the reader saw only after it");
+    assert_eq!(seen, 2 + 4 * BURSTS);
+    assert!(salvage.is_clean(), "{salvage:?}");
+    assert_eq!(state.dropped_total, 0);
 }

@@ -737,11 +737,13 @@ pub(crate) mod tests {
             (feed, Box::new(source))
         }
 
-        /// Write the next chunk, finishing the session after the last entry.
+        /// Write the next chunk and publish it, finishing the session
+        /// after the last entry.
         pub(crate) fn step(&mut self) {
             for e in self.entries.by_ref().take(self.chunk) {
                 self.writer.write(&e).expect("write an entry");
             }
+            self.writer.flush().expect("publish the chunk");
             if self.entries.len() == 0 && !self.finished {
                 self.writer.finish().expect("finish the log");
                 self.finished = true;
@@ -1646,7 +1648,7 @@ pub(crate) mod tests {
         /// Write `len` entries drawn from `seed` — calls and returns of
         /// three addresses (one the symbol table does not know) on two
         /// threads — with one torn (`fault` 1) or unpublished (`fault` 2)
-        /// slot among them.
+        /// slot among them, and publish them.
         fn burst(&mut self, len: usize, seed: u64, fault: u8) {
             let d = debug();
             let addrs = [d.entry_addr(0), d.entry_addr(1), 0x7777];
@@ -1674,6 +1676,7 @@ pub(crate) mod tests {
                     }
                 }
             }
+            self.writer.flush().unwrap();
         }
     }
 

@@ -86,11 +86,13 @@ impl Feed {
         (feed, source)
     }
 
-    /// Write the next chunk, finishing the session after the last entry.
+    /// Write the next chunk and publish it, finishing the session after
+    /// the last entry.
     fn step(&mut self) {
         for e in self.entries.by_ref().take(self.chunk) {
             self.writer.write(&e).expect("write an entry");
         }
+        self.writer.flush().expect("publish the chunk");
         if self.entries.len() == 0 && !self.finished {
             self.writer.finish().expect("finish the log");
             self.finished = true;
