@@ -2,32 +2,35 @@
 //! analyzer reads offline.
 //!
 //! On disk a log is the image of [`crate::layout`] itself: the 104-byte
-//! header, then the `min(tail, size)` stored 24-byte slots — the bytes a
+//! header, then the stored 24-byte slots — the bytes a
 //! [`crate::log::SharedLog`] region starts with and a deployed session's
 //! `<pid>.tplog` ([`crate::shm_file`]) holds. There is no framing of its
 //! own and no count word: how many entries a file has is what its header
-//! promises and its length backs ([`LogHeader::available`]), so
-//! [`LogFile::load`] reads a `.tplog` straight out of a registration
-//! directory — finished or killed, never its preallocated remainder — and
-//! a [`crate::shm_file::FileShmSource`] drains a file [`LogFile::save`]
+//! promises (`min(tail, size)`) and its length backs
+//! ([`LogHeader::available`]), and — while the header says its writer is
+//! active, the tail word being only a lower bound there — the slots past
+//! the tail that prove themselves complete, read by the rule of
+//! [`crate::shm_file`]. So [`LogFile::load`] reads a `.tplog` straight out
+//! of a registration directory, finished or killed, and a
+//! [`crate::shm_file::FileShmSource`] drains a file [`LogFile::save`]
 //! wrote. Files in the older private framing (magic `TPERFLG1`) are
 //! refused as not a log image.
 //!
 //! [`LogFile::load`] reads the way a source pumps: the header in one
-//! positioned read, checked as a foreign image, then the promised slots
-//! in chunks of [`crate::shm_file::READ_CHUNK_ENTRIES`] through one
-//! buffer, decoded straight into the entries. The file's bytes are never
-//! held whole, and every refusal is the one [`LogFile::from_bytes`] gives
+//! positioned read, checked as a foreign image, then the slots in chunks
+//! of [`crate::shm_file::READ_CHUNK_ENTRIES`] through one buffer, decoded
+//! straight into the entries. The file's bytes are never held whole, and
+//! every refusal and every entry is the one [`LogFile::from_bytes`] gives
 //! over the same bytes.
 
 use std::error::Error;
 use std::fmt;
-use std::io::Write;
+use std::io::{self, Write};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::layout::{HeaderFault, HeaderRule, LogEntry, LogHeader, ENTRY_BYTES, HEADER_BYTES};
-use crate::shm_file::{read_checked, READ_CHUNK_ENTRIES};
+use crate::shm_file::{read_checked, written_slot, READ_CHUNK_ENTRIES};
 
 /// Errors reading or writing a file that holds a log image: a recording,
 /// or a session's `<pid>.tplog` ([`crate::shm_file`] knows it as
@@ -121,7 +124,8 @@ impl LogFile {
     }
 
     /// Parse the on-disk image, strictly. Bytes past the promised slots
-    /// are not looked at.
+    /// are looked at only while the header says its writer is active, and
+    /// only as far as they prove themselves slots.
     ///
     /// # Errors
     /// [`LogFileError::TooSmall`] or [`LogFileError::Header`] when the
@@ -133,10 +137,10 @@ impl LogFile {
             return Err(LogFileError::TooSmall(bytes.len() as u64));
         };
         let header = LogHeader::from_image(image, HeaderRule::Foreign)?;
-        let slots = &body[..(promised_slots(&header, body.len() as u64)? * ENTRY_BYTES) as usize];
-        Ok(LogFile {
-            header,
-            entries: LogEntry::decode_slots(slots).collect(),
+        read_image(header, body.len() as u64, |first, buf| {
+            let at = (first * ENTRY_BYTES) as usize;
+            buf.copy_from_slice(&body[at..at + buf.len()]);
+            Ok(())
         })
     }
 
@@ -152,10 +156,9 @@ impl LogFile {
 
     /// Read a log from a file: a recording, or a deployed session's
     /// `<pid>.tplog`. The header is one positioned read, checked as
-    /// [`LogFile::from_bytes`] checks it; the promised slots are then
-    /// decoded [`READ_CHUNK_ENTRIES`] at a time through one buffer into
-    /// an exactly sized `entries`, so the file's bytes are never held
-    /// whole.
+    /// [`LogFile::from_bytes`] checks it; the slots are then decoded
+    /// [`READ_CHUNK_ENTRIES`] at a time through one buffer, so the file's
+    /// bytes are never held whole.
     ///
     /// # Errors
     /// Propagates I/O failures, and the errors [`LogFile::from_bytes`]
@@ -163,19 +166,60 @@ impl LogFile {
     pub fn load(path: impl AsRef<Path>) -> Result<LogFile, LogFileError> {
         let file = std::fs::File::open(path)?;
         let (len, header) = read_checked(&file, HeaderRule::Foreign)?;
-        let promised = promised_slots(&header, len - HEADER_BYTES)?;
-        let mut entries = Vec::with_capacity(promised as usize);
-        let mut buf = Vec::new();
-        let mut slot = 0;
-        while slot < promised {
-            let n = (promised - slot).min(READ_CHUNK_ENTRIES);
-            buf.resize((n * ENTRY_BYTES) as usize, 0);
-            file.read_exact_at(&mut buf, LogEntry::offset_of(slot))?;
-            entries.extend(LogEntry::decode_slots(&buf));
-            slot += n;
-        }
-        Ok(LogFile { header, entries })
+        read_image(header, len - HEADER_BYTES, |first, buf| {
+            file.read_exact_at(buf, LogEntry::offset_of(first))
+        })
     }
+}
+
+/// The log an image holds, its body `body_bytes` long and read by
+/// `read(first, buf)`, which fills `buf` with the slots from `first`: the
+/// `min(tail, size)` slots its header promises, each as stored; then,
+/// while the header says its writer is active, the slots past the tail
+/// that prove themselves complete, and the first that does not, if it
+/// holds a byte, as the torn record its killed writer left. The header's
+/// tail is raised to cover them.
+///
+/// # Errors
+/// [`LogFileError::Truncated`] when the body ends before the promised
+/// slots do; `read`'s errors.
+fn read_image(
+    mut header: LogHeader,
+    body_bytes: u64,
+    mut read: impl FnMut(u64, &mut [u8]) -> io::Result<()>,
+) -> Result<LogFile, LogFileError> {
+    let promised = promised_slots(&header, body_bytes)?;
+    let mut entries = Vec::with_capacity(promised as usize);
+    let mut chunk = Vec::new();
+    let mut slot = 0;
+    while slot < promised {
+        let n = (promised - slot).min(READ_CHUNK_ENTRIES);
+        chunk.resize((n * ENTRY_BYTES) as usize, 0);
+        read(slot, &mut chunk)?;
+        entries.extend(LogEntry::decode_slots(&chunk));
+        slot += n;
+    }
+    let on_disk = header.size.min(body_bytes / ENTRY_BYTES);
+    while header.active && slot < on_disk {
+        let n = (on_disk - slot).min(READ_CHUNK_ENTRIES);
+        chunk.resize((n * ENTRY_BYTES) as usize, 0);
+        read(slot, &mut chunk)?;
+        let took = LogEntry::complete_prefix(&chunk) as u64;
+        entries.reserve_exact(took as usize + 1);
+        entries.extend(LogEntry::decode_slots(
+            &chunk[..(took * ENTRY_BYTES) as usize],
+        ));
+        slot += took;
+        if took < n {
+            if let Some(words) = written_slot(&chunk, took) {
+                entries.push(LogEntry::torn(words));
+                slot += 1;
+            }
+            break;
+        }
+    }
+    header.tail = header.tail.max(slot);
+    Ok(LogFile { header, entries })
 }
 
 /// How many slots `header` promises (`min(tail, size)`), when a body of
@@ -421,7 +465,7 @@ mod tests {
         #[test]
         fn prop_round_trip(
             pid in 1u64..=u64::MAX, spare in 0u64..3, dropped: u64, anchor: u64,
-            raw_entries in proptest::collection::vec((any::<bool>(), 0u64..(1<<62), any::<u64>(), any::<u64>()), 0..64),
+            raw_entries in proptest::collection::vec((any::<bool>(), 0u64..(1<<62), any::<u64>(), 0u64..1 << 32), 0..64),
         ) {
             let entries: Vec<LogEntry> = raw_entries.iter().map(|(c, counter, addr, tid)| LogEntry {
                 kind: if *c { EventKind::Call } else { EventKind::Return },

@@ -39,7 +39,16 @@
 //! |------|----------|
 //! | 0 | bit 63 = call(1)/return(0), bits 0–62 = counter value |
 //! | 1 | call/return target instruction address |
-//! | 2 | thread id |
+//! | 2 | bits 0–31 = thread id (its low 32 bits), bits 32–63 = the slot's check |
+//!
+//! Every medium writes the check ([`LogEntry::pack`]); it proves a slot
+//! complete. A reader that copies a slot while its one write is in flight
+//! sees some of its bytes and zeros for the rest, and no such mix matches
+//! its check ([`LogEntry::complete_prefix`]), so a file reader may read
+//! past the stored tail and take every slot whose check matches
+//! ([`crate::shm_file`]). Below a tail, where the protocol itself
+//! publishes the slots, [`LogEntry::unpack`] decodes them without it and
+//! [`LogEntry::validity`] classifies them.
 //!
 //! ## One image, one codec
 //!
@@ -63,8 +72,10 @@ use std::fmt;
 
 /// Current version of the log structure. Version 2 grew the header from 64
 /// to 96 bytes (epoch, writers-in-flight, and cumulative-dropped words);
-/// version 3 grew it to 104 bytes (the fidelity regime word).
-pub const LOG_VERSION: u16 = 3;
+/// version 3 grew it to 104 bytes (the fidelity regime word); version 4
+/// keeps a thread id's low 32 bits in entry word 2 and the slot's check in
+/// its high 32 bits.
+pub const LOG_VERSION: u16 = 4;
 
 /// Header size in bytes.
 pub const HEADER_BYTES: u64 = 104;
@@ -143,6 +154,25 @@ pub const PID_UNSET: u64 = 0;
 pub const ENTRY_KIND_BIT: u64 = 1 << 63;
 /// Entry word 0: mask of the counter-value bits.
 pub const ENTRY_COUNTER_MASK: u64 = ENTRY_KIND_BIT - 1;
+/// Entry word 2: mask of the thread-id bits. A slot keeps a thread id's
+/// low 32 bits; the high 32 hold the slot's check.
+pub const ENTRY_TID_MASK: u64 = u32::MAX as u64;
+
+/// The check of a slot holding words `w0`, `w1` and thread id `tid`, as
+/// word 2's high 32 bits store it: `u32::MAX` less the sum of the ten
+/// 16-bit lanes of the 20 bytes it covers (at most 655 350).
+///
+/// What it proves: a copy of the slot taken while the slot's one write is
+/// in flight holds each byte either as written or still zero. Zeroing
+/// bytes can only lower a lane, so it can only raise the check the data
+/// calls for, and can only lower the check stored; the two meet only when
+/// neither moved. A zero slot calls for `u32::MAX`, so it never checks.
+fn slot_check(w0: u64, w1: u64, tid: u32) -> u32 {
+    const LANES: u64 = 0x0000_ffff_0000_ffff;
+    let pairs = |w: u64| (w & LANES) + (w >> 16 & LANES);
+    let sum = pairs(w0) + pairs(w1) + pairs(u64::from(tid));
+    u32::MAX - ((sum & 0xffff_ffff) + (sum >> 32)) as u32
+}
 
 /// Whether a log entry records a call (function entry) or a return.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -442,7 +472,7 @@ pub struct LogEntry {
 
 /// What a per-entry validity check concluded about a stored record.
 ///
-/// The live write protocol publishes word 0 (kind+counter) last, so a
+/// The in-memory write protocol publishes word 0 (kind+counter) last, so a
 /// crash-free log only ever contains `Valid` entries and `Unpublished`
 /// holes (a slot reserved by a writer that died or was preempted before
 /// publishing word 0 — the other words may hold the hole's own half-write
@@ -450,7 +480,9 @@ pub struct LogEntry {
 /// publication word). A `Torn` record — word 0 published but the address
 /// word still zero — can only come from a writer that violated the
 /// publication order or from memory corruption; no real function lives at
-/// address zero, so such records are detectable and salvageable.
+/// address zero, so such records are detectable and salvageable. A file
+/// writer killed inside its slot write leaves a slot that never proves
+/// itself complete; a final read counts it as torn too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EntryValidity {
     /// A complete, plausible record.
@@ -480,16 +512,20 @@ impl LogEntry {
         }
     }
 
-    /// Pack into the three words of the on-log representation.
+    /// Pack into the three words of the on-log representation: word 2
+    /// holds the thread id's low 32 bits under the slot's check.
     pub fn pack(&self) -> [u64; 3] {
         let mut w0 = self.counter & ENTRY_COUNTER_MASK;
         if self.kind == EventKind::Call {
             w0 |= ENTRY_KIND_BIT;
         }
-        [w0, self.addr, self.tid]
+        let tid = self.tid as u32;
+        let check = slot_check(w0, self.addr, tid);
+        [w0, self.addr, u64::from(check) << 32 | u64::from(tid)]
     }
 
-    /// Decode from the three on-log words.
+    /// Decode from the three on-log words, leaving the check unread: how
+    /// a slot below a tail, published by the protocol, is read.
     pub fn unpack(words: [u64; 3]) -> LogEntry {
         LogEntry {
             kind: if words[0] & ENTRY_KIND_BIT != 0 {
@@ -499,8 +535,15 @@ impl LogEntry {
             },
             counter: words[0] & ENTRY_COUNTER_MASK,
             addr: words[1],
-            tid: words[2],
+            tid: words[2] & ENTRY_TID_MASK,
         }
+    }
+
+    /// The torn record a slot that never proved itself complete stands for
+    /// once nothing will complete it (a killed file writer's last slot),
+    /// whatever its word 0 holds.
+    pub(crate) fn torn(words: [u64; 3]) -> LogEntry {
+        LogEntry::unpack([words[0] | ENTRY_KIND_BIT, 0, words[2]])
     }
 
     /// The slot as it is stored in a file: the three packed words,
@@ -514,22 +557,40 @@ impl LogEntry {
         out
     }
 
-    /// Decode every complete slot in `bytes`, in order (a trailing
-    /// partial slot is not an entry and is left out).
+    /// Decode every whole slot in `bytes`, in order (a trailing partial
+    /// slot is not an entry and is left out), each by [`LogEntry::unpack`].
     pub fn decode_slots(bytes: &[u8]) -> impl Iterator<Item = LogEntry> + '_ {
-        bytes.chunks_exact(ENTRY_BYTES as usize).map(|slot| {
-            let word = |i: usize| {
-                let le = slot[i * 8..(i + 1) * 8].try_into();
-                u64::from_le_bytes(le.expect("8-byte word of a 24-byte slot"))
-            };
-            LogEntry::unpack([word(0), word(1), word(2)])
-        })
+        slots(bytes).map(LogEntry::unpack)
+    }
+
+    /// How many leading slots of `bytes` prove themselves complete — word
+    /// 0 published and word 2's check matching the words: what a reader
+    /// may take of slots it read past the stored tail.
+    pub fn complete_prefix(bytes: &[u8]) -> usize {
+        slots(bytes).take_while(|words| complete(*words)).count()
     }
 
     /// Byte offset of entry `index` within the shared region.
     pub fn offset_of(index: u64) -> u64 {
         HEADER_BYTES + index * ENTRY_BYTES
     }
+}
+
+/// Whether a slot proves itself complete: word 0 published and word 2's
+/// check matching the words.
+fn complete([w0, w1, w2]: [u64; 3]) -> bool {
+    w0 != 0 && (w2 >> 32) as u32 == slot_check(w0, w1, w2 as u32)
+}
+
+/// The words of each whole 24-byte slot in `bytes`, in order.
+pub(crate) fn slots(bytes: &[u8]) -> impl Iterator<Item = [u64; 3]> + '_ {
+    bytes.chunks_exact(ENTRY_BYTES as usize).map(|slot| {
+        let word = |i: usize| {
+            let le = slot[i * 8..(i + 1) * 8].try_into();
+            u64::from_le_bytes(le.expect("8-byte word of a 24-byte slot"))
+        };
+        [word(0), word(1), word(2)]
+    })
 }
 
 #[cfg(test)]
@@ -641,6 +702,56 @@ mod tests {
             tid: 7,
         };
         assert_eq!(stale_hole.validity(), EntryValidity::Unpublished);
+    }
+
+    #[test]
+    fn a_slot_keeps_a_thread_ids_low_32_bits() {
+        let wide = LogEntry {
+            kind: EventKind::Call,
+            counter: 5,
+            addr: 0x40_0000,
+            tid: 7 << 32 | 9,
+        };
+        let stored = LogEntry::unpack(wide.pack());
+        assert_eq!(stored, LogEntry { tid: 9, ..wide });
+        assert_eq!(stored.validity(), EntryValidity::Valid);
+        let widest = LogEntry {
+            tid: u64::MAX,
+            ..wide
+        };
+        assert_eq!(LogEntry::unpack(widest.pack()).tid, ENTRY_TID_MASK);
+    }
+
+    #[test]
+    fn only_a_whole_slot_proves_itself_complete() {
+        let e = LogEntry {
+            kind: EventKind::Call,
+            counter: 5,
+            addr: 0x40_0000,
+            tid: 3,
+        };
+        let [w0, w1, w2] = e.pack();
+        let complete = |words: [u64; 3]| {
+            let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            LogEntry::complete_prefix(&bytes) == 1
+        };
+        assert!(complete([w0, w1, w2]));
+        // Word 0 alone, without word 2, without word 0, a flipped check
+        // bit, a zero slot.
+        let parts = [
+            [w0, 0, 0],
+            [w0, w1, 0],
+            [0, w1, w2],
+            [w0, w1, w2 ^ 1 << 40],
+            [0; 3],
+        ];
+        for words in parts {
+            assert!(!complete(words), "{words:x?}");
+        }
+        // Below a tail the check is not read: word 2 is the tid's.
+        assert_eq!(LogEntry::unpack([w0, w1, 3]), e);
+        // A slot no write will complete is torn whatever its word 0.
+        assert_eq!(LogEntry::torn([0, w1, w2]).validity(), EntryValidity::Torn);
     }
 
     #[test]
@@ -797,7 +908,7 @@ mod tests {
         }
 
         #[test]
-        fn prop_entry_round_trips(counter in 0u64..=ENTRY_COUNTER_MASK, addr: u64, tid: u64, call: bool) {
+        fn prop_entry_round_trips(counter in 0u64..=ENTRY_COUNTER_MASK, addr: u64, tid in 0u64..1 << 32, call: bool) {
             let e = LogEntry {
                 kind: if call { EventKind::Call } else { EventKind::Return },
                 counter,
@@ -810,6 +921,41 @@ mod tests {
             let mut bytes = e.to_bytes().to_vec();
             bytes.extend_from_slice(&e.to_bytes()[..23]);
             prop_assert_eq!(LogEntry::decode_slots(&bytes).collect::<Vec<_>>(), vec![e]);
+        }
+
+        /// A slot copied while its one write is in flight holds each byte
+        /// as written or still zero. Whatever the mix — each of the 8
+        /// masks of whole words, each prefix and suffix of the slot, then
+        /// 2048 random byte masks a case (131 072 a run), a byte kept with
+        /// probability 7/8 so that most of them miss only a few bytes —
+        /// the slot is refused or decodes to exactly the entry written.
+        #[test]
+        fn prop_a_torn_slot_is_refused_or_whole(
+            counter in 0u64..=ENTRY_COUNTER_MASK, addr: u64, tid in 0u64..1 << 32, call: bool, seed: u64,
+        ) {
+            let e = LogEntry {
+                kind: if call { EventKind::Call } else { EventKind::Return },
+                counter,
+                addr,
+                tid,
+            };
+            let bytes = e.to_bytes();
+            let mut rng = crate::faults::FaultRng::new(seed);
+            // Bit i of a mask keeps byte i; word w is bytes 8w..8w + 8.
+            let whole_words = (0..8u32).map(|m| (0..3).filter(|w| m >> w & 1 != 0).map(|w| 0xff << (8 * w)).sum());
+            let prefixes = (0..24).map(|k| (1u32 << k) - 1);
+            let suffixes = (1..24).map(|k| 0xff_ffff << k & 0xff_ffff);
+            let random = (0..2048).map(|_| (rng.next_u64() | rng.next_u64() | rng.next_u64()) as u32 & 0xff_ffff);
+            for mask in whole_words.chain(prefixes).chain(suffixes).chain(random) {
+                let mixed: Vec<u8> = bytes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, b)| if mask >> i & 1 != 0 { *b } else { 0 })
+                    .collect();
+                if LogEntry::complete_prefix(&mixed) == 1 {
+                    prop_assert_eq!(LogEntry::decode_slots(&mixed).next(), Some(e), "mask {:06x}", mask);
+                }
+            }
         }
 
         #[test]

@@ -12,7 +12,8 @@
 //!   incremented tail index, the shared-memory mapping address and a
 //!   profiler anchor address for relocation; plus 24-byte log entries
 //!   packing a call/return bit with the counter value, the call/return
-//!   target address, and the thread id.
+//!   target address, and the thread id beside a check that proves the
+//!   slot complete.
 //! * [`log`] — the **lock-free shared log**: writers reserve entries with a
 //!   single fetch-and-add on the tail, so no critical section ever
 //!   serializes the profiled threads (§II-C "Multithreading support").
@@ -43,12 +44,11 @@
 //!   region, initializes the log to a known state, runs the counter, and
 //!   drains the log to a persistent [`file::LogFile`] when measurement ends.
 //! * [`shm_file`] — the **cross-process transport**: the same log layout
-//!   in a file under `/dev/shm`, one writer per file, published by
-//!   advancing the tail, so genuinely separate OS processes feed one
-//!   consumer without `unsafe` ([`shm_file::FileShmWriter`] /
-//!   [`shm_file::FileShmSource`]). Each writer's tail is stored by its own
-//!   [`publisher::TailPublisher`] thread, within
-//!   [`publisher::PUBLISH_WITHIN`], so a write is one slot store.
+//!   in a file under `/dev/shm`, one writer per file, so genuinely
+//!   separate OS processes feed one consumer without `unsafe`
+//!   ([`shm_file::FileShmWriter`] / [`shm_file::FileShmSource`]). A write
+//!   is one slot store that publishes itself: the reader takes the slots
+//!   past the stored tail whose checks match.
 //! * [`api`] — a native-Rust profiling API used by the workload substrates
 //!   (LSM store, SPDK port) that are written in Rust rather than Mini-C;
 //!   it plays the role of linking `profiler.h` into a C++ code base.
@@ -64,7 +64,6 @@ pub mod file;
 pub mod hooks;
 pub mod layout;
 pub mod log;
-pub mod publisher;
 pub mod recorder;
 pub mod shm_file;
 pub mod source;

@@ -1,16 +1,16 @@
-//! The hammer for the file transport's one cross-process assumption
-//! (`teeperf_core::shm_file` module docs): a slot write that happened
-//! before the tail store of the same process — the writer's own publisher
-//! thread stores the tail — is visible to whoever observes that tail, and
-//! the 8-byte tail word is never observed torn.
+//! The hammer for the file transport's publication rule
+//! (`teeperf_core::shm_file` module docs): a slot publishes itself — the
+//! reader reads past the stored tail and takes only slots whose check
+//! matches — and a write that happened before a later one of the same
+//! process is visible to whoever observes the later one.
 //!
 //! A real `teeperf-shm-writer` process appends a million entries to a log
 //! on tmpfs at full speed while this process pumps the file in a tight
-//! loop, so nearly every pump races an append in flight. Any slot read
-//! before its bytes landed would classify as unpublished or torn (a dirty
-//! salvage report) or break the counter order. A second writer pauses
-//! between bursts and never flushes: its publisher alone must show the
-//! reader each burst while the writer sleeps.
+//! loop, so nearly every pump races an append in flight. A slot taken
+//! before all its bytes landed would break the counter order, and one
+//! counted would dirty the salvage report. A second writer pauses between
+//! bursts and never flushes: its slots alone must show the reader each
+//! burst while the writer sleeps.
 
 use std::path::PathBuf;
 use std::process::{Child, Command};

@@ -743,7 +743,6 @@ pub(crate) mod tests {
             for e in self.entries.by_ref().take(self.chunk) {
                 self.writer.write(&e).expect("write an entry");
             }
-            self.writer.flush().expect("publish the chunk");
             if self.entries.len() == 0 && !self.finished {
                 self.writer.finish().expect("finish the log");
                 self.finished = true;
@@ -1676,7 +1675,6 @@ pub(crate) mod tests {
                     }
                 }
             }
-            self.writer.flush().unwrap();
         }
     }
 

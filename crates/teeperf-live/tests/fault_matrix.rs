@@ -651,13 +651,13 @@ fn file_matrix_truncation_mid_drain_is_clamped_and_counted() {
     for k in 1..=6 {
         w.write(&entry(k)).unwrap();
     }
-    w.flush().unwrap();
     let mut source = Tally::new(file_source(&w));
     assert_eq!(source.pump().entries.len(), 6, "first drain is clean");
 
     for k in 7..=10 {
         w.write(&entry(k)).unwrap();
     }
+    // The cut below is a fault below the tail: store it.
     w.flush().unwrap();
     // Cut the file so only the first 8 of the 10 reserved slots survive.
     let keep = LogEntry::offset_of(8);
@@ -721,7 +721,6 @@ fn file_matrix_writer_crash_hole_is_closed_by_the_final_drain() {
     w.write(&entry(2)).unwrap();
     w.skip_slot_unwritten().unwrap();
     w.write(&entry(4)).unwrap();
-    w.flush().unwrap();
 
     let mut source = Tally::new(file_source(&w));
     let mut got = Vec::new();
@@ -766,9 +765,6 @@ fn file_matrix_registry_quarantines_corrupt_file_among_survivors() {
         0,
     );
 
-    healthy.flush().unwrap();
-    sick.flush().unwrap();
-
     let mut reg = SessionRegistry::new(LiveConfig::default());
     reg.attach(Box::new(file_source(&healthy)), sym()).unwrap();
     reg.attach(Box::new(file_source(&sick)), sym()).unwrap();
@@ -782,7 +778,6 @@ fn file_matrix_registry_quarantines_corrupt_file_among_survivors() {
         },
         1000,
     );
-    healthy.flush().unwrap();
     reg.pump();
     assert_eq!(reg.pids(), vec![5], "pid 6 quarantined");
     assert_eq!(reg.retired_pids(), vec![6]);

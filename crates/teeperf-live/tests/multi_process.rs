@@ -92,7 +92,6 @@ impl Feed {
         for e in self.entries.by_ref().take(self.chunk) {
             self.writer.write(&e).expect("write an entry");
         }
-        self.writer.flush().expect("publish the chunk");
         if self.entries.len() == 0 && !self.finished {
             self.writer.finish().expect("finish the log");
             self.finished = true;

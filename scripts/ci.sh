@@ -28,6 +28,8 @@ tmo() {
   timeout --signal=KILL "$limit" "$@"
 }
 
+# Non-test lines per crate, for the record (no bound).
+run scripts/loc.sh
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets --offline -- -D warnings \
   -D clippy::undocumented_unsafe_blocks -D clippy::dbg_macro
@@ -73,6 +75,14 @@ tmo 60 cargo test -q --offline -p teeperf-live --test fault_matrix
 tmo 60 cargo test -q --offline -p teeperf-core faults::
 tmo 60 cargo test -q --offline -p teeperf-core source::tests
 tmo 60 cargo test -q --offline -p teeperf-core shm_file::
+# The file transport's racing reader at 10 M slots, in a release build:
+# a pump reading past the stored tail while a writer thread appends must
+# take no slot whose bytes were not all written (`cargo test` runs the
+# same race at 400 000 slots).
+if [ "$mode" != "quick" ]; then
+  tmo 300 cargo test -q --release --offline -p teeperf-core --lib \
+    shm_file::tests::ten_million_slots_raced_past_the_tail -- --ignored
+fi
 
 # Protocol lint (ISSUE 6): no raw atomics outside the SharedMem/MemModel
 # seam, every Ordering choice justified with an `// ord:` comment, no
