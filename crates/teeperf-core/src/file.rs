@@ -30,7 +30,7 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::layout::{HeaderFault, HeaderRule, LogEntry, LogHeader, ENTRY_BYTES, HEADER_BYTES};
-use crate::shm_file::{read_checked, written_slot, READ_CHUNK_ENTRIES};
+use crate::shm_file::{read_checked, read_past_tail, READ_CHUNK_ENTRIES};
 
 /// Errors reading or writing a file that holds a log image: a recording,
 /// or a session's `<pid>.tplog` ([`crate::shm_file`] knows it as
@@ -176,9 +176,11 @@ impl LogFile {
 /// `read(first, buf)`, which fills `buf` with the slots from `first`: the
 /// `min(tail, size)` slots its header promises, each as stored; then,
 /// while the header says its writer is active, the slots past the tail
-/// that prove themselves complete, and the first that does not, if it
-/// holds a byte, as the torn record its killed writer left. The header's
-/// tail is raised to cover them.
+/// that prove themselves complete ([`read_past_tail`]), the header's tail
+/// raised to cover them. The first slot that does not is left out, held
+/// byte or not: a load cannot tell a write in flight from one its killed
+/// writer died inside, so only a salvaging drain, whose caller knows the
+/// writer is gone, counts it as torn.
 ///
 /// # Errors
 /// [`LogFileError::Truncated`] when the body ends before the promised
@@ -199,24 +201,20 @@ fn read_image(
         entries.extend(LogEntry::decode_slots(&chunk));
         slot += n;
     }
-    let on_disk = header.size.min(body_bytes / ENTRY_BYTES);
-    while header.active && slot < on_disk {
-        let n = (on_disk - slot).min(READ_CHUNK_ENTRIES);
-        chunk.resize((n * ENTRY_BYTES) as usize, 0);
-        read(slot, &mut chunk)?;
-        let took = LogEntry::complete_prefix(&chunk) as u64;
-        entries.reserve_exact(took as usize + 1);
-        entries.extend(LogEntry::decode_slots(
-            &chunk[..(took * ENTRY_BYTES) as usize],
-        ));
-        slot += took;
-        if took < n {
-            if let Some(words) = written_slot(&chunk, took) {
-                entries.push(LogEntry::torn(words));
-                slot += 1;
-            }
-            break;
-        }
+    if header.active {
+        let on_disk = header.size.min(body_bytes / ENTRY_BYTES);
+        let take = |complete: &[u8]| {
+            entries.reserve_exact(complete.len() / ENTRY_BYTES as usize);
+            entries.extend(LogEntry::decode_slots(complete));
+        };
+        read_past_tail(
+            &mut slot,
+            on_disk,
+            READ_CHUNK_ENTRIES,
+            &mut chunk,
+            read,
+            take,
+        )?;
     }
     header.tail = header.tail.max(slot);
     Ok(LogFile { header, entries })

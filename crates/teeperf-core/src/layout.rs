@@ -539,13 +539,6 @@ impl LogEntry {
         }
     }
 
-    /// The torn record a slot that never proved itself complete stands for
-    /// once nothing will complete it (a killed file writer's last slot),
-    /// whatever its word 0 holds.
-    pub(crate) fn torn(words: [u64; 3]) -> LogEntry {
-        LogEntry::unpack([words[0] | ENTRY_KIND_BIT, 0, words[2]])
-    }
-
     /// The slot as it is stored in a file: the three packed words,
     /// little-endian. The one byte codec behind both the persistent log
     /// file and the file transport.
@@ -750,8 +743,6 @@ mod tests {
         }
         // Below a tail the check is not read: word 2 is the tid's.
         assert_eq!(LogEntry::unpack([w0, w1, 3]), e);
-        // A slot no write will complete is torn whatever its word 0.
-        assert_eq!(LogEntry::torn([0, w1, w2]).validity(), EntryValidity::Torn);
     }
 
     #[test]

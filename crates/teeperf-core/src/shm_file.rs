@@ -28,10 +28,12 @@
 //! The header's tail word is a lower bound on the slots written, stored
 //! by [`FileShmWriter::flush`], by [`FileShmWriter::finish`] before it
 //! clears ACTIVE (so a reader that sees ACTIVE cleared sees the final
-//! tail), by dropping the writer, and by every write past capacity, which
-//! stores the tail instead of a slot: the tail alone is the drop ticket
-//! (overflow is accounted via the tail, exactly like a batch log), visible
-//! within one pump. A write is one system call either way.
+//! tail), and by every write past capacity, which stores the tail instead
+//! of a slot: the tail alone is the drop ticket (overflow is accounted via
+//! the tail, exactly like a batch log), visible within one pump. A write
+//! is one system call either way. A writer dropped unfinished stores
+//! nothing more: its log stays ACTIVE, so every reader reads past the tail
+//! and takes every slot it completed.
 //!
 //! A pump is one read of the header — checked as the image the source
 //! attached to ([`HeaderRule::Attached`]: magic, version, the size word
@@ -51,12 +53,15 @@
 //! hands each chunk to its walk before it reads the next, so a batch whose
 //! walk consumes its stretches holds one chunk.
 //!
-//! A final drain ([`EventSource::drain_to_end`], what a quarantined
-//! session gets), [`crate::LogFile::load`] and salvage read by the same
-//! rule, except that a frontier slot holding any byte is a slot its dead
-//! writer was killed inside: it is counted as one
-//! [`SalvageReason::TornEntry`]. **Crash bound:** a writer that is killed
-//! loses at most the slot it was writing. It also leaves ACTIVE set (see
+//! [`crate::LogFile::load`] reads by the same rule and stops at that
+//! first slot too, whatever it holds: a load cannot tell a write in
+//! flight from a dead writer's last one. A final drain
+//! ([`EventSource::drain_to_end`], what a quarantined session gets, and
+//! salvage) is told the writer is gone, so there a frontier slot holding
+//! any byte is a slot its writer was killed inside: it is counted as one
+//! [`SalvageReason::TornEntry`]. One helper, `read_past_tail`, holds the
+//! rule for all of them. **Crash bound:** a writer that is killed loses
+//! at most the slot it was writing. It also leaves ACTIVE set (see
 //! below). The salvage accounting ([`SalvageReport`]) carries over:
 //! truncated files are clamped and accounted, corrupt headers kill the
 //! source instead of the daemon.
@@ -97,7 +102,7 @@ use crate::faults::{SalvageReason, SalvageReport};
 /// that holds a log image.
 pub use crate::file::LogFileError as ShmFileError;
 use crate::layout::{
-    image_word, slots, HeaderImage, HeaderRule, LogEntry, LogHeader, ENTRY_BYTES, FLAG_ACTIVE,
+    image_word, HeaderImage, HeaderRule, LogEntry, LogHeader, ENTRY_BYTES, FLAG_ACTIVE,
     HEADER_BYTES, OFF_CONTROL, OFF_MAGIC, OFF_TAIL,
 };
 use crate::source::{EventSource, SourceBatch, SourceState};
@@ -297,8 +302,7 @@ impl FileShmWriter {
     /// Finish the session cleanly: store the final tail, and only then
     /// clear the header's ACTIVE flag, so the consumer knows no further
     /// entry will ever be published and can report the source exhausted.
-    /// A write after this is published by [`FileShmWriter::flush`] or the
-    /// drop.
+    /// A write after this is published by [`FileShmWriter::flush`].
     ///
     /// # Errors
     /// Propagates file-system failures.
@@ -307,14 +311,6 @@ impl FileShmWriter {
         let control = image_word(&read_header(&self.file)?, OFF_CONTROL);
         write_word(&self.file, OFF_CONTROL, control & !FLAG_ACTIVE)?;
         self.file.sync_all()
-    }
-}
-
-impl Drop for FileShmWriter {
-    /// Store the tail, so a reader of a session whose writer went away
-    /// without finishing finds the drop tickets too.
-    fn drop(&mut self) {
-        let _ = self.flush();
     }
 }
 
@@ -327,27 +323,58 @@ pub const READ_CHUNK_ENTRIES: u64 = 4096;
 /// worth.
 const PROBE_ENTRIES: u64 = 4096_u64.div_ceil(ENTRY_BYTES);
 
-/// The words of slot `index` of `chunk`, if it holds a byte. Read past
-/// the tail and not complete, such a slot is one a killed writer died
-/// inside.
-pub(crate) fn written_slot(chunk: &[u8], index: u64) -> Option<[u64; 3]> {
-    let at = (index * ENTRY_BYTES) as usize;
-    slots(chunk.get(at..)?)
-        .next()
-        .filter(|words| *words != [0; 3])
-}
-
-/// `n` slots from slot `first` of `file`, read into `buf` (grown to one
-/// chunk at most: a shorter read fills a prefix, and nothing is zeroed
-/// twice). `None` when the bytes are gone.
-fn read_slots<'b>(file: &File, buf: &'b mut Vec<u8>, first: u64, n: u64) -> Option<&'b [u8]> {
+/// `n` slots' worth of `buf`, grown to one chunk at most: a shorter read
+/// fills a prefix, and nothing is zeroed twice.
+fn chunk_of(buf: &mut Vec<u8>, n: u64) -> &mut [u8] {
     let bytes = (n * ENTRY_BYTES) as usize;
     if buf.len() < bytes {
         buf.resize(bytes, 0);
     }
-    let chunk = &mut buf[..bytes];
+    &mut buf[..bytes]
+}
+
+/// `n` slots from slot `first` of `file`, read into `buf`. `None` when
+/// the bytes are gone.
+fn read_slots<'b>(file: &File, buf: &'b mut Vec<u8>, first: u64, n: u64) -> Option<&'b [u8]> {
+    let chunk = chunk_of(buf, n);
     file.read_exact_at(chunk, LogEntry::offset_of(first)).ok()?;
     Some(chunk)
+}
+
+/// The one rule for slots past a stored tail, which every reader of an
+/// active log follows: from `*slot` up to slot `end`, read by `read(first,
+/// buf)` into `buf` — `want` slots first, then [`READ_CHUNK_ENTRIES`] at a
+/// time — each chunk's longest prefix of slots that prove themselves
+/// complete handed to `take` and stepped over. Stops at the first slot
+/// that does not, and says whether it holds a byte: a write still in
+/// flight, or, once the writer is known dead, the slot it was killed
+/// inside.
+///
+/// # Errors
+/// `read`'s; `*slot` is then past what was taken.
+pub(crate) fn read_past_tail(
+    slot: &mut u64,
+    end: u64,
+    mut want: u64,
+    buf: &mut Vec<u8>,
+    mut read: impl FnMut(u64, &mut [u8]) -> io::Result<()>,
+    mut take: impl FnMut(&[u8]),
+) -> io::Result<bool> {
+    while *slot < end {
+        let n = (end - *slot).min(want);
+        let chunk = chunk_of(buf, n);
+        read(*slot, chunk)?;
+        let took = LogEntry::complete_prefix(chunk) as u64;
+        let (complete, rest) = chunk.split_at((took * ENTRY_BYTES) as usize);
+        take(complete);
+        *slot += took;
+        if took < n {
+            let frontier = &rest[..ENTRY_BYTES as usize];
+            return Ok(frontier.iter().any(|&b| b != 0));
+        }
+        want = READ_CHUNK_ENTRIES;
+    }
+    Ok(false)
 }
 
 /// The consumer half: an [`EventSource`] polling one registered log file.
@@ -508,28 +535,23 @@ impl FileShmSource {
         }
         // Past the tail: the longest prefix of slots that prove themselves.
         let start = self.cursor;
-        let mut want = self.probe;
-        while self.cursor < on_disk {
-            let n = (on_disk - self.cursor).min(want);
-            let Some(chunk) = read_slots(&self.file, &mut self.buf, self.cursor, n) else {
-                break;
-            };
-            let took = LogEntry::complete_prefix(chunk) as u64;
-            let complete = &chunk[..(took * ENTRY_BYTES) as usize];
-            let decoded = LogEntry::decode_slots(complete);
-            batch.salvaged.filter_into(decoded, &mut batch.entries);
-            let frontier_written = written_slot(chunk, took).is_some();
-            self.cursor += took;
-            walk(&mut batch.entries);
-            if took < n {
-                if to_end && frontier_written {
-                    // A final drain: nothing will complete this slot.
-                    batch.salvaged.drop_n(SalvageReason::TornEntry, 1);
-                    self.cursor += 1;
-                }
-                break;
-            }
-            want = READ_CHUNK_ENTRIES;
+        let file = &self.file;
+        let frontier_written = read_past_tail(
+            &mut self.cursor,
+            on_disk,
+            self.probe,
+            &mut self.buf,
+            |first, chunk| file.read_exact_at(chunk, LogEntry::offset_of(first)),
+            |complete| {
+                let decoded = LogEntry::decode_slots(complete);
+                batch.salvaged.filter_into(decoded, &mut batch.entries);
+                walk(&mut batch.entries);
+            },
+        );
+        if to_end && matches!(frontier_written, Ok(true)) {
+            // A final drain: nothing will complete this slot.
+            batch.salvaged.drop_n(SalvageReason::TornEntry, 1);
+            self.cursor += 1;
         }
         self.probe = (self.cursor - start).clamp(PROBE_ENTRIES, READ_CHUNK_ENTRIES);
     }
@@ -1063,7 +1085,7 @@ mod tests {
     }
 
     #[test]
-    fn the_tail_is_stored_by_flush_finish_and_drop() {
+    fn the_tail_is_stored_by_flush_and_finish() {
         let dir = scratch("tailstores");
         let mut w = FileShmWriter::create(&dir.0, &header(7, 64)).unwrap();
         for k in 1..=10 {
@@ -1075,10 +1097,6 @@ mod tests {
         w.write(&entry(11)).unwrap();
         w.finish().unwrap();
         assert_eq!(stored_tail(&dir, 7), 11);
-        let mut w = FileShmWriter::create(&dir.0, &header(8, 64)).unwrap();
-        w.write(&entry(1)).unwrap();
-        drop(w);
-        assert_eq!(stored_tail(&dir, 8), 1);
     }
 
     #[test]
@@ -1320,7 +1338,8 @@ mod tests {
             for k in 1..=n {
                 w.write(&entry(k)).unwrap();
             }
-            // The in-process stand-in for SIGKILL: no drop, no tail store.
+            // The in-process stand-in for SIGKILL: no tail store, ACTIVE
+            // left set.
             std::mem::forget(w);
             let path = log_path(&dir.0, n);
             let written: Vec<LogEntry> = (1..=n).map(entry).collect();
@@ -1362,11 +1381,11 @@ mod tests {
         assert!(src.drain_to_end().entries.is_empty());
         assert_eq!(src.salvage.count(SalvageReason::TornEntry), 1);
         assert_eq!((src.salvage.kept, src.salvage.dropped), (3, 1));
-        // The strict load holds it as a torn record, the tail past it.
+        // The strict load cannot tell it from a write in flight: it stops
+        // there, and leaves it out.
         let loaded = LogFile::load(&path).unwrap();
-        assert_eq!(loaded.entries[..3], [entry(1), entry(2), entry(3)]);
-        assert_eq!(loaded.entries[3].validity(), EntryValidity::Torn);
-        assert_eq!(loaded.header.tail, 4);
+        assert_eq!(loaded.entries, [entry(1), entry(2), entry(3)]);
+        assert_eq!(loaded.header.tail, 3);
         // A finished session's tail is final: nothing past it is read.
         let mut h = header(9, 8);
         h.active = false;
@@ -1442,6 +1461,28 @@ mod tests {
     #[ignore = "10 M slots; run in release by scripts/ci.sh"]
     fn ten_million_slots_raced_past_the_tail() {
         assert!(race("race10m", 10, 1_000_000) > 1);
+    }
+
+    /// The slots a final drain of the image `bytes` (its header as
+    /// opened: `header`) keeps or accounts: those the header promises
+    /// when the strict load refuses a cut image; else those the strict
+    /// load took, plus the slot it stopped at past the tail of an active
+    /// log when that slot holds a byte, which the drain counts as torn.
+    fn accountable(
+        bytes: &[u8],
+        strict: &Result<LogFile, ShmFileError>,
+        header: &LogHeader,
+    ) -> u64 {
+        let Ok(strict) = strict else {
+            return header.stored_entries();
+        };
+        let took = strict.entries.len() as u64;
+        let at = LogEntry::offset_of(took) as usize;
+        let frontier = bytes.get(at..at + ENTRY_BYTES as usize);
+        let torn = header.active
+            && took < header.size
+            && frontier.is_some_and(|slot| slot.iter().any(|&b| b != 0));
+        took + u64::from(torn)
     }
 
     proptest! {
@@ -1524,15 +1565,44 @@ mod tests {
                 prop_assert!(entries.capacity() as u64 <= held as u64 + READ_CHUNK_ENTRIES);
                 let report = &src.salvage;
                 prop_assert_eq!(entries.len() as u64, report.kept);
-                // The tail promises a floor; past it an active writer's
-                // slots count as far as they prove themselves, by the
-                // rule the strict load reads by.
-                prop_assert!(report.kept + report.dropped >= src.header().stored_entries());
-                if let Ok(strict) = &strict {
-                    prop_assert_eq!(report.kept + report.dropped, strict.entries.len() as u64);
-                }
+                prop_assert_eq!(report.kept + report.dropped, accountable(&bytes, &strict, src.header()));
             } else {
                 prop_assert!(strict.is_err());
+            }
+        }
+
+        /// A killed writer's image, its tail anywhere and its slots of
+        /// every shape — whole, zero, or a prefix of a slot's bytes, the
+        /// rest still zero — drains to its end as it loads: the same valid
+        /// entries, and past the tail the one slot the load stops at
+        /// counted as torn exactly when it holds a byte.
+        #[test]
+        fn prop_a_killed_writers_image_drains_as_it_loads(
+            size in 1u64..8,
+            tail in 0u64..8,
+            shapes in proptest::collection::vec((1u64..1 << 40, 0u8..4, 1usize..24), 0..8),
+        ) {
+            let mut h = header(1, size);
+            h.tail = tail;
+            let mut bytes = LogFile::new(h, Vec::new()).to_bytes();
+            for (counter, shape, cut) in &shapes {
+                let mut slot = entry(*counter).to_bytes();
+                match shape {
+                    2 => slot.fill(0),
+                    3 => slot[*cut..].fill(0),
+                    _ => {}
+                }
+                bytes.extend_from_slice(&slot);
+            }
+            let strict = LogFile::from_bytes(&bytes);
+            let dir = scratch("killedimage");
+            let (entries, src) = salvaged(&dir, &bytes).unwrap();
+            let report = &src.salvage;
+            prop_assert_eq!(entries.len() as u64, report.kept);
+            prop_assert_eq!(report.kept + report.dropped, accountable(&bytes, &strict, src.header()));
+            if let Ok(strict) = &strict {
+                let valid = strict.entries.iter().filter(|e| e.validity() == EntryValidity::Valid);
+                prop_assert!(valid.eq(&entries));
             }
         }
 
@@ -1554,10 +1624,8 @@ mod tests {
             if let Ok((entries, src)) = salvaged(&dir, &b) {
                 let report = &src.salvage;
                 prop_assert_eq!(entries.len() as u64, report.kept);
-                prop_assert!(report.kept + report.dropped >= src.header().stored_entries());
-                if let Ok(strict) = LogFile::from_bytes(&b) {
-                    prop_assert_eq!(report.kept + report.dropped, strict.entries.len() as u64);
-                }
+                let strict = LogFile::from_bytes(&b);
+                prop_assert_eq!(report.kept + report.dropped, accountable(&b, &strict, src.header()));
             }
         }
     }
